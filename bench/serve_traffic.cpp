@@ -183,8 +183,6 @@ struct ReplayTotals
     int64_t hits = 0;
     uint64_t macsTotal = 0;
     uint64_t macsSkipped = 0;
-    int64_t planLookups = 0;
-    int64_t planHits = 0;
     uint64_t modeledBaseline = 0; ///< JobResult::modeledBaselineCycles
     uint64_t modeledMercury = 0;  ///< JobResult::modeledMercuryCycles
 
@@ -254,8 +252,6 @@ playSegment(MercuryServer &server,
             totals.add(r.forward);
             totals.add(r.backward);
             totals.add(r.weightGrad);
-            totals.planLookups += r.planLookups;
-            totals.planHits += r.planHits;
             totals.modeledBaseline += r.modeledBaselineCycles;
             totals.modeledMercury += r.modeledMercuryCycles;
         }
@@ -332,44 +328,11 @@ run()
     MercuryServer cold_server(cfg);
     const ReplayTotals cold = playSegment(cold_server, serve_seg);
 
-    // ---- Phase 3: planned execution (plan-cache hit rate) ---------
-    // The same cold replay with ServeConfig::planExecution on: the
-    // server-wide PlanCache compiles each (shape, config) step plan
-    // once and every later bind — across jobs, sessions, and tenants
-    // — hits. Planned serving is bit-identical, which the reuse-stat
-    // comparison against the unplanned cold replay enforces here.
-    ServeConfig plan_cfg = cfg;
-    plan_cfg.planExecution = true;
-    MercuryServer plan_server(plan_cfg);
-    const ReplayTotals planned = playSegment(plan_server, serve_seg);
-    if (planned.vectors != cold.vectors || planned.hits != cold.hits ||
-        planned.macsTotal != cold.macsTotal ||
-        planned.macsSkipped != cold.macsSkipped) {
-        std::printf("FAIL: planned serving stats diverged from the "
-                    "unplanned replay\n");
-        return 1;
-    }
-    if (planned.planLookups <= 0 ||
-        planned.planHits >= planned.planLookups) {
-        std::printf("FAIL: plan counters off: %lld hits of %lld "
-                    "lookups (want >=1 compile, >0 lookups)\n",
-                    static_cast<long long>(planned.planHits),
-                    static_cast<long long>(planned.planLookups));
-        return 1;
-    }
-    const double plan_hit_rate =
-        static_cast<double>(planned.planHits) /
-        static_cast<double>(planned.planLookups);
-
     std::printf("warm-up segment: hit %.3f\n", warmup.hitFrac());
     std::printf("cold restart:    hit %.3f, modeled speedup %.3f\n",
                 cold.hitFrac(), cold.modelSpeedup());
     std::printf("warm restart:    hit %.3f, modeled speedup %.3f\n",
                 warm.hitFrac(), warm.modelSpeedup());
-    std::printf("planned serving: plan-cache hit rate %.3f over %lld "
-                "binds, stats bit-identical\n",
-                plan_hit_rate,
-                static_cast<long long>(planned.planLookups));
 
     // Self-check: the warm start must beat the cold restart on the
     // very same traffic.
@@ -396,8 +359,6 @@ run()
     line.num("wall_throughput_jobs_s", throughput, 1);
     line.integer("jobs", jobs);
     line.integer("wall_rejected", rejected);
-    line.num("plan_cache_hit_rate", plan_hit_rate, 3);
-    line.integer("plan_lookups", planned.planLookups);
     line.config("tenants", tc.tenants);
     line.config("requests_per_tenant", tc.requestsPerTenant);
     line.config("batch", tc.batch);

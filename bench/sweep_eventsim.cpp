@@ -116,7 +116,6 @@ run()
     };
     for (const Point &pt : points) {
         AcceleratorConfig cfg; // forward-only: compute-bound regime
-        cfg.planExecution = true;
         const AgreementPoint p =
             compareBackends(cfg, pt.model, pt.hit, batch, kBits);
         t1.row({pt.name, Table::num(pt.hit, 2),
@@ -194,7 +193,6 @@ run()
             cfg.mcacheSets = std::max(entries / 16, 1);
             cfg.backwardReuse = true;
             cfg.weightGradReuse = true;
-            cfg.planExecution = true;
             cfg.sim.backend = SimBackend::Event;
             cfg.sim.fidelity = SimFidelity::Sampled;
             cfg.sim.gbCapacityBytes = gb_kb * 1024;

@@ -1,6 +1,5 @@
 #include "core/attention_engine.hpp"
 
-#include <optional>
 #include <vector>
 
 #include "core/kernels/kernels.hpp"
@@ -23,10 +22,8 @@ AttentionEngine::AttentionEngine(DetectionFrontend &frontend, int sig_bits)
 
 Tensor
 AttentionEngine::forward(const Tensor &x, ReuseStats &stats,
-                         SignatureRecord *record, RowPlanSlot *plan)
+                         SignatureRecord *record)
 {
-    if (plan && !plan->runtime)
-        plan = nullptr; // defensive: run unplanned on a stale slot
     if (x.rank() != 2)
         panic("AttentionEngine expects (T, D), got ", x.shapeStr());
     const int64_t t = x.dim(0);
@@ -38,10 +35,8 @@ AttentionEngine::forward(const Tensor &x, ReuseStats &stats,
                       static_cast<uint64_t>(t) *
                       static_cast<uint64_t>(d);
 
-    std::vector<int64_t> local_owner_of_entry;
-    std::vector<int64_t> &owner_of_entry =
-        plan ? plan->ownerOfEntry : local_owner_of_entry;
-    owner_of_entry.assign(static_cast<size_t>(frontend_->entries()), -1);
+    std::vector<int64_t> owner_of_entry(
+        static_cast<size_t>(frontend_->entries()), -1);
 
     Tensor w({t, t});
     Tensor y({t, d});
@@ -51,10 +46,7 @@ AttentionEngine::forward(const Tensor &x, ReuseStats &stats,
     // y_i = w_i X needs only the row's own w_i — so computed rows run
     // in any order; a HIT row copies only its owner's Y row (its W
     // row is never read, exactly as in the staged formulation).
-    std::optional<ReuseRuntime> local_rt;
-    ReuseRuntime &rt =
-        plan ? *plan->runtime
-             : local_rt.emplace(*frontend_, frontend_.signatureBits());
+    ReuseRuntime rt(*frontend_, frontend_.signatureBits());
     ReuseRuntime::RowPass pass;
     pass.ownerOf = [&](int64_t i, const McacheResult &mr) {
         // The first MAU row of an entry owns it; owners always
@@ -101,10 +93,8 @@ Tensor
 AttentionEngine::backward(const Tensor &x, const Tensor &g,
                           const SignatureRecord &record,
                           int64_t pass_index, ReuseStats &stats,
-                          const Tensor *xtx_pre, RowPlanSlot *plan)
+                          const Tensor *xtx_pre)
 {
-    if (plan && !plan->runtime)
-        plan = nullptr;
     if (x.rank() != 2 || g.rank() != 2 || x.shape() != g.shape())
         panic("AttentionEngine backward expects matching (T, D) input "
               "and gradient, got ",
@@ -141,8 +131,7 @@ AttentionEngine::backward(const Tensor &x, const Tensor &g,
     const Tensor &xtx = xtx_pre ? *xtx_pre : xtx_local;
     Tensor out({t, d});
 
-    std::vector<int64_t> local_owner;
-    std::vector<int64_t> &owner = plan ? plan->owner : local_owner;
+    std::vector<int64_t> owner;
     record.ownersOf(pass, owner);
 
     // One replayed RowPass (§III-C2): computed rows run the
@@ -151,10 +140,7 @@ AttentionEngine::backward(const Tensor &x, const Tensor &g,
     // matrices, and the element accumulation order matches the exact
     // matmul-factored path exactly; forward-HIT token rows copy their
     // owner's row.
-    std::optional<ReuseRuntime> local_rt;
-    ReuseRuntime &rt =
-        plan ? *plan->runtime
-             : local_rt.emplace(*frontend_, frontend_.signatureBits());
+    ReuseRuntime rt(*frontend_, frontend_.signatureBits());
     ReuseRuntime::RowPass rp;
     rp.ownerOf = [&](int64_t i, const McacheResult &) {
         return owner[static_cast<size_t>(i)];
@@ -218,11 +204,8 @@ AttentionEngine::backward(const Tensor &x, const Tensor &g,
 Tensor
 AttentionEngine::backwardProjection(const Tensor &x,
                                     const SignatureRecord &record,
-                                    int64_t pass_index, ReuseStats &stats,
-                                    RowPlanSlot *plan)
+                                    int64_t pass_index, ReuseStats &stats)
 {
-    if (plan && !plan->runtime)
-        plan = nullptr;
     if (x.rank() != 2)
         panic("AttentionEngine expects (T, D), got ", x.shapeStr());
     const int64_t t = x.dim(0);
@@ -238,10 +221,7 @@ AttentionEngine::backwardProjection(const Tensor &x,
     // Sum-then-multiply (§III-C2 on the dW-shaped projection factor):
     // group the token rows by forward owner, one outer product per
     // group with the owner's row.
-    std::optional<ReuseRuntime> local_rt;
-    ReuseRuntime &rt =
-        plan ? *plan->runtime
-             : local_rt.emplace(*frontend_, frontend_.signatureBits());
+    ReuseRuntime rt(*frontend_, frontend_.signatureBits());
     return weightGradReplay(rt, record, pass, x, x, stats);
 }
 

@@ -25,7 +25,6 @@
 
 #include "core/mcache.hpp"
 #include "core/reuse_runtime.hpp" // ReuseStats
-#include "core/runtime_planner.hpp" // RowPlanSlot
 #include "pipeline/detection_frontend.hpp"
 #include "tensor/tensor.hpp"
 
@@ -59,13 +58,9 @@ class AttentionEngine
      *        appended for the backward replay (§III-C2). The caller
      *        clears the record once per forward invocation (the layer
      *        runs one engine pass per sample into one record).
-     * @param plan planned execution state (persistent runtime and
-     *        owner buffers) from the RuntimePlanner; null runs the
-     *        unplanned path. Bit-identical either way.
      */
     Tensor forward(const Tensor &x, ReuseStats &stats,
-                   SignatureRecord *record = nullptr,
-                   RowPlanSlot *plan = nullptr);
+                   SignatureRecord *record = nullptr);
 
     /**
      * Input-gradient pass with replayed reuse (§III-C2): computes
@@ -84,8 +79,7 @@ class AttentionEngine
      */
     Tensor backward(const Tensor &x, const Tensor &g,
                     const SignatureRecord &record, int64_t pass_index,
-                    ReuseStats &stats, const Tensor *xtx = nullptr,
-                    RowPlanSlot *plan = nullptr);
+                    ReuseStats &stats, const Tensor *xtx = nullptr);
 
     /**
      * Projection-gradient factor with replayed reuse (§III-C2 applied
@@ -101,8 +95,7 @@ class AttentionEngine
      */
     Tensor backwardProjection(const Tensor &x,
                               const SignatureRecord &record,
-                              int64_t pass_index, ReuseStats &stats,
-                              RowPlanSlot *plan = nullptr);
+                              int64_t pass_index, ReuseStats &stats);
 
     /** Signature length this engine detects with. */
     int signatureBits() const { return frontend_.signatureBits(); }

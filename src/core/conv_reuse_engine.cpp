@@ -1,7 +1,6 @@
 #include "core/conv_reuse_engine.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "core/kernels/kernels.hpp"
 #include "core/span_batcher.hpp"
@@ -30,8 +29,7 @@ namespace {
  * filter, so every HIT's owner (an earlier MAU row) has already
  * deposited; each filter owns its version slot exclusively for the
  * whole channel pass, which is what makes the plane's unsynchronized
- * access race-free (see pass_arena.hpp) — the per-shard MCACHE locks
- * this path used to take millions of times per layer are gone.
+ * access race-free (see pass_arena.hpp).
  */
 uint64_t
 filterSegment(PassDataPlane &plane, const Tensor &rows,
@@ -137,11 +135,11 @@ weightGradSumSegment(const std::vector<int64_t> &owner, const float *go,
 
 } // namespace
 
-// Declared in the header (shared with the planner's cross-layer
-// prefetch and the pipeline's fused extraction): the Fig. 7a
-// per-channel vector extraction, routed through the extractPatches
-// kernel (span-clipped copies — bit-identical to the elementwise
-// loop it replaced, since extraction moves values without arithmetic).
+// Declared in the header (shared with the pipeline's fused
+// extraction): the Fig. 7a per-channel vector extraction, routed
+// through the extractPatches kernel (span-clipped copies —
+// bit-identical to the elementwise loop it replaced, since extraction
+// moves values without arithmetic).
 void
 extractChannelPatchRows(const Tensor &input, const ConvSpec &spec,
                         int64_t b, int64_t c, int64_t ow, int64_t r0,
@@ -163,8 +161,7 @@ extractChannelPatches(const Tensor &input, const ConvSpec &spec, int64_t b,
 Tensor
 ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
                          const Tensor &bias, const ConvSpec &spec,
-                         ReuseStats &stats, SignatureRecord *record,
-                         ConvPlanSlot *plan)
+                         ReuseStats &stats, SignatureRecord *record)
 {
     if (input.rank() != 4 || weight.rank() != 4)
         panic("ConvReuseEngine expects rank-4 input and weight");
@@ -187,42 +184,24 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
                     out[out.offset4(b, oc, 0, 0) + i] = bias[oc];
     }
 
-    // A bound plan slot provides the persistent runtime, the prebuilt
-    // pass order, and the preallocated double buffer; a slot whose
-    // compiled geometry does not match this call runs unplanned (the
-    // schedule is the only thing planning changes).
-    if (plan && (!plan->runtime || !plan->plan || plan->plan->rows != v ||
-                 plan->plan->vecDim != d ||
-                 static_cast<int64_t>(plan->order.size()) !=
-                     n * spec.groups * cin_g))
-        plan = nullptr;
-
-    std::optional<ReuseRuntime> local_rt;
-    ReuseRuntime &rt =
-        plan ? *plan->runtime
-             : local_rt.emplace(*frontend_, frontend_.signatureBits());
+    ReuseRuntime rt(*frontend_, frontend_.signatureBits());
     // Every channel pass of this layer has v rows, so the overlap
     // decision (Auto resolves from threads x rows) is one call,
     // matching what the runtime will resolve per pass internally.
     const bool overlapped = rt.overlappedFor(v);
-    if (record) {
+    if (record)
         record->clear();
-        if (plan)
-            record->reservePasses(
-                static_cast<int64_t>(plan->order.size()));
-    }
 
-    // HIT forwarding runs on the runtime's arena-backed data plane
-    // instead of the locked MCACHE data plane: same validity
-    // semantics, but plain unsynchronized access — the scheduler's
-    // version-slot discipline already guarantees exclusive cells (see
-    // pass_arena.hpp). The plane is host scratch memory, not a model
-    // of the MCACHE's version SRAM (the cycle model still charges the
-    // Fig. 11 version constraint), so it affords one slot PER FILTER:
-    // forwarding only ever reads a value the same filter deposited,
-    // unique slots make that true with every filter of a channel pass
-    // in flight at once — no filter groups, no between-group
-    // invalidation barriers.
+    // HIT forwarding runs on the runtime's arena-backed data plane:
+    // MCACHE Valid-Data semantics with plain unsynchronized access —
+    // the scheduler's version-slot discipline already guarantees
+    // exclusive cells (see pass_arena.hpp). The plane is host scratch
+    // memory, not a model of the MCACHE's version SRAM (the cycle
+    // model still charges the Fig. 11 version constraint), so it
+    // affords one slot PER FILTER: forwarding only ever reads a value
+    // the same filter deposited, unique slots make that true with
+    // every filter of a channel pass in flight at once — no filter
+    // groups, no between-group invalidation barriers.
     PassDataPlane &plane = rt.dataPlane();
     plane.configure(frontend_->entries(), static_cast<int>(cout_g));
 
@@ -236,31 +215,26 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
     // Channel passes in execution order (also the record's pass
     // order, which the backward replays re-walk). Grouped / depthwise
     // convolutions enumerate (group, channel-within-group) pairs; the
-    // per-pass descriptor below is the same for every grouping. A
-    // plan slot carries the order prebuilt.
-    using PassId = ConvPlanSlot::PassId;
-    std::vector<PassId> local_order;
-    if (!plan) {
-        local_order.reserve(static_cast<size_t>(n * spec.groups * cin_g));
-        for (int64_t b = 0; b < n; ++b)
-            for (int64_t g = 0; g < spec.groups; ++g)
-                for (int64_t ic = 0; ic < cin_g; ++ic)
-                    local_order.push_back({b, g, ic});
-    }
-    const std::vector<PassId> &order = plan ? plan->order : local_order;
+    // per-pass descriptor below is the same for every grouping.
+    struct PassId
+    {
+        int64_t b, g, ic;
+    };
+    std::vector<PassId> order;
+    order.reserve(static_cast<size_t>(n * spec.groups * cin_g));
+    for (int64_t b = 0; b < n; ++b)
+        for (int64_t g = 0; g < spec.groups; ++g)
+            for (int64_t ic = 0; ic < cin_g; ++ic)
+                order.push_back({b, g, ic});
 
     // Double-buffered extraction tensors (cross-channel overlap): the
     // overlapped path extracts and hashes pass p+1 into the other
     // buffer while pass p's trailing filter groups drain. The
-    // run-then-filter path reuses one buffer for every pass. A plan
-    // slot carries both buffers preallocated.
-    Tensor local_bufs[2];
-    Tensor *bufs = plan ? plan->bufs : local_bufs;
-    if (!plan) {
-        bufs[0] = Tensor({v, d});
-        if (overlapped)
-            bufs[1] = Tensor({v, d});
-    }
+    // run-then-filter path reuses one buffer for every pass.
+    Tensor bufs[2];
+    bufs[0] = Tensor({v, d});
+    if (overlapped)
+        bufs[1] = Tensor({v, d});
     // Single-touch fusion: a pass's extraction rides the detection
     // pipeline as a RowFiller — each projection block extracts its
     // row range immediately before hashing it, so a block's patches
@@ -278,35 +252,15 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
 
     stats = ReuseStats{};
     std::unique_ptr<DetectionHashJob> job;
-    const Tensor *rows0 = &bufs[0];
-    if (overlapped && !order.empty()) {
-        if (plan && plan->prefetched && plan->prefetched->rowCount() == v &&
-            plan->prefetched->vectorDim() == d &&
-            plan->prefetched->signatureBits() ==
-                frontend_.signatureBits()) {
-            // Cross-layer overlap (planned path): the predecessor
-            // layer already extracted and hashed this layer's first
-            // channel pass while its trailing filter ranges drained —
-            // consume the in-flight job as pass 0. The rows it hashed
-            // live in the slot's prefetch buffer.
-            job = std::move(plan->prefetched);
-            rows0 = &plan->prefetchRows;
-        } else {
-            if (plan)
-                plan->prefetched.reset();
-            job = frontend_->beginHashStream(bufs[0],
-                                             frontend_.signatureBits(),
-                                             filler(order[0], bufs[0]));
-        }
-    }
+    if (overlapped && !order.empty())
+        job = frontend_->beginHashStream(bufs[0], frontend_.signatureBits(),
+                                         filler(order[0], bufs[0]));
 
     for (size_t pi = 0; pi < order.size(); ++pi) {
         const PassId p = order[pi];
         // Serial path: single buffer, filled blockwise by the fused
         // filler as the pass hashes it (no eager extraction pass).
-        const Tensor *rows_p =
-            overlapped ? (pi == 0 ? rows0 : &bufs[pi & 1]) : &bufs[0];
-        const Tensor &rows = *rows_p;
+        const Tensor &rows = overlapped ? bufs[pi & 1] : bufs[0];
 
         // Pass-start clear of the data plane (the MCACHE tag plane is
         // cleared by the detection pass itself). Driving thread, no
@@ -347,20 +301,6 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
                 }
             };
         }
-        // Cross-layer overlap (planned path, producing side): on the
-        // pass that completes output channel 0 of image 0 — (image 0,
-        // group 0, last input channel) — the first drained chain
-        // covers filter 0, so the successor layer's first channel
-        // pass can extract and hash while this pass's remaining
-        // chains (and all later images') still drain.
-        if (plan && plan->prefetchNext &&
-            static_cast<int64_t>(pi) == plan->prefetchAfterPass) {
-            set.onChainDrained = [&](int64_t f0, int64_t f1) {
-                (void)f1;
-                if (f0 == 0)
-                    plan->prefetchNext(out);
-            };
-        }
 
         rt.runFilterPasses(
             overlapped
@@ -382,7 +322,7 @@ Tensor
 ConvReuseEngine::backwardInput(const Tensor &gradOut, const Tensor &weight,
                                const ConvSpec &spec, int64_t in_h,
                                int64_t in_w, const SignatureRecord &record,
-                               ReuseStats &stats, ConvPlanSlot *plan)
+                               ReuseStats &stats)
 {
     if (gradOut.rank() != 4 || weight.rank() != 4)
         panic("ConvReuseEngine expects rank-4 gradient and weight");
@@ -406,20 +346,7 @@ ConvReuseEngine::backwardInput(const Tensor &gradOut, const Tensor &weight,
         std::max<int64_t>(1, std::min<int64_t>(record.dataVersions(),
                                                cout_g));
 
-    // Planned execution: persistent runtime plus preallocated
-    // grad-column slots and owner scratch (bind time sized them to
-    // this geometry; anything off runs unplanned).
-    if (plan && (!plan->runtime || !plan->plan || plan->plan->rows != v ||
-                 plan->plan->vecDim != d ||
-                 static_cast<int64_t>(plan->cols.size()) != slots ||
-                 (slots > 0 && plan->cols[0].size() !=
-                                   static_cast<size_t>(v * d))))
-        plan = nullptr;
-
-    std::optional<ReuseRuntime> local_rt;
-    ReuseRuntime &rt =
-        plan ? *plan->runtime
-             : local_rt.emplace(*frontend_, frontend_.signatureBits());
+    ReuseRuntime rt(*frontend_, frontend_.signatureBits());
     Tensor grad_in({n, spec.inChannels, in_h, in_w});
     stats = ReuseStats{};
 
@@ -428,15 +355,10 @@ ConvReuseEngine::backwardInput(const Tensor &gradOut, const Tensor &weight,
         return weight.data() + ((oc * cin_g + ic) * k) * k;
     };
 
-    std::vector<int64_t> local_owner;
-    std::vector<int64_t> &owner = plan ? plan->owner : local_owner;
-    std::vector<std::vector<float>> local_cols;
-    if (!plan) {
-        local_cols.resize(static_cast<size_t>(slots));
-        for (auto &c : local_cols)
-            c.resize(static_cast<size_t>(v * d));
-    }
-    std::vector<std::vector<float>> &cols = plan ? plan->cols : local_cols;
+    std::vector<int64_t> owner;
+    std::vector<std::vector<float>> cols(
+        static_cast<size_t>(slots),
+        std::vector<float>(static_cast<size_t>(v * d)));
 
     int64_t pass_idx = 0;
     for (int64_t b = 0; b < n; ++b) {
@@ -553,7 +475,7 @@ Tensor
 ConvReuseEngine::backwardWeights(const Tensor &input, const Tensor &gradOut,
                                  const ConvSpec &spec,
                                  const SignatureRecord &record,
-                                 ReuseStats &stats, ConvPlanSlot *plan)
+                                 ReuseStats &stats)
 {
     if (input.rank() != 4 || gradOut.rank() != 4)
         panic("ConvReuseEngine expects rank-4 input and gradient");
@@ -577,37 +499,15 @@ ConvReuseEngine::backwardWeights(const Tensor &input, const Tensor &gradOut,
         std::max<int64_t>(1, std::min<int64_t>(record.dataVersions(),
                                                cout_g));
 
-    // Planned execution: persistent runtime plus the preallocated
-    // patch buffer and group-sum slots (see backwardInput).
-    if (plan && (!plan->runtime || !plan->plan || plan->plan->rows != v ||
-                 plan->plan->vecDim != d ||
-                 plan->dwRows.numel() != v * d ||
-                 static_cast<int64_t>(plan->gcols.size()) != slots ||
-                 (slots > 0 &&
-                  plan->gcols[0].size() != static_cast<size_t>(v))))
-        plan = nullptr;
-
-    std::optional<ReuseRuntime> local_rt;
-    ReuseRuntime &rt =
-        plan ? *plan->runtime
-             : local_rt.emplace(*frontend_, frontend_.signatureBits());
+    ReuseRuntime rt(*frontend_, frontend_.signatureBits());
     Tensor grad_w({spec.outChannels, cin_g, k, k});
     stats = ReuseStats{};
 
-    Tensor local_rows;
-    if (!plan)
-        local_rows = Tensor({v, d});
-    Tensor &rows = plan ? plan->dwRows : local_rows;
-    std::vector<int64_t> local_owner;
-    std::vector<int64_t> &owner = plan ? plan->owner : local_owner;
-    std::vector<std::vector<float>> local_gcols;
-    if (!plan) {
-        local_gcols.resize(static_cast<size_t>(slots));
-        for (auto &c : local_gcols)
-            c.resize(static_cast<size_t>(v));
-    }
-    std::vector<std::vector<float>> &gcols =
-        plan ? plan->gcols : local_gcols;
+    Tensor rows({v, d});
+    std::vector<int64_t> owner;
+    std::vector<std::vector<float>> gcols(
+        static_cast<size_t>(slots),
+        std::vector<float>(static_cast<size_t>(v)));
 
     int64_t pass_idx = 0;
     for (int64_t b = 0; b < n; ++b) {

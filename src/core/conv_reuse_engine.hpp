@@ -54,8 +54,8 @@
  *
  * Thread-safety: forward(), backwardInput(), and backwardWeights()
  * are driven by one thread; the filter tasks they spawn touch the
- * MCACHE data plane (forward) or engine-local grad-column / group-sum
- * buffers (backward) concurrently. Two threads must not call into one
+ * runtime's PassDataPlane (forward) or engine-local grad-column /
+ * group-sum buffers (backward) concurrently. Two threads must not call into one
  * engine (or two engines sharing a frontend) concurrently.
  *
  * Scheduling — serial vs overlapped execution, the per-filter stream
@@ -79,7 +79,6 @@
 
 #include "core/mcache.hpp"
 #include "core/reuse_runtime.hpp"
-#include "core/runtime_planner.hpp"
 #include "core/similarity_detector.hpp"
 #include "pipeline/detection_frontend.hpp"
 #include "sim/dataflow.hpp"
@@ -90,11 +89,10 @@ namespace mercury {
 
 /**
  * Extract the (oh*ow, k*k) patch rows of one (image, channel) pass —
- * the Fig. 7a vector extraction shared by the forward detection pass,
- * the weight-gradient replay (which needs the owner patches back),
- * and the planner's cross-layer prefetch (which extracts the
- * successor's first channel while the predecessor drains). Reads
- * input.at4(b, c, ...) only, so any tensor holding the channel works.
+ * the Fig. 7a vector extraction shared by the forward detection pass
+ * and the weight-gradient replay (which needs the owner patches
+ * back). Reads input.at4(b, c, ...) only, so any tensor holding the
+ * channel works.
  */
 void extractChannelPatches(const Tensor &input, const ConvSpec &spec,
                            int64_t b, int64_t c, int64_t oh, int64_t ow,
@@ -145,18 +143,10 @@ class ConvReuseEngine
      * @param record when non-null, cleared and then filled with one
      *        captured pass per (image, channel) in execution order,
      *        for the backward replay (§III-C2)
-     * @param plan   planned execution state (core/runtime_planner.hpp):
-     *        when non-null the pass reuses the slot's persistent
-     *        ReuseRuntime and preallocated buffers instead of
-     *        rebuilding them, consumes a cross-layer prefetched hash
-     *        job as its first pass when one is armed, and fires the
-     *        slot's own prefetch edge for the successor layer.
-     *        Outputs and statistics are bit-identical either way.
      */
     Tensor forward(const Tensor &input, const Tensor &weight,
                    const Tensor &bias, const ConvSpec &spec,
-                   ReuseStats &stats, SignatureRecord *record = nullptr,
-                   ConvPlanSlot *plan = nullptr);
+                   ReuseStats &stats, SignatureRecord *record = nullptr);
 
     /**
      * Input-gradient pass with replayed reuse (§III-C2): consumes the
@@ -171,12 +161,10 @@ class ConvReuseEngine
      * @param in_w    input width
      * @param record  the forward pass's captured record
      * @param stats   filled with the backward reuse statistics
-     * @param plan    planned execution state (see forward())
      */
     Tensor backwardInput(const Tensor &gradOut, const Tensor &weight,
                          const ConvSpec &spec, int64_t in_h, int64_t in_w,
-                         const SignatureRecord &record, ReuseStats &stats,
-                         ConvPlanSlot *plan = nullptr);
+                         const SignatureRecord &record, ReuseStats &stats);
 
     /**
      * Weight-gradient pass with replayed reuse (§III-C2, Eq. 1):
@@ -191,13 +179,11 @@ class ConvReuseEngine
      * @param gradOut (N, Cout, outH, outW) output gradient
      * @param record  the forward pass's captured record
      * @param stats   filled with the dW-pass reuse statistics
-     * @param plan    planned execution state (see forward())
      */
     Tensor backwardWeights(const Tensor &input, const Tensor &gradOut,
                            const ConvSpec &spec,
                            const SignatureRecord &record,
-                           ReuseStats &stats,
-                           ConvPlanSlot *plan = nullptr);
+                           ReuseStats &stats);
 
     /** Signature length this engine detects with. */
     int signatureBits() const { return frontend_.signatureBits(); }

@@ -1,7 +1,5 @@
 #include "core/fc_engine.hpp"
 
-#include <optional>
-
 #include "core/kernels/kernels.hpp"
 #include "core/reuse_runtime.hpp"
 #include "util/logging.hpp"
@@ -22,10 +20,8 @@ FcEngine::FcEngine(DetectionFrontend &frontend, int sig_bits)
 Tensor
 FcEngine::forward(const Tensor &input, const Tensor &weight,
                   ReuseStats &stats, std::vector<int64_t> *owner_rows,
-                  SignatureRecord *record, RowPlanSlot *plan)
+                  SignatureRecord *record)
 {
-    if (plan && !plan->runtime)
-        plan = nullptr; // defensive: run unplanned on a stale slot
     if (record)
         record->clear();
     if (input.rank() != 2 || weight.rank() != 2 ||
@@ -45,13 +41,9 @@ FcEngine::forward(const Tensor &input, const Tensor &weight,
     // The owner ("earlier PE", §III-C3) of each MCACHE entry is the
     // first row that inserted the signature; HIT rows receive the
     // owner's results. Owners are always computed rows (a HIT never
-    // becomes an owner), so forwarding chains have depth one. The
-    // planned path reuses the slot's buffer instead of reallocating
-    // one entry map per step.
-    std::vector<int64_t> local_owner_of_entry;
-    std::vector<int64_t> &owner_of_entry =
-        plan ? plan->ownerOfEntry : local_owner_of_entry;
-    owner_of_entry.assign(static_cast<size_t>(frontend_->entries()), -1);
+    // becomes an owner), so forwarding chains have depth one.
+    std::vector<int64_t> owner_of_entry(
+        static_cast<size_t>(frontend_->entries()), -1);
     if (owner_rows)
         owner_rows->assign(static_cast<size_t>(n), -1);
 
@@ -61,10 +53,7 @@ FcEngine::forward(const Tensor &input, const Tensor &weight,
     // on the driving thread, computed rows fanned out (they are
     // mutually independent), HIT rows forwarded from their earlier
     // PE once every owner has computed.
-    std::optional<ReuseRuntime> local_rt;
-    ReuseRuntime &rt =
-        plan ? *plan->runtime
-             : local_rt.emplace(*frontend_, frontend_.signatureBits());
+    ReuseRuntime rt(*frontend_, frontend_.signatureBits());
     ReuseRuntime::RowPass pass;
     pass.ownerOf = [&](int64_t i, const McacheResult &mr) {
         int64_t owner = i;
@@ -106,11 +95,8 @@ FcEngine::forward(const Tensor &input, const Tensor &weight,
 
 Tensor
 FcEngine::backwardInput(const Tensor &grad, const Tensor &weight,
-                        const SignatureRecord &record, ReuseStats &stats,
-                        RowPlanSlot *plan)
+                        const SignatureRecord &record, ReuseStats &stats)
 {
-    if (plan && !plan->runtime)
-        plan = nullptr;
     if (grad.rank() != 2 || weight.rank() != 2 ||
         grad.dim(1) != weight.dim(1)) {
         panic("FcEngine backward shape mismatch ", grad.shapeStr(),
@@ -132,8 +118,7 @@ FcEngine::backwardInput(const Tensor &grad, const Tensor &weight,
     stats.macsTotal = static_cast<uint64_t>(n) *
                       static_cast<uint64_t>(d) * static_cast<uint64_t>(m);
 
-    std::vector<int64_t> local_owner;
-    std::vector<int64_t> &owner = plan ? plan->owner : local_owner;
+    std::vector<int64_t> owner;
     record.ownersOf(pass, owner);
 
     Tensor out({n, d});
@@ -142,10 +127,7 @@ FcEngine::backwardInput(const Tensor &grad, const Tensor &weight,
     // accumulation order as matmulTransposeB, so a zero-hit replay is
     // bit-identical. Forward-HIT rows receive their owner's gradient
     // row instead (§III-C3 result forwarding, replayed).
-    std::optional<ReuseRuntime> local_rt;
-    ReuseRuntime &rt =
-        plan ? *plan->runtime
-             : local_rt.emplace(*frontend_, frontend_.signatureBits());
+    ReuseRuntime rt(*frontend_, frontend_.signatureBits());
     ReuseRuntime::RowPass rp;
     rp.ownerOf = [&](int64_t i, const McacheResult &) {
         return owner[static_cast<size_t>(i)];
@@ -175,11 +157,8 @@ FcEngine::backwardInput(const Tensor &grad, const Tensor &weight,
 
 Tensor
 FcEngine::backwardWeights(const Tensor &input, const Tensor &grad,
-                          const SignatureRecord &record, ReuseStats &stats,
-                          RowPlanSlot *plan)
+                          const SignatureRecord &record, ReuseStats &stats)
 {
-    if (plan && !plan->runtime)
-        plan = nullptr;
     if (input.rank() != 2 || grad.rank() != 2 ||
         input.dim(0) != grad.dim(0)) {
         panic("FcEngine weight-gradient shape mismatch ",
@@ -204,10 +183,7 @@ FcEngine::backwardWeights(const Tensor &input, const Tensor &grad,
     // Sum-then-multiply (§III-C2 on Eq. 1): group the output
     // gradients by forward owner, then one outer product per group
     // with the owner's input row.
-    std::optional<ReuseRuntime> local_rt;
-    ReuseRuntime &rt =
-        plan ? *plan->runtime
-             : local_rt.emplace(*frontend_, frontend_.signatureBits());
+    ReuseRuntime rt(*frontend_, frontend_.signatureBits());
     return weightGradReplay(rt, record, pass, input, grad, stats);
 }
 

@@ -26,7 +26,6 @@
 
 #include "core/mcache.hpp"
 #include "core/reuse_runtime.hpp" // ReuseStats
-#include "core/runtime_planner.hpp" // RowPlanSlot
 #include "pipeline/detection_frontend.hpp"
 #include "tensor/tensor.hpp"
 
@@ -59,15 +58,11 @@ class FcEngine
      * @param record when non-null, cleared and filled with the
      *        minibatch's single detection pass for the backward
      *        replay (§III-C2)
-     * @param plan planned execution state (persistent runtime and
-     *        owner buffers) from the RuntimePlanner; null runs the
-     *        unplanned path. Bit-identical either way.
      */
     Tensor forward(const Tensor &input, const Tensor &weight,
                    ReuseStats &stats,
                    std::vector<int64_t> *owner_rows = nullptr,
-                   SignatureRecord *record = nullptr,
-                   RowPlanSlot *plan = nullptr);
+                   SignatureRecord *record = nullptr);
 
     /**
      * Input-gradient pass with replayed reuse (§III-C2):
@@ -79,8 +74,7 @@ class FcEngine
      * holds no hits.
      */
     Tensor backwardInput(const Tensor &grad, const Tensor &weight,
-                         const SignatureRecord &record, ReuseStats &stats,
-                         RowPlanSlot *plan = nullptr);
+                         const SignatureRecord &record, ReuseStats &stats);
 
     /**
      * Weight-gradient pass with replayed reuse (§III-C2, Eq. 1):
@@ -97,8 +91,7 @@ class FcEngine
      */
     Tensor backwardWeights(const Tensor &input, const Tensor &grad,
                            const SignatureRecord &record,
-                           ReuseStats &stats,
-                           RowPlanSlot *plan = nullptr);
+                           ReuseStats &stats);
 
     /** Signature length this engine detects with. */
     int signatureBits() const { return frontend_.signatureBits(); }

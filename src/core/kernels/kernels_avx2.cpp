@@ -141,7 +141,10 @@ signPackAvx2(const float *proj, int64_t nrows, int bits,
 void
 copySpanAvx2(float *dst, const float *src, int64_t n)
 {
-    std::memcpy(dst, src, static_cast<size_t>(n) * sizeof(float));
+    // Same zero-length guard as copySpanScalar (memcpy needs non-null
+    // pointers even for zero bytes).
+    if (n > 0)
+        std::memcpy(dst, src, static_cast<size_t>(n) * sizeof(float));
 }
 
 void

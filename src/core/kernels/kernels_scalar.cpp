@@ -53,7 +53,10 @@ signPackScalar(const float *proj, int64_t nrows, int bits,
 void
 copySpanScalar(float *dst, const float *src, int64_t n)
 {
-    std::memcpy(dst, src, static_cast<size_t>(n) * sizeof(float));
+    // memcpy's pointers must be non-null even for zero bytes, and an
+    // empty span may come from an empty vector's data().
+    if (n > 0)
+        std::memcpy(dst, src, static_cast<size_t>(n) * sizeof(float));
 }
 
 void

@@ -21,17 +21,12 @@ mcacheOutcomeName(McacheOutcome outcome)
 }
 
 MCache::MCache(int sets, int ways, int data_versions)
-    : sets_(sets), ways_(ways), versions_(data_versions),
-      stats_("mcache")
+    : sets_(sets), ways_(ways), versions_(data_versions)
 {
     if (sets <= 0 || ways <= 0 || data_versions <= 0)
         fatal("MCACHE needs positive sets/ways/versions, got ", sets, "/",
               ways, "/", data_versions);
     lines_.resize(static_cast<size_t>(sets) * static_cast<size_t>(ways));
-    for (auto &l : lines_) {
-        l.data.assign(static_cast<size_t>(versions_), 0.0f);
-        l.validData.assign(static_cast<size_t>(versions_), false);
-    }
     insertBacklog_.assign(static_cast<size_t>(sets), 0);
 }
 
@@ -75,7 +70,7 @@ MCache::lookupOrInsertInSet(int set, const Signature &sig)
         Line &l = lines_[static_cast<size_t>(base + w)];
         if (l.validTag && l.tag == sig) {
             l.epoch = epoch_;
-            stats_.stat("hits")++;
+            ++stats_.hits;
             return {McacheOutcome::Hit, base + w};
         }
     }
@@ -84,67 +79,20 @@ MCache::lookupOrInsertInSet(int set, const Signature &sig)
         Line &l = lines_[static_cast<size_t>(base + w)];
         if (!l.validTag) {
             if (quotaGate_ && !quotaGate_->tryReserve(insertTenant_)) {
-                stats_.stat("quotaRejects")++;
-                stats_.stat("mnu")++;
+                ++stats_.mnu;
                 return {McacheOutcome::Mnu, -1};
             }
             l.tag = sig;
             l.validTag = true;
-            std::fill(l.validData.begin(), l.validData.end(), false);
             l.epoch = epoch_;
             l.tenant = insertTenant_;
-            stats_.stat("mau")++;
-            stats_.stat("inserts")++;
+            ++stats_.mau;
             ++insertBacklog_[static_cast<size_t>(set)];
             return {McacheOutcome::Mau, base + w};
         }
     }
-    stats_.stat("mnu")++;
+    ++stats_.mnu;
     return {McacheOutcome::Mnu, -1};
-}
-
-bool
-MCache::dataValid(int64_t entry_id, int version) const
-{
-    const Line &l = line(entry_id);
-    if (version < 0 || version >= versions_)
-        panic("MCACHE data version ", version, " out of range");
-    return l.validData[static_cast<size_t>(version)];
-}
-
-float
-MCache::readData(int64_t entry_id, int version) const
-{
-    const Line &l = line(entry_id);
-    if (version < 0 || version >= versions_)
-        panic("MCACHE data version ", version, " out of range");
-    if (!l.validData[static_cast<size_t>(version)])
-        panic("MCACHE read of invalid data: entry ", entry_id,
-              " version ", version);
-    stats_.stat("dataReads")++;
-    return l.data[static_cast<size_t>(version)];
-}
-
-void
-MCache::writeData(int64_t entry_id, int version, float value)
-{
-    Line &l = line(entry_id);
-    if (version < 0 || version >= versions_)
-        panic("MCACHE data version ", version, " out of range");
-    if (!l.validTag)
-        panic("MCACHE data write to a line with no valid tag: entry ",
-              entry_id);
-    l.data[static_cast<size_t>(version)] = value;
-    l.validData[static_cast<size_t>(version)] = true;
-    stats_.stat("dataWrites")++;
-}
-
-void
-MCache::invalidateAllData()
-{
-    for (auto &l : lines_)
-        std::fill(l.validData.begin(), l.validData.end(), false);
-    stats_.stat("dataInvalidations")++;
 }
 
 void
@@ -154,13 +102,11 @@ MCache::clear()
         if (l.validTag && quotaGate_)
             quotaGate_->release(l.tenant);
         l.validTag = false;
-        std::fill(l.validData.begin(), l.validData.end(), false);
         l.epoch = 0;
         l.tenant = -1;
         l.pins = 0;
     }
     std::fill(insertBacklog_.begin(), insertBacklog_.end(), 0);
-    stats_.stat("clears")++;
 }
 
 int
@@ -256,10 +202,8 @@ MCache::evictLine(Line &l)
     if (quotaGate_)
         quotaGate_->release(l.tenant);
     l.validTag = false;
-    std::fill(l.validData.begin(), l.validData.end(), false);
     l.epoch = 0;
     l.tenant = -1;
-    stats_.stat("evictions")++;
 }
 
 int64_t
@@ -267,12 +211,8 @@ MCache::evictOlderThan(uint64_t min_epoch)
 {
     int64_t evicted = 0;
     for (auto &l : lines_) {
-        if (!l.validTag || l.epoch >= min_epoch)
+        if (!l.validTag || l.epoch >= min_epoch || l.pins > 0)
             continue;
-        if (l.pins > 0) {
-            stats_.stat("evictionPinSkips")++;
-            continue;
-        }
         evictLine(l);
         ++evicted;
     }
@@ -284,12 +224,8 @@ MCache::evictTenant(int tenant)
 {
     int64_t evicted = 0;
     for (auto &l : lines_) {
-        if (!l.validTag || l.tenant != tenant)
+        if (!l.validTag || l.tenant != tenant || l.pins > 0)
             continue;
-        if (l.pins > 0) {
-            stats_.stat("evictionPinSkips")++;
-            continue;
-        }
         evictLine(l);
         ++evicted;
     }
@@ -305,11 +241,9 @@ MCache::restoreLine(int64_t entry_id, const Signature &sig,
         panic("MCACHE restore into an occupied line: entry ", entry_id);
     l.tag = sig;
     l.validTag = true;
-    std::fill(l.validData.begin(), l.validData.end(), false);
     l.epoch = epoch;
     l.tenant = tenant;
     l.pins = 0;
-    stats_.stat("restores")++;
 }
 
 } // namespace mercury

@@ -12,11 +12,16 @@
  *  - the data portion is multi-version (one slot per in-flight
  *    filter) so the asynchronous design can keep results of several
  *    filters alive at once;
- *  - a bitline clears every Valid-Data bit in one operation when the
- *    PE array moves to the next filter (synchronous design);
  *  - entries are also addressable by a dense id so later accesses
  *    skip tag comparison (§V), and per-set insert queues serialize
  *    simultaneous inserts.
+ *
+ * This class models the tag half. The data half lives with the
+ * engines: conv HIT forwarding reads the runtime's PassDataPlane
+ * (core/pass_arena.hpp), FC / attention forward whole rows from their
+ * RowPass owners. `dataVersions` stays part of the organization — the
+ * cycle model charges the Fig. 11 version constraint and the replay
+ * records size their backward slots from it.
  */
 
 #ifndef MERCURY_CORE_MCACHE_HPP
@@ -27,7 +32,6 @@
 
 #include "core/signature.hpp"
 #include "util/prefetch.hpp"
-#include "util/stats.hpp"
 
 namespace mercury {
 
@@ -66,6 +70,14 @@ class McacheQuotaGate
     virtual void release(int tenant) = 0;
 };
 
+/** Lifetime probe outcome counts of one MCACHE. */
+struct McacheCounters
+{
+    int64_t hits = 0;
+    int64_t mau = 0;
+    int64_t mnu = 0;
+};
+
 /** The MERCURY result cache. */
 class MCache
 {
@@ -97,22 +109,7 @@ class MCache
      */
     McacheResult lookupOrInsertInSet(int set, const Signature &sig);
 
-    /** True if the entry's data for `version` is valid. */
-    bool dataValid(int64_t entry_id, int version) const;
-
-    /** Read a computed result; panics if the version is invalid. */
-    float readData(int64_t entry_id, int version) const;
-
-    /** Write a computed result and set its VD bit. */
-    void writeData(int64_t entry_id, int version, float value);
-
-    /**
-     * Clear every VD bit (the bitline): used by the synchronous
-     * design when PE sets move to the next filter. Tags survive.
-     */
-    void invalidateAllData();
-
-    /** Clear tags and data: a new channel's vectors arrived. */
+    /** Clear every tag: a new channel's vectors arrived. */
     void clear();
 
     /** Set index a signature maps to (exposed for tests). */
@@ -192,8 +189,7 @@ class MCache
     /**
      * Evict valid, unpinned lines last touched before `min_epoch`
      * (epoch-tag aging: oldest lines go first as the floor rises).
-     * Returns the number of lines evicted; pinned survivors are
-     * counted in the "evictionPinSkips" stat.
+     * Returns the number of lines evicted; pinned lines survive.
      */
     int64_t evictOlderThan(uint64_t min_epoch);
 
@@ -203,24 +199,21 @@ class MCache
     /**
      * Snapshot restore: install a tag plus lifecycle metadata into an
      * empty line (panics if the line already holds a valid tag — the
-     * restore target must be cleared first). Data versions start
-     * invalid; the quota gate is bypassed, callers recount
-     * reservations afterwards (ShardedMCache::recountTenantReservations).
+     * restore target must be cleared first). The quota gate is
+     * bypassed; callers recount reservations afterwards
+     * (ShardedMCache::recountTenantReservations).
      */
     void restoreLine(int64_t entry_id, const Signature &sig,
                      uint64_t epoch, int tenant);
 
-    /** Lifetime statistics: hits, mau, mnu, inserts, dataReads, ... */
-    const StatGroup &stats() const { return stats_; }
-    StatGroup &stats() { return stats_; }
+    /** Lifetime probe outcome counts (clear() keeps them). */
+    const McacheCounters &stats() const { return stats_; }
 
   private:
     struct Line
     {
         Signature tag;
         bool validTag = false;
-        std::vector<float> data;
-        std::vector<bool> validData;
         uint64_t epoch = 0;  ///< last-touch epoch (insert / HIT)
         int tenant = -1;     ///< owning tenant (-1 = unowned)
         uint32_t pins = 0;   ///< eviction pins (in-flight HITs)
@@ -234,8 +227,7 @@ class MCache
     uint64_t epoch_ = 0;
     int insertTenant_ = -1;
     McacheQuotaGate *quotaGate_ = nullptr;
-    /// Mutable: read paths (e.g. readData) count accesses too.
-    mutable StatGroup stats_;
+    McacheCounters stats_;
 
     Line &line(int64_t entry_id);
     const Line &line(int64_t entry_id) const;

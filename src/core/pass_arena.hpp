@@ -24,11 +24,10 @@
  *
  * ## PassDataPlane
  *
- * The flat (version, entry) value/valid store that replaces the
- * MCACHE data plane for conv-forward HIT forwarding. The ShardedMCache
- * data plane serialized every read/write behind a per-shard mutex —
- * millions of locked operations per overlapped layer pass. The reuse
- * scheduler's ordering contract makes that locking unnecessary:
+ * The flat (version, entry) value/valid store that holds the MCACHE
+ * data half — computed dot products per (version, entry) — for
+ * conv-forward HIT forwarding. It takes no locks; the reuse
+ * scheduler's ordering contract makes locking unnecessary:
  * within one in-flight filter group each filter owns one distinct
  * version slot, a filter's segments are chained in stream order
  * (owner deposit happens-before hit read on the same chain), and
@@ -37,7 +36,7 @@
  * are race-free. Validity lives in bytes, not packed bits: two
  * filters writing neighboring entries must not share a memory
  * location. invalidateAll() requires quiescence (driving thread,
- * between groups), exactly like MCache::invalidateAllData.
+ * between groups) — it is the Valid-Data bitline of §III-B3.
  */
 
 #ifndef MERCURY_CORE_PASS_ARENA_HPP

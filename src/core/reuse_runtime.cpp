@@ -120,8 +120,6 @@ ReuseRuntime::runFilterPasses(const StreamSource &src,
             stats.macsSkipped += s;
             if (set.onStreamDelivered)
                 set.onStreamDelivered();
-            if (set.onChainDrained)
-                set.onChainDrained(0, group0);
         } else {
             // The consumer chains are runtime members reused across
             // channel passes; a drained SerialExecutor is safely
@@ -155,18 +153,8 @@ ReuseRuntime::runFilterPasses(const StreamSource &src,
             // but the chains may still be draining.
             if (set.onStreamDelivered)
                 set.onStreamDelivered();
-            for (int64_t c = 0; c < nchains; ++c) {
+            for (int64_t c = 0; c < nchains; ++c)
                 chains_[static_cast<size_t>(c)]->wait();
-                // Chain c's filter range [f0, f1) is final for every
-                // row of the pass: earlier chains have joined and
-                // within the chain segments ran in delivery order.
-                // The planner's cross-layer edge fires here — the
-                // successor layer's hash launches while chains c+1..
-                // still drain.
-                if (set.onChainDrained)
-                    set.onChainDrained(c * group0 / nchains,
-                                       (c + 1) * group0 / nchains);
-            }
             for (const uint64_t s : skipped)
                 stats.macsSkipped += s;
         }

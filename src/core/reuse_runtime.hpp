@@ -71,10 +71,9 @@
  * run concurrently on the pool. Conv-forward HIT forwarding runs on
  * the runtime's arena-backed PassDataPlane, where the per-filter
  * version-slot discipline makes unsynchronized access race-free (see
- * pass_arena.hpp); the MCACHE data plane remains available to
- * callers and is serialized by per-shard locks. Block result
- * pointers die when the delivery callback returns — the runtime
- * copies them into rowResults() before any chain task can run.
+ * pass_arena.hpp). Block result pointers die when the delivery
+ * callback returns — the runtime copies them into rowResults() before
+ * any chain task can run.
  * Replay sources never touch the MCACHE at all. With overlap disabled
  * (or no pool) everything runs serially on the driving thread in the
  * exact legacy order; outputs and statistics are bit-identical either
@@ -208,7 +207,7 @@ class ReuseRuntime
      * `beforeGroup(f0, f1)` runs on the driving thread before every
      * filter group that does *not* consume the live stream — the
      * streamed first group is covered by the stream's initial cache
-     * clear (the conv forward uses this for invalidateAllData).
+     * clear.
      *
      * `afterGroup(f0, f1)` runs on the driving thread after a group's
      * segments have completed and their skip counts were folded into
@@ -220,14 +219,6 @@ class ReuseRuntime
      * but before the in-flight chains are joined: the cross-channel
      * overlap window, where the conv engine extracts and begins
      * hashing the next channel while this one's chains drain.
-     *
-     * `onChainDrained(f0, f1)` runs on the driving thread after each
-     * streamed consumer chain joins (overlapped path only, ascending
-     * chain order): filters [f0, f1) are final for every row while
-     * later chains still drain — the cross-LAYER overlap window,
-     * where the planner's dependency edge launches the successor
-     * layer's detection hash (see core/runtime_planner.hpp). Serial
-     * execution never fires it (there is no drain to overlap with).
      */
     struct FilterPassSet
     {
@@ -238,7 +229,6 @@ class ReuseRuntime
         std::function<void(int64_t f0, int64_t f1)> beforeGroup;
         std::function<void(int64_t f0, int64_t f1)> afterGroup;
         std::function<void()> onStreamDelivered;
-        std::function<void(int64_t f0, int64_t f1)> onChainDrained;
     };
 
     /**
@@ -335,11 +325,10 @@ class ReuseRuntime
     PassArena &scratch() { return scratch_; }
 
     /**
-     * The arena-backed per-pass data plane (see pass_arena.hpp): the
-     * lock-free replacement for the MCACHE data plane in conv-forward
-     * HIT forwarding. The engine configures it per layer call and
-     * invalidates it between filter groups; storage persists across
-     * passes.
+     * The arena-backed per-pass data plane (see pass_arena.hpp) of
+     * conv-forward HIT forwarding. The engine configures it per layer
+     * call and invalidates it between filter groups; storage persists
+     * across passes.
      */
     PassDataPlane &dataPlane() { return plane_; }
 

@@ -3,51 +3,9 @@
 #include <algorithm>
 #include <string>
 
-#include "core/conv_reuse_engine.hpp"
-#include "util/logging.hpp"
-
 namespace mercury {
 
 namespace {
-
-/** FNV-1a style accumulation; stable across processes. */
-uint64_t
-mix(uint64_t h, uint64_t v)
-{
-    h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-    return h;
-}
-
-uint64_t
-mixOp(uint64_t h, const LayerStepDesc &op)
-{
-    h = mix(h, static_cast<uint64_t>(op.kind));
-    h = mix(h, op.layerId);
-    switch (op.kind) {
-    case StepOpKind::Conv:
-        h = mix(h, static_cast<uint64_t>(op.conv.inChannels));
-        h = mix(h, static_cast<uint64_t>(op.conv.outChannels));
-        h = mix(h, static_cast<uint64_t>(op.conv.kernelH));
-        h = mix(h, static_cast<uint64_t>(op.conv.kernelW));
-        h = mix(h, static_cast<uint64_t>(op.conv.stride));
-        h = mix(h, static_cast<uint64_t>(op.conv.pad));
-        h = mix(h, static_cast<uint64_t>(op.conv.groups));
-        h = mix(h, static_cast<uint64_t>(op.inH));
-        h = mix(h, static_cast<uint64_t>(op.inW));
-        break;
-    case StepOpKind::Dense:
-        h = mix(h, static_cast<uint64_t>(op.inFeatures));
-        h = mix(h, static_cast<uint64_t>(op.outFeatures));
-        break;
-    case StepOpKind::Attention:
-        h = mix(h, static_cast<uint64_t>(op.seqLen));
-        h = mix(h, static_cast<uint64_t>(op.embedDim));
-        break;
-    default:
-        break;
-    }
-    return h;
-}
 
 /** Records above this predicted size are planned as spilled to the
  *  global buffer between passes (the timing model charges the
@@ -79,7 +37,7 @@ StepDescBuilder::conv(uint64_t layer_id, const ConvSpec &spec)
     if (!valid4d_ || c_ != spec.inChannels) {
         // The walk lost (or never had) the activation shape before
         // this conv — its pass geometry cannot be resolved ahead of
-        // time, so the whole step runs unplanned.
+        // time, so the whole step is unplannable.
         plannable_ = false;
         ops_.push_back(d);
         return;
@@ -156,37 +114,11 @@ StepPlan::layerPlan(uint64_t layer_id) const
     return nullptr;
 }
 
-uint64_t
-RuntimePlanner::planKey(const StepDescBuilder &desc,
-                        const PlanKeyConfig &cfg)
-{
-    uint64_t h = 0xCBF29CE484222325ull;
-    h = mix(h, static_cast<uint64_t>(desc.batch()));
-    h = mix(h, desc.plannable() ? 1 : 0);
-    for (const LayerStepDesc &op : desc.ops())
-        h = mixOp(h, op);
-    h = mix(h, static_cast<uint64_t>(cfg.sigBits));
-    h = mix(h, static_cast<uint64_t>(cfg.sets));
-    h = mix(h, static_cast<uint64_t>(cfg.ways));
-    h = mix(h, static_cast<uint64_t>(cfg.dataVersions));
-    h = mix(h, static_cast<uint64_t>(cfg.pipe.blockRows));
-    h = mix(h, static_cast<uint64_t>(cfg.pipe.shards));
-    h = mix(h, static_cast<uint64_t>(cfg.pipe.threads));
-    // Off/On keep their historic 0/1 key bits; Auto keys distinctly
-    // (its resolution depends on row counts already mixed in above).
-    h = mix(h, static_cast<uint64_t>(cfg.pipe.overlap));
-    h = mix(h, cfg.pipe.persistent ? 1 : 0);
-    h = mix(h, cfg.backwardReuse ? 1 : 0);
-    h = mix(h, cfg.weightGradReuse ? 1 : 0);
-    return h;
-}
-
 std::shared_ptr<const StepPlan>
 RuntimePlanner::compile(const StepDescBuilder &desc,
-                        const PlanKeyConfig &cfg)
+                        const PlanConfig &cfg)
 {
     auto plan = std::make_shared<StepPlan>();
-    plan->key = planKey(desc, cfg);
     plan->batch = desc.batch();
     plan->plannable = desc.plannable() && desc.batch() > 0;
     if (!plan->plannable)
@@ -217,21 +149,6 @@ RuntimePlanner::compile(const StepDescBuilder &desc,
             lp.inFlight = s.outChannels / s.groups;
             lp.backwardSlots = std::max<int64_t>(
                 1, std::min<int64_t>(cfg.dataVersions, lp.inFlight));
-            // Planned buffer high-water: the forward double buffer,
-            // the dX grad columns, and the dW patch buffer + group
-            // sums — whichever pass needs the most at once.
-            const uint64_t rv = static_cast<uint64_t>(lp.rows) *
-                                static_cast<uint64_t>(lp.vecDim);
-            const uint64_t fwd = 2 * rv;
-            const uint64_t dx =
-                captures
-                    ? static_cast<uint64_t>(lp.backwardSlots) * rv
-                    : 0;
-            const uint64_t dw =
-                captures ? rv + static_cast<uint64_t>(lp.backwardSlots) *
-                                    static_cast<uint64_t>(lp.rows)
-                         : 0;
-            lp.scratchFloats = std::max(fwd, std::max(dx, dw));
             break;
         }
         case StepOpKind::Dense:
@@ -240,7 +157,6 @@ RuntimePlanner::compile(const StepDescBuilder &desc,
             lp.passes = 1;
             lp.inFlight = op.outFeatures;
             lp.backwardSlots = 1;
-            lp.scratchFloats = 0; // row passes forward in place
             break;
         case StepOpKind::Attention:
             lp.rows = op.seqLen;
@@ -248,14 +164,11 @@ RuntimePlanner::compile(const StepDescBuilder &desc,
             lp.passes = plan->batch; // one pass per sample
             lp.inFlight = 1;
             lp.backwardSlots = 1;
-            lp.scratchFloats = 0;
             break;
         default:
             continue; // channelwise / opaque ops carry no plan
         }
-        // Knob resolution happens here, once per layer shape — the
-        // per-pass tunedPipelineFor churn the unplanned path pays is
-        // the satellite this counter makes assertable.
+        // Knob resolution happens here, once per layer shape.
         lp.pipe = cfg.pipe.resolvedFor(lp.rows);
         ++plan->knobResolutions;
         lp.recordBytes = captures
@@ -269,16 +182,14 @@ RuntimePlanner::compile(const StepDescBuilder &desc,
     }
 
     // Dependency edges: a conv whose output reaches the next conv
-    // through channelwise transforms only (ReLU / 2x2 max pool) hands
-    // its successor's first-channel hash off before its own trailing
-    // filter ranges drain. Any other op in between is a real barrier:
-    // either a data dependence the plan cannot see through (opaque)
-    // or a reuse layer with its own detection pass whose MCACHE
-    // probes must stay ordered after this layer's (the
-    // owner-before-hit contract is per cache, and layer caches are
-    // provisioned independently — but the probe of the successor
-    // still happens inside its own forward, so only the *hash* moves
-    // early; see ARCHITECTURE.md "Plan compilation").
+    // through channelwise transforms only (ReLU / 2x2 max pool) can
+    // hand its successor's first-channel hash off before its own
+    // trailing filter ranges drain. Any other op in between is a real
+    // barrier: either a data dependence the plan cannot see through
+    // (opaque) or a reuse layer with its own detection pass whose
+    // MCACHE probes must stay ordered after this layer's (only the
+    // successor's *hash* moves early; its probe stays inside its own
+    // pass — see ARCHITECTURE.md "Plan compilation").
     int last_conv_op = -1;
     std::vector<StepOpKind> pending;
     for (size_t i = 0; i < ops.size(); ++i) {
@@ -475,215 +386,6 @@ shapesFromStepDesc(const StepDescBuilder &desc)
         }
     }
     return out;
-}
-
-std::shared_ptr<const StepPlan>
-PlanCache::find(uint64_t key) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = plans_.find(key);
-    return it == plans_.end() ? nullptr : it->second;
-}
-
-void
-PlanCache::insert(std::shared_ptr<const StepPlan> plan)
-{
-    if (!plan)
-        return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    plans_[plan->key] = std::move(plan);
-}
-
-void
-PlanCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    plans_.clear();
-}
-
-int64_t
-PlanCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return static_cast<int64_t>(plans_.size());
-}
-
-ConvPlanSlot *
-PlanExec::convSlot(uint64_t layer_id)
-{
-    auto it = conv.find(layer_id);
-    return it == conv.end() ? nullptr : it->second.get();
-}
-
-RowPlanSlot *
-PlanExec::rowSlot(uint64_t layer_id)
-{
-    auto it = row.find(layer_id);
-    return it == row.end() ? nullptr : it->second.get();
-}
-
-namespace {
-
-/**
- * Producing side of a fused conv→conv edge: stage the predecessor's
- * (image 0, channel 0) output plane, push it through the edge's
- * channelwise transforms (bit-identical to the interposed layers —
- * both are channel-local), extract the successor's first channel
- * pass, and start hashing it on the pool. Runs on the driving thread
- * from the predecessor's first drained chain; only the hash tasks go
- * wide, and hashing touches no MCACHE state (DetectionHashJob
- * contract), so the predecessor's remaining filter ranges keep
- * draining against their cache concurrently.
- */
-void
-fireConvPrefetch(const Tensor &out, const LayerPlan &pred,
-                 const LayerPlan &succ, ConvPlanSlot &succ_slot,
-                 DetectionFrontend &succ_fe, int bits)
-{
-    // An unconsumed job from an aborted step may still have hash
-    // tasks reading the staging tensors overwritten below; drop it
-    // first (the destructor joins its tasks).
-    succ_slot.prefetched.reset();
-
-    // Channel 0 of image 0 is the leading outH*outW block of the
-    // (N, C, H, W) output.
-    const int64_t plane = pred.outH * pred.outW;
-    std::copy(out.data(), out.data() + plane, succ_slot.edgeSlice.data());
-
-    const Tensor *cur = &succ_slot.edgeSlice;
-    for (StepOpKind t : pred.edgeTransforms) {
-        if (t == StepOpKind::Relu) {
-            succ_slot.edgePlane = reluForward(*cur);
-        } else {
-            std::vector<int32_t> argmax;
-            succ_slot.edgePlane = maxPool2x2Forward(*cur, argmax);
-        }
-        cur = &succ_slot.edgePlane;
-    }
-    if (cur->dim(2) != succ.desc.inH || cur->dim(3) != succ.desc.inW)
-        return; // edge geometry drifted; the plain path takes over
-
-    // Fused extraction: each hash block extracts its own row range
-    // from the staged plane right before hashing it (single touch,
-    // on the pool). The plane and row buffer are slot members that
-    // outlive the job; the spec lives in the immutable StepPlan.
-    const Tensor *src = cur;
-    const ConvSpec *cspec = &succ.desc.conv;
-    Tensor *rows = &succ_slot.prefetchRows;
-    const int64_t sow = succ.outW;
-    succ_slot.prefetched = succ_fe.beginHashStream(
-        succ_slot.prefetchRows, bits,
-        [src, cspec, rows, sow](int64_t r0, int64_t r1) {
-            extractChannelPatchRows(*src, *cspec, 0, 0, sow, r0, r1,
-                                    *rows);
-        });
-}
-
-} // namespace
-
-std::unique_ptr<PlanExec>
-buildPlanExec(
-    std::shared_ptr<const StepPlan> plan, int sig_bits,
-    bool capture_records,
-    const std::function<DetectionFrontend &(uint64_t)> &frontend_for)
-{
-    auto exec = std::make_unique<PlanExec>();
-    exec->plan = plan;
-    if (!plan || !plan->plannable)
-        return exec;
-
-    for (const LayerPlan &lp : plan->layers) {
-        DetectionFrontend &fe = frontend_for(lp.desc.layerId);
-        // Prime the frontend's per-shape knob memo so steady-state
-        // passes never re-resolve (satellite: once per shape, not
-        // once per step).
-        fe.resolvedPipeFor(lp.rows);
-        switch (lp.desc.kind) {
-        case StepOpKind::Conv: {
-            auto slot = std::make_unique<ConvPlanSlot>();
-            slot->plan = &lp;
-            slot->runtime = std::make_unique<ReuseRuntime>(fe, sig_bits);
-            slot->bufs[0] = Tensor({lp.rows, lp.vecDim});
-            slot->bufs[1] = Tensor({lp.rows, lp.vecDim});
-            const ConvSpec &s = lp.desc.conv;
-            const int64_t cin_g = s.inChannels / s.groups;
-            slot->order.reserve(static_cast<size_t>(lp.passes));
-            for (int64_t b = 0; b < plan->batch; ++b)
-                for (int64_t g = 0; g < s.groups; ++g)
-                    for (int64_t ic = 0; ic < cin_g; ++ic)
-                        slot->order.push_back({b, g, ic});
-            if (capture_records) {
-                slot->cols.resize(
-                    static_cast<size_t>(lp.backwardSlots));
-                for (auto &c : slot->cols)
-                    c.resize(static_cast<size_t>(lp.rows * lp.vecDim));
-                slot->gcols.resize(
-                    static_cast<size_t>(lp.backwardSlots));
-                for (auto &c : slot->gcols)
-                    c.resize(static_cast<size_t>(lp.rows));
-                slot->dwRows = Tensor({lp.rows, lp.vecDim});
-            }
-            exec->conv.emplace(lp.desc.layerId, std::move(slot));
-            break;
-        }
-        case StepOpKind::Dense: {
-            auto slot = std::make_unique<RowPlanSlot>();
-            slot->plan = &lp;
-            slot->runtime = std::make_unique<ReuseRuntime>(fe, sig_bits);
-            slot->ownerOfEntry.reserve(
-                static_cast<size_t>(fe.entries()));
-            exec->row.emplace(lp.desc.layerId, std::move(slot));
-            break;
-        }
-        case StepOpKind::Attention: {
-            auto slot = std::make_unique<RowPlanSlot>();
-            slot->plan = &lp;
-            slot->runtime = std::make_unique<ReuseRuntime>(fe, sig_bits);
-            exec->row.emplace(lp.desc.layerId, std::move(slot));
-            break;
-        }
-        default:
-            break;
-        }
-    }
-
-    // Arm the fused edges: the predecessor's slot fires the
-    // successor's first-channel extraction + hash once output channel
-    // 0 of image 0 is final (its first in-flight chain drained on the
-    // pass of the last input channel of image 0, group 0).
-    for (size_t i = 0; i < plan->layers.size(); ++i) {
-        const LayerPlan &lp = plan->layers[i];
-        if (lp.nextConv < 0)
-            continue;
-        const LayerPlan &sp =
-            plan->layers[static_cast<size_t>(lp.nextConv)];
-        ConvPlanSlot *pred = exec->convSlot(lp.desc.layerId);
-        ConvPlanSlot *succ = exec->convSlot(sp.desc.layerId);
-        if (!pred || !succ)
-            continue;
-        DetectionFrontend &pred_fe = frontend_for(lp.desc.layerId);
-        DetectionFrontend &succ_fe = frontend_for(sp.desc.layerId);
-        // Gate on the RESOLVED per-pass decisions (Auto resolves from
-        // threads x rows): the predecessor only fires onChainDrained
-        // when its own passes stream, and the successor only consumes
-        // a prefetched job on its overlapped path.
-        if (!pred_fe.overlapEnabledFor(lp.rows) ||
-            !succ_fe.overlapEnabledFor(sp.rows))
-            continue; // serial execution: no window to hide the hash in
-        pred->prefetchAfterPass =
-            lp.desc.conv.inChannels / lp.desc.conv.groups - 1;
-        succ->prefetchRows = Tensor({sp.rows, sp.vecDim});
-        succ->edgeSlice = Tensor({1, 1, lp.outH, lp.outW});
-        const LayerPlan *pred_plan = &lp;
-        const LayerPlan *succ_plan = &sp;
-        DetectionFrontend *sfe = &succ_fe;
-        pred->prefetchNext = [pred_plan, succ_plan, succ, sfe,
-                              sig_bits](const Tensor &out) {
-            fireConvPrefetch(out, *pred_plan, *succ_plan, *succ, *sfe,
-                             sig_bits);
-        };
-    }
-    return exec;
 }
 
 } // namespace mercury

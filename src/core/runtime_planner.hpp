@@ -1,74 +1,51 @@
 /**
  * @file
  * RuntimePlanner: ahead-of-time compilation of one training step's
- * pass graph into a reusable StepPlan (ROADMAP "compile the pass
- * graph once, execute steps as replay of a precomputed plan").
+ * pass graph into a StepPlan, the step descriptor the timing models
+ * replay (sim::CostModel::stepCost, sim/plan_model, the event model).
  *
- * Every unplanned step re-derives the same work: each layer re-builds
- * its ReuseRuntime pass descriptors, re-resolves the tuning knobs
- * (tunedPipelineFor / resolvedShards), re-allocates its extraction /
- * grad-column / group-sum buffers, and drains the worker pool to a
- * hard barrier before the next layer starts. None of that depends on
- * the batch *values* — only on layer shapes and configuration — so
- * the planner walks the network's step description once and emits:
+ * Execution does not consume the plan: every layer runs its engines
+ * directly, and outputs depend only on values. The plan captures what
+ * depends only on layer shapes and configuration, derived from the
+ * network's step description in one walk:
  *
  *  - a LayerPlan per reuse-capable layer: resolved pass geometry
  *    (rows, vector dim, pass count, in-flight filter width, backward
- *    slot count), the per-shape pipeline knobs resolved exactly once,
- *    the planned buffer high-water (double-buffered extraction
- *    tensors, grad-column and group-sum slots sized to the MCACHE
- *    data-version width), and the SignatureRecord hold/spill decision
- *    (storage-byte prediction vs the hold threshold) made at plan
- *    time instead of per step;
+ *    slot count), the per-shape pipeline knobs (overlap resolved to
+ *    On or Off for the layer's rows), and the SignatureRecord
+ *    hold/spill decision (storage-byte prediction vs the hold
+ *    threshold) the timing model charges for;
  *
  *  - dependency edges between adjacent conv layers separated only by
  *    channelwise transforms (ReLU / 2x2 max pool): across such an
- *    edge the successor's first detection/hash pass launches while
- *    the predecessor's trailing filter ranges drain (cross-LAYER
+ *    edge the modeled successor's first detection/hash pass launches
+ *    while the predecessor's trailing filter ranges drain (cross-LAYER
  *    overlap — the extension of the engines' cross-channel overlap).
  *    Channelwise transforms keep channel 0 of image 0 self-contained,
- *    so the successor's first channel pass can be extracted and
- *    hashed the moment the predecessor's first in-flight chain has
- *    drained filter 0 — hashing touches only the row tensor and
- *    cache geometry (DetectionHashJob contract), never MCACHE state,
- *    so the MCACHE owner-before-hit ordering contract needs no
- *    barrier there. Barriers remain only where that contract (or a
- *    genuine data dependence through a non-channelwise op) requires
- *    them; StepPlan counts both.
+ *    and hashing touches only the row tensor and cache geometry
+ *    (DetectionHashJob contract), never MCACHE state, so the MCACHE
+ *    owner-before-hit ordering contract needs no barrier there.
+ *    Barriers remain only where that contract (or a genuine data
+ *    dependence through a non-channelwise op) requires them;
+ *    StepPlan counts both.
  *
- * Plans are immutable and shareable: a StepPlan holds no frontend or
- * cache pointers, so one PlanCache can serve every same-shape session
- * of a MercuryServer. The mutable half — persistent ReuseRuntimes,
- * planned tensors, armed prefetch closures — lives in a per-context
- * PlanExec built by buildPlanExec() and invalidated whenever the
- * context's frontends are (setPipeline / setSignatureBits /
- * setLayerCacheProvider).
- *
- * Plan-cache keying: FNV-1a over the ordered step description (op
- * kinds, layer ids, conv specs with resolved input spatial dims,
- * dense/attention dims, batch) plus every knob that changes pass
- * construction — signature bits, MCACHE organization (sets / ways /
- * data versions), pipeline knobs (block rows, shards, threads,
- * overlap, persistent), and the backward / weight-gradient capture
- * flags. Anything else (seeds, weights, batch values) affects values,
- * not structure, and is deliberately outside the key.
+ * Plans are immutable and hold no frontend or cache pointers.
+ * exportPassDescriptors flattens one into the backend-neutral records
+ * the event model replays; describeShapeStack / shapesFromStepDesc
+ * map model-zoo layer tables to and from step descriptions, so a
+ * shape stack and a live Network walk compile through the same code.
  */
 
 #ifndef MERCURY_CORE_RUNTIME_PLANNER_HPP
 #define MERCURY_CORE_RUNTIME_PLANNER_HPP
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
-#include "core/reuse_runtime.hpp"
-#include "pipeline/detection_frontend.hpp"
+#include "pipeline/detection_pipeline.hpp"
 #include "sim/layer_shape.hpp"
 #include "tensor/ops.hpp"
-#include "tensor/tensor.hpp"
 
 namespace mercury {
 
@@ -108,8 +85,8 @@ struct LayerStepDesc
  * (Layer::describeStep). Tracks the activation shape so conv layers
  * get resolved spatial dims; an Opaque op (or a shape the tracker
  * cannot follow) invalidates 4D tracking — a later conv then marks
- * the whole plan unplannable and every layer runs the unplanned path
- * (bit-identical either way; planning is purely a schedule).
+ * the whole plan unplannable (the timing models then fall back to
+ * per-layer descriptors).
  */
 class StepDescBuilder
 {
@@ -139,8 +116,11 @@ class StepDescBuilder
     bool plannable_ = true;
 };
 
-/** Config slice that participates in the plan key (see file header). */
-struct PlanKeyConfig
+/** Configuration slice that shapes a compiled plan: signature width,
+ *  MCACHE organization, pipeline knobs, and the gradient-capture
+ *  flags. Seeds, weights and batch values affect values, not
+ *  structure, and stay outside. */
+struct PlanConfig
 {
     int sigBits = 0;
     int sets = 0;
@@ -165,17 +145,11 @@ struct LayerPlan
     int64_t inFlight = 0; ///< conv filters in flight (cout / groups)
     int64_t backwardSlots = 0; ///< grad-column slots (min(versions, inFlight))
 
-    /** Pipeline knobs resolved once per shape (satellite: the
-     *  per-pass tunedPipelineFor / resolvedShards churn is hoisted
-     *  here and to DetectionFrontend::resolvedPipeFor). Includes the
-     *  resolved overlap decision — pipe.overlap is On or Off here,
-     *  never Auto (PipelineConfig::resolvedOverlapFor applied to this
-     *  layer's rows at compile time). */
+    /** Pipeline knobs resolved for this layer's shape, including
+     *  the resolved overlap decision — pipe.overlap is On or Off
+     *  here, never Auto (PipelineConfig::resolvedOverlapFor applied
+     *  to this layer's rows at compile time). */
     PipelineConfig pipe;
-
-    /** Planned buffer high-water in floats (extraction double-buffer,
-     *  grad columns, group sums) — what PlanExec preallocates. */
-    uint64_t scratchFloats = 0;
 
     /** Predicted SignatureRecord bytes of a captured forward, and the
      *  plan-time hold (true) vs spill (false) decision the timing
@@ -193,10 +167,9 @@ struct LayerPlan
     std::vector<StepOpKind> edgeTransforms;
 };
 
-/** Compiled whole-step schedule (immutable, shareable, cache-keyed). */
+/** Compiled whole-step schedule (immutable, shareable). */
 struct StepPlan
 {
-    uint64_t key = 0;
     int64_t batch = 0;
     bool plannable = false;
     /** Reuse-capable layers in forward order. */
@@ -216,109 +189,15 @@ struct StepPlan
 class RuntimePlanner
 {
   public:
-    /** Cache key of the plan compile() would emit (cheap; no plan
-     *  construction). Stable across processes for identical input. */
-    static uint64_t planKey(const StepDescBuilder &desc,
-                            const PlanKeyConfig &cfg);
-
     static std::shared_ptr<const StepPlan>
-    compile(const StepDescBuilder &desc, const PlanKeyConfig &cfg);
-};
-
-/**
- * Keyed store of compiled plans. Thread-safe (a MercuryServer shares
- * one across sessions); plans are immutable so a found plan needs no
- * further synchronization.
- */
-class PlanCache
-{
-  public:
-    std::shared_ptr<const StepPlan> find(uint64_t key) const;
-    void insert(std::shared_ptr<const StepPlan> plan);
-    void clear();
-    int64_t size() const;
-
-  private:
-    mutable std::mutex mutex_;
-    std::map<uint64_t, std::shared_ptr<const StepPlan>> plans_;
-};
-
-/**
- * Mutable conv execution state of one bound plan (per context):
- * the persistent ReuseRuntime and every buffer the unplanned path
- * allocates per step, preallocated at bind time, plus the armed
- * cross-layer prefetch edge. One thread drives a slot at a time (the
- * same single-caller contract as the engines).
- */
-struct ConvPlanSlot
-{
-    const LayerPlan *plan = nullptr;
-    std::unique_ptr<ReuseRuntime> runtime;
-
-    /** Double-buffered extraction tensors (cross-channel overlap). */
-    Tensor bufs[2];
-    /** Prebuilt (image, group, channel) pass order. */
-    struct PassId
-    {
-        int64_t b = 0, g = 0, ic = 0;
-    };
-    std::vector<PassId> order;
-
-    /** Backward grad-column slots (dX) and group sums (dW). */
-    std::vector<std::vector<float>> cols;
-    std::vector<std::vector<float>> gcols;
-    std::vector<int64_t> owner;
-    Tensor dwRows; ///< dW patch re-extraction buffer
-
-    /**
-     * Cross-layer overlap, producing side: armed by buildPlanExec on
-     * a fused edge's predecessor. The conv engine fires it once the
-     * pass completing (image 0, group 0, last input channel) has
-     * drained its first in-flight chain — output channel 0 of image 0
-     * is final there — handing the successor's first-channel hash to
-     * the pool while this layer's trailing filter ranges drain.
-     */
-    std::function<void(const Tensor &out)> prefetchNext;
-    int64_t prefetchAfterPass = -1;
-
-    /** Consuming side: the successor's planned row buffer and the
-     *  in-flight hash job its forward consumes as pass 0. The staging
-     *  tensors are slot members (not fireConvPrefetch locals) because
-     *  the job's fused extraction reads them from pool workers until
-     *  the job is consumed or reset. */
-    Tensor prefetchRows;
-    Tensor edgeSlice; ///< channel-0 staging of the predecessor output
-    Tensor edgePlane; ///< edge-transform result the filler reads
-    std::unique_ptr<DetectionHashJob> prefetched;
-};
-
-/** Mutable row-pass execution state (dense / attention layers). */
-struct RowPlanSlot
-{
-    const LayerPlan *plan = nullptr;
-    std::unique_ptr<ReuseRuntime> runtime;
-    std::vector<int64_t> ownerOfEntry;
-    std::vector<int64_t> owner;
-};
-
-/** A bound plan plus its per-layer execution slots. */
-struct PlanExec
-{
-    std::shared_ptr<const StepPlan> plan;
-    std::map<uint64_t, std::unique_ptr<ConvPlanSlot>> conv;
-    std::map<uint64_t, std::unique_ptr<RowPlanSlot>> row;
-
-    ConvPlanSlot *convSlot(uint64_t layer_id);
-    RowPlanSlot *rowSlot(uint64_t layer_id);
+    compile(const StepDescBuilder &desc, const PlanConfig &cfg);
 };
 
 /**
  * Backend-neutral replay record of one layer's detection passes,
- * exported from a compiled StepPlan for consumers that model (rather
- * than execute) the step — the event-model backend replays these
- * through its memory hierarchy, so the timing study and the
- * functional executor share one workload definition (ROADMAP
- * "plan-driven multi-backend dispatch").
+ * exported from a compiled StepPlan for consumers that model the
+ * step — the event-model backend replays these through its memory
+ * hierarchy, so both timing backends share one workload definition.
  */
 struct PassDescriptor
 {
@@ -377,20 +256,6 @@ StepDescBuilder describeShapeStack(const std::vector<LayerShape> &stack,
  * into the closed-form step model.
  */
 std::vector<LayerShape> shapesFromStepDesc(const StepDescBuilder &desc);
-
-/**
- * Build the execution state of a compiled plan: persistent runtimes
- * over the per-layer frontends, planned buffers, and armed prefetch
- * edges. `frontend_for(layer_id)` provisions the layer's detection
- * front-end (MercuryContext::frontendFor); the call also primes each
- * frontend's per-shape knob memo (DetectionFrontend::resolvedPipeFor)
- * so steady-state passes never re-resolve. `capture_records` sizes
- * the backward buffers (skip them for forward-only contexts).
- */
-std::unique_ptr<PlanExec> buildPlanExec(
-    std::shared_ptr<const StepPlan> plan, int sig_bits,
-    bool capture_records,
-    const std::function<DetectionFrontend &(uint64_t)> &frontend_for);
 
 } // namespace mercury
 

@@ -35,8 +35,7 @@ SelfAttentionLayer::forward(const Tensor &x, MercuryContext *ctx)
             AttentionEngine engine(ctx->frontendFor(layerId_),
                                    ctx->signatureBits());
             ReuseStats stats;
-            yi = engine.forward(xi, stats, capture ? &record_ : nullptr,
-                                ctx->rowPlanFor(layerId_));
+            yi = engine.forward(xi, stats, capture ? &record_ : nullptr);
             ctx->accumulate(stats);
         } else {
             Tensor w = matmulTransposeB(xi, xi);
@@ -75,8 +74,7 @@ SelfAttentionLayer::backwardImpl(const Tensor &grad, MercuryContext *ctx)
             AttentionEngine engine(ctx->frontendFor(layerId_),
                                    ctx->signatureBits());
             ReuseStats wstats;
-            xtx = engine.backwardProjection(xi, record_, s, wstats,
-                                            ctx->rowPlanFor(layerId_));
+            xtx = engine.backwardProjection(xi, record_, s, wstats);
             ctx->accumulateWeightGrad(wstats);
         }
         if (replay) {
@@ -86,8 +84,7 @@ SelfAttentionLayer::backwardImpl(const Tensor &grad, MercuryContext *ctx)
                                    ctx->signatureBits());
             ReuseStats stats;
             Tensor gx = engine.backward(xi, gi, record_, s, stats,
-                                        proj ? &xtx : nullptr,
-                                        ctx->rowPlanFor(layerId_));
+                                        proj ? &xtx : nullptr);
             ctx->accumulateBackward(stats);
             for (int64_t i = 0; i < gx.numel(); ++i)
                 out[s * gx.numel() + i] = gx[i];

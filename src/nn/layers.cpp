@@ -41,8 +41,8 @@ Conv2dLayer::forward(const Tensor &x, MercuryContext *ctx)
         ReuseStats stats;
         SignatureRecord *capture =
             ctx->capturesRecords() ? &record_ : nullptr;
-        Tensor out = engine.forward(x, weight_, bias_, spec_, stats,
-                                    capture, ctx->convPlanFor(layerId_));
+        Tensor out =
+            engine.forward(x, weight_, bias_, spec_, stats, capture);
         ctx->accumulate(stats);
         recordValid_ = capture != nullptr;
         return out;
@@ -60,9 +60,8 @@ Conv2dLayer::backwardImpl(const Tensor &grad, MercuryContext *ctx)
         ConvReuseEngine engine(ctx->frontendFor(layerId_),
                                ctx->signatureBits());
         ReuseStats wstats;
-        gradWeight_ =
-            engine.backwardWeights(lastInput_, grad, spec_, record_,
-                                   wstats, ctx->convPlanFor(layerId_));
+        gradWeight_ = engine.backwardWeights(lastInput_, grad, spec_,
+                                             record_, wstats);
         ctx->accumulateWeightGrad(wstats);
     } else {
         gradWeight_ = conv2dBackwardWeight(lastInput_, grad, spec_);
@@ -78,8 +77,7 @@ Conv2dLayer::backwardImpl(const Tensor &grad, MercuryContext *ctx)
         Tensor gin = engine.backwardInput(grad, weight_, spec_,
                                           lastInput_.dim(2),
                                           lastInput_.dim(3), record_,
-                                          stats,
-                                          ctx->convPlanFor(layerId_));
+                                          stats);
         ctx->accumulateBackward(stats);
         return gin;
     }
@@ -132,8 +130,7 @@ DenseLayer::forward(const Tensor &x, MercuryContext *ctx)
         ReuseStats stats;
         SignatureRecord *capture =
             ctx->capturesRecords() ? &record_ : nullptr;
-        out = engine.forward(x, weight_, stats, nullptr, capture,
-                             ctx->rowPlanFor(layerId_));
+        out = engine.forward(x, weight_, stats, nullptr, capture);
         ctx->accumulate(stats);
         recordValid_ = capture != nullptr;
     } else {
@@ -156,8 +153,7 @@ DenseLayer::backwardImpl(const Tensor &grad, MercuryContext *ctx)
                         ctx->signatureBits());
         ReuseStats wstats;
         gradWeight_ =
-            engine.backwardWeights(lastInput_, grad, record_, wstats,
-                                   ctx->rowPlanFor(layerId_));
+            engine.backwardWeights(lastInput_, grad, record_, wstats);
         ctx->accumulateWeightGrad(wstats);
     } else {
         gradWeight_ = matmul(transpose2d(lastInput_), grad);
@@ -173,8 +169,7 @@ DenseLayer::backwardImpl(const Tensor &grad, MercuryContext *ctx)
         FcEngine engine(ctx->frontendFor(layerId_),
                         ctx->signatureBits());
         ReuseStats stats;
-        Tensor gin = engine.backwardInput(grad, weight_, record_, stats,
-                                          ctx->rowPlanFor(layerId_));
+        Tensor gin = engine.backwardInput(grad, weight_, record_, stats);
         ctx->accumulateBackward(stats);
         return gin;
     }

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "core/runtime_planner.hpp"
 #include "nn/mercury_hooks.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
@@ -66,12 +67,13 @@ class Layer
 
     /**
      * Contribute this layer's op to a step description
-     * (core/runtime_planner.hpp): reuse-capable layers describe their
-     * shape, channelwise transforms describe their kind (they keep
-     * conv→conv fusion edges alive), and everything else reports
-     * opaque — the planner then stops shape tracking there and any
-     * later conv runs unplanned. Opaque is always a safe default:
-     * planning changes only the schedule, never the results.
+     * (core/runtime_planner.hpp), the workload the cost model replays:
+     * reuse-capable layers describe their shape, channelwise
+     * transforms describe their kind (they keep conv→conv fusion
+     * edges alive), and everything else reports opaque — the planner
+     * then stops shape tracking there and a later conv makes the step
+     * unplannable. Opaque is always a safe default: the description
+     * only feeds timing models, never execution.
      */
     virtual void describeStep(StepDescBuilder &b) const { b.opaque(); }
 

@@ -32,14 +32,12 @@ MercuryContext::setSignatureBits(int bits)
 {
     if (bits <= 0)
         panic("signature bits must stay positive, got ", bits);
-    exec_.reset(); // bound runtimes carry the old signature length
     sigBits_ = bits;
 }
 
 void
 MercuryContext::setPipeline(const PipelineConfig &pipe)
 {
-    exec_.reset(); // before the frontends/pool its runtimes reference
     pipeline_ = pipe;
     frontends_.clear();
     perLayer_.clear();
@@ -82,72 +80,9 @@ MercuryContext::cacheForLayer(uint64_t layer_id)
 void
 MercuryContext::setLayerCacheProvider(LayerCacheProvider provider)
 {
-    exec_.reset(); // before the frontends its runtimes reference
     cacheProvider_ = std::move(provider);
     frontends_.clear();
     perLayer_.clear();
-}
-
-void
-MercuryContext::bindStepPlan(const StepDescBuilder &desc)
-{
-    ++planLookups_;
-    PlanKeyConfig kcfg;
-    kcfg.sigBits = sigBits_;
-    kcfg.sets = sets_;
-    kcfg.ways = ways_;
-    kcfg.dataVersions = versions_;
-    kcfg.pipe = pipeline_;
-    kcfg.backwardReuse = backwardReuse_;
-    kcfg.weightGradReuse = weightGradReuse_;
-    const uint64_t key = RuntimePlanner::planKey(desc, kcfg);
-    if (exec_ && exec_->plan && exec_->plan->key == key) {
-        ++planHits_; // steady state: same shapes + config, same plan
-        return;
-    }
-    PlanCache &cache = sharedPlans_ ? *sharedPlans_ : ownPlans_;
-    std::shared_ptr<const StepPlan> plan = cache.find(key);
-    if (plan) {
-        ++planHits_;
-    } else {
-        plan = RuntimePlanner::compile(desc, kcfg);
-        cache.insert(plan);
-    }
-    if (!plan->plannable) {
-        // Keep the bound key so the fast path still short-circuits,
-        // but build no slots: every layer runs the unplanned path.
-        exec_ = std::make_unique<PlanExec>();
-        exec_->plan = std::move(plan);
-        return;
-    }
-    exec_ = buildPlanExec(
-        std::move(plan), sigBits_, capturesRecords(),
-        [this](uint64_t layer_id) -> DetectionFrontend & {
-            return frontendFor(layer_id);
-        });
-}
-
-ConvPlanSlot *
-MercuryContext::convPlanFor(uint64_t layer_id)
-{
-    if (!planExecution_ || !exec_)
-        return nullptr;
-    return exec_->convSlot(layer_id);
-}
-
-RowPlanSlot *
-MercuryContext::rowPlanFor(uint64_t layer_id)
-{
-    if (!planExecution_ || !exec_)
-        return nullptr;
-    return exec_->rowSlot(layer_id);
-}
-
-void
-MercuryContext::resetPlanState()
-{
-    exec_.reset();
-    ownPlans_.clear();
 }
 
 void

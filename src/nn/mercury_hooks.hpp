@@ -31,7 +31,6 @@
 
 #include "core/conv_reuse_engine.hpp"
 #include "core/mcache.hpp"
-#include "core/runtime_planner.hpp"
 #include "pipeline/detection_frontend.hpp"
 #include "util/thread_pool.hpp"
 
@@ -178,63 +177,6 @@ class MercuryContext
         return backwardReuse_ || weightGradReuse_;
     }
 
-    // ---- Planned execution (core/runtime_planner.hpp) ---------------
-
-    /**
-     * Execute steps as replay of a compiled StepPlan
-     * (AcceleratorConfig::planExecution): Network::forward describes
-     * the step once, bindStepPlan compiles (or fetches) the plan, and
-     * reuse-capable layers run through persistent per-layer execution
-     * slots — knobs resolved once per shape, buffers preallocated,
-     * conv→conv edges overlapped across layers. Off by default;
-     * outputs and reuse statistics are bit-identical either way.
-     */
-    void setPlanExecution(bool enabled) { planExecution_ = enabled; }
-    bool planExecution() const { return planExecution_; }
-
-    /**
-     * Share compiled plans across contexts (MercuryServer): plans are
-     * immutable and hold no frontend/cache pointers, so same-shape
-     * sessions reuse one compilation. The cache must outlive this
-     * context; nullptr reverts to the context-private cache.
-     */
-    void setSharedPlanCache(PlanCache *cache) { sharedPlans_ = cache; }
-
-    /**
-     * Bind the plan for the described step: fast-path when the bound
-     * plan's key already matches, otherwise fetch from the plan cache
-     * (shared if installed) or compile and insert. Rebuilds the
-     * per-layer execution slots only when the key changed. Called by
-     * Network::forward when planExecution() is set.
-     */
-    void bindStepPlan(const StepDescBuilder &desc);
-
-    /**
-     * The bound layer execution slot, or null when planning is off,
-     * no plan is bound, the step was unplannable, or the layer has no
-     * slot — callers fall back to the unplanned path on null.
-     */
-    ConvPlanSlot *convPlanFor(uint64_t layer_id);
-    RowPlanSlot *rowPlanFor(uint64_t layer_id);
-
-    /** The bound plan (tests / benches), or null. */
-    const StepPlan *boundPlan() const
-    {
-        return exec_ ? exec_->plan.get() : nullptr;
-    }
-
-    /** bindStepPlan calls, and how many avoided a compile (bound-plan
-     *  fast path or plan-cache find). */
-    int64_t planLookups() const { return planLookups_; }
-    int64_t planHits() const { return planHits_; }
-
-    /**
-     * Drop the bound execution state and the context-private plan
-     * cache (not a shared one): the next bindStepPlan recompiles.
-     * Benches use this to measure cold-bind setup cost.
-     */
-    void resetPlanState();
-
     /** Accumulate one forward engine invocation's statistics. */
     void accumulate(const ReuseStats &stats);
 
@@ -282,15 +224,6 @@ class MercuryContext
     ReuseStats totals_;
     ReuseStats backwardTotals_;
     ReuseStats weightGradTotals_;
-    bool planExecution_ = false;
-    PlanCache ownPlans_;
-    PlanCache *sharedPlans_ = nullptr; // externally owned override
-    int64_t planLookups_ = 0;
-    int64_t planHits_ = 0;
-    /// Bound plan execution state. Declared last: its runtimes and
-    /// in-flight hash jobs reference the frontends and pool above, so
-    /// it must destroy (and join) first.
-    std::unique_ptr<PlanExec> exec_;
 
     ThreadPool *sharedPool();
     ShardedMCache &sharedCache();

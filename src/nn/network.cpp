@@ -24,21 +24,10 @@ Network::forward(const Tensor &x, MercuryContext *ctx)
 {
     if (layers_.empty())
         panic("forward through an empty network");
-    if (ctx && ctx->planExecution())
-        planStep(x, ctx);
     Tensor y = x;
     for (auto &l : layers_)
         y = l->forward(y, ctx);
     return y;
-}
-
-void
-Network::planStep(const Tensor &x, MercuryContext *ctx)
-{
-    if (!ctx)
-        return;
-    StepDescBuilder b = describeStep(x);
-    ctx->bindStepPlan(b);
 }
 
 StepDescBuilder

@@ -34,19 +34,11 @@ class Network
     Tensor forward(const Tensor &x, MercuryContext *ctx = nullptr);
 
     /**
-     * Describe the step for input `x` and bind its compiled plan in
-     * `ctx` (core/runtime_planner.hpp). forward() calls this whenever
-     * ctx->planExecution() is set — after the first call per (shape,
-     * config) it is a key-match fast path; exposed so tests and
-     * benches can exercise the bind in isolation.
-     */
-    void planStep(const Tensor &x, MercuryContext *ctx);
-
-    /**
-     * The step descriptor stack forward(x) would execute — the same
-     * workload definition planStep compiles and sim::CostModel
-     * backends replay. Lets consumers cost a network without a
-     * MercuryContext (e.g. the server's modeled-cycle stats).
+     * The step descriptor stack forward(x) would execute — the
+     * workload definition RuntimePlanner::compile turns into a
+     * StepPlan and sim::CostModel backends replay. Lets consumers
+     * cost a network without a MercuryContext (e.g. the server's
+     * modeled-cycle stats).
      */
     StepDescBuilder describeStep(const Tensor &x) const;
 

@@ -85,14 +85,12 @@ DetectionFrontend::detect(const Tensor &rows, int bits,
         panic("detect expects a (n, d) matrix, got ", rows.shapeStr());
     ThreadPool *pool = poolFor();
     const PipelineConfig &rp = resolvedPipeFor(rows.dim(0));
-    // Shard locks are only needed when filter tasks will touch the
-    // data plane while probes are in flight — i.e. overlapped mode
-    // (after Auto resolution for this pass size). The batch pass
-    // itself is lock-free by construction even on a pool (stage-1
-    // blocks write disjoint ranges, stage 2 runs one prober per
-    // shard), and without overlap the filter loops that follow run on
-    // this thread only. Quiescent here: one thread drives a
-    // frontend's passes.
+    // Shard locks engage in overlapped mode (after Auto resolution
+    // for this pass size), matching the streaming path below. The
+    // batch pass itself is lock-free by construction even on a pool
+    // (stage-1 blocks write disjoint ranges, stage 2 runs one prober
+    // per shard). Quiescent here: one thread drives a frontend's
+    // passes.
     cache_->setConcurrent(rp.overlap == OverlapMode::On && pool != nullptr);
     DetectionPipeline pipeline(rpqFor(rows.dim(1)), *cache_, bits, rp,
                                pool);
@@ -131,9 +129,9 @@ DetectionFrontend::finishStream(DetectionHashJob &job,
                                 SignatureRecord *capture)
 {
     ThreadPool *pool = poolFor();
-    // Streaming consumers schedule filter work against the data plane
-    // while later probes run, so locks engage whenever a pool exists.
-    // The previous pass's filter tasks have drained by the time a new
+    // Locks engage whenever a pool exists; they stay uncontended, as
+    // streaming probes run on this thread in stream order. The
+    // previous pass's filter tasks have drained by the time a new
     // finishStream runs (one thread drives passes; engines join their
     // chains before re-entering), so the cache is quiescent here even
     // though the *hash* half of this job may already be in flight —

@@ -8,9 +8,7 @@
  * the batched DetectionPipeline — so callers no longer assemble
  * RPQEngine + MCache + SimilarityDetector by hand, and every consumer
  * picks up the pipeline knobs (block size, shards, threads) from one
- * place. It also re-exports the MCACHE data plane (read/write/valid
- * by global entry id) that the convolution engine needs between
- * filter passes.
+ * place.
  *
  * With threads = 1 the frontend is the exact legacy path: results are
  * bit-identical to SimilarityDetector over a monolithic MCache, for
@@ -18,13 +16,9 @@
  *
  * Concurrency contract: one thread drives a frontend's detection
  * passes (detect / detectStream / detectSampled) at a time — the
- * frontend fans work out internally. The MCACHE data plane
- * (readDataIfValid / writeData / dataValid / readData) MAY be called
- * from worker threads concurrently with a detectStream in progress
- * and with each other; the ShardedMCache serializes per shard. The
- * RPQ provisioning map and the lazy pool are owned by the driving
- * thread, so two threads must not run passes on one frontend
- * concurrently.
+ * frontend fans work out internally. The RPQ provisioning map and the
+ * lazy pool are owned by the driving thread, so two threads must not
+ * run passes on one frontend concurrently.
  */
 
 #ifndef MERCURY_PIPELINE_DETECTION_FRONTEND_HPP
@@ -190,9 +184,8 @@ class DetectionFrontend
      * Memoized per-pass-size pipeline knobs: the auto knobs
      * (blockRows == 0 → tunedPipelineFor) are a pure function of the
      * pass size, yet every pass construction used to re-resolve them.
-     * Resolution now happens once per distinct row count — at plan
-     * bind (core/runtime_planner.hpp primes the memo) or on the first
-     * unplanned pass of a shape — and knobResolutions() makes the
+     * Resolution now happens once per distinct row count — on the
+     * first pass of a shape — and knobResolutions() makes the
      * once-per-shape property assertable. `pipe_` is immutable after
      * construction, so memoized entries never go stale. Driving
      * thread only, like every pass entry point. (resolvedShards is
@@ -215,31 +208,9 @@ class DetectionFrontend
     ShardedMCache &cache() { return *cache_; }
     const ShardedMCache &cache() const { return *cache_; }
 
-    /**
-     * MCACHE data plane (global entry ids), for the reuse engines.
-     * Safe from worker threads concurrently with a streaming pass
-     * (per-shard locks); invalidateAllData requires quiescence.
-     */
+    /** MCACHE organization the engines size their buffers from. */
     int dataVersions() const { return cache_->dataVersions(); }
     int64_t entries() const { return cache_->entries(); }
-    bool dataValid(int64_t entry_id, int version) const
-    {
-        return cache_->dataValid(entry_id, version);
-    }
-    float readData(int64_t entry_id, int version) const
-    {
-        return cache_->readData(entry_id, version);
-    }
-    /** Atomic valid-check + read (one shard lock): HIT forwarding. */
-    bool readDataIfValid(int64_t entry_id, int version, float &value) const
-    {
-        return cache_->readDataIfValid(entry_id, version, value);
-    }
-    void writeData(int64_t entry_id, int version, float value)
-    {
-        cache_->writeData(entry_id, version, value);
-    }
-    void invalidateAllData() { cache_->invalidateAllData(); }
 
   private:
     std::unique_ptr<ShardedMCache> ownedCache_;

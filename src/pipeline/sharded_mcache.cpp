@@ -1,7 +1,6 @@
 #include "pipeline/sharded_mcache.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/logging.hpp"
 
@@ -93,63 +92,6 @@ ShardedMCache::refOf(int64_t entry_id) const
             entry_id - static_cast<int64_t>(base) * ways_, s};
 }
 
-bool
-ShardedMCache::dataValid(int64_t entry_id, int version) const
-{
-    const Ref ref = refOf(entry_id);
-    std::unique_lock<std::mutex> lock(
-        shardLocks_[static_cast<size_t>(ref.shard)], std::defer_lock);
-    if (concurrent_.load(std::memory_order_relaxed))
-        lock.lock();
-    return ref.cache->dataValid(ref.localId, version);
-}
-
-float
-ShardedMCache::readData(int64_t entry_id, int version) const
-{
-    const Ref ref = refOf(entry_id);
-    std::unique_lock<std::mutex> lock(
-        shardLocks_[static_cast<size_t>(ref.shard)], std::defer_lock);
-    if (concurrent_.load(std::memory_order_relaxed))
-        lock.lock();
-    return ref.cache->readData(ref.localId, version);
-}
-
-bool
-ShardedMCache::readDataIfValid(int64_t entry_id, int version,
-                               float &value) const
-{
-    const Ref ref = refOf(entry_id);
-    std::unique_lock<std::mutex> lock(
-        shardLocks_[static_cast<size_t>(ref.shard)], std::defer_lock);
-    if (concurrent_.load(std::memory_order_relaxed))
-        lock.lock();
-    if (!ref.cache->dataValid(ref.localId, version))
-        return false;
-    value = ref.cache->readData(ref.localId, version);
-    return true;
-}
-
-void
-ShardedMCache::writeData(int64_t entry_id, int version, float value)
-{
-    const Ref ref = refOf(entry_id);
-    std::unique_lock<std::mutex> lock(
-        shardLocks_[static_cast<size_t>(ref.shard)], std::defer_lock);
-    if (concurrent_.load(std::memory_order_relaxed))
-        lock.lock();
-    ref.cache->writeData(ref.localId, version, value);
-}
-
-void
-ShardedMCache::invalidateAllData()
-{
-    for (size_t s = 0; s < shards_.size(); ++s) {
-        std::lock_guard<std::mutex> lock(shardLocks_[s]);
-        shards_[s]->invalidateAllData();
-    }
-}
-
 void
 ShardedMCache::clear()
 {
@@ -234,16 +176,18 @@ ShardedMCache::TenantQuotaGate::tryReserve(int tenant)
     if (tenant >= maxTenants_)
         panic("tenant id ", tenant, " out of quota-gate range 0..",
               maxTenants_ - 1);
-    // Reserve-then-check: bump first so two racing inserts cannot
-    // both observe quota - 1 and sneak past the limit.
-    const int64_t now = counts_[static_cast<size_t>(tenant)].fetch_add(
-                            1, std::memory_order_relaxed) +
-                        1;
-    if (now > quota_) {
-        counts_[static_cast<size_t>(tenant)].fetch_sub(
-            1, std::memory_order_relaxed);
-        return false;
-    }
+    // Compare-exchange reservation: the counter only moves from a
+    // value below the quota to the next one, so it never exceeds the
+    // quota, even transiently (a concurrent reserved() reads at most
+    // the quota), and two racing inserts cannot both take the last
+    // slot.
+    std::atomic<int64_t> &count = counts_[static_cast<size_t>(tenant)];
+    int64_t cur = count.load(std::memory_order_relaxed);
+    do {
+        if (cur >= quota_)
+            return false;
+    } while (!count.compare_exchange_weak(cur, cur + 1,
+                                          std::memory_order_relaxed));
     return true;
 }
 
@@ -402,16 +346,10 @@ ShardedMCache::lookupMix() const
     HitMix mix;
     for (size_t s = 0; s < shards_.size(); ++s) {
         std::lock_guard<std::mutex> lock(shardLocks_[s]);
-        const StatGroup &stats = shards_[s]->stats();
-        const auto count = [&stats](const char *name) -> int64_t {
-            return stats.has(name)
-                       ? static_cast<int64_t>(
-                             std::llround(stats.get(name).value()))
-                       : 0;
-        };
-        mix.hit += count("hits");
-        mix.mau += count("mau");
-        mix.mnu += count("mnu");
+        const McacheCounters &c = shards_[s]->stats();
+        mix.hit += c.hits;
+        mix.mau += c.mau;
+        mix.mnu += c.mnu;
     }
     mix.vectors = mix.hit + mix.mau + mix.mnu;
     return mix;

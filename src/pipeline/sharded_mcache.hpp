@@ -12,28 +12,22 @@
  * bit-identical to the single-cache single-thread path. Per-shard
  * statistics merge into one HitMix.
  *
- * Thread-safety contract (the overlapped-detection data plane,
- * ROADMAP "async multi-filter MCACHE semantics"):
+ * Thread-safety contract:
  *
  *  - In concurrent mode (the default; see setConcurrent), every tag
- *    probe (lookupOrInsert / lookupOrInsertInSet) and every
- *    data-plane access (dataValid / readData / readDataIfValid /
- *    writeData) takes the owning shard's lock, so HIT forwarding may
- *    run on worker threads *while later filters — or the streaming
- *    detection pass itself — are still inserting tags* into the same
- *    shard. Distinct shards never contend. A single-threaded driver
- *    (no worker pool anywhere in reach of the cache) may switch the
- *    locks off so the legacy hot paths stay lock-free — the
- *    DetectionFrontend does this automatically per pass.
+ *    probe (lookupOrInsert / lookupOrInsertInSet) takes the owning
+ *    shard's lock, so the detection pipeline may probe shards from
+ *    worker threads. Distinct shards never contend. A single-threaded
+ *    driver (no worker pool anywhere in reach of the cache) may
+ *    switch the locks off so the legacy hot paths stay lock-free —
+ *    the DetectionFrontend does this automatically per pass.
  *  - Bit-identical outcomes still require ORDER, which locks alone do
- *    not provide: each shard must see its probes in stream order, and
- *    a HIT's data read must happen after its MAU owner's write. The
- *    detection pipeline delivers blocks in order, and the engines
- *    keep each filter's rows in a SerialExecutor chain, to provide
- *    exactly that order (see docs/ARCHITECTURE.md).
- *  - clear() / invalidateAllData() / lookupMix() / maxInsertBacklog()
- *    lock shard by shard; callers must be quiescent (no in-flight
- *    probes or filter passes) for the aggregate to be meaningful.
+ *    not provide: each shard must see its probes in stream order. The
+ *    detection pipeline delivers blocks in order to provide exactly
+ *    that (see docs/ARCHITECTURE.md).
+ *  - clear() / lookupMix() / maxInsertBacklog() lock shard by shard;
+ *    callers must be quiescent (no in-flight probes) for the
+ *    aggregate to be meaningful.
  *  - shard() hands out a raw MCache reference and is NOT locked: it
  *    is for tests and statistics on a quiescent cache only.
  *
@@ -95,7 +89,7 @@ class ShardedMCache
 
     /**
      * Lookup with a precomputed global set index. Locked per shard,
-     * so probes may run concurrently with data-plane traffic; for
+     * so probes of different shards may run concurrently; for
      * bit-identical results each shard must still be presented its
      * signatures in stream order (one prober per shard, or one global
      * in-order prober).
@@ -115,33 +109,11 @@ class ShardedMCache
             set - shardBaseSet_[static_cast<size_t>(s)]);
     }
 
-    /**
-     * Entry-id data plane, global ids as in the monolithic cache.
-     * Each call locks the entry's shard, so concurrent HIT forwarding
-     * and MAU deposits from filter tasks are safe while other threads
-     * probe the same shard. Note dataValid-then-readData is two lock
-     * acquisitions; prefer readDataIfValid in concurrent paths.
-     */
-    bool dataValid(int64_t entry_id, int version) const;
-    float readData(int64_t entry_id, int version) const;
-    void writeData(int64_t entry_id, int version, float value);
-
-    /**
-     * Atomic dataValid + readData under one shard lock: true and
-     * fills `value` when the version is valid. This is the HIT
-     * forwarding path of the overlapped engines.
-     */
-    bool readDataIfValid(int64_t entry_id, int version,
-                         float &value) const;
-
-    /** Clear every VD bit in every shard (the bitline). Quiescent only. */
-    void invalidateAllData();
-
-    /** Clear tags and data in every shard. Quiescent only. */
+    /** Clear the tags of every shard. Quiescent only. */
     void clear();
 
     /**
-     * Toggle the per-shard locking of probes and data-plane accesses.
+     * Toggle the per-shard locking of probes.
      * On (the construction default) whenever worker threads may touch
      * the cache; a purely single-threaded driver may switch it off to
      * keep the hot paths lock-free. Must only be toggled while the
@@ -178,8 +150,9 @@ class ShardedMCache
     /**
      * Enable a per-tenant line quota: once a tenant holds `entries`
      * valid lines, further inserts for it become MNU until eviction
-     * frees lines. Reservation is atomic (reserve-then-check), so the
-     * quota is never exceeded even under concurrent interleaved
+     * frees lines. Reservation is an atomic compare-exchange that
+     * never moves a counter past the quota, so the quota is never
+     * exceeded — not even transiently — under concurrent interleaved
      * inserts. `entries` <= 0 disables the gate. Tenants are ids in
      * [0, max_tenants); id -1 (unowned) is never gated.
      */
@@ -227,9 +200,10 @@ class ShardedMCache
 
   private:
     /**
-     * Atomic per-tenant line counter behind McacheQuotaGate: reserve
-     * first, then check — an over-quota reservation is rolled back, so
-     * concurrent inserts can never push a tenant past its quota.
+     * Atomic per-tenant line counter behind McacheQuotaGate: a
+     * reservation compare-exchanges the counter from a value below
+     * the quota to the next one, so concurrent inserts can never push
+     * a tenant past its quota and reserved() never reads above it.
      */
     class TenantQuotaGate : public McacheQuotaGate
     {
@@ -250,9 +224,9 @@ class ShardedMCache
     std::vector<std::unique_ptr<MCache>> owned_;
     std::vector<MCache *> shards_;
     std::vector<int> shardBaseSet_; ///< first global set of each shard
-    /// One lock per shard guarding its tags, data, and stats. Heap
-    /// array because std::mutex is immovable. Mutable: const readers
-    /// (dataValid, readDataIfValid) lock too.
+    /// One lock per shard guarding its tags, metadata, and counters.
+    /// Heap array because std::mutex is immovable. Mutable: const
+    /// readers (lookupMix, entry metadata) lock too.
     mutable std::unique_ptr<std::mutex[]> shardLocks_;
     /// Locks engaged (worker threads may touch the cache). Atomic so
     /// workers may read it while the driver thread owns toggling;

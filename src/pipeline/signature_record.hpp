@@ -113,19 +113,6 @@ class SignatureRecord
     void clear();
 
     /**
-     * Reserve capacity for `n` passes. The planner knows a layer's
-     * exact pass count ahead of the step (core/runtime_planner.hpp),
-     * so planned captures size the pass vector once instead of
-     * growing it across the forward's channel passes. Capacity only —
-     * no semantic change.
-     */
-    void reservePasses(int64_t n)
-    {
-        if (n > 0)
-            passes_.reserve(static_cast<size_t>(n));
-    }
-
-    /**
      * Append one pass captured from a finished detection result.
      * Copies signatures (bit-packed) and outcomes; the DetectionResult
      * may die afterwards. Every pass of one record must come from the

@@ -165,7 +165,6 @@ MercuryServer::MercuryServer(const ServeConfig &cfg)
     acfg.pipelineThreads = pipe_.threads;
     acfg.overlapDetection = pipe_.overlap;
     acfg.persistentCache = true;
-    acfg.planExecution = cfg_.planExecution;
     costFwd_ = sim::CostModel::create(acfg);
     acfg.backwardReuse = true;
     acfg.weightGradReuse = true;
@@ -208,12 +207,6 @@ MercuryServer::connect(int tenant)
         [this, cache_tenant](uint64_t layer_id) -> ShardedMCache & {
             return cacheSlot(cache_tenant, layer_id);
         });
-    if (cfg_.planExecution) {
-        // One shared plan store: same-shape jobs of any tenant reuse
-        // one compilation (execution slots stay per-session).
-        session->ctx.setSharedPlanCache(&planCache_);
-        session->ctx.setPlanExecution(true);
-    }
     session->chain = std::make_unique<SerialExecutor>(pool_.get());
     sessions_[tenant] = session;
 
@@ -275,8 +268,6 @@ MercuryServer::runJob(SessionHandle::Session &s, JobRequest &req,
     const ReuseStats f0 = s.ctx.totals();
     const ReuseStats b0 = s.ctx.backwardTotals();
     const ReuseStats w0 = s.ctx.weightGradTotals();
-    const int64_t pl0 = s.ctx.planLookups();
-    const int64_t ph0 = s.ctx.planHits();
     if (req.kind == JobRequest::Kind::Train)
         out.loss = s.model->trainBatch(req.rows, req.labels, req.lr,
                                        &s.ctx);
@@ -285,12 +276,11 @@ MercuryServer::runJob(SessionHandle::Session &s, JobRequest &req,
     out.forward = statsDelta(s.ctx.totals(), f0);
     out.backward = statsDelta(s.ctx.backwardTotals(), b0);
     out.weightGrad = statsDelta(s.ctx.weightGradTotals(), w0);
-    out.planLookups = s.ctx.planLookups() - pl0;
-    out.planHits = s.ctx.planHits() - ph0;
 
     // Modeled accelerator cycles of this job's step under the
     // configured sim::CostModel backend, from the measured forward
-    // mix — the stack is the same descriptor chain planStep compiles.
+    // mix — the stack is the step description Network::describeStep
+    // emits.
     {
         const sim::CostModel &model = req.kind == JobRequest::Kind::Train
                                           ? *costTrain_

@@ -127,16 +127,6 @@ struct ServeConfig
     PipelineConfig pipeline;
 
     /**
-     * Planned execution (core/runtime_planner.hpp) for every leased
-     * context. Plans are immutable and keyed on shapes + config, so
-     * the server shares one PlanCache across sessions: same-shape
-     * jobs of different tenants reuse one compilation (per-session
-     * execution slots stay private). Results are bit-identical with
-     * the knob on or off.
-     */
-    bool planExecution = false;
-
-    /**
      * Timing backend of the per-job modeled-cycle stats
      * (JobResult::modeledBaselineCycles / modeledMercuryCycles):
      * sim.backend / MERCURY_SIM_BACKEND picks analytic or event, the
@@ -176,10 +166,6 @@ struct JobResult
     ReuseStats backward;    ///< this job's backward-replay delta
     ReuseStats weightGrad;  ///< this job's dW-replay delta
     uint64_t epochAfter = 0; ///< the job's scope epoch on completion
-    /** Plan binds this job performed / satisfied without a compile
-     *  (ServeConfig::planExecution; both zero with the knob off). */
-    int64_t planLookups = 0;
-    int64_t planHits = 0;
     /** Modeled accelerator cycles of this job's step under the
      *  configured sim::CostModel backend (ServeConfig::sim), from the
      *  job's measured forward hit mix. Inference jobs model the
@@ -327,10 +313,6 @@ class MercuryServer
     /// Serializes cache-touching jobs across sessions in the shared
     /// modes (the pass-guard discipline, see docs/ARCHITECTURE.md).
     std::mutex sharedJobMutex_;
-
-    /// Compiled step plans shared across sessions (thread-safe;
-    /// declared before sessions_ so it outlives their contexts).
-    PlanCache planCache_;
 
     /// Timing backends of the modeled-cycle job stats (stateless
     /// stepCost — safe to share across concurrent PerTenant jobs).

@@ -136,20 +136,6 @@ struct AcceleratorConfig
     OverlapMode overlapDetection = OverlapMode::Off;
 
     /**
-     * Plan execution (core/runtime_planner.hpp): compile the step's
-     * pass graph once per (shapes, config) key and execute steps as
-     * replay of the plan — knobs resolved once per shape, buffers
-     * preallocated to the planned high-water, record hold/spill
-     * decided at plan time, and conv→conv edges separated only by
-     * channelwise transforms overlapped across layers (the
-     * successor's first hash launches while the predecessor's
-     * trailing filter ranges drain). Off by default; outputs and
-     * reuse statistics are bit-identical with the knob on or off —
-     * planning changes only the schedule.
-     */
-    bool planExecution = false;
-
-    /**
      * Persistent MCACHE across detection passes (serving layer): tags
      * survive from one request to the next instead of being cleared
      * per pass, so near-duplicate rows of *earlier* requests HIT.

@@ -433,7 +433,7 @@ EventModel::stepCost(const std::vector<LayerShape> &stack,
     // and the plan's own descriptors drive the replay. Layers a plan
     // cannot cover (unplannable topology) fall back to synthesized
     // descriptors built by the same geometry rules.
-    PlanKeyConfig kcfg;
+    PlanConfig kcfg;
     kcfg.sigBits = sig_bits;
     kcfg.sets = cfg_.mcacheSets;
     kcfg.ways = cfg_.mcacheWays;

@@ -13,8 +13,6 @@
 
 #include <cstdint>
 
-#include "util/stats.hpp"
-
 namespace mercury {
 
 /** Byte-level traffic accounting for the on-chip global buffer. */

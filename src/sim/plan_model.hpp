@@ -2,9 +2,9 @@
  * @file
  * Timing model of planned step execution (core/runtime_planner.hpp):
  * what does compiling the pass graph once buy a multi-layer training
- * step over the per-layer-barrier baseline?
+ * step on the accelerator over the per-layer-barrier baseline?
  *
- * Two effects are modeled, mirroring the functional planner:
+ * Two effects are modeled over the compiled StepPlan:
  *
  *  - Setup amortization. Every unplanned step re-derives per-layer
  *    schedule state before any MAC runs: pass descriptors, tuning-knob
@@ -27,10 +27,9 @@
  *
  * The model is deliberately conservative: edges hide signature time
  * only (never compute or cache overhead), and at most the
- * predecessor's single trailing channel-pass window — exactly the
- * window the functional prefetch hook exposes (ConvPlanSlot::
- * prefetchNext fires after the first chain of the last input-channel
- * pass drains).
+ * predecessor's single trailing channel-pass window — the window that
+ * opens once output channel 0 of image 0 is final, i.e. after the
+ * first filter chain of the last input-channel pass drains.
  */
 
 #ifndef MERCURY_SIM_PLAN_MODEL_HPP
@@ -82,7 +81,7 @@ struct PlannedStepModel
  * ignored). Forward always runs; cfg.backwardReuse /
  * cfg.weightGradReuse add the gradient passes with their usual
  * accounting. Conv layers separated only by Pool entries fuse, like
- * the functional planner's channelwise-edge rule.
+ * RuntimePlanner::compile's channelwise-edge rule.
  *
  * DEPRECATION NOTE: prefer sim::CostModel::stepCost
  * (sim/cost_model.hpp) — identical numbers under the analytic

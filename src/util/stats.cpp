@@ -1,63 +1,10 @@
 #include "util/stats.hpp"
 
 #include <cmath>
-#include <sstream>
 
 #include "util/logging.hpp"
 
 namespace mercury {
-
-StatGroup::StatGroup(std::string name)
-    : name_(std::move(name))
-{
-}
-
-Stat &
-StatGroup::stat(const std::string &name)
-{
-    return stats_[name];
-}
-
-const Stat &
-StatGroup::get(const std::string &name) const
-{
-    auto it = stats_.find(name);
-    if (it == stats_.end())
-        panic("StatGroup '", name_, "': unknown stat '", name, "'");
-    return it->second;
-}
-
-bool
-StatGroup::has(const std::string &name) const
-{
-    return stats_.count(name) != 0;
-}
-
-void
-StatGroup::resetAll()
-{
-    for (auto &kv : stats_)
-        kv.second.reset();
-}
-
-std::vector<std::string>
-StatGroup::names() const
-{
-    std::vector<std::string> out;
-    out.reserve(stats_.size());
-    for (const auto &kv : stats_)
-        out.push_back(kv.first);
-    return out;
-}
-
-std::string
-StatGroup::dump() const
-{
-    std::ostringstream os;
-    for (const auto &kv : stats_)
-        os << kv.first << " " << kv.second.value() << "\n";
-    return os.str();
-}
 
 double
 geomean(const std::vector<double> &values)

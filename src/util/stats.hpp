@@ -1,70 +1,17 @@
 /**
  * @file
- * Lightweight statistics package for simulator components.
- *
- * Components register named scalar counters in a StatGroup; benches
- * and tests read them back by name. Also hosts small numeric helpers
- * (geometric mean, mean, ratio formatting) used by the experiment
- * harnesses.
+ * Small numeric helpers (geometric mean, mean, standard deviation)
+ * used by the experiment harnesses. Components keep their counters
+ * in plain typed structs (e.g. McacheCounters, the event model's
+ * stats() structs).
  */
 
 #ifndef MERCURY_UTIL_STATS_HPP
 #define MERCURY_UTIL_STATS_HPP
 
-#include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace mercury {
-
-/** A single named scalar statistic (counter or gauge). */
-class Stat
-{
-  public:
-    Stat() : value_(0.0) {}
-
-    void operator+=(double d) { value_ += d; }
-    void operator++() { value_ += 1.0; }
-    void operator++(int) { value_ += 1.0; }
-    void set(double v) { value_ = v; }
-    void reset() { value_ = 0.0; }
-    double value() const { return value_; }
-
-  private:
-    double value_;
-};
-
-/** A named collection of statistics with hierarchical dotted names. */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name = "");
-
-    /** Get-or-create a counter with the given name. */
-    Stat &stat(const std::string &name);
-
-    /** Look up a counter; panics if absent. */
-    const Stat &get(const std::string &name) const;
-
-    /** True if the named counter exists. */
-    bool has(const std::string &name) const;
-
-    /** Reset every counter in the group to zero. */
-    void resetAll();
-
-    /** Names in insertion-independent (sorted) order. */
-    std::vector<std::string> names() const;
-
-    /** Render "name value" lines, one per stat. */
-    std::string dump() const;
-
-    const std::string &name() const { return name_; }
-
-  private:
-    std::string name_;
-    std::map<std::string, Stat> stats_;
-};
 
 /** Geometric mean of strictly positive values; panics on empty input. */
 double geomean(const std::vector<double> &values);

@@ -420,7 +420,7 @@ TEST(WorkloadUnification, PlanAndStackOverloadsAgreeOnPoolFreeStack)
     const std::unique_ptr<sim::CostModel> event =
         sim::CostModel::create(cfg);
 
-    PlanKeyConfig kcfg;
+    PlanConfig kcfg;
     kcfg.sigBits = 20;
     kcfg.sets = cfg.mcacheSets;
     kcfg.ways = cfg.mcacheWays;
@@ -469,7 +469,7 @@ TEST(WorkloadUnification, ExportedDescriptorsMatchPlanGeometry)
         LayerShape::conv("c0", 3, 16, 28, 28, 3, 1, 1),
         LayerShape::conv("c1", 16, 32, 28, 28, 3, 1, 1),
     };
-    PlanKeyConfig kcfg;
+    PlanConfig kcfg;
     kcfg.sigBits = 16;
     const std::shared_ptr<const StepPlan> plan =
         RuntimePlanner::compile(describeShapeStack(stack, 2), kcfg);

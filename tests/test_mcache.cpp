@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for MCACHE semantics: the Fig. 9 insert flow, independent
- * VT/VD validation, the no-replacement policy, multi-version data,
- * the VD bitline, and the per-set insert queues.
+ * Tests for MCACHE semantics: the Fig. 9 insert flow, the
+ * no-replacement policy, the per-set insert queues, the outcome
+ * counters, and the serving-layer lifecycle (epochs, tenants, pins,
+ * quota, restore).
  */
 
 #include <gtest/gtest.h>
@@ -68,66 +69,12 @@ TEST(MCache, FullSetYieldsMnuNoReplacement)
     EXPECT_EQ(c.lookupOrInsert(sigOf(3)).outcome, McacheOutcome::Mnu);
 }
 
-TEST(MCache, TagValidBeforeData)
-{
-    MCache c(4, 2, 2);
-    const auto r = c.lookupOrInsert(sigOf(9));
-    // VT set, all VD unset.
-    EXPECT_FALSE(c.dataValid(r.entryId, 0));
-    EXPECT_FALSE(c.dataValid(r.entryId, 1));
-}
-
-TEST(MCache, WriteThenReadData)
-{
-    MCache c(4, 2, 2);
-    const auto r = c.lookupOrInsert(sigOf(9));
-    c.writeData(r.entryId, 1, 3.5f);
-    EXPECT_TRUE(c.dataValid(r.entryId, 1));
-    EXPECT_FALSE(c.dataValid(r.entryId, 0));
-    EXPECT_FLOAT_EQ(c.readData(r.entryId, 1), 3.5f);
-}
-
-TEST(MCache, ReadInvalidDataDies)
-{
-    MCache c(4, 2, 2);
-    const auto r = c.lookupOrInsert(sigOf(9));
-    EXPECT_DEATH(c.readData(r.entryId, 0), "invalid data");
-}
-
-TEST(MCache, MultiVersionDataIndependent)
-{
-    MCache c(4, 2, 4);
-    const auto r = c.lookupOrInsert(sigOf(5));
-    for (int v = 0; v < 4; ++v)
-        c.writeData(r.entryId, v, static_cast<float>(v) * 1.5f);
-    for (int v = 0; v < 4; ++v)
-        EXPECT_FLOAT_EQ(c.readData(r.entryId, v),
-                        static_cast<float>(v) * 1.5f);
-}
-
-TEST(MCache, BitlineInvalidatesAllDataKeepsTags)
-{
-    MCache c(4, 2, 2);
-    const auto r = c.lookupOrInsert(sigOf(5));
-    c.writeData(r.entryId, 0, 1.0f);
-    c.invalidateAllData();
-    EXPECT_FALSE(c.dataValid(r.entryId, 0));
-    // Tag survives: next lookup is a HIT.
-    EXPECT_EQ(c.lookupOrInsert(sigOf(5)).outcome, McacheOutcome::Hit);
-}
-
 TEST(MCache, ClearDropsTags)
 {
     MCache c(4, 2, 2);
     c.lookupOrInsert(sigOf(5));
     c.clear();
     EXPECT_EQ(c.lookupOrInsert(sigOf(5)).outcome, McacheOutcome::Mau);
-}
-
-TEST(MCache, WriteWithoutTagDies)
-{
-    MCache c(4, 2, 2);
-    EXPECT_DEATH(c.writeData(0, 0, 1.0f), "no valid tag");
 }
 
 TEST(MCache, SetOccupancyTracksInserts)
@@ -157,8 +104,24 @@ TEST(MCache, StatsCountOutcomes)
     c.lookupOrInsert(sigOf(1));
     c.lookupOrInsert(sigOf(1));
     c.lookupOrInsert(sigOf(2));
-    EXPECT_DOUBLE_EQ(c.stats().get("hits").value(), 1.0);
-    EXPECT_DOUBLE_EQ(c.stats().get("mau").value(), 2.0);
+    EXPECT_EQ(c.stats().hits, 1);
+    EXPECT_EQ(c.stats().mau, 2);
+    EXPECT_EQ(c.stats().mnu, 0);
+}
+
+TEST(MCache, CountersCountMnuAndSurviveClear)
+{
+    // One line: a second distinct signature finds the set full (MNU).
+    // clear() drops the tags but keeps the lifetime counts.
+    MCache c(1, 1, 1);
+    EXPECT_EQ(c.lookupOrInsert(sigOf(1)).outcome, McacheOutcome::Mau);
+    EXPECT_EQ(c.lookupOrInsert(sigOf(2)).outcome, McacheOutcome::Mnu);
+    EXPECT_EQ(c.lookupOrInsert(sigOf(1)).outcome, McacheOutcome::Hit);
+    c.clear();
+    EXPECT_EQ(c.lookupOrInsert(sigOf(2)).outcome, McacheOutcome::Mau);
+    EXPECT_EQ(c.stats().hits, 1);
+    EXPECT_EQ(c.stats().mau, 2);
+    EXPECT_EQ(c.stats().mnu, 1);
 }
 
 TEST(MCache, EntriesMatchOrganization)
@@ -330,7 +293,6 @@ TEST(McacheLifecycle, RestoreLineReinstallsTagAndMetadata)
 {
     MCache c(16, 4, 2);
     const auto orig = c.lookupOrInsert(sigOf(0xF00D));
-    c.writeData(orig.entryId, 0, 1.5f);
     const Signature tag = c.tagOf(orig.entryId);
     c.clear();
     c.restoreLine(orig.entryId, tag, 42, 5);
@@ -339,8 +301,6 @@ TEST(McacheLifecycle, RestoreLineReinstallsTagAndMetadata)
     EXPECT_EQ(again.outcome, McacheOutcome::Hit);
     EXPECT_EQ(again.entryId, orig.entryId);
     EXPECT_EQ(c.entryTenant(orig.entryId), 5);
-    // Data versions do not survive a restore.
-    EXPECT_FALSE(c.dataValid(orig.entryId, 0));
 }
 
 TEST(McacheLifecycle, RestoreIntoOccupiedLinePanics)
@@ -436,6 +396,39 @@ TEST(ShardedLifecycle, QuotaNeverExceededUnderConcurrentInserts)
     for (int s = 0; s < cache.shardCount(); ++s)
         held += cache.shard(s).tenantEntries(kTenant);
     EXPECT_EQ(held, kQuota);
+}
+
+TEST(ShardedLifecycle, QuotaIsPerTenantAndFreedByEviction)
+{
+    // The shared cache's own gate, serially: a tenant at quota gets
+    // MNU and its count stays at the quota, another tenant keeps its
+    // own budget, unowned inserts are never gated, and evicting a
+    // tenant's lines hands its budget back.
+    ShardedMCache cache(/*sets=*/64, /*ways=*/8, /*data_versions=*/1,
+                        /*shards=*/4);
+    cache.setTenantQuota(2, /*max_tenants=*/4);
+
+    cache.setInsertTenant(1);
+    EXPECT_EQ(cache.lookupOrInsert(sigOf(1)).outcome, McacheOutcome::Mau);
+    EXPECT_EQ(cache.lookupOrInsert(sigOf(2)).outcome, McacheOutcome::Mau);
+    EXPECT_EQ(cache.lookupOrInsert(sigOf(3)).outcome, McacheOutcome::Mnu);
+    EXPECT_EQ(cache.tenantReserved(1), 2);
+
+    cache.setInsertTenant(3);
+    EXPECT_EQ(cache.lookupOrInsert(sigOf(3)).outcome, McacheOutcome::Mau);
+    EXPECT_EQ(cache.tenantReserved(3), 1);
+    EXPECT_EQ(cache.tenantReserved(1), 2);
+
+    cache.setInsertTenant(-1);
+    for (uint64_t p = 10; p < 16; ++p)
+        EXPECT_EQ(cache.lookupOrInsert(sigOf(p)).outcome,
+                  McacheOutcome::Mau);
+
+    EXPECT_EQ(cache.evictTenant(1), 2);
+    EXPECT_EQ(cache.tenantReserved(1), 0);
+    cache.setInsertTenant(1);
+    EXPECT_EQ(cache.lookupOrInsert(sigOf(4)).outcome, McacheOutcome::Mau);
+    EXPECT_EQ(cache.tenantReserved(1), 1);
 }
 
 TEST(McacheLifecycle, EvictionReleasesQuota)

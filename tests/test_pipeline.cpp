@@ -153,28 +153,6 @@ TEST(ShardedMCache, MatchesMonolithicCache)
     EXPECT_EQ(mix.vectors, 400);
 }
 
-TEST(ShardedMCache, DataPlaneUsesGlobalEntryIds)
-{
-    ShardedMCache sharded(16, 2, 3, 4);
-    RPQEngine rpq(8, kMaxBits, 4);
-    Rng rng(8);
-    Tensor rows({40, 8});
-    rows.fillNormal(rng);
-    for (int64_t i = 0; i < rows.dim(0); ++i) {
-        const Signature sig = rpq.signatureOfRow(rows, i, 24);
-        const McacheResult r = sharded.lookupOrInsert(sig);
-        if (r.outcome != McacheOutcome::Mau)
-            continue;
-        EXPECT_FALSE(sharded.dataValid(r.entryId, 1));
-        sharded.writeData(r.entryId, 1, static_cast<float>(i));
-        EXPECT_TRUE(sharded.dataValid(r.entryId, 1));
-        EXPECT_EQ(sharded.readData(r.entryId, 1), static_cast<float>(i));
-    }
-    sharded.invalidateAllData();
-    for (int64_t id = 0; id < sharded.entries(); ++id)
-        EXPECT_FALSE(sharded.dataValid(id, 1));
-}
-
 TEST(ShardedMCache, ShardCountClampedToSets)
 {
     ShardedMCache sharded(4, 2, 1, 100);
@@ -571,60 +549,36 @@ TEST(Overlap, KnobLiftsFromAcceleratorConfig)
 }
 
 /**
- * ShardedMCache HIT-forwarding stress: filter tasks read and write
- * the data plane of every shard while a prober keeps inserting tags
- * into the same shards. Writers own disjoint (entry, version) slots;
- * readers poll until a slot turns valid and must then see exactly the
- * writer's value. Run under TSan in CI, this checks the per-shard
- * locking contract.
+ * ShardedMCache locking stress: several probers insert tags into the
+ * same shards at once. Run under TSan in CI, this checks the
+ * per-shard locking contract; every probe must land in the merged
+ * mix exactly once.
  */
-TEST(ShardedMCache, ConcurrentHitForwardingWhileFiltersInFlight)
+TEST(ShardedMCache, ConcurrentProbesIntoSharedShards)
 {
-    constexpr int kVersions = 4;
-    ShardedMCache cache(32, 4, kVersions, 8);
+    ShardedMCache cache(32, 4, 4, 8);
     RPQEngine rpq(16, kMaxBits, 5);
     Rng rng(41);
     Tensor rows({512, 16});
     rows.fillNormal(rng);
+    std::vector<Signature> sigs;
+    for (int64_t i = 0; i < rows.dim(0); ++i)
+        sigs.push_back(rpq.signatureOfRow(rows, i, 24));
 
-    // Phase 1 (single-threaded): insert some tags so entry ids exist.
-    std::vector<int64_t> entries;
-    for (int64_t i = 0; i < 128; ++i) {
-        const McacheResult r =
-            cache.lookupOrInsert(rpq.signatureOfRow(rows, i, 24));
-        if (r.outcome == McacheOutcome::Mau)
-            entries.push_back(r.entryId);
-    }
-    ASSERT_GE(entries.size(), 16u);
-
-    // Phase 2: concurrent writers + readers + a tag prober.
+    constexpr int kProbers = 4;
     ThreadPool pool(3);
     TaskGroup group(&pool);
-    std::atomic<bool> mismatch{false};
-    for (int ver = 0; ver < kVersions; ++ver) {
-        group.run([&, ver] {
-            for (const int64_t id : entries)
-                cache.writeData(id, ver,
-                                static_cast<float>(id * kVersions + ver));
-        });
-        group.run([&, ver] {
-            for (const int64_t id : entries) {
-                float got = 0.0f;
-                while (!cache.readDataIfValid(id, ver, got))
-                    std::this_thread::yield();
-                if (got != static_cast<float>(id * kVersions + ver))
-                    mismatch.store(true);
-            }
+    for (int p = 0; p < kProbers; ++p) {
+        group.run([&, p] {
+            for (size_t i = static_cast<size_t>(p); i < sigs.size();
+                 i += kProbers)
+                cache.lookupOrInsert(sigs[i]);
         });
     }
-    group.run([&] {
-        // Later-filter tag traffic into the same shards.
-        for (int64_t i = 128; i < 512; ++i)
-            cache.lookupOrInsert(rpq.signatureOfRow(rows, i, 24));
-    });
     group.wait();
-    EXPECT_FALSE(mismatch.load());
-    EXPECT_TRUE(cache.lookupMix().consistent());
+    const HitMix mix = cache.lookupMix();
+    EXPECT_TRUE(mix.consistent());
+    EXPECT_EQ(mix.vectors, rows.dim(0));
 }
 
 TEST(SpscQueue, DeliversInOrderAcrossThreads)

@@ -10,7 +10,9 @@
  * (the MobileNet-style workload). Also: direct scheduler-contract
  * tests (per-filter stream order, group fan-out, beforeGroup hooks),
  * end-to-end training of inverted-residual blocks with all three
- * reuse passes, and a TSan stress for the sanitizer CI job.
+ * reuse passes, whole-network training goldens (conv stack and
+ * attention + dense: threaded and overlapped runs equal the serial
+ * run), and a TSan stress for the sanitizer CI job.
  *
  * The pre-refactor engine behavior is pinned twice: the untouched
  * engine suites (test_reuse_engines, test_replay, test_pipeline)
@@ -22,12 +24,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "core/attention_engine.hpp"
 #include "core/conv_reuse_engine.hpp"
 #include "core/fc_engine.hpp"
 #include "core/reuse_runtime.hpp"
+#include "nn/attention_layer.hpp"
 #include "nn/blocks.hpp"
 #include "nn/layers.hpp"
 #include "nn/mercury_hooks.hpp"
@@ -546,6 +551,105 @@ TEST(RuntimeTraining, DepthwiseReuseMatchesSerialReference)
     Tensor ya = a.forward(ds.inputs, &serial_ctx);
     Tensor yb = b.forward(ds.inputs, &overlap_ctx);
     EXPECT_TRUE(ya == yb) << "max diff " << ya.maxAbsDiff(yb);
+}
+
+// ---------------------------------------------------------------------
+// Whole-network goldens: a few training steps with forward + dX + dW
+// reuse must give the serial run's losses, post-training outputs, and
+// all three ReuseStats totals bit for bit on a threaded pool and with
+// detection overlapped. Runs under TSan in CI.
+// ---------------------------------------------------------------------
+
+using NetBuilder = std::function<std::unique_ptr<Network>(Rng &)>;
+
+/** Everything one network-level comparison looks at. */
+struct StepTrace
+{
+    std::vector<float> losses;
+    Tensor out; ///< post-training forward on the same inputs
+    ReuseStats fwd, bwd, wgrad;
+};
+
+StepTrace
+runSteps(const NetBuilder &build, const Dataset &ds,
+         const PipelineConfig &pipe, int steps)
+{
+    Rng rng(4321);
+    std::unique_ptr<Network> net = build(rng);
+    MercuryContext ctx(14, 32, 8, 2, 0xFEED);
+    ctx.setPipeline(pipe);
+    ctx.setBackwardReuse(true);
+    ctx.setWeightGradReuse(true);
+    StepTrace tr;
+    for (int s = 0; s < steps; ++s)
+        tr.losses.push_back(
+            net->trainBatch(ds.inputs, ds.labels, 0.05f, &ctx));
+    tr.out = net->forward(ds.inputs, &ctx);
+    tr.fwd = ctx.totals();
+    tr.bwd = ctx.backwardTotals();
+    tr.wgrad = ctx.weightGradTotals();
+    return tr;
+}
+
+void
+expectTracesEqual(const StepTrace &a, const StepTrace &b,
+                  const char *what)
+{
+    ASSERT_EQ(a.losses.size(), b.losses.size()) << what;
+    for (size_t i = 0; i < a.losses.size(); ++i)
+        EXPECT_EQ(a.losses[i], b.losses[i]) << what << " step " << i;
+    EXPECT_TRUE(a.out == b.out)
+        << what << " outputs, max diff " << a.out.maxAbsDiff(b.out);
+    expectStatsEqual(a.fwd, b.fwd, what);
+    expectStatsEqual(a.bwd, b.bwd, what);
+    expectStatsEqual(a.wgrad, b.wgrad, what);
+}
+
+PipelineConfig
+pipeOf(int threads, bool overlap)
+{
+    PipelineConfig pipe;
+    pipe.threads = threads;
+    pipe.overlap = overlap ? OverlapMode::On : OverlapMode::Off;
+    return pipe;
+}
+
+TEST(RuntimeNetworkGolden, ConvStackThreadedAndOverlappedMatchSerial)
+{
+    // conv → relu → conv → pool → GAP → dense head.
+    const NetBuilder build = [](Rng &rng) {
+        auto net = std::make_unique<Network>();
+        net->add(std::make_unique<Conv2dLayer>(3, 8, 3, 1, 1, rng, 1));
+        net->add(std::make_unique<ReluLayer>());
+        net->add(std::make_unique<Conv2dLayer>(8, 8, 3, 1, 1, rng, 2));
+        net->add(std::make_unique<MaxPoolLayer>());
+        net->add(std::make_unique<GlobalAvgPoolLayer>());
+        net->add(std::make_unique<DenseLayer>(8, 3, rng, 3));
+        return net;
+    };
+    const Dataset ds = makeImageDataset(8, 3, 3, 12, 8801, 0.03f);
+    const StepTrace golden = runSteps(build, ds, pipeOf(1, false), 3);
+    EXPECT_GT(golden.fwd.mix.hit, 0);
+    EXPECT_GT(golden.wgrad.mix.vectors, 0);
+    expectTracesEqual(golden, runSteps(build, ds, pipeOf(4, false), 3),
+                      "threads4");
+    expectTracesEqual(golden, runSteps(build, ds, pipeOf(4, true), 3),
+                      "overlap4");
+}
+
+TEST(RuntimeNetworkGolden, AttentionDenseOverlappedMatchesSerial)
+{
+    const NetBuilder build = [](Rng &rng) {
+        auto net = std::make_unique<Network>();
+        net->add(std::make_unique<SelfAttentionLayer>(6, 8, 7, 0.5f));
+        net->add(std::make_unique<DenseLayer>(6 * 8, 4, rng, 8));
+        return net;
+    };
+    const Dataset ds = makeTokenDataset(8, 4, 6, 8, 8802, 0.03f);
+    const StepTrace golden = runSteps(build, ds, pipeOf(1, false), 3);
+    EXPECT_GT(golden.fwd.mix.hit, 0);
+    expectTracesEqual(golden, runSteps(build, ds, pipeOf(4, true), 3),
+                      "attention overlap4");
 }
 
 // ---------------------------------------------------------------------

@@ -142,54 +142,6 @@ TEST(Rng, FillNormalFillsEveryElement)
     EXPECT_GT(nonzero, 60);
 }
 
-TEST(Stats, StatAccumulates)
-{
-    Stat s;
-    s += 2.0;
-    s++;
-    ++s;
-    EXPECT_DOUBLE_EQ(s.value(), 4.0);
-    s.reset();
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
-}
-
-TEST(Stats, GroupCreatesAndFinds)
-{
-    StatGroup g("core");
-    g.stat("hits") += 3;
-    EXPECT_TRUE(g.has("hits"));
-    EXPECT_FALSE(g.has("misses"));
-    EXPECT_DOUBLE_EQ(g.get("hits").value(), 3.0);
-}
-
-TEST(Stats, GroupResetAll)
-{
-    StatGroup g;
-    g.stat("a") += 1;
-    g.stat("b") += 2;
-    g.resetAll();
-    EXPECT_DOUBLE_EQ(g.get("a").value(), 0.0);
-    EXPECT_DOUBLE_EQ(g.get("b").value(), 0.0);
-}
-
-TEST(Stats, GroupNamesSorted)
-{
-    StatGroup g;
-    g.stat("zeta");
-    g.stat("alpha");
-    auto names = g.names();
-    ASSERT_EQ(names.size(), 2u);
-    EXPECT_EQ(names[0], "alpha");
-    EXPECT_EQ(names[1], "zeta");
-}
-
-TEST(Stats, GroupDumpContainsValues)
-{
-    StatGroup g;
-    g.stat("cycles") += 42;
-    EXPECT_NE(g.dump().find("cycles 42"), std::string::npos);
-}
-
 TEST(Stats, GeomeanOfEqualValues)
 {
     EXPECT_DOUBLE_EQ(geomean({2.0, 2.0, 2.0}), 2.0);

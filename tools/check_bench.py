@@ -129,9 +129,9 @@ def key_class(key):
     if key.endswith("_cycles_per_row"):
         return ("perf", "ceiling")
     if key.endswith("_setup_ms"):
-        # Plan-bind setup cost (bench/micro_planner.cpp): smaller is
-        # better, so the fresh value must stay under the committed
-        # ceiling.
+        # Setup cost (event_step_setup_ms, bench/sweep_eventsim.cpp):
+        # smaller is better, so the fresh value must stay under the
+        # committed ceiling.
         return ("perf", "ceiling")
     return None
 
