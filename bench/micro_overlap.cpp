@@ -11,7 +11,8 @@
  *     loops) vs on (filter passes consume the block hand-off on the
  *     worker pool while later blocks hash). Outputs are verified
  *     bit-identical first. Wall-clock gains require spare cores; on a
- *     single-core host the two modes tie.
+ *     single-core host the two modes tie. The serial forward is also
+ *     timed against the exact conv2dForward (wall_forward_speedup).
  *
  *  2. Modeled accelerator cycles (the paper's Fig. 8 metric): the
  *     row-stationary timing model with `overlapDetection` off vs on,
@@ -174,10 +175,17 @@ main()
     const double t_serial = w_serial.best;
     const double t_overlap = w_overlap.best;
     const double wall_speedup = t_serial / t_overlap;
+    // The fair forward baseline: the exact (vectorized, bit-identical)
+    // conv2dForward against the serial engine's forward.
+    const bench::WallTime w_fwd_exact = bench::wallSeconds(
+        [&] { conv2dForward(ds.inputs, w, Tensor(), spec); }, 1.0);
+    const double wall_fwd_speedup = w_fwd_exact.best / t_serial;
 
     Table wall("functional layer time (one image, all channels)");
     wall.header({"mode", "min-ms", "median-ms", "hit-frac",
                  "macs-skipped"});
+    wall.row({"exact conv2dForward", Table::num(w_fwd_exact.best * 1e3, 1),
+              Table::num(w_fwd_exact.median * 1e3, 1), "-", "0"});
     wall.row({"run-then-filter", Table::num(t_serial * 1e3, 1),
               Table::num(w_serial.median * 1e3, 1),
               Table::num(s_stats.mix.hitFraction(), 3),
@@ -188,8 +196,10 @@ main()
               std::to_string(o_stats.macsSkipped)});
     wall.print();
     std::printf("wall-clock speedup: %.2fx (needs spare cores; this "
-                "host has %d hardware threads)\n\n",
+                "host has %d hardware threads)\n",
                 wall_speedup, ThreadPool::resolveThreads(0));
+    std::printf("forward vs exact conv2dForward: %.2fx\n\n",
+                wall_fwd_speedup);
 
     // --- 2. Modeled accelerator cycles (Fig. 8) --------------------
     // The modeled view pins overlap On: it accounts the ACCELERATOR,
@@ -359,6 +369,7 @@ main()
         .num("wall_serial_median_ms", w_serial.median * 1e3, 1)
         .num("wall_overlap_ms", t_overlap * 1e3, 1)
         .num("wall_overlap_median_ms", w_overlap.median * 1e3, 1)
+        .num("wall_forward_speedup", wall_fwd_speedup, 3)
         .integer("model_serial_cycles",
                  static_cast<long long>(sc.mercuryTotal()))
         .integer("model_overlap_cycles",

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "util/logging.hpp"
 
@@ -19,21 +20,11 @@ paddedAt(const Tensor &t, int64_t n, int64_t c, int64_t h, int64_t w)
 }
 
 void
-checkConvShapes(const Tensor &input, const Tensor &weight,
-                const ConvSpec &spec)
+checkSpec(const ConvSpec &spec)
 {
-    if (input.rank() != 4)
-        panic("conv input must be rank 4, got ", input.shapeStr());
-    if (weight.rank() != 4)
-        panic("conv weight must be rank 4, got ", weight.shapeStr());
-    if (input.dim(1) != spec.inChannels)
-        panic("conv input channels ", input.dim(1), " != spec ",
-              spec.inChannels);
-    if (weight.dim(0) != spec.outChannels ||
-        weight.dim(1) != spec.inChannels / spec.groups ||
-        weight.dim(2) != spec.kernelH || weight.dim(3) != spec.kernelW) {
-        panic("conv weight shape ", weight.shapeStr(),
-              " inconsistent with spec");
+    if (spec.groups < 1 || spec.stride < 1 || spec.kernelH < 1 ||
+        spec.kernelW < 1 || spec.pad < 0) {
+        panic("conv spec needs groups, stride and kernel >= 1 and pad >= 0");
     }
     if (spec.inChannels % spec.groups != 0 ||
         spec.outChannels % spec.groups != 0) {
@@ -41,42 +32,182 @@ checkConvShapes(const Tensor &input, const Tensor &weight,
     }
 }
 
+void
+checkInput(const Tensor &input, const ConvSpec &spec)
+{
+    if (input.rank() != 4)
+        panic("conv input must be rank 4, got ", input.shapeStr());
+    if (input.dim(1) != spec.inChannels)
+        panic("conv input channels ", input.dim(1), " != spec ",
+              spec.inChannels);
+}
+
+void
+checkWeight(const Tensor &weight, const ConvSpec &spec)
+{
+    if (weight.rank() != 4)
+        panic("conv weight must be rank 4, got ", weight.shapeStr());
+    if (weight.dim(0) != spec.outChannels ||
+        weight.dim(1) != spec.inChannels / spec.groups ||
+        weight.dim(2) != spec.kernelH || weight.dim(3) != spec.kernelW) {
+        panic("conv weight shape ", weight.shapeStr(),
+              " inconsistent with spec");
+    }
+}
+
+/** gradOut must be (n, Cout, outH(in_h), outW(in_w)). */
+void
+checkGradOut(const Tensor &gradOut, int64_t n, int64_t in_h, int64_t in_w,
+             const ConvSpec &spec)
+{
+    if (gradOut.rank() != 4 || gradOut.dim(0) != n ||
+        gradOut.dim(1) != spec.outChannels ||
+        gradOut.dim(2) != spec.outH(in_h) ||
+        gradOut.dim(3) != spec.outW(in_w)) {
+        panic("conv gradOut shape ", gradOut.shapeStr(), " != (", n, ", ",
+              spec.outChannels, ", ", spec.outH(in_h), ", ",
+              spec.outW(in_w), ") for a ", in_h, "x", in_w, " input");
+    }
+}
+
+/**
+ * The zero-bordered frame of one (h, w) plane that a conv with oh x ow
+ * outputs reads (forward, dW) or accumulates into (dX). Input cell
+ * (y, x) sits at padded (y + pad, x + pad), and the frame's
+ * (oh - 1) * stride + k rows and columns hold every tap of every
+ * output; input cells beyond them are read by no tap. Each row keeps
+ * its columns split by phase modulo the stride, column c at slot
+ * (c % stride) * span + c / stride, so tap kx of output column x,
+ * padded column x * stride + kx, is slot col(kx) + x: every loop over
+ * x is unit-stride, at any stride.
+ */
+class Frame
+{
+  public:
+    Frame(const ConvSpec &spec, int64_t h, int64_t w, int64_t oh, int64_t ow)
+        : h_(h), w_(w), stride_(spec.stride), pad_(spec.pad),
+          rows_((oh - 1) * spec.stride + spec.kernelH)
+    {
+        const int64_t cols = (ow - 1) * stride_ + spec.kernelW;
+        span_ = (cols + stride_ - 1) / stride_;
+        rowLen_ = stride_ * span_;
+        inRows_ = std::max<int64_t>(0, std::min(h, rows_ - pad_));
+        const int64_t in_cols = std::min(w, rowLen_ - pad_);
+        for (int64_t x = 0; x < in_cols; ++x)
+            slot_.push_back(col(x + pad_));
+    }
+
+    int64_t size() const { return rows_ * rowLen_; }
+
+    /** Offset of the slot tap (ky, kx) reads for output (0, 0). */
+    int64_t tap(int64_t ky, int64_t kx) const
+    {
+        return ky * rowLen_ + col(kx);
+    }
+
+    /** Distance between the slots a tap reads for output rows y, y + 1. */
+    int64_t rowStep() const { return stride_ * rowLen_; }
+
+    /** Copy `channels` (h, w) planes into consecutive frames. */
+    void load(const float *src, int64_t channels, float *dst) const
+    {
+        std::fill(dst, dst + channels * size(), 0.0f);
+        for (int64_t c = 0; c < channels; ++c) {
+            for (int64_t y = 0; y < inRows_; ++y) {
+                const float *srow = src + (c * h_ + y) * w_;
+                float *frow = dst + c * size() + (y + pad_) * rowLen_;
+                for (size_t x = 0; x < slot_.size(); ++x)
+                    frow[slot_[x]] = srow[x];
+            }
+        }
+    }
+
+    /** Copy one frame's input cells out to a zero-filled (h, w) plane. */
+    void crop(const float *frame, float *dst) const
+    {
+        for (int64_t y = 0; y < inRows_; ++y) {
+            const float *frow = frame + (y + pad_) * rowLen_;
+            for (size_t x = 0; x < slot_.size(); ++x)
+                dst[y * w_ + static_cast<int64_t>(x)] = frow[slot_[x]];
+        }
+    }
+
+  private:
+    int64_t h_, w_, stride_, pad_, rows_, span_ = 0, rowLen_ = 0;
+    int64_t inRows_ = 0;         ///< input rows y < inRows_ are in the frame
+    std::vector<int64_t> slot_;  ///< slot of each input column in the frame
+
+    /** Slot of padded column c within a row. */
+    int64_t col(int64_t c) const
+    {
+        return c % stride_ * span_ + c / stride_;
+    }
+};
+
+/**
+ * dst[y][i] += src[y][i] * w over `rows` rows of n floats, with row
+ * pitches dstPitch and srcPitch: a rounded multiply, then a rounded
+ * add, per element. dst and src never overlap.
+ */
+inline void
+mulAddRows(float *__restrict dst, int64_t dstPitch,
+           const float *__restrict src, int64_t srcPitch, int64_t rows,
+           int64_t n, float w)
+{
+    for (int64_t y = 0; y < rows; ++y)
+        for (int64_t i = 0; i < n; ++i)
+            dst[y * dstPitch + i] += src[y * srcPitch + i] * w;
+}
+
 } // namespace
+
+// The three conv ops below keep, for every output element, the IEEE
+// operation sequence of the textbook nested loops (see "Exact ops" in
+// docs/ARCHITECTURE.md), so each result is bit-identical to them; the
+// loops are only reordered so the innermost one runs over contiguous
+// floats that -O3 vectorizes.
 
 Tensor
 conv2dForward(const Tensor &input, const Tensor &weight, const Tensor &bias,
               const ConvSpec &spec)
 {
-    checkConvShapes(input, weight, spec);
-    const int64_t n = input.dim(0);
-    const int64_t oh = spec.outH(input.dim(2));
-    const int64_t ow = spec.outW(input.dim(3));
+    checkSpec(spec);
+    checkInput(input, spec);
+    checkWeight(weight, spec);
+    if (bias.numel() != 0 && bias.numel() != spec.outChannels)
+        panic("conv bias has ", bias.numel(), " elements for ",
+              spec.outChannels, " filters");
+    const int64_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
+    const int64_t oh = spec.outH(h), ow = spec.outW(w);
     const int64_t cin_g = spec.inChannels / spec.groups;
     const int64_t cout_g = spec.outChannels / spec.groups;
+    const int64_t kh = spec.kernelH, kw = spec.kernelW;
     Tensor out({n, spec.outChannels, oh, ow});
+    if (out.numel() == 0)
+        return out;
 
+    // Each output element starts at its bias and adds in * w over
+    // (ic, ky, kx) ascending; padded taps read the zero border and add
+    // 0 * w, as the textbook loop's zero-padded fetch does.
+    const Frame f(spec, h, w, oh, ow);
+    std::vector<float> frames(static_cast<size_t>(cin_g * f.size()));
     for (int64_t b = 0; b < n; ++b) {
         for (int64_t g = 0; g < spec.groups; ++g) {
+            f.load(input.data() + input.offset4(b, g * cin_g, 0, 0), cin_g,
+                   frames.data());
             for (int64_t oc = g * cout_g; oc < (g + 1) * cout_g; ++oc) {
-                for (int64_t y = 0; y < oh; ++y) {
-                    for (int64_t x = 0; x < ow; ++x) {
-                        float acc =
-                            bias.numel() ? bias[oc] : 0.0f;
-                        for (int64_t ic = 0; ic < cin_g; ++ic) {
-                            for (int64_t ky = 0; ky < spec.kernelH; ++ky) {
-                                for (int64_t kx = 0; kx < spec.kernelW;
-                                     ++kx) {
-                                    const int64_t iy =
-                                        y * spec.stride - spec.pad + ky;
-                                    const int64_t ix =
-                                        x * spec.stride - spec.pad + kx;
-                                    acc += paddedAt(input, b,
-                                                    g * cin_g + ic, iy, ix) *
-                                           weight.at4(oc, ic, ky, kx);
-                                }
-                            }
+                float *o = out.data() + out.offset4(b, oc, 0, 0);
+                std::fill(o, o + oh * ow, bias.numel() ? bias[oc] : 0.0f);
+                const float *wt = weight.data() + oc * cin_g * kh * kw;
+                for (int64_t ic = 0; ic < cin_g; ++ic) {
+                    for (int64_t ky = 0; ky < kh; ++ky) {
+                        for (int64_t kx = 0; kx < kw; ++kx) {
+                            mulAddRows(o, ow,
+                                       frames.data() + ic * f.size() +
+                                           f.tap(ky, kx),
+                                       f.rowStep(), oh, ow,
+                                       wt[(ic * kh + ky) * kw + kx]);
                         }
-                        out.at4(b, oc, y, x) = acc;
                     }
                 }
             }
@@ -89,37 +220,53 @@ Tensor
 conv2dBackwardWeight(const Tensor &input, const Tensor &gradOut,
                      const ConvSpec &spec)
 {
-    const int64_t n = input.dim(0);
-    const int64_t oh = gradOut.dim(2);
-    const int64_t ow = gradOut.dim(3);
+    checkSpec(spec);
+    checkInput(input, spec);
+    const int64_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
+    checkGradOut(gradOut, n, h, w, spec);
+    const int64_t oh = gradOut.dim(2), ow = gradOut.dim(3);
     const int64_t cin_g = spec.inChannels / spec.groups;
     const int64_t cout_g = spec.outChannels / spec.groups;
-    Tensor grad_w({spec.outChannels, cin_g, spec.kernelH, spec.kernelW});
+    const int64_t kh = spec.kernelH, kw = spec.kernelW;
+    const int64_t taps = cin_g * kh * kw;
+    Tensor grad_w({spec.outChannels, cin_g, kh, kw});
+    if (gradOut.numel() == 0)
+        return grad_w;
 
-    for (int64_t b = 0; b < n; ++b) {
-        for (int64_t g = 0; g < spec.groups; ++g) {
-            for (int64_t oc = g * cout_g; oc < (g + 1) * cout_g; ++oc) {
-                for (int64_t ic = 0; ic < cin_g; ++ic) {
-                    for (int64_t ky = 0; ky < spec.kernelH; ++ky) {
-                        for (int64_t kx = 0; kx < spec.kernelW; ++kx) {
-                            float acc = grad_w.at4(oc, ic, ky, kx);
-                            for (int64_t y = 0; y < oh; ++y) {
-                                for (int64_t x = 0; x < ow; ++x) {
-                                    const int64_t iy =
-                                        y * spec.stride - spec.pad + ky;
-                                    const int64_t ix =
-                                        x * spec.stride - spec.pad + kx;
-                                    acc += gradOut.at4(b, oc, y, x) *
-                                           paddedAt(input, b,
-                                                    g * cin_g + ic, iy, ix);
-                                }
-                            }
-                            grad_w.at4(oc, ic, ky, kx) = acc;
-                        }
-                    }
+    // Each weight element is one chain, += gradOut * in over (batch,
+    // y, x) ascending from +0. The chains of a group's filters run side
+    // by side: gradOut is transposed to (position, filter) and the
+    // accumulators, laid out (tap, filter), carry across the batch.
+    const Frame f(spec, h, w, oh, ow);
+    std::vector<float> frames(static_cast<size_t>(cin_g * f.size()));
+    std::vector<float> go_t(static_cast<size_t>(oh * ow * cout_g));
+    std::vector<float> acc(static_cast<size_t>(taps * cout_g));
+    for (int64_t g = 0; g < spec.groups; ++g) {
+        std::fill(acc.begin(), acc.end(), 0.0f);
+        for (int64_t b = 0; b < n; ++b) {
+            f.load(input.data() + input.offset4(b, g * cin_g, 0, 0), cin_g,
+                   frames.data());
+            const float *go =
+                gradOut.data() + gradOut.offset4(b, g * cout_g, 0, 0);
+            for (int64_t o = 0; o < cout_g; ++o)
+                for (int64_t p = 0; p < oh * ow; ++p)
+                    go_t[p * cout_g + o] = go[o * oh * ow + p];
+            for (int64_t t = 0; t < taps; ++t) {
+                const float *in = frames.data() + t / (kh * kw) * f.size() +
+                                  f.tap(t / kw % kh, t % kw);
+                for (int64_t y = 0; y < oh; ++y) {
+                    const float *irow = in + y * f.rowStep();
+                    for (int64_t x = 0; x < ow; ++x)
+                        mulAddRows(acc.data() + t * cout_g, 0,
+                                   go_t.data() + (y * ow + x) * cout_g, 0, 1,
+                                   cout_g, irow[x]);
                 }
             }
         }
+        float *gw = grad_w.data() + g * cout_g * taps;
+        for (int64_t o = 0; o < cout_g; ++o)
+            for (int64_t t = 0; t < taps; ++t)
+                gw[o * taps + t] = acc[t * cout_g + o];
     }
     return grad_w;
 }
@@ -128,43 +275,53 @@ Tensor
 conv2dBackwardInput(const Tensor &gradOut, const Tensor &weight,
                     const ConvSpec &spec, int64_t in_h, int64_t in_w)
 {
+    checkSpec(spec);
+    checkWeight(weight, spec);
+    if (gradOut.rank() != 4)
+        panic("conv gradOut must be rank 4, got ", gradOut.shapeStr());
     const int64_t n = gradOut.dim(0);
-    const int64_t oh = gradOut.dim(2);
-    const int64_t ow = gradOut.dim(3);
+    checkGradOut(gradOut, n, in_h, in_w, spec);
+    const int64_t oh = gradOut.dim(2), ow = gradOut.dim(3);
     const int64_t cin_g = spec.inChannels / spec.groups;
     const int64_t cout_g = spec.outChannels / spec.groups;
+    const int64_t kh = spec.kernelH, kw = spec.kernelW;
     Tensor grad_in({n, spec.inChannels, in_h, in_w});
+    if (gradOut.numel() == 0 || grad_in.numel() == 0)
+        return grad_in;
 
-    // Scatter formulation of Eq. 2: each output gradient contributes to
-    // the input positions its receptive field covered.
+    // Scatter formulation of Eq. 2: each input cell gets += go * w in
+    // (oc, y, x) ascending order. For one tap (ky, kx) every output
+    // position hits a different cell, and the cell hit from (y, x) by
+    // tap ky is hit from y - 1 by tap ky + stride, so walking the taps
+    // in descending order with (y, x) ascending inside gives exactly
+    // that order for any stride. Taps that land in the padding
+    // accumulate into the frame's border, which is cropped away. Zero
+    // gradients are not skipped: go * w is then +-0, and adding +-0 to
+    // a cell that started at +0 never changes its bits (for finite w).
+    const Frame f(spec, in_h, in_w, oh, ow);
+    std::vector<float> frame(static_cast<size_t>(f.size()));
     for (int64_t b = 0; b < n; ++b) {
         for (int64_t g = 0; g < spec.groups; ++g) {
-            for (int64_t oc = g * cout_g; oc < (g + 1) * cout_g; ++oc) {
-                for (int64_t y = 0; y < oh; ++y) {
-                    for (int64_t x = 0; x < ow; ++x) {
-                        const float go = gradOut.at4(b, oc, y, x);
-                        if (go == 0.0f)
-                            continue;
-                        for (int64_t ic = 0; ic < cin_g; ++ic) {
-                            for (int64_t ky = 0; ky < spec.kernelH; ++ky) {
-                                for (int64_t kx = 0; kx < spec.kernelW;
-                                     ++kx) {
-                                    const int64_t iy =
-                                        y * spec.stride - spec.pad + ky;
-                                    const int64_t ix =
-                                        x * spec.stride - spec.pad + kx;
-                                    if (iy < 0 || ix < 0 || iy >= in_h ||
-                                        ix >= in_w) {
-                                        continue;
-                                    }
-                                    grad_in.at4(b, g * cin_g + ic, iy,
-                                                ix) +=
-                                        go * weight.at4(oc, ic, ky, kx);
-                                }
-                            }
+            const float *go_g =
+                gradOut.data() + gradOut.offset4(b, g * cout_g, 0, 0);
+            for (int64_t ic = 0; ic < cin_g; ++ic) {
+                std::fill(frame.begin(), frame.end(), 0.0f);
+                for (int64_t o = 0; o < cout_g; ++o) {
+                    const float *go = go_g + o * oh * ow;
+                    const int64_t oc = g * cout_g + o;
+                    const float *wt =
+                        weight.data() + (oc * cin_g + ic) * kh * kw;
+                    for (int64_t ky = kh - 1; ky >= 0; --ky) {
+                        for (int64_t kx = kw - 1; kx >= 0; --kx) {
+                            mulAddRows(frame.data() + f.tap(ky, kx),
+                                       f.rowStep(), go, ow, oh, ow,
+                                       wt[ky * kw + kx]);
                         }
                     }
                 }
+                f.crop(frame.data(),
+                       grad_in.data() +
+                           grad_in.offset4(b, g * cin_g + ic, 0, 0));
             }
         }
     }
@@ -174,13 +331,19 @@ conv2dBackwardInput(const Tensor &gradOut, const Tensor &weight,
 Tensor
 conv2dBackwardBias(const Tensor &gradOut)
 {
-    const int64_t c = gradOut.dim(1);
+    const int64_t n = gradOut.dim(0), c = gradOut.dim(1);
+    const int64_t hw = gradOut.dim(2) * gradOut.dim(3);
     Tensor grad_b({c});
-    for (int64_t b = 0; b < gradOut.dim(0); ++b)
-        for (int64_t oc = 0; oc < c; ++oc)
-            for (int64_t y = 0; y < gradOut.dim(2); ++y)
-                for (int64_t x = 0; x < gradOut.dim(3); ++x)
-                    grad_b[oc] += gradOut.at4(b, oc, y, x);
+    float *gb = grad_b.data();
+    for (int64_t b = 0; b < n; ++b) {
+        for (int64_t oc = 0; oc < c; ++oc) {
+            const float *p = gradOut.data() + (b * c + oc) * hw;
+            float acc = gb[oc];
+            for (int64_t i = 0; i < hw; ++i)
+                acc += p[i];
+            gb[oc] = acc;
+        }
+    }
     return grad_b;
 }
 
@@ -229,12 +392,15 @@ matmul(const Tensor &a, const Tensor &b)
     const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
     Tensor out({m, n});
     for (int64_t i = 0; i < m; ++i) {
+        const float *arow = a.data() + i * k;
+        float *orow = out.data() + i * n;
         for (int64_t p = 0; p < k; ++p) {
-            const float av = a.at2(i, p);
+            const float av = arow[p];
             if (av == 0.0f)
                 continue;
+            const float *brow = b.data() + p * n;
             for (int64_t j = 0; j < n; ++j)
-                out.at2(i, j) += av * b.at2(p, j);
+                orow[j] += av * brow[j];
         }
     }
     return out;
@@ -247,13 +413,18 @@ matmulTransposeB(const Tensor &a, const Tensor &b)
         panic("matmulTransposeB shape mismatch ", a.shapeStr(), " x ",
               b.shapeStr());
     const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
+    // Every dot product runs its p terms in ascending order from +0;
+    // with b transposed the n dot products of a row advance together.
+    const Tensor bt = transpose2d(b);
     Tensor out({m, n});
     for (int64_t i = 0; i < m; ++i) {
-        for (int64_t j = 0; j < n; ++j) {
-            float acc = 0.0f;
-            for (int64_t p = 0; p < k; ++p)
-                acc += a.at2(i, p) * b.at2(j, p);
-            out.at2(i, j) = acc;
+        const float *arow = a.data() + i * k;
+        float *orow = out.data() + i * n;
+        for (int64_t p = 0; p < k; ++p) {
+            const float av = arow[p];
+            const float *brow = bt.data() + p * n;
+            for (int64_t j = 0; j < n; ++j)
+                orow[j] += av * brow[j];
         }
     }
     return out;
@@ -264,10 +435,13 @@ transpose2d(const Tensor &a)
 {
     if (a.rank() != 2)
         panic("transpose2d needs rank 2, got ", a.shapeStr());
-    Tensor out({a.dim(1), a.dim(0)});
-    for (int64_t i = 0; i < a.dim(0); ++i)
-        for (int64_t j = 0; j < a.dim(1); ++j)
-            out.at2(j, i) = a.at2(i, j);
+    const int64_t r = a.dim(0), c = a.dim(1);
+    Tensor out({c, r});
+    const float *src = a.data();
+    float *dst = out.data();
+    for (int64_t i = 0; i < r; ++i)
+        for (int64_t j = 0; j < c; ++j)
+            dst[j * r + i] = src[i * c + j];
     return out;
 }
 
@@ -275,8 +449,10 @@ Tensor
 reluForward(const Tensor &x)
 {
     Tensor out = x;
-    for (int64_t i = 0; i < out.numel(); ++i)
-        out[i] = std::max(0.0f, out[i]);
+    float *p = out.data();
+    const int64_t n = out.numel();
+    for (int64_t i = 0; i < n; ++i)
+        p[i] = std::max(0.0f, p[i]);
     return out;
 }
 
@@ -284,41 +460,42 @@ Tensor
 reluBackward(const Tensor &x, const Tensor &grad)
 {
     Tensor out = grad;
-    for (int64_t i = 0; i < out.numel(); ++i)
-        if (x[i] <= 0.0f)
-            out[i] = 0.0f;
+    float *p = out.data();
+    const float *xp = x.data();
+    const int64_t n = out.numel();
+    for (int64_t i = 0; i < n; ++i)
+        p[i] = xp[i] <= 0.0f ? 0.0f : p[i];
     return out;
 }
 
 Tensor
 maxPool2x2Forward(const Tensor &x, std::vector<int32_t> &argmax)
 {
-    const int64_t n = x.dim(0), c = x.dim(1);
-    const int64_t oh = x.dim(2) / 2, ow = x.dim(3) / 2;
+    const int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+    const int64_t oh = h / 2, ow = w / 2;
     Tensor out({n, c, oh, ow});
     argmax.assign(static_cast<size_t>(out.numel()), 0);
+    const float *xp = x.data();
+    float *op = out.data();
     int64_t idx = 0;
-    for (int64_t b = 0; b < n; ++b) {
-        for (int64_t ch = 0; ch < c; ++ch) {
-            for (int64_t y = 0; y < oh; ++y) {
-                for (int64_t w = 0; w < ow; ++w, ++idx) {
-                    float best = -1e30f;
-                    int32_t best_off = 0;
-                    for (int dy = 0; dy < 2; ++dy) {
-                        for (int dx = 0; dx < 2; ++dx) {
-                            const float v =
-                                x.at4(b, ch, 2 * y + dy, 2 * w + dx);
-                            if (v > best) {
-                                best = v;
-                                best_off = static_cast<int32_t>(
-                                    x.offset4(b, ch, 2 * y + dy,
-                                              2 * w + dx));
-                            }
+    for (int64_t plane = 0; plane < n * c; ++plane) {
+        for (int64_t y = 0; y < oh; ++y) {
+            for (int64_t ox = 0; ox < ow; ++ox, ++idx) {
+                float best = -1e30f;
+                int64_t best_off = 0;
+                for (int64_t dy = 0; dy < 2; ++dy) {
+                    for (int64_t dx = 0; dx < 2; ++dx) {
+                        const int64_t off =
+                            (plane * h + 2 * y + dy) * w + 2 * ox + dx;
+                        if (xp[off] > best) {
+                            best = xp[off];
+                            best_off = off;
                         }
                     }
-                    out[idx] = best;
-                    argmax[static_cast<size_t>(idx)] = best_off;
                 }
+                op[idx] = best;
+                argmax[static_cast<size_t>(idx)] =
+                    static_cast<int32_t>(best_off);
             }
         }
     }
@@ -339,16 +516,16 @@ Tensor
 globalAvgPoolForward(const Tensor &x)
 {
     const int64_t n = x.dim(0), c = x.dim(1);
-    const float scale = 1.0f / static_cast<float>(x.dim(2) * x.dim(3));
+    const int64_t hw = x.dim(2) * x.dim(3);
+    const float scale = 1.0f / static_cast<float>(hw);
     Tensor out({n, c});
-    for (int64_t b = 0; b < n; ++b)
-        for (int64_t ch = 0; ch < c; ++ch) {
-            float acc = 0.0f;
-            for (int64_t y = 0; y < x.dim(2); ++y)
-                for (int64_t w = 0; w < x.dim(3); ++w)
-                    acc += x.at4(b, ch, y, w);
-            out.at2(b, ch) = acc * scale;
-        }
+    for (int64_t plane = 0; plane < n * c; ++plane) {
+        const float *p = x.data() + plane * hw;
+        float acc = 0.0f;
+        for (int64_t i = 0; i < hw; ++i)
+            acc += p[i];
+        out[plane] = acc * scale;
+    }
     return out;
 }
 
@@ -356,14 +533,13 @@ Tensor
 globalAvgPoolBackward(const Tensor &x, const Tensor &gradOut)
 {
     Tensor grad_in(x.shape());
-    const float scale = 1.0f / static_cast<float>(x.dim(2) * x.dim(3));
-    for (int64_t b = 0; b < x.dim(0); ++b)
-        for (int64_t ch = 0; ch < x.dim(1); ++ch) {
-            const float g = gradOut.at2(b, ch) * scale;
-            for (int64_t y = 0; y < x.dim(2); ++y)
-                for (int64_t w = 0; w < x.dim(3); ++w)
-                    grad_in.at4(b, ch, y, w) = g;
-        }
+    const int64_t planes = x.dim(0) * x.dim(1);
+    const int64_t hw = x.dim(2) * x.dim(3);
+    const float scale = 1.0f / static_cast<float>(hw);
+    for (int64_t plane = 0; plane < planes; ++plane) {
+        float *p = grad_in.data() + plane * hw;
+        std::fill(p, p + hw, gradOut[plane] * scale);
+    }
     return grad_in;
 }
 

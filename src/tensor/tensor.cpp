@@ -33,45 +33,10 @@ Tensor::Tensor(std::vector<int64_t> shape, std::vector<float> data)
               shapeNumel(shape_), " elements, data has ", data_.size());
 }
 
-int64_t
-Tensor::dim(int i) const
+void
+Tensor::dimOutOfRange(int i, int r)
 {
-    const int r = rank();
-    if (i < 0)
-        i += r;
-    if (i < 0 || i >= r)
-        panic("tensor dim index ", i, " out of range for rank ", r);
-    return shape_[i];
-}
-
-float &
-Tensor::at2(int64_t i, int64_t j)
-{
-    return data_[i * shape_[1] + j];
-}
-
-float
-Tensor::at2(int64_t i, int64_t j) const
-{
-    return data_[i * shape_[1] + j];
-}
-
-int64_t
-Tensor::offset4(int64_t n, int64_t c, int64_t h, int64_t w) const
-{
-    return ((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w;
-}
-
-float &
-Tensor::at4(int64_t n, int64_t c, int64_t h, int64_t w)
-{
-    return data_[offset4(n, c, h, w)];
-}
-
-float
-Tensor::at4(int64_t n, int64_t c, int64_t h, int64_t w) const
-{
-    return data_[offset4(n, c, h, w)];
+    panic("tensor dim index ", i, " out of range for rank ", r);
 }
 
 void

@@ -39,7 +39,15 @@ class Tensor
     int rank() const { return static_cast<int>(shape_.size()); }
 
     /** Size of dimension i (supports negative indices from the end). */
-    int64_t dim(int i) const;
+    int64_t dim(int i) const
+    {
+        const int r = rank();
+        if (i < 0)
+            i += r;
+        if (i < 0 || i >= r)
+            dimOutOfRange(i, r);
+        return shape_[i];
+    }
 
     const std::vector<int64_t> &shape() const { return shape_; }
 
@@ -50,12 +58,21 @@ class Tensor
     float operator[](int64_t i) const { return data_[i]; }
 
     /** Element access for rank-2 tensors. */
-    float &at2(int64_t i, int64_t j);
-    float at2(int64_t i, int64_t j) const;
+    float &at2(int64_t i, int64_t j) { return data_[i * shape_[1] + j]; }
+    float at2(int64_t i, int64_t j) const
+    {
+        return data_[i * shape_[1] + j];
+    }
 
     /** Element access for rank-4 (N, C, H, W) tensors. */
-    float &at4(int64_t n, int64_t c, int64_t h, int64_t w);
-    float at4(int64_t n, int64_t c, int64_t h, int64_t w) const;
+    float &at4(int64_t n, int64_t c, int64_t h, int64_t w)
+    {
+        return data_[offset4(n, c, h, w)];
+    }
+    float at4(int64_t n, int64_t c, int64_t h, int64_t w) const
+    {
+        return data_[offset4(n, c, h, w)];
+    }
 
     /** Set every element to the given value. */
     void fill(float v);
@@ -76,13 +93,19 @@ class Tensor
     std::string shapeStr() const;
 
     /** Flat offset of a rank-4 index. */
-    int64_t offset4(int64_t n, int64_t c, int64_t h, int64_t w) const;
+    int64_t offset4(int64_t n, int64_t c, int64_t h, int64_t w) const
+    {
+        return ((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w;
+    }
 
   private:
     std::vector<int64_t> shape_;
     std::vector<float> data_;
 
     static int64_t shapeNumel(const std::vector<int64_t> &shape);
+
+    /** Out-of-line failure path of dim(), so the check stays cheap. */
+    [[noreturn]] static void dimOutOfRange(int i, int r);
 };
 
 } // namespace mercury

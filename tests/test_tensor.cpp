@@ -265,6 +265,84 @@ TEST(ConvBackward, BiasGradientSumsGradients)
     EXPECT_FLOAT_EQ(gb[1], 8.0f);
 }
 
+/** A 2 -> 3 channel 3x3 conv over 6x6 inputs: gradOut is (1, 3, 4, 4). */
+ConvSpec
+backwardSpec()
+{
+    ConvSpec spec;
+    spec.inChannels = 2;
+    spec.outChannels = 3;
+    spec.kernelH = spec.kernelW = 3;
+    return spec;
+}
+
+TEST(ConvBackward, GradOutChannelMismatchDies)
+{
+    const ConvSpec spec = backwardSpec();
+    Tensor in({1, 2, 6, 6}), w({3, 2, 3, 3});
+    Tensor one_channel({1, 1, 4, 4}); // 1 channel against 3 filters
+    EXPECT_DEATH(conv2dBackwardWeight(in, one_channel, spec),
+                 "gradOut shape");
+    EXPECT_DEATH(conv2dBackwardInput(one_channel, w, spec, 6, 6),
+                 "gradOut shape");
+}
+
+TEST(ConvBackward, GradOutSpatialMismatchDies)
+{
+    const ConvSpec spec = backwardSpec();
+    Tensor in({1, 2, 6, 6}), w({3, 2, 3, 3});
+    Tensor wrong_h({1, 3, 5, 4}), wrong_w({1, 3, 4, 3});
+    EXPECT_DEATH(conv2dBackwardWeight(in, wrong_h, spec), "gradOut shape");
+    EXPECT_DEATH(conv2dBackwardWeight(in, wrong_w, spec), "gradOut shape");
+    EXPECT_DEATH(conv2dBackwardInput(wrong_h, w, spec, 6, 6),
+                 "gradOut shape");
+    EXPECT_DEATH(conv2dBackwardInput(wrong_w, w, spec, 6, 6),
+                 "gradOut shape");
+    // A batch that differs from the input's.
+    Tensor two_images({2, 3, 4, 4});
+    EXPECT_DEATH(conv2dBackwardWeight(in, two_images, spec),
+                 "gradOut shape");
+}
+
+TEST(ConvBackward, WrongInputSizeDies)
+{
+    const ConvSpec spec = backwardSpec();
+    Tensor grad_out({1, 3, 4, 4}), w({3, 2, 3, 3});
+    EXPECT_DEATH(conv2dBackwardInput(grad_out, w, spec, 7, 6),
+                 "gradOut shape");
+    EXPECT_DEATH(conv2dBackwardInput(grad_out, w, spec, 6, 5),
+                 "gradOut shape");
+    Tensor wrong_channels({1, 1, 6, 6});
+    EXPECT_DEATH(conv2dBackwardWeight(wrong_channels, grad_out, spec),
+                 "input channels");
+}
+
+TEST(ConvBackward, WrongWeightShapeDies)
+{
+    const ConvSpec spec = backwardSpec();
+    Tensor grad_out({1, 3, 4, 4});
+    Tensor too_few_filters({2, 2, 3, 3}), wrong_kernel({3, 2, 3, 2});
+    EXPECT_DEATH(conv2dBackwardInput(grad_out, too_few_filters, spec, 6, 6),
+                 "weight shape");
+    EXPECT_DEATH(conv2dBackwardInput(grad_out, wrong_kernel, spec, 6, 6),
+                 "weight shape");
+}
+
+TEST(ConvForward, NonPositiveSpecDies)
+{
+    ConvSpec spec = backwardSpec();
+    spec.stride = 0;
+    Tensor in({1, 2, 6, 6}), w({3, 2, 3, 3});
+    EXPECT_DEATH(conv2dForward(in, w, Tensor(), spec), "conv spec");
+}
+
+TEST(ConvForward, WrongBiasSizeDies)
+{
+    const ConvSpec spec = backwardSpec();
+    Tensor in({1, 2, 6, 6}), w({3, 2, 3, 3}), bias({2});
+    EXPECT_DEATH(conv2dForward(in, w, bias, spec), "bias");
+}
+
 TEST(Im2col, RowCountAndContent)
 {
     Tensor in({1, 1, 3, 3}, {1, 2, 3, 4, 5, 6, 7, 8, 9});
