@@ -1,18 +1,19 @@
 /**
  * @file
  * Microbenchmark of overlapped detection (streaming per-block
- * hand-off + threaded filter passes) against the run-then-filter
- * baseline, on a VGG13-sized conv layer.
+ * hand-off + threaded filter passes) against the same streamed
+ * schedule consumed inline (overlap off), on a VGG13-sized conv layer.
  *
  * Two views of the same question:
  *
  *  1. Functional wall time: ConvReuseEngine end-to-end layer time
- *     with `overlap` off (full detection pass, then serial filter
- *     loops) vs on (filter passes consume the block hand-off on the
- *     worker pool while later blocks hash). Outputs are verified
- *     bit-identical first. Wall-clock gains require spare cores; on a
- *     single-core host the two modes tie. The serial forward is also
- *     timed against the exact conv2dForward (wall_forward_speedup).
+ *     with `overlap` off (hashing on the pool, filter passes inline
+ *     on the driving thread as each block arrives) vs on (filter
+ *     passes consume the block hand-off on the worker pool while
+ *     later blocks hash). Outputs are verified bit-identical first.
+ *     Wall-clock gains require spare cores; on a single-core host the
+ *     two modes tie. The overlap-off forward is also timed against
+ *     the exact conv2dForward (wall_forward_speedup).
  *
  *  2. Modeled accelerator cycles (the paper's Fig. 8 metric): the
  *     row-stationary timing model with `overlapDetection` off vs on,
@@ -92,7 +93,7 @@ main()
                             ? ThreadPool::resolveThreads(env_threads)
                             : std::max(4, ThreadPool::resolveThreads(0));
     const OverlapMode omode = bench::benchOverlap(OverlapMode::Auto);
-    std::printf("micro_overlap: overlapped detection vs run-then-filter "
+    std::printf("micro_overlap: overlapped detection vs overlap off "
                 "on a VGG13-sized conv layer\n");
     std::printf("(layer: %lld ch -> %lld filters, %lldx%lld, 3x3; "
                 "MCACHE %dx%d, %d versions; threads %d on %d hw)\n\n",
@@ -144,7 +145,7 @@ main()
         overlapped.forward(ds.inputs, w, Tensor(), spec, o_stats);
     if (!(s_out == o_out) || s_stats.macsSkipped != o_stats.macsSkipped) {
         std::fprintf(stderr, "FATAL: overlapped conv diverges from the "
-                             "run-then-filter path\n");
+                             "overlap-off path\n");
         return 1;
     }
 
@@ -186,7 +187,7 @@ main()
                  "macs-skipped"});
     wall.row({"exact conv2dForward", Table::num(w_fwd_exact.best * 1e3, 1),
               Table::num(w_fwd_exact.median * 1e3, 1), "-", "0"});
-    wall.row({"run-then-filter", Table::num(t_serial * 1e3, 1),
+    wall.row({"overlap off", Table::num(t_serial * 1e3, 1),
               Table::num(w_serial.median * 1e3, 1),
               Table::num(s_stats.mix.hitFraction(), 3),
               std::to_string(s_stats.macsSkipped)});

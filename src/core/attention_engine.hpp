@@ -8,14 +8,14 @@
  * similar W and Y rows, so HIT rows copy the owner's rows in both
  * stages — the same FC-style forwarding the paper applies.
  *
- * Overlap (§III-B, Fig. 8): with the frontend's `overlap` knob set
- * and a worker pool available, forward() consumes the detection
+ * Overlap (§III-B, Fig. 8): forward() consumes the detection
  * pipeline's streaming block hand-off. A computed row is
- * self-contained (w_i needs only X, y_i needs only w_i), so computed
+ * self-contained (w_i needs only X, y_i needs only w_i), so with the
+ * frontend's `overlap` knob set and a worker pool available, computed
  * rows of a delivered block fan out to the pool while later blocks
- * are still hashing; HIT rows are forwarded after the joins. Output
- * and statistics are bit-identical to the serial path. One thread
- * drives an engine (or a shared frontend) at a time.
+ * are still hashing (inline otherwise); HIT rows are forwarded after
+ * the joins. Output and statistics are bit-identical either way. One
+ * thread drives an engine (or a shared frontend) at a time.
  */
 
 #ifndef MERCURY_CORE_ATTENTION_ENGINE_HPP

@@ -185,10 +185,6 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
     }
 
     ReuseRuntime rt(*frontend_, frontend_.signatureBits());
-    // Every channel pass of this layer has v rows, so the overlap
-    // decision (Auto resolves from threads x rows) is one call,
-    // matching what the runtime will resolve per pass internally.
-    const bool overlapped = rt.overlappedFor(v);
     if (record)
         record->clear();
 
@@ -227,40 +223,37 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
             for (int64_t ic = 0; ic < cin_g; ++ic)
                 order.push_back({b, g, ic});
 
-    // Double-buffered extraction tensors (cross-channel overlap): the
-    // overlapped path extracts and hashes pass p+1 into the other
-    // buffer while pass p's trailing filter groups drain. The
-    // run-then-filter path reuses one buffer for every pass.
-    Tensor bufs[2];
-    bufs[0] = Tensor({v, d});
-    if (overlapped)
-        bufs[1] = Tensor({v, d});
-    // Single-touch fusion: a pass's extraction rides the detection
-    // pipeline as a RowFiller — each projection block extracts its
-    // row range immediately before hashing it, so a block's patches
-    // are still cache-hot when the RPQ projection reads them (and the
-    // filler fans out with the hash blocks instead of running as a
-    // serial pre-pass on the driving thread).
-    const auto filler = [&input, &spec, cin_g, ow](const PassId &p,
-                                                   Tensor &rows) {
-        return RowFiller([&input, &spec, &rows, cin_g, ow,
-                          p](int64_t r0, int64_t r1) {
-            extractChannelPatchRows(input, spec, p.b, p.g * cin_g + p.ic,
-                                    ow, r0, r1, rows);
-        });
+    // Double-buffered extraction tensors (cross-channel overlap): pass
+    // p+1 is extracted and hashed into the other buffer while pass p's
+    // filter chains drain. Single-touch fusion: a pass's extraction
+    // rides its hash job as a RowFiller — each projection block
+    // extracts its row range immediately before hashing it, so a
+    // block's patches are still cache-hot when the RPQ projection
+    // reads them (and on a pool the filler fans out with the hash
+    // blocks instead of running as a serial pre-pass on the driving
+    // thread). Without a pool the job defers hashing into the probe
+    // half, so each block runs hash, probe, then filter, inline.
+    Tensor bufs[2] = {Tensor({v, d}), Tensor({v, d})};
+    const auto begin_hash = [&](size_t pi) {
+        const PassId p = order[pi];
+        Tensor &rows = bufs[pi & 1];
+        return frontend_->beginHashStream(
+            rows, frontend_.signatureBits(),
+            [&input, &spec, &rows, cin_g, ow, p](int64_t r0, int64_t r1) {
+                extractChannelPatchRows(input, spec, p.b,
+                                        p.g * cin_g + p.ic, ow, r0, r1,
+                                        rows);
+            });
     };
 
     stats = ReuseStats{};
     std::unique_ptr<DetectionHashJob> job;
-    if (overlapped && !order.empty())
-        job = frontend_->beginHashStream(bufs[0], frontend_.signatureBits(),
-                                         filler(order[0], bufs[0]));
+    if (!order.empty())
+        job = begin_hash(0);
 
     for (size_t pi = 0; pi < order.size(); ++pi) {
         const PassId p = order[pi];
-        // Serial path: single buffer, filled blockwise by the fused
-        // filler as the pass hashes it (no eager extraction pass).
-        const Tensor &rows = overlapped ? bufs[pi & 1] : bufs[0];
+        const Tensor &rows = bufs[pi & 1];
 
         // Pass-start clear of the data plane (the MCACHE tag plane is
         // cleared by the detection pass itself). Driving thread, no
@@ -284,32 +277,18 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
                 out.data() + out.offset4(p.b, p.g * cout_g + f, 0, 0));
         };
         // Cross-channel overlap: begin hashing the next pass into the
-        // other buffer while this channel's chains drain — the fused
-        // filler extracts each block right before it hashes, on the
-        // pool, so the driving thread no longer pays a serial
-        // whole-channel extraction inside the overlap window. Hashing
+        // other buffer while this channel's chains drain. Hashing
         // touches no MCACHE state, so it is safe beside the
         // data-plane traffic of the in-flight filters.
         std::unique_ptr<DetectionHashJob> next_job;
-        if (overlapped) {
-            set.onStreamDelivered = [&] {
-                if (pi + 1 < order.size()) {
-                    Tensor &next = bufs[(pi + 1) & 1];
-                    next_job = frontend_->beginHashStream(
-                        next, frontend_.signatureBits(),
-                        filler(order[pi + 1], next));
-                }
-            };
-        }
+        set.onStreamDelivered = [&] {
+            if (pi + 1 < order.size())
+                next_job = begin_hash(pi + 1);
+        };
 
-        rt.runFilterPasses(
-            overlapped
-                ? ReuseRuntime::StreamSource::hashed(*job, record)
-                : ReuseRuntime::StreamSource::live(rows, record,
-                                                   filler(p, bufs[0])),
-            set, stats);
-        if (overlapped)
-            job = std::move(next_job);
+        rt.runFilterPasses(ReuseRuntime::StreamSource::hashed(*job, record),
+                           set, stats);
+        job = std::move(next_job);
 
         stats.macsTotal += static_cast<uint64_t>(v) *
                            static_cast<uint64_t>(cout_g) *

@@ -12,23 +12,23 @@
  * reuse-induced approximation — which is what the accuracy
  * experiments measure.
  *
- * Overlap (§III-B, Fig. 8): when the frontend's PipelineConfig has
- * `overlap` set and a worker pool is available, the engine consumes
- * the pipeline's streaming block hand-off — the first `versions`
- * filter passes run as per-filter SerialExecutor chains that start on
- * each block as it is delivered, while later blocks are still
- * hashing, and the remaining filter groups run `versions` filters in
- * parallel on the pool. Each filter processes its rows in stream
- * order (the MCACHE owner-writes-before-hit-reads discipline), so
- * outputs, hit/skip decisions, and statistics are bit-identical to
- * the serial run-then-filter path.
+ * Overlap (§III-B, Fig. 8): every channel pass consumes the
+ * pipeline's streaming block hand-off. When the pass resolves
+ * overlapped on a worker pool, the filter passes run as SerialExecutor
+ * chains that start on each block as it is delivered, while later
+ * blocks are still hashing; without a pool the same schedule runs
+ * inline (hash, probe, filter, per block). Each filter processes its
+ * rows in stream order (the MCACHE owner-writes-before-hit-reads
+ * discipline), so outputs, hit/skip decisions, and statistics are
+ * bit-identical either way.
  *
- * Cross-channel overlap (ROADMAP): the extraction tensor is double
- * buffered, so in overlapped mode the engine extracts and *hashes*
- * channel c+1 (DetectionFrontend::beginHashStream — no MCACHE state
- * touched) while channel c's trailing filter groups are still
- * draining against the cache, hiding the serial extraction + hashing
- * fraction that the within-channel overlap could not reach.
+ * Cross-channel overlap: the extraction tensor is double buffered,
+ * so the engine extracts and *hashes* channel c+1
+ * (DetectionFrontend::beginHashStream — no MCACHE state touched)
+ * while channel c's filter chains are still draining, hiding the
+ * extraction + hashing fraction that the within-channel overlap
+ * could not reach. Without a pool the job defers its hashing into
+ * the probe half, so nothing runs ahead.
  *
  * Backward (§III-C2): forward() optionally captures each channel
  * pass into a SignatureRecord; backwardInput() then computes the
@@ -58,7 +58,7 @@
  * group-sum buffers (backward) concurrently. Two threads must not call into one
  * engine (or two engines sharing a frontend) concurrently.
  *
- * Scheduling — serial vs overlapped execution, the per-filter stream
+ * Scheduling — whether a pass gets the pool, the per-filter stream
  * chains, and the grouped fan-outs — is delegated to ReuseRuntime
  * (core/reuse_runtime.hpp): each of the three passes is expressed as
  * a FilterPassSet descriptor, so this file holds only the conv shape
@@ -102,8 +102,8 @@ void extractChannelPatches(const Tensor &input, const ConvSpec &spec,
  * Ranged form of extractChannelPatches: fill rows [r0, r1) only (row
  * r is output position (r / ow, r % ow); absolute indexing, so the
  * destination range is rows.data() + r0 * k * k onward). This is the
- * single-touch fusion entry: a detection pass hands it to the
- * pipeline as a RowFiller so each block's patches are extracted
+ * single-touch fusion entry: forward() hands it to each channel's
+ * hash job as a RowFiller so each block's patches are extracted
  * immediately before they are hashed — one L2-sized walk instead of
  * an extract-everything pass followed by a hash-everything pass.
  * Disjoint ranges may run concurrently (pure span copies/zeros via

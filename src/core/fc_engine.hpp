@@ -6,14 +6,14 @@
  * receives every weight-column result from the "earlier PE" that owns
  * the matching signature instead of recomputing the dot products.
  *
- * Overlap (§III-B, Fig. 8): with the frontend's `overlap` knob set
- * and a worker pool available, forward() consumes the detection
- * pipeline's streaming block hand-off — computed rows of a delivered
- * block fan out to the pool while later blocks are still hashing, and
- * HIT rows are forwarded after the joins (owners are always computed
- * rows, so forwarding chains have depth one). Outputs, owner maps,
- * and statistics are bit-identical to the serial run-then-filter
- * path. forward() itself is single-caller: one thread drives an
+ * Overlap (§III-B, Fig. 8): forward() consumes the detection
+ * pipeline's streaming block hand-off. With the frontend's `overlap`
+ * knob set and a worker pool available, computed rows of a delivered
+ * block fan out to the pool while later blocks are still hashing;
+ * otherwise they compute inline. HIT rows are forwarded after the
+ * joins (owners are always computed rows, so forwarding chains have
+ * depth one). Outputs, owner maps, and statistics are bit-identical
+ * either way. forward() itself is single-caller: one thread drives an
  * engine (or a shared frontend) at a time.
  */
 

@@ -11,9 +11,15 @@
  * runtime factors that machinery out: an engine now states *what* a
  * pass does (a declarative pass descriptor of row gather / owner
  * compute / hit scatter / group-accumulate callbacks) and the runtime
- * decides *how* it runs (serial run-then-filter, or overlapped
- * against the streaming DetectionBlock hand-off), with the ordering
- * contracts stated exactly once, here.
+ * decides *how* it runs, with the ordering contracts stated exactly
+ * once, here.
+ *
+ * There is one schedule (the paper's Fig. 8 pipeline): every pass
+ * consumes a stream of DetectionBlocks. The only per-pass decision is
+ * whether the pass gets the worker pool — OverlapMode resolves it
+ * from the pass's row count. Without a pool the same schedule runs
+ * inline on the driving thread: one consumer chain, computed rows and
+ * fan-outs executed in place.
  *
  * ## Stream sources
  *
@@ -26,9 +32,12 @@
  *  - hashed(job)  — the probe half of a pass whose hashing was begun
  *                   earlier with DetectionFrontend::beginHashStream
  *                   (the conv engine's cross-channel overlap);
- *  - replay(pass) — a recorded pass re-delivered with zero hashing or
- *                   probing cycles and no MCACHE access (§III-C2; the
- *                   backward and weight-gradient passes).
+ *  - replay(pass) — a recorded pass re-delivered as bare row ranges,
+ *                   with zero hashing or probing cycles and no MCACHE
+ *                   access (§III-C2; the backward and weight-gradient
+ *                   passes read their owners from the record). Inline
+ *                   the pass is one block; on a pool, blocks of the
+ *                   pass's resolved blockRows.
  *
  * ## Pass descriptors
  *
@@ -40,9 +49,9 @@
  *    chain per filter receives every block in delivery order, so each
  *    filter sees its rows in stream order (the MCACHE
  *    owner-writes-before-hit-reads discipline) while distinct filters
- *    run in parallel. Remaining groups run whole-range on the pool
- *    after the stream drains. Conv forward / backwardInput /
- *    backwardWeights are FilterPassSets.
+ *    run in parallel. Remaining groups run whole-range (fanned out on
+ *    the pool, if the pass has one) after the stream drains. Conv
+ *    forward / backwardInput / backwardWeights are FilterPassSets.
  *
  *  - RowPass — row-granular result forwarding (§III-C3): stream-order
  *    owner bookkeeping on the driving thread decides per row whether
@@ -74,10 +83,8 @@
  * pass_arena.hpp). Block result pointers die when the delivery
  * callback returns — the runtime copies them into rowResults() before
  * any chain task can run.
- * Replay sources never touch the MCACHE at all. With overlap disabled
- * (or no pool) everything runs serially on the driving thread in the
- * exact legacy order; outputs and statistics are bit-identical either
- * way.
+ * Replay sources never touch the MCACHE at all. Outputs and
+ * statistics are bit-identical with and without a pool.
  */
 
 #ifndef MERCURY_CORE_REUSE_RUNTIME_HPP
@@ -136,21 +143,13 @@ class ReuseRuntime
     class StreamSource
     {
       public:
-        /**
-         * Fresh detection pass over `rows`, optionally captured. With
-         * a RowFiller, `rows` is materialized block by block right
-         * before each block is hashed (single-touch fused extraction;
-         * see pipeline/detection_pipeline.hpp) — the tensor is fully
-         * filled by the time any segment reads it.
-         */
+        /** Fresh detection pass over `rows`, optionally captured. */
         static StreamSource live(const Tensor &rows,
-                                 SignatureRecord *capture = nullptr,
-                                 RowFiller fill = {})
+                                 SignatureRecord *capture = nullptr)
         {
             StreamSource s;
             s.rows_ = &rows;
             s.capture_ = capture;
-            s.fill_ = std::move(fill);
             return s;
         }
 
@@ -192,7 +191,6 @@ class ReuseRuntime
         DetectionHashJob *job_ = nullptr;
         const SignatureRecord::Pass *pass_ = nullptr;
         SignatureRecord *capture_ = nullptr;
-        RowFiller fill_; ///< fused extraction of live sources
     };
 
     /**
@@ -203,11 +201,6 @@ class ReuseRuntime
      * arrive in stream order and never overlap; the data slot a
      * filter may use (MCACHE version / scratch-buffer index) is
      * `f % inFlight`, constant across the filter's whole row range.
-     *
-     * `beforeGroup(f0, f1)` runs on the driving thread before every
-     * filter group that does *not* consume the live stream — the
-     * streamed first group is covered by the stream's initial cache
-     * clear.
      *
      * `afterGroup(f0, f1)` runs on the driving thread after a group's
      * segments have completed and their skip counts were folded into
@@ -226,7 +219,6 @@ class ReuseRuntime
         int64_t filters = 0;  ///< total filter passes
         int64_t inFlight = 1; ///< filters per group (data versions)
         std::function<uint64_t(int64_t f, int64_t r0, int64_t r1)> segment;
-        std::function<void(int64_t f0, int64_t f1)> beforeGroup;
         std::function<void(int64_t f0, int64_t f1)> afterGroup;
         std::function<void()> onStreamDelivered;
     };
@@ -238,7 +230,7 @@ class ReuseRuntime
      * and returns the row whose result this row forwards (the row
      * itself to compute) — live passes do their owner-of-entry
      * bookkeeping here; replays read the record's owner map (`res` is
-     * default-constructed for serial replays). `computeRow` runs once
+     * default-constructed for replays). `computeRow` runs once
      * per computed row, possibly concurrently across rows; `copyRow`
      * runs after every owner has computed. Each row is written by
      * exactly one invocation, and `rowSkipCost` MACs are booked into
@@ -253,7 +245,7 @@ class ReuseRuntime
         /**
          * Optional span form of copyRow: copy rows [row0, row1) from
          * owners [owner0, owner0 + (row1 - row0)) in one move. The
-         * overlapped scheduler coalesces adjacent forwards whose rows
+         * scheduler coalesces adjacent forwards whose rows
          * and owners both step by one (see span_batcher.hpp — such
          * source/destination ranges never overlap) and calls this
          * instead of per-row copies; per-row copyRow remains the
@@ -270,7 +262,7 @@ class ReuseRuntime
      * in order on the driving thread (group accumulation — no block
      * is independent of the ones before it); after the stream drains,
      * `finishItem(i)` fans `finishItems` disjoint work items out over
-     * the pool (the per-group multiplies).
+     * the pass's pool, if any (the per-group multiplies).
      */
     struct ScanPass
     {
@@ -280,33 +272,18 @@ class ReuseRuntime
     };
 
     /**
-     * Resolved overlap decision for a pass of `rows` vectors: the
-     * frontend's mode (Auto resolves from threads x rows) gated on a
-     * pool existing. The engines consult this per pass shape to pick
-     * the stream source they build; the run* entry points make the
-     * same call internally, so both sides always agree.
-     */
-    bool overlappedFor(int64_t rows)
-    {
-        return fe_.overlapEnabledFor(rows);
-    }
-
-    /** True when some pass size may run against the hand-off. */
-    bool overlapped() { return fe_.overlapEnabled(); }
-
-    /**
      * Worker pool of the pass currently in flight (null when that
-     * pass resolved to serial). Set at every run* entry from the
-     * pass's row count, so parallelChains calls from afterGroup
-     * callbacks follow the same overlap decision as the stream.
+     * pass runs inline). Set at every run* entry from the pass's row
+     * count, so parallelChains calls from afterGroup callbacks follow
+     * the same overlap decision as the stream.
      */
     ThreadPool *pool() { return passPool_; }
 
     /**
-     * Per-row outcomes of the pass's live detection, filled before
-     * any segment can observe them (engine-owned lifetime: valid
-     * until the next run* call). Replay passes do not populate this —
-     * their descriptors read the record's owner map instead.
+     * Per-row outcomes of a live runFilterPasses stream, filled
+     * before any segment can observe them (valid until the next run*
+     * call). Replay passes do not populate this — their descriptors
+     * read the record's owner map instead.
      */
     const std::vector<McacheResult> &rowResults() const
     {
@@ -333,22 +310,22 @@ class ReuseRuntime
     PassDataPlane &dataPlane() { return plane_; }
 
     /** Run one chained filter-pass set over the stream. */
-    DetectionResult runFilterPasses(const StreamSource &src,
-                                    const FilterPassSet &set,
-                                    ReuseStats &stats);
+    void runFilterPasses(const StreamSource &src, const FilterPassSet &set,
+                         ReuseStats &stats);
 
     /** Run one row-forwarding pass over the stream. */
-    DetectionResult runRows(const StreamSource &src, const RowPass &pass,
-                            ReuseStats &stats);
+    void runRows(const StreamSource &src, const RowPass &pass,
+                 ReuseStats &stats);
 
     /** Run one ordered-scan pass over the stream. */
-    DetectionResult runScan(const StreamSource &src, const ScanPass &pass,
-                            ReuseStats &stats);
+    void runScan(const StreamSource &src, const ScanPass &pass,
+                 ReuseStats &stats);
 
     /**
-     * Fan `width` independent chain bodies out over the pool (serial
-     * loop without one): the non-streamed filter groups and the
-     * afterGroup fan-outs. fn(i) must write disjoint state.
+     * Fan `width` independent chain bodies out over the pass's pool
+     * (a loop on the driving thread without one): the non-streamed
+     * filter groups, the forwarded-row copies, the scan finish items
+     * and the afterGroup fan-outs. fn(i) must write disjoint state.
      */
     void parallelChains(int64_t width,
                         const std::function<void(int64_t)> &fn);
@@ -366,15 +343,16 @@ class ReuseRuntime
     /// a SerialExecutor per filter per channel pass was measurable.
     std::vector<std::unique_ptr<SerialExecutor>> chains_;
 
-    /** Stream the source's blocks to `cb` (overlapped delivery). */
+    /**
+     * Give the pass the worker pool iff it resolves overlapped: the
+     * frontend's mode (Auto resolves from threads x rows) gated on a
+     * pool existing.
+     */
+    void beginPass(const StreamSource &src);
+
+    /** Stream the source's blocks to `cb` on the driving thread. */
     DetectionResult deliver(const StreamSource &src,
                             const BlockConsumer &cb);
-
-    /** Size rowResults_ once from the source, before streaming. */
-    void sizeRowResults(const StreamSource &src);
-
-    /** Serial consumption: batch-detect live sources, fill results. */
-    DetectionResult consumeSerial(const StreamSource &src);
 
     /** Fold the pass's mix into the stats (live det / recorded). */
     void addPassStats(const StreamSource &src, const DetectionResult &det,

@@ -79,35 +79,17 @@ DetectionFrontend::resolvedPipeFor(int64_t rows)
 
 DetectionResult
 DetectionFrontend::detect(const Tensor &rows, int bits,
-                          SignatureRecord *capture, const RowFiller &fill)
+                          SignatureRecord *capture)
 {
-    if (rows.rank() != 2)
-        panic("detect expects a (n, d) matrix, got ", rows.shapeStr());
-    ThreadPool *pool = poolFor();
-    const PipelineConfig &rp = resolvedPipeFor(rows.dim(0));
-    // Shard locks engage in overlapped mode (after Auto resolution
-    // for this pass size), matching the streaming path below. The
-    // batch pass itself is lock-free by construction even on a pool
-    // (stage-1 blocks write disjoint ranges, stage 2 runs one prober
-    // per shard). Quiescent here: one thread drives a frontend's
-    // passes.
-    cache_->setConcurrent(rp.overlap == OverlapMode::On && pool != nullptr);
-    DetectionPipeline pipeline(rpqFor(rows.dim(1)), *cache_, bits, rp,
-                               pool);
-    DetectionResult det = pipeline.run(rows, fill);
-    if (capture)
-        capture->capturePass(det, bits, cache_->dataVersions(),
-                             cache_->entries());
-    return det;
+    return detectStream(rows, bits, {}, capture);
 }
 
 DetectionResult
 DetectionFrontend::detectStream(const Tensor &rows, int bits,
                                 const BlockConsumer &on_block,
-                                SignatureRecord *capture, RowFiller fill)
+                                SignatureRecord *capture)
 {
-    std::unique_ptr<DetectionHashJob> job =
-        beginHashStream(rows, bits, std::move(fill));
+    std::unique_ptr<DetectionHashJob> job = beginHashStream(rows, bits);
     return finishStream(*job, on_block, capture);
 }
 
@@ -129,34 +111,21 @@ DetectionFrontend::finishStream(DetectionHashJob &job,
                                 SignatureRecord *capture)
 {
     ThreadPool *pool = poolFor();
-    // Locks engage whenever a pool exists; they stay uncontended, as
-    // streaming probes run on this thread in stream order. The
-    // previous pass's filter tasks have drained by the time a new
-    // finishStream runs (one thread drives passes; engines join their
-    // chains before re-entering), so the cache is quiescent here even
-    // though the *hash* half of this job may already be in flight —
-    // hashing touches no cache state.
-    cache_->setConcurrent(pool != nullptr);
+    const PipelineConfig &rp = resolvedPipeFor(job.rowCount());
+    // One lock rule for every pass: shard locks engage only when the
+    // pass resolved overlapped on a pool. Probes only ever run on this
+    // thread, so every other pass runs lock-free. The cache is
+    // quiescent here (one thread drives passes, and engines join their
+    // chains before re-entering) even though this job's *hash* half
+    // may already be in flight — hashing touches no cache state.
+    cache_->setConcurrent(rp.overlap == OverlapMode::On && pool != nullptr);
     DetectionPipeline pipeline(rpqFor(job.vectorDim()), *cache_,
-                               job.signatureBits(),
-                               resolvedPipeFor(job.rowCount()), pool);
+                               job.signatureBits(), rp, pool);
     DetectionResult det = pipeline.finishStreaming(job, on_block);
     if (capture)
         capture->capturePass(det, job.signatureBits(),
                              cache_->dataVersions(), cache_->entries());
     return det;
-}
-
-void
-DetectionFrontend::replayStream(const SignatureRecord::Pass &pass,
-                                const BlockConsumer &on_block,
-                                bool with_signatures)
-{
-    // Replay never provisions an RPQ engine or touches the cache: the
-    // recorded pass carries everything the consumer needs.
-    DetectionPipeline::replayStreaming(
-        pass, resolvedPipeFor(pass.rows).blockRows, on_block,
-        with_signatures);
 }
 
 FrontendHandle::FrontendHandle(MCache &cache, int sig_bits, uint64_t seed,

@@ -5,14 +5,16 @@
  *
  * A frontend owns (or wraps) the MCACHE, provisions an RPQEngine per
  * vector dimension on demand, and routes every detection pass through
- * the batched DetectionPipeline — so callers no longer assemble
+ * the streaming DetectionPipeline — so callers no longer assemble
  * RPQEngine + MCache + SimilarityDetector by hand, and every consumer
  * picks up the pipeline knobs (block size, shards, threads) from one
- * place.
+ * place. Every pass is the same two halves, beginHashStream and
+ * finishStream; detect() is the two with no consumer. Replays do not
+ * come through here: ReuseRuntime hands a recorded pass's row ranges
+ * to its consumers directly.
  *
- * With threads = 1 the frontend is the exact legacy path: results are
- * bit-identical to SimilarityDetector over a monolithic MCache, for
- * any block size and shard count.
+ * Results are bit-identical to SimilarityDetector over a monolithic
+ * MCache for any block size, shard count and thread count.
  *
  * Concurrency contract: one thread drives a frontend's detection
  * passes (detect / detectStream / detectSampled) at a time — the
@@ -91,29 +93,26 @@ class DetectionFrontend
 
     /**
      * Run one detection pass over a (num_vectors, d) matrix at the
-     * given signature length. Clears the cache first; the RPQEngine
-     * for dimension d is created on first use and reused afterwards.
-     * When `capture` is non-null the pass is appended to the record
-     * for later backward replay (§III-C2). A `fill` callback makes
-     * the pass single-touch: each projection block fills its row
-     * range of `rows` immediately before hashing it (see RowFiller).
+     * given signature length: beginHashStream + finishStream with no
+     * consumer. Clears the cache first; the RPQEngine for dimension d
+     * is created on first use and reused afterwards. When `capture`
+     * is non-null the pass is appended to the record for later
+     * backward replay (§III-C2).
      */
     DetectionResult detect(const Tensor &rows, int bits,
-                           SignatureRecord *capture = nullptr,
-                           const RowFiller &fill = {});
+                           SignatureRecord *capture = nullptr);
 
     /**
-     * Streaming form of detect(): identical result, but completed
-     * blocks are delivered to `on_block` in ascending block order
-     * while later blocks are still hashing on the pool (see
-     * DetectionPipeline::runStreaming for the ordering and lifetime
-     * contract). The callback runs on the calling thread; it may
-     * submit filter work to workerPool() but must not block on it.
+     * detect() with a consumer: completed blocks are delivered to
+     * `on_block` in ascending block order while later blocks are
+     * still hashing on the pool (see DetectionPipeline::finishStreaming
+     * for the ordering and lifetime contract). The callback runs on
+     * the calling thread; it may submit filter work to workerPool()
+     * but must not block on it.
      */
     DetectionResult detectStream(const Tensor &rows, int bits,
                                  const BlockConsumer &on_block,
-                                 SignatureRecord *capture = nullptr,
-                                 RowFiller fill = {});
+                                 SignatureRecord *capture = nullptr);
 
     /**
      * Start the hashing half of a streaming pass (see
@@ -124,55 +123,35 @@ class DetectionFrontend
      * once. One thread drives begin/finish, like every other pass.
      * With a `fill`, `rows` is scratch the filler populates blockwise
      * (fused extraction — the filler's writes must cover every row).
+     * Without a pool, hashing is deferred into finishStream.
      */
     std::unique_ptr<DetectionHashJob> beginHashStream(const Tensor &rows,
                                                       int bits,
                                                       RowFiller fill = {});
 
-    /** Probe-and-deliver half of a pass begun with beginHashStream. */
+    /**
+     * Probe-and-deliver half of a pass begun with beginHashStream.
+     * Engages the shard locks only when the pass resolved overlapped
+     * on a pool: probes run on the calling thread alone.
+     */
     DetectionResult finishStream(DetectionHashJob &job,
                                  const BlockConsumer &on_block,
                                  SignatureRecord *capture = nullptr);
 
     /**
-     * Replay a recorded pass through the block hand-off with zero
-     * hashing or probing cycles (§III-C2): blocks are delivered
-     * ascending with the recorded hit/owner outcomes, and the MCACHE
-     * is never touched — replay is safe regardless of what later
-     * forward passes did to the cache. Same callback
-     * threading/lifetime contract as detectStream. Signatures are
-     * decoded only on request (`with_signatures`); the backward
-     * filter passes consume outcomes alone, so the default skips the
-     * rows x bits decode and DetectionBlock::sigs is null.
-     */
-    void replayStream(const SignatureRecord::Pass &pass,
-                      const BlockConsumer &on_block,
-                      bool with_signatures = false);
-
-    /**
      * The pool detection passes fan out to — shared pool if set,
      * otherwise the private pool for the configured thread knob.
-     * nullptr when the resolved thread count is 1 (inline execution);
-     * overlapped engines fall back to the serial path in that case.
+     * nullptr when the resolved thread count is 1: every pass then
+     * runs inline on the calling thread.
      */
     ThreadPool *workerPool() { return poolFor(); }
-
-    /**
-     * True when some pass of this frontend may run the overlapped
-     * hand-off (mode Off rules it out; On/Auto need a pool). Use
-     * overlapEnabledFor() for the per-pass resolved decision.
-     */
-    bool overlapEnabled()
-    {
-        return pipe_.overlap != OverlapMode::Off && poolFor() != nullptr;
-    }
 
     /**
      * Resolved overlap decision for a pass of `rows` vectors: true
      * iff a worker pool exists and the configured mode resolves to On
      * for this pass size (Auto applies the threads x rows policy of
-     * PipelineConfig::resolvedOverlapFor). Engines branch on this to
-     * pick the streamed or serial path per pass.
+     * PipelineConfig::resolvedOverlapFor). ReuseRuntime gives a pass
+     * the worker pool exactly when this holds.
      */
     bool overlapEnabledFor(int64_t rows)
     {

@@ -80,86 +80,6 @@ DetectionPipeline::DetectionPipeline(const RPQEngine &rpq,
               cfg_.blockRows);
 }
 
-DetectionResult
-DetectionPipeline::run(const Tensor &rows, const RowFiller &fill) const
-{
-    if (rows.rank() != 2 || rows.dim(1) != rpq_.vectorDim())
-        panic("detect expects (n, ", rpq_.vectorDim(), ") got ",
-              rows.shapeStr());
-    if (cfg_.persistent)
-        cache_.resetInsertBacklog(); // keep the §V drain cost per-pass
-    else
-        cache_.clear();
-    const int64_t n = rows.dim(0);
-    DetectionResult res;
-    res.hitmap.reset(n);
-    if (n == 0)
-        return res;
-
-    // Stage 1: blocked signature generation. Blocks write disjoint
-    // ranges, so scheduling order is irrelevant; each signature (and
-    // its global set index, computed here so the hash is taken once)
-    // is identical to the scalar path's.
-    std::vector<Signature> sigs(static_cast<size_t>(n));
-    std::vector<int> set_of(static_cast<size_t>(n));
-    const int64_t block = cfg_.blockRows;
-    const int64_t blocks = (n + block - 1) / block;
-    const auto project_block = [&](int64_t b) {
-        const int64_t r0 = b * block;
-        const int64_t r1 = std::min(n, r0 + block);
-        if (fill)
-            fill(r0, r1); // fused extraction: fill, then project, hot
-        rpq_.signatureBlock(rows, r0, r1, bits_,
-                            sigs.data() + static_cast<size_t>(r0));
-        for (int64_t i = r0; i < r1; ++i)
-            set_of[static_cast<size_t>(i)] =
-                cache_.setIndexOf(sigs[static_cast<size_t>(i)]);
-    };
-
-    // Stage 2: sharded MCACHE probing. Each shard consumes its own
-    // rows in stream order — exactly the order the monolithic cache
-    // would have seen them. The buckets are filled by one ascending
-    // walk, so per-shard order is stream order by construction.
-    const int shard_count = cache_.shardCount();
-    std::vector<std::vector<int64_t>> shard_rows(
-        static_cast<size_t>(shard_count));
-    std::vector<McacheResult> results(static_cast<size_t>(n));
-    const auto probe_shard = [&](int64_t s) {
-        for (const int64_t i : shard_rows[static_cast<size_t>(s)]) {
-            results[static_cast<size_t>(i)] = cache_.lookupOrInsertInSet(
-                set_of[static_cast<size_t>(i)],
-                sigs[static_cast<size_t>(i)]);
-        }
-    };
-
-    if (pool_ && pool_->workers() > 0) {
-        pool_->parallelFor(blocks, project_block);
-    } else {
-        for (int64_t b = 0; b < blocks; ++b)
-            project_block(b);
-    }
-    for (int64_t i = 0; i < n; ++i) {
-        shard_rows[static_cast<size_t>(
-                       cache_.shardOfSet(set_of[static_cast<size_t>(i)]))]
-            .push_back(i);
-    }
-    if (pool_ && pool_->workers() > 0) {
-        pool_->parallelFor(shard_count, probe_shard);
-    } else {
-        for (int s = 0; s < shard_count; ++s)
-            probe_shard(s);
-    }
-
-    // Stage 3: stitch per-row buffers back in stream order.
-    for (int64_t i = 0; i < n; ++i) {
-        const McacheResult &r = results[static_cast<size_t>(i)];
-        res.hitmap.record(i, r);
-        res.table.append(std::move(sigs[static_cast<size_t>(i)]),
-                         r.entryId);
-    }
-    return res;
-}
-
 DetectionHashJob::DetectionHashJob(const Tensor &rows, const RPQEngine &rpq,
                                    const ShardedMCache &cache, int bits,
                                    int64_t block_rows, RowFiller fill)
@@ -197,6 +117,20 @@ DetectionHashJob::projectBlock(int64_t b)
             cache_.setIndexOf(sigs_[static_cast<size_t>(i)]);
 }
 
+bool
+DetectionHashJob::hashNext()
+{
+    const int64_t b = nextBlock_.fetch_add(1, std::memory_order_relaxed);
+    if (b >= blocks_)
+        return false;
+    projectBlock(b);
+    std::lock_guard<std::mutex> lock(seqMutex_);
+    hashed_[static_cast<size_t>(b)] = 1;
+    while (frontier_ < blocks_ && hashed_[static_cast<size_t>(frontier_)])
+        handoff_.push(frontier_++);
+    return true;
+}
+
 std::unique_ptr<DetectionHashJob>
 DetectionPipeline::beginHash(const Tensor &rows, RowFiller fill) const
 {
@@ -228,19 +162,8 @@ DetectionPipeline::beginHash(const Tensor &rows, RowFiller fill) const
     DetectionHashJob *j = job.get();
     j->hashers_ = std::make_unique<TaskGroup>(pool_);
     j->hashOne_ = [j] {
-        const int64_t b =
-            j->nextBlock_.fetch_add(1, std::memory_order_relaxed);
-        if (b >= j->blocks_)
-            return;
-        j->projectBlock(b);
-        {
-            std::lock_guard<std::mutex> lock(j->seqMutex_);
-            j->hashed_[static_cast<size_t>(b)] = 1;
-            while (j->frontier_ < j->blocks_ &&
-                   j->hashed_[static_cast<size_t>(j->frontier_)])
-                j->handoff_.push(j->frontier_++);
-        }
-        j->hashers_->run(j->hashOne_); // chain the next block
+        if (j->hashNext())
+            j->hashers_->run(j->hashOne_); // chain the next block
     };
     const int64_t seeds = std::min<int64_t>(
         j->blocks_, static_cast<int64_t>(pool_->workers()) + 1);
@@ -268,8 +191,8 @@ DetectionPipeline::finishStreaming(DetectionHashJob &job,
         return res;
 
     // Stage 2 + hand-off: probe one hashed block in global stream
-    // order (caller thread only, so every MCACHE set sees the batch
-    // path's order) and deliver it to the consumer.
+    // order (caller thread only, so every MCACHE set sees the
+    // monolithic cache's order) and deliver it to the consumer.
     const auto probe_and_deliver = [&](int64_t b) {
         const int64_t r0 = b * job.blockRows_;
         const int64_t r1 = std::min(n, r0 + job.blockRows_);
@@ -290,7 +213,6 @@ DetectionPipeline::finishStreaming(DetectionHashJob &job,
             blk.index = b;
             blk.row0 = r0;
             blk.row1 = r1;
-            blk.sigs = job.sigs_.data() + static_cast<size_t>(r0);
             blk.results = job.results_.data() + static_cast<size_t>(r0);
             on_block(blk);
         }
@@ -299,10 +221,15 @@ DetectionPipeline::finishStreaming(DetectionHashJob &job,
     if (job.hashers_) {
         for (int64_t delivered = 0; delivered < job.blocks_; ++delivered) {
             int64_t b = -1;
+            // The calling thread is one more hasher: while its next
+            // block is not ready, it hashes an unclaimed one instead
+            // of waiting.
+            while (!job.handoff_.tryPop(b) && job.hashNext()) {
+            }
             // Exactly `blocks` pushes occur and nobody closes the
             // queue, so pop() can only return false if the sequencer
             // logic breaks — defensive, loud, never expected to fire.
-            if (!job.handoff_.pop(b))
+            if (b < 0 && !job.handoff_.pop(b))
                 panic("detection hand-off queue closed early");
             probe_and_deliver(b);
         }
@@ -314,7 +241,7 @@ DetectionPipeline::finishStreaming(DetectionHashJob &job,
         }
     }
 
-    // Stage 3: stitch, exactly as the batch path.
+    // Stage 3: stitch per-row buffers back in stream order.
     for (int64_t i = 0; i < n; ++i) {
         const McacheResult &r = job.results_[static_cast<size_t>(i)];
         res.hitmap.record(i, r);
@@ -322,52 +249,6 @@ DetectionPipeline::finishStreaming(DetectionHashJob &job,
                          r.entryId);
     }
     return res;
-}
-
-DetectionResult
-DetectionPipeline::runStreaming(const Tensor &rows,
-                                const BlockConsumer &on_block,
-                                RowFiller fill) const
-{
-    const std::unique_ptr<DetectionHashJob> job =
-        beginHash(rows, std::move(fill));
-    return finishStreaming(*job, on_block);
-}
-
-void
-DetectionPipeline::replayStreaming(const SignatureRecord::Pass &pass,
-                                   int64_t block_rows,
-                                   const BlockConsumer &on_block,
-                                   bool with_signatures)
-{
-    if (block_rows <= 0)
-        panic("replay block size must be positive, got ", block_rows);
-    const int64_t n = pass.rows;
-    const int64_t blocks = (n + block_rows - 1) / block_rows;
-    // Per-block scratch the DetectionBlock pointers alias: valid only
-    // during the callback, exactly like a live pass's buffers.
-    std::vector<Signature> sigs(
-        with_signatures
-            ? static_cast<size_t>(std::min<int64_t>(n, block_rows))
-            : size_t{0});
-    std::vector<McacheResult> results(static_cast<size_t>(
-        std::min<int64_t>(n, block_rows)));
-    for (int64_t b = 0; b < blocks; ++b) {
-        const int64_t r0 = b * block_rows;
-        const int64_t r1 = std::min(n, r0 + block_rows);
-        if (with_signatures)
-            pass.decodeSignatures(r0, r1, sigs.data());
-        pass.decodeResults(r0, r1, results.data());
-        if (on_block) {
-            DetectionBlock blk;
-            blk.index = b;
-            blk.row0 = r0;
-            blk.row1 = r1;
-            blk.sigs = with_signatures ? sigs.data() : nullptr;
-            blk.results = results.data();
-            on_block(blk);
-        }
-    }
 }
 
 } // namespace mercury

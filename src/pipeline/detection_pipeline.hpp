@@ -1,7 +1,7 @@
 /**
  * @file
- * DetectionPipeline: the batched, multi-threaded similarity front-end
- * (§III-B, Fig. 7/8).
+ * DetectionPipeline: the streaming, multi-threaded similarity
+ * front-end (§III-B, Fig. 7/8).
  *
  * The legacy SimilarityDetector walks a vector population one row at
  * a time: hash, probe, record. The pipeline restructures that hot
@@ -10,42 +10,34 @@
  *  1. blocked signature generation — row blocks are projected against
  *     all signature filters at once (RPQEngine::projectBlock), the
  *     software analogue of streaming the PE array with a whole batch;
- *  2. sharded MCACHE probing — each shard of the ShardedMCache
- *     processes its own signatures in stream order, independently of
- *     the other shards;
+ *  2. MCACHE probing — each hashed block is probed in global stream
+ *     order on the calling thread, so every shard of the ShardedMCache
+ *     sees its signatures in exactly the monolithic cache's order;
  *  3. in-order stitching — per-row result buffers are merged back
  *     into the Hitmap and SignatureTable in vector order.
  *
- * Stages 1 and 2 run across a ThreadPool when one is supplied. The
- * decomposition is chosen so every configuration — any block size,
- * shard count, or thread count, including the threads = 1 degenerate
- * case — produces results bit-identical to the legacy detector:
- * projections accumulate in the same element order, and each MCACHE
- * set sees its signatures in the same stream order.
+ * Stage 1 runs across a ThreadPool when one is supplied. Every
+ * configuration — any block size, shard count, or thread count,
+ * including the threads = 1 degenerate case — produces results
+ * bit-identical to the legacy detector: projections accumulate in the
+ * same element order, and each MCACHE set sees its signatures in the
+ * same stream order.
  *
- * Besides the batch run(), the pipeline is a *streaming producer*
- * (runStreaming): completed signature/hit blocks are handed to a
- * consumer callback in ascending block order while later blocks are
- * still hashing on the pool — the software form of the paper's Fig. 8
- * overlap of signature generation with PE work. The reuse engines
- * consume this stream to start their filter passes before detection
- * of the remaining rows has finished (see docs/ARCHITECTURE.md).
+ * The pipeline is a *streaming producer*: completed signature/hit
+ * blocks are handed to a consumer callback in ascending block order
+ * while later blocks are still hashing on the pool — the software
+ * form of the paper's Fig. 8 overlap of signature generation with PE
+ * work. The reuse engines consume this stream to start their filter
+ * passes before detection of the remaining rows has finished (see
+ * docs/ARCHITECTURE.md). Without a pool the same schedule runs inline:
+ * hash, probe, deliver, block by block.
  *
- * The streaming pass itself splits into two halves so the conv engine
- * can overlap *across channels* as well: beginHash() starts stage 1
- * for a new row population on the pool — touching no MCACHE state, so
- * it may run while the previous channel's trailing filter passes are
- * still draining against the cache — and finishStreaming() then
- * clears the cache, probes the hashed blocks in stream order, and
- * delivers them. runStreaming() is exactly beginHash +
- * finishStreaming.
- *
- * Replay (§III-C2): replayStreaming() re-delivers a recorded pass
- * (pipeline/signature_record.hpp) through the same DetectionBlock
- * hand-off — ascending block order, same lifetime contract — with
- * zero hashing or probing cycles and no MCACHE access at all. This is
- * how the backward filter passes consume the forward pass's
- * hit/owner decisions.
+ * A pass splits into two halves so the conv engine can overlap
+ * *across channels* as well: beginHash() starts stage 1 for a new row
+ * population on the pool — touching no MCACHE state, so it may run
+ * while the previous channel's trailing filter passes are still
+ * draining — and finishStreaming() then clears the cache, probes the
+ * hashed blocks in stream order, and delivers them.
  */
 
 #ifndef MERCURY_PIPELINE_DETECTION_PIPELINE_HPP
@@ -61,7 +53,6 @@
 #include "core/rpq.hpp"
 #include "core/similarity_detector.hpp"
 #include "pipeline/sharded_mcache.hpp"
-#include "pipeline/signature_record.hpp"
 #include "sim/config.hpp"
 #include "util/executors.hpp"
 #include "util/spsc_queue.hpp"
@@ -80,27 +71,27 @@ struct PipelineConfig
     int64_t blockRows = 64;
 
     /**
-     * MCACHE shards (stage 2 parallelism; clamped to the set count).
-     * 0 = auto: resolved at cache construction to the thread-scaled
-     * band (resolvedShards) — shards beyond the number of
-     * concurrently probing threads only add lock/merge overhead.
+     * MCACHE shards (clamped to the set count). 0 = auto: resolved at
+     * cache construction to the thread-scaled band (resolvedShards).
+     * Probes run on one thread, so this sets only the layout of the
+     * cache (and the lock granularity of overlapped passes).
      */
     int shards = 4;
 
-    /** Worker threads: 1 = run inline (legacy order), 0 = auto. */
+    /** Worker threads: 1 = run inline on the caller, 0 = auto. */
     int threads = 1;
 
     /**
-     * Overlap detection with compute (§III-B, Fig. 8): when On, the
-     * reuse engines consume the streaming block hand-off and run
-     * their filter passes on the worker pool while later blocks are
-     * still hashing, instead of waiting for the full detection pass.
+     * Overlap detection with compute (§III-B, Fig. 8): when On, a
+     * reuse pass gets the worker pool — its filter passes run on the
+     * pool while later blocks are still hashing. When Off, the same
+     * streamed schedule runs its consumers inline on the driving
+     * thread (hashing still fans out to the pool, if there is one).
      * Results stay bit-identical; the knob trades only wall time.
-     * Ignored (legacy run-then-filter) when no pool is available,
-     * i.e. when the resolved thread count is 1. Auto resolves per
-     * pass from threads x rows (resolvedOverlapFor): streaming pays a
-     * fixed scheduling tax, so small passes and 1–2-thread hosts run
-     * serial.
+     * Without a pool (resolved thread count 1) every pass is inline.
+     * Auto resolves per pass from threads x rows
+     * (resolvedOverlapFor): the pool hand-off pays a fixed scheduling
+     * tax, so small passes and 1–2-thread hosts run inline.
      */
     OverlapMode overlap = OverlapMode::Off;
 
@@ -156,20 +147,20 @@ struct PipelineConfig
 };
 
 /**
- * One block of detection results delivered by runStreaming.
+ * One block of detection results delivered by finishStreaming.
  *
- * Lifetime contract: the pointers are valid only for the duration of
- * the consumer callback — they alias pipeline-internal buffers that
- * die when runStreaming returns. A consumer that schedules
+ * Lifetime contract: `results` is valid only for the duration of the
+ * consumer callback — it aliases pipeline-internal buffers that die
+ * when finishStreaming returns. A consumer that schedules
  * asynchronous work against a block (as the overlapped engines do)
  * must copy what it needs before returning from the callback.
+ * ReuseRuntime's replayed blocks carry no outcomes (`results` null).
  */
 struct DetectionBlock
 {
     int64_t index = 0;  ///< block sequence number, delivered ascending
     int64_t row0 = 0;   ///< first row of the block
     int64_t row1 = 0;   ///< one past the last row
-    const Signature *sigs = nullptr;      ///< signatures of [row0, row1)
     const McacheResult *results = nullptr; ///< outcomes of [row0, row1)
 
     int64_t rows() const { return row1 - row0; }
@@ -233,6 +224,13 @@ class DetectionHashJob
 
     void projectBlock(int64_t b);
 
+    /**
+     * Claim the next unhashed block, hash it and publish every block
+     * the frontier can now pass; false when no block is left to
+     * claim. Hash tasks and the probing thread both call this.
+     */
+    bool hashNext();
+
     const Tensor &rows_;
     RowFiller fill_; ///< fused extraction; empty = rows pre-filled
     const RPQEngine &rpq_;
@@ -244,8 +242,8 @@ class DetectionHashJob
     std::vector<Signature> sigs_;
     std::vector<int> setOf_;
     std::vector<McacheResult> results_;
-    // Sequencer state (pooled jobs): hash tasks finish in any order;
-    // the frontier walk pushes them into the hand-off ascending.
+    // Sequencer state (pooled jobs): hashers finish in any order; the
+    // frontier walk pushes them into the hand-off ascending.
     SpscQueue<int64_t> handoff_;
     std::mutex seqMutex_;
     std::vector<char> hashed_;
@@ -255,55 +253,19 @@ class DetectionHashJob
     std::unique_ptr<TaskGroup> hashers_; // null: hash inline at finish
 };
 
-/** Batched, optionally multi-threaded similarity detection pass. */
+/** Streaming, optionally multi-threaded similarity detection pass. */
 class DetectionPipeline
 {
   public:
     /**
      * @param rpq   signature engine for this vector dimension
-     * @param cache sharded MCACHE (cleared at the start of each run)
+     * @param cache sharded MCACHE (cleared at the start of each pass)
      * @param bits  signature length
      * @param cfg   block size / shard / thread knobs
      * @param pool  worker pool for threads > 1; nullptr runs inline
      */
     DetectionPipeline(const RPQEngine &rpq, ShardedMCache &cache, int bits,
                       const PipelineConfig &cfg, ThreadPool *pool = nullptr);
-
-    int signatureBits() const { return bits_; }
-
-    /**
-     * Detect similarity over the rows of a (num_vectors, d) matrix.
-     * Clears the cache first (a new set of input vectors arrived,
-     * §III-B3) and fills the hitmap and signature table in vector
-     * order, exactly as SimilarityDetector::detect does. With a
-     * RowFiller, each block's rows are materialized right before they
-     * are projected (single-touch fused blocks).
-     */
-    DetectionResult run(const Tensor &rows,
-                        const RowFiller &fill = {}) const;
-
-    /**
-     * Streaming form of run(): identical result, but completed blocks
-     * are handed to `on_block` as soon as they are hashed and probed,
-     * while later blocks are still hashing on the pool.
-     *
-     * Ordering contract: blocks are delivered in ascending block
-     * order (0, 1, 2, ...), each covering rows
-     * [index * blockRows, min(n, (index + 1) * blockRows)), and the
-     * MCACHE probe of a block happens-before its delivery. Probing is
-     * performed in global stream order on the calling thread, so
-     * every shard sees its signatures in exactly the order of the
-     * batch path — outcomes and entry ids are bit-identical to run().
-     *
-     * Threading contract: `on_block` runs on the calling thread. Only
-     * stage 1 (hashing) is fanned out to the pool; without a pool the
-     * whole pass runs inline, with delivery after each block. The
-     * consumer may submit work to the same pool, but must not block
-     * on that work from inside the callback.
-     */
-    DetectionResult runStreaming(const Tensor &rows,
-                                 const BlockConsumer &on_block,
-                                 RowFiller fill = {}) const;
 
     /**
      * Start stage 1 (hashing) of a streaming pass without touching
@@ -326,28 +288,25 @@ class DetectionPipeline
      * Second half of a streaming pass: clears the cache (the new
      * vector population arrived, §III-B3), probes the hashed blocks
      * in ascending order on the calling thread, and delivers each to
-     * `on_block` under the runStreaming ordering/lifetime contract.
-     * Consumes the job.
+     * `on_block` (which may be empty), then fills the hitmap and
+     * signature table in vector order, exactly as
+     * SimilarityDetector::detect does. Consumes the job.
+     *
+     * Ordering contract: blocks are delivered in ascending block
+     * order (0, 1, 2, ...), each covering rows
+     * [index * blockRows, min(n, (index + 1) * blockRows)), and the
+     * MCACHE probe of a block happens-before its delivery.
+     *
+     * Threading contract: `on_block` runs on the calling thread. Only
+     * stage 1 (hashing) is fanned out to the pool, and the calling
+     * thread hashes unclaimed blocks while its next block is not
+     * ready; without a pool the whole pass runs inline, with delivery
+     * after each block. The
+     * consumer may submit work to the same pool, but must not block
+     * on that work from inside the callback.
      */
     DetectionResult finishStreaming(DetectionHashJob &job,
                                     const BlockConsumer &on_block) const;
-
-    /**
-     * Replay a recorded pass through the block hand-off: blocks of
-     * `block_rows` rows are delivered ascending with the recorded
-     * outcomes, exactly as a live streaming pass would deliver them —
-     * but with zero hashing or probing cycles and no MCACHE access
-     * (§III-C2). The DetectionBlock pointers alias per-block scratch
-     * buffers and die when the callback returns, the same lifetime
-     * contract as runStreaming. Signatures are decoded only when
-     * `with_signatures` is set (the backward filter passes need just
-     * the outcomes; skipping the decode saves rows x bits work per
-     * replay) — with it clear, DetectionBlock::sigs is null.
-     */
-    static void replayStreaming(const SignatureRecord::Pass &pass,
-                                int64_t block_rows,
-                                const BlockConsumer &on_block,
-                                bool with_signatures = false);
 
   private:
     const RPQEngine &rpq_;

@@ -5,22 +5,19 @@
  *
  * A signature maps to a global set (hash % sets) exactly as in the
  * monolithic cache; the shard is the high bits of that set index
- * (shards own contiguous, disjoint set ranges). Because shards share
- * no state, the detection pipeline can probe them from different
- * worker threads — as long as each shard sees its signatures in
- * stream order, every outcome, entry id, and per-set fill pattern is
- * bit-identical to the single-cache single-thread path. Per-shard
- * statistics merge into one HitMix.
+ * (shards own contiguous, disjoint set ranges). As long as each shard
+ * sees its signatures in stream order — the detection pipeline probes
+ * every block from one thread, in order — every outcome, entry id,
+ * and per-set fill pattern is bit-identical to the single-cache path.
+ * Per-shard statistics merge into one HitMix.
  *
  * Thread-safety contract:
  *
  *  - In concurrent mode (the default; see setConcurrent), every tag
  *    probe (lookupOrInsert / lookupOrInsertInSet) takes the owning
- *    shard's lock, so the detection pipeline may probe shards from
- *    worker threads. Distinct shards never contend. A single-threaded
- *    driver (no worker pool anywhere in reach of the cache) may
- *    switch the locks off so the legacy hot paths stay lock-free —
- *    the DetectionFrontend does this automatically per pass.
+ *    shard's lock, so probes from several threads are safe. Distinct
+ *    shards never contend. The DetectionFrontend switches the locks
+ *    off for every pass that did not resolve overlapped on a pool.
  *  - Bit-identical outcomes still require ORDER, which locks alone do
  *    not provide: each shard must see its probes in stream order. The
  *    detection pipeline delivers blocks in order to provide exactly
@@ -91,8 +88,8 @@ class ShardedMCache
      * Lookup with a precomputed global set index. Locked per shard,
      * so probes of different shards may run concurrently; for
      * bit-identical results each shard must still be presented its
-     * signatures in stream order (one prober per shard, or one global
-     * in-order prober).
+     * signatures in stream order (the pipeline's one in-order
+     * prober).
      */
     McacheResult lookupOrInsertInSet(int set, const Signature &sig);
 

@@ -18,34 +18,6 @@ SignatureRecord::Pass::signatureOf(int64_t i) const
     return sig;
 }
 
-void
-SignatureRecord::Pass::decodeResults(int64_t r0, int64_t r1,
-                                     McacheResult *out) const
-{
-    for (int64_t i = r0; i < r1; ++i) {
-        out[i - r0].outcome = outcome(i);
-        out[i - r0].entryId = entryId(i);
-    }
-}
-
-void
-SignatureRecord::Pass::decodeSignatures(int64_t r0, int64_t r1,
-                                        Signature *out) const
-{
-    for (int64_t i = r0; i < r1; ++i) {
-        // Reuse the scratch slot's storage across blocks: every bit
-        // is overwritten, so a right-sized signature needs no reset.
-        Signature &sig = out[i - r0];
-        if (sig.bits() != bits)
-            sig = Signature(bits);
-        const uint64_t *words =
-            sigWords.data() + static_cast<size_t>(i) *
-                                  static_cast<size_t>(sigWordsPerRow);
-        for (int b = 0; b < bits; ++b)
-            sig.setBit(b, (words[b / 64] >> (b % 64)) & 1u);
-    }
-}
-
 const SignatureRecord::Pass &
 SignatureRecord::pass(int64_t i) const
 {

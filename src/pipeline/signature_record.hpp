@@ -23,9 +23,9 @@
  * invocation — one per (image, channel) for convolution, one per
  * minibatch for FC, one per sample for attention — in forward
  * execution order. The backward engines consume the passes in the
- * same order via DetectionFrontend::replayStream, which streams a
- * pass through the DetectionBlock hand-off with zero hashing or
- * probing cycles.
+ * same order as ReuseRuntime replay sources: each reads its owners
+ * from the record (ownersOf), and the runtime streams the pass's row
+ * ranges with zero hashing or probing cycles.
  *
  * Lifetime contract: a record is valid for the backward pass of the
  * forward invocation that captured it, and must be re-captured every
@@ -80,14 +80,6 @@ class SignatureRecord
 
         /** Unpack the signature of row i (tests / diagnostics). */
         Signature signatureOf(int64_t i) const;
-
-        /** Decode rows [r0, r1) into McacheResult form (replay). */
-        void decodeResults(int64_t r0, int64_t r1,
-                           McacheResult *out) const;
-
-        /** Decode the signatures of rows [r0, r1) (replay). */
-        void decodeSignatures(int64_t r0, int64_t r1,
-                              Signature *out) const;
     };
 
     SignatureRecord() = default;

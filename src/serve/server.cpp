@@ -186,9 +186,10 @@ MercuryServer::~MercuryServer()
 SessionHandle
 MercuryServer::connect(int tenant)
 {
+    // The tenant id is client input: out of range is a refused
+    // connection, not a panic that ends every tenant's session.
     if (tenant < 0 || tenant >= cfg_.maxTenants)
-        panic("tenant id ", tenant, " out of range 0..",
-              cfg_.maxTenants - 1);
+        return SessionHandle{};
     std::lock_guard<std::mutex> lock(sessionsMutex_);
     if (sessions_.count(tenant) ||
         static_cast<int>(sessions_.size()) >= cfg_.maxSessions)

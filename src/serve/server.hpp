@@ -260,9 +260,9 @@ class MercuryServer
 
     /**
      * Open a session for `tenant` (ids in [0, maxTenants)). Returns
-     * an invalid handle when the tenant already has a session or all
-     * session slots are taken. In PerTenant mode a reconnecting
-     * tenant finds its caches warm.
+     * an invalid handle when the tenant id is out of range, the
+     * tenant already has a session, or all session slots are taken.
+     * In PerTenant mode a reconnecting tenant finds its caches warm.
      */
     SessionHandle connect(int tenant);
 

@@ -1,5 +1,6 @@
 #include "serve/snapshot.hpp"
 
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <utility>
@@ -11,6 +12,10 @@ namespace mercury {
 namespace {
 
 constexpr char kMagic[8] = {'M', 'C', 'R', 'Y', 'S', 'N', 'A', 'P'};
+
+/// Plausibility bound on a stored signature length: far above any
+/// MCACHE tag, far below a word count that could exhaust memory.
+constexpr uint32_t kMaxSignatureBits = 1u << 20;
 
 uint64_t
 fnv1a64(const uint8_t *data, size_t size)
@@ -75,6 +80,19 @@ struct Reader
     bool i64(int64_t &v, const char *what)
     {
         return raw(&v, sizeof v, what);
+    }
+    /**
+     * Read an element count and reject it unless that many
+     * `elem_bytes`-sized elements still fit in the payload: a lying
+     * length field fails here, before anything is sized from it.
+     */
+    bool count(uint64_t &n, size_t elem_bytes, const char *what)
+    {
+        if (!u64(n, what))
+            return false;
+        if (n > (size - pos) / elem_bytes)
+            return fail(std::string(what) + " exceeds the bytes left");
+        return true;
     }
 };
 
@@ -315,7 +333,7 @@ Snapshot::parse(const uint8_t *data, size_t size, Snapshot &out,
             if (line.entryId <= prev_id || line.entryId >= entries)
                 return r.fail("line entry ids out of order or range");
             prev_id = line.entryId;
-            if (bits == 0 || bits > (1u << 20))
+            if (bits == 0 || bits > kMaxSignatureBits)
                 return r.fail("implausible signature length");
             const int words = Signature::wordsFor(static_cast<int>(bits));
             std::vector<uint64_t> sig_words(
@@ -360,13 +378,19 @@ Snapshot::parse(const uint8_t *data, size_t size, Snapshot &out,
                 !r.u32(bits, "pass bits") ||
                 !r.u32(words_per_row, "pass words-per-row"))
                 return false;
-            pass.rows = static_cast<int64_t>(rows);
+            if (bits == 0 || bits > kMaxSignatureBits ||
+                words_per_row !=
+                    static_cast<uint32_t>(
+                        Signature::wordsFor(static_cast<int>(bits))))
+                return r.fail("inconsistent pass signature layout");
+            if (rows > UINT64_MAX / words_per_row)
+                return r.fail("pass rows x words-per-row overflows");
+            // Every count is checked against the bytes left before it
+            // sizes a vector, so rows (bounded by the entry-id count)
+            // fits an int64_t from here on.
             pass.bits = static_cast<int>(bits);
             pass.sigWordsPerRow = static_cast<int>(words_per_row);
-            if (pass.bits <= 0 ||
-                pass.sigWordsPerRow != Signature::wordsFor(pass.bits))
-                return r.fail("inconsistent pass signature layout");
-            if (!r.u64(n, "pass sig-word count"))
+            if (!r.count(n, sizeof(uint64_t), "pass sig-word count"))
                 return false;
             if (n != rows * words_per_row)
                 return r.fail("pass sig-word count mismatch");
@@ -374,29 +398,49 @@ Snapshot::parse(const uint8_t *data, size_t size, Snapshot &out,
             if (!r.raw(pass.sigWords.data(), n * sizeof(uint64_t),
                        "pass sig words"))
                 return false;
-            if (!r.u64(n, "pass entry-id count"))
+            if (!r.count(n, sizeof(int32_t), "pass entry-id count"))
                 return false;
             if (n != rows)
                 return r.fail("pass entry-id count mismatch");
+            pass.rows = static_cast<int64_t>(rows);
             pass.entryIds.resize(static_cast<size_t>(n));
             if (!r.raw(pass.entryIds.data(), n * sizeof(int32_t),
                        "pass entry ids"))
                 return false;
-            if (!r.u64(n, "pass outcome count"))
+            if (!r.count(n, 1, "pass outcome count"))
                 return false;
             if (n != rows)
                 return r.fail("pass outcome count mismatch");
             pass.outcomes.resize(static_cast<size_t>(n));
             if (!r.raw(pass.outcomes.data(), n, "pass outcomes"))
                 return false;
-            for (uint8_t o : pass.outcomes)
+            // HIT/MAU rows name a cache entry; MNU rows name none.
+            // SignatureRecord::ownersOf indexes its owner map by these
+            // ids, so an out-of-range one must never get that far.
+            for (size_t i = 0; i < pass.outcomes.size(); ++i) {
+                const uint8_t o = pass.outcomes[i];
+                const int32_t id = pass.entryIds[i];
                 if (o > static_cast<uint8_t>(McacheOutcome::Mnu))
                     return r.fail("pass outcome out of range");
+                if (o == static_cast<uint8_t>(McacheOutcome::Mnu)
+                        ? id != -1
+                        : (id < 0 || id >= sec.entries))
+                    return r.fail("pass entry id out of range");
+            }
             if (!r.i64(pass.mix.vectors, "pass mix vectors") ||
                 !r.i64(pass.mix.hit, "pass mix hit") ||
                 !r.i64(pass.mix.mau, "pass mix mau") ||
                 !r.i64(pass.mix.mnu, "pass mix mnu"))
                 return false;
+            // Bounding each count by the rows first keeps consistent()'s
+            // sum from overflowing.
+            const auto within_rows = [&](int64_t c) {
+                return c >= 0 && c <= pass.rows;
+            };
+            if (pass.mix.vectors != pass.rows ||
+                !within_rows(pass.mix.hit) || !within_rows(pass.mix.mau) ||
+                !within_rows(pass.mix.mnu) || !pass.mix.consistent())
+                return r.fail("pass mix inconsistent with its rows");
             sec.passes.push_back(std::move(pass));
         }
         parsed.records_.push_back(std::move(sec));

@@ -35,17 +35,17 @@ const char *dataflowName(DataflowKind kind);
  * RuntimePlanner): overlap pays a fixed scheduling tax (chain tasks,
  * hand-off queue, pool wakeups), so it only wins when there are
  * enough worker threads and enough rows per pass to hide that tax —
- * small layers and 1–2-thread hosts resolve to Off (serial
- * run-then-filter), everything else to On. The resolution is a pure
- * function of (threads, rows): it is recorded in the StepPlan by the
- * planner and surfaced in bench `config` blocks. Outcomes are
- * bit-identical across all three values; the knob trades only wall
- * time.
+ * small layers and 1–2-thread hosts resolve to Off (the same streamed
+ * schedule, consumed inline), everything else to On. The resolution
+ * is a pure function of (threads, rows): it is recorded in the
+ * StepPlan by the planner and surfaced in bench `config` blocks.
+ * Outcomes are bit-identical across all three values; the knob
+ * trades only wall time.
  */
 enum class OverlapMode
 {
-    Off,  ///< serial run-then-filter
-    On,   ///< always stream (needs a worker pool to take effect)
+    Off,  ///< stream, but consume inline on the driving thread
+    On,   ///< consume on the worker pool (needs one to take effect)
     Auto, ///< resolved per pass from threads x rows
 };
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the batched detection pipeline (src/pipeline): the
+ * Tests for the streaming detection pipeline (src/pipeline): the
  * ShardedMCache must be indistinguishable from a monolithic MCache,
  * the DetectionPipeline must be bit-identical to the legacy
  * SimilarityDetector for every block size / shard count / thread
@@ -163,12 +163,11 @@ TEST(ShardedMCache, ShardCountClampedToSets)
 TEST(ShardedMCache, FrontendEngagesLocksOnlyForOverlappedPasses)
 {
     Tensor rows = prototypeVectors(64, 8, 8, 0.01f, 7);
-    // Shard locks engage only when filter tasks can race the data
-    // plane — i.e. streaming/overlapped passes on a pool. Inline and
-    // batch-on-a-pool passes stay lock-free (stage 2 runs one prober
-    // per shard, and the filter loops that follow are single-
-    // threaded). Results are identical either way (asserted across
-    // the knob grid elsewhere).
+    // Shard locks engage only for passes that resolved overlapped on
+    // a pool. Probes only ever run on the driving thread — a single
+    // prober — so inline passes and pooled passes with overlap off
+    // stay lock-free. Results are identical either way (asserted
+    // across the knob grid elsewhere).
     PipelineConfig inline_pipe;
     inline_pipe.threads = 1;
     DetectionFrontend inline_fe(kSets, kWays, 1, kMaxBits, kSeed,
@@ -182,10 +181,10 @@ TEST(ShardedMCache, FrontendEngagesLocksOnlyForOverlappedPasses)
     DetectionFrontend pooled_fe(kSets, kWays, 1, kMaxBits, kSeed,
                                 pooled_pipe);
     pooled_fe.detect(rows, kBits);
-    EXPECT_FALSE(pooled_fe.cache().concurrent()); // batch: lock-free
+    EXPECT_FALSE(pooled_fe.cache().concurrent()); // overlap off: free
 
     pooled_fe.detectStream(rows, kBits, {});
-    EXPECT_TRUE(pooled_fe.cache().concurrent()); // streaming: locked
+    EXPECT_FALSE(pooled_fe.cache().concurrent()); // one prober: free
 
     PipelineConfig overlap_pipe = pooled_pipe;
     overlap_pipe.overlap = OverlapMode::On;
@@ -376,7 +375,7 @@ TEST(Pipeline, MercuryContextCachesFrontendsAndMatchesLegacy)
     EXPECT_EQ(piped_stats.mix.mau, legacy_stats.mix.mau);
 }
 
-TEST(Streaming, BlocksArriveInOrderAndResultsMatchBatchPath)
+TEST(Streaming, BlocksArriveInOrderAndResultsMatchScalarDetector)
 {
     Tensor rows = prototypeVectors(500, 24, 64, 0.01f, 77, 1.2);
     PipelineConfig pipe;
@@ -409,9 +408,8 @@ TEST(Streaming, BlocksArriveInOrderAndResultsMatchBatchPath)
             << "hand-off out of order";
     EXPECT_EQ(covered, rows.dim(0));
 
-    // The streamed pass must be bit-identical to the batch pipeline
-    // and to the legacy scalar path.
-    expectIdenticalResults(streamed, fe.detect(rows, kBits));
+    // The streamed pass must be bit-identical to the legacy scalar
+    // path.
     expectIdenticalResults(streamed, legacyDetect(rows));
 }
 
@@ -536,16 +534,16 @@ TEST(Overlap, KnobLiftsFromAcceleratorConfig)
     cfg.pipelineThreads = 4;
     EXPECT_EQ(PipelineConfig::fromConfig(cfg).overlap, OverlapMode::On);
 
-    // overlapEnabled needs both the knob and a pool: threads = 1
-    // resolves to inline execution, so overlap falls back to serial.
+    // A pass runs overlapped only with both the knob and a pool:
+    // threads = 1 resolves to inline execution.
     PipelineConfig inline_pipe = PipelineConfig::fromConfig(cfg);
     inline_pipe.threads = 1;
     DetectionFrontend inline_fe(kSets, kWays, 1, kMaxBits, kSeed,
                                 inline_pipe);
-    EXPECT_FALSE(inline_fe.overlapEnabled());
+    EXPECT_FALSE(inline_fe.overlapEnabledFor(64));
     DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed,
                          PipelineConfig::fromConfig(cfg));
-    EXPECT_TRUE(fe.overlapEnabled());
+    EXPECT_TRUE(fe.overlapEnabledFor(64));
 }
 
 /**

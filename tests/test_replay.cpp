@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the signature-replay subsystem (§III-C2): the
- * SignatureRecord capture, the replayed block stream, the backward
- * filter passes of all three reuse engines (bit-identical to the
- * exact input gradient at zero hits, skipping exactly the forward
- * HIT rows otherwise, serial == overlapped), the weight-gradient
+ * SignatureRecord capture, the backward filter passes of all three
+ * reuse engines (bit-identical to the exact input gradient at zero
+ * hits, skipping exactly the forward HIT rows otherwise, serial ==
+ * overlapped, the MCACHE untouched by every replay), the weight-gradient
  * sum-then-multiply replay of all three engines (bit-identical to
  * the exact dW at zero hits, exact up to float-summation order
  * otherwise), the NN-layer integration behind
@@ -73,8 +73,23 @@ duplicateRows(int64_t n, int64_t d, int64_t uniques, uint64_t seed)
     return rows;
 }
 
+/**
+ * Replays read their owners from the record and never probe: the
+ * MCACHE's lookup mix must not move across the replayed passes.
+ */
+void
+expectCacheUntouched(const HitMix &before, DetectionFrontend &fe,
+                     const char *what)
+{
+    const HitMix after = fe.cache().lookupMix();
+    EXPECT_EQ(after.vectors, before.vectors) << what;
+    EXPECT_EQ(after.hit, before.hit) << what;
+    EXPECT_EQ(after.mau, before.mau) << what;
+    EXPECT_EQ(after.mnu, before.mnu) << what;
+}
+
 // ---------------------------------------------------------------------
-// SignatureRecord capture + replay stream
+// SignatureRecord capture
 // ---------------------------------------------------------------------
 
 TEST(Record, CapturesOutcomesSignaturesAndMix)
@@ -124,43 +139,6 @@ TEST(Record, OwnersAreEarlierComputedRows)
             EXPECT_EQ(owner[i], i);
         }
     }
-}
-
-TEST(Replay, StreamDeliversRecordedBlocksAscending)
-{
-    Tensor rows = duplicateRows(100, 8, 9, kSeed + 2);
-    PipelineConfig pipe;
-    pipe.blockRows = 32;
-    DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed, pipe);
-    SignatureRecord record;
-    fe.detect(rows, 16, &record);
-    const SignatureRecord::Pass &pass = record.pass(0);
-
-    int64_t next_row = 0, next_index = 0;
-    fe.replayStream(
-        pass,
-        [&](const DetectionBlock &blk) {
-            EXPECT_EQ(blk.index, next_index++);
-            EXPECT_EQ(blk.row0, next_row);
-            next_row = blk.row1;
-            for (int64_t i = blk.row0; i < blk.row1; ++i) {
-                EXPECT_EQ(blk.results[i - blk.row0].outcome,
-                          pass.outcome(i));
-                EXPECT_EQ(blk.results[i - blk.row0].entryId,
-                          pass.entryId(i));
-                EXPECT_TRUE(blk.sigs[i - blk.row0] ==
-                            pass.signatureOf(i));
-            }
-        },
-        /*with_signatures=*/true);
-    EXPECT_EQ(next_row, pass.rows);
-
-    // The default replay skips the signature decode entirely — the
-    // backward consumers read outcomes only.
-    fe.replayStream(pass, [&](const DetectionBlock &blk) {
-        EXPECT_EQ(blk.sigs, nullptr);
-        EXPECT_NE(blk.results, nullptr);
-    });
 }
 
 // ---------------------------------------------------------------------
@@ -304,11 +282,15 @@ TEST(ConvBackward, OverlappedReplayBitIdenticalToSerial)
         << "overlapped forward with capture must stay bit-identical";
     ASSERT_EQ(rs.passCount(), ro.passCount());
 
+    const HitMix mix_s = serial_fe.cache().lookupMix();
+    const HitMix mix_o = overlap_fe.cache().lookupMix();
     ReuseStats bs, bo;
     Tensor gs = serial.backwardInput(grad, w, spec, 10, 10, rs, bs);
     Tensor go = overlapped.backwardInput(grad, w, spec, 10, 10, ro, bo);
     EXPECT_TRUE(gs == go);
     EXPECT_EQ(bs.macsSkipped, bo.macsSkipped);
+    expectCacheUntouched(mix_s, serial_fe, "serial replay");
+    expectCacheUntouched(mix_o, overlap_fe, "pooled replay");
 }
 
 // ---------------------------------------------------------------------
@@ -396,11 +378,15 @@ TEST(FcBackward, OverlappedReplayBitIdenticalToSerial)
     serial.forward(in, w, fs, nullptr, &rs);
     overlapped.forward(in, w, fo, nullptr, &ro);
 
+    const HitMix mix_s = serial_fe.cache().lookupMix();
+    const HitMix mix_o = overlap_fe.cache().lookupMix();
     ReuseStats bs, bo;
     Tensor gs = serial.backwardInput(grad, w, rs, bs);
     Tensor go = overlapped.backwardInput(grad, w, ro, bo);
     EXPECT_TRUE(gs == go);
     EXPECT_EQ(bs.macsSkipped, bo.macsSkipped);
+    expectCacheUntouched(mix_s, serial_fe, "serial replay");
+    expectCacheUntouched(mix_o, overlap_fe, "pooled replay");
 }
 
 // ---------------------------------------------------------------------
@@ -497,11 +483,15 @@ TEST(AttentionBackward, OverlappedReplayBitIdenticalToSerial)
     serial.forward(x, fs, &rs);
     overlapped.forward(x, fo, &ro);
 
+    const HitMix mix_s = serial_fe.cache().lookupMix();
+    const HitMix mix_o = overlap_fe.cache().lookupMix();
     ReuseStats bs, bo;
     Tensor gs = serial.backward(x, g, rs, 0, bs);
     Tensor go = overlapped.backward(x, g, ro, 0, bo);
     EXPECT_TRUE(gs == go);
     EXPECT_EQ(bs.macsSkipped, bo.macsSkipped);
+    expectCacheUntouched(mix_s, serial_fe, "serial replay");
+    expectCacheUntouched(mix_o, overlap_fe, "pooled replay");
 }
 
 // ---------------------------------------------------------------------
@@ -630,11 +620,15 @@ TEST(ConvWeightGrad, OverlappedReplayBitIdenticalToSerial)
     serial.forward(in, w, Tensor(), spec, fs, &rs);
     overlapped.forward(in, w, Tensor(), spec, fo, &ro);
 
+    const HitMix mix_s = serial_fe.cache().lookupMix();
+    const HitMix mix_o = overlap_fe.cache().lookupMix();
     ReuseStats ws, wo;
     Tensor ds = serial.backwardWeights(in, grad, spec, rs, ws);
     Tensor dov = overlapped.backwardWeights(in, grad, spec, ro, wo);
     EXPECT_TRUE(ds == dov);
     EXPECT_EQ(ws.macsSkipped, wo.macsSkipped);
+    expectCacheUntouched(mix_s, serial_fe, "serial replay");
+    expectCacheUntouched(mix_o, overlap_fe, "pooled replay");
 }
 
 TEST(FcWeightGrad, BitIdenticalToExactGradientWhenNoHits)
@@ -751,11 +745,15 @@ TEST(FcWeightGrad, OverlappedReplayBitIdenticalToSerial)
     serial.forward(in, w, fs, nullptr, &rs);
     overlapped.forward(in, w, fo, nullptr, &ro);
 
+    const HitMix mix_s = serial_fe.cache().lookupMix();
+    const HitMix mix_o = overlap_fe.cache().lookupMix();
     ReuseStats ws, wo;
     Tensor ds = serial.backwardWeights(in, grad, rs, ws);
     Tensor dov = overlapped.backwardWeights(in, grad, ro, wo);
     EXPECT_TRUE(ds == dov);
     EXPECT_EQ(ws.macsSkipped, wo.macsSkipped);
+    expectCacheUntouched(mix_s, serial_fe, "serial replay");
+    expectCacheUntouched(mix_o, overlap_fe, "pooled replay");
 }
 
 TEST(AttentionWeightGrad, ProjectionBitIdenticalToExactWhenNoHits)
@@ -835,11 +833,15 @@ TEST(AttentionWeightGrad, OverlappedProjectionBitIdenticalToSerial)
     serial.forward(x, fs, &rs);
     overlapped.forward(x, fo, &ro);
 
+    const HitMix mix_s = serial_fe.cache().lookupMix();
+    const HitMix mix_o = overlap_fe.cache().lookupMix();
     ReuseStats ws, wo;
     Tensor ps = serial.backwardProjection(x, rs, 0, ws);
     Tensor po = overlapped.backwardProjection(x, ro, 0, wo);
     EXPECT_TRUE(ps == po);
     EXPECT_EQ(ws.macsSkipped, wo.macsSkipped);
+    expectCacheUntouched(mix_s, serial_fe, "serial replay");
+    expectCacheUntouched(mix_o, overlap_fe, "pooled replay");
 }
 
 // ---------------------------------------------------------------------

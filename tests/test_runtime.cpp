@@ -8,7 +8,7 @@
  * scheduling; zero-hit passes must be bit-identical to the exact
  * tensor ops, including the grouped and depthwise conv descriptors
  * (the MobileNet-style workload). Also: direct scheduler-contract
- * tests (per-filter stream order, group fan-out, beforeGroup hooks),
+ * tests (per-filter stream order and group fan-out, inline and pooled),
  * end-to-end training of inverted-residual blocks with all three
  * reuse passes, whole-network training goldens (conv stack and
  * attention + dense: threaded and overlapped runs equal the serial
@@ -26,6 +26,8 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/attention_engine.hpp"
@@ -134,11 +136,24 @@ expectStatsEqual(const ReuseStats &a, const ReuseStats &b,
 // tested directly against a recorded pass (no engine involved).
 // ---------------------------------------------------------------------
 
-TEST(RuntimeScheduler, ChainedSegmentsCoverRowsInStreamOrderPerFilter)
+/**
+ * The one schedule, on both executors: the inline one (no pool, a
+ * replay is one block) and the pooled one (blocks of blockRows, one
+ * chain per filter range).
+ */
+class RuntimeSchedulerPipes : public ::testing::TestWithParam<bool>
+{
+  protected:
+    PipelineConfig pipe() const
+    {
+        return GetParam() ? overlapPipe() : serialPipe();
+    }
+};
+
+TEST_P(RuntimeSchedulerPipes, ChainedSegmentsCoverRowsInStreamOrderPerFilter)
 {
     Tensor rows = duplicateRows(100, 10, 6, kSeed);
-    DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed,
-                         overlapPipe());
+    DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed, pipe());
     SignatureRecord record;
     fe.detect(rows, 24, &record);
     const SignatureRecord::Pass &pass = record.pass(0);
@@ -147,7 +162,7 @@ TEST(RuntimeScheduler, ChainedSegmentsCoverRowsInStreamOrderPerFilter)
     constexpr int64_t kInFlight = 4;
     std::vector<std::vector<int64_t>> starts(kFilters);
     std::vector<int64_t> covered(kFilters, 0);
-    std::atomic<int> before_calls{0};
+    std::vector<std::pair<int64_t, int64_t>> groups;
 
     ReuseRuntime rt(fe, 24);
     ReuseRuntime::FilterPassSet set;
@@ -159,7 +174,9 @@ TEST(RuntimeScheduler, ChainedSegmentsCoverRowsInStreamOrderPerFilter)
         covered[static_cast<size_t>(f)] += r1 - r0;
         return static_cast<uint64_t>(0);
     };
-    set.beforeGroup = [&](int64_t, int64_t) { before_calls.fetch_add(1); };
+    set.afterGroup = [&](int64_t f0, int64_t f1) {
+        groups.emplace_back(f0, f1);
+    };
 
     ReuseStats stats;
     rt.runFilterPasses(ReuseRuntime::StreamSource::replay(pass), set,
@@ -172,44 +189,23 @@ TEST(RuntimeScheduler, ChainedSegmentsCoverRowsInStreamOrderPerFilter)
                                    starts[static_cast<size_t>(f)].end()))
             << "filter " << f << " saw blocks out of stream order";
     }
-    // One streamed group (no beforeGroup) + one whole-range group.
-    EXPECT_EQ(before_calls.load(), 1);
+    // The streamed filters saw the replay's blocks: one inline, 100 /
+    // 16 rounded up on the pool.
+    EXPECT_EQ(starts[0].size(), GetParam() ? 7u : 1u);
+    // One streamed group + one whole-range group, in filter order.
+    EXPECT_EQ(groups, (std::vector<std::pair<int64_t, int64_t>>{
+                          {0, kInFlight}, {kInFlight, kFilters}}));
     // The runtime folded the recorded mix into the stats.
     EXPECT_EQ(stats.mix.vectors, pass.mix.vectors);
     EXPECT_EQ(stats.channelPasses, 1);
 }
 
-TEST(RuntimeScheduler, SerialModeRunsEveryGroupWithBeforeHook)
-{
-    Tensor rows = duplicateRows(48, 8, 5, kSeed + 1);
-    DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed,
-                         serialPipe());
-    SignatureRecord record;
-    fe.detect(rows, 24, &record);
-    const SignatureRecord::Pass &pass = record.pass(0);
-
-    std::vector<int64_t> order;
-    int before_calls = 0;
-    ReuseRuntime rt(fe, 24);
-    ReuseRuntime::FilterPassSet set;
-    set.rows = pass.rows;
-    set.filters = 5;
-    set.inFlight = 2;
-    set.segment = [&](int64_t f, int64_t r0, int64_t r1) {
-        EXPECT_EQ(r0, 0);
-        EXPECT_EQ(r1, pass.rows);
-        order.push_back(f);
-        return static_cast<uint64_t>(0);
-    };
-    set.beforeGroup = [&](int64_t, int64_t) { ++before_calls; };
-
-    ReuseStats stats;
-    rt.runFilterPasses(ReuseRuntime::StreamSource::replay(pass), set,
-                       stats);
-    // Groups {0,1} {2,3} {4}, filters ascending within each.
-    EXPECT_EQ(order, (std::vector<int64_t>{0, 1, 2, 3, 4}));
-    EXPECT_EQ(before_calls, 3);
-}
+INSTANTIATE_TEST_SUITE_P(Pipes, RuntimeSchedulerPipes,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool> &info) {
+                             return std::string(info.param ? "overlap"
+                                                           : "serial");
+                         });
 
 TEST(RuntimeScheduler, RowPassForwardsAfterOwnersCompute)
 {

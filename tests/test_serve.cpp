@@ -453,6 +453,27 @@ TEST(Serve, ConnectEnforcesSessionLimits)
     c.disconnect();
 }
 
+TEST(Serve, ConnectRefusesOutOfRangeTenantIds)
+{
+    ServeConfig cfg = smallServer(CacheMode::PerTenant);
+    MercuryServer server(cfg);
+
+    // Client input: refused with an invalid handle, no panic.
+    EXPECT_FALSE(server.connect(-1).valid());
+    EXPECT_FALSE(server.connect(cfg.maxTenants).valid());
+
+    // The server is unharmed: a valid tenant connects and runs a job.
+    SessionHandle session = server.connect(0);
+    ASSERT_TRUE(session.valid());
+    TrafficGenerator gen(smallTraffic(1, 1));
+    const SubmitStatus st = session.submit(jobOf(gen.next(0)));
+    ASSERT_TRUE(st.accepted);
+    session.drain();
+    EXPECT_TRUE(st.ticket->ready());
+    EXPECT_EQ(server.stats().jobsCompleted, 1);
+    session.disconnect();
+}
+
 // ---- Churn stress (the TSan target) ---------------------------------
 
 TEST(Serve, ConnectDisconnectChurnUnderLoad)

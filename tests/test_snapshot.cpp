@@ -3,12 +3,15 @@
  * Serving-snapshot format tests: canonical round-trips across cache
  * organizations and shard counts, the full-validate-then-move failure
  * contract (truncation / corruption / version bumps reject cleanly
- * with no partial restore), and SignatureRecord sections.
+ * with no partial restore), and SignatureRecord sections, including
+ * hostile ones whose lengths, entry ids or mix lie.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -371,6 +374,134 @@ TEST(Snapshot, RecordSectionRoundTrips)
 
     SignatureRecord missing;
     EXPECT_FALSE(parsed.restoreRecord(78, missing, error));
+}
+
+// ---- Hostile record sections ----------------------------------------
+//
+// Each case serializes makeRecord(), patches one field of pass 0 and
+// re-seals the checksum, so the only thing wrong is the patched field.
+
+/** FNV-1a 64, the snapshot header's payload checksum. */
+uint64_t
+fnv1a(const uint8_t *data, size_t size)
+{
+    uint64_t h = 1469598103934665603ull;
+    for (size_t i = 0; i < size; ++i) {
+        h ^= data[i];
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+constexpr size_t kHeaderBytes = 32; // magic, version, flags, length, sum
+constexpr size_t kChecksumAt = 24;
+
+/** Payload offsets of pass 0's fields in a record-only snapshot. */
+struct PassLayout
+{
+    size_t rows, bits, wordsPerRow, wordCount, ids, mix;
+};
+
+PassLayout
+pass0Layout(const SignatureRecord::Pass &p)
+{
+    PassLayout l;
+    // cache count, record count, key, versions, entries, pass count
+    l.rows = 4 + 4 + 8 + 4 + 8 + 4;
+    l.bits = l.rows + 8;
+    l.wordsPerRow = l.bits + 4;
+    l.wordCount = l.wordsPerRow + 4;
+    l.ids = l.wordCount + 8 + p.sigWords.size() * 8 + 8;
+    const size_t outcomes = l.ids + p.entryIds.size() * 4 + 8;
+    l.mix = outcomes + p.outcomes.size();
+    return l;
+}
+
+/** Overwrite one field at payload offset `at` and re-seal. */
+template <typename T>
+void
+patch(std::vector<uint8_t> &bytes, size_t at, T value)
+{
+    std::memcpy(bytes.data() + kHeaderBytes + at, &value, sizeof value);
+    const uint64_t sum =
+        fnv1a(bytes.data() + kHeaderBytes, bytes.size() - kHeaderBytes);
+    std::memcpy(bytes.data() + kChecksumAt, &sum, sizeof sum);
+}
+
+/** parse() must fail cleanly, with an error naming `what`. */
+void
+expectRejected(const std::vector<uint8_t> &bytes, const char *what)
+{
+    Snapshot out;
+    std::string error;
+    EXPECT_FALSE(Snapshot::parse(bytes.data(), bytes.size(), out, error));
+    EXPECT_NE(error.find(what), std::string::npos) << error;
+}
+
+std::vector<uint8_t>
+recordBytes()
+{
+    Snapshot snap;
+    snap.addRecord(77, makeRecord());
+    return snap.serialize();
+}
+
+TEST(Snapshot, HugeRecordRowsAreRejectedBeforeAllocating)
+{
+    const PassLayout l = pass0Layout(makeRecord().pass(0));
+    auto bytes = recordBytes();
+    // 2^40 rows with a matching sig-word count: both lie about the
+    // bytes that follow.
+    patch(bytes, l.rows, uint64_t{1} << 40);
+    patch(bytes, l.wordCount, uint64_t{1} << 40);
+    expectRejected(bytes, "exceeds the bytes left");
+}
+
+TEST(Snapshot, WrappingRowsTimesWordsIsRejected)
+{
+    const PassLayout l = pass0Layout(makeRecord().pass(0));
+    auto bytes = recordBytes();
+    // 200-bit signatures take 4 words a row; 2^62 rows x 4 words wraps
+    // to the sig-word count 0.
+    patch(bytes, l.bits, uint32_t{200});
+    patch(bytes, l.wordsPerRow, uint32_t{4});
+    patch(bytes, l.rows, uint64_t{1} << 62);
+    patch(bytes, l.wordCount, uint64_t{0});
+    expectRejected(bytes, "overflows");
+}
+
+TEST(Snapshot, OutOfRangeMauEntryIdIsRejected)
+{
+    const PassLayout l = pass0Layout(makeRecord().pass(0));
+    auto bytes = recordBytes();
+    // Row 1 is a MAU row of a 64-entry record.
+    patch(bytes, l.ids + 1 * 4, int32_t{1 << 20});
+    expectRejected(bytes, "entry id out of range");
+    patch(bytes, l.ids + 1 * 4, int32_t{-1});
+    expectRejected(bytes, "entry id out of range");
+}
+
+TEST(Snapshot, MnuRowWithAnEntryIdIsRejected)
+{
+    const PassLayout l = pass0Layout(makeRecord().pass(0));
+    auto bytes = recordBytes();
+    // Row 2 is an MNU row: it names no entry.
+    patch(bytes, l.ids + 2 * 4, int32_t{5});
+    expectRejected(bytes, "entry id out of range");
+}
+
+TEST(Snapshot, InconsistentRecordMixIsRejected)
+{
+    const PassLayout l = pass0Layout(makeRecord().pass(0));
+    // hit + mau + mnu != vectors.
+    auto bytes = recordBytes();
+    patch(bytes, l.mix + 8, int64_t{2});
+    expectRejected(bytes, "mix inconsistent");
+    // Consistent, but counts a different population than the rows.
+    bytes = recordBytes();
+    patch(bytes, l.mix, int64_t{4});
+    patch(bytes, l.mix + 8, int64_t{2});
+    expectRejected(bytes, "mix inconsistent");
 }
 
 // ---- File I/O -------------------------------------------------------

@@ -1,18 +1,17 @@
 #!/usr/bin/env python3
 """Render the wall-clock-multicore bench artifact into ROADMAP-ready text.
 
-The CI ``wall-clock`` job runs the non-smoke microbenches on a real
-multi-core runner and captures their ``BENCH_overlap.json {...}``
+The CI ``wall-clock`` job runs the non-smoke microbenches on a
+multi-core runner (the host that records BENCH_*.json has 4 hardware
+threads as well) and captures their ``BENCH_overlap.json {...}``
 result lines. This script turns those lines into:
 
  - the measured ``wall_*`` speedups, one line per bench, formatted for
    pasting into the ROADMAP wall-clock item;
- - a ``tunedPipelineFor`` retune suggestion: MCACHE shards beyond the
-   number of concurrently probing threads only add locking, so the
-   shard band should track the measured host's thread count — and the
-   forward-overlap ``wall_speedup`` says whether the streaming mode
-   pays on that host at all (on a single-core recording host it sits
-   below 1x; the modeled cycles are the paper-facing number there).
+ - the overlap verdict: the forward-overlap ``wall_speedup`` says
+   whether giving the reuse passes the worker pool pays on that host
+   at all (below 1x it does not; the modeled cycles are the
+   paper-facing number there).
 
 Usage:
     wallclock_roadmap.py RESULT_FILE...
@@ -53,12 +52,10 @@ def main(argv):
         return 1
 
     print("# ROADMAP wall-clock snippet (paste under the wall-clock item)")
-    threads = None
     fwd_overlap = None
     for e in entries:
         bench = e.get("bench", "?")
         cfg = e.get("config", {})
-        threads = cfg.get("threads", threads)
         walls = {k: e[k] for k in sorted(e) if k.startswith("wall")}
         line = ", ".join(f"{k}={v}" for k, v in walls.items())
         print(f"- {bench} ({e.get('layer', '?')}, threads="
@@ -68,18 +65,13 @@ def main(argv):
         if bench == "micro_overlap" and "wall_speedup" in e:
             fwd_overlap = e["wall_speedup"]
 
-    print()
-    print("# tunedPipelineFor retune suggestion")
-    if threads:
-        shards = max(4, min(16, int(threads)))
-        print(f"- measured host ran {threads} threads; shards beyond the "
-              f"probing thread count only add locking -> shard band "
-              f"suggestion: {shards} (tunedPipelineFor(rows, threads))")
     if fwd_overlap is not None:
+        print()
+        print("# overlap verdict")
         verdict = ("pays on this host" if fwd_overlap > 1.0
                    else "does NOT pay on this host (modeled cycles are "
                         "the paper-facing number; needs spare cores)")
-        print(f"- forward-overlap wall_speedup {fwd_overlap}: streaming "
+        print(f"- forward-overlap wall_speedup {fwd_overlap}: overlap "
               f"mode {verdict}")
     return 0
 
