@@ -1,15 +1,15 @@
 /**
  * @file
  * Microbenchmark of overlapped detection (streaming per-block
- * hand-off + threaded filter passes) against the same streamed
+ * hand-off + owner computes on the pool) against the same streamed
  * schedule consumed inline (overlap off), on a VGG13-sized conv layer.
  *
  * Two views of the same question:
  *
  *  1. Functional wall time: ConvReuseEngine end-to-end layer time
- *     with `overlap` off (hashing on the pool, filter passes inline
- *     on the driving thread as each block arrives) vs on (filter
- *     passes consume the block hand-off on the worker pool while
+ *     with `overlap` off (hashing on the pool, owner computes inline
+ *     on the driving thread as each block arrives) vs on (owner
+ *     computes consume the block hand-off on the worker pool while
  *     later blocks hash). Outputs are verified bit-identical first.
  *     Wall-clock gains require spare cores; on a single-core host the
  *     two modes tie. The overlap-off forward is also timed against
@@ -23,17 +23,17 @@
  *  3. The backward column (§III-C2): the input-gradient pass with
  *     `backwardReuse` replaying the forward-captured SignatureRecord
  *     — functional wall time of the replayed ConvReuseEngine
- *     backward (through the overlapped engine, so the dX scatter
- *     rides the worker pool in disjoint input-row bands) vs the
- *     exact conv2dBackwardInput, and the modeled backward layer
+ *     backward (through the overlapped engine, so the channel
+ *     passes fan out over the worker pool) vs the exact
+ *     conv2dBackwardInput, and the modeled backward layer
  *     cycles (replay-only signature charge) vs the no-reuse backward
  *     baseline.
  *
  *  4. The dW column (§III-C2 on Eq. 1): the weight-gradient pass
  *     with `weightGradReuse` replaying the same record by
  *     sum-then-multiply — functional wall time of the overlapped
- *     ConvReuseEngine::backwardWeights (pool-banded patch
- *     extraction) vs the exact conv2dBackwardWeight, and the modeled
+ *     ConvReuseEngine::backwardWeights (channels fanned out over the
+ *     pool) vs the exact conv2dBackwardWeight, and the modeled
  *     dW layer cycles
  *     (owner-only multiplies + per-group accumulates + replay-only
  *     signature charge) vs the no-reuse dW baseline. This closes the
@@ -247,8 +247,8 @@ main()
     // --- 3. Backward column: signature replay (§III-C2) ------------
     // Functional: the replayed input-gradient pass consumes the
     // record the forward pass captured — no second detection — and
-    // skips the grad-column products of forward-HIT rows. Wall time
-    // is compared against the exact conv2dBackwardInput.
+    // forward-HIT rows reuse their owner's products. Wall time is
+    // compared against the exact conv2dBackwardInput.
     SignatureRecord record;
     ReuseStats cap_stats;
     serial.forward(ds.inputs, w, Tensor(), spec, cap_stats, &record);

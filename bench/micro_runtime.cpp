@@ -330,8 +330,8 @@ main()
     const bool smoke = bench::smoke();
 
     // MobileNet-style middle-of-network shapes: a depthwise 3x3 (one
-    // filter per channel pass — the degenerate FilterPassSet) and a
-    // ResNeXt-style grouped 3x3. Smoke mode shrinks both to toys.
+    // filter per channel pass, so an owner row computes one value) and
+    // a ResNeXt-style grouped 3x3. Smoke mode shrinks both to toys.
     const Workload depthwise{"dw",
                              smoke ? "smoke-dw-conv" : "dw-conv-32x16x16",
                              smoke ? 8 : 32,

@@ -1,5 +1,6 @@
 #include "core/attention_engine.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "core/kernels/kernels.hpp"
@@ -35,8 +36,7 @@ AttentionEngine::forward(const Tensor &x, ReuseStats &stats,
                       static_cast<uint64_t>(t) *
                       static_cast<uint64_t>(d);
 
-    std::vector<int64_t> owner_of_entry(
-        static_cast<size_t>(frontend_->entries()), -1);
+    OwnerTable table(frontend_->entries());
 
     Tensor w({t, t});
     Tensor y({t, d});
@@ -49,16 +49,7 @@ AttentionEngine::forward(const Tensor &x, ReuseStats &stats,
     ReuseRuntime rt(*frontend_, frontend_.signatureBits());
     ReuseRuntime::RowPass pass;
     pass.ownerOf = [&](int64_t i, const McacheResult &mr) {
-        // The first MAU row of an entry owns it; owners always
-        // compute (§III-C3 "earlier PE" discipline).
-        int64_t owner = i;
-        if (mr.outcome == McacheOutcome::Hit &&
-            owner_of_entry[static_cast<size_t>(mr.entryId)] >= 0) {
-            owner = owner_of_entry[static_cast<size_t>(mr.entryId)];
-        } else if (mr.outcome == McacheOutcome::Mau) {
-            owner_of_entry[static_cast<size_t>(mr.entryId)] = i;
-        }
-        return owner;
+        return table.ownerOf(i, mr.outcome, mr.entryId);
     };
     pass.computeRow = [&](int64_t i) {
         for (int64_t j = 0; j < t; ++j) {
@@ -131,73 +122,78 @@ AttentionEngine::backward(const Tensor &x, const Tensor &g,
     const Tensor &xtx = xtx_pre ? *xtx_pre : xtx_local;
     Tensor out({t, d});
 
+    // One replayed pass (§III-C2): owner rows run the three-term
+    // gradient of dX = G (Xt X) + X Gt X + (X Xt) G — every term is
+    // row-wise in the row's own X / G row plus whole matrices, and the
+    // element accumulation order matches the exact matmul-factored path
+    // exactly — fanned out over the pool when the pass resolves
+    // overlapped; forward-HIT token rows then copy their owner's row.
     std::vector<int64_t> owner;
-    record.ownersOf(pass, owner);
+    OwnerTable table(record.entries());
+    const int64_t fwd = record.ownersOf(pass, table, owner);
+    stats.macsSkipped = static_cast<uint64_t>(fwd) * row_cost;
+    stats.addReplayedPass(pass);
+    std::vector<int64_t> owners;
+    for (int64_t i = 0; i < t; ++i)
+        if (owner[static_cast<size_t>(i)] == i)
+            owners.push_back(i);
 
-    // One replayed RowPass (§III-C2): computed rows run the
-    // three-term gradient of dX = G (Xt X) + X Gt X + (X Xt) G —
-    // every term is row-wise in the row's own X / G row plus whole
-    // matrices, and the element accumulation order matches the exact
-    // matmul-factored path exactly; forward-HIT token rows copy their
-    // owner's row.
     ReuseRuntime rt(*frontend_, frontend_.signatureBits());
-    ReuseRuntime::RowPass rp;
-    rp.ownerOf = [&](int64_t i, const McacheResult &) {
-        return owner[static_cast<size_t>(i)];
-    };
-    rp.computeRow = [&](int64_t i) {
+    rt.beginPass(t);
+    const int64_t nowners = static_cast<int64_t>(owners.size());
+    const int64_t chains = rt.chainsFor(nowners);
+    rt.parallelChains(chains, [&](int64_t c) {
         std::vector<float> t1(static_cast<size_t>(d));
         std::vector<float> u(static_cast<size_t>(t));
         std::vector<float> t2(static_cast<size_t>(d));
         std::vector<float> vv(static_cast<size_t>(t));
         std::vector<float> t3(static_cast<size_t>(d));
-        for (int64_t j = 0; j < d; ++j) {
-            float acc = 0.0f;
-            for (int64_t e = 0; e < d; ++e)
-                acc += g.at2(i, e) * xtx.at2(e, j);
-            t1[static_cast<size_t>(j)] = acc;
+        for (int64_t k = c * nowners / chains;
+             k < (c + 1) * nowners / chains; ++k) {
+            const int64_t i = owners[static_cast<size_t>(k)];
+            for (int64_t j = 0; j < d; ++j) {
+                float acc = 0.0f;
+                for (int64_t e = 0; e < d; ++e)
+                    acc += g.at2(i, e) * xtx.at2(e, j);
+                t1[static_cast<size_t>(j)] = acc;
+            }
+            for (int64_t e = 0; e < t; ++e) {
+                float acc = 0.0f;
+                for (int64_t p = 0; p < d; ++p)
+                    acc += x.at2(i, p) * g.at2(e, p);
+                u[static_cast<size_t>(e)] = acc;
+            }
+            for (int64_t j = 0; j < d; ++j) {
+                float acc = 0.0f;
+                for (int64_t e = 0; e < t; ++e)
+                    acc += u[static_cast<size_t>(e)] * x.at2(e, j);
+                t2[static_cast<size_t>(j)] = acc;
+            }
+            for (int64_t e = 0; e < t; ++e) {
+                float acc = 0.0f;
+                for (int64_t p = 0; p < d; ++p)
+                    acc += x.at2(i, p) * x.at2(e, p);
+                vv[static_cast<size_t>(e)] = acc;
+            }
+            for (int64_t j = 0; j < d; ++j) {
+                float acc = 0.0f;
+                for (int64_t e = 0; e < t; ++e)
+                    acc += vv[static_cast<size_t>(e)] * g.at2(e, j);
+                t3[static_cast<size_t>(j)] = acc;
+            }
+            for (int64_t j = 0; j < d; ++j) {
+                out.at2(i, j) = t1[static_cast<size_t>(j)] +
+                                t2[static_cast<size_t>(j)] +
+                                t3[static_cast<size_t>(j)];
+            }
         }
-        for (int64_t e = 0; e < t; ++e) {
-            float acc = 0.0f;
-            for (int64_t p = 0; p < d; ++p)
-                acc += x.at2(i, p) * g.at2(e, p);
-            u[static_cast<size_t>(e)] = acc;
-        }
-        for (int64_t j = 0; j < d; ++j) {
-            float acc = 0.0f;
-            for (int64_t e = 0; e < t; ++e)
-                acc += u[static_cast<size_t>(e)] * x.at2(e, j);
-            t2[static_cast<size_t>(j)] = acc;
-        }
-        for (int64_t e = 0; e < t; ++e) {
-            float acc = 0.0f;
-            for (int64_t p = 0; p < d; ++p)
-                acc += x.at2(i, p) * x.at2(e, p);
-            vv[static_cast<size_t>(e)] = acc;
-        }
-        for (int64_t j = 0; j < d; ++j) {
-            float acc = 0.0f;
-            for (int64_t e = 0; e < t; ++e)
-                acc += vv[static_cast<size_t>(e)] * g.at2(e, j);
-            t3[static_cast<size_t>(j)] = acc;
-        }
-        for (int64_t j = 0; j < d; ++j) {
-            out.at2(i, j) = t1[static_cast<size_t>(j)] +
-                            t2[static_cast<size_t>(j)] +
-                            t3[static_cast<size_t>(j)];
-        }
-    };
-    rp.copyRow = [&](int64_t i, int64_t o) {
-        kernels::ops().copySpan(out.data() + i * d, out.data() + o * d,
-                                d);
-    };
-    rp.copyRowSpan = [&](int64_t r0, int64_t r1, int64_t o0) {
-        kernels::ops().copySpan(out.data() + r0 * d,
-                                out.data() + o0 * d, (r1 - r0) * d);
-    };
-    rp.rowSkipCost = row_cost;
-
-    rt.runRows(ReuseRuntime::StreamSource::replay(pass), rp, stats);
+    });
+    for (int64_t i = 0; i < t; ++i) {
+        const int64_t o = owner[static_cast<size_t>(i)];
+        if (o != i)
+            std::copy(out.data() + o * d, out.data() + (o + 1) * d,
+                      out.data() + i * d);
+    }
     return out;
 }
 
@@ -221,8 +217,7 @@ AttentionEngine::backwardProjection(const Tensor &x,
     // Sum-then-multiply (§III-C2 on the dW-shaped projection factor):
     // group the token rows by forward owner, one outer product per
     // group with the owner's row.
-    ReuseRuntime rt(*frontend_, frontend_.signatureBits());
-    return weightGradReplay(rt, record, pass, x, x, stats);
+    return ownerWeightGrad(record, pass, x, x, stats);
 }
 
 } // namespace mercury

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/kernels/kernels.hpp"
-#include "core/span_batcher.hpp"
 #include "util/logging.hpp"
 
 namespace mercury {
@@ -21,116 +20,55 @@ ConvReuseEngine::ConvReuseEngine(DetectionFrontend &frontend, int sig_bits)
 
 namespace {
 
-/**
- * One filter pass over rows [r0, r1): HIT vectors fetch the owner's
- * dot product from the runtime's arena-backed data plane (version
- * slot `ver`), misses compute, MAU rows deposit. Returns the MACs
- * skipped. The runtime guarantees rows arrive in stream order per
- * filter, so every HIT's owner (an earlier MAU row) has already
- * deposited; each filter owns its version slot exclusively for the
- * whole channel pass, which is what makes the plane's unsynchronized
- * access race-free (see pass_arena.hpp).
- */
-uint64_t
-filterSegment(PassDataPlane &plane, const Tensor &rows,
-              const std::vector<McacheResult> &row_results,
-              const float *w, int ver, int64_t r0, int64_t r1, int64_t d,
-              float *out_base)
+/** dst[i] += src[i] * a over n floats: a rounded multiply, then add. */
+inline void
+mulAdd(float *__restrict dst, const float *__restrict src, float a,
+       int64_t n)
 {
-    uint64_t skipped = 0;
-    for (int64_t i = r0; i < r1; ++i) {
-        const McacheResult &mr = row_results[static_cast<size_t>(i)];
-        // Hide the next row's data-plane latency behind this row's
-        // dot product (entry ids jump around the arena, so the
-        // hardware stride prefetcher cannot see this pattern).
-        if (i + 1 < r1)
-            plane.prefetch(row_results[static_cast<size_t>(i + 1)].entryId,
-                           ver);
-        float val;
-        if (mr.outcome == McacheOutcome::Hit &&
-            plane.readIfValid(mr.entryId, ver, val)) {
-            // Reuse the earlier vector's result.
-            skipped += static_cast<uint64_t>(d);
-        } else {
-            const float *row = rows.data() + i * d;
-            float acc = 0.0f;
-            for (int64_t e = 0; e < d; ++e)
-                acc += row[e] * w[e];
-            val = acc;
-            if (mr.outcome == McacheOutcome::Mau)
-                plane.write(mr.entryId, ver, acc);
-        }
-        out_base[i] += val;
-    }
-    return skipped;
+    for (int64_t i = 0; i < n; ++i)
+        dst[i] += src[i] * a;
 }
 
-/**
- * One backward filter segment over rows [r0, r1): fill the filter's
- * grad-column rows. A row that computed forward multiplies its output
- * gradient into the kernel; a forward-HIT row copies its owner's
- * already-filled row (§III-C2 — the owner is an earlier row of the
- * same pass, so per-filter stream order makes the copy safe). Returns
- * the MACs skipped.
- */
-uint64_t
-backwardSegment(const std::vector<int64_t> &owner, const float *go,
-                const float *w, float *col, int64_t r0, int64_t r1,
-                int64_t d)
+/** Shape of one conv layer call, as the three passes see it. */
+struct ConvGeometry
 {
-    const kernels::KernelOps &k = kernels::ops();
-    uint64_t skipped = 0;
-    int64_t r = r0;
-    while (r < r1) {
-        const int64_t o = owner[static_cast<size_t>(r)];
-        if (o == r) {
-            k.scaleSpan(col + r * d, go[r], w, d);
-            ++r;
-            continue;
-        }
-        // Coalesce adjacent HIT rows whose owners are also adjacent
-        // into one span copy: destination rows r.. and source rows
-        // o.. are each contiguous in the column buffer, and the
-        // owner run ends before row r (owners are computed rows, so
-        // the index sets are disjoint and o + len <= r) — the ranges
-        // never overlap.
-        int64_t e = r + 1;
-        while (e < r1 && owner[static_cast<size_t>(e)] != e &&
-               owner[static_cast<size_t>(e)] ==
-                   owner[static_cast<size_t>(e - 1)] + 1)
-            ++e;
-        k.copySpan(col + r * d, col + o * d, (e - r) * d);
-        skipped += static_cast<uint64_t>(e - r) * static_cast<uint64_t>(d);
-        r = e;
+    int64_t n, oh, ow, k, d, v, cin_g, cout_g;
+
+    ConvGeometry(const ConvSpec &spec, int64_t batch, int64_t out_h,
+                 int64_t out_w)
+        : n(batch), oh(out_h), ow(out_w), k(spec.kernelH), d(k * k),
+          v(oh * ow), cin_g(spec.inChannels / spec.groups),
+          cout_g(spec.outChannels / spec.groups)
+    {
+        if (spec.kernelW != k)
+            panic("ConvReuseEngine expects square kernels");
     }
-    return skipped;
-}
+
+    /** MACs of one channel pass: every row against every filter. */
+    uint64_t passMacs() const
+    {
+        return static_cast<uint64_t>(v) * static_cast<uint64_t>(cout_g) *
+               static_cast<uint64_t>(d);
+    }
+};
 
 /**
- * One weight-gradient group-sum segment over rows [r0, r1) of one
- * filter: fold each row's output gradient into its owner's group
- * accumulator (§III-C2 sum-then-multiply, Eq. 1). An owner slot
- * starts as a bit-exact copy of its own gradient, so singleton groups
- * reproduce the exact per-row contribution; HIT rows accumulate with
- * adds. Stream order per filter guarantees the owner's copy lands
- * before any of its hits fold in. Returns the MACs the filter's
- * deferred outer products will skip.
+ * Check that `record` holds one pass of `v` rows per (image, group,
+ * channel) of the layer, before any replay work fans out.
  */
-uint64_t
-weightGradSumSegment(const std::vector<int64_t> &owner, const float *go,
-                     float *gcol, int64_t r0, int64_t r1, int64_t d)
+void
+checkRecord(const SignatureRecord &record, const ConvSpec &spec,
+            const ConvGeometry &geo, const char *what)
 {
-    uint64_t skipped = 0;
-    for (int64_t r = r0; r < r1; ++r) {
-        const int64_t o = owner[static_cast<size_t>(r)];
-        if (o == r) {
-            gcol[r] = go[r];
-        } else {
-            gcol[o] += go[r];
-            skipped += static_cast<uint64_t>(d);
-        }
-    }
-    return skipped;
+    const int64_t passes = geo.n * spec.groups * geo.cin_g;
+    if (record.passCount() != passes)
+        panic("record holds ", record.passCount(), " passes, ", what,
+              " needs ", passes,
+              " — was forward captured with the same layer geometry?");
+    for (int64_t p = 0; p < passes; ++p)
+        if (record.pass(p).rows != geo.v)
+            panic("recorded pass holds ", record.pass(p).rows,
+                  " rows, gradient has ", geo.v);
 }
 
 } // namespace
@@ -151,13 +89,6 @@ extractChannelPatchRows(const Tensor &input, const ConvSpec &spec,
         rows.data());
 }
 
-void
-extractChannelPatches(const Tensor &input, const ConvSpec &spec, int64_t b,
-                      int64_t c, int64_t oh, int64_t ow, Tensor &rows)
-{
-    extractChannelPatchRows(input, spec, b, c, ow, 0, oh * ow, rows);
-}
-
 Tensor
 ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
                          const Tensor &bias, const ConvSpec &spec,
@@ -165,18 +96,12 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
 {
     if (input.rank() != 4 || weight.rank() != 4)
         panic("ConvReuseEngine expects rank-4 input and weight");
-    const int64_t n = input.dim(0);
-    const int64_t oh = spec.outH(input.dim(2));
-    const int64_t ow = spec.outW(input.dim(3));
-    const int64_t k = spec.kernelH;
-    if (spec.kernelW != k)
-        panic("ConvReuseEngine expects square kernels");
-    const int64_t d = k * k;
-    const int64_t v = oh * ow;
-    const int64_t cin_g = spec.inChannels / spec.groups;
-    const int64_t cout_g = spec.outChannels / spec.groups;
+    const ConvGeometry geo(spec, input.dim(0), spec.outH(input.dim(2)),
+                           spec.outW(input.dim(3)));
+    const int64_t n = geo.n, ow = geo.ow, d = geo.d, v = geo.v;
+    const int64_t cin_g = geo.cin_g, cout_g = geo.cout_g;
 
-    Tensor out({n, spec.outChannels, oh, ow});
+    Tensor out({n, spec.outChannels, geo.oh, ow});
     if (bias.numel()) {
         for (int64_t b = 0; b < n; ++b)
             for (int64_t oc = 0; oc < spec.outChannels; ++oc)
@@ -188,25 +113,16 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
     if (record)
         record->clear();
 
-    // HIT forwarding runs on the runtime's arena-backed data plane:
-    // MCACHE Valid-Data semantics with plain unsynchronized access —
-    // the scheduler's version-slot discipline already guarantees
-    // exclusive cells (see pass_arena.hpp). The plane is host scratch
-    // memory, not a model of the MCACHE's version SRAM (the cycle
-    // model still charges the Fig. 11 version constraint), so it
-    // affords one slot PER FILTER: forwarding only ever reads a value
-    // the same filter deposited, unique slots make that true with
-    // every filter of a channel pass in flight at once — no filter
-    // groups, no between-group invalidation barriers.
-    PassDataPlane &plane = rt.dataPlane();
-    plane.configure(frontend_->entries(), static_cast<int>(cout_g));
-
-    // Weight pointer of one filter pass: filter `of` of group g
-    // against input channel c.
-    const auto weight_of = [&](int64_t g, int64_t of, int64_t ic) {
-        const int64_t oc = g * cout_g + of;
-        return weight.data() + ((oc * cin_g + ic) * k) * k;
-    };
+    // Each (group, channel)'s kernels transposed to (tap, filter): an
+    // owner row computes all cout_g filter values in one sweep.
+    std::vector<float> wt(static_cast<size_t>(weight.numel()));
+    for (int64_t g = 0; g < spec.groups; ++g)
+        for (int64_t ic = 0; ic < cin_g; ++ic)
+            for (int64_t f = 0; f < cout_g; ++f)
+                for (int64_t t = 0; t < d; ++t)
+                    wt[static_cast<size_t>(
+                        ((g * cin_g + ic) * d + t) * cout_g + f)] =
+                        weight[((g * cout_g + f) * cin_g + ic) * d + t];
 
     // Channel passes in execution order (also the record's pass
     // order, which the backward replays re-walk). Grouped / depthwise
@@ -225,14 +141,14 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
 
     // Double-buffered extraction tensors (cross-channel overlap): pass
     // p+1 is extracted and hashed into the other buffer while pass p's
-    // filter chains drain. Single-touch fusion: a pass's extraction
+    // owner computes drain. Single-touch fusion: a pass's extraction
     // rides its hash job as a RowFiller — each projection block
     // extracts its row range immediately before hashing it, so a
     // block's patches are still cache-hot when the RPQ projection
     // reads them (and on a pool the filler fans out with the hash
-    // blocks instead of running as a serial pre-pass on the driving
-    // thread). Without a pool the job defers hashing into the probe
-    // half, so each block runs hash, probe, then filter, inline.
+    // blocks). Without a pool the job defers hashing into the probe
+    // half, so each block runs hash, probe, then its owner computes,
+    // inline.
     Tensor bufs[2] = {Tensor({v, d}), Tensor({v, d})};
     const auto begin_hash = [&](size_t pi) {
         const PassId p = order[pi];
@@ -246,6 +162,12 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
             });
     };
 
+    // Owner map and owner values of the pass in flight: vals holds the
+    // cout_g filter values of each owner row (row-major by row).
+    OwnerTable table(frontend_->entries());
+    std::vector<int64_t> owner(static_cast<size_t>(v));
+    std::vector<float> vals(static_cast<size_t>(v * cout_g));
+
     stats = ReuseStats{};
     std::unique_ptr<DetectionHashJob> job;
     if (!order.empty())
@@ -254,45 +176,54 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
     for (size_t pi = 0; pi < order.size(); ++pi) {
         const PassId p = order[pi];
         const Tensor &rows = bufs[pi & 1];
+        const float *w_p =
+            wt.data() + (p.g * cin_g + p.ic) * d * cout_g;
 
-        // Pass-start clear of the data plane (the MCACHE tag plane is
-        // cleared by the detection pass itself). Driving thread, no
-        // segments in flight yet — quiescent by construction.
-        plane.invalidateAll();
-
-        // One FilterPassSet per channel pass: cout_g filter passes,
-        // ALL in flight (each filter owns data-plane slot f outright,
-        // so no slot is ever recycled within a pass — the runtime
-        // streams the whole pass through its chains with no group
-        // barriers).
-        const std::vector<McacheResult> &row_results = rt.rowResults();
-        ReuseRuntime::FilterPassSet set;
-        set.rows = v;
-        set.filters = cout_g;
-        set.inFlight = cout_g;
-        set.segment = [&, p](int64_t f, int64_t r0, int64_t r1) {
-            return filterSegment(
-                plane, rows, row_results, weight_of(p.g, f, p.ic),
-                static_cast<int>(f), r0, r1, d,
-                out.data() + out.offset4(p.b, p.g * cout_g + f, 0, 0));
+        ReuseRuntime::RowPass pass;
+        pass.ownerOf = [&](int64_t i, const McacheResult &mr) {
+            const int64_t o = table.ownerOf(i, mr.outcome, mr.entryId);
+            owner[static_cast<size_t>(i)] = o;
+            return o;
         };
+        // Each value sums tap-ascending from +0: the dot product the
+        // filter would compute on its own.
+        pass.computeRow = [&, w_p](int64_t i) {
+            float *val = vals.data() + i * cout_g;
+            const float *row = rows.data() + i * d;
+            std::fill(val, val + cout_g, 0.0f);
+            for (int64_t t = 0; t < d; ++t)
+                mulAdd(val, w_p + t * cout_g, row[t], cout_g);
+        };
+        pass.rowSkipCost =
+            static_cast<uint64_t>(cout_g) * static_cast<uint64_t>(d);
         // Cross-channel overlap: begin hashing the next pass into the
-        // other buffer while this channel's chains drain. Hashing
-        // touches no MCACHE state, so it is safe beside the
-        // data-plane traffic of the in-flight filters.
+        // other buffer while this pass's owner computes drain. Hashing
+        // touches no MCACHE state, so it is safe beside them.
         std::unique_ptr<DetectionHashJob> next_job;
-        set.onStreamDelivered = [&] {
+        pass.onStreamDelivered = [&] {
             if (pi + 1 < order.size())
                 next_job = begin_hash(pi + 1);
         };
 
-        rt.runFilterPasses(ReuseRuntime::StreamSource::hashed(*job, record),
-                           set, stats);
+        rt.runRows(ReuseRuntime::StreamSource::hashed(*job, record), pass,
+                   stats);
+        table.nextPass();
         job = std::move(next_job);
 
-        stats.macsTotal += static_cast<uint64_t>(v) *
-                           static_cast<uint64_t>(cout_g) *
-                           static_cast<uint64_t>(d);
+        // Every row adds its owner's value, filter by filter: each
+        // output gets one partial per channel pass, in channel order.
+        float *out_g = out.data() + out.offset4(p.b, p.g * cout_g, 0, 0);
+        const int64_t chains = rt.chainsFor(cout_g);
+        rt.parallelChains(chains, [&](int64_t c) {
+            for (int64_t f = c * cout_g / chains;
+                 f < (c + 1) * cout_g / chains; ++f) {
+                float *o = out_g + f * v;
+                for (int64_t i = 0; i < v; ++i)
+                    o[i] += vals[static_cast<size_t>(
+                        owner[static_cast<size_t>(i)] * cout_g + f)];
+            }
+        });
+        stats.macsTotal += geo.passMacs();
     }
     return out;
 }
@@ -305,147 +236,68 @@ ConvReuseEngine::backwardInput(const Tensor &gradOut, const Tensor &weight,
 {
     if (gradOut.rank() != 4 || weight.rank() != 4)
         panic("ConvReuseEngine expects rank-4 gradient and weight");
-    const int64_t n = gradOut.dim(0);
-    const int64_t oh = gradOut.dim(2);
-    const int64_t ow = gradOut.dim(3);
-    const int64_t k = spec.kernelH;
-    if (spec.kernelW != k)
-        panic("ConvReuseEngine expects square kernels");
-    const int64_t d = k * k;
-    const int64_t v = oh * ow;
-    const int64_t cin_g = spec.inChannels / spec.groups;
-    const int64_t cout_g = spec.outChannels / spec.groups;
-    if (record.passCount() != n * spec.groups * cin_g)
-        panic("record holds ", record.passCount(),
-              " passes, backward needs ", n * spec.groups * cin_g,
-              " — was forward captured with the same layer geometry?");
-    // Backward keeps as many filters in flight as the forward pass
-    // kept data versions, one grad-column buffer per slot.
-    const int64_t slots =
-        std::max<int64_t>(1, std::min<int64_t>(record.dataVersions(),
-                                               cout_g));
+    const ConvGeometry geo(spec, gradOut.dim(0), gradOut.dim(2),
+                           gradOut.dim(3));
+    const int64_t v = geo.v, d = geo.d;
+    const int64_t cin_g = geo.cin_g, cout_g = geo.cout_g;
+    checkRecord(record, spec, geo, "backward");
 
     ReuseRuntime rt(*frontend_, frontend_.signatureBits());
-    Tensor grad_in({n, spec.inChannels, in_h, in_w});
+    Tensor grad_in({geo.n, spec.inChannels, in_h, in_w});
     stats = ReuseStats{};
+    const int64_t passes = record.passCount();
+    if (passes == 0 || v == 0)
+        return grad_in;
 
-    const auto weight_of = [&](int64_t g, int64_t of, int64_t ic) {
-        const int64_t oc = g * cout_g + of;
-        return weight.data() + ((oc * cin_g + ic) * k) * k;
-    };
-
-    std::vector<int64_t> owner;
-    std::vector<std::vector<float>> cols(
-        static_cast<size_t>(slots),
-        std::vector<float>(static_cast<size_t>(v * d)));
-
-    int64_t pass_idx = 0;
-    for (int64_t b = 0; b < n; ++b) {
-        for (int64_t g = 0; g < spec.groups; ++g) {
-            for (int64_t ic = 0; ic < cin_g; ++ic) {
-                const SignatureRecord::Pass &pass =
-                    record.pass(pass_idx++);
-                if (pass.rows != v)
-                    panic("recorded pass holds ", pass.rows,
-                          " rows, gradient has ", v);
-                record.ownersOf(pass, owner);
-
-                stats.macsTotal += static_cast<uint64_t>(v) *
-                                   static_cast<uint64_t>(cout_g) *
-                                   static_cast<uint64_t>(d);
-
-                // One replayed FilterPassSet per channel pass
-                // (§III-C2): the grad-column fills consume the
-                // stream — every HIT's owner row is in an earlier
-                // (or the same) block, so per-filter stream order
-                // makes the copy source always filled first.
-                ReuseRuntime::FilterPassSet set;
-                set.rows = v;
-                set.filters = cout_g;
-                set.inFlight = slots;
-                set.segment = [&](int64_t f, int64_t r0, int64_t r1) {
-                    return backwardSegment(
-                        owner,
-                        gradOut.data() +
-                            gradOut.offset4(b, g * cout_g + f, 0, 0),
-                        weight_of(g, f, ic),
-                        cols[static_cast<size_t>(f % slots)].data(), r0,
-                        r1, d);
-                };
-                // Scatter the group's grad columns in the exact
-                // path's accumulation order — filters ascending,
-                // output positions ascending — so a zero-hit replay
-                // reproduces conv2dBackwardInput bit for bit. Each
-                // kernel row clips to one contiguous in-bounds
-                // column window (span_batcher.hpp), so the scatter
-                // runs as one addSpan per (position, kernel row) —
-                // elementwise adds, each cell accumulated in the
-                // same order as the per-element loop it replaces.
-                //
-                // The scatter fans out in BANDS of input rows: every
-                // gradient cell lives on exactly one input row iy, so
-                // a worker that owns iy in [a, z) executes precisely
-                // the adds landing in its band — writes are disjoint
-                // across workers, and each cell still receives its
-                // adds in (f, y, x, ky) order (filtering a sequence
-                // never reorders it), keeping the result bit-exact
-                // regardless of scheduling.
-                set.afterGroup = [&](int64_t f0, int64_t f1) {
-                    const kernels::KernelOps &kn = kernels::ops();
-                    float *gin_base =
-                        grad_in.data() +
-                        grad_in.offset4(b, g * cin_g + ic, 0, 0);
-                    ThreadPool *sp = rt.pool();
-                    const int64_t nbands =
-                        sp ? std::min<int64_t>(
-                                 in_h,
-                                 static_cast<int64_t>(sp->workers()) + 1)
-                           : 1;
-                    rt.parallelChains(nbands, [&](int64_t bi) {
-                        const int64_t a = bi * in_h / nbands;
-                        const int64_t z = (bi + 1) * in_h / nbands;
-                        for (int64_t f = f0; f < f1; ++f) {
-                            const float *col =
-                                cols[static_cast<size_t>(f % slots)]
-                                    .data();
-                            int64_t r = 0;
-                            for (int64_t y = 0; y < oh; ++y) {
-                                const int64_t iy0 =
-                                    y * spec.stride - spec.pad;
-                                if (iy0 >= z || iy0 + k <= a) {
-                                    r += ow; // window misses the band
-                                    continue;
-                                }
-                                for (int64_t x = 0; x < ow; ++x, ++r) {
-                                    const float *src = col + r * d;
-                                    const KxSpan kxs = kxSpan(
-                                        x, spec.stride, spec.pad, k,
-                                        in_w);
-                                    if (kxs.kx0 >= kxs.kx1)
-                                        continue;
-                                    const int64_t ix0 =
-                                        x * spec.stride - spec.pad +
-                                        kxs.kx0;
-                                    for (int64_t ky = 0; ky < k; ++ky) {
-                                        const int64_t iy = iy0 + ky;
-                                        if (iy < a || iy >= z)
-                                            continue;
-                                        kn.addSpan(
-                                            gin_base + iy * in_w + ix0,
-                                            src + ky * k + kxs.kx0,
-                                            kxs.kx1 - kxs.kx0);
-                                    }
-                                }
-                            }
-                        }
-                    });
-                };
-
-                rt.runFilterPasses(
-                    ReuseRuntime::StreamSource::replay(pass), set,
-                    stats);
+    // A forward-HIT row's products are go[owner] * w, so one pass's
+    // replay is the exact per-channel input gradient of the output
+    // gradients gathered through the owner map — each cell still sums
+    // in (filter, y, x) order from +0, bit for bit the products the
+    // owner rows would scatter. Passes write disjoint grad_in planes,
+    // so on a pool they fan out per pass.
+    const ConvFrame frame(spec, in_h, in_w);
+    rt.beginPass(v);
+    const int64_t chains = rt.chainsFor(passes);
+    std::vector<uint64_t> skipped(static_cast<size_t>(chains), 0);
+    rt.parallelChains(chains, [&](int64_t c) {
+        OwnerTable table(record.entries());
+        std::vector<int64_t> owner;
+        std::vector<float> gathered(static_cast<size_t>(cout_g * v));
+        std::vector<float> scratch(static_cast<size_t>(frame.size()));
+        for (int64_t pi = c * passes / chains;
+             pi < (c + 1) * passes / chains; ++pi) {
+            const int64_t b = pi / (spec.groups * cin_g);
+            const int64_t g = pi / cin_g % spec.groups;
+            const int64_t ic = pi % cin_g;
+            const int64_t fwd =
+                record.ownersOf(record.pass(pi), table, owner);
+            const float *go =
+                gradOut.data() + gradOut.offset4(b, g * cout_g, 0, 0);
+            if (fwd > 0) {
+                for (int64_t f = 0; f < cout_g; ++f) {
+                    const float *src = go + f * v;
+                    float *dst = gathered.data() + f * v;
+                    for (int64_t r = 0; r < v; ++r)
+                        dst[r] = src[owner[static_cast<size_t>(r)]];
+                }
+                go = gathered.data();
             }
+            conv2dBackwardInputChannel(
+                frame, go, cout_g,
+                weight.data() + (g * cout_g * cin_g + ic) * d, cin_g * d,
+                scratch.data(),
+                grad_in.data() + grad_in.offset4(b, g * cin_g + ic, 0, 0));
+            skipped[static_cast<size_t>(c)] +=
+                static_cast<uint64_t>(fwd) * static_cast<uint64_t>(cout_g) *
+                static_cast<uint64_t>(d);
         }
+    });
+
+    for (const uint64_t s : skipped)
+        stats.macsSkipped += s;
+    for (int64_t pi = 0; pi < passes; ++pi) {
+        stats.addReplayedPass(record.pass(pi));
+        stats.macsTotal += geo.passMacs();
     }
     return grad_in;
 }
@@ -458,115 +310,111 @@ ConvReuseEngine::backwardWeights(const Tensor &input, const Tensor &gradOut,
 {
     if (input.rank() != 4 || gradOut.rank() != 4)
         panic("ConvReuseEngine expects rank-4 input and gradient");
-    const int64_t n = input.dim(0);
-    const int64_t oh = gradOut.dim(2);
-    const int64_t ow = gradOut.dim(3);
-    const int64_t k = spec.kernelH;
-    if (spec.kernelW != k)
-        panic("ConvReuseEngine expects square kernels");
-    const int64_t d = k * k;
-    const int64_t v = oh * ow;
-    const int64_t cin_g = spec.inChannels / spec.groups;
-    const int64_t cout_g = spec.outChannels / spec.groups;
-    if (record.passCount() != n * spec.groups * cin_g)
-        panic("record holds ", record.passCount(),
-              " passes, weight gradient needs ", n * spec.groups * cin_g,
-              " — was forward captured with the same layer geometry?");
-    // Like backwardInput: as many filters in flight as the forward
-    // pass kept data versions, one group-sum buffer per slot.
-    const int64_t slots =
-        std::max<int64_t>(1, std::min<int64_t>(record.dataVersions(),
-                                               cout_g));
+    const ConvGeometry geo(spec, input.dim(0), gradOut.dim(2),
+                           gradOut.dim(3));
+    const int64_t n = geo.n, ow = geo.ow, d = geo.d, v = geo.v;
+    const int64_t cin_g = geo.cin_g, cout_g = geo.cout_g;
+    checkRecord(record, spec, geo, "weight gradient");
 
     ReuseRuntime rt(*frontend_, frontend_.signatureBits());
-    Tensor grad_w({spec.outChannels, cin_g, k, k});
+    Tensor grad_w({spec.outChannels, cin_g, geo.k, geo.k});
     stats = ReuseStats{};
+    const int64_t passes = record.passCount();
+    if (passes == 0 || v == 0)
+        return grad_w;
 
-    Tensor rows({v, d});
-    std::vector<int64_t> owner;
-    std::vector<std::vector<float>> gcols(
-        static_cast<size_t>(slots),
-        std::vector<float>(static_cast<size_t>(v)));
+    // Sum-then-multiply (§III-C2 on Eq. 1): a forward-HIT row's
+    // x_hit (x) dy_hit factors through its owner's patch, so each pass
+    // first sums every hit-group's output gradients, then multiplies
+    // once per owner row. The chains of a group's filters run side by
+    // side, as in conv2dBackwardWeight: the output gradients are
+    // transposed to (position, filter) once per (image, group), and
+    // the accumulators, laid out (tap, filter), carry across the
+    // batch. Every weight element still sums (image, owner) ascending
+    // from +0.
+    std::vector<float> go_t(static_cast<size_t>(gradOut.numel()));
+    for (int64_t bg = 0; bg < n * spec.groups; ++bg) {
+        const float *go = gradOut.data() + bg * cout_g * v;
+        float *dst = go_t.data() + bg * v * cout_g;
+        for (int64_t f = 0; f < cout_g; ++f)
+            for (int64_t r = 0; r < v; ++r)
+                dst[r * cout_g + f] = go[f * v + r];
+    }
 
-    int64_t pass_idx = 0;
-    for (int64_t b = 0; b < n; ++b) {
-        for (int64_t g = 0; g < spec.groups; ++g) {
-            for (int64_t ic = 0; ic < cin_g; ++ic) {
-                const SignatureRecord::Pass &pass =
-                    record.pass(pass_idx++);
-                if (pass.rows != v)
-                    panic("recorded pass holds ", pass.rows,
-                          " rows, gradient has ", v);
-                record.ownersOf(pass, owner);
-                // The owners' patches are the single representative
-                // each hit-group multiplies through. Replay streams
-                // never hash, so there is no pipeline to fuse the
-                // extraction into — instead it fans out over the
-                // worker pool in disjoint row bands (pure span
-                // copies, bit-identical in any order) rather than
-                // running as a serial pre-pass on the driving thread.
-                if (ThreadPool *xp = frontend_->workerPool()) {
-                    const int64_t nb = std::min<int64_t>(
-                        v, static_cast<int64_t>(xp->workers()) + 1);
-                    xp->parallelFor(nb, [&](int64_t bi) {
-                        extractChannelPatchRows(
-                            input, spec, b, g * cin_g + ic, ow,
-                            bi * v / nb, (bi + 1) * v / nb, rows);
-                    });
-                } else {
-                    extractChannelPatches(input, spec, b,
-                                          g * cin_g + ic, oh, ow, rows);
+    // (group, channel) pairs write disjoint grad_w slices: on a pool
+    // they fan out, each walking the batch in order.
+    const int64_t pairs = spec.groups * cin_g;
+    rt.beginPass(v);
+    const int64_t chains = rt.chainsFor(pairs);
+    std::vector<uint64_t> skipped(static_cast<size_t>(chains), 0);
+    rt.parallelChains(chains, [&](int64_t c) {
+        OwnerTable table(record.entries());
+        std::vector<int64_t> owner;
+        std::vector<float> sums(static_cast<size_t>(v * cout_g));
+        std::vector<float> acc(static_cast<size_t>(d * cout_g));
+        Tensor patches({v, d});
+        for (int64_t gi = c * pairs / chains; gi < (c + 1) * pairs / chains;
+             ++gi) {
+            const int64_t g = gi / cin_g, ic = gi % cin_g;
+            std::fill(acc.begin(), acc.end(), 0.0f);
+            for (int64_t b = 0; b < n; ++b) {
+                const int64_t fwd = record.ownersOf(
+                    record.pass((b * spec.groups + g) * cin_g + ic), table,
+                    owner);
+                skipped[static_cast<size_t>(c)] +=
+                    static_cast<uint64_t>(fwd) *
+                    static_cast<uint64_t>(cout_g) *
+                    static_cast<uint64_t>(d);
+                // Group sums in stream order: the owner row copies its
+                // own gradients, HIT rows add theirs.
+                const float *gt =
+                    go_t.data() + (b * spec.groups + g) * v * cout_g;
+                for (int64_t r = 0; r < v; ++r) {
+                    const int64_t o = owner[static_cast<size_t>(r)];
+                    const float *src = gt + r * cout_g;
+                    float *dst = sums.data() + o * cout_g;
+                    if (o == r)
+                        std::copy(src, src + cout_g, dst);
+                    else
+                        kernels::ops().addSpan(dst, src, cout_g);
                 }
-
-                stats.macsTotal += static_cast<uint64_t>(v) *
-                                   static_cast<uint64_t>(cout_g) *
-                                   static_cast<uint64_t>(d);
-
-                // One replayed FilterPassSet per channel pass
-                // (§III-C2 sum-then-multiply, Eq. 1): the segments
-                // fold each row's output gradient into its owner's
-                // group accumulator on the stream; afterGroup then
-                // runs one multiply per group through the owner's
-                // patch, owners ascending, so a zero-hit replay
-                // accumulates each weight element in
-                // conv2dBackwardWeight's (batch, output-position)
-                // order. Filters write disjoint grad_w rows and fan
-                // out in parallel.
-                ReuseRuntime::FilterPassSet set;
-                set.rows = v;
-                set.filters = cout_g;
-                set.inFlight = slots;
-                set.segment = [&](int64_t f, int64_t r0, int64_t r1) {
-                    return weightGradSumSegment(
-                        owner,
-                        gradOut.data() +
-                            gradOut.offset4(b, g * cout_g + f, 0, 0),
-                        gcols[static_cast<size_t>(f % slots)].data(), r0,
-                        r1, d);
-                };
-                set.afterGroup = [&](int64_t f0, int64_t f1) {
-                    const kernels::KernelOps &kn = kernels::ops();
-                    rt.parallelChains(f1 - f0, [&](int64_t i) {
-                        const int64_t f = f0 + i;
-                        const int64_t oc = g * cout_g + f;
-                        float *gw =
-                            grad_w.data() + ((oc * cin_g + ic) * k) * k;
-                        const float *gcol =
-                            gcols[static_cast<size_t>(f % slots)].data();
-                        for (int64_t r = 0; r < v; ++r) {
-                            if (owner[static_cast<size_t>(r)] != r)
-                                continue;
-                            const float gv = gcol[r];
-                            kn.axpy(gw, gv, rows.data() + r * d, d);
-                        }
-                    });
-                };
-
-                rt.runFilterPasses(
-                    ReuseRuntime::StreamSource::replay(pass), set,
-                    stats);
+                // Patches of the owner rows only (runs of consecutive
+                // owners extract as one range), then one multiply per
+                // owner, owners ascending.
+                for (int64_t r0 = 0; r0 < v;) {
+                    if (owner[static_cast<size_t>(r0)] != r0) {
+                        ++r0;
+                        continue;
+                    }
+                    int64_t r1 = r0 + 1;
+                    while (r1 < v && owner[static_cast<size_t>(r1)] == r1)
+                        ++r1;
+                    extractChannelPatchRows(input, spec, b, g * cin_g + ic,
+                                            ow, r0, r1, patches);
+                    for (int64_t r = r0; r < r1; ++r) {
+                        const float *gr = sums.data() + r * cout_g;
+                        const float *pr = patches.data() + r * d;
+                        for (int64_t t = 0; t < d; ++t)
+                            mulAdd(acc.data() + t * cout_g, gr, pr[t],
+                                   cout_g);
+                    }
+                    r0 = r1;
+                }
+            }
+            for (int64_t f = 0; f < cout_g; ++f) {
+                float *gw =
+                    grad_w.data() + ((g * cout_g + f) * cin_g + ic) * d;
+                for (int64_t t = 0; t < d; ++t)
+                    gw[t] = acc[static_cast<size_t>(t * cout_g + f)];
             }
         }
+    });
+
+    for (const uint64_t s : skipped)
+        stats.macsSkipped += s;
+    for (int64_t pi = 0; pi < passes; ++pi) {
+        stats.addReplayedPass(record.pass(pi));
+        stats.macsTotal += geo.passMacs();
     }
     return grad_w;
 }

@@ -2,69 +2,62 @@
  * @file
  * Functional convolution with MERCURY reuse (§III-C1).
  *
- * For every (image, channel) the engine extracts the input vectors,
- * runs the similarity detector, then performs the channel's filter
- * passes: HIT vectors take their dot product from MCACHE (the value
- * the matching MAU vector computed), MAU vectors compute and deposit
- * their result, MNU vectors compute without caching. Results
- * accumulate over channels exactly like the baseline convolution, so
- * the output differs from the exact convolution only by the
- * reuse-induced approximation — which is what the accuracy
- * experiments measure.
+ * For every (image, channel) the engine extracts the input vectors and
+ * runs the similarity detector; every channel pass then resolves its
+ * owner map (OwnerTable): a HIT row takes the result of the earlier
+ * row of the same pass that installed its MCACHE entry (MAU), every
+ * other row owns itself. Owner rows compute all of the channel's
+ * filter values in one sweep over its kernels, transposed to (tap,
+ * filter) — each value summed tap-ascending from +0, the dot product
+ * the filter would compute alone — and every row then adds its
+ * owner's values into the output. Results accumulate over channels
+ * exactly like the baseline convolution, so the output differs from
+ * the exact convolution only by the reuse-induced approximation —
+ * which is what the accuracy experiments measure.
  *
- * Overlap (§III-B, Fig. 8): every channel pass consumes the
- * pipeline's streaming block hand-off. When the pass resolves
- * overlapped on a worker pool, the filter passes run as SerialExecutor
- * chains that start on each block as it is delivered, while later
- * blocks are still hashing; without a pool the same schedule runs
- * inline (hash, probe, filter, per block). Each filter processes its
- * rows in stream order (the MCACHE owner-writes-before-hit-reads
- * discipline), so outputs, hit/skip decisions, and statistics are
- * bit-identical either way.
+ * Overlap (§III-B, Fig. 8): every channel pass is a ReuseRuntime
+ * RowPass over the pipeline's streaming block hand-off. When the pass
+ * resolves overlapped on a worker pool, each block's owner rows
+ * compute on the pool while later blocks are still hashing, and the
+ * owner-value adds fan out over filters; without a pool the same
+ * schedule runs inline (hash, probe, compute, per block). Outputs,
+ * hit/skip decisions, and statistics are bit-identical either way.
  *
  * Cross-channel overlap: the extraction tensor is double buffered,
  * so the engine extracts and *hashes* channel c+1
  * (DetectionFrontend::beginHashStream — no MCACHE state touched)
- * while channel c's filter chains are still draining, hiding the
- * extraction + hashing fraction that the within-channel overlap
- * could not reach. Without a pool the job defers its hashing into
- * the probe half, so nothing runs ahead.
+ * while channel c's owner computes are still draining. Without a pool
+ * the job defers its hashing into the probe half, so nothing runs
+ * ahead.
  *
  * Backward (§III-C2): forward() optionally captures each channel
- * pass into a SignatureRecord; backwardInput() then computes the
- * input-gradient pass with the *same* reuse decisions, streamed back
- * through the block hand-off with zero detection cost. A forward-HIT
- * row reuses its owner row's grad-column products instead of
- * multiplying the output gradient into the kernel again; rows that
- * computed forward compute backward. With zero hits the result is
- * bit-identical to the exact input gradient (tensor/ops
- * conv2dBackwardInput): the scatter accumulates per input cell in
- * the exact path's (filter, output-position) order.
+ * pass into a SignatureRecord; backwardInput() then replays the
+ * input-gradient pass with the *same* reuse decisions and zero
+ * detection cost. A forward-HIT row's products are go[owner] * w, so
+ * each pass is the exact per-channel input gradient
+ * (conv2dBackwardInputChannel) of the output gradients gathered
+ * through the owner map: every cell sums in (filter, y, x) order from
+ * +0, and with zero hits the result is conv2dBackwardInput bit for
+ * bit. Passes write disjoint planes and fan out over the pool.
  *
  * Weight gradients (§III-C2 applied to Eq. 1): backwardWeights()
  * replays the same record over dW = X ⊛ dY. A forward-HIT row's
  * contribution x_hit ⊗ dy_hit factors through the owner's patch as
- * x_owner ⊗ (Σ dy over the owner's hit-group), so the pass first
+ * x_owner ⊗ (Σ dy over the owner's hit-group), so each pass first
  * sums the output gradients of each hit-group (cheap adds, charged
  * as per-group accumulate cycles in the timing model) and then does
- * one multiply per group — sum-then-multiply. With zero hits the
+ * one multiply per owner — sum-then-multiply, every weight element
+ * accumulating (image, owner) ascending from +0. With zero hits the
  * result is bit-identical to conv2dBackwardWeight; with hits it is
  * the exact dW up to the float-summation order of the grouped
- * gradient rows.
+ * gradient rows. (group, channel) pairs fan out over the pool.
  *
  * Thread-safety: forward(), backwardInput(), and backwardWeights()
- * are driven by one thread; the filter tasks they spawn touch the
- * runtime's PassDataPlane (forward) or engine-local grad-column /
- * group-sum buffers (backward) concurrently. Two threads must not call into one
- * engine (or two engines sharing a frontend) concurrently.
- *
- * Scheduling — whether a pass gets the pool, the per-filter stream
- * chains, and the grouped fan-outs — is delegated to ReuseRuntime
- * (core/reuse_runtime.hpp): each of the three passes is expressed as
- * a FilterPassSet descriptor, so this file holds only the conv shape
- * logic (patch extraction, group/filter geometry, scatter orders).
+ * are driven by one thread; the tasks they spawn write disjoint rows,
+ * filters, planes, or weight slices. Two threads must not call into
+ * one engine (or two engines sharing a frontend) concurrently.
  * Grouped and depthwise convolutions (spec.groups > 1) are the same
- * descriptors over per-group filter ranges — no separate engine.
+ * passes over per-group filter ranges — no separate engine.
  *
  * The engine also reports the measured HIT/MAU/MNU mix and the MACs
  * skipped, which feed the timing model.
@@ -88,26 +81,19 @@
 namespace mercury {
 
 /**
- * Extract the (oh*ow, k*k) patch rows of one (image, channel) pass —
- * the Fig. 7a vector extraction shared by the forward detection pass
- * and the weight-gradient replay (which needs the owner patches
- * back). Reads input.at4(b, c, ...) only, so any tensor holding the
- * channel works.
- */
-void extractChannelPatches(const Tensor &input, const ConvSpec &spec,
-                           int64_t b, int64_t c, int64_t oh, int64_t ow,
-                           Tensor &rows);
-
-/**
- * Ranged form of extractChannelPatches: fill rows [r0, r1) only (row
- * r is output position (r / ow, r % ow); absolute indexing, so the
- * destination range is rows.data() + r0 * k * k onward). This is the
- * single-touch fusion entry: forward() hands it to each channel's
- * hash job as a RowFiller so each block's patches are extracted
- * immediately before they are hashed — one L2-sized walk instead of
- * an extract-everything pass followed by a hash-everything pass.
- * Disjoint ranges may run concurrently (pure span copies/zeros via
- * the extractPatches kernel; no shared mutable state).
+ * Extract patch rows [r0, r1) of one (image, channel) pass — the
+ * Fig. 7a vector extraction shared by the forward detection pass and
+ * the weight-gradient replay (which needs the owner patches back).
+ * Row r is output position (r / ow, r % ow), k*k floats; indexing is
+ * absolute, so the destination range is rows.data() + r0 * k * k
+ * onward. Reads input.at4(b, c, ...) only, so any tensor holding the
+ * channel works. This is the single-touch fusion entry: forward()
+ * hands it to each channel's hash job as a RowFiller so each block's
+ * patches are extracted immediately before they are hashed — one
+ * L2-sized walk instead of an extract-everything pass followed by a
+ * hash-everything pass. Disjoint ranges may run concurrently (pure
+ * span copies/zeros via the extractPatches kernel; no shared mutable
+ * state).
  */
 void extractChannelPatchRows(const Tensor &input, const ConvSpec &spec,
                              int64_t b, int64_t c, int64_t ow, int64_t r0,
@@ -151,9 +137,9 @@ class ConvReuseEngine
     /**
      * Input-gradient pass with replayed reuse (§III-C2): consumes the
      * record captured by forward() — in the same (image, channel)
-     * order — to skip the grad-column products of every forward-HIT
-     * row. Bit-identical to conv2dBackwardInput when the record holds
-     * no hits.
+     * order — so every forward-HIT row reuses its owner row's
+     * products (booked as skipped MACs). Bit-identical to
+     * conv2dBackwardInput when the record holds no hits.
      *
      * @param gradOut (N, Cout, outH, outW) output gradient
      * @param weight  the forward weights

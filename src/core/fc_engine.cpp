@@ -2,6 +2,7 @@
 
 #include "core/kernels/kernels.hpp"
 #include "core/reuse_runtime.hpp"
+#include "tensor/ops.hpp"
 #include "util/logging.hpp"
 
 namespace mercury {
@@ -38,12 +39,9 @@ FcEngine::forward(const Tensor &input, const Tensor &weight,
         static_cast<uint64_t>(n) * static_cast<uint64_t>(d) *
         static_cast<uint64_t>(m);
 
-    // The owner ("earlier PE", §III-C3) of each MCACHE entry is the
-    // first row that inserted the signature; HIT rows receive the
-    // owner's results. Owners are always computed rows (a HIT never
-    // becomes an owner), so forwarding chains have depth one.
-    std::vector<int64_t> owner_of_entry(
-        static_cast<size_t>(frontend_->entries()), -1);
+    // HIT rows receive their owner's results ("earlier PE", §III-C3;
+    // OwnerTable states the rule).
+    OwnerTable table(frontend_->entries());
     if (owner_rows)
         owner_rows->assign(static_cast<size_t>(n), -1);
 
@@ -56,13 +54,7 @@ FcEngine::forward(const Tensor &input, const Tensor &weight,
     ReuseRuntime rt(*frontend_, frontend_.signatureBits());
     ReuseRuntime::RowPass pass;
     pass.ownerOf = [&](int64_t i, const McacheResult &mr) {
-        int64_t owner = i;
-        if (mr.outcome == McacheOutcome::Hit &&
-            owner_of_entry[static_cast<size_t>(mr.entryId)] >= 0) {
-            owner = owner_of_entry[static_cast<size_t>(mr.entryId)];
-        } else if (mr.outcome == McacheOutcome::Mau) {
-            owner_of_entry[static_cast<size_t>(mr.entryId)] = i;
-        }
+        const int64_t owner = table.ownerOf(i, mr.outcome, mr.entryId);
         if (owner_rows)
             (*owner_rows)[static_cast<size_t>(i)] = owner;
         return owner;
@@ -118,41 +110,20 @@ FcEngine::backwardInput(const Tensor &grad, const Tensor &weight,
     stats.macsTotal = static_cast<uint64_t>(n) *
                       static_cast<uint64_t>(d) * static_cast<uint64_t>(m);
 
+    // One replayed pass (§III-C2): the owner rows run through
+    // matmulTransposeB — per row the accumulation order of the exact
+    // input gradient — and forward-HIT rows take their owner's row.
     std::vector<int64_t> owner;
-    record.ownersOf(pass, owner);
-
-    Tensor out({n, d});
-    // One replayed RowPass (§III-C2): a computed input-gradient row
-    // is grad row i against every transposed weight row — the same
-    // accumulation order as matmulTransposeB, so a zero-hit replay is
-    // bit-identical. Forward-HIT rows receive their owner's gradient
-    // row instead (§III-C3 result forwarding, replayed).
-    ReuseRuntime rt(*frontend_, frontend_.signatureBits());
-    ReuseRuntime::RowPass rp;
-    rp.ownerOf = [&](int64_t i, const McacheResult &) {
-        return owner[static_cast<size_t>(i)];
-    };
-    rp.computeRow = [&](int64_t i) {
-        for (int64_t j = 0; j < d; ++j) {
-            float acc = 0.0f;
-            for (int64_t p = 0; p < m; ++p)
-                acc += grad.at2(i, p) * weight.at2(j, p);
-            out.at2(i, j) = acc;
-        }
-    };
-    rp.copyRow = [&](int64_t i, int64_t o) {
-        kernels::ops().copySpan(out.data() + i * d, out.data() + o * d,
-                                d);
-    };
-    rp.copyRowSpan = [&](int64_t r0, int64_t r1, int64_t o0) {
-        kernels::ops().copySpan(out.data() + r0 * d,
-                                out.data() + o0 * d, (r1 - r0) * d);
-    };
-    rp.rowSkipCost =
-        static_cast<uint64_t>(d) * static_cast<uint64_t>(m);
-
-    rt.runRows(ReuseRuntime::StreamSource::replay(pass), rp, stats);
-    return out;
+    OwnerTable table(record.entries());
+    const int64_t fwd = record.ownersOf(pass, table, owner);
+    stats.macsSkipped = static_cast<uint64_t>(fwd) *
+                        static_cast<uint64_t>(d) * static_cast<uint64_t>(m);
+    stats.addReplayedPass(pass);
+    if (fwd == 0)
+        return matmulTransposeB(grad, weight);
+    return forwardOwnerRows(
+        matmulTransposeB(gatherOwnerRows(grad, owner, n - fwd), weight),
+        owner);
 }
 
 Tensor
@@ -183,8 +154,7 @@ FcEngine::backwardWeights(const Tensor &input, const Tensor &grad,
     // Sum-then-multiply (§III-C2 on Eq. 1): group the output
     // gradients by forward owner, then one outer product per group
     // with the owner's input row.
-    ReuseRuntime rt(*frontend_, frontend_.signatureBits());
-    return weightGradReplay(rt, record, pass, input, grad, stats);
+    return ownerWeightGrad(record, pass, input, grad, stats);
 }
 
 } // namespace mercury

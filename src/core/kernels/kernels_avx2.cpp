@@ -161,19 +161,6 @@ addSpanAvx2(float *dst, const float *src, int64_t n)
 }
 
 void
-scaleSpanAvx2(float *dst, float a, const float *src, int64_t n)
-{
-    const __m256 av = _mm256_set1_ps(a);
-    int64_t e = 0;
-    for (; e + 8 <= n; e += 8) {
-        const __m256 s = _mm256_loadu_ps(src + e);
-        _mm256_storeu_ps(dst + e, _mm256_mul_ps(av, s));
-    }
-    for (; e < n; ++e)
-        dst[e] = a * src[e];
-}
-
-void
 axpyAvx2(float *dst, float a, const float *src, int64_t n)
 {
     const __m256 av = _mm256_set1_ps(a);
@@ -242,7 +229,6 @@ const KernelOps kAvx2Ops = {
     signPackAvx2,    // signPack
     copySpanAvx2,    // copySpan
     addSpanAvx2,     // addSpan
-    scaleSpanAvx2,   // scaleSpan
     axpyAvx2,        // axpy
     extractPatchesAvx2, // extractPatches
 };

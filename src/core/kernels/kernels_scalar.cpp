@@ -67,13 +67,6 @@ addSpanScalar(float *dst, const float *src, int64_t n)
 }
 
 void
-scaleSpanScalar(float *dst, float a, const float *src, int64_t n)
-{
-    for (int64_t e = 0; e < n; ++e)
-        dst[e] = a * src[e];
-}
-
-void
 axpyScalar(float *dst, float a, const float *src, int64_t n)
 {
     for (int64_t e = 0; e < n; ++e)
@@ -122,7 +115,6 @@ const KernelOps kScalarOps = {
     signPackScalar,    // signPack
     copySpanScalar,    // copySpan
     addSpanScalar,     // addSpan
-    scaleSpanScalar,     // scaleSpan
     axpyScalar,          // axpy
     extractPatchesScalar, // extractPatches
 };

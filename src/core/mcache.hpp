@@ -17,11 +17,11 @@
  *    simultaneous inserts.
  *
  * This class models the tag half. The data half lives with the
- * engines: conv HIT forwarding reads the runtime's PassDataPlane
- * (core/pass_arena.hpp), FC / attention forward whole rows from their
- * RowPass owners. `dataVersions` stays part of the organization — the
- * cycle model charges the Fig. 11 version constraint and the replay
- * records size their backward slots from it.
+ * engines: every reuse pass resolves an owner map (OwnerTable,
+ * pipeline/signature_record.hpp) and its HIT rows take their owner
+ * row's result. `dataVersions` stays part of the organization — the
+ * cycle model charges the Fig. 11 version constraint, and replay
+ * records and snapshots carry it.
  */
 
 #ifndef MERCURY_CORE_MCACHE_HPP

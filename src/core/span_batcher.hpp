@@ -1,11 +1,7 @@
 /**
  * @file
- * Span batching for the HIT-copy and scatter hot paths: coalesce
- * per-row work into contiguous ranges so the copy/scatter kernels run
- * as few large memcpy-class moves instead of per-row (or per-element)
- * operations.
- *
- * ## Forward-run coalescing (HIT copies)
+ * Span batching for the HIT-copy hot path: coalesce per-row copies
+ * into contiguous ranges so they run as few large memcpy-class moves.
  *
  * forEachConsecutiveSpan partitions a (row, owner) forwarding list
  * into maximal runs where BOTH sequences advance by exactly one —
@@ -16,20 +12,11 @@
  * and spans' rows are HIT rows, the two index sets are disjoint, and
  * every owner precedes its row — so a consecutive run satisfies
  * o + L <= r and the ranges cannot overlap.
- *
- * ## Scatter-window coalescing (dX scatter)
- *
- * kxSpan clips one kernel row against the input width: at output
- * column x, the in-bounds kernel columns form one contiguous window
- * [kx0, kx1) whose source (the grad column row) and destination (the
- * input-gradient row) are both contiguous — one addSpan per (output
- * position, kernel row) instead of a bounds check per element.
  */
 
 #ifndef MERCURY_CORE_SPAN_BATCHER_HPP
 #define MERCURY_CORE_SPAN_BATCHER_HPP
 
-#include <algorithm>
 #include <cstdint>
 
 namespace mercury {
@@ -54,25 +41,6 @@ forEachConsecutiveSpan(const int64_t *rows, const int64_t *owners,
         fn(i0, i1);
         i0 = i1;
     }
-}
-
-/** Contiguous in-bounds kernel-column window of one scatter row. */
-struct KxSpan
-{
-    int64_t kx0; ///< first in-bounds kernel column
-    int64_t kx1; ///< one past the last in-bounds kernel column
-};
-
-/**
- * The valid kernel columns at output column x: kx such that
- * 0 <= x*stride - pad + kx < in_w. Empty window when kx0 >= kx1.
- */
-inline KxSpan
-kxSpan(int64_t x, int64_t stride, int64_t pad, int64_t k, int64_t in_w)
-{
-    const int64_t base = x * stride - pad;
-    return {std::max<int64_t>(0, -base),
-            std::min<int64_t>(k, in_w - base)};
 }
 
 } // namespace mercury

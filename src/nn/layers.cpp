@@ -69,8 +69,8 @@ Conv2dLayer::backwardImpl(const Tensor &grad, MercuryContext *ctx)
     gradBias_ = conv2dBackwardBias(grad);
     if (ctx && ctx->backwardReuse() && recordValid_) {
         // Replay the forward pass's detection outcomes through the
-        // backward filter pass (§III-C2): zero detection cost, and
-        // forward-HIT rows skip their grad-column products.
+        // input-gradient pass (§III-C2): zero detection cost, and
+        // forward-HIT rows reuse their owner's products.
         ConvReuseEngine engine(ctx->frontendFor(layerId_),
                                ctx->signatureBits());
         ReuseStats stats;

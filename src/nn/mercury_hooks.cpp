@@ -19,14 +19,6 @@ MercuryContext::MercuryContext(int sig_bits, int sets, int ways,
               sets, "/", ways, "/", versions);
 }
 
-MCache &
-MercuryContext::cache()
-{
-    if (!cache_)
-        cache_ = std::make_unique<MCache>(sets_, ways_, versions_);
-    return *cache_;
-}
-
 void
 MercuryContext::setSignatureBits(int bits)
 {

@@ -56,15 +56,6 @@ class MercuryContext
     void setSignatureBits(int bits);
 
     /**
-     * A monolithic MCACHE with the context's organization, for legacy
-     * direct-engine use; allocated lazily on first access. The layer
-     * engines themselves run through per-layer sharded frontends
-     * (frontendFor) with this same organization — bit-identical
-     * results, since every detection pass clears the cache first.
-     */
-    MCache &cache();
-
-    /**
      * Detection-pipeline knobs the layer engines run with. Results
      * are bit-identical across knob values (the threads = 1 default
      * is the legacy path); the knobs trade only throughput. Setting
@@ -78,8 +69,7 @@ class MercuryContext
 
     /**
      * The layer's detection front-end: the context's shared sharded
-     * MCACHE with the layer's projection seed (independent of
-     * cache(), which stays untouched by layer runs), cached across
+     * MCACHE with the layer's projection seed, cached across
      * forward passes so pools and RPQ engines are built once, and
      * running on one worker pool shared by every layer. Sharing one
      * cache across layers is sound because every detection pass
@@ -208,7 +198,6 @@ class MercuryContext
     uint64_t seed_;
     bool backwardReuse_ = false;
     bool weightGradReuse_ = false;
-    std::unique_ptr<MCache> cache_; // lazy, see cache()
     PipelineConfig pipeline_;
     // Pool and cache must outlive the frontends holding pointers to
     // them (members destroy in reverse declaration order).

@@ -156,7 +156,7 @@ DetectionPipeline::beginHash(const Tensor &rows, RowFiller fill) const
     // Under the work-stealing pool the resubmit lands in the hashing
     // worker's own deque (LIFO — it just touched the row tensor, so
     // the next block is cache-warm for it), idle workers steal from
-    // the cold end, and the consumer's filter chains live in other
+    // the cold end, and the consumer's owner computes live in other
     // deques — the two phases share the machine without convoying on
     // a global queue.
     DetectionHashJob *j = job.get();

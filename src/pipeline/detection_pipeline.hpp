@@ -118,7 +118,7 @@ struct PipelineConfig
      * similar to a *previous* request HIT instead of re-inserting.
      * Correctness is unchanged: result forwarding is strictly
      * within-pass (the engines compute a cross-pass HIT exactly, via
-     * their per-pass owner bookkeeping / pass-local data planes), so
+     * their per-pass owner maps), so
      * persistence trades only which rows count as hits. The §V
      * insert-backlog model is still reset per pass. Lifecycle
      * (eviction, epochs, quota) is driven by the cache owner; see

@@ -9,13 +9,9 @@ SignatureRecord::Pass::signatureOf(int64_t i) const
 {
     if (i < 0 || i >= rows)
         panic("signature row ", i, " outside recorded pass of ", rows);
-    Signature sig(bits);
-    const uint64_t *words =
-        sigWords.data() + static_cast<size_t>(i) *
-                              static_cast<size_t>(sigWordsPerRow);
-    for (int b = 0; b < bits; ++b)
-        sig.setBit(b, (words[b / 64] >> (b % 64)) & 1u);
-    return sig;
+    return Signature::fromWords(
+        bits, sigWords.data() + static_cast<size_t>(i) *
+                                    static_cast<size_t>(sigWordsPerRow));
 }
 
 const SignatureRecord::Pass &
@@ -67,9 +63,8 @@ SignatureRecord::capturePass(const DetectionResult &det, int bits,
     p.rows = det.hitmap.size();
     p.bits = bits;
     p.sigWordsPerRow = (bits + 63) / 64;
-    p.sigWords.assign(static_cast<size_t>(p.rows) *
-                          static_cast<size_t>(p.sigWordsPerRow),
-                      0);
+    p.sigWords.resize(static_cast<size_t>(p.rows) *
+                      static_cast<size_t>(p.sigWordsPerRow));
     p.entryIds.resize(static_cast<size_t>(p.rows));
     p.outcomes.resize(static_cast<size_t>(p.rows));
     for (int64_t i = 0; i < p.rows; ++i) {
@@ -77,13 +72,13 @@ SignatureRecord::capturePass(const DetectionResult &det, int bits,
         if (sig.bits() != bits)
             panic("pass signature length ", sig.bits(),
                   " differs from recorded bits ", bits);
+        // Signature keeps the bits past its length zero, so its packed
+        // words are the record's words as they are.
         uint64_t *words =
             p.sigWords.data() + static_cast<size_t>(i) *
                                     static_cast<size_t>(p.sigWordsPerRow);
-        for (int b = 0; b < bits; ++b) {
-            if (sig.bit(b))
-                words[b / 64] |= uint64_t{1} << (b % 64);
-        }
+        for (int w = 0; w < p.sigWordsPerRow; ++w)
+            words[w] = sig.packedWord(w);
         const int64_t entry = det.hitmap.entryId(i);
         if (entry >= entries)
             panic("entry id ", entry, " outside recorded cache of ",
@@ -96,23 +91,29 @@ SignatureRecord::capturePass(const DetectionResult &det, int bits,
     passes_.push_back(std::move(p));
 }
 
+int64_t
+SignatureRecord::ownersOf(const Pass &p, OwnerTable &table,
+                          std::vector<int64_t> &owner) const
+{
+    if (table.entries() != entries_)
+        panic("owner table spans ", table.entries(),
+              " entries, the record's cache ", entries_);
+    owner.resize(static_cast<size_t>(p.rows));
+    int64_t forwarded = 0;
+    for (int64_t i = 0; i < p.rows; ++i) {
+        const int64_t o = table.ownerOf(i, p.outcome(i), p.entryId(i));
+        owner[static_cast<size_t>(i)] = o;
+        forwarded += o != i;
+    }
+    table.nextPass();
+    return forwarded;
+}
+
 void
 SignatureRecord::ownersOf(const Pass &p, std::vector<int64_t> &owner) const
 {
-    owner.assign(static_cast<size_t>(p.rows), -1);
-    std::vector<int64_t> owner_of_entry(static_cast<size_t>(entries_), -1);
-    for (int64_t i = 0; i < p.rows; ++i) {
-        owner[static_cast<size_t>(i)] = i;
-        const McacheOutcome oc = p.outcome(i);
-        const int64_t entry = p.entryId(i);
-        if (oc == McacheOutcome::Hit &&
-            owner_of_entry[static_cast<size_t>(entry)] >= 0) {
-            owner[static_cast<size_t>(i)] =
-                owner_of_entry[static_cast<size_t>(entry)];
-        } else if (oc == McacheOutcome::Mau) {
-            owner_of_entry[static_cast<size_t>(entry)] = i;
-        }
-    }
+    OwnerTable table(entries_);
+    ownersOf(p, table, owner);
 }
 
 uint64_t

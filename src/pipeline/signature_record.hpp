@@ -16,16 +16,16 @@
  *  - the per-row MCACHE outcome and entry id (the hit/owner
  *    decisions);
  *  - the MCACHE organization the pass ran against (entry count and
- *    data-version map), so the backward filter passes group their
- *    in-flight filters exactly like the forward ones did.
+ *    data-version count): the entry count sizes the replay's owner
+ *    table, and the cost model reads the data versions (Fig. 11).
  *
  * A record accumulates one Pass per forward detection pass of a layer
  * invocation — one per (image, channel) for convolution, one per
  * minibatch for FC, one per sample for attention — in forward
- * execution order. The backward engines consume the passes in the
- * same order as ReuseRuntime replay sources: each reads its owners
- * from the record (ownersOf), and the runtime streams the pass's row
- * ranges with zero hashing or probing cycles.
+ * execution order. The backward engines replay the passes in the same
+ * order with zero hashing or probing cycles: each resolves its owner
+ * map from the record (ownersOf), then computes owner rows with a
+ * dense kernel and lets HIT rows take their owner's result.
  *
  * Lifetime contract: a record is valid for the backward pass of the
  * forward invocation that captured it, and must be re-captured every
@@ -47,6 +47,64 @@
 #include "core/similarity_detector.hpp"
 
 namespace mercury {
+
+/**
+ * The owner rule of one detection pass (§III-C3, the "earlier PE"),
+ * with storage reused across passes. A row that HITs an entry an
+ * earlier row of the same pass installed (MAU) is owned by that row —
+ * the latest such row, if the entry was installed twice; every other
+ * row (MAU, MNU, or a HIT on an entry no row of this pass installed)
+ * owns itself. Owners are therefore always rows that compute, and
+ * forwarding chains have depth one.
+ *
+ * Rows are fed in stream order, one pass at a time; nextPass() then
+ * forgets only the entries that pass installed, so a table sized once
+ * to the cache's entry count serves every pass of an engine call. The
+ * live forward passes and the recorded replays (SignatureRecord::
+ * ownersOf) apply the rule through this one class.
+ */
+class OwnerTable
+{
+  public:
+    /** Empty table over `entries` MCACHE entries. */
+    explicit OwnerTable(int64_t entries)
+        : ownerOfEntry_(static_cast<size_t>(entries), -1)
+    {
+    }
+
+    int64_t entries() const
+    {
+        return static_cast<int64_t>(ownerOfEntry_.size());
+    }
+
+    /** Owner of `row`, given its outcome and entry id (stream order). */
+    int64_t ownerOf(int64_t row, McacheOutcome outcome, int64_t entry)
+    {
+        if (outcome == McacheOutcome::Hit) {
+            const int64_t o = ownerOfEntry_[static_cast<size_t>(entry)];
+            return o >= 0 ? o : row;
+        }
+        if (outcome == McacheOutcome::Mau) {
+            int64_t &o = ownerOfEntry_[static_cast<size_t>(entry)];
+            if (o < 0)
+                installed_.push_back(entry);
+            o = row;
+        }
+        return row;
+    }
+
+    /** Begin the next pass: forget the entries the last one installed. */
+    void nextPass()
+    {
+        for (const int64_t e : installed_)
+            ownerOfEntry_[static_cast<size_t>(e)] = -1;
+        installed_.clear();
+    }
+
+  private:
+    std::vector<int64_t> ownerOfEntry_; ///< -1, or the installing row
+    std::vector<int64_t> installed_;    ///< entries set this pass
+};
 
 /** Saved detection results of one layer's forward pass (§III-C2). */
 class SignatureRecord
@@ -92,13 +150,13 @@ class SignatureRecord
     const Pass &pass(int64_t i) const;
 
     /**
-     * In-flight filter slots of the MCACHE the record was captured
-     * against: the backward filter passes keep the same number of
-     * filters in flight (one grad-column buffer per slot).
+     * Data versions of the MCACHE the record was captured against
+     * (the cost model's Fig. 11 in-flight filter count; snapshots
+     * carry it).
      */
     int dataVersions() const { return dataVersions_; }
 
-    /** Entry count of the capturing MCACHE (sizes the owner maps). */
+    /** Entry count of the capturing MCACHE (sizes the owner tables). */
     int64_t entries() const { return entries_; }
 
     /** Drop every pass (a new forward invocation begins). */
@@ -114,12 +172,16 @@ class SignatureRecord
                      int data_versions, int64_t entries);
 
     /**
-     * Reconstruct the owner map of a pass: owner[i] == i when row i
-     * computed (MAU / MNU / HIT on a never-deposited entry), otherwise
-     * the earlier row whose result row i reused. Owners are always
-     * computed rows (the first MAU row of an entry), so reuse chains
-     * have depth one — the §III-C3 "earlier PE" discipline.
+     * Reconstruct the owner map of a pass under OwnerTable's rule:
+     * owner[i] == i when row i computed, otherwise the earlier row
+     * whose result row i reused. `table` must span entries(); it is
+     * left ready for the next pass. Returns the number of forwarded
+     * rows (owner[i] != i).
      */
+    int64_t ownersOf(const Pass &p, OwnerTable &table,
+                     std::vector<int64_t> &owner) const;
+
+    /** ownersOf with a table of its own (tests, diagnostics). */
     void ownersOf(const Pass &p, std::vector<int64_t> &owner) const;
 
     /** Bytes this record would spill to memory between passes. */

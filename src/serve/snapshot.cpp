@@ -182,13 +182,22 @@ Snapshot::restoreCache(uint64_t key, ShardedMCache &cache,
 }
 
 bool
-Snapshot::restoreRecord(uint64_t key, SignatureRecord &record,
-                        std::string &error) const
+Snapshot::restoreRecord(uint64_t key, int64_t entries, int dataVersions,
+                        SignatureRecord &record, std::string &error) const
 {
     const RecordSection *sec = findRecord(key);
     if (!sec) {
         error = "snapshot has no record section with key " +
                 std::to_string(key);
+        return false;
+    }
+    if (sec->entries != entries || sec->dataVersions != dataVersions) {
+        error = "snapshot record organization " +
+                std::to_string(sec->entries) + " entries x " +
+                std::to_string(sec->dataVersions) +
+                " versions does not match target " +
+                std::to_string(entries) + " entries x " +
+                std::to_string(dataVersions) + " versions";
         return false;
     }
     record.restore(sec->passes, sec->dataVersions, sec->entries);

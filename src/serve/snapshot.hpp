@@ -6,10 +6,10 @@
  * A snapshot holds any number of keyed cache sections (key = the
  * server's (tenant, layer) encoding, or a layer id for standalone
  * contexts) plus keyed record sections. Only the tag plane and its
- * lifecycle metadata (epoch, tenant) are serialized — data versions
- * are pass-local in every current engine (PassDataPlane / per-pass
- * owner bookkeeping), so a restored cache warm-starts the *detection*
- * outcomes, which is all that persists across requests anyway.
+ * lifecycle metadata (epoch, tenant) are serialized — result
+ * forwarding is pass-local in every engine (per-pass owner maps), so a
+ * restored cache warm-starts the *detection* outcomes, which is all
+ * that persists across requests anyway.
  *
  * Wire format, versioned and checksummed:
  *
@@ -38,8 +38,9 @@
  * checksum, array sanity) into a temporary and only then moves the
  * result out — a truncated, corrupted, or version-bumped snapshot is
  * rejected with a descriptive error and the output is untouched.
- * restoreCache() likewise validates geometry before clearing the
- * target, so a failed restore never leaves a half-restored cache.
+ * restoreCache() and restoreRecord() likewise validate the target's
+ * organization before touching it, so a failed restore never leaves a
+ * half-restored cache or record.
  */
 
 #ifndef MERCURY_SERVE_SNAPSHOT_HPP
@@ -117,9 +118,17 @@ class Snapshot
     bool restoreCache(uint64_t key, ShardedMCache &cache,
                       std::string &error) const;
 
-    /** Restore a keyed record section; false + error if absent. */
-    bool restoreRecord(uint64_t key, SignatureRecord &record,
-                       std::string &error) const;
+    /**
+     * Restore a keyed record section for replay against an MCACHE of
+     * `entries` entries and `dataVersions` data versions (e.g. the
+     * target ShardedMCache's). Returns false with `error` set — and
+     * the record untouched — when the key is missing or the section
+     * was captured against a different organization: its entry count
+     * sizes the replay's owner table, and a record of another cache
+     * cannot replay correctly anyway.
+     */
+    bool restoreRecord(uint64_t key, int64_t entries, int dataVersions,
+                       SignatureRecord &record, std::string &error) const;
 
     /** Canonical serialized form (header + checksummed payload). */
     std::vector<uint8_t> serialize() const;

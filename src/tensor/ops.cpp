@@ -71,80 +71,6 @@ checkGradOut(const Tensor &gradOut, int64_t n, int64_t in_h, int64_t in_w,
 }
 
 /**
- * The zero-bordered frame of one (h, w) plane that a conv with oh x ow
- * outputs reads (forward, dW) or accumulates into (dX). Input cell
- * (y, x) sits at padded (y + pad, x + pad), and the frame's
- * (oh - 1) * stride + k rows and columns hold every tap of every
- * output; input cells beyond them are read by no tap. Each row keeps
- * its columns split by phase modulo the stride, column c at slot
- * (c % stride) * span + c / stride, so tap kx of output column x,
- * padded column x * stride + kx, is slot col(kx) + x: every loop over
- * x is unit-stride, at any stride.
- */
-class Frame
-{
-  public:
-    Frame(const ConvSpec &spec, int64_t h, int64_t w, int64_t oh, int64_t ow)
-        : h_(h), w_(w), stride_(spec.stride), pad_(spec.pad),
-          rows_((oh - 1) * spec.stride + spec.kernelH)
-    {
-        const int64_t cols = (ow - 1) * stride_ + spec.kernelW;
-        span_ = (cols + stride_ - 1) / stride_;
-        rowLen_ = stride_ * span_;
-        inRows_ = std::max<int64_t>(0, std::min(h, rows_ - pad_));
-        const int64_t in_cols = std::min(w, rowLen_ - pad_);
-        for (int64_t x = 0; x < in_cols; ++x)
-            slot_.push_back(col(x + pad_));
-    }
-
-    int64_t size() const { return rows_ * rowLen_; }
-
-    /** Offset of the slot tap (ky, kx) reads for output (0, 0). */
-    int64_t tap(int64_t ky, int64_t kx) const
-    {
-        return ky * rowLen_ + col(kx);
-    }
-
-    /** Distance between the slots a tap reads for output rows y, y + 1. */
-    int64_t rowStep() const { return stride_ * rowLen_; }
-
-    /** Copy `channels` (h, w) planes into consecutive frames. */
-    void load(const float *src, int64_t channels, float *dst) const
-    {
-        std::fill(dst, dst + channels * size(), 0.0f);
-        for (int64_t c = 0; c < channels; ++c) {
-            for (int64_t y = 0; y < inRows_; ++y) {
-                const float *srow = src + (c * h_ + y) * w_;
-                float *frow = dst + c * size() + (y + pad_) * rowLen_;
-                for (size_t x = 0; x < slot_.size(); ++x)
-                    frow[slot_[x]] = srow[x];
-            }
-        }
-    }
-
-    /** Copy one frame's input cells out to a zero-filled (h, w) plane. */
-    void crop(const float *frame, float *dst) const
-    {
-        for (int64_t y = 0; y < inRows_; ++y) {
-            const float *frow = frame + (y + pad_) * rowLen_;
-            for (size_t x = 0; x < slot_.size(); ++x)
-                dst[y * w_ + static_cast<int64_t>(x)] = frow[slot_[x]];
-        }
-    }
-
-  private:
-    int64_t h_, w_, stride_, pad_, rows_, span_ = 0, rowLen_ = 0;
-    int64_t inRows_ = 0;         ///< input rows y < inRows_ are in the frame
-    std::vector<int64_t> slot_;  ///< slot of each input column in the frame
-
-    /** Slot of padded column c within a row. */
-    int64_t col(int64_t c) const
-    {
-        return c % stride_ * span_ + c / stride_;
-    }
-};
-
-/**
  * dst[y][i] += src[y][i] * w over `rows` rows of n floats, with row
  * pitches dstPitch and srcPitch: a rounded multiply, then a rounded
  * add, per element. dst and src never overlap.
@@ -160,6 +86,44 @@ mulAddRows(float *__restrict dst, int64_t dstPitch,
 }
 
 } // namespace
+
+ConvFrame::ConvFrame(const ConvSpec &spec, int64_t h, int64_t w)
+    : h_(h), w_(w), oh_(spec.outH(h)), ow_(spec.outW(w)),
+      kh_(spec.kernelH), kw_(spec.kernelW), stride_(spec.stride),
+      pad_(spec.pad), rows_((oh_ - 1) * spec.stride + spec.kernelH)
+{
+    const int64_t cols = (ow_ - 1) * stride_ + kw_;
+    span_ = (cols + stride_ - 1) / stride_;
+    rowLen_ = stride_ * span_;
+    inRows_ = std::max<int64_t>(0, std::min(h, rows_ - pad_));
+    const int64_t in_cols = std::min(w, rowLen_ - pad_);
+    for (int64_t x = 0; x < in_cols; ++x)
+        slot_.push_back(col(x + pad_));
+}
+
+void
+ConvFrame::load(const float *src, int64_t channels, float *dst) const
+{
+    std::fill(dst, dst + channels * size(), 0.0f);
+    for (int64_t c = 0; c < channels; ++c) {
+        for (int64_t y = 0; y < inRows_; ++y) {
+            const float *srow = src + (c * h_ + y) * w_;
+            float *frow = dst + c * size() + (y + pad_) * rowLen_;
+            for (size_t x = 0; x < slot_.size(); ++x)
+                frow[slot_[x]] = srow[x];
+        }
+    }
+}
+
+void
+ConvFrame::crop(const float *frame, float *dst) const
+{
+    for (int64_t y = 0; y < inRows_; ++y) {
+        const float *frow = frame + (y + pad_) * rowLen_;
+        for (size_t x = 0; x < slot_.size(); ++x)
+            dst[y * w_ + static_cast<int64_t>(x)] = frow[slot_[x]];
+    }
+}
 
 // The three conv ops below keep, for every output element, the IEEE
 // operation sequence of the textbook nested loops (see "Exact ops" in
@@ -189,7 +153,7 @@ conv2dForward(const Tensor &input, const Tensor &weight, const Tensor &bias,
     // Each output element starts at its bias and adds in * w over
     // (ic, ky, kx) ascending; padded taps read the zero border and add
     // 0 * w, as the textbook loop's zero-padded fetch does.
-    const Frame f(spec, h, w, oh, ow);
+    const ConvFrame f(spec, h, w);
     std::vector<float> frames(static_cast<size_t>(cin_g * f.size()));
     for (int64_t b = 0; b < n; ++b) {
         for (int64_t g = 0; g < spec.groups; ++g) {
@@ -237,7 +201,7 @@ conv2dBackwardWeight(const Tensor &input, const Tensor &gradOut,
     // y, x) ascending from +0. The chains of a group's filters run side
     // by side: gradOut is transposed to (position, filter) and the
     // accumulators, laid out (tap, filter), carry across the batch.
-    const Frame f(spec, h, w, oh, ow);
+    const ConvFrame f(spec, h, w);
     std::vector<float> frames(static_cast<size_t>(cin_g * f.size()));
     std::vector<float> go_t(static_cast<size_t>(oh * ow * cout_g));
     std::vector<float> acc(static_cast<size_t>(taps * cout_g));
@@ -281,7 +245,6 @@ conv2dBackwardInput(const Tensor &gradOut, const Tensor &weight,
         panic("conv gradOut must be rank 4, got ", gradOut.shapeStr());
     const int64_t n = gradOut.dim(0);
     checkGradOut(gradOut, n, in_h, in_w, spec);
-    const int64_t oh = gradOut.dim(2), ow = gradOut.dim(3);
     const int64_t cin_g = spec.inChannels / spec.groups;
     const int64_t cout_g = spec.outChannels / spec.groups;
     const int64_t kh = spec.kernelH, kw = spec.kernelW;
@@ -289,8 +252,31 @@ conv2dBackwardInput(const Tensor &gradOut, const Tensor &weight,
     if (gradOut.numel() == 0 || grad_in.numel() == 0)
         return grad_in;
 
+    const ConvFrame f(spec, in_h, in_w);
+    std::vector<float> frame(static_cast<size_t>(f.size()));
+    for (int64_t b = 0; b < n; ++b) {
+        for (int64_t g = 0; g < spec.groups; ++g) {
+            for (int64_t ic = 0; ic < cin_g; ++ic) {
+                conv2dBackwardInputChannel(
+                    f, gradOut.data() + gradOut.offset4(b, g * cout_g, 0, 0),
+                    cout_g,
+                    weight.data() + (g * cout_g * cin_g + ic) * kh * kw,
+                    cin_g * kh * kw, frame.data(),
+                    grad_in.data() +
+                        grad_in.offset4(b, g * cin_g + ic, 0, 0));
+            }
+        }
+    }
+    return grad_in;
+}
+
+void
+conv2dBackwardInputChannel(const ConvFrame &f, const float *go,
+                           int64_t filters, const float *w, int64_t wPitch,
+                           float *frame, float *gradIn)
+{
     // Scatter formulation of Eq. 2: each input cell gets += go * w in
-    // (oc, y, x) ascending order. For one tap (ky, kx) every output
+    // (filter, y, x) ascending order. For one tap (ky, kx) every output
     // position hits a different cell, and the cell hit from (y, x) by
     // tap ky is hit from y - 1 by tap ky + stride, so walking the taps
     // in descending order with (y, x) ascending inside gives exactly
@@ -298,34 +284,20 @@ conv2dBackwardInput(const Tensor &gradOut, const Tensor &weight,
     // accumulate into the frame's border, which is cropped away. Zero
     // gradients are not skipped: go * w is then +-0, and adding +-0 to
     // a cell that started at +0 never changes its bits (for finite w).
-    const Frame f(spec, in_h, in_w, oh, ow);
-    std::vector<float> frame(static_cast<size_t>(f.size()));
-    for (int64_t b = 0; b < n; ++b) {
-        for (int64_t g = 0; g < spec.groups; ++g) {
-            const float *go_g =
-                gradOut.data() + gradOut.offset4(b, g * cout_g, 0, 0);
-            for (int64_t ic = 0; ic < cin_g; ++ic) {
-                std::fill(frame.begin(), frame.end(), 0.0f);
-                for (int64_t o = 0; o < cout_g; ++o) {
-                    const float *go = go_g + o * oh * ow;
-                    const int64_t oc = g * cout_g + o;
-                    const float *wt =
-                        weight.data() + (oc * cin_g + ic) * kh * kw;
-                    for (int64_t ky = kh - 1; ky >= 0; --ky) {
-                        for (int64_t kx = kw - 1; kx >= 0; --kx) {
-                            mulAddRows(frame.data() + f.tap(ky, kx),
-                                       f.rowStep(), go, ow, oh, ow,
-                                       wt[ky * kw + kx]);
-                        }
-                    }
-                }
-                f.crop(frame.data(),
-                       grad_in.data() +
-                           grad_in.offset4(b, g * cin_g + ic, 0, 0));
+    const int64_t oh = f.outH(), ow = f.outW();
+    const int64_t kh = f.kernelH(), kw = f.kernelW();
+    std::fill(frame, frame + f.size(), 0.0f);
+    for (int64_t o = 0; o < filters; ++o) {
+        const float *g = go + o * oh * ow;
+        const float *wt = w + o * wPitch;
+        for (int64_t ky = kh - 1; ky >= 0; --ky) {
+            for (int64_t kx = kw - 1; kx >= 0; --kx) {
+                mulAddRows(frame + f.tap(ky, kx), f.rowStep(), g, ow, oh,
+                           ow, wt[ky * kw + kx]);
             }
         }
     }
-    return grad_in;
+    f.crop(frame, gradIn);
 }
 
 Tensor

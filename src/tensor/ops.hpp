@@ -15,6 +15,7 @@
 #define MERCURY_TENSOR_OPS_HPP
 
 #include <cstdint>
+#include <vector>
 
 #include "tensor/tensor.hpp"
 
@@ -62,6 +63,75 @@ Tensor conv2dBackwardWeight(const Tensor &input, const Tensor &gradOut,
 /** Gradient of the loss w.r.t. the convolution input (paper Eq. 2). */
 Tensor conv2dBackwardInput(const Tensor &gradOut, const Tensor &weight,
                            const ConvSpec &spec, int64_t in_h, int64_t in_w);
+
+/**
+ * The zero-bordered frame of one (h, w) plane that a conv reads
+ * (forward, dW) or accumulates into (dX). Input cell (y, x) sits at
+ * padded (y + pad, x + pad), and the frame's (oh - 1) * stride + kH
+ * rows and (ow - 1) * stride + kW columns hold every tap of every
+ * output; input cells beyond them are read by no tap. Each row keeps
+ * its columns split by phase modulo the stride, column c at slot
+ * (c % stride) * span + c / stride, so tap kx of output column x,
+ * padded column x * stride + kx, is slot col(kx) + x: every loop over
+ * x is unit-stride, at any stride.
+ */
+class ConvFrame
+{
+  public:
+    /** Frame of an (h, w) input plane under `spec`. */
+    ConvFrame(const ConvSpec &spec, int64_t h, int64_t w);
+
+    /** Floats of one frame. */
+    int64_t size() const { return rows_ * rowLen_; }
+
+    int64_t outH() const { return oh_; }
+    int64_t outW() const { return ow_; }
+    int64_t kernelH() const { return kh_; }
+    int64_t kernelW() const { return kw_; }
+
+    /** Offset of the slot tap (ky, kx) reads for output (0, 0). */
+    int64_t tap(int64_t ky, int64_t kx) const
+    {
+        return ky * rowLen_ + col(kx);
+    }
+
+    /** Distance between the slots a tap reads for output rows y, y + 1. */
+    int64_t rowStep() const { return stride_ * rowLen_; }
+
+    /** Copy `channels` (h, w) planes into consecutive frames. */
+    void load(const float *src, int64_t channels, float *dst) const;
+
+    /**
+     * Copy one frame's input cells out to an (h, w) plane; cells that
+     * no tap reaches are left as they are.
+     */
+    void crop(const float *frame, float *dst) const;
+
+  private:
+    int64_t h_, w_, oh_, ow_, kh_, kw_, stride_, pad_, rows_;
+    int64_t span_ = 0, rowLen_ = 0;
+    int64_t inRows_ = 0;        ///< input rows y < inRows_ are in the frame
+    std::vector<int64_t> slot_; ///< slot of each input column in the frame
+
+    /** Slot of padded column c within a row. */
+    int64_t col(int64_t c) const { return c % stride_ * span_ + c / stride_; }
+};
+
+/**
+ * Input gradient of one input-channel plane: the per-(image, group,
+ * channel) body of conv2dBackwardInput, which calls it for every
+ * plane. `go` holds `filters` consecutive (oh, ow) output-gradient
+ * planes; filter f's kernel for this channel is the (kH, kW) block at
+ * w + f * wPitch. Each cell of the plane is the sum, from +0, of
+ * go * w over (filter, y, x) ascending — the order the reuse engine's
+ * input-gradient replay relies on (docs/ARCHITECTURE.md, "Exact
+ * ops"). `frame` is f.size() floats of scratch; the cells of `gradIn`
+ * that `f` covers are overwritten, the rest are left as they are.
+ */
+void conv2dBackwardInputChannel(const ConvFrame &f, const float *go,
+                                int64_t filters, const float *w,
+                                int64_t wPitch, float *frame,
+                                float *gradIn);
 
 /** Gradient of the loss w.r.t. the bias (sum over N, H, W). */
 Tensor conv2dBackwardBias(const Tensor &gradOut);

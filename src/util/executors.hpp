@@ -6,8 +6,8 @@
  *
  * These started life inside the reuse-engine translation units; they
  * are shared scheduling infrastructure now — the streaming detection
- * pipeline joins its hash tasks through a TaskGroup, and ReuseRuntime
- * builds every ordered stream consumer on SerialExecutor chains — so
+ * pipeline and ReuseRuntime join their tasks through TaskGroups, and
+ * the serving layer runs each session on a SerialExecutor chain — so
  * they live here, with their own unit tests (tests/test_util.cpp).
  *
  * Deadlock rule (inherited from ThreadPool): pool tasks must never

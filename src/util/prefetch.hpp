@@ -3,10 +3,9 @@
  * Software-prefetch hint, compiled out on toolchains without
  * __builtin_prefetch. Purely a host-side latency hint: nothing in the
  * timing model or the bit-identity contract observes it. The fused
- * detection-block path (pipeline/detection_pipeline.cpp) and the
- * filter-segment walk (core/conv_reuse_engine.cpp) use it to pull the
- * *next* MCACHE set / PassDataPlane slot into cache while the current
- * row is being probed.
+ * detection-block path (pipeline/detection_pipeline.cpp) uses it to
+ * pull the *next* MCACHE set into cache while the current row is being
+ * probed.
  */
 
 #ifndef MERCURY_UTIL_PREFETCH_HPP

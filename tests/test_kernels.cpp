@@ -2,9 +2,9 @@
  * @file
  * Tests for the runtime-dispatched SIMD kernel layer: exact
  * AVX2-vs-scalar bit-identity of every KernelOps body across odd
- * shapes and tails, the span-batching helpers, the PassArena /
- * PassDataPlane contracts, and end-to-end engine bit-identity under a
- * forced kernel table.
+ * shapes and tails, the span-batching helper, the PassArena
+ * contract, and end-to-end engine bit-identity under a forced kernel
+ * table.
  *
  * AVX2-specific cases skip (GTEST_SKIP) on hosts without AVX2; the
  * scalar path and the helpers are covered everywhere.
@@ -203,12 +203,6 @@ TEST(Kernels, SpanKernelsBitIdentity)
 
         d1 = base;
         d2 = base;
-        sc.scaleSpan(d1.data(), a, src.data(), n);
-        ax->scaleSpan(d2.data(), a, src.data(), n);
-        ASSERT_EQ(d1, d2) << "scaleSpan n=" << n;
-
-        d1 = base;
-        d2 = base;
         sc.axpy(d1.data(), a, src.data(), n);
         ax->axpy(d2.data(), a, src.data(), n);
         ASSERT_EQ(d1, d2) << "axpy n=" << n;
@@ -338,24 +332,6 @@ TEST(SpanBatcher, ConsecutiveSpans)
                            [&](int64_t, int64_t) { FAIL(); });
 }
 
-TEST(SpanBatcher, KxSpanClipping)
-{
-    // k=3, in_w=5, pad=1, stride=1: x=0 clips the left column,
-    // x=4 clips the right, interior columns are full.
-    EXPECT_EQ(1, kxSpan(0, 1, 1, 3, 5).kx0);
-    EXPECT_EQ(3, kxSpan(0, 1, 1, 3, 5).kx1);
-    EXPECT_EQ(0, kxSpan(2, 1, 1, 3, 5).kx0);
-    EXPECT_EQ(3, kxSpan(2, 1, 1, 3, 5).kx1);
-    EXPECT_EQ(0, kxSpan(4, 1, 1, 3, 5).kx0);
-    EXPECT_EQ(2, kxSpan(4, 1, 1, 3, 5).kx1);
-    // Fully out-of-bounds window is empty (kx0 >= kx1).
-    const KxSpan empty = kxSpan(10, 1, 0, 3, 5);
-    EXPECT_GE(empty.kx0, empty.kx1);
-    // Strided: x=1, stride=2, pad=1 -> base=1, full window.
-    EXPECT_EQ(0, kxSpan(1, 2, 1, 3, 5).kx0);
-    EXPECT_EQ(3, kxSpan(1, 2, 1, 3, 5).kx1);
-}
-
 TEST(PassArena, AlignmentAndReuse)
 {
     PassArena arena;
@@ -382,34 +358,6 @@ TEST(PassArena, AlignmentAndReuse)
     arena.reset();
     EXPECT_EQ(a, arena.floats(100));
     EXPECT_EQ(big, arena.floats(1 << 18));
-}
-
-TEST(PassDataPlane, WriteReadInvalidate)
-{
-    PassDataPlane plane;
-    plane.configure(16, 4);
-    EXPECT_EQ(16, plane.entries());
-    EXPECT_EQ(4, plane.versions());
-
-    float v = 0.0f;
-    EXPECT_FALSE(plane.readIfValid(5, 2, v));
-    plane.write(5, 2, 1.5f);
-    ASSERT_TRUE(plane.readIfValid(5, 2, v));
-    EXPECT_EQ(1.5f, v);
-    // Neighboring cells in both axes stay invalid.
-    EXPECT_FALSE(plane.readIfValid(4, 2, v));
-    EXPECT_FALSE(plane.readIfValid(6, 2, v));
-    EXPECT_FALSE(plane.readIfValid(5, 1, v));
-    EXPECT_FALSE(plane.readIfValid(5, 3, v));
-
-    plane.invalidateAll();
-    EXPECT_FALSE(plane.readIfValid(5, 2, v));
-
-    // Growing reconfiguration keeps the shape and clears validity.
-    plane.write(0, 0, 2.0f);
-    plane.configure(32, 8);
-    EXPECT_FALSE(plane.readIfValid(0, 0, v));
-    EXPECT_EQ(32, plane.entries());
 }
 
 /** Conv forward under a specific kernel table. */

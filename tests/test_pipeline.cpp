@@ -353,8 +353,10 @@ TEST(Pipeline, MercuryContextCachesFrontendsAndMatchesLegacy)
     Tensor w({12, 6});
     w.fillNormal(rng);
 
+    // A monolithic MCACHE with the context's default organization.
     MercuryContext legacy_ctx(16);
-    FcEngine legacy(legacy_ctx.cache(), 16, legacy_ctx.layerSeed(3));
+    MCache legacy_cache(64, 16, 4);
+    FcEngine legacy(legacy_cache, 16, legacy_ctx.layerSeed(3));
     ReuseStats legacy_stats;
     const Tensor legacy_out = legacy.forward(input, w, legacy_stats);
 

@@ -92,19 +92,26 @@ expectCacheUntouched(const HitMix &before, DetectionFrontend &fe,
 // SignatureRecord capture
 // ---------------------------------------------------------------------
 
-TEST(Record, CapturesOutcomesSignaturesAndMix)
+/** Signature lengths of one packed word and of two. */
+class RecordBits : public ::testing::TestWithParam<int>
 {
+};
+
+TEST_P(RecordBits, CapturesOutcomesSignaturesAndMix)
+{
+    const int bits = GetParam();
     Tensor rows = duplicateRows(96, 12, 7, kSeed);
-    DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed);
+    DetectionFrontend fe(kSets, kWays, kVersions, 128, kSeed);
     SignatureRecord record;
-    const DetectionResult det = fe.detect(rows, 20, &record);
+    const DetectionResult det = fe.detect(rows, bits, &record);
 
     ASSERT_EQ(record.passCount(), 1);
     ASSERT_EQ(record.dataVersions(), kVersions);
     ASSERT_EQ(record.entries(), int64_t{kSets} * kWays);
     const SignatureRecord::Pass &pass = record.pass(0);
     ASSERT_EQ(pass.rows, rows.dim(0));
-    EXPECT_EQ(pass.bits, 20);
+    EXPECT_EQ(pass.bits, bits);
+    EXPECT_EQ(pass.sigWordsPerRow, Signature::wordsFor(bits));
     for (int64_t i = 0; i < pass.rows; ++i) {
         EXPECT_EQ(pass.outcome(i), det.hitmap.outcome(i));
         EXPECT_EQ(pass.entryId(i), det.hitmap.entryId(i));
@@ -118,6 +125,8 @@ TEST(Record, CapturesOutcomesSignaturesAndMix)
     EXPECT_GT(a.hit, 0) << "duplicate rows must hit";
     EXPECT_GT(record.storageBytes(), 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Bits, RecordBits, ::testing::Values(20, 100));
 
 TEST(Record, OwnersAreEarlierComputedRows)
 {

@@ -7,8 +7,8 @@
  * macsSkipped, channelPasses) across serial, overlapped, and replay
  * scheduling; zero-hit passes must be bit-identical to the exact
  * tensor ops, including the grouped and depthwise conv descriptors
- * (the MobileNet-style workload). Also: direct scheduler-contract
- * tests (per-filter stream order and group fan-out, inline and pooled),
+ * (the MobileNet-style workload). Also: a direct scheduler-contract
+ * test (HIT rows copy only after their owners compute, on a pool),
  * end-to-end training of inverted-residual blocks with all three
  * reuse passes, whole-network training goldens (conv stack and
  * attention + dense: threaded and overlapped runs equal the serial
@@ -22,12 +22,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/attention_engine.hpp"
@@ -132,92 +130,16 @@ expectStatsEqual(const ReuseStats &a, const ReuseStats &b,
 }
 
 // ---------------------------------------------------------------------
-// Scheduler contract: the runtime's FilterPassSet delivery discipline,
-// tested directly against a recorded pass (no engine involved).
+// Scheduler contract: the runtime's RowPass delivery discipline, tested
+// directly on a live pass (no engine involved).
 // ---------------------------------------------------------------------
-
-/**
- * The one schedule, on both executors: the inline one (no pool, a
- * replay is one block) and the pooled one (blocks of blockRows, one
- * chain per filter range).
- */
-class RuntimeSchedulerPipes : public ::testing::TestWithParam<bool>
-{
-  protected:
-    PipelineConfig pipe() const
-    {
-        return GetParam() ? overlapPipe() : serialPipe();
-    }
-};
-
-TEST_P(RuntimeSchedulerPipes, ChainedSegmentsCoverRowsInStreamOrderPerFilter)
-{
-    Tensor rows = duplicateRows(100, 10, 6, kSeed);
-    DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed, pipe());
-    SignatureRecord record;
-    fe.detect(rows, 24, &record);
-    const SignatureRecord::Pass &pass = record.pass(0);
-
-    constexpr int64_t kFilters = 6;
-    constexpr int64_t kInFlight = 4;
-    std::vector<std::vector<int64_t>> starts(kFilters);
-    std::vector<int64_t> covered(kFilters, 0);
-    std::vector<std::pair<int64_t, int64_t>> groups;
-
-    ReuseRuntime rt(fe, 24);
-    ReuseRuntime::FilterPassSet set;
-    set.rows = pass.rows;
-    set.filters = kFilters;
-    set.inFlight = kInFlight;
-    set.segment = [&](int64_t f, int64_t r0, int64_t r1) {
-        starts[static_cast<size_t>(f)].push_back(r0);
-        covered[static_cast<size_t>(f)] += r1 - r0;
-        return static_cast<uint64_t>(0);
-    };
-    set.afterGroup = [&](int64_t f0, int64_t f1) {
-        groups.emplace_back(f0, f1);
-    };
-
-    ReuseStats stats;
-    rt.runFilterPasses(ReuseRuntime::StreamSource::replay(pass), set,
-                       stats);
-
-    // Every filter saw every row exactly once, in ascending order.
-    for (int64_t f = 0; f < kFilters; ++f) {
-        EXPECT_EQ(covered[static_cast<size_t>(f)], pass.rows) << f;
-        EXPECT_TRUE(std::is_sorted(starts[static_cast<size_t>(f)].begin(),
-                                   starts[static_cast<size_t>(f)].end()))
-            << "filter " << f << " saw blocks out of stream order";
-    }
-    // The streamed filters saw the replay's blocks: one inline, 100 /
-    // 16 rounded up on the pool.
-    EXPECT_EQ(starts[0].size(), GetParam() ? 7u : 1u);
-    // One streamed group + one whole-range group, in filter order.
-    EXPECT_EQ(groups, (std::vector<std::pair<int64_t, int64_t>>{
-                          {0, kInFlight}, {kInFlight, kFilters}}));
-    // The runtime folded the recorded mix into the stats.
-    EXPECT_EQ(stats.mix.vectors, pass.mix.vectors);
-    EXPECT_EQ(stats.channelPasses, 1);
-}
-
-INSTANTIATE_TEST_SUITE_P(Pipes, RuntimeSchedulerPipes,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool> &info) {
-                             return std::string(info.param ? "overlap"
-                                                           : "serial");
-                         });
 
 TEST(RuntimeScheduler, RowPassForwardsAfterOwnersCompute)
 {
     Tensor rows = duplicateRows(64, 12, 4, kSeed + 2);
     DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed,
                          overlapPipe());
-    SignatureRecord record;
-    fe.detect(rows, 20, &record);
-    const SignatureRecord::Pass &pass = record.pass(0);
-    ASSERT_GT(pass.mix.hit, 0);
-    std::vector<int64_t> owner;
-    record.ownersOf(pass, owner);
+    OwnerTable table(fe.entries());
 
     std::vector<std::atomic<int>> state(64); // 0 empty, 1 computed/copied
     for (auto &s : state)
@@ -226,8 +148,8 @@ TEST(RuntimeScheduler, RowPassForwardsAfterOwnersCompute)
 
     ReuseRuntime rt(fe, 20);
     ReuseRuntime::RowPass rp;
-    rp.ownerOf = [&](int64_t i, const McacheResult &) {
-        return owner[static_cast<size_t>(i)];
+    rp.ownerOf = [&](int64_t i, const McacheResult &mr) {
+        return table.ownerOf(i, mr.outcome, mr.entryId);
     };
     rp.computeRow = [&](int64_t i) {
         state[static_cast<size_t>(i)].store(1);
@@ -240,13 +162,16 @@ TEST(RuntimeScheduler, RowPassForwardsAfterOwnersCompute)
     rp.rowSkipCost = 7;
 
     ReuseStats stats;
-    rt.runRows(ReuseRuntime::StreamSource::replay(pass), rp, stats);
+    rt.runRows(ReuseRuntime::StreamSource::live(rows), rp, stats);
+    ASSERT_GT(stats.mix.hit, 0);
     EXPECT_FALSE(copy_before_owner.load())
         << "a HIT row was copied before its owner computed";
     for (int64_t i = 0; i < 64; ++i)
         EXPECT_EQ(state[static_cast<size_t>(i)].load(), 1) << i;
+    // Every HIT found its owner in this pass (a fresh cache).
     EXPECT_EQ(stats.macsSkipped,
-              static_cast<uint64_t>(pass.mix.hit) * 7u);
+              static_cast<uint64_t>(stats.mix.hit) * 7u);
+    EXPECT_EQ(stats.channelPasses, 1);
 }
 
 // ---------------------------------------------------------------------
@@ -650,8 +575,8 @@ TEST(RuntimeNetworkGolden, AttentionDenseOverlappedMatchesSerial)
 
 // ---------------------------------------------------------------------
 // Sanitizer stress (TSan CI): hammer the overlapped scheduling of all
-// nine ported passes back to back, so chain hand-offs, TaskGroup
-// joins, and the MCACHE data plane see real contention.
+// nine ported passes back to back, so TaskGroup joins, the pooled
+// replay fan-outs, and the shared MCACHE see real contention.
 // ---------------------------------------------------------------------
 
 TEST(RuntimeStress, OverlappedPassesBackToBack)

@@ -354,7 +354,9 @@ TEST(Snapshot, RecordSectionRoundTrips)
     EXPECT_EQ(parsed.serialize(), bytes);
 
     SignatureRecord back;
-    ASSERT_TRUE(parsed.restoreRecord(77, back, error)) << error;
+    ASSERT_TRUE(parsed.restoreRecord(77, rec.entries(), rec.dataVersions(),
+                                     back, error))
+        << error;
     ASSERT_EQ(back.passCount(), rec.passCount());
     EXPECT_EQ(back.dataVersions(), rec.dataVersions());
     EXPECT_EQ(back.entries(), rec.entries());
@@ -373,7 +375,8 @@ TEST(Snapshot, RecordSectionRoundTrips)
     }
 
     SignatureRecord missing;
-    EXPECT_FALSE(parsed.restoreRecord(78, missing, error));
+    EXPECT_FALSE(parsed.restoreRecord(78, rec.entries(),
+                                      rec.dataVersions(), missing, error));
 }
 
 // ---- Hostile record sections ----------------------------------------
@@ -468,6 +471,38 @@ TEST(Snapshot, WrappingRowsTimesWordsIsRejected)
     patch(bytes, l.rows, uint64_t{1} << 62);
     patch(bytes, l.wordCount, uint64_t{0});
     expectRejected(bytes, "overflows");
+}
+
+TEST(Snapshot, RecordOfAnotherCacheOrganizationIsRefused)
+{
+    // An entry count of 2^40 parses (every entry id is in range), but
+    // restoring it for a 64-entry cache is refused before the record's
+    // owner table could ever be sized from it.
+    auto bytes = recordBytes();
+    patch(bytes, 4 + 4 + 8 + 4, uint64_t{1} << 40);
+    Snapshot parsed;
+    std::string error;
+    ASSERT_TRUE(Snapshot::parse(bytes.data(), bytes.size(), parsed, error))
+        << error;
+    const SignatureRecord rec = makeRecord();
+    SignatureRecord target = makeRecord();
+    EXPECT_FALSE(parsed.restoreRecord(77, rec.entries(), rec.dataVersions(),
+                                      target, error));
+    EXPECT_NE(error.find("1099511627776 entries"), std::string::npos)
+        << error;
+    EXPECT_NE(error.find("does not match target 64 entries"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(target.entries(), rec.entries()) << "target was touched";
+    EXPECT_EQ(target.passCount(), rec.passCount());
+
+    // A data-version mismatch is refused the same way.
+    bytes = recordBytes();
+    ASSERT_TRUE(Snapshot::parse(bytes.data(), bytes.size(), parsed, error))
+        << error;
+    EXPECT_FALSE(parsed.restoreRecord(77, rec.entries(), 4, target, error));
+    EXPECT_NE(error.find("2 versions does not match"), std::string::npos)
+        << error;
 }
 
 TEST(Snapshot, OutOfRangeMauEntryIdIsRejected)
