@@ -172,14 +172,6 @@ main()
                 g_sink = dst[0];
             });
 
-    // 4) Scatter (axpy): the dX column-scatter / dW rank-1 update body.
-    const Result scatter =
-        run(3.0 * span * sizeof(float), span,
-            [&](const kernels::KernelOps &k) {
-                k.axpy(dst.data(), 0.5f, src.data(), span);
-                g_sink = dst[0];
-            });
-
     Table t("kernel bodies (best-of-reps)");
     t.header({"kernel", "scalar cyc/row", "avx2 cyc/row", "speedup",
               "GB/s"});
@@ -196,7 +188,6 @@ main()
     row("rpq_project", project);
     row("sign_pack", sigpack);
     row("span_copy", spancopy);
-    row("scatter_axpy", scatter);
     t.print();
 
     bench::ResultLine line("BENCH_kernels.json", "micro_kernels");
@@ -208,11 +199,10 @@ main()
         .num("sigpack_avx2_cycles_per_row", sigpack.cpr_avx2, 1)
         .num("sigpack_speedup", sigpack.speedup, 3)
         .num("sigpack_gbps", sigpack.gbps, 3)
-        // The span kernels are memory-bound: scalar-vs-AVX2 speedup
-        // there is timer noise around 1.0, so only GB/s is recorded
-        // (and gated) for them.
+        // The span copy is memory-bound: scalar-vs-AVX2 speedup there
+        // is timer noise around 1.0, so only GB/s is recorded (and
+        // gated) for it.
         .num("spancopy_gbps", spancopy.gbps, 3)
-        .num("scatter_gbps", scatter.gbps, 3)
         .config("cpu", ax ? "avx2" : "scalar")
         .config("rows", nrows)
         .config("d", d)

@@ -141,15 +141,13 @@ AttentionEngine::backward(const Tensor &x, const Tensor &g,
     ReuseRuntime rt(*frontend_, frontend_.signatureBits());
     rt.beginPass(t);
     const int64_t nowners = static_cast<int64_t>(owners.size());
-    const int64_t chains = rt.chainsFor(nowners);
-    rt.parallelChains(chains, [&](int64_t c) {
+    rt.parallelRanges(nowners, [&](int64_t k0, int64_t k1) {
         std::vector<float> t1(static_cast<size_t>(d));
         std::vector<float> u(static_cast<size_t>(t));
         std::vector<float> t2(static_cast<size_t>(d));
         std::vector<float> vv(static_cast<size_t>(t));
         std::vector<float> t3(static_cast<size_t>(d));
-        for (int64_t k = c * nowners / chains;
-             k < (c + 1) * nowners / chains; ++k) {
+        for (int64_t k = k0; k < k1; ++k) {
             const int64_t i = owners[static_cast<size_t>(k)];
             for (int64_t j = 0; j < d; ++j) {
                 float acc = 0.0f;

@@ -20,15 +20,6 @@ ConvReuseEngine::ConvReuseEngine(DetectionFrontend &frontend, int sig_bits)
 
 namespace {
 
-/** dst[i] += src[i] * a over n floats: a rounded multiply, then add. */
-inline void
-mulAdd(float *__restrict dst, const float *__restrict src, float a,
-       int64_t n)
-{
-    for (int64_t i = 0; i < n; ++i)
-        dst[i] += src[i] * a;
-}
-
 /** Shape of one conv layer call, as the three passes see it. */
 struct ConvGeometry
 {
@@ -44,12 +35,14 @@ struct ConvGeometry
             panic("ConvReuseEngine expects square kernels");
     }
 
-    /** MACs of one channel pass: every row against every filter. */
-    uint64_t passMacs() const
+    /** MACs of one row of a channel pass: one dot product per filter. */
+    uint64_t rowMacs() const
     {
-        return static_cast<uint64_t>(v) * static_cast<uint64_t>(cout_g) *
-               static_cast<uint64_t>(d);
+        return static_cast<uint64_t>(cout_g) * static_cast<uint64_t>(d);
     }
+
+    /** MACs of one channel pass: every row against every filter. */
+    uint64_t passMacs() const { return static_cast<uint64_t>(v) * rowMacs(); }
 };
 
 /**
@@ -69,6 +62,23 @@ checkRecord(const SignatureRecord &record, const ConvSpec &spec,
         if (record.pass(p).rows != geo.v)
             panic("recorded pass holds ", record.pass(p).rows,
                   " rows, gradient has ", geo.v);
+}
+
+/**
+ * Book a replay: every recorded pass's mix and MACs, and the MACs of
+ * the `forwarded[p]` rows of pass p that took their owner's result.
+ */
+void
+bookReplay(const SignatureRecord &record, const ConvGeometry &geo,
+           const std::vector<int64_t> &forwarded, ReuseStats &stats)
+{
+    for (int64_t pi = 0; pi < record.passCount(); ++pi) {
+        stats.addReplayedPass(record.pass(pi));
+        stats.macsTotal += geo.passMacs();
+        stats.macsSkipped +=
+            static_cast<uint64_t>(forwarded[static_cast<size_t>(pi)]) *
+            geo.rowMacs();
+    }
 }
 
 } // namespace
@@ -94,8 +104,9 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
                          const Tensor &bias, const ConvSpec &spec,
                          ReuseStats &stats, SignatureRecord *record)
 {
-    if (input.rank() != 4 || weight.rank() != 4)
-        panic("ConvReuseEngine expects rank-4 input and weight");
+    checkConvSpec(spec);
+    checkConvInput(input, spec);
+    checkConvWeight(weight, spec);
     const ConvGeometry geo(spec, input.dim(0), spec.outH(input.dim(2)),
                            spec.outW(input.dim(3)));
     const int64_t n = geo.n, ow = geo.ow, d = geo.d, v = geo.v;
@@ -192,10 +203,9 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
             const float *row = rows.data() + i * d;
             std::fill(val, val + cout_g, 0.0f);
             for (int64_t t = 0; t < d; ++t)
-                mulAdd(val, w_p + t * cout_g, row[t], cout_g);
+                mulAddRows(val, 0, w_p + t * cout_g, 0, 1, cout_g, row[t]);
         };
-        pass.rowSkipCost =
-            static_cast<uint64_t>(cout_g) * static_cast<uint64_t>(d);
+        pass.rowSkipCost = geo.rowMacs();
         // Cross-channel overlap: begin hashing the next pass into the
         // other buffer while this pass's owner computes drain. Hashing
         // touches no MCACHE state, so it is safe beside them.
@@ -213,10 +223,8 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
         // Every row adds its owner's value, filter by filter: each
         // output gets one partial per channel pass, in channel order.
         float *out_g = out.data() + out.offset4(p.b, p.g * cout_g, 0, 0);
-        const int64_t chains = rt.chainsFor(cout_g);
-        rt.parallelChains(chains, [&](int64_t c) {
-            for (int64_t f = c * cout_g / chains;
-                 f < (c + 1) * cout_g / chains; ++f) {
+        rt.parallelRanges(cout_g, [&](int64_t f0, int64_t f1) {
+            for (int64_t f = f0; f < f1; ++f) {
                 float *o = out_g + f * v;
                 for (int64_t i = 0; i < v; ++i)
                     o[i] += vals[static_cast<size_t>(
@@ -234,8 +242,13 @@ ConvReuseEngine::backwardInput(const Tensor &gradOut, const Tensor &weight,
                                int64_t in_w, const SignatureRecord &record,
                                ReuseStats &stats)
 {
-    if (gradOut.rank() != 4 || weight.rank() != 4)
-        panic("ConvReuseEngine expects rank-4 gradient and weight");
+    checkConvSpec(spec);
+    checkConvWeight(weight, spec);
+    if (gradOut.rank() != 4)
+        panic("conv gradOut must be rank 4, got ", gradOut.shapeStr());
+    // The replay's frame is sized from (in_h, in_w) and reads v rows of
+    // gradOut per filter, so both must describe the same layer.
+    checkConvGradOut(gradOut, gradOut.dim(0), in_h, in_w, spec);
     const ConvGeometry geo(spec, gradOut.dim(0), gradOut.dim(2),
                            gradOut.dim(3));
     const int64_t v = geo.v, d = geo.d;
@@ -257,15 +270,13 @@ ConvReuseEngine::backwardInput(const Tensor &gradOut, const Tensor &weight,
     // so on a pool they fan out per pass.
     const ConvFrame frame(spec, in_h, in_w);
     rt.beginPass(v);
-    const int64_t chains = rt.chainsFor(passes);
-    std::vector<uint64_t> skipped(static_cast<size_t>(chains), 0);
-    rt.parallelChains(chains, [&](int64_t c) {
+    std::vector<int64_t> forwarded(static_cast<size_t>(passes));
+    rt.parallelRanges(passes, [&](int64_t p0, int64_t p1) {
         OwnerTable table(record.entries());
         std::vector<int64_t> owner;
         std::vector<float> gathered(static_cast<size_t>(cout_g * v));
         std::vector<float> scratch(static_cast<size_t>(frame.size()));
-        for (int64_t pi = c * passes / chains;
-             pi < (c + 1) * passes / chains; ++pi) {
+        for (int64_t pi = p0; pi < p1; ++pi) {
             const int64_t b = pi / (spec.groups * cin_g);
             const int64_t g = pi / cin_g % spec.groups;
             const int64_t ic = pi % cin_g;
@@ -287,18 +298,10 @@ ConvReuseEngine::backwardInput(const Tensor &gradOut, const Tensor &weight,
                 weight.data() + (g * cout_g * cin_g + ic) * d, cin_g * d,
                 scratch.data(),
                 grad_in.data() + grad_in.offset4(b, g * cin_g + ic, 0, 0));
-            skipped[static_cast<size_t>(c)] +=
-                static_cast<uint64_t>(fwd) * static_cast<uint64_t>(cout_g) *
-                static_cast<uint64_t>(d);
+            forwarded[static_cast<size_t>(pi)] = fwd;
         }
     });
-
-    for (const uint64_t s : skipped)
-        stats.macsSkipped += s;
-    for (int64_t pi = 0; pi < passes; ++pi) {
-        stats.addReplayedPass(record.pass(pi));
-        stats.macsTotal += geo.passMacs();
-    }
+    bookReplay(record, geo, forwarded, stats);
     return grad_in;
 }
 
@@ -308,8 +311,10 @@ ConvReuseEngine::backwardWeights(const Tensor &input, const Tensor &gradOut,
                                  const SignatureRecord &record,
                                  ReuseStats &stats)
 {
-    if (input.rank() != 4 || gradOut.rank() != 4)
-        panic("ConvReuseEngine expects rank-4 input and gradient");
+    checkConvSpec(spec);
+    checkConvInput(input, spec);
+    checkConvGradOut(gradOut, input.dim(0), input.dim(2), input.dim(3),
+                     spec);
     const ConvGeometry geo(spec, input.dim(0), gradOut.dim(2),
                            gradOut.dim(3));
     const int64_t n = geo.n, ow = geo.ow, d = geo.d, v = geo.v;
@@ -345,26 +350,20 @@ ConvReuseEngine::backwardWeights(const Tensor &input, const Tensor &gradOut,
     // they fan out, each walking the batch in order.
     const int64_t pairs = spec.groups * cin_g;
     rt.beginPass(v);
-    const int64_t chains = rt.chainsFor(pairs);
-    std::vector<uint64_t> skipped(static_cast<size_t>(chains), 0);
-    rt.parallelChains(chains, [&](int64_t c) {
+    std::vector<int64_t> forwarded(static_cast<size_t>(passes));
+    rt.parallelRanges(pairs, [&](int64_t gi0, int64_t gi1) {
         OwnerTable table(record.entries());
         std::vector<int64_t> owner;
         std::vector<float> sums(static_cast<size_t>(v * cout_g));
         std::vector<float> acc(static_cast<size_t>(d * cout_g));
         Tensor patches({v, d});
-        for (int64_t gi = c * pairs / chains; gi < (c + 1) * pairs / chains;
-             ++gi) {
+        for (int64_t gi = gi0; gi < gi1; ++gi) {
             const int64_t g = gi / cin_g, ic = gi % cin_g;
             std::fill(acc.begin(), acc.end(), 0.0f);
             for (int64_t b = 0; b < n; ++b) {
-                const int64_t fwd = record.ownersOf(
-                    record.pass((b * spec.groups + g) * cin_g + ic), table,
-                    owner);
-                skipped[static_cast<size_t>(c)] +=
-                    static_cast<uint64_t>(fwd) *
-                    static_cast<uint64_t>(cout_g) *
-                    static_cast<uint64_t>(d);
+                const int64_t pi = (b * spec.groups + g) * cin_g + ic;
+                forwarded[static_cast<size_t>(pi)] =
+                    record.ownersOf(record.pass(pi), table, owner);
                 // Group sums in stream order: the owner row copies its
                 // own gradients, HIT rows add theirs.
                 const float *gt =
@@ -395,8 +394,8 @@ ConvReuseEngine::backwardWeights(const Tensor &input, const Tensor &gradOut,
                         const float *gr = sums.data() + r * cout_g;
                         const float *pr = patches.data() + r * d;
                         for (int64_t t = 0; t < d; ++t)
-                            mulAdd(acc.data() + t * cout_g, gr, pr[t],
-                                   cout_g);
+                            mulAddRows(acc.data() + t * cout_g, 0, gr, 0, 1,
+                                       cout_g, pr[t]);
                     }
                     r0 = r1;
                 }
@@ -409,13 +408,7 @@ ConvReuseEngine::backwardWeights(const Tensor &input, const Tensor &gradOut,
             }
         }
     });
-
-    for (const uint64_t s : skipped)
-        stats.macsSkipped += s;
-    for (int64_t pi = 0; pi < passes; ++pi) {
-        stats.addReplayedPass(record.pass(pi));
-        stats.macsTotal += geo.passMacs();
-    }
+    bookReplay(record, geo, forwarded, stats);
     return grad_w;
 }
 

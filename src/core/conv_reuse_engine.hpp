@@ -120,10 +120,13 @@ class ConvReuseEngine
     ConvReuseEngine(DetectionFrontend &frontend, int sig_bits);
 
     /**
-     * Reuse-enabled forward convolution, channel by channel.
+     * Reuse-enabled forward convolution, channel by channel. Every
+     * entry point checks its operands against `spec` as the exact ops
+     * do (checkConvSpec and friends in tensor/ops.hpp) and panics on a
+     * mismatch.
      *
      * @param input  (N, Cin, H, W)
-     * @param weight (Cout, Cin, kH, kW) — groups == 1
+     * @param weight (Cout, Cin/groups, kH, kW), kH == kW
      * @param bias   (Cout) or empty
      * @param stats  filled with the measured reuse statistics
      * @param record when non-null, cleared and then filled with one
@@ -141,9 +144,9 @@ class ConvReuseEngine
      * products (booked as skipped MACs). Bit-identical to
      * conv2dBackwardInput when the record holds no hits.
      *
-     * @param gradOut (N, Cout, outH, outW) output gradient
+     * @param gradOut (N, Cout, outH(in_h), outW(in_w)) output gradient
      * @param weight  the forward weights
-     * @param in_h    input height the gradient is scattered back to
+     * @param in_h    input height the gradient flows back to
      * @param in_w    input width
      * @param record  the forward pass's captured record
      * @param stats   filled with the backward reuse statistics
@@ -162,7 +165,7 @@ class ConvReuseEngine
      * gradients otherwise.
      *
      * @param input   the forward input (patches are re-extracted)
-     * @param gradOut (N, Cout, outH, outW) output gradient
+     * @param gradOut (N, Cout, outH(H), outW(W)) output gradient
      * @param record  the forward pass's captured record
      * @param stats   filled with the dW-pass reuse statistics
      */

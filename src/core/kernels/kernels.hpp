@@ -67,9 +67,6 @@ struct KernelOps
     /** dst[e] += src[e] for e in [0, n) — elementwise, no reorder. */
     void (*addSpan)(float *dst, const float *src, int64_t n);
 
-    /** dst[e] += a * src[e] for e in [0, n) — mul+add, no FMA. */
-    void (*axpy)(float *dst, float a, const float *src, int64_t n);
-
     /**
      * Extract im2col patch rows [r0, r1) of one (in_h, in_w) input
      * plane into a row-major (rows, k*k) tensor at `rows` (indexed by

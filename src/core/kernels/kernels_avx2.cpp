@@ -161,21 +161,6 @@ addSpanAvx2(float *dst, const float *src, int64_t n)
 }
 
 void
-axpyAvx2(float *dst, float a, const float *src, int64_t n)
-{
-    const __m256 av = _mm256_set1_ps(a);
-    int64_t e = 0;
-    for (; e + 8 <= n; e += 8) {
-        const __m256 s = _mm256_loadu_ps(src + e);
-        const __m256 d8 = _mm256_loadu_ps(dst + e);
-        _mm256_storeu_ps(dst + e,
-                         _mm256_add_ps(d8, _mm256_mul_ps(av, s)));
-    }
-    for (; e < n; ++e)
-        dst[e] += a * src[e];
-}
-
-void
 extractPatchesAvx2(const float *plane, int64_t in_h, int64_t in_w,
                    int64_t ow, int64_t stride, int64_t pad, int64_t k,
                    int64_t r0, int64_t r1, float *rows)
@@ -229,7 +214,6 @@ const KernelOps kAvx2Ops = {
     signPackAvx2,    // signPack
     copySpanAvx2,    // copySpan
     addSpanAvx2,     // addSpan
-    axpyAvx2,        // axpy
     extractPatchesAvx2, // extractPatches
 };
 

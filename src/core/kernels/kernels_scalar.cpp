@@ -67,13 +67,6 @@ addSpanScalar(float *dst, const float *src, int64_t n)
 }
 
 void
-axpyScalar(float *dst, float a, const float *src, int64_t n)
-{
-    for (int64_t e = 0; e < n; ++e)
-        dst[e] += a * src[e];
-}
-
-void
 extractPatchesScalar(const float *plane, int64_t in_h, int64_t in_w,
                      int64_t ow, int64_t stride, int64_t pad, int64_t k,
                      int64_t r0, int64_t r1, float *rows)
@@ -115,7 +108,6 @@ const KernelOps kScalarOps = {
     signPackScalar,    // signPack
     copySpanScalar,    // copySpan
     addSpanScalar,     // addSpan
-    axpyScalar,          // axpy
     extractPatchesScalar, // extractPatches
 };
 

@@ -14,25 +14,21 @@ ReuseRuntime::beginPass(int64_t rows)
     passPool_ = fe_.overlapEnabledFor(rows) ? fe_.workerPool() : nullptr;
 }
 
-int64_t
-ReuseRuntime::chainsFor(int64_t items) const
-{
-    if (!passPool_)
-        return 1;
-    return std::min<int64_t>(
-        items, static_cast<int64_t>(passPool_->workers()) + 1);
-}
-
 void
-ReuseRuntime::parallelChains(int64_t width,
-                             const std::function<void(int64_t)> &fn)
+ReuseRuntime::parallelRanges(
+    int64_t n, const std::function<void(int64_t, int64_t)> &fn)
 {
-    if (passPool_) {
-        passPool_->parallelFor(width, fn);
+    if (n <= 0)
+        return;
+    if (!passPool_) {
+        fn(0, n);
         return;
     }
-    for (int64_t i = 0; i < width; ++i)
-        fn(i);
+    const int64_t ranges = std::min<int64_t>(
+        n, static_cast<int64_t>(passPool_->workers()) + 1);
+    passPool_->parallelFor(ranges, [&](int64_t c) {
+        fn(c * n / ranges, (c + 1) * n / ranges);
+    });
 }
 
 void
@@ -97,15 +93,17 @@ ReuseRuntime::runRows(const StreamSource &src, const RowPass &pass,
                            [&](int64_t i0, int64_t) {
                                starts[nspans++] = i0;
                            });
-    parallelChains(nspans, [&](int64_t j) {
-        const int64_t i0 = starts[j];
-        const int64_t i1 = j + 1 < nspans ? starts[j + 1] : nfwd;
-        if (i1 - i0 > 1 && pass.copyRowSpan) {
-            pass.copyRowSpan(fwd_rows[i0], fwd_rows[i0] + (i1 - i0),
-                             fwd_owners[i0]);
-        } else {
-            for (int64_t i = i0; i < i1; ++i)
-                pass.copyRow(fwd_rows[i], fwd_owners[i]);
+    parallelRanges(nspans, [&](int64_t j0, int64_t j1) {
+        for (int64_t j = j0; j < j1; ++j) {
+            const int64_t i0 = starts[j];
+            const int64_t i1 = j + 1 < nspans ? starts[j + 1] : nfwd;
+            if (i1 - i0 > 1 && pass.copyRowSpan) {
+                pass.copyRowSpan(fwd_rows[i0], fwd_rows[i0] + (i1 - i0),
+                                 fwd_owners[i0]);
+            } else {
+                for (int64_t i = i0; i < i1; ++i)
+                    pass.copyRow(fwd_rows[i], fwd_owners[i]);
+            }
         }
     });
 }

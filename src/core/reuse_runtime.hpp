@@ -39,7 +39,7 @@
  * MCACHE access, so a replay is a plain function — gather through the
  * owner map, run the dense kernel. The runtime contributes only the
  * pool: beginPass resolves whether a pass of that size gets it, and
- * parallelChains fans disjoint work out over it.
+ * parallelRanges splits disjoint work over it.
  *
  * ## Ordering and locking contract
  *
@@ -191,23 +191,18 @@ class ReuseRuntime
      */
     void beginPass(int64_t rows);
 
-    /**
-     * Fan-out width for `items` independent items: one chain per pool
-     * executor (capped at `items`), or 1 inline.
-     */
-    int64_t chainsFor(int64_t items) const;
-
     /** Run one live pass over the stream. */
     void runRows(const StreamSource &src, const RowPass &pass,
                  ReuseStats &stats);
 
     /**
-     * Fan `width` independent bodies out over the pass's pool (a loop
-     * on the driving thread without one). fn(i) must write disjoint
-     * state.
+     * Split [0, n) into contiguous ranges, one per executor of the
+     * pass's pool (capped at n), and run fn(i0, i1) on each; without a
+     * pool, fn(0, n) runs on the driving thread. Ranges must write
+     * disjoint state; per-range scratch lives inside fn.
      */
-    void parallelChains(int64_t width,
-                        const std::function<void(int64_t)> &fn);
+    void parallelRanges(int64_t n,
+                        const std::function<void(int64_t, int64_t)> &fn);
 
   private:
     DetectionFrontend &fe_;

@@ -109,13 +109,6 @@ SignatureRecord::ownersOf(const Pass &p, OwnerTable &table,
     return forwarded;
 }
 
-void
-SignatureRecord::ownersOf(const Pass &p, std::vector<int64_t> &owner) const
-{
-    OwnerTable table(entries_);
-    ownersOf(p, table, owner);
-}
-
 uint64_t
 SignatureRecord::storageBytes() const
 {

@@ -181,9 +181,6 @@ class SignatureRecord
     int64_t ownersOf(const Pass &p, OwnerTable &table,
                      std::vector<int64_t> &owner) const;
 
-    /** ownersOf with a table of its own (tests, diagnostics). */
-    void ownersOf(const Pass &p, std::vector<int64_t> &owner) const;
-
     /** Bytes this record would spill to memory between passes. */
     uint64_t storageBytes() const;
 

@@ -19,8 +19,10 @@ paddedAt(const Tensor &t, int64_t n, int64_t c, int64_t h, int64_t w)
     return t.at4(n, c, h, w);
 }
 
+} // namespace
+
 void
-checkSpec(const ConvSpec &spec)
+checkConvSpec(const ConvSpec &spec)
 {
     if (spec.groups < 1 || spec.stride < 1 || spec.kernelH < 1 ||
         spec.kernelW < 1 || spec.pad < 0) {
@@ -33,7 +35,7 @@ checkSpec(const ConvSpec &spec)
 }
 
 void
-checkInput(const Tensor &input, const ConvSpec &spec)
+checkConvInput(const Tensor &input, const ConvSpec &spec)
 {
     if (input.rank() != 4)
         panic("conv input must be rank 4, got ", input.shapeStr());
@@ -43,7 +45,7 @@ checkInput(const Tensor &input, const ConvSpec &spec)
 }
 
 void
-checkWeight(const Tensor &weight, const ConvSpec &spec)
+checkConvWeight(const Tensor &weight, const ConvSpec &spec)
 {
     if (weight.rank() != 4)
         panic("conv weight must be rank 4, got ", weight.shapeStr());
@@ -55,10 +57,9 @@ checkWeight(const Tensor &weight, const ConvSpec &spec)
     }
 }
 
-/** gradOut must be (n, Cout, outH(in_h), outW(in_w)). */
 void
-checkGradOut(const Tensor &gradOut, int64_t n, int64_t in_h, int64_t in_w,
-             const ConvSpec &spec)
+checkConvGradOut(const Tensor &gradOut, int64_t n, int64_t in_h,
+                 int64_t in_w, const ConvSpec &spec)
 {
     if (gradOut.rank() != 4 || gradOut.dim(0) != n ||
         gradOut.dim(1) != spec.outChannels ||
@@ -69,23 +70,6 @@ checkGradOut(const Tensor &gradOut, int64_t n, int64_t in_h, int64_t in_w,
               spec.outW(in_w), ") for a ", in_h, "x", in_w, " input");
     }
 }
-
-/**
- * dst[y][i] += src[y][i] * w over `rows` rows of n floats, with row
- * pitches dstPitch and srcPitch: a rounded multiply, then a rounded
- * add, per element. dst and src never overlap.
- */
-inline void
-mulAddRows(float *__restrict dst, int64_t dstPitch,
-           const float *__restrict src, int64_t srcPitch, int64_t rows,
-           int64_t n, float w)
-{
-    for (int64_t y = 0; y < rows; ++y)
-        for (int64_t i = 0; i < n; ++i)
-            dst[y * dstPitch + i] += src[y * srcPitch + i] * w;
-}
-
-} // namespace
 
 ConvFrame::ConvFrame(const ConvSpec &spec, int64_t h, int64_t w)
     : h_(h), w_(w), oh_(spec.outH(h)), ow_(spec.outW(w)),
@@ -135,9 +119,9 @@ Tensor
 conv2dForward(const Tensor &input, const Tensor &weight, const Tensor &bias,
               const ConvSpec &spec)
 {
-    checkSpec(spec);
-    checkInput(input, spec);
-    checkWeight(weight, spec);
+    checkConvSpec(spec);
+    checkConvInput(input, spec);
+    checkConvWeight(weight, spec);
     if (bias.numel() != 0 && bias.numel() != spec.outChannels)
         panic("conv bias has ", bias.numel(), " elements for ",
               spec.outChannels, " filters");
@@ -184,10 +168,10 @@ Tensor
 conv2dBackwardWeight(const Tensor &input, const Tensor &gradOut,
                      const ConvSpec &spec)
 {
-    checkSpec(spec);
-    checkInput(input, spec);
+    checkConvSpec(spec);
+    checkConvInput(input, spec);
     const int64_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
-    checkGradOut(gradOut, n, h, w, spec);
+    checkConvGradOut(gradOut, n, h, w, spec);
     const int64_t oh = gradOut.dim(2), ow = gradOut.dim(3);
     const int64_t cin_g = spec.inChannels / spec.groups;
     const int64_t cout_g = spec.outChannels / spec.groups;
@@ -239,12 +223,12 @@ Tensor
 conv2dBackwardInput(const Tensor &gradOut, const Tensor &weight,
                     const ConvSpec &spec, int64_t in_h, int64_t in_w)
 {
-    checkSpec(spec);
-    checkWeight(weight, spec);
+    checkConvSpec(spec);
+    checkConvWeight(weight, spec);
     if (gradOut.rank() != 4)
         panic("conv gradOut must be rank 4, got ", gradOut.shapeStr());
     const int64_t n = gradOut.dim(0);
-    checkGradOut(gradOut, n, in_h, in_w, spec);
+    checkConvGradOut(gradOut, n, in_h, in_w, spec);
     const int64_t cin_g = spec.inChannels / spec.groups;
     const int64_t cout_g = spec.outChannels / spec.groups;
     const int64_t kh = spec.kernelH, kw = spec.kernelW;

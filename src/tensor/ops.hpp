@@ -45,6 +45,22 @@ struct ConvSpec
     }
 };
 
+// Operand checks shared by the exact ops and the reuse engines: each
+// panics, naming the mismatch, unless its operand fits `spec`.
+
+/** groups, stride and kernel >= 1, pad >= 0, channels divisible by groups. */
+void checkConvSpec(const ConvSpec &spec);
+
+/** input is (N, Cin, H, W). */
+void checkConvInput(const Tensor &input, const ConvSpec &spec);
+
+/** weight is (Cout, Cin/groups, kH, kW). */
+void checkConvWeight(const Tensor &weight, const ConvSpec &spec);
+
+/** gradOut is (n, Cout, outH(in_h), outW(in_w)). */
+void checkConvGradOut(const Tensor &gradOut, int64_t n, int64_t in_h,
+                      int64_t in_w, const ConvSpec &spec);
+
 /**
  * Forward convolution.
  *
@@ -116,6 +132,23 @@ class ConvFrame
     /** Slot of padded column c within a row. */
     int64_t col(int64_t c) const { return c % stride_ * span_ + c / stride_; }
 };
+
+/**
+ * dst[y][i] += src[y][i] * w over `rows` rows of n floats, with row
+ * pitches dstPitch and srcPitch: a rounded multiply, then a rounded
+ * add, per element (no FMA under the build's -ffp-contract=off). The
+ * one mul-add body of the conv kernels, exact and reuse alike. dst and
+ * src never overlap.
+ */
+inline void
+mulAddRows(float *__restrict dst, int64_t dstPitch,
+           const float *__restrict src, int64_t srcPitch, int64_t rows,
+           int64_t n, float w)
+{
+    for (int64_t y = 0; y < rows; ++y)
+        for (int64_t i = 0; i < n; ++i)
+            dst[y * dstPitch + i] += src[y * srcPitch + i] * w;
+}
 
 /**
  * Input gradient of one input-channel plane: the per-(image, group,

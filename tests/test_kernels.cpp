@@ -188,7 +188,6 @@ TEST(Kernels, SpanKernelsBitIdentity)
     for (int64_t n : {0, 1, 7, 8, 9, 31, 64, 1000}) {
         const std::vector<float> src = randomFloats(n, 11 + n);
         const std::vector<float> base = randomFloats(n, 13 + n);
-        const float a = 1.7f;
 
         std::vector<float> d1(base), d2(base);
         sc.copySpan(d1.data(), src.data(), n);
@@ -200,12 +199,6 @@ TEST(Kernels, SpanKernelsBitIdentity)
         sc.addSpan(d1.data(), src.data(), n);
         ax->addSpan(d2.data(), src.data(), n);
         ASSERT_EQ(d1, d2) << "addSpan n=" << n;
-
-        d1 = base;
-        d2 = base;
-        sc.axpy(d1.data(), a, src.data(), n);
-        ax->axpy(d2.data(), a, src.data(), n);
-        ASSERT_EQ(d1, d2) << "axpy n=" << n;
     }
 }
 

@@ -137,7 +137,8 @@ TEST(Record, OwnersAreEarlierComputedRows)
     const SignatureRecord::Pass &pass = record.pass(0);
 
     std::vector<int64_t> owner;
-    record.ownersOf(pass, owner);
+    OwnerTable table(record.entries());
+    record.ownersOf(pass, table, owner);
     ASSERT_EQ(static_cast<int64_t>(owner.size()), pass.rows);
     for (int64_t i = 0; i < pass.rows; ++i) {
         if (pass.outcome(i) == McacheOutcome::Hit) {
@@ -302,6 +303,43 @@ TEST(ConvBackward, OverlappedReplayBitIdenticalToSerial)
     expectCacheUntouched(mix_o, overlap_fe, "pooled replay");
 }
 
+TEST(ConvBackward, InputSizeThatDisagreesWithTheGradientDies)
+{
+    // The dX replay sizes its frame from (in_h, in_w) and reads v rows
+    // of gradOut per filter; the record only pins v. A size one off
+    // (outH(7) = 5 against a 4-row gradient) must panic, as the exact
+    // op does, rather than read past gradOut.
+    Tensor in = similarInput(1, 2, 6, 6, 1e-3f, 95);
+    Rng rng(96);
+    const ConvSpec spec = convSpec(2, 3, 3);
+    Tensor w({3, 2, 3, 3});
+    w.fillNormal(rng);
+    Tensor grad({1, 3, 4, 4});
+    grad.fillNormal(rng);
+
+    DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed);
+    ConvReuseEngine engine(fe, 16);
+    ReuseStats fstats, bstats;
+    SignatureRecord record;
+    engine.forward(in, w, Tensor(), spec, fstats, &record);
+    EXPECT_DEATH(engine.backwardInput(grad, w, spec, 7, 6, record, bstats),
+                 "gradOut shape");
+    EXPECT_DEATH(engine.backwardInput(grad, w, spec, 6, 7, record, bstats),
+                 "gradOut shape");
+    Tensor too_few_filters({2, 2, 3, 3});
+    EXPECT_DEATH(engine.backwardInput(grad, too_few_filters, spec, 6, 6,
+                                      record, bstats),
+                 "weight shape");
+    Tensor wrong_h({1, 3, 5, 4});
+    EXPECT_DEATH(engine.backwardWeights(in, wrong_h, spec, record, bstats),
+                 "gradOut shape");
+
+    const Tensor gin =
+        engine.backwardInput(grad, w, spec, 6, 6, record, bstats);
+    EXPECT_EQ(gin.dim(2), 6);
+    EXPECT_EQ(gin.dim(3), 6);
+}
+
 // ---------------------------------------------------------------------
 // FC backward replay
 // ---------------------------------------------------------------------
@@ -454,7 +492,8 @@ TEST(AttentionBackward, HitRowsCopyOwnerGradientRows)
     ASSERT_GT(fstats.mix.hit, 0);
 
     std::vector<int64_t> owner;
-    record.ownersOf(record.pass(0), owner);
+    OwnerTable table(record.entries());
+    record.ownersOf(record.pass(0), table, owner);
     ReuseStats bstats;
     Tensor gin = engine.backward(x, g, record, 0, bstats);
     for (int64_t i = 0; i < 16; ++i) {
@@ -691,7 +730,8 @@ TEST(FcWeightGrad, GroupSumsFactorThroughTheOwnersRow)
     // Independent sum-then-multiply reference from the owner map.
     const SignatureRecord::Pass &pass = record.pass(0);
     std::vector<int64_t> owner;
-    record.ownersOf(pass, owner);
+    OwnerTable table(record.entries());
+    record.ownersOf(pass, table, owner);
     Tensor gsum({30, 7});
     for (int64_t r = 0; r < 30; ++r) {
         const int64_t o = owner[static_cast<size_t>(r)];
