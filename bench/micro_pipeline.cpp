@@ -64,7 +64,7 @@ measure(int64_t dim, int bits)
 
     // The pipeline must reproduce the scalar mix exactly.
     const HitMix ref = scalar.detect(rows).mix();
-    const HitMix got = frontend.detect(rows, bits).mix();
+    const HitMix got = frontend.detect(rows, bits).mix;
     if (ref.hit != got.hit || ref.mau != got.mau || ref.mnu != got.mnu) {
         std::fprintf(stderr,
                      "FATAL: pipeline mix diverges from scalar path at "

@@ -253,7 +253,7 @@ pointwiseMix(int64_t rows, int64_t d, uint64_t seed)
             r.at2(i, j) = proto.at2(i % proto.dim(0), j) +
                           0.02f * static_cast<float>(rng.normal());
     DetectionFrontend fe(kSets, kWays, kVersions, kBits, seed);
-    return fe.detect(r, kBits).mix();
+    return fe.detect(r, kBits).mix;
 }
 
 /**

@@ -48,8 +48,8 @@ AttentionEngine::forward(const Tensor &x, ReuseStats &stats,
     // row is never read, exactly as in the staged formulation).
     ReuseRuntime rt(*frontend_, frontend_.signatureBits());
     ReuseRuntime::RowPass pass;
-    pass.ownerOf = [&](int64_t i, const McacheResult &mr) {
-        return table.ownerOf(i, mr.outcome, mr.entryId);
+    pass.ownerOf = [&](int64_t i, McacheOutcome outcome, int64_t entry) {
+        return table.ownerOf(i, outcome, entry);
     };
     pass.computeRow = [&](int64_t i) {
         for (int64_t j = 0; j < t; ++j) {

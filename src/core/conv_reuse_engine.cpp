@@ -191,8 +191,9 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
             wt.data() + (p.g * cin_g + p.ic) * d * cout_g;
 
         ReuseRuntime::RowPass pass;
-        pass.ownerOf = [&](int64_t i, const McacheResult &mr) {
-            const int64_t o = table.ownerOf(i, mr.outcome, mr.entryId);
+        pass.ownerOf = [&](int64_t i, McacheOutcome outcome,
+                           int64_t entry) {
+            const int64_t o = table.ownerOf(i, outcome, entry);
             owner[static_cast<size_t>(i)] = o;
             return o;
         };

@@ -53,8 +53,8 @@ FcEngine::forward(const Tensor &input, const Tensor &weight,
     // PE once every owner has computed.
     ReuseRuntime rt(*frontend_, frontend_.signatureBits());
     ReuseRuntime::RowPass pass;
-    pass.ownerOf = [&](int64_t i, const McacheResult &mr) {
-        const int64_t owner = table.ownerOf(i, mr.outcome, mr.entryId);
+    pass.ownerOf = [&](int64_t i, McacheOutcome outcome, int64_t entry) {
+        const int64_t owner = table.ownerOf(i, outcome, entry);
         if (owner_rows)
             (*owner_rows)[static_cast<size_t>(i)] = owner;
         return owner;

@@ -26,6 +26,14 @@
  * A table sets `wantsInterleaved` when its projection body reads
  * `inter`; callers may then pass inter = nullptr to tables that do
  * not, and skip building the mirror entirely.
+ *
+ * Masked-octet contract: a vector body may read all 8 filters of the
+ * octet holding the last `bits % 8` filters whenever the mirror has
+ * them (n + 8 <= inter_stride; RPQEngine provisions its maximum
+ * length, so a shorter pass has the room), but writes only the first
+ * `bits` lanes of each row — nothing past the (nrows, bits) block.
+ * Extra lanes are independent filters, so reading them changes no
+ * stored bit.
  */
 
 #ifndef MERCURY_CORE_KERNELS_KERNELS_HPP
@@ -56,7 +64,8 @@ struct KernelOps
      * Pack the sign bits of a row-major (nrows, bits) projection
      * block: bit n of row r is (proj[r*bits + n] < 0.0f), written
      * into `words_per_row` little-endian 64-bit words per row
-     * (unused high bits zeroed).
+     * (unused high bits zeroed). Reads nothing past the block: a
+     * partial last octet loads masked.
      */
     void (*signPack)(const float *proj, int64_t nrows, int bits,
                      int64_t words_per_row, uint64_t *out);
@@ -73,10 +82,13 @@ struct KernelOps
      * absolute row: row r starts at rows + r*k*k). Row r covers
      * output position (y, x) = (r / ow, r % ow); element ky*k + kx
      * reads plane[y*stride - pad + ky][x*stride - pad + kx], or 0.0f
-     * outside the plane. Both bodies are span-clipped copies/zero
-     * fills, so bit-identity is structural — there is no arithmetic
-     * to reorder. Disjoint row ranges may be filled concurrently
-     * (the fused detection blocks extract their own rows in place).
+     * outside the plane. Both bodies only move data (span-clipped
+     * copies and zero fills; the AVX2 body writes a kernel row of
+     * k <= 8 with one masked load and one masked store), so
+     * bit-identity is structural — there is no arithmetic to
+     * reorder. Only rows [r0, r1) are written, so disjoint row ranges
+     * may be filled concurrently (the fused detection blocks extract
+     * their own rows in place).
      */
     void (*extractPatches)(const float *plane, int64_t in_h, int64_t in_w,
                            int64_t ow, int64_t stride, int64_t pad,

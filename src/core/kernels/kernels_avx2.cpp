@@ -13,12 +13,18 @@
  *    never FMA, whose single rounding would diverge. The 8 lanes are
  *    8 *independent* filters of the interleaved mirror, so widening
  *    reorders nothing within any accumulator.
+ *    A partial last octet of filters computes in the same vector loop
+ *    when the mirror has the lanes, and a masked store keeps only
+ *    the `bits` lanes.
  *  - signPack compares with _CMP_LT_OQ against +0.0f: -0.0f < 0.0f
  *    is false, exactly like the scalar `p < 0.0f` (all-zero padding
  *    rows produce -0.0f projections, which must not set bits — a raw
- *    sign-bit movemask would get this wrong).
+ *    sign-bit movemask would get this wrong). A partial last octet
+ *    loads masked, and its masked-off lanes read +0.0f.
  *  - the span kernels are elementwise; tails fall back to the scalar
  *    loops, which compute the same expression per element.
+ *  - extractPatches moves data only; its masked rows write exactly the
+ *    values and zeros of the scalar body's spans.
  */
 
 #include "core/kernels/kernels.hpp"
@@ -32,12 +38,42 @@ namespace mercury {
 namespace kernels {
 namespace {
 
+/** Lanes [0, n) all-ones, the rest zero (n may be <= 0 or >= 8). */
+inline __m256i
+lanesBelow(int64_t n)
+{
+    return _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(n < 0 ? 0 : n > 8 ? 8 : n)),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/** Store the octet at p: all 8 lanes, or the `tail` lanes of a last one. */
+inline void
+storeOctet(float *p, __m256 v, bool whole, __m256i tail)
+{
+    if (whole)
+        _mm256_storeu_ps(p, v);
+    else
+        _mm256_maskstore_ps(p, tail, v);
+}
+
 void
 projectRowsAvx2(const float *rows, int64_t nrows, int64_t d,
                 const float * /*cols*/, const float *inter,
                 int inter_stride, int bits, float *out)
 {
     const int64_t stride = inter_stride;
+    // Octets [0, vec_end) run in the vector loop. A partial last octet
+    // (bits % 8 != 0) joins them when the mirror holds 8 lanes there
+    // (n + 8 <= inter_stride): its lanes past `bits` sum filters the
+    // pass does not use, and the masked store drops them. It stays
+    // inside the loop (a separate epilogue moved the placement of the
+    // tail-free shapes measurably). Only without that room does the
+    // scalar tail run.
+    const int whole = bits & ~7;
+    const int vec_end =
+        (whole < bits && whole + 8 <= inter_stride) ? bits : whole;
+    const __m256i tail = lanesBelow(bits - whole);
     // 4-row x 8-filter register tile: the accumulators live in
     // registers across the whole element loop, and each interleaved
     // matrix line is loaded once per tile instead of once per row.
@@ -52,7 +88,7 @@ projectRowsAvx2(const float *rows, int64_t nrows, int64_t d,
         float *o2 = o1 + bits;
         float *o3 = o2 + bits;
         int n = 0;
-        for (; n + 8 <= bits; n += 8) {
+        for (; n < vec_end; n += 8) {
             __m256 a0 = _mm256_setzero_ps();
             __m256 a1 = _mm256_setzero_ps();
             __m256 a2 = _mm256_setzero_ps();
@@ -69,10 +105,11 @@ projectRowsAvx2(const float *rows, int64_t nrows, int64_t d,
                 a3 = _mm256_add_ps(
                     a3, _mm256_mul_ps(_mm256_set1_ps(v3[i]), w));
             }
-            _mm256_storeu_ps(o0 + n, a0);
-            _mm256_storeu_ps(o1 + n, a1);
-            _mm256_storeu_ps(o2 + n, a2);
-            _mm256_storeu_ps(o3 + n, a3);
+            const bool full = n + 8 <= bits;
+            storeOctet(o0 + n, a0, full, tail);
+            storeOctet(o1 + n, a1, full, tail);
+            storeOctet(o2 + n, a2, full, tail);
+            storeOctet(o3 + n, a3, full, tail);
         }
         for (; n < bits; ++n) {
             float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
@@ -93,7 +130,7 @@ projectRowsAvx2(const float *rows, int64_t nrows, int64_t d,
         const float *v = rows + r * d;
         float *o = out + r * bits;
         int n = 0;
-        for (; n + 8 <= bits; n += 8) {
+        for (; n < vec_end; n += 8) {
             __m256 a = _mm256_setzero_ps();
             for (int64_t i = 0; i < d; ++i) {
                 const __m256 w =
@@ -101,7 +138,7 @@ projectRowsAvx2(const float *rows, int64_t nrows, int64_t d,
                 a = _mm256_add_ps(
                     a, _mm256_mul_ps(_mm256_set1_ps(v[i]), w));
             }
-            _mm256_storeu_ps(o + n, a);
+            storeOctet(o + n, a, n + 8 <= bits, tail);
         }
         for (; n < bits; ++n) {
             float s = 0.0f;
@@ -117,23 +154,33 @@ signPackAvx2(const float *proj, int64_t nrows, int bits,
              int64_t words_per_row, uint64_t *out)
 {
     const __m256 zero = _mm256_setzero_ps();
+    const __m256i tail = lanesBelow(bits & 7);
     for (int64_t r = 0; r < nrows; ++r) {
         const float *p = proj + r * bits;
         uint64_t *w = out + r * words_per_row;
-        std::memset(w, 0, static_cast<size_t>(words_per_row) *
-                              sizeof(uint64_t));
-        int n = 0;
-        // 8 sign bits per compare+movemask; n is a multiple of 8, so
-        // an octet never straddles a 64-bit word boundary.
-        for (; n + 8 <= bits; n += 8) {
-            const __m256 v = _mm256_loadu_ps(p + n);
-            const int m = _mm256_movemask_ps(
-                _mm256_cmp_ps(v, zero, _CMP_LT_OQ));
-            w[n >> 6] |= static_cast<uint64_t>(m) << (n & 63);
-        }
-        for (; n < bits; ++n) {
-            if (p[n] < 0.0f)
-                w[n >> 6] |= 1ull << (n & 63);
+        int64_t n = 0;
+        // Each word gathers its octets (8 sign bits per compare +
+        // movemask) in a register and is stored once. n steps by 8, so
+        // an octet never straddles a word. The row's partial last
+        // octet loads with a mask: masked-off lanes read +0.0f, which
+        // sets no bit.
+        for (int64_t wi = 0; wi < words_per_row; ++wi) {
+            const int64_t end = bits < (wi + 1) * 64 ? bits : (wi + 1) * 64;
+            uint64_t acc = 0;
+            for (; n + 8 <= end; n += 8) {
+                const __m256 v = _mm256_loadu_ps(p + n);
+                const int m = _mm256_movemask_ps(
+                    _mm256_cmp_ps(v, zero, _CMP_LT_OQ));
+                acc |= static_cast<uint64_t>(m) << (n & 63);
+            }
+            if (n < end) {
+                const __m256 v = _mm256_maskload_ps(p + n, tail);
+                const int m = _mm256_movemask_ps(
+                    _mm256_cmp_ps(v, zero, _CMP_LT_OQ));
+                acc |= static_cast<uint64_t>(m) << (n & 63);
+                n = end;
+            }
+            w[wi] = acc;
         }
     }
 }
@@ -160,51 +207,87 @@ addSpanAvx2(float *dst, const float *src, int64_t n)
         dst[e] += src[e];
 }
 
+/**
+ * extractPatches for k <= 8, kernel size K (K == 0: the runtime k).
+ * Positions advance by counters, not a division per row.
+ */
+template <int K>
 void
-extractPatchesAvx2(const float *plane, int64_t in_h, int64_t in_w,
-                   int64_t ow, int64_t stride, int64_t pad, int64_t k,
-                   int64_t r0, int64_t r1, float *rows)
+extractPatchesFor(const float *plane, int64_t in_h, int64_t in_w,
+                  int64_t ow, int64_t stride, int64_t pad, int64_t k_rt,
+                  int64_t r0, int64_t r1, float *rows)
 {
-    // Patch extraction is pure data movement (clipped memcpy spans of
-    // typically k <= 7 floats), so there is nothing to widen: the
-    // AVX2 table only adds a software prefetch of the next position's
-    // first source row, hiding the strided plane walk of the fused
-    // block path. The copy/zero structure matches the scalar body
-    // exactly, so the outputs are identical by construction.
+    const int64_t k = K > 0 ? K : k_rt;
     const int64_t d = k * k;
+    const __m256i store_mask = lanesBelow(k);
+    const __m256 zero = _mm256_setzero_ps();
+    int64_t y = r0 / ow, x = r0 % ow;
     for (int64_t r = r0; r < r1; ++r) {
-        const int64_t iy0 = (r / ow) * stride - pad;
-        const int64_t ix0 = (r % ow) * stride - pad;
+        const int64_t iy0 = y * stride - pad;
+        const int64_t ix0 = x * stride - pad;
+        if (++x == ow) {
+            x = 0;
+            ++y;
+        }
         if (r + 1 < r1) {
-            const int64_t py = ((r + 1) / ow) * stride - pad;
-            const int64_t px = ((r + 1) % ow) * stride - pad;
+            const int64_t py = y * stride - pad;
+            const int64_t px = x * stride - pad;
             if (py >= 0 && py < in_h)
                 _mm_prefetch(reinterpret_cast<const char *>(
                                  plane + py * in_w + (px < 0 ? 0 : px)),
                              _MM_HINT_T0);
         }
+        // Lane 0 of the first in-plane kernel row reads plane[at]: a
+        // row where that lies before the plane (the top-left corner)
+        // takes the scalar spans instead of forming the address.
+        if ((iy0 > 0 ? iy0 : 0) * in_w + ix0 < 0) {
+            scalarOps().extractPatches(plane, in_h, in_w, ow, stride, pad,
+                                       k, r, r + 1, rows);
+            continue;
+        }
         int64_t kx0 = ix0 < 0 ? -ix0 : 0;
         int64_t kx1 = in_w - ix0 < k ? in_w - ix0 : k;
         if (kx1 < kx0)
             kx1 = kx0;
+        const __m256i load_mask = _mm256_andnot_si256(lanesBelow(kx0),
+                                                      lanesBelow(kx1));
         float *dst = rows + r * d;
         for (int64_t ky = 0; ky < k; ++ky, dst += k) {
             const int64_t iy = iy0 + ky;
-            if (iy < 0 || iy >= in_h) {
-                std::memset(dst, 0, static_cast<size_t>(k) * sizeof(float));
-                continue;
-            }
-            if (kx0 > 0)
-                std::memset(dst, 0,
-                            static_cast<size_t>(kx0) * sizeof(float));
-            if (kx1 > kx0)
-                std::memcpy(dst + kx0, plane + iy * in_w + ix0 + kx0,
-                            static_cast<size_t>(kx1 - kx0) * sizeof(float));
-            if (kx1 < k)
-                std::memset(dst + kx1, 0,
-                            static_cast<size_t>(k - kx1) * sizeof(float));
+            const bool inside = iy >= 0 && iy < in_h && kx1 > kx0;
+            _mm256_maskstore_ps(
+                dst, store_mask,
+                inside ? _mm256_maskload_ps(plane + iy * in_w + ix0,
+                                            load_mask)
+                       : zero);
         }
     }
+}
+
+void
+extractPatchesAvx2(const float *plane, int64_t in_h, int64_t in_w,
+                   int64_t ow, int64_t stride, int64_t pad, int64_t k,
+                   int64_t r0, int64_t r1, float *rows)
+{
+    // Patch extraction is pure data movement, so the outputs are the
+    // scalar body's by construction. For k <= 8 a kernel row is one
+    // masked load (lanes [kx0, kx1) of the plane row; the rest load
+    // 0, which is the zero fill of the clipped columns) and one
+    // masked store of k lanes — no libc call per row. The next
+    // position's first source row is prefetched, hiding the strided
+    // plane walk of the fused block path. 3x3, the kernel of every
+    // conv layer the models here train, gets its kernel-row loop
+    // unrolled; a kernel row wider than a vector takes the scalar
+    // spans.
+    if (k == 3)
+        extractPatchesFor<3>(plane, in_h, in_w, ow, stride, pad, k, r0, r1,
+                             rows);
+    else if (k <= 8)
+        extractPatchesFor<0>(plane, in_h, in_w, ow, stride, pad, k, r0, r1,
+                             rows);
+    else
+        scalarOps().extractPatches(plane, in_h, in_w, ow, stride, pad, k,
+                                   r0, r1, rows);
 }
 
 const KernelOps kAvx2Ops = {

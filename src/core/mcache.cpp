@@ -55,20 +55,38 @@ MCache::setIndexOf(const Signature &sig) const
 McacheResult
 MCache::lookupOrInsert(const Signature &sig)
 {
-    return lookupOrInsertInSet(setIndexOf(sig), sig);
+    return lookupOrInsertInSet(setIndexOf(sig), sig.bits(), sig.words());
 }
 
+namespace {
+
+/** True when `tag` is the signature with these packed words. */
+bool
+sameTag(const Signature &tag, int bits, const uint64_t *words, int nw)
+{
+    if (tag.bits() != bits)
+        return false;
+    const uint64_t *t = tag.words();
+    for (int w = 0; w < nw; ++w)
+        if (t[w] != words[w])
+            return false;
+    return true;
+}
+
+} // namespace
+
 McacheResult
-MCache::lookupOrInsertInSet(int set, const Signature &sig)
+MCache::lookupOrInsertInSet(int set, int bits, const uint64_t *words)
 {
     if (set < 0 || set >= sets_)
         panic("set index ", set, " out of range 0..", sets_ - 1);
     const int64_t base = static_cast<int64_t>(set) * ways_;
+    const int nw = Signature::wordsFor(bits);
 
     // Tag search among valid ways.
     for (int w = 0; w < ways_; ++w) {
         Line &l = lines_[static_cast<size_t>(base + w)];
-        if (l.validTag && l.tag == sig) {
+        if (l.validTag && sameTag(l.tag, bits, words, nw)) {
             l.epoch = epoch_;
             ++stats_.hits;
             return {McacheOutcome::Hit, base + w};
@@ -82,10 +100,11 @@ MCache::lookupOrInsertInSet(int set, const Signature &sig)
                 ++stats_.mnu;
                 return {McacheOutcome::Mnu, -1};
             }
-            l.tag = sig;
+            l.tag = Signature::fromWords(bits, words);
             l.validTag = true;
             l.epoch = epoch_;
             l.tenant = insertTenant_;
+            noteInstalled(base + w);
             ++stats_.mau;
             ++insertBacklog_[static_cast<size_t>(set)];
             return {McacheOutcome::Mau, base + w};
@@ -96,17 +115,46 @@ MCache::lookupOrInsertInSet(int set, const Signature &sig)
 }
 
 void
+MCache::noteInstalled(int64_t entry_id)
+{
+    if (installed_.size() < lines_.size())
+        installed_.push_back(entry_id);
+    else
+        installedOverflow_ = true;
+}
+
+void
+MCache::resetLine(Line &l)
+{
+    if (l.validTag && quotaGate_)
+        quotaGate_->release(l.tenant);
+    l.validTag = false;
+    l.epoch = 0;
+    l.tenant = -1;
+    l.pins = 0;
+}
+
+void
 MCache::clear()
 {
-    for (auto &l : lines_) {
-        if (l.validTag && quotaGate_)
-            quotaGate_->release(l.tenant);
-        l.validTag = false;
-        l.epoch = 0;
-        l.tenant = -1;
-        l.pins = 0;
+    // A line never installed since the last clear is as constructed:
+    // eviction resets epoch and tenant, and pins only ever sit on
+    // valid lines. So resetting the listed lines (a line listed twice
+    // is invalid, and released, after its first visit) leaves every
+    // line, every quota reservation and the backlog as the full walk
+    // would.
+    if (installedOverflow_) {
+        for (auto &l : lines_)
+            resetLine(l);
+        std::fill(insertBacklog_.begin(), insertBacklog_.end(), 0);
+    } else {
+        for (const int64_t e : installed_) {
+            resetLine(lines_[static_cast<size_t>(e)]);
+            insertBacklog_[static_cast<size_t>(e / ways_)] = 0;
+        }
     }
-    std::fill(insertBacklog_.begin(), insertBacklog_.end(), 0);
+    installed_.clear();
+    installedOverflow_ = false;
 }
 
 int
@@ -244,6 +292,7 @@ MCache::restoreLine(int64_t entry_id, const Signature &sig,
     l.epoch = epoch;
     l.tenant = tenant;
     l.pins = 0;
+    noteInstalled(entry_id);
 }
 
 } // namespace mercury

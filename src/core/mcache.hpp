@@ -16,10 +16,13 @@
  *    skip tag comparison (§V), and per-set insert queues serialize
  *    simultaneous inserts.
  *
- * This class models the tag half. The data half lives with the
- * engines: every reuse pass resolves an owner map (OwnerTable,
- * pipeline/signature_record.hpp) and its HIT rows take their owner
- * row's result. `dataVersions` stays part of the organization — the
+ * This class models the tag half. Probes compare packed signature
+ * words (the Signature::words layout), so the detection pipeline
+ * probes the words its hash job wrote, with no Signature built;
+ * lookupOrInsert(Signature) probes a signature's own words. The data
+ * half lives with the engines: every reuse pass resolves an owner map
+ * (OwnerTable, pipeline/signature_record.hpp) and its HIT rows take
+ * their owner row's result. `dataVersions` stays part of the organization — the
  * cycle model charges the Fig. 11 version constraint, and replay
  * records and snapshots carry it.
  */
@@ -101,15 +104,24 @@ class MCache
     McacheResult lookupOrInsert(const Signature &sig);
 
     /**
-     * lookupOrInsert with an externally computed set index. This is
-     * the sharded entry point (pipeline/sharded_mcache.hpp): a shard
-     * owns a contiguous range of the global sets and addresses its
-     * local sets directly, so the signature hash is taken once at the
-     * front of the pipeline instead of once per probe.
+     * lookupOrInsert of the signature whose packed words are `words`
+     * (Signature::words layout, bits past `bits` zero), with an
+     * externally computed set index. This is the sharded entry point
+     * (pipeline/sharded_mcache.hpp): a shard owns a contiguous range
+     * of the global sets and addresses its local sets directly, so
+     * the signature hash is taken once at the front of the pipeline,
+     * and the probe compares the hash job's packed words as they are.
      */
-    McacheResult lookupOrInsertInSet(int set, const Signature &sig);
+    McacheResult lookupOrInsertInSet(int set, int bits,
+                                     const uint64_t *words);
 
-    /** Clear every tag: a new channel's vectors arrived. */
+    /**
+     * Clear every tag: a new channel's vectors arrived. Costs the
+     * lines installed since the last clear, not the whole cache: only
+     * those can differ from a fresh line. Once more installs than
+     * entries() have happened since the last clear (a persistent
+     * cache), it walks every line instead.
+     */
     void clear();
 
     /** Set index a signature maps to (exposed for tests). */
@@ -224,6 +236,10 @@ class MCache
     int versions_;
     std::vector<Line> lines_;
     std::vector<uint64_t> insertBacklog_;
+    /// Lines installed since the last clear (insert or restore), at
+    /// most entries() of them; every other line is as constructed.
+    std::vector<int64_t> installed_;
+    bool installedOverflow_ = false; ///< list full: clear walks all
     uint64_t epoch_ = 0;
     int insertTenant_ = -1;
     McacheQuotaGate *quotaGate_ = nullptr;
@@ -232,6 +248,8 @@ class MCache
     Line &line(int64_t entry_id);
     const Line &line(int64_t entry_id) const;
     void evictLine(Line &l);
+    void noteInstalled(int64_t entry_id);
+    void resetLine(Line &l);
 };
 
 } // namespace mercury

@@ -1,6 +1,7 @@
 #include "core/reuse_runtime.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/kernels/kernels.hpp"
 #include "core/span_batcher.hpp"
@@ -55,7 +56,8 @@ ReuseRuntime::runRows(const StreamSource &src, const RowPass &pass,
         int64_t *batch = computed + blk.row0;
         int64_t nc = 0;
         for (int64_t i = blk.row0; i < blk.row1; ++i) {
-            const int64_t o = pass.ownerOf(i, blk.results[i - blk.row0]);
+            const int64_t o =
+                pass.ownerOf(i, blk.outcome(i), blk.entryId(i));
             if (o != i) {
                 fwd_rows[nfwd] = i;
                 fwd_owners[nfwd] = o;
@@ -72,15 +74,17 @@ ReuseRuntime::runRows(const StreamSource &src, const RowPass &pass,
             });
         }
     };
-    const DetectionResult det =
-        src.job_ ? fe_.finishStream(*src.job_, consume, src.capture_)
-                 : fe_.detectStream(*src.rows_, bits_, consume,
-                                    src.capture_);
+    SignatureRecord::Pass det =
+        src.job_ ? fe_.finishStream(*src.job_, consume)
+                 : fe_.detectStream(*src.rows_, bits_, consume);
     if (pass.onStreamDelivered)
         pass.onStreamDelivered();
-    computes.wait();
-    stats.mix += det.mix();
+    stats.mix += det.mix;
     ++stats.channelPasses;
+    if (src.capture_)
+        src.capture_->append(std::move(det), fe_.dataVersions(),
+                             fe_.entries());
+    computes.wait();
     if (!pass.copyRow)
         return;
 

@@ -25,7 +25,7 @@
  *
  *  - live(rows)  — a fresh detection pass over a row population,
  *                  optionally captured into a SignatureRecord for the
- *                  backward replays;
+ *                  backward replays (the finished pass moves in);
  *  - hashed(job) — the probe half of a pass whose hashing began
  *                  earlier with DetectionFrontend::beginHashStream (the
  *                  conv engine's cross-channel overlap: onStreamDelivered
@@ -151,9 +151,10 @@ class ReuseRuntime
     /**
      * One live pass (§III-C3 result forwarding).
      *
-     * `ownerOf(row, res)` runs on the driving thread in stream order
-     * and returns the row whose result this row takes (the row itself
-     * to compute) — the engine applies OwnerTable's rule here.
+     * `ownerOf(row, outcome, entry)` runs on the driving thread in
+     * stream order and returns the row whose result this row takes
+     * (the row itself to compute) — the engine applies OwnerTable's
+     * rule, whose ownerOf has this signature, here.
      * `computeRow` runs once per owner row, possibly concurrently
      * across rows; `copyRow` (optional) runs for every other row after
      * every owner has computed. `rowSkipCost` MACs are booked per
@@ -161,7 +162,8 @@ class ReuseRuntime
      */
     struct RowPass
     {
-        std::function<int64_t(int64_t row, const McacheResult &res)>
+        std::function<int64_t(int64_t row, McacheOutcome outcome,
+                              int64_t entry)>
             ownerOf;
         std::function<void(int64_t row)> computeRow;
         std::function<void(int64_t row, int64_t owner)> copyRow;

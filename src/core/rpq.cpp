@@ -112,28 +112,26 @@ RPQEngine::projectBlock(const Tensor &rows, int64_t row0, int64_t row1,
 }
 
 void
-RPQEngine::signatureBlock(const Tensor &rows, int64_t row0, int64_t row1,
-                          int bits, Signature *out) const
+RPQEngine::signatureWords(const Tensor &rows, int64_t row0, int64_t row1,
+                          int bits, uint64_t *out) const
 {
     // Tile so the projection block stays L1-resident even for long
     // signatures; the sign-pack kernel turns each tile's projections
-    // into packed words, which construct Signatures without touching
-    // individual bits.
+    // into packed words in place. The tile buffer is per thread (hash
+    // blocks run on pool workers) and only ever grows.
     constexpr int64_t kTileRows = 32;
     const int wpr = Signature::wordsFor(bits);
-    std::vector<float> proj(static_cast<size_t>(kTileRows) *
-                            static_cast<size_t>(std::max(bits, 1)));
-    std::vector<uint64_t> words(static_cast<size_t>(kTileRows) *
-                                static_cast<size_t>(std::max(wpr, 1)));
+    const size_t tile_floats =
+        static_cast<size_t>(kTileRows) * static_cast<size_t>(std::max(bits, 1));
+    thread_local std::vector<float> proj;
+    if (proj.size() < tile_floats)
+        proj.resize(tile_floats);
     const kernels::KernelOps &k = kernels::ops();
     for (int64_t t0 = row0; t0 < row1; t0 += kTileRows) {
         const int64_t t1 = std::min(row1, t0 + kTileRows);
         projectBlock(rows, t0, t1, bits, proj.data());
-        k.signPack(proj.data(), t1 - t0, bits, wpr, words.data());
-        for (int64_t r = t0; r < t1; ++r) {
-            out[r - row0] = Signature::fromWords(
-                bits, words.data() + (r - t0) * wpr);
-        }
+        k.signPack(proj.data(), t1 - t0, bits, wpr,
+                   out + (t0 - row0) * wpr);
     }
 }
 

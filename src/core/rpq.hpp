@@ -72,13 +72,16 @@ class RPQEngine
                       int bits, float *out) const;
 
     /**
-     * Blocked signature generation: signatureOf() for rows
-     * [row0, row1), written to out[0 .. row1-row0). Bit-identical to
-     * calling signatureOfRow per row, but runs through projectBlock
-     * in cache-sized row tiles.
+     * Blocked signature generation: the packed words of signatureOf()
+     * for rows [row0, row1), Signature::wordsFor(bits) words per row
+     * (the Signature::words layout, bits past `bits` zero), written
+     * to out[0 .. (row1-row0) * wordsFor(bits)). Bit-identical to
+     * signatureOfRow per row, but runs through projectBlock in
+     * cache-sized row tiles whose sign-pack writes straight into
+     * `out`.
      */
-    void signatureBlock(const Tensor &rows, int64_t row0, int64_t row1,
-                        int bits, Signature *out) const;
+    void signatureWords(const Tensor &rows, int64_t row0, int64_t row1,
+                        int bits, uint64_t *out) const;
 
     /**
      * Random filter n reshaped as a (k, k) tensor, k*k == d. This is

@@ -10,7 +10,7 @@ Signature::Signature(int bits)
     if (bits < 0)
         panic("negative signature length ", bits);
     if (bits > 64)
-        overflow_.assign(static_cast<size_t>(wordsFor(bits) - 1), 0);
+        heap_.assign(static_cast<size_t>(wordsFor(bits)), 0);
 }
 
 Signature
@@ -20,9 +20,8 @@ Signature::fromWords(int bits, const uint64_t *words)
     if (bits <= 0)
         return out;
     const int nw = wordsFor(bits);
-    out.word0_ = words[0];
-    for (int w = 1; w < nw; ++w)
-        out.overflow_[static_cast<size_t>(w - 1)] = words[w];
+    for (int w = 0; w < nw; ++w)
+        out.wordRef(w) = words[w];
     // Keep the invariant the word-wise operator== and hash() rely on:
     // bits past the length are zero.
     if (bits & 63)
@@ -42,8 +41,14 @@ void
 Signature::appendBit(bool value)
 {
     ++bits_;
-    if (wordsFor(bits_) - 1 > static_cast<int>(overflow_.size()))
-        overflow_.push_back(0);
+    if (bits_ == 65) {
+        // Outgrew the inline word: every word moves to the vector.
+        heap_ = {word0_, 0};
+        word0_ = 0;
+    } else if (bits_ > 65 &&
+               wordsFor(bits_) > static_cast<int>(heap_.size())) {
+        heap_.push_back(0);
+    }
     setBit(bits_ - 1, value);
 }
 
@@ -62,13 +67,13 @@ Signature::prefix(int bits) const
 }
 
 uint64_t
-Signature::hash() const
+Signature::hashWords(int bits, const uint64_t *words)
 {
     // SplitMix64-style mixing over the words plus the length, so
     // signatures of different lengths never alias.
-    uint64_t h = 0x9E3779B97F4A7C15ull ^ static_cast<uint64_t>(bits_);
-    for (int w = 0; w < wordsFor(bits_); ++w) {
-        h ^= word(w) + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
+    uint64_t h = 0x9E3779B97F4A7C15ull ^ static_cast<uint64_t>(bits);
+    for (int w = 0; w < wordsFor(bits); ++w) {
+        h ^= words[w] + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
         h *= 0xBF58476D1CE4E5B9ull;
         h ^= h >> 27;
     }

@@ -4,12 +4,12 @@
  * projection + sign quantization (§II-A). Two input vectors with the
  * same signature are considered similar.
  *
- * Storage is small-buffer optimized: the first 64 bits live inline
- * (word0_) and only longer signatures allocate an overflow vector.
- * Practical signature lengths sit well under 64 bits (the adaptive
- * controller tops out at 16–32), so the hashing hot path — thousands
- * of Signature constructions per channel pass in the streaming
- * pipeline — performs zero heap allocations.
+ * Storage is small-buffer optimized: a signature of up to 64 bits
+ * lives in one inline word, and only longer ones allocate a word
+ * vector. Either way the packed words are contiguous (words()), in
+ * the layout the sign-pack kernel writes, the MCACHE probes compare
+ * and the records store, so the packed-word forms (hashWords, the
+ * word probes) and the Signature forms agree by construction.
  */
 
 #ifndef MERCURY_CORE_SIGNATURE_HPP
@@ -40,6 +40,13 @@ class Signature
 
     /** 64-bit words needed for a bit length. */
     static int wordsFor(int bits) { return (bits + 63) / 64; }
+
+    /**
+     * hash() of the signature whose packed words are `words`
+     * (wordsFor(bits) of them, bits past `bits` zero): the detection
+     * pipeline takes set indices from packed words with it.
+     */
+    static uint64_t hashWords(int bits, const uint64_t *words);
 
     int bits() const { return bits_; }
 
@@ -75,7 +82,7 @@ class Signature
     bool operator==(const Signature &other) const
     {
         return bits_ == other.bits_ && word0_ == other.word0_ &&
-               overflow_ == other.overflow_;
+               heap_ == other.heap_;
     }
     bool operator!=(const Signature &other) const
     {
@@ -83,12 +90,18 @@ class Signature
     }
 
     /** Deterministic 64-bit hash (stable across platforms/runs). */
-    uint64_t hash() const;
+    uint64_t hash() const { return hashWords(bits_, words()); }
 
     /**
-     * Packed word w of the fromWords layout (bit i lives at
-     * words[i/64] bit i%64) — the serialization inverse of fromWords.
+     * The wordsFor(bits()) packed words of the fromWords layout (bit i
+     * lives at words()[i/64] bit i%64), bits past the length zero.
      */
+    const uint64_t *words() const
+    {
+        return bits_ > 64 ? heap_.data() : &word0_;
+    }
+
+    /** Packed word w of words() — the serialization inverse of fromWords. */
     uint64_t packedWord(int w) const { return word(w); }
 
     /** Bit string, most significant first, e.g. "10110". */
@@ -96,16 +109,13 @@ class Signature
 
   private:
     int bits_ = 0;
-    uint64_t word0_ = 0;             ///< inline first word (bits 0..63)
-    std::vector<uint64_t> overflow_; ///< words 1.. for bits_ > 64
+    uint64_t word0_ = 0;         ///< the word of bits_ <= 64 (else 0)
+    std::vector<uint64_t> heap_; ///< every word of bits_ > 64 (else empty)
 
-    uint64_t word(int w) const
-    {
-        return w == 0 ? word0_ : overflow_[static_cast<size_t>(w - 1)];
-    }
+    uint64_t word(int w) const { return words()[w]; }
     uint64_t &wordRef(int w)
     {
-        return w == 0 ? word0_ : overflow_[static_cast<size_t>(w - 1)];
+        return bits_ > 64 ? heap_[static_cast<size_t>(w)] : word0_;
     }
     void checkIndex(int i) const;
 };

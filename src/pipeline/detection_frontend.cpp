@@ -77,20 +77,18 @@ DetectionFrontend::resolvedPipeFor(int64_t rows)
     return it->second;
 }
 
-DetectionResult
-DetectionFrontend::detect(const Tensor &rows, int bits,
-                          SignatureRecord *capture)
+SignatureRecord::Pass
+DetectionFrontend::detect(const Tensor &rows, int bits)
 {
-    return detectStream(rows, bits, {}, capture);
+    return detectStream(rows, bits, {});
 }
 
-DetectionResult
+SignatureRecord::Pass
 DetectionFrontend::detectStream(const Tensor &rows, int bits,
-                                const BlockConsumer &on_block,
-                                SignatureRecord *capture)
+                                const BlockConsumer &on_block)
 {
     std::unique_ptr<DetectionHashJob> job = beginHashStream(rows, bits);
-    return finishStream(*job, on_block, capture);
+    return finishStream(*job, on_block);
 }
 
 std::unique_ptr<DetectionHashJob>
@@ -105,10 +103,9 @@ DetectionFrontend::beginHashStream(const Tensor &rows, int bits,
     return pipeline.beginHash(rows, std::move(fill));
 }
 
-DetectionResult
+SignatureRecord::Pass
 DetectionFrontend::finishStream(DetectionHashJob &job,
-                                const BlockConsumer &on_block,
-                                SignatureRecord *capture)
+                                const BlockConsumer &on_block)
 {
     ThreadPool *pool = poolFor();
     const PipelineConfig &rp = resolvedPipeFor(job.rowCount());
@@ -121,11 +118,7 @@ DetectionFrontend::finishStream(DetectionHashJob &job,
     cache_->setConcurrent(rp.overlap == OverlapMode::On && pool != nullptr);
     DetectionPipeline pipeline(rpqFor(job.vectorDim()), *cache_,
                                job.signatureBits(), rp, pool);
-    DetectionResult det = pipeline.finishStreaming(job, on_block);
-    if (capture)
-        capture->capturePass(det, job.signatureBits(),
-                             cache_->dataVersions(), cache_->entries());
-    return det;
+    return pipeline.finishStreaming(job, on_block);
 }
 
 FrontendHandle::FrontendHandle(MCache &cache, int sig_bits, uint64_t seed,
@@ -156,7 +149,7 @@ DetectionFrontend::detectSampled(const Tensor &rows, int bits,
 {
     return sampledDetection(rows, max_sample,
                             [this, bits](const Tensor &r) {
-                                return detect(r, bits).mix();
+                                return detect(r, bits).mix;
                             });
 }
 

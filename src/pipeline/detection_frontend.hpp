@@ -31,7 +31,6 @@
 #include <memory>
 
 #include "core/rpq.hpp"
-#include "core/similarity_detector.hpp"
 #include "pipeline/detection_pipeline.hpp"
 #include "pipeline/sharded_mcache.hpp"
 #include "pipeline/signature_record.hpp"
@@ -95,29 +94,28 @@ class DetectionFrontend
      * Run one detection pass over a (num_vectors, d) matrix at the
      * given signature length: beginHashStream + finishStream with no
      * consumer. Clears the cache first; the RPQEngine for dimension d
-     * is created on first use and reused afterwards. When `capture`
-     * is non-null the pass is appended to the record for later
-     * backward replay (§III-C2).
+     * is created on first use and reused afterwards. Returns the pass
+     * (packed words, outcomes, entry ids, mix); to keep it for the
+     * backward replay (§III-C2), move it into a SignatureRecord with
+     * append(pass, dataVersions(), entries()).
      */
-    DetectionResult detect(const Tensor &rows, int bits,
-                           SignatureRecord *capture = nullptr);
+    SignatureRecord::Pass detect(const Tensor &rows, int bits);
 
     /**
      * detect() with a consumer: completed blocks are delivered to
      * `on_block` in ascending block order while later blocks are
      * still hashing on the pool (see DetectionPipeline::finishStreaming
      * for the ordering and lifetime contract). The callback runs on
-     * the calling thread; it may submit filter work to workerPool()
+     * the calling thread; it may submit compute work to workerPool()
      * but must not block on it.
      */
-    DetectionResult detectStream(const Tensor &rows, int bits,
-                                 const BlockConsumer &on_block,
-                                 SignatureRecord *capture = nullptr);
+    SignatureRecord::Pass detectStream(const Tensor &rows, int bits,
+                                       const BlockConsumer &on_block);
 
     /**
      * Start the hashing half of a streaming pass (see
      * DetectionPipeline::beginHash): no MCACHE state is touched, so
-     * this may run while filter tasks of the previous finishStream
+     * this may run while owner computes of the previous finishStream
      * are still draining — the cross-channel overlap. `rows` must
      * outlive the job; consume the job with finishStream exactly
      * once. One thread drives begin/finish, like every other pass.
@@ -130,13 +128,13 @@ class DetectionFrontend
                                                       RowFiller fill = {});
 
     /**
-     * Probe-and-deliver half of a pass begun with beginHashStream.
-     * Engages the shard locks only when the pass resolved overlapped
-     * on a pool: probes run on the calling thread alone.
+     * Probe-and-deliver half of a pass begun with beginHashStream;
+     * returns the pass. Engages the shard locks only when the pass
+     * resolved overlapped on a pool: probes run on the calling thread
+     * alone.
      */
-    DetectionResult finishStream(DetectionHashJob &job,
-                                 const BlockConsumer &on_block,
-                                 SignatureRecord *capture = nullptr);
+    SignatureRecord::Pass finishStream(DetectionHashJob &job,
+                                       const BlockConsumer &on_block);
 
     /**
      * The pool detection passes fan out to — shared pool if set,

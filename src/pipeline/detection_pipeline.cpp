@@ -86,10 +86,16 @@ DetectionHashJob::DetectionHashJob(const Tensor &rows, const RPQEngine &rpq,
     : rows_(rows), fill_(std::move(fill)), rpq_(rpq), cache_(cache),
       bits_(bits), blockRows_(block_rows), n_(rows.dim(0)),
       blocks_((n_ + block_rows - 1) / block_rows),
-      sigs_(static_cast<size_t>(n_)), setOf_(static_cast<size_t>(n_)),
-      results_(static_cast<size_t>(n_)),
+      setOf_(static_cast<size_t>(n_)),
       hashed_(static_cast<size_t>(blocks_), 0)
 {
+    pass_.rows = n_;
+    pass_.bits = bits;
+    pass_.sigWordsPerRow = Signature::wordsFor(bits);
+    pass_.sigWords.resize(static_cast<size_t>(n_) *
+                          static_cast<size_t>(pass_.sigWordsPerRow));
+    pass_.entryIds.resize(static_cast<size_t>(n_));
+    pass_.outcomes.resize(static_cast<size_t>(n_));
 }
 
 DetectionHashJob::~DetectionHashJob()
@@ -101,20 +107,22 @@ DetectionHashJob::~DetectionHashJob()
 void
 DetectionHashJob::projectBlock(int64_t b)
 {
-    // Stage 1: hash one block, precompute its set indices. Safe on
-    // any thread and concurrently with filter traffic of a previous
-    // pass — it reads only the row tensor and the cache geometry.
-    // With a filler, the block's rows are extracted here first (the
-    // single-touch fused walk: fill, project, sign-pack while hot).
+    // Stage 1: hash one block into the pass's words, precompute its
+    // set indices. Safe on any thread and concurrently with owner
+    // computes of a previous pass — it reads only the row tensor and
+    // the cache geometry. With a filler, the block's rows are
+    // extracted here first (the single-touch fused walk: fill,
+    // project, sign-pack while hot).
     const int64_t r0 = b * blockRows_;
     const int64_t r1 = std::min(n_, r0 + blockRows_);
     if (fill_)
         fill_(r0, r1);
-    rpq_.signatureBlock(rows_, r0, r1, bits_,
-                        sigs_.data() + static_cast<size_t>(r0));
+    rpq_.signatureWords(rows_, r0, r1, bits_,
+                        pass_.sigWords.data() +
+                            static_cast<size_t>(r0 * pass_.sigWordsPerRow));
     for (int64_t i = r0; i < r1; ++i)
         setOf_[static_cast<size_t>(i)] =
-            cache_.setIndexOf(sigs_[static_cast<size_t>(i)]);
+            cache_.setIndexOf(bits_, pass_.wordsOf(i));
 }
 
 bool
@@ -151,7 +159,7 @@ DetectionPipeline::beginHash(const Tensor &rows, RowFiller fill) const
     //
     // Hash tasks are self-replenishing (each one grabs the next
     // unhashed block and resubmits) rather than enqueued all
-    // up-front: with only ~workers in flight, hash and filter tasks
+    // up-front: with only ~workers in flight, hash and compute tasks
     // interleave instead of the hashing phase monopolizing the pool.
     // Under the work-stealing pool the resubmit lands in the hashing
     // worker's own deque (LIFO — it just touched the row tensor, so
@@ -174,7 +182,7 @@ DetectionPipeline::beginHash(const Tensor &rows, RowFiller fill) const
     return job;
 }
 
-DetectionResult
+SignatureRecord::Pass
 DetectionPipeline::finishStreaming(DetectionHashJob &job,
                                    const BlockConsumer &on_block) const
 {
@@ -185,14 +193,15 @@ DetectionPipeline::finishStreaming(DetectionHashJob &job,
     else
         cache_.clear();
     const int64_t n = job.n_;
-    DetectionResult res;
-    res.hitmap.reset(n);
+    SignatureRecord::Pass &pass = job.pass_;
     if (n == 0)
-        return res;
+        return std::move(pass);
 
     // Stage 2 + hand-off: probe one hashed block in global stream
     // order (caller thread only, so every MCACHE set sees the
-    // monolithic cache's order) and deliver it to the consumer.
+    // monolithic cache's order), write each row's outcome and entry id
+    // into the pass, count the mix, and deliver the block.
+    int64_t counts[3] = {0, 0, 0}; // indexed by McacheOutcome
     const auto probe_and_deliver = [&](int64_t b) {
         const int64_t r0 = b * job.blockRows_;
         const int64_t r1 = std::min(n, r0 + job.blockRows_);
@@ -203,17 +212,21 @@ DetectionPipeline::finishStreaming(DetectionHashJob &job,
             if (i + 1 < r1)
                 cache_.prefetchSet(
                     job.setOf_[static_cast<size_t>(i + 1)]);
-            job.results_[static_cast<size_t>(i)] =
-                cache_.lookupOrInsertInSet(
-                    job.setOf_[static_cast<size_t>(i)],
-                    job.sigs_[static_cast<size_t>(i)]);
+            const McacheResult r = cache_.lookupOrInsertInSet(
+                job.setOf_[static_cast<size_t>(i)], pass.bits,
+                pass.wordsOf(i));
+            pass.outcomes[static_cast<size_t>(i)] =
+                static_cast<uint8_t>(r.outcome);
+            pass.entryIds[static_cast<size_t>(i)] =
+                static_cast<int32_t>(r.entryId);
+            ++counts[static_cast<int>(r.outcome)];
         }
         if (on_block) {
             DetectionBlock blk;
             blk.index = b;
             blk.row0 = r0;
             blk.row1 = r1;
-            blk.results = job.results_.data() + static_cast<size_t>(r0);
+            blk.pass = &pass;
             on_block(blk);
         }
     };
@@ -241,14 +254,11 @@ DetectionPipeline::finishStreaming(DetectionHashJob &job,
         }
     }
 
-    // Stage 3: stitch per-row buffers back in stream order.
-    for (int64_t i = 0; i < n; ++i) {
-        const McacheResult &r = job.results_[static_cast<size_t>(i)];
-        res.hitmap.record(i, r);
-        res.table.append(std::move(job.sigs_[static_cast<size_t>(i)]),
-                         r.entryId);
-    }
-    return res;
+    pass.mix.vectors = n;
+    pass.mix.hit = counts[static_cast<int>(McacheOutcome::Hit)];
+    pass.mix.mau = counts[static_cast<int>(McacheOutcome::Mau)];
+    pass.mix.mnu = counts[static_cast<int>(McacheOutcome::Mnu)];
+    return std::move(pass);
 }
 
 } // namespace mercury

@@ -5,16 +5,21 @@
  *
  * The legacy SimilarityDetector walks a vector population one row at
  * a time: hash, probe, record. The pipeline restructures that hot
- * path into three stages:
+ * path into two stages over one flat result, a SignatureRecord::Pass:
  *
  *  1. blocked signature generation — row blocks are projected against
- *     all signature filters at once (RPQEngine::projectBlock), the
- *     software analogue of streaming the PE array with a whole batch;
+ *     all signature filters at once (RPQEngine::signatureWords), the
+ *     software analogue of streaming the PE array with a whole batch,
+ *     and sign-packed straight into the pass's packed words;
  *  2. MCACHE probing — each hashed block is probed in global stream
  *     order on the calling thread, so every shard of the ShardedMCache
- *     sees its signatures in exactly the monolithic cache's order;
- *  3. in-order stitching — per-row result buffers are merged back
- *     into the Hitmap and SignatureTable in vector order.
+ *     sees its signatures in exactly the monolithic cache's order. The
+ *     probe compares the packed words, writes each row's outcome and
+ *     entry id into the pass and counts the mix.
+ *
+ * The finished pass is the result: the caller reads its mix, or moves
+ * it into a SignatureRecord (§III-C2). No Signature, Hitmap or
+ * SignatureTable is built on the way.
  *
  * Stage 1 runs across a ThreadPool when one is supplied. Every
  * configuration — any block size, shard count, or thread count,
@@ -27,17 +32,17 @@
  * blocks are handed to a consumer callback in ascending block order
  * while later blocks are still hashing on the pool — the software
  * form of the paper's Fig. 8 overlap of signature generation with PE
- * work. The reuse engines consume this stream to start their filter
- * passes before detection of the remaining rows has finished (see
+ * work. The reuse engines consume this stream to start their owner
+ * computes before detection of the remaining rows has finished (see
  * docs/ARCHITECTURE.md). Without a pool the same schedule runs inline:
  * hash, probe, deliver, block by block.
  *
  * A pass splits into two halves so the conv engine can overlap
  * *across channels* as well: beginHash() starts stage 1 for a new row
  * population on the pool — touching no MCACHE state, so it may run
- * while the previous channel's trailing filter passes are still
- * draining — and finishStreaming() then clears the cache, probes the
- * hashed blocks in stream order, and delivers them.
+ * while the previous channel's owner computes are still draining —
+ * and finishStreaming() then clears the cache, probes the hashed
+ * blocks in stream order, and delivers them.
  */
 
 #ifndef MERCURY_PIPELINE_DETECTION_PIPELINE_HPP
@@ -51,8 +56,8 @@
 #include <vector>
 
 #include "core/rpq.hpp"
-#include "core/similarity_detector.hpp"
 #include "pipeline/sharded_mcache.hpp"
+#include "pipeline/signature_record.hpp"
 #include "sim/config.hpp"
 #include "util/executors.hpp"
 #include "util/spsc_queue.hpp"
@@ -83,7 +88,7 @@ struct PipelineConfig
 
     /**
      * Overlap detection with compute (§III-B, Fig. 8): when On, a
-     * reuse pass gets the worker pool — its filter passes run on the
+     * reuse pass gets the worker pool — its owner computes run on the
      * pool while later blocks are still hashing. When Off, the same
      * streamed schedule runs its consumers inline on the driving
      * thread (hashing still fans out to the pool, if there is one).
@@ -97,7 +102,7 @@ struct PipelineConfig
 
     /**
      * Rows below which Auto overlap resolves to Off: under ~4 blocks
-     * of hashing there is no stream to hide the filter work behind,
+     * of hashing there is no stream to hide the owner computes behind,
      * and the chain/hand-off tax dominates.
      */
     static constexpr int64_t kAutoOverlapMinRows = 256;
@@ -107,7 +112,7 @@ struct PipelineConfig
      * Auto becomes On iff the resolved thread count — capped by the
      * host's usable concurrency, so an oversubscribed knob on a
      * 1–2-core host still runs serial — is >= 3 (two workers minimum:
-     * one hashing ahead while another filters, besides the driving
+     * one hashing ahead while another computes, besides the driving
      * thread) and the pass has at least kAutoOverlapMinRows rows.
      */
     OverlapMode resolvedOverlapFor(int64_t rows) const;
@@ -147,23 +152,31 @@ struct PipelineConfig
 };
 
 /**
- * One block of detection results delivered by finishStreaming.
+ * One block of detection results delivered by finishStreaming: rows
+ * [row0, row1) of the pass being probed, read through outcome() and
+ * entryId() by absolute row.
  *
- * Lifetime contract: `results` is valid only for the duration of the
- * consumer callback — it aliases pipeline-internal buffers that die
- * when finishStreaming returns. A consumer that schedules
- * asynchronous work against a block (as the overlapped engines do)
- * must copy what it needs before returning from the callback.
- * ReuseRuntime's replayed blocks carry no outcomes (`results` null).
+ * Lifetime contract: `pass` is valid only for the duration of the
+ * consumer callback — the pass is still being probed past row1, and
+ * finishStreaming moves it out when it returns. A consumer that
+ * schedules asynchronous work against a block (as the overlapped
+ * engines do) must copy what it needs before returning from the
+ * callback.
  */
 struct DetectionBlock
 {
     int64_t index = 0;  ///< block sequence number, delivered ascending
     int64_t row0 = 0;   ///< first row of the block
     int64_t row1 = 0;   ///< one past the last row
-    const McacheResult *results = nullptr; ///< outcomes of [row0, row1)
+    const SignatureRecord::Pass *pass = nullptr; ///< probed up to row1
 
     int64_t rows() const { return row1 - row0; }
+
+    /** MCACHE outcome of row i, row0 <= i < row1. */
+    McacheOutcome outcome(int64_t i) const { return pass->outcome(i); }
+
+    /** MCACHE entry id of row i (-1 for MNU), row0 <= i < row1. */
+    int64_t entryId(int64_t i) const { return pass->entryId(i); }
 };
 
 /** Consumer of the streaming per-block hand-off. */
@@ -180,7 +193,7 @@ using BlockConsumer = std::function<void(const DetectionBlock &)>;
  * and must be callable from worker threads. Every row of the tensor
  * is filled exactly once per pass, so the tensor is fully
  * materialized by the time the pass's results are delivered —
- * downstream filter passes read it as if it had been pre-extracted.
+ * downstream owner computes read it as if it had been pre-extracted.
  */
 using RowFiller = std::function<void(int64_t row0, int64_t row1)>;
 
@@ -192,10 +205,11 @@ using RowFiller = std::function<void(int64_t row0, int64_t row1)>;
  * While a job is in flight its hash tasks read the row tensor and the
  * cache *geometry* (set count) only — never cache tags or data — so a
  * job for the next channel may hash while the previous channel's
- * filter passes still run against the MCACHE (the cross-channel
- * overlap). The row tensor must stay alive and unmodified until
- * finishStreaming returns (or the job is destroyed, which joins the
- * outstanding hash tasks).
+ * owner computes still run (the cross-channel overlap). The job owns
+ * the pass it is filling: hashing writes the packed words,
+ * finishStreaming the outcomes, entry ids and mix. The row tensor must
+ * stay alive and unmodified until finishStreaming returns (or the job
+ * is destroyed, which joins the outstanding hash tasks).
  */
 class DetectionHashJob
 {
@@ -239,9 +253,8 @@ class DetectionHashJob
     int64_t blockRows_;
     int64_t n_;
     int64_t blocks_;
-    std::vector<Signature> sigs_;
+    SignatureRecord::Pass pass_; ///< the result being filled
     std::vector<int> setOf_;
-    std::vector<McacheResult> results_;
     // Sequencer state (pooled jobs): hashers finish in any order; the
     // frontier walk pushes them into the hand-off ascending.
     SpscQueue<int64_t> handoff_;
@@ -273,13 +286,12 @@ class DetectionPipeline
      * begin immediately; without one, hashing is deferred into
      * finishStreaming. The returned job must be passed to
      * finishStreaming exactly once; `rows` must outlive it. Safe to
-     * call while filter tasks of a *previous* pass still run against
-     * the cache — this is the cross-channel overlap (ROADMAP):
-     * channel c+1 extracts and hashes while channel c's trailing
-     * filter groups drain. With a RowFiller the hash tasks also
-     * *extract* their block right before projecting it, which both
-     * fuses the two walks and moves extraction off the driving
-     * thread.
+     * call while owner computes of a *previous* pass still run — this
+     * is the cross-channel overlap: channel c+1 extracts and hashes
+     * while channel c's owner computes drain. With a RowFiller the
+     * hash tasks also *extract* their block right before projecting
+     * it, which both fuses the two walks and moves extraction off the
+     * driving thread.
      */
     std::unique_ptr<DetectionHashJob> beginHash(const Tensor &rows,
                                                 RowFiller fill = {}) const;
@@ -288,9 +300,9 @@ class DetectionPipeline
      * Second half of a streaming pass: clears the cache (the new
      * vector population arrived, §III-B3), probes the hashed blocks
      * in ascending order on the calling thread, and delivers each to
-     * `on_block` (which may be empty), then fills the hitmap and
-     * signature table in vector order, exactly as
-     * SimilarityDetector::detect does. Consumes the job.
+     * `on_block` (which may be empty). Returns the filled pass: its
+     * outcomes, entry ids, words and mix are SimilarityDetector::
+     * detect's, row for row. Consumes the job.
      *
      * Ordering contract: blocks are delivered in ascending block
      * order (0, 1, 2, ...), each covering rows
@@ -305,8 +317,8 @@ class DetectionPipeline
      * consumer may submit work to the same pool, but must not block
      * on that work from inside the callback.
      */
-    DetectionResult finishStreaming(DetectionHashJob &job,
-                                    const BlockConsumer &on_block) const;
+    SignatureRecord::Pass finishStreaming(DetectionHashJob &job,
+                                          const BlockConsumer &on_block) const;
 
   private:
     const RPQEngine &rpq_;

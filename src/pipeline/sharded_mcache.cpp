@@ -39,12 +39,6 @@ ShardedMCache::ShardedMCache(MCache &external)
 }
 
 int
-ShardedMCache::setIndexOf(const Signature &sig) const
-{
-    return static_cast<int>(sig.hash() % static_cast<uint64_t>(sets_));
-}
-
-int
 ShardedMCache::shardOfSet(int set) const
 {
     if (set < 0 || set >= sets_)
@@ -59,11 +53,13 @@ ShardedMCache::shardOfSet(int set) const
 McacheResult
 ShardedMCache::lookupOrInsert(const Signature &sig)
 {
-    return lookupOrInsertInSet(setIndexOf(sig), sig);
+    return lookupOrInsertInSet(setIndexOf(sig.bits(), sig.words()),
+                               sig.bits(), sig.words());
 }
 
 McacheResult
-ShardedMCache::lookupOrInsertInSet(int set, const Signature &sig)
+ShardedMCache::lookupOrInsertInSet(int set, int bits,
+                                   const uint64_t *words)
 {
     const int s = shardOfSet(set);
     const int base = shardBaseSet_[static_cast<size_t>(s)];
@@ -74,7 +70,7 @@ ShardedMCache::lookupOrInsertInSet(int set, const Signature &sig)
         if (concurrent_.load(std::memory_order_relaxed))
             lock.lock();
         r = shards_[static_cast<size_t>(s)]->lookupOrInsertInSet(
-            set - base, sig);
+            set - base, bits, words);
     }
     if (r.entryId >= 0)
         r.entryId += static_cast<int64_t>(base) * ways_;

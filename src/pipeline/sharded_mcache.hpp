@@ -69,29 +69,32 @@ class ShardedMCache
     int shardCount() const { return static_cast<int>(shards_.size()); }
     int64_t entries() const { return static_cast<int64_t>(sets_) * ways_; }
 
-    /** Global set index of a signature (identical to MCache). */
-    int setIndexOf(const Signature &sig) const;
+    /**
+     * Global set index of the signature with these packed words
+     * (identical to MCache::setIndexOf of that signature).
+     */
+    int setIndexOf(int bits, const uint64_t *words) const
+    {
+        return static_cast<int>(Signature::hashWords(bits, words) %
+                                static_cast<uint64_t>(sets_));
+    }
 
     /** Shard owning a global set (its high bits). */
     int shardOfSet(int set) const;
-
-    /** Shard a signature maps to. */
-    int shardOf(const Signature &sig) const
-    {
-        return shardOfSet(setIndexOf(sig));
-    }
 
     /** Monolithic-equivalent lookup (single-threaded convenience). */
     McacheResult lookupOrInsert(const Signature &sig);
 
     /**
-     * Lookup with a precomputed global set index. Locked per shard,
-     * so probes of different shards may run concurrently; for
+     * Lookup of packed signature words (MCache::lookupOrInsertInSet)
+     * with a precomputed global set index. Locked per shard, so
+     * probes of different shards may run concurrently; for
      * bit-identical results each shard must still be presented its
      * signatures in stream order (the pipeline's one in-order
      * prober).
      */
-    McacheResult lookupOrInsertInSet(int set, const Signature &sig);
+    McacheResult lookupOrInsertInSet(int set, int bits,
+                                     const uint64_t *words);
 
     /**
      * Software-prefetch a global set's lines ahead of a probe (see

@@ -1,5 +1,7 @@
 #include "pipeline/signature_record.hpp"
 
+#include <utility>
+
 #include "util/logging.hpp"
 
 namespace mercury {
@@ -9,9 +11,7 @@ SignatureRecord::Pass::signatureOf(int64_t i) const
 {
     if (i < 0 || i >= rows)
         panic("signature row ", i, " outside recorded pass of ", rows);
-    return Signature::fromWords(
-        bits, sigWords.data() + static_cast<size_t>(i) *
-                                    static_cast<size_t>(sigWordsPerRow));
+    return Signature::fromWords(bits, wordsOf(i));
 }
 
 const SignatureRecord::Pass &
@@ -44,51 +44,24 @@ SignatureRecord::restore(std::vector<Pass> passes, int data_versions,
 }
 
 void
-SignatureRecord::capturePass(const DetectionResult &det, int bits,
-                             int data_versions, int64_t entries)
+SignatureRecord::append(Pass &&pass, int data_versions, int64_t entries)
 {
-    if (bits <= 0 || data_versions <= 0 || entries <= 0)
-        panic("capturePass needs positive bits/versions/entries, got ",
-              bits, "/", data_versions, "/", entries);
+    if (pass.bits <= 0 || data_versions <= 0 || entries <= 0)
+        panic("record append needs positive bits/versions/entries, got ",
+              pass.bits, "/", data_versions, "/", entries);
     if (!passes_.empty() &&
         (dataVersions_ != data_versions || entries_ != entries)) {
         panic("record passes span different cache organizations: ",
               dataVersions_, "v/", entries_, " then ", data_versions,
               "v/", entries);
     }
-    dataVersions_ = data_versions;
-    entries_ = entries;
-
-    Pass p;
-    p.rows = det.hitmap.size();
-    p.bits = bits;
-    p.sigWordsPerRow = (bits + 63) / 64;
-    p.sigWords.resize(static_cast<size_t>(p.rows) *
-                      static_cast<size_t>(p.sigWordsPerRow));
-    p.entryIds.resize(static_cast<size_t>(p.rows));
-    p.outcomes.resize(static_cast<size_t>(p.rows));
-    for (int64_t i = 0; i < p.rows; ++i) {
-        const Signature &sig = det.table.signature(i);
-        if (sig.bits() != bits)
-            panic("pass signature length ", sig.bits(),
-                  " differs from recorded bits ", bits);
-        // Signature keeps the bits past its length zero, so its packed
-        // words are the record's words as they are.
-        uint64_t *words =
-            p.sigWords.data() + static_cast<size_t>(i) *
-                                    static_cast<size_t>(p.sigWordsPerRow);
-        for (int w = 0; w < p.sigWordsPerRow; ++w)
-            words[w] = sig.packedWord(w);
-        const int64_t entry = det.hitmap.entryId(i);
+    for (const int32_t entry : pass.entryIds)
         if (entry >= entries)
             panic("entry id ", entry, " outside recorded cache of ",
                   entries, " entries");
-        p.entryIds[static_cast<size_t>(i)] = static_cast<int32_t>(entry);
-        p.outcomes[static_cast<size_t>(i)] =
-            static_cast<uint8_t>(det.hitmap.outcome(i));
-    }
-    p.mix = det.mix();
-    passes_.push_back(std::move(p));
+    dataVersions_ = data_versions;
+    entries_ = entries;
+    passes_.push_back(std::move(pass));
 }
 
 int64_t

@@ -27,13 +27,17 @@
  * map from the record (ownersOf), then computes owner rows with a
  * dense kernel and lets HIT rows take their owner's result.
  *
+ * A Pass is also the detection pipeline's own result: the hash job
+ * writes the packed words into it, the probe fills the outcomes,
+ * entry ids and mix, and capture moves it into the record (append),
+ * so nothing is copied between the probe and the record.
+ *
  * Lifetime contract: a record is valid for the backward pass of the
  * forward invocation that captured it, and must be re-captured every
- * forward pass (a new minibatch produces new outcomes). Capturing
- * copies everything out of the DetectionResult, so the record does
- * not alias pipeline or MCACHE state; replay never touches the
- * MCACHE, so records survive later forward passes of other layers
- * sharing the cache.
+ * forward pass (a new minibatch produces new outcomes). A captured
+ * pass is owned by the record, which aliases no pipeline or MCACHE
+ * state; replay never touches the MCACHE, so records survive later
+ * forward passes of other layers sharing the cache.
  */
 
 #ifndef MERCURY_PIPELINE_SIGNATURE_RECORD_HPP
@@ -44,7 +48,7 @@
 
 #include "core/mcache.hpp"
 #include "core/signature.hpp"
-#include "core/similarity_detector.hpp"
+#include "sim/dataflow.hpp"
 
 namespace mercury {
 
@@ -110,7 +114,10 @@ class OwnerTable
 class SignatureRecord
 {
   public:
-    /** One recorded detection pass in forward execution order. */
+    /**
+     * One detection pass: a record holds them in forward execution
+     * order, and the detection frontend returns one per pass.
+     */
     struct Pass
     {
         int64_t rows = 0;          ///< vectors the pass hashed
@@ -134,6 +141,13 @@ class SignatureRecord
         int64_t entryId(int64_t i) const
         {
             return entryIds[static_cast<size_t>(i)];
+        }
+
+        /** Packed words of row i's signature (sigWordsPerRow of them). */
+        const uint64_t *wordsOf(int64_t i) const
+        {
+            return sigWords.data() + static_cast<size_t>(i) *
+                                         static_cast<size_t>(sigWordsPerRow);
         }
 
         /** Unpack the signature of row i (tests / diagnostics). */
@@ -163,13 +177,11 @@ class SignatureRecord
     void clear();
 
     /**
-     * Append one pass captured from a finished detection result.
-     * Copies signatures (bit-packed) and outcomes; the DetectionResult
-     * may die afterwards. Every pass of one record must come from the
-     * same cache organization (entries / data versions).
+     * Capture one finished detection pass by moving it in. Every pass
+     * of one record must come from the same cache organization
+     * (entries / data versions), and name entries below `entries`.
      */
-    void capturePass(const DetectionResult &det, int bits,
-                     int data_versions, int64_t entries);
+    void append(Pass &&pass, int data_versions, int64_t entries);
 
     /**
      * Reconstruct the owner map of a pass under OwnerTable's rule:
@@ -187,7 +199,7 @@ class SignatureRecord
     /**
      * Snapshot hook (serve/snapshot.cpp): replace the contents with
      * externally restored passes. The passes must share one cache
-     * organization, exactly as capturePass enforces.
+     * organization, exactly as append enforces.
      */
     void restore(std::vector<Pass> passes, int data_versions,
                  int64_t entries);

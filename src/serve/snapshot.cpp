@@ -28,6 +28,20 @@ fnv1a64(const uint8_t *data, size_t size)
     return h;
 }
 
+/**
+ * True when the last of a signature's packed words keeps the bits past
+ * `bits` zero, as every serialized signature does. A snapshot that sets
+ * them would restore to different bytes, so parse refuses it.
+ */
+bool
+canonicalWords(uint32_t bits, const uint64_t *words)
+{
+    const uint32_t used = bits % 64;
+    return used == 0 ||
+           (words[Signature::wordsFor(static_cast<int>(bits)) - 1] >>
+            used) == 0;
+}
+
 /** Append-only byte writer for the canonical payload encoding. */
 struct Writer
 {
@@ -163,12 +177,15 @@ Snapshot::restoreCache(uint64_t key, ShardedMCache &cache,
                 std::to_string(key);
         return false;
     }
-    if (sec->sets != cache.sets() || sec->ways != cache.ways()) {
+    if (sec->sets != cache.sets() || sec->ways != cache.ways() ||
+        sec->dataVersions != cache.dataVersions()) {
         error = "snapshot cache geometry " + std::to_string(sec->sets) +
-                "x" + std::to_string(sec->ways) +
+                "x" + std::to_string(sec->ways) + "x" +
+                std::to_string(sec->dataVersions) +
                 " does not match target " +
                 std::to_string(cache.sets()) + "x" +
-                std::to_string(cache.ways());
+                std::to_string(cache.ways()) + "x" +
+                std::to_string(cache.dataVersions());
         return false;
     }
     // Geometry matches and entry ids were validated at parse time, so
@@ -294,6 +311,11 @@ Snapshot::parse(const uint8_t *data, size_t size, Snapshot &out,
                 std::to_string(kSnapshotVersion) + ")";
         return false;
     }
+    if (flags != 0) {
+        error = "snapshot flags " + std::to_string(flags) +
+                " unsupported (reserved, written as 0)";
+        return false;
+    }
     if (payload_bytes != size - header) {
         error = "snapshot payload length " +
                 std::to_string(payload_bytes) +
@@ -324,10 +346,12 @@ Snapshot::parse(const uint8_t *data, size_t size, Snapshot &out,
         sec.sets = static_cast<int>(sets);
         sec.ways = static_cast<int>(ways);
         sec.dataVersions = static_cast<int>(versions);
-        const int64_t entries =
-            static_cast<int64_t>(sets) * static_cast<int64_t>(ways);
+        // Checked before the multiply: two positive ints multiply
+        // within an int64_t, two raw u32 fields need not.
         if (sec.sets <= 0 || sec.ways <= 0 || sec.dataVersions <= 0)
             return r.fail("non-positive cache geometry");
+        const int64_t entries =
+            static_cast<int64_t>(sec.sets) * static_cast<int64_t>(sec.ways);
         if (line_count > static_cast<uint64_t>(entries))
             return r.fail("more lines than cache entries");
         int64_t prev_id = -1;
@@ -351,6 +375,8 @@ Snapshot::parse(const uint8_t *data, size_t size, Snapshot &out,
                        sig_words.size() * sizeof(uint64_t),
                        "line signature words"))
                 return false;
+            if (!canonicalWords(bits, sig_words.data()))
+                return r.fail("line signature sets bits past its length");
             line.sig = Signature::fromWords(static_cast<int>(bits),
                                             sig_words.data());
             int32_t tenant = -1;
@@ -407,6 +433,11 @@ Snapshot::parse(const uint8_t *data, size_t size, Snapshot &out,
             if (!r.raw(pass.sigWords.data(), n * sizeof(uint64_t),
                        "pass sig words"))
                 return false;
+            for (uint64_t row = 0; row < rows; ++row)
+                if (!canonicalWords(bits, pass.wordsOf(
+                                              static_cast<int64_t>(row))))
+                    return r.fail("pass signature sets bits past its "
+                                  "length");
             if (!r.count(n, sizeof(int32_t), "pass entry-id count"))
                 return false;
             if (n != rows)

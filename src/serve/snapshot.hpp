@@ -34,8 +34,9 @@
  * canonical (ascending ids, no padding), so serialize -> restore ->
  * serialize is byte-identical.
  *
- * Failure contract: parse() fully validates (magic, version, bounds,
- * checksum, array sanity) into a temporary and only then moves the
+ * Failure contract: parse() fully validates (magic, version, reserved
+ * flags, bounds, checksum, array sanity, canonical signature words)
+ * into a temporary and only then moves the
  * result out — a truncated, corrupted, or version-bumped snapshot is
  * rejected with a descriptive error and the output is untouched.
  * restoreCache() and restoreRecord() likewise validate the target's
@@ -109,11 +110,12 @@ class Snapshot
 
     /**
      * Restore a keyed section into `cache`: validates the key exists
-     * and the geometry (sets x ways) matches, then clears the target,
-     * installs every line, and recounts tenant-quota reservations.
-     * Shard counts may differ (global entry ids). Returns false with
-     * `error` set — and the target untouched — when the key is
-     * missing or the geometry differs.
+     * and the organization (sets x ways x data versions) matches, so
+     * the cache snapshots back to the same bytes, then clears the
+     * target, installs every line, and recounts tenant-quota
+     * reservations. Shard counts may differ (global entry ids).
+     * Returns false with `error` set — and the target untouched — when
+     * the key is missing or the organization differs.
      */
     bool restoreCache(uint64_t key, ShardedMCache &cache,
                       std::string &error) const;

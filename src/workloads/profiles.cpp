@@ -166,7 +166,7 @@ SyntheticSimilaritySource::channelMix(const LayerShape &shape,
     // One worker pool outlives the per-query frontends: thread spawn /
     // join per channelMix would dwarf the detect() it parallelizes.
     frontend.setSharedPool(ThreadPool::forKnob(pipe.threads, pool_));
-    const HitMix mix = frontend.detect(rows, sig_bits).mix();
+    const HitMix mix = frontend.detect(rows, sig_bits).mix;
     cache_.emplace(key, mix);
     return mix;
 }

@@ -70,42 +70,52 @@ TEST(Kernels, ProjectRowsBitIdentity)
         GTEST_SKIP() << "host lacks AVX2";
     const KernelOps &sc = kernels::scalarOps();
 
-    // Odd row counts exercise the 4-row register-tile tail; odd bit
-    // counts exercise the 8-filter lane tail; 67 bits exercises
-    // multi-word signatures downstream.
+    // Odd row counts exercise the 4-row register-tile tail. Every bit
+    // count 1..67 runs twice: with the mirror exactly `bits` wide (a
+    // partial last octet takes the scalar tail) and wider (it takes
+    // the masked octet inside the vector loop). Eight sentinels after
+    // the output block must survive either way.
+    constexpr float kSentinel = 12345.0f;
     for (int64_t nrows : {1, 3, 7, 33}) {
         for (int64_t d : {9, 16, 25, 27}) {
-            for (int bits : {1, 7, 8, 16, 31, 64, 67}) {
-                const std::vector<float> rows = randomFloats(
-                    nrows * d,
-                    1000 + static_cast<uint64_t>(nrows * d * bits));
-                std::vector<float> cols(
-                    static_cast<size_t>(d) * bits);
-                std::vector<float> inter(
-                    static_cast<size_t>(d) * bits);
-                const std::vector<float> vals = randomFloats(
-                    d * bits, 77 + static_cast<uint64_t>(bits));
-                for (int n = 0; n < bits; ++n)
-                    for (int64_t i = 0; i < d; ++i) {
-                        const float v =
-                            vals[static_cast<size_t>(n) * d + i];
-                        cols[static_cast<size_t>(n) * d + i] = v;
-                        inter[static_cast<size_t>(i) * bits + n] = v;
-                    }
-                std::vector<float> out_sc(
-                    static_cast<size_t>(nrows) * bits, -7.0f);
-                std::vector<float> out_ax(out_sc);
-                sc.projectRows(rows.data(), nrows, d, cols.data(),
-                               nullptr, bits, bits, out_sc.data());
-                ax->projectRows(rows.data(), nrows, d, cols.data(),
-                                inter.data(), bits, bits,
-                                out_ax.data());
-                // Bit-identity, not tolerance: memcmp the blocks.
-                ASSERT_EQ(0, std::memcmp(out_sc.data(), out_ax.data(),
-                                         out_sc.size() *
-                                             sizeof(float)))
-                    << "nrows=" << nrows << " d=" << d
-                    << " bits=" << bits;
+            for (int bits = 1; bits <= 67; ++bits) {
+                for (int stride : {bits, bits + 9}) {
+                    const std::vector<float> rows = randomFloats(
+                        nrows * d,
+                        1000 + static_cast<uint64_t>(nrows * d * bits));
+                    std::vector<float> cols(static_cast<size_t>(d) *
+                                            stride);
+                    std::vector<float> inter(static_cast<size_t>(d) *
+                                             stride);
+                    const std::vector<float> vals = randomFloats(
+                        d * stride, 77 + static_cast<uint64_t>(bits));
+                    for (int n = 0; n < stride; ++n)
+                        for (int64_t i = 0; i < d; ++i) {
+                            const float v =
+                                vals[static_cast<size_t>(n) * d + i];
+                            cols[static_cast<size_t>(n) * d + i] = v;
+                            inter[static_cast<size_t>(i) * stride + n] = v;
+                        }
+                    std::vector<float> out_sc(
+                        static_cast<size_t>(nrows) * bits + 8, kSentinel);
+                    std::vector<float> out_ax(out_sc);
+                    sc.projectRows(rows.data(), nrows, d, cols.data(),
+                                   nullptr, stride, bits, out_sc.data());
+                    ax->projectRows(rows.data(), nrows, d, cols.data(),
+                                    inter.data(), stride, bits,
+                                    out_ax.data());
+                    // Bit-identity, not tolerance: memcmp the blocks.
+                    ASSERT_EQ(0, std::memcmp(out_sc.data(), out_ax.data(),
+                                             out_sc.size() *
+                                                 sizeof(float)))
+                        << "nrows=" << nrows << " d=" << d
+                        << " bits=" << bits << " stride=" << stride;
+                    for (size_t j = out_ax.size() - 8; j < out_ax.size();
+                         ++j)
+                        ASSERT_EQ(out_ax[j], kSentinel)
+                            << "write past the block: bits=" << bits
+                            << " stride=" << stride;
+                }
             }
         }
     }
@@ -220,6 +230,11 @@ TEST(Kernels, ExtractPatchesMatchesNaiveIm2colEverywhere)
         {6, 6, 5, 1, 2},  // kernel wider than the pad on both sides
         {5, 5, 1, 1, 0},  // 1x1: pure row gather
         {7, 4, 3, 2, 2},  // pad >= stride: leading all-zero columns
+        {16, 16, 3, 1, 1}, // the training proxies' plane
+        {12, 11, 7, 1, 3}, // 7x7, clipped on every side
+        {10, 13, 8, 2, 3}, // 8x8: the widest masked kernel row
+        {13, 12, 9, 1, 4}, // 9x9: wider than a vector, the span path
+        {9, 9, 9, 1, 0},   // 9x9 valid: one position
     };
     const KernelOps *ax = kernels::avx2Ops();
     for (const Geometry &g : cases) {
@@ -261,6 +276,16 @@ TEST(Kernels, ExtractPatchesMatchesNaiveIm2colEverywhere)
                         << " k=" << g.k << " stride=" << g.stride
                         << " pad=" << g.pad << " row " << r << " elem "
                         << e;
+            // Rows outside [r0, r1) keep their sentinel.
+            const auto untouched = [&](const std::vector<float> &v) {
+                for (int64_t i = 0; i < n_rows * d; ++i)
+                    if ((i < s[0] * d || i >= s[1] * d) &&
+                        v[static_cast<size_t>(i)] != -7.0f)
+                        return false;
+                return true;
+            };
+            ASSERT_TRUE(untouched(got))
+                << "scalar wrote outside its rows, k=" << g.k;
             if (!ax)
                 continue;
             std::vector<float> got_ax(static_cast<size_t>(n_rows * d),
@@ -274,6 +299,8 @@ TEST(Kernels, ExtractPatchesMatchesNaiveIm2colEverywhere)
                                          sizeof(float)))
                 << "avx2 h=" << g.h << " w=" << g.w << " k=" << g.k
                 << " stride=" << g.stride << " pad=" << g.pad;
+            ASSERT_TRUE(untouched(got_ax))
+                << "avx2 wrote outside its rows, k=" << g.k;
         }
     }
 }
@@ -295,12 +322,13 @@ TEST(Kernels, ProjectBlockMatchesPerRowProject)
                           block[static_cast<size_t>(r) * bits + n])
                     << "row " << r << " bit " << n;
     }
-    // signatureBlock likewise matches signatureOfRow.
-    std::vector<Signature> sigs(21);
-    rpq.signatureBlock(rows, 0, 21, 40, sigs.data());
+    // The words entry writes signatureOfRow's packed words.
+    std::vector<uint64_t> words(21);
+    rpq.signatureWords(rows, 0, 21, 40, words.data());
     for (int64_t r = 0; r < 21; ++r)
-        ASSERT_TRUE(sigs[static_cast<size_t>(r)] ==
-                    rpq.signatureOfRow(rows, r, 40));
+        ASSERT_EQ(words[static_cast<size_t>(r)],
+                  rpq.signatureOfRow(rows, r, 40).packedWord(0))
+            << "row " << r;
 }
 
 TEST(SpanBatcher, ConsecutiveSpans)

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -445,6 +447,84 @@ TEST(McacheLifecycle, EvictionReleasesQuota)
     EXPECT_EQ(c.evictOlderThan(2), 1);
     EXPECT_EQ(gate.count(0), 0);
     EXPECT_EQ(c.lookupOrInsert(sigOf(2)).outcome, McacheOutcome::Mau);
+}
+
+TEST(McacheClear, EqualsAFreshCacheAfterAnyHistory)
+{
+    // clear() resets only the lines installed since the last clear. It
+    // must leave every observable as a freshly built cache has it,
+    // after seeded histories of probes, pins, unpins, evictions,
+    // restores, backlog resets, quota-gated inserts and earlier
+    // clears — including histories with more installs than entries().
+    constexpr int kSets = 8, kWays = 4, kTenants = 3;
+    std::mt19937_64 rng(0xC1EA2);
+    for (int trial = 0; trial < 300; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        MCache c(kSets, kWays, 2);
+        CountingGate gate(5);
+        const bool gated = trial % 2 == 1;
+        if (gated)
+            c.setQuotaGate(&gate);
+        const int steps = static_cast<int>(rng() % 240);
+        for (int s = 0; s < steps; ++s) {
+            const int64_t e = static_cast<int64_t>(rng() % c.entries());
+            const int tenant = static_cast<int>(rng() % (kTenants + 1)) - 1;
+            switch (rng() % 10) {
+              case 0:
+              case 1:
+              case 2:
+              case 3:
+                c.setInsertTenant(tenant);
+                c.setEpoch(rng() % 6);
+                (void)c.lookupOrInsert(sigOf(rng() % 48));
+                break;
+              case 4:
+                if (c.tagValid(e))
+                    c.pin(e);
+                break;
+              case 5:
+                if (c.pinCount(e) > 0)
+                    c.unpin(e);
+                break;
+              case 6:
+                (void)c.evictOlderThan(rng() % 6);
+                break;
+              case 7:
+                (void)c.evictTenant(tenant);
+                break;
+              case 8:
+                // A restore bypasses the gate; the owner recounts its
+                // reservation, as ShardedMCache does after a restore.
+                if (!c.tagValid(e) &&
+                    (!gated || gate.tryReserve(tenant)))
+                    c.restoreLine(e, sigOf(1000 + rng() % 64), rng() % 6,
+                                  tenant);
+                break;
+              default:
+                if (rng() % 4 == 0)
+                    c.clear();
+                else
+                    c.resetInsertBacklog();
+                break;
+            }
+        }
+        c.clear();
+
+        const MCache fresh(kSets, kWays, 2);
+        for (int64_t id = 0; id < c.entries(); ++id) {
+            ASSERT_EQ(c.tagValid(id), fresh.tagValid(id)) << "entry " << id;
+            ASSERT_EQ(c.entryEpoch(id), fresh.entryEpoch(id)) << id;
+            ASSERT_EQ(c.entryTenant(id), fresh.entryTenant(id)) << id;
+            ASSERT_EQ(c.pinCount(id), fresh.pinCount(id)) << id;
+        }
+        for (int set = 0; set < kSets; ++set)
+            ASSERT_EQ(c.setOccupancy(set), fresh.setOccupancy(set));
+        for (int t = -1; t < kTenants; ++t) {
+            ASSERT_EQ(c.tenantEntries(t), fresh.tenantEntries(t));
+            ASSERT_EQ(gate.count(t), 0) << "tenant " << t;
+        }
+        ASSERT_EQ(c.maxInsertBacklog(), fresh.maxInsertBacklog());
+    }
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <thread>
+#include <tuple>
 
 #include "core/attention_engine.hpp"
 #include "core/conv_reuse_engine.hpp"
@@ -38,41 +39,70 @@ constexpr uint64_t kSeed = 12345;
 
 /** The scalar reference path: RPQ + monolithic MCACHE, row by row. */
 DetectionResult
-legacyDetect(const Tensor &rows)
+legacyDetect(const Tensor &rows, int bits = kBits, int max_bits = kMaxBits)
 {
     MCache cache(kSets, kWays, 1);
-    RPQEngine rpq(rows.dim(1), kMaxBits, kSeed);
-    SimilarityDetector det(rpq, cache, kBits);
+    RPQEngine rpq(rows.dim(1), max_bits, kSeed);
+    SimilarityDetector det(rpq, cache, bits);
     return det.detect(rows);
 }
 
+/** A pipeline pass equals the scalar detector's result, row by row. */
 void
-expectIdenticalResults(const DetectionResult &a, const DetectionResult &b)
+expectMatchesLegacy(const SignatureRecord::Pass &p, const DetectionResult &ref)
 {
-    ASSERT_EQ(a.hitmap.size(), b.hitmap.size());
-    for (int64_t i = 0; i < a.hitmap.size(); ++i) {
-        ASSERT_EQ(a.hitmap.outcome(i), b.hitmap.outcome(i))
+    ASSERT_EQ(p.rows, ref.hitmap.size());
+    ASSERT_EQ(ref.table.size(), p.rows);
+    for (int64_t i = 0; i < p.rows; ++i) {
+        ASSERT_EQ(p.outcome(i), ref.hitmap.outcome(i))
             << "outcome diverges at row " << i;
-        ASSERT_EQ(a.hitmap.entryId(i), b.hitmap.entryId(i))
+        ASSERT_EQ(p.entryId(i), ref.hitmap.entryId(i))
             << "entry id diverges at row " << i;
+        const Signature &sig = ref.table.signature(i);
+        ASSERT_EQ(p.bits, sig.bits());
+        ASSERT_EQ(p.sigWordsPerRow, Signature::wordsFor(sig.bits()));
+        for (int w = 0; w < p.sigWordsPerRow; ++w)
+            ASSERT_EQ(p.wordsOf(i)[w], sig.packedWord(w))
+                << "signature word " << w << " diverges at row " << i;
     }
-    ASSERT_EQ(a.table.size(), b.table.size());
-    for (int64_t i = 0; i < a.table.size(); ++i) {
-        ASSERT_TRUE(a.table.signature(i) == b.table.signature(i))
-            << "signature diverges at row " << i;
-        ASSERT_EQ(a.table.entryId(i), b.table.entryId(i));
-    }
-    const HitMix ma = a.mix(), mb = b.mix();
-    EXPECT_EQ(ma.vectors, mb.vectors);
-    EXPECT_EQ(ma.hit, mb.hit);
-    EXPECT_EQ(ma.mau, mb.mau);
-    EXPECT_EQ(ma.mnu, mb.mnu);
+    const HitMix mb = ref.mix();
+    EXPECT_EQ(p.mix.vectors, mb.vectors);
+    EXPECT_EQ(p.mix.hit, mb.hit);
+    EXPECT_EQ(p.mix.mau, mb.mau);
+    EXPECT_EQ(p.mix.mnu, mb.mnu);
 }
 
-TEST(Pipeline, BitIdenticalToLegacyAcrossAllKnobs)
+/** Two pipeline passes are equal field for field. */
+void
+expectIdenticalPasses(const SignatureRecord::Pass &a,
+                      const SignatureRecord::Pass &b)
 {
-    Tensor rows = prototypeVectors(512, 24, 64, 0.01f, 77, 1.2);
-    const DetectionResult ref = legacyDetect(rows);
+    EXPECT_EQ(a.rows, b.rows);
+    EXPECT_EQ(a.bits, b.bits);
+    EXPECT_EQ(a.sigWords, b.sigWords);
+    EXPECT_EQ(a.entryIds, b.entryIds);
+    EXPECT_EQ(a.outcomes, b.outcomes);
+    EXPECT_EQ(a.mix.vectors, b.mix.vectors);
+    EXPECT_EQ(a.mix.hit, b.mix.hit);
+    EXPECT_EQ(a.mix.mau, b.mix.mau);
+    EXPECT_EQ(a.mix.mnu, b.mix.mnu);
+}
+
+/**
+ * (bits, d): one- and multi-word tags, partial last octets, and the
+ * training shape (d 9 at 28 bits) against a mirror provisioned wider
+ * than the pass, as a 128-bit frontend's is.
+ */
+class PipelineShape : public ::testing::TestWithParam<std::tuple<int, int>>
+{
+};
+
+TEST_P(PipelineShape, BitIdenticalToLegacyAcrossAllKnobs)
+{
+    constexpr int kProvisioned = 128;
+    const auto [bits, d] = GetParam();
+    Tensor rows = prototypeVectors(512, d, 64, 0.01f, 77, 1.2);
+    const DetectionResult ref = legacyDetect(rows, bits, kProvisioned);
     for (int64_t block : {int64_t{1}, int64_t{7}, int64_t{64},
                           int64_t{4096}}) {
         for (int shards : {1, 3, 4, 64}) {
@@ -81,16 +111,21 @@ TEST(Pipeline, BitIdenticalToLegacyAcrossAllKnobs)
                 pipe.blockRows = block;
                 pipe.shards = shards;
                 pipe.threads = threads;
-                DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed,
+                DetectionFrontend fe(kSets, kWays, 1, kProvisioned, kSeed,
                                      pipe);
                 SCOPED_TRACE("block=" + std::to_string(block) +
                              " shards=" + std::to_string(shards) +
                              " threads=" + std::to_string(threads));
-                expectIdenticalResults(fe.detect(rows, kBits), ref);
+                expectMatchesLegacy(fe.detect(rows, bits), ref);
             }
         }
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Pipeline, PipelineShape,
+    ::testing::Combine(::testing::Values(1, 20, 28, 64, 65, 100),
+                       ::testing::Values(9, 24)));
 
 TEST(Pipeline, DeterministicReruns)
 {
@@ -100,12 +135,12 @@ TEST(Pipeline, DeterministicReruns)
     pipe.shards = 8;
     pipe.threads = 4;
     DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed, pipe);
-    const DetectionResult first = fe.detect(rows, kBits);
+    const SignatureRecord::Pass first = fe.detect(rows, kBits);
     // Same frontend again (cache cleared per pass) and a fresh
     // frontend with the same seed: all three must agree exactly.
-    expectIdenticalResults(fe.detect(rows, kBits), first);
+    expectIdenticalPasses(fe.detect(rows, kBits), first);
     DetectionFrontend fresh(kSets, kWays, 1, kMaxBits, kSeed, pipe);
-    expectIdenticalResults(fresh.detect(rows, kBits), first);
+    expectIdenticalPasses(fresh.detect(rows, kBits), first);
 }
 
 TEST(Pipeline, BlockedProjectionMatchesScalar)
@@ -114,12 +149,18 @@ TEST(Pipeline, BlockedProjectionMatchesScalar)
     Tensor rows({37, 48});
     rows.fillNormal(rng);
     RPQEngine rpq(48, kMaxBits, 21);
-    std::vector<Signature> blocked(37);
-    rpq.signatureBlock(rows, 0, 37, kBits, blocked.data());
+    // The words entry writes signatureOfRow's packed words, from any
+    // first row.
+    std::vector<uint64_t> words(37);
+    rpq.signatureWords(rows, 0, 37, kBits, words.data());
     for (int64_t r = 0; r < 37; ++r)
-        ASSERT_TRUE(blocked[static_cast<size_t>(r)] ==
-                    rpq.signatureOfRow(rows, r, kBits))
+        ASSERT_EQ(words[static_cast<size_t>(r)],
+                  rpq.signatureOfRow(rows, r, kBits).packedWord(0))
             << "row " << r;
+    std::vector<uint64_t> tail(2);
+    rpq.signatureWords(rows, 35, 37, kBits, tail.data());
+    EXPECT_EQ(tail[0], words[35]);
+    EXPECT_EQ(tail[1], words[36]);
     // Projections themselves must also match bit for bit.
     std::vector<float> proj(static_cast<size_t>(5) * kBits);
     rpq.projectBlock(rows, 8, 13, kBits, proj.data());
@@ -388,7 +429,7 @@ TEST(Streaming, BlocksArriveInOrderAndResultsMatchScalarDetector)
 
     std::vector<int64_t> order;
     int64_t covered = 0;
-    const DetectionResult streamed = fe.detectStream(
+    const SignatureRecord::Pass streamed = fe.detectStream(
         rows, kBits, [&](const DetectionBlock &blk) {
             order.push_back(blk.index);
             // Hand-off invariants: ascending, contiguous, probed.
@@ -398,9 +439,9 @@ TEST(Streaming, BlocksArriveInOrderAndResultsMatchScalarDetector)
                                         blk.row0 + pipe.blockRows));
             EXPECT_EQ(blk.row0, covered);
             covered = blk.row1;
-            for (int64_t r = 0; r < blk.rows(); ++r) {
-                if (blk.results[r].outcome != McacheOutcome::Mnu) {
-                    EXPECT_GE(blk.results[r].entryId, 0);
+            for (int64_t r = blk.row0; r < blk.row1; ++r) {
+                if (blk.outcome(r) != McacheOutcome::Mnu) {
+                    EXPECT_GE(blk.entryId(r), 0);
                 }
             }
         });
@@ -412,7 +453,7 @@ TEST(Streaming, BlocksArriveInOrderAndResultsMatchScalarDetector)
 
     // The streamed pass must be bit-identical to the legacy scalar
     // path.
-    expectIdenticalResults(streamed, legacyDetect(rows));
+    expectMatchesLegacy(streamed, legacyDetect(rows));
 }
 
 TEST(Streaming, InlineFallbackStreamsWithoutAPool)
@@ -423,13 +464,13 @@ TEST(Streaming, InlineFallbackStreamsWithoutAPool)
     pipe.threads = 1; // no pool: hash, probe, deliver inline per block
     DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed, pipe);
     int64_t blocks = 0;
-    const DetectionResult streamed = fe.detectStream(
+    const SignatureRecord::Pass streamed = fe.detectStream(
         rows, kBits, [&](const DetectionBlock &blk) {
             EXPECT_EQ(blk.index, blocks);
             ++blocks;
         });
     EXPECT_EQ(blocks, 5);
-    expectIdenticalResults(streamed, legacyDetect(rows));
+    expectMatchesLegacy(streamed, legacyDetect(rows));
 }
 
 /** Engine outputs with overlap on vs off, all three engine types. */
@@ -627,7 +668,7 @@ TEST(Pipeline, ConfigKnobsLiftFromAcceleratorConfig)
     EXPECT_EQ(fe.maxBits(), cfg.maxSignatureBits);
     EXPECT_EQ(fe.dataVersions(), cfg.mcacheDataVersions);
     Tensor rows = prototypeVectors(64, 8, 8, 0.01f, 7);
-    const HitMix mix = fe.detect(rows, 16).mix();
+    const HitMix mix = fe.detect(rows, 16).mix;
     EXPECT_TRUE(mix.consistent());
     EXPECT_EQ(mix.vectors, 64);
 }
@@ -664,13 +705,8 @@ TEST(Pipeline, AutoShardsFrontendMatchesExplicitShards)
     fixed_pipe.shards = 8;
     fixed_pipe.threads = 8;
     DetectionFrontend fixed_fe(32, 8, 2, kMaxBits, 13, fixed_pipe);
-    const DetectionResult a = auto_fe.detect(rows, 20);
-    const DetectionResult b = fixed_fe.detect(rows, 20);
-    ASSERT_EQ(a.hitmap.size(), b.hitmap.size());
-    for (int64_t i = 0; i < a.hitmap.size(); ++i) {
-        EXPECT_EQ(a.hitmap.outcome(i), b.hitmap.outcome(i)) << i;
-        EXPECT_EQ(a.hitmap.entryId(i), b.hitmap.entryId(i)) << i;
-    }
+    expectIdenticalPasses(auto_fe.detect(rows, 20),
+                          fixed_fe.detect(rows, 20));
 }
 
 } // namespace

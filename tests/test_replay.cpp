@@ -103,7 +103,12 @@ TEST_P(RecordBits, CapturesOutcomesSignaturesAndMix)
     Tensor rows = duplicateRows(96, 12, 7, kSeed);
     DetectionFrontend fe(kSets, kWays, kVersions, 128, kSeed);
     SignatureRecord record;
-    const DetectionResult det = fe.detect(rows, bits, &record);
+    record.append(fe.detect(rows, bits), fe.dataVersions(), fe.entries());
+    // The scalar detector over a monolithic cache is the oracle.
+    MCache mono(kSets, kWays, kVersions);
+    const RPQEngine rpq(rows.dim(1), 128, kSeed);
+    const DetectionResult det =
+        SimilarityDetector(rpq, mono, bits).detect(rows);
 
     ASSERT_EQ(record.passCount(), 1);
     ASSERT_EQ(record.dataVersions(), kVersions);
@@ -133,7 +138,7 @@ TEST(Record, OwnersAreEarlierComputedRows)
     Tensor rows = duplicateRows(64, 10, 5, kSeed + 1);
     DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed);
     SignatureRecord record;
-    fe.detect(rows, 24, &record);
+    record.append(fe.detect(rows, 24), fe.dataVersions(), fe.entries());
     const SignatureRecord::Pass &pass = record.pass(0);
 
     std::vector<int64_t> owner;

@@ -148,8 +148,8 @@ TEST(RuntimeScheduler, RowPassForwardsAfterOwnersCompute)
 
     ReuseRuntime rt(fe, 20);
     ReuseRuntime::RowPass rp;
-    rp.ownerOf = [&](int64_t i, const McacheResult &mr) {
-        return table.ownerOf(i, mr.outcome, mr.entryId);
+    rp.ownerOf = [&](int64_t i, McacheOutcome outcome, int64_t entry) {
+        return table.ownerOf(i, outcome, entry);
     };
     rp.computeRow = [&](int64_t i) {
         state[static_cast<size_t>(i)].store(1);

@@ -4,7 +4,9 @@
  * organizations and shard counts, the full-validate-then-move failure
  * contract (truncation / corruption / version bumps reject cleanly
  * with no partial restore), and SignatureRecord sections, including
- * hostile ones whose lengths, entry ids or mix lie.
+ * hostile ones whose lengths, entry ids or mix lie; a seeded mutation
+ * fuzzer over both section kinds; and golden bytes of a captured
+ * cache and record.
  */
 
 #include <gtest/gtest.h>
@@ -12,11 +14,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <random>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "pipeline/detection_frontend.hpp"
 #include "serve/snapshot.hpp"
+#include "workloads/synthetic.hpp"
 
 namespace mercury {
 namespace {
@@ -537,6 +542,283 @@ TEST(Snapshot, InconsistentRecordMixIsRejected)
     patch(bytes, l.mix, int64_t{4});
     patch(bytes, l.mix + 8, int64_t{2});
     expectRejected(bytes, "mix inconsistent");
+}
+
+TEST(Snapshot, HostileCacheGeometryIsRejectedBeforeItsProduct)
+{
+    // sets = ways = 2^32 - 1: their product does not fit an int64_t,
+    // so the parser must refuse the fields before multiplying them.
+    ShardedMCache cache(16, 4, 2, 1);
+    populate(cache, 3, 20);
+    auto bytes = bytesOf(cache, 9);
+    patch(bytes, 12, uint32_t{0xFFFFFFFFu});
+    patch(bytes, 16, uint32_t{0xFFFFFFFFu});
+    expectRejected(bytes, "non-positive cache geometry");
+}
+
+TEST(Snapshot, NonCanonicalInputIsRejected)
+{
+    // Reserved header flags are written as 0.
+    ShardedMCache cache(16, 4, 2, 1);
+    populate(cache, 3, 20);
+    auto bytes = bytesOf(cache, 9);
+    bytes[12] = 1;
+    expectRejected(bytes, "flags");
+
+    // A 20-bit tag whose word sets bit 20.
+    bytes = bytesOf(cache, 9);
+    const size_t line0_word = 4 + 8 + 4 + 4 + 4 + 8 + 8 + 4;
+    patch(bytes, line0_word + 2, uint8_t{0x10});
+    expectRejected(bytes, "bits past its length");
+
+    // The same in a record pass's words.
+    const PassLayout l = pass0Layout(makeRecord().pass(0));
+    bytes = recordBytes();
+    patch(bytes, l.wordCount + 8 + 3, uint8_t{0x80});
+    expectRejected(bytes, "bits past its length");
+
+    // A cache of another data-version count is refused on restore.
+    Snapshot snap;
+    snap.addCache(9, cache);
+    ShardedMCache other(16, 4, 3, 1);
+    std::string error;
+    EXPECT_FALSE(snap.restoreCache(9, other, error));
+    EXPECT_NE(error.find("16x4x2"), std::string::npos) << error;
+}
+
+// ---- Seeded mutation fuzzer ------------------------------------------
+//
+// Every case mutates a valid snapshot holding a cache section and a
+// record section and re-seals the checksum. parse() must then either
+// fail with an error, or the snapshot must restore into targets of the
+// original organization and serialize back to exactly the mutated
+// bytes. No case may crash or trip a sanitizer (the CI's ASan+UBSan
+// job runs this suite).
+
+constexpr int kFuzzSets = 16;
+constexpr int kFuzzWays = 4;
+constexpr int kFuzzVersions = 2;
+constexpr int kFuzzLines = 12;
+
+/** One count, length or geometry field: payload offset and width. */
+struct Field
+{
+    size_t at;
+    size_t bytes;
+};
+
+std::vector<uint8_t>
+fuzzSeedBytes()
+{
+    ShardedMCache cache(kFuzzSets, kFuzzWays, kFuzzVersions, 3);
+    populate(cache, kFuzzLines, 20);
+    Snapshot snap;
+    snap.addCache(1, cache);
+    snap.addRecord(2, makeRecord());
+    return snap.serialize();
+}
+
+std::vector<Field>
+fuzzFields()
+{
+    // The cache section: count, key, sets, ways, versions, line count,
+    // then 32-byte lines (entry id, bits, one word, epoch, tenant).
+    std::vector<Field> f = {{0, 4}, {12, 4}, {16, 4}, {20, 4}, {24, 8}};
+    for (size_t i = 0; i < 2; ++i) {
+        f.push_back({32 + i * 32, 8});
+        f.push_back({32 + i * 32 + 8, 4});
+    }
+    // The record section sits where pass0Layout's record-only payload
+    // would, shifted by the cache section.
+    const size_t shift = 28 + kFuzzLines * 32;
+    const size_t rec = 32 + kFuzzLines * 32;
+    f.insert(f.end(), {{rec, 4}, {rec + 12, 4}, {rec + 16, 8},
+                       {rec + 24, 4}});
+    const PassLayout l = pass0Layout(makeRecord().pass(0));
+    f.insert(f.end(),
+             {{shift + l.rows, 8}, {shift + l.bits, 4},
+              {shift + l.wordsPerRow, 4}, {shift + l.wordCount, 8},
+              {shift + l.ids - 8, 8}, {shift + l.mix - 3 - 8, 8},
+              {shift + l.mix, 8}, {shift + l.mix + 8, 8}});
+    return f;
+}
+
+/** A value worth writing into a field of `bytes` bytes. */
+uint64_t
+fuzzValue(std::mt19937_64 &rng, size_t bytes, uint64_t orig)
+{
+    const uint64_t top = bytes == 8 ? ~uint64_t{0} : 0xFFFFFFFFull;
+    const uint64_t pool[] = {0,
+                             1,
+                             2,
+                             3,
+                             64,
+                             65,
+                             orig + 1,
+                             orig - 1,
+                             0x7FFFFFFFull,
+                             0x80000000ull,
+                             top - 1,
+                             top,
+                             uint64_t{1} << 40,
+                             uint64_t{1} << 62,
+                             rng()};
+    return pool[rng() % (sizeof pool / sizeof pool[0])] & top;
+}
+
+/** Write the low `bytes` bytes of v at payload offset `at`, if it fits. */
+void
+put(std::vector<uint8_t> &bytes, size_t at, size_t width, uint64_t v)
+{
+    if (kHeaderBytes + at + width <= bytes.size())
+        std::memcpy(bytes.data() + kHeaderBytes + at, &v, width);
+}
+
+uint64_t
+get(const std::vector<uint8_t> &bytes, size_t at, size_t width)
+{
+    uint64_t v = 0;
+    if (kHeaderBytes + at + width <= bytes.size())
+        std::memcpy(&v, bytes.data() + kHeaderBytes + at, width);
+    return v;
+}
+
+/** Seal the (possibly truncated) payload's checksum into the header. */
+void
+reseal(std::vector<uint8_t> &bytes)
+{
+    if (bytes.size() < kHeaderBytes)
+        return;
+    const uint64_t sum =
+        fnv1a(bytes.data() + kHeaderBytes, bytes.size() - kHeaderBytes);
+    std::memcpy(bytes.data() + kChecksumAt, &sum, sizeof sum);
+}
+
+TEST(SnapshotFuzz, MutationsFailCleanlyOrRoundTrip)
+{
+    const std::vector<uint8_t> seed = fuzzSeedBytes();
+    const std::vector<Field> fields = fuzzFields();
+    std::mt19937_64 rng(0x5EEDF022);
+    int rejected = 0, refused = 0, accepted = 0;
+    std::vector<int> mismatched;
+    for (int c = 0; c < 6000; ++c) {
+        std::vector<uint8_t> m = seed;
+        switch (rng() % 4) {
+          case 0: // flip 1-8 bits anywhere, header included
+            for (int k = 1 + static_cast<int>(rng() % 8); k > 0; --k) {
+                const size_t bit = rng() % (m.size() * 8);
+                m[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+            }
+            break;
+          case 1: // overwrite 1-3 count, length or geometry fields
+            for (int k = 1 + static_cast<int>(rng() % 3); k > 0; --k) {
+                const Field &f = fields[rng() % fields.size()];
+                put(m, f.at, f.bytes,
+                    fuzzValue(rng, f.bytes, get(m, f.at, f.bytes)));
+            }
+            break;
+          case 2: // the cache geometry together
+            for (size_t at : {12, 16, 20})
+                if (rng() % 4 != 0)
+                    put(m, at, 4, fuzzValue(rng, 4, get(m, at, 4)));
+            break;
+          default: // truncate, half the time declaring the new length
+            m.resize(rng() % m.size());
+            if (m.size() >= kHeaderBytes && rng() % 2) {
+                const uint64_t len = m.size() - kHeaderBytes;
+                std::memcpy(m.data() + 16, &len, sizeof len);
+            }
+            break;
+        }
+        reseal(m);
+
+        Snapshot parsed;
+        std::string error;
+        if (!Snapshot::parse(m.data(), m.size(), parsed, error)) {
+            ASSERT_FALSE(error.empty()) << "fuzz case " << c;
+            ++rejected;
+            continue;
+        }
+        Snapshot back;
+        bool restored = true;
+        for (const auto &sec : parsed.caches()) {
+            ShardedMCache target(kFuzzSets, kFuzzWays, kFuzzVersions, 2);
+            restored = restored && parsed.restoreCache(sec.key, target, error);
+            if (restored)
+                back.addCache(sec.key, target);
+        }
+        for (const auto &sec : parsed.records()) {
+            SignatureRecord target;
+            restored = restored &&
+                       parsed.restoreRecord(sec.key, kFuzzSets * kFuzzWays,
+                                            kFuzzVersions, target, error);
+            if (restored)
+                back.addRecord(sec.key, target);
+        }
+        if (!restored) {
+            ASSERT_FALSE(error.empty()) << "fuzz case " << c;
+            ++refused;
+            continue;
+        }
+        // A snapshot that parses and restores must serialize back to
+        // its own bytes. Mismatches are counted, not fatal, so one
+        // finding does not hide the cases after it.
+        if (back.serialize() != m) {
+            if (mismatched.size() < 8)
+                mismatched.push_back(c);
+            continue;
+        }
+        ++accepted;
+    }
+    std::string cases;
+    for (const int c : mismatched)
+        cases += " " + std::to_string(c);
+    EXPECT_TRUE(mismatched.empty())
+        << "cases that restore to other bytes (first 8):" << cases;
+    // Every outcome occurs, so the fuzzer exercises each path.
+    EXPECT_GT(rejected, 0);
+    EXPECT_GT(refused, 0);
+    EXPECT_GT(accepted, 0);
+}
+
+// ---- Golden bytes -----------------------------------------------------
+
+TEST(SnapshotGolden, CapturedCacheAndRecordBytesAreStable)
+{
+    // A persistent cache and a record built through a capturing
+    // frontend: three passes at two epochs and tenants. The FNV-1a of
+    // the serialized bytes was recorded before the detection path
+    // moved to packed words; any change in tags, outcomes, entry ids,
+    // words or metadata moves it.
+    const struct
+    {
+        int bits;
+        uint64_t fnv;
+    } golden[] = {{28, 0xb7402c09d6cf14a2ull}, {100, 0xdc17a094a51b5893ull}};
+    for (const auto &g : golden) {
+        PipelineConfig pipe;
+        pipe.blockRows = 32;
+        pipe.shards = 3;
+        pipe.threads = 1;
+        pipe.persistent = true;
+        DetectionFrontend fe(48, 4, 2, 128, 0x5EED, pipe);
+        SignatureRecord record;
+        for (int p = 0; p < 3; ++p) {
+            fe.cache().setEpoch(static_cast<uint64_t>(10 + p));
+            fe.cache().setInsertTenant(p % 2);
+            const Tensor rows = prototypeVectors(
+                160, 9, 40, 0.01f, 700 + static_cast<uint64_t>(p), 1.1);
+            record.append(fe.detect(rows, g.bits), fe.dataVersions(),
+                          fe.entries());
+        }
+        EXPECT_GT(record.pass(2).mix.hit, 0);
+        Snapshot snap;
+        snap.addCache(1, fe.cache());
+        snap.addRecord(2, record);
+        const std::vector<uint8_t> bytes = snap.serialize();
+        EXPECT_EQ(fnv1a(bytes.data(), bytes.size()), g.fnv)
+            << g.bits << "-bit snapshot bytes moved";
+    }
 }
 
 // ---- File I/O -------------------------------------------------------
