@@ -207,17 +207,25 @@ addSpanAvx2(float *dst, const float *src, int64_t n)
         dst[e] += src[e];
 }
 
-/**
- * extractPatches for k <= 8, kernel size K (K == 0: the runtime k).
- * Positions advance by counters, not a division per row.
- */
-template <int K>
 void
-extractPatchesFor(const float *plane, int64_t in_h, int64_t in_w,
-                  int64_t ow, int64_t stride, int64_t pad, int64_t k_rt,
-                  int64_t r0, int64_t r1, float *rows)
+extractPatchesAvx2(const float *plane, int64_t in_h, int64_t in_w,
+                   int64_t ow, int64_t stride, int64_t pad, int64_t k,
+                   int64_t r0, int64_t r1, float *rows)
 {
-    const int64_t k = K > 0 ? K : k_rt;
+    // Patch extraction is pure data movement, so the outputs are the
+    // scalar body's by construction. For k <= 8 a kernel row is one
+    // masked load (lanes [kx0, kx1) of the plane row; the rest load
+    // 0, which is the zero fill of the clipped columns) and one
+    // masked store of k lanes — no libc call per row. Positions
+    // advance by counters, not a division per row, and the next
+    // position's first source row is prefetched, hiding the strided
+    // plane walk of the fused block path. A kernel row wider than a
+    // vector takes the scalar spans.
+    if (k > 8) {
+        scalarOps().extractPatches(plane, in_h, in_w, ow, stride, pad, k,
+                                   r0, r1, rows);
+        return;
+    }
     const int64_t d = k * k;
     const __m256i store_mask = lanesBelow(k);
     const __m256 zero = _mm256_setzero_ps();
@@ -262,32 +270,6 @@ extractPatchesFor(const float *plane, int64_t in_h, int64_t in_w,
                        : zero);
         }
     }
-}
-
-void
-extractPatchesAvx2(const float *plane, int64_t in_h, int64_t in_w,
-                   int64_t ow, int64_t stride, int64_t pad, int64_t k,
-                   int64_t r0, int64_t r1, float *rows)
-{
-    // Patch extraction is pure data movement, so the outputs are the
-    // scalar body's by construction. For k <= 8 a kernel row is one
-    // masked load (lanes [kx0, kx1) of the plane row; the rest load
-    // 0, which is the zero fill of the clipped columns) and one
-    // masked store of k lanes — no libc call per row. The next
-    // position's first source row is prefetched, hiding the strided
-    // plane walk of the fused block path. 3x3, the kernel of every
-    // conv layer the models here train, gets its kernel-row loop
-    // unrolled; a kernel row wider than a vector takes the scalar
-    // spans.
-    if (k == 3)
-        extractPatchesFor<3>(plane, in_h, in_w, ow, stride, pad, k, r0, r1,
-                             rows);
-    else if (k <= 8)
-        extractPatchesFor<0>(plane, in_h, in_w, ow, stride, pad, k, r0, r1,
-                             rows);
-    else
-        scalarOps().extractPatches(plane, in_h, in_w, ow, stride, pad, k,
-                                   r0, r1, rows);
 }
 
 const KernelOps kAvx2Ops = {

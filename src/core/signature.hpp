@@ -101,9 +101,6 @@ class Signature
         return bits_ > 64 ? heap_.data() : &word0_;
     }
 
-    /** Packed word w of words() — the serialization inverse of fromWords. */
-    uint64_t packedWord(int w) const { return word(w); }
-
     /** Bit string, most significant first, e.g. "10110". */
     std::string str() const;
 

@@ -237,7 +237,7 @@ Snapshot::serialize() const
             payload.u32(static_cast<uint32_t>(line.sig.bits()));
             for (int w = 0; w < Signature::wordsFor(line.sig.bits());
                  ++w)
-                payload.u64(line.sig.packedWord(w));
+                payload.u64(line.sig.words()[w]);
             payload.u64(line.epoch);
             payload.i32(line.tenant);
         }

@@ -327,7 +327,7 @@ TEST(Kernels, ProjectBlockMatchesPerRowProject)
     rpq.signatureWords(rows, 0, 21, 40, words.data());
     for (int64_t r = 0; r < 21; ++r)
         ASSERT_EQ(words[static_cast<size_t>(r)],
-                  rpq.signatureOfRow(rows, r, 40).packedWord(0))
+                  rpq.signatureOfRow(rows, r, 40).words()[0])
             << "row " << r;
 }
 

@@ -62,7 +62,7 @@ expectMatchesLegacy(const SignatureRecord::Pass &p, const DetectionResult &ref)
         ASSERT_EQ(p.bits, sig.bits());
         ASSERT_EQ(p.sigWordsPerRow, Signature::wordsFor(sig.bits()));
         for (int w = 0; w < p.sigWordsPerRow; ++w)
-            ASSERT_EQ(p.wordsOf(i)[w], sig.packedWord(w))
+            ASSERT_EQ(p.wordsOf(i)[w], sig.words()[w])
                 << "signature word " << w << " diverges at row " << i;
     }
     const HitMix mb = ref.mix();
@@ -155,7 +155,7 @@ TEST(Pipeline, BlockedProjectionMatchesScalar)
     rpq.signatureWords(rows, 0, 37, kBits, words.data());
     for (int64_t r = 0; r < 37; ++r)
         ASSERT_EQ(words[static_cast<size_t>(r)],
-                  rpq.signatureOfRow(rows, r, kBits).packedWord(0))
+                  rpq.signatureOfRow(rows, r, kBits).words()[0])
             << "row " << r;
     std::vector<uint64_t> tail(2);
     rpq.signatureWords(rows, 35, 37, kBits, tail.data());

@@ -2,20 +2,21 @@
 """Compare two checkouts on one perfbench workload in alternating pairs.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
-        --workload vgg13_train --seeds 32-41 --seconds 25
+        --workload vgg13_train --seeds 32-41
 
 For every seed, runs `python3 perfbench/run.py --workload W --seed S
---seconds N --trace 0` once in each checkout, one after the other. The
-side that runs first alternates from pair to pair, so a slow drift of
-the host lands on both sides alike. Each checkout builds its own
-perfbench from its own sources (the first run of a side builds it).
+--seconds N --trace 0` once in each checkout, one after the other, N
+being BENCHMARK.json's run_seconds. The side that runs first alternates
+from pair to pair, so a slow drift of the host lands on both sides
+alike. Each checkout builds its own perfbench from its own sources (the
+first run of a side builds it).
 
 Prints, per side, the median, quartiles and range of every end-to-end
-metric BENCHMARK.json lists; then the pairs the change won on the
-claimed metric (its `better` direction from BENCHMARK.json), whether
-the deterministic metrics (train_loss, modeled_speedup) are equal seed
-by seed, and failed out of attempted on each side. Quartiles are the
-inclusive linear-interpolation quartiles of the per-seed values.
+metric BENCHMARK.json lists and failed out of attempted; then the pairs
+the change won on each of those metrics (by its `better` direction)
+except the deterministic ones (train_loss, modeled_speedup), and
+whether those are equal seed by seed. Quartiles are the inclusive
+linear-interpolation quartiles of the per-seed values.
 
 Run nothing else at the same time: the pairs are only comparable when
 the host is otherwise idle. The exit code is 0 when every run produced
@@ -76,32 +77,29 @@ def main():
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True,
                         help="seeds, e.g. 32-41 or 1,2,5")
-    parser.add_argument("--seconds", type=int, default=25)
-    parser.add_argument("--claim", default="step_ms_p50",
-                        help="metric the change claims to improve")
-    parser.add_argument("--json", help="also write every result here")
     args = parser.parse_args()
 
     sides = {"parent": Path(args.parent).resolve(),
              "change": Path(args.change).resolve()}
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     e2e = {m["name"]: m for m in spec["end_to_end"]}
-    if args.claim not in e2e:
-        parser.error("%s is not an end-to-end metric" % args.claim)
+    seconds = spec["run_seconds"]
 
     runs = {"parent": [], "change": []}  # (seed, result or None)
     for i, seed in enumerate(parse_seeds(args.seeds)):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_side(sides[side], args.workload, seed, args.seconds)
+            result = run_side(sides[side], args.workload, seed, seconds)
             runs[side].append((seed, result))
-            shown = ("%.4f" % value(result, args.claim)) if result else "-"
-            print("seed %d %s: %s %s" % (seed, side, args.claim, shown),
-                  flush=True)
+            shown = "no result"
+            if result:
+                shown = "  ".join("%s %.4f" % (n, value(result, n))
+                                  for n in e2e if n in result["metrics"])
+            print("seed %d %s: %s" % (seed, side, shown), flush=True)
 
     ok = all(r for side in runs.values() for _, r in side)
     print("\n%s, %d pairs, %d s runs" % (args.workload, len(runs["parent"]),
-                                         args.seconds))
+                                         seconds))
     for side in ("parent", "change"):
         done = [r for _, r in runs[side] if r]
         print("%s:" % side)
@@ -115,29 +113,26 @@ def main():
         print("  failed %d of %d attempted" % (
             sum(r["failed"] for r in done), sum(r["attempted"] for r in done)))
 
-    lower = e2e[args.claim]["better"] == "lower"
-    wins = 0
-    equal = True
-    pairs = 0
-    for (seed, p), (_, c) in zip(runs["parent"], runs["change"]):
-        if not (p and c):
+    pairs = [(seed, p, c) for (seed, p), (_, c)
+             in zip(runs["parent"], runs["change"]) if p and c]
+    for name, m in e2e.items():
+        both = [(p, c) for _, p, c in pairs
+                if name in p["metrics"] and name in c["metrics"]]
+        if name in DETERMINISTIC or not both:
             continue
-        pairs += 1
-        pv, cv = value(p, args.claim), value(c, args.claim)
-        wins += (cv < pv) if lower else (cv > pv)
+        lower = m["better"] == "lower"
+        wins = sum((value(c, name) < value(p, name)) if lower
+                   else (value(c, name) > value(p, name)) for p, c in both)
+        print("change won %d of %d pairs on %s" % (wins, len(both), name))
+    equal = True
+    for seed, p, c in pairs:
         for name in DETERMINISTIC:
             if name in p["metrics"] and value(p, name) != value(c, name):
                 equal = False
                 print("seed %d: %s differs: parent %r change %r"
                       % (seed, name, value(p, name), value(c, name)))
-    print("change won %d of %d pairs on %s" % (wins, pairs, args.claim))
     print("deterministic metrics (%s) equal on every seed: %s"
           % (", ".join(DETERMINISTIC), "yes" if equal else "NO"))
-
-    if args.json:
-        Path(args.json).write_text(json.dumps(
-            {side: [{"seed": s, "result": r} for s, r in rs]
-             for side, rs in runs.items()}, indent=1))
     return 0 if ok else 1
 
 
