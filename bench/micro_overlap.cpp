@@ -119,7 +119,6 @@ main()
     // in the detection pass.
     PipelineConfig base_pipe;
     base_pipe.blockRows = 128;
-    base_pipe.shards = 8;
     base_pipe.threads = threads;
 
     // --- 1. Functional wall time -----------------------------------
@@ -391,7 +390,6 @@ main()
         .config("bits", kBits)
         .config("threads", threads)
         .config("blockRows", base_pipe.blockRows)
-        .config("shards", base_pipe.shards)
         .config("overlap", overlapModeName(omode))
         .config("overlap_resolved", overlapModeName(resolved));
     bench::stdConfig(line);

@@ -58,7 +58,6 @@ measure(int64_t dim, int bits)
 
     PipelineConfig pipe;
     pipe.blockRows = 64;
-    pipe.shards = 4;
     pipe.threads = 0; // auto
     DetectionFrontend frontend(kSets, kWays, 1, bits, kSeed, pipe);
 
@@ -121,7 +120,6 @@ main()
         .speedups(std::nan(""), headline.speedup())
         .config("bits", 16)
         .config("blockRows", 64)
-        .config("shards", 4)
         .config("threads", ThreadPool::resolveThreads(0));
     bench::stdConfig(line);
     line.print();

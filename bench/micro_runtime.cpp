@@ -360,7 +360,6 @@ main()
 
     PipelineConfig base_pipe;
     base_pipe.blockRows = 64;
-    base_pipe.shards = 4;
     base_pipe.threads = threads;
 
     // What an Auto policy resolves to on the grouped workload's
@@ -441,7 +440,6 @@ main()
         .config("bits", kBits)
         .config("threads", threads)
         .config("blockRows", base_pipe.blockRows)
-        .config("shards", base_pipe.shards)
         .config("overlap", overlapModeName(omode))
         .config("overlap_resolved", overlapModeName(resolved));
     bench::stdConfig(line);

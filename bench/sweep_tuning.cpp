@@ -7,11 +7,11 @@
  * 49 vectors (7x7 stage-5 maps) to 12544 vectors (112x112 stem) per
  * (image, channel) — three orders of magnitude around the CIFAR-sized
  * passes the defaults were first picked on. This bench sweeps
- * `pipelineBlockRows` x `pipelineShards` over those pass shapes,
- * measures detection rows/sec through the full DetectionFrontend
- * path, reports the best pair per shape, and checks the size bands
- * baked into tunedPipelineFor (sim/config.hpp, the
- * `pipelineBlockRows = 0` auto mode) against the measurement.
+ * `pipelineBlockRows` over those pass shapes, measures detection
+ * rows/sec through the full DetectionFrontend path, reports the best
+ * block size per shape, and checks the size bands baked into
+ * tunedPipelineFor (sim/config.hpp, the `pipelineBlockRows = 0` auto
+ * mode) against the measurement.
  *
  * Emits a BENCH_tuning.json line in the shared result schema. Smoke
  * mode (MERCURY_BENCH_SMOKE=1) shrinks the grid and the pass sizes so
@@ -65,23 +65,19 @@ main()
         {"res50-stage5-3x3-7", 7 * 7, 9},
     };
     std::vector<int64_t> block_grid = {32, 64, 128, 256, 512};
-    std::vector<int> shard_grid = {1, 4, 8, 16};
     if (smoke) {
         shapes = {{"smoke-3x3-14", 14 * 14, 9}};
         block_grid = {64, 128};
-        shard_grid = {4};
     }
 
     std::printf("sweep_tuning: detection rows/sec over "
-                "pipelineBlockRows x pipelineShards, ImageNet-scale "
-                "pass shapes\n");
+                "pipelineBlockRows, ImageNet-scale pass shapes\n");
     std::printf("(MCACHE %dx%d, %d versions, bits %d, threads %d%s)\n\n",
                 kSets, kWays, kVersions, kBits, threads,
                 smoke ? ", SMOKE MODE - numbers not meaningful" : "");
 
     double headline_best = 0.0, headline_default = 0.0;
     int64_t headline_block = 0;
-    int headline_shards = 0;
     std::string headline_name;
 
     for (const PassShape &shape : shapes) {
@@ -96,50 +92,38 @@ main()
         Table t(std::string("pass ") + shape.name + " (" +
                 std::to_string(shape.rows) + " rows, d=" +
                 std::to_string(shape.dim) + ")");
-        t.header({"blockRows", "shards", "rows/s"});
+        t.header({"blockRows", "rows/s"});
         double best_rate = 0.0, default_rate = 0.0;
         int64_t best_block = 0;
-        int best_shards = 0;
         for (const int64_t block : block_grid) {
-            for (const int shards : shard_grid) {
-                PipelineConfig pipe;
-                pipe.blockRows = block;
-                pipe.shards = shards;
-                pipe.threads = threads;
-                DetectionFrontend fe(kSets, kWays, kVersions, kBits,
-                                     kSeed, pipe);
-                const double secs = bench::bestSeconds(
-                    [&] { fe.detect(rows, kBits); }, 0.5);
-                const double rate =
-                    static_cast<double>(shape.rows) / secs;
-                if (rate > best_rate) {
-                    best_rate = rate;
-                    best_block = block;
-                    best_shards = shards;
-                }
-                if (block == 64 && shards == 4)
-                    default_rate = rate;
-                t.row({std::to_string(block), std::to_string(shards),
-                       Table::num(rate, 0)});
+            PipelineConfig pipe;
+            pipe.blockRows = block;
+            pipe.threads = threads;
+            DetectionFrontend fe(kSets, kWays, kVersions, kBits, kSeed,
+                                 pipe);
+            const double secs = bench::bestSeconds(
+                [&] { fe.detect(rows, kBits); }, 0.5);
+            const double rate = static_cast<double>(shape.rows) / secs;
+            if (rate > best_rate) {
+                best_rate = rate;
+                best_block = block;
             }
+            if (block == 64)
+                default_rate = rate;
+            t.row({std::to_string(block), Table::num(rate, 0)});
         }
         t.print();
-        const PipelineTuning tuned = tunedPipelineFor(
-            shape.rows, ThreadPool::resolveThreads(0));
-        std::printf("best: blockRows=%lld shards=%d (%.0f rows/s); "
-                    "tunedPipelineFor(%lld) -> blockRows=%lld "
-                    "shards=%d\n\n",
-                    static_cast<long long>(best_block), best_shards,
-                    best_rate, static_cast<long long>(shape.rows),
-                    static_cast<long long>(tuned.blockRows),
-                    tuned.shards);
+        std::printf("best: blockRows=%lld (%.0f rows/s); "
+                    "tunedPipelineFor(%lld) -> blockRows=%lld\n\n",
+                    static_cast<long long>(best_block), best_rate,
+                    static_cast<long long>(shape.rows),
+                    static_cast<long long>(tunedPipelineFor(shape.rows)));
         // Headline: the first shape in the list (the largest pass).
         if (headline_name.empty()) {
             headline_name = shape.name;
             headline_best = best_rate;
             headline_default = default_rate;
             headline_block = best_block;
-            headline_shards = best_shards;
         }
     }
 
@@ -151,7 +135,6 @@ main()
                                     ? headline_best / headline_default
                                     : 1.0)
         .config("blockRows", headline_block)
-        .config("shards", headline_shards)
         .config("threads", threads)
         .config("bits", kBits);
     bench::stdConfig(line);

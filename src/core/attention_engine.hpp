@@ -36,7 +36,7 @@ class AttentionEngine
   public:
     /**
      * Run through a caller-provided MCACHE: builds an internal
-     * single-shard DetectionFrontend view over it.
+     * DetectionFrontend over it.
      *
      * @param cache    MCACHE instance (tag machinery only; whole
      *                 output rows travel by FC-style forwarding)

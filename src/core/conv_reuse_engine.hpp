@@ -105,13 +105,12 @@ class ConvReuseEngine
   public:
     /**
      * Run through a caller-provided MCACHE: builds an internal
-     * DetectionFrontend view over it.
+     * DetectionFrontend over it.
      *
      * @param cache    MCACHE instance to run through
      * @param sig_bits signature length for detection
      * @param seed     seed for the per-layer random projection
-     * @param pipe     pipeline knobs (block size, threads; the
-     *                 external cache is always a single shard)
+     * @param pipe     pipeline knobs (block size, threads, overlap)
      */
     ConvReuseEngine(MCache &cache, int sig_bits, uint64_t seed,
                     const PipelineConfig &pipe = {});

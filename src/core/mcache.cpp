@@ -46,16 +46,11 @@ MCache::line(int64_t entry_id) const
     return lines_[static_cast<size_t>(entry_id)];
 }
 
-int
-MCache::setIndexOf(const Signature &sig) const
-{
-    return static_cast<int>(sig.hash() % static_cast<uint64_t>(sets_));
-}
-
 McacheResult
 MCache::lookupOrInsert(const Signature &sig)
 {
-    return lookupOrInsertInSet(setIndexOf(sig), sig.bits(), sig.words());
+    return lookupOrInsertInSet(setIndexOf(sig.bits(), sig.words()),
+                               sig.bits(), sig.words());
 }
 
 namespace {
@@ -96,10 +91,13 @@ MCache::lookupOrInsertInSet(int set, int bits, const uint64_t *words)
     for (int w = 0; w < ways_; ++w) {
         Line &l = lines_[static_cast<size_t>(base + w)];
         if (!l.validTag) {
-            if (quotaGate_ && !quotaGate_->tryReserve(insertTenant_)) {
+            int64_t *held = quotaCount(insertTenant_);
+            if (held && *held >= quota_) {
                 ++stats_.mnu;
                 return {McacheOutcome::Mnu, -1};
             }
+            if (held)
+                ++*held;
             l.tag = Signature::fromWords(bits, words);
             l.validTag = true;
             l.epoch = epoch_;
@@ -123,11 +121,55 @@ MCache::noteInstalled(int64_t entry_id)
         installedOverflow_ = true;
 }
 
+int64_t *
+MCache::quotaCount(int tenant)
+{
+    if (quota_ == 0 || tenant < 0)
+        return nullptr; // no quota, or an unowned line
+    if (tenant >= quotaTenants())
+        panic("tenant id ", tenant, " out of quota range 0..",
+              quotaTenants() - 1);
+    return &tenantLines_[static_cast<size_t>(tenant)];
+}
+
+void
+MCache::countQuotaLine(int tenant)
+{
+    int64_t *held = quotaCount(tenant);
+    if (!held)
+        return;
+    if (*held >= quota_)
+        panic("tenant ", tenant, " holds more lines than its quota of ",
+              quota_);
+    ++*held;
+}
+
+void
+MCache::setTenantQuota(int64_t entries, int max_tenants)
+{
+    quota_ = std::max<int64_t>(entries, 0);
+    const int tenants = quota_ > 0 ? std::max(max_tenants, 0) : 0;
+    tenantLines_.assign(static_cast<size_t>(tenants), 0);
+    for (const Line &l : lines_)
+        if (l.validTag)
+            countQuotaLine(l.tenant);
+}
+
+int64_t
+MCache::tenantReserved(int tenant) const
+{
+    if (tenant < 0 || tenant >= quotaTenants())
+        return 0;
+    return tenantLines_[static_cast<size_t>(tenant)];
+}
+
 void
 MCache::resetLine(Line &l)
 {
-    if (l.validTag && quotaGate_)
-        quotaGate_->release(l.tenant);
+    if (l.validTag) {
+        if (int64_t *held = quotaCount(l.tenant))
+            --*held;
+    }
     l.validTag = false;
     l.epoch = 0;
     l.tenant = -1;
@@ -247,8 +289,8 @@ MCache::pinCount(int64_t entry_id) const
 void
 MCache::evictLine(Line &l)
 {
-    if (quotaGate_)
-        quotaGate_->release(l.tenant);
+    if (int64_t *held = quotaCount(l.tenant))
+        --*held;
     l.validTag = false;
     l.epoch = 0;
     l.tenant = -1;
@@ -287,6 +329,7 @@ MCache::restoreLine(int64_t entry_id, const Signature &sig,
     Line &l = line(entry_id);
     if (l.validTag)
         panic("MCACHE restore into an occupied line: entry ", entry_id);
+    countQuotaLine(tenant);
     l.tag = sig;
     l.validTag = true;
     l.epoch = epoch;

@@ -25,6 +25,11 @@
  * their owner row's result. `dataVersions` stays part of the organization — the
  * cycle model charges the Fig. 11 version constraint, and replay
  * records and snapshots carry it.
+ *
+ * An MCache takes no locks: one thread at a time touches a cache.
+ * The detection pipeline probes on its driving thread only, and the
+ * serving layer orders the jobs that reach a cache (see
+ * docs/ARCHITECTURE.md, "Who touches a cache").
  */
 
 #ifndef MERCURY_CORE_MCACHE_HPP
@@ -54,23 +59,6 @@ struct McacheResult
 {
     McacheOutcome outcome = McacheOutcome::Mnu;
     int64_t entryId = -1; ///< dense id (set * ways + way), -1 for MNU
-};
-
-/**
- * Capacity gate consulted before a tag insert claims a line for a
- * tenant (serving layer: per-tenant quota over a shared cache). A
- * rejected reservation turns the insert into MNU. Implementations
- * must pair every successful tryReserve with exactly one release when
- * the line is evicted or cleared.
- */
-class McacheQuotaGate
-{
-  public:
-    virtual ~McacheQuotaGate() = default;
-    /** Reserve one line for `tenant`; false rejects the insert. */
-    virtual bool tryReserve(int tenant) = 0;
-    /** Return one line previously reserved for `tenant`. */
-    virtual void release(int tenant) = 0;
 };
 
 /** Lifetime probe outcome counts of one MCACHE. */
@@ -106,11 +94,10 @@ class MCache
     /**
      * lookupOrInsert of the signature whose packed words are `words`
      * (Signature::words layout, bits past `bits` zero), with an
-     * externally computed set index. This is the sharded entry point
-     * (pipeline/sharded_mcache.hpp): a shard owns a contiguous range
-     * of the global sets and addresses its local sets directly, so
-     * the signature hash is taken once at the front of the pipeline,
-     * and the probe compares the hash job's packed words as they are.
+     * externally computed set index (setIndexOf). The detection
+     * pipeline's entry point: its hash tasks take each row's set index
+     * off the probing thread, and the probe compares the hash job's
+     * packed words as they are.
      */
     McacheResult lookupOrInsertInSet(int set, int bits,
                                      const uint64_t *words);
@@ -124,8 +111,12 @@ class MCache
      */
     void clear();
 
-    /** Set index a signature maps to (exposed for tests). */
-    int setIndexOf(const Signature &sig) const;
+    /** Set index of the signature with these packed words. */
+    int setIndexOf(int bits, const uint64_t *words) const
+    {
+        return static_cast<int>(Signature::hashWords(bits, words) %
+                                static_cast<uint64_t>(sets_));
+    }
 
     /**
      * Software-prefetch the set's lines ahead of a probe. A pure
@@ -175,8 +166,25 @@ class MCache
     void setInsertTenant(int tenant) { insertTenant_ = tenant; }
     int insertTenant() const { return insertTenant_; }
 
-    /** Gate consulted before each insert; nullptr admits everything. */
-    void setQuotaGate(McacheQuotaGate *gate) { quotaGate_ = gate; }
+    /**
+     * Per-tenant line quota (serving layer, one cache shared by
+     * tenants): once a tenant holds `entries` valid lines, its further
+     * inserts become MNU until eviction or clear() frees lines.
+     * Tenants are ids in [0, max_tenants); unowned lines (-1) are
+     * never counted. `entries` <= 0 switches the quota off. Counts the
+     * lines the cache already holds, which must fit the quota.
+     */
+    void setTenantQuota(int64_t entries, int max_tenants = 64);
+    int64_t tenantQuota() const { return quota_; }
+
+    /** Tenant ids the quota covers: [0, quotaTenants()). */
+    int quotaTenants() const
+    {
+        return static_cast<int>(tenantLines_.size());
+    }
+
+    /** Valid lines counted against `tenant`'s quota (0 when off). */
+    int64_t tenantReserved(int tenant) const;
 
     /** Last-touch epoch of a line (insert-stamped, HIT-refreshed). */
     uint64_t entryEpoch(int64_t entry_id) const;
@@ -211,9 +219,9 @@ class MCache
     /**
      * Snapshot restore: install a tag plus lifecycle metadata into an
      * empty line (panics if the line already holds a valid tag — the
-     * restore target must be cleared first). The quota gate is
-     * bypassed; callers recount reservations afterwards
-     * (ShardedMCache::recountTenantReservations).
+     * restore target must be cleared first). The line counts against
+     * its tenant's quota; a line the quota cannot take panics, so
+     * callers check the whole section first (Snapshot::restoreCache).
      */
     void restoreLine(int64_t entry_id, const Signature &sig,
                      uint64_t epoch, int tenant);
@@ -242,7 +250,8 @@ class MCache
     bool installedOverflow_ = false; ///< list full: clear walks all
     uint64_t epoch_ = 0;
     int insertTenant_ = -1;
-    McacheQuotaGate *quotaGate_ = nullptr;
+    int64_t quota_ = 0;                ///< per-tenant line quota, 0 = off
+    std::vector<int64_t> tenantLines_; ///< quota'd lines per tenant id
     McacheCounters stats_;
 
     Line &line(int64_t entry_id);
@@ -250,6 +259,8 @@ class MCache
     void evictLine(Line &l);
     void noteInstalled(int64_t entry_id);
     void resetLine(Line &l);
+    int64_t *quotaCount(int tenant);
+    void countQuotaLine(int tenant);
 };
 
 } // namespace mercury

@@ -23,11 +23,9 @@ MercuryAccelerator::MercuryAccelerator(const AcceleratorConfig &cfg,
 {
     if (model_.empty())
         fatal("MercuryAccelerator needs at least one layer");
-    if (cfg.pipelineBlockRows <= 0 || cfg.pipelineShards <= 0 ||
-        cfg.pipelineThreads < 0) {
+    if (cfg.pipelineBlockRows <= 0 || cfg.pipelineThreads < 0) {
         fatal("invalid detection-pipeline knobs: blockRows ",
-              cfg.pipelineBlockRows, ", shards ", cfg.pipelineShards,
-              ", threads ", cfg.pipelineThreads);
+              cfg.pipelineBlockRows, ", threads ", cfg.pipelineThreads);
     }
 }
 

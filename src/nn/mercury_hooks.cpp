@@ -37,17 +37,15 @@ MercuryContext::setPipeline(const PipelineConfig &pipe)
     pool_.reset();
 }
 
-ShardedMCache &
+MCache &
 MercuryContext::sharedCache()
 {
-    if (!shared_) {
-        shared_ = std::make_unique<ShardedMCache>(
-            sets_, ways_, versions_, pipeline_.resolvedShards());
-    }
+    if (!shared_)
+        shared_ = std::make_unique<MCache>(sets_, ways_, versions_);
     return *shared_;
 }
 
-ShardedMCache &
+MCache &
 MercuryContext::cacheForLayer(uint64_t layer_id)
 {
     if (cacheProvider_)
@@ -60,8 +58,7 @@ MercuryContext::cacheForLayer(uint64_t layer_id)
     // context's lifecycle state.
     auto it = perLayer_.find(layer_id);
     if (it == perLayer_.end()) {
-        auto cache = std::make_unique<ShardedMCache>(
-            sets_, ways_, versions_, pipeline_.resolvedShards());
+        auto cache = std::make_unique<MCache>(sets_, ways_, versions_);
         cache->setEpoch(epoch_);
         cache->setInsertTenant(tenant_);
         it = perLayer_.emplace(layer_id, std::move(cache)).first;
@@ -121,7 +118,7 @@ MercuryContext::persistentCacheIds() const
     return ids;
 }
 
-ShardedMCache &
+MCache &
 MercuryContext::persistentCache(uint64_t layer_id)
 {
     auto it = perLayer_.find(layer_id);
@@ -147,12 +144,11 @@ MercuryContext::frontendFor(uint64_t layer_id)
     // rarely forces a rebuild; extra columns never change the bits
     // actually used.
     const int max_bits = std::max(64, (sigBits_ + 63) / 64 * 64);
-    // One sharded cache with the context's organization shared by
-    // every layer (not a view of cache_), so the shards knob actually
-    // parallelizes the probe stage without an MCACHE allocation per
-    // layer; identical results either way, as each detection pass
-    // clears the cache. Persistent mode swaps in per-layer (or
-    // provider-owned) caches instead — see cacheForLayer.
+    // One cache with the context's organization shared by every
+    // layer, so there is no MCACHE allocation per layer; sound because
+    // each detection pass clears the cache. Persistent mode swaps in
+    // per-layer (or provider-owned) caches instead — see
+    // cacheForLayer.
     auto frontend = std::make_unique<DetectionFrontend>(
         cacheForLayer(layer_id), max_bits, layerSeed(layer_id),
         pipeline_);

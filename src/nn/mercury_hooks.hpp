@@ -68,8 +68,8 @@ class MercuryContext
     void setPipeline(const PipelineConfig &pipe);
 
     /**
-     * The layer's detection front-end: the context's shared sharded
-     * MCACHE with the layer's projection seed, cached across
+     * The layer's detection front-end: the context's shared MCACHE
+     * with the layer's projection seed, cached across
      * forward passes so pools and RPQ engines are built once, and
      * running on one worker pool shared by every layer. Sharing one
      * cache across layers is sound because every detection pass
@@ -91,9 +91,9 @@ class MercuryContext
     // MCACHE, so the cross-layer shared cache of the default mode is
     // no longer sound (different layers hash with different
     // projections). The context then gives every layer its own
-    // private ShardedMCache — unless an external provider is
-    // installed, in which case the caller (MercuryServer) owns the
-    // per-layer caches and may share them across contexts/tenants.
+    // private MCache — unless an external provider is installed, in
+    // which case the caller (MercuryServer) owns the per-layer caches
+    // and may share them across contexts/tenants.
 
     /**
      * Externally owned per-layer caches: when set, frontendFor binds
@@ -104,7 +104,7 @@ class MercuryContext
      * Installing a provider discards the cached frontends; installing
      * nullptr reverts to context-owned caches.
      */
-    using LayerCacheProvider = std::function<ShardedMCache &(uint64_t)>;
+    using LayerCacheProvider = std::function<MCache &(uint64_t)>;
     void setLayerCacheProvider(LayerCacheProvider provider);
 
     /**
@@ -134,7 +134,7 @@ class MercuryContext
     std::vector<uint64_t> persistentCacheIds() const;
 
     /** A layer's context-owned persistent cache; panics if absent. */
-    ShardedMCache &persistentCache(uint64_t layer_id);
+    MCache &persistentCache(uint64_t layer_id);
 
     /**
      * Reuse saved signatures in the backward pass (§III-C2): when
@@ -202,10 +202,10 @@ class MercuryContext
     // Pool and cache must outlive the frontends holding pointers to
     // them (members destroy in reverse declaration order).
     std::unique_ptr<ThreadPool> pool_;         // shared by all frontends
-    std::unique_ptr<ShardedMCache> shared_;    // shared by all frontends
+    std::unique_ptr<MCache> shared_;           // shared by all frontends
     /// Per-layer private caches of persistent mode (see
     /// setLayerCacheProvider); must outlive frontends_ too.
-    std::map<uint64_t, std::unique_ptr<ShardedMCache>> perLayer_;
+    std::map<uint64_t, std::unique_ptr<MCache>> perLayer_;
     LayerCacheProvider cacheProvider_;
     int tenant_ = -1;
     uint64_t epoch_ = 0;
@@ -215,8 +215,8 @@ class MercuryContext
     ReuseStats weightGradTotals_;
 
     ThreadPool *sharedPool();
-    ShardedMCache &sharedCache();
-    ShardedMCache &cacheForLayer(uint64_t layer_id);
+    MCache &sharedCache();
+    MCache &cacheForLayer(uint64_t layer_id);
 };
 
 } // namespace mercury

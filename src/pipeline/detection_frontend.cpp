@@ -10,8 +10,7 @@ namespace mercury {
 DetectionFrontend::DetectionFrontend(int sets, int ways, int data_versions,
                                      int max_bits, uint64_t seed,
                                      PipelineConfig pipe)
-    : ownedCache_(std::make_unique<ShardedMCache>(
-          sets, ways, data_versions, pipe.resolvedShards())),
+    : ownedCache_(std::make_unique<MCache>(sets, ways, data_versions)),
       cache_(ownedCache_.get()), pipe_(pipe), maxBits_(max_bits),
       seed_(seed)
 {
@@ -20,16 +19,6 @@ DetectionFrontend::DetectionFrontend(int sets, int ways, int data_versions,
 }
 
 DetectionFrontend::DetectionFrontend(MCache &cache, int max_bits,
-                                     uint64_t seed, PipelineConfig pipe)
-    : ownedCache_(std::make_unique<ShardedMCache>(cache)),
-      cache_(ownedCache_.get()), pipe_(pipe), maxBits_(max_bits),
-      seed_(seed)
-{
-    if (max_bits <= 0)
-        panic("DetectionFrontend needs positive max signature bits");
-}
-
-DetectionFrontend::DetectionFrontend(ShardedMCache &cache, int max_bits,
                                      uint64_t seed, PipelineConfig pipe)
     : cache_(&cache), pipe_(pipe), maxBits_(max_bits), seed_(seed)
 {
@@ -107,17 +96,13 @@ SignatureRecord::Pass
 DetectionFrontend::finishStream(DetectionHashJob &job,
                                 const BlockConsumer &on_block)
 {
-    ThreadPool *pool = poolFor();
-    const PipelineConfig &rp = resolvedPipeFor(job.rowCount());
-    // One lock rule for every pass: shard locks engage only when the
-    // pass resolved overlapped on a pool. Probes only ever run on this
-    // thread, so every other pass runs lock-free. The cache is
-    // quiescent here (one thread drives passes, and engines join their
-    // chains before re-entering) even though this job's *hash* half
-    // may already be in flight — hashing touches no cache state.
-    cache_->setConcurrent(rp.overlap == OverlapMode::On && pool != nullptr);
+    // Probes run on this thread only, and the engines join their
+    // chains before re-entering, so no other thread touches the cache
+    // while this job's hash half may still be in flight: hashing reads
+    // only the cache geometry.
     DetectionPipeline pipeline(rpqFor(job.vectorDim()), *cache_,
-                               job.signatureBits(), rp, pool);
+                               job.signatureBits(),
+                               resolvedPipeFor(job.rowCount()), poolFor());
     return pipeline.finishStreaming(job, on_block);
 }
 

@@ -3,18 +3,18 @@
  * DetectionFrontend: the one-stop similarity front-end the reuse
  * engines, workloads, and NN hooks consume.
  *
- * A frontend owns (or wraps) the MCACHE, provisions an RPQEngine per
- * vector dimension on demand, and routes every detection pass through
- * the streaming DetectionPipeline — so callers no longer assemble
- * RPQEngine + MCache + SimilarityDetector by hand, and every consumer
- * picks up the pipeline knobs (block size, shards, threads) from one
- * place. Every pass is the same two halves, beginHashStream and
- * finishStream; detect() is the two with no consumer. Replays do not
- * come through here: ReuseRuntime hands a recorded pass's row ranges
- * to its consumers directly.
+ * A frontend owns (or borrows) the MCACHE, provisions an RPQEngine
+ * per vector dimension on demand, and routes every detection pass
+ * through the streaming DetectionPipeline — so callers no longer
+ * assemble RPQEngine + MCache + SimilarityDetector by hand, and every
+ * consumer picks up the pipeline knobs (block size, threads, overlap)
+ * from one place. Every pass is the same two halves, beginHashStream
+ * and finishStream; detect() is the two with no consumer. Replays do
+ * not come through here: ReuseRuntime hands a recorded pass's row
+ * ranges to its consumers directly.
  *
- * Results are bit-identical to SimilarityDetector over a monolithic
- * MCache for any block size, shard count and thread count.
+ * Results are bit-identical to SimilarityDetector over the same
+ * MCache organization for any block size and thread count.
  *
  * Concurrency contract: one thread drives a frontend's detection
  * passes (detect / detectStream / detectSampled) at a time — the
@@ -30,9 +30,9 @@
 #include <map>
 #include <memory>
 
+#include "core/mcache.hpp"
 #include "core/rpq.hpp"
 #include "pipeline/detection_pipeline.hpp"
-#include "pipeline/sharded_mcache.hpp"
 #include "pipeline/signature_record.hpp"
 #include "sim/config.hpp"
 #include "util/thread_pool.hpp"
@@ -44,7 +44,7 @@ class DetectionFrontend
 {
   public:
     /**
-     * Owning form: builds a ShardedMCache with the given organization.
+     * Owning form: builds an MCache with the given organization.
      *
      * @param sets / ways / data_versions  MCACHE organization
      * @param max_bits  maximum signature length to provision per RPQ
@@ -55,21 +55,15 @@ class DetectionFrontend
                       uint64_t seed, PipelineConfig pipe = {});
 
     /**
-     * View form: wrap an externally owned MCache (single shard). This
-     * is how the legacy engine constructors share a caller-provided
-     * cache; stage-1 blocking and threading still apply.
+     * Borrowing form: run against an externally owned MCache, which
+     * must outlive the frontend. The legacy engine constructors share
+     * a caller-provided cache this way, and many frontends (e.g. one
+     * per NN layer, each with its own projection seed) share one
+     * MCACHE allocation — fine because every non-persistent pass
+     * clears the cache first. Stage-1 blocking and threading still
+     * apply.
      */
     DetectionFrontend(MCache &cache, int max_bits, uint64_t seed,
-                      PipelineConfig pipe = {});
-
-    /**
-     * Shared-cache form: run against an externally owned sharded
-     * cache, which must outlive the frontend. Lets many frontends
-     * (e.g. one per NN layer, each with its own projection seed)
-     * share one MCACHE allocation; fine because every detection pass
-     * clears the cache first.
-     */
-    DetectionFrontend(ShardedMCache &cache, int max_bits, uint64_t seed,
                       PipelineConfig pipe = {});
 
     /** MCACHE organization + pipeline knobs from an accelerator cfg. */
@@ -129,9 +123,7 @@ class DetectionFrontend
 
     /**
      * Probe-and-deliver half of a pass begun with beginHashStream;
-     * returns the pass. Engages the shard locks only when the pass
-     * resolved overlapped on a pool: probes run on the calling thread
-     * alone.
+     * returns the pass. The probes run on the calling thread alone.
      */
     SignatureRecord::Pass finishStream(DetectionHashJob &job,
                                        const BlockConsumer &on_block);
@@ -165,8 +157,7 @@ class DetectionFrontend
      * first pass of a shape — and knobResolutions() makes the
      * once-per-shape property assertable. `pipe_` is immutable after
      * construction, so memoized entries never go stale. Driving
-     * thread only, like every pass entry point. (resolvedShards is
-     * already resolved once, at cache construction.)
+     * thread only, like every pass entry point.
      */
     const PipelineConfig &resolvedPipeFor(int64_t rows);
 
@@ -181,17 +172,17 @@ class DetectionFrontend
     HitMix detectSampled(const Tensor &rows, int bits,
                          int64_t max_sample);
 
-    /** The sharded cache behind the frontend. */
-    ShardedMCache &cache() { return *cache_; }
-    const ShardedMCache &cache() const { return *cache_; }
+    /** The cache behind the frontend. */
+    MCache &cache() { return *cache_; }
+    const MCache &cache() const { return *cache_; }
 
     /** MCACHE organization the engines size their buffers from. */
     int dataVersions() const { return cache_->dataVersions(); }
     int64_t entries() const { return cache_->entries(); }
 
   private:
-    std::unique_ptr<ShardedMCache> ownedCache_;
-    ShardedMCache *cache_; // owned or external
+    std::unique_ptr<MCache> ownedCache_;
+    MCache *cache_; // owned or external
     PipelineConfig pipe_;
     int maxBits_;
     uint64_t seed_;
@@ -206,15 +197,15 @@ class DetectionFrontend
 };
 
 /**
- * Owned-or-shared frontend binding for the reuse engines: wraps a
- * caller-provided MCache in a private frontend view, or references a
+ * Owned-or-shared frontend binding for the reuse engines: runs a
+ * private frontend over a caller-provided MCache, or references a
  * shared DetectionFrontend, validating the signature length once in
  * one place for every engine.
  */
 class FrontendHandle
 {
   public:
-    /** Private frontend view over a caller-owned cache. */
+    /** Private frontend over a caller-owned cache. */
     FrontendHandle(MCache &cache, int sig_bits, uint64_t seed,
                    const PipelineConfig &pipe, const char *engine);
 

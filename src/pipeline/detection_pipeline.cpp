@@ -17,23 +17,10 @@ PipelineConfig::fromConfig(const AcceleratorConfig &cfg)
 {
     PipelineConfig pipe;
     pipe.blockRows = cfg.pipelineBlockRows;
-    pipe.shards = cfg.pipelineShards;
     pipe.threads = cfg.pipelineThreads;
     pipe.overlap = cfg.overlapDetection;
     pipe.persistent = cfg.persistentCache;
     return pipe;
-}
-
-int
-PipelineConfig::resolvedShards() const
-{
-    if (shards != 0)
-        return shards;
-    // The band depends only on the probe parallelism available, not
-    // the pass size (tunedPipelineFor keeps shards constant across
-    // row bands).
-    return tunedPipelineFor(1, ThreadPool::resolveThreads(threads))
-        .shards;
 }
 
 OverlapMode
@@ -57,17 +44,13 @@ PipelineConfig::resolvedFor(int64_t rows) const
 {
     PipelineConfig resolved = *this;
     resolved.overlap = resolvedOverlapFor(rows);
-    if (blockRows == 0) {
-        resolved.blockRows =
-            tunedPipelineFor(std::max<int64_t>(rows, 1),
-                             ThreadPool::resolveThreads(threads))
-                .blockRows;
-    }
+    if (blockRows == 0)
+        resolved.blockRows = tunedPipelineFor(std::max<int64_t>(rows, 1));
     return resolved;
 }
 
 DetectionPipeline::DetectionPipeline(const RPQEngine &rpq,
-                                     ShardedMCache &cache, int bits,
+                                     MCache &cache, int bits,
                                      const PipelineConfig &cfg,
                                      ThreadPool *pool)
     : rpq_(rpq), cache_(cache), bits_(bits), cfg_(cfg), pool_(pool)
@@ -81,7 +64,7 @@ DetectionPipeline::DetectionPipeline(const RPQEngine &rpq,
 }
 
 DetectionHashJob::DetectionHashJob(const Tensor &rows, const RPQEngine &rpq,
-                                   const ShardedMCache &cache, int bits,
+                                   const MCache &cache, int bits,
                                    int64_t block_rows, RowFiller fill)
     : rows_(rows), fill_(std::move(fill)), rpq_(rpq), cache_(cache),
       bits_(bits), blockRows_(block_rows), n_(rows.dim(0)),
@@ -197,10 +180,10 @@ DetectionPipeline::finishStreaming(DetectionHashJob &job,
     if (n == 0)
         return std::move(pass);
 
-    // Stage 2 + hand-off: probe one hashed block in global stream
-    // order (caller thread only, so every MCACHE set sees the
-    // monolithic cache's order), write each row's outcome and entry id
-    // into the pass, count the mix, and deliver the block.
+    // Stage 2 + hand-off: probe one hashed block in stream order
+    // (caller thread only, so every MCACHE set sees the legacy
+    // detector's order), write each row's outcome and entry id into
+    // the pass, count the mix, and deliver the block.
     int64_t counts[3] = {0, 0, 0}; // indexed by McacheOutcome
     const auto probe_and_deliver = [&](int64_t b) {
         const int64_t r0 = b * job.blockRows_;

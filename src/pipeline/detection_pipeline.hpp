@@ -11,19 +11,19 @@
  *     all signature filters at once (RPQEngine::signatureWords), the
  *     software analogue of streaming the PE array with a whole batch,
  *     and sign-packed straight into the pass's packed words;
- *  2. MCACHE probing — each hashed block is probed in global stream
- *     order on the calling thread, so every shard of the ShardedMCache
- *     sees its signatures in exactly the monolithic cache's order. The
- *     probe compares the packed words, writes each row's outcome and
- *     entry id into the pass and counts the mix.
+ *  2. MCACHE probing — each hashed block is probed in stream order on
+ *     the calling thread, so every MCACHE set sees its signatures in
+ *     the legacy detector's order. The probe compares the packed
+ *     words, writes each row's outcome and entry id into the pass and
+ *     counts the mix.
  *
  * The finished pass is the result: the caller reads its mix, or moves
  * it into a SignatureRecord (§III-C2). No Signature, Hitmap or
  * SignatureTable is built on the way.
  *
  * Stage 1 runs across a ThreadPool when one is supplied. Every
- * configuration — any block size, shard count, or thread count,
- * including the threads = 1 degenerate case — produces results
+ * configuration — any block size or thread count, including the
+ * threads = 1 degenerate case — produces results
  * bit-identical to the legacy detector: projections accumulate in the
  * same element order, and each MCACHE set sees its signatures in the
  * same stream order.
@@ -55,8 +55,8 @@
 #include <mutex>
 #include <vector>
 
+#include "core/mcache.hpp"
 #include "core/rpq.hpp"
-#include "pipeline/sharded_mcache.hpp"
 #include "pipeline/signature_record.hpp"
 #include "sim/config.hpp"
 #include "util/executors.hpp"
@@ -74,14 +74,6 @@ struct PipelineConfig
      * (tunedPipelineFor, bench/sweep_tuning).
      */
     int64_t blockRows = 64;
-
-    /**
-     * MCACHE shards (clamped to the set count). 0 = auto: resolved at
-     * cache construction to the thread-scaled band (resolvedShards).
-     * Probes run on one thread, so this sets only the layout of the
-     * cache (and the lock granularity of overlapped passes).
-     */
-    int shards = 4;
 
     /** Worker threads: 1 = run inline on the caller, 0 = auto. */
     int threads = 1;
@@ -141,14 +133,6 @@ struct PipelineConfig
      * resolvedOverlapFor; explicit values pass through untouched.
      */
     PipelineConfig resolvedFor(int64_t rows) const;
-
-    /**
-     * Effective shard count for MCACHE construction: shards == 0
-     * (auto) resolves to the tunedPipelineFor band for the resolved
-     * thread count; explicit values pass through untouched (the
-     * ShardedMCache still clamps to its set count).
-     */
-    int resolvedShards() const;
 };
 
 /**
@@ -233,7 +217,7 @@ class DetectionHashJob
     friend class DetectionPipeline;
 
     DetectionHashJob(const Tensor &rows, const RPQEngine &rpq,
-                     const ShardedMCache &cache, int bits,
+                     const MCache &cache, int bits,
                      int64_t block_rows, RowFiller fill);
 
     void projectBlock(int64_t b);
@@ -248,7 +232,7 @@ class DetectionHashJob
     const Tensor &rows_;
     RowFiller fill_; ///< fused extraction; empty = rows pre-filled
     const RPQEngine &rpq_;
-    const ShardedMCache &cache_; // geometry reads only while hashing
+    const MCache &cache_; // geometry reads only while hashing
     int bits_;
     int64_t blockRows_;
     int64_t n_;
@@ -272,12 +256,12 @@ class DetectionPipeline
   public:
     /**
      * @param rpq   signature engine for this vector dimension
-     * @param cache sharded MCACHE (cleared at the start of each pass)
+     * @param cache MCACHE (cleared at the start of each pass)
      * @param bits  signature length
-     * @param cfg   block size / shard / thread knobs
+     * @param cfg   block size / thread / overlap knobs
      * @param pool  worker pool for threads > 1; nullptr runs inline
      */
-    DetectionPipeline(const RPQEngine &rpq, ShardedMCache &cache, int bits,
+    DetectionPipeline(const RPQEngine &rpq, MCache &cache, int bits,
                       const PipelineConfig &cfg, ThreadPool *pool = nullptr);
 
     /**
@@ -322,7 +306,7 @@ class DetectionPipeline
 
   private:
     const RPQEngine &rpq_;
-    ShardedMCache &cache_;
+    MCache &cache_;
     int bits_;
     PipelineConfig cfg_;
     ThreadPool *pool_;

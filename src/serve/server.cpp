@@ -38,6 +38,11 @@ struct SessionHandle::Session
     std::unique_ptr<SerialExecutor> chain;
     std::atomic<int> queued{0};
     std::atomic<int64_t> lastJobUs{1000}; ///< retry-after seed: 1 ms
+    /// Set by the first disconnect() of any copy of the handle.
+    /// submit() reads it under closeMutex, so once close has begun no
+    /// job is accepted and the drain that follows sees every job.
+    std::mutex closeMutex;
+    bool closed = false;
 
     Session(int tenant_id, MercuryServer *srv, const ServeConfig &cfg)
         : tenant(tenant_id), server(srv),
@@ -66,20 +71,30 @@ JobTicket::ready() const
 
 // ---- SessionHandle ---------------------------------------------------
 
+bool
+SessionHandle::valid() const
+{
+    if (!session_)
+        return false;
+    std::lock_guard<std::mutex> lock(session_->closeMutex);
+    return !session_->closed;
+}
+
 int
 SessionHandle::tenant() const
 {
-    if (!session_)
-        panic("tenant() on an invalid session handle");
-    return session_->tenant;
+    return valid() ? session_->tenant : -1;
 }
 
 SubmitStatus
 SessionHandle::submit(JobRequest req)
 {
     if (!session_)
-        panic("submit() on an invalid session handle");
+        return {};
     Session &s = *session_;
+    std::lock_guard<std::mutex> close_lock(s.closeMutex);
+    if (s.closed)
+        return {};
     const int queued = s.queued.load(std::memory_order_relaxed);
     if (queued >= server_->cfg_.maxQueuedPerSession) {
         server_->jobsRejected_.fetch_add(1, std::memory_order_relaxed);
@@ -119,20 +134,25 @@ SessionHandle::submit(JobRequest req)
 void
 SessionHandle::drain()
 {
-    if (!session_)
-        panic("drain() on an invalid session handle");
-    session_->chain->wait();
+    if (valid())
+        session_->chain->wait();
 }
 
 void
 SessionHandle::disconnect()
 {
-    if (!session_)
-        panic("disconnect() on an invalid session handle");
-    drain();
-    server_->releaseSession(session_->tenant);
-    session_.reset();
-    server_ = nullptr;
+    const std::shared_ptr<Session> s = std::move(session_);
+    MercuryServer *server = std::exchange(server_, nullptr);
+    if (!s)
+        return;
+    {
+        std::lock_guard<std::mutex> lock(s->closeMutex);
+        if (s->closed)
+            return; // another copy closed the session
+        s->closed = true;
+    }
+    s->chain->wait();
+    server->releaseSession(*s);
 }
 
 // ---- MercuryServer ---------------------------------------------------
@@ -161,7 +181,6 @@ MercuryServer::MercuryServer(const ServeConfig &cfg)
     acfg.mcacheDataVersions = cfg_.dataVersions;
     acfg.initialSignatureBits = cfg_.signatureBits;
     acfg.pipelineBlockRows = pipe_.blockRows;
-    acfg.pipelineShards = pipe_.shards;
     acfg.pipelineThreads = pipe_.threads;
     acfg.overlapDetection = pipe_.overlap;
     acfg.persistentCache = true;
@@ -205,7 +224,7 @@ MercuryServer::connect(int tenant)
     const int cache_tenant =
         cfg_.cacheMode == CacheMode::PerTenant ? tenant : -1;
     session->ctx.setLayerCacheProvider(
-        [this, cache_tenant](uint64_t layer_id) -> ShardedMCache & {
+        [this, cache_tenant](uint64_t layer_id) -> MCache & {
             return cacheSlot(cache_tenant, layer_id);
         });
     session->chain = std::make_unique<SerialExecutor>(pool_.get());
@@ -218,13 +237,17 @@ MercuryServer::connect(int tenant)
 }
 
 void
-MercuryServer::releaseSession(int tenant)
+MercuryServer::releaseSession(const SessionHandle::Session &s)
 {
+    // Erase the tenant's entry only if it is still this session: the
+    // tenant may have reconnected since.
     std::lock_guard<std::mutex> lock(sessionsMutex_);
-    sessions_.erase(tenant);
+    const auto it = sessions_.find(s.tenant);
+    if (it != sessions_.end() && it->second.get() == &s)
+        sessions_.erase(it);
 }
 
-ShardedMCache &
+MCache &
 MercuryServer::cacheSlot(int tenant, uint64_t layer_id)
 {
     std::lock_guard<std::mutex> lock(cachesMutex_);
@@ -232,12 +255,7 @@ MercuryServer::cacheSlot(int tenant, uint64_t layer_id)
         tenant >= 0 ? tenantCaches_[tenant] : sharedCaches_;
     auto it = slot.find(layer_id);
     if (it == slot.end()) {
-        auto cache = std::make_unique<ShardedMCache>(
-            cfg_.sets, cfg_.ways, cfg_.dataVersions,
-            pipe_.resolvedShards());
-        if (tenant < 0 && cfg_.cacheMode == CacheMode::SharedQuota)
-            cache->setTenantQuota(cfg_.tenantQuotaEntries,
-                                  cfg_.maxTenants);
+        auto cache = newCache(tenant);
         cache->setEpoch(tenant >= 0 ? tenantEpochs_[tenant]
                                     : sharedEpoch_);
         cache->setInsertTenant(tenant >= 0 ? tenant
@@ -247,15 +265,25 @@ MercuryServer::cacheSlot(int tenant, uint64_t layer_id)
     return *it->second;
 }
 
+std::unique_ptr<MCache>
+MercuryServer::newCache(int tenant) const
+{
+    auto cache = std::make_unique<MCache>(cfg_.sets, cfg_.ways,
+                                          cfg_.dataVersions);
+    if (tenant < 0 && cfg_.cacheMode == CacheMode::SharedQuota)
+        cache->setTenantQuota(cfg_.tenantQuotaEntries, cfg_.maxTenants);
+    return cache;
+}
+
 void
 MercuryServer::runJob(SessionHandle::Session &s, JobRequest &req,
                       JobResult &out)
 {
     // Shared modes: whole cache-touching jobs are serialized across
-    // sessions (the pass-guard discipline): eviction, epoch stamping,
-    // and every detection pass of a job see a cache no other session
-    // is mutating. PerTenant sessions touch disjoint caches and run
-    // fully concurrently.
+    // sessions, so eviction, epoch stamping and every detection pass
+    // of a job see a cache no other session is mutating. PerTenant
+    // sessions touch disjoint caches (one live session per tenant)
+    // and run fully concurrently.
     const bool shared = cfg_.cacheMode != CacheMode::PerTenant;
     std::unique_lock<std::mutex> guard;
     if (shared) {
@@ -395,16 +423,8 @@ MercuryServer::loadSnapshot(const Snapshot &snap, std::string &error)
         LayerCaches &slot =
             tenant >= 0 ? tenantCaches_[tenant] : sharedCaches_;
         auto it = slot.find(layer_id);
-        if (it == slot.end()) {
-            auto cache = std::make_unique<ShardedMCache>(
-                cfg_.sets, cfg_.ways, cfg_.dataVersions,
-                pipe_.resolvedShards());
-            if (tenant < 0 &&
-                cfg_.cacheMode == CacheMode::SharedQuota)
-                cache->setTenantQuota(cfg_.tenantQuotaEntries,
-                                      cfg_.maxTenants);
-            it = slot.emplace(layer_id, std::move(cache)).first;
-        }
+        if (it == slot.end())
+            it = slot.emplace(layer_id, newCache(tenant)).first;
         if (!snap.restoreCache(sec.key, *it->second, error))
             return false;
         // Resume the aging clock past the newest restored line so new

@@ -37,14 +37,21 @@
  *    its jobs serially on a private persistent MercuryContext.
  *  - SharedDedup: all tenants share one set of per-layer caches —
  *    cross-tenant near-duplicates dedup against each other. Jobs that
- *    touch the shared caches are serialized on a pass guard; a
- *    tenant's hits become a superset of its private-cache hits (same
- *    probes, strictly more tags present) when the cache is large
- *    enough not to MNU.
+ *    touch the shared caches run one at a time (the shared-job
+ *    mutex); a tenant's hits become a superset of its private-cache
+ *    hits (same probes, strictly more tags present) when the cache is
+ *    large enough not to MNU.
  *  - SharedQuota: SharedDedup plus a per-tenant line quota
- *    (ShardedMCache::setTenantQuota): one tenant cannot evict-starve
- *    the others by filling the cache; its inserts MNU once it holds
- *    quota lines until aging frees them.
+ *    (MCache::setTenantQuota): one tenant cannot evict-starve the
+ *    others by filling the cache; its inserts MNU once it holds quota
+ *    lines until aging frees them.
+ *
+ * Who touches a cache: an MCache takes no locks, so the server lets
+ * one job at a time reach each cache. A PerTenant cache is reached
+ * only through its tenant's one live session, whose chain runs its
+ * jobs in order (connect refuses a second session for a tenant, and a
+ * disconnected handle — every copy of it — accepts no more jobs); the
+ * shared caches are reached only under the shared-job mutex.
  *
  * Aging: a tenant-scoped (PerTenant) or global (Shared*) epoch
  * advances every ServeConfig::epochEveryJobs completed jobs; with
@@ -208,25 +215,36 @@ class MercuryServer;
 
 /**
  * Client-side session handle. Copyable (all copies address the same
- * session); must not outlive the server. An invalid handle (connect
- * rejected) has valid() == false and panics on use.
+ * session); must not outlive the server. A handle is invalid when
+ * connect refused it or any copy of it disconnected: valid() is then
+ * false, submit() rejects with no ticket and no retry hint, drain()
+ * and disconnect() return at once, and tenant() is -1.
  */
 class SessionHandle
 {
   public:
     SessionHandle() = default;
 
-    bool valid() const { return session_ != nullptr; }
+    bool valid() const;
+
+    /** The session's tenant id; -1 on an invalid handle. */
     int tenant() const;
 
-    /** Enqueue one job; never blocks (bounded queue, see header). */
+    /**
+     * Enqueue one job; never blocks (bounded queue, see header). A
+     * full queue rejects with retryAfterMs > 0; an invalid handle
+     * rejects with retryAfterMs == 0, as no retry can succeed.
+     */
     SubmitStatus submit(JobRequest req);
 
     /** Block until every accepted job of this session completed. */
     void drain();
 
-    /** Drain and release the session slot; the handle goes invalid.
-     *  Tenant cache state stays on the server (reconnect is warm). */
+    /**
+     * Close the session — from now on no copy of the handle accepts a
+     * job — then drain it and release its slot. Tenant cache state
+     * stays on the server (reconnect is warm).
+     */
     void disconnect();
 
   private:
@@ -290,8 +308,7 @@ class MercuryServer
   private:
     friend class SessionHandle;
 
-    using LayerCaches =
-        std::map<uint64_t, std::unique_ptr<ShardedMCache>>;
+    using LayerCaches = std::map<uint64_t, std::unique_ptr<MCache>>;
 
     ServeConfig cfg_;
     PipelineConfig pipe_; ///< cfg_.pipeline with persistent forced on
@@ -311,7 +328,7 @@ class MercuryServer
     int currentSharedTenant_ = -1;
 
     /// Serializes cache-touching jobs across sessions in the shared
-    /// modes (the pass-guard discipline, see docs/ARCHITECTURE.md).
+    /// modes (see "Who touches a cache" above).
     std::mutex sharedJobMutex_;
 
     /// Timing backends of the modeled-cycle job stats (stateless
@@ -326,11 +343,11 @@ class MercuryServer
     std::atomic<int64_t> jobsCompleted_{0};
     std::atomic<int64_t> jobsRejected_{0};
 
-    ShardedMCache &cacheSlot(int tenant, uint64_t layer_id);
+    MCache &cacheSlot(int tenant, uint64_t layer_id);
+    std::unique_ptr<MCache> newCache(int tenant) const;
     void runJob(SessionHandle::Session &s, JobRequest &req,
                 JobResult &out);
-    void finishJob(SessionHandle::Session &s);
-    void releaseSession(int tenant);
+    void releaseSession(const SessionHandle::Session &s);
     static uint64_t sectionKey(int tenant, uint64_t layer_id);
 };
 

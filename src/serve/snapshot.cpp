@@ -113,7 +113,7 @@ struct Reader
 } // namespace
 
 void
-Snapshot::addCache(uint64_t key, const ShardedMCache &cache)
+Snapshot::addCache(uint64_t key, const MCache &cache)
 {
     if (findCache(key))
         panic("snapshot already holds a cache section with key ", key);
@@ -127,7 +127,7 @@ Snapshot::addCache(uint64_t key, const ShardedMCache &cache)
             continue;
         CacheLine line;
         line.entryId = e;
-        line.sig = cache.tagAt(e);
+        line.sig = cache.tagOf(e);
         line.epoch = cache.entryEpoch(e);
         line.tenant = cache.entryTenant(e);
         sec.lines.push_back(std::move(line));
@@ -168,7 +168,7 @@ Snapshot::findRecord(uint64_t key) const
 }
 
 bool
-Snapshot::restoreCache(uint64_t key, ShardedMCache &cache,
+Snapshot::restoreCache(uint64_t key, MCache &cache,
                        std::string &error) const
 {
     const CacheSection *sec = findCache(key);
@@ -188,13 +188,39 @@ Snapshot::restoreCache(uint64_t key, ShardedMCache &cache,
                 std::to_string(cache.dataVersions());
         return false;
     }
-    // Geometry matches and entry ids were validated at parse time, so
-    // from here the restore cannot fail half-way.
+    // The target's quota must take every owned line: count each
+    // tenant's lines before touching the target. Unowned lines (ids
+    // below 0) never count.
+    if (cache.tenantQuota() > 0) {
+        std::vector<int64_t> held(
+            static_cast<size_t>(cache.quotaTenants()), 0);
+        for (const auto &line : sec->lines) {
+            if (line.tenant < 0)
+                continue;
+            if (line.tenant >= cache.quotaTenants()) {
+                error = "snapshot line of tenant " +
+                        std::to_string(line.tenant) +
+                        " is outside the target's quota range 0.." +
+                        std::to_string(cache.quotaTenants() - 1);
+                return false;
+            }
+            if (++held[static_cast<size_t>(line.tenant)] >
+                cache.tenantQuota()) {
+                error = "snapshot holds more than the quota of " +
+                        std::to_string(cache.tenantQuota()) +
+                        " lines for tenant " +
+                        std::to_string(line.tenant);
+                return false;
+            }
+        }
+    }
+    // Geometry matches, entry ids were validated at parse time and the
+    // quota takes every line, so from here the restore cannot fail
+    // half-way.
     cache.clear();
     for (const auto &line : sec->lines)
         cache.restoreLine(line.entryId, line.sig, line.epoch,
                           line.tenant);
-    cache.recountTenantReservations();
     return true;
 }
 

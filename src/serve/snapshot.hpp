@@ -27,12 +27,11 @@
  *              sigWords/entryIds/outcomes arrays (u64-count-prefixed),
  *              HitMix as 4 i64s
  *
- * Because lines are addressed by *global* entry id, a snapshot taken
- * from an N-shard cache restores bit-identically into an M-shard
- * cache of the same sets x ways geometry — shard count is a
- * throughput knob, not part of the persistent state. Serialization is
- * canonical (ascending ids, no padding), so serialize -> restore ->
- * serialize is byte-identical.
+ * Lines are addressed by entry id (set * ways + way), so a snapshot
+ * restores bit-identically into any cache of the same sets x ways x
+ * data-versions organization. Serialization is canonical (ascending
+ * ids, no padding), so serialize -> restore -> serialize is
+ * byte-identical.
  *
  * Failure contract: parse() fully validates (magic, version, reserved
  * flags, bounds, checksum, array sanity, canonical signature words)
@@ -40,8 +39,9 @@
  * result out — a truncated, corrupted, or version-bumped snapshot is
  * rejected with a descriptive error and the output is untouched.
  * restoreCache() and restoreRecord() likewise validate the target's
- * organization before touching it, so a failed restore never leaves a
- * half-restored cache or record.
+ * organization (and restoreCache the target's tenant quota) before
+ * touching it, so a failed restore never leaves a half-restored cache
+ * or record.
  */
 
 #ifndef MERCURY_SERVE_SNAPSHOT_HPP
@@ -51,7 +51,7 @@
 #include <string>
 #include <vector>
 
-#include "pipeline/sharded_mcache.hpp"
+#include "core/mcache.hpp"
 #include "pipeline/signature_record.hpp"
 
 namespace mercury {
@@ -93,7 +93,7 @@ class Snapshot
 
     /** Capture a cache's valid tags into a new keyed section.
      *  Quiescent only. Panics on a duplicate key. */
-    void addCache(uint64_t key, const ShardedMCache &cache);
+    void addCache(uint64_t key, const MCache &cache);
 
     /** Capture a record into a new keyed section. */
     void addRecord(uint64_t key, const SignatureRecord &record);
@@ -109,21 +109,22 @@ class Snapshot
     }
 
     /**
-     * Restore a keyed section into `cache`: validates the key exists
-     * and the organization (sets x ways x data versions) matches, so
-     * the cache snapshots back to the same bytes, then clears the
-     * target, installs every line, and recounts tenant-quota
-     * reservations. Shard counts may differ (global entry ids).
-     * Returns false with `error` set — and the target untouched — when
-     * the key is missing or the organization differs.
+     * Restore a keyed section into `cache`: validates the key exists,
+     * the organization (sets x ways x data versions) matches, so the
+     * cache snapshots back to the same bytes, and — when the target
+     * has a tenant quota — every owned line's tenant is inside the
+     * quota's range and no tenant holds more lines than the quota;
+     * then clears the target and installs every line, each counted
+     * against its tenant's quota. Returns false with `error` set — and
+     * the target untouched — when any check fails.
      */
-    bool restoreCache(uint64_t key, ShardedMCache &cache,
+    bool restoreCache(uint64_t key, MCache &cache,
                       std::string &error) const;
 
     /**
      * Restore a keyed record section for replay against an MCACHE of
      * `entries` entries and `dataVersions` data versions (e.g. the
-     * target ShardedMCache's). Returns false with `error` set — and
+     * target MCache's). Returns false with `error` set — and
      * the record untouched — when the key is missing or the section
      * was captured against a different organization: its entry count
      * sizes the replay's owner table, and a record of another cache

@@ -11,7 +11,6 @@
 #ifndef MERCURY_SIM_CONFIG_HPP
 #define MERCURY_SIM_CONFIG_HPP
 
-#include <algorithm>
 #include <cstdint>
 
 #include "sim/sim_config.hpp"
@@ -105,17 +104,13 @@ struct AcceleratorConfig
 
     /**
      * Detection-pipeline front-end knobs (src/pipeline): rows per
-     * projection work block, MCACHE shard count (clamped to the set
-     * count), and worker threads (1 = single-threaded legacy path,
-     * 0 = auto-detect). Results are bit-identical across all values;
-     * the knobs trade only throughput. pipelineBlockRows = 0 resolves
-     * per pass to the sweep-tuned value for the pass size;
-     * pipelineShards = 0 resolves at MCACHE construction to the
-     * thread-scaled band (see tunedPipelineFor / bench/sweep_tuning /
-     * PipelineConfig::resolvedShards).
+     * projection work block and worker threads (1 = single-threaded
+     * legacy path, 0 = auto-detect). Results are bit-identical across
+     * all values; the knobs trade only throughput. A block size of 0
+     * resolves per pass to the sweep-tuned value for the pass size
+     * (see tunedPipelineFor / bench/sweep_tuning).
      */
     int64_t pipelineBlockRows = 64;
-    int pipelineShards = 4;
     int pipelineThreads = 1;
 
     /**
@@ -178,44 +173,19 @@ struct AcceleratorConfig
     int mcacheEntries() const { return mcacheSets * mcacheWays; }
 };
 
-/** Sweep-tuned pipeline knobs for one detection-pass size. */
-struct PipelineTuning
-{
-    int64_t blockRows;
-    int shards;
-};
-
 /**
- * Per-layer-size pipeline defaults picked by bench/sweep_tuning over
+ * Sweep-tuned block size (pipelineBlockRows = 0, auto) for one
+ * detection-pass size, picked by bench/sweep_tuning over
  * ImageNet-scale layer shapes (ResNet-50 conv sizes at 224x224
- * inputs; recorded in BENCH_tuning.json). Measured: passes with
- * cheap per-row hashing (3x3 kernels, d = 9) are flat across block
- * sizes, so they keep the stock 64-row blocks; the large-vector stem
- * pass (12544 rows, d = 49) peaks at 128-row blocks (+13% over 64).
- *
- * Shards (wall-clock item): the single-core sweep measured 4 as the
- * floor, and shard counts beyond the number of concurrently probing
- * threads cannot help — every extra shard is lock and merge overhead
- * with no probe parallelism to hide it. The band therefore tracks
- * `resolved_threads` (pass ThreadPool::resolveThreads of the thread
- * knob; 0/1 = unknown or serial keeps the measured 4), clamped to
- * [4, 16] — applied at MCACHE construction when pipelineShards = 0
- * (PipelineConfig::resolvedShards). The CI wall-clock job's
- * `wall-clock-multicore` artifact
- * carries the measured multi-core `wall_*` speedups plus this band's
- * confirmation, rendered by tools/wallclock_roadmap.py — re-pin from
- * that artifact when a bigger host class appears. The shard value
- * applies at MCACHE construction (shards are baked into the
- * ShardedMCache); blockRows is applied per pass when
- * pipelineBlockRows = 0 (auto).
+ * inputs; recorded in BENCH_tuning.json). Measured: passes with cheap
+ * per-row hashing (3x3 kernels, d = 9) are flat across block sizes,
+ * so they keep the stock 64-row blocks; the large-vector stem pass
+ * (12544 rows, d = 49) peaks at 128-row blocks (+13% over 64).
  */
-inline PipelineTuning
-tunedPipelineFor(int64_t rows_per_pass, int resolved_threads = 1)
+inline int64_t
+tunedPipelineFor(int64_t rows_per_pass)
 {
-    const int shards = std::clamp(resolved_threads, 4, 16);
-    if (rows_per_pass <= 4096)
-        return {64, shards};
-    return {128, shards};
+    return rows_per_pass <= 4096 ? 64 : 128;
 }
 
 } // namespace mercury

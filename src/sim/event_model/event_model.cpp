@@ -439,7 +439,6 @@ EventModel::stepCost(const std::vector<LayerShape> &stack,
     kcfg.ways = cfg_.mcacheWays;
     kcfg.dataVersions = cfg_.mcacheDataVersions;
     kcfg.pipe.blockRows = cfg_.pipelineBlockRows;
-    kcfg.pipe.shards = cfg_.pipelineShards;
     kcfg.pipe.threads = cfg_.pipelineThreads;
     kcfg.pipe.overlap = cfg_.overlapDetection;
     kcfg.pipe.persistent = cfg_.persistentCache;

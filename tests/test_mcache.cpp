@@ -8,14 +8,11 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <random>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/mcache.hpp"
-#include "pipeline/sharded_mcache.hpp"
 
 namespace mercury {
 namespace {
@@ -136,7 +133,9 @@ TEST(MCache, EntriesMatchOrganization)
 TEST(MCache, SetIndexDeterministic)
 {
     MCache c(64, 16, 1);
-    EXPECT_EQ(c.setIndexOf(sigOf(77)), c.setIndexOf(sigOf(77)));
+    const Signature s = sigOf(77);
+    EXPECT_EQ(c.setIndexOf(s.bits(), s.words()),
+              c.setIndexOf(s.bits(), s.words()));
 }
 
 TEST(MCache, InvalidOrganizationDies)
@@ -313,101 +312,26 @@ TEST(McacheLifecycle, RestoreIntoOccupiedLinePanics)
                  "occupied");
 }
 
-namespace {
-
-/** Quota gate that admits `limit` reservations per tenant (serial). */
-class CountingGate : public McacheQuotaGate
-{
-  public:
-    explicit CountingGate(int64_t limit) : limit_(limit) {}
-    bool tryReserve(int tenant) override
-    {
-        if (tenant < 0)
-            return true;
-        if (counts_[tenant] >= limit_)
-            return false;
-        ++counts_[tenant];
-        return true;
-    }
-    void release(int tenant) override
-    {
-        if (tenant >= 0)
-            --counts_[tenant];
-    }
-    int64_t count(int tenant) const
-    {
-        const auto it = counts_.find(tenant);
-        return it == counts_.end() ? 0 : it->second;
-    }
-
-  private:
-    int64_t limit_;
-    std::map<int, int64_t> counts_;
-};
-
-} // namespace
-
 TEST(McacheLifecycle, QuotaGateTurnsInsertsIntoMnu)
 {
     MCache c(64, 8, 1);
-    CountingGate gate(2);
-    c.setQuotaGate(&gate);
+    c.setTenantQuota(2, /*max_tenants=*/4);
     c.setInsertTenant(0);
     EXPECT_EQ(c.lookupOrInsert(sigOf(1)).outcome, McacheOutcome::Mau);
     EXPECT_EQ(c.lookupOrInsert(sigOf(2)).outcome, McacheOutcome::Mau);
     // Third insert: plenty of free ways, but the quota says MNU.
     EXPECT_EQ(c.lookupOrInsert(sigOf(3)).outcome, McacheOutcome::Mnu);
+    EXPECT_EQ(c.tenantReserved(0), 2);
     // HITs are not inserts and stay unaffected.
     EXPECT_EQ(c.lookupOrInsert(sigOf(1)).outcome, McacheOutcome::Hit);
 }
 
-TEST(ShardedLifecycle, QuotaNeverExceededUnderConcurrentInserts)
+TEST(McacheLifecycle, QuotaIsPerTenantAndFreedByEviction)
 {
-    // Hammer one quota'd shared cache from several threads inserting
-    // for the same tenant (the insert-tenant stamp is cache-global,
-    // so concurrency happens within one tenant — exactly how the
-    // server's intra-pass worker threads hit the gate). The
-    // reserve-then-check gate must keep the tenant at or below quota
-    // at every instant, regardless of interleaving.
-    constexpr int kTenant = 2;
-    constexpr int64_t kQuota = 24;
-    ShardedMCache cache(/*sets=*/256, /*ways=*/8, /*data_versions=*/1,
-                        /*shards=*/4);
-    cache.setTenantQuota(kQuota, /*max_tenants=*/4);
-    cache.setInsertTenant(kTenant);
-
-    std::vector<std::thread> threads;
-    for (int w = 0; w < 4; ++w) {
-        threads.emplace_back([&cache, w, kTenant, kQuota] {
-            for (int i = 0; i < 400; ++i) {
-                const uint64_t pattern =
-                    (static_cast<uint64_t>(w) << 32) ^
-                    (static_cast<uint64_t>(i) * 0x9E3779B97F4A7C15ull);
-                (void)cache.lookupOrInsert(sigOf(pattern, 44));
-                EXPECT_LE(cache.tenantReserved(kTenant), kQuota);
-            }
-        });
-    }
-    for (auto &th : threads)
-        th.join();
-
-    // The reservation count and the actual valid-line count agree,
-    // and both respect the quota.
-    EXPECT_EQ(cache.tenantReserved(kTenant), kQuota);
-    int64_t held = 0;
-    for (int s = 0; s < cache.shardCount(); ++s)
-        held += cache.shard(s).tenantEntries(kTenant);
-    EXPECT_EQ(held, kQuota);
-}
-
-TEST(ShardedLifecycle, QuotaIsPerTenantAndFreedByEviction)
-{
-    // The shared cache's own gate, serially: a tenant at quota gets
-    // MNU and its count stays at the quota, another tenant keeps its
-    // own budget, unowned inserts are never gated, and evicting a
-    // tenant's lines hands its budget back.
-    ShardedMCache cache(/*sets=*/64, /*ways=*/8, /*data_versions=*/1,
-                        /*shards=*/4);
+    // A tenant at quota gets MNU and its count stays at the quota,
+    // another tenant keeps its own budget, unowned inserts are never
+    // counted, and evicting a tenant's lines hands its budget back.
+    MCache cache(/*sets=*/64, /*ways=*/8, /*data_versions=*/1);
     cache.setTenantQuota(2, /*max_tenants=*/4);
 
     cache.setInsertTenant(1);
@@ -436,8 +360,7 @@ TEST(ShardedLifecycle, QuotaIsPerTenantAndFreedByEviction)
 TEST(McacheLifecycle, EvictionReleasesQuota)
 {
     MCache c(64, 8, 1);
-    CountingGate gate(1);
-    c.setQuotaGate(&gate);
+    c.setTenantQuota(1, /*max_tenants=*/4);
     c.setInsertTenant(0);
     c.setEpoch(1);
     const auto a = c.lookupOrInsert(sigOf(1));
@@ -445,7 +368,7 @@ TEST(McacheLifecycle, EvictionReleasesQuota)
     EXPECT_EQ(c.lookupOrInsert(sigOf(2)).outcome, McacheOutcome::Mnu);
     c.setEpoch(2);
     EXPECT_EQ(c.evictOlderThan(2), 1);
-    EXPECT_EQ(gate.count(0), 0);
+    EXPECT_EQ(c.tenantReserved(0), 0);
     EXPECT_EQ(c.lookupOrInsert(sigOf(2)).outcome, McacheOutcome::Mau);
 }
 
@@ -454,17 +377,16 @@ TEST(McacheClear, EqualsAFreshCacheAfterAnyHistory)
     // clear() resets only the lines installed since the last clear. It
     // must leave every observable as a freshly built cache has it,
     // after seeded histories of probes, pins, unpins, evictions,
-    // restores, backlog resets, quota-gated inserts and earlier
+    // restores, backlog resets, quota-limited inserts and earlier
     // clears — including histories with more installs than entries().
-    constexpr int kSets = 8, kWays = 4, kTenants = 3;
+    constexpr int kSets = 8, kWays = 4, kTenants = 3, kQuota = 5;
     std::mt19937_64 rng(0xC1EA2);
     for (int trial = 0; trial < 300; ++trial) {
         SCOPED_TRACE("trial " + std::to_string(trial));
         MCache c(kSets, kWays, 2);
-        CountingGate gate(5);
         const bool gated = trial % 2 == 1;
         if (gated)
-            c.setQuotaGate(&gate);
+            c.setTenantQuota(kQuota, kTenants);
         const int steps = static_cast<int>(rng() % 240);
         for (int s = 0; s < steps; ++s) {
             const int64_t e = static_cast<int64_t>(rng() % c.entries());
@@ -493,10 +415,10 @@ TEST(McacheClear, EqualsAFreshCacheAfterAnyHistory)
                 (void)c.evictTenant(tenant);
                 break;
               case 8:
-                // A restore bypasses the gate; the owner recounts its
-                // reservation, as ShardedMCache does after a restore.
-                if (!c.tagValid(e) &&
-                    (!gated || gate.tryReserve(tenant)))
+                // A restore counts against the quota; a snapshot
+                // restore checks the quota takes its lines first.
+                if (!c.tagValid(e) && (!gated || tenant < 0 ||
+                                       c.tenantReserved(tenant) < kQuota))
                     c.restoreLine(e, sigOf(1000 + rng() % 64), rng() % 6,
                                   tenant);
                 break;
@@ -508,6 +430,10 @@ TEST(McacheClear, EqualsAFreshCacheAfterAnyHistory)
                 break;
             }
         }
+        // The quota counts track the valid lines through the history.
+        for (int t = 0; gated && t < kTenants; ++t)
+            ASSERT_EQ(c.tenantReserved(t), c.tenantEntries(t))
+                << "tenant " << t;
         c.clear();
 
         const MCache fresh(kSets, kWays, 2);
@@ -521,7 +447,8 @@ TEST(McacheClear, EqualsAFreshCacheAfterAnyHistory)
             ASSERT_EQ(c.setOccupancy(set), fresh.setOccupancy(set));
         for (int t = -1; t < kTenants; ++t) {
             ASSERT_EQ(c.tenantEntries(t), fresh.tenantEntries(t));
-            ASSERT_EQ(gate.count(t), 0) << "tenant " << t;
+            ASSERT_EQ(c.tenantReserved(t), fresh.tenantReserved(t))
+                << "tenant " << t;
         }
         ASSERT_EQ(c.maxInsertBacklog(), fresh.maxInsertBacklog());
     }

@@ -1,12 +1,11 @@
 /**
  * @file
  * Tests for the streaming detection pipeline (src/pipeline): the
- * ShardedMCache must be indistinguishable from a monolithic MCache,
- * the DetectionPipeline must be bit-identical to the legacy
- * SimilarityDetector for every block size / shard count / thread
- * count, reruns must be deterministic, the reuse engines must produce
- * identical outputs through a shared multi-threaded frontend, and the
- * fixed strided sampling must cover the population tail.
+ * DetectionPipeline must be bit-identical to the legacy
+ * SimilarityDetector for every block size and thread count, reruns
+ * must be deterministic, the reuse engines must produce identical
+ * outputs through a shared multi-threaded frontend, and the fixed
+ * strided sampling must cover the population tail.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +20,6 @@
 #include "core/similarity_detector.hpp"
 #include "nn/mercury_hooks.hpp"
 #include "pipeline/detection_frontend.hpp"
-#include "pipeline/sharded_mcache.hpp"
 #include "util/rng.hpp"
 #include "util/sampling.hpp"
 #include "util/spsc_queue.hpp"
@@ -37,7 +35,7 @@ constexpr int kMaxBits = 32;
 constexpr int kBits = 20;
 constexpr uint64_t kSeed = 12345;
 
-/** The scalar reference path: RPQ + monolithic MCACHE, row by row. */
+/** The scalar reference path: RPQ + MCACHE, row by row. */
 DetectionResult
 legacyDetect(const Tensor &rows, int bits = kBits, int max_bits = kMaxBits)
 {
@@ -105,19 +103,15 @@ TEST_P(PipelineShape, BitIdenticalToLegacyAcrossAllKnobs)
     const DetectionResult ref = legacyDetect(rows, bits, kProvisioned);
     for (int64_t block : {int64_t{1}, int64_t{7}, int64_t{64},
                           int64_t{4096}}) {
-        for (int shards : {1, 3, 4, 64}) {
-            for (int threads : {1, 2, 4}) {
-                PipelineConfig pipe;
-                pipe.blockRows = block;
-                pipe.shards = shards;
-                pipe.threads = threads;
-                DetectionFrontend fe(kSets, kWays, 1, kProvisioned, kSeed,
-                                     pipe);
-                SCOPED_TRACE("block=" + std::to_string(block) +
-                             " shards=" + std::to_string(shards) +
-                             " threads=" + std::to_string(threads));
-                expectMatchesLegacy(fe.detect(rows, bits), ref);
-            }
+        for (int threads : {1, 2, 4}) {
+            PipelineConfig pipe;
+            pipe.blockRows = block;
+            pipe.threads = threads;
+            DetectionFrontend fe(kSets, kWays, 1, kProvisioned, kSeed,
+                                 pipe);
+            SCOPED_TRACE("block=" + std::to_string(block) +
+                         " threads=" + std::to_string(threads));
+            expectMatchesLegacy(fe.detect(rows, bits), ref);
         }
     }
 }
@@ -132,7 +126,6 @@ TEST(Pipeline, DeterministicReruns)
     Tensor rows = prototypeVectors(300, 16, 40, 0.02f, 5, 1.5);
     PipelineConfig pipe;
     pipe.blockRows = 32;
-    pipe.shards = 8;
     pipe.threads = 4;
     DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed, pipe);
     const SignatureRecord::Pass first = fe.detect(rows, kBits);
@@ -170,71 +163,6 @@ TEST(Pipeline, BlockedProjectionMatchesScalar)
                       rpq.project(rows.data() + r * 48, n));
 }
 
-TEST(ShardedMCache, MatchesMonolithicCache)
-{
-    MCache mono(37, 4, 2); // deliberately not a power of two
-    ShardedMCache sharded(37, 4, 2, 5);
-    EXPECT_EQ(sharded.entries(), mono.entries());
-    EXPECT_EQ(sharded.shardCount(), 5);
-
-    Rng rng(31);
-    RPQEngine rpq(12, kMaxBits, 3);
-    Tensor rows({400, 12});
-    rows.fillNormal(rng);
-    for (int64_t i = 0; i < rows.dim(0); ++i) {
-        const Signature sig = rpq.signatureOfRow(rows, i, 24);
-        const McacheResult a = mono.lookupOrInsert(sig);
-        const McacheResult b = sharded.lookupOrInsert(sig);
-        ASSERT_EQ(a.outcome, b.outcome) << "row " << i;
-        ASSERT_EQ(a.entryId, b.entryId) << "row " << i;
-    }
-    EXPECT_EQ(sharded.maxInsertBacklog(), mono.maxInsertBacklog());
-    const HitMix mix = sharded.lookupMix();
-    EXPECT_TRUE(mix.consistent());
-    EXPECT_EQ(mix.vectors, 400);
-}
-
-TEST(ShardedMCache, ShardCountClampedToSets)
-{
-    ShardedMCache sharded(4, 2, 1, 100);
-    EXPECT_EQ(sharded.shardCount(), 4);
-    EXPECT_EQ(sharded.entries(), 8);
-}
-
-TEST(ShardedMCache, FrontendEngagesLocksOnlyForOverlappedPasses)
-{
-    Tensor rows = prototypeVectors(64, 8, 8, 0.01f, 7);
-    // Shard locks engage only for passes that resolved overlapped on
-    // a pool. Probes only ever run on the driving thread — a single
-    // prober — so inline passes and pooled passes with overlap off
-    // stay lock-free. Results are identical either way (asserted
-    // across the knob grid elsewhere).
-    PipelineConfig inline_pipe;
-    inline_pipe.threads = 1;
-    DetectionFrontend inline_fe(kSets, kWays, 1, kMaxBits, kSeed,
-                                inline_pipe);
-    EXPECT_TRUE(inline_fe.cache().concurrent()); // construction default
-    inline_fe.detect(rows, kBits);
-    EXPECT_FALSE(inline_fe.cache().concurrent());
-
-    PipelineConfig pooled_pipe;
-    pooled_pipe.threads = 3;
-    DetectionFrontend pooled_fe(kSets, kWays, 1, kMaxBits, kSeed,
-                                pooled_pipe);
-    pooled_fe.detect(rows, kBits);
-    EXPECT_FALSE(pooled_fe.cache().concurrent()); // overlap off: free
-
-    pooled_fe.detectStream(rows, kBits, {});
-    EXPECT_FALSE(pooled_fe.cache().concurrent()); // one prober: free
-
-    PipelineConfig overlap_pipe = pooled_pipe;
-    overlap_pipe.overlap = OverlapMode::On;
-    DetectionFrontend overlap_fe(kSets, kWays, 1, kMaxBits, kSeed,
-                                 overlap_pipe);
-    overlap_fe.detect(rows, kBits);
-    EXPECT_TRUE(overlap_fe.cache().concurrent()); // overlap: locked
-}
-
 TEST(Pipeline, ConvEngineIdenticalThroughSharedThreadedFrontend)
 {
     Dataset ds = makeImageDataset(2, 2, 3, 12, 13, 0.03f);
@@ -255,7 +183,6 @@ TEST(Pipeline, ConvEngineIdenticalThroughSharedThreadedFrontend)
 
     PipelineConfig pipe;
     pipe.blockRows = 16;
-    pipe.shards = 8;
     pipe.threads = 4;
     DetectionFrontend fe(kSets, kWays, 2, 16, kSeed, pipe);
     ConvReuseEngine piped(fe, 16);
@@ -286,7 +213,6 @@ TEST(Pipeline, FcEngineIdenticalThroughSharedThreadedFrontend)
 
     PipelineConfig pipe;
     pipe.blockRows = 8;
-    pipe.shards = 4;
     pipe.threads = 3;
     DetectionFrontend fe(kSets, kWays, 1, 24, kSeed, pipe);
     FcEngine piped(fe, 24);
@@ -350,7 +276,6 @@ TEST(Sampling, DetectSampledSeesTheTail)
     // The pipeline frontend shares the same sampling path.
     PipelineConfig pipe;
     pipe.threads = 2;
-    pipe.shards = 4;
     DetectionFrontend fe(kSets, kWays, 1, kMaxBits, 18, pipe);
     const HitMix p = fe.detectSampled(rows, 24, 300);
     EXPECT_EQ(p.hit, s.hit);
@@ -394,7 +319,7 @@ TEST(Pipeline, MercuryContextCachesFrontendsAndMatchesLegacy)
     Tensor w({12, 6});
     w.fillNormal(rng);
 
-    // A monolithic MCACHE with the context's default organization.
+    // A private MCACHE with the context's default organization.
     MercuryContext legacy_ctx(16);
     MCache legacy_cache(64, 16, 4);
     FcEngine legacy(legacy_cache, 16, legacy_ctx.layerSeed(3));
@@ -404,7 +329,6 @@ TEST(Pipeline, MercuryContextCachesFrontendsAndMatchesLegacy)
     MercuryContext ctx(16);
     PipelineConfig pipe;
     pipe.blockRows = 16;
-    pipe.shards = 4;
     pipe.threads = 3;
     ctx.setPipeline(pipe);
     DetectionFrontend &fe = ctx.frontendFor(3);
@@ -423,7 +347,6 @@ TEST(Streaming, BlocksArriveInOrderAndResultsMatchScalarDetector)
     Tensor rows = prototypeVectors(500, 24, 64, 0.01f, 77, 1.2);
     PipelineConfig pipe;
     pipe.blockRows = 48; // 500 rows -> 11 blocks, last one ragged
-    pipe.shards = 8;
     pipe.threads = 4;
     DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed, pipe);
 
@@ -489,7 +412,6 @@ TEST(Overlap, ConvEngineBitIdenticalToRunThenFilter)
 
     PipelineConfig serial_pipe;
     serial_pipe.blockRows = 16;
-    serial_pipe.shards = 8;
     serial_pipe.threads = 4;
     DetectionFrontend serial_fe(kSets, kWays, 2, 16, kSeed, serial_pipe);
     ConvReuseEngine serial(serial_fe, 16);
@@ -529,7 +451,6 @@ TEST(Overlap, FcEngineBitIdenticalToRunThenFilter)
 
     PipelineConfig pipe;
     pipe.blockRows = 16;
-    pipe.shards = 4;
     pipe.threads = 3;
     pipe.overlap = OverlapMode::On;
     DetectionFrontend fe(kSets, kWays, 1, 24, kSeed, pipe);
@@ -555,7 +476,6 @@ TEST(Overlap, AttentionEngineBitIdenticalToRunThenFilter)
 
     PipelineConfig pipe;
     pipe.blockRows = 8;
-    pipe.shards = 4;
     pipe.threads = 4;
     pipe.overlap = OverlapMode::On;
     DetectionFrontend fe(kSets, kWays, 1, 20, kSeed, pipe);
@@ -587,39 +507,6 @@ TEST(Overlap, KnobLiftsFromAcceleratorConfig)
     DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed,
                          PipelineConfig::fromConfig(cfg));
     EXPECT_TRUE(fe.overlapEnabledFor(64));
-}
-
-/**
- * ShardedMCache locking stress: several probers insert tags into the
- * same shards at once. Run under TSan in CI, this checks the
- * per-shard locking contract; every probe must land in the merged
- * mix exactly once.
- */
-TEST(ShardedMCache, ConcurrentProbesIntoSharedShards)
-{
-    ShardedMCache cache(32, 4, 4, 8);
-    RPQEngine rpq(16, kMaxBits, 5);
-    Rng rng(41);
-    Tensor rows({512, 16});
-    rows.fillNormal(rng);
-    std::vector<Signature> sigs;
-    for (int64_t i = 0; i < rows.dim(0); ++i)
-        sigs.push_back(rpq.signatureOfRow(rows, i, 24));
-
-    constexpr int kProbers = 4;
-    ThreadPool pool(3);
-    TaskGroup group(&pool);
-    for (int p = 0; p < kProbers; ++p) {
-        group.run([&, p] {
-            for (size_t i = static_cast<size_t>(p); i < sigs.size();
-                 i += kProbers)
-                cache.lookupOrInsert(sigs[i]);
-        });
-    }
-    group.wait();
-    const HitMix mix = cache.lookupMix();
-    EXPECT_TRUE(mix.consistent());
-    EXPECT_EQ(mix.vectors, rows.dim(0));
 }
 
 TEST(SpscQueue, DeliversInOrderAcrossThreads)
@@ -654,11 +541,9 @@ TEST(Pipeline, ConfigKnobsLiftFromAcceleratorConfig)
 {
     AcceleratorConfig cfg;
     cfg.pipelineBlockRows = 128;
-    cfg.pipelineShards = 16;
     cfg.pipelineThreads = 0;
     const PipelineConfig pipe = PipelineConfig::fromConfig(cfg);
     EXPECT_EQ(pipe.blockRows, 128);
-    EXPECT_EQ(pipe.shards, 16);
     EXPECT_EQ(pipe.threads, 0);
 
     // A frontend built straight from the accelerator config inherits
@@ -671,42 +556,6 @@ TEST(Pipeline, ConfigKnobsLiftFromAcceleratorConfig)
     const HitMix mix = fe.detect(rows, 16).mix;
     EXPECT_TRUE(mix.consistent());
     EXPECT_EQ(mix.vectors, 64);
-}
-
-TEST(Pipeline, ResolvedShardsTracksThreadBand)
-{
-    // Explicit values pass through untouched.
-    PipelineConfig pipe;
-    pipe.shards = 7;
-    EXPECT_EQ(pipe.resolvedShards(), 7);
-
-    // 0 = auto: the tunedPipelineFor band for the resolved thread
-    // count — the measured floor of 4 up to serial, scaling with the
-    // probing threads, clamped at 16.
-    pipe.shards = 0;
-    pipe.threads = 1;
-    EXPECT_EQ(pipe.resolvedShards(), 4);
-    pipe.threads = 8;
-    EXPECT_EQ(pipe.resolvedShards(), 8);
-    pipe.threads = 64;
-    EXPECT_EQ(pipe.resolvedShards(), 16);
-}
-
-TEST(Pipeline, AutoShardsFrontendMatchesExplicitShards)
-{
-    // Detection results are bit-identical across shard counts, so the
-    // auto band must change nothing observable.
-    Tensor rows = prototypeVectors(96, 10, 9, 0.01f, 11);
-    PipelineConfig auto_pipe;
-    auto_pipe.shards = 0;
-    auto_pipe.threads = 8;
-    DetectionFrontend auto_fe(32, 8, 2, kMaxBits, 13, auto_pipe);
-    PipelineConfig fixed_pipe;
-    fixed_pipe.shards = 8;
-    fixed_pipe.threads = 8;
-    DetectionFrontend fixed_fe(32, 8, 2, kMaxBits, 13, fixed_pipe);
-    expectIdenticalPasses(auto_fe.detect(rows, 20),
-                          fixed_fe.detect(rows, 20));
 }
 
 } // namespace

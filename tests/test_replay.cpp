@@ -75,15 +75,15 @@ duplicateRows(int64_t n, int64_t d, int64_t uniques, uint64_t seed)
 
 /**
  * Replays read their owners from the record and never probe: the
- * MCACHE's lookup mix must not move across the replayed passes.
+ * MCACHE's lifetime probe counts must not move across the replayed
+ * passes.
  */
 void
-expectCacheUntouched(const HitMix &before, DetectionFrontend &fe,
+expectCacheUntouched(const McacheCounters &before, DetectionFrontend &fe,
                      const char *what)
 {
-    const HitMix after = fe.cache().lookupMix();
-    EXPECT_EQ(after.vectors, before.vectors) << what;
-    EXPECT_EQ(after.hit, before.hit) << what;
+    const McacheCounters &after = fe.cache().stats();
+    EXPECT_EQ(after.hits, before.hits) << what;
     EXPECT_EQ(after.mau, before.mau) << what;
     EXPECT_EQ(after.mnu, before.mnu) << what;
 }
@@ -104,7 +104,7 @@ TEST_P(RecordBits, CapturesOutcomesSignaturesAndMix)
     DetectionFrontend fe(kSets, kWays, kVersions, 128, kSeed);
     SignatureRecord record;
     record.append(fe.detect(rows, bits), fe.dataVersions(), fe.entries());
-    // The scalar detector over a monolithic cache is the oracle.
+    // The scalar detector over its own cache is the oracle.
     MCache mono(kSets, kWays, kVersions);
     const RPQEngine rpq(rows.dim(1), 128, kSeed);
     const DetectionResult det =
@@ -297,8 +297,8 @@ TEST(ConvBackward, OverlappedReplayBitIdenticalToSerial)
         << "overlapped forward with capture must stay bit-identical";
     ASSERT_EQ(rs.passCount(), ro.passCount());
 
-    const HitMix mix_s = serial_fe.cache().lookupMix();
-    const HitMix mix_o = overlap_fe.cache().lookupMix();
+    const McacheCounters mix_s = serial_fe.cache().stats();
+    const McacheCounters mix_o = overlap_fe.cache().stats();
     ReuseStats bs, bo;
     Tensor gs = serial.backwardInput(grad, w, spec, 10, 10, rs, bs);
     Tensor go = overlapped.backwardInput(grad, w, spec, 10, 10, ro, bo);
@@ -430,8 +430,8 @@ TEST(FcBackward, OverlappedReplayBitIdenticalToSerial)
     serial.forward(in, w, fs, nullptr, &rs);
     overlapped.forward(in, w, fo, nullptr, &ro);
 
-    const HitMix mix_s = serial_fe.cache().lookupMix();
-    const HitMix mix_o = overlap_fe.cache().lookupMix();
+    const McacheCounters mix_s = serial_fe.cache().stats();
+    const McacheCounters mix_o = overlap_fe.cache().stats();
     ReuseStats bs, bo;
     Tensor gs = serial.backwardInput(grad, w, rs, bs);
     Tensor go = overlapped.backwardInput(grad, w, ro, bo);
@@ -536,8 +536,8 @@ TEST(AttentionBackward, OverlappedReplayBitIdenticalToSerial)
     serial.forward(x, fs, &rs);
     overlapped.forward(x, fo, &ro);
 
-    const HitMix mix_s = serial_fe.cache().lookupMix();
-    const HitMix mix_o = overlap_fe.cache().lookupMix();
+    const McacheCounters mix_s = serial_fe.cache().stats();
+    const McacheCounters mix_o = overlap_fe.cache().stats();
     ReuseStats bs, bo;
     Tensor gs = serial.backward(x, g, rs, 0, bs);
     Tensor go = overlapped.backward(x, g, ro, 0, bo);
@@ -673,8 +673,8 @@ TEST(ConvWeightGrad, OverlappedReplayBitIdenticalToSerial)
     serial.forward(in, w, Tensor(), spec, fs, &rs);
     overlapped.forward(in, w, Tensor(), spec, fo, &ro);
 
-    const HitMix mix_s = serial_fe.cache().lookupMix();
-    const HitMix mix_o = overlap_fe.cache().lookupMix();
+    const McacheCounters mix_s = serial_fe.cache().stats();
+    const McacheCounters mix_o = overlap_fe.cache().stats();
     ReuseStats ws, wo;
     Tensor ds = serial.backwardWeights(in, grad, spec, rs, ws);
     Tensor dov = overlapped.backwardWeights(in, grad, spec, ro, wo);
@@ -799,8 +799,8 @@ TEST(FcWeightGrad, OverlappedReplayBitIdenticalToSerial)
     serial.forward(in, w, fs, nullptr, &rs);
     overlapped.forward(in, w, fo, nullptr, &ro);
 
-    const HitMix mix_s = serial_fe.cache().lookupMix();
-    const HitMix mix_o = overlap_fe.cache().lookupMix();
+    const McacheCounters mix_s = serial_fe.cache().stats();
+    const McacheCounters mix_o = overlap_fe.cache().stats();
     ReuseStats ws, wo;
     Tensor ds = serial.backwardWeights(in, grad, rs, ws);
     Tensor dov = overlapped.backwardWeights(in, grad, ro, wo);
@@ -887,8 +887,8 @@ TEST(AttentionWeightGrad, OverlappedProjectionBitIdenticalToSerial)
     serial.forward(x, fs, &rs);
     overlapped.forward(x, fo, &ro);
 
-    const HitMix mix_s = serial_fe.cache().lookupMix();
-    const HitMix mix_o = overlap_fe.cache().lookupMix();
+    const McacheCounters mix_s = serial_fe.cache().stats();
+    const McacheCounters mix_o = overlap_fe.cache().stats();
     ReuseStats ws, wo;
     Tensor ps = serial.backwardProjection(x, rs, 0, ws);
     Tensor po = overlapped.backwardProjection(x, ro, 0, wo);

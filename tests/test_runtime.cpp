@@ -56,7 +56,6 @@ serialPipe()
 {
     PipelineConfig pipe;
     pipe.blockRows = 16; // several blocks per pass
-    pipe.shards = 4;
     pipe.threads = 1;
     return pipe;
 }

@@ -2,8 +2,9 @@
  * @file
  * MercuryServer battery: golden equivalence of concurrent serving vs
  * serial private contexts (PerTenant), hit-superset under shared
- * dedup, backpressure, connect/disconnect churn (the TSan stress),
- * warm-start snapshots, and traffic-generator determinism.
+ * dedup, backpressure, stale and invalid session handles,
+ * connect/disconnect churn (the TSan stress), warm-start snapshots,
+ * and traffic-generator determinism.
  */
 
 #include <gtest/gtest.h>
@@ -474,6 +475,81 @@ TEST(Serve, ConnectRefusesOutOfRangeTenantIds)
     session.disconnect();
 }
 
+// ---- Stale and invalid handles --------------------------------------
+
+TEST(Serve, StaleHandleCopyIsRefusedAfterReconnect)
+{
+    // A copy of a disconnected handle must not run jobs beside the
+    // tenant's new session: both would reach the tenant's caches.
+    MercuryServer server(smallServer(CacheMode::PerTenant));
+    SessionHandle first = server.connect(0);
+    ASSERT_TRUE(first.valid());
+    SessionHandle stale = first;
+    first.disconnect();
+    EXPECT_FALSE(stale.valid());
+    SessionHandle second = server.connect(0);
+    ASSERT_TRUE(second.valid());
+
+    TrafficGenerator gen(smallTraffic(1, 1));
+    const JobRequest job = jobOf(gen.next(0));
+    int accepted = 0;
+    for (int i = 0; i < 40; ++i) {
+        const SubmitStatus st = stale.submit(job);
+        accepted += st.accepted;
+        EXPECT_EQ(st.ticket, nullptr);
+        EXPECT_EQ(st.retryAfterMs, 0.0); // no retry can succeed
+    }
+    EXPECT_EQ(accepted, 0);
+    EXPECT_EQ(stale.tenant(), -1);
+
+    submitRetrying(second, job)->wait();
+    second.disconnect();
+    EXPECT_EQ(server.stats().jobsCompleted, 1);
+    EXPECT_EQ(server.stats().jobsRejected, 0);
+}
+
+TEST(Serve, StaleHandleDisconnectLeavesTheLiveSession)
+{
+    MercuryServer server(smallServer(CacheMode::PerTenant));
+    SessionHandle first = server.connect(0);
+    SessionHandle stale = first;
+    first.disconnect();
+    SessionHandle second = server.connect(0);
+    ASSERT_TRUE(second.valid());
+
+    // The stale copy's disconnect returns at once and releases
+    // nothing: the live session stays counted and a third connect for
+    // the tenant is refused.
+    stale.disconnect();
+    EXPECT_EQ(server.stats().activeSessions, 1);
+    EXPECT_FALSE(server.connect(0).valid());
+    EXPECT_TRUE(second.valid());
+    second.disconnect();
+    EXPECT_EQ(server.stats().activeSessions, 0);
+}
+
+TEST(Serve, DefaultHandleCallsReturnInsteadOfDying)
+{
+    SessionHandle none;
+    EXPECT_FALSE(none.valid());
+    EXPECT_EQ(none.tenant(), -1);
+    const SubmitStatus st = none.submit(JobRequest{});
+    EXPECT_FALSE(st.accepted);
+    EXPECT_EQ(st.ticket, nullptr);
+    none.drain();
+    none.disconnect();
+    EXPECT_FALSE(none.valid());
+
+    // A refused connect hands out the same invalid handle.
+    MercuryServer server(smallServer(CacheMode::PerTenant));
+    SessionHandle refused = server.connect(-1);
+    EXPECT_EQ(refused.tenant(), -1);
+    EXPECT_FALSE(refused.submit(JobRequest{}).accepted);
+    refused.drain();
+    refused.disconnect();
+    EXPECT_EQ(server.stats().activeSessions, 0);
+}
+
 // ---- Churn stress (the TSan target) ---------------------------------
 
 TEST(Serve, ConnectDisconnectChurnUnderLoad)
@@ -566,6 +642,37 @@ TEST(Serve, SnapshotWarmStartBeatsColdStart)
 
     // Epoch clocks resumed past the snapshot's newest line.
     EXPECT_GE(warm.tenantEpoch(0), tc.requestsPerTenant);
+}
+
+TEST(Serve, SnapshotOverTheTenantQuotaIsRefused)
+{
+    // A well-formed shared section holding more lines of one tenant
+    // than SharedQuota allows: loadSnapshot fails with an error
+    // instead of aborting, and the server still serves.
+    ServeConfig cfg = smallServer(CacheMode::SharedQuota);
+    cfg.tenantQuotaEntries = 4;
+    MCache cache(cfg.sets, cfg.ways, cfg.dataVersions);
+    cache.setInsertTenant(1);
+    for (uint64_t i = 0; i < 5; ++i) {
+        Signature sig(cfg.signatureBits);
+        for (int b = 0; b < cfg.signatureBits; ++b)
+            sig.setBit(b, ((i * 0x9E3779B97F4A7C15ull + 1) >> b) & 1);
+        ASSERT_EQ(cache.lookupOrInsert(sig).outcome, McacheOutcome::Mau);
+    }
+    Snapshot snap;
+    snap.addCache(/*shared section of layer 1=*/1, cache);
+
+    MercuryServer server(cfg);
+    std::string error;
+    EXPECT_FALSE(server.loadSnapshot(snap, error));
+    EXPECT_NE(error.find("quota"), std::string::npos) << error;
+
+    SessionHandle session = server.connect(1);
+    ASSERT_TRUE(session.valid());
+    TrafficGenerator gen(smallTraffic(2, 1));
+    submitRetrying(session, jobOf(gen.next(1)))->wait();
+    session.disconnect();
+    EXPECT_EQ(server.stats().jobsCompleted, 1);
 }
 
 // ---- Traffic generator determinism ----------------------------------

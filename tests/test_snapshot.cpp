@@ -1,9 +1,10 @@
 /**
  * @file
  * Serving-snapshot format tests: canonical round-trips across cache
- * organizations and shard counts, the full-validate-then-move failure
- * contract (truncation / corruption / version bumps reject cleanly
- * with no partial restore), and SignatureRecord sections, including
+ * organizations, the full-validate-then-move failure contract
+ * (truncation / corruption / version bumps / a tenant quota the
+ * section does not fit reject cleanly with no partial restore), and
+ * SignatureRecord sections, including
  * hostile ones whose lengths, entry ids or mix lie; a seeded mutation
  * fuzzer over both section kinds; and golden bytes of a captured
  * cache and record.
@@ -37,7 +38,7 @@ sigOf(uint64_t pattern, int bits = 20)
 
 /** Fill a cache with `n` distinct tags across epochs and tenants. */
 void
-populate(ShardedMCache &cache, int n, int bits)
+populate(MCache &cache, int n, int bits)
 {
     for (int i = 0; i < n; ++i) {
         cache.setEpoch(static_cast<uint64_t>(1 + i % 5));
@@ -50,7 +51,7 @@ populate(ShardedMCache &cache, int n, int bits)
 
 /** Serialized bytes of a cache's tag plane under one key. */
 std::vector<uint8_t>
-bytesOf(const ShardedMCache &cache, uint64_t key)
+bytesOf(const MCache &cache, uint64_t key)
 {
     Snapshot snap;
     snap.addCache(key, cache);
@@ -60,14 +61,14 @@ bytesOf(const ShardedMCache &cache, uint64_t key)
 // ---- Round-trips ----------------------------------------------------
 
 class SnapshotOrgTest
-    : public ::testing::TestWithParam<std::tuple<int, int, int, int>>
+    : public ::testing::TestWithParam<std::tuple<int, int, int>>
 {
 };
 
 TEST_P(SnapshotOrgTest, SerializeRestoreSerializeIsByteIdentical)
 {
-    const auto [sets, ways, shards, lines] = GetParam();
-    ShardedMCache cache(sets, ways, /*data_versions=*/2, shards);
+    const auto [sets, ways, lines] = GetParam();
+    MCache cache(sets, ways, /*data_versions=*/2);
     populate(cache, lines, /*bits=*/24);
 
     const std::vector<uint8_t> first = bytesOf(cache, 7);
@@ -78,10 +79,7 @@ TEST_P(SnapshotOrgTest, SerializeRestoreSerializeIsByteIdentical)
         Snapshot::parse(first.data(), first.size(), parsed, error))
         << error;
 
-    // Restore into a fresh cache with a DIFFERENT shard count: global
-    // entry ids make shard count a throughput knob, not state.
-    ShardedMCache restored(sets, ways, /*data_versions=*/2,
-                           shards == 1 ? 4 : 1);
+    MCache restored(sets, ways, /*data_versions=*/2);
     ASSERT_TRUE(parsed.restoreCache(7, restored, error)) << error;
 
     EXPECT_EQ(bytesOf(restored, 7), first);
@@ -89,20 +87,20 @@ TEST_P(SnapshotOrgTest, SerializeRestoreSerializeIsByteIdentical)
 
 INSTANTIATE_TEST_SUITE_P(
     Organizations, SnapshotOrgTest,
-    ::testing::Values(std::make_tuple(16, 2, 1, 0),
-                      std::make_tuple(16, 2, 1, 12),
-                      std::make_tuple(64, 8, 4, 100),
-                      std::make_tuple(128, 4, 8, 300)));
+    ::testing::Values(std::make_tuple(16, 2, 0),
+                      std::make_tuple(16, 2, 12),
+                      std::make_tuple(64, 8, 100),
+                      std::make_tuple(128, 4, 300)));
 
 TEST(Snapshot, RestoredCacheHitsTheOriginalTags)
 {
-    ShardedMCache cache(32, 4, 1, 2);
+    MCache cache(32, 4, 1);
     populate(cache, 40, 20);
 
     Snapshot snap;
     snap.addCache(1, cache);
 
-    ShardedMCache restored(32, 4, 1, 3);
+    MCache restored(32, 4, 1);
     std::string error;
     ASSERT_TRUE(snap.restoreCache(1, restored, error)) << error;
 
@@ -123,7 +121,7 @@ TEST(Snapshot, RestoredCacheHitsTheOriginalTags)
 
 TEST(Snapshot, RestorePreservesEpochsForEviction)
 {
-    ShardedMCache cache(32, 4, 1, 1);
+    MCache cache(32, 4, 1);
     cache.setEpoch(3);
     (void)cache.lookupOrInsert(sigOf(1));
     cache.setEpoch(9);
@@ -131,7 +129,7 @@ TEST(Snapshot, RestorePreservesEpochsForEviction)
 
     Snapshot snap;
     snap.addCache(1, cache);
-    ShardedMCache restored(32, 4, 1, 1);
+    MCache restored(32, 4, 1);
     std::string error;
     ASSERT_TRUE(snap.restoreCache(1, restored, error)) << error;
 
@@ -143,32 +141,98 @@ TEST(Snapshot, RestorePreservesEpochsForEviction)
 
 TEST(Snapshot, RestoreRecountsTenantQuota)
 {
-    ShardedMCache cache(64, 8, 1, 2);
+    MCache cache(64, 8, 1);
     populate(cache, 30, 20); // tenants 0..2, ~10 lines each
 
     Snapshot snap;
     snap.addCache(1, cache);
 
-    ShardedMCache restored(64, 8, 1, 2);
+    MCache restored(64, 8, 1);
     restored.setTenantQuota(64, /*max_tenants=*/8);
     std::string error;
     ASSERT_TRUE(snap.restoreCache(1, restored, error)) << error;
 
     int64_t total = 0;
     for (int t = 0; t < 3; ++t) {
-        int64_t held = 0;
-        for (int s = 0; s < cache.shardCount(); ++s)
-            held += cache.shard(s).tenantEntries(t);
+        const int64_t held = cache.tenantEntries(t);
         EXPECT_EQ(restored.tenantReserved(t), held);
         total += held;
     }
     EXPECT_GT(total, 0);
 }
 
+/** A cache whose target-visible state a failed restore must keep. */
+struct QuotaTarget
+{
+    MCache cache{16, 4, 1};
+    McacheResult kept;
+
+    QuotaTarget()
+    {
+        cache.setTenantQuota(2, /*max_tenants=*/8);
+        cache.setInsertTenant(1);
+        kept = cache.lookupOrInsert(sigOf(0xBEEF));
+    }
+
+    void expectUntouched() const
+    {
+        EXPECT_TRUE(cache.tagValid(kept.entryId));
+        EXPECT_TRUE(cache.tagOf(kept.entryId) == sigOf(0xBEEF));
+        EXPECT_EQ(cache.tenantReserved(1), 1);
+        int64_t valid = 0;
+        for (int64_t e = 0; e < cache.entries(); ++e)
+            valid += cache.tagValid(e);
+        EXPECT_EQ(valid, 1);
+    }
+};
+
+/** A one-section snapshot of `lines` distinct tags of `tenant`. */
+Snapshot
+tenantSnapshot(int tenant, int lines)
+{
+    MCache cache(16, 4, 1);
+    cache.setInsertTenant(tenant);
+    for (int i = 0; i < lines; ++i)
+        (void)cache.lookupOrInsert(sigOf(static_cast<uint64_t>(i) + 1));
+    Snapshot snap;
+    snap.addCache(1, cache);
+    return snap;
+}
+
+TEST(Snapshot, SectionOverTheTenantQuotaIsRefused)
+{
+    // Five lines of tenant 1 into a quota of two: refused before the
+    // target is cleared, so it keeps its line and its count.
+    const Snapshot snap = tenantSnapshot(1, 5);
+    QuotaTarget target;
+    std::string error;
+    EXPECT_FALSE(snap.restoreCache(1, target.cache, error));
+    EXPECT_NE(error.find("quota"), std::string::npos) << error;
+    EXPECT_NE(error.find("tenant 1"), std::string::npos) << error;
+    target.expectUntouched();
+}
+
+TEST(Snapshot, TenantOutsideTheQuotaRangeIsRefused)
+{
+    // Tenant 100 against a quota over tenants 0..7; unowned lines
+    // (tenant -1) stay outside the quota and restore.
+    QuotaTarget target;
+    std::string error;
+    EXPECT_FALSE(
+        tenantSnapshot(100, 1).restoreCache(1, target.cache, error));
+    EXPECT_NE(error.find("100"), std::string::npos) << error;
+    EXPECT_NE(error.find("0..7"), std::string::npos) << error;
+    target.expectUntouched();
+
+    EXPECT_TRUE(tenantSnapshot(-1, 5).restoreCache(1, target.cache, error))
+        << error;
+    EXPECT_EQ(target.cache.tenantReserved(1), 0);
+}
+
 TEST(Snapshot, MultipleSectionsAndLookup)
 {
-    ShardedMCache a(16, 2, 1, 1);
-    ShardedMCache b(32, 4, 1, 2);
+    MCache a(16, 2, 1);
+    MCache b(32, 4, 1);
     populate(a, 5, 20);
     populate(b, 9, 20);
 
@@ -182,21 +246,21 @@ TEST(Snapshot, MultipleSectionsAndLookup)
     EXPECT_EQ(snap.findCache(20)->sets, 32);
 
     std::string error;
-    ShardedMCache target(16, 2, 1, 1);
+    MCache target(16, 2, 1);
     EXPECT_FALSE(snap.restoreCache(30, target, error));
     EXPECT_NE(error.find("30"), std::string::npos);
 }
 
 TEST(Snapshot, GeometryMismatchLeavesTargetUntouched)
 {
-    ShardedMCache cache(32, 4, 1, 1);
+    MCache cache(32, 4, 1);
     populate(cache, 10, 20);
     Snapshot snap;
     snap.addCache(1, cache);
 
     // The target has different geometry and pre-existing content; the
     // failed restore must not clear it.
-    ShardedMCache target(16, 4, 1, 1);
+    MCache target(16, 4, 1);
     const auto kept = target.lookupOrInsert(sigOf(0xBEEF));
     std::string error;
     EXPECT_FALSE(snap.restoreCache(1, target, error));
@@ -225,7 +289,7 @@ TEST(Snapshot, EmptySnapshotRoundTrips)
 
 TEST(Snapshot, EveryTruncationIsRejectedWithoutPartialParse)
 {
-    ShardedMCache cache(32, 4, 2, 2);
+    MCache cache(32, 4, 2);
     populate(cache, 25, 20);
     const auto bytes = bytesOf(cache, 5);
 
@@ -233,7 +297,7 @@ TEST(Snapshot, EveryTruncationIsRejectedWithoutPartialParse)
         Snapshot out;
         // Pre-load `out` with a sentinel section: a failed parse must
         // leave it untouched, not half-replaced.
-        ShardedMCache sentinel(16, 2, 1, 1);
+        MCache sentinel(16, 2, 1);
         out.addCache(99, sentinel);
 
         std::string error;
@@ -248,7 +312,7 @@ TEST(Snapshot, EveryTruncationIsRejectedWithoutPartialParse)
 
 TEST(Snapshot, CorruptedPayloadFailsTheChecksum)
 {
-    ShardedMCache cache(32, 4, 1, 1);
+    MCache cache(32, 4, 1);
     populate(cache, 20, 20);
     auto bytes = bytesOf(cache, 5);
 
@@ -265,7 +329,7 @@ TEST(Snapshot, CorruptedPayloadFailsTheChecksum)
 
 TEST(Snapshot, WrongMagicIsRejected)
 {
-    ShardedMCache cache(16, 2, 1, 1);
+    MCache cache(16, 2, 1);
     auto bytes = bytesOf(cache, 5);
     bytes[0] = 'X';
     Snapshot out;
@@ -277,7 +341,7 @@ TEST(Snapshot, WrongMagicIsRejected)
 
 TEST(Snapshot, VersionBumpFailsLoudly)
 {
-    ShardedMCache cache(16, 2, 1, 1);
+    MCache cache(16, 2, 1);
     populate(cache, 4, 20);
     auto bytes = bytesOf(cache, 5);
 
@@ -300,7 +364,7 @@ TEST(Snapshot, VersionBumpFailsLoudly)
 
 TEST(Snapshot, TrailingGarbageIsRejected)
 {
-    ShardedMCache cache(16, 2, 1, 1);
+    MCache cache(16, 2, 1);
     populate(cache, 4, 20);
     auto bytes = bytesOf(cache, 5);
     bytes.push_back(0xAB);
@@ -548,7 +612,7 @@ TEST(Snapshot, HostileCacheGeometryIsRejectedBeforeItsProduct)
 {
     // sets = ways = 2^32 - 1: their product does not fit an int64_t,
     // so the parser must refuse the fields before multiplying them.
-    ShardedMCache cache(16, 4, 2, 1);
+    MCache cache(16, 4, 2);
     populate(cache, 3, 20);
     auto bytes = bytesOf(cache, 9);
     patch(bytes, 12, uint32_t{0xFFFFFFFFu});
@@ -559,7 +623,7 @@ TEST(Snapshot, HostileCacheGeometryIsRejectedBeforeItsProduct)
 TEST(Snapshot, NonCanonicalInputIsRejected)
 {
     // Reserved header flags are written as 0.
-    ShardedMCache cache(16, 4, 2, 1);
+    MCache cache(16, 4, 2);
     populate(cache, 3, 20);
     auto bytes = bytesOf(cache, 9);
     bytes[12] = 1;
@@ -580,7 +644,7 @@ TEST(Snapshot, NonCanonicalInputIsRejected)
     // A cache of another data-version count is refused on restore.
     Snapshot snap;
     snap.addCache(9, cache);
-    ShardedMCache other(16, 4, 3, 1);
+    MCache other(16, 4, 3);
     std::string error;
     EXPECT_FALSE(snap.restoreCache(9, other, error));
     EXPECT_NE(error.find("16x4x2"), std::string::npos) << error;
@@ -610,7 +674,7 @@ struct Field
 std::vector<uint8_t>
 fuzzSeedBytes()
 {
-    ShardedMCache cache(kFuzzSets, kFuzzWays, kFuzzVersions, 3);
+    MCache cache(kFuzzSets, kFuzzWays, kFuzzVersions);
     populate(cache, kFuzzLines, 20);
     Snapshot snap;
     snap.addCache(1, cache);
@@ -742,7 +806,7 @@ TEST(SnapshotFuzz, MutationsFailCleanlyOrRoundTrip)
         Snapshot back;
         bool restored = true;
         for (const auto &sec : parsed.caches()) {
-            ShardedMCache target(kFuzzSets, kFuzzWays, kFuzzVersions, 2);
+            MCache target(kFuzzSets, kFuzzWays, kFuzzVersions);
             restored = restored && parsed.restoreCache(sec.key, target, error);
             if (restored)
                 back.addCache(sec.key, target);
@@ -798,7 +862,6 @@ TEST(SnapshotGolden, CapturedCacheAndRecordBytesAreStable)
     for (const auto &g : golden) {
         PipelineConfig pipe;
         pipe.blockRows = 32;
-        pipe.shards = 3;
         pipe.threads = 1;
         pipe.persistent = true;
         DetectionFrontend fe(48, 4, 2, 128, 0x5EED, pipe);
@@ -825,7 +888,7 @@ TEST(SnapshotGolden, CapturedCacheAndRecordBytesAreStable)
 
 TEST(Snapshot, FileRoundTrip)
 {
-    ShardedMCache cache(32, 4, 1, 2);
+    MCache cache(32, 4, 1);
     populate(cache, 15, 20);
     Snapshot snap;
     snap.addCache(3, cache);

@@ -60,8 +60,7 @@ def main(argv):
         line = ", ".join(f"{k}={v}" for k, v in walls.items())
         print(f"- {bench} ({e.get('layer', '?')}, threads="
               f"{cfg.get('threads', '?')}, blockRows="
-              f"{cfg.get('blockRows', '?')}, shards="
-              f"{cfg.get('shards', '?')}): {line}")
+              f"{cfg.get('blockRows', '?')}): {line}")
         if bench == "micro_overlap" and "wall_speedup" in e:
             fwd_overlap = e["wall_speedup"]
 
