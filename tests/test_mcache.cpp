@@ -326,6 +326,40 @@ TEST(McacheLifecycle, QuotaGateTurnsInsertsIntoMnu)
     EXPECT_EQ(c.lookupOrInsert(sigOf(1)).outcome, McacheOutcome::Hit);
 }
 
+TEST(McacheLifecycle, QuotaNeverExceededUnderManyInserts)
+{
+    // Four request streams interleaved row by row, as the server's
+    // one prober sees them: two quota'd tenants and an unowned stream.
+    // Every tenant stays at or below quota after every probe, fills
+    // it exactly, and its count equals the lines it holds.
+    constexpr int64_t kQuota = 24;
+    MCache cache(/*sets=*/256, /*ways=*/8, /*data_versions=*/1);
+    cache.setTenantQuota(kQuota, /*max_tenants=*/4);
+    const int tenant_of[4] = {2, 2, 3, -1};
+    int64_t unowned_mau = 0;
+    for (int i = 0; i < 400; ++i) {
+        for (int w = 0; w < 4; ++w) {
+            const uint64_t pattern =
+                (static_cast<uint64_t>(w) << 32) ^
+                (static_cast<uint64_t>(i) * 0x9E3779B97F4A7C15ull);
+            cache.setInsertTenant(tenant_of[w]);
+            const McacheOutcome o =
+                cache.lookupOrInsert(sigOf(pattern, 44)).outcome;
+            unowned_mau += tenant_of[w] < 0 && o == McacheOutcome::Mau;
+            ASSERT_LE(cache.tenantReserved(2), kQuota) << "row " << i;
+            ASSERT_LE(cache.tenantReserved(3), kQuota) << "row " << i;
+        }
+    }
+    for (int t : {2, 3}) {
+        EXPECT_EQ(cache.tenantReserved(t), kQuota) << "tenant " << t;
+        EXPECT_EQ(cache.tenantEntries(t), kQuota) << "tenant " << t;
+    }
+    // Unowned inserts are never counted against any tenant.
+    EXPECT_GT(unowned_mau, kQuota);
+    EXPECT_EQ(cache.tenantReserved(0), 0);
+    EXPECT_EQ(cache.tenantReserved(1), 0);
+}
+
 TEST(McacheLifecycle, QuotaIsPerTenantAndFreedByEviction)
 {
     // A tenant at quota gets MNU and its count stays at the quota,
