@@ -9,6 +9,7 @@
  * targets the cycle columns print as null and only GB/s is gated.
  */
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cmath>
@@ -235,6 +236,79 @@ main()
                 g_sink = dst[0];
             });
 
+    // 6) The conv reuse passes' owner kernels at the training shapes:
+    //    d 9 (3x3 channel patches), 12 filters over 256-row passes
+    //    (conv1-2, 16x16) and 24 over 64-row passes (conv3-4, 8x8),
+    //    about half the rows owners. Cycles are per pass row.
+    struct OwnerShape
+    {
+        int64_t filters, rows, hw;
+    };
+    const int64_t owner_passes = smoke ? 4 : 256;
+    auto owner_kernels = [&](const OwnerShape &sh) {
+        const int64_t v = sh.rows, f = sh.filters;
+        std::vector<int32_t> owner(static_cast<size_t>(v));
+        std::vector<int32_t> owners;
+        for (int64_t i = 0; i < v; ++i) {
+            owner[static_cast<size_t>(i)] = static_cast<int32_t>(i);
+            if (!owners.empty() && rng() % 2)
+                owner[static_cast<size_t>(i)] =
+                    owners[rng() % owners.size()];
+            else
+                owners.push_back(static_cast<int32_t>(i));
+        }
+        const int64_t nown = static_cast<int64_t>(owners.size());
+        std::vector<float> pch(static_cast<size_t>(v * d_train));
+        std::vector<float> w(static_cast<size_t>(d_train * f));
+        std::vector<float> vals(static_cast<size_t>(v * f));
+        std::vector<float> out(static_cast<size_t>(f * v));
+        std::vector<float> sums(static_cast<size_t>(nown * f));
+        for (auto *vec : {&pch, &w, &vals, &out, &sums})
+            for (float &x : *vec)
+                x = dist(rng);
+        // The dW replay reads owner patches from a pad-1 3x3 frame.
+        const int64_t side = sh.hw + 2;
+        std::vector<float> frame(static_cast<size_t>(side * side));
+        for (float &x : frame)
+            x = dist(rng);
+        std::vector<int64_t> base, taps;
+        for (const int32_t r : owners)
+            base.push_back(r / sh.hw * side + r % sh.hw);
+        for (int64_t t = 0; t < d_train; ++t)
+            taps.push_back(t / 3 * side + t % 3);
+        std::vector<float> acc(static_cast<size_t>(d_train * f), 0.0f);
+        const int64_t per_rows = owner_passes * v;
+        const double fl = sizeof(float);
+        const Result values = run(
+            static_cast<double>(owner_passes * nown) * (d_train + f) * fl,
+            per_rows, [&](const kernels::KernelOps &k) {
+                for (int64_t p = 0; p < owner_passes; ++p)
+                    k.ownerValues(pch.data(), d_train, owners.data(), nown,
+                                  w.data(), f, vals.data());
+                g_sink = vals[0];
+            });
+        const Result scatter = run(
+            static_cast<double>(per_rows) * 3 * f * fl, per_rows,
+            [&](const kernels::KernelOps &k) {
+                for (int64_t p = 0; p < owner_passes; ++p)
+                    k.ownerScatter(vals.data(), f, f, owner.data(), v,
+                                   out.data(), v);
+                g_sink = out[0];
+            });
+        const Result dw = run(
+            static_cast<double>(owner_passes * nown) * (d_train + f) * fl,
+            per_rows, [&](const kernels::KernelOps &k) {
+                for (int64_t p = 0; p < owner_passes; ++p)
+                    k.ownerWeightMul(sums.data(), f, nown, frame.data(),
+                                     base.data(), taps.data(), d_train,
+                                     acc.data());
+                g_sink = acc[0];
+            });
+        return std::array<Result, 3>{values, scatter, dw};
+    };
+    const std::array<Result, 3> own12 = owner_kernels({12, 256, 16});
+    const std::array<Result, 3> own24 = owner_kernels({24, 64, 8});
+
     Table t("kernel bodies (best-of-reps)");
     t.header({"kernel", "scalar cyc/row", "avx2 cyc/row", "speedup",
               "GB/s"});
@@ -253,6 +327,12 @@ main()
     row("rpq_project d9/28b/s64", project_train);
     row("sign_pack 28b", sigpack_train);
     row("extract k3 16x16", extract);
+    row("owner_values f12 r256", own12[0]);
+    row("owner_scatter f12 r256", own12[1]);
+    row("owner_dw f12 r256", own12[2]);
+    row("owner_values f24 r64", own24[0]);
+    row("owner_scatter f24 r64", own24[1]);
+    row("owner_dw f24 r64", own24[2]);
     row("span_copy", spancopy);
     t.print();
 
@@ -274,6 +354,22 @@ main()
         .num("sigpack_b28_avx2_cycles_per_row", sigpack_train.cpr_avx2, 1)
         .num("extract_k3_scalar_cycles_per_row", extract.cpr_scalar, 1)
         .num("extract_k3_avx2_cycles_per_row", extract.cpr_avx2, 1)
+        .num("owner_values_f12_scalar_cycles_per_row", own12[0].cpr_scalar,
+             1)
+        .num("owner_values_f12_avx2_cycles_per_row", own12[0].cpr_avx2, 1)
+        .num("owner_scatter_f12_scalar_cycles_per_row",
+             own12[1].cpr_scalar, 1)
+        .num("owner_scatter_f12_avx2_cycles_per_row", own12[1].cpr_avx2, 1)
+        .num("owner_dw_f12_scalar_cycles_per_row", own12[2].cpr_scalar, 1)
+        .num("owner_dw_f12_avx2_cycles_per_row", own12[2].cpr_avx2, 1)
+        .num("owner_values_f24_scalar_cycles_per_row", own24[0].cpr_scalar,
+             1)
+        .num("owner_values_f24_avx2_cycles_per_row", own24[0].cpr_avx2, 1)
+        .num("owner_scatter_f24_scalar_cycles_per_row",
+             own24[1].cpr_scalar, 1)
+        .num("owner_scatter_f24_avx2_cycles_per_row", own24[1].cpr_avx2, 1)
+        .num("owner_dw_f24_scalar_cycles_per_row", own24[2].cpr_scalar, 1)
+        .num("owner_dw_f24_avx2_cycles_per_row", own24[2].cpr_avx2, 1)
         // The span copy is memory-bound: scalar-vs-AVX2 speedup there
         // is timer noise around 1.0, so only GB/s is recorded (and
         // gated) for it.
@@ -283,6 +379,8 @@ main()
         .config("d", d)
         .config("bits", bits)
         .config("train_shape", "d9 bits28 stride64, k3 16x16 pad1")
+        .config("owner_shapes", "d9, f12 over 256 rows, f24 over 64 rows, "
+                                "half the rows owners")
         .config("span", span);
     bench::stdConfig(line);
     line.print();

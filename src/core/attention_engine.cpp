@@ -36,8 +36,6 @@ AttentionEngine::forward(const Tensor &x, ReuseStats &stats,
                       static_cast<uint64_t>(t) *
                       static_cast<uint64_t>(d);
 
-    OwnerTable table(frontend_->entries());
-
     Tensor w({t, t});
     Tensor y({t, d});
 
@@ -48,21 +46,21 @@ AttentionEngine::forward(const Tensor &x, ReuseStats &stats,
     // row is never read, exactly as in the staged formulation).
     ReuseRuntime rt(*frontend_, frontend_.signatureBits());
     ReuseRuntime::RowPass pass;
-    pass.ownerOf = [&](int64_t i, McacheOutcome outcome, int64_t entry) {
-        return table.ownerOf(i, outcome, entry);
-    };
-    pass.computeRow = [&](int64_t i) {
-        for (int64_t j = 0; j < t; ++j) {
-            float acc = 0.0f;
-            for (int64_t e = 0; e < d; ++e)
-                acc += x.at2(i, e) * x.at2(j, e);
-            w.at2(i, j) = acc;
-        }
-        for (int64_t j = 0; j < d; ++j) {
-            float acc = 0.0f;
-            for (int64_t e = 0; e < t; ++e)
-                acc += w.at2(i, e) * x.at2(e, j);
-            y.at2(i, j) = acc;
+    pass.computeRows = [&](const int32_t *rows, int64_t count) {
+        for (int64_t k = 0; k < count; ++k) {
+            const int64_t i = rows[k];
+            for (int64_t j = 0; j < t; ++j) {
+                float acc = 0.0f;
+                for (int64_t e = 0; e < d; ++e)
+                    acc += x.at2(i, e) * x.at2(j, e);
+                w.at2(i, j) = acc;
+            }
+            for (int64_t j = 0; j < d; ++j) {
+                float acc = 0.0f;
+                for (int64_t e = 0; e < t; ++e)
+                    acc += w.at2(i, e) * x.at2(e, j);
+                y.at2(i, j) = acc;
+            }
         }
     };
     pass.copyRow = [&](int64_t i, int64_t o) {
@@ -128,14 +126,11 @@ AttentionEngine::backward(const Tensor &x, const Tensor &g,
     // element accumulation order matches the exact matmul-factored path
     // exactly — fanned out over the pool when the pass resolves
     // overlapped; forward-HIT token rows then copy their owner's row.
-    std::vector<int64_t> owner;
-    OwnerTable table(record.entries());
-    const int64_t fwd = record.ownersOf(pass, table, owner);
-    stats.macsSkipped = static_cast<uint64_t>(fwd) * row_cost;
+    stats.macsSkipped = static_cast<uint64_t>(pass.forwarded) * row_cost;
     stats.addReplayedPass(pass);
     std::vector<int64_t> owners;
     for (int64_t i = 0; i < t; ++i)
-        if (owner[static_cast<size_t>(i)] == i)
+        if (pass.owner(i) == i)
             owners.push_back(i);
 
     ReuseRuntime rt(*frontend_, frontend_.signatureBits());
@@ -187,7 +182,7 @@ AttentionEngine::backward(const Tensor &x, const Tensor &g,
         }
     });
     for (int64_t i = 0; i < t; ++i) {
-        const int64_t o = owner[static_cast<size_t>(i)];
+        const int64_t o = pass.owner(i);
         if (o != i)
             std::copy(out.data() + o * d, out.data() + (o + 1) * d,
                       out.data() + i * d);
@@ -215,7 +210,7 @@ AttentionEngine::backwardProjection(const Tensor &x,
     // Sum-then-multiply (§III-C2 on the dW-shaped projection factor):
     // group the token rows by forward owner, one outer product per
     // group with the owner's row.
-    return ownerWeightGrad(record, pass, x, x, stats);
+    return ownerWeightGrad(pass, x, x, stats);
 }
 
 } // namespace mercury

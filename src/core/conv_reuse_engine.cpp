@@ -66,28 +66,27 @@ checkRecord(const SignatureRecord &record, const ConvSpec &spec,
 
 /**
  * Book a replay: every recorded pass's mix and MACs, and the MACs of
- * the `forwarded[p]` rows of pass p that took their owner's result.
+ * its forwarded rows, which took their owner's result.
  */
 void
 bookReplay(const SignatureRecord &record, const ConvGeometry &geo,
-           const std::vector<int64_t> &forwarded, ReuseStats &stats)
+           ReuseStats &stats)
 {
     for (int64_t pi = 0; pi < record.passCount(); ++pi) {
-        stats.addReplayedPass(record.pass(pi));
+        const SignatureRecord::Pass &pass = record.pass(pi);
+        stats.addReplayedPass(pass);
         stats.macsTotal += geo.passMacs();
         stats.macsSkipped +=
-            static_cast<uint64_t>(forwarded[static_cast<size_t>(pi)]) *
-            geo.rowMacs();
+            static_cast<uint64_t>(pass.forwarded) * geo.rowMacs();
     }
 }
 
 } // namespace
 
-// Declared in the header (shared with the pipeline's fused
-// extraction): the Fig. 7a per-channel vector extraction, routed
-// through the extractPatches kernel (span-clipped copies —
-// bit-identical to the elementwise loop it replaced, since extraction
-// moves values without arithmetic).
+// Declared in the header (the forward's fused extraction): the Fig. 7a
+// per-channel vector extraction, routed through the extractPatches
+// kernel (span-clipped copies — bit-identical to the elementwise loop
+// it replaced, since extraction moves values without arithmetic).
 void
 extractChannelPatchRows(const Tensor &input, const ConvSpec &spec,
                         int64_t b, int64_t c, int64_t ow, int64_t r0,
@@ -173,64 +172,50 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
             });
     };
 
-    // Owner map and owner values of the pass in flight: vals holds the
-    // cout_g filter values of each owner row (row-major by row).
-    OwnerTable table(frontend_->entries());
-    std::vector<int64_t> owner(static_cast<size_t>(v));
+    // Owner values of the pass in flight: vals holds the cout_g filter
+    // values of each owner row (row-major by row). One RowPass serves
+    // every channel pass; its computes read the pass in flight's rows
+    // and kernels, which stay put until runRows has joined them. Each
+    // value sums tap-ascending from +0: the dot product the filter
+    // would compute on its own.
     std::vector<float> vals(static_cast<size_t>(v * cout_g));
+    const Tensor *rows = nullptr;
+    const float *w_p = nullptr;
+    size_t pi = 0;
+    std::unique_ptr<DetectionHashJob> job, next_job;
+    ReuseRuntime::RowPass pass;
+    pass.computeRows = [&](const int32_t *owners, int64_t count) {
+        kernels::ops().ownerValues(rows->data(), d, owners, count, w_p,
+                                   cout_g, vals.data());
+    };
+    pass.rowSkipCost = geo.rowMacs();
+    // Cross-channel overlap: begin hashing the next pass into the other
+    // buffer while this pass's owner computes drain. Hashing touches no
+    // MCACHE state, so it is safe beside them.
+    pass.onStreamDelivered = [&] {
+        if (pi + 1 < order.size())
+            next_job = begin_hash(pi + 1);
+    };
 
     stats = ReuseStats{};
-    std::unique_ptr<DetectionHashJob> job;
     if (!order.empty())
         job = begin_hash(0);
 
-    for (size_t pi = 0; pi < order.size(); ++pi) {
+    for (pi = 0; pi < order.size(); ++pi) {
         const PassId p = order[pi];
-        const Tensor &rows = bufs[pi & 1];
-        const float *w_p =
-            wt.data() + (p.g * cin_g + p.ic) * d * cout_g;
-
-        ReuseRuntime::RowPass pass;
-        pass.ownerOf = [&](int64_t i, McacheOutcome outcome,
-                           int64_t entry) {
-            const int64_t o = table.ownerOf(i, outcome, entry);
-            owner[static_cast<size_t>(i)] = o;
-            return o;
-        };
-        // Each value sums tap-ascending from +0: the dot product the
-        // filter would compute on its own.
-        pass.computeRow = [&, w_p](int64_t i) {
-            float *val = vals.data() + i * cout_g;
-            const float *row = rows.data() + i * d;
-            std::fill(val, val + cout_g, 0.0f);
-            for (int64_t t = 0; t < d; ++t)
-                mulAddRows(val, 0, w_p + t * cout_g, 0, 1, cout_g, row[t]);
-        };
-        pass.rowSkipCost = geo.rowMacs();
-        // Cross-channel overlap: begin hashing the next pass into the
-        // other buffer while this pass's owner computes drain. Hashing
-        // touches no MCACHE state, so it is safe beside them.
-        std::unique_ptr<DetectionHashJob> next_job;
-        pass.onStreamDelivered = [&] {
-            if (pi + 1 < order.size())
-                next_job = begin_hash(pi + 1);
-        };
-
-        rt.runRows(ReuseRuntime::StreamSource::hashed(*job, record), pass,
-                   stats);
-        table.nextPass();
+        rows = &bufs[pi & 1];
+        w_p = wt.data() + (p.g * cin_g + p.ic) * d * cout_g;
+        const SignatureRecord::Pass &det = rt.runRows(
+            ReuseRuntime::StreamSource::hashed(*job, record), pass, stats);
         job = std::move(next_job);
 
         // Every row adds its owner's value, filter by filter: each
         // output gets one partial per channel pass, in channel order.
         float *out_g = out.data() + out.offset4(p.b, p.g * cout_g, 0, 0);
         rt.parallelRanges(cout_g, [&](int64_t f0, int64_t f1) {
-            for (int64_t f = f0; f < f1; ++f) {
-                float *o = out_g + f * v;
-                for (int64_t i = 0; i < v; ++i)
-                    o[i] += vals[static_cast<size_t>(
-                        owner[static_cast<size_t>(i)] * cout_g + f)];
-            }
+            kernels::ops().ownerScatter(vals.data() + f0, cout_g, f1 - f0,
+                                        det.owners.data(), v,
+                                        out_g + f0 * v, v);
         });
         stats.macsTotal += geo.passMacs();
     }
@@ -271,26 +256,25 @@ ConvReuseEngine::backwardInput(const Tensor &gradOut, const Tensor &weight,
     // so on a pool they fan out per pass.
     const ConvFrame frame(spec, in_h, in_w);
     rt.beginPass(v);
-    std::vector<int64_t> forwarded(static_cast<size_t>(passes));
     rt.parallelRanges(passes, [&](int64_t p0, int64_t p1) {
-        OwnerTable table(record.entries());
-        std::vector<int64_t> owner;
         std::vector<float> gathered(static_cast<size_t>(cout_g * v));
         std::vector<float> scratch(static_cast<size_t>(frame.size()));
         for (int64_t pi = p0; pi < p1; ++pi) {
+            const SignatureRecord::Pass &pass = record.pass(pi);
             const int64_t b = pi / (spec.groups * cin_g);
             const int64_t g = pi / cin_g % spec.groups;
             const int64_t ic = pi % cin_g;
-            const int64_t fwd =
-                record.ownersOf(record.pass(pi), table, owner);
             const float *go =
                 gradOut.data() + gradOut.offset4(b, g * cout_g, 0, 0);
-            if (fwd > 0) {
+            if (pass.forwarded > 0) {
+                // Every row through the owner map: this measured faster
+                // end to end than copying the planes and rewriting only
+                // the forwarded rows.
                 for (int64_t f = 0; f < cout_g; ++f) {
                     const float *src = go + f * v;
                     float *dst = gathered.data() + f * v;
                     for (int64_t r = 0; r < v; ++r)
-                        dst[r] = src[owner[static_cast<size_t>(r)]];
+                        dst[r] = src[pass.owner(r)];
                 }
                 go = gathered.data();
             }
@@ -299,10 +283,9 @@ ConvReuseEngine::backwardInput(const Tensor &gradOut, const Tensor &weight,
                 weight.data() + (g * cout_g * cin_g + ic) * d, cin_g * d,
                 scratch.data(),
                 grad_in.data() + grad_in.offset4(b, g * cin_g + ic, 0, 0));
-            forwarded[static_cast<size_t>(pi)] = fwd;
         }
     });
-    bookReplay(record, geo, forwarded, stats);
+    bookReplay(record, geo, stats);
     return grad_in;
 }
 
@@ -334,10 +317,12 @@ ConvReuseEngine::backwardWeights(const Tensor &input, const Tensor &gradOut,
     // first sums every hit-group's output gradients, then multiplies
     // once per owner row. The chains of a group's filters run side by
     // side, as in conv2dBackwardWeight: the output gradients are
-    // transposed to (position, filter) once per (image, group), and
-    // the accumulators, laid out (tap, filter), carry across the
-    // batch. Every weight element still sums (image, owner) ascending
-    // from +0.
+    // transposed to (position, filter) once per (image, group), each
+    // pass's input plane is loaded into its conv frame once (owners
+    // read their patch values from it, as conv2dBackwardWeight reads
+    // every position's), and the accumulators, laid out (tap, filter),
+    // carry across the batch. Every weight element still sums
+    // (image, owner) ascending from +0.
     std::vector<float> go_t(static_cast<size_t>(gradOut.numel()));
     for (int64_t bg = 0; bg < n * spec.groups; ++bg) {
         const float *go = gradOut.data() + bg * cout_g * v;
@@ -346,60 +331,65 @@ ConvReuseEngine::backwardWeights(const Tensor &input, const Tensor &gradOut,
             for (int64_t r = 0; r < v; ++r)
                 dst[r * cout_g + f] = go[f * v + r];
     }
+    const ConvFrame frame(spec, input.dim(2), input.dim(3));
+    std::vector<int64_t> tap_off(static_cast<size_t>(d));
+    for (int64_t t = 0; t < d; ++t)
+        tap_off[static_cast<size_t>(t)] = frame.tap(t / geo.k, t % geo.k);
 
     // (group, channel) pairs write disjoint grad_w slices: on a pool
     // they fan out, each walking the batch in order.
     const int64_t pairs = spec.groups * cin_g;
     rt.beginPass(v);
-    std::vector<int64_t> forwarded(static_cast<size_t>(passes));
     rt.parallelRanges(pairs, [&](int64_t gi0, int64_t gi1) {
-        OwnerTable table(record.entries());
-        std::vector<int64_t> owner;
+        std::vector<float> plane(static_cast<size_t>(frame.size()));
         std::vector<float> sums(static_cast<size_t>(v * cout_g));
+        std::vector<int32_t> slot(static_cast<size_t>(v));
+        std::vector<int64_t> base(static_cast<size_t>(v));
         std::vector<float> acc(static_cast<size_t>(d * cout_g));
-        Tensor patches({v, d});
         for (int64_t gi = gi0; gi < gi1; ++gi) {
             const int64_t g = gi / cin_g, ic = gi % cin_g;
             std::fill(acc.begin(), acc.end(), 0.0f);
             for (int64_t b = 0; b < n; ++b) {
-                const int64_t pi = (b * spec.groups + g) * cin_g + ic;
-                forwarded[static_cast<size_t>(pi)] =
-                    record.ownersOf(record.pass(pi), table, owner);
-                // Group sums in stream order: the owner row copies its
-                // own gradients, HIT rows add theirs.
+                const SignatureRecord::Pass &pass =
+                    record.pass((b * spec.groups + g) * cin_g + ic);
+                frame.load(input.data() +
+                               input.offset4(b, g * cin_g + ic, 0, 0),
+                           1, plane.data());
+                // Group sums in stream order, in compacted owner slots
+                // (owners ascending): the owner row copies its own
+                // gradients, HIT rows add theirs. Without forwards every
+                // row is an owner summing only itself, so the
+                // transposed gradients serve as they are. Each owner's
+                // patch starts at base[slot] in the frame.
                 const float *gt =
                     go_t.data() + (b * spec.groups + g) * v * cout_g;
-                for (int64_t r = 0; r < v; ++r) {
-                    const int64_t o = owner[static_cast<size_t>(r)];
+                const bool grouped = pass.forwarded > 0;
+                int64_t u = 0;
+                for (int32_t r = 0, y = 0, x = 0; r < v; ++r) {
+                    const int32_t o = pass.owner(r);
                     const float *src = gt + r * cout_g;
-                    float *dst = sums.data() + o * cout_g;
-                    if (o == r)
-                        std::copy(src, src + cout_g, dst);
-                    else
-                        kernels::ops().addSpan(dst, src, cout_g);
-                }
-                // Patches of the owner rows only (runs of consecutive
-                // owners extract as one range), then one multiply per
-                // owner, owners ascending.
-                for (int64_t r0 = 0; r0 < v;) {
-                    if (owner[static_cast<size_t>(r0)] != r0) {
-                        ++r0;
-                        continue;
+                    if (o == r) {
+                        slot[static_cast<size_t>(r)] = static_cast<int32_t>(u);
+                        base[static_cast<size_t>(u)] = y * frame.rowStep() + x;
+                        if (grouped)
+                            std::copy(src, src + cout_g,
+                                      sums.data() + u * cout_g);
+                        ++u;
+                    } else {
+                        kernels::ops().addSpan(
+                            sums.data() +
+                                slot[static_cast<size_t>(o)] * cout_g,
+                            src, cout_g);
                     }
-                    int64_t r1 = r0 + 1;
-                    while (r1 < v && owner[static_cast<size_t>(r1)] == r1)
-                        ++r1;
-                    extractChannelPatchRows(input, spec, b, g * cin_g + ic,
-                                            ow, r0, r1, patches);
-                    for (int64_t r = r0; r < r1; ++r) {
-                        const float *gr = sums.data() + r * cout_g;
-                        const float *pr = patches.data() + r * d;
-                        for (int64_t t = 0; t < d; ++t)
-                            mulAddRows(acc.data() + t * cout_g, 0, gr, 0, 1,
-                                       cout_g, pr[t]);
+                    if (++x == ow) {
+                        x = 0;
+                        ++y;
                     }
-                    r0 = r1;
                 }
+                kernels::ops().ownerWeightMul(grouped ? sums.data() : gt,
+                                              cout_g, u, plane.data(),
+                                              base.data(), tap_off.data(),
+                                              d, acc.data());
             }
             for (int64_t f = 0; f < cout_g; ++f) {
                 float *gw =
@@ -409,7 +399,7 @@ ConvReuseEngine::backwardWeights(const Tensor &input, const Tensor &gradOut,
             }
         }
     });
-    bookReplay(record, geo, forwarded, stats);
+    bookReplay(record, geo, stats);
     return grad_w;
 }
 

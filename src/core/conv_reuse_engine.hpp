@@ -3,14 +3,15 @@
  * Functional convolution with MERCURY reuse (§III-C1).
  *
  * For every (image, channel) the engine extracts the input vectors and
- * runs the similarity detector; every channel pass then resolves its
- * owner map (OwnerTable): a HIT row takes the result of the earlier
- * row of the same pass that installed its MCACHE entry (MAU), every
- * other row owns itself. Owner rows compute all of the channel's
- * filter values in one sweep over its kernels, transposed to (tap,
- * filter) — each value summed tap-ascending from +0, the dot product
- * the filter would compute alone — and every row then adds its
- * owner's values into the output. Results accumulate over channels
+ * runs the similarity detector, whose probe resolves the pass's owner
+ * map (OwnerTable's rule, carried in the pass): a HIT row takes the
+ * result of the earlier row of the same pass that installed its MCACHE
+ * entry (MAU), every other row owns itself. Owner rows compute all of
+ * the channel's filter values in one sweep over its kernels,
+ * transposed to (tap, filter) — each value summed tap-ascending from
+ * +0, the dot product the filter would compute alone (the ownerValues
+ * kernel, one call per block) — and every row then adds its owner's
+ * values into the output (ownerScatter). Results accumulate over channels
  * exactly like the baseline convolution, so the output differs from
  * the exact convolution only by the reuse-induced approximation —
  * which is what the accuracy experiments measure.
@@ -36,9 +37,9 @@
  * detection cost. A forward-HIT row's products are go[owner] * w, so
  * each pass is the exact per-channel input gradient
  * (conv2dBackwardInputChannel) of the output gradients gathered
- * through the owner map: every cell sums in (filter, y, x) order from
- * +0, and with zero hits the result is conv2dBackwardInput bit for
- * bit. Passes write disjoint planes and fan out over the pool.
+ * through the pass's owner map: every cell sums in (filter, y, x)
+ * order from +0, and with zero hits the result is conv2dBackwardInput
+ * bit for bit. Passes write disjoint planes and fan out over the pool.
  *
  * Weight gradients (§III-C2 applied to Eq. 1): backwardWeights()
  * replays the same record over dW = X ⊛ dY. A forward-HIT row's
@@ -46,8 +47,9 @@
  * x_owner ⊗ (Σ dy over the owner's hit-group), so each pass first
  * sums the output gradients of each hit-group (cheap adds, charged
  * as per-group accumulate cycles in the timing model) and then does
- * one multiply per owner — sum-then-multiply, every weight element
- * accumulating (image, owner) ascending from +0. With zero hits the
+ * one multiply per owner (ownerWeightMul, reading the owner patches
+ * from the plane's conv frame) — sum-then-multiply, every weight
+ * element accumulating (image, owner) ascending from +0. With zero hits the
  * result is bit-identical to conv2dBackwardWeight; with hits it is
  * the exact dW up to the float-summation order of the grouped
  * gradient rows. (group, channel) pairs fan out over the pool.
@@ -82,18 +84,18 @@ namespace mercury {
 
 /**
  * Extract patch rows [r0, r1) of one (image, channel) pass — the
- * Fig. 7a vector extraction shared by the forward detection pass and
- * the weight-gradient replay (which needs the owner patches back).
- * Row r is output position (r / ow, r % ow), k*k floats; indexing is
- * absolute, so the destination range is rows.data() + r0 * k * k
- * onward. Reads input.at4(b, c, ...) only, so any tensor holding the
- * channel works. This is the single-touch fusion entry: forward()
- * hands it to each channel's hash job as a RowFiller so each block's
- * patches are extracted immediately before they are hashed — one
- * L2-sized walk instead of an extract-everything pass followed by a
- * hash-everything pass. Disjoint ranges may run concurrently (pure
- * span copies/zeros via the extractPatches kernel; no shared mutable
- * state).
+ * Fig. 7a vector extraction of the forward detection pass. Row r is
+ * output position (r / ow, r % ow), k*k floats; indexing is absolute,
+ * so the destination range is rows.data() + r0 * k * k onward. Reads
+ * input.at4(b, c, ...) only, so any tensor holding the channel works.
+ * This is the single-touch fusion entry: forward() hands it to each
+ * channel's hash job as a RowFiller so each block's patches are
+ * extracted immediately before they are hashed — one L2-sized walk
+ * instead of an extract-everything pass followed by a hash-everything
+ * pass. Disjoint ranges may run concurrently (pure span copies/zeros
+ * via the extractPatches kernel; no shared mutable state). The
+ * weight-gradient replay does not extract: it reads owner patches
+ * from the plane's conv frame.
  */
 void extractChannelPatchRows(const Tensor &input, const ConvSpec &spec,
                              int64_t b, int64_t c, int64_t ow, int64_t r0,
@@ -163,7 +165,8 @@ class ConvReuseEngine
      * hits; exact up to float-summation order of the grouped output
      * gradients otherwise.
      *
-     * @param input   the forward input (patches are re-extracted)
+     * @param input   the forward input (owner patches are read from
+     *                each plane's conv frame)
      * @param gradOut (N, Cout, outH(H), outW(W)) output gradient
      * @param record  the forward pass's captured record
      * @param stats   filled with the dW-pass reuse statistics

@@ -39,33 +39,24 @@ FcEngine::forward(const Tensor &input, const Tensor &weight,
         static_cast<uint64_t>(n) * static_cast<uint64_t>(d) *
         static_cast<uint64_t>(m);
 
-    // HIT rows receive their owner's results ("earlier PE", §III-C3;
-    // OwnerTable states the rule).
-    OwnerTable table(frontend_->entries());
-    if (owner_rows)
-        owner_rows->assign(static_cast<size_t>(n), -1);
-
     Tensor out({n, m});
 
-    // One RowPass over the minibatch: stream-order owner bookkeeping
-    // on the driving thread, computed rows fanned out (they are
-    // mutually independent), HIT rows forwarded from their earlier
-    // PE once every owner has computed.
+    // One RowPass over the minibatch: the probe resolves the owner map
+    // ("earlier PE", §III-C3; OwnerTable states the rule), computed
+    // rows fan out (they are mutually independent), and HIT rows are
+    // forwarded from their earlier PE once every owner has computed.
     ReuseRuntime rt(*frontend_, frontend_.signatureBits());
     ReuseRuntime::RowPass pass;
-    pass.ownerOf = [&](int64_t i, McacheOutcome outcome, int64_t entry) {
-        const int64_t owner = table.ownerOf(i, outcome, entry);
-        if (owner_rows)
-            (*owner_rows)[static_cast<size_t>(i)] = owner;
-        return owner;
-    };
-    pass.computeRow = [&](int64_t i) {
-        // The row's dot product against every weight column.
-        for (int64_t j = 0; j < m; ++j) {
-            float acc = 0.0f;
-            for (int64_t e = 0; e < d; ++e)
-                acc += input.at2(i, e) * weight.at2(e, j);
-            out.at2(i, j) = acc;
+    pass.computeRows = [&](const int32_t *rows, int64_t count) {
+        // Each row's dot product against every weight column.
+        for (int64_t k = 0; k < count; ++k) {
+            const int64_t i = rows[k];
+            for (int64_t j = 0; j < m; ++j) {
+                float acc = 0.0f;
+                for (int64_t e = 0; e < d; ++e)
+                    acc += input.at2(i, e) * weight.at2(e, j);
+                out.at2(i, j) = acc;
+            }
         }
     };
     pass.copyRow = [&](int64_t i, int64_t o) {
@@ -80,8 +71,10 @@ FcEngine::forward(const Tensor &input, const Tensor &weight,
     pass.rowSkipCost =
         static_cast<uint64_t>(d) * static_cast<uint64_t>(m);
 
-    rt.runRows(ReuseRuntime::StreamSource::live(input, record), pass,
-               stats);
+    const SignatureRecord::Pass &det = rt.runRows(
+        ReuseRuntime::StreamSource::live(input, record), pass, stats);
+    if (owner_rows)
+        owner_rows->assign(det.owners.begin(), det.owners.end());
     return out;
 }
 
@@ -113,17 +106,13 @@ FcEngine::backwardInput(const Tensor &grad, const Tensor &weight,
     // One replayed pass (§III-C2): the owner rows run through
     // matmulTransposeB — per row the accumulation order of the exact
     // input gradient — and forward-HIT rows take their owner's row.
-    std::vector<int64_t> owner;
-    OwnerTable table(record.entries());
-    const int64_t fwd = record.ownersOf(pass, table, owner);
-    stats.macsSkipped = static_cast<uint64_t>(fwd) *
+    stats.macsSkipped = static_cast<uint64_t>(pass.forwarded) *
                         static_cast<uint64_t>(d) * static_cast<uint64_t>(m);
     stats.addReplayedPass(pass);
-    if (fwd == 0)
+    if (pass.forwarded == 0)
         return matmulTransposeB(grad, weight);
     return forwardOwnerRows(
-        matmulTransposeB(gatherOwnerRows(grad, owner, n - fwd), weight),
-        owner);
+        matmulTransposeB(gatherOwnerRows(grad, pass), weight), pass);
 }
 
 Tensor
@@ -154,7 +143,7 @@ FcEngine::backwardWeights(const Tensor &input, const Tensor &grad,
     // Sum-then-multiply (§III-C2 on Eq. 1): group the output
     // gradients by forward owner, then one outer product per group
     // with the owner's input row.
-    return ownerWeightGrad(record, pass, input, grad, stats);
+    return ownerWeightGrad(pass, input, grad, stats);
 }
 
 } // namespace mercury

@@ -27,6 +27,13 @@
  * `inter`; callers may then pass inter = nullptr to tables that do
  * not, and skip building the mirror entirely.
  *
+ * The three owner kernels (ownerValues, ownerScatter, ownerWeightMul)
+ * are the dense bodies of the conv reuse passes. Each output element
+ * keeps the operation order of the scalar loop: the AVX2 bodies block
+ * several independent chains side by side (rows x filter octets,
+ * transposed 8x8 tiles, taps x filter octets) and never reorder the
+ * steps of any one chain, with separate multiply and add.
+ *
  * Masked-octet contract: a vector body may read all 8 filters of the
  * octet holding the last `bits % 8` filters whenever the mirror has
  * them (n + 8 <= inter_stride; RPQEngine provisions its maximum
@@ -93,6 +100,39 @@ struct KernelOps
     void (*extractPatches)(const float *plane, int64_t in_h, int64_t in_w,
                            int64_t ow, int64_t stride, int64_t pad,
                            int64_t k, int64_t r0, int64_t r1, float *rows);
+
+    /**
+     * Owner values of a conv channel pass: for each of the `count`
+     * distinct rows r listed in `rows`, vals[r*filters + f] is the sum
+     * over taps t ascending, from +0, of w[t*filters + f] *
+     * patches[r*d + t] — the dot product filter f computes on its
+     * own, with `w` the channel's kernels laid out (tap, filter).
+     * Writes exactly the listed rows' `filters` values.
+     */
+    void (*ownerValues)(const float *patches, int64_t d,
+                        const int32_t *rows, int64_t count, const float *w,
+                        int64_t filters, float *vals);
+
+    /**
+     * Owner scatter: out[f*outPitch + i] += vals[owner[i]*valsPitch + f]
+     * for f in [0, filters) and i in [0, n) — one add per element, so
+     * every output gets one partial per call.
+     */
+    void (*ownerScatter)(const float *vals, int64_t valsPitch,
+                         int64_t filters, const int32_t *owner, int64_t n,
+                         float *out, int64_t outPitch);
+
+    /**
+     * Weight-gradient owner multiply: acc[t*filters + f] +=
+     * sums[j*filters + f] * frame[base[j] + tapOff[t]] for owners j in
+     * [0, owners) ascending — each accumulator adds one product per
+     * owner, in owner order. Owner j's patch value at tap t is read
+     * from a conv frame at base[j] + tapOff[t].
+     */
+    void (*ownerWeightMul)(const float *sums, int64_t filters,
+                           int64_t owners, const float *frame,
+                           const int64_t *base, const int64_t *tapOff,
+                           int64_t taps, float *acc);
 };
 
 /** The scalar reference table (always available). */

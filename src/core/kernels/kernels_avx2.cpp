@@ -25,14 +25,25 @@
  *    loops, which compute the same expression per element.
  *  - extractPatches moves data only; its masked rows write exactly the
  *    values and zeros of the scalar body's spans.
+ *  - ownerValues runs a 4-row x 2-octet register tile: 8 independent
+ *    (row, filter) chains, each starting at +0 and adding its taps in
+ *    ascending order; a partial last octet loads and stores masked.
+ *  - ownerScatter transposes 8 owner rows x 8 filters per tile and
+ *    adds each filter's 8 values to 8 consecutive outputs — one add
+ *    per element, as the scalar loop does.
+ *  - ownerWeightMul keeps up to 12 taps x one filter octet in
+ *    registers and walks the owners ascending once per group: every
+ *    accumulator still adds one product per owner, in owner order.
  */
 
 #include "core/kernels/kernels.hpp"
 
 #ifdef __AVX2__
 
+#include <array>
 #include <cstring>
 #include <immintrin.h>
+#include <utility>
 
 namespace mercury {
 namespace kernels {
@@ -272,6 +283,216 @@ extractPatchesAvx2(const float *plane, int64_t in_h, int64_t in_w,
     }
 }
 
+/**
+ * One ownerValues tile: R owner rows x C filter octets from filter f,
+ * the last octet masked to `tail` when Tail. Each accumulator is one
+ * (row, filter) chain: +0, then + w * x per tap, taps ascending.
+ */
+template <int R, int C, bool Tail>
+inline void
+ownerValuesTile(const float *const *p, float *const *v, int64_t d,
+                const float *w, int64_t filters, int64_t f, __m256i tail)
+{
+    __m256 a[R][C];
+    for (int r = 0; r < R; ++r)
+        for (int c = 0; c < C; ++c)
+            a[r][c] = _mm256_setzero_ps();
+    for (int64_t t = 0; t < d; ++t) {
+        const float *wt = w + t * filters + f;
+        __m256 wv[C];
+        for (int c = 0; c < C; ++c)
+            wv[c] = Tail && c == C - 1 ? _mm256_maskload_ps(wt + 8 * c, tail)
+                                       : _mm256_loadu_ps(wt + 8 * c);
+        for (int r = 0; r < R; ++r) {
+            const __m256 x = _mm256_broadcast_ss(p[r] + t);
+            for (int c = 0; c < C; ++c)
+                a[r][c] = _mm256_add_ps(a[r][c], _mm256_mul_ps(wv[c], x));
+        }
+    }
+    for (int r = 0; r < R; ++r)
+        for (int c = 0; c < C; ++c) {
+            if (Tail && c == C - 1)
+                _mm256_maskstore_ps(v[r] + f + 8 * c, tail, a[r][c]);
+            else
+                _mm256_storeu_ps(v[r] + f + 8 * c, a[r][c]);
+        }
+}
+
+/** ownerValues of R rows over every filter octet, two at a time. */
+template <int R>
+inline void
+ownerValuesRows(const float *const *p, float *const *v, int64_t d,
+                const float *w, int64_t filters, __m256i tail)
+{
+    int64_t f = 0;
+    for (; f + 16 <= filters; f += 16)
+        ownerValuesTile<R, 2, false>(p, v, d, w, filters, f, tail);
+    const int64_t left = filters - f;
+    if (left > 8)
+        ownerValuesTile<R, 2, true>(p, v, d, w, filters, f, tail);
+    else if (left == 8)
+        ownerValuesTile<R, 1, false>(p, v, d, w, filters, f, tail);
+    else if (left > 0)
+        ownerValuesTile<R, 1, true>(p, v, d, w, filters, f, tail);
+}
+
+void
+ownerValuesAvx2(const float *patches, int64_t d, const int32_t *rows,
+                int64_t count, const float *w, int64_t filters, float *vals)
+{
+    const __m256i tail = lanesBelow(filters & 7 ? filters & 7 : 8);
+    int64_t j = 0;
+    for (; j + 4 <= count; j += 4) {
+        const float *p[4];
+        float *v[4];
+        for (int r = 0; r < 4; ++r) {
+            p[r] = patches + static_cast<int64_t>(rows[j + r]) * d;
+            v[r] = vals + static_cast<int64_t>(rows[j + r]) * filters;
+        }
+        ownerValuesRows<4>(p, v, d, w, filters, tail);
+    }
+    for (; j < count; ++j) {
+        const float *p[1] = {patches + static_cast<int64_t>(rows[j]) * d};
+        float *v[1] = {vals + static_cast<int64_t>(rows[j]) * filters};
+        ownerValuesRows<1>(p, v, d, w, filters, tail);
+    }
+}
+
+/** In-register transpose of the 8x8 tile r[0..8). */
+inline void
+transpose8(__m256 *r)
+{
+    const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+    const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+    const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+    const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+    const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
+    const __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
+    const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
+    const __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
+    const __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+    const __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+    const __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+    const __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+    r[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
+    r[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
+    r[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
+    r[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
+    r[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
+    r[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
+    r[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
+    r[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
+}
+
+void
+ownerScatterAvx2(const float *vals, int64_t valsPitch, int64_t filters,
+                 const int32_t *owner, int64_t n, float *out,
+                 int64_t outPitch)
+{
+    // Tile: 8 outputs i x 8 filters. Rows past n load as zero and
+    // their lanes are neither loaded nor stored in `out`; filters past
+    // the last octet's end load masked and are not added anywhere.
+    for (int64_t i = 0; i < n; i += 8) {
+        const int64_t rows = n - i < 8 ? n - i : 8;
+        const __m256i row_mask = lanesBelow(rows);
+        for (int64_t f = 0; f < filters; f += 8) {
+            const int64_t cols = filters - f < 8 ? filters - f : 8;
+            const __m256i col_mask = lanesBelow(cols);
+            __m256 r[8];
+            for (int k = 0; k < 8; ++k)
+                r[k] = k < rows ? _mm256_maskload_ps(
+                                      vals + owner[i + k] * valsPitch + f,
+                                      col_mask)
+                                : _mm256_setzero_ps();
+            transpose8(r);
+            for (int64_t q = 0; q < cols; ++q) {
+                float *o = out + (f + q) * outPitch + i;
+                if (rows == 8)
+                    _mm256_storeu_ps(
+                        o, _mm256_add_ps(_mm256_loadu_ps(o), r[q]));
+                else
+                    _mm256_maskstore_ps(
+                        o, row_mask,
+                        _mm256_add_ps(_mm256_maskload_ps(o, row_mask),
+                                      r[q]));
+            }
+        }
+    }
+}
+
+/**
+ * One ownerWeightMul group: TN taps from t0 x the filter octet at f
+ * (its first `lanes` filters) stay in registers while the owners go by
+ * in ascending order.
+ */
+template <int TN>
+void
+ownerWeightMulGroup(const float *sums, int64_t filters, int64_t owners,
+                    const float *frame, const int64_t *base,
+                    const int64_t *tapOff, int64_t t0, int64_t f,
+                    int64_t lanes, float *acc)
+{
+    const __m256i mask = lanesBelow(lanes);
+    __m256 a[TN];
+    int64_t off[TN];
+    for (int q = 0; q < TN; ++q) {
+        a[q] = _mm256_maskload_ps(acc + (t0 + q) * filters + f, mask);
+        off[q] = tapOff[t0 + q];
+    }
+    for (int64_t j = 0; j < owners; ++j) {
+        const __m256 s = _mm256_maskload_ps(sums + j * filters + f, mask);
+        const float *p = frame + base[j];
+        for (int q = 0; q < TN; ++q)
+            a[q] = _mm256_add_ps(
+                a[q], _mm256_mul_ps(s, _mm256_broadcast_ss(p + off[q])));
+    }
+    for (int q = 0; q < TN; ++q)
+        _mm256_maskstore_ps(acc + (t0 + q) * filters + f, mask, a[q]);
+}
+
+using WeightMulGroup = void (*)(const float *, int64_t, int64_t,
+                                const float *, const int64_t *,
+                                const int64_t *, int64_t, int64_t, int64_t,
+                                float *);
+
+/** Taps one ownerWeightMul group keeps in registers, at most. */
+constexpr int kMaxGroupTaps = 12;
+
+template <int... N>
+constexpr std::array<WeightMulGroup, sizeof...(N)>
+weightMulGroups(std::integer_sequence<int, N...>)
+{
+    return {{&ownerWeightMulGroup<N + 1>...}};
+}
+
+void
+ownerWeightMulAvx2(const float *sums, int64_t filters, int64_t owners,
+                   const float *frame, const int64_t *base,
+                   const int64_t *tapOff, int64_t taps, float *acc)
+{
+    static constexpr auto kGroups = weightMulGroups(
+        std::make_integer_sequence<int, kMaxGroupTaps>{});
+    if (owners <= 0 || taps <= 0)
+        return;
+    // Taps split into near-equal groups of at most kMaxGroupTaps, so a
+    // 3x3 kernel is one group of 9 and a 5x5 three of 8-9.
+    const int64_t groups = (taps + kMaxGroupTaps - 1) / kMaxGroupTaps;
+    for (int64_t f = 0; f < filters; f += 8) {
+        int64_t t0 = 0;
+        for (int64_t g = 0; g < groups; ++g) {
+            const int64_t tn = taps / groups + (g < taps % groups);
+            kGroups[static_cast<size_t>(tn - 1)](sums, filters, owners,
+                                                 frame, base, tapOff, t0,
+                                                 f, filters - f, acc);
+            t0 += tn;
+        }
+    }
+}
+
 const KernelOps kAvx2Ops = {
     "avx2",          // name
     true,            // wantsInterleaved
@@ -280,6 +501,9 @@ const KernelOps kAvx2Ops = {
     copySpanAvx2,    // copySpan
     addSpanAvx2,     // addSpan
     extractPatchesAvx2, // extractPatches
+    ownerValuesAvx2,    // ownerValues
+    ownerScatterAvx2,   // ownerScatter
+    ownerWeightMulAvx2, // ownerWeightMul
 };
 
 bool

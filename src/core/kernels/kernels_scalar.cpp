@@ -101,6 +101,52 @@ extractPatchesScalar(const float *plane, int64_t in_h, int64_t in_w,
     }
 }
 
+void
+ownerValuesScalar(const float *patches, int64_t d, const int32_t *rows,
+                  int64_t count, const float *w, int64_t filters,
+                  float *vals)
+{
+    for (int64_t j = 0; j < count; ++j) {
+        const int64_t r = rows[j];
+        float *val = vals + r * filters;
+        const float *row = patches + r * d;
+        for (int64_t f = 0; f < filters; ++f)
+            val[f] = 0.0f;
+        for (int64_t t = 0; t < d; ++t)
+            for (int64_t f = 0; f < filters; ++f)
+                val[f] += w[t * filters + f] * row[t];
+    }
+}
+
+void
+ownerScatterScalar(const float *vals, int64_t valsPitch, int64_t filters,
+                   const int32_t *owner, int64_t n, float *out,
+                   int64_t outPitch)
+{
+    for (int64_t f = 0; f < filters; ++f) {
+        float *o = out + f * outPitch;
+        for (int64_t i = 0; i < n; ++i)
+            o[i] += vals[owner[i] * valsPitch + f];
+    }
+}
+
+void
+ownerWeightMulScalar(const float *sums, int64_t filters, int64_t owners,
+                     const float *frame, const int64_t *base,
+                     const int64_t *tapOff, int64_t taps, float *acc)
+{
+    for (int64_t j = 0; j < owners; ++j) {
+        const float *s = sums + j * filters;
+        const float *p = frame + base[j];
+        for (int64_t t = 0; t < taps; ++t) {
+            const float x = p[tapOff[t]];
+            float *a = acc + t * filters;
+            for (int64_t f = 0; f < filters; ++f)
+                a[f] += s[f] * x;
+        }
+    }
+}
+
 const KernelOps kScalarOps = {
     "scalar",          // name
     false,             // wantsInterleaved
@@ -109,6 +155,9 @@ const KernelOps kScalarOps = {
     copySpanScalar,    // copySpan
     addSpanScalar,     // addSpan
     extractPatchesScalar, // extractPatches
+    ownerValuesScalar,    // ownerValues
+    ownerScatterScalar,   // ownerScatter
+    ownerWeightMulScalar, // ownerWeightMul
 };
 
 } // namespace

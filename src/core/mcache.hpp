@@ -20,11 +20,20 @@
  * words (the Signature::words layout), so the detection pipeline
  * probes the words its hash job wrote, with no Signature built;
  * lookupOrInsert(Signature) probes a signature's own words. The data
- * half lives with the engines: every reuse pass resolves an owner map
- * (OwnerTable, pipeline/signature_record.hpp) and its HIT rows take
- * their owner row's result. `dataVersions` stays part of the organization — the
- * cycle model charges the Fig. 11 version constraint, and replay
- * records and snapshots carry it.
+ * half lives with the engines: the probe resolves every pass's owner
+ * map (OwnerTable, pipeline/signature_record.hpp) and its HIT rows take
+ * their owner row's result. `dataVersions` stays part of the
+ * organization — the cycle model charges the Fig. 11 version
+ * constraint, and replay records and snapshots carry it.
+ *
+ * Tag store: each set keeps a valid-way bitmap of ceil(ways / 64)
+ * words, the only record of which lines hold a tag, and each line its
+ * first tag word and tag length in flat arrays (later words of tags
+ * longer than 64 bits live apart). A probe walks the set's valid bits
+ * lowest-first comparing first word and length — the remaining words
+ * only for long tags — and a miss takes the lowest clear bit: the
+ * Fig. 9 first-match and first-free-way rules. Epoch, tenant and pins
+ * sit in a separate array, off the compare path.
  *
  * An MCache takes no locks: one thread at a time touches a cache.
  * The detection pipeline probes on its driving thread only, and the
@@ -119,16 +128,18 @@ class MCache
     }
 
     /**
-     * Software-prefetch the set's lines ahead of a probe. A pure
-     * host-side hint: no stats, no state, nothing the timing model
-     * sees. The streaming probe loop uses it to pull row i+1's set
-     * into cache while row i's tag compare runs.
+     * Software-prefetch the set's tag words and valid mask ahead of a
+     * probe. A pure host-side hint: no stats, no state, nothing the
+     * timing model sees. The streaming probe loop uses it to pull row
+     * i+1's set into cache while row i's tag compare runs.
      */
     void prefetchSet(int set) const
     {
-        const Line *l = &lines_[static_cast<size_t>(set) * ways_];
-        for (int w = 0; w < ways_; ++w)
-            prefetchRead(l + w);
+        const uint64_t *w = &tagWord0_[static_cast<size_t>(set) * ways_];
+        for (int b = 0; b < ways_; b += 8)
+            prefetchRead(w + b);
+        prefetchRead(w + ways_ - 1); // the last line of an unaligned set
+        prefetchRead(&valid_[static_cast<size_t>(set) * maskWords_]);
     }
 
     /** Occupancy (valid tags) of one set. */
@@ -196,7 +207,7 @@ class MCache
     bool tagValid(int64_t entry_id) const;
 
     /** Tag of a valid line; panics on an invalid line. */
-    const Signature &tagOf(int64_t entry_id) const;
+    Signature tagOf(int64_t entry_id) const;
 
     /** Valid lines currently stamped with `tenant`. */
     int64_t tenantEntries(int tenant) const;
@@ -230,23 +241,35 @@ class MCache
     const McacheCounters &stats() const { return stats_; }
 
   private:
-    struct Line
+    /** Lifecycle metadata of one line (never read by the compare). */
+    struct Meta
     {
-        Signature tag;
-        bool validTag = false;
-        uint64_t epoch = 0;  ///< last-touch epoch (insert / HIT)
-        int tenant = -1;     ///< owning tenant (-1 = unowned)
-        uint32_t pins = 0;   ///< eviction pins (in-flight HITs)
+        uint64_t epoch = 0; ///< last-touch epoch (insert / HIT)
+        int tenant = -1;    ///< owning tenant (-1 = unowned)
+        uint32_t pins = 0;  ///< eviction pins (in-flight HITs)
+    };
+
+    /** A line by set and way (entry id set * ways + way). */
+    struct Way
+    {
+        int set, way;
     };
 
     int sets_;
     int ways_;
     int versions_;
-    std::vector<Line> lines_;
+    int maskWords_; ///< valid-mask words per set, ceil(ways / 64)
+    /// Valid-way bitmap, maskWords_ words per set: bit w of word w / 64.
+    std::vector<uint64_t> valid_;
+    std::vector<uint64_t> tagWord0_; ///< first tag word per line
+    std::vector<int32_t> tagBits_;   ///< tag length per line
+    /// Words past the first of tags longer than 64 bits, per line.
+    std::vector<std::vector<uint64_t>> tagRest_;
+    std::vector<Meta> meta_;
     std::vector<uint64_t> insertBacklog_;
     /// Lines installed since the last clear (insert or restore), at
     /// most entries() of them; every other line is as constructed.
-    std::vector<int64_t> installed_;
+    std::vector<Way> installed_;
     bool installedOverflow_ = false; ///< list full: clear walks all
     uint64_t epoch_ = 0;
     int insertTenant_ = -1;
@@ -254,11 +277,20 @@ class MCache
     std::vector<int64_t> tenantLines_; ///< quota'd lines per tenant id
     McacheCounters stats_;
 
-    Line &line(int64_t entry_id);
-    const Line &line(int64_t entry_id) const;
-    void evictLine(Line &l);
-    void noteInstalled(int64_t entry_id);
-    void resetLine(Line &l);
+    /** The line of an entry id; panics outside [0, entries()). */
+    Way wayOf(int64_t entry_id) const;
+    uint64_t &maskWord(Way l);
+    bool valid(Way l) const;
+    Meta &meta(Way l);
+    const Meta &meta(Way l) const;
+    void install(int64_t entry_id, int bits, const uint64_t *words);
+    /** Invalidate a valid line, releasing its quota (pins stay). */
+    void dropLine(Way l);
+    /** Drop every valid, unpinned line whose metadata `evict` picks. */
+    template <typename Pred>
+    int64_t evictWhere(Pred &&evict);
+    void noteInstalled(Way l);
+    void resetLine(Way l);
     int64_t *quotaCount(int tenant);
     void countQuotaLine(int tenant);
 };

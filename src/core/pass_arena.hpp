@@ -57,6 +57,9 @@ class PassArena
     /** Uninitialized 64-byte-aligned buffer of n indices. */
     int64_t *indices(int64_t n) { return take<int64_t>(n); }
 
+    /** Uninitialized 64-byte-aligned buffer of n row ids. */
+    int32_t *rows(int64_t n) { return take<int32_t>(n); }
+
     /** Uninitialized 64-byte-aligned buffer of n bytes. */
     uint8_t *bytes(int64_t n) { return take<uint8_t>(n); }
 

@@ -32,47 +32,32 @@ ReuseRuntime::parallelRanges(
     });
 }
 
-void
+const SignatureRecord::Pass &
 ReuseRuntime::runRows(const StreamSource &src, const RowPass &pass,
                       ReuseStats &stats)
 {
     beginPass(src.rowCount());
-    // Owner rows of each delivered block fan out to the pool while
-    // later blocks hash (inline without a pool); forwarded rows are
-    // copied after the joins (owners are always computed rows, so
-    // forwarding chains have depth one). Bookkeeping runs on this
-    // thread in stream order. All per-pass lists live in the runtime
-    // arena: the computed slab is indexed by block start (each block's
-    // batch is a stable slice the fanned-out task reads), and the
-    // forward lists grow only on this thread.
+    // Owner rows of each delivered block go to computeRows in one call:
+    // fanned out to the pool while later blocks hash, or run inline.
+    // Forwarded rows are copied after the joins (owners are always
+    // computed rows, so forwarding chains have depth one). The
+    // computed slab lives in the runtime arena, indexed by block start:
+    // each block's batch is a stable slice the fanned-out task reads.
     arena_.reset();
-    const int64_t n = src.rowCount();
-    int64_t *fwd_rows = arena_.indices(n);
-    int64_t *fwd_owners = arena_.indices(n);
-    int64_t *computed = arena_.indices(n);
-    int64_t nfwd = 0;
+    int32_t *computed = arena_.rows(src.rowCount());
     TaskGroup computes(passPool_);
     const BlockConsumer consume = [&](const DetectionBlock &blk) {
-        int64_t *batch = computed + blk.row0;
+        int32_t *batch = computed + blk.row0;
         int64_t nc = 0;
-        for (int64_t i = blk.row0; i < blk.row1; ++i) {
-            const int64_t o =
-                pass.ownerOf(i, blk.outcome(i), blk.entryId(i));
-            if (o != i) {
-                fwd_rows[nfwd] = i;
-                fwd_owners[nfwd] = o;
-                ++nfwd;
-                stats.macsSkipped += pass.rowSkipCost;
-            } else {
-                batch[nc++] = i;
-            }
-        }
-        if (nc > 0) {
-            computes.run([&pass, batch, nc] {
-                for (int64_t j = 0; j < nc; ++j)
-                    pass.computeRow(batch[j]);
-            });
-        }
+        for (int64_t i = blk.row0; i < blk.row1; ++i)
+            if (blk.owner(i) == i)
+                batch[nc++] = static_cast<int32_t>(i);
+        if (nc == 0)
+            return;
+        if (passPool_)
+            computes.run([&pass, batch, nc] { pass.computeRows(batch, nc); });
+        else
+            pass.computeRows(batch, nc);
     };
     SignatureRecord::Pass det =
         src.job_ ? fe_.finishStream(*src.job_, consume)
@@ -81,16 +66,38 @@ ReuseRuntime::runRows(const StreamSource &src, const RowPass &pass,
         pass.onStreamDelivered();
     stats.mix += det.mix;
     ++stats.channelPasses;
-    if (src.capture_)
+    stats.macsSkipped +=
+        static_cast<uint64_t>(det.forwarded) * pass.rowSkipCost;
+    const SignatureRecord::Pass *done = &last_;
+    if (src.capture_) {
         src.capture_->append(std::move(det), fe_.dataVersions(),
                              fe_.entries());
+        done = &src.capture_->pass(src.capture_->passCount() - 1);
+    } else {
+        last_ = std::move(det);
+    }
     computes.wait();
-    if (!pass.copyRow)
-        return;
+    if (pass.copyRow)
+        copyForwarded(*done, pass);
+    return *done;
+}
 
+void
+ReuseRuntime::copyForwarded(const SignatureRecord::Pass &det,
+                            const RowPass &pass)
+{
     // Coalesce adjacent forwards (rows and owners both stepping by
     // one) into span copies; the spans partition the forward list, so
     // span j is [starts[j], starts[j+1]).
+    const int64_t nfwd = det.forwarded;
+    int64_t *fwd_rows = arena_.indices(nfwd);
+    int64_t *fwd_owners = arena_.indices(nfwd);
+    for (int64_t i = 0, k = 0; k < nfwd; ++i) {
+        if (det.owner(i) != i) {
+            fwd_rows[k] = i;
+            fwd_owners[k++] = det.owner(i);
+        }
+    }
     int64_t *starts = arena_.indices(nfwd);
     int64_t nspans = 0;
     forEachConsecutiveSpan(fwd_rows, fwd_owners, nfwd,
@@ -113,14 +120,13 @@ ReuseRuntime::runRows(const StreamSource &src, const RowPass &pass,
 }
 
 Tensor
-gatherOwnerRows(const Tensor &t, const std::vector<int64_t> &owner,
-                int64_t owners)
+gatherOwnerRows(const Tensor &t, const SignatureRecord::Pass &pass)
 {
     const int64_t cols = t.dim(1);
-    Tensor out({owners, cols});
+    Tensor out({pass.rows - pass.forwarded, cols});
     float *dst = out.data();
-    for (int64_t r = 0; r < t.dim(0); ++r) {
-        if (owner[static_cast<size_t>(r)] != r)
+    for (int64_t r = 0; r < pass.rows; ++r) {
+        if (pass.owner(r) != r)
             continue;
         std::copy(t.data() + r * cols, t.data() + (r + 1) * cols, dst);
         dst += cols;
@@ -130,15 +136,15 @@ gatherOwnerRows(const Tensor &t, const std::vector<int64_t> &owner,
 
 Tensor
 forwardOwnerRows(const Tensor &ownerResults,
-                 const std::vector<int64_t> &owner)
+                 const SignatureRecord::Pass &pass)
 {
-    const int64_t n = static_cast<int64_t>(owner.size());
+    const int64_t n = pass.rows;
     const int64_t cols = ownerResults.dim(1);
     Tensor out({n, cols});
     const float *next = ownerResults.data();
     for (int64_t r = 0; r < n; ++r) {
         // An owner precedes its HIT rows, so its row is already in place.
-        const int64_t o = owner[static_cast<size_t>(r)];
+        const int64_t o = pass.owner(r);
         const float *src = o == r ? next : out.data() + o * cols;
         std::copy(src, src + cols, out.data() + r * cols);
         if (o == r)
@@ -148,15 +154,12 @@ forwardOwnerRows(const Tensor &ownerResults,
 }
 
 Tensor
-ownerWeightGrad(const SignatureRecord &record,
-                const SignatureRecord::Pass &pass, const Tensor &a,
+ownerWeightGrad(const SignatureRecord::Pass &pass, const Tensor &a,
                 const Tensor &b, ReuseStats &stats)
 {
     const int64_t n = pass.rows;
     const int64_t db = b.dim(1);
-    std::vector<int64_t> owner;
-    OwnerTable table(record.entries());
-    const int64_t fwd = record.ownersOf(pass, table, owner);
+    const int64_t fwd = pass.forwarded;
     stats.macsSkipped += static_cast<uint64_t>(fwd) *
                          static_cast<uint64_t>(a.dim(1)) *
                          static_cast<uint64_t>(db);
@@ -170,7 +173,7 @@ ownerWeightGrad(const SignatureRecord &record,
     Tensor sums({n - fwd, db});
     int64_t u = 0;
     for (int64_t r = 0; r < n; ++r) {
-        const int64_t o = owner[static_cast<size_t>(r)];
+        const int64_t o = pass.owner(r);
         const float *src = b.data() + r * db;
         if (o == r) {
             slot[static_cast<size_t>(r)] = u;
@@ -181,7 +184,7 @@ ownerWeightGrad(const SignatureRecord &record,
                 sums.data() + slot[static_cast<size_t>(o)] * db, src, db);
         }
     }
-    return matmul(transpose2d(gatherOwnerRows(a, owner, n - fwd)), sums);
+    return matmul(transpose2d(gatherOwnerRows(a, pass)), sums);
 }
 
 } // namespace mercury

@@ -5,23 +5,25 @@
  *
  * MERCURY detects similarity once, then skips MACs in forward, dX, and
  * dW (§III-C, Eq. 1). Every one of those passes has the same shape:
- * resolve the owner map — a row that HITs an entry an earlier row of
- * the same pass installed takes that row's result (§III-C3, the
- * "earlier PE"); every other row owns itself (OwnerTable) — compute the
- * owner rows once with a dense kernel, and let HIT rows take their
- * owner's result.
+ * read the owner map — a row that HITs an entry an earlier row of the
+ * same pass installed takes that row's result (§III-C3, the "earlier
+ * PE"); every other row owns itself (OwnerTable) — compute the owner
+ * rows once with a dense kernel, and let HIT rows take their owner's
+ * result. The detection probe resolves each pass's owner map once, into
+ * the pass (SignatureRecord::Pass::owners); every live pass and every
+ * replay reads it there.
  *
  * ## Live passes: RowPass
  *
- * A live pass (the forward of every engine) learns its owners while
- * detection streams: runRows consumes the pass's DetectionBlocks in
- * order on the driving thread, asks `ownerOf` for each row, and fans
- * each block's owner rows out through a TaskGroup while later blocks
- * still hash (the paper's Fig. 8 pipeline). Once every owner has
- * computed, HIT rows copy their owner's result, with adjacent forwards
- * whose owners are also adjacent coalesced into single span copies
- * (span_batcher.hpp). A pass's blocks come from one of two sources
- * (StreamSource):
+ * A live pass (the forward of every engine) consumes the pass's
+ * DetectionBlocks in order on the driving thread while detection
+ * streams: runRows lists each block's owner rows and hands them to
+ * `computeRows` in one call per block — on the pool while later blocks
+ * still hash (the paper's Fig. 8 pipeline), or inline. Once every owner
+ * has computed, HIT rows copy their owner's result, with adjacent
+ * forwards whose owners are also adjacent coalesced into single span
+ * copies (span_batcher.hpp), and runRows hands the finished pass back.
+ * A pass's blocks come from one of two sources (StreamSource):
  *
  *  - live(rows)  — a fresh detection pass over a row population,
  *                  optionally captured into a SignatureRecord for the
@@ -34,22 +36,22 @@
  *
  * ## Replayed passes
  *
- * dX and dW replay a recorded pass (§III-C2): the owner map comes from
- * the record (SignatureRecord::ownersOf) with no hashing, probing or
- * MCACHE access, so a replay is a plain function — gather through the
- * owner map, run the dense kernel. The runtime contributes only the
- * pool: beginPass resolves whether a pass of that size gets it, and
- * parallelRanges splits disjoint work over it.
+ * dX and dW replay a recorded pass (§III-C2): the owner map is the
+ * recorded pass's own, with no hashing, probing or MCACHE access, so a
+ * replay is a plain function — gather through the owner map, run the
+ * dense kernel. The runtime contributes only the pool: beginPass
+ * resolves whether a pass of that size gets it, and parallelRanges
+ * splits disjoint work over it.
  *
  * ## Ordering and locking contract
  *
  * One thread drives a runtime at a time (the engine's caller). Blocks
  * are delivered in ascending order on the driving thread; a block's
- * MCACHE probe happens-before its delivery, and `ownerOf` runs there,
- * in stream order. computeRow calls run concurrently with each other
- * and with later blocks' hashing; each writes its own row. copyRow
- * calls run after every computeRow has joined. Outputs and statistics
- * are bit-identical with and without a pool.
+ * MCACHE probe (and so its owners) happens-before its delivery.
+ * computeRows calls run concurrently with each other and with later
+ * blocks' hashing; each writes its own rows. copyRow calls run after
+ * every computeRows has joined. Outputs and statistics are
+ * bit-identical with and without a pool.
  */
 
 #ifndef MERCURY_CORE_REUSE_RUNTIME_HPP
@@ -151,21 +153,15 @@ class ReuseRuntime
     /**
      * One live pass (§III-C3 result forwarding).
      *
-     * `ownerOf(row, outcome, entry)` runs on the driving thread in
-     * stream order and returns the row whose result this row takes
-     * (the row itself to compute) — the engine applies OwnerTable's
-     * rule, whose ownerOf has this signature, here.
-     * `computeRow` runs once per owner row, possibly concurrently
-     * across rows; `copyRow` (optional) runs for every other row after
-     * every owner has computed. `rowSkipCost` MACs are booked per
-     * forwarded row.
+     * `computeRows(rows, count)` runs once per delivered block that
+     * has owner rows, with that block's owner rows ascending, possibly
+     * concurrently across blocks; `copyRow` (optional) runs for every
+     * other row after every owner has computed. `rowSkipCost` MACs are
+     * booked per forwarded row.
      */
     struct RowPass
     {
-        std::function<int64_t(int64_t row, McacheOutcome outcome,
-                              int64_t entry)>
-            ownerOf;
-        std::function<void(int64_t row)> computeRow;
+        std::function<void(const int32_t *rows, int64_t count)> computeRows;
         std::function<void(int64_t row, int64_t owner)> copyRow;
         /**
          * Optional span form of copyRow: copy rows [row0, row1) from
@@ -193,9 +189,15 @@ class ReuseRuntime
      */
     void beginPass(int64_t rows);
 
-    /** Run one live pass over the stream. */
-    void runRows(const StreamSource &src, const RowPass &pass,
-                 ReuseStats &stats);
+    /**
+     * Run one live pass over the stream and hand back the finished
+     * detection pass (outcomes, owner map, mix): the capture record's
+     * newest pass when the source captures, otherwise the runtime's
+     * own copy. Valid until the next runRows.
+     */
+    const SignatureRecord::Pass &runRows(const StreamSource &src,
+                                         const RowPass &pass,
+                                         ReuseStats &stats);
 
     /**
      * Split [0, n) into contiguous ranges, one per executor of the
@@ -212,13 +214,17 @@ class ReuseRuntime
     /// Pool of the pass in flight (beginPass resolves it per rows).
     ThreadPool *passPool_ = nullptr;
     PassArena arena_; ///< runRows bookkeeping; reset at every pass
+    SignatureRecord::Pass last_; ///< the finished uncaptured pass
+
+    /** Copy every forwarded row of `det` from its owner (copyRow). */
+    void copyForwarded(const SignatureRecord::Pass &det,
+                       const RowPass &pass);
 };
 
-// ---- Replay helpers over an owner map (owner[r] == r for owner rows)
+// ---- Replay helpers over a recorded pass's owner map
 
-/** The `owners` owner rows of `t`, ascending, as a (owners, cols) tensor. */
-Tensor gatherOwnerRows(const Tensor &t, const std::vector<int64_t> &owner,
-                       int64_t owners);
+/** The owner rows of `t`, ascending, as a (owners, cols) tensor. */
+Tensor gatherOwnerRows(const Tensor &t, const SignatureRecord::Pass &pass);
 
 /**
  * Every row's result from the owner rows' results (ascending, as
@@ -226,7 +232,7 @@ Tensor gatherOwnerRows(const Tensor &t, const std::vector<int64_t> &owner,
  * their owner's.
  */
 Tensor forwardOwnerRows(const Tensor &ownerResults,
-                        const std::vector<int64_t> &owner);
+                        const SignatureRecord::Pass &pass);
 
 /**
  * Weight-gradient replay of one recorded pass (§III-C2 applied to
@@ -239,8 +245,7 @@ Tensor forwardOwnerRows(const Tensor &ownerResults,
  * matmul(transpose2d(a), b) bit for bit. Books da x db skipped MACs per
  * HIT row, and the pass's mix.
  */
-Tensor ownerWeightGrad(const SignatureRecord &record,
-                       const SignatureRecord::Pass &pass, const Tensor &a,
+Tensor ownerWeightGrad(const SignatureRecord::Pass &pass, const Tensor &a,
                        const Tensor &b, ReuseStats &stats);
 
 } // namespace mercury

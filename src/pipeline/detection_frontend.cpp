@@ -11,8 +11,8 @@ DetectionFrontend::DetectionFrontend(int sets, int ways, int data_versions,
                                      int max_bits, uint64_t seed,
                                      PipelineConfig pipe)
     : ownedCache_(std::make_unique<MCache>(sets, ways, data_versions)),
-      cache_(ownedCache_.get()), pipe_(pipe), maxBits_(max_bits),
-      seed_(seed)
+      cache_(ownedCache_.get()), owners_(cache_->entries()), pipe_(pipe),
+      maxBits_(max_bits), seed_(seed)
 {
     if (max_bits <= 0)
         panic("DetectionFrontend needs positive max signature bits");
@@ -20,7 +20,8 @@ DetectionFrontend::DetectionFrontend(int sets, int ways, int data_versions,
 
 DetectionFrontend::DetectionFrontend(MCache &cache, int max_bits,
                                      uint64_t seed, PipelineConfig pipe)
-    : cache_(&cache), pipe_(pipe), maxBits_(max_bits), seed_(seed)
+    : cache_(&cache), owners_(cache.entries()), pipe_(pipe),
+      maxBits_(max_bits), seed_(seed)
 {
     if (max_bits <= 0)
         panic("DetectionFrontend needs positive max signature bits");
@@ -88,7 +89,7 @@ DetectionFrontend::beginHashStream(const Tensor &rows, int bits,
         panic("detect expects a (n, d) matrix, got ", rows.shapeStr());
     ThreadPool *pool = poolFor();
     DetectionPipeline pipeline(rpqFor(rows.dim(1)), *cache_, bits,
-                               resolvedPipeFor(rows.dim(0)), pool);
+                               resolvedPipeFor(rows.dim(0)), owners_, pool);
     return pipeline.beginHash(rows, std::move(fill));
 }
 
@@ -102,7 +103,8 @@ DetectionFrontend::finishStream(DetectionHashJob &job,
     // only the cache geometry.
     DetectionPipeline pipeline(rpqFor(job.vectorDim()), *cache_,
                                job.signatureBits(),
-                               resolvedPipeFor(job.rowCount()), poolFor());
+                               resolvedPipeFor(job.rowCount()), owners_,
+                               poolFor());
     return pipeline.finishStreaming(job, on_block);
 }
 

@@ -14,7 +14,9 @@
  * ranges to its consumers directly.
  *
  * Results are bit-identical to SimilarityDetector over the same
- * MCache organization for any block size and thread count.
+ * MCache organization for any block size and thread count. Each pass
+ * also carries its owner map: the frontend keeps one OwnerTable,
+ * sized to its cache, that the probe resolves every pass through.
  *
  * Concurrency contract: one thread drives a frontend's detection
  * passes (detect / detectStream / detectSampled) at a time — the
@@ -183,6 +185,7 @@ class DetectionFrontend
   private:
     std::unique_ptr<MCache> ownedCache_;
     MCache *cache_; // owned or external
+    OwnerTable owners_; // the probe's owner rule, over cache_'s entries
     PipelineConfig pipe_;
     int maxBits_;
     uint64_t seed_;

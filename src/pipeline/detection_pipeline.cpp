@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <functional>
 #include <mutex>
 #include <utility>
@@ -52,9 +53,13 @@ PipelineConfig::resolvedFor(int64_t rows) const
 DetectionPipeline::DetectionPipeline(const RPQEngine &rpq,
                                      MCache &cache, int bits,
                                      const PipelineConfig &cfg,
-                                     ThreadPool *pool)
-    : rpq_(rpq), cache_(cache), bits_(bits), cfg_(cfg), pool_(pool)
+                                     OwnerTable &owners, ThreadPool *pool)
+    : rpq_(rpq), cache_(cache), bits_(bits), cfg_(cfg), owners_(owners),
+      pool_(pool)
 {
+    if (owners.entries() != cache.entries())
+        panic("owner table spans ", owners.entries(),
+              " entries, the cache ", cache.entries());
     if (bits <= 0 || bits > rpq.maxBits())
         panic("signature bits ", bits, " outside engine range 1..",
               rpq.maxBits());
@@ -72,6 +77,9 @@ DetectionHashJob::DetectionHashJob(const Tensor &rows, const RPQEngine &rpq,
       setOf_(static_cast<size_t>(n_)),
       hashed_(static_cast<size_t>(blocks_), 0)
 {
+    // Rows, entry ids and owners are stored as int32 per row.
+    if (n_ > INT32_MAX)
+        panic("detection pass of ", n_, " rows exceeds ", INT32_MAX);
     pass_.rows = n_;
     pass_.bits = bits;
     pass_.sigWordsPerRow = Signature::wordsFor(bits);
@@ -79,6 +87,7 @@ DetectionHashJob::DetectionHashJob(const Tensor &rows, const RPQEngine &rpq,
                           static_cast<size_t>(pass_.sigWordsPerRow));
     pass_.entryIds.resize(static_cast<size_t>(n_));
     pass_.outcomes.resize(static_cast<size_t>(n_));
+    pass_.owners.resize(static_cast<size_t>(n_));
 }
 
 DetectionHashJob::~DetectionHashJob()
@@ -182,13 +191,16 @@ DetectionPipeline::finishStreaming(DetectionHashJob &job,
 
     // Stage 2 + hand-off: probe one hashed block in stream order
     // (caller thread only, so every MCACHE set sees the legacy
-    // detector's order), write each row's outcome and entry id into
-    // the pass, count the mix, and deliver the block.
+    // detector's order), write each row's outcome, entry id and owner
+    // into the pass, count the mix and the forwarded rows, and deliver
+    // the block.
     int64_t counts[3] = {0, 0, 0}; // indexed by McacheOutcome
+    int64_t forwarded = 0;
     const auto probe_and_deliver = [&](int64_t b) {
-        const int64_t r0 = b * job.blockRows_;
-        const int64_t r1 = std::min(n, r0 + job.blockRows_);
-        for (int64_t i = r0; i < r1; ++i) {
+        const int32_t r0 = static_cast<int32_t>(b * job.blockRows_);
+        const int32_t r1 =
+            static_cast<int32_t>(std::min(n, r0 + job.blockRows_));
+        for (int32_t i = r0; i < r1; ++i) {
             // Pull row i+1's set into cache while row i's tag
             // compares run; the probe stream hops sets pseudo-
             // randomly, so the hardware prefetcher cannot help here.
@@ -202,6 +214,9 @@ DetectionPipeline::finishStreaming(DetectionHashJob &job,
                 static_cast<uint8_t>(r.outcome);
             pass.entryIds[static_cast<size_t>(i)] =
                 static_cast<int32_t>(r.entryId);
+            const int32_t o = owners_.ownerOf(i, r.outcome, r.entryId);
+            pass.owners[static_cast<size_t>(i)] = o;
+            forwarded += o != i;
             ++counts[static_cast<int>(r.outcome)];
         }
         if (on_block) {
@@ -237,6 +252,8 @@ DetectionPipeline::finishStreaming(DetectionHashJob &job,
         }
     }
 
+    owners_.nextPass();
+    pass.forwarded = forwarded;
     pass.mix.vectors = n;
     pass.mix.hit = counts[static_cast<int>(McacheOutcome::Hit)];
     pass.mix.mau = counts[static_cast<int>(McacheOutcome::Mau)];

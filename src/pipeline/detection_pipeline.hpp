@@ -14,8 +14,8 @@
  *  2. MCACHE probing — each hashed block is probed in stream order on
  *     the calling thread, so every MCACHE set sees its signatures in
  *     the legacy detector's order. The probe compares the packed
- *     words, writes each row's outcome and entry id into the pass and
- *     counts the mix.
+ *     words, writes each row's outcome, entry id and owner (the
+ *     caller's OwnerTable) into the pass and counts the mix.
  *
  * The finished pass is the result: the caller reads its mix, or moves
  * it into a SignatureRecord (§III-C2). No Signature, Hitmap or
@@ -137,8 +137,8 @@ struct PipelineConfig
 
 /**
  * One block of detection results delivered by finishStreaming: rows
- * [row0, row1) of the pass being probed, read through outcome() and
- * entryId() by absolute row.
+ * [row0, row1) of the pass being probed, read through outcome(),
+ * entryId() and owner() by absolute row.
  *
  * Lifetime contract: `pass` is valid only for the duration of the
  * consumer callback — the pass is still being probed past row1, and
@@ -161,6 +161,9 @@ struct DetectionBlock
 
     /** MCACHE entry id of row i (-1 for MNU), row0 <= i < row1. */
     int64_t entryId(int64_t i) const { return pass->entryId(i); }
+
+    /** Owner of row i (i itself when it computes), row0 <= i < row1. */
+    int32_t owner(int64_t i) const { return pass->owner(i); }
 };
 
 /** Consumer of the streaming per-block hand-off. */
@@ -259,10 +262,13 @@ class DetectionPipeline
      * @param cache MCACHE (cleared at the start of each pass)
      * @param bits  signature length
      * @param cfg   block size / thread / overlap knobs
+     * @param owners the owner rule's table, spanning the cache's
+     *              entries; each pass leaves it ready for the next
      * @param pool  worker pool for threads > 1; nullptr runs inline
      */
     DetectionPipeline(const RPQEngine &rpq, MCache &cache, int bits,
-                      const PipelineConfig &cfg, ThreadPool *pool = nullptr);
+                      const PipelineConfig &cfg, OwnerTable &owners,
+                      ThreadPool *pool = nullptr);
 
     /**
      * Start stage 1 (hashing) of a streaming pass without touching
@@ -286,7 +292,8 @@ class DetectionPipeline
      * in ascending order on the calling thread, and delivers each to
      * `on_block` (which may be empty). Returns the filled pass: its
      * outcomes, entry ids, words and mix are SimilarityDetector::
-     * detect's, row for row. Consumes the job.
+     * detect's, row for row, and its owner map is OwnerTable's rule
+     * over them. Consumes the job.
      *
      * Ordering contract: blocks are delivered in ascending block
      * order (0, 1, 2, ...), each covering rows
@@ -309,6 +316,7 @@ class DetectionPipeline
     MCache &cache_;
     int bits_;
     PipelineConfig cfg_;
+    OwnerTable &owners_;
     ThreadPool *pool_;
 };
 

@@ -23,14 +23,17 @@
  * invocation — one per (image, channel) for convolution, one per
  * minibatch for FC, one per sample for attention — in forward
  * execution order. The backward engines replay the passes in the same
- * order with zero hashing or probing cycles: each resolves its owner
- * map from the record (ownersOf), then computes owner rows with a
- * dense kernel and lets HIT rows take their owner's result.
+ * order with zero hashing or probing cycles: each reads the pass's
+ * owner map (Pass::owners), then computes owner rows with a dense
+ * kernel and lets HIT rows take their owner's result.
  *
  * A Pass is also the detection pipeline's own result: the hash job
  * writes the packed words into it, the probe fills the outcomes,
- * entry ids and mix, and capture moves it into the record (append),
- * so nothing is copied between the probe and the record.
+ * entry ids, owner map and mix, and capture moves it into the record
+ * (append), so nothing is copied between the probe and the record.
+ * The owner map is host-side and derived from the outcomes and entry
+ * ids: storageBytes() leaves it out, and snapshots do not carry it
+ * (restore derives it again).
  *
  * Lifetime contract: a record is valid for the backward pass of the
  * forward invocation that captured it, and must be re-captured every
@@ -63,9 +66,10 @@ namespace mercury {
  *
  * Rows are fed in stream order, one pass at a time; nextPass() then
  * forgets only the entries that pass installed, so a table sized once
- * to the cache's entry count serves every pass of an engine call. The
- * live forward passes and the recorded replays (SignatureRecord::
- * ownersOf) apply the rule through this one class.
+ * to the cache's entry count serves every pass. The detection probe
+ * (one table per DetectionFrontend) and SignatureRecord, for a pass
+ * that comes without an owner map, apply the rule through this one
+ * class.
  */
 class OwnerTable
 {
@@ -81,15 +85,18 @@ class OwnerTable
         return static_cast<int64_t>(ownerOfEntry_.size());
     }
 
-    /** Owner of `row`, given its outcome and entry id (stream order). */
-    int64_t ownerOf(int64_t row, McacheOutcome outcome, int64_t entry)
+    /**
+     * Owner of `row`, given its outcome and entry id (stream order).
+     * HIT and MAU ids must lie in [0, entries()).
+     */
+    int32_t ownerOf(int32_t row, McacheOutcome outcome, int64_t entry)
     {
         if (outcome == McacheOutcome::Hit) {
-            const int64_t o = ownerOfEntry_[static_cast<size_t>(entry)];
+            const int32_t o = ownerOfEntry_[static_cast<size_t>(entry)];
             return o >= 0 ? o : row;
         }
         if (outcome == McacheOutcome::Mau) {
-            int64_t &o = ownerOfEntry_[static_cast<size_t>(entry)];
+            int32_t &o = ownerOfEntry_[static_cast<size_t>(entry)];
             if (o < 0)
                 installed_.push_back(entry);
             o = row;
@@ -106,7 +113,7 @@ class OwnerTable
     }
 
   private:
-    std::vector<int64_t> ownerOfEntry_; ///< -1, or the installing row
+    std::vector<int32_t> ownerOfEntry_; ///< -1, or the installing row
     std::vector<int64_t> installed_;    ///< entries set this pass
 };
 
@@ -129,6 +136,14 @@ class SignatureRecord
         std::vector<int32_t> entryIds;
         /** McacheOutcome per row, stored as one byte. */
         std::vector<uint8_t> outcomes;
+        /**
+         * Owner map under OwnerTable's rule: owners[i] == i when row i
+         * computed, otherwise the earlier row whose result row i
+         * reuses. The probe fills it; every replay reads it.
+         */
+        std::vector<int32_t> owners;
+        /** Rows with owners[i] != i. */
+        int64_t forwarded = 0;
         /** Aggregate mix of the pass (for backward statistics). */
         HitMix mix;
 
@@ -141,6 +156,11 @@ class SignatureRecord
         int64_t entryId(int64_t i) const
         {
             return entryIds[static_cast<size_t>(i)];
+        }
+
+        int32_t owner(int64_t i) const
+        {
+            return owners[static_cast<size_t>(i)];
         }
 
         /** Packed words of row i's signature (sigWordsPerRow of them). */
@@ -179,27 +199,46 @@ class SignatureRecord
     /**
      * Capture one finished detection pass by moving it in. Every pass
      * of one record must come from the same cache organization
-     * (entries / data versions), and name entries below `entries`.
+     * (entries / data versions). The pass must be one a probe can
+     * produce, or append panics naming the row: outcomes, entry ids
+     * and words sized to its rows, every row sound under rowFault,
+     * and a supplied owner map structurally sound (each owner at or
+     * before its row and owning itself, only HIT rows forwarding). A
+     * pass without an owner map gets OwnerTable's.
      */
     void append(Pass &&pass, int data_versions, int64_t entries);
 
     /**
-     * Reconstruct the owner map of a pass under OwnerTable's rule:
-     * owner[i] == i when row i computed, otherwise the earlier row
-     * whose result row i reused. `table` must span entries(); it is
-     * left ready for the next pass. Returns the number of forwarded
-     * rows (owner[i] != i).
+     * True when a row with this outcome byte and entry id can come from
+     * a probe of a cache of `entries` entries: the outcome is a
+     * McacheOutcome, HIT and MAU ids lie in [0, entries) and MNU ids
+     * are -1. append, restore and (through rowFault) Snapshot::parse
+     * apply this one rule. Written without branches: a probe's
+     * outcomes come in no predictable order.
      */
-    int64_t ownersOf(const Pass &p, OwnerTable &table,
-                     std::vector<int64_t> &owner) const;
+    static bool rowSound(uint8_t outcome, int32_t entry, int64_t entries)
+    {
+        const uint8_t mnu = static_cast<uint8_t>(McacheOutcome::Mnu);
+        const bool is_mnu = outcome == mnu;
+        const bool in_cache =
+            static_cast<uint64_t>(static_cast<int64_t>(entry)) <
+            static_cast<uint64_t>(entries);
+        return (outcome <= mnu) &
+               ((is_mnu & (entry == -1)) | (!is_mnu & in_cache));
+    }
+
+    /** What a row breaks of rowSound's rule, or nullptr when sound. */
+    static const char *rowFault(uint8_t outcome, int32_t entry,
+                                int64_t entries);
 
     /** Bytes this record would spill to memory between passes. */
     uint64_t storageBytes() const;
 
     /**
      * Snapshot hook (serve/snapshot.cpp): replace the contents with
-     * externally restored passes. The passes must share one cache
-     * organization, exactly as append enforces.
+     * externally restored passes, checked as append checks them. A
+     * pass without an owner map (a parsed snapshot carries none) gets
+     * OwnerTable's.
      */
     void restore(std::vector<Pass> passes, int data_versions,
                  int64_t entries);
@@ -208,6 +247,9 @@ class SignatureRecord
     std::vector<Pass> passes_;
     int dataVersions_ = 0;
     int64_t entries_ = 0;
+
+    /** append's checks, deriving the owner map when `p` has none. */
+    static void checkPass(Pass &p, int64_t entries, const char *what);
 };
 
 } // namespace mercury

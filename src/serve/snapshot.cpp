@@ -480,19 +480,14 @@ Snapshot::parse(const uint8_t *data, size_t size, Snapshot &out,
             pass.outcomes.resize(static_cast<size_t>(n));
             if (!r.raw(pass.outcomes.data(), n, "pass outcomes"))
                 return false;
-            // HIT/MAU rows name a cache entry; MNU rows name none.
-            // SignatureRecord::ownersOf indexes its owner map by these
-            // ids, so an out-of-range one must never get that far.
-            for (size_t i = 0; i < pass.outcomes.size(); ++i) {
-                const uint8_t o = pass.outcomes[i];
-                const int32_t id = pass.entryIds[i];
-                if (o > static_cast<uint8_t>(McacheOutcome::Mnu))
-                    return r.fail("pass outcome out of range");
-                if (o == static_cast<uint8_t>(McacheOutcome::Mnu)
-                        ? id != -1
-                        : (id < 0 || id >= sec.entries))
-                    return r.fail("pass entry id out of range");
-            }
+            // Every row must be one a probe can produce: restore
+            // derives the owner map from these ids (and panics on a row
+            // that breaks the rule), so a bad one must never get that
+            // far.
+            for (size_t i = 0; i < pass.outcomes.size(); ++i)
+                if (const char *why = SignatureRecord::rowFault(
+                        pass.outcomes[i], pass.entryIds[i], sec.entries))
+                    return r.fail(why);
             if (!r.i64(pass.mix.vectors, "pass mix vectors") ||
                 !r.i64(pass.mix.hit, "pass mix hit") ||
                 !r.i64(pass.mix.mau, "pass mix mau") ||

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <random>
@@ -209,6 +210,143 @@ TEST(Kernels, SpanKernelsBitIdentity)
         sc.addSpan(d1.data(), src.data(), n);
         ax->addSpan(d2.data(), src.data(), n);
         ASSERT_EQ(d1, d2) << "addSpan n=" << n;
+    }
+}
+
+/** Value no kernel computes: marks floats a kernel must not write. */
+constexpr float kSentinel = -12345.5f;
+
+/** `count` distinct rows of [0, n), ascending, drawn with `seed`. */
+std::vector<int32_t>
+someRows(int64_t n, int64_t count, uint64_t seed)
+{
+    std::vector<int32_t> all(static_cast<size_t>(n));
+    for (int64_t r = 0; r < n; ++r)
+        all[static_cast<size_t>(r)] = static_cast<int32_t>(r);
+    std::mt19937_64 rng(seed);
+    std::shuffle(all.begin(), all.end(), rng);
+    all.resize(static_cast<size_t>(count));
+    std::sort(all.begin(), all.end());
+    return all;
+}
+
+TEST(Kernels, OwnerValuesBitIdentity)
+{
+    const KernelOps *ax = kernels::avx2Ops();
+    if (!ax)
+        GTEST_SKIP() << "host lacks AVX2";
+    const KernelOps &sc = kernels::scalarOps();
+    const int64_t n = 40;
+    for (int64_t d : {1, 4, 9, 25, 49}) {
+        const std::vector<float> patches = randomFloats(n * d, 3 + d);
+        for (int64_t filters = 1; filters <= 33; ++filters) {
+            const std::vector<float> w =
+                randomFloats(d * filters, 5 + d * 64 + filters);
+            for (int64_t count : {1, 3, 5, 7, 13, 27}) {
+                const std::vector<int32_t> rows =
+                    someRows(n, count, 7 + count * 64 + filters);
+                // Rows not listed, and one vector past the end, must
+                // keep the sentinel.
+                std::vector<float> v1(static_cast<size_t>(n * filters + 8),
+                                      kSentinel);
+                std::vector<float> v2(v1);
+                sc.ownerValues(patches.data(), d, rows.data(), count,
+                               w.data(), filters, v1.data());
+                ax->ownerValues(patches.data(), d, rows.data(), count,
+                                w.data(), filters, v2.data());
+                ASSERT_EQ(0, std::memcmp(v1.data(), v2.data(),
+                                         v1.size() * sizeof(float)))
+                    << "d=" << d << " filters=" << filters
+                    << " owners=" << count;
+                int64_t written = 0;
+                for (const float x : v1)
+                    written += x != kSentinel;
+                ASSERT_EQ(written, count * filters)
+                    << "d=" << d << " filters=" << filters;
+            }
+        }
+    }
+}
+
+TEST(Kernels, OwnerScatterBitIdentity)
+{
+    const KernelOps *ax = kernels::avx2Ops();
+    if (!ax)
+        GTEST_SKIP() << "host lacks AVX2";
+    const KernelOps &sc = kernels::scalarOps();
+    for (int64_t n : {1, 7, 9, 16, 23, 67}) {
+        // Owners at or before their row, each owning itself.
+        std::vector<int32_t> owner(static_cast<size_t>(n));
+        std::mt19937_64 rng(17 + n);
+        for (int64_t i = 0; i < n; ++i) {
+            const int64_t o = static_cast<int64_t>(rng() % (i + 1));
+            owner[static_cast<size_t>(i)] =
+                owner[static_cast<size_t>(o)] == o ? static_cast<int32_t>(o)
+                                                   : static_cast<int32_t>(i);
+        }
+        for (int64_t filters = 1; filters <= 33; ++filters) {
+            const int64_t pitch = filters + 3; // vals rows wider than read
+            const std::vector<float> vals =
+                randomFloats(n * pitch, 19 + n * 64 + filters);
+            // Each filter's n outputs are followed by sentinels.
+            const int64_t out_pitch = n + 5;
+            std::vector<float> o1 = randomFloats(filters * out_pitch,
+                                                 23 + filters);
+            for (int64_t f = 0; f < filters; ++f)
+                for (int64_t i = n; i < out_pitch; ++i)
+                    o1[static_cast<size_t>(f * out_pitch + i)] = kSentinel;
+            std::vector<float> o2(o1);
+            sc.ownerScatter(vals.data(), pitch, filters, owner.data(), n,
+                            o1.data(), out_pitch);
+            ax->ownerScatter(vals.data(), pitch, filters, owner.data(), n,
+                             o2.data(), out_pitch);
+            ASSERT_EQ(0, std::memcmp(o1.data(), o2.data(),
+                                     o1.size() * sizeof(float)))
+                << "n=" << n << " filters=" << filters;
+            for (int64_t f = 0; f < filters; ++f)
+                ASSERT_EQ(o1[static_cast<size_t>(f * out_pitch + n)],
+                          kSentinel);
+        }
+    }
+}
+
+TEST(Kernels, OwnerWeightMulBitIdentity)
+{
+    const KernelOps *ax = kernels::avx2Ops();
+    if (!ax)
+        GTEST_SKIP() << "host lacks AVX2";
+    const KernelOps &sc = kernels::scalarOps();
+    const int64_t frame_size = 400;
+    const std::vector<float> frame = randomFloats(frame_size, 29);
+    for (int64_t d : {1, 4, 9, 25, 49}) {
+        std::mt19937_64 rng(31 + d);
+        std::vector<int64_t> tap_off(static_cast<size_t>(d));
+        for (int64_t &t : tap_off)
+            t = static_cast<int64_t>(rng() % 100);
+        for (int64_t owners : {1, 3, 10, 37}) {
+            std::vector<int64_t> base(static_cast<size_t>(owners));
+            for (int64_t &b : base)
+                b = static_cast<int64_t>(rng() % (frame_size - 100));
+            for (int64_t filters = 1; filters <= 33; ++filters) {
+                const std::vector<float> sums = randomFloats(
+                    owners * filters, 37 + owners * 64 + filters);
+                std::vector<float> a1 =
+                    randomFloats(d * filters + 8, 41 + d + filters);
+                std::fill(a1.end() - 8, a1.end(), kSentinel);
+                std::vector<float> a2(a1);
+                sc.ownerWeightMul(sums.data(), filters, owners,
+                                  frame.data(), base.data(), tap_off.data(),
+                                  d, a1.data());
+                ax->ownerWeightMul(sums.data(), filters, owners,
+                                   frame.data(), base.data(),
+                                   tap_off.data(), d, a2.data());
+                ASSERT_EQ(0, std::memcmp(a1.data(), a2.data(),
+                                         a1.size() * sizeof(float)))
+                    << "d=" << d << " owners=" << owners
+                    << " filters=" << filters;
+                ASSERT_EQ(a1.back(), kSentinel);
+            }
+        }
     }
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
 #include <vector>
@@ -485,6 +486,274 @@ TEST(McacheClear, EqualsAFreshCacheAfterAnyHistory)
                 << "tenant " << t;
         }
         ASSERT_EQ(c.maxInsertBacklog(), fresh.maxInsertBacklog());
+    }
+}
+
+// ---- Differential test against the Fig. 9 rules --------------------
+
+/**
+ * MCACHE restated as the paper's Fig. 9 rules over plain lines: the
+ * first valid way whose tag matches HITs (refreshing its epoch);
+ * otherwise the first free way installs, unless the inserting tenant
+ * already holds its quota; otherwise the result is MNU. Eviction,
+ * pins, restore and clear as MCache documents them.
+ */
+class ReferenceCache
+{
+  public:
+    ReferenceCache(int sets, int ways, int64_t quota, int tenants)
+        : sets_(sets), ways_(ways), quota_(quota),
+          lines_(static_cast<size_t>(sets * ways)),
+          held_(static_cast<size_t>(tenants), 0)
+    {
+    }
+
+    void setEpoch(uint64_t e) { epoch_ = e; }
+    void setInsertTenant(int t) { tenant_ = t; }
+
+    McacheResult probe(const Signature &sig)
+    {
+        const int set = static_cast<int>(
+            Signature::hashWords(sig.bits(), sig.words()) %
+            static_cast<uint64_t>(sets_));
+        const int64_t base = static_cast<int64_t>(set) * ways_;
+        for (int w = 0; w < ways_; ++w) {
+            Line &l = line(base + w);
+            if (l.valid && l.tag == sig) {
+                l.epoch = epoch_;
+                ++stats.hits;
+                return {McacheOutcome::Hit, base + w};
+            }
+        }
+        for (int w = 0; w < ways_; ++w) {
+            Line &l = line(base + w);
+            if (l.valid)
+                continue;
+            if (quotaFull(tenant_)) {
+                ++stats.mnu;
+                return {McacheOutcome::Mnu, -1};
+            }
+            take(l, sig, epoch_, tenant_);
+            ++stats.mau;
+            return {McacheOutcome::Mau, base + w};
+        }
+        ++stats.mnu;
+        return {McacheOutcome::Mnu, -1};
+    }
+
+    bool quotaFull(int tenant) const
+    {
+        return quota_ > 0 && tenant >= 0 &&
+               held_[static_cast<size_t>(tenant)] >= quota_;
+    }
+
+    void restore(int64_t e, const Signature &sig, uint64_t epoch,
+                 int tenant)
+    {
+        take(line(e), sig, epoch, tenant);
+    }
+
+    int64_t evict(bool by_tenant, uint64_t min_epoch, int tenant)
+    {
+        int64_t n = 0;
+        for (Line &l : lines_) {
+            if (!l.valid || l.pins > 0 ||
+                (by_tenant ? l.tenant != tenant : l.epoch >= min_epoch))
+                continue;
+            drop(l);
+            ++n;
+        }
+        return n;
+    }
+
+    void clear()
+    {
+        for (Line &l : lines_) {
+            if (l.valid)
+                drop(l);
+            l.pins = 0;
+        }
+    }
+
+    struct Line
+    {
+        bool valid = false;
+        Signature tag;
+        uint64_t epoch = 0;
+        int tenant = -1;
+        uint32_t pins = 0;
+    };
+
+    Line &line(int64_t e) { return lines_[static_cast<size_t>(e)]; }
+    int64_t held(int t) const { return held_[static_cast<size_t>(t)]; }
+
+    int occupancy(int set) const
+    {
+        int n = 0;
+        for (int w = 0; w < ways_; ++w)
+            n += lines_[static_cast<size_t>(set * ways_ + w)].valid;
+        return n;
+    }
+
+    McacheCounters stats;
+
+  private:
+    int sets_, ways_;
+    int64_t quota_;
+    uint64_t epoch_ = 0;
+    int tenant_ = -1;
+    std::vector<Line> lines_;
+    std::vector<int64_t> held_;
+
+    void take(Line &l, const Signature &sig, uint64_t epoch, int tenant)
+    {
+        l.valid = true;
+        l.tag = sig;
+        l.epoch = epoch;
+        l.tenant = tenant;
+        l.pins = 0;
+        if (quota_ > 0 && tenant >= 0)
+            ++held_[static_cast<size_t>(tenant)];
+    }
+
+    void drop(Line &l)
+    {
+        if (quota_ > 0 && l.tenant >= 0)
+            --held_[static_cast<size_t>(l.tenant)];
+        l.valid = false;
+        l.epoch = 0;
+        l.tenant = -1;
+    }
+};
+
+/** A random signature of `bits` bits. */
+Signature
+randomSig(int bits, std::mt19937_64 &rng)
+{
+    std::vector<uint64_t> words(static_cast<size_t>(Signature::wordsFor(bits)));
+    for (uint64_t &w : words)
+        w = rng();
+    return Signature::fromWords(bits, words.data());
+}
+
+TEST(McacheReference, MatchesFig9RulesOverMixedStreams)
+{
+    constexpr int kSets = 3, kTenants = 2;
+    const int lengths[] = {1, 28, 64, 65, 130};
+    for (const int ways : {1, 3, 16, 63, 64, 65, 130}) {
+        for (uint64_t seed = 1; seed <= 3; ++seed) {
+            const uint64_t run = seed * 1000 + static_cast<uint64_t>(ways);
+            SCOPED_TRACE("seed " + std::to_string(run) + " ways " +
+                         std::to_string(ways));
+            std::mt19937_64 rng(run);
+            // Every length, plus tag pairs whose first words agree:
+            // 28 and 64 bits (the 64-bit tag's high bits zero), and 65
+            // and 130 bits.
+            // About 2 tags per line: sets overflow into MNU, and
+            // repeats HIT.
+            std::vector<Signature> pool;
+            const int per_length = kSets * ways * 2 / 5 + 2;
+            for (const int bits : lengths)
+                for (int i = 0; i < per_length; ++i)
+                    pool.push_back(randomSig(bits, rng));
+            for (int i = 0; i < 4; ++i) {
+                const uint64_t low = rng() & ((1ull << 28) - 1);
+                pool.push_back(Signature::fromWords(28, &low));
+                pool.push_back(Signature::fromWords(64, &low));
+                const uint64_t w[3] = {rng(), 0, 0};
+                pool.push_back(Signature::fromWords(65, w));
+                pool.push_back(Signature::fromWords(130, w));
+            }
+
+            const int64_t quota = seed == 2 ? kSets * ways / 3 + 1 : 0;
+            MCache c(kSets, ways, 2);
+            if (quota > 0)
+                c.setTenantQuota(quota, kTenants);
+            ReferenceCache ref(kSets, ways, quota, kTenants);
+            uint64_t epoch = 0;
+            const int ops = std::max(600, 8 * kSets * ways);
+            for (int op = 0; op < ops; ++op) {
+                SCOPED_TRACE("op " + std::to_string(op));
+                const int64_t e = static_cast<int64_t>(rng() % c.entries());
+                const int tenant = static_cast<int>(rng() % 3) - 1;
+                const uint64_t r = rng() % 100;
+                if (r < 78) {
+                    epoch += rng() % 2;
+                    c.setEpoch(epoch);
+                    ref.setEpoch(epoch);
+                    c.setInsertTenant(tenant);
+                    ref.setInsertTenant(tenant);
+                    const Signature &sig = pool[rng() % pool.size()];
+                    const McacheResult got = c.lookupOrInsert(sig);
+                    const McacheResult want = ref.probe(sig);
+                    ASSERT_EQ(got.outcome, want.outcome);
+                    ASSERT_EQ(got.entryId, want.entryId);
+                } else if (r < 80) {
+                    // Age out what has gone untouched for a while.
+                    const uint64_t age = static_cast<uint64_t>(
+                        kSets * ways / 2 + rng() % (kSets * ways + 8));
+                    const uint64_t floor = epoch > age ? epoch - age : 0;
+                    ASSERT_EQ(c.evictOlderThan(floor),
+                              ref.evict(false, floor, 0));
+                } else if (r < 81) {
+                    if (rng() % (ways / 8 + 1) == 0) {
+                        ASSERT_EQ(c.evictTenant(tenant),
+                                  ref.evict(true, 0, tenant));
+                    }
+                } else if (r < 87) {
+                    if (ref.line(e).valid) {
+                        c.pin(e);
+                        ++ref.line(e).pins;
+                    }
+                } else if (r < 91) {
+                    if (ref.line(e).pins > 0) {
+                        c.unpin(e);
+                        --ref.line(e).pins;
+                    }
+                } else if (r < 99) {
+                    // Restore into a free line: half the time a tag
+                    // already valid elsewhere in the same set.
+                    if (ref.line(e).valid || ref.quotaFull(tenant))
+                        continue;
+                    Signature sig = pool[rng() % pool.size()];
+                    const int64_t base = e / ways * ways;
+                    for (int w = 0; w < ways && rng() % 2; ++w)
+                        if (ref.line(base + w).valid) {
+                            sig = ref.line(base + w).tag;
+                            break;
+                        }
+                    c.restoreLine(e, sig, epoch, tenant);
+                    ref.restore(e, sig, epoch, tenant);
+                } else if (rng() % (ways / 8 + 1) == 0) {
+                    // Rarer with more ways (as tenant eviction is), so
+                    // wide sets still fill.
+                    c.clear();
+                    ref.clear();
+                }
+
+                ASSERT_EQ(c.stats().hits, ref.stats.hits);
+                ASSERT_EQ(c.stats().mau, ref.stats.mau);
+                ASSERT_EQ(c.stats().mnu, ref.stats.mnu);
+                for (int set = 0; set < kSets; ++set)
+                    ASSERT_EQ(c.setOccupancy(set), ref.occupancy(set));
+                for (int t = 0; t < kTenants && quota > 0; ++t)
+                    ASSERT_EQ(c.tenantReserved(t), ref.held(t));
+                for (int64_t id = 0; id < c.entries(); ++id) {
+                    const ReferenceCache::Line &l = ref.line(id);
+                    ASSERT_EQ(c.tagValid(id), l.valid) << "entry " << id;
+                    if (!l.valid)
+                        continue;
+                    ASSERT_TRUE(c.tagOf(id) == l.tag) << "entry " << id;
+                    ASSERT_EQ(c.entryEpoch(id), l.epoch) << "entry " << id;
+                    ASSERT_EQ(c.entryTenant(id), l.tenant) << "entry " << id;
+                    ASSERT_EQ(c.pinCount(id), l.pins) << "entry " << id;
+                }
+            }
+            // The stream reached every outcome.
+            EXPECT_GT(ref.stats.hits, 0);
+            EXPECT_GT(ref.stats.mau, 0);
+            EXPECT_GT(ref.stats.mnu, 0);
+        }
     }
 }
 

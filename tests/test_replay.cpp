@@ -16,6 +16,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "core/attention_engine.hpp"
 #include "core/conv_reuse_engine.hpp"
@@ -26,6 +28,7 @@
 #include "nn/network.hpp"
 #include "pipeline/detection_frontend.hpp"
 #include "pipeline/signature_record.hpp"
+#include "serve/snapshot.hpp"
 #include "sim/dataflow.hpp"
 #include "sim/global_buffer.hpp"
 #include "tensor/ops.hpp"
@@ -141,9 +144,7 @@ TEST(Record, OwnersAreEarlierComputedRows)
     record.append(fe.detect(rows, 24), fe.dataVersions(), fe.entries());
     const SignatureRecord::Pass &pass = record.pass(0);
 
-    std::vector<int64_t> owner;
-    OwnerTable table(record.entries());
-    record.ownersOf(pass, table, owner);
+    const std::vector<int32_t> &owner = pass.owners;
     ASSERT_EQ(static_cast<int64_t>(owner.size()), pass.rows);
     for (int64_t i = 0; i < pass.rows; ++i) {
         if (pass.outcome(i) == McacheOutcome::Hit) {
@@ -154,6 +155,142 @@ TEST(Record, OwnersAreEarlierComputedRows)
             EXPECT_EQ(owner[i], i);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Record soundness: append and restore accept only passes a probe can
+// produce, and derive or check the owner map the replays read
+// ---------------------------------------------------------------------
+
+/**
+ * Four rows over a 64-entry cache: MAU into entry 5, two HITs on it
+ * (owned by row 0) and an MNU.
+ */
+SignatureRecord::Pass
+soundPass()
+{
+    SignatureRecord::Pass p;
+    p.rows = 4;
+    p.bits = 20;
+    p.sigWordsPerRow = 1;
+    p.sigWords = {1, 1, 1, 2};
+    p.entryIds = {5, 5, 5, -1};
+    p.outcomes = {static_cast<uint8_t>(McacheOutcome::Mau),
+                  static_cast<uint8_t>(McacheOutcome::Hit),
+                  static_cast<uint8_t>(McacheOutcome::Hit),
+                  static_cast<uint8_t>(McacheOutcome::Mnu)};
+    p.mix.vectors = 4;
+    p.mix.hit = 2;
+    p.mix.mau = 1;
+    p.mix.mnu = 1;
+    return p;
+}
+
+void
+appendTo64(SignatureRecord::Pass p)
+{
+    SignatureRecord record;
+    record.append(std::move(p), kVersions, 64);
+}
+
+TEST(Record, AppendDerivesAndChecksTheOwnerMap)
+{
+    SignatureRecord record;
+    record.append(soundPass(), kVersions, 64);
+    EXPECT_EQ(record.pass(0).owners, (std::vector<int32_t>{0, 0, 0, 3}));
+    EXPECT_EQ(record.pass(0).forwarded, 2);
+    // A supplied sound map is kept as it is.
+    SignatureRecord::Pass p = soundPass();
+    p.owners = {0, 0, 0, 3};
+    record.append(std::move(p), kVersions, 64);
+    EXPECT_EQ(record.pass(1).owners, record.pass(0).owners);
+    EXPECT_EQ(record.pass(1).forwarded, 2);
+}
+
+TEST(RecordDeath, HitWithoutAnEntryDies)
+{
+    SignatureRecord::Pass p = soundPass();
+    p.entryIds[1] = -1;
+    EXPECT_DEATH(appendTo64(std::move(p)), "row 1: pass entry id");
+}
+
+TEST(RecordDeath, MauEntryPastTheCacheDies)
+{
+    SignatureRecord::Pass p = soundPass();
+    p.entryIds[0] = 64;
+    EXPECT_DEATH(appendTo64(std::move(p)), "row 0: pass entry id");
+}
+
+TEST(RecordDeath, MnuWithAnEntryDies)
+{
+    SignatureRecord::Pass p = soundPass();
+    p.entryIds[3] = 7;
+    EXPECT_DEATH(appendTo64(std::move(p)), "row 3: pass entry id");
+}
+
+TEST(RecordDeath, OutcomePastMnuDies)
+{
+    SignatureRecord::Pass p = soundPass();
+    p.outcomes[2] = 3;
+    EXPECT_DEATH(appendTo64(std::move(p)), "row 2: pass outcome");
+}
+
+TEST(RecordDeath, ShortOutcomesDie)
+{
+    SignatureRecord::Pass p = soundPass();
+    p.outcomes.pop_back();
+    EXPECT_DEATH(appendTo64(std::move(p)), "holds 3 outcomes");
+}
+
+TEST(RecordDeath, ShortEntryIdsDie)
+{
+    SignatureRecord::Pass p = soundPass();
+    p.entryIds.pop_back();
+    EXPECT_DEATH(appendTo64(std::move(p)), "3 entry ids");
+}
+
+TEST(RecordDeath, ShortWordsDie)
+{
+    SignatureRecord::Pass p = soundPass();
+    p.sigWords.pop_back();
+    EXPECT_DEATH(appendTo64(std::move(p)), "and 3 words");
+}
+
+TEST(RecordDeath, OwnerMapOfAnotherLengthDies)
+{
+    SignatureRecord::Pass p = soundPass();
+    p.owners = {0, 0, 0};
+    EXPECT_DEATH(appendTo64(std::move(p)), "owner map of 3");
+}
+
+TEST(RecordDeath, OwnerAfterItsRowDies)
+{
+    SignatureRecord::Pass p = soundPass();
+    p.owners = {1, 1, 1, 3};
+    EXPECT_DEATH(appendTo64(std::move(p)), "row 0: owner 1");
+}
+
+TEST(RecordDeath, OwnerThatForwardsDies)
+{
+    SignatureRecord::Pass p = soundPass();
+    p.owners = {0, 0, 1, 3};
+    EXPECT_DEATH(appendTo64(std::move(p)), "row 2: owner 1");
+}
+
+TEST(RecordDeath, NonHitRowThatForwardsDies)
+{
+    SignatureRecord::Pass p = soundPass();
+    p.owners = {0, 0, 0, 0};
+    EXPECT_DEATH(appendTo64(std::move(p)), "row 3: owner 0");
+}
+
+TEST(RecordDeath, RestoreChecksEveryRow)
+{
+    std::vector<SignatureRecord::Pass> passes(2, soundPass());
+    passes[1].entryIds[2] = -1;
+    SignatureRecord record;
+    EXPECT_DEATH(record.restore(std::move(passes), kVersions, 64),
+                 "row 2: pass entry id");
 }
 
 // ---------------------------------------------------------------------
@@ -496,9 +633,7 @@ TEST(AttentionBackward, HitRowsCopyOwnerGradientRows)
     engine.forward(x, fstats, &record);
     ASSERT_GT(fstats.mix.hit, 0);
 
-    std::vector<int64_t> owner;
-    OwnerTable table(record.entries());
-    record.ownersOf(record.pass(0), table, owner);
+    const std::vector<int32_t> &owner = record.pass(0).owners;
     ReuseStats bstats;
     Tensor gin = engine.backward(x, g, record, 0, bstats);
     for (int64_t i = 0; i < 16; ++i) {
@@ -733,10 +868,7 @@ TEST(FcWeightGrad, GroupSumsFactorThroughTheOwnersRow)
     Tensor dw = engine.backwardWeights(in, grad, record, wstats);
 
     // Independent sum-then-multiply reference from the owner map.
-    const SignatureRecord::Pass &pass = record.pass(0);
-    std::vector<int64_t> owner;
-    OwnerTable table(record.entries());
-    record.ownersOf(pass, table, owner);
+    const std::vector<int32_t> &owner = record.pass(0).owners;
     Tensor gsum({30, 7});
     for (int64_t r = 0; r < 30; ++r) {
         const int64_t o = owner[static_cast<size_t>(r)];
@@ -1151,6 +1283,118 @@ TEST(LayerWeightGrad, TrainingStepRunsWithBothReplayKnobs)
     EXPECT_EQ(ctx.weightGradTotals().mix.hit, ctx.totals().mix.hit);
     EXPECT_EQ(ctx.weightGradTotals().mix.vectors,
               ctx.totals().mix.vectors);
+}
+
+// ---------------------------------------------------------------------
+// Snapshot-restored records replay bit for bit: restore derives the
+// owner map the live probe resolved, and dX and dW read it alike
+// ---------------------------------------------------------------------
+
+void
+expectSameStats(const ReuseStats &a, const ReuseStats &b, const char *what)
+{
+    EXPECT_EQ(a.mix.vectors, b.mix.vectors) << what;
+    EXPECT_EQ(a.mix.hit, b.mix.hit) << what;
+    EXPECT_EQ(a.mix.mau, b.mix.mau) << what;
+    EXPECT_EQ(a.mix.mnu, b.mix.mnu) << what;
+    EXPECT_EQ(a.macsTotal, b.macsTotal) << what;
+    EXPECT_EQ(a.macsSkipped, b.macsSkipped) << what;
+    EXPECT_EQ(a.channelPasses, b.channelPasses) << what;
+}
+
+void
+expectSameBits(const Tensor &a, const Tensor &b, const char *what)
+{
+    ASSERT_EQ(a.shape(), b.shape()) << what;
+    EXPECT_EQ(0, std::memcmp(a.data(), b.data(),
+                             static_cast<size_t>(a.numel()) *
+                                 sizeof(float)))
+        << what;
+}
+
+/** `record` through a serialized snapshot and back. */
+SignatureRecord
+throughSnapshot(const SignatureRecord &record)
+{
+    Snapshot snap;
+    snap.addRecord(9, record);
+    const std::vector<uint8_t> bytes = snap.serialize();
+    Snapshot parsed;
+    std::string error;
+    SignatureRecord back;
+    EXPECT_TRUE(Snapshot::parse(bytes.data(), bytes.size(), parsed, error))
+        << error;
+    EXPECT_TRUE(parsed.restoreRecord(9, record.entries(),
+                                     record.dataVersions(), back, error))
+        << error;
+    EXPECT_EQ(back.passCount(), record.passCount());
+    for (int64_t p = 0; p < std::min(back.passCount(), record.passCount());
+         ++p) {
+        EXPECT_TRUE(back.pass(p).owners == record.pass(p).owners)
+            << "pass " << p;
+        EXPECT_EQ(back.pass(p).forwarded, record.pass(p).forwarded)
+            << "pass " << p;
+    }
+    return back;
+}
+
+TEST(RecordSnapshot, RestoredConvRecordReplaysBitForBit)
+{
+    Tensor in = similarInput(2, 4, 10, 10, 1e-3f, 71);
+    Rng rng(72);
+    const ConvSpec spec = convSpec(4, 6, 3, 1, 1);
+    Tensor w({6, 4, 3, 3});
+    w.fillNormal(rng);
+    Tensor grad({2, 6, spec.outH(10), spec.outW(10)});
+    grad.fillNormal(rng);
+
+    DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed);
+    ConvReuseEngine engine(fe, 16);
+    ReuseStats fstats;
+    SignatureRecord record;
+    engine.forward(in, w, Tensor(), spec, fstats, &record);
+    ASSERT_GT(fstats.mix.hit, 0);
+    const SignatureRecord back = throughSnapshot(record);
+
+    ReuseStats live, restored;
+    expectSameBits(engine.backwardInput(grad, w, spec, 10, 10, record, live),
+                   engine.backwardInput(grad, w, spec, 10, 10, back,
+                                        restored),
+                   "conv dX");
+    expectSameStats(live, restored, "conv dX");
+    expectSameBits(engine.backwardWeights(in, grad, spec, record, live),
+                   engine.backwardWeights(in, grad, spec, back, restored),
+                   "conv dW");
+    expectSameStats(live, restored, "conv dW");
+    EXPECT_GT(live.macsSkipped, 0u);
+}
+
+TEST(RecordSnapshot, RestoredFcRecordReplaysBitForBit)
+{
+    Tensor in = duplicateRows(30, 12, 6, kSeed + 9);
+    Rng rng(73);
+    Tensor w({12, 7});
+    w.fillNormal(rng);
+    Tensor grad({30, 7});
+    grad.fillNormal(rng);
+
+    DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed);
+    FcEngine engine(fe, 24);
+    ReuseStats fstats;
+    SignatureRecord record;
+    engine.forward(in, w, fstats, nullptr, &record);
+    ASSERT_GT(fstats.mix.hit, 0);
+    const SignatureRecord back = throughSnapshot(record);
+
+    ReuseStats live, restored;
+    expectSameBits(engine.backwardInput(grad, w, record, live),
+                   engine.backwardInput(grad, w, back, restored), "FC dX");
+    expectSameStats(live, restored, "FC dX");
+    expectSameBits(engine.backwardWeights(in, grad, record, live),
+                   engine.backwardWeights(in, grad, back, restored),
+                   "FC dW");
+    expectSameStats(live, restored, "FC dW");
+    EXPECT_GT(live.macsSkipped, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -138,7 +138,6 @@ TEST(RuntimeScheduler, RowPassForwardsAfterOwnersCompute)
     Tensor rows = duplicateRows(64, 12, 4, kSeed + 2);
     DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed,
                          overlapPipe());
-    OwnerTable table(fe.entries());
 
     std::vector<std::atomic<int>> state(64); // 0 empty, 1 computed/copied
     for (auto &s : state)
@@ -147,11 +146,9 @@ TEST(RuntimeScheduler, RowPassForwardsAfterOwnersCompute)
 
     ReuseRuntime rt(fe, 20);
     ReuseRuntime::RowPass rp;
-    rp.ownerOf = [&](int64_t i, McacheOutcome outcome, int64_t entry) {
-        return table.ownerOf(i, outcome, entry);
-    };
-    rp.computeRow = [&](int64_t i) {
-        state[static_cast<size_t>(i)].store(1);
+    rp.computeRows = [&](const int32_t *rows, int64_t count) {
+        for (int64_t k = 0; k < count; ++k)
+            state[static_cast<size_t>(rows[k])].store(1);
     };
     rp.copyRow = [&](int64_t i, int64_t o) {
         if (state[static_cast<size_t>(o)].load() != 1)

@@ -437,6 +437,9 @@ TEST(Snapshot, RecordSectionRoundTrips)
         EXPECT_EQ(b.sigWords, a.sigWords);
         EXPECT_EQ(b.entryIds, a.entryIds);
         EXPECT_EQ(b.outcomes, a.outcomes);
+        // The wire format carries no owner map: restore derives it.
+        EXPECT_EQ(b.owners, a.owners);
+        EXPECT_EQ(b.forwarded, a.forwarded);
         EXPECT_EQ(b.mix.vectors, a.mix.vectors);
         EXPECT_EQ(b.mix.hit, a.mix.hit);
         EXPECT_EQ(b.mix.mau, a.mix.mau);
