@@ -288,13 +288,18 @@ TEST(Kernels, OwnerScatterBitIdentity)
             const int64_t pitch = filters + 3; // vals rows wider than read
             const std::vector<float> vals =
                 randomFloats(n * pitch, 19 + n * 64 + filters);
-            // Each filter's n outputs are followed by sentinels.
+            // Each filter's n outputs are followed by signaling NaNs: an
+            // add that touches one, even of +0, quiets it and so
+            // changes its bits.
             const int64_t out_pitch = n + 5;
             std::vector<float> o1 = randomFloats(filters * out_pitch,
                                                  23 + filters);
+            const uint32_t snan_bits = 0x7fa00001u;
+            float snan;
+            std::memcpy(&snan, &snan_bits, sizeof snan);
             for (int64_t f = 0; f < filters; ++f)
                 for (int64_t i = n; i < out_pitch; ++i)
-                    o1[static_cast<size_t>(f * out_pitch + i)] = kSentinel;
+                    o1[static_cast<size_t>(f * out_pitch + i)] = snan;
             std::vector<float> o2(o1);
             sc.ownerScatter(vals.data(), pitch, filters, owner.data(), n,
                             o1.data(), out_pitch);
@@ -304,8 +309,9 @@ TEST(Kernels, OwnerScatterBitIdentity)
                                      o1.size() * sizeof(float)))
                 << "n=" << n << " filters=" << filters;
             for (int64_t f = 0; f < filters; ++f)
-                ASSERT_EQ(o1[static_cast<size_t>(f * out_pitch + n)],
-                          kSentinel);
+                ASSERT_EQ(0, std::memcmp(&o1[static_cast<size_t>(
+                                             f * out_pitch + n)],
+                                         &snan, sizeof snan));
         }
     }
 }
