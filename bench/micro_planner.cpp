@@ -1,11 +1,10 @@
 /**
  * @file
- * RuntimePlanner bench (core/runtime_planner.hpp): what does a
- * compiled step schedule buy a multi-layer training step on the
- * accelerator?
+ * Planned-step bench: what does a compiled step schedule buy a
+ * multi-layer training step on the accelerator?
  *
- * Modeled multi-layer step (sim/plan_model.hpp, through the
- * sim::CostModel facade) on the VGG-13 and MobileNetV2 stacks:
+ * Modeled multi-layer step (sim::CostModel::stepCost over the model
+ * zoo's layer stacks) on the VGG-13 and MobileNetV2 stacks:
  * per-layer-barrier baseline vs planned schedule with setup amortized
  * and fused conv→conv edges hiding successor signature time under the
  * predecessor's trailing drain. `model_*_step_speedup` keys, gated at

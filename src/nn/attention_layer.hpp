@@ -24,7 +24,7 @@ class SelfAttentionLayer : public Layer
     Tensor forward(const Tensor &x, MercuryContext *ctx) override;
     void describeStep(StepDescBuilder &b) const override
     {
-        b.attention(layerId_, seqLen_, embedDim_);
+        b.attention(seqLen_, embedDim_);
     }
     std::string name() const override { return "self-attention"; }
 

@@ -17,8 +17,8 @@
 #include <string>
 #include <vector>
 
-#include "core/runtime_planner.hpp"
 #include "nn/mercury_hooks.hpp"
+#include "nn/step_desc.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
@@ -66,14 +66,14 @@ class Layer
     virtual void step(float lr) { (void)lr; }
 
     /**
-     * Contribute this layer's op to a step description
-     * (core/runtime_planner.hpp), the workload the cost model replays:
-     * reuse-capable layers describe their shape, channelwise
-     * transforms describe their kind (they keep conv→conv fusion
-     * edges alive), and everything else reports opaque — the planner
-     * then stops shape tracking there and a later conv makes the step
-     * unplannable. Opaque is always a safe default: the description
-     * only feeds timing models, never execution.
+     * Contribute this layer to a step description (nn/step_desc.hpp),
+     * the layer stack the cost model prices: reuse-capable layers
+     * describe their shape, channelwise transforms keep the tracked
+     * activation shape (a 2x2 max pool also keeps conv→conv fusion
+     * edges alive), and everything else reports opaque — the builder
+     * then stops shape tracking there. Opaque is always a safe
+     * default: the description only feeds timing models, never
+     * execution.
      */
     virtual void describeStep(StepDescBuilder &b) const { b.opaque(); }
 
@@ -103,7 +103,7 @@ class Conv2dLayer : public Layer
     void step(float lr) override;
     void describeStep(StepDescBuilder &b) const override
     {
-        b.conv(layerId_, spec_);
+        b.conv(spec_);
     }
     std::string name() const override { return "conv2d"; }
     uint64_t paramCount() const override;
@@ -140,7 +140,7 @@ class DenseLayer : public Layer
     void step(float lr) override;
     void describeStep(StepDescBuilder &b) const override
     {
-        b.dense(layerId_, weight_.dim(0), weight_.dim(1));
+        b.dense(weight_.dim(0), weight_.dim(1));
     }
     std::string name() const override { return "dense"; }
     uint64_t paramCount() const override;
@@ -169,7 +169,8 @@ class ReluLayer : public Layer
 {
   public:
     Tensor forward(const Tensor &x, MercuryContext *ctx) override;
-    void describeStep(StepDescBuilder &b) const override { b.relu(); }
+    /** Channelwise and free: keeps the tracked shape, no entry. */
+    void describeStep(StepDescBuilder &) const override {}
     std::string name() const override { return "relu"; }
 
   protected:

@@ -30,13 +30,13 @@ Network::forward(const Tensor &x, MercuryContext *ctx)
     return y;
 }
 
-StepDescBuilder
+std::vector<LayerShape>
 Network::describeStep(const Tensor &x) const
 {
     StepDescBuilder b(x.shape());
     for (const auto &l : layers_)
         l->describeStep(b);
-    return b;
+    return b.stack();
 }
 
 float

@@ -34,13 +34,12 @@ class Network
     Tensor forward(const Tensor &x, MercuryContext *ctx = nullptr);
 
     /**
-     * The step descriptor stack forward(x) would execute — the
-     * workload definition RuntimePlanner::compile turns into a
-     * StepPlan and sim::CostModel backends replay. Lets consumers
-     * cost a network without a MercuryContext (e.g. the server's
-     * modeled-cycle stats).
+     * The timing stack of the step forward(x) would execute
+     * (nn/step_desc.hpp), the layer stack sim::CostModel::stepCost
+     * prices. Lets consumers cost a network without a MercuryContext
+     * (e.g. the server's modeled-cycle stats).
      */
-    StepDescBuilder describeStep(const Tensor &x) const;
+    std::vector<LayerShape> describeStep(const Tensor &x) const;
 
     /**
      * One SGD step on a minibatch; returns the mean loss. Gradients

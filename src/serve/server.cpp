@@ -4,7 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "core/runtime_planner.hpp"
 #include "util/logging.hpp"
 
 namespace mercury {
@@ -308,14 +307,13 @@ MercuryServer::runJob(SessionHandle::Session &s, JobRequest &req,
 
     // Modeled accelerator cycles of this job's step under the
     // configured sim::CostModel backend, from the measured forward
-    // mix — the stack is the step description Network::describeStep
-    // emits.
+    // mix — the stack is the one Network::describeStep emits.
     {
         const sim::CostModel &model = req.kind == JobRequest::Kind::Train
                                           ? *costTrain_
                                           : *costFwd_;
         const std::vector<LayerShape> stack =
-            shapesFromStepDesc(s.model->describeStep(req.rows));
+            s.model->describeStep(req.rows);
         const HitMix &m = out.forward.mix;
         const double hit_frac =
             m.vectors > 0

@@ -30,16 +30,15 @@ const char *dataflowName(DataflowKind kind);
 
 /**
  * Detection/compute overlap policy (§III-B, Fig. 8). `Auto` defers
- * the decision to pass-resolution time (PipelineConfig::resolvedFor /
- * RuntimePlanner): overlap pays a fixed scheduling tax (chain tasks,
- * hand-off queue, pool wakeups), so it only wins when there are
- * enough worker threads and enough rows per pass to hide that tax —
- * small layers and 1–2-thread hosts resolve to Off (the same streamed
- * schedule, consumed inline), everything else to On. The resolution
- * is a pure function of (threads, rows): it is recorded in the
- * StepPlan by the planner and surfaced in bench `config` blocks.
- * Outcomes are bit-identical across all three values; the knob
- * trades only wall time.
+ * the decision to pass-resolution time (PipelineConfig::resolvedFor):
+ * overlap pays a fixed scheduling tax (chain tasks, hand-off queue,
+ * pool wakeups), so it only wins when there are enough worker threads
+ * and enough rows per pass to hide that tax — small layers and
+ * 1–2-thread hosts resolve to Off (the same streamed schedule,
+ * consumed inline), everything else to On. The resolution is a pure
+ * function of (threads, rows): it is surfaced in bench `config`
+ * blocks. Outcomes are bit-identical across all three values; the
+ * knob trades only wall time.
  */
 enum class OverlapMode
 {

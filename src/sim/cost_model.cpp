@@ -1,9 +1,10 @@
 #include "sim/cost_model.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
-#include "core/runtime_planner.hpp"
 #include "sim/event_model/event_model.hpp"
+#include "util/logging.hpp"
 
 namespace mercury {
 namespace sim {
@@ -131,89 +132,101 @@ CostModel::recordBytes(const LayerShape &shape, int64_t batch,
     return flow_->recordSpillBytes(shape, batch, sig_bits);
 }
 
-namespace {
-
-/** One reconstructed timing shape per plan layer. */
-LayerShape
-shapeFromLayerDesc(const LayerStepDesc &op, size_t index)
-{
-    const std::string name = "plan" + std::to_string(index);
-    switch (op.kind) {
-    case StepOpKind::Conv:
-        return LayerShape::conv(name, op.conv.inChannels,
-                                op.conv.outChannels, op.inH, op.inW,
-                                op.conv.kernelH, op.conv.stride,
-                                op.conv.pad, op.conv.groups);
-    case StepOpKind::Dense:
-        return LayerShape::fc(name, op.inFeatures, op.outFeatures);
-    case StepOpKind::Attention:
-        return LayerShape::attention(name, op.seqLen, op.embedDim);
-    default:
-        break;
-    }
-    return LayerShape{};
-}
-
-} // namespace
-
-std::vector<LayerShape>
-planLayerStack(const StepPlan &plan, std::vector<size_t> *reuse_index)
-{
-    std::vector<LayerShape> out;
-    if (reuse_index)
-        reuse_index->clear();
-    for (size_t j = 0; j < plan.layers.size(); ++j) {
-        const LayerPlan &lp = plan.layers[j];
-        if (reuse_index)
-            reuse_index->push_back(out.size());
-        out.push_back(shapeFromLayerDesc(lp.desc, j));
-        // Pools riding a fused edge come back as stack entries so the
-        // closed-form step model fuses the same conv→conv pairs the
-        // plan did (trailing pools outside any edge are not in the
-        // plan and stay absent — schedule glue without a descriptor).
-        if (lp.nextConv >= 0 && lp.desc.kind == StepOpKind::Conv) {
-            int64_t c = lp.desc.conv.outChannels;
-            int64_t h = lp.outH;
-            int64_t w = lp.outW;
-            for (StepOpKind t : lp.edgeTransforms) {
-                if (t != StepOpKind::MaxPool2x2)
-                    continue;
-                out.push_back(LayerShape::pool(
-                    "plan" + std::to_string(j) + ".pool", c, h, w, 2, 2));
-                h /= 2;
-                w /= 2;
-            }
-        }
-    }
-    return out;
-}
-
 AnalyticModel::AnalyticModel(const AcceleratorConfig &cfg) : CostModel(cfg)
 {
 }
 
-LayerCycles
-aggregateStepCycles(const CostModel &model,
-                    const std::vector<LayerShape> &stack,
-                    const std::vector<HitMix> &mixes, int64_t batch,
-                    int sig_bits)
+namespace {
+
+/** A reusable layer's pass geometry: the detection passes one forward
+ *  runs (the counts the functional engines drive) and the raw
+ *  activation bytes each streams. Patch extraction runs on-chip over
+ *  the streamed conv plane, so the raw bytes, not the k*k-redundant
+ *  patch bytes, hit the memory hierarchy. */
+void
+setPassGeometry(const LayerShape &shape, int64_t batch, LayerStep &l)
 {
-    const AcceleratorConfig &cfg = model.config();
-    LayerCycles total;
+    switch (shape.type) {
+    case LayerType::Conv: // one pass per (image, input channel) plane
+        l.passes = batch * shape.inChannels;
+        l.inputBytesPerPass = shape.inH * shape.inW * 4;
+        break;
+    case LayerType::FullyConnected: // one pass over the minibatch rows
+        l.passes = 1;
+        l.inputBytesPerPass = batch * shape.inFeatures * 4;
+        break;
+    case LayerType::Attention: // one pass per sample's token matrix
+        l.passes = batch;
+        l.inputBytesPerPass = shape.seqLen * shape.embedDim * 4;
+        break;
+    case LayerType::Pool:
+        break;
+    }
+}
+
+} // namespace
+
+StepSchedule
+CostModel::scheduleStep(const std::vector<LayerShape> &stack,
+                        const std::vector<HitMix> &mixes, int64_t batch,
+                        int sig_bits) const
+{
+    if (stack.size() != mixes.size())
+        panic("stepCost needs one mix per layer, got ", mixes.size(),
+              " for ", stack.size());
+    const bool captures = cfg_.backwardReuse || cfg_.weightGradReuse;
+
+    StepSchedule s;
+    s.layers.resize(stack.size());
     for (size_t i = 0; i < stack.size(); ++i) {
         const LayerShape &shape = stack[i];
+        LayerStep &l = s.layers[i];
         if (!shape.reusable()) {
-            const uint64_t pool = model.baselineCycles(shape, batch);
-            total.baseline += pool;
-            total.computation += pool;
+            // Pools run exactly; their (small) cost appears in both
+            // step totals via the baseline charge.
+            const uint64_t pool = baselineCycles(shape, batch);
+            l.forward.baseline = pool;
+            l.forward.computation = pool;
+            s.cycles += l.forward;
             continue;
         }
-        total += model.layerCost(shape, batch, mixes[i], sig_bits);
-        if (cfg.backwardReuse || cfg.weightGradReuse)
-            total += model.backwardCost(shape, batch, mixes[i], sig_bits,
-                                        cfg.weightGradReuse);
+        l.forward = layerCost(shape, batch, mixes[i], sig_bits);
+        if (captures) {
+            l.gradient = backwardCost(shape, batch, mixes[i], sig_bits,
+                                      cfg_.weightGradReuse);
+            l.recordBytes = recordBytes(shape, batch, sig_bits);
+            l.holdRecord = l.recordBytes <= kHoldRecordBytes;
+        }
+        setPassGeometry(shape, batch, l);
+        s.cycles += l.forward;
+        s.cycles += l.gradient;
+        s.setupCycles += kSetupCyclesPerLayer +
+                         kSetupCyclesPerPass *
+                             static_cast<uint64_t>(l.passes);
     }
-    return total;
+
+    int prev_conv = -1;
+    for (size_t i = 0; i < stack.size(); ++i) {
+        if (stack[i].type == LayerType::Pool)
+            continue;
+        if (stack[i].type != LayerType::Conv) {
+            prev_conv = -1;
+            continue;
+        }
+        if (prev_conv >= 0) {
+            const LayerStep &pred = s.layers[static_cast<size_t>(prev_conv)];
+            const uint64_t window =
+                pred.passes > 0 ? pred.forward.computation /
+                                      static_cast<uint64_t>(pred.passes)
+                                : 0;
+            LayerStep &succ = s.layers[i];
+            succ.hiddenSignature = std::min(window, succ.forward.signature);
+            s.hiddenSignature += succ.hiddenSignature;
+            ++s.fusedEdges;
+        }
+        prev_conv = static_cast<int>(i);
+    }
+    return s;
 }
 
 CostBreakdown
@@ -221,30 +234,15 @@ AnalyticModel::stepCost(const std::vector<LayerShape> &stack,
                         const std::vector<HitMix> &mixes, int64_t batch,
                         int sig_bits) const
 {
+    const StepSchedule s = scheduleStep(stack, mixes, batch, sig_bits);
     CostBreakdown out;
-    out.cycles = aggregateStepCycles(*this, stack, mixes, batch, sig_bits);
-    const PlannedStepModel m =
-        modelPlannedStep(cfg_, stack, mixes, batch, sig_bits);
-    out.barrierCycles = m.barrierCycles;
-    out.plannedCycles = m.plannedCycles;
-    out.setupCycles = m.setupCycles;
-    out.hiddenSignature = m.hiddenSignature;
-    out.fusedEdges = m.fusedEdges;
+    out.cycles = s.cycles;
+    out.barrierCycles = s.cycles.mercuryTotal() + s.setupCycles;
+    out.plannedCycles = s.cycles.mercuryTotal() - s.hiddenSignature;
+    out.setupCycles = s.setupCycles;
+    out.hiddenSignature = s.hiddenSignature;
+    out.fusedEdges = s.fusedEdges;
     return out;
-}
-
-CostBreakdown
-AnalyticModel::stepCost(const StepPlan &plan,
-                        const std::vector<HitMix> &mixes,
-                        int sig_bits) const
-{
-    std::vector<size_t> reuse_index;
-    const std::vector<LayerShape> stack =
-        planLayerStack(plan, &reuse_index);
-    std::vector<HitMix> full(stack.size());
-    for (size_t j = 0; j < reuse_index.size() && j < mixes.size(); ++j)
-        full[reuse_index[j]] = mixes[j];
-    return stepCost(stack, full, plan.batch, sig_bits);
 }
 
 } // namespace sim

@@ -11,17 +11,16 @@
  *   CostBreakdown s = model->stepCost(stack, ...);  // a whole step
  *
  * and the backend — AnalyticModel (the closed-form Dataflow
- * arithmetic plus sim/plan_model.hpp) or EventModel (the
- * discrete-event memory-hierarchy replay in src/sim/event_model/) —
- * is picked by SimConfig::backend / MERCURY_SIM_BACKEND, never by a
- * hard call into a concrete class.
+ * arithmetic) or EventModel (the discrete-event memory-hierarchy
+ * replay in src/sim/event_model/) — is picked by SimConfig::backend /
+ * MERCURY_SIM_BACKEND, never by a hard call into a concrete class.
  *
- * Both stepCost entry points consume ONE workload definition: the
- * shape-stack overload compiles the stack through RuntimePlanner
- * (core/runtime_planner.hpp: describeShapeStack → compile), and the
- * StepPlan overload replays an already-compiled plan — so the event
- * model runs the same pass descriptors the ReuseRuntime executes,
- * with no second model of the step.
+ * A step is described once, as a std::vector<LayerShape> stack (the
+ * model zoo's layer tables, or Network::describeStep for a live
+ * network), and both backends price it through one step schedule
+ * (CostModel::scheduleStep): per-layer cycles, each layer's pass
+ * descriptor, the fused conv→conv edges, the setup charge and the
+ * record hold decision.
  *
  * Contract: under the default (compute-bound) SimConfig the two
  * backends agree on the pinned VGG13/MobileNetV2 validation points
@@ -40,13 +39,22 @@
 #include "sim/config.hpp"
 #include "sim/dataflow.hpp"
 #include "sim/layer_shape.hpp"
-#include "sim/plan_model.hpp"
 
 namespace mercury {
-
-struct StepPlan; // core/runtime_planner.hpp
-
 namespace sim {
+
+/** Per-pass / per-layer schedule-setup charge of a barriered step
+ *  (descriptor construction, knob resolution, buffer allocation),
+ *  which a planned schedule pays once and amortizes away.
+ *  Cycle-denominated like every Dataflow cost. */
+constexpr uint64_t kSetupCyclesPerPass = 64;
+constexpr uint64_t kSetupCyclesPerLayer = 512;
+
+/** SignatureRecords above this many bytes are spilled to the global
+ *  buffer between the forward and the gradient passes (the event
+ *  backend charges the traffic); smaller ones are held. Functional
+ *  execution always holds — host memory is the spill target. */
+constexpr uint64_t kHoldRecordBytes = 8ull << 20;
 
 /** Per-component counters of one event-model run (zero under the
  *  analytic backend). Printed by EventModel consumers per component:
@@ -102,9 +110,12 @@ struct CostBreakdown
      *  memory stalls are folded into `cycles.computation`. */
     LayerCycles cycles;
 
-    /** Per-layer-barrier step reference (setup re-derived per step). */
+    /** Per-layer-barrier step: every layer drains before the next
+     *  starts and the schedule setup is re-derived per step. */
     uint64_t barrierCycles = 0;
-    /** Planned-schedule step (setup amortized, fused edges hidden). */
+    /** Planned-schedule step: setup amortized away, and on each fused
+     *  conv→conv edge (convs separated only by pools) the successor's
+     *  signature hides under the predecessor's trailing drain. */
     uint64_t plannedCycles = 0;
 
     uint64_t setupCycles = 0;
@@ -121,13 +132,46 @@ struct CostBreakdown
     /** Baseline / MERCURY speedup of the aggregate cycles. */
     double speedup() const { return cycles.speedup(); }
 
-    /** Barriered / planned step speedup (plan_model semantics). */
+    /** Barriered / planned step speedup. */
     double stepSpeedup() const
     {
         return plannedCycles > 0 ? static_cast<double>(barrierCycles) /
                                        static_cast<double>(plannedCycles)
                                  : 1.0;
     }
+};
+
+/** One stack entry as both backends schedule it: its cycles and its
+ *  pass descriptor, derived from its LayerShape. */
+struct LayerStep
+{
+    /** Forward decomposition (pools: their baseline as computation). */
+    LayerCycles forward;
+    /** Gradient passes the config's reuse knobs enable (else zero). */
+    LayerCycles gradient;
+    /** Detection passes per forward (conv: one per image and input
+     *  channel; FC: one per minibatch; attention: one per sample;
+     *  pools: none), and the raw input bytes each streams. */
+    int64_t passes = 0;
+    int64_t inputBytesPerPass = 0;
+    /** Signature cycles hidden under the fused predecessor's trailing
+     *  channel-pass drain (zero off a fused edge). */
+    uint64_t hiddenSignature = 0;
+    /** SignatureRecord bytes captured for the gradient passes (zero
+     *  when neither gradient knob is on), and whether they fit the
+     *  hold threshold (kHoldRecordBytes) or spill. */
+    uint64_t recordBytes = 0;
+    bool holdRecord = true;
+};
+
+/** The step structure both backends price. */
+struct StepSchedule
+{
+    std::vector<LayerStep> layers; ///< one per stack entry
+    LayerCycles cycles;            ///< Σ forward + gradient
+    uint64_t setupCycles = 0;      ///< Σ per-step schedule setup
+    uint64_t hiddenSignature = 0;  ///< Σ LayerStep::hiddenSignature
+    int fusedEdges = 0;            ///< conv→conv edges that overlap
 };
 
 /** Abstract timing backend (see file header). */
@@ -147,65 +191,70 @@ class CostModel
 
     const AcceleratorConfig &config() const { return cfg_; }
 
-    /** Baseline machine cycles for a whole layer over a batch. */
-    virtual uint64_t baselineCycles(const LayerShape &shape,
-                                    int64_t batch) const;
+    // Per-layer queries: both backends answer them from the shared
+    // Dataflow closed forms; only stepCost sees the memory hierarchy.
 
-    /** MERCURY forward cycles of a layer (Dataflow::mercuryLayerCycles
-     *  semantics; the event backend folds memory stalls into
-     *  computation). */
-    virtual LayerCycles layerCost(const LayerShape &shape, int64_t batch,
-                                  const HitMix &channel_mix, int sig_bits,
-                                  bool saved_signatures = false) const;
+    /** Baseline machine cycles for a whole layer over a batch. */
+    uint64_t baselineCycles(const LayerShape &shape, int64_t batch) const;
+
+    /** MERCURY forward cycles of a layer
+     *  (Dataflow::mercuryLayerCycles). */
+    LayerCycles layerCost(const LayerShape &shape, int64_t batch,
+                          const HitMix &channel_mix, int sig_bits,
+                          bool saved_signatures = false) const;
 
     /** Input-gradient pass cycles (Dataflow::backwardLayerCycles). */
-    virtual LayerCycles backwardCost(const LayerShape &shape,
-                                     int64_t batch,
-                                     const HitMix &channel_mix,
-                                     int sig_bits,
-                                     bool include_weight_grad
-                                     = false) const;
+    LayerCycles backwardCost(const LayerShape &shape, int64_t batch,
+                             const HitMix &channel_mix, int sig_bits,
+                             bool include_weight_grad = false) const;
 
     /** Weight-gradient pass cycles (Dataflow::weightGradLayerCycles). */
-    virtual LayerCycles weightGradCost(const LayerShape &shape,
-                                       int64_t batch,
-                                       const HitMix &channel_mix,
-                                       int sig_bits) const;
+    LayerCycles weightGradCost(const LayerShape &shape, int64_t batch,
+                               const HitMix &channel_mix,
+                               int sig_bits) const;
 
     /** SignatureRecord bytes held between forward and backward. */
-    virtual uint64_t recordBytes(const LayerShape &shape, int64_t batch,
-                                 int sig_bits) const;
+    uint64_t recordBytes(const LayerShape &shape, int64_t batch,
+                         int sig_bits) const;
 
     /**
      * Whole-step cost over a layer stack: one channel-pass mix per
-     * layer (non-reusable entries ignored), forward plus the gradient
-     * passes the config's reuse knobs enable, with the plan-level
-     * barrier/planned view (setup amortization, fused conv→conv
-     * edges).
+     * layer (same convention as Dataflow::mercuryLayerCycles; entries
+     * for non-reusable layers are ignored), forward plus the gradient
+     * passes the config's reuse knobs enable, with the barrier /
+     * planned view (setup amortization, fused conv→conv edges).
+     * Panics unless there is one mix per layer.
      */
     virtual CostBreakdown stepCost(const std::vector<LayerShape> &stack,
                                    const std::vector<HitMix> &mixes,
                                    int64_t batch, int sig_bits) const = 0;
 
-    /**
-     * Whole-step cost of a compiled StepPlan: the same accounting
-     * driven by the plan's own pass descriptors
-     * (RuntimePlanner::compile → exportPassDescriptors) — one
-     * workload definition shared with the functional executor.
-     */
-    virtual CostBreakdown stepCost(const StepPlan &plan,
-                                   const std::vector<HitMix> &mixes,
-                                   int sig_bits) const = 0;
-
   protected:
     explicit CostModel(const AcceleratorConfig &cfg);
+
+    /**
+     * Schedule one step over a stack (the stepCost contract). Fused
+     * edges join convs separated only by pool entries; each hides at
+     * most one trailing channel-pass of predecessor compute worth of
+     * successor signature time — the window that opens once output
+     * channel 0 of image 0 is final. Reusable layers are charged
+     * kSetupCyclesPerLayer plus kSetupCyclesPerPass per forward pass
+     * (the gradient passes replay the forward schedule). Panics
+     * unless there is one mix per layer, before reading any.
+     */
+    StepSchedule scheduleStep(const std::vector<LayerShape> &stack,
+                              const std::vector<HitMix> &mixes,
+                              int64_t batch, int sig_bits) const;
 
     AcceleratorConfig cfg_;
     std::unique_ptr<Dataflow> flow_; ///< the one model of compute
 };
 
-/** The closed-form backend: Dataflow + sim/plan_model.hpp, verbatim —
- *  every gated BENCH_*.json modeled number reproduces through it. */
+/** The closed-form backend: Dataflow per layer plus the step schedule
+ *  — every gated BENCH_*.json modeled number reproduces through it.
+ *  The barriered step is the schedule's total plus its setup charge;
+ *  the planned step is the total minus the fused edges' hidden
+ *  signature time. */
 class AnalyticModel : public CostModel
 {
   public:
@@ -217,9 +266,6 @@ class AnalyticModel : public CostModel
                            const std::vector<HitMix> &mixes,
                            int64_t batch, int sig_bits) const override;
 
-    CostBreakdown stepCost(const StepPlan &plan,
-                           const std::vector<HitMix> &mixes,
-                           int sig_bits) const override;
 };
 
 /**
@@ -228,27 +274,6 @@ class AnalyticModel : public CostModel
  * `config.sim_backend` in every ResultLine.
  */
 const char *resolvedBackendName(const AcceleratorConfig &cfg);
-
-/**
- * Aggregate per-layer closed-form cycles of one step over a stack:
- * forward (plus the gradient passes the config's reuse knobs enable)
- * for reuse layers, baseline for pools. Shared by both backends —
- * the event backend reuses these totals as its compute service times.
- */
-LayerCycles aggregateStepCycles(const CostModel &model,
-                                const std::vector<LayerShape> &stack,
-                                const std::vector<HitMix> &mixes,
-                                int64_t batch, int sig_bits);
-
-/**
- * Reconstructed timing stack of a compiled plan: one LayerShape per
- * plan layer plus the 2x2 pools riding its fused edges. When
- * `reuse_index` is given, `(*reuse_index)[j]` is the stack position
- * of plan layer j (for aligning per-plan-layer mixes).
- */
-std::vector<LayerShape>
-planLayerStack(const StepPlan &plan,
-               std::vector<size_t> *reuse_index = nullptr);
 
 } // namespace sim
 } // namespace mercury

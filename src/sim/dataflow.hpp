@@ -22,13 +22,11 @@
  * plus a one-off drain. With a single filter slot the async design
  * degenerates to the synchronous one.
  *
- * DEPRECATION NOTE: calling Dataflow::create / the per-layer cycle
- * methods directly pins a consumer to the closed-form backend. New
- * consumers should go through sim::CostModel (sim/cost_model.hpp) —
- * the same arithmetic under the analytic backend, with the
- * discrete-event memory-hierarchy backend selectable by
- * SimConfig::backend / MERCURY_SIM_BACKEND. This header stays as the
- * compute model both backends share.
+ * This is the compute model both sim::CostModel backends share
+ * (sim/cost_model.hpp). Consumers go through sim::CostModel, not
+ * Dataflow::create: the same arithmetic under the analytic backend,
+ * with the discrete-event memory-hierarchy backend selectable by
+ * SimConfig::backend / MERCURY_SIM_BACKEND.
  */
 
 #ifndef MERCURY_SIM_DATAFLOW_HPP

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/runtime_planner.hpp"
 #include "sim/event_model/dram.hpp"
 #include "sim/event_model/event_loop.hpp"
 #include "sim/event_model/global_buffer_sim.hpp"
@@ -14,10 +13,6 @@ namespace mercury {
 namespace sim {
 
 namespace {
-
-/** Record-hold budget of the fallback descriptors (the planner's
- *  kHoldRecordBytes; compiled plans carry their own decision). */
-constexpr uint64_t kFallbackHoldRecordBytes = 8ull << 20;
 
 ComponentStats
 gather(const DramSim &dram, const GlobalBufferSim &gb,
@@ -87,52 +82,6 @@ statsScaled(const ComponentStats &d, uint64_t k)
     s.pe.busyCycles = d.pe.busyCycles * k;
     s.pe.memStallCycles = d.pe.memStallCycles * k;
     return s;
-}
-
-/** Descriptor a stack entry gets when no compiled plan covers it
- *  (unplannable topology) — the same geometry rules as
- *  RuntimePlanner::compile / exportPassDescriptors. */
-PassDescriptor
-synthDescriptor(const CostModel &model, const LayerShape &s,
-                int64_t batch, int sig_bits, bool captures)
-{
-    PassDescriptor d;
-    switch (s.type) {
-    case LayerType::Conv:
-        d.kind = StepOpKind::Conv;
-        d.rows = s.vectorsPerChannel();
-        d.vecDim = s.kernel * s.kernel;
-        d.passes = batch * s.inChannels;
-        d.inFlight = s.outChannels / std::max<int64_t>(1, s.groups);
-        d.inputBytesPerPass = s.inH * s.inW * 4;
-        d.inputTensorBytes = batch * s.inChannels * s.inH * s.inW * 4;
-        break;
-    case LayerType::FullyConnected:
-        d.kind = StepOpKind::Dense;
-        d.rows = batch;
-        d.vecDim = s.inFeatures;
-        d.passes = 1;
-        d.inFlight = s.outFeatures;
-        d.inputBytesPerPass = batch * s.inFeatures * 4;
-        d.inputTensorBytes = d.inputBytesPerPass;
-        break;
-    case LayerType::Attention:
-        d.kind = StepOpKind::Attention;
-        d.rows = s.seqLen;
-        d.vecDim = s.embedDim;
-        d.passes = batch;
-        d.inFlight = 1;
-        d.inputBytesPerPass = s.seqLen * s.embedDim * 4;
-        d.inputTensorBytes = batch * d.inputBytesPerPass;
-        break;
-    case LayerType::Pool:
-        break;
-    }
-    if (captures && s.reusable()) {
-        d.recordBytes = model.recordBytes(s, batch, sig_bits);
-        d.holdRecord = d.recordBytes <= kFallbackHoldRecordBytes;
-    }
-    return d;
 }
 
 /** Address regions keeping layers (and their records) on disjoint
@@ -261,113 +210,60 @@ runLayerPasses(EventLoop &loop, DramSim &dram, GlobalBufferSim &gb,
     return last_end;
 }
 
-/**
- * The step simulation shared by both stepCost entry points: `descs`
- * holds one PassDescriptor per stack entry (pool entries carry a
- * default descriptor and replay as plain baseline spans).
- */
+} // namespace
+
+EventModel::EventModel(const AcceleratorConfig &cfg) : CostModel(cfg) {}
+
 CostBreakdown
-simulateStep(const CostModel &model, const std::vector<LayerShape> &stack,
-             const std::vector<HitMix> &mixes,
-             const std::vector<PassDescriptor> &descs, int64_t batch,
-             int sig_bits)
+EventModel::stepCost(const std::vector<LayerShape> &stack,
+                     const std::vector<HitMix> &mixes, int64_t batch,
+                     int sig_bits) const
 {
-    const AcceleratorConfig &cfg = model.config();
-    const SimConfig &sim = cfg.sim;
-    const bool captures = cfg.backwardReuse || cfg.weightGradReuse;
+    const StepSchedule sched = scheduleStep(stack, mixes, batch, sig_bits);
+    const SimConfig &sim = cfg_.sim;
+    const bool captures = cfg_.backwardReuse || cfg_.weightGradReuse;
     const size_t n = stack.size();
-
-    // Closed-form per-layer decompositions — the compute services.
-    std::vector<LayerCycles> fwd(n), grad(n);
-    for (size_t i = 0; i < n; ++i) {
-        if (!stack[i].reusable()) {
-            const uint64_t pool = model.baselineCycles(stack[i], batch);
-            fwd[i].baseline = pool;
-            fwd[i].computation = pool;
-            continue;
-        }
-        fwd[i] = model.layerCost(stack[i], batch, mixes[i], sig_bits);
-        if (captures)
-            grad[i] = model.backwardCost(stack[i], batch, mixes[i],
-                                         sig_bits, cfg.weightGradReuse);
-    }
-
-    // Fused conv→conv edges and hidden-signature windows: the
-    // plan_model rule, verbatim, so the two backends always agree on
-    // step structure.
-    std::vector<uint64_t> hide(n, 0);
-    int fused_edges = 0;
-    uint64_t hidden_total = 0;
-    int prev_conv = -1;
-    for (size_t i = 0; i < n; ++i) {
-        if (stack[i].type == LayerType::Pool)
-            continue;
-        if (stack[i].type != LayerType::Conv) {
-            prev_conv = -1;
-            continue;
-        }
-        if (prev_conv >= 0) {
-            const size_t p = static_cast<size_t>(prev_conv);
-            const int64_t pred_passes = descs[p].passes;
-            const uint64_t window =
-                pred_passes > 0
-                    ? fwd[p].computation /
-                          static_cast<uint64_t>(pred_passes)
-                    : 0;
-            hide[i] = std::min(window, fwd[i].signature);
-            hidden_total += hide[i];
-            ++fused_edges;
-        }
-        prev_conv = static_cast<int>(i);
-    }
 
     EventLoop loop;
     DramSim dram(sim);
     GlobalBufferSim gb(sim, dram);
-    McacheSim mc(sim, cfg.mcacheSets);
+    McacheSim mc(sim, cfg_.mcacheSets);
     PeArraySim pe;
     ComponentStats extra;
 
     uint64_t cursor = 0;
     uint64_t barrier_base = 0;
-    uint64_t setup = 0;
 
     // Forward phase.
     for (size_t i = 0; i < n; ++i) {
-        const LayerShape &shape = stack[i];
-        if (!shape.reusable()) {
-            cursor += fwd[i].computation;
-            barrier_base += fwd[i].computation;
+        const LayerStep &l = sched.layers[i];
+        if (!stack[i].reusable()) {
+            cursor += l.forward.computation;
+            barrier_base += l.forward.computation;
             continue;
         }
-        const PassDescriptor &d = descs[i];
-        setup +=
-            kSetupCyclesPerLayer +
-            kSetupCyclesPerPass * static_cast<uint64_t>(std::max<int64_t>(
-                                      0, d.passes));
-        if (captures && !d.holdRecord)
-            gb.noteSpill(d.recordBytes);
+        if (!l.holdRecord)
+            gb.noteSpill(l.recordBytes);
 
         PassWork w;
         w.layerStart = cursor;
-        w.passes = d.passes;
-        const uint64_t S = fwd[i].computation + fwd[i].signature;
-        w.service = S > hide[i] ? S - hide[i] : 0;
-        w.inputBytesPerPass = d.inputBytesPerPass;
+        w.passes = l.passes;
+        const uint64_t S = l.forward.computation + l.forward.signature;
+        w.service = S > l.hiddenSignature ? S - l.hiddenSignature : 0;
+        w.inputBytesPerPass = l.inputBytesPerPass;
         w.inputAddr = inputRegion(i);
-        w.resident = gb.resident(d.inputBytesPerPass);
+        w.resident = gb.resident(l.inputBytesPerPass);
         w.recordWriteBytesPerPass =
-            captures && d.passes > 0
-                ? d.recordBytes / static_cast<uint64_t>(d.passes)
-                : 0;
+            l.passes > 0 ? l.recordBytes / static_cast<uint64_t>(l.passes)
+                         : 0;
         w.recordAddr = recordRegion(i);
-        w.insertCycles = fwd[i].cacheOverhead;
+        w.insertCycles = l.forward.cacheOverhead;
         w.mauPerPass = mixes[i].mau;
         w.rowsPerPass = mixes[i].vectors;
         w.hitsPerPass = mixes[i].hit;
         const uint64_t end =
             runLayerPasses(loop, dram, gb, mc, pe, sim, w, extra);
-        barrier_base += (end - cursor) + hide[i];
+        barrier_base += (end - cursor) + l.hiddenSignature;
         cursor = end;
     }
 
@@ -380,15 +276,15 @@ simulateStep(const CostModel &model, const std::vector<LayerShape> &stack,
         for (size_t r = n; r-- > 0;) {
             if (!stack[r].reusable())
                 continue;
-            const PassDescriptor &d = descs[r];
+            const LayerStep &l = sched.layers[r];
             PassWork w;
             w.layerStart = cursor;
-            w.passes = d.passes;
-            w.service = grad[r].mercuryTotal();
+            w.passes = l.passes;
+            w.service = l.gradient.mercuryTotal();
             w.replayBytesPerPass =
-                d.passes > 0 ? static_cast<int64_t>(
-                                   d.recordBytes /
-                                   static_cast<uint64_t>(d.passes))
+                l.passes > 0 ? static_cast<int64_t>(
+                                   l.recordBytes /
+                                   static_cast<uint64_t>(l.passes))
                              : 0;
             w.replayAddr = recordRegion(r);
             w.rowsPerPass = mixes[r].vectors;
@@ -403,79 +299,15 @@ simulateStep(const CostModel &model, const std::vector<LayerShape> &stack,
     CostBreakdown out;
     out.components = gather(dram, gb, mc, pe);
     out.components += extra;
-    out.cycles =
-        aggregateStepCycles(model, stack, mixes, batch, sig_bits);
+    out.cycles = sched.cycles;
     out.memoryStallCycles = out.components.pe.memStallCycles;
     out.cycles.computation += out.memoryStallCycles;
-    out.barrierCycles = barrier_base + setup;
+    out.barrierCycles = barrier_base + sched.setupCycles;
     out.plannedCycles = cursor;
-    out.setupCycles = setup;
-    out.hiddenSignature = hidden_total;
-    out.fusedEdges = fused_edges;
+    out.setupCycles = sched.setupCycles;
+    out.hiddenSignature = sched.hiddenSignature;
+    out.fusedEdges = sched.fusedEdges;
     return out;
-}
-
-} // namespace
-
-EventModel::EventModel(const AcceleratorConfig &cfg) : CostModel(cfg) {}
-
-CostBreakdown
-EventModel::stepCost(const std::vector<LayerShape> &stack,
-                     const std::vector<HitMix> &mixes, int64_t batch,
-                     int sig_bits) const
-{
-    if (stack.size() != mixes.size())
-        panic("EventModel::stepCost needs one mix per layer, got ",
-              mixes.size(), " for ", stack.size());
-    const bool captures = cfg_.backwardReuse || cfg_.weightGradReuse;
-
-    // One workload definition: the stack compiles through the planner
-    // and the plan's own descriptors drive the replay. Layers a plan
-    // cannot cover (unplannable topology) fall back to synthesized
-    // descriptors built by the same geometry rules.
-    PlanConfig kcfg;
-    kcfg.sigBits = sig_bits;
-    kcfg.sets = cfg_.mcacheSets;
-    kcfg.ways = cfg_.mcacheWays;
-    kcfg.dataVersions = cfg_.mcacheDataVersions;
-    kcfg.pipe.blockRows = cfg_.pipelineBlockRows;
-    kcfg.pipe.threads = cfg_.pipelineThreads;
-    kcfg.pipe.overlap = cfg_.overlapDetection;
-    kcfg.pipe.persistent = cfg_.persistentCache;
-    kcfg.backwardReuse = cfg_.backwardReuse;
-    kcfg.weightGradReuse = cfg_.weightGradReuse;
-    const std::shared_ptr<const StepPlan> plan = RuntimePlanner::compile(
-        describeShapeStack(stack, batch), kcfg);
-
-    std::vector<PassDescriptor> descs(stack.size());
-    for (const PassDescriptor &d : exportPassDescriptors(*plan))
-        if (d.layerId < descs.size()) // layerId == stack index here
-            descs[static_cast<size_t>(d.layerId)] = d;
-    for (size_t i = 0; i < stack.size(); ++i)
-        if (stack[i].reusable() && descs[i].passes == 0)
-            descs[i] = synthDescriptor(*this, stack[i], batch, sig_bits,
-                                       captures);
-    return simulateStep(*this, stack, mixes, descs, batch, sig_bits);
-}
-
-CostBreakdown
-EventModel::stepCost(const StepPlan &plan,
-                     const std::vector<HitMix> &mixes,
-                     int sig_bits) const
-{
-    std::vector<size_t> reuse_index;
-    const std::vector<LayerShape> stack =
-        planLayerStack(plan, &reuse_index);
-    std::vector<HitMix> full(stack.size());
-    std::vector<PassDescriptor> descs(stack.size());
-    const std::vector<PassDescriptor> pds = exportPassDescriptors(plan);
-    for (size_t j = 0; j < reuse_index.size(); ++j) {
-        if (j < mixes.size())
-            full[reuse_index[j]] = mixes[j];
-        if (j < pds.size())
-            descs[reuse_index[j]] = pds[j];
-    }
-    return simulateStep(*this, stack, full, descs, plan.batch, sig_bits);
 }
 
 } // namespace sim

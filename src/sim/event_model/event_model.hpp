@@ -5,8 +5,9 @@
  * One EventLoop ticks four components per step — banked open-row DRAM
  * (dram.hpp), a banked GlobalBuffer with MSHR-style pending slots
  * (global_buffer_sim.hpp), the MCACHE set-queue traffic (mcache_sim.hpp)
- * and the PE array (pe_array_sim.hpp). The workload is the pass
- * descriptors RuntimePlanner::compile emits (exportPassDescriptors):
+ * and the PE array (pe_array_sim.hpp). The workload is the layer
+ * stack's step schedule (CostModel::scheduleStep, shared with the
+ * analytic backend), whose pass descriptors come from the LayerShapes:
  * each detection pass is an event that streams its input plane
  * (double-buffered: pass k's stream issues at pass k-1's start),
  * executes on the PE array when its operands arrive, and drains its
@@ -14,7 +15,7 @@
  *
  * Compute service times are NOT re-derived: a layer's pass services
  * sum to exactly the Dataflow closed-form totals the analytic backend
- * reports (split evenly across the plan's pass count), and the insert
+ * reports (split evenly across the layer's pass count), and the insert
  * serialization per pass is the identical insertOverhead arithmetic.
  * The event machinery therefore adds only what the closed forms
  * cannot see — cold streams, bank conflicts, pending-slot exhaustion,
@@ -47,10 +48,6 @@ class EventModel : public CostModel
     CostBreakdown stepCost(const std::vector<LayerShape> &stack,
                            const std::vector<HitMix> &mixes,
                            int64_t batch, int sig_bits) const override;
-
-    CostBreakdown stepCost(const StepPlan &plan,
-                           const std::vector<HitMix> &mixes,
-                           int sig_bits) const override;
 };
 
 } // namespace sim

@@ -8,9 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/config.hpp"
 #include "sim/cycle_model.hpp"
-#include "sim/pe_array.hpp"
 
 namespace mercury {
 namespace {
@@ -112,75 +110,6 @@ INSTANTIATE_TEST_SUITE_P(
     VectorAndKernelSweep, ScheduleTest,
     ::testing::Combine(::testing::Values(1, 2, 3, 8, 16),
                        ::testing::Values(1, 2, 3, 5, 7)));
-
-TEST(PEArray, PartitionsByKernelRows)
-{
-    AcceleratorConfig cfg;
-    cfg.numPEs = 168;
-    PEArray arr(cfg, 3);
-    EXPECT_EQ(arr.numSets(), 56);
-    EXPECT_EQ(arr.setSize(), 3);
-    EXPECT_EQ(arr.idlePEs(), 0);
-}
-
-TEST(PEArray, LeftoverPEsIdle)
-{
-    AcceleratorConfig cfg;
-    cfg.numPEs = 168;
-    PEArray arr(cfg, 5);
-    EXPECT_EQ(arr.numSets(), 33);
-    EXPECT_EQ(arr.idlePEs(), 3);
-}
-
-TEST(PEArray, BusyBitsAndBarrier)
-{
-    AcceleratorConfig cfg;
-    cfg.numPEs = 9;
-    PEArray arr(cfg, 3);
-    EXPECT_TRUE(arr.allIdle());
-    arr.setBusy(1, true);
-    EXPECT_FALSE(arr.allIdle());
-    arr.setBusy(1, false);
-    EXPECT_TRUE(arr.allIdle());
-}
-
-TEST(PEArray, DistributeVectorsBalanced)
-{
-    AcceleratorConfig cfg;
-    cfg.numPEs = 9;
-    PEArray arr(cfg, 3); // 3 sets
-    auto counts = arr.distributeVectors(10);
-    ASSERT_EQ(counts.size(), 3u);
-    EXPECT_EQ(counts[0] + counts[1] + counts[2], 10);
-    EXPECT_EQ(counts[0], 4);
-    EXPECT_EQ(counts[1], 3);
-    EXPECT_EQ(counts[2], 3);
-}
-
-TEST(PEArray, PEStateResets)
-{
-    AcceleratorConfig cfg;
-    cfg.numPEs = 6;
-    PEArray arr(cfg, 3);
-    PE &pe = arr.pe(0, 1);
-    pe.orgReg = 3.0f;
-    pe.inputBufValid[1] = true;
-    pe.inUse = 1;
-    pe.flUse = 2;
-    arr.reset();
-    EXPECT_EQ(arr.pe(0, 1).orgReg, 0.0f);
-    EXPECT_FALSE(arr.pe(0, 1).inputBufValid[1]);
-    EXPECT_EQ(arr.pe(0, 1).inUse, 0);
-    EXPECT_EQ(arr.pe(0, 1).flUse, 0);
-}
-
-TEST(PEArray, OutOfRangeAccessDies)
-{
-    AcceleratorConfig cfg;
-    cfg.numPEs = 6;
-    PEArray arr(cfg, 3);
-    EXPECT_DEATH(arr.pe(5, 0), "out of range");
-}
 
 } // namespace
 } // namespace mercury

@@ -13,9 +13,9 @@
  *  - the pinned analytic-vs-event agreement band on VGG-13 and
  *    MobileNetV2 forward-only points (the acceptance contract also
  *    enforced by bench/sweep_eventsim);
- *  - workload unification: stepCost(StepPlan) replays the same
- *    descriptors as stepCost(stack), and
- *    describeShapeStack/shapesFromStepDesc round-trip.
+ *  - the step schedule both backends share: golden CostBreakdowns,
+ *    event record bytes from CostModel::recordBytes, and the
+ *    one-mix-per-layer check.
  */
 
 #include <gtest/gtest.h>
@@ -23,9 +23,10 @@
 #include <cmath>
 #include <cstdlib>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
-#include "core/runtime_planner.hpp"
 #include "models/model_zoo.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/cycle_model.hpp"
@@ -263,31 +264,6 @@ TEST(CostModelFactory, EnvironmentOverridesConfig)
     ::unsetenv("MERCURY_SIM_BACKEND");
 }
 
-// ---- Analytic facade equivalence -------------------------------------
-
-TEST(AnalyticModel, StepCostMatchesPlanModelFreeFunction)
-{
-    AcceleratorConfig cfg;
-    cfg.backwardReuse = true;
-    cfg.weightGradReuse = true;
-    const ModelConfig model = vgg13();
-    std::vector<HitMix> mixes;
-    for (const LayerShape &s : model.layers)
-        mixes.push_back(
-            HitMix::fromFractions(s.vectorsPerChannel(), 0.4));
-    const std::unique_ptr<sim::CostModel> analytic =
-        sim::CostModel::create(cfg);
-    const sim::CostBreakdown c =
-        analytic->stepCost(model.layers, mixes, 4, 20);
-    const PlannedStepModel m =
-        modelPlannedStep(cfg, model.layers, mixes, 4, 20);
-    EXPECT_EQ(c.barrierCycles, m.barrierCycles);
-    EXPECT_EQ(c.plannedCycles, m.plannedCycles);
-    EXPECT_EQ(c.setupCycles, m.setupCycles);
-    EXPECT_EQ(c.hiddenSignature, m.hiddenSignature);
-    EXPECT_EQ(c.fusedEdges, m.fusedEdges);
-}
-
 // ---- Analytic-vs-event agreement (the pinned validation points) ------
 
 /** Max |event - analytic| / analytic allowed on the forward-only
@@ -398,91 +374,175 @@ TEST(Agreement, EventBackendSeesRecordReplayTraffic)
     EXPECT_GT(e.components.dram.bytes, 0u);
 }
 
-// ---- Workload unification --------------------------------------------
+// ---- The step schedule both backends share ---------------------------
 
-TEST(WorkloadUnification, PlanAndStackOverloadsAgreeOnPoolFreeStack)
+/** Every CostBreakdown field of one (model, backend, replay) step at
+ *  batch 4, 20 bits, hit fraction 0.4 on every layer, Sampled
+ *  fidelity. */
+struct GoldenStep
 {
-    // A pool-free conv chain: planLayerStack reconstructs the exact
-    // stack, so the two stepCost entry points replay identical
-    // descriptors and must agree cycle-for-cycle.
-    const std::vector<LayerShape> stack = {
-        LayerShape::conv("c0", 3, 16, 16, 16, 3, 1, 1),
-        LayerShape::conv("c1", 16, 16, 16, 16, 3, 1, 1),
-        LayerShape::fc("fc", 16 * 16 * 16, 10),
-    };
-    std::vector<HitMix> mixes;
-    for (const LayerShape &s : stack)
-        mixes.push_back(
-            HitMix::fromFractions(s.vectorsPerChannel(), 0.5));
+    const char *model;
+    SimBackend backend;
+    bool replay; ///< backwardReuse and weightGradReuse both on
+    LayerCycles cycles;
+    uint64_t barrierCycles;
+    uint64_t plannedCycles;
+    uint64_t setupCycles;
+    uint64_t hiddenSignature;
+    int fusedEdges;
+    uint64_t memoryStallCycles;
+    uint64_t spillBytes;
+    uint64_t dramBytes;
+};
 
-    AcceleratorConfig cfg;
-    cfg.sim.backend = SimBackend::Event;
-    const std::unique_ptr<sim::CostModel> event =
-        sim::CostModel::create(cfg);
-
-    PlanConfig kcfg;
-    kcfg.sigBits = 20;
-    kcfg.sets = cfg.mcacheSets;
-    kcfg.ways = cfg.mcacheWays;
-    kcfg.dataVersions = cfg.mcacheDataVersions;
-    const std::shared_ptr<const StepPlan> plan =
-        RuntimePlanner::compile(describeShapeStack(stack, 4), kcfg);
-    ASSERT_TRUE(plan->plannable);
-    ASSERT_EQ(plan->layers.size(), stack.size());
-
-    const sim::CostBreakdown from_stack =
-        event->stepCost(stack, mixes, 4, 20);
-    const sim::CostBreakdown from_plan =
-        event->stepCost(*plan, mixes, 20);
-    EXPECT_EQ(from_stack.plannedCycles, from_plan.plannedCycles);
-    EXPECT_EQ(from_stack.barrierCycles, from_plan.barrierCycles);
-    EXPECT_EQ(from_stack.fusedEdges, from_plan.fusedEdges);
-    EXPECT_EQ(from_stack.hiddenSignature, from_plan.hiddenSignature);
+/** Names a point in test output, e.g. "(VGG-13, event, replay)". */
+void
+PrintTo(const GoldenStep &g, std::ostream *os)
+{
+    *os << "(" << g.model << ", " << simBackendName(g.backend) << ", "
+        << (g.replay ? "replay" : "forward") << ")";
 }
 
-TEST(WorkloadUnification, DescribeShapeStackRoundTrips)
+const GoldenStep kGoldenSteps[] = {
+    {"VGG-13", SimBackend::Analytic, false,
+     {289165908, 179534556, 34126250, 295703},
+     214586717, 213556472, 630208, 400037, 9, 0, 0, 0},
+    {"VGG-13", SimBackend::Analytic, true,
+     {867206210, 550145967, 34496612, 295703},
+     585568490, 584538245, 630208, 400037, 9, 0, 0, 0},
+    {"VGG-13", SimBackend::Event, false,
+     {289165908, 179547942, 34126250, 295703},
+     214600103, 213569858, 630208, 400037, 9, 13386, 0, 54321152},
+    {"VGG-13", SimBackend::Event, true,
+     {867206210, 552851317, 34496612, 295703},
+     588273840, 587243595, 630208, 400037, 9, 2705350, 386154496, 863158584},
+    {"MobNet-V2", SimBackend::Analytic, false,
+     {7366077, 4536779, 13805320, 100803},
+     22509526, 18414222, 4066624, 28680, 51, 0, 0, 0},
+    {"MobNet-V2", SimBackend::Analytic, true,
+     {22098231, 13681640, 13918922, 100803},
+     31767989, 27672685, 4066624, 28680, 51, 0, 0, 0},
+    {"MobNet-V2", SimBackend::Event, false,
+     {7366077, 4545230, 13805320, 100803},
+     22517977, 18422673, 4066624, 28680, 51, 8451, 0, 2408448},
+    // Spills exactly its records above the hold threshold (see
+    // EventSpillIsRecordBytesAboveHoldThreshold).
+    {"MobNet-V2", SimBackend::Event, true,
+     {22098231, 15025670, 13918922, 100803},
+     33112019, 29016715, 4066624, 28680, 51, 1344030, 60010496, 250401512},
+    {"ResNet50", SimBackend::Analytic, false,
+     {121237254, 75579096, 11661598, 60603},
+     93096945, 87114302, 5795648, 186995, 52, 0, 0, 0},
+    {"ResNet50", SimBackend::Analytic, true,
+     {363628788, 228723945, 11730810, 60603},
+     246311006, 240328363, 5795648, 186995, 52, 0, 0, 0},
+    {"ResNet50", SimBackend::Event, false,
+     {121237254, 75587369, 11661598, 60603},
+     93105218, 87122575, 5795648, 186995, 52, 8273, 0, 2408448},
+    {"ResNet50", SimBackend::Event, true,
+     {363628788, 228807360, 11730810, 60603},
+     246394421, 240411778, 5795648, 186995, 52, 83415, 31309824, 153385576},
+    {"Transformer", SimBackend::Analytic, false,
+     {3249167, 3249167, 108713, 49},
+     3381545, 3357929, 23616, 0, 0, 0, 0, 0},
+    {"Transformer", SimBackend::Analytic, true,
+     {9747501, 9747501, 108787, 49},
+     9879953, 9856337, 23616, 0, 0, 0, 0, 0},
+    {"Transformer", SimBackend::Event, false,
+     {3249167, 3289423, 108713, 49},
+     3421801, 3398185, 23616, 0, 0, 40256, 0, 3145728},
+    {"Transformer", SimBackend::Event, true,
+     {9747501, 9841847, 108787, 49},
+     9974299, 9950683, 23616, 0, 0, 94346, 0, 3188264},
+};
+
+ModelConfig
+zooModel(const std::string &name)
 {
-    const std::vector<LayerShape> stack = {
-        LayerShape::conv("c0", 3, 32, 32, 32, 3, 1, 1),
-        LayerShape::pool("p0", 32, 32, 32, 2, 2),
-        LayerShape::conv("c1", 32, 64, 16, 16, 3, 1, 1),
-        LayerShape::fc("fc", 64 * 16 * 16, 10),
-    };
-    const StepDescBuilder desc = describeShapeStack(stack, 4);
-    const std::vector<LayerShape> back = shapesFromStepDesc(desc);
-    ASSERT_EQ(back.size(), stack.size());
-    for (size_t i = 0; i < stack.size(); ++i) {
-        EXPECT_EQ(back[i].type, stack[i].type) << i;
-        EXPECT_EQ(back[i].inChannels, stack[i].inChannels) << i;
-        EXPECT_EQ(back[i].outChannels, stack[i].outChannels) << i;
-        EXPECT_EQ(back[i].inH, stack[i].inH) << i;
-        EXPECT_EQ(back[i].inW, stack[i].inW) << i;
-        EXPECT_EQ(back[i].kernel, stack[i].kernel) << i;
-        EXPECT_EQ(back[i].inFeatures, stack[i].inFeatures) << i;
-        EXPECT_EQ(back[i].outFeatures, stack[i].outFeatures) << i;
+    for (const ModelConfig &m : allModels())
+        if (m.name == name)
+            return m;
+    ADD_FAILURE() << "no model " << name;
+    return ModelConfig{};
+}
+
+class StepCostGolden : public ::testing::TestWithParam<GoldenStep>
+{
+};
+
+TEST_P(StepCostGolden, PinsEveryField)
+{
+    const GoldenStep &g = GetParam();
+    AcceleratorConfig cfg;
+    cfg.backwardReuse = g.replay;
+    cfg.weightGradReuse = g.replay;
+    cfg.sim.backend = g.backend;
+    cfg.sim.fidelity = SimFidelity::Sampled;
+    const ModelConfig model = zooModel(g.model);
+    std::vector<HitMix> mixes;
+    for (const LayerShape &s : model.layers)
+        mixes.push_back(HitMix::fromFractions(s.vectorsPerChannel(), 0.4));
+    const sim::CostBreakdown c =
+        sim::CostModel::create(cfg)->stepCost(model.layers, mixes, 4, 20);
+    EXPECT_EQ(c.cycles.baseline, g.cycles.baseline);
+    EXPECT_EQ(c.cycles.computation, g.cycles.computation);
+    EXPECT_EQ(c.cycles.signature, g.cycles.signature);
+    EXPECT_EQ(c.cycles.cacheOverhead, g.cycles.cacheOverhead);
+    EXPECT_EQ(c.barrierCycles, g.barrierCycles);
+    EXPECT_EQ(c.plannedCycles, g.plannedCycles);
+    EXPECT_EQ(c.setupCycles, g.setupCycles);
+    EXPECT_EQ(c.hiddenSignature, g.hiddenSignature);
+    EXPECT_EQ(c.fusedEdges, g.fusedEdges);
+    EXPECT_EQ(c.memoryStallCycles, g.memoryStallCycles);
+    EXPECT_EQ(c.components.gbuf.spillBytes, g.spillBytes);
+    EXPECT_EQ(c.components.dram.bytes, g.dramBytes);
+}
+
+INSTANTIATE_TEST_SUITE_P(ModelZoo, StepCostGolden,
+                         ::testing::ValuesIn(kGoldenSteps));
+
+TEST(StepSchedule, EventSpillIsRecordBytesAboveHoldThreshold)
+{
+    // With replay on, the event backend spills exactly the layers
+    // whose CostModel::recordBytes exceed the hold threshold, on every
+    // model-zoo stack.
+    AcceleratorConfig cfg;
+    cfg.backwardReuse = true;
+    cfg.weightGradReuse = true;
+    cfg.sim.backend = SimBackend::Event;
+    cfg.sim.fidelity = SimFidelity::Sampled;
+    const std::unique_ptr<sim::CostModel> event =
+        sim::CostModel::create(cfg);
+    for (const ModelConfig &model : allModels()) {
+        std::vector<HitMix> mixes;
+        uint64_t spilled = 0;
+        for (const LayerShape &s : model.layers) {
+            mixes.push_back(
+                HitMix::fromFractions(s.vectorsPerChannel(), 0.4));
+            const uint64_t bytes = event->recordBytes(s, 4, 20);
+            if (bytes > sim::kHoldRecordBytes)
+                spilled += bytes;
+        }
+        const sim::CostBreakdown e =
+            event->stepCost(model.layers, mixes, 4, 20);
+        EXPECT_EQ(e.components.gbuf.spillBytes, spilled) << model.name;
     }
 }
 
-TEST(WorkloadUnification, ExportedDescriptorsMatchPlanGeometry)
+TEST(StepScheduleDeathTest, ChecksOneMixPerLayerBeforeReadingAny)
 {
-    const std::vector<LayerShape> stack = {
-        LayerShape::conv("c0", 3, 16, 28, 28, 3, 1, 1),
-        LayerShape::conv("c1", 16, 32, 28, 28, 3, 1, 1),
-    };
-    PlanConfig kcfg;
-    kcfg.sigBits = 16;
-    const std::shared_ptr<const StepPlan> plan =
-        RuntimePlanner::compile(describeShapeStack(stack, 2), kcfg);
-    ASSERT_TRUE(plan->plannable);
-    const std::vector<PassDescriptor> descs =
-        exportPassDescriptors(*plan);
-    ASSERT_EQ(descs.size(), 2u);
-    EXPECT_EQ(descs[0].passes, 2 * 3);  // batch x inChannels
-    EXPECT_EQ(descs[1].passes, 2 * 16);
-    EXPECT_EQ(descs[0].inputBytesPerPass, 28 * 28 * 4);
-    EXPECT_EQ(descs[0].inputTensorBytes, 2 * 3 * 28 * 28 * 4);
-    EXPECT_EQ(descs[1].nextConv, -1);
-    EXPECT_EQ(descs[1].prevConv, 0);
+    const ModelConfig model = vgg13();
+    const std::vector<HitMix> one_mix = {HitMix::fromFractions(
+        model.layers[0].vectorsPerChannel(), 0.4)};
+    for (SimBackend backend : {SimBackend::Analytic, SimBackend::Event}) {
+        AcceleratorConfig cfg;
+        cfg.sim.backend = backend;
+        const std::unique_ptr<sim::CostModel> m =
+            sim::CostModel::create(cfg);
+        EXPECT_DEATH(m->stepCost(model.layers, one_mix, 4, 20),
+                     "one mix per layer")
+            << simBackendName(backend);
+    }
 }
 
 } // namespace

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "models/proxies.hpp"
 #include "nn/attention_layer.hpp"
@@ -288,6 +291,103 @@ TEST(NnProxies, UnknownFamilyDies)
 {
     Rng rng(113);
     EXPECT_DEATH(buildProxy("NotANet", rng), "unknown proxy family");
+}
+
+// ---- Step description: Network::describeStep's timing stack --------
+
+/** Compare a described stack entry against an expected LayerShape. */
+void
+expectSameShape(const LayerShape &got, const LayerShape &want)
+{
+    EXPECT_EQ(got.type, want.type) << want.name;
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.inChannels, want.inChannels) << want.name;
+    EXPECT_EQ(got.outChannels, want.outChannels) << want.name;
+    EXPECT_EQ(got.inH, want.inH) << want.name;
+    EXPECT_EQ(got.inW, want.inW) << want.name;
+    EXPECT_EQ(got.kernel, want.kernel) << want.name;
+    EXPECT_EQ(got.stride, want.stride) << want.name;
+    EXPECT_EQ(got.pad, want.pad) << want.name;
+    EXPECT_EQ(got.groups, want.groups) << want.name;
+    EXPECT_EQ(got.inFeatures, want.inFeatures) << want.name;
+    EXPECT_EQ(got.outFeatures, want.outFeatures) << want.name;
+    EXPECT_EQ(got.seqLen, want.seqLen) << want.name;
+    EXPECT_EQ(got.embedDim, want.embedDim) << want.name;
+}
+
+void
+expectStack(const std::vector<LayerShape> &got,
+            const std::vector<LayerShape> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i)
+        expectSameShape(got[i], want[i]);
+}
+
+TEST(DescribeStep, ConvChainCostsThePoolBetweenConvs)
+{
+    // conv → relu → conv → pool → GAP → dense: ReLU costs nothing and
+    // GAP is opaque, so the stack is both convs with resolved dims,
+    // the pool on the second conv's output, and the dense head.
+    Rng rng(15);
+    Network net;
+    net.add(std::make_unique<Conv2dLayer>(3, 8, 3, 1, 1, rng, 1));
+    net.add(std::make_unique<ReluLayer>());
+    net.add(std::make_unique<Conv2dLayer>(8, 8, 3, 1, 1, rng, 2));
+    net.add(std::make_unique<MaxPoolLayer>());
+    net.add(std::make_unique<GlobalAvgPoolLayer>());
+    net.add(std::make_unique<DenseLayer>(8, 3, rng, 3));
+    expectStack(net.describeStep(Tensor({4, 3, 12, 12})),
+                {LayerShape::conv("op0", 3, 8, 12, 12, 3, 1, 1),
+                 LayerShape::conv("op1", 8, 8, 12, 12, 3, 1, 1),
+                 LayerShape::pool("op2", 8, 12, 12, 2, 2),
+                 LayerShape::fc("op3", 8, 3)});
+}
+
+/** Identity layer that keeps the default (opaque) step description. */
+class OpaqueIdentityLayer : public Layer
+{
+  public:
+    Tensor forward(const Tensor &x, MercuryContext *) override
+    {
+        return x;
+    }
+    std::string name() const override { return "opaque-identity"; }
+
+  protected:
+    Tensor backwardImpl(const Tensor &grad, MercuryContext *) override
+    {
+        return grad;
+    }
+};
+
+TEST(DescribeStep, OpaqueLeadLeavesConvInputDimsUnresolved)
+{
+    // The opaque op drops shape tracking, so the conv behind it is
+    // described with zero input dims (and no pool would be costed on
+    // its output); the dense head needs no tracked shape.
+    Rng rng(14);
+    Network net;
+    net.add(std::make_unique<OpaqueIdentityLayer>());
+    net.add(std::make_unique<Conv2dLayer>(3, 8, 3, 1, 1, rng, 1));
+    net.add(std::make_unique<GlobalAvgPoolLayer>());
+    net.add(std::make_unique<DenseLayer>(8, 3, rng, 2));
+    expectStack(net.describeStep(Tensor({8, 3, 12, 12})),
+                {LayerShape::conv("op0", 3, 8, 0, 0, 3, 1, 1),
+                 LayerShape::fc("op1", 8, 3)});
+}
+
+TEST(DescribeStep, ServedFcModel)
+{
+    // The serving tenants' model: dense → relu → dense on (N, D) rows.
+    Rng rng(16);
+    Network net;
+    net.add(std::make_unique<DenseLayer>(16, 24, rng, 1));
+    net.add(std::make_unique<ReluLayer>());
+    net.add(std::make_unique<DenseLayer>(24, 4, rng, 2));
+    expectStack(net.describeStep(Tensor({6, 16})),
+                {LayerShape::fc("op0", 16, 24),
+                 LayerShape::fc("op1", 24, 4)});
 }
 
 } // namespace

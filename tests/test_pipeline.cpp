@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <tuple>
 
@@ -19,6 +20,7 @@
 #include "core/fc_engine.hpp"
 #include "core/similarity_detector.hpp"
 #include "nn/mercury_hooks.hpp"
+#include "nn/network.hpp"
 #include "pipeline/detection_frontend.hpp"
 #include "util/rng.hpp"
 #include "util/sampling.hpp"
@@ -595,6 +597,38 @@ TEST(Pipeline, AutoBlockFrontendMatchesExplicitBlock)
         expectIdenticalPasses(auto_fe.detect(rows, 20),
                               fixed_fe.detect(rows, 20));
     }
+}
+
+// ---- Knob resolution: once per shape, not once per step ------------
+
+TEST(PlannerKnobs, ResolvedOncePerShape)
+{
+    // conv → relu → conv → pool → GAP → dense head.
+    Rng rng(15);
+    Network net;
+    net.add(std::make_unique<Conv2dLayer>(3, 8, 3, 1, 1, rng, 1));
+    net.add(std::make_unique<ReluLayer>());
+    net.add(std::make_unique<Conv2dLayer>(8, 8, 3, 1, 1, rng, 2));
+    net.add(std::make_unique<MaxPoolLayer>());
+    net.add(std::make_unique<GlobalAvgPoolLayer>());
+    net.add(std::make_unique<DenseLayer>(8, 3, rng, 3));
+    const Dataset ds = makeImageDataset(8, 3, 3, 12, 8801, 0.03f);
+    MercuryContext ctx(14, 32, 8, 2, 0xFEED);
+    ctx.setBackwardReuse(true);
+    ctx.setWeightGradReuse(true);
+
+    net.trainBatch(ds.inputs, ds.labels, 0.05f, &ctx);
+    const int64_t after_first = ctx.frontendFor(1).knobResolutions() +
+                                ctx.frontendFor(2).knobResolutions() +
+                                ctx.frontendFor(3).knobResolutions();
+    EXPECT_GT(after_first, 0);
+    for (int s = 0; s < 4; ++s)
+        net.trainBatch(ds.inputs, ds.labels, 0.05f, &ctx);
+    // Steady state: every later step replays the resolved knobs.
+    EXPECT_EQ(ctx.frontendFor(1).knobResolutions() +
+                  ctx.frontendFor(2).knobResolutions() +
+                  ctx.frontendFor(3).knobResolutions(),
+              after_first);
 }
 
 } // namespace

@@ -340,6 +340,52 @@ TEST(TaskGroup, SubmitFromInsideATaskIsJoined)
     EXPECT_EQ(ran.load(), 3);
 }
 
+// ---- Batched submission --------------------------------------------
+
+TEST(PlannerExecutors, SubmitBatchRunsEveryTask)
+{
+    ThreadPool pool(4);
+    std::atomic<int> ran{0};
+    std::vector<std::function<void()>> tasks;
+    for (int i = 0; i < 100; ++i)
+        tasks.push_back([&ran] { ++ran; });
+    pool.submitBatch(std::move(tasks));
+    // Drain through a follow-up group: the pool runs FIFO per worker,
+    // so joining a full-width wave after the batch bounds the wait.
+    TaskGroup tg(&pool);
+    for (int i = 0; i < 4; ++i)
+        tg.run([] {});
+    tg.wait();
+    // The batch landed before the group's tasks in queue order, but
+    // workers race; spin briefly for the last stragglers.
+    while (ran.load() < 100) {
+    }
+    EXPECT_EQ(ran.load(), 100);
+}
+
+TEST(PlannerExecutors, RunBatchJoinsAndRunsInlineWithoutPool)
+{
+    ThreadPool pool(4);
+    std::atomic<int> ran{0};
+    TaskGroup tg(&pool);
+    tg.runBatch(64, [&ran] { ++ran; });
+    tg.wait();
+    EXPECT_EQ(ran.load(), 64);
+
+    int inline_ran = 0;
+    TaskGroup inline_tg(nullptr);
+    inline_tg.runBatch(5, [&inline_ran] { ++inline_ran; });
+    inline_tg.wait();
+    EXPECT_EQ(inline_ran, 5);
+
+    ThreadPool empty(0);
+    std::atomic<int> serial{0};
+    TaskGroup serial_tg(&empty);
+    serial_tg.runBatch(7, [&serial] { ++serial; });
+    serial_tg.wait();
+    EXPECT_EQ(serial.load(), 7);
+}
+
 // ---------------------------------------------------------------------
 // ThreadPool (util/thread_pool.hpp): the work-stealing substrate's
 // scheduler contracts. Stealing may reorder a pool's tasks freely but
@@ -351,30 +397,40 @@ TEST(TaskGroup, SubmitFromInsideATaskIsJoined)
 TEST(ThreadPool, StealingRedistributesWorkWithoutBreakingChainOrder)
 {
     // Fan a noise wave out from inside one worker task so the whole
-    // wave lands in that worker's own deque and the other workers have
-    // to steal it, while a SerialExecutor chain runs alongside. The
-    // chain contract must hold no matter which worker a stolen pump
-    // lands on.
+    // wave lands in that worker's own deque (a batch never runs
+    // inline), then hold that worker until another one has stolen
+    // from it: a noise task can only run on another thread by a
+    // steal. A SerialExecutor chain runs alongside, and its contract
+    // must hold no matter which worker a stolen pump lands on.
     ThreadPool pool(3);
     SerialExecutor chain(&pool);
     TaskGroup noise(&pool);
     std::vector<int> order;
     std::atomic<int> noise_ran{0};
     int blocks = 0;
-    for (int round = 0; round < 50; ++round) {
+    for (int round = 0; round < 5; ++round) {
+        std::atomic<bool> stolen{false};
         noise.run([&] {
-            for (int i = 0; i < 64; ++i)
-                noise.run([&] {
-                    noise_ran.fetch_add(1);
-                    std::this_thread::yield();
-                });
+            const std::thread::id owner = std::this_thread::get_id();
+            noise.runBatch(64, [&, owner] {
+                if (std::this_thread::get_id() != owner)
+                    stolen.store(true);
+                noise_ran.fetch_add(1);
+                std::this_thread::yield();
+            });
+            // Bounded, so a pool that never steals fails the
+            // assertions below instead of hanging.
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(30);
+            while (!stolen.load() &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::yield();
         });
         for (int b = 0; b < 16; ++b, ++blocks)
             chain.run([&order, blocks] { order.push_back(blocks); });
         noise.wait();
         chain.wait();
-        if (pool.stealCount() > 0 && round >= 4)
-            break;
+        EXPECT_TRUE(stolen.load()) << "round " << round;
     }
     EXPECT_GT(pool.stealCount(), 0); // the sweep actually migrated work
     ASSERT_EQ(order.size(), static_cast<size_t>(blocks));
