@@ -4,7 +4,7 @@
  * pass at a time (the engines' single-driver contract); a pass's
  * compute service time comes from the Dataflow closed forms — the
  * SAME per-layer totals the analytic backend reports, split across
- * the plan's pass count — so this component contributes no arithmetic
+ * the layer's pass count — so this component contributes no arithmetic
  * of its own. What it adds is the schedule: a pass cannot start
  * before its operands arrive, and cycles the array sits idle waiting
  * on the memory hierarchy are charged to memStallCycles (the

@@ -8,10 +8,10 @@
  * Two backends implement the sim::CostModel API (sim/cost_model.hpp):
  *
  *  - Analytic (default): the closed-form per-layer Dataflow
- *    arithmetic plus the plan-level step model. Deterministic, fast,
- *    and the source of every gated BENCH_*.json modeled number.
+ *    arithmetic summed by the shared step schedule. Deterministic,
+ *    fast, and the source of every gated BENCH_*.json modeled number.
  *  - Event (src/sim/event_model/): a discrete-event replay of the
- *    same pass descriptors through banked DRAM, a banked GlobalBuffer
+ *    same step schedule through banked DRAM, a banked GlobalBuffer
  *    with MSHR-style pending slots, MCACHE probe/insert traffic, and
  *    the PE array. Compute service times come from the SAME Dataflow
  *    closed forms — the event machinery adds only the memory-
@@ -36,7 +36,7 @@ namespace mercury {
 /** Timing backend implementing sim::CostModel. */
 enum class SimBackend
 {
-    Analytic, ///< closed-form Dataflow + plan model (default)
+    Analytic, ///< closed-form Dataflow + step schedule (default)
     Event,    ///< discrete-event memory-hierarchy replay
 };
 

@@ -24,7 +24,6 @@
 #include <cstdlib>
 #include <memory>
 #include <ostream>
-#include <string>
 #include <vector>
 
 #include "models/model_zoo.hpp"
@@ -381,7 +380,7 @@ TEST(Agreement, EventBackendSeesRecordReplayTraffic)
  *  fidelity. */
 struct GoldenStep
 {
-    const char *model;
+    ModelConfig (*model)();
     SimBackend backend;
     bool replay; ///< backwardReuse and weightGradReuse both on
     LayerCycles cycles;
@@ -399,72 +398,62 @@ struct GoldenStep
 void
 PrintTo(const GoldenStep &g, std::ostream *os)
 {
-    *os << "(" << g.model << ", " << simBackendName(g.backend) << ", "
+    *os << "(" << g.model().name << ", " << simBackendName(g.backend) << ", "
         << (g.replay ? "replay" : "forward") << ")";
 }
 
 const GoldenStep kGoldenSteps[] = {
-    {"VGG-13", SimBackend::Analytic, false,
+    {vgg13, SimBackend::Analytic, false,
      {289165908, 179534556, 34126250, 295703},
      214586717, 213556472, 630208, 400037, 9, 0, 0, 0},
-    {"VGG-13", SimBackend::Analytic, true,
+    {vgg13, SimBackend::Analytic, true,
      {867206210, 550145967, 34496612, 295703},
      585568490, 584538245, 630208, 400037, 9, 0, 0, 0},
-    {"VGG-13", SimBackend::Event, false,
+    {vgg13, SimBackend::Event, false,
      {289165908, 179547942, 34126250, 295703},
      214600103, 213569858, 630208, 400037, 9, 13386, 0, 54321152},
-    {"VGG-13", SimBackend::Event, true,
+    {vgg13, SimBackend::Event, true,
      {867206210, 552851317, 34496612, 295703},
      588273840, 587243595, 630208, 400037, 9, 2705350, 386154496, 863158584},
-    {"MobNet-V2", SimBackend::Analytic, false,
+    {mobilenetV2, SimBackend::Analytic, false,
      {7366077, 4536779, 13805320, 100803},
      22509526, 18414222, 4066624, 28680, 51, 0, 0, 0},
-    {"MobNet-V2", SimBackend::Analytic, true,
+    {mobilenetV2, SimBackend::Analytic, true,
      {22098231, 13681640, 13918922, 100803},
      31767989, 27672685, 4066624, 28680, 51, 0, 0, 0},
-    {"MobNet-V2", SimBackend::Event, false,
+    {mobilenetV2, SimBackend::Event, false,
      {7366077, 4545230, 13805320, 100803},
      22517977, 18422673, 4066624, 28680, 51, 8451, 0, 2408448},
     // Spills exactly its records above the hold threshold (see
     // EventSpillIsRecordBytesAboveHoldThreshold).
-    {"MobNet-V2", SimBackend::Event, true,
+    {mobilenetV2, SimBackend::Event, true,
      {22098231, 15025670, 13918922, 100803},
      33112019, 29016715, 4066624, 28680, 51, 1344030, 60010496, 250401512},
-    {"ResNet50", SimBackend::Analytic, false,
+    {resnet50, SimBackend::Analytic, false,
      {121237254, 75579096, 11661598, 60603},
      93096945, 87114302, 5795648, 186995, 52, 0, 0, 0},
-    {"ResNet50", SimBackend::Analytic, true,
+    {resnet50, SimBackend::Analytic, true,
      {363628788, 228723945, 11730810, 60603},
      246311006, 240328363, 5795648, 186995, 52, 0, 0, 0},
-    {"ResNet50", SimBackend::Event, false,
+    {resnet50, SimBackend::Event, false,
      {121237254, 75587369, 11661598, 60603},
      93105218, 87122575, 5795648, 186995, 52, 8273, 0, 2408448},
-    {"ResNet50", SimBackend::Event, true,
+    {resnet50, SimBackend::Event, true,
      {363628788, 228807360, 11730810, 60603},
      246394421, 240411778, 5795648, 186995, 52, 83415, 31309824, 153385576},
-    {"Transformer", SimBackend::Analytic, false,
+    {transformer, SimBackend::Analytic, false,
      {3249167, 3249167, 108713, 49},
      3381545, 3357929, 23616, 0, 0, 0, 0, 0},
-    {"Transformer", SimBackend::Analytic, true,
+    {transformer, SimBackend::Analytic, true,
      {9747501, 9747501, 108787, 49},
      9879953, 9856337, 23616, 0, 0, 0, 0, 0},
-    {"Transformer", SimBackend::Event, false,
+    {transformer, SimBackend::Event, false,
      {3249167, 3289423, 108713, 49},
      3421801, 3398185, 23616, 0, 0, 40256, 0, 3145728},
-    {"Transformer", SimBackend::Event, true,
+    {transformer, SimBackend::Event, true,
      {9747501, 9841847, 108787, 49},
      9974299, 9950683, 23616, 0, 0, 94346, 0, 3188264},
 };
-
-ModelConfig
-zooModel(const std::string &name)
-{
-    for (const ModelConfig &m : allModels())
-        if (m.name == name)
-            return m;
-    ADD_FAILURE() << "no model " << name;
-    return ModelConfig{};
-}
 
 class StepCostGolden : public ::testing::TestWithParam<GoldenStep>
 {
@@ -478,7 +467,7 @@ TEST_P(StepCostGolden, PinsEveryField)
     cfg.weightGradReuse = g.replay;
     cfg.sim.backend = g.backend;
     cfg.sim.fidelity = SimFidelity::Sampled;
-    const ModelConfig model = zooModel(g.model);
+    const ModelConfig model = g.model();
     std::vector<HitMix> mixes;
     for (const LayerShape &s : model.layers)
         mixes.push_back(HitMix::fromFractions(s.vectorsPerChannel(), 0.4));
