@@ -60,9 +60,10 @@ reducedReps()
 
 /**
  * Thread-count override for wall measurements
- * (MERCURY_BENCH_THREADS=N): the CI smoke-bench steps pin the pool
- * size so auto-overlap resolution is reproducible across runners.
- * Returns 0 when unset (the bench picks its own count).
+ * (MERCURY_BENCH_THREADS=N): pins the pool size of the pooled
+ * configuration a bench measures (CI smoke-runs micro_overlap and
+ * micro_runtime at 2 threads). Returns 0 when unset (the bench picks
+ * its own count).
  */
 inline int
 benchThreads()
@@ -72,32 +73,6 @@ benchThreads()
         return 0;
     const int threads = std::atoi(env);
     return threads > 0 ? threads : 0;
-}
-
-/**
- * Overlap-policy override (MERCURY_BENCH_OVERLAP=off|on|auto) for the
- * measured "overlapped" configuration. Defaults to `fallback` when
- * unset or unparseable — the recording benches pass
- * OverlapMode::Auto so committed wall numbers reflect the policy a
- * real run would use on the recording host (the resolved decision is
- * in the `config` block); pass `on` to force the streaming path, and
- * CI's threads=2 smoke step passes `auto` to prove the resolver
- * picks serial there.
- */
-inline OverlapMode
-benchOverlap(OverlapMode fallback)
-{
-    const char *env = std::getenv("MERCURY_BENCH_OVERLAP");
-    if (env == nullptr || env[0] == '\0')
-        return fallback;
-    const std::string v(env);
-    if (v == "off")
-        return OverlapMode::Off;
-    if (v == "on")
-        return OverlapMode::On;
-    if (v == "auto")
-        return OverlapMode::Auto;
-    return fallback;
 }
 
 /** Wall-time measurement over repetitions (seconds). */

@@ -54,7 +54,7 @@ main()
     // conv layers (the overlapDetection knob).
     AcceleratorConfig serial_cfg;
     AcceleratorConfig overlap_cfg;
-    overlap_cfg.overlapDetection = OverlapMode::On;
+    overlap_cfg.overlapDetection = true;
     const auto serial = sim::CostModel::create(serial_cfg);
     const auto overlapped = sim::CostModel::create(overlap_cfg);
 

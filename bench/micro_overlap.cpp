@@ -1,18 +1,14 @@
 /**
  * @file
- * Microbenchmark of overlapped detection (streaming per-block
- * hand-off + owner computes on the pool) against the same streamed
- * schedule consumed inline (overlap off), on a VGG13-sized conv layer.
+ * Microbenchmark of the reuse passes' one schedule on a VGG13-sized
+ * conv layer, next to the paper's Fig. 8 overlap in the timing model.
  *
- * Two views of the same question:
- *
- *  1. Functional wall time: ConvReuseEngine end-to-end layer time
- *     with `overlap` off (hashing on the pool, owner computes inline
- *     on the driving thread as each block arrives) vs on (owner
- *     computes consume the block hand-off on the worker pool while
- *     later blocks hash). Outputs are verified bit-identical first.
- *     Wall-clock gains require spare cores; on a single-core host the
- *     two modes tie. The overlap-off forward is also timed against
+ *  1. Functional wall time: ConvReuseEngine forward on a threads-1
+ *     frontend (hash, probe, compute, block by block, inline) and on
+ *     a pooled one (later blocks hash on the pool while the driving
+ *     thread computes and scatters). Outputs are verified
+ *     bit-identical first. `wall_speedup` is the threads-1 forward
+ *     over the pooled one; the pooled forward is also timed against
  *     the exact conv2dForward (wall_forward_speedup).
  *
  *  2. Modeled accelerator cycles (the paper's Fig. 8 metric): the
@@ -23,15 +19,14 @@
  *  3. The backward column (§III-C2): the input-gradient pass with
  *     `backwardReuse` replaying the forward-captured SignatureRecord
  *     — functional wall time of the replayed ConvReuseEngine
- *     backward (through the overlapped engine, so the channel
- *     passes fan out over the worker pool) vs the exact
- *     conv2dBackwardInput, and the modeled backward layer
- *     cycles (replay-only signature charge) vs the no-reuse backward
- *     baseline.
+ *     backward on the pooled frontend (the channel passes fan out
+ *     over the pool) vs the exact conv2dBackwardInput, and the
+ *     modeled backward layer cycles (replay-only signature charge) vs
+ *     the no-reuse backward baseline.
  *
  *  4. The dW column (§III-C2 on Eq. 1): the weight-gradient pass
  *     with `weightGradReuse` replaying the same record by
- *     sum-then-multiply — functional wall time of the overlapped
+ *     sum-then-multiply — functional wall time of the pooled
  *     ConvReuseEngine::backwardWeights (channels fanned out over the
  *     pool) vs the exact conv2dBackwardWeight, and the modeled
  *     dW layer cycles
@@ -40,12 +35,14 @@
  *     last third of training-cycle MACs: forward, dX, and dW all
  *     ride one captured detection pass.
  *
+ * Both replays are checked bit-identical to the threads-1 frontend's
+ * before they are timed; a divergence fails the bench.
+ *
  * Emits a BENCH_overlap.json summary line in the shared result
  * schema. MERCURY_BENCH_SMOKE=1 shrinks the layer and repetition
  * counts for the CI smoke run; MERCURY_BENCH_REPS=N caps repetitions
- * for the CI wall-clock step; MERCURY_BENCH_THREADS=N pins the pool
- * size and MERCURY_BENCH_OVERLAP=off|on|auto overrides the measured
- * overlap policy (the resolved decision lands in `config`).
+ * for the CI wall-clock step; MERCURY_BENCH_THREADS=N pins the pooled
+ * frontend's thread count.
  */
 
 #include <chrono>
@@ -92,9 +89,8 @@ main()
     const int threads = env_threads
                             ? ThreadPool::resolveThreads(env_threads)
                             : std::max(4, ThreadPool::resolveThreads(0));
-    const OverlapMode omode = bench::benchOverlap(OverlapMode::Auto);
-    std::printf("micro_overlap: overlapped detection vs overlap off "
-                "on a VGG13-sized conv layer\n");
+    std::printf("micro_overlap: the reuse passes on one thread and on "
+                "the pool, on a VGG13-sized conv layer\n");
     std::printf("(layer: %lld ch -> %lld filters, %lldx%lld, 3x3; "
                 "MCACHE %dx%d, %d versions; threads %d on %d hw)\n\n",
                 static_cast<long long>(kChannels),
@@ -113,103 +109,77 @@ main()
     spec.kernelH = spec.kernelW = 3;
     spec.pad = 1;
 
-    // Same thread count for both modes (at least 4, so the streaming
-    // machinery actually engages on small hosts): the measured delta
-    // is then the overlap restructuring itself, not pool parallelism
-    // in the detection pass.
-    PipelineConfig base_pipe;
-    base_pipe.blockRows = 128;
-    base_pipe.threads = threads;
+    // The pooled frontend gets at least 4 threads unless pinned, so
+    // the hashing actually runs beside the driving thread on small
+    // hosts; the threads-1 frontend is the reference schedule.
+    PipelineConfig single_pipe;
+    single_pipe.blockRows = 128;
+    PipelineConfig pooled_pipe = single_pipe;
+    pooled_pipe.threads = threads;
 
     // --- 1. Functional wall time -----------------------------------
-    DetectionFrontend serial_fe(kSets, kWays, kVersions, kBits, kSeed,
-                                base_pipe);
-    ConvReuseEngine serial(serial_fe, kBits);
+    DetectionFrontend single_fe(kSets, kWays, kVersions, kBits, kSeed,
+                                single_pipe);
+    ConvReuseEngine single(single_fe, kBits);
+    DetectionFrontend pooled_fe(kSets, kWays, kVersions, kBits, kSeed,
+                                pooled_pipe);
+    ConvReuseEngine pooled(pooled_fe, kBits);
 
-    PipelineConfig overlap_pipe = base_pipe;
-    overlap_pipe.overlap = omode;
-    DetectionFrontend overlap_fe(kSets, kWays, kVersions, kBits, kSeed,
-                                 overlap_pipe);
-    ConvReuseEngine overlapped(overlap_fe, kBits);
-    // The channel pass this layer hashes (oh*ow rows) — what an Auto
-    // policy resolves against.
-    const OverlapMode resolved =
-        overlap_pipe.resolvedOverlapFor(kHw * kHw);
-
-    // Identity first: both modes must produce the same layer.
-    ReuseStats s_stats, o_stats;
+    // Identity first: both frontends must produce the same layer.
+    ReuseStats s_stats, p_stats;
     const Tensor s_out =
-        serial.forward(ds.inputs, w, Tensor(), spec, s_stats);
-    const Tensor o_out =
-        overlapped.forward(ds.inputs, w, Tensor(), spec, o_stats);
-    if (!(s_out == o_out) || s_stats.macsSkipped != o_stats.macsSkipped) {
-        std::fprintf(stderr, "FATAL: overlapped conv diverges from the "
-                             "overlap-off path\n");
+        single.forward(ds.inputs, w, Tensor(), spec, s_stats);
+    const Tensor p_out =
+        pooled.forward(ds.inputs, w, Tensor(), spec, p_stats);
+    if (!(s_out == p_out) || s_stats.macsSkipped != p_stats.macsSkipped) {
+        std::fprintf(stderr, "FATAL: pooled conv forward diverges from "
+                             "the threads-1 run\n");
         return 1;
     }
 
     ReuseStats scratch;
-    const bench::WallTime w_serial = bench::wallSeconds(
-        [&] { serial.forward(ds.inputs, w, Tensor(), spec, scratch); },
+    const bench::WallTime w_single = bench::wallSeconds(
+        [&] { single.forward(ds.inputs, w, Tensor(), spec, scratch); },
         1.0);
-    bench::WallTime w_overlap;
-    if (resolved == OverlapMode::On) {
-        w_overlap = bench::wallSeconds(
-            [&] {
-                overlapped.forward(ds.inputs, w, Tensor(), spec, scratch);
-            },
-            1.0);
-    } else {
-        // The policy resolved the overlapped configuration to the
-        // serial schedule (not enough usable host concurrency or
-        // rows to pay the streaming tax), so both engines run the
-        // identical code path: wall parity holds by construction
-        // rather than by re-timing the same loop.
-        w_overlap = w_serial;
-        std::printf("overlap policy '%s' resolved to '%s' on this host "
-                    "(%d usable hw threads): overlapped schedule is the "
-                    "serial schedule, wall parity by construction\n",
-                    overlapModeName(omode), overlapModeName(resolved),
-                    ThreadPool::resolveThreads(0));
-    }
-    const double t_serial = w_serial.best;
-    const double t_overlap = w_overlap.best;
-    const double wall_speedup = t_serial / t_overlap;
+    const bench::WallTime w_pooled = bench::wallSeconds(
+        [&] { pooled.forward(ds.inputs, w, Tensor(), spec, scratch); },
+        1.0);
+    const double t_single = w_single.best;
+    const double t_pooled = w_pooled.best;
+    const double wall_speedup = t_single / t_pooled;
     // The fair forward baseline: the exact (vectorized, bit-identical)
-    // conv2dForward against the serial engine's forward.
+    // conv2dForward against the pooled engine's forward.
     const bench::WallTime w_fwd_exact = bench::wallSeconds(
         [&] { conv2dForward(ds.inputs, w, Tensor(), spec); }, 1.0);
-    const double wall_fwd_speedup = w_fwd_exact.best / t_serial;
+    const double wall_fwd_speedup = w_fwd_exact.best / t_pooled;
 
     Table wall("functional layer time (one image, all channels)");
     wall.header({"mode", "min-ms", "median-ms", "hit-frac",
                  "macs-skipped"});
     wall.row({"exact conv2dForward", Table::num(w_fwd_exact.best * 1e3, 1),
               Table::num(w_fwd_exact.median * 1e3, 1), "-", "0"});
-    wall.row({"overlap off", Table::num(t_serial * 1e3, 1),
-              Table::num(w_serial.median * 1e3, 1),
+    wall.row({"reuse, 1 thread", Table::num(t_single * 1e3, 1),
+              Table::num(w_single.median * 1e3, 1),
               Table::num(s_stats.mix.hitFraction(), 3),
               std::to_string(s_stats.macsSkipped)});
-    wall.row({"overlapped", Table::num(t_overlap * 1e3, 1),
-              Table::num(w_overlap.median * 1e3, 1),
-              Table::num(o_stats.mix.hitFraction(), 3),
-              std::to_string(o_stats.macsSkipped)});
+    wall.row({"reuse, " + std::to_string(threads) + " threads",
+              Table::num(t_pooled * 1e3, 1),
+              Table::num(w_pooled.median * 1e3, 1),
+              Table::num(p_stats.mix.hitFraction(), 3),
+              std::to_string(p_stats.macsSkipped)});
     wall.print();
-    std::printf("wall-clock speedup: %.2fx (needs spare cores; this "
-                "host has %d hardware threads)\n",
+    std::printf("wall-clock speedup of the pool: %.2fx (needs spare "
+                "cores; this host has %d hardware threads)\n",
                 wall_speedup, ThreadPool::resolveThreads(0));
     std::printf("forward vs exact conv2dForward: %.2fx\n\n",
                 wall_fwd_speedup);
 
     // --- 2. Modeled accelerator cycles (Fig. 8) --------------------
-    // The modeled view pins overlap On: it accounts the ACCELERATOR,
-    // where Fig. 8 overlap is hardware and host scheduling policy is
-    // irrelevant — keeping the recorded modeled keys deterministic
-    // and host-independent whatever MERCURY_BENCH_OVERLAP selects
-    // for the functional measurement above.
+    // The modeled view accounts the ACCELERATOR, where Fig. 8 overlap
+    // is hardware: deterministic and host-independent.
     AcceleratorConfig cfg;
     AcceleratorConfig overlap_cfg;
-    overlap_cfg.overlapDetection = OverlapMode::On;
+    overlap_cfg.overlapDetection = true;
     const auto serial_model = sim::CostModel::create(cfg);
     const auto overlap_model = sim::CostModel::create(overlap_cfg);
     const LayerShape shape = LayerShape::conv(
@@ -250,19 +220,27 @@ main()
     // compared against the exact conv2dBackwardInput.
     SignatureRecord record;
     ReuseStats cap_stats;
-    serial.forward(ds.inputs, w, Tensor(), spec, cap_stats, &record);
+    single.forward(ds.inputs, w, Tensor(), spec, cap_stats, &record);
     Rng grng(kSeed + 1);
     Tensor grad({1, kFilters, kHw, kHw});
     grad.fillNormal(grng);
 
-    ReuseStats b_stats;
-    serial.backwardInput(grad, w, spec, kHw, kHw, record, b_stats);
+    ReuseStats b_stats, pb_stats;
+    const Tensor s_gin =
+        single.backwardInput(grad, w, spec, kHw, kHw, record, b_stats);
+    const Tensor p_gin =
+        pooled.backwardInput(grad, w, spec, kHw, kHw, record, pb_stats);
+    if (!(s_gin == p_gin) || b_stats.macsSkipped != pb_stats.macsSkipped) {
+        std::fprintf(stderr, "FATAL: pooled dX replay diverges from the "
+                             "threads-1 run\n");
+        return 1;
+    }
     const bench::WallTime w_bwd_exact = bench::wallSeconds(
         [&] { conv2dBackwardInput(grad, w, spec, kHw, kHw); }, 1.0);
     const bench::WallTime w_bwd_replay = bench::wallSeconds(
         [&] {
             ReuseStats s;
-            overlapped.backwardInput(grad, w, spec, kHw, kHw, record, s);
+            pooled.backwardInput(grad, w, spec, kHw, kHw, record, s);
         },
         1.0);
     const double t_bwd_exact = w_bwd_exact.best;
@@ -307,14 +285,22 @@ main()
     // the output gradients of each forward hit-group are summed, then
     // one multiply runs per group through the owner's patch. Wall
     // time vs the exact conv2dBackwardWeight.
-    ReuseStats dw_stats;
-    serial.backwardWeights(ds.inputs, grad, spec, record, dw_stats);
+    ReuseStats dw_stats, pdw_stats;
+    const Tensor s_dw =
+        single.backwardWeights(ds.inputs, grad, spec, record, dw_stats);
+    const Tensor p_dw =
+        pooled.backwardWeights(ds.inputs, grad, spec, record, pdw_stats);
+    if (!(s_dw == p_dw) || dw_stats.macsSkipped != pdw_stats.macsSkipped) {
+        std::fprintf(stderr, "FATAL: pooled dW replay diverges from the "
+                             "threads-1 run\n");
+        return 1;
+    }
     const bench::WallTime w_dw_exact = bench::wallSeconds(
         [&] { conv2dBackwardWeight(ds.inputs, grad, spec); }, 1.0);
     const bench::WallTime w_dw_replay = bench::wallSeconds(
         [&] {
             ReuseStats s;
-            overlapped.backwardWeights(ds.inputs, grad, spec, record, s);
+            pooled.backwardWeights(ds.inputs, grad, spec, record, s);
         },
         1.0);
     const double t_dw_exact = w_dw_exact.best;
@@ -365,10 +351,10 @@ main()
     bench::ResultLine line("BENCH_overlap.json", "micro_overlap");
     line.text("layer", smoke ? "smoke-conv" : "vgg13-conv-64x64-32x32-k3")
         .num("hit_frac", s_stats.mix.hitFraction(), 3)
-        .num("wall_serial_ms", t_serial * 1e3, 1)
-        .num("wall_serial_median_ms", w_serial.median * 1e3, 1)
-        .num("wall_overlap_ms", t_overlap * 1e3, 1)
-        .num("wall_overlap_median_ms", w_overlap.median * 1e3, 1)
+        .num("wall_forward_ms", t_pooled * 1e3, 1)
+        .num("wall_forward_median_ms", w_pooled.median * 1e3, 1)
+        .num("wall_forward_1t_ms", t_single * 1e3, 1)
+        .num("wall_forward_1t_median_ms", w_single.median * 1e3, 1)
         .num("wall_forward_speedup", wall_fwd_speedup, 3)
         .integer("model_serial_cycles",
                  static_cast<long long>(sc.mercuryTotal()))
@@ -389,9 +375,7 @@ main()
         .speedups(model_speedup, wall_speedup)
         .config("bits", kBits)
         .config("threads", threads)
-        .config("blockRows", base_pipe.blockRows)
-        .config("overlap", overlapModeName(omode))
-        .config("overlap_resolved", overlapModeName(resolved));
+        .config("blockRows", pooled_pipe.blockRows);
     bench::stdConfig(line);
     line.print();
     return 0;

@@ -4,22 +4,22 @@
  * convolution workload (the MobileNet-style scenario opened by the
  * runtime refactor): a depthwise 3x3 layer and a grouped 3x3 layer
  * run a full training step — forward with capture, replayed dX,
- * replayed dW — through the one streaming scheduler every engine
- * pass now rides.
+ * replayed dW — through the one schedule every engine pass rides.
  *
  * Three views per layer:
  *
- *  1. Bit-identity self-check: serial and overlapped scheduling must
- *     produce identical outputs and statistics (the golden contract
- *     tests/test_runtime.cpp pins; a divergence fails the bench).
+ *  1. Bit-identity self-check: a threads-1 frontend and the pooled
+ *     one must produce identical outputs and statistics (the golden
+ *     contract tests/test_runtime.cpp pins; a divergence fails the
+ *     bench).
  *  2. Modeled accelerator cycles of the full step: forward +
  *     backward(include_weight_grad) with overlapDetection +
  *     backwardReuse + weightGradReuse against the three-pass
  *     baseline — deterministic given the measured mix, and gated by
  *     tools/check_bench.py against the committed baselines.
- *  3. Functional wall time of the full step: the reuse engines
- *     (forward + backwardInput + backwardWeights over one captured
- *     record) against the exact tensor ops (conv2dForward +
+ *  3. Functional wall time of the full step: the pooled reuse
+ *     engines (forward + backwardInput + backwardWeights over one
+ *     captured record) against the exact tensor ops (conv2dForward +
  *     conv2dBackwardInput + conv2dBackwardWeight). Layers the
  *     modeled stoppage (§III-D) would switch detection off for —
  *     the depthwise few-filters regime — report the steady-state
@@ -40,9 +40,8 @@
  * Emits a BENCH_overlap.json line (bench = "micro_runtime") in the
  * shared result schema. MERCURY_BENCH_SMOKE=1 shrinks the layers for
  * the CI smoke run; MERCURY_BENCH_REPS=N caps repetitions for the CI
- * wall-clock step; MERCURY_BENCH_THREADS=N pins the pool size and
- * MERCURY_BENCH_OVERLAP=off|on|auto overrides the measured overlap
- * policy (the resolved decision lands in `config`).
+ * wall-clock step; MERCURY_BENCH_THREADS=N pins the pooled
+ * frontend's thread count.
  */
 
 #include <cstdio>
@@ -93,8 +92,8 @@ struct StepResult
 
 /** Full-training-step measurement of one grouped workload. */
 bool
-runWorkload(const Workload &wl, const PipelineConfig &base_pipe,
-            OverlapMode omode, StepResult &out)
+runWorkload(const Workload &wl, const PipelineConfig &pooled_pipe,
+            StepResult &out)
 {
     Dataset ds = makeImageDataset(1, 2, wl.channels, wl.hw, kSeed,
                                   0.02f);
@@ -110,50 +109,48 @@ runWorkload(const Workload &wl, const PipelineConfig &base_pipe,
     Tensor grad({1, wl.filters, wl.hw, wl.hw});
     grad.fillNormal(rng);
 
-    DetectionFrontend serial_fe(kSets, kWays, kVersions, kBits, kSeed,
-                                base_pipe);
-    ConvReuseEngine serial(serial_fe, kBits);
-    PipelineConfig overlap_pipe = base_pipe;
-    overlap_pipe.overlap = omode;
-    DetectionFrontend overlap_fe(kSets, kWays, kVersions, kBits, kSeed,
-                                 overlap_pipe);
-    ConvReuseEngine overlapped(overlap_fe, kBits);
+    PipelineConfig single_pipe = pooled_pipe;
+    single_pipe.threads = 1;
+    DetectionFrontend single_fe(kSets, kWays, kVersions, kBits, kSeed,
+                                single_pipe);
+    ConvReuseEngine single(single_fe, kBits);
+    DetectionFrontend pooled_fe(kSets, kWays, kVersions, kBits, kSeed,
+                                pooled_pipe);
+    ConvReuseEngine pooled(pooled_fe, kBits);
 
-    // --- 1. Bit-identity self-check (serial == overlapped) ---------
-    ReuseStats s_stats, o_stats;
-    SignatureRecord s_rec, o_rec;
+    // --- 1. Bit-identity self-check (threads 1 == pooled) ----------
+    ReuseStats s_stats, p_stats;
+    SignatureRecord s_rec, p_rec;
     const Tensor s_out =
-        serial.forward(ds.inputs, w, Tensor(), spec, s_stats, &s_rec);
-    const Tensor o_out = overlapped.forward(ds.inputs, w, Tensor(), spec,
-                                            o_stats, &o_rec);
-    ReuseStats sb, ob, sw, ow;
-    const Tensor s_gin = serial.backwardInput(grad, w, spec, wl.hw,
+        single.forward(ds.inputs, w, Tensor(), spec, s_stats, &s_rec);
+    const Tensor p_out =
+        pooled.forward(ds.inputs, w, Tensor(), spec, p_stats, &p_rec);
+    ReuseStats sb, pb, sw, pw;
+    const Tensor s_gin = single.backwardInput(grad, w, spec, wl.hw,
                                               wl.hw, s_rec, sb);
-    const Tensor o_gin = overlapped.backwardInput(grad, w, spec, wl.hw,
-                                                  wl.hw, o_rec, ob);
-    const Tensor s_dw = serial.backwardWeights(ds.inputs, grad, spec,
+    const Tensor p_gin = pooled.backwardInput(grad, w, spec, wl.hw,
+                                              wl.hw, p_rec, pb);
+    const Tensor s_dw = single.backwardWeights(ds.inputs, grad, spec,
                                                s_rec, sw);
-    const Tensor o_dw = overlapped.backwardWeights(ds.inputs, grad,
-                                                   spec, o_rec, ow);
-    if (!(s_out == o_out) || !(s_gin == o_gin) || !(s_dw == o_dw) ||
-        s_stats.macsSkipped != o_stats.macsSkipped ||
-        sb.macsSkipped != ob.macsSkipped ||
-        sw.macsSkipped != ow.macsSkipped) {
+    const Tensor p_dw = pooled.backwardWeights(ds.inputs, grad, spec,
+                                               p_rec, pw);
+    if (!(s_out == p_out) || !(s_gin == p_gin) || !(s_dw == p_dw) ||
+        s_stats.macsSkipped != p_stats.macsSkipped ||
+        sb.macsSkipped != pb.macsSkipped ||
+        sw.macsSkipped != pw.macsSkipped) {
         std::fprintf(stderr,
-                     "FATAL: %s: overlapped runtime scheduling diverges "
-                     "from the serial path\n",
+                     "FATAL: %s: the pooled step diverges from the "
+                     "threads-1 run\n",
                      wl.name);
         return false;
     }
 
     // --- 2. Modeled cycles of the full step -------------------------
-    // Pinned overlap On: the model accounts the accelerator (Fig. 8
-    // overlap is hardware there), keeping the recorded modeled keys
-    // deterministic and host-independent whatever policy the
-    // functional measurement below uses.
+    // The model accounts the accelerator (Fig. 8 overlap is hardware
+    // there): deterministic and host-independent.
     AcceleratorConfig base_cfg; // no reuse knobs: three-pass baseline
     AcceleratorConfig reuse_cfg;
-    reuse_cfg.overlapDetection = OverlapMode::On;
+    reuse_cfg.overlapDetection = true;
     reuse_cfg.backwardReuse = true;
     reuse_cfg.weightGradReuse = true;
     const auto base_model = sim::CostModel::create(base_cfg);
@@ -198,12 +195,10 @@ runWorkload(const Workload &wl, const PipelineConfig &base_pipe,
             [&] {
                 ReuseStats s;
                 SignatureRecord rec;
-                overlapped.forward(ds.inputs, w, Tensor(), spec, s,
-                                   &rec);
-                overlapped.backwardInput(grad, w, spec, wl.hw, wl.hw,
-                                         rec, s);
-                overlapped.backwardWeights(ds.inputs, grad, spec, rec,
-                                           s);
+                pooled.forward(ds.inputs, w, Tensor(), spec, s, &rec);
+                pooled.backwardInput(grad, w, spec, wl.hw, wl.hw, rec,
+                                     s);
+                pooled.backwardWeights(ds.inputs, grad, spec, rec, s);
             },
             0.5);
     }
@@ -281,7 +276,7 @@ blockModeledSpeedup(int64_t c_in, int64_t expand_factor, int64_t hw,
 
     AcceleratorConfig base_cfg;
     AcceleratorConfig reuse_cfg;
-    reuse_cfg.overlapDetection = OverlapMode::On;
+    reuse_cfg.overlapDetection = true;
     reuse_cfg.backwardReuse = true;
     reuse_cfg.weightGradReuse = true;
     const auto base_model = sim::CostModel::create(base_cfg);
@@ -350,7 +345,6 @@ main()
     const int threads = env_threads
                             ? ThreadPool::resolveThreads(env_threads)
                             : std::max(4, ThreadPool::resolveThreads(0));
-    const OverlapMode omode = bench::benchOverlap(OverlapMode::Auto);
     std::printf("micro_runtime: grouped/depthwise conv training step "
                 "through ReuseRuntime\n");
     std::printf("(MCACHE %dx%d, %d versions, %d-bit signatures; "
@@ -358,21 +352,14 @@ main()
                 kSets, kWays, kVersions, kBits, threads,
                 ThreadPool::resolveThreads(0));
 
-    PipelineConfig base_pipe;
-    base_pipe.blockRows = 64;
-    base_pipe.threads = threads;
-
-    // What an Auto policy resolves to on the grouped workload's
-    // channel pass (oh*ow rows) — recorded in the config block.
-    PipelineConfig probe_pipe = base_pipe;
-    probe_pipe.overlap = omode;
-    const OverlapMode resolved =
-        probe_pipe.resolvedOverlapFor(grouped.hw * grouped.hw);
+    PipelineConfig pooled_pipe;
+    pooled_pipe.blockRows = 64;
+    pooled_pipe.threads = threads;
 
     StepResult dw, grp;
-    if (!runWorkload(depthwise, base_pipe, omode, dw))
+    if (!runWorkload(depthwise, pooled_pipe, dw))
         return 1;
-    if (!runWorkload(grouped, base_pipe, omode, grp))
+    if (!runWorkload(grouped, pooled_pipe, grp))
         return 1;
 
     // Workload-level view: the whole inverted-residual block, with
@@ -439,9 +426,7 @@ main()
         .speedups(block_speedup, grp.wall_speedup)
         .config("bits", kBits)
         .config("threads", threads)
-        .config("blockRows", base_pipe.blockRows)
-        .config("overlap", overlapModeName(omode))
-        .config("overlap_resolved", overlapModeName(resolved));
+        .config("blockRows", pooled_pipe.blockRows);
     bench::stdConfig(line);
     line.print();
     return 0;

@@ -229,7 +229,7 @@ run()
         const sim::CostBreakdown c = event->stepCost(
             mob.layers, mixesFor(mob, 0.86), batch, kBits);
         std::printf("component stats (mobilenet_v2, replay on):\n");
-        c.components.print(c.plannedCycles);
+        c.components.print(c.plannedCycles, cfg.sim.dramBanks);
         std::printf("\n");
     }
 

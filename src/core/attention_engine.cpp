@@ -124,8 +124,8 @@ AttentionEngine::backward(const Tensor &x, const Tensor &g,
     // gradient of dX = G (Xt X) + X Gt X + (X Xt) G — every term is
     // row-wise in the row's own X / G row plus whole matrices, and the
     // element accumulation order matches the exact matmul-factored path
-    // exactly — fanned out over the pool when the pass resolves
-    // overlapped; forward-HIT token rows then copy their owner's row.
+    // exactly — fanned out over the frontend's pool, if it has one;
+    // forward-HIT token rows then copy their owner's row.
     stats.macsSkipped = static_cast<uint64_t>(pass.forwarded) * row_cost;
     stats.addReplayedPass(pass);
     std::vector<int64_t> owners;
@@ -134,7 +134,6 @@ AttentionEngine::backward(const Tensor &x, const Tensor &g,
             owners.push_back(i);
 
     ReuseRuntime rt(*frontend_, frontend_.signatureBits());
-    rt.beginPass(t);
     const int64_t nowners = static_cast<int64_t>(owners.size());
     rt.parallelRanges(nowners, [&](int64_t k0, int64_t k1) {
         std::vector<float> t1(static_cast<size_t>(d));

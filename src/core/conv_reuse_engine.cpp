@@ -149,20 +149,16 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
             for (int64_t ic = 0; ic < cin_g; ++ic)
                 order.push_back({b, g, ic});
 
-    // Double-buffered extraction tensors (cross-channel overlap): pass
-    // p+1 is extracted and hashed into the other buffer while pass p's
-    // owner computes drain. Single-touch fusion: a pass's extraction
-    // rides its hash job as a RowFiller — each projection block
-    // extracts its row range immediately before hashing it, so a
-    // block's patches are still cache-hot when the RPQ projection
-    // reads them (and on a pool the filler fans out with the hash
-    // blocks). Without a pool the job defers hashing into the probe
-    // half, so each block runs hash, probe, then its owner computes,
-    // inline.
-    Tensor bufs[2] = {Tensor({v, d}), Tensor({v, d})};
-    const auto begin_hash = [&](size_t pi) {
-        const PassId p = order[pi];
-        Tensor &rows = bufs[pi & 1];
+    // One extraction tensor serves every pass. Single-touch fusion: a
+    // pass's extraction rides its hash job as a RowFiller — each
+    // projection block extracts its row range immediately before
+    // hashing it, so a block's patches are still cache-hot when the
+    // RPQ projection reads them (and on a pool the filler fans out
+    // with the hash blocks). Without a pool the job defers hashing
+    // into the probe half, so each block runs hash, probe, then its
+    // owner computes, inline.
+    Tensor rows({v, d});
+    const auto begin_hash = [&](const PassId &p) {
         return frontend_->beginHashStream(
             rows, frontend_.signatureBits(),
             [&input, &spec, &rows, cin_g, ow, p](int64_t r0, int64_t r1) {
@@ -174,49 +170,37 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
 
     // Owner values of the pass in flight: vals holds the cout_g filter
     // values of each owner row (row-major by row). One RowPass serves
-    // every channel pass; its computes read the pass in flight's rows
-    // and kernels, which stay put until runRows has joined them. Each
-    // value sums tap-ascending from +0: the dot product the filter
-    // would compute on its own.
+    // every channel pass; its computes read the pass's rows and
+    // kernels on the driving thread. Each value sums tap-ascending from
+    // +0: the dot product the filter would compute on its own.
     std::vector<float> vals(static_cast<size_t>(v * cout_g));
-    const Tensor *rows = nullptr;
     const float *w_p = nullptr;
-    size_t pi = 0;
-    std::unique_ptr<DetectionHashJob> job, next_job;
     ReuseRuntime::RowPass pass;
     pass.computeRows = [&](const int32_t *owners, int64_t count) {
-        kernels::ops().ownerValues(rows->data(), d, owners, count, w_p,
+        kernels::ops().ownerValues(rows.data(), d, owners, count, w_p,
                                    cout_g, vals.data());
     };
     pass.rowSkipCost = geo.rowMacs();
-    // Cross-channel overlap: begin hashing the next pass into the other
-    // buffer while this pass's owner computes drain. Hashing touches no
-    // MCACHE state, so it is safe beside them.
-    pass.onStreamDelivered = [&] {
-        if (pi + 1 < order.size())
-            next_job = begin_hash(pi + 1);
-    };
 
     stats = ReuseStats{};
+    std::unique_ptr<DetectionHashJob> job;
     if (!order.empty())
-        job = begin_hash(0);
+        job = begin_hash(order[0]);
 
-    for (pi = 0; pi < order.size(); ++pi) {
+    for (size_t pi = 0; pi < order.size(); ++pi) {
         const PassId p = order[pi];
-        rows = &bufs[pi & 1];
         w_p = wt.data() + (p.g * cin_g + p.ic) * d * cout_g;
         const SignatureRecord::Pass &det = rt.runRows(
             ReuseRuntime::StreamSource::hashed(*job, record), pass, stats);
-        job = std::move(next_job);
+        // Every compute has read `rows`: the next pass extracts and
+        // hashes into it on the pool while this pass scatters.
+        job = pi + 1 < order.size() ? begin_hash(order[pi + 1]) : nullptr;
 
         // Every row adds its owner's value, filter by filter: each
         // output gets one partial per channel pass, in channel order.
-        float *out_g = out.data() + out.offset4(p.b, p.g * cout_g, 0, 0);
-        rt.parallelRanges(cout_g, [&](int64_t f0, int64_t f1) {
-            kernels::ops().ownerScatter(vals.data() + f0, cout_g, f1 - f0,
-                                        det.owners.data(), v,
-                                        out_g + f0 * v, v);
-        });
+        kernels::ops().ownerScatter(
+            vals.data(), cout_g, cout_g, det.owners.data(), v,
+            out.data() + out.offset4(p.b, p.g * cout_g, 0, 0), v);
         stats.macsTotal += geo.passMacs();
     }
     return out;
@@ -255,7 +239,6 @@ ConvReuseEngine::backwardInput(const Tensor &gradOut, const Tensor &weight,
     // owner rows would scatter. Passes write disjoint grad_in planes,
     // so on a pool they fan out per pass.
     const ConvFrame frame(spec, in_h, in_w);
-    rt.beginPass(v);
     rt.parallelRanges(passes, [&](int64_t p0, int64_t p1) {
         std::vector<float> gathered(static_cast<size_t>(cout_g * v));
         std::vector<float> scratch(static_cast<size_t>(frame.size()));
@@ -339,7 +322,6 @@ ConvReuseEngine::backwardWeights(const Tensor &input, const Tensor &gradOut,
     // (group, channel) pairs write disjoint grad_w slices: on a pool
     // they fan out, each walking the batch in order.
     const int64_t pairs = spec.groups * cin_g;
-    rt.beginPass(v);
     rt.parallelRanges(pairs, [&](int64_t gi0, int64_t gi1) {
         std::vector<float> plane(static_cast<size_t>(frame.size()));
         std::vector<float> sums(static_cast<size_t>(v * cout_g));

@@ -16,20 +16,17 @@
  * the exact convolution only by the reuse-induced approximation —
  * which is what the accuracy experiments measure.
  *
- * Overlap (§III-B, Fig. 8): every channel pass is a ReuseRuntime
- * RowPass over the pipeline's streaming block hand-off. When the pass
- * resolves overlapped on a worker pool, each block's owner rows
- * compute on the pool while later blocks are still hashing, and the
- * owner-value adds fan out over filters; without a pool the same
- * schedule runs inline (hash, probe, compute, per block). Outputs,
- * hit/skip decisions, and statistics are bit-identical either way.
- *
- * Cross-channel overlap: the extraction tensor is double buffered,
- * so the engine extracts and *hashes* channel c+1
- * (DetectionFrontend::beginHashStream — no MCACHE state touched)
- * while channel c's owner computes are still draining. Without a pool
- * the job defers its hashing into the probe half, so nothing runs
- * ahead.
+ * Schedule (§III-B, Fig. 8): every channel pass is a ReuseRuntime
+ * RowPass over the pipeline's streaming block hand-off. Each block's
+ * owner rows compute on the driving thread as the block arrives, while
+ * later blocks hash on the frontend's pool (if it has one), and the
+ * owner-value adds run on the driving thread once runRows returns.
+ * The engine begins the next channel's hash job (extraction fused in,
+ * DetectionFrontend::beginHashStream — no MCACHE state touched) right
+ * then, into the one extraction tensor, so it hashes under the
+ * scatter. Without a pool the job defers its hashing into the probe
+ * half (hash, probe, compute, per block). Outputs, hit/skip decisions,
+ * and statistics are bit-identical either way.
  *
  * Backward (§III-C2): forward() optionally captures each channel
  * pass into a SignatureRecord; backwardInput() then replays the
@@ -39,7 +36,8 @@
  * (conv2dBackwardInputChannel) of the output gradients gathered
  * through the pass's owner map: every cell sums in (filter, y, x)
  * order from +0, and with zero hits the result is conv2dBackwardInput
- * bit for bit. Passes write disjoint planes and fan out over the pool.
+ * bit for bit. Passes write disjoint planes and fan out over the
+ * frontend's pool, if it has one.
  *
  * Weight gradients (§III-C2 applied to Eq. 1): backwardWeights()
  * replays the same record over dW = X ⊛ dY. A forward-HIT row's
@@ -52,12 +50,14 @@
  * element accumulating (image, owner) ascending from +0. With zero hits the
  * result is bit-identical to conv2dBackwardWeight; with hits it is
  * the exact dW up to the float-summation order of the grouped
- * gradient rows. (group, channel) pairs fan out over the pool.
+ * gradient rows. (group, channel) pairs fan out over the frontend's
+ * pool, if it has one.
  *
  * Thread-safety: forward(), backwardInput(), and backwardWeights()
- * are driven by one thread; the tasks they spawn write disjoint rows,
- * filters, planes, or weight slices. Two threads must not call into
- * one engine (or two engines sharing a frontend) concurrently.
+ * are driven by one thread; the tasks they spawn hash disjoint row
+ * blocks or write disjoint planes or weight slices. Two threads must
+ * not call into one engine (or two engines sharing a frontend)
+ * concurrently.
  * Grouped and depthwise convolutions (spec.groups > 1) are the same
  * passes over per-group filter ranges — no separate engine.
  *
@@ -74,7 +74,6 @@
 
 #include "core/mcache.hpp"
 #include "core/reuse_runtime.hpp"
-#include "core/similarity_detector.hpp"
 #include "pipeline/detection_frontend.hpp"
 #include "sim/dataflow.hpp"
 #include "tensor/ops.hpp"
@@ -112,7 +111,7 @@ class ConvReuseEngine
      * @param cache    MCACHE instance to run through
      * @param sig_bits signature length for detection
      * @param seed     seed for the per-layer random projection
-     * @param pipe     pipeline knobs (block size, threads, overlap)
+     * @param pipe     pipeline knobs (block size, threads)
      */
     ConvReuseEngine(MCache &cache, int sig_bits, uint64_t seed,
                     const PipelineConfig &pipe = {});

@@ -6,15 +6,15 @@
  * receives every weight-column result from the "earlier PE" that owns
  * the matching signature instead of recomputing the dot products.
  *
- * Overlap (§III-B, Fig. 8): forward() consumes the detection
- * pipeline's streaming block hand-off. With the frontend's `overlap`
- * knob set and a worker pool available, computed rows of a delivered
- * block fan out to the pool while later blocks are still hashing;
- * otherwise they compute inline. HIT rows are forwarded after the
- * joins (owners are always computed rows, so forwarding chains have
- * depth one). Outputs, owner maps, and statistics are bit-identical
- * either way. forward() itself is single-caller: one thread drives an
- * engine (or a shared frontend) at a time.
+ * Schedule (§III-B, Fig. 8): forward() consumes the detection
+ * pipeline's streaming block hand-off. Computed rows of a delivered
+ * block run on the driving thread while later blocks still hash on the
+ * frontend's pool. HIT rows are forwarded once the stream has
+ * delivered (owners are always computed rows, so forwarding chains
+ * have depth one). Outputs, owner maps, and statistics are
+ * bit-identical with and without a pool. forward() itself is
+ * single-caller: one thread drives an engine (or a shared frontend) at
+ * a time.
  */
 
 #ifndef MERCURY_CORE_FC_ENGINE_HPP

@@ -6,14 +6,9 @@
 #include "core/kernels/kernels.hpp"
 #include "core/span_batcher.hpp"
 #include "tensor/ops.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mercury {
-
-void
-ReuseRuntime::beginPass(int64_t rows)
-{
-    passPool_ = fe_.overlapEnabledFor(rows) ? fe_.workerPool() : nullptr;
-}
 
 void
 ReuseRuntime::parallelRanges(
@@ -21,13 +16,14 @@ ReuseRuntime::parallelRanges(
 {
     if (n <= 0)
         return;
-    if (!passPool_) {
+    ThreadPool *pool = fe_.workerPool();
+    if (!pool) {
         fn(0, n);
         return;
     }
-    const int64_t ranges = std::min<int64_t>(
-        n, static_cast<int64_t>(passPool_->workers()) + 1);
-    passPool_->parallelFor(ranges, [&](int64_t c) {
+    const int64_t ranges =
+        std::min<int64_t>(n, static_cast<int64_t>(pool->workers()) + 1);
+    pool->parallelFor(ranges, [&](int64_t c) {
         fn(c * n / ranges, (c + 1) * n / ranges);
     });
 }
@@ -36,34 +32,25 @@ const SignatureRecord::Pass &
 ReuseRuntime::runRows(const StreamSource &src, const RowPass &pass,
                       ReuseStats &stats)
 {
-    beginPass(src.rowCount());
-    // Owner rows of each delivered block go to computeRows in one call:
-    // fanned out to the pool while later blocks hash, or run inline.
-    // Forwarded rows are copied after the joins (owners are always
-    // computed rows, so forwarding chains have depth one). The
-    // computed slab lives in the runtime arena, indexed by block start:
-    // each block's batch is a stable slice the fanned-out task reads.
+    // Owner rows of each delivered block go to computeRows in one call,
+    // on this thread, while later blocks hash on the pool. Forwarded
+    // rows are copied once the stream has delivered (owners are always
+    // computed rows, so forwarding chains have depth one). The owner
+    // lists live in the runtime arena, indexed by block start.
     arena_.reset();
     int32_t *computed = arena_.rows(src.rowCount());
-    TaskGroup computes(passPool_);
     const BlockConsumer consume = [&](const DetectionBlock &blk) {
         int32_t *batch = computed + blk.row0;
         int64_t nc = 0;
         for (int64_t i = blk.row0; i < blk.row1; ++i)
             if (blk.owner(i) == i)
                 batch[nc++] = static_cast<int32_t>(i);
-        if (nc == 0)
-            return;
-        if (passPool_)
-            computes.run([&pass, batch, nc] { pass.computeRows(batch, nc); });
-        else
+        if (nc > 0)
             pass.computeRows(batch, nc);
     };
     SignatureRecord::Pass det =
         src.job_ ? fe_.finishStream(*src.job_, consume)
                  : fe_.detectStream(*src.rows_, bits_, consume);
-    if (pass.onStreamDelivered)
-        pass.onStreamDelivered();
     stats.mix += det.mix;
     ++stats.channelPasses;
     stats.macsSkipped +=
@@ -76,7 +63,6 @@ ReuseRuntime::runRows(const StreamSource &src, const RowPass &pass,
     } else {
         last_ = std::move(det);
     }
-    computes.wait();
     if (pass.copyRow)
         copyForwarded(*done, pass);
     return *done;
@@ -87,8 +73,7 @@ ReuseRuntime::copyForwarded(const SignatureRecord::Pass &det,
                             const RowPass &pass)
 {
     // Coalesce adjacent forwards (rows and owners both stepping by
-    // one) into span copies; the spans partition the forward list, so
-    // span j is [starts[j], starts[j+1]).
+    // one) into span copies.
     const int64_t nfwd = det.forwarded;
     int64_t *fwd_rows = arena_.indices(nfwd);
     int64_t *fwd_owners = arena_.indices(nfwd);
@@ -98,16 +83,8 @@ ReuseRuntime::copyForwarded(const SignatureRecord::Pass &det,
             fwd_owners[k++] = det.owner(i);
         }
     }
-    int64_t *starts = arena_.indices(nfwd);
-    int64_t nspans = 0;
-    forEachConsecutiveSpan(fwd_rows, fwd_owners, nfwd,
-                           [&](int64_t i0, int64_t) {
-                               starts[nspans++] = i0;
-                           });
-    parallelRanges(nspans, [&](int64_t j0, int64_t j1) {
-        for (int64_t j = j0; j < j1; ++j) {
-            const int64_t i0 = starts[j];
-            const int64_t i1 = j + 1 < nspans ? starts[j + 1] : nfwd;
+    forEachConsecutiveSpan(
+        fwd_rows, fwd_owners, nfwd, [&](int64_t i0, int64_t i1) {
             if (i1 - i0 > 1 && pass.copyRowSpan) {
                 pass.copyRowSpan(fwd_rows[i0], fwd_rows[i0] + (i1 - i0),
                                  fwd_owners[i0]);
@@ -115,8 +92,7 @@ ReuseRuntime::copyForwarded(const SignatureRecord::Pass &det,
                 for (int64_t i = i0; i < i1; ++i)
                     pass.copyRow(fwd_rows[i], fwd_owners[i]);
             }
-        }
-    });
+        });
 }
 
 Tensor

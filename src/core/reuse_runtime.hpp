@@ -1,7 +1,7 @@
 /**
  * @file
- * ReuseRuntime: the streaming scheduler of every live reuse pass, and
- * the pool decision of every replayed one.
+ * ReuseRuntime: the one schedule of every reuse pass — live passes on
+ * the driving thread, replays on the pool.
  *
  * MERCURY detects similarity once, then skips MACs in forward, dX, and
  * dW (§III-C, Eq. 1). Every one of those passes has the same shape:
@@ -16,42 +16,42 @@
  * ## Live passes: RowPass
  *
  * A live pass (the forward of every engine) consumes the pass's
- * DetectionBlocks in order on the driving thread while detection
- * streams: runRows lists each block's owner rows and hands them to
- * `computeRows` in one call per block — on the pool while later blocks
- * still hash (the paper's Fig. 8 pipeline), or inline. Once every owner
- * has computed, HIT rows copy their owner's result, with adjacent
- * forwards whose owners are also adjacent coalesced into single span
- * copies (span_batcher.hpp), and runRows hands the finished pass back.
- * A pass's blocks come from one of two sources (StreamSource):
+ * DetectionBlocks in order on the driving thread while later blocks
+ * hash on the frontend's pool, if it has one (the software form of the
+ * paper's Fig. 8 overlap): runRows lists each block's owner rows and
+ * hands them to `computeRows` in one call per block, inline. Once the
+ * stream has delivered, HIT rows copy their owner's result, with
+ * adjacent forwards whose owners are also adjacent coalesced into
+ * single span copies (span_batcher.hpp), and runRows hands the
+ * finished pass back. Only hashing ever leaves the driving thread: a
+ * pool hand-off of the computes or copies costs more than it hides on
+ * a CPU. A pass's blocks come from one of two sources (StreamSource):
  *
  *  - live(rows)  — a fresh detection pass over a row population,
  *                  optionally captured into a SignatureRecord for the
  *                  backward replays (the finished pass moves in);
  *  - hashed(job) — the probe half of a pass whose hashing began
  *                  earlier with DetectionFrontend::beginHashStream (the
- *                  conv engine's cross-channel overlap: onStreamDelivered
- *                  starts the next pass's hash job before this pass's
- *                  computes join).
+ *                  conv engine begins the next channel's hash job when
+ *                  runRows returns, so it hashes under the scatter).
  *
  * ## Replayed passes
  *
  * dX and dW replay a recorded pass (§III-C2): the owner map is the
  * recorded pass's own, with no hashing, probing or MCACHE access, so a
  * replay is a plain function — gather through the owner map, run the
- * dense kernel. The runtime contributes only the pool: beginPass
- * resolves whether a pass of that size gets it, and parallelRanges
- * splits disjoint work over it.
+ * dense kernel. The runtime contributes only the pool: parallelRanges
+ * splits disjoint work over it whenever the frontend has one.
  *
  * ## Ordering and locking contract
  *
  * One thread drives a runtime at a time (the engine's caller). Blocks
  * are delivered in ascending order on the driving thread; a block's
  * MCACHE probe (and so its owners) happens-before its delivery.
- * computeRows calls run concurrently with each other and with later
- * blocks' hashing; each writes its own rows. copyRow calls run after
- * every computeRows has joined. Outputs and statistics are
- * bit-identical with and without a pool.
+ * computeRows and copyRow run on the driving thread, concurrently
+ * only with later blocks' hashing; copyRow calls run after every
+ * computeRows. Outputs and statistics are bit-identical with and
+ * without a pool.
  */
 
 #ifndef MERCURY_CORE_REUSE_RUNTIME_HPP
@@ -66,7 +66,6 @@
 #include "pipeline/signature_record.hpp"
 #include "sim/dataflow.hpp"
 #include "tensor/tensor.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mercury {
 
@@ -94,7 +93,7 @@ struct ReuseStats
     }
 };
 
-/** Per-pass streaming scheduler for the reuse engines. */
+/** Per-pass scheduler for the reuse engines. */
 class ReuseRuntime
 {
   public:
@@ -154,9 +153,9 @@ class ReuseRuntime
      * One live pass (§III-C3 result forwarding).
      *
      * `computeRows(rows, count)` runs once per delivered block that
-     * has owner rows, with that block's owner rows ascending, possibly
-     * concurrently across blocks; `copyRow` (optional) runs for every
-     * other row after every owner has computed. `rowSkipCost` MACs are
+     * has owner rows, with that block's owner rows ascending; `copyRow`
+     * (optional) runs for every other row after every owner has
+     * computed. Both run on the driving thread. `rowSkipCost` MACs are
      * booked per forwarded row.
      */
     struct RowPass
@@ -172,22 +171,8 @@ class ReuseRuntime
          */
         std::function<void(int64_t row0, int64_t row1, int64_t owner0)>
             copyRowSpan;
-        /**
-         * Optional: runs once the stream has fully delivered, before
-         * the owner computes are joined — the conv engine begins the
-         * next channel pass's hashing here.
-         */
-        std::function<void()> onStreamDelivered;
         uint64_t rowSkipCost = 0;
     };
-
-    /**
-     * Give the coming pass over `rows` rows the worker pool iff it
-     * resolves overlapped (the frontend's mode; Auto resolves from
-     * threads x rows); otherwise it runs inline. runRows calls this
-     * itself; replays call it before fanning out.
-     */
-    void beginPass(int64_t rows);
 
     /**
      * Run one live pass over the stream and hand back the finished
@@ -201,9 +186,9 @@ class ReuseRuntime
 
     /**
      * Split [0, n) into contiguous ranges, one per executor of the
-     * pass's pool (capped at n), and run fn(i0, i1) on each; without a
-     * pool, fn(0, n) runs on the driving thread. Ranges must write
-     * disjoint state; per-range scratch lives inside fn.
+     * frontend's pool (capped at n), and run fn(i0, i1) on each;
+     * without a pool, fn(0, n) runs on the driving thread. Ranges must
+     * write disjoint state; per-range scratch lives inside fn.
      */
     void parallelRanges(int64_t n,
                         const std::function<void(int64_t, int64_t)> &fn);
@@ -211,8 +196,6 @@ class ReuseRuntime
   private:
     DetectionFrontend &fe_;
     int bits_;
-    /// Pool of the pass in flight (beginPass resolves it per rows).
-    ThreadPool *passPool_ = nullptr;
     PassArena arena_; ///< runRows bookkeeping; reset at every pass
     SignatureRecord::Pass last_; ///< the finished uncaptured pass
 

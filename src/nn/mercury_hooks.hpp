@@ -58,11 +58,10 @@ class MercuryContext
     /**
      * Detection-pipeline knobs the layer engines run with. Results
      * are bit-identical across knob values (the threads = 1 default
-     * is the legacy path); the knobs trade only throughput. Setting
-     * `pipe.overlap` (with threads != 1) makes every layer engine
-     * overlap detection with its filter passes via the streaming
-     * block hand-off. Setting new knobs discards the cached per-layer
-     * frontends and pool.
+     * is the legacy path); the knobs trade only throughput. With
+     * threads != 1 every layer engine hashes on the shared pool while
+     * it computes, and fans its replays out on it. Setting new knobs
+     * discards the cached per-layer frontends and pool.
      */
     const PipelineConfig &pipeline() const { return pipeline_; }
     void setPipeline(const PipelineConfig &pipe);

@@ -27,19 +27,20 @@ StepDescBuilder::StepDescBuilder(const std::vector<int64_t> &input_shape)
 void
 StepDescBuilder::conv(const ConvSpec &spec)
 {
-    const bool known = valid4d_ && c_ == spec.inChannels;
-    const int64_t h = known ? h_ : 0;
-    const int64_t w = known ? w_ : 0;
+    // Without its input shape a conv has no spatial dims to price, so
+    // it is left out, and the walk stays lost behind it.
+    if (!valid4d_ || c_ != spec.inChannels) {
+        opaque();
+        return;
+    }
     stack_.push_back(LayerShape::conv(entryName(stack_), spec.inChannels,
-                                      spec.outChannels, h, w,
+                                      spec.outChannels, h_, w_,
                                       spec.kernelH, spec.stride, spec.pad,
                                       spec.groups));
-    convChain_ = h > 0;
-    if (known) {
-        c_ = spec.outChannels;
-        h_ = spec.outH(h);
-        w_ = spec.outW(w);
-    }
+    convChain_ = h_ > 0;
+    c_ = spec.outChannels;
+    h_ = spec.outH(h_);
+    w_ = spec.outW(w_);
 }
 
 void

@@ -25,8 +25,9 @@ namespace mercury {
  * edges alive). The builder tracks the activation shape so convs get
  * resolved spatial dims; a conv whose input shape the walk lost (after
  * an opaque op, a dense or attention layer, or a channel mismatch) is
- * described with zero input dims. Channelwise transforms that cost
- * nothing (ReLU) describe no entry and keep the shape.
+ * left out, since there are no dims to price it by, and drops shape
+ * tracking like an opaque op. Channelwise transforms that cost nothing
+ * (ReLU) describe no entry and keep the shape.
  */
 class StepDescBuilder
 {

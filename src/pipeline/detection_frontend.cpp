@@ -56,17 +56,6 @@ DetectionFrontend::poolFor()
     return ThreadPool::forKnob(pipe_.threads, pool_);
 }
 
-const PipelineConfig &
-DetectionFrontend::resolvedPipeFor(int64_t rows)
-{
-    auto it = resolvedByRows_.find(rows);
-    if (it == resolvedByRows_.end()) {
-        ++knobResolutions_;
-        it = resolvedByRows_.emplace(rows, pipe_.resolvedFor(rows)).first;
-    }
-    return it->second;
-}
-
 SignatureRecord::Pass
 DetectionFrontend::detect(const Tensor &rows, int bits)
 {
@@ -89,7 +78,8 @@ DetectionFrontend::beginHashStream(const Tensor &rows, int bits,
         panic("detect expects a (n, d) matrix, got ", rows.shapeStr());
     ThreadPool *pool = poolFor();
     DetectionPipeline pipeline(rpqFor(rows.dim(1)), *cache_, bits,
-                               resolvedPipeFor(rows.dim(0)), owners_, pool);
+                               pipe_.resolvedFor(rows.dim(0)), owners_,
+                               pool);
     return pipeline.beginHash(rows, std::move(fill));
 }
 
@@ -103,7 +93,7 @@ DetectionFrontend::finishStream(DetectionHashJob &job,
     // only the cache geometry.
     DetectionPipeline pipeline(rpqFor(job.vectorDim()), *cache_,
                                job.signatureBits(),
-                               resolvedPipeFor(job.rowCount()), owners_,
+                               pipe_.resolvedFor(job.rowCount()), owners_,
                                poolFor());
     return pipeline.finishStreaming(job, on_block);
 }

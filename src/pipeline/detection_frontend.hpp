@@ -7,11 +7,11 @@
  * per vector dimension on demand, and routes every detection pass
  * through the streaming DetectionPipeline — so callers no longer
  * assemble RPQEngine + MCache + SimilarityDetector by hand, and every
- * consumer picks up the pipeline knobs (block size, threads, overlap)
- * from one place. Every pass is the same two halves, beginHashStream
- * and finishStream; detect() is the two with no consumer. Replays do
- * not come through here: ReuseRuntime hands a recorded pass's row
- * ranges to its consumers directly.
+ * consumer picks up the pipeline knobs (block size, threads) from one
+ * place. Every pass is the same two halves, beginHashStream and
+ * finishStream; detect() is the two with no consumer. Replays do not
+ * come through here: ReuseRuntime hands a recorded pass's row ranges
+ * to its consumers directly.
  *
  * Results are bit-identical to SimilarityDetector over the same
  * MCache organization for any block size and thread count. Each pass
@@ -102,8 +102,7 @@ class DetectionFrontend
      * `on_block` in ascending block order while later blocks are
      * still hashing on the pool (see DetectionPipeline::finishStreaming
      * for the ordering and lifetime contract). The callback runs on
-     * the calling thread; it may submit compute work to workerPool()
-     * but must not block on it.
+     * the calling thread.
      */
     SignatureRecord::Pass detectStream(const Tensor &rows, int bits,
                                        const BlockConsumer &on_block);
@@ -111,8 +110,8 @@ class DetectionFrontend
     /**
      * Start the hashing half of a streaming pass (see
      * DetectionPipeline::beginHash): no MCACHE state is touched, so
-     * this may run while owner computes of the previous finishStream
-     * are still draining — the cross-channel overlap. `rows` must
+     * the caller may keep working on the previous pass's results
+     * while it hashes — the cross-channel overlap. `rows` must
      * outlive the job; consume the job with finishStream exactly
      * once. One thread drives begin/finish, like every other pass.
      * With a `fill`, `rows` is scratch the filler populates blockwise
@@ -134,37 +133,10 @@ class DetectionFrontend
      * The pool detection passes fan out to — shared pool if set,
      * otherwise the private pool for the configured thread knob.
      * nullptr when the resolved thread count is 1: every pass then
-     * runs inline on the calling thread.
+     * runs inline on the calling thread. ReuseRuntime hashes live
+     * passes and fans replays out on it.
      */
     ThreadPool *workerPool() { return poolFor(); }
-
-    /**
-     * Resolved overlap decision for a pass of `rows` vectors: true
-     * iff a worker pool exists and the configured mode resolves to On
-     * for this pass size (Auto applies the threads x rows policy of
-     * PipelineConfig::resolvedOverlapFor). ReuseRuntime gives a pass
-     * the worker pool exactly when this holds.
-     */
-    bool overlapEnabledFor(int64_t rows)
-    {
-        return poolFor() != nullptr &&
-               resolvedPipeFor(rows).overlap == OverlapMode::On;
-    }
-
-    /**
-     * Memoized per-pass-size pipeline knobs: the auto knobs
-     * (blockRows == 0 → tunedPipelineFor) are a pure function of the
-     * pass size, yet every pass construction used to re-resolve them.
-     * Resolution now happens once per distinct row count — on the
-     * first pass of a shape — and knobResolutions() makes the
-     * once-per-shape property assertable. `pipe_` is immutable after
-     * construction, so memoized entries never go stale. Driving
-     * thread only, like every pass entry point.
-     */
-    const PipelineConfig &resolvedPipeFor(int64_t rows);
-
-    /** Knob resolutions performed (once per distinct pass size). */
-    int64_t knobResolutions() const { return knobResolutions_; }
 
     /**
      * Statistical form for big layers: detect over at most
@@ -192,8 +164,6 @@ class DetectionFrontend
     std::map<int64_t, std::unique_ptr<RPQEngine>> rpqByDim_;
     std::unique_ptr<ThreadPool> pool_; // created lazily for threads > 1
     ThreadPool *sharedPool_ = nullptr; // externally owned override
-    std::map<int64_t, PipelineConfig> resolvedByRows_; // knob memo
-    int64_t knobResolutions_ = 0;
 
     RPQEngine &rpqFor(int64_t dim);
     ThreadPool *poolFor();

@@ -19,32 +19,14 @@ PipelineConfig::fromConfig(const AcceleratorConfig &cfg)
     PipelineConfig pipe;
     pipe.blockRows = cfg.pipelineBlockRows;
     pipe.threads = cfg.pipelineThreads;
-    pipe.overlap = cfg.overlapDetection;
     pipe.persistent = cfg.persistentCache;
     return pipe;
-}
-
-OverlapMode
-PipelineConfig::resolvedOverlapFor(int64_t rows) const
-{
-    if (overlap != OverlapMode::Auto)
-        return overlap;
-    // Overlap needs real parallelism to pay, so the host's usable
-    // concurrency (resolveThreads(0) = hardware, clamped) caps the
-    // count the policy sees: requesting 8 threads on a 1-core
-    // container still resolves serial. Explicit On is untouched —
-    // the cap is part of the Auto policy only.
-    const int t = std::min(ThreadPool::resolveThreads(threads),
-                           ThreadPool::resolveThreads(0));
-    return (t >= 3 && rows >= kAutoOverlapMinRows) ? OverlapMode::On
-                                                   : OverlapMode::Off;
 }
 
 PipelineConfig
 PipelineConfig::resolvedFor(int64_t rows) const
 {
     PipelineConfig resolved = *this;
-    resolved.overlap = resolvedOverlapFor(rows);
     if (blockRows == 0)
         resolved.blockRows = tunedPipelineFor(std::max<int64_t>(rows, 1));
     return resolved;
@@ -151,14 +133,12 @@ DetectionPipeline::beginHash(const Tensor &rows, RowFiller fill) const
     //
     // Hash tasks are self-replenishing (each one grabs the next
     // unhashed block and resubmits) rather than enqueued all
-    // up-front: with only ~workers in flight, hash and compute tasks
-    // interleave instead of the hashing phase monopolizing the pool.
-    // Under the work-stealing pool the resubmit lands in the hashing
-    // worker's own deque (LIFO — it just touched the row tensor, so
-    // the next block is cache-warm for it), idle workers steal from
-    // the cold end, and the consumer's owner computes live in other
-    // deques — the two phases share the machine without convoying on
-    // a global queue.
+    // up-front: only ~workers are in flight, so other work on the pool
+    // is not queued behind a whole pass of hashing. Under the
+    // work-stealing pool the resubmit lands in the hashing worker's
+    // own deque (LIFO — it just touched the row tensor, so the next
+    // block is cache-warm for it), and idle workers steal from the
+    // cold end.
     DetectionHashJob *j = job.get();
     j->hashers_ = std::make_unique<TaskGroup>(pool_);
     j->hashOne_ = [j] {

@@ -32,15 +32,15 @@
  * blocks are handed to a consumer callback in ascending block order
  * while later blocks are still hashing on the pool — the software
  * form of the paper's Fig. 8 overlap of signature generation with PE
- * work. The reuse engines consume this stream to start their owner
- * computes before detection of the remaining rows has finished (see
- * docs/ARCHITECTURE.md). Without a pool the same schedule runs inline:
- * hash, probe, deliver, block by block.
+ * work. The reuse engines consume this stream to run their owner
+ * computes on the calling thread before detection of the remaining
+ * rows has finished (see docs/ARCHITECTURE.md). Without a pool the
+ * same schedule runs inline: hash, probe, deliver, block by block.
  *
  * A pass splits into two halves so the conv engine can overlap
  * *across channels* as well: beginHash() starts stage 1 for a new row
  * population on the pool — touching no MCACHE state, so it may run
- * while the previous channel's owner computes are still draining —
+ * while the caller still works on the previous channel's results —
  * and finishStreaming() then clears the cache, probes the hashed
  * blocks in stream order, and delivers them.
  */
@@ -75,39 +75,11 @@ struct PipelineConfig
      */
     int64_t blockRows = 64;
 
-    /** Worker threads: 1 = run inline on the caller, 0 = auto. */
+    /**
+     * Worker threads: 1 = run inline on the caller, 0 = auto. The
+     * pool hashes live passes and runs the replays' fan-outs.
+     */
     int threads = 1;
-
-    /**
-     * Overlap detection with compute (§III-B, Fig. 8): when On, a
-     * reuse pass gets the worker pool — its owner computes run on the
-     * pool while later blocks are still hashing. When Off, the same
-     * streamed schedule runs its consumers inline on the driving
-     * thread (hashing still fans out to the pool, if there is one).
-     * Results stay bit-identical; the knob trades only wall time.
-     * Without a pool (resolved thread count 1) every pass is inline.
-     * Auto resolves per pass from threads x rows
-     * (resolvedOverlapFor): the pool hand-off pays a fixed scheduling
-     * tax, so small passes and 1–2-thread hosts run inline.
-     */
-    OverlapMode overlap = OverlapMode::Off;
-
-    /**
-     * Rows below which Auto overlap resolves to Off: under ~4 blocks
-     * of hashing there is no stream to hide the owner computes behind,
-     * and the chain/hand-off tax dominates.
-     */
-    static constexpr int64_t kAutoOverlapMinRows = 256;
-
-    /**
-     * The Auto policy, applied by resolvedFor(): Off/On pass through;
-     * Auto becomes On iff the resolved thread count — capped by the
-     * host's usable concurrency, so an oversubscribed knob on a
-     * 1–2-core host still runs serial — is >= 3 (two workers minimum:
-     * one hashing ahead while another computes, besides the driving
-     * thread) and the pass has at least kAutoOverlapMinRows rows.
-     */
-    OverlapMode resolvedOverlapFor(int64_t rows) const;
 
     /**
      * Persistent MCACHE (serving layer): when true, passes do NOT
@@ -129,8 +101,7 @@ struct PipelineConfig
     /**
      * Effective knobs for a pass over `rows` vectors: blockRows == 0
      * (auto) resolves to the sweep-tuned block size for the pass
-     * size, and overlap == Auto resolves to On/Off via
-     * resolvedOverlapFor; explicit values pass through untouched.
+     * size; explicit values pass through untouched.
      */
     PipelineConfig resolvedFor(int64_t rows) const;
 };
@@ -143,9 +114,7 @@ struct PipelineConfig
  * Lifetime contract: `pass` is valid only for the duration of the
  * consumer callback — the pass is still being probed past row1, and
  * finishStreaming moves it out when it returns. A consumer that
- * schedules asynchronous work against a block (as the overlapped
- * engines do) must copy what it needs before returning from the
- * callback.
+ * keeps anything of a block past the callback must copy it.
  */
 struct DetectionBlock
 {
@@ -191,9 +160,9 @@ using RowFiller = std::function<void(int64_t row0, int64_t row1)>;
  *
  * While a job is in flight its hash tasks read the row tensor and the
  * cache *geometry* (set count) only — never cache tags or data — so a
- * job for the next channel may hash while the previous channel's
- * owner computes still run (the cross-channel overlap). The job owns
- * the pass it is filling: hashing writes the packed words,
+ * job for the next channel may hash while the caller still works on
+ * the previous channel's results (the cross-channel overlap). The job
+ * owns the pass it is filling: hashing writes the packed words,
  * finishStreaming the outcomes, entry ids and mix. The row tensor must
  * stay alive and unmodified until finishStreaming returns (or the job
  * is destroyed, which joins the outstanding hash tasks).
@@ -261,7 +230,7 @@ class DetectionPipeline
      * @param rpq   signature engine for this vector dimension
      * @param cache MCACHE (cleared at the start of each pass)
      * @param bits  signature length
-     * @param cfg   block size / thread / overlap knobs
+     * @param cfg   block size / thread knobs
      * @param owners the owner rule's table, spanning the cache's
      *              entries; each pass leaves it ready for the next
      * @param pool  worker pool for threads > 1; nullptr runs inline
@@ -276,12 +245,12 @@ class DetectionPipeline
      * begin immediately; without one, hashing is deferred into
      * finishStreaming. The returned job must be passed to
      * finishStreaming exactly once; `rows` must outlive it. Safe to
-     * call while owner computes of a *previous* pass still run — this
-     * is the cross-channel overlap: channel c+1 extracts and hashes
-     * while channel c's owner computes drain. With a RowFiller the
-     * hash tasks also *extract* their block right before projecting
-     * it, which both fuses the two walks and moves extraction off the
-     * driving thread.
+     * call while the caller still works on a *previous* pass's
+     * results — this is the cross-channel overlap: channel c+1
+     * extracts and hashes while channel c scatters. With a RowFiller
+     * the hash tasks also *extract* their block right before
+     * projecting it, which both fuses the two walks and moves
+     * extraction off the driving thread.
      */
     std::unique_ptr<DetectionHashJob> beginHash(const Tensor &rows,
                                                 RowFiller fill = {}) const;

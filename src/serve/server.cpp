@@ -181,7 +181,6 @@ MercuryServer::MercuryServer(const ServeConfig &cfg)
     acfg.initialSignatureBits = cfg_.signatureBits;
     acfg.pipelineBlockRows = pipe_.blockRows;
     acfg.pipelineThreads = pipe_.threads;
-    acfg.overlapDetection = pipe_.overlap;
     acfg.persistentCache = true;
     costFwd_ = sim::CostModel::create(acfg);
     acfg.backwardReuse = true;

@@ -28,28 +28,6 @@ enum class DataflowKind
 /** Printable name of a dataflow. */
 const char *dataflowName(DataflowKind kind);
 
-/**
- * Detection/compute overlap policy (§III-B, Fig. 8). `Auto` defers
- * the decision to pass-resolution time (PipelineConfig::resolvedFor):
- * overlap pays a fixed scheduling tax (chain tasks, hand-off queue,
- * pool wakeups), so it only wins when there are enough worker threads
- * and enough rows per pass to hide that tax — small layers and
- * 1–2-thread hosts resolve to Off (the same streamed schedule,
- * consumed inline), everything else to On. The resolution is a pure
- * function of (threads, rows): it is surfaced in bench `config`
- * blocks. Outcomes are bit-identical across all three values; the
- * knob trades only wall time.
- */
-enum class OverlapMode
-{
-    Off,  ///< stream, but consume inline on the driving thread
-    On,   ///< consume on the worker pool (needs one to take effect)
-    Auto, ///< resolved per pass from threads x rows
-};
-
-/** Printable name of an overlap mode ("off" / "on" / "auto"). */
-const char *overlapModeName(OverlapMode mode);
-
 /** Static hardware configuration of the simulated accelerator. */
 struct AcceleratorConfig
 {
@@ -104,30 +82,23 @@ struct AcceleratorConfig
     /**
      * Detection-pipeline front-end knobs (src/pipeline): rows per
      * projection work block and worker threads (1 = single-threaded
-     * legacy path, 0 = auto-detect). Results are bit-identical across
-     * all values; the knobs trade only throughput. A block size of 0
-     * resolves per pass to the sweep-tuned value for the pass size
-     * (see tunedPipelineFor / bench/sweep_tuning).
+     * legacy path, 0 = auto-detect; the pool hashes live passes and
+     * runs the replays). Results are bit-identical across all values;
+     * the knobs trade only throughput. A block size of 0 resolves per
+     * pass to the sweep-tuned value for the pass size (see
+     * tunedPipelineFor / bench/sweep_tuning).
      */
     int64_t pipelineBlockRows = 64;
     int pipelineThreads = 1;
 
     /**
-     * Overlap detection with compute (§III-B, Fig. 8): signature
-     * generation streams ahead of the filter passes instead of
-     * completing before they start. Functionally, the reuse engines
-     * consume the pipeline's per-block hand-off and run filter MACs
-     * on the worker pool while later blocks are still hashing (needs
-     * pipelineThreads != 1 to take effect). In the timing model, only
-     * the portion of signature generation that exceeds the layer's
-     * compute time stays on the critical path. Hit/skip decisions and
-     * outputs are bit-identical with the knob on or off.
-     *
-     * OverlapMode::Auto resolves per pass from threads x rows (see
-     * the enum): wide passes on multi-core hosts stream, small passes
-     * and 1–2-thread hosts fall back to serial.
+     * Overlap detection with compute (§III-B, Fig. 8), in the timing
+     * model only: signature generation streams ahead of the filter
+     * passes, so only the portion of signature generation that
+     * exceeds the layer's compute time stays on the critical path.
+     * The functional engines run one schedule whatever this says.
      */
-    OverlapMode overlapDetection = OverlapMode::Off;
+    bool overlapDetection = false;
 
     /**
      * Persistent MCACHE across detection passes (serving layer): tags

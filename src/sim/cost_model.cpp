@@ -35,11 +35,13 @@ ComponentStats::operator+=(const ComponentStats &other)
 }
 
 void
-ComponentStats::print(uint64_t total_cycles) const
+ComponentStats::print(uint64_t total_cycles, int dram_banks) const
 {
     const double t = total_cycles > 0
                          ? static_cast<double>(total_cycles) / 100.0
                          : 1.0;
+    // busyCycles sums over the banks, which serve requests in parallel.
+    const double dram_t = t * std::max(dram_banks, 1);
     std::printf("  dram:   %llu reqs, %llu B, row hit %llu / miss %llu, "
                 "bank-conflict %llu cyc, occupancy %.1f%%\n",
                 (unsigned long long)dram.requests,
@@ -47,7 +49,7 @@ ComponentStats::print(uint64_t total_cycles) const
                 (unsigned long long)dram.rowHits,
                 (unsigned long long)dram.rowMisses,
                 (unsigned long long)dram.bankConflictCycles,
-                static_cast<double>(dram.busyCycles) / t);
+                static_cast<double>(dram.busyCycles) / dram_t);
     std::printf("  gbuf:   %llu accesses, %llu B, %llu fills, "
                 "bank-conflict %llu cyc, pending-stall %llu cyc, "
                 "spill %llu B\n",

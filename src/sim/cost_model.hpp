@@ -98,8 +98,12 @@ struct ComponentStats
 
     ComponentStats &operator+=(const ComponentStats &other);
 
-    /** One line per component into stdout (bench reporting). */
-    void print(uint64_t total_cycles) const;
+    /**
+     * One line per component into stdout (bench reporting). DRAM
+     * occupancy is the share of the `dram_banks` banks' cycles over
+     * `total_cycles` that were busy (SimConfig::dramBanks).
+     */
+    void print(uint64_t total_cycles, int dram_banks) const;
 };
 
 /** Cycle totals of one multi-layer training step under a backend. */

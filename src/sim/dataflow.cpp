@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "pipeline/detection_pipeline.hpp"
 #include "sim/cycle_model.hpp"
 #include "util/logging.hpp"
 
@@ -19,20 +18,6 @@ dataflowName(DataflowKind kind)
         return "weight-stationary";
       case DataflowKind::InputStationary:
         return "input-stationary";
-    }
-    return "?";
-}
-
-const char *
-overlapModeName(OverlapMode mode)
-{
-    switch (mode) {
-      case OverlapMode::Off:
-        return "off";
-      case OverlapMode::On:
-        return "on";
-      case OverlapMode::Auto:
-        return "auto";
     }
     return "?";
 }
@@ -157,47 +142,6 @@ pointwiseBatch(const LayerShape &shape, int64_t batch)
     return batch * shape.vectorsPerChannel() * shape.groups;
 }
 
-/**
- * Rows of one detection pass of this layer — the granularity at which
- * OverlapMode::Auto resolves in the functional engines: a conv layer
- * runs one pass per (image, channel) over its spatial positions,
- * while FC-like layers (and the pointwise-as-FC mapping) hash the
- * whole batch as one pass.
- */
-int64_t
-rowsPerDetectionPass(const LayerShape &shape, int64_t batch)
-{
-    switch (shape.type) {
-      case LayerType::Conv:
-        if (shape.kernel == 1)
-            return pointwiseBatch(shape, batch);
-        return shape.vectorsPerChannel();
-      case LayerType::FullyConnected:
-      case LayerType::Attention:
-        return batch * shape.vectorsPerImage();
-      case LayerType::Pool:
-        return 0;
-    }
-    return 0;
-}
-
-/**
- * Whether the configured overlap mode streams a detection pass of
- * this shape — Auto resolves through the same threads x rows policy
- * the functional pipeline applies (PipelineConfig::resolvedOverlapFor),
- * so the modeled critical path matches the executed schedule.
- */
-bool
-overlapsDetection(const AcceleratorConfig &config, const LayerShape &shape,
-                  int64_t batch)
-{
-    PipelineConfig pipe;
-    pipe.threads = config.pipelineThreads;
-    pipe.overlap = config.overlapDetection;
-    return pipe.resolvedOverlapFor(rowsPerDetectionPass(shape, batch)) ==
-           OverlapMode::On;
-}
-
 } // namespace
 
 uint64_t
@@ -264,7 +208,7 @@ Dataflow::mercuryLayerCycles(const LayerShape &shape, int64_t batch,
     // streams ahead of the filter passes, so only the portion that
     // exceeds the layer's compute time is exposed on the critical
     // path. Serial accounting charges the full generation cost.
-    if (overlapsDetection(config_, shape, batch))
+    if (config_.overlapDetection)
         c.signature -= std::min(c.signature, c.computation);
     return c;
 }
@@ -319,7 +263,7 @@ Dataflow::backwardLayerCycles(const LayerShape &shape, int64_t batch,
         // Fig. 8 extended to backward: the replay stream hides under
         // the remaining gradient compute when detection overlap is
         // on.
-        if (overlapsDetection(config_, shape, batch))
+        if (config_.overlapDetection)
             c.signature -= std::min(c.signature, c.computation);
     }
     if (include_weight_grad) {
@@ -359,7 +303,7 @@ Dataflow::weightGradLayerCycles(const LayerShape &shape, int64_t batch,
         static_cast<uint64_t>(config_.numPEs));
     c.signature = signatureReplayCycles(
         vectors, static_cast<uint64_t>(config_.numPEs));
-    if (overlapsDetection(config_, shape, batch))
+    if (config_.overlapDetection)
         c.signature -= std::min(c.signature, c.computation);
     return c;
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Work-stealing worker pool used by the detection pipeline
- * (src/pipeline) and every overlapped reuse pass. The composition
+ * (src/pipeline) and the reuse passes' replays. The composition
  * helpers built on it (TaskGroup and SerialExecutor) live in
  * util/executors.hpp.
  *

@@ -139,7 +139,7 @@ TEST(OverlapAccounting, HidesSignatureCyclesUnderCompute)
           DataflowKind::InputStationary}) {
         auto cfg = defaultConfig(kind);
         auto overlap_cfg = cfg;
-        overlap_cfg.overlapDetection = OverlapMode::On;
+        overlap_cfg.overlapDetection = true;
         const auto serial = Dataflow::create(cfg);
         const auto overlapped = Dataflow::create(overlap_cfg);
         LayerShape shape = LayerShape::conv("conv", 8, 64, 16, 16, 3);
@@ -164,7 +164,7 @@ TEST(OverlapAccounting, HidesSignatureCyclesUnderCompute)
 TEST(OverlapAccounting, SavedSignaturesStayFree)
 {
     auto cfg = defaultConfig();
-    cfg.overlapDetection = OverlapMode::On;
+    cfg.overlapDetection = true;
     RowStationaryDataflow df(cfg);
     LayerShape shape = smallConv();
     const HitMix mix =
@@ -240,7 +240,7 @@ TEST(BackwardReplay, OverlapHidesTheReplayStream)
 {
     auto cfg = defaultConfig();
     cfg.backwardReuse = true;
-    cfg.overlapDetection = OverlapMode::On;
+    cfg.overlapDetection = true;
     const auto df = Dataflow::create(cfg);
     LayerShape shape = LayerShape::conv("conv", 8, 64, 16, 16, 3);
     const HitMix mix =
@@ -336,7 +336,7 @@ TEST(WeightGradAccounting, OverlapHidesTheReplayStream)
 {
     auto cfg = defaultConfig();
     cfg.weightGradReuse = true;
-    cfg.overlapDetection = OverlapMode::On;
+    cfg.overlapDetection = true;
     const auto df = Dataflow::create(cfg);
     LayerShape shape = LayerShape::conv("conv", 8, 64, 16, 16, 3);
     const HitMix mix =

@@ -15,15 +15,19 @@
  *    enforced by bench/sweep_eventsim);
  *  - the step schedule both backends share: golden CostBreakdowns,
  *    event record bytes from CostModel::recordBytes, and the
- *    one-mix-per-layer check.
+ *    one-mix-per-layer check;
+ *  - the printed component line's DRAM occupancy (a share of the
+ *    banks' cycles).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "models/model_zoo.hpp"
@@ -516,6 +520,40 @@ TEST(StepSchedule, EventSpillIsRecordBytesAboveHoldThreshold)
             event->stepCost(model.layers, mixes, 4, 20);
         EXPECT_EQ(e.components.gbuf.spillBytes, spilled) << model.name;
     }
+}
+
+TEST(ComponentStats, DramOccupancyIsAShareOfBankCycles)
+{
+    // sweep_eventsim's component line: MobileNetV2, replay on, event
+    // backend at Sampled fidelity, batch 8, hit 0.86. Busy cycles sum
+    // over the DRAM banks, so the printed occupancy divides by the
+    // banks' cycles and reads at most 100%.
+    AcceleratorConfig cfg;
+    cfg.backwardReuse = true;
+    cfg.weightGradReuse = true;
+    cfg.sim.backend = SimBackend::Event;
+    cfg.sim.fidelity = SimFidelity::Sampled;
+    const ModelConfig model = mobilenetV2();
+    std::vector<HitMix> mixes;
+    for (const LayerShape &s : model.layers)
+        mixes.push_back(
+            HitMix::fromFractions(s.vectorsPerChannel(), 0.86));
+    const sim::CostBreakdown c =
+        sim::CostModel::create(cfg)->stepCost(model.layers, mixes, 8, 20);
+    ASSERT_GT(c.components.dram.busyCycles, c.plannedCycles)
+        << "the banks must overlap for the check to bite";
+
+    ::testing::internal::CaptureStdout();
+    c.components.print(c.plannedCycles, cfg.sim.dramBanks);
+    std::fflush(stdout);
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    const size_t dram = out.find("dram:");
+    ASSERT_NE(dram, std::string::npos) << out;
+    const size_t at = out.find("occupancy ", dram);
+    ASSERT_NE(at, std::string::npos) << out;
+    const double pct = std::atof(out.c_str() + at + 10);
+    EXPECT_GT(pct, 0.0) << out;
+    EXPECT_LE(pct, 100.0) << out;
 }
 
 TEST(StepScheduleDeathTest, ChecksOneMixPerLayerBeforeReadingAny)

@@ -12,6 +12,7 @@
 #include "baselines/zero_pruning.hpp"
 #include "core/conv_reuse_engine.hpp"
 #include "core/mercury_accelerator.hpp"
+#include "core/signature_table.hpp"
 #include "models/model_zoo.hpp"
 #include "sim/global_buffer.hpp"
 #include "workloads/profiles.hpp"

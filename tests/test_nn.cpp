@@ -363,9 +363,9 @@ class OpaqueIdentityLayer : public Layer
 
 TEST(DescribeStep, OpaqueLeadLeavesConvInputDimsUnresolved)
 {
-    // The opaque op drops shape tracking, so the conv behind it is
-    // described with zero input dims (and no pool would be costed on
-    // its output); the dense head needs no tracked shape.
+    // The opaque op drops shape tracking, so the conv behind it has no
+    // input dims to price and is left out; the dense head needs no
+    // tracked shape.
     Rng rng(14);
     Network net;
     net.add(std::make_unique<OpaqueIdentityLayer>());
@@ -373,8 +373,7 @@ TEST(DescribeStep, OpaqueLeadLeavesConvInputDimsUnresolved)
     net.add(std::make_unique<GlobalAvgPoolLayer>());
     net.add(std::make_unique<DenseLayer>(8, 3, rng, 2));
     expectStack(net.describeStep(Tensor({8, 3, 12, 12})),
-                {LayerShape::conv("op0", 3, 8, 0, 0, 3, 1, 1),
-                 LayerShape::fc("op1", 8, 3)});
+                {LayerShape::fc("op0", 8, 3)});
 }
 
 TEST(DescribeStep, ServedFcModel)

@@ -20,7 +20,6 @@
 #include "core/fc_engine.hpp"
 #include "core/similarity_detector.hpp"
 #include "nn/mercury_hooks.hpp"
-#include "nn/network.hpp"
 #include "pipeline/detection_frontend.hpp"
 #include "util/rng.hpp"
 #include "util/sampling.hpp"
@@ -398,7 +397,7 @@ TEST(Streaming, InlineFallbackStreamsWithoutAPool)
     expectMatchesLegacy(streamed, legacyDetect(rows));
 }
 
-/** Engine outputs with overlap on vs off, all three engine types. */
+/** Engine outputs on a pool vs threads 1, all three engine types. */
 TEST(Overlap, ConvEngineBitIdenticalToRunThenFilter)
 {
     Dataset ds = makeImageDataset(2, 2, 3, 14, 13, 0.03f);
@@ -414,7 +413,6 @@ TEST(Overlap, ConvEngineBitIdenticalToRunThenFilter)
 
     PipelineConfig serial_pipe;
     serial_pipe.blockRows = 16;
-    serial_pipe.threads = 4;
     DetectionFrontend serial_fe(kSets, kWays, 2, 16, kSeed, serial_pipe);
     ConvReuseEngine serial(serial_fe, 16);
     ReuseStats serial_stats;
@@ -422,12 +420,12 @@ TEST(Overlap, ConvEngineBitIdenticalToRunThenFilter)
         serial.forward(ds.inputs, w, Tensor(), spec, serial_stats);
 
     PipelineConfig pipe = serial_pipe;
-    pipe.overlap = OverlapMode::On;
+    pipe.threads = 4;
     DetectionFrontend fe(kSets, kWays, 2, 16, kSeed, pipe);
-    ConvReuseEngine overlapped(fe, 16);
+    ConvReuseEngine pooled(fe, 16);
     ReuseStats stats;
     const Tensor out =
-        overlapped.forward(ds.inputs, w, Tensor(), spec, stats);
+        pooled.forward(ds.inputs, w, Tensor(), spec, stats);
 
     EXPECT_TRUE(out == serial_out);
     EXPECT_EQ(stats.mix.hit, serial_stats.mix.hit);
@@ -454,12 +452,11 @@ TEST(Overlap, FcEngineBitIdenticalToRunThenFilter)
     PipelineConfig pipe;
     pipe.blockRows = 16;
     pipe.threads = 3;
-    pipe.overlap = OverlapMode::On;
     DetectionFrontend fe(kSets, kWays, 1, 24, kSeed, pipe);
-    FcEngine overlapped(fe, 24);
+    FcEngine pooled(fe, 24);
     ReuseStats stats;
     std::vector<int64_t> owners;
-    const Tensor out = overlapped.forward(input, w, stats, &owners);
+    const Tensor out = pooled.forward(input, w, stats, &owners);
 
     EXPECT_TRUE(out == legacy_out);
     EXPECT_EQ(owners, legacy_owners);
@@ -479,36 +476,15 @@ TEST(Overlap, AttentionEngineBitIdenticalToRunThenFilter)
     PipelineConfig pipe;
     pipe.blockRows = 8;
     pipe.threads = 4;
-    pipe.overlap = OverlapMode::On;
     DetectionFrontend fe(kSets, kWays, 1, 20, kSeed, pipe);
-    AttentionEngine overlapped(fe, 20);
+    AttentionEngine pooled(fe, 20);
     ReuseStats stats;
-    const Tensor out = overlapped.forward(x, stats);
+    const Tensor out = pooled.forward(x, stats);
 
     EXPECT_TRUE(out == legacy_out);
     EXPECT_EQ(stats.macsSkipped, legacy_stats.macsSkipped);
     EXPECT_EQ(stats.mix.hit, legacy_stats.mix.hit);
     EXPECT_EQ(stats.mix.mau, legacy_stats.mix.mau);
-}
-
-TEST(Overlap, KnobLiftsFromAcceleratorConfig)
-{
-    AcceleratorConfig cfg;
-    EXPECT_EQ(PipelineConfig::fromConfig(cfg).overlap, OverlapMode::Off);
-    cfg.overlapDetection = OverlapMode::On;
-    cfg.pipelineThreads = 4;
-    EXPECT_EQ(PipelineConfig::fromConfig(cfg).overlap, OverlapMode::On);
-
-    // A pass runs overlapped only with both the knob and a pool:
-    // threads = 1 resolves to inline execution.
-    PipelineConfig inline_pipe = PipelineConfig::fromConfig(cfg);
-    inline_pipe.threads = 1;
-    DetectionFrontend inline_fe(kSets, kWays, 1, kMaxBits, kSeed,
-                                inline_pipe);
-    EXPECT_FALSE(inline_fe.overlapEnabledFor(64));
-    DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed,
-                         PipelineConfig::fromConfig(cfg));
-    EXPECT_TRUE(fe.overlapEnabledFor(64));
 }
 
 TEST(SpscQueue, DeliversInOrderAcrossThreads)
@@ -597,38 +573,6 @@ TEST(Pipeline, AutoBlockFrontendMatchesExplicitBlock)
         expectIdenticalPasses(auto_fe.detect(rows, 20),
                               fixed_fe.detect(rows, 20));
     }
-}
-
-// ---- Knob resolution: once per shape, not once per step ------------
-
-TEST(PlannerKnobs, ResolvedOncePerShape)
-{
-    // conv → relu → conv → pool → GAP → dense head.
-    Rng rng(15);
-    Network net;
-    net.add(std::make_unique<Conv2dLayer>(3, 8, 3, 1, 1, rng, 1));
-    net.add(std::make_unique<ReluLayer>());
-    net.add(std::make_unique<Conv2dLayer>(8, 8, 3, 1, 1, rng, 2));
-    net.add(std::make_unique<MaxPoolLayer>());
-    net.add(std::make_unique<GlobalAvgPoolLayer>());
-    net.add(std::make_unique<DenseLayer>(8, 3, rng, 3));
-    const Dataset ds = makeImageDataset(8, 3, 3, 12, 8801, 0.03f);
-    MercuryContext ctx(14, 32, 8, 2, 0xFEED);
-    ctx.setBackwardReuse(true);
-    ctx.setWeightGradReuse(true);
-
-    net.trainBatch(ds.inputs, ds.labels, 0.05f, &ctx);
-    const int64_t after_first = ctx.frontendFor(1).knobResolutions() +
-                                ctx.frontendFor(2).knobResolutions() +
-                                ctx.frontendFor(3).knobResolutions();
-    EXPECT_GT(after_first, 0);
-    for (int s = 0; s < 4; ++s)
-        net.trainBatch(ds.inputs, ds.labels, 0.05f, &ctx);
-    // Steady state: every later step replays the resolved knobs.
-    EXPECT_EQ(ctx.frontendFor(1).knobResolutions() +
-                  ctx.frontendFor(2).knobResolutions() +
-                  ctx.frontendFor(3).knobResolutions(),
-              after_first);
 }
 
 } // namespace

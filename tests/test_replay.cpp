@@ -3,8 +3,8 @@
  * Tests for the signature-replay subsystem (§III-C2): the
  * SignatureRecord capture, the backward filter passes of all three
  * reuse engines (bit-identical to the exact input gradient at zero
- * hits, skipping exactly the forward HIT rows otherwise, serial ==
- * overlapped, the MCACHE untouched by every replay), the weight-gradient
+ * hits, skipping exactly the forward HIT rows otherwise, threads 1 ==
+ * pooled, the MCACHE untouched by every replay), the weight-gradient
  * sum-then-multiply replay of all three engines (bit-identical to
  * the exact dW at zero hits, exact up to float-summation order
  * otherwise), the NN-layer integration behind
@@ -22,6 +22,7 @@
 #include "core/attention_engine.hpp"
 #include "core/conv_reuse_engine.hpp"
 #include "core/fc_engine.hpp"
+#include "core/similarity_detector.hpp"
 #include "nn/attention_layer.hpp"
 #include "nn/layers.hpp"
 #include "nn/mercury_hooks.hpp"
@@ -418,31 +419,30 @@ TEST(ConvBackward, OverlappedReplayBitIdenticalToSerial)
                                 serial_pipe);
     ConvReuseEngine serial(serial_fe, 16);
 
-    PipelineConfig overlap_pipe = serial_pipe;
-    overlap_pipe.threads = 4;
-    overlap_pipe.overlap = OverlapMode::On;
-    DetectionFrontend overlap_fe(kSets, kWays, kVersions, 32, kSeed,
-                                 overlap_pipe);
-    ConvReuseEngine overlapped(overlap_fe, 16);
+    PipelineConfig pooled_pipe = serial_pipe;
+    pooled_pipe.threads = 4;
+    DetectionFrontend pooled_fe(kSets, kWays, kVersions, 32, kSeed,
+                                pooled_pipe);
+    ConvReuseEngine pooled(pooled_fe, 16);
 
     ReuseStats fs, fo;
     SignatureRecord rs, ro;
     const Tensor out_s = serial.forward(in, w, Tensor(), spec, fs, &rs);
     const Tensor out_o =
-        overlapped.forward(in, w, Tensor(), spec, fo, &ro);
+        pooled.forward(in, w, Tensor(), spec, fo, &ro);
     ASSERT_TRUE(out_s == out_o)
-        << "overlapped forward with capture must stay bit-identical";
+        << "pooled forward with capture must stay bit-identical";
     ASSERT_EQ(rs.passCount(), ro.passCount());
 
     const McacheCounters mix_s = serial_fe.cache().stats();
-    const McacheCounters mix_o = overlap_fe.cache().stats();
+    const McacheCounters mix_o = pooled_fe.cache().stats();
     ReuseStats bs, bo;
     Tensor gs = serial.backwardInput(grad, w, spec, 10, 10, rs, bs);
-    Tensor go = overlapped.backwardInput(grad, w, spec, 10, 10, ro, bo);
+    Tensor go = pooled.backwardInput(grad, w, spec, 10, 10, ro, bo);
     EXPECT_TRUE(gs == go);
     EXPECT_EQ(bs.macsSkipped, bo.macsSkipped);
     expectCacheUntouched(mix_s, serial_fe, "serial replay");
-    expectCacheUntouched(mix_o, overlap_fe, "pooled replay");
+    expectCacheUntouched(mix_o, pooled_fe, "pooled replay");
 }
 
 TEST(ConvBackward, InputSizeThatDisagreesWithTheGradientDies)
@@ -555,27 +555,26 @@ TEST(FcBackward, OverlappedReplayBitIdenticalToSerial)
                                 serial_pipe);
     FcEngine serial(serial_fe, 24);
 
-    PipelineConfig overlap_pipe = serial_pipe;
-    overlap_pipe.threads = 4;
-    overlap_pipe.overlap = OverlapMode::On;
-    DetectionFrontend overlap_fe(kSets, kWays, kVersions, 32, kSeed,
-                                 overlap_pipe);
-    FcEngine overlapped(overlap_fe, 24);
+    PipelineConfig pooled_pipe = serial_pipe;
+    pooled_pipe.threads = 4;
+    DetectionFrontend pooled_fe(kSets, kWays, kVersions, 32, kSeed,
+                                pooled_pipe);
+    FcEngine pooled(pooled_fe, 24);
 
     ReuseStats fs, fo;
     SignatureRecord rs, ro;
     serial.forward(in, w, fs, nullptr, &rs);
-    overlapped.forward(in, w, fo, nullptr, &ro);
+    pooled.forward(in, w, fo, nullptr, &ro);
 
     const McacheCounters mix_s = serial_fe.cache().stats();
-    const McacheCounters mix_o = overlap_fe.cache().stats();
+    const McacheCounters mix_o = pooled_fe.cache().stats();
     ReuseStats bs, bo;
     Tensor gs = serial.backwardInput(grad, w, rs, bs);
-    Tensor go = overlapped.backwardInput(grad, w, ro, bo);
+    Tensor go = pooled.backwardInput(grad, w, ro, bo);
     EXPECT_TRUE(gs == go);
     EXPECT_EQ(bs.macsSkipped, bo.macsSkipped);
     expectCacheUntouched(mix_s, serial_fe, "serial replay");
-    expectCacheUntouched(mix_o, overlap_fe, "pooled replay");
+    expectCacheUntouched(mix_o, pooled_fe, "pooled replay");
 }
 
 // ---------------------------------------------------------------------
@@ -659,27 +658,26 @@ TEST(AttentionBackward, OverlappedReplayBitIdenticalToSerial)
                                 serial_pipe);
     AttentionEngine serial(serial_fe, 24);
 
-    PipelineConfig overlap_pipe = serial_pipe;
-    overlap_pipe.threads = 4;
-    overlap_pipe.overlap = OverlapMode::On;
-    DetectionFrontend overlap_fe(kSets, kWays, kVersions, 32, kSeed,
-                                 overlap_pipe);
-    AttentionEngine overlapped(overlap_fe, 24);
+    PipelineConfig pooled_pipe = serial_pipe;
+    pooled_pipe.threads = 4;
+    DetectionFrontend pooled_fe(kSets, kWays, kVersions, 32, kSeed,
+                                pooled_pipe);
+    AttentionEngine pooled(pooled_fe, 24);
 
     ReuseStats fs, fo;
     SignatureRecord rs, ro;
     serial.forward(x, fs, &rs);
-    overlapped.forward(x, fo, &ro);
+    pooled.forward(x, fo, &ro);
 
     const McacheCounters mix_s = serial_fe.cache().stats();
-    const McacheCounters mix_o = overlap_fe.cache().stats();
+    const McacheCounters mix_o = pooled_fe.cache().stats();
     ReuseStats bs, bo;
     Tensor gs = serial.backward(x, g, rs, 0, bs);
-    Tensor go = overlapped.backward(x, g, ro, 0, bo);
+    Tensor go = pooled.backward(x, g, ro, 0, bo);
     EXPECT_TRUE(gs == go);
     EXPECT_EQ(bs.macsSkipped, bo.macsSkipped);
     expectCacheUntouched(mix_s, serial_fe, "serial replay");
-    expectCacheUntouched(mix_o, overlap_fe, "pooled replay");
+    expectCacheUntouched(mix_o, pooled_fe, "pooled replay");
 }
 
 // ---------------------------------------------------------------------
@@ -796,27 +794,26 @@ TEST(ConvWeightGrad, OverlappedReplayBitIdenticalToSerial)
                                 serial_pipe);
     ConvReuseEngine serial(serial_fe, 16);
 
-    PipelineConfig overlap_pipe = serial_pipe;
-    overlap_pipe.threads = 4;
-    overlap_pipe.overlap = OverlapMode::On;
-    DetectionFrontend overlap_fe(kSets, kWays, kVersions, 32, kSeed,
-                                 overlap_pipe);
-    ConvReuseEngine overlapped(overlap_fe, 16);
+    PipelineConfig pooled_pipe = serial_pipe;
+    pooled_pipe.threads = 4;
+    DetectionFrontend pooled_fe(kSets, kWays, kVersions, 32, kSeed,
+                                pooled_pipe);
+    ConvReuseEngine pooled(pooled_fe, 16);
 
     ReuseStats fs, fo;
     SignatureRecord rs, ro;
     serial.forward(in, w, Tensor(), spec, fs, &rs);
-    overlapped.forward(in, w, Tensor(), spec, fo, &ro);
+    pooled.forward(in, w, Tensor(), spec, fo, &ro);
 
     const McacheCounters mix_s = serial_fe.cache().stats();
-    const McacheCounters mix_o = overlap_fe.cache().stats();
+    const McacheCounters mix_o = pooled_fe.cache().stats();
     ReuseStats ws, wo;
     Tensor ds = serial.backwardWeights(in, grad, spec, rs, ws);
-    Tensor dov = overlapped.backwardWeights(in, grad, spec, ro, wo);
+    Tensor dov = pooled.backwardWeights(in, grad, spec, ro, wo);
     EXPECT_TRUE(ds == dov);
     EXPECT_EQ(ws.macsSkipped, wo.macsSkipped);
     expectCacheUntouched(mix_s, serial_fe, "serial replay");
-    expectCacheUntouched(mix_o, overlap_fe, "pooled replay");
+    expectCacheUntouched(mix_o, pooled_fe, "pooled replay");
 }
 
 TEST(FcWeightGrad, BitIdenticalToExactGradientWhenNoHits)
@@ -919,27 +916,26 @@ TEST(FcWeightGrad, OverlappedReplayBitIdenticalToSerial)
                                 serial_pipe);
     FcEngine serial(serial_fe, 24);
 
-    PipelineConfig overlap_pipe = serial_pipe;
-    overlap_pipe.threads = 4;
-    overlap_pipe.overlap = OverlapMode::On;
-    DetectionFrontend overlap_fe(kSets, kWays, kVersions, 32, kSeed,
-                                 overlap_pipe);
-    FcEngine overlapped(overlap_fe, 24);
+    PipelineConfig pooled_pipe = serial_pipe;
+    pooled_pipe.threads = 4;
+    DetectionFrontend pooled_fe(kSets, kWays, kVersions, 32, kSeed,
+                                pooled_pipe);
+    FcEngine pooled(pooled_fe, 24);
 
     ReuseStats fs, fo;
     SignatureRecord rs, ro;
     serial.forward(in, w, fs, nullptr, &rs);
-    overlapped.forward(in, w, fo, nullptr, &ro);
+    pooled.forward(in, w, fo, nullptr, &ro);
 
     const McacheCounters mix_s = serial_fe.cache().stats();
-    const McacheCounters mix_o = overlap_fe.cache().stats();
+    const McacheCounters mix_o = pooled_fe.cache().stats();
     ReuseStats ws, wo;
     Tensor ds = serial.backwardWeights(in, grad, rs, ws);
-    Tensor dov = overlapped.backwardWeights(in, grad, ro, wo);
+    Tensor dov = pooled.backwardWeights(in, grad, ro, wo);
     EXPECT_TRUE(ds == dov);
     EXPECT_EQ(ws.macsSkipped, wo.macsSkipped);
     expectCacheUntouched(mix_s, serial_fe, "serial replay");
-    expectCacheUntouched(mix_o, overlap_fe, "pooled replay");
+    expectCacheUntouched(mix_o, pooled_fe, "pooled replay");
 }
 
 TEST(AttentionWeightGrad, ProjectionBitIdenticalToExactWhenNoHits)
@@ -1007,27 +1003,26 @@ TEST(AttentionWeightGrad, OverlappedProjectionBitIdenticalToSerial)
                                 serial_pipe);
     AttentionEngine serial(serial_fe, 24);
 
-    PipelineConfig overlap_pipe = serial_pipe;
-    overlap_pipe.threads = 4;
-    overlap_pipe.overlap = OverlapMode::On;
-    DetectionFrontend overlap_fe(kSets, kWays, kVersions, 32, kSeed,
-                                 overlap_pipe);
-    AttentionEngine overlapped(overlap_fe, 24);
+    PipelineConfig pooled_pipe = serial_pipe;
+    pooled_pipe.threads = 4;
+    DetectionFrontend pooled_fe(kSets, kWays, kVersions, 32, kSeed,
+                                pooled_pipe);
+    AttentionEngine pooled(pooled_fe, 24);
 
     ReuseStats fs, fo;
     SignatureRecord rs, ro;
     serial.forward(x, fs, &rs);
-    overlapped.forward(x, fo, &ro);
+    pooled.forward(x, fo, &ro);
 
     const McacheCounters mix_s = serial_fe.cache().stats();
-    const McacheCounters mix_o = overlap_fe.cache().stats();
+    const McacheCounters mix_o = pooled_fe.cache().stats();
     ReuseStats ws, wo;
     Tensor ps = serial.backwardProjection(x, rs, 0, ws);
-    Tensor po = overlapped.backwardProjection(x, ro, 0, wo);
+    Tensor po = pooled.backwardProjection(x, ro, 0, wo);
     EXPECT_TRUE(ps == po);
     EXPECT_EQ(ws.macsSkipped, wo.macsSkipped);
     expectCacheUntouched(mix_s, serial_fe, "serial replay");
-    expectCacheUntouched(mix_o, overlap_fe, "pooled replay");
+    expectCacheUntouched(mix_o, pooled_fe, "pooled replay");
 }
 
 // ---------------------------------------------------------------------
@@ -1403,9 +1398,9 @@ TEST(RecordSnapshot, RestoredFcRecordReplaysBitForBit)
 
 TEST(ReplayStress, ConcurrentConsumersOnSharedPool)
 {
-    // Several overlapped backward passes in a row over a record with
-    // real hits: replay delivery on the driving thread races chain /
-    // task-group consumption on the pool. Run under TSan in CI.
+    // Several pooled backward passes in a row over a record with real
+    // hits: the replay's per-pass fan-out races on the pool. Run under
+    // TSan in CI.
     Tensor in = similarInput(1, 8, 12, 12, 1e-3f, 95);
     Rng rng(96);
     const ConvSpec spec = convSpec(8, 12, 3, 1, 1);
@@ -1415,9 +1410,8 @@ TEST(ReplayStress, ConcurrentConsumersOnSharedPool)
     grad.fillNormal(rng);
 
     PipelineConfig pipe;
-    pipe.blockRows = 8; // many blocks -> many chained segments
+    pipe.blockRows = 8; // many blocks -> many hash tasks
     pipe.threads = 4;
-    pipe.overlap = OverlapMode::On;
     DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed, pipe);
     ConvReuseEngine engine(fe, 16);
 
@@ -1439,10 +1433,10 @@ TEST(ReplayStress, ConcurrentConsumersOnSharedPool)
 
 TEST(ReplayStress, ConcurrentWeightGradConsumersOnSharedPool)
 {
-    // The dW twin of the stress above: group-sum chains consume the
-    // replayed stream while the per-group outer products fan out over
-    // the pool. Run under TSan and ASan+UBSan in CI — the scatter /
-    // accumulate paths are exactly where heap and ordering bugs hide.
+    // The dW twin of the stress above: the (group, channel) pairs'
+    // group sums and owner multiplies fan out over the pool. Run under
+    // TSan and ASan+UBSan in CI — the scatter / accumulate paths are
+    // exactly where heap and ordering bugs hide.
     Tensor in = similarInput(1, 8, 12, 12, 1e-3f, 97);
     Rng rng(98);
     const ConvSpec spec = convSpec(8, 12, 3, 1, 1);
@@ -1452,9 +1446,8 @@ TEST(ReplayStress, ConcurrentWeightGradConsumersOnSharedPool)
     grad.fillNormal(rng);
 
     PipelineConfig pipe;
-    pipe.blockRows = 8; // many blocks -> many chained segments
+    pipe.blockRows = 8; // many blocks -> many hash tasks
     pipe.threads = 4;
-    pipe.overlap = OverlapMode::On;
     DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed, pipe);
     ConvReuseEngine engine(fe, 16);
 

@@ -11,9 +11,9 @@
  * and W in [3, 13]. Inputs repeat a few patterns per channel plane, so
  * detection finds HITs with several owners per pass, and a small MCACHE
  * adds MNU rows. FC and attention shapes are seeded the same way. Each
- * case runs twice: serially, and at 4 threads with overlap On and small
- * blocks, so the pooled schedule streams. A mismatch prints the seed
- * and the shape. Runs under TSan in CI.
+ * case runs twice: serially, and at 4 threads with small blocks, so
+ * live passes hash on the pool and replays fan out on it. A mismatch
+ * prints the seed and the shape. Runs under TSan in CI.
  */
 
 #include <gtest/gtest.h>
@@ -40,14 +40,13 @@ constexpr int kVersions = 2;
 constexpr int kMaxBits = 32;
 constexpr int kBits = 16;
 
-/** The serial schedule, or 4 threads with every pass on the pool. */
+/** The serial schedule, or 4 threads with small blocks. */
 PipelineConfig
 pipeFor(bool pooled)
 {
     PipelineConfig pipe;
     if (pooled) {
         pipe.threads = 4;
-        pipe.overlap = OverlapMode::On;
         pipe.blockRows = 16;
     }
     return pipe;
@@ -56,7 +55,7 @@ pipeFor(bool pooled)
 const char *
 scheduleName(bool pooled)
 {
-    return pooled ? "4 threads, overlap on" : "serial";
+    return pooled ? "4 threads" : "serial";
 }
 
 /** Bit equality of shape and every float, with the first mismatch. */

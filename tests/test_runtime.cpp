@@ -4,20 +4,22 @@
  * every engine pass that was ported onto the runtime — conv / FC /
  * attention x forward / backwardInput / backwardWeights|projection —
  * must produce bit-identical outputs AND statistics (mix, macsTotal,
- * macsSkipped, channelPasses) across serial, overlapped, and replay
- * scheduling; zero-hit passes must be bit-identical to the exact
- * tensor ops, including the grouped and depthwise conv descriptors
- * (the MobileNet-style workload). Also: a direct scheduler-contract
- * test (HIT rows copy only after their owners compute, on a pool),
- * end-to-end training of inverted-residual blocks with all three
- * reuse passes, whole-network training goldens (conv stack and
- * attention + dense: threaded and overlapped runs equal the serial
- * run), and a TSan stress for the sanitizer CI job.
+ * macsSkipped, channelPasses) on a threads-1 frontend and on a pooled
+ * one, where live passes hash on the pool and replays fan out on it;
+ * zero-hit passes must be bit-identical to the exact tensor ops,
+ * including the grouped and depthwise conv descriptors (the
+ * MobileNet-style workload). Also: direct scheduler-contract tests
+ * (HIT rows copy only after their owners compute; a live pass computes
+ * and copies on the driving thread even with a pool), end-to-end
+ * training of inverted-residual blocks with all three reuse passes,
+ * whole-network training goldens (conv stack and attention + dense:
+ * pooled runs equal the threads-1 run), and a TSan stress for the
+ * sanitizer CI job.
  *
  * The pre-refactor engine behavior is pinned twice: the untouched
  * engine suites (test_reuse_engines, test_replay, test_pipeline)
  * still pass against the ported engines, and this file locks the
- * serial == overlapped == exact-op equivalences the port must keep.
+ * threads-1 == pooled == exact-op equivalences the port must keep.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +28,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/attention_engine.hpp"
@@ -61,11 +64,10 @@ serialPipe()
 }
 
 PipelineConfig
-overlapPipe()
+pooledPipe()
 {
     PipelineConfig pipe = serialPipe();
     pipe.threads = 4;
-    pipe.overlap = OverlapMode::On;
     return pipe;
 }
 
@@ -137,7 +139,7 @@ TEST(RuntimeScheduler, RowPassForwardsAfterOwnersCompute)
 {
     Tensor rows = duplicateRows(64, 12, 4, kSeed + 2);
     DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed,
-                         overlapPipe());
+                         pooledPipe());
 
     std::vector<std::atomic<int>> state(64); // 0 empty, 1 computed/copied
     for (auto &s : state)
@@ -170,8 +172,54 @@ TEST(RuntimeScheduler, RowPassForwardsAfterOwnersCompute)
     EXPECT_EQ(stats.channelPasses, 1);
 }
 
+TEST(RuntimeScheduler, LivePassRunsOnTheDrivingThread)
+{
+    // With a pool, only hashing leaves the driving thread: every
+    // computeRows and every HIT copy runs on it, and the pass matches
+    // the threads-1 run row for row.
+    const Tensor rows = duplicateRows(96, 12, 5, kSeed + 3);
+    const auto run = [&](const PipelineConfig &pipe, bool &off_thread) {
+        DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed, pipe);
+        ReuseRuntime rt(fe, 20);
+        Tensor out({96, 12});
+        const std::thread::id driving = std::this_thread::get_id();
+        off_thread = false;
+        ReuseRuntime::RowPass rp;
+        rp.computeRows = [&](const int32_t *owners, int64_t count) {
+            off_thread |= std::this_thread::get_id() != driving;
+            for (int64_t k = 0; k < count; ++k)
+                for (int64_t j = 0; j < 12; ++j)
+                    out.at2(owners[k], j) = 2.0f * rows.at2(owners[k], j);
+        };
+        rp.copyRow = [&](int64_t i, int64_t o) {
+            off_thread |= std::this_thread::get_id() != driving;
+            for (int64_t j = 0; j < 12; ++j)
+                out.at2(i, j) = out.at2(o, j);
+        };
+        rp.copyRowSpan = [&](int64_t r0, int64_t r1, int64_t o0) {
+            for (int64_t i = r0; i < r1; ++i)
+                rp.copyRow(i, o0 + (i - r0));
+        };
+        rp.rowSkipCost = 12;
+        ReuseStats stats;
+        const SignatureRecord::Pass &det =
+            rt.runRows(ReuseRuntime::StreamSource::live(rows), rp, stats);
+        EXPECT_GT(det.forwarded, 0) << "HIT copies must run";
+        return std::make_pair(out, det.owners);
+    };
+    bool serial_off = false, pooled_off = false;
+    const auto serial = run(serialPipe(), serial_off);
+    const auto pooled = run(pooledPipe(), pooled_off);
+    EXPECT_FALSE(serial_off);
+    EXPECT_FALSE(pooled_off)
+        << "a compute or copy left the driving thread";
+    EXPECT_TRUE(pooled.first == serial.first)
+        << "max diff " << pooled.first.maxAbsDiff(serial.first);
+    EXPECT_EQ(pooled.second, serial.second);
+}
+
 // ---------------------------------------------------------------------
-// Golden equivalence: conv — serial == overlapped outputs AND stats
+// Golden equivalence: conv — threads 1 == pooled outputs AND stats
 // for forward, backwardInput, and backwardWeights, across dense,
 // strided+padded, grouped, and depthwise geometries.
 // ---------------------------------------------------------------------
@@ -203,15 +251,15 @@ TEST_P(RuntimeConvGolden, SerialEqualsOverlappedAllThreePasses)
 
     DetectionFrontend serial_fe(kSets, kWays, kVersions, 20, kSeed,
                                 serialPipe());
-    DetectionFrontend overlap_fe(kSets, kWays, kVersions, 20, kSeed,
-                                 overlapPipe());
+    DetectionFrontend pooled_fe(kSets, kWays, kVersions, 20, kSeed,
+                                pooledPipe());
     ConvReuseEngine serial(serial_fe, 16);
-    ConvReuseEngine overlap(overlap_fe, 16);
+    ConvReuseEngine pooled(pooled_fe, 16);
 
     ReuseStats sf, of;
     SignatureRecord srec, orec;
     Tensor ys = serial.forward(in, w, bias, spec, sf, &srec);
-    Tensor yo = overlap.forward(in, w, bias, spec, of, &orec);
+    Tensor yo = pooled.forward(in, w, bias, spec, of, &orec);
     EXPECT_TRUE(ys == yo) << tc.name << " forward, max diff "
                           << ys.maxAbsDiff(yo);
     expectStatsEqual(sf, of, tc.name);
@@ -221,15 +269,15 @@ TEST_P(RuntimeConvGolden, SerialEqualsOverlappedAllThreePasses)
     ReuseStats sb, ob;
     Tensor gs = serial.backwardInput(grad, w, spec, tc.hw, tc.hw, srec,
                                      sb);
-    Tensor go = overlap.backwardInput(grad, w, spec, tc.hw, tc.hw, orec,
-                                      ob);
+    Tensor go = pooled.backwardInput(grad, w, spec, tc.hw, tc.hw, orec,
+                                     ob);
     EXPECT_TRUE(gs == go) << tc.name << " backwardInput, max diff "
                           << gs.maxAbsDiff(go);
     expectStatsEqual(sb, ob, tc.name);
 
     ReuseStats sw, ow_;
     Tensor dws = serial.backwardWeights(in, grad, spec, srec, sw);
-    Tensor dwo = overlap.backwardWeights(in, grad, spec, orec, ow_);
+    Tensor dwo = pooled.backwardWeights(in, grad, spec, orec, ow_);
     EXPECT_TRUE(dws == dwo) << tc.name << " backwardWeights, max diff "
                             << dws.maxAbsDiff(dwo);
     expectStatsEqual(sw, ow_, tc.name);
@@ -251,9 +299,9 @@ TEST_P(RuntimeConvGolden, ZeroHitBitIdentityToExactOps)
     Tensor grad({1, tc.cout, oh, ow});
     grad.fillNormal(rng);
 
-    for (const bool overlapped : {false, true}) {
+    for (const bool pooled : {false, true}) {
         DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed,
-                             overlapped ? overlapPipe() : serialPipe());
+                             pooled ? pooledPipe() : serialPipe());
         ConvReuseEngine engine(fe, 32);
         ReuseStats fs;
         SignatureRecord record;
@@ -266,7 +314,7 @@ TEST_P(RuntimeConvGolden, ZeroHitBitIdentityToExactOps)
         // bit — the same contract test_reuse_engines pins.
         Tensor y_ref = conv2dForward(in, w, bias, spec);
         EXPECT_LT(y.maxAbsDiff(y_ref), 1e-5f)
-            << tc.name << (overlapped ? " overlapped" : " serial")
+            << tc.name << (pooled ? " pooled" : " serial")
             << " forward";
 
         ReuseStats bs;
@@ -313,16 +361,16 @@ TEST(RuntimeFcGolden, SerialEqualsOverlappedAllThreePasses)
 
     DetectionFrontend serial_fe(kSets, kWays, kVersions, 20, kSeed,
                                 serialPipe());
-    DetectionFrontend overlap_fe(kSets, kWays, kVersions, 20, kSeed,
-                                 overlapPipe());
+    DetectionFrontend pooled_fe(kSets, kWays, kVersions, 20, kSeed,
+                                pooledPipe());
     FcEngine serial(serial_fe, 16);
-    FcEngine overlap(overlap_fe, 16);
+    FcEngine pooled(pooled_fe, 16);
 
     ReuseStats sf, of;
     std::vector<int64_t> s_owners, o_owners;
     SignatureRecord srec, orec;
     Tensor ys = serial.forward(in, w, sf, &s_owners, &srec);
-    Tensor yo = overlap.forward(in, w, of, &o_owners, &orec);
+    Tensor yo = pooled.forward(in, w, of, &o_owners, &orec);
     EXPECT_TRUE(ys == yo) << "fc forward";
     EXPECT_EQ(s_owners, o_owners) << "owner maps must match";
     expectStatsEqual(sf, of, "fc forward");
@@ -330,13 +378,13 @@ TEST(RuntimeFcGolden, SerialEqualsOverlappedAllThreePasses)
 
     ReuseStats sb, ob;
     Tensor gs = serial.backwardInput(grad, w, srec, sb);
-    Tensor go = overlap.backwardInput(grad, w, orec, ob);
+    Tensor go = pooled.backwardInput(grad, w, orec, ob);
     EXPECT_TRUE(gs == go) << "fc backwardInput";
     expectStatsEqual(sb, ob, "fc backwardInput");
 
     ReuseStats sw, ow;
     Tensor dws = serial.backwardWeights(in, grad, srec, sw);
-    Tensor dwo = overlap.backwardWeights(in, grad, orec, ow);
+    Tensor dwo = pooled.backwardWeights(in, grad, orec, ow);
     EXPECT_TRUE(dws == dwo) << "fc backwardWeights";
     expectStatsEqual(sw, ow, "fc backwardWeights");
 }
@@ -351,9 +399,9 @@ TEST(RuntimeFcGolden, ZeroHitBitIdentityToExactOps)
     Tensor grad({64, 12});
     grad.fillNormal(rng);
 
-    for (const bool overlapped : {false, true}) {
+    for (const bool pooled : {false, true}) {
         DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed,
-                             overlapped ? overlapPipe() : serialPipe());
+                             pooled ? pooledPipe() : serialPipe());
         FcEngine engine(fe, 32);
         ReuseStats fs;
         SignatureRecord record;
@@ -382,28 +430,28 @@ TEST(RuntimeAttentionGolden, SerialEqualsOverlappedAllThreePasses)
 
     DetectionFrontend serial_fe(kSets, kWays, kVersions, 20, kSeed,
                                 serialPipe());
-    DetectionFrontend overlap_fe(kSets, kWays, kVersions, 20, kSeed,
-                                 overlapPipe());
+    DetectionFrontend pooled_fe(kSets, kWays, kVersions, 20, kSeed,
+                                pooledPipe());
     AttentionEngine serial(serial_fe, 16);
-    AttentionEngine overlap(overlap_fe, 16);
+    AttentionEngine pooled(pooled_fe, 16);
 
     ReuseStats sf, of;
     SignatureRecord srec, orec;
     Tensor ys = serial.forward(x, sf, &srec);
-    Tensor yo = overlap.forward(x, of, &orec);
+    Tensor yo = pooled.forward(x, of, &orec);
     EXPECT_TRUE(ys == yo) << "attention forward";
     expectStatsEqual(sf, of, "attention forward");
     ASSERT_GT(sf.mix.hit, 0);
 
     ReuseStats sp, op;
     Tensor xtx_s = serial.backwardProjection(x, srec, 0, sp);
-    Tensor xtx_o = overlap.backwardProjection(x, orec, 0, op);
+    Tensor xtx_o = pooled.backwardProjection(x, orec, 0, op);
     EXPECT_TRUE(xtx_s == xtx_o) << "attention projection";
     expectStatsEqual(sp, op, "attention projection");
 
     ReuseStats sb, ob;
     Tensor gs = serial.backward(x, grad, srec, 0, sb, &xtx_s);
-    Tensor go = overlap.backward(x, grad, orec, 0, ob, &xtx_o);
+    Tensor go = pooled.backward(x, grad, orec, 0, ob, &xtx_o);
     EXPECT_TRUE(gs == go) << "attention backward";
     expectStatsEqual(sb, ob, "attention backward");
 }
@@ -426,7 +474,7 @@ TEST(RuntimeTraining, InvertedResidualTrainsWithFullReuse)
 
     Dataset ds = makeImageDataset(16, 4, 3, 8, kSeed + 61, 0.02f);
     MercuryContext ctx(16);
-    PipelineConfig pipe = overlapPipe();
+    PipelineConfig pipe = pooledPipe();
     ctx.setPipeline(pipe);
     ctx.setBackwardReuse(true);
     ctx.setWeightGradReuse(true);
@@ -450,8 +498,8 @@ TEST(RuntimeTraining, InvertedResidualTrainsWithFullReuse)
 
 TEST(RuntimeTraining, DepthwiseReuseMatchesSerialReference)
 {
-    // The same inverted-residual forward under a serial context and
-    // an overlapped one must agree bit for bit (the golden engine
+    // The same inverted-residual forward under a threads-1 context
+    // and a pooled one must agree bit for bit (the golden engine
     // equivalences, composed through the NN layer path).
     Dataset ds = makeImageDataset(4, 4, 3, 8, kSeed + 62, 0.02f);
 
@@ -462,19 +510,19 @@ TEST(RuntimeTraining, DepthwiseReuseMatchesSerialReference)
 
     MercuryContext serial_ctx(16);
     serial_ctx.setPipeline(serialPipe());
-    MercuryContext overlap_ctx(16);
-    overlap_ctx.setPipeline(overlapPipe());
+    MercuryContext pooled_ctx(16);
+    pooled_ctx.setPipeline(pooledPipe());
 
     Tensor ya = a.forward(ds.inputs, &serial_ctx);
-    Tensor yb = b.forward(ds.inputs, &overlap_ctx);
+    Tensor yb = b.forward(ds.inputs, &pooled_ctx);
     EXPECT_TRUE(ya == yb) << "max diff " << ya.maxAbsDiff(yb);
 }
 
 // ---------------------------------------------------------------------
 // Whole-network goldens: a few training steps with forward + dX + dW
-// reuse must give the serial run's losses, post-training outputs, and
-// all three ReuseStats totals bit for bit on a threaded pool and with
-// detection overlapped. Runs under TSan in CI.
+// reuse must give the threads-1 run's losses, post-training outputs,
+// and all three ReuseStats totals bit for bit at threads 2, 3 and 4.
+// Runs under TSan in CI.
 // ---------------------------------------------------------------------
 
 using NetBuilder = std::function<std::unique_ptr<Network>(Rng &)>;
@@ -523,11 +571,10 @@ expectTracesEqual(const StepTrace &a, const StepTrace &b,
 }
 
 PipelineConfig
-pipeOf(int threads, bool overlap)
+pipeOf(int threads)
 {
     PipelineConfig pipe;
     pipe.threads = threads;
-    pipe.overlap = overlap ? OverlapMode::On : OverlapMode::Off;
     return pipe;
 }
 
@@ -545,13 +592,12 @@ TEST(RuntimeNetworkGolden, ConvStackThreadedAndOverlappedMatchSerial)
         return net;
     };
     const Dataset ds = makeImageDataset(8, 3, 3, 12, 8801, 0.03f);
-    const StepTrace golden = runSteps(build, ds, pipeOf(1, false), 3);
+    const StepTrace golden = runSteps(build, ds, pipeOf(1), 3);
     EXPECT_GT(golden.fwd.mix.hit, 0);
     EXPECT_GT(golden.wgrad.mix.vectors, 0);
-    expectTracesEqual(golden, runSteps(build, ds, pipeOf(4, false), 3),
-                      "threads4");
-    expectTracesEqual(golden, runSteps(build, ds, pipeOf(4, true), 3),
-                      "overlap4");
+    for (const int threads : {2, 3, 4})
+        expectTracesEqual(golden, runSteps(build, ds, pipeOf(threads), 3),
+                          ("threads" + std::to_string(threads)).c_str());
 }
 
 TEST(RuntimeNetworkGolden, AttentionDenseOverlappedMatchesSerial)
@@ -563,16 +609,18 @@ TEST(RuntimeNetworkGolden, AttentionDenseOverlappedMatchesSerial)
         return net;
     };
     const Dataset ds = makeTokenDataset(8, 4, 6, 8, 8802, 0.03f);
-    const StepTrace golden = runSteps(build, ds, pipeOf(1, false), 3);
+    const StepTrace golden = runSteps(build, ds, pipeOf(1), 3);
     EXPECT_GT(golden.fwd.mix.hit, 0);
-    expectTracesEqual(golden, runSteps(build, ds, pipeOf(4, true), 3),
-                      "attention overlap4");
+    for (const int threads : {2, 3, 4})
+        expectTracesEqual(golden, runSteps(build, ds, pipeOf(threads), 3),
+                          ("attention threads" + std::to_string(threads))
+                              .c_str());
 }
 
 // ---------------------------------------------------------------------
-// Sanitizer stress (TSan CI): hammer the overlapped scheduling of all
-// nine ported passes back to back, so TaskGroup joins, the pooled
-// replay fan-outs, and the shared MCACHE see real contention.
+// Sanitizer stress (TSan CI): hammer the pooled schedule of all nine
+// ported passes back to back, so the hash tasks, the replay fan-outs,
+// and the shared MCACHE see real contention.
 // ---------------------------------------------------------------------
 
 TEST(RuntimeStress, OverlappedPassesBackToBack)
@@ -594,7 +642,7 @@ TEST(RuntimeStress, OverlappedPassesBackToBack)
     attn_grad.fillNormal(rng);
 
     DetectionFrontend fe(kSets, kWays, kVersions, 20, kSeed,
-                         overlapPipe());
+                         pooledPipe());
     ConvReuseEngine conv(fe, 16);
     FcEngine fc(fe, 16);
     AttentionEngine attn(fe, 16);
@@ -626,15 +674,14 @@ TEST(RuntimeStress, OverlappedPassesBackToBack)
 TEST(RuntimeStress, SerialEqualsOverlappedUnderForcedStealing)
 {
     // Forced-stealing configuration: more worker threads than the
-    // host has cores and tiny blocks, so the streaming schedule
-    // floods the work-stealing deques and thieves migrate blocks on
-    // every pass. Outputs AND statistics must stay bit-identical to
-    // the serial schedule no matter which worker ran which block —
-    // the TSan CI job runs this with stealing instrumented.
+    // host has cores and tiny blocks, so the hash tasks flood the
+    // work-stealing deques and thieves migrate blocks on every pass.
+    // Outputs AND statistics must stay bit-identical to the threads-1
+    // run no matter which worker ran which block — the TSan CI job
+    // runs this with stealing instrumented.
     PipelineConfig steal_pipe = serialPipe();
     steal_pipe.blockRows = 4; // many small blocks per pass
     steal_pipe.threads = 8;   // oversubscribes every CI host
-    steal_pipe.overlap = OverlapMode::On;
 
     const ConvSpec spec = convSpec(4, 8, 3, 1, 1, 1);
     Tensor in = similarInput(2, 4, 12, 12, 0.02f, kSeed + 80);

@@ -4,14 +4,9 @@
 The CI ``wall-clock`` job runs the non-smoke microbenches on a
 multi-core runner (the host that records BENCH_*.json has 4 hardware
 threads as well) and captures their ``BENCH_overlap.json {...}``
-result lines. This script turns those lines into:
-
- - the measured ``wall_*`` speedups, one line per bench, formatted for
-   pasting into the ROADMAP wall-clock item;
- - the overlap verdict: the forward-overlap ``wall_speedup`` says
-   whether giving the reuse passes the worker pool pays on that host
-   at all (below 1x it does not; the modeled cycles are the
-   paper-facing number there).
+result lines. This script turns those lines into the measured
+``wall_*`` speedups, one line per bench, formatted for pasting into
+the ROADMAP wall-clock item.
 
 Usage:
     wallclock_roadmap.py RESULT_FILE...
@@ -52,7 +47,6 @@ def main(argv):
         return 1
 
     print("# ROADMAP wall-clock snippet (paste under the wall-clock item)")
-    fwd_overlap = None
     for e in entries:
         bench = e.get("bench", "?")
         cfg = e.get("config", {})
@@ -61,17 +55,6 @@ def main(argv):
         print(f"- {bench} ({e.get('layer', '?')}, threads="
               f"{cfg.get('threads', '?')}, blockRows="
               f"{cfg.get('blockRows', '?')}): {line}")
-        if bench == "micro_overlap" and "wall_speedup" in e:
-            fwd_overlap = e["wall_speedup"]
-
-    if fwd_overlap is not None:
-        print()
-        print("# overlap verdict")
-        verdict = ("pays on this host" if fwd_overlap > 1.0
-                   else "does NOT pay on this host (modeled cycles are "
-                        "the paper-facing number; needs spare cores)")
-        print(f"- forward-overlap wall_speedup {fwd_overlap}: overlap "
-              f"mode {verdict}")
     return 0
 
 
