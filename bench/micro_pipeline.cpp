@@ -87,7 +87,7 @@ main()
     using namespace mercury;
 
     std::printf("micro_pipeline: detection pass rows/sec, scalar "
-                "SimilarityDetector vs DetectionPipeline\n");
+                "SimilarityDetector vs DetectionFrontend\n");
     std::printf("(rows per pass: %lld, MCACHE %dx%d, threads auto=%d)\n\n",
                 static_cast<long long>(benchRows()), kSets, kWays,
                 ThreadPool::resolveThreads(0));

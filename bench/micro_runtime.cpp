@@ -1,10 +1,9 @@
 /**
  * @file
- * Microbenchmark of the ReuseRuntime-scheduled grouped/depthwise
- * convolution workload (the MobileNet-style scenario opened by the
- * runtime refactor): a depthwise 3x3 layer and a grouped 3x3 layer
- * run a full training step — forward with capture, replayed dX,
- * replayed dW — through the one schedule every engine pass rides.
+ * Microbenchmark of the grouped/depthwise convolution workload (the
+ * MobileNet-style scenario): a depthwise 3x3 layer and a grouped 3x3
+ * layer run a full training step — forward with capture, replayed dX,
+ * replayed dW — through the conv reuse engine.
  *
  * Three views per layer:
  *
@@ -346,7 +345,7 @@ main()
                             ? ThreadPool::resolveThreads(env_threads)
                             : std::max(4, ThreadPool::resolveThreads(0));
     std::printf("micro_runtime: grouped/depthwise conv training step "
-                "through ReuseRuntime\n");
+                "through the reuse engine\n");
     std::printf("(MCACHE %dx%d, %d versions, %d-bit signatures; "
                 "threads %d on %d hw)\n\n",
                 kSets, kWays, kVersions, kBits, threads,

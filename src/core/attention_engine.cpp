@@ -1,9 +1,7 @@
 #include "core/attention_engine.hpp"
 
-#include <algorithm>
 #include <vector>
 
-#include "core/kernels/kernels.hpp"
 #include "core/reuse_runtime.hpp"
 #include "tensor/ops.hpp"
 #include "util/logging.hpp"
@@ -39,42 +37,36 @@ AttentionEngine::forward(const Tensor &x, ReuseStats &stats,
     Tensor w({t, t});
     Tensor y({t, d});
 
-    // One RowPass over the token rows (§III-C3-style forwarding): a
-    // computed row is self-contained — w_i = X x_i needs only X, then
-    // y_i = w_i X needs only the row's own w_i — so computed rows run
-    // in any order; a HIT row copies only its owner's Y row (its W
-    // row is never read, exactly as in the staged formulation).
-    ReuseRuntime rt(*frontend_, frontend_.signatureBits());
-    ReuseRuntime::RowPass pass;
-    pass.computeRows = [&](const int32_t *rows, int64_t count) {
-        for (int64_t k = 0; k < count; ++k) {
-            const int64_t i = rows[k];
-            for (int64_t j = 0; j < t; ++j) {
-                float acc = 0.0f;
-                for (int64_t e = 0; e < d; ++e)
-                    acc += x.at2(i, e) * x.at2(j, e);
-                w.at2(i, j) = acc;
-            }
-            for (int64_t j = 0; j < d; ++j) {
-                float acc = 0.0f;
-                for (int64_t e = 0; e < t; ++e)
-                    acc += w.at2(i, e) * x.at2(e, j);
-                y.at2(i, j) = acc;
-            }
+    // One detection pass over the token rows (§III-C3-style
+    // forwarding): a computed row is self-contained — w_i = X x_i needs
+    // only X, then y_i = w_i X needs only the row's own w_i — and a HIT
+    // row copies only its owner's Y row (its W row is never read,
+    // exactly as in the staged formulation).
+    SignatureRecord::Pass det =
+        frontend_->detect(x, frontend_.signatureBits());
+    for (int64_t i = 0; i < t; ++i) {
+        if (det.owner(i) != i)
+            continue;
+        for (int64_t j = 0; j < t; ++j) {
+            float acc = 0.0f;
+            for (int64_t e = 0; e < d; ++e)
+                acc += x.at2(i, e) * x.at2(j, e);
+            w.at2(i, j) = acc;
         }
-    };
-    pass.copyRow = [&](int64_t i, int64_t o) {
-        kernels::ops().copySpan(y.data() + i * d, y.data() + o * d, d);
-    };
-    pass.copyRowSpan = [&](int64_t r0, int64_t r1, int64_t o0) {
-        kernels::ops().copySpan(y.data() + r0 * d, y.data() + o0 * d,
-                                (r1 - r0) * d);
-    };
+        for (int64_t j = 0; j < d; ++j) {
+            float acc = 0.0f;
+            for (int64_t e = 0; e < t; ++e)
+                acc += w.at2(i, e) * x.at2(e, j);
+            y.at2(i, j) = acc;
+        }
+    }
+    copyHitRows(y, det);
     // A forwarded row skips both of its stages: t*d (W) + t*d (Y).
-    pass.rowSkipCost =
-        2ull * static_cast<uint64_t>(t) * static_cast<uint64_t>(d);
-
-    rt.runRows(ReuseRuntime::StreamSource::live(x, record), pass, stats);
+    stats.addPass(det, 2ull * static_cast<uint64_t>(t) *
+                           static_cast<uint64_t>(d));
+    if (record)
+        record->append(std::move(det), frontend_->dataVersions(),
+                       frontend_->entries());
     return y;
 }
 
@@ -126,16 +118,15 @@ AttentionEngine::backward(const Tensor &x, const Tensor &g,
     // element accumulation order matches the exact matmul-factored path
     // exactly — fanned out over the frontend's pool, if it has one;
     // forward-HIT token rows then copy their owner's row.
-    stats.macsSkipped = static_cast<uint64_t>(pass.forwarded) * row_cost;
-    stats.addReplayedPass(pass);
+    stats.addPass(pass, row_cost);
     std::vector<int64_t> owners;
     for (int64_t i = 0; i < t; ++i)
         if (pass.owner(i) == i)
             owners.push_back(i);
 
-    ReuseRuntime rt(*frontend_, frontend_.signatureBits());
     const int64_t nowners = static_cast<int64_t>(owners.size());
-    rt.parallelRanges(nowners, [&](int64_t k0, int64_t k1) {
+    ThreadPool *pool = frontend_->workerPool();
+    parallelRanges(pool, nowners, [&](int64_t k0, int64_t k1) {
         std::vector<float> t1(static_cast<size_t>(d));
         std::vector<float> u(static_cast<size_t>(t));
         std::vector<float> t2(static_cast<size_t>(d));
@@ -180,12 +171,7 @@ AttentionEngine::backward(const Tensor &x, const Tensor &g,
             }
         }
     });
-    for (int64_t i = 0; i < t; ++i) {
-        const int64_t o = pass.owner(i);
-        if (o != i)
-            std::copy(out.data() + o * d, out.data() + (o + 1) * d,
-                      out.data() + i * d);
-    }
+    copyHitRows(out, pass);
     return out;
 }
 

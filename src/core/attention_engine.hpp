@@ -8,15 +8,13 @@
  * similar W and Y rows, so HIT rows copy the owner's rows in both
  * stages — the same FC-style forwarding the paper applies.
  *
- * Schedule (§III-B, Fig. 8): forward() consumes the detection
- * pipeline's streaming block hand-off. A computed row is
- * self-contained (w_i needs only X, y_i needs only w_i), so computed
- * rows of a delivered block run on the driving thread while later
- * blocks still hash on the frontend's pool; HIT rows are forwarded
- * once the stream has delivered. The dX replay fans its owner rows
- * out over the pool. Output and statistics are bit-identical with and
- * without a pool. One thread drives an engine (or a shared frontend)
- * at a time.
+ * forward() runs one detection pass over the token rows (on a pool,
+ * later blocks hash while the driving thread probes earlier ones),
+ * then computes the owner rows — a computed row is self-contained: w_i
+ * needs only X, y_i needs only w_i — and copies each HIT row's Y row
+ * from its owner. The dX replay fans its owner rows out over the
+ * pool. Output and statistics are bit-identical with and without a
+ * pool. One thread drives an engine (or a shared frontend) at a time.
  */
 
 #ifndef MERCURY_CORE_ATTENTION_ENGINE_HPP
@@ -25,7 +23,7 @@
 #include <memory>
 
 #include "core/mcache.hpp"
-#include "core/reuse_runtime.hpp" // ReuseStats
+#include "core/reuse_runtime.hpp"
 #include "pipeline/detection_frontend.hpp"
 #include "tensor/tensor.hpp"
 

@@ -73,11 +73,8 @@ bookReplay(const SignatureRecord &record, const ConvGeometry &geo,
            ReuseStats &stats)
 {
     for (int64_t pi = 0; pi < record.passCount(); ++pi) {
-        const SignatureRecord::Pass &pass = record.pass(pi);
-        stats.addReplayedPass(pass);
+        stats.addPass(record.pass(pi), geo.rowMacs());
         stats.macsTotal += geo.passMacs();
-        stats.macsSkipped +=
-            static_cast<uint64_t>(pass.forwarded) * geo.rowMacs();
     }
 }
 
@@ -119,7 +116,6 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
                     out[out.offset4(b, oc, 0, 0) + i] = bias[oc];
     }
 
-    ReuseRuntime rt(*frontend_, frontend_.signatureBits());
     if (record)
         record->clear();
 
@@ -149,59 +145,63 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
             for (int64_t ic = 0; ic < cin_g; ++ic)
                 order.push_back({b, g, ic});
 
-    // One extraction tensor serves every pass. Single-touch fusion: a
-    // pass's extraction rides its hash job as a RowFiller — each
-    // projection block extracts its row range immediately before
-    // hashing it, so a block's patches are still cache-hot when the
-    // RPQ projection reads them (and on a pool the filler fans out
-    // with the hash blocks). Without a pool the job defers hashing
-    // into the probe half, so each block runs hash, probe, then its
-    // owner computes, inline.
-    Tensor rows({v, d});
-    const auto begin_hash = [&](const PassId &p) {
+    // Two extraction tensors, alternating by pass: pass p+1 extracts
+    // and hashes into one on the pool while pass p's owner computes
+    // read the other. Single-touch fusion: a pass's extraction rides
+    // its hash job as a RowFiller — each projection block extracts its
+    // row range immediately before hashing it, so a block's patches
+    // are still cache-hot when the RPQ projection reads them. Without
+    // a pool the job defers hashing into finishStream.
+    Tensor rows[2] = {Tensor({v, d}), Tensor({v, d})};
+    const auto begin_hash = [&](size_t pi) {
+        const PassId p = order[pi];
+        Tensor &dst = rows[pi % 2];
         return frontend_->beginHashStream(
-            rows, frontend_.signatureBits(),
-            [&input, &spec, &rows, cin_g, ow, p](int64_t r0, int64_t r1) {
+            dst, frontend_.signatureBits(),
+            [&input, &spec, &dst, cin_g, ow, p](int64_t r0, int64_t r1) {
                 extractChannelPatchRows(input, spec, p.b,
                                         p.g * cin_g + p.ic, ow, r0, r1,
-                                        rows);
+                                        dst);
             });
     };
 
-    // Owner values of the pass in flight: vals holds the cout_g filter
-    // values of each owner row (row-major by row). One RowPass serves
-    // every channel pass; its computes read the pass's rows and
-    // kernels on the driving thread. Each value sums tap-ascending from
-    // +0: the dot product the filter would compute on its own.
+    // vals holds the cout_g filter values of each owner row (row-major
+    // by row); each value sums tap-ascending from +0: the dot product
+    // the filter would compute on its own.
     std::vector<float> vals(static_cast<size_t>(v * cout_g));
-    const float *w_p = nullptr;
-    ReuseRuntime::RowPass pass;
-    pass.computeRows = [&](const int32_t *owners, int64_t count) {
-        kernels::ops().ownerValues(rows.data(), d, owners, count, w_p,
-                                   cout_g, vals.data());
-    };
-    pass.rowSkipCost = geo.rowMacs();
+    std::vector<int32_t> owner_rows(static_cast<size_t>(v));
 
     stats = ReuseStats{};
     std::unique_ptr<DetectionHashJob> job;
     if (!order.empty())
-        job = begin_hash(order[0]);
+        job = begin_hash(0);
 
     for (size_t pi = 0; pi < order.size(); ++pi) {
         const PassId p = order[pi];
-        w_p = wt.data() + (p.g * cin_g + p.ic) * d * cout_g;
-        const SignatureRecord::Pass &det = rt.runRows(
-            ReuseRuntime::StreamSource::hashed(*job, record), pass, stats);
-        // Every compute has read `rows`: the next pass extracts and
-        // hashes into it on the pool while this pass scatters.
-        job = pi + 1 < order.size() ? begin_hash(order[pi + 1]) : nullptr;
+        SignatureRecord::Pass det = frontend_->finishStream(*job);
+        job = pi + 1 < order.size() ? begin_hash(pi + 1) : nullptr;
 
+        // The pass's owner rows, ascending; written without a branch,
+        // since which rows own themselves follows no pattern.
+        int64_t nowners = 0;
+        for (int32_t r = 0; r < v; ++r) {
+            owner_rows[static_cast<size_t>(nowners)] = r;
+            nowners += det.owner(r) == r;
+        }
+        kernels::ops().ownerValues(
+            rows[pi % 2].data(), d, owner_rows.data(), nowners,
+            wt.data() + (p.g * cin_g + p.ic) * d * cout_g, cout_g,
+            vals.data());
         // Every row adds its owner's value, filter by filter: each
         // output gets one partial per channel pass, in channel order.
         kernels::ops().ownerScatter(
             vals.data(), cout_g, cout_g, det.owners.data(), v,
             out.data() + out.offset4(p.b, p.g * cout_g, 0, 0), v);
+        stats.addPass(det, geo.rowMacs());
         stats.macsTotal += geo.passMacs();
+        if (record)
+            record->append(std::move(det), frontend_->dataVersions(),
+                           frontend_->entries());
     }
     return out;
 }
@@ -225,7 +225,6 @@ ConvReuseEngine::backwardInput(const Tensor &gradOut, const Tensor &weight,
     const int64_t cin_g = geo.cin_g, cout_g = geo.cout_g;
     checkRecord(record, spec, geo, "backward");
 
-    ReuseRuntime rt(*frontend_, frontend_.signatureBits());
     Tensor grad_in({geo.n, spec.inChannels, in_h, in_w});
     stats = ReuseStats{};
     const int64_t passes = record.passCount();
@@ -239,7 +238,8 @@ ConvReuseEngine::backwardInput(const Tensor &gradOut, const Tensor &weight,
     // owner rows would scatter. Passes write disjoint grad_in planes,
     // so on a pool they fan out per pass.
     const ConvFrame frame(spec, in_h, in_w);
-    rt.parallelRanges(passes, [&](int64_t p0, int64_t p1) {
+    ThreadPool *pool = frontend_->workerPool();
+    parallelRanges(pool, passes, [&](int64_t p0, int64_t p1) {
         std::vector<float> gathered(static_cast<size_t>(cout_g * v));
         std::vector<float> scratch(static_cast<size_t>(frame.size()));
         for (int64_t pi = p0; pi < p1; ++pi) {
@@ -288,7 +288,6 @@ ConvReuseEngine::backwardWeights(const Tensor &input, const Tensor &gradOut,
     const int64_t cin_g = geo.cin_g, cout_g = geo.cout_g;
     checkRecord(record, spec, geo, "weight gradient");
 
-    ReuseRuntime rt(*frontend_, frontend_.signatureBits());
     Tensor grad_w({spec.outChannels, cin_g, geo.k, geo.k});
     stats = ReuseStats{};
     const int64_t passes = record.passCount();
@@ -322,7 +321,8 @@ ConvReuseEngine::backwardWeights(const Tensor &input, const Tensor &gradOut,
     // (group, channel) pairs write disjoint grad_w slices: on a pool
     // they fan out, each walking the batch in order.
     const int64_t pairs = spec.groups * cin_g;
-    rt.parallelRanges(pairs, [&](int64_t gi0, int64_t gi1) {
+    ThreadPool *pool = frontend_->workerPool();
+    parallelRanges(pool, pairs, [&](int64_t gi0, int64_t gi1) {
         std::vector<float> plane(static_cast<size_t>(frame.size()));
         std::vector<float> sums(static_cast<size_t>(v * cout_g));
         std::vector<int32_t> slot(static_cast<size_t>(v));

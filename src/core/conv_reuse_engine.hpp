@@ -10,23 +10,23 @@
  * the channel's filter values in one sweep over its kernels,
  * transposed to (tap, filter) — each value summed tap-ascending from
  * +0, the dot product the filter would compute alone (the ownerValues
- * kernel, one call per block) — and every row then adds its owner's
+ * kernel, one call per pass) — and every row then adds its owner's
  * values into the output (ownerScatter). Results accumulate over channels
  * exactly like the baseline convolution, so the output differs from
  * the exact convolution only by the reuse-induced approximation —
  * which is what the accuracy experiments measure.
  *
- * Schedule (§III-B, Fig. 8): every channel pass is a ReuseRuntime
- * RowPass over the pipeline's streaming block hand-off. Each block's
- * owner rows compute on the driving thread as the block arrives, while
- * later blocks hash on the frontend's pool (if it has one), and the
- * owner-value adds run on the driving thread once runRows returns.
- * The engine begins the next channel's hash job (extraction fused in,
- * DetectionFrontend::beginHashStream — no MCACHE state touched) right
- * then, into the one extraction tensor, so it hashes under the
- * scatter. Without a pool the job defers its hashing into the probe
- * half (hash, probe, compute, per block). Outputs, hit/skip decisions,
- * and statistics are bit-identical either way.
+ * Schedule (§III-B, Fig. 8): every channel pass runs detection to
+ * the end (DetectionFrontend::finishStream — on a pool, later blocks
+ * hash while the driving thread probes earlier ones), then computes
+ * the pass's owner rows and adds every row's owner values into the
+ * output on the driving thread. Right after a pass's probe the engine
+ * begins the next channel's hash job (extraction fused in,
+ * DetectionFrontend::beginHashStream — no MCACHE state touched) into
+ * the other of two extraction tensors, so on a pool it extracts and
+ * hashes under this pass's computes and scatter. Without a pool the
+ * job defers its hashing into the probe half. Outputs, hit/skip
+ * decisions, and statistics are bit-identical either way.
  *
  * Backward (§III-C2): forward() optionally captures each channel
  * pass into a SignatureRecord; backwardInput() then replays the

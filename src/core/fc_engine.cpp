@@ -1,6 +1,5 @@
 #include "core/fc_engine.hpp"
 
-#include "core/kernels/kernels.hpp"
 #include "core/reuse_runtime.hpp"
 #include "tensor/ops.hpp"
 #include "util/logging.hpp"
@@ -41,40 +40,29 @@ FcEngine::forward(const Tensor &input, const Tensor &weight,
 
     Tensor out({n, m});
 
-    // One RowPass over the minibatch: the probe resolves the owner map
-    // ("earlier PE", §III-C3; OwnerTable states the rule), computed
-    // rows fan out (they are mutually independent), and HIT rows are
-    // forwarded from their earlier PE once every owner has computed.
-    ReuseRuntime rt(*frontend_, frontend_.signatureBits());
-    ReuseRuntime::RowPass pass;
-    pass.computeRows = [&](const int32_t *rows, int64_t count) {
-        // Each row's dot product against every weight column.
-        for (int64_t k = 0; k < count; ++k) {
-            const int64_t i = rows[k];
-            for (int64_t j = 0; j < m; ++j) {
-                float acc = 0.0f;
-                for (int64_t e = 0; e < d; ++e)
-                    acc += input.at2(i, e) * weight.at2(e, j);
-                out.at2(i, j) = acc;
-            }
+    // One detection pass over the minibatch resolves the owner map
+    // ("earlier PE", §III-C3; OwnerTable states the rule): owner rows
+    // compute their dot products, then HIT rows take their owner's
+    // result row.
+    SignatureRecord::Pass det =
+        frontend_->detect(input, frontend_.signatureBits());
+    for (int64_t i = 0; i < n; ++i) {
+        if (det.owner(i) != i)
+            continue;
+        for (int64_t j = 0; j < m; ++j) {
+            float acc = 0.0f;
+            for (int64_t e = 0; e < d; ++e)
+                acc += input.at2(i, e) * weight.at2(e, j);
+            out.at2(i, j) = acc;
         }
-    };
-    pass.copyRow = [&](int64_t i, int64_t o) {
-        // Result forwarding from the earlier PE.
-        kernels::ops().copySpan(out.data() + i * m, out.data() + o * m,
-                                m);
-    };
-    pass.copyRowSpan = [&](int64_t r0, int64_t r1, int64_t o0) {
-        kernels::ops().copySpan(out.data() + r0 * m,
-                                out.data() + o0 * m, (r1 - r0) * m);
-    };
-    pass.rowSkipCost =
-        static_cast<uint64_t>(d) * static_cast<uint64_t>(m);
-
-    const SignatureRecord::Pass &det = rt.runRows(
-        ReuseRuntime::StreamSource::live(input, record), pass, stats);
+    }
+    copyHitRows(out, det);
+    stats.addPass(det, static_cast<uint64_t>(d) * static_cast<uint64_t>(m));
     if (owner_rows)
         owner_rows->assign(det.owners.begin(), det.owners.end());
+    if (record)
+        record->append(std::move(det), frontend_->dataVersions(),
+                       frontend_->entries());
     return out;
 }
 
@@ -106,9 +94,7 @@ FcEngine::backwardInput(const Tensor &grad, const Tensor &weight,
     // One replayed pass (§III-C2): the owner rows run through
     // matmulTransposeB — per row the accumulation order of the exact
     // input gradient — and forward-HIT rows take their owner's row.
-    stats.macsSkipped = static_cast<uint64_t>(pass.forwarded) *
-                        static_cast<uint64_t>(d) * static_cast<uint64_t>(m);
-    stats.addReplayedPass(pass);
+    stats.addPass(pass, static_cast<uint64_t>(d) * static_cast<uint64_t>(m));
     if (pass.forwarded == 0)
         return matmulTransposeB(grad, weight);
     return forwardOwnerRows(

@@ -6,15 +6,13 @@
  * receives every weight-column result from the "earlier PE" that owns
  * the matching signature instead of recomputing the dot products.
  *
- * Schedule (§III-B, Fig. 8): forward() consumes the detection
- * pipeline's streaming block hand-off. Computed rows of a delivered
- * block run on the driving thread while later blocks still hash on the
- * frontend's pool. HIT rows are forwarded once the stream has
- * delivered (owners are always computed rows, so forwarding chains
- * have depth one). Outputs, owner maps, and statistics are
- * bit-identical with and without a pool. forward() itself is
- * single-caller: one thread drives an engine (or a shared frontend) at
- * a time.
+ * forward() runs one detection pass over the minibatch (on a pool,
+ * later blocks hash while the driving thread probes earlier ones),
+ * then computes the owner rows and copies each HIT row from its owner
+ * (owners are always computed rows, so forwarding chains have depth
+ * one). Outputs, owner maps, and statistics are bit-identical with
+ * and without a pool. forward() itself is single-caller: one thread
+ * drives an engine (or a shared frontend) at a time.
  */
 
 #ifndef MERCURY_CORE_FC_ENGINE_HPP
@@ -25,7 +23,7 @@
 #include <vector>
 
 #include "core/mcache.hpp"
-#include "core/reuse_runtime.hpp" // ReuseStats
+#include "core/reuse_runtime.hpp"
 #include "pipeline/detection_frontend.hpp"
 #include "tensor/tensor.hpp"
 

@@ -23,10 +23,6 @@ MercuryAccelerator::MercuryAccelerator(const AcceleratorConfig &cfg,
 {
     if (model_.empty())
         fatal("MercuryAccelerator needs at least one layer");
-    if (cfg.pipelineBlockRows <= 0 || cfg.pipelineThreads < 0) {
-        fatal("invalid detection-pipeline knobs: blockRows ",
-              cfg.pipelineBlockRows, ", threads ", cfg.pipelineThreads);
-    }
 }
 
 bool

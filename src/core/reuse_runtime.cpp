@@ -1,22 +1,19 @@
 #include "core/reuse_runtime.hpp"
 
 #include <algorithm>
-#include <utility>
+#include <vector>
 
 #include "core/kernels/kernels.hpp"
-#include "core/span_batcher.hpp"
 #include "tensor/ops.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mercury {
 
 void
-ReuseRuntime::parallelRanges(
-    int64_t n, const std::function<void(int64_t, int64_t)> &fn)
+parallelRanges(ThreadPool *pool, int64_t n,
+               const std::function<void(int64_t, int64_t)> &fn)
 {
     if (n <= 0)
         return;
-    ThreadPool *pool = fe_.workerPool();
     if (!pool) {
         fn(0, n);
         return;
@@ -26,73 +23,6 @@ ReuseRuntime::parallelRanges(
     pool->parallelFor(ranges, [&](int64_t c) {
         fn(c * n / ranges, (c + 1) * n / ranges);
     });
-}
-
-const SignatureRecord::Pass &
-ReuseRuntime::runRows(const StreamSource &src, const RowPass &pass,
-                      ReuseStats &stats)
-{
-    // Owner rows of each delivered block go to computeRows in one call,
-    // on this thread, while later blocks hash on the pool. Forwarded
-    // rows are copied once the stream has delivered (owners are always
-    // computed rows, so forwarding chains have depth one). The owner
-    // lists live in the runtime arena, indexed by block start.
-    arena_.reset();
-    int32_t *computed = arena_.rows(src.rowCount());
-    const BlockConsumer consume = [&](const DetectionBlock &blk) {
-        int32_t *batch = computed + blk.row0;
-        int64_t nc = 0;
-        for (int64_t i = blk.row0; i < blk.row1; ++i)
-            if (blk.owner(i) == i)
-                batch[nc++] = static_cast<int32_t>(i);
-        if (nc > 0)
-            pass.computeRows(batch, nc);
-    };
-    SignatureRecord::Pass det =
-        src.job_ ? fe_.finishStream(*src.job_, consume)
-                 : fe_.detectStream(*src.rows_, bits_, consume);
-    stats.mix += det.mix;
-    ++stats.channelPasses;
-    stats.macsSkipped +=
-        static_cast<uint64_t>(det.forwarded) * pass.rowSkipCost;
-    const SignatureRecord::Pass *done = &last_;
-    if (src.capture_) {
-        src.capture_->append(std::move(det), fe_.dataVersions(),
-                             fe_.entries());
-        done = &src.capture_->pass(src.capture_->passCount() - 1);
-    } else {
-        last_ = std::move(det);
-    }
-    if (pass.copyRow)
-        copyForwarded(*done, pass);
-    return *done;
-}
-
-void
-ReuseRuntime::copyForwarded(const SignatureRecord::Pass &det,
-                            const RowPass &pass)
-{
-    // Coalesce adjacent forwards (rows and owners both stepping by
-    // one) into span copies.
-    const int64_t nfwd = det.forwarded;
-    int64_t *fwd_rows = arena_.indices(nfwd);
-    int64_t *fwd_owners = arena_.indices(nfwd);
-    for (int64_t i = 0, k = 0; k < nfwd; ++i) {
-        if (det.owner(i) != i) {
-            fwd_rows[k] = i;
-            fwd_owners[k++] = det.owner(i);
-        }
-    }
-    forEachConsecutiveSpan(
-        fwd_rows, fwd_owners, nfwd, [&](int64_t i0, int64_t i1) {
-            if (i1 - i0 > 1 && pass.copyRowSpan) {
-                pass.copyRowSpan(fwd_rows[i0], fwd_rows[i0] + (i1 - i0),
-                                 fwd_owners[i0]);
-            } else {
-                for (int64_t i = i0; i < i1; ++i)
-                    pass.copyRow(fwd_rows[i], fwd_owners[i]);
-            }
-        });
 }
 
 Tensor
@@ -129,6 +59,30 @@ forwardOwnerRows(const Tensor &ownerResults,
     return out;
 }
 
+void
+copyHitRows(Tensor &t, const SignatureRecord::Pass &pass)
+{
+    if (pass.forwarded == 0)
+        return;
+    const int64_t cols = t.dim(1);
+    float *data = t.data();
+    for (int64_t r = 0; r < pass.rows;) {
+        const int64_t o = pass.owner(r);
+        if (o == r) {
+            ++r;
+            continue;
+        }
+        // Extend the run while the next row forwards from the next
+        // owner (such a row is never an owner: its owner precedes it).
+        int64_t end = r + 1;
+        while (end < pass.rows && pass.owner(end) == o + (end - r))
+            ++end;
+        kernels::ops().copySpan(data + r * cols, data + o * cols,
+                                (end - r) * cols);
+        r = end;
+    }
+}
+
 Tensor
 ownerWeightGrad(const SignatureRecord::Pass &pass, const Tensor &a,
                 const Tensor &b, ReuseStats &stats)
@@ -136,10 +90,8 @@ ownerWeightGrad(const SignatureRecord::Pass &pass, const Tensor &a,
     const int64_t n = pass.rows;
     const int64_t db = b.dim(1);
     const int64_t fwd = pass.forwarded;
-    stats.macsSkipped += static_cast<uint64_t>(fwd) *
-                         static_cast<uint64_t>(a.dim(1)) *
-                         static_cast<uint64_t>(db);
-    stats.addReplayedPass(pass);
+    stats.addPass(pass, static_cast<uint64_t>(a.dim(1)) *
+                            static_cast<uint64_t>(db));
     if (fwd == 0)
         return matmul(transpose2d(a), b);
 

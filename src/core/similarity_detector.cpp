@@ -3,7 +3,6 @@
 #include <unordered_set>
 
 #include "util/logging.hpp"
-#include "util/sampling.hpp"
 
 namespace mercury {
 
@@ -42,15 +41,6 @@ SimilarityDetector::detect(const Tensor &rows) const
         res.table.append(std::move(sig), r.entryId);
     }
     return res;
-}
-
-HitMix
-SimilarityDetector::detectSampled(const Tensor &rows,
-                                  int64_t max_sample) const
-{
-    return sampledDetection(rows, max_sample, [this](const Tensor &r) {
-        return detect(r).mix();
-    });
 }
 
 } // namespace mercury

@@ -55,13 +55,6 @@ class SimilarityDetector
      */
     DetectionResult detect(const Tensor &rows) const;
 
-    /**
-     * Statistical form for big layers: detect over at most
-     * `max_sample` rows (evenly strided) and return a mix scaled back
-     * to the full population. Exercises the identical code path.
-     */
-    HitMix detectSampled(const Tensor &rows, int64_t max_sample) const;
-
   private:
     const RPQEngine &rpq_;
     MCache &cache_;

@@ -14,10 +14,12 @@
  * backwardReuse), each layer's forward pass additionally captures its
  * detection outcomes into a SignatureRecord, and the input-gradient
  * pass replays that record through the reuse engines — skipping the
- * grad products of forward-HIT rows with zero detection cost. Weight
- * gradients stay exact either way. Backward statistics accumulate
- * separately (backwardTotals) so the two halves of a training step
- * can be reported against their own baselines.
+ * grad products of forward-HIT rows with zero detection cost. With
+ * weight-gradient reuse (setWeightGradReuse) the dW pass replays the
+ * same record by sum-then-multiply; without it, weight gradients are
+ * exact gradients of the perturbed forward. dX and dW statistics
+ * accumulate separately (backwardTotals, weightGradTotals) so each
+ * pass of a training step can be reported against its own baseline.
  */
 
 #ifndef MERCURY_NN_MERCURY_HOOKS_HPP

@@ -1,45 +1,191 @@
 /**
  * @file
- * DetectionFrontend: the one-stop similarity front-end the reuse
- * engines, workloads, and NN hooks consume.
+ * DetectionFrontend: the one similarity front-end the reuse engines,
+ * workloads, and NN hooks consume (§III-B, Fig. 7).
  *
  * A frontend owns (or borrows) the MCACHE, provisions an RPQEngine
- * per vector dimension on demand, and routes every detection pass
- * through the streaming DetectionPipeline — so callers no longer
- * assemble RPQEngine + MCache + SimilarityDetector by hand, and every
- * consumer picks up the pipeline knobs (block size, threads) from one
- * place. Every pass is the same two halves, beginHashStream and
- * finishStream; detect() is the two with no consumer. Replays do not
- * come through here: ReuseRuntime hands a recorded pass's row ranges
- * to its consumers directly.
+ * per vector dimension on demand, and holds the pipeline knobs (block
+ * size, threads), so callers never assemble RPQEngine + MCache by
+ * hand. A detection pass has two stages over one flat result, a
+ * SignatureRecord::Pass:
+ *
+ *  1. blocked signature generation — row blocks are projected against
+ *     all signature filters at once (RPQEngine::signatureWords) and
+ *     sign-packed straight into the pass's packed words, on the
+ *     frontend's pool when it has one (DetectionHashJob);
+ *  2. MCACHE probing — each hashed block is probed in stream order on
+ *     the calling thread, so every MCACHE set sees its signatures in
+ *     the scalar detector's order. The probe writes each row's
+ *     outcome, entry id and owner (OwnerTable's rule, one table per
+ *     frontend) into the pass and counts the mix.
+ *
+ * Every pass is the same two halves: beginHashStream starts stage 1
+ * and touches no MCACHE state, so the caller may keep working on the
+ * previous pass's results while it runs (the conv forward hashes the
+ * next channel under the current one's computes); finishStream probes
+ * the blocks as they land — on a pool, later blocks still hash while
+ * earlier ones probe — and returns the finished pass. detect() is the
+ * two back to back. The caller then runs its dense owner kernel over
+ * the pass's owner rows; replays read a recorded pass and never come
+ * through here.
  *
  * Results are bit-identical to SimilarityDetector over the same
- * MCache organization for any block size and thread count. Each pass
- * also carries its owner map: the frontend keeps one OwnerTable,
- * sized to its cache, that the probe resolves every pass through.
+ * MCache organization for any block size and thread count:
+ * projections accumulate in the same element order, and each MCACHE
+ * set sees its signatures in the same stream order.
  *
- * Concurrency contract: one thread drives a frontend's detection
- * passes (detect / detectStream / detectSampled) at a time — the
- * frontend fans work out internally. The RPQ provisioning map and the
- * lazy pool are owned by the driving thread, so two threads must not
- * run passes on one frontend concurrently.
+ * Concurrency contract: one thread drives a frontend's passes at a
+ * time — the frontend fans work out internally. The RPQ provisioning
+ * map and the lazy pool are owned by the driving thread, so two
+ * threads must not run passes on one frontend concurrently.
  */
 
 #ifndef MERCURY_PIPELINE_DETECTION_FRONTEND_HPP
 #define MERCURY_PIPELINE_DETECTION_FRONTEND_HPP
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <vector>
 
 #include "core/mcache.hpp"
 #include "core/rpq.hpp"
-#include "pipeline/detection_pipeline.hpp"
 #include "pipeline/signature_record.hpp"
 #include "sim/config.hpp"
+#include "util/executors.hpp"
+#include "util/spsc_queue.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mercury {
+
+/** Tuning knobs of the detection pipeline. */
+struct PipelineConfig
+{
+    /**
+     * Rows per projection work item (stage 1 granularity). 0 = auto:
+     * resolved per pass to the sweep-tuned value for the pass size
+     * (tunedPipelineFor, bench/sweep_tuning).
+     */
+    int64_t blockRows = 64;
+
+    /**
+     * Worker threads: 1 = run inline on the caller, 0 = auto. The
+     * pool hashes live passes and runs the replays' fan-outs.
+     */
+    int threads = 1;
+
+    /**
+     * Persistent MCACHE (serving layer): when true, passes do NOT
+     * clear the cache first — tags survive across passes, so rows
+     * similar to a *previous* request HIT instead of re-inserting.
+     * Correctness is unchanged: result forwarding is strictly
+     * within-pass (the engines compute a cross-pass HIT exactly, via
+     * their per-pass owner maps), so
+     * persistence trades only which rows count as hits. The §V
+     * insert-backlog model is still reset per pass. Lifecycle
+     * (eviction, epochs, quota) is driven by the cache owner; see
+     * docs/ARCHITECTURE.md, "Serving layer".
+     */
+    bool persistent = false;
+
+    /** Lift the pipeline knobs out of an accelerator configuration. */
+    static PipelineConfig fromConfig(const AcceleratorConfig &cfg);
+
+    /**
+     * Effective knobs for a pass over `rows` vectors: blockRows == 0
+     * (auto) resolves to the sweep-tuned block size for the pass
+     * size; explicit values pass through untouched.
+     */
+    PipelineConfig resolvedFor(int64_t rows) const;
+};
+
+/**
+ * Producer of the rows being detected (single-touch fused blocks):
+ * when a pass is given a RowFiller, rows [row0, row1) of the row
+ * tensor are materialized by calling it immediately before that
+ * range is projected — extraction, projection, and sign-pack then
+ * walk the block once while it is cache-hot, instead of extraction
+ * streaming the whole tensor first. Fillers must write only their
+ * [row0, row1) range (disjoint ranges run concurrently on the pool)
+ * and must be callable from worker threads. Every row of the tensor
+ * is filled exactly once per pass, so the tensor is fully
+ * materialized when finishStream returns — the owner computes read it
+ * as if it had been pre-extracted.
+ */
+using RowFiller = std::function<void(int64_t row0, int64_t row1)>;
+
+/**
+ * In-flight stage-1 (hashing) half of a detection pass, created by
+ * DetectionFrontend::beginHashStream and consumed exactly once by
+ * DetectionFrontend::finishStream.
+ *
+ * With a pool, self-replenishing hash tasks start when the job is
+ * created; without one, each block hashes when the probe reaches it.
+ * While a job is in flight its hash tasks read the row tensor and the
+ * cache *geometry* (set count) only — never cache tags or data — so a
+ * job for the next pass may hash while the caller still works on the
+ * previous pass's results. The job owns the pass it is filling:
+ * hashing writes the packed words, finishStream the outcomes, entry
+ * ids, owners and mix. The row tensor must stay alive and unmodified
+ * until finishStream returns (or the job is destroyed, which joins
+ * the outstanding hash tasks).
+ */
+class DetectionHashJob
+{
+  public:
+    /** Joins any outstanding hash tasks. */
+    ~DetectionHashJob();
+
+    DetectionHashJob(const DetectionHashJob &) = delete;
+    DetectionHashJob &operator=(const DetectionHashJob &) = delete;
+
+  private:
+    friend class DetectionFrontend;
+
+    /** Size the pass and, with a pool, start hashing on it. */
+    DetectionHashJob(const Tensor &rows, const RPQEngine &rpq,
+                     const MCache &cache, int bits, int64_t block_rows,
+                     RowFiller fill, ThreadPool *pool);
+
+    void projectBlock(int64_t b);
+
+    /**
+     * Claim the next unhashed block, hash it and publish every block
+     * the frontier can now pass; false when no block is left to
+     * claim. Hash tasks and the probing thread both call this.
+     */
+    bool hashNext();
+
+    /**
+     * Return once block `b`, the next in stream order, is hashed:
+     * without a pool, hash it here; with one, take it from the
+     * sequencer, hashing unclaimed blocks while it is not ready.
+     */
+    void awaitHashed(int64_t b);
+
+    const Tensor &rows_;
+    RowFiller fill_; ///< fused extraction; empty = rows pre-filled
+    const RPQEngine &rpq_;
+    const MCache &cache_; // geometry reads only while hashing
+    int bits_;
+    int64_t blockRows_;
+    int64_t n_;
+    int64_t blocks_;
+    SignatureRecord::Pass pass_; ///< the result being filled
+    std::vector<int> setOf_;
+    // Sequencer state (pooled jobs): hashers finish in any order; the
+    // frontier walk pushes them into the hand-off ascending.
+    SpscQueue<int64_t> handoff_;
+    std::mutex seqMutex_;
+    std::vector<char> hashed_;
+    int64_t frontier_ = 0;
+    std::atomic<int64_t> nextBlock_{0};
+    std::function<void()> hashOne_;     // self-replenishing hash task
+    std::unique_ptr<TaskGroup> hashers_; // null: hash inline at finish
+};
 
 /** Pipeline-backed similarity detection front-end. */
 class DetectionFrontend
@@ -88,63 +234,49 @@ class DetectionFrontend
 
     /**
      * Run one detection pass over a (num_vectors, d) matrix at the
-     * given signature length: beginHashStream + finishStream with no
-     * consumer. Clears the cache first; the RPQEngine for dimension d
-     * is created on first use and reused afterwards. Returns the pass
-     * (packed words, outcomes, entry ids, mix); to keep it for the
+     * given signature length: beginHashStream + finishStream. Clears
+     * the cache first; the RPQEngine for dimension d is created on
+     * first use and reused afterwards. Returns the pass (packed words,
+     * outcomes, entry ids, owner map, mix); to keep it for the
      * backward replay (§III-C2), move it into a SignatureRecord with
      * append(pass, dataVersions(), entries()).
      */
     SignatureRecord::Pass detect(const Tensor &rows, int bits);
 
     /**
-     * detect() with a consumer: completed blocks are delivered to
-     * `on_block` in ascending block order while later blocks are
-     * still hashing on the pool (see DetectionPipeline::finishStreaming
-     * for the ordering and lifetime contract). The callback runs on
-     * the calling thread.
-     */
-    SignatureRecord::Pass detectStream(const Tensor &rows, int bits,
-                                       const BlockConsumer &on_block);
-
-    /**
-     * Start the hashing half of a streaming pass (see
-     * DetectionPipeline::beginHash): no MCACHE state is touched, so
-     * the caller may keep working on the previous pass's results
-     * while it hashes — the cross-channel overlap. `rows` must
-     * outlive the job; consume the job with finishStream exactly
-     * once. One thread drives begin/finish, like every other pass.
-     * With a `fill`, `rows` is scratch the filler populates blockwise
-     * (fused extraction — the filler's writes must cover every row).
-     * Without a pool, hashing is deferred into finishStream.
+     * Start the hashing half of a pass: no MCACHE state is touched,
+     * so the caller may keep working on the previous pass's results
+     * while it hashes. `rows` must outlive the job; consume the job
+     * with finishStream exactly once. One thread drives begin/finish,
+     * like every other pass. With a `fill`, `rows` is scratch the
+     * filler populates blockwise (fused extraction — the filler's
+     * writes must cover every row). Without a pool, hashing is
+     * deferred into finishStream. Panics on a signature length
+     * outside 1..maxBits() or a negative block size.
      */
     std::unique_ptr<DetectionHashJob> beginHashStream(const Tensor &rows,
                                                       int bits,
                                                       RowFiller fill = {});
 
     /**
-     * Probe-and-deliver half of a pass begun with beginHashStream;
-     * returns the pass. The probes run on the calling thread alone.
+     * Probe half of a pass begun with beginHashStream: clears the
+     * cache (the new vector population arrived, §III-B3; a persistent
+     * cache only resets its insert backlog), probes the blocks in
+     * ascending order on the calling thread as they finish hashing,
+     * and returns the filled pass: its outcomes, entry ids, words and
+     * mix are SimilarityDetector::detect's, row for row, and its owner
+     * map is OwnerTable's rule over them. Consumes the job.
      */
-    SignatureRecord::Pass finishStream(DetectionHashJob &job,
-                                       const BlockConsumer &on_block);
+    SignatureRecord::Pass finishStream(DetectionHashJob &job);
 
     /**
      * The pool detection passes fan out to — shared pool if set,
      * otherwise the private pool for the configured thread knob.
      * nullptr when the resolved thread count is 1: every pass then
-     * runs inline on the calling thread. ReuseRuntime hashes live
-     * passes and fans replays out on it.
+     * runs inline on the calling thread. Live passes hash on it and
+     * replays fan out on it (parallelRanges).
      */
     ThreadPool *workerPool() { return poolFor(); }
-
-    /**
-     * Statistical form for big layers: detect over at most
-     * `max_sample` evenly strided rows and scale the mix back to the
-     * full population. Exercises the identical pipeline path.
-     */
-    HitMix detectSampled(const Tensor &rows, int bits,
-                         int64_t max_sample);
 
     /** The cache behind the frontend. */
     MCache &cache() { return *cache_; }

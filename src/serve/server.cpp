@@ -179,8 +179,6 @@ MercuryServer::MercuryServer(const ServeConfig &cfg)
     acfg.mcacheWays = cfg_.ways;
     acfg.mcacheDataVersions = cfg_.dataVersions;
     acfg.initialSignatureBits = cfg_.signatureBits;
-    acfg.pipelineBlockRows = pipe_.blockRows;
-    acfg.pipelineThreads = pipe_.threads;
     acfg.persistentCache = true;
     costFwd_ = sim::CostModel::create(acfg);
     acfg.backwardReuse = true;

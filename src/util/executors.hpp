@@ -4,11 +4,10 @@
  * join-once) and SerialExecutor (a FIFO task chain — at most one task
  * of the chain runs at a time, in submission order).
  *
- * These started life inside the reuse-engine translation units; they
- * are shared scheduling infrastructure now — the streaming detection
- * pipeline and ReuseRuntime join their tasks through TaskGroups, and
- * the serving layer runs each session on a SerialExecutor chain — so
- * they live here, with their own unit tests (tests/test_util.cpp).
+ * A detection hash job (DetectionHashJob) joins its hash tasks through
+ * a TaskGroup, and the serving layer runs each session on a
+ * SerialExecutor chain; both have their own unit tests
+ * (tests/test_util.cpp).
  *
  * Deadlock rule (inherited from ThreadPool): pool tasks must never
  * block on other pool tasks — TaskGroup::wait and
@@ -31,17 +30,16 @@ namespace mercury {
 
 /**
  * Join handle over a set of independently submitted tasks: run() any
- * number of closures, wait() once for all of them. The row-forwarding
- * reuse passes use one group per pass to join the per-block compute
- * tasks they spawned while detection was still streaming.
+ * number of closures, wait() once for all of them. A detection hash
+ * job holds one group for its self-replenishing hash tasks and joins
+ * it before it hands its pass back.
  *
  * Concurrency contract: run() may be called from any thread,
- * including from inside a task of this very group (the streaming
- * pipeline's self-replenishing hash chain does exactly that); the
- * bookkeeping is mutex-protected. wait() is called by one owner
- * thread (the engine's caller) and must not be called from inside a
- * pool task. With a null pool every run() executes inline and wait()
- * is a no-op.
+ * including from inside a task of this very group (the hash job's
+ * self-replenishing chain does exactly that); the bookkeeping is
+ * mutex-protected. wait() is called by one owner thread (the engine's
+ * caller) and must not be called from inside a pool task. With a null
+ * pool every run() executes inline and wait() is a no-op.
  */
 class TaskGroup
 {
@@ -64,8 +62,8 @@ class TaskGroup
     /**
      * Submit `count` copies of one task as a single batch
      * (ThreadPool::submitBatch): one lock round-trip and one wakeup
-     * for the whole dependent group. The streaming pipeline seeds its
-     * self-replenishing hash chains this way.
+     * for the whole dependent group. A detection hash job seeds its
+     * self-replenishing hash chain this way.
      */
     void runBatch(int64_t count, const std::function<void()> &task);
 
@@ -82,11 +80,9 @@ class TaskGroup
 /**
  * FIFO task chain over a ThreadPool: tasks submitted to one executor
  * run in submission order and never concurrently with each other
- * (tasks of *different* executors do run concurrently). This is the
- * ordering primitive behind the chained reuse passes: one executor
- * per in-flight filter keeps that filter's row blocks in stream
- * order — preserving the MCACHE owner-writes-before-hit-reads
- * discipline — while distinct filters proceed in parallel.
+ * (tasks of *different* executors do run concurrently). MercuryServer
+ * runs each session on one, so a session's jobs run in submission
+ * order while different sessions proceed in parallel on one pool.
  *
  * Concurrency contract: run() and wait() are called by one owner
  * thread; the chain itself executes on pool workers (inline with a

@@ -1,13 +1,13 @@
 /**
  * @file
- * Small closable FIFO hand-off queue, used by the detection pipeline
- * to stream completed signature/hit blocks to a consumer while later
- * blocks are still hashing (the Fig. 8 overlap, in software).
+ * Small closable FIFO hand-off queue, used by a detection hash job
+ * (DetectionHashJob) to hand hashed blocks to the probing thread in
+ * ascending order while later blocks are still hashing.
  *
  * Concurrency contract: one consumer thread calls pop()/tryPop().
  * Any number of producers may call push()/close() — pushes are
  * serialized by the internal mutex, so "SPSC" here describes the
- * intended hand-off shape (the pipeline's sequencer guarantees pushes
+ * intended hand-off shape (the hash job's sequencer guarantees pushes
  * arrive in block order), not a lock-free restriction. pop() blocks
  * until an item or close() arrives; after close() drains, pop()
  * returns false forever.

@@ -100,11 +100,10 @@ class ThreadPool
 
     /**
      * Enqueue an independent group of tasks in one operation. A
-     * caller that knows its next wave of work up front (the planned
-     * execution path; DetectionHashJob's seed tasks) hands it over in
-     * one push — from a worker the whole batch lands in its own deque
-     * lock-free; from outside, one injection-queue lock covers the
-     * batch. Tasks of a batch may run in any order (stealing
+     * caller that knows its next wave of work up front
+     * (DetectionHashJob's seed tasks) hands it over in one push —
+     * from a worker the whole batch lands in its own deque lock-free;
+     * from outside, one injection-queue lock covers the batch. Tasks of a batch may run in any order (stealing
      * redistributes them). With no workers the tasks run inline, in
      * order, exactly like repeated submit().
      */

@@ -106,6 +106,24 @@ TEST(Accelerator, BaselineBatchMatchesReportTotals)
                   acc.baselineBatchCycles(batch));
 }
 
+TEST(Accelerator, AutoPipelineKnobsTrainLikeTheDefaults)
+{
+    // 0 is the documented auto value of both detection-pipeline knobs
+    // (sim/config.hpp). The simulator reads neither, so a run with
+    // them at auto prices every batch as the defaults do.
+    AcceleratorConfig auto_cfg = rsConfig();
+    auto_cfg.pipelineBlockRows = 0;
+    auto_cfg.pipelineThreads = 0;
+    MercuryAccelerator acc(auto_cfg, tinyCnn());
+    MercuryAccelerator ref(rsConfig(), tinyCnn());
+    FixedSource source(0.5), ref_source(0.5);
+    const TrainingReport rep = acc.train(source, 2, 4);
+    const TrainingReport want = ref.train(ref_source, 2, 4);
+    EXPECT_EQ(rep.totals.baseline, want.totals.baseline);
+    EXPECT_EQ(rep.totals.mercuryTotal(), want.totals.mercuryTotal());
+    EXPECT_EQ(rep.speedup(), want.speedup());
+}
+
 TEST(Accelerator, PoolLayersNeverQueried)
 {
     // Source counts queries; pool layers must not ask for mixes.

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the similarity detector, hitmap, and signature table:
- * outcome ordering (owners precede their hits), mixes, sampling, and
+ * outcome ordering (owners precede their hits), mixes, and
  * the forward-to-backward signature save path.
  */
 
@@ -197,30 +197,6 @@ TEST(Detector, SmallSetPressureProducesMnu)
     const HitMix m = det.detect(rows).mix();
     EXPECT_GT(m.mnu, 0);
     EXPECT_LE(m.mau, 2);
-}
-
-TEST(Detector, SampledMixApproximatesFull)
-{
-    Tensor rows = prototypeRows(4096, 16, 8, 1e-3f, 9);
-    RPQEngine rpq(16, 32, 50);
-    MCache cache_a(64, 16, 1), cache_b(64, 16, 1);
-    SimilarityDetector full(rpq, cache_a, 20), samp(rpq, cache_b, 20);
-    const HitMix f = full.detect(rows).mix();
-    const HitMix s = samp.detectSampled(rows, 512);
-    EXPECT_EQ(s.vectors, 4096);
-    EXPECT_NEAR(s.hitFraction(), f.hitFraction(), 0.08);
-}
-
-TEST(Detector, SampledPassThroughWhenSmall)
-{
-    Tensor rows = prototypeRows(100, 16, 4, 1e-3f, 10);
-    RPQEngine rpq(16, 32, 51);
-    MCache cache(64, 16, 1);
-    SimilarityDetector det(rpq, cache, 20);
-    const HitMix a = det.detect(rows).mix();
-    const HitMix b = det.detectSampled(rows, 512);
-    EXPECT_EQ(a.hit, b.hit);
-    EXPECT_EQ(a.vectors, b.vectors);
 }
 
 TEST(Detector, WrongDimensionDies)

@@ -2,9 +2,9 @@
  * @file
  * Tests for the runtime-dispatched SIMD kernel layer: exact
  * AVX2-vs-scalar bit-identity of every KernelOps body across odd
- * shapes and tails, the span-batching helper, the PassArena
- * contract, and end-to-end engine bit-identity under a forced kernel
- * table.
+ * shapes and tails, the HIT-copy helper (copyHitRows) against a
+ * per-row copy, and end-to-end engine bit-identity under a forced
+ * kernel table.
  *
  * AVX2-specific cases skip (GTEST_SKIP) on hosts without AVX2; the
  * scalar path and the helpers are covered everywhere.
@@ -22,10 +22,9 @@
 #include "core/fc_engine.hpp"
 #include "core/kernels/kernels.hpp"
 #include "core/mcache.hpp"
-#include "core/pass_arena.hpp"
+#include "core/reuse_runtime.hpp"
 #include "core/rpq.hpp"
 #include "core/signature.hpp"
-#include "core/span_batcher.hpp"
 #include "util/rng.hpp"
 
 namespace mercury {
@@ -475,54 +474,122 @@ TEST(Kernels, ProjectBlockMatchesPerRowProject)
             << "row " << r;
 }
 
-TEST(SpanBatcher, ConsecutiveSpans)
+/**
+ * A structurally sound pass over `rows` rows (owners own themselves
+ * and precede their HIT rows), in one of four shapes: 0 = runs of
+ * consecutive rows forwarding from consecutive owners, broken at
+ * random; 1 = every forwarded row picks a random earlier owner
+ * (mostly singletons); 2 = no forwarded rows; 3 = row 0 owns every
+ * other row.
+ */
+SignatureRecord::Pass
+seededOwnerPass(int64_t rows, int shape, std::mt19937_64 &rng)
 {
-    // rows/owners both stepping by one fuse; any break splits.
-    const std::vector<int64_t> rows = {2, 3, 4, 6, 7, 9, 10, 11, 15};
-    const std::vector<int64_t> owners = {0, 1, 2, 0, 1, 3, 4, 8, 9};
-    std::vector<std::pair<int64_t, int64_t>> spans;
-    forEachConsecutiveSpan(rows.data(), owners.data(),
-                           static_cast<int64_t>(rows.size()),
-                           [&](int64_t i0, int64_t i1) {
-                               spans.emplace_back(i0, i1);
-                           });
-    // {2,3,4}<-{0,1,2}; {6,7}<-{0,1}; {9,10}<-{3,4}; {11}<-{8}
-    // (rows 10->11 consecutive but owners 4->8 not); {15}<-{9}.
-    const std::vector<std::pair<int64_t, int64_t>> expect = {
-        {0, 3}, {3, 5}, {5, 7}, {7, 8}, {8, 9}};
-    EXPECT_EQ(expect, spans);
-
-    // Empty list: no callbacks.
-    forEachConsecutiveSpan(rows.data(), owners.data(), 0,
-                           [&](int64_t, int64_t) { FAIL(); });
+    SignatureRecord::Pass pass;
+    pass.rows = rows;
+    pass.owners.resize(static_cast<size_t>(rows));
+    std::vector<int32_t> owners_so_far;
+    for (int32_t r = 0; r < rows; ++r) {
+        int32_t o = r;
+        if (shape == 3) {
+            o = 0;
+        } else if (!owners_so_far.empty() && shape != 2 && rng() % 3) {
+            // Shape 0 extends the previous row's run when it can.
+            const int32_t prev = r > 0 ? pass.owner(r - 1) : -1;
+            const bool extend = shape == 0 && prev >= 0 && prev != r - 1 &&
+                                pass.owner(prev + 1) == prev + 1 &&
+                                rng() % 4 != 0;
+            o = extend ? prev + 1
+                       : owners_so_far[rng() % owners_so_far.size()];
+        }
+        pass.owners[static_cast<size_t>(r)] = o;
+        if (o == r)
+            owners_so_far.push_back(r);
+        pass.forwarded += o != r;
+    }
+    return pass;
 }
 
-TEST(PassArena, AlignmentAndReuse)
+int64_t gCopySpans = 0;
+
+void
+countingCopySpan(float *dst, const float *src, int64_t n)
 {
-    PassArena arena;
-    float *a = arena.floats(100);
-    int64_t *b = arena.indices(7);
-    uint8_t *c = arena.bytes(3);
-    EXPECT_EQ(0u, reinterpret_cast<uintptr_t>(a) % 64);
-    EXPECT_EQ(0u, reinterpret_cast<uintptr_t>(b) % 64);
-    EXPECT_EQ(0u, reinterpret_cast<uintptr_t>(c) % 64);
-    a[99] = 1.0f;
-    b[6] = 2;
-    c[2] = 3;
+    ++gCopySpans;
+    kernels::scalarOps().copySpan(dst, src, n);
+}
 
-    // reset() rewinds without freeing: the same storage comes back.
-    arena.reset();
-    float *a2 = arena.floats(100);
-    EXPECT_EQ(a, a2);
+TEST(CopyHitRows, SeededPassesMatchPerRowCopy)
+{
+    // The helper against a per-row copy on seeded passes of every
+    // shape: forwarded rows take their owner's row, owner rows (the
+    // sentinels, holding their own values) stay bit for bit, and each
+    // maximal run — rows and owners both stepping by one — costs one
+    // copySpan.
+    KernelOps counting = kernels::scalarOps();
+    counting.copySpan = &countingCopySpan;
+    ForceGuard guard(&counting);
+    std::mt19937_64 rng(2027);
+    int64_t runs_seen = 0, long_runs = 0;
+    for (int seed = 0; seed < 400; ++seed) {
+        const int shape = seed % 4;
+        const int64_t rows = 1 + static_cast<int64_t>(rng() % 97);
+        const int64_t cols = 1 + static_cast<int64_t>(rng() % 11);
+        const SignatureRecord::Pass pass =
+            seededOwnerPass(rows, shape, rng);
+        const std::vector<float> init = randomFloats(rows * cols, seed);
+        Tensor t({rows, cols});
+        std::copy(init.begin(), init.end(), t.data());
 
-    // An allocation bigger than the chunk gets its own chunk and is
-    // still aligned; after reset the sequence replays identically.
-    float *big = arena.floats(1 << 18);
-    EXPECT_EQ(0u, reinterpret_cast<uintptr_t>(big) % 64);
-    big[(1 << 18) - 1] = 4.0f;
-    arena.reset();
-    EXPECT_EQ(a, arena.floats(100));
-    EXPECT_EQ(big, arena.floats(1 << 18));
+        std::vector<float> ref = init;
+        int64_t runs = 0;
+        for (int64_t r = 0; r < rows; ++r) {
+            const int64_t o = pass.owner(r);
+            if (o == r)
+                continue;
+            std::copy(init.begin() + o * cols, init.begin() + (o + 1) * cols,
+                      ref.begin() + r * cols);
+            const bool extends = r > 0 && pass.owner(r - 1) != r - 1 &&
+                                 pass.owner(r - 1) + 1 == o;
+            runs += !extends;
+            long_runs += extends;
+        }
+        gCopySpans = 0;
+        copyHitRows(t, pass);
+        ASSERT_EQ(0, std::memcmp(ref.data(), t.data(),
+                                 ref.size() * sizeof(float)))
+            << "seed " << seed << " shape " << shape << " rows " << rows;
+        EXPECT_EQ(gCopySpans, runs)
+            << "seed " << seed << " shape " << shape;
+        if (shape == 2) {
+            EXPECT_EQ(gCopySpans, 0) << "no forwarded rows, no copies";
+        }
+        runs_seen += runs;
+    }
+    EXPECT_GT(runs_seen, 0);
+    EXPECT_GT(long_runs, 0) << "the seeds must produce multi-row runs";
+}
+
+TEST(CopyHitRows, OneOwnerFeedsEveryRowOneCopyEach)
+{
+    // Row 0 owns every row: no two forwarded rows have consecutive
+    // owners, so each takes its own copySpan, all from row 0.
+    KernelOps counting = kernels::scalarOps();
+    counting.copySpan = &countingCopySpan;
+    ForceGuard guard(&counting);
+    SignatureRecord::Pass pass;
+    pass.rows = 6;
+    pass.owners.assign(6, 0);
+    pass.forwarded = 5;
+    Tensor t({6, 3});
+    for (int64_t i = 0; i < t.numel(); ++i)
+        t[i] = static_cast<float>(i);
+    gCopySpans = 0;
+    copyHitRows(t, pass);
+    EXPECT_EQ(gCopySpans, 5);
+    for (int64_t r = 0; r < 6; ++r)
+        for (int64_t c = 0; c < 3; ++c)
+            EXPECT_EQ(t.at2(r, c), static_cast<float>(c)) << r;
 }
 
 /** Conv forward under a specific kernel table. */

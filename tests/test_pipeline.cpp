@@ -1,19 +1,23 @@
 /**
  * @file
- * Tests for the streaming detection pipeline (src/pipeline): the
- * DetectionPipeline must be bit-identical to the legacy
- * SimilarityDetector for every block size and thread count, reruns
- * must be deterministic, the reuse engines must produce identical
- * outputs through a shared multi-threaded frontend, and the fixed
- * strided sampling must cover the population tail.
+ * Tests for the detection front-end (src/pipeline): a pass must be
+ * bit-identical to the legacy SimilarityDetector for every block size
+ * and thread count, reruns must be deterministic, a hash job may run
+ * under the previous pass, the reuse engines must produce identical
+ * outputs through a shared multi-threaded frontend, and the frontend
+ * refuses knobs and jobs no pass can run.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/attention_engine.hpp"
 #include "core/conv_reuse_engine.hpp"
@@ -22,7 +26,6 @@
 #include "nn/mercury_hooks.hpp"
 #include "pipeline/detection_frontend.hpp"
 #include "util/rng.hpp"
-#include "util/sampling.hpp"
 #include "util/spsc_queue.hpp"
 #include "util/thread_pool.hpp"
 #include "workloads/synthetic.hpp"
@@ -227,63 +230,6 @@ TEST(Pipeline, FcEngineIdenticalThroughSharedThreadedFrontend)
     EXPECT_EQ(piped_stats.macsSkipped, legacy_stats.macsSkipped);
 }
 
-TEST(Sampling, StridedIndicesCoverTheWholeRange)
-{
-    // 1000 rows sampled 300 times: the truncating stride (3) never
-    // got past row 897; round-to-nearest must reach the tail.
-    int64_t prev = -1;
-    for (int64_t i = 0; i < 300; ++i) {
-        const int64_t idx = stridedSampleIndex(i, 1000, 300);
-        EXPECT_GT(idx, prev); // strictly increasing
-        EXPECT_LT(idx, 1000);
-        prev = idx;
-    }
-    EXPECT_GE(prev, 990); // last pick lands in the tail
-    // Exact divisors reproduce the legacy indices.
-    for (int64_t i = 0; i < 512; ++i)
-        EXPECT_EQ(stridedSampleIndex(i, 4096, 512), i * 8);
-}
-
-TEST(Sampling, DetectSampledSeesTheTail)
-{
-    // Head: one hot prototype; tail: 100 i.i.d. random rows. The old
-    // truncating stride sampled the head only and extrapolated ~all
-    // hits; covering the tail recovers the real unique count.
-    Rng rng(17);
-    Tensor rows({1000, 16});
-    std::vector<float> proto(16);
-    for (auto &v : proto)
-        v = static_cast<float>(rng.normal());
-    for (int64_t i = 0; i < 900; ++i)
-        for (int64_t j = 0; j < 16; ++j)
-            rows.at2(i, j) = proto[static_cast<size_t>(j)];
-    for (int64_t i = 900; i < 1000; ++i)
-        for (int64_t j = 0; j < 16; ++j)
-            rows.at2(i, j) = static_cast<float>(rng.normal());
-
-    RPQEngine rpq(16, kMaxBits, 18);
-    MCache full_cache(kSets, kWays, 1), samp_cache(kSets, kWays, 1);
-    SimilarityDetector full(rpq, full_cache, 24);
-    SimilarityDetector samp(rpq, samp_cache, 24);
-    const HitMix f = full.detect(rows).mix();
-    const HitMix s = samp.detectSampled(rows, 300);
-    EXPECT_EQ(s.vectors, 1000);
-    // ~101 uniques in the full pass; the truncating stride reported
-    // ~3. Require the sampled estimate to land near the truth.
-    EXPECT_GT(f.mau, 90);
-    EXPECT_NEAR(static_cast<double>(s.mau), static_cast<double>(f.mau),
-                0.25 * static_cast<double>(f.mau));
-
-    // The pipeline frontend shares the same sampling path.
-    PipelineConfig pipe;
-    pipe.threads = 2;
-    DetectionFrontend fe(kSets, kWays, 1, kMaxBits, 18, pipe);
-    const HitMix p = fe.detectSampled(rows, 24, 300);
-    EXPECT_EQ(p.hit, s.hit);
-    EXPECT_EQ(p.mau, s.mau);
-    EXPECT_EQ(p.mnu, s.mnu);
-}
-
 TEST(ThreadPool, ParallelForVisitsEveryIndexOnce)
 {
     ThreadPool pool(3);
@@ -343,58 +289,115 @@ TEST(Pipeline, MercuryContextCachesFrontendsAndMatchesLegacy)
     EXPECT_EQ(piped_stats.mix.mau, legacy_stats.mix.mau);
 }
 
-TEST(Streaming, BlocksArriveInOrderAndResultsMatchScalarDetector)
+/** Fill rows [r0, r1) of `dst` from `src`, logging each range. */
+RowFiller
+copyingFiller(const Tensor &src, Tensor &dst,
+              std::vector<std::pair<int64_t, int64_t>> &log,
+              std::mutex &log_mutex)
 {
-    Tensor rows = prototypeVectors(500, 24, 64, 0.01f, 77, 1.2);
-    PipelineConfig pipe;
-    pipe.blockRows = 48; // 500 rows -> 11 blocks, last one ragged
-    pipe.threads = 4;
-    DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed, pipe);
-
-    std::vector<int64_t> order;
-    int64_t covered = 0;
-    const SignatureRecord::Pass streamed = fe.detectStream(
-        rows, kBits, [&](const DetectionBlock &blk) {
-            order.push_back(blk.index);
-            // Hand-off invariants: ascending, contiguous, probed.
-            EXPECT_EQ(blk.row0, blk.index * pipe.blockRows);
-            EXPECT_EQ(blk.row1,
-                      std::min<int64_t>(rows.dim(0),
-                                        blk.row0 + pipe.blockRows));
-            EXPECT_EQ(blk.row0, covered);
-            covered = blk.row1;
-            for (int64_t r = blk.row0; r < blk.row1; ++r) {
-                if (blk.outcome(r) != McacheOutcome::Mnu) {
-                    EXPECT_GE(blk.entryId(r), 0);
-                }
-            }
-        });
-    ASSERT_EQ(order.size(), 11u);
-    for (size_t b = 0; b < order.size(); ++b)
-        EXPECT_EQ(order[b], static_cast<int64_t>(b))
-            << "hand-off out of order";
-    EXPECT_EQ(covered, rows.dim(0));
-
-    // The streamed pass must be bit-identical to the legacy scalar
-    // path.
-    expectMatchesLegacy(streamed, legacyDetect(rows));
+    return [&src, &dst, &log, &log_mutex](int64_t r0, int64_t r1) {
+        const int64_t d = src.dim(1);
+        std::copy(src.data() + r0 * d, src.data() + r1 * d,
+                  dst.data() + r0 * d);
+        std::lock_guard<std::mutex> lock(log_mutex);
+        log.emplace_back(r0, r1);
+    };
 }
 
-TEST(Streaming, InlineFallbackStreamsWithoutAPool)
+TEST(Frontend, HashJobRunsUnderThePreviousPass)
 {
-    Tensor rows = prototypeVectors(130, 16, 20, 0.01f, 3, 1.0);
+    // The conv forward's shape: pass B's fused fill and hash begin
+    // right after pass A's probe, while A's rows are still read. Each
+    // pass must equal the scalar detector's, A's rows stay as filled,
+    // and every row is filled exactly once, in blockRows-wide ranges.
+    const Tensor a_src = prototypeVectors(500, 24, 64, 0.01f, 77, 1.2);
+    const Tensor b_src = prototypeVectors(300, 24, 40, 0.01f, 78, 1.2);
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        PipelineConfig pipe;
+        pipe.blockRows = 48; // ragged last block in both passes
+        pipe.threads = threads;
+        DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed, pipe);
+        Tensor a_rows({500, 24}), b_rows({300, 24});
+        std::mutex log_mutex;
+        std::vector<std::pair<int64_t, int64_t>> a_log, b_log;
+
+        auto job = fe.beginHashStream(
+            a_rows, kBits, copyingFiller(a_src, a_rows, a_log, log_mutex));
+        const SignatureRecord::Pass a = fe.finishStream(*job);
+        job = fe.beginHashStream(
+            b_rows, kBits, copyingFiller(b_src, b_rows, b_log, log_mutex));
+        EXPECT_TRUE(a_rows == a_src) << "A's rows must be fully filled";
+        const SignatureRecord::Pass b = fe.finishStream(*job);
+
+        expectMatchesLegacy(a, legacyDetect(a_src));
+        expectMatchesLegacy(b, legacyDetect(b_src));
+        for (auto *log : {&a_log, &b_log}) {
+            std::sort(log->begin(), log->end());
+            for (size_t i = 0; i < log->size(); ++i) {
+                EXPECT_EQ((*log)[i].first, static_cast<int64_t>(i) * 48);
+                if (i + 1 < log->size()) {
+                    EXPECT_EQ((*log)[i].second, (*log)[i + 1].first);
+                }
+            }
+        }
+        EXPECT_EQ(a_log.size(), 11u);
+        EXPECT_EQ(a_log.back().second, 500);
+        EXPECT_EQ(b_log.size(), 7u);
+        EXPECT_EQ(b_log.back().second, 300);
+    }
+}
+
+TEST(Frontend, InlineJobHashesInsideFinishStream)
+{
+    // Without a pool, beginHashStream touches no row: the blocks are
+    // filled and hashed one by one inside finishStream.
+    const Tensor src = prototypeVectors(130, 16, 20, 0.01f, 3, 1.0);
     PipelineConfig pipe;
     pipe.blockRows = 32;
-    pipe.threads = 1; // no pool: hash, probe, deliver inline per block
     DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed, pipe);
-    int64_t blocks = 0;
-    const SignatureRecord::Pass streamed = fe.detectStream(
-        rows, kBits, [&](const DetectionBlock &blk) {
-            EXPECT_EQ(blk.index, blocks);
-            ++blocks;
-        });
-    EXPECT_EQ(blocks, 5);
-    expectMatchesLegacy(streamed, legacyDetect(rows));
+    ASSERT_EQ(fe.workerPool(), nullptr);
+    Tensor rows({130, 16});
+    std::mutex log_mutex;
+    std::vector<std::pair<int64_t, int64_t>> log;
+    auto job = fe.beginHashStream(rows, kBits,
+                                  copyingFiller(src, rows, log, log_mutex));
+    EXPECT_TRUE(log.empty()) << "inline hashing must wait for the probe";
+    const SignatureRecord::Pass pass = fe.finishStream(*job);
+    const std::vector<std::pair<int64_t, int64_t>> want = {
+        {0, 32}, {32, 64}, {64, 96}, {96, 128}, {128, 130}};
+    EXPECT_EQ(log, want);
+    expectMatchesLegacy(pass, legacyDetect(src));
+}
+
+TEST(Frontend, SignatureBitsOutsideTheEngineDie)
+{
+    DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed);
+    Tensor rows({8, 4});
+    EXPECT_DEATH(fe.detect(rows, 0), "outside engine range");
+    EXPECT_DEATH(fe.detect(rows, kMaxBits + 1), "outside engine range");
+}
+
+TEST(Frontend, NegativeBlockSizeDies)
+{
+    PipelineConfig pipe;
+    pipe.blockRows = -1;
+    DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed, pipe);
+    Tensor rows({8, 4});
+    EXPECT_DEATH(fe.detect(rows, kBits), "block size must be positive");
+}
+
+TEST(Frontend, JobFinishedOnAnotherCacheDies)
+{
+    DetectionFrontend a(kSets, kWays, 1, kMaxBits, kSeed);
+    DetectionFrontend b(kSets, kWays, 1, kMaxBits, kSeed);
+    Tensor rows({8, 4});
+    EXPECT_DEATH(
+        {
+            auto job = a.beginHashStream(rows, kBits);
+            b.finishStream(*job);
+        },
+        "different cache");
 }
 
 /** Engine outputs on a pool vs threads 1, all three engine types. */

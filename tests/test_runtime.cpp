@@ -1,34 +1,27 @@
 /**
  * @file
- * Golden-equivalence suite for ReuseRuntime (core/reuse_runtime.hpp):
- * every engine pass that was ported onto the runtime — conv / FC /
- * attention x forward / backwardInput / backwardWeights|projection —
- * must produce bit-identical outputs AND statistics (mix, macsTotal,
- * macsSkipped, channelPasses) on a threads-1 frontend and on a pooled
- * one, where live passes hash on the pool and replays fan out on it;
- * zero-hit passes must be bit-identical to the exact tensor ops,
- * including the grouped and depthwise conv descriptors (the
- * MobileNet-style workload). Also: direct scheduler-contract tests
- * (HIT rows copy only after their owners compute; a live pass computes
- * and copies on the driving thread even with a pool), end-to-end
- * training of inverted-residual blocks with all three reuse passes,
- * whole-network training goldens (conv stack and attention + dense:
- * pooled runs equal the threads-1 run), and a TSan stress for the
- * sanitizer CI job.
- *
- * The pre-refactor engine behavior is pinned twice: the untouched
- * engine suites (test_reuse_engines, test_replay, test_pipeline)
- * still pass against the ported engines, and this file locks the
- * threads-1 == pooled == exact-op equivalences the port must keep.
+ * Golden-equivalence suite for the reuse passes (core/reuse_runtime.hpp
+ * and the three engines): every pass — conv / FC / attention x
+ * forward / backwardInput / backwardWeights|projection — must produce
+ * bit-identical outputs AND statistics (mix, macsTotal, macsSkipped,
+ * channelPasses) on a threads-1 frontend and on a pooled one, where
+ * live passes hash on the pool and replays fan out on it; zero-hit
+ * passes must be bit-identical to the exact tensor ops, including the
+ * grouped and depthwise conv descriptors (the MobileNet-style
+ * workload). Also: the pass helpers (parallelRanges, ReuseStats::
+ * addPass), end-to-end training of inverted-residual blocks with all
+ * three reuse passes, whole-network training goldens (conv stack and
+ * attention + dense: pooled runs equal the threads-1 run), and a TSan
+ * stress for the sanitizer CI job.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/attention_engine.hpp"
@@ -44,6 +37,7 @@
 #include "pipeline/signature_record.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace mercury {
@@ -131,91 +125,55 @@ expectStatsEqual(const ReuseStats &a, const ReuseStats &b,
 }
 
 // ---------------------------------------------------------------------
-// Scheduler contract: the runtime's RowPass delivery discipline, tested
-// directly on a live pass (no engine involved).
+// The pass helpers: parallelRanges and the one ReuseStats booking call.
 // ---------------------------------------------------------------------
 
-TEST(RuntimeScheduler, RowPassForwardsAfterOwnersCompute)
+TEST(ParallelRanges, CoversEveryIndexOnceWithAndWithoutAPool)
 {
-    Tensor rows = duplicateRows(64, 12, 4, kSeed + 2);
-    DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed,
-                         pooledPipe());
-
-    std::vector<std::atomic<int>> state(64); // 0 empty, 1 computed/copied
-    for (auto &s : state)
-        s.store(0);
-    std::atomic<bool> copy_before_owner{false};
-
-    ReuseRuntime rt(fe, 20);
-    ReuseRuntime::RowPass rp;
-    rp.computeRows = [&](const int32_t *rows, int64_t count) {
-        for (int64_t k = 0; k < count; ++k)
-            state[static_cast<size_t>(rows[k])].store(1);
-    };
-    rp.copyRow = [&](int64_t i, int64_t o) {
-        if (state[static_cast<size_t>(o)].load() != 1)
-            copy_before_owner.store(true);
-        state[static_cast<size_t>(i)].store(1);
-    };
-    rp.rowSkipCost = 7;
-
-    ReuseStats stats;
-    rt.runRows(ReuseRuntime::StreamSource::live(rows), rp, stats);
-    ASSERT_GT(stats.mix.hit, 0);
-    EXPECT_FALSE(copy_before_owner.load())
-        << "a HIT row was copied before its owner computed";
-    for (int64_t i = 0; i < 64; ++i)
-        EXPECT_EQ(state[static_cast<size_t>(i)].load(), 1) << i;
-    // Every HIT found its owner in this pass (a fresh cache).
-    EXPECT_EQ(stats.macsSkipped,
-              static_cast<uint64_t>(stats.mix.hit) * 7u);
-    EXPECT_EQ(stats.channelPasses, 1);
+    ThreadPool pool(3);
+    for (ThreadPool *p : {static_cast<ThreadPool *>(nullptr), &pool}) {
+        for (const int64_t n : {int64_t{0}, int64_t{1}, int64_t{3},
+                                int64_t{4}, int64_t{97}}) {
+            std::vector<std::atomic<int>> visits(static_cast<size_t>(n));
+            for (auto &v : visits)
+                v.store(0);
+            std::atomic<int64_t> calls{0};
+            parallelRanges(p, n, [&](int64_t i0, int64_t i1) {
+                EXPECT_LT(i0, i1) << "empty range";
+                ++calls;
+                for (int64_t i = i0; i < i1; ++i)
+                    visits[static_cast<size_t>(i)].fetch_add(1);
+            });
+            for (int64_t i = 0; i < n; ++i)
+                EXPECT_EQ(visits[static_cast<size_t>(i)].load(), 1)
+                    << "n " << n << " index " << i;
+            // One range inline; one per executor (capped at n) on a
+            // pool of 3 workers plus the calling thread.
+            const int64_t want =
+                n == 0 ? 0 : p ? std::min<int64_t>(n, 4) : 1;
+            EXPECT_EQ(calls.load(), want) << "n " << n;
+        }
+    }
 }
 
-TEST(RuntimeScheduler, LivePassRunsOnTheDrivingThread)
+TEST(ReuseStatsBooking, AddPassBooksMixOnePassAndForwardedMacs)
 {
-    // With a pool, only hashing leaves the driving thread: every
-    // computeRows and every HIT copy runs on it, and the pass matches
-    // the threads-1 run row for row.
-    const Tensor rows = duplicateRows(96, 12, 5, kSeed + 3);
-    const auto run = [&](const PipelineConfig &pipe, bool &off_thread) {
-        DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed, pipe);
-        ReuseRuntime rt(fe, 20);
-        Tensor out({96, 12});
-        const std::thread::id driving = std::this_thread::get_id();
-        off_thread = false;
-        ReuseRuntime::RowPass rp;
-        rp.computeRows = [&](const int32_t *owners, int64_t count) {
-            off_thread |= std::this_thread::get_id() != driving;
-            for (int64_t k = 0; k < count; ++k)
-                for (int64_t j = 0; j < 12; ++j)
-                    out.at2(owners[k], j) = 2.0f * rows.at2(owners[k], j);
-        };
-        rp.copyRow = [&](int64_t i, int64_t o) {
-            off_thread |= std::this_thread::get_id() != driving;
-            for (int64_t j = 0; j < 12; ++j)
-                out.at2(i, j) = out.at2(o, j);
-        };
-        rp.copyRowSpan = [&](int64_t r0, int64_t r1, int64_t o0) {
-            for (int64_t i = r0; i < r1; ++i)
-                rp.copyRow(i, o0 + (i - r0));
-        };
-        rp.rowSkipCost = 12;
-        ReuseStats stats;
-        const SignatureRecord::Pass &det =
-            rt.runRows(ReuseRuntime::StreamSource::live(rows), rp, stats);
-        EXPECT_GT(det.forwarded, 0) << "HIT copies must run";
-        return std::make_pair(out, det.owners);
-    };
-    bool serial_off = false, pooled_off = false;
-    const auto serial = run(serialPipe(), serial_off);
-    const auto pooled = run(pooledPipe(), pooled_off);
-    EXPECT_FALSE(serial_off);
-    EXPECT_FALSE(pooled_off)
-        << "a compute or copy left the driving thread";
-    EXPECT_TRUE(pooled.first == serial.first)
-        << "max diff " << pooled.first.maxAbsDiff(serial.first);
-    EXPECT_EQ(pooled.second, serial.second);
+    Tensor rows = duplicateRows(40, 12, 4, kSeed + 2);
+    DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed, serialPipe());
+    const SignatureRecord::Pass pass = fe.detect(rows, 20);
+    ASSERT_GT(pass.forwarded, 0);
+    ReuseStats stats;
+    stats.macsTotal = 5;
+    stats.addPass(pass, 7);
+    stats.addPass(pass, 7);
+    EXPECT_EQ(stats.mix.vectors, 2 * pass.mix.vectors);
+    EXPECT_EQ(stats.mix.hit, 2 * pass.mix.hit);
+    EXPECT_EQ(stats.mix.mau, 2 * pass.mix.mau);
+    EXPECT_EQ(stats.mix.mnu, 2 * pass.mix.mnu);
+    EXPECT_EQ(stats.channelPasses, 2);
+    EXPECT_EQ(stats.macsSkipped,
+              2u * static_cast<uint64_t>(pass.forwarded) * 7u);
+    EXPECT_EQ(stats.macsTotal, 5u) << "the baseline is the caller's";
 }
 
 // ---------------------------------------------------------------------
