@@ -2,8 +2,10 @@
  * @file
  * Per-kernel microbenchmark for the runtime-dispatched SIMD layer:
  * times each KernelOps body (scalar vs AVX2 when the host has it) on
- * RPQ-shaped blocks and reports cycles-per-row and GB/s, emitting one
- * BENCH_kernels.json line that tools/check_bench.py gates.
+ * RPQ-shaped blocks, the conv reuse passes' owner kernels and the
+ * exact conv ops' bodies, and reports cycles-per-row and GB/s,
+ * emitting one BENCH_kernels.json line that tools/check_bench.py
+ * gates.
  *
  * Cycles come from the TSC where the target has one (x86); on other
  * targets the cycle columns print as null and only GB/s is gated.
@@ -24,6 +26,7 @@
 #include "bench_common.hpp"
 #include "core/kernels/kernels.hpp"
 #include "core/signature.hpp"
+#include "tensor/ops.hpp"
 
 using namespace mercury;
 
@@ -309,6 +312,75 @@ main()
     const std::array<Result, 3> own12 = owner_kernels({12, 256, 16});
     const std::array<Result, 3> own24 = owner_kernels({24, 64, 8});
 
+    // 7) The exact conv ops' bodies at the same two shapes (3x3, pad
+    //    1: 12 -> 12 channels on 16x16, 24 -> 24 on 8x8): the forward
+    //    tile, the input-gradient gather once per input channel, and
+    //    the weight gradient as ownerWeightMul with every position an
+    //    owner. Cycles are per pass row — one output position of one
+    //    input channel, the unit of the owner keys — so each exact key
+    //    reads against the reuse pass's owner keys at its shape.
+    const int64_t exact_images = smoke ? 2 : 64;
+    auto exact_kernels = [&](int64_t channels, int64_t hw) {
+        ConvSpec spec;
+        spec.inChannels = spec.outChannels = channels;
+        spec.kernelH = spec.kernelW = 3;
+        spec.pad = 1;
+        const ConvFrame frame(spec, hw, hw);
+        const ConvGradFrame gframe(spec, hw, hw);
+        const int64_t c = channels, v = hw * hw;
+        std::vector<float> plane(static_cast<size_t>(c * v));
+        std::vector<float> go(plane.size());
+        std::vector<float> w(static_cast<size_t>(c * c * 9));
+        std::vector<float> bias(static_cast<size_t>(c));
+        for (auto *vec : {&plane, &go, &w, &bias})
+            for (float &x : *vec)
+                x = dist(rng);
+        std::vector<float> frames(static_cast<size_t>(c * frame.size()));
+        frame.load(plane.data(), c, frames.data());
+        std::vector<float> gframes(static_cast<size_t>(c * gframe.size()));
+        gframe.load(go.data(), c, nullptr, gframes.data());
+        const std::vector<int64_t> tap_off = frame.tapOffsets(c);
+        const std::vector<int64_t> base = frame.positionSlots();
+        const int64_t taps = static_cast<int64_t>(tap_off.size());
+        std::vector<float> go_t(go.size());
+        for (int64_t f = 0; f < c; ++f)
+            for (int64_t r = 0; r < v; ++r)
+                go_t[static_cast<size_t>(r * c + f)] =
+                    go[static_cast<size_t>(f * v + r)];
+        std::vector<float> out(plane.size()), gin(plane.size());
+        std::vector<float> acc(static_cast<size_t>(taps * c), 0.0f);
+        const int64_t per_rows = exact_images * v * c;
+        const double bytes =
+            static_cast<double>(exact_images) *
+            static_cast<double>(c * (frame.size() + v)) * sizeof(float);
+        const Result fwd = run(bytes, per_rows, [&](const kernels::KernelOps &k) {
+            for (int64_t i = 0; i < exact_images; ++i)
+                k.convForward(frames.data(), tap_off.data(), taps,
+                              frame.rowStep(), w.data(), bias.data(), c, hw,
+                              hw, out.data(), v);
+            g_sink = out[0];
+        });
+        const Result dx = run(bytes, per_rows, [&](const kernels::KernelOps &k) {
+            for (int64_t i = 0; i < exact_images; ++i)
+                for (int64_t ic = 0; ic < c; ++ic)
+                    k.convBackwardInput(gframes.data(), gframe.size(),
+                                        gframe.pitch(), c, w.data() + ic * 9,
+                                        c * 9, 3, 3, hw, hw,
+                                        gin.data() + ic * v);
+            g_sink = gin[0];
+        });
+        const Result dw = run(bytes, per_rows, [&](const kernels::KernelOps &k) {
+            for (int64_t i = 0; i < exact_images; ++i)
+                k.ownerWeightMul(go_t.data(), c, v, frames.data(),
+                                 base.data(), tap_off.data(), taps,
+                                 acc.data());
+            g_sink = acc[0];
+        });
+        return std::array<Result, 3>{fwd, dx, dw};
+    };
+    const std::array<Result, 3> exact12 = exact_kernels(12, 16);
+    const std::array<Result, 3> exact24 = exact_kernels(24, 8);
+
     Table t("kernel bodies (best-of-reps)");
     t.header({"kernel", "scalar cyc/row", "avx2 cyc/row", "speedup",
               "GB/s"});
@@ -333,6 +405,12 @@ main()
     row("owner_values f24 r64", own24[0]);
     row("owner_scatter f24 r64", own24[1]);
     row("owner_dw f24 r64", own24[2]);
+    row("exact_fwd 12->12 16x16", exact12[0]);
+    row("exact_dx 12->12 16x16", exact12[1]);
+    row("exact_dw 12->12 16x16", exact12[2]);
+    row("exact_fwd 24->24 8x8", exact24[0]);
+    row("exact_dx 24->24 8x8", exact24[1]);
+    row("exact_dw 24->24 8x8", exact24[2]);
     row("span_copy", spancopy);
     t.print();
 
@@ -370,6 +448,18 @@ main()
         .num("owner_scatter_f24_avx2_cycles_per_row", own24[1].cpr_avx2, 1)
         .num("owner_dw_f24_scalar_cycles_per_row", own24[2].cpr_scalar, 1)
         .num("owner_dw_f24_avx2_cycles_per_row", own24[2].cpr_avx2, 1)
+        .num("exact_fwd_f12_scalar_cycles_per_row", exact12[0].cpr_scalar, 1)
+        .num("exact_fwd_f12_avx2_cycles_per_row", exact12[0].cpr_avx2, 1)
+        .num("exact_dx_f12_scalar_cycles_per_row", exact12[1].cpr_scalar, 1)
+        .num("exact_dx_f12_avx2_cycles_per_row", exact12[1].cpr_avx2, 1)
+        .num("exact_dw_f12_scalar_cycles_per_row", exact12[2].cpr_scalar, 1)
+        .num("exact_dw_f12_avx2_cycles_per_row", exact12[2].cpr_avx2, 1)
+        .num("exact_fwd_f24_scalar_cycles_per_row", exact24[0].cpr_scalar, 1)
+        .num("exact_fwd_f24_avx2_cycles_per_row", exact24[0].cpr_avx2, 1)
+        .num("exact_dx_f24_scalar_cycles_per_row", exact24[1].cpr_scalar, 1)
+        .num("exact_dx_f24_avx2_cycles_per_row", exact24[1].cpr_avx2, 1)
+        .num("exact_dw_f24_scalar_cycles_per_row", exact24[2].cpr_scalar, 1)
+        .num("exact_dw_f24_avx2_cycles_per_row", exact24[2].cpr_avx2, 1)
         // The span copy is memory-bound: scalar-vs-AVX2 speedup there
         // is timer noise around 1.0, so only GB/s is recorded (and
         // gated) for it.
@@ -381,6 +471,8 @@ main()
         .config("train_shape", "d9 bits28 stride64, k3 16x16 pad1")
         .config("owner_shapes", "d9, f12 over 256 rows, f24 over 64 rows, "
                                 "half the rows owners")
+        .config("exact_shapes", "k3 pad1, f12: 12->12 on 16x16, f24: "
+                                "24->24 on 8x8, per pass row")
         .config("span", span);
     bench::stdConfig(line);
     line.print();

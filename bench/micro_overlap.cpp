@@ -9,8 +9,9 @@
  *     pool while the driving thread probes, and the next channel
  *     hashes under this one's computes and scatter). Outputs are
  *     verified bit-identical first. `wall_speedup` is the threads-1
- *     forward over the pooled one; the pooled forward is also timed
- *     against the exact conv2dForward (wall_forward_speedup).
+ *     forward over the pooled one; the exact conv2dForward, which runs
+ *     on one thread, is timed against the threads-1 forward
+ *     (wall_forward_speedup), so both sides use one thread.
  *
  *  2. Modeled accelerator cycles (the paper's Fig. 8 metric): the
  *     row-stationary timing model with `overlapDetection` off vs on,
@@ -20,16 +21,18 @@
  *  3. The backward column (§III-C2): the input-gradient pass with
  *     `backwardReuse` replaying the forward-captured SignatureRecord
  *     — functional wall time of the replayed ConvReuseEngine
- *     backward on the pooled frontend (the channel passes fan out
- *     over the pool) vs the exact conv2dBackwardInput, and the
+ *     backward on the threads-1 frontend vs the exact
+ *     conv2dBackwardInput (wall_backward_speedup), and on the pooled
+ *     frontend (the channel passes fan out over the pool), and the
  *     modeled backward layer cycles (replay-only signature charge) vs
  *     the no-reuse backward baseline.
  *
  *  4. The dW column (§III-C2 on Eq. 1): the weight-gradient pass
  *     with `weightGradReuse` replaying the same record by
- *     sum-then-multiply — functional wall time of the pooled
- *     ConvReuseEngine::backwardWeights (channels fanned out over the
- *     pool) vs the exact conv2dBackwardWeight, and the modeled
+ *     sum-then-multiply — functional wall time of
+ *     ConvReuseEngine::backwardWeights on the threads-1 frontend vs
+ *     the exact conv2dBackwardWeight (wall_dw_speedup), and on the
+ *     pooled one (channels fanned out over the pool), and the modeled
  *     dW layer cycles
  *     (owner-only multiplies + per-group accumulates + replay-only
  *     signature charge) vs the no-reuse dW baseline. This closes the
@@ -40,7 +43,9 @@
  * before they are timed; a divergence fails the bench. Every wall
  * column prints its fastest and its median repetition to 0.001 ms,
  * in the tables and in the summary line (`wall_*_ms` and
- * `wall_*_median_ms`; wall keys are never gated).
+ * `wall_*_median_ms`, pooled; `wall_*_1t_*` threads-1; wall keys are
+ * never gated). Every `wall_*_speedup` but `wall_speedup` compares
+ * equal thread counts: the exact op against the threads-1 pass.
  *
  * Emits a BENCH_overlap.json summary line in the shared result
  * schema. MERCURY_BENCH_SMOKE=1 shrinks the layer and repetition
@@ -151,11 +156,11 @@ main()
     const double t_single = w_single.best;
     const double t_pooled = w_pooled.best;
     const double wall_speedup = t_single / t_pooled;
-    // The fair forward baseline: the exact (vectorized, bit-identical)
-    // conv2dForward against the pooled engine's forward.
+    // The fair forward baseline: the exact (bit-identical) conv2dForward
+    // runs on one thread, so it is timed against the threads-1 forward.
     const bench::WallTime w_fwd_exact = bench::wallSeconds(
         [&] { conv2dForward(ds.inputs, w, Tensor(), spec); }, 1.0);
-    const double wall_fwd_speedup = w_fwd_exact.best / t_pooled;
+    const double wall_fwd_speedup = w_fwd_exact.best / t_single;
 
     Table wall("functional layer time (one image, all channels)");
     wall.header({"mode", "min-ms", "median-ms", "hit-frac",
@@ -175,7 +180,7 @@ main()
     std::printf("wall-clock speedup of the pool: %.2fx (needs spare "
                 "cores; this host has %d hardware threads)\n",
                 wall_speedup, ThreadPool::resolveThreads(0));
-    std::printf("forward vs exact conv2dForward: %.2fx\n\n",
+    std::printf("threads-1 forward vs exact conv2dForward: %.2fx\n\n",
                 wall_fwd_speedup);
 
     // --- 2. Modeled accelerator cycles (Fig. 8) --------------------
@@ -220,8 +225,9 @@ main()
     // --- 3. Backward column: signature replay (§III-C2) ------------
     // Functional: the replayed input-gradient pass consumes the
     // record the forward pass captured — no second detection — and
-    // forward-HIT rows reuse their owner's products. Wall time is
-    // compared against the exact conv2dBackwardInput.
+    // forward-HIT rows reuse their owner's products. The threads-1
+    // replay's wall time is compared against the exact
+    // conv2dBackwardInput, which runs on one thread.
     SignatureRecord record;
     ReuseStats cap_stats;
     single.forward(ds.inputs, w, Tensor(), spec, cap_stats, &record);
@@ -241,6 +247,12 @@ main()
     }
     const bench::WallTime w_bwd_exact = bench::wallSeconds(
         [&] { conv2dBackwardInput(grad, w, spec, kHw, kHw); }, 1.0);
+    const bench::WallTime w_bwd_single = bench::wallSeconds(
+        [&] {
+            ReuseStats s;
+            single.backwardInput(grad, w, spec, kHw, kHw, record, s);
+        },
+        1.0);
     const bench::WallTime w_bwd_replay = bench::wallSeconds(
         [&] {
             ReuseStats s;
@@ -249,7 +261,7 @@ main()
         1.0);
     const double t_bwd_exact = w_bwd_exact.best;
     const double t_bwd_replay = w_bwd_replay.best;
-    const double wall_bwd_speedup = t_bwd_exact / t_bwd_replay;
+    const double wall_bwd_speedup = t_bwd_exact / w_bwd_single.best;
 
     // Modeled: input-gradient pass without reuse (baseline backward)
     // vs with the replayed signatures (backwardReuse) — the Fig. 8
@@ -273,12 +285,16 @@ main()
              std::to_string(bb.mercuryTotal()),
              Table::num(t_bwd_exact * 1e3, 3),
              Table::num(w_bwd_exact.median * 1e3, 3), "0"});
-    bwd.row({"replayed (§III-C2)", std::to_string(br.computation),
+    bwd.row({"replayed, 1 thread", std::to_string(br.computation),
              std::to_string(br.signature),
              std::to_string(br.mercuryTotal()),
-             Table::num(t_bwd_replay * 1e3, 3),
-             Table::num(w_bwd_replay.median * 1e3, 3),
+             Table::num(w_bwd_single.best * 1e3, 3),
+             Table::num(w_bwd_single.median * 1e3, 3),
              std::to_string(b_stats.macsSkipped)});
+    bwd.row({"replayed, " + std::to_string(threads) + " threads", "-", "-",
+             "-", Table::num(t_bwd_replay * 1e3, 3),
+             Table::num(w_bwd_replay.median * 1e3, 3),
+             std::to_string(pb_stats.macsSkipped)});
     bwd.print();
     std::printf("modeled backward layer-time speedup from replay: "
                 "%.3fx (hit fraction %.3f, replay charge %llu "
@@ -289,8 +305,8 @@ main()
     // --- 4. dW column: weight-gradient replay (§III-C2, Eq. 1) -----
     // Functional: dW by sum-then-multiply over the captured record —
     // the output gradients of each forward hit-group are summed, then
-    // one multiply runs per group through the owner's patch. Wall
-    // time vs the exact conv2dBackwardWeight.
+    // one multiply runs per group through the owner's patch. The
+    // threads-1 replay's wall time vs the exact conv2dBackwardWeight.
     ReuseStats dw_stats, pdw_stats;
     const Tensor s_dw =
         single.backwardWeights(ds.inputs, grad, spec, record, dw_stats);
@@ -303,6 +319,12 @@ main()
     }
     const bench::WallTime w_dw_exact = bench::wallSeconds(
         [&] { conv2dBackwardWeight(ds.inputs, grad, spec); }, 1.0);
+    const bench::WallTime w_dw_single = bench::wallSeconds(
+        [&] {
+            ReuseStats s;
+            single.backwardWeights(ds.inputs, grad, spec, record, s);
+        },
+        1.0);
     const bench::WallTime w_dw_replay = bench::wallSeconds(
         [&] {
             ReuseStats s;
@@ -311,7 +333,7 @@ main()
         1.0);
     const double t_dw_exact = w_dw_exact.best;
     const double t_dw_replay = w_dw_replay.best;
-    const double wall_dw_speedup = t_dw_exact / t_dw_replay;
+    const double wall_dw_speedup = t_dw_exact / w_dw_single.best;
 
     // Modeled: the dW pass without reuse (baseline cost — dW mirrors
     // the forward MAC structure) vs with the replayed record
@@ -344,15 +366,19 @@ main()
             std::to_string(wb.mercuryTotal()),
             Table::num(t_dw_exact * 1e3, 3),
             Table::num(w_dw_exact.median * 1e3, 3), "0"});
-    dw.row({"replayed (§III-C2)", std::to_string(wr.computation),
+    dw.row({"replayed, 1 thread", std::to_string(wr.computation),
             std::to_string(wr.signature),
             std::to_string(wr.mercuryTotal()),
-            Table::num(t_dw_replay * 1e3, 3),
-            Table::num(w_dw_replay.median * 1e3, 3),
+            Table::num(w_dw_single.best * 1e3, 3),
+            Table::num(w_dw_single.median * 1e3, 3),
             std::to_string(dw_stats.macsSkipped)});
+    dw.row({"replayed, " + std::to_string(threads) + " threads", "-", "-",
+            "-", Table::num(t_dw_replay * 1e3, 3),
+            Table::num(w_dw_replay.median * 1e3, 3),
+            std::to_string(pdw_stats.macsSkipped)});
     dw.print();
     std::printf("modeled dW layer-time speedup from replay: %.3fx "
-                "(hit fraction %.3f, wall %.2fx)\n\n",
+                "(hit fraction %.3f, wall at one thread %.2fx)\n\n",
                 model_dw_speedup, dw_stats.mix.hitFraction(),
                 wall_dw_speedup);
 
@@ -374,6 +400,8 @@ main()
         .num("wall_backward_exact_median_ms", w_bwd_exact.median * 1e3, 3)
         .num("wall_backward_ms", t_bwd_replay * 1e3, 3)
         .num("wall_backward_median_ms", w_bwd_replay.median * 1e3, 3)
+        .num("wall_backward_1t_ms", w_bwd_single.best * 1e3, 3)
+        .num("wall_backward_1t_median_ms", w_bwd_single.median * 1e3, 3)
         .num("wall_backward_speedup", wall_bwd_speedup, 3)
         .integer("model_backward_base_cycles",
                  static_cast<long long>(bb.mercuryTotal()))
@@ -384,6 +412,8 @@ main()
         .num("wall_dw_exact_median_ms", w_dw_exact.median * 1e3, 3)
         .num("wall_dw_ms", t_dw_replay * 1e3, 3)
         .num("wall_dw_median_ms", w_dw_replay.median * 1e3, 3)
+        .num("wall_dw_1t_ms", w_dw_single.best * 1e3, 3)
+        .num("wall_dw_1t_median_ms", w_dw_single.median * 1e3, 3)
         .num("wall_dw_speedup", wall_dw_speedup, 3)
         .integer("model_dw_base_cycles",
                  static_cast<long long>(wb.mercuryTotal()))

@@ -235,36 +235,24 @@ ConvReuseEngine::backwardInput(const Tensor &gradOut, const Tensor &weight,
     // replay is the exact per-channel input gradient of the output
     // gradients gathered through the owner map — each cell still sums
     // in (filter, y, x) order from +0, bit for bit the products the
-    // owner rows would scatter. Passes write disjoint grad_in planes,
-    // so on a pool they fan out per pass.
-    const ConvFrame frame(spec, in_h, in_w);
+    // owner rows would scatter. The gather writes straight into the
+    // bordered gradient frame the exact body reads. Passes write
+    // disjoint grad_in planes, so on a pool they fan out per pass.
+    const ConvGradFrame frame(spec, in_h, in_w);
     ThreadPool *pool = frontend_->workerPool();
     parallelRanges(pool, passes, [&](int64_t p0, int64_t p1) {
-        std::vector<float> gathered(static_cast<size_t>(cout_g * v));
-        std::vector<float> scratch(static_cast<size_t>(frame.size()));
+        std::vector<float> frames(static_cast<size_t>(cout_g * frame.size()));
         for (int64_t pi = p0; pi < p1; ++pi) {
             const SignatureRecord::Pass &pass = record.pass(pi);
             const int64_t b = pi / (spec.groups * cin_g);
             const int64_t g = pi / cin_g % spec.groups;
             const int64_t ic = pi % cin_g;
-            const float *go =
-                gradOut.data() + gradOut.offset4(b, g * cout_g, 0, 0);
-            if (pass.forwarded > 0) {
-                // Every row through the owner map: this measured faster
-                // end to end than copying the planes and rewriting only
-                // the forwarded rows.
-                for (int64_t f = 0; f < cout_g; ++f) {
-                    const float *src = go + f * v;
-                    float *dst = gathered.data() + f * v;
-                    for (int64_t r = 0; r < v; ++r)
-                        dst[r] = src[pass.owner(r)];
-                }
-                go = gathered.data();
-            }
-            conv2dBackwardInputChannel(
-                frame, go, cout_g,
+            frame.load(gradOut.data() + gradOut.offset4(b, g * cout_g, 0, 0),
+                       cout_g, pass.forwarded > 0 ? pass.owners.data() : nullptr,
+                       frames.data());
+            frame.backwardInput(
+                frames.data(), cout_g,
                 weight.data() + (g * cout_g * cin_g + ic) * d, cin_g * d,
-                scratch.data(),
                 grad_in.data() + grad_in.offset4(b, g * cin_g + ic, 0, 0));
         }
     });
@@ -284,7 +272,7 @@ ConvReuseEngine::backwardWeights(const Tensor &input, const Tensor &gradOut,
                      spec);
     const ConvGeometry geo(spec, input.dim(0), gradOut.dim(2),
                            gradOut.dim(3));
-    const int64_t n = geo.n, ow = geo.ow, d = geo.d, v = geo.v;
+    const int64_t n = geo.n, d = geo.d, v = geo.v;
     const int64_t cin_g = geo.cin_g, cout_g = geo.cout_g;
     checkRecord(record, spec, geo, "weight gradient");
 
@@ -305,18 +293,10 @@ ConvReuseEngine::backwardWeights(const Tensor &input, const Tensor &gradOut,
     // every position's), and the accumulators, laid out (tap, filter),
     // carry across the batch. Every weight element still sums
     // (image, owner) ascending from +0.
-    std::vector<float> go_t(static_cast<size_t>(gradOut.numel()));
-    for (int64_t bg = 0; bg < n * spec.groups; ++bg) {
-        const float *go = gradOut.data() + bg * cout_g * v;
-        float *dst = go_t.data() + bg * v * cout_g;
-        for (int64_t f = 0; f < cout_g; ++f)
-            for (int64_t r = 0; r < v; ++r)
-                dst[r * cout_g + f] = go[f * v + r];
-    }
+    const std::vector<float> go_t = gradOutByPosition(gradOut, spec.groups);
     const ConvFrame frame(spec, input.dim(2), input.dim(3));
-    std::vector<int64_t> tap_off(static_cast<size_t>(d));
-    for (int64_t t = 0; t < d; ++t)
-        tap_off[static_cast<size_t>(t)] = frame.tap(t / geo.k, t % geo.k);
+    const std::vector<int64_t> tap_off = frame.tapOffsets(1);
+    const std::vector<int64_t> slots = frame.positionSlots();
 
     // (group, channel) pairs write disjoint grad_w slices: on a pool
     // they fan out, each walking the batch in order.
@@ -347,12 +327,13 @@ ConvReuseEngine::backwardWeights(const Tensor &input, const Tensor &gradOut,
                     go_t.data() + (b * spec.groups + g) * v * cout_g;
                 const bool grouped = pass.forwarded > 0;
                 int64_t u = 0;
-                for (int32_t r = 0, y = 0, x = 0; r < v; ++r) {
+                for (int32_t r = 0; r < v; ++r) {
                     const int32_t o = pass.owner(r);
                     const float *src = gt + r * cout_g;
                     if (o == r) {
                         slot[static_cast<size_t>(r)] = static_cast<int32_t>(u);
-                        base[static_cast<size_t>(u)] = y * frame.rowStep() + x;
+                        base[static_cast<size_t>(u)] =
+                            slots[static_cast<size_t>(r)];
                         if (grouped)
                             std::copy(src, src + cout_g,
                                       sums.data() + u * cout_g);
@@ -362,10 +343,6 @@ ConvReuseEngine::backwardWeights(const Tensor &input, const Tensor &gradOut,
                             sums.data() +
                                 slot[static_cast<size_t>(o)] * cout_g,
                             src, cout_g);
-                    }
-                    if (++x == ow) {
-                        x = 0;
-                        ++y;
                     }
                 }
                 kernels::ops().ownerWeightMul(grouped ? sums.data() : gt,

@@ -1,6 +1,7 @@
 /**
  * @file
- * Runtime-dispatched SIMD kernel layer for the reuse hot paths.
+ * Runtime-dispatched SIMD kernel layer for the reuse hot paths and
+ * the exact conv ops.
  *
  * Every kernel has an AVX2 body and a scalar fallback that are
  * bit-identical: each output element is produced by the same sequence
@@ -33,6 +34,13 @@
  * several independent chains side by side (rows x filter octets,
  * transposed 8x8 tiles, taps x filter octets) and never reorder the
  * steps of any one chain, with separate multiply and add.
+ *
+ * The two exact conv entries (convForward, convBackwardInput) are the
+ * bodies of tensor/ops' conv2dForward and of the input gradient that
+ * conv2dBackwardInput and the conv engine's dX replay share; the
+ * exact weight gradient runs ownerWeightMul with every output
+ * position an owner. Their AVX2 bodies hold a tile of outputs in
+ * registers, one chain per output, and store each output once.
  *
  * Masked-octet contract: a vector body may read all 8 filters of the
  * octet holding the last `bits % 8` filters whenever the mirror has
@@ -133,6 +141,35 @@ struct KernelOps
                            int64_t owners, const float *frame,
                            const int64_t *base, const int64_t *tapOff,
                            int64_t taps, float *acc);
+
+    /**
+     * Exact conv forward of one (image, group): for each of `filters`
+     * filters f and output (y, x), y < oh, x < ow,
+     * out[f*outPitch + y*ow + x] is bias[f] (+0 when bias is null),
+     * then + frames[tapOff[t] + y*rowStep + x] * w[f*taps + t] over
+     * taps t ascending. `frames` are conv frames (tensor/ops.hpp's
+     * ConvFrame) and tapOff[t] the slot tap t reads for output (0, 0),
+     * taps walking (channel, ky, kx). Writes exactly those outputs.
+     */
+    void (*convForward)(const float *frames, const int64_t *tapOff,
+                        int64_t taps, int64_t rowStep, const float *w,
+                        const float *bias, int64_t filters, int64_t oh,
+                        int64_t ow, float *out, int64_t outPitch);
+
+    /**
+     * Exact input gradient of one input-channel plane, as a gather:
+     * each cell (y, x), y < h, x < w, of the plane at gradIn is +0,
+     * then + frames[f*frameSize + (y + j)*pitch + x + i] *
+     * kern[f*kernPitch + (kh - 1 - j)*kw + kw - 1 - i] over (f, j, i)
+     * ascending. `frames` are `filters` output-gradient frames
+     * (tensor/ops.hpp's ConvGradFrame) and kern the channel's (kh, kw)
+     * kernels, read flipped. Writes exactly the h*w cells.
+     */
+    void (*convBackwardInput)(const float *frames, int64_t frameSize,
+                              int64_t pitch, int64_t filters,
+                              const float *kern, int64_t kernPitch,
+                              int64_t kh, int64_t kw, int64_t h, int64_t w,
+                              float *gradIn);
 };
 
 /** The scalar reference table (always available). */

@@ -34,6 +34,23 @@
  *  - ownerWeightMul keeps up to 12 taps x one filter octet in
  *    registers and walks the owners ascending once per group: every
  *    accumulator still adds one product per owner, in owner order.
+ *  - convForward holds up to 4 filters x 2-4 output octets in
+ *    registers (at least four chains): each output starts at its bias
+ *    and adds its taps in ascending order, and is stored once. Output
+ *    rows split into whole octets and, when ow % 8 != 0, a partial
+ *    last octet that loads and stores masked.
+ *  - convBackwardInput holds 8 input-cell octets in registers, each
+ *    cell's chain adding (filter, j, i) ascending from +0 — the flipped
+ *    kernel walked from its last element down — with the same
+ *    whole/partial split.
+ *
+ * Every body returns with the upper halves of the vector registers
+ * clean: with them dirty, the baseline-ISA code that runs next pays a
+ * merge on every SSE instruction. GCC ends an AVX function with
+ * vzeroupper (the build keeps that pass on below -O2) unless a 256-bit
+ * value is one of its arguments, so a vector never crosses a call that
+ * may stay out of line: the tile helpers take a lane count and build
+ * their mask inside.
  */
 
 #include "core/kernels/kernels.hpp"
@@ -66,6 +83,16 @@ storeOctet(float *p, __m256 v, bool whole, __m256i tail)
         _mm256_storeu_ps(p, v);
     else
         _mm256_maskstore_ps(p, tail, v);
+}
+
+/**
+ * Load the octet at p: all 8 lanes, or the `tail` lanes of a last one
+ * (the rest read +0.0f and touch no memory).
+ */
+inline __m256
+loadOctet(const float *p, bool whole, __m256i tail)
+{
+    return whole ? _mm256_loadu_ps(p) : _mm256_maskload_ps(p, tail);
 }
 
 void
@@ -493,6 +520,225 @@ ownerWeightMulAvx2(const float *sums, int64_t filters, int64_t owners,
     }
 }
 
+/** First row and column of one column octet of a plane. */
+struct Slot
+{
+    int64_t y, x;
+};
+
+/**
+ * The column octets of a (rows, cols) plane, whole octets first: slot
+ * k < whole covers columns [x, x + 8) of its row; slot k >= whole is
+ * row k - whole's partial last octet, its first cols % 8 lanes.
+ */
+struct OctetSlots
+{
+    int64_t perRow, whole, total;
+
+    OctetSlots(int64_t rows, int64_t cols)
+        : perRow(cols / 8), whole(rows * perRow),
+          total(whole + (cols % 8 != 0 ? rows : 0))
+    {
+    }
+
+    Slot operator[](int64_t k) const
+    {
+        return k < whole ? Slot{k / perRow, k % perRow * 8}
+                         : Slot{k - whole, perRow * 8};
+    }
+};
+
+/**
+ * Output slots one convForward tile holds per filter: at least four
+ * independent chains per tile, so the adds never wait on each other.
+ */
+constexpr int
+forwardSlots(int filters)
+{
+    return filters <= 2 ? 4 : 2;
+}
+
+/**
+ * One convForward tile: F filters from `w` x P output slots (frame
+ * offsets in[s], output offsets out[s]), each slot's first `lanes`
+ * columns when Tail. Each accumulator is one output's chain — its bias
+ * or +0, then + in * w per tap, taps ascending — and the first `live`
+ * slots are stored once at the end. The extra slots of a last, short
+ * tile repeat its last slot.
+ */
+template <int F, int P, bool Tail>
+inline void
+convForwardTile(const float *frames, const int64_t *tapOff, int64_t taps,
+                const float *w, const float *bias, const int64_t *in,
+                float *out, int64_t outPitch, const int64_t *outOff,
+                int live, int64_t lanes)
+{
+    const __m256i mask = lanesBelow(lanes);
+    __m256 a[F][P];
+    for (int q = 0; q < F; ++q) {
+        const __m256 b =
+            bias ? _mm256_set1_ps(bias[q]) : _mm256_setzero_ps();
+        for (int s = 0; s < P; ++s)
+            a[q][s] = b;
+    }
+    for (int64_t t = 0; t < taps; ++t) {
+        const float *src = frames + tapOff[t];
+        __m256 v[P];
+        for (int s = 0; s < P; ++s)
+            v[s] = loadOctet(src + in[s], !Tail, mask);
+        for (int q = 0; q < F; ++q) {
+            const __m256 wv = _mm256_broadcast_ss(w + q * taps + t);
+            for (int s = 0; s < P; ++s)
+                a[q][s] = _mm256_add_ps(a[q][s], _mm256_mul_ps(v[s], wv));
+        }
+    }
+    for (int q = 0; q < F; ++q)
+        for (int s = 0; s < P; ++s)
+            if (s < live)
+                storeOctet(out + q * outPitch + outOff[s], a[q][s], !Tail,
+                           mask);
+}
+
+/** convForward of F filters over the output slots [k0, k1). */
+template <int F, bool Tail>
+void
+convForwardFilters(const float *frames, const int64_t *tapOff, int64_t taps,
+                   int64_t rowStep, const float *w, const float *bias,
+                   int64_t ow, const OctetSlots &slots, int64_t k0,
+                   int64_t k1, float *out, int64_t outPitch)
+{
+    constexpr int P = forwardSlots(F);
+    for (int64_t k = k0; k < k1; k += P) {
+        const int live = static_cast<int>(k1 - k < P ? k1 - k : P);
+        int64_t in[P], out_off[P];
+        for (int s = 0; s < P; ++s) {
+            const Slot sl = slots[k + (s < live ? s : live - 1)];
+            in[s] = sl.y * rowStep + sl.x;
+            out_off[s] = sl.y * ow + sl.x;
+        }
+        convForwardTile<F, P, Tail>(frames, tapOff, taps, w, bias, in, out,
+                                    outPitch, out_off, live, ow % 8);
+    }
+}
+
+using ForwardFilters = void (*)(const float *, const int64_t *, int64_t,
+                                int64_t, const float *, const float *,
+                                int64_t, const OctetSlots &, int64_t,
+                                int64_t, float *, int64_t);
+
+/** Filters one convForward tile holds, at most. */
+constexpr int kMaxTileFilters = 4;
+
+void
+convForwardAvx2(const float *frames, const int64_t *tapOff, int64_t taps,
+                int64_t rowStep, const float *w, const float *bias,
+                int64_t filters, int64_t oh, int64_t ow, float *out,
+                int64_t outPitch)
+{
+    // [partial octet][filters - 1]
+    static constexpr ForwardFilters kFilters[2][kMaxTileFilters] = {
+        {&convForwardFilters<1, false>, &convForwardFilters<2, false>,
+         &convForwardFilters<3, false>, &convForwardFilters<4, false>},
+        {&convForwardFilters<1, true>, &convForwardFilters<2, true>,
+         &convForwardFilters<3, true>, &convForwardFilters<4, true>}};
+    const OctetSlots slots(oh, ow);
+    for (int64_t f = 0; f < filters; f += kMaxTileFilters) {
+        const int64_t fn =
+            filters - f < kMaxTileFilters ? filters - f : kMaxTileFilters;
+        const float *wf = w + f * taps;
+        const float *bf = bias ? bias + f : nullptr;
+        float *of = out + f * outPitch;
+        kFilters[0][fn - 1](frames, tapOff, taps, rowStep, wf, bf, ow, slots,
+                            0, slots.whole, of, outPitch);
+        kFilters[1][fn - 1](frames, tapOff, taps, rowStep, wf, bf, ow, slots,
+                            slots.whole, slots.total, of, outPitch);
+    }
+}
+
+/** Input-cell slots one convBackwardInput tile holds. */
+constexpr int kGatherSlots = 8;
+
+/**
+ * One convBackwardInput tile: kGatherSlots input-cell slots (frame
+ * offsets in[s], plane offsets out[s]), each slot's first `lanes`
+ * cells when Tail. Each accumulator is one cell's chain — +0, then
+ * + frame * kern over (filter, j, i) ascending, the kernel read
+ * flipped — and the first `live` slots are stored once.
+ */
+template <bool Tail>
+inline void
+convBackwardInputTile(const float *frames, int64_t frameSize, int64_t pitch,
+                      int64_t filters, const float *kern, int64_t kernPitch,
+                      int64_t kh, int64_t kw, const int64_t *in,
+                      float *gradIn, const int64_t *outOff, int live,
+                      int64_t lanes)
+{
+    constexpr int P = kGatherSlots;
+    const __m256i mask = lanesBelow(lanes);
+    __m256 a[P];
+    for (int s = 0; s < P; ++s)
+        a[s] = _mm256_setzero_ps();
+    const int64_t taps = kh * kw;
+    for (int64_t f = 0; f < filters; ++f) {
+        const float *fr = frames + f * frameSize;
+        // Tap (j, i) takes kernel element (kh - 1 - j, kw - 1 - i): the
+        // taps walk the kernel from its last element down.
+        const float *k = kern + f * kernPitch + taps - 1;
+        for (int64_t j = 0; j < kh; ++j) {
+            for (int64_t i = 0; i < kw; ++i, --k) {
+                const __m256 wv = _mm256_broadcast_ss(k);
+                const float *src = fr + j * pitch + i;
+                for (int s = 0; s < P; ++s)
+                    a[s] = _mm256_add_ps(
+                        a[s],
+                        _mm256_mul_ps(loadOctet(src + in[s], !Tail, mask), wv));
+            }
+        }
+    }
+    for (int s = 0; s < P; ++s)
+        if (s < live)
+            storeOctet(gradIn + outOff[s], a[s], !Tail, mask);
+}
+
+/** convBackwardInput over the input-cell slots [k0, k1). */
+template <bool Tail>
+void
+convBackwardInputSlots(const float *frames, int64_t frameSize, int64_t pitch,
+                       int64_t filters, const float *kern, int64_t kernPitch,
+                       int64_t kh, int64_t kw, int64_t w,
+                       const OctetSlots &slots, int64_t k0, int64_t k1,
+                       float *gradIn)
+{
+    constexpr int P = kGatherSlots;
+    for (int64_t k = k0; k < k1; k += P) {
+        const int live = static_cast<int>(k1 - k < P ? k1 - k : P);
+        int64_t in[P], out_off[P];
+        for (int s = 0; s < P; ++s) {
+            const Slot sl = slots[k + (s < live ? s : live - 1)];
+            in[s] = sl.y * pitch + sl.x;
+            out_off[s] = sl.y * w + sl.x;
+        }
+        convBackwardInputTile<Tail>(frames, frameSize, pitch, filters, kern,
+                                    kernPitch, kh, kw, in, gradIn, out_off,
+                                    live, w % 8);
+    }
+}
+
+void
+convBackwardInputAvx2(const float *frames, int64_t frameSize, int64_t pitch,
+                      int64_t filters, const float *kern, int64_t kernPitch,
+                      int64_t kh, int64_t kw, int64_t h, int64_t w,
+                      float *gradIn)
+{
+    const OctetSlots slots(h, w);
+    convBackwardInputSlots<false>(frames, frameSize, pitch, filters, kern,
+                                  kernPitch, kh, kw, w, slots, 0,
+                                  slots.whole, gradIn);
+    convBackwardInputSlots<true>(frames, frameSize, pitch, filters, kern,
+                                 kernPitch, kh, kw, w, slots, slots.whole,
+                                 slots.total, gradIn);
+}
+
 const KernelOps kAvx2Ops = {
     "avx2",          // name
     true,            // wantsInterleaved
@@ -504,6 +750,8 @@ const KernelOps kAvx2Ops = {
     ownerValuesAvx2,    // ownerValues
     ownerScatterAvx2,   // ownerScatter
     ownerWeightMulAvx2, // ownerWeightMul
+    convForwardAvx2,       // convForward
+    convBackwardInputAvx2, // convBackwardInput
 };
 
 bool

@@ -5,11 +5,14 @@
  * of these loops exactly (see kernels.hpp for how). The projection
  * body is the natural per-(row, filter) dot product over the
  * column-major matrix — the same element order RPQEngine::project()
- * walks — so it needs no interleaved mirror.
+ * walks — so it needs no interleaved mirror. The exact conv bodies
+ * run one mul-add over whole output (or input-cell) planes per tap,
+ * so every output keeps its chain and -O3 vectorizes the planes.
  */
 
 #include "core/kernels/kernels.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace mercury {
@@ -147,6 +150,55 @@ ownerWeightMulScalar(const float *sums, int64_t filters, int64_t owners,
     }
 }
 
+/**
+ * dst[y][i] += src[y][i] * w over `rows` rows of n floats, with row
+ * pitches dstPitch and srcPitch: a rounded multiply, then a rounded
+ * add, per element. The one mul-add body of the exact conv loops;
+ * dst and src never overlap, and the rows vectorize at the baseline
+ * ISA.
+ */
+inline void
+mulAddRows(float *__restrict dst, int64_t dstPitch,
+           const float *__restrict src, int64_t srcPitch, int64_t rows,
+           int64_t n, float w)
+{
+    for (int64_t y = 0; y < rows; ++y)
+        for (int64_t i = 0; i < n; ++i)
+            dst[y * dstPitch + i] += src[y * srcPitch + i] * w;
+}
+
+void
+convForwardScalar(const float *frames, const int64_t *tapOff, int64_t taps,
+                  int64_t rowStep, const float *w, const float *bias,
+                  int64_t filters, int64_t oh, int64_t ow, float *out,
+                  int64_t outPitch)
+{
+    for (int64_t f = 0; f < filters; ++f) {
+        float *o = out + f * outPitch;
+        std::fill(o, o + oh * ow, bias ? bias[f] : 0.0f);
+        const float *wt = w + f * taps;
+        for (int64_t t = 0; t < taps; ++t)
+            mulAddRows(o, ow, frames + tapOff[t], rowStep, oh, ow, wt[t]);
+    }
+}
+
+void
+convBackwardInputScalar(const float *frames, int64_t frameSize,
+                        int64_t pitch, int64_t filters, const float *kern,
+                        int64_t kernPitch, int64_t kh, int64_t kw, int64_t h,
+                        int64_t w, float *gradIn)
+{
+    std::fill(gradIn, gradIn + h * w, 0.0f);
+    for (int64_t f = 0; f < filters; ++f) {
+        const float *fr = frames + f * frameSize;
+        const float *k = kern + f * kernPitch;
+        for (int64_t j = 0; j < kh; ++j)
+            for (int64_t i = 0; i < kw; ++i)
+                mulAddRows(gradIn, w, fr + j * pitch + i, pitch, h, w,
+                           k[(kh - 1 - j) * kw + kw - 1 - i]);
+    }
+}
+
 const KernelOps kScalarOps = {
     "scalar",          // name
     false,             // wantsInterleaved
@@ -158,6 +210,8 @@ const KernelOps kScalarOps = {
     ownerValuesScalar,    // ownerValues
     ownerScatterScalar,   // ownerScatter
     ownerWeightMulScalar, // ownerWeightMul
+    convForwardScalar,       // convForward
+    convBackwardInputScalar, // convBackwardInput
 };
 
 } // namespace

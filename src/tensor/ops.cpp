@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "core/kernels/kernels.hpp"
 #include "util/logging.hpp"
 
 namespace mercury {
@@ -99,21 +100,95 @@ ConvFrame::load(const float *src, int64_t channels, float *dst) const
     }
 }
 
-void
-ConvFrame::crop(const float *frame, float *dst) const
+std::vector<int64_t>
+ConvFrame::tapOffsets(int64_t channels) const
 {
-    for (int64_t y = 0; y < inRows_; ++y) {
-        const float *frow = frame + (y + pad_) * rowLen_;
-        for (size_t x = 0; x < slot_.size(); ++x)
-            dst[y * w_ + static_cast<int64_t>(x)] = frow[slot_[x]];
+    std::vector<int64_t> off;
+    off.reserve(static_cast<size_t>(channels * kh_ * kw_));
+    for (int64_t c = 0; c < channels; ++c)
+        for (int64_t ky = 0; ky < kh_; ++ky)
+            for (int64_t kx = 0; kx < kw_; ++kx)
+                off.push_back(c * size() + tap(ky, kx));
+    return off;
+}
+
+std::vector<int64_t>
+ConvFrame::positionSlots() const
+{
+    std::vector<int64_t> slots;
+    slots.reserve(static_cast<size_t>(oh_ * ow_));
+    for (int64_t y = 0; y < oh_; ++y)
+        for (int64_t x = 0; x < ow_; ++x)
+            slots.push_back(y * rowStep() + x);
+    return slots;
+}
+
+ConvGradFrame::ConvGradFrame(const ConvSpec &spec, int64_t h, int64_t w)
+    : h_(h), w_(w), oh_(spec.outH(h)), ow_(spec.outW(w)),
+      kh_(spec.kernelH), kw_(spec.kernelW), stride_(spec.stride),
+      pad_(spec.pad), rows_(h + kh_ - 1), pitch_(w + kw_ - 1)
+{
+    // A gradient's frame row y * stride + kH - 1 - pad grows with y, so
+    // the rows (and columns) that land inside form one range.
+    const auto inside = [this](int64_t n, int64_t k, int64_t len,
+                               int64_t &lo, int64_t &hi) {
+        lo = 0;
+        while (lo < n && lo * stride_ + k - 1 - pad_ < 0)
+            ++lo;
+        hi = lo;
+        while (hi < n && hi * stride_ + k - 1 - pad_ < len)
+            ++hi;
+    };
+    inside(oh_, kh_, rows_, y0_, y1_);
+    inside(ow_, kw_, pitch_, x0_, x1_);
+}
+
+void
+ConvGradFrame::load(const float *go, int64_t filters, const int32_t *owners,
+                    float *dst) const
+{
+    const int64_t v = oh_ * ow_;
+    for (int64_t f = 0; f < filters; ++f) {
+        const float *g = go + f * v;
+        float *frame = dst + f * size();
+        for (int64_t y = y0_; y < y1_; ++y) {
+            for (int64_t x = x0_; x < x1_; ++x) {
+                const int64_t r = y * ow_ + x;
+                frame[at(y, x)] = g[owners ? owners[r] : r];
+            }
+        }
     }
+}
+
+void
+ConvGradFrame::backwardInput(const float *frames, int64_t filters,
+                             const float *w, int64_t wPitch,
+                             float *gradIn) const
+{
+    kernels::ops().convBackwardInput(frames, size(), pitch_, filters, w,
+                                     wPitch, kh_, kw_, h_, w_, gradIn);
+}
+
+std::vector<float>
+gradOutByPosition(const Tensor &gradOut, int64_t groups)
+{
+    const int64_t filters = gradOut.dim(1) / groups;
+    const int64_t v = gradOut.dim(2) * gradOut.dim(3);
+    std::vector<float> t(static_cast<size_t>(gradOut.numel()));
+    for (int64_t bg = 0; bg < gradOut.dim(0) * groups; ++bg) {
+        const float *src = gradOut.data() + bg * filters * v;
+        float *dst = t.data() + bg * v * filters;
+        for (int64_t f = 0; f < filters; ++f)
+            for (int64_t r = 0; r < v; ++r)
+                dst[r * filters + f] = src[f * v + r];
+    }
+    return t;
 }
 
 // The three conv ops below keep, for every output element, the IEEE
 // operation sequence of the textbook nested loops (see "Exact ops" in
-// docs/ARCHITECTURE.md), so each result is bit-identical to them; the
-// loops are only reordered so the innermost one runs over contiguous
-// floats that -O3 vectorizes.
+// docs/ARCHITECTURE.md), so each result is bit-identical to them; they
+// run on the kernel table (core/kernels), whose bodies hold that order.
 
 Tensor
 conv2dForward(const Tensor &input, const Tensor &weight, const Tensor &bias,
@@ -129,7 +204,6 @@ conv2dForward(const Tensor &input, const Tensor &weight, const Tensor &bias,
     const int64_t oh = spec.outH(h), ow = spec.outW(w);
     const int64_t cin_g = spec.inChannels / spec.groups;
     const int64_t cout_g = spec.outChannels / spec.groups;
-    const int64_t kh = spec.kernelH, kw = spec.kernelW;
     Tensor out({n, spec.outChannels, oh, ow});
     if (out.numel() == 0)
         return out;
@@ -138,27 +212,20 @@ conv2dForward(const Tensor &input, const Tensor &weight, const Tensor &bias,
     // (ic, ky, kx) ascending; padded taps read the zero border and add
     // 0 * w, as the textbook loop's zero-padded fetch does.
     const ConvFrame f(spec, h, w);
+    const std::vector<int64_t> tap_off = f.tapOffsets(cin_g);
+    const int64_t taps = static_cast<int64_t>(tap_off.size());
     std::vector<float> frames(static_cast<size_t>(cin_g * f.size()));
+    const kernels::KernelOps &k = kernels::ops();
     for (int64_t b = 0; b < n; ++b) {
         for (int64_t g = 0; g < spec.groups; ++g) {
             f.load(input.data() + input.offset4(b, g * cin_g, 0, 0), cin_g,
                    frames.data());
-            for (int64_t oc = g * cout_g; oc < (g + 1) * cout_g; ++oc) {
-                float *o = out.data() + out.offset4(b, oc, 0, 0);
-                std::fill(o, o + oh * ow, bias.numel() ? bias[oc] : 0.0f);
-                const float *wt = weight.data() + oc * cin_g * kh * kw;
-                for (int64_t ic = 0; ic < cin_g; ++ic) {
-                    for (int64_t ky = 0; ky < kh; ++ky) {
-                        for (int64_t kx = 0; kx < kw; ++kx) {
-                            mulAddRows(o, ow,
-                                       frames.data() + ic * f.size() +
-                                           f.tap(ky, kx),
-                                       f.rowStep(), oh, ow,
-                                       wt[(ic * kh + ky) * kw + kx]);
-                        }
-                    }
-                }
-            }
+            k.convForward(frames.data(), tap_off.data(), taps, f.rowStep(),
+                          weight.data() + g * cout_g * taps,
+                          bias.numel() ? bias.data() + g * cout_g : nullptr,
+                          cout_g, oh, ow,
+                          out.data() + out.offset4(b, g * cout_g, 0, 0),
+                          oh * ow);
         }
     }
     return out;
@@ -172,49 +239,41 @@ conv2dBackwardWeight(const Tensor &input, const Tensor &gradOut,
     checkConvInput(input, spec);
     const int64_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
     checkConvGradOut(gradOut, n, h, w, spec);
-    const int64_t oh = gradOut.dim(2), ow = gradOut.dim(3);
     const int64_t cin_g = spec.inChannels / spec.groups;
     const int64_t cout_g = spec.outChannels / spec.groups;
     const int64_t kh = spec.kernelH, kw = spec.kernelW;
-    const int64_t taps = cin_g * kh * kw;
     Tensor grad_w({spec.outChannels, cin_g, kh, kw});
     if (gradOut.numel() == 0)
         return grad_w;
 
     // Each weight element is one chain, += gradOut * in over (batch,
-    // y, x) ascending from +0. The chains of a group's filters run side
-    // by side: gradOut is transposed to (position, filter) and the
-    // accumulators, laid out (tap, filter), carry across the batch.
+    // y, x) ascending from +0: the weight-gradient kernel with every
+    // output position an owner (its own group sum). The chains of a
+    // group's filters run side by side on gradOut transposed to
+    // (position, filter), and the accumulators, laid out (tap, filter),
+    // carry across the batch.
     const ConvFrame f(spec, h, w);
+    const std::vector<int64_t> tap_off = f.tapOffsets(cin_g);
+    const std::vector<int64_t> base = f.positionSlots();
+    const int64_t taps = static_cast<int64_t>(tap_off.size());
+    const int64_t v = static_cast<int64_t>(base.size());
+    const std::vector<float> go_t = gradOutByPosition(gradOut, spec.groups);
     std::vector<float> frames(static_cast<size_t>(cin_g * f.size()));
-    std::vector<float> go_t(static_cast<size_t>(oh * ow * cout_g));
     std::vector<float> acc(static_cast<size_t>(taps * cout_g));
     for (int64_t g = 0; g < spec.groups; ++g) {
         std::fill(acc.begin(), acc.end(), 0.0f);
         for (int64_t b = 0; b < n; ++b) {
             f.load(input.data() + input.offset4(b, g * cin_g, 0, 0), cin_g,
                    frames.data());
-            const float *go =
-                gradOut.data() + gradOut.offset4(b, g * cout_g, 0, 0);
-            for (int64_t o = 0; o < cout_g; ++o)
-                for (int64_t p = 0; p < oh * ow; ++p)
-                    go_t[p * cout_g + o] = go[o * oh * ow + p];
-            for (int64_t t = 0; t < taps; ++t) {
-                const float *in = frames.data() + t / (kh * kw) * f.size() +
-                                  f.tap(t / kw % kh, t % kw);
-                for (int64_t y = 0; y < oh; ++y) {
-                    const float *irow = in + y * f.rowStep();
-                    for (int64_t x = 0; x < ow; ++x)
-                        mulAddRows(acc.data() + t * cout_g, 0,
-                                   go_t.data() + (y * ow + x) * cout_g, 0, 1,
-                                   cout_g, irow[x]);
-                }
-            }
+            kernels::ops().ownerWeightMul(
+                go_t.data() + (b * spec.groups + g) * v * cout_g, cout_g, v,
+                frames.data(), base.data(), tap_off.data(), taps,
+                acc.data());
         }
         float *gw = grad_w.data() + g * cout_g * taps;
         for (int64_t o = 0; o < cout_g; ++o)
             for (int64_t t = 0; t < taps; ++t)
-                gw[o * taps + t] = acc[t * cout_g + o];
+                gw[o * taps + t] = acc[static_cast<size_t>(t * cout_g + o)];
     }
     return grad_w;
 }
@@ -231,57 +290,29 @@ conv2dBackwardInput(const Tensor &gradOut, const Tensor &weight,
     checkConvGradOut(gradOut, n, in_h, in_w, spec);
     const int64_t cin_g = spec.inChannels / spec.groups;
     const int64_t cout_g = spec.outChannels / spec.groups;
-    const int64_t kh = spec.kernelH, kw = spec.kernelW;
+    const int64_t kk = spec.kernelH * spec.kernelW;
     Tensor grad_in({n, spec.inChannels, in_h, in_w});
     if (gradOut.numel() == 0 || grad_in.numel() == 0)
         return grad_in;
 
-    const ConvFrame f(spec, in_h, in_w);
-    std::vector<float> frame(static_cast<size_t>(f.size()));
+    // One bordered frame of the group's gradients per (image, group)
+    // serves all of its input channels.
+    const ConvGradFrame f(spec, in_h, in_w);
+    std::vector<float> frames(static_cast<size_t>(cout_g * f.size()));
     for (int64_t b = 0; b < n; ++b) {
         for (int64_t g = 0; g < spec.groups; ++g) {
-            for (int64_t ic = 0; ic < cin_g; ++ic) {
-                conv2dBackwardInputChannel(
-                    f, gradOut.data() + gradOut.offset4(b, g * cout_g, 0, 0),
-                    cout_g,
-                    weight.data() + (g * cout_g * cin_g + ic) * kh * kw,
-                    cin_g * kh * kw, frame.data(),
+            f.load(gradOut.data() + gradOut.offset4(b, g * cout_g, 0, 0),
+                   cout_g, nullptr, frames.data());
+            for (int64_t ic = 0; ic < cin_g; ++ic)
+                f.backwardInput(
+                    frames.data(), cout_g,
+                    weight.data() + (g * cout_g * cin_g + ic) * kk,
+                    cin_g * kk,
                     grad_in.data() +
                         grad_in.offset4(b, g * cin_g + ic, 0, 0));
-            }
         }
     }
     return grad_in;
-}
-
-void
-conv2dBackwardInputChannel(const ConvFrame &f, const float *go,
-                           int64_t filters, const float *w, int64_t wPitch,
-                           float *frame, float *gradIn)
-{
-    // Scatter formulation of Eq. 2: each input cell gets += go * w in
-    // (filter, y, x) ascending order. For one tap (ky, kx) every output
-    // position hits a different cell, and the cell hit from (y, x) by
-    // tap ky is hit from y - 1 by tap ky + stride, so walking the taps
-    // in descending order with (y, x) ascending inside gives exactly
-    // that order for any stride. Taps that land in the padding
-    // accumulate into the frame's border, which is cropped away. Zero
-    // gradients are not skipped: go * w is then +-0, and adding +-0 to
-    // a cell that started at +0 never changes its bits (for finite w).
-    const int64_t oh = f.outH(), ow = f.outW();
-    const int64_t kh = f.kernelH(), kw = f.kernelW();
-    std::fill(frame, frame + f.size(), 0.0f);
-    for (int64_t o = 0; o < filters; ++o) {
-        const float *g = go + o * oh * ow;
-        const float *wt = w + o * wPitch;
-        for (int64_t ky = kh - 1; ky >= 0; --ky) {
-            for (int64_t kx = kw - 1; kx >= 0; --kx) {
-                mulAddRows(frame + f.tap(ky, kx), f.rowStep(), g, ow, oh,
-                           ow, wt[ky * kw + kx]);
-            }
-        }
-    }
-    f.crop(frame, gradIn);
 }
 
 Tensor
@@ -437,8 +468,10 @@ maxPool2x2Forward(const Tensor &x, std::vector<int32_t> &argmax)
     for (int64_t plane = 0; plane < n * c; ++plane) {
         for (int64_t y = 0; y < oh; ++y) {
             for (int64_t ox = 0; ox < ow; ++ox, ++idx) {
-                float best = -1e30f;
-                int64_t best_off = 0;
+                // The window's first element, then any later one that
+                // is larger: the output is always one of the four.
+                int64_t best_off = (plane * h + 2 * y) * w + 2 * ox;
+                float best = xp[best_off];
                 for (int64_t dy = 0; dy < 2; ++dy) {
                     for (int64_t dx = 0; dx < 2; ++dx) {
                         const int64_t off =

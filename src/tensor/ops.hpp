@@ -81,12 +81,12 @@ Tensor conv2dBackwardInput(const Tensor &gradOut, const Tensor &weight,
                            const ConvSpec &spec, int64_t in_h, int64_t in_w);
 
 /**
- * The zero-bordered frame of one (h, w) plane that a conv reads
- * (forward, dW) or accumulates into (dX). Input cell (y, x) sits at
- * padded (y + pad, x + pad), and the frame's (oh - 1) * stride + kH
- * rows and (ow - 1) * stride + kW columns hold every tap of every
- * output; input cells beyond them are read by no tap. Each row keeps
- * its columns split by phase modulo the stride, column c at slot
+ * The zero-bordered frame of one (h, w) plane that the conv forward
+ * and weight gradient read. Input cell (y, x) sits at padded
+ * (y + pad, x + pad), and the frame's (oh - 1) * stride + kH rows and
+ * (ow - 1) * stride + kW columns hold every tap of every output; input
+ * cells beyond them are read by no tap. Each row keeps its columns
+ * split by phase modulo the stride, column c at slot
  * (c % stride) * span + c / stride, so tap kx of output column x,
  * padded column x * stride + kx, is slot col(kx) + x: every loop over
  * x is unit-stride, at any stride.
@@ -102,26 +102,24 @@ class ConvFrame
 
     int64_t outH() const { return oh_; }
     int64_t outW() const { return ow_; }
-    int64_t kernelH() const { return kh_; }
-    int64_t kernelW() const { return kw_; }
 
-    /** Offset of the slot tap (ky, kx) reads for output (0, 0). */
-    int64_t tap(int64_t ky, int64_t kx) const
-    {
-        return ky * rowLen_ + col(kx);
-    }
+    /**
+     * The slot each tap (c, ky, kx) reads for output (0, 0), taps
+     * ascending over `channels` consecutive frames.
+     */
+    std::vector<int64_t> tapOffsets(int64_t channels) const;
 
     /** Distance between the slots a tap reads for output rows y, y + 1. */
     int64_t rowStep() const { return stride_ * rowLen_; }
 
+    /**
+     * The slot tap (0, 0) reads for each output position r = y * ow + x:
+     * y * rowStep() + x.
+     */
+    std::vector<int64_t> positionSlots() const;
+
     /** Copy `channels` (h, w) planes into consecutive frames. */
     void load(const float *src, int64_t channels, float *dst) const;
-
-    /**
-     * Copy one frame's input cells out to an (h, w) plane; cells that
-     * no tap reaches are left as they are.
-     */
-    void crop(const float *frame, float *dst) const;
 
   private:
     int64_t h_, w_, oh_, ow_, kh_, kw_, stride_, pad_, rows_;
@@ -131,40 +129,78 @@ class ConvFrame
 
     /** Slot of padded column c within a row. */
     int64_t col(int64_t c) const { return c % stride_ * span_ + c / stride_; }
+
+    /** Offset of the slot tap (ky, kx) reads for output (0, 0). */
+    int64_t tap(int64_t ky, int64_t kx) const
+    {
+        return ky * rowLen_ + col(kx);
+    }
 };
 
 /**
- * dst[y][i] += src[y][i] * w over `rows` rows of n floats, with row
- * pitches dstPitch and srcPitch: a rounded multiply, then a rounded
- * add, per element (no FMA under the build's -ffp-contract=off). The
- * one mul-add body of the conv kernels, exact and reuse alike. dst and
- * src never overlap.
+ * The zero-bordered frame of one (oh, ow) output-gradient plane that
+ * the input gradient gathers from: Eq. 2 as a full correlation of the
+ * stride-dilated gradients with the flipped kernel. The frame has
+ * h + kH - 1 rows of w + kW - 1 floats. Gradient (y, x) sits at
+ * (y * stride + kH - 1 - pad, x * stride + kW - 1 - pad) when that lies
+ * inside (one outside reaches only padding), and every other cell is
+ * zero, so input cell (iy, ix) reads frame (iy + j, ix + i) against
+ * kernel element (kH - 1 - j, kW - 1 - i) for every (j, i).
  */
-inline void
-mulAddRows(float *__restrict dst, int64_t dstPitch,
-           const float *__restrict src, int64_t srcPitch, int64_t rows,
-           int64_t n, float w)
+class ConvGradFrame
 {
-    for (int64_t y = 0; y < rows; ++y)
-        for (int64_t i = 0; i < n; ++i)
-            dst[y * dstPitch + i] += src[y * srcPitch + i] * w;
-}
+  public:
+    /** Frame of the gradients of an (h, w) input plane under `spec`. */
+    ConvGradFrame(const ConvSpec &spec, int64_t h, int64_t w);
+
+    /** Floats of one frame. */
+    int64_t size() const { return rows_ * pitch_; }
+
+    /** Floats of one frame row. */
+    int64_t pitch() const { return pitch_; }
+
+    /**
+     * Write `filters` consecutive (oh, ow) gradient planes into
+     * consecutive frames at `dst`; with `owners`, position r of every
+     * plane takes the gradient at position owners[r]. Only the cells
+     * gradients land on are written, the same ones at every load: zero
+     * `dst` once and it serves every load of this frame.
+     */
+    void load(const float *go, int64_t filters, const int32_t *owners,
+              float *dst) const;
+
+    /**
+     * Input gradient of one input-channel plane from `filters` loaded
+     * frames (the kernel table's convBackwardInput): filter f's
+     * (kH, kW) kernel for the channel is the block at w + f * wPitch,
+     * and all h * w cells of `gradIn` are written. Each cell sums, from
+     * +0, go * w over (filter, y, x) ascending — the order of the
+     * scatter form, which the conv engine's dX replay relies on
+     * (docs/ARCHITECTURE.md, "Exact ops") — plus border terms 0 * w =
+     * +-0, which leave such a sum unchanged for finite weights.
+     */
+    void backwardInput(const float *frames, int64_t filters, const float *w,
+                       int64_t wPitch, float *gradIn) const;
+
+  private:
+    int64_t h_, w_, oh_, ow_, kh_, kw_, stride_, pad_, rows_, pitch_;
+    int64_t y0_ = 0, y1_ = 0; ///< gradient rows [y0_, y1_) land inside
+    int64_t x0_ = 0, x1_ = 0; ///< gradient columns [x0_, x1_) land inside
+
+    /** Frame offset of gradient (y, x). */
+    int64_t at(int64_t y, int64_t x) const
+    {
+        return (y * stride_ + kh_ - 1 - pad_) * pitch_ + x * stride_ + kw_ -
+               1 - pad_;
+    }
+};
 
 /**
- * Input gradient of one input-channel plane: the per-(image, group,
- * channel) body of conv2dBackwardInput, which calls it for every
- * plane. `go` holds `filters` consecutive (oh, ow) output-gradient
- * planes; filter f's kernel for this channel is the (kH, kW) block at
- * w + f * wPitch. Each cell of the plane is the sum, from +0, of
- * go * w over (filter, y, x) ascending — the order the reuse engine's
- * input-gradient replay relies on (docs/ARCHITECTURE.md, "Exact
- * ops"). `frame` is f.size() floats of scratch; the cells of `gradIn`
- * that `f` covers are overwritten, the rest are left as they are.
+ * gradOut's (n * groups) blocks of Cout/groups (oh, ow) planes, each
+ * transposed to (position, filter): the layout the weight-gradient
+ * kernel (ownerWeightMul) reads the output gradients in.
  */
-void conv2dBackwardInputChannel(const ConvFrame &f, const float *go,
-                                int64_t filters, const float *w,
-                                int64_t wPitch, float *frame,
-                                float *gradIn);
+std::vector<float> gradOutByPosition(const Tensor &gradOut, int64_t groups);
 
 /** Gradient of the loss w.r.t. the bias (sum over N, H, W). */
 Tensor conv2dBackwardBias(const Tensor &gradOut);

@@ -245,8 +245,9 @@ maxPool2x2Forward(const Tensor &x, std::vector<int32_t> &argmax)
         for (int64_t ch = 0; ch < c; ++ch) {
             for (int64_t y = 0; y < oh; ++y) {
                 for (int64_t w = 0; w < ow; ++w, ++idx) {
-                    float best = -1e30f;
-                    int32_t best_off = 0;
+                    float best = x.at4(b, ch, 2 * y, 2 * w);
+                    int32_t best_off =
+                        static_cast<int32_t>(x.offset4(b, ch, 2 * y, 2 * w));
                     for (int dy = 0; dy < 2; ++dy) {
                         for (int dx = 0; dx < 2; ++dx) {
                             const float v =

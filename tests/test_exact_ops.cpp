@@ -19,11 +19,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <ostream>
 #include <vector>
 
+#include "core/kernels/kernels.hpp"
 #include "naive_ops.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
@@ -204,6 +207,98 @@ TEST(ExactOps, ConvSeedsCoverEveryVariant)
     EXPECT_TRUE(odd_size && stride_tail);
 }
 
+constexpr uint64_t kWideSeeds = 120;
+
+/**
+ * A second seeded set of wide planes for the kernel table's register
+ * tiles: H and W in [1, 40], so planes hold whole column octets, a
+ * partial last octet or both, up to 16 filters, pad 0-2, groups 1 or 2.
+ */
+ConvCase
+drawWideConv(uint64_t seed)
+{
+    Rng rng(seed * 104729 + 17);
+    ConvCase c;
+    c.seed = seed;
+    const int64_t kernels[] = {1, 3, 5};
+    c.spec.kernelH = kernels[rng.uniformInt(3)];
+    c.spec.kernelW = kernels[rng.uniformInt(3)];
+    c.spec.stride = pick(rng, 1, 2);
+    c.spec.pad = pick(rng, 0, 2);
+    c.batch = pick(rng, 1, 2);
+    c.h = std::max(pick(rng, 1, 40), c.spec.kernelH - 2 * c.spec.pad);
+    c.w = std::max(pick(rng, 1, 40), c.spec.kernelW - 2 * c.spec.pad);
+    c.spec.groups = pick(rng, 1, 2);
+    c.spec.inChannels = c.spec.groups * pick(rng, 1, 2);
+    c.spec.outChannels = c.spec.groups * pick(rng, 1, 16 / c.spec.groups);
+    c.bias = rng.bernoulli(0.5);
+    return c;
+}
+
+TEST(ExactOps, WideConvOpsMatchOracleUnderBothKernelTables)
+{
+    std::vector<const kernels::KernelOps *> tables = {&kernels::scalarOps()};
+    if (const kernels::KernelOps *ax = kernels::avx2Ops())
+        tables.push_back(ax);
+    for (uint64_t seed = 1; seed <= kWideSeeds; ++seed) {
+        const ConvCase c = drawWideConv(seed);
+        const ConvSpec &spec = c.spec;
+        Rng rng(seed * 6007 + 5);
+        const Tensor input =
+            sparseNormal({c.batch, spec.inChannels, c.h, c.w}, rng);
+        Tensor weight({spec.outChannels, spec.inChannels / spec.groups,
+                       spec.kernelH, spec.kernelW});
+        weight.fillNormal(rng);
+        Tensor bias;
+        if (c.bias) {
+            bias = Tensor({spec.outChannels});
+            bias.fillNormal(rng);
+        }
+        const Tensor grad_out = sparseNormal(
+            {c.batch, spec.outChannels, spec.outH(c.h), spec.outW(c.w)}, rng);
+        const Tensor fwd = oracle::conv2dForward(input, weight, bias, spec);
+        const Tensor dw = oracle::conv2dBackwardWeight(input, grad_out, spec);
+        const Tensor dx =
+            oracle::conv2dBackwardInput(grad_out, weight, spec, c.h, c.w);
+        for (const kernels::KernelOps *table : tables) {
+            SCOPED_TRACE(::testing::Message() << c << ", " << table->name);
+            kernels::forceForTesting(table);
+            EXPECT_TRUE(sameBits(conv2dForward(input, weight, bias, spec), fwd))
+                << "conv2dForward";
+            EXPECT_TRUE(sameBits(conv2dBackwardWeight(input, grad_out, spec),
+                                 dw))
+                << "conv2dBackwardWeight";
+            EXPECT_TRUE(sameBits(
+                conv2dBackwardInput(grad_out, weight, spec, c.h, c.w), dx))
+                << "conv2dBackwardInput";
+            kernels::forceForTesting(nullptr);
+        }
+        if (HasFailure())
+            return;
+    }
+}
+
+TEST(ExactOps, WideConvSeedsCoverTheTiles)
+{
+    bool out_tail = false, in_tail = false, whole_and_tail = false;
+    bool odd_filters = false, stride2 = false, pad2 = false;
+    for (uint64_t seed = 1; seed <= kWideSeeds; ++seed) {
+        const ConvCase c = drawWideConv(seed);
+        const int64_t ow = c.spec.outW(c.w);
+        const int64_t cout_g = c.spec.outChannels / c.spec.groups;
+        // The forward's octets run over output columns, the input
+        // gradient's over input columns.
+        out_tail |= ow % 8 != 0;
+        in_tail |= c.w % 8 != 0;
+        whole_and_tail |= ow > 8 && ow % 8 != 0 && c.w > 8 && c.w % 8 != 0;
+        odd_filters |= cout_g % 2 == 1 && cout_g > 4;
+        stride2 |= c.spec.stride == 2 && c.w > 8;
+        pad2 |= c.spec.pad == 2;
+    }
+    EXPECT_TRUE(out_tail && in_tail && whole_and_tail);
+    EXPECT_TRUE(odd_filters && stride2 && pad2);
+}
+
 TEST(ExactOps, MatmulOpsMatchOracleBitForBit)
 {
     for (uint64_t seed = 1; seed <= 120; ++seed) {
@@ -270,6 +365,66 @@ TEST(ExactOps, EltwiseAndPoolOpsMatchOracleBitForBit)
         if (HasFailure())
             return;
     }
+}
+
+TEST(ExactOps, MaxPoolOutputsAWindowValueAndPointsInsideIt)
+{
+    // Windows of -inf, -FLT_MAX and NaN beside ordinary ones. Every
+    // output must be one of its window's four values, bit for bit,
+    // its argmax one of the window's four elements, and the backward
+    // must route each window's gradient into that window.
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    Rng rng(99);
+    Tensor x({2, 3, 4, 6});
+    x.fillNormal(rng);
+    const int64_t h = 4, w = 6, oh = 2, ow = 3;
+    const auto offset = [&](int64_t plane, int64_t y, int64_t ox,
+                            int64_t e) {
+        return (plane * h + 2 * y + e / 2) * w + 2 * ox + e % 2;
+    };
+    int64_t idx = 0;
+    for (int64_t plane = 0; plane < 6; ++plane)
+        for (int64_t y = 0; y < oh; ++y)
+            for (int64_t ox = 0; ox < ow; ++ox, ++idx)
+                for (int64_t e = 0; e < 4; ++e) {
+                    float &v = x[offset(plane, y, ox, e)];
+                    switch (idx % 6) {
+                    case 1: v = -inf; break;
+                    case 2: v = -FLT_MAX; break;
+                    case 3: v = nan; break;
+                    case 4: if (e == 0) v = nan; break; // NaN first
+                    case 5: if (e < 3) v = -inf; break; // one finite
+                    default: break;                     // ordinary
+                    }
+                }
+    std::vector<int32_t> argmax;
+    const Tensor out = maxPool2x2Forward(x, argmax);
+    Tensor ones(out.shape());
+    ones.fill(1.0f);
+    const Tensor grad = maxPool2x2Backward(x, ones, argmax);
+    idx = 0;
+    for (int64_t plane = 0; plane < 6; ++plane)
+        for (int64_t y = 0; y < oh; ++y)
+            for (int64_t ox = 0; ox < ow; ++ox, ++idx) {
+                SCOPED_TRACE(::testing::Message()
+                             << "plane " << plane << " window (" << y << ", "
+                             << ox << "), pattern " << idx % 6);
+                bool value_inside = false, argmax_inside = false;
+                float routed = 0.0f;
+                for (int64_t e = 0; e < 4; ++e) {
+                    const int64_t off = offset(plane, y, ox, e);
+                    value_inside |=
+                        std::memcmp(out.data() + idx, x.data() + off,
+                                    sizeof(float)) == 0;
+                    argmax_inside |= argmax[static_cast<size_t>(idx)] == off;
+                    routed += grad[off];
+                }
+                EXPECT_TRUE(value_inside) << "output " << out[idx];
+                EXPECT_TRUE(argmax_inside)
+                    << "argmax " << argmax[static_cast<size_t>(idx)];
+                EXPECT_EQ(routed, 1.0f);
+            }
 }
 
 } // namespace

@@ -2,9 +2,9 @@
  * @file
  * Tests for the runtime-dispatched SIMD kernel layer: exact
  * AVX2-vs-scalar bit-identity of every KernelOps body across odd
- * shapes and tails, the HIT-copy helper (copyHitRows) against a
- * per-row copy, and end-to-end engine bit-identity under a forced
- * kernel table.
+ * shapes and tails (the exact conv bodies at every width 1..40), the
+ * HIT-copy helper (copyHitRows) against a per-row copy, and
+ * end-to-end engine bit-identity under a forced kernel table.
  *
  * AVX2-specific cases skip (GTEST_SKIP) on hosts without AVX2; the
  * scalar path and the helpers are covered everywhere.
@@ -12,10 +12,16 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
+
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/conv_reuse_engine.hpp"
@@ -25,6 +31,7 @@
 #include "core/reuse_runtime.hpp"
 #include "core/rpq.hpp"
 #include "core/signature.hpp"
+#include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
 namespace mercury {
@@ -354,6 +361,254 @@ TEST(Kernels, OwnerWeightMulBitIdentity)
         }
     }
 }
+
+/** A float with the bits of a signaling NaN: any arithmetic quiets it. */
+float
+signalingNan()
+{
+    const uint32_t bits = 0x7fa00001u;
+    float f;
+    std::memcpy(&f, &bits, sizeof f);
+    return f;
+}
+
+/** One exact-conv kernel case: a plane of `h` x `w` under `spec`. */
+struct ExactConvCase
+{
+    int64_t h, w;
+    ConvSpec spec;
+
+    std::string str() const
+    {
+        return "h=" + std::to_string(h) + " w=" + std::to_string(w) +
+               " k=" + std::to_string(spec.kernelH) +
+               " s=" + std::to_string(spec.stride) +
+               " p=" + std::to_string(spec.pad) +
+               " filters=" + std::to_string(spec.outChannels);
+    }
+};
+
+/**
+ * Signaling NaNs after every output plane: one octet, so a full-width
+ * store on a partial last octet lands inside them.
+ */
+constexpr int64_t kGuard = 8;
+
+/**
+ * Every (k, stride, pad) of k 1/3/5, stride 1-2, pad 0-2 at every input
+ * width 1..40 the kernel fits, with 1..13 filters, 1..3 channels and
+ * 1..3 rows cycling so each (k, stride, pad) meets every filter count.
+ */
+std::vector<ExactConvCase>
+exactConvCases()
+{
+    std::vector<ExactConvCase> cases;
+    int64_t i = 0;
+    for (int64_t k : {1, 3, 5})
+        for (int64_t stride : {1, 2})
+            for (int64_t pad : {0, 1, 2})
+                for (int64_t w = 1; w <= 40; ++w, ++i) {
+                    if (w + 2 * pad < k)
+                        continue;
+                    ExactConvCase c;
+                    c.w = w;
+                    c.h = std::max<int64_t>(k - 2 * pad, 1) + i % 3;
+                    c.spec.kernelH = c.spec.kernelW = k;
+                    c.spec.stride = stride;
+                    c.spec.pad = pad;
+                    c.spec.inChannels = 1 + i % 3;
+                    c.spec.outChannels = 1 + i % 13;
+                    cases.push_back(c);
+                }
+    return cases;
+}
+
+TEST(Kernels, ConvForwardBitIdentity)
+{
+    const KernelOps *ax = kernels::avx2Ops();
+    if (!ax)
+        GTEST_SKIP() << "host lacks AVX2";
+    const KernelOps &sc = kernels::scalarOps();
+    const float snan = signalingNan();
+    int64_t tails = 0;
+    for (const ExactConvCase &c : exactConvCases()) {
+        const ConvSpec &spec = c.spec;
+        const ConvFrame f(spec, c.h, c.w);
+        const int64_t ch = spec.inChannels, filters = spec.outChannels;
+        const int64_t oh = f.outH(), ow = f.outW();
+        const std::vector<int64_t> tap_off = f.tapOffsets(ch);
+        const int64_t taps = static_cast<int64_t>(tap_off.size());
+        const std::vector<float> plane =
+            randomFloats(ch * c.h * c.w, 3 + c.w * 64 + filters);
+        // Exactly the frames: a load past the last one reads past the
+        // allocation.
+        std::vector<float> frames(static_cast<size_t>(ch * f.size()));
+        f.load(plane.data(), ch, frames.data());
+        const std::vector<float> w =
+            randomFloats(filters * taps, 5 + c.w * 64 + taps);
+        const std::vector<float> bias = randomFloats(filters, 7 + c.w);
+        // A store that touches a guard changes its bits.
+        const int64_t pitch = oh * ow + kGuard;
+        std::vector<float> o1(static_cast<size_t>(filters * pitch), snan);
+        std::vector<float> o2(o1);
+        const bool with_bias = (c.w + filters) % 2 == 0;
+        sc.convForward(frames.data(), tap_off.data(), taps, f.rowStep(),
+                       w.data(), with_bias ? bias.data() : nullptr, filters,
+                       oh, ow, o1.data(), pitch);
+        ax->convForward(frames.data(), tap_off.data(), taps, f.rowStep(),
+                        w.data(), with_bias ? bias.data() : nullptr, filters,
+                        oh, ow, o2.data(), pitch);
+        ASSERT_EQ(0, std::memcmp(o1.data(), o2.data(),
+                                 o1.size() * sizeof(float)))
+            << c.str();
+        for (int64_t q = 0; q < filters; ++q)
+            for (int64_t i = oh * ow; i < pitch; ++i)
+                ASSERT_EQ(0, std::memcmp(&o2[static_cast<size_t>(q * pitch + i)],
+                                         &snan, sizeof snan))
+                    << "write past plane " << q << ": " << c.str();
+        tails += ow % 8 != 0 && ow > 8;
+    }
+    EXPECT_GT(tails, 0) << "no plane has whole octets and a partial one";
+}
+
+TEST(Kernels, ConvBackwardInputBitIdentity)
+{
+    const KernelOps *ax = kernels::avx2Ops();
+    if (!ax)
+        GTEST_SKIP() << "host lacks AVX2";
+    const float snan = signalingNan();
+    for (const ExactConvCase &c : exactConvCases()) {
+        const ConvSpec &spec = c.spec;
+        const ConvGradFrame f(spec, c.h, c.w);
+        const int64_t filters = spec.outChannels;
+        const int64_t kk = spec.kernelH * spec.kernelW;
+        const int64_t v = spec.outH(c.h) * spec.outW(c.w);
+        Rng rng(11 + static_cast<uint64_t>(c.w * 64 + filters));
+        std::vector<float> go(static_cast<size_t>(filters * v));
+        for (float &g : go)
+            g = rng.bernoulli(0.3) ? (rng.bernoulli(0.5) ? -0.0f : 0.0f)
+                                   : static_cast<float>(rng.normal());
+        std::vector<float> frames(static_cast<size_t>(filters * f.size()));
+        f.load(go.data(), filters, nullptr, frames.data());
+        // Kernels pitched as one channel's of several.
+        const int64_t kern_pitch = kk * spec.inChannels;
+        const std::vector<float> kern =
+            randomFloats(filters * kern_pitch, 13 + c.w + filters);
+        const int64_t cells = c.h * c.w;
+        std::vector<float> g1(static_cast<size_t>(cells + kGuard), snan);
+        std::vector<float> g2(g1);
+        {
+            ForceGuard guard(&kernels::scalarOps());
+            f.backwardInput(frames.data(), filters, kern.data(), kern_pitch,
+                            g1.data());
+        }
+        {
+            ForceGuard guard(ax);
+            f.backwardInput(frames.data(), filters, kern.data(), kern_pitch,
+                            g2.data());
+        }
+        ASSERT_EQ(0, std::memcmp(g1.data(), g2.data(),
+                                 g1.size() * sizeof(float)))
+            << c.str();
+        for (int64_t i = cells; i < cells + kGuard; ++i)
+            ASSERT_EQ(0, std::memcmp(&g2[static_cast<size_t>(i)], &snan,
+                                     sizeof snan))
+                << "write past the plane: " << c.str();
+    }
+}
+
+#if defined(__x86_64__)
+/**
+ * XGETBV(1)'s XINUSE bit 2: the upper halves of the YMM registers are
+ * not in their initial (zeroed) state.
+ */
+bool
+upperLanesDirty()
+{
+    uint32_t lo = 0, hi = 0;
+    asm volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(1));
+    return (lo & 4u) != 0;
+}
+
+TEST(Kernels, Avx2BodiesReturnWithCleanUpperLanes)
+{
+    // Baseline-ISA code that runs with dirty upper halves pays a merge
+    // on every SSE instruction, so every AVX2 body must return with
+    // them zeroed (vzeroupper).
+    const KernelOps *ax = kernels::avx2Ops();
+    if (!ax)
+        GTEST_SKIP() << "host lacks AVX2";
+    unsigned a = 0, b = 0, c = 0, d = 0;
+    if (!__get_cpuid_count(0xD, 1, &a, &b, &c, &d) || !(a & 4u))
+        GTEST_SKIP() << "host lacks XGETBV(1)";
+    const std::vector<float> src = randomFloats(4096, 3);
+    std::vector<float> dst(4096);
+    std::vector<uint64_t> words(64);
+    const std::vector<int32_t> rows = {0, 2, 3, 5};
+    const std::vector<int32_t> owner = {0, 0, 2, 3, 3, 5, 0, 2, 3};
+    const std::vector<int64_t> base = {0, 1, 9, 10};
+    const std::vector<int64_t> taps = {0, 1, 2, 9, 10, 11, 18, 19, 20};
+    ConvSpec spec;
+    spec.kernelH = spec.kernelW = 3;
+    spec.pad = 1;
+    const ConvFrame frame(spec, 5, 13);
+    const ConvGradFrame gframe(spec, 5, 13);
+    const std::vector<int64_t> tap_off = frame.tapOffsets(1);
+    struct Call
+    {
+        const char *name;
+        std::function<void()> run;
+    };
+    const Call calls[] = {
+        {"projectRows",
+         [&] {
+             ax->projectRows(src.data(), 9, 9, src.data(), src.data(), 28,
+                             28, dst.data());
+         }},
+        {"signPack",
+         [&] { ax->signPack(src.data(), 9, 28, 1, words.data()); }},
+        {"copySpan", [&] { ax->copySpan(dst.data(), src.data(), 77); }},
+        {"addSpan", [&] { ax->addSpan(dst.data(), src.data(), 77); }},
+        {"extractPatches",
+         [&] {
+             ax->extractPatches(src.data(), 5, 13, 13, 1, 1, 3, 0, 65,
+                                dst.data());
+         }},
+        {"ownerValues",
+         [&] {
+             ax->ownerValues(src.data(), 9, rows.data(), 4, src.data(), 13,
+                             dst.data());
+         }},
+        {"ownerScatter",
+         [&] {
+             ax->ownerScatter(src.data(), 13, 13, owner.data(), 9,
+                              dst.data(), 9);
+         }},
+        {"ownerWeightMul",
+         [&] {
+             ax->ownerWeightMul(src.data(), 13, 4, src.data(), base.data(),
+                                taps.data(), 9, dst.data());
+         }},
+        {"convForward",
+         [&] {
+             ax->convForward(src.data(), tap_off.data(), 9, frame.rowStep(),
+                             src.data(), src.data(), 5, 5, 13, dst.data(),
+                             65);
+         }},
+        {"convBackwardInput",
+         [&] {
+             ax->convBackwardInput(src.data(), gframe.size(), gframe.pitch(),
+                                   5, src.data(), 9, 3, 3, 5, 13,
+                                   dst.data());
+         }},
+    };
+    for (const Call &call : calls) {
+        call.run();
+        const bool dirty = upperLanesDirty();
+        EXPECT_FALSE(dirty) << call.name << " left the upper lanes dirty";
+    }
+}
+#endif
 
 TEST(Kernels, ExtractPatchesMatchesNaiveIm2colEverywhere)
 {
