@@ -126,12 +126,11 @@ main()
 
     // The training proxies' shape (perfbench vgg13_train): 3x3 channel
     // patches (d 9) hashed at 28 bits against a mirror provisioned for
-    // 64, so the last 4 filters are a partial octet; the patches come
-    // from 16x16 planes with pad 1.
+    // 64, so the last 4 filters are a partial octet; the conv passes
+    // hash the patches of 16x16 and 8x8 planes with pad 1.
     const int64_t d_train = 9;
     const int bits_train = 28;
     const int stride_train = 64;
-    const int64_t plane_hw = 16;
     const int64_t planes = smoke ? 4 : 256;
     std::vector<float> rows_train(static_cast<size_t>(nrows * d_train));
     std::vector<float> cols_train(static_cast<size_t>(d_train) *
@@ -147,12 +146,6 @@ main()
         }
     std::vector<float> proj_train(static_cast<size_t>(nrows) * bits_train);
     std::vector<uint64_t> words_train(static_cast<size_t>(nrows));
-    std::vector<float> planes_in(
-        static_cast<size_t>(planes * plane_hw * plane_hw));
-    for (float &v : planes_in)
-        v = dist(rng);
-    const int64_t patch_rows = plane_hw * plane_hw; // pad 1: ow == w
-    std::vector<float> patches(static_cast<size_t>(patch_rows * d_train));
 
     const kernels::KernelOps &sc = kernels::scalarOps();
     const kernels::KernelOps *ax = kernels::avx2Ops();
@@ -217,19 +210,46 @@ main()
             g_sink = static_cast<float>(words_train[0] & 1u);
         });
 
-    // 4) Patch extraction: 3x3 pad-1 patches of 16x16 planes, the
-    //    fused detection blocks' and the dW replay's row producer.
-    const Result extract = run(
-        static_cast<double>(planes * patch_rows) *
-            (d_train + 1) * sizeof(float),
-        planes * patch_rows, [&](const kernels::KernelOps &k) {
-            for (int64_t p = 0; p < planes; ++p)
-                k.extractPatches(planes_in.data() +
-                                     p * plane_hw * plane_hw,
-                                 plane_hw, plane_hw, plane_hw, 1, 1, 3, 0,
-                                 patch_rows, patches.data());
-            g_sink = patches[0];
-        });
+    // 4) Frame signatures, the conv passes' form of 3): 28 random
+    //    filters convolved over one channel's 3x3 pad-1 frame
+    //    (convForward with the matrix as its weights) and the tile
+    //    sign-packed by columns, per pass row, on 16x16 and 8x8 planes.
+    auto sigframe = [&](int64_t hw) {
+        ConvSpec spec;
+        spec.kernelH = spec.kernelW = 3;
+        spec.pad = 1;
+        const ConvFrame geometry(spec, hw, hw);
+        const int64_t v = hw * hw;
+        std::vector<float> frames(
+            static_cast<size_t>(planes * geometry.size()));
+        std::vector<float> plane(static_cast<size_t>(v));
+        for (int64_t p = 0; p < planes; ++p) {
+            for (float &x : plane)
+                x = dist(rng);
+            geometry.load(plane.data(), 1,
+                          frames.data() + p * geometry.size());
+        }
+        const std::vector<int64_t> &taps = geometry.channelTaps();
+        std::vector<float> tile(static_cast<size_t>(bits_train * v));
+        std::vector<uint64_t> sig(static_cast<size_t>(v));
+        return run(static_cast<double>(planes) *
+                       (geometry.size() * sizeof(float) +
+                        v * sizeof(uint64_t)),
+                   planes * v, [&](const kernels::KernelOps &k) {
+                       for (int64_t p = 0; p < planes; ++p) {
+                           k.convForward(frames.data() + p * geometry.size(),
+                                         taps.data(), d_train,
+                                         geometry.rowStep(),
+                                         cols_train.data(), nullptr,
+                                         bits_train, hw, hw, tile.data(), v);
+                           k.signPackColumns(tile.data(), v, v, bits_train, 1,
+                                             sig.data());
+                       }
+                       g_sink = static_cast<float>(sig[0] & 1u);
+                   });
+    };
+    const Result sigframe16 = sigframe(16);
+    const Result sigframe8 = sigframe(8);
 
     // 5) Span copy: coalesced HIT-row forwarding.
     const Result spancopy =
@@ -240,9 +260,10 @@ main()
             });
 
     // 6) The conv reuse passes' owner kernels at the training shapes:
-    //    d 9 (3x3 channel patches), 12 filters over 256-row passes
-    //    (conv1-2, 16x16) and 24 over 64-row passes (conv3-4, 8x8),
-    //    about half the rows owners. Cycles are per pass row.
+    //    d 9 (3x3 channel patches, read from a pad-1 frame), 12 filters
+    //    over 256-row passes (conv1-2, 16x16) and 24 over 64-row passes
+    //    (conv3-4, 8x8), about half the rows owners. Cycles are per pass
+    //    row.
     struct OwnerShape
     {
         int64_t filters, rows, hw;
@@ -261,22 +282,24 @@ main()
                 owners.push_back(static_cast<int32_t>(i));
         }
         const int64_t nown = static_cast<int64_t>(owners.size());
-        std::vector<float> pch(static_cast<size_t>(v * d_train));
         std::vector<float> w(static_cast<size_t>(d_train * f));
         std::vector<float> vals(static_cast<size_t>(v * f));
         std::vector<float> out(static_cast<size_t>(f * v));
         std::vector<float> sums(static_cast<size_t>(nown * f));
-        for (auto *vec : {&pch, &w, &vals, &out, &sums})
+        for (auto *vec : {&w, &vals, &out, &sums})
             for (float &x : *vec)
                 x = dist(rng);
-        // The dW replay reads owner patches from a pad-1 3x3 frame.
+        // Both owner kernels that read patches read them from a pad-1
+        // 3x3 frame: the forward by row (slots), dW by owner (base).
         const int64_t side = sh.hw + 2;
         std::vector<float> frame(static_cast<size_t>(side * side));
         for (float &x : frame)
             x = dist(rng);
-        std::vector<int64_t> base, taps;
+        std::vector<int64_t> slots, base, taps;
+        for (int64_t r = 0; r < v; ++r)
+            slots.push_back(r / sh.hw * side + r % sh.hw);
         for (const int32_t r : owners)
-            base.push_back(r / sh.hw * side + r % sh.hw);
+            base.push_back(slots[static_cast<size_t>(r)]);
         for (int64_t t = 0; t < d_train; ++t)
             taps.push_back(t / 3 * side + t % 3);
         std::vector<float> acc(static_cast<size_t>(d_train * f), 0.0f);
@@ -286,8 +309,9 @@ main()
             static_cast<double>(owner_passes * nown) * (d_train + f) * fl,
             per_rows, [&](const kernels::KernelOps &k) {
                 for (int64_t p = 0; p < owner_passes; ++p)
-                    k.ownerValues(pch.data(), d_train, owners.data(), nown,
-                                  w.data(), f, vals.data());
+                    k.ownerValues(frame.data(), slots.data(), taps.data(),
+                                  d_train, owners.data(), nown, w.data(), f,
+                                  vals.data());
                 g_sink = vals[0];
             });
         const Result scatter = run(
@@ -307,10 +331,29 @@ main()
                                      acc.data());
                 g_sink = acc[0];
             });
-        return std::array<Result, 3>{values, scatter, dw};
+        // The dX replay's gather of every filter's output gradients
+        // through the owner map into the pad-1 gradient frame, one
+        // gradient row per call (ConvGradFrame::load).
+        std::vector<float> go(static_cast<size_t>(f * v));
+        for (float &x : go)
+            x = dist(rng);
+        std::vector<float> gframes(static_cast<size_t>(f * side * side));
+        const Result gather = run(
+            static_cast<double>(per_rows) * 2 * f * fl, per_rows,
+            [&](const kernels::KernelOps &k) {
+                for (int64_t p = 0; p < owner_passes; ++p)
+                    for (int64_t q = 0; q < f; ++q)
+                        for (int64_t y = 0; y < sh.hw; ++y)
+                            k.gatherSpan(gframes.data() + q * side * side +
+                                             (y + 1) * side + 1,
+                                         go.data() + q * v,
+                                         owner.data() + y * sh.hw, sh.hw);
+                g_sink = gframes[static_cast<size_t>(side + 1)];
+            });
+        return std::array<Result, 4>{values, scatter, dw, gather};
     };
-    const std::array<Result, 3> own12 = owner_kernels({12, 256, 16});
-    const std::array<Result, 3> own24 = owner_kernels({24, 64, 8});
+    const std::array<Result, 4> own12 = owner_kernels({12, 256, 16});
+    const std::array<Result, 4> own24 = owner_kernels({24, 64, 8});
 
     // 7) The exact conv ops' bodies at the same two shapes (3x3, pad
     //    1: 12 -> 12 channels on 16x16, 24 -> 24 on 8x8): the forward
@@ -398,10 +441,12 @@ main()
     row("sign_pack", sigpack);
     row("rpq_project d9/28b/s64", project_train);
     row("sign_pack 28b", sigpack_train);
-    row("extract k3 16x16", extract);
+    row("sig_frame k3 16x16 28b", sigframe16);
+    row("sig_frame k3 8x8 28b", sigframe8);
     row("owner_values f12 r256", own12[0]);
     row("owner_scatter f12 r256", own12[1]);
     row("owner_dw f12 r256", own12[2]);
+    row("owner_gather f12 r256", own12[3]);
     row("owner_values f24 r64", own24[0]);
     row("owner_scatter f24 r64", own24[1]);
     row("owner_dw f24 r64", own24[2]);
@@ -430,8 +475,13 @@ main()
         .num("sigpack_b28_scalar_cycles_per_row", sigpack_train.cpr_scalar,
              1)
         .num("sigpack_b28_avx2_cycles_per_row", sigpack_train.cpr_avx2, 1)
-        .num("extract_k3_scalar_cycles_per_row", extract.cpr_scalar, 1)
-        .num("extract_k3_avx2_cycles_per_row", extract.cpr_avx2, 1)
+        .num("sigframe_16x16_b28_scalar_cycles_per_row",
+             sigframe16.cpr_scalar, 1)
+        .num("sigframe_16x16_b28_avx2_cycles_per_row", sigframe16.cpr_avx2,
+             1)
+        .num("sigframe_8x8_b28_scalar_cycles_per_row", sigframe8.cpr_scalar,
+             1)
+        .num("sigframe_8x8_b28_avx2_cycles_per_row", sigframe8.cpr_avx2, 1)
         .num("owner_values_f12_scalar_cycles_per_row", own12[0].cpr_scalar,
              1)
         .num("owner_values_f12_avx2_cycles_per_row", own12[0].cpr_avx2, 1)
@@ -440,6 +490,9 @@ main()
         .num("owner_scatter_f12_avx2_cycles_per_row", own12[1].cpr_avx2, 1)
         .num("owner_dw_f12_scalar_cycles_per_row", own12[2].cpr_scalar, 1)
         .num("owner_dw_f12_avx2_cycles_per_row", own12[2].cpr_avx2, 1)
+        .num("owner_gather_f12_scalar_cycles_per_row", own12[3].cpr_scalar,
+             1)
+        .num("owner_gather_f12_avx2_cycles_per_row", own12[3].cpr_avx2, 1)
         .num("owner_values_f24_scalar_cycles_per_row", own24[0].cpr_scalar,
              1)
         .num("owner_values_f24_avx2_cycles_per_row", own24[0].cpr_avx2, 1)
@@ -468,9 +521,10 @@ main()
         .config("rows", nrows)
         .config("d", d)
         .config("bits", bits)
-        .config("train_shape", "d9 bits28 stride64, k3 16x16 pad1")
-        .config("owner_shapes", "d9, f12 over 256 rows, f24 over 64 rows, "
-                                "half the rows owners")
+        .config("train_shape", "d9 bits28 stride64; frames k3 pad1, "
+                               "16x16 and 8x8")
+        .config("owner_shapes", "d9 from pad-1 frames, f12 over 256 rows, "
+                                "f24 over 64 rows, half the rows owners")
         .config("exact_shapes", "k3 pad1, f12: 12->12 on 16x16, f24: "
                                 "24->24 on 8x8, per pass row")
         .config("span", span);

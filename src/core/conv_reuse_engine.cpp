@@ -80,21 +80,6 @@ bookReplay(const SignatureRecord &record, const ConvGeometry &geo,
 
 } // namespace
 
-// Declared in the header (the forward's fused extraction): the Fig. 7a
-// per-channel vector extraction, routed through the extractPatches
-// kernel (span-clipped copies — bit-identical to the elementwise loop
-// it replaced, since extraction moves values without arithmetic).
-void
-extractChannelPatchRows(const Tensor &input, const ConvSpec &spec,
-                        int64_t b, int64_t c, int64_t ow, int64_t r0,
-                        int64_t r1, Tensor &rows)
-{
-    kernels::ops().extractPatches(
-        input.data() + input.offset4(b, c, 0, 0), input.dim(2),
-        input.dim(3), ow, spec.stride, spec.pad, spec.kernelH, r0, r1,
-        rows.data());
-}
-
 Tensor
 ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
                          const Tensor &bias, const ConvSpec &spec,
@@ -103,12 +88,13 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
     checkConvSpec(spec);
     checkConvInput(input, spec);
     checkConvWeight(weight, spec);
+    checkConvBias(bias, spec);
     const ConvGeometry geo(spec, input.dim(0), spec.outH(input.dim(2)),
                            spec.outW(input.dim(3)));
-    const int64_t n = geo.n, ow = geo.ow, d = geo.d, v = geo.v;
+    const int64_t n = geo.n, d = geo.d, v = geo.v;
     const int64_t cin_g = geo.cin_g, cout_g = geo.cout_g;
 
-    Tensor out({n, spec.outChannels, geo.oh, ow});
+    Tensor out({n, spec.outChannels, geo.oh, geo.ow});
     if (bias.numel()) {
         for (int64_t b = 0; b < n; ++b)
             for (int64_t oc = 0; oc < spec.outChannels; ++oc)
@@ -145,24 +131,26 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
             for (int64_t ic = 0; ic < cin_g; ++ic)
                 order.push_back({b, g, ic});
 
-    // Two extraction tensors, alternating by pass: pass p+1 extracts
-    // and hashes into one on the pool while pass p's owner computes
-    // read the other. Single-touch fusion: a pass's extraction rides
-    // its hash job as a RowFiller — each projection block extracts its
-    // row range immediately before hashing it, so a block's patches
-    // are still cache-hot when the RPQ projection reads them. Without
-    // a pool the job defers hashing into finishStream.
-    Tensor rows[2] = {Tensor({v, d}), Tensor({v, d})};
+    // Two channel frames, alternating by pass: the driving thread loads
+    // pass p+1's plane into one and begins its hash job over it (the
+    // signatures as convolutions of the frame, Fig. 7a), while pass p's
+    // owner values read their patches from the other. Row r of a pass
+    // is output position r, its patch at slots[r] + taps[t]. Without a
+    // pool the job defers hashing into finishStream.
+    const ConvFrame frame(spec, input.dim(2), input.dim(3));
+    const std::vector<int64_t> slots = frame.positionSlots();
+    const std::vector<int64_t> &taps = frame.channelTaps();
+    std::vector<float> planes[2] = {
+        std::vector<float>(static_cast<size_t>(frame.size())),
+        std::vector<float>(static_cast<size_t>(frame.size()))};
     const auto begin_hash = [&](size_t pi) {
         const PassId p = order[pi];
-        Tensor &dst = rows[pi % 2];
-        return frontend_->beginHashStream(
-            dst, frontend_.signatureBits(),
-            [&input, &spec, &dst, cin_g, ow, p](int64_t r0, int64_t r1) {
-                extractChannelPatchRows(input, spec, p.b,
-                                        p.g * cin_g + p.ic, ow, r0, r1,
-                                        dst);
-            });
+        float *dst = planes[pi % 2].data();
+        frame.load(input.data() +
+                       input.offset4(p.b, p.g * cin_g + p.ic, 0, 0),
+                   1, dst);
+        return frontend_->beginHashStream(frame, dst,
+                                          frontend_.signatureBits());
     };
 
     // vals holds the cout_g filter values of each owner row (row-major
@@ -189,7 +177,8 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
             nowners += det.owner(r) == r;
         }
         kernels::ops().ownerValues(
-            rows[pi % 2].data(), d, owner_rows.data(), nowners,
+            planes[pi % 2].data(), slots.data(), taps.data(), d,
+            owner_rows.data(), nowners,
             wt.data() + (p.g * cin_g + p.ic) * d * cout_g, cout_g,
             vals.data());
         // Every row adds its owner's value, filter by filter: each
@@ -295,7 +284,7 @@ ConvReuseEngine::backwardWeights(const Tensor &input, const Tensor &gradOut,
     // (image, owner) ascending from +0.
     const std::vector<float> go_t = gradOutByPosition(gradOut, spec.groups);
     const ConvFrame frame(spec, input.dim(2), input.dim(3));
-    const std::vector<int64_t> tap_off = frame.tapOffsets(1);
+    const std::vector<int64_t> &tap_off = frame.channelTaps();
     const std::vector<int64_t> slots = frame.positionSlots();
 
     // (group, channel) pairs write disjoint grad_w slices: on a pool

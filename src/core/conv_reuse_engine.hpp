@@ -2,16 +2,21 @@
  * @file
  * Functional convolution with MERCURY reuse (§III-C1).
  *
- * For every (image, channel) the engine extracts the input vectors and
- * runs the similarity detector, whose probe resolves the pass's owner
- * map (OwnerTable's rule, carried in the pass): a HIT row takes the
- * result of the earlier row of the same pass that installed its MCACHE
- * entry (MAU), every other row owns itself. Owner rows compute all of
- * the channel's filter values in one sweep over its kernels,
- * transposed to (tap, filter) — each value summed tap-ascending from
- * +0, the dot product the filter would compute alone (the ownerValues
- * kernel, one call per pass) — and every row then adds its owner's
- * values into the output (ownerScatter). Results accumulate over channels
+ * For every (image, channel) the engine loads the input plane into a
+ * conv frame (tensor/ops.hpp's ConvFrame) and runs the similarity
+ * detector over its output positions: each position's kH x kW patch
+ * is an input vector, and its signature bits are the signs of the
+ * frame convolved with the random filters (Fig. 7a; no patch is ever
+ * extracted). The probe resolves the pass's owner map (OwnerTable's
+ * rule, carried in the pass): a HIT row takes the result of the
+ * earlier row of the same pass that installed its MCACHE entry (MAU),
+ * every other row owns itself. Owner rows compute all of the
+ * channel's filter values in one sweep over its kernels, transposed
+ * to (tap, filter), their patches read from the same frame — each
+ * value summed tap-ascending from +0, the dot product the filter
+ * would compute alone (the ownerValues kernel, one call per pass) —
+ * and every row then adds its owner's values into the output
+ * (ownerScatter). Results accumulate over channels
  * exactly like the baseline convolution, so the output differs from
  * the exact convolution only by the reuse-induced approximation —
  * which is what the accuracy experiments measure.
@@ -21,12 +26,13 @@
  * hash while the driving thread probes earlier ones), then computes
  * the pass's owner rows and adds every row's owner values into the
  * output on the driving thread. Right after a pass's probe the engine
- * begins the next channel's hash job (extraction fused in,
- * DetectionFrontend::beginHashStream — no MCACHE state touched) into
- * the other of two extraction tensors, so on a pool it extracts and
- * hashes under this pass's computes and scatter. Without a pool the
- * job defers its hashing into the probe half. Outputs, hit/skip
- * decisions, and statistics are bit-identical either way.
+ * loads the next channel's plane into the other of two frames and
+ * begins its hash job over it (DetectionFrontend::beginHashStream's
+ * conv frame source — no MCACHE state touched), so on a pool the next
+ * pass hashes under this pass's computes and scatter, which read this
+ * pass's frame. Without a pool the job defers its hashing into the
+ * probe half. Outputs, hit/skip decisions, and statistics are
+ * bit-identical either way.
  *
  * Backward (§III-C2): forward() optionally captures each channel
  * pass into a SignatureRecord; backwardInput() then replays the
@@ -35,7 +41,8 @@
  * each pass is the exact per-channel input gradient
  * (ConvGradFrame::backwardInput, conv2dBackwardInput's body) of the
  * output gradients gathered through the pass's owner map into the
- * bordered gradient frame: every cell sums in (filter, y, x) order
+ * bordered gradient frame (ConvGradFrame::load, one kernel-table
+ * gather per gradient row): every cell sums in (filter, y, x) order
  * from +0, and with zero hits the result is conv2dBackwardInput bit
  * for bit. Passes write disjoint planes and fan out over the
  * frontend's pool, if it has one.
@@ -81,25 +88,6 @@
 #include "tensor/tensor.hpp"
 
 namespace mercury {
-
-/**
- * Extract patch rows [r0, r1) of one (image, channel) pass — the
- * Fig. 7a vector extraction of the forward detection pass. Row r is
- * output position (r / ow, r % ow), k*k floats; indexing is absolute,
- * so the destination range is rows.data() + r0 * k * k onward. Reads
- * input.at4(b, c, ...) only, so any tensor holding the channel works.
- * This is the single-touch fusion entry: forward() hands it to each
- * channel's hash job as a RowFiller so each block's patches are
- * extracted immediately before they are hashed — one L2-sized walk
- * instead of an extract-everything pass followed by a hash-everything
- * pass. Disjoint ranges may run concurrently (pure span copies/zeros
- * via the extractPatches kernel; no shared mutable state). The
- * weight-gradient replay does not extract: it reads owner patches
- * from the plane's conv frame.
- */
-void extractChannelPatchRows(const Tensor &input, const ConvSpec &spec,
-                             int64_t b, int64_t c, int64_t ow, int64_t r0,
-                             int64_t r1, Tensor &rows);
 
 /** Functional conv-layer engine with MERCURY computation reuse. */
 class ConvReuseEngine

@@ -9,10 +9,10 @@
  * kernel guarantees this by accumulating every (row, filter) sum in
  * ascending element order with separate multiply and add (no FMA —
  * fused rounding would diverge from the scalar path); the span
- * kernels are elementwise, so lane width cannot reorder anything; the
- * sign-pack kernel compares with `_CMP_LT_OQ` against +0.0f, which
- * matches `p < 0.0f` exactly (including -0.0f from all-zero padding
- * rows, which must NOT set the bit).
+ * kernels (copy, add, gather) are elementwise, so lane width cannot
+ * reorder anything; both sign-pack kernels compare with `_CMP_LT_OQ`
+ * against +0.0f, which matches `p < 0.0f` exactly (including -0.0f
+ * from all-zero padding patches, which must NOT set the bit, and NaN).
  *
  * Dispatch happens once, on first use: the AVX2 table is selected
  * when the compiler could build it and the CPU reports AVX2, unless
@@ -29,7 +29,9 @@
  * not, and skip building the mirror entirely.
  *
  * The three owner kernels (ownerValues, ownerScatter, ownerWeightMul)
- * are the dense bodies of the conv reuse passes. Each output element
+ * are the dense bodies of the conv reuse passes; the two that read
+ * patches (ownerValues, ownerWeightMul) read them from the channel's
+ * conv frame, so no pass extracts a patch tensor. Each output element
  * keeps the operation order of the scalar loop: the AVX2 bodies block
  * several independent chains side by side (rows x filter octets,
  * transposed 8x8 tiles, taps x filter octets) and never reorder the
@@ -41,6 +43,10 @@
  * exact weight gradient runs ownerWeightMul with every output
  * position an owner. Their AVX2 bodies hold a tile of outputs in
  * registers, one chain per output, and store each output once.
+ * convForward is also the conv signature pass (Fig. 7a): run with the
+ * RPQ matrix as its weights over a one-channel frame, it writes the
+ * projections of every output position filter-major, and
+ * signPackColumns packs them (RPQEngine's frame signatureWords).
  *
  * Masked-octet contract: a vector body may read all 8 filters of the
  * octet holding the last `bits % 8` filters whenever the mirror has
@@ -85,39 +91,41 @@ struct KernelOps
     void (*signPack)(const float *proj, int64_t nrows, int bits,
                      int64_t words_per_row, uint64_t *out);
 
+    /**
+     * Pack the sign bits of a filter-major (bits, n) projection block,
+     * filter b's n projections at proj[b*pitch .. b*pitch + n): bit b
+     * of row i is (proj[b*pitch + i] < 0.0f), written into
+     * `words_per_row` words per row as signPack writes them (unused
+     * high bits zeroed). The layout convForward writes, so a frame's
+     * signatures pack straight from its convolution tile. Reads
+     * nothing outside the (bits, n) block.
+     */
+    void (*signPackColumns)(const float *proj, int64_t pitch, int64_t n,
+                            int bits, int64_t words_per_row, uint64_t *out);
+
     /** dst[0..n) = src[0..n) (ranges must not overlap). */
     void (*copySpan)(float *dst, const float *src, int64_t n);
 
     /** dst[e] += src[e] for e in [0, n) — elementwise, no reorder. */
     void (*addSpan)(float *dst, const float *src, int64_t n);
 
-    /**
-     * Extract im2col patch rows [r0, r1) of one (in_h, in_w) input
-     * plane into a row-major (rows, k*k) tensor at `rows` (indexed by
-     * absolute row: row r starts at rows + r*k*k). Row r covers
-     * output position (y, x) = (r / ow, r % ow); element ky*k + kx
-     * reads plane[y*stride - pad + ky][x*stride - pad + kx], or 0.0f
-     * outside the plane. Both bodies only move data (span-clipped
-     * copies and zero fills; the AVX2 body writes a kernel row of
-     * k <= 8 with one masked load and one masked store), so
-     * bit-identity is structural — there is no arithmetic to
-     * reorder. Only rows [r0, r1) are written, so disjoint row ranges
-     * may be filled concurrently (the fused detection blocks extract
-     * their own rows in place).
-     */
-    void (*extractPatches)(const float *plane, int64_t in_h, int64_t in_w,
-                           int64_t ow, int64_t stride, int64_t pad,
-                           int64_t k, int64_t r0, int64_t r1, float *rows);
+    /** dst[i] = src[idx[i]] for i in [0, n) (dst must not overlap src). */
+    void (*gatherSpan)(float *dst, const float *src, const int32_t *idx,
+                       int64_t n);
 
     /**
      * Owner values of a conv channel pass: for each of the `count`
      * distinct rows r listed in `rows`, vals[r*filters + f] is the sum
      * over taps t ascending, from +0, of w[t*filters + f] *
-     * patches[r*d + t] — the dot product filter f computes on its
-     * own, with `w` the channel's kernels laid out (tap, filter).
-     * Writes exactly the listed rows' `filters` values.
+     * frame[base[r] + tapOff[t]] — the dot product filter f computes
+     * on its own, with `w` the channel's kernels laid out (tap,
+     * filter). Row r's patch is read from the channel's conv frame
+     * (tensor/ops.hpp's ConvFrame: base from positionSlots, tapOff
+     * from tapOffsets(1)). Writes exactly the listed rows' `filters`
+     * values.
      */
-    void (*ownerValues)(const float *patches, int64_t d,
+    void (*ownerValues)(const float *frame, const int64_t *base,
+                        const int64_t *tapOff, int64_t d,
                         const int32_t *rows, int64_t count, const float *w,
                         int64_t filters, float *vals);
 

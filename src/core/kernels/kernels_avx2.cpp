@@ -21,13 +21,17 @@
  *    rows produce -0.0f projections, which must not set bits — a raw
  *    sign-bit movemask would get this wrong). A partial last octet
  *    loads masked, and its masked-off lanes read +0.0f.
- *  - the span kernels are elementwise; tails fall back to the scalar
- *    loops, which compute the same expression per element.
- *  - extractPatches moves data only; its masked rows write exactly the
- *    values and zeros of the scalar body's spans.
+ *  - signPackColumns holds 8 rows in lanes and compares the same way,
+ *    one filter per compare; a partial last octet of rows loads masked
+ *    and stores only its rows.
+ *  - the span kernels are elementwise; copySpan and addSpan tails fall
+ *    back to the scalar loops, which compute the same expression per
+ *    element, and gatherSpan only moves values (one load for an octet
+ *    of consecutive indices, one vgatherdps for any other).
  *  - ownerValues runs a 4-row x 2-octet register tile: 8 independent
  *    (row, filter) chains, each starting at +0 and adding its taps in
- *    ascending order; a partial last octet loads and stores masked.
+ *    ascending order, the patch values read from the conv frame; a
+ *    partial last octet loads and stores masked.
  *  - ownerScatter transposes 8 owner rows x 8 filters per tile and
  *    adds each filter's 8 values to 8 consecutive outputs — one add
  *    per element, as the scalar loop does.
@@ -224,6 +228,54 @@ signPackAvx2(const float *proj, int64_t nrows, int bits,
 }
 
 void
+signPackColumnsAvx2(const float *proj, int64_t pitch, int64_t n, int bits,
+                    int64_t words_per_row, uint64_t *out)
+{
+    const __m256 zero = _mm256_setzero_ps();
+    for (int64_t i = 0; i < n; i += 8) {
+        const int64_t rows = n - i < 8 ? n - i : 8;
+        const __m256i mask = lanesBelow(rows);
+        for (int64_t wi = 0; wi < words_per_row; ++wi) {
+            // Each 32-bit half of the word is one accumulator per row
+            // lane: a compare's all-ones lanes shift in as acc * 2 - m,
+            // the half's filters walked from its last down, so filter b
+            // lands on bit b % 32. Masked-off rows read +0.0f and set
+            // no bit.
+            __m256i half[2];
+            for (int h = 0; h < 2; ++h) {
+                const int64_t b0 = wi * 64 + h * 32;
+                const int64_t b1 = bits < b0 + 32 ? bits : b0 + 32;
+                __m256i acc = _mm256_setzero_si256();
+                for (int64_t b = b1 - 1; b >= b0; --b) {
+                    const __m256 v = loadOctet(proj + b * pitch + i,
+                                               rows == 8, mask);
+                    const __m256i m = _mm256_castps_si256(
+                        _mm256_cmp_ps(v, zero, _CMP_LT_OQ));
+                    acc = _mm256_sub_epi32(_mm256_add_epi32(acc, acc), m);
+                }
+                half[h] = acc;
+            }
+            // Interleave the halves into the 8 rows' 64-bit words.
+            const __m256i lo = _mm256_unpacklo_epi32(half[0], half[1]);
+            const __m256i hi = _mm256_unpackhi_epi32(half[0], half[1]);
+            const __m256i r0 = _mm256_permute2x128_si256(lo, hi, 0x20);
+            const __m256i r4 = _mm256_permute2x128_si256(lo, hi, 0x31);
+            if (rows == 8 && words_per_row == 1) {
+                _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + i), r0);
+                _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + i + 4),
+                                    r4);
+                continue;
+            }
+            alignas(32) uint64_t w[8];
+            _mm256_store_si256(reinterpret_cast<__m256i *>(w), r0);
+            _mm256_store_si256(reinterpret_cast<__m256i *>(w + 4), r4);
+            for (int64_t l = 0; l < rows; ++l)
+                out[(i + l) * words_per_row + wi] = w[l];
+        }
+    }
+}
+
+void
 copySpanAvx2(float *dst, const float *src, int64_t n)
 {
     // Same zero-length guard as copySpanScalar (memcpy needs non-null
@@ -246,79 +298,43 @@ addSpanAvx2(float *dst, const float *src, int64_t n)
 }
 
 void
-extractPatchesAvx2(const float *plane, int64_t in_h, int64_t in_w,
-                   int64_t ow, int64_t stride, int64_t pad, int64_t k,
-                   int64_t r0, int64_t r1, float *rows)
+gatherSpanAvx2(float *dst, const float *src, const int32_t *idx, int64_t n)
 {
-    // Patch extraction is pure data movement, so the outputs are the
-    // scalar body's by construction. For k <= 8 a kernel row is one
-    // masked load (lanes [kx0, kx1) of the plane row; the rest load
-    // 0, which is the zero fill of the clipped columns) and one
-    // masked store of k lanes — no libc call per row. Positions
-    // advance by counters, not a division per row, and the next
-    // position's first source row is prefetched, hiding the strided
-    // plane walk of the fused block path. A kernel row wider than a
-    // vector takes the scalar spans.
-    if (k > 8) {
-        scalarOps().extractPatches(plane, in_h, in_w, ow, stride, pad, k,
-                                   r0, r1, rows);
-        return;
+    // An octet whose indices run consecutively (a stretch with no
+    // forwarded row) is one load; any other is one hardware gather. A
+    // partial last octet gathers and stores masked.
+    const __m256i step = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    int64_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m256i ix =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(idx + i));
+        const __m256i run = _mm256_add_epi32(_mm256_set1_epi32(idx[i]), step);
+        if (_mm256_movemask_epi8(_mm256_cmpeq_epi32(ix, run)) == -1)
+            _mm256_storeu_ps(dst + i, _mm256_loadu_ps(src + idx[i]));
+        else
+            _mm256_storeu_ps(dst + i, _mm256_i32gather_ps(src, ix, 4));
     }
-    const int64_t d = k * k;
-    const __m256i store_mask = lanesBelow(k);
-    const __m256 zero = _mm256_setzero_ps();
-    int64_t y = r0 / ow, x = r0 % ow;
-    for (int64_t r = r0; r < r1; ++r) {
-        const int64_t iy0 = y * stride - pad;
-        const int64_t ix0 = x * stride - pad;
-        if (++x == ow) {
-            x = 0;
-            ++y;
-        }
-        if (r + 1 < r1) {
-            const int64_t py = y * stride - pad;
-            const int64_t px = x * stride - pad;
-            if (py >= 0 && py < in_h)
-                _mm_prefetch(reinterpret_cast<const char *>(
-                                 plane + py * in_w + (px < 0 ? 0 : px)),
-                             _MM_HINT_T0);
-        }
-        // Lane 0 of the first in-plane kernel row reads plane[at]: a
-        // row where that lies before the plane (the top-left corner)
-        // takes the scalar spans instead of forming the address.
-        if ((iy0 > 0 ? iy0 : 0) * in_w + ix0 < 0) {
-            scalarOps().extractPatches(plane, in_h, in_w, ow, stride, pad,
-                                       k, r, r + 1, rows);
-            continue;
-        }
-        int64_t kx0 = ix0 < 0 ? -ix0 : 0;
-        int64_t kx1 = in_w - ix0 < k ? in_w - ix0 : k;
-        if (kx1 < kx0)
-            kx1 = kx0;
-        const __m256i load_mask = _mm256_andnot_si256(lanesBelow(kx0),
-                                                      lanesBelow(kx1));
-        float *dst = rows + r * d;
-        for (int64_t ky = 0; ky < k; ++ky, dst += k) {
-            const int64_t iy = iy0 + ky;
-            const bool inside = iy >= 0 && iy < in_h && kx1 > kx0;
-            _mm256_maskstore_ps(
-                dst, store_mask,
-                inside ? _mm256_maskload_ps(plane + iy * in_w + ix0,
-                                            load_mask)
-                       : zero);
-        }
+    if (i < n) {
+        const __m256i mask = lanesBelow(n - i);
+        const __m256i ix = _mm256_maskload_epi32(idx + i, mask);
+        _mm256_maskstore_ps(
+            dst + i, mask,
+            _mm256_mask_i32gather_ps(_mm256_setzero_ps(), src, ix,
+                                     _mm256_castsi256_ps(mask), 4));
     }
 }
 
 /**
- * One ownerValues tile: R owner rows x C filter octets from filter f,
- * the last octet masked to `tail` when Tail. Each accumulator is one
- * (row, filter) chain: +0, then + w * x per tap, taps ascending.
+ * One ownerValues tile: R owner rows (patches at p[r] + tapOff[t]) x C
+ * filter octets from filter f, the last octet masked to `tail` when
+ * Tail. Each accumulator is one (row, filter) chain: +0, then + w * x
+ * per tap, taps ascending.
  */
 template <int R, int C, bool Tail>
 inline void
-ownerValuesTile(const float *const *p, float *const *v, int64_t d,
-                const float *w, int64_t filters, int64_t f, __m256i tail)
+ownerValuesTile(const float *const *p, float *const *v,
+                const int64_t *tapOff, int64_t d, const float *w,
+                int64_t filters, int64_t f, __m256i tail)
 {
     __m256 a[R][C];
     for (int r = 0; r < R; ++r)
@@ -326,12 +342,13 @@ ownerValuesTile(const float *const *p, float *const *v, int64_t d,
             a[r][c] = _mm256_setzero_ps();
     for (int64_t t = 0; t < d; ++t) {
         const float *wt = w + t * filters + f;
+        const int64_t off = tapOff[t];
         __m256 wv[C];
         for (int c = 0; c < C; ++c)
             wv[c] = Tail && c == C - 1 ? _mm256_maskload_ps(wt + 8 * c, tail)
                                        : _mm256_loadu_ps(wt + 8 * c);
         for (int r = 0; r < R; ++r) {
-            const __m256 x = _mm256_broadcast_ss(p[r] + t);
+            const __m256 x = _mm256_broadcast_ss(p[r] + off);
             for (int c = 0; c < C; ++c)
                 a[r][c] = _mm256_add_ps(a[r][c], _mm256_mul_ps(wv[c], x));
         }
@@ -348,23 +365,25 @@ ownerValuesTile(const float *const *p, float *const *v, int64_t d,
 /** ownerValues of R rows over every filter octet, two at a time. */
 template <int R>
 inline void
-ownerValuesRows(const float *const *p, float *const *v, int64_t d,
-                const float *w, int64_t filters, __m256i tail)
+ownerValuesRows(const float *const *p, float *const *v,
+                const int64_t *tapOff, int64_t d, const float *w,
+                int64_t filters, __m256i tail)
 {
     int64_t f = 0;
     for (; f + 16 <= filters; f += 16)
-        ownerValuesTile<R, 2, false>(p, v, d, w, filters, f, tail);
+        ownerValuesTile<R, 2, false>(p, v, tapOff, d, w, filters, f, tail);
     const int64_t left = filters - f;
     if (left > 8)
-        ownerValuesTile<R, 2, true>(p, v, d, w, filters, f, tail);
+        ownerValuesTile<R, 2, true>(p, v, tapOff, d, w, filters, f, tail);
     else if (left == 8)
-        ownerValuesTile<R, 1, false>(p, v, d, w, filters, f, tail);
+        ownerValuesTile<R, 1, false>(p, v, tapOff, d, w, filters, f, tail);
     else if (left > 0)
-        ownerValuesTile<R, 1, true>(p, v, d, w, filters, f, tail);
+        ownerValuesTile<R, 1, true>(p, v, tapOff, d, w, filters, f, tail);
 }
 
 void
-ownerValuesAvx2(const float *patches, int64_t d, const int32_t *rows,
+ownerValuesAvx2(const float *frame, const int64_t *base,
+                const int64_t *tapOff, int64_t d, const int32_t *rows,
                 int64_t count, const float *w, int64_t filters, float *vals)
 {
     const __m256i tail = lanesBelow(filters & 7 ? filters & 7 : 8);
@@ -373,15 +392,15 @@ ownerValuesAvx2(const float *patches, int64_t d, const int32_t *rows,
         const float *p[4];
         float *v[4];
         for (int r = 0; r < 4; ++r) {
-            p[r] = patches + static_cast<int64_t>(rows[j + r]) * d;
+            p[r] = frame + base[rows[j + r]];
             v[r] = vals + static_cast<int64_t>(rows[j + r]) * filters;
         }
-        ownerValuesRows<4>(p, v, d, w, filters, tail);
+        ownerValuesRows<4>(p, v, tapOff, d, w, filters, tail);
     }
     for (; j < count; ++j) {
-        const float *p[1] = {patches + static_cast<int64_t>(rows[j]) * d};
+        const float *p[1] = {frame + base[rows[j]]};
         float *v[1] = {vals + static_cast<int64_t>(rows[j]) * filters};
-        ownerValuesRows<1>(p, v, d, w, filters, tail);
+        ownerValuesRows<1>(p, v, tapOff, d, w, filters, tail);
     }
 }
 
@@ -744,9 +763,10 @@ const KernelOps kAvx2Ops = {
     true,            // wantsInterleaved
     projectRowsAvx2, // projectRows
     signPackAvx2,    // signPack
+    signPackColumnsAvx2, // signPackColumns
     copySpanAvx2,    // copySpan
     addSpanAvx2,     // addSpan
-    extractPatchesAvx2, // extractPatches
+    gatherSpanAvx2,  // gatherSpan
     ownerValuesAvx2,    // ownerValues
     ownerScatterAvx2,   // ownerScatter
     ownerWeightMulAvx2, // ownerWeightMul

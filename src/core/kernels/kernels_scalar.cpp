@@ -54,6 +54,23 @@ signPackScalar(const float *proj, int64_t nrows, int bits,
 }
 
 void
+signPackColumnsScalar(const float *proj, int64_t pitch, int64_t n, int bits,
+                      int64_t words_per_row, uint64_t *out)
+{
+    if (n > 0)
+        std::memset(out, 0,
+                    static_cast<size_t>(n * words_per_row) *
+                        sizeof(uint64_t));
+    for (int b = 0; b < bits; ++b) {
+        const float *p = proj + b * pitch;
+        uint64_t *w = out + (b >> 6);
+        for (int64_t i = 0; i < n; ++i)
+            w[i * words_per_row] |= static_cast<uint64_t>(p[i] < 0.0f)
+                                    << (b & 63);
+    }
+}
+
+void
 copySpanScalar(float *dst, const float *src, int64_t n)
 {
     // memcpy's pointers must be non-null even for zero bytes, and an
@@ -70,54 +87,29 @@ addSpanScalar(float *dst, const float *src, int64_t n)
 }
 
 void
-extractPatchesScalar(const float *plane, int64_t in_h, int64_t in_w,
-                     int64_t ow, int64_t stride, int64_t pad, int64_t k,
-                     int64_t r0, int64_t r1, float *rows)
+gatherSpanScalar(float *dst, const float *src, const int32_t *idx, int64_t n)
 {
-    const int64_t d = k * k;
-    for (int64_t r = r0; r < r1; ++r) {
-        const int64_t iy0 = (r / ow) * stride - pad;
-        const int64_t ix0 = (r % ow) * stride - pad;
-        // The in-bounds kx window is the same for every kernel row of
-        // this position; clip it once.
-        int64_t kx0 = ix0 < 0 ? -ix0 : 0;
-        int64_t kx1 = in_w - ix0 < k ? in_w - ix0 : k;
-        if (kx1 < kx0)
-            kx1 = kx0;
-        float *dst = rows + r * d;
-        for (int64_t ky = 0; ky < k; ++ky, dst += k) {
-            const int64_t iy = iy0 + ky;
-            if (iy < 0 || iy >= in_h) {
-                std::memset(dst, 0, static_cast<size_t>(k) * sizeof(float));
-                continue;
-            }
-            if (kx0 > 0)
-                std::memset(dst, 0,
-                            static_cast<size_t>(kx0) * sizeof(float));
-            if (kx1 > kx0)
-                std::memcpy(dst + kx0, plane + iy * in_w + ix0 + kx0,
-                            static_cast<size_t>(kx1 - kx0) * sizeof(float));
-            if (kx1 < k)
-                std::memset(dst + kx1, 0,
-                            static_cast<size_t>(k - kx1) * sizeof(float));
-        }
-    }
+    for (int64_t i = 0; i < n; ++i)
+        dst[i] = src[idx[i]];
 }
 
 void
-ownerValuesScalar(const float *patches, int64_t d, const int32_t *rows,
+ownerValuesScalar(const float *frame, const int64_t *base,
+                  const int64_t *tapOff, int64_t d, const int32_t *rows,
                   int64_t count, const float *w, int64_t filters,
                   float *vals)
 {
     for (int64_t j = 0; j < count; ++j) {
         const int64_t r = rows[j];
         float *val = vals + r * filters;
-        const float *row = patches + r * d;
+        const float *p = frame + base[r];
         for (int64_t f = 0; f < filters; ++f)
             val[f] = 0.0f;
-        for (int64_t t = 0; t < d; ++t)
+        for (int64_t t = 0; t < d; ++t) {
+            const float x = p[tapOff[t]];
             for (int64_t f = 0; f < filters; ++f)
-                val[f] += w[t * filters + f] * row[t];
+                val[f] += w[t * filters + f] * x;
+        }
     }
 }
 
@@ -204,9 +196,10 @@ const KernelOps kScalarOps = {
     false,             // wantsInterleaved
     projectRowsScalar, // projectRows
     signPackScalar,    // signPack
+    signPackColumnsScalar, // signPackColumns
     copySpanScalar,    // copySpan
     addSpanScalar,     // addSpan
-    extractPatchesScalar, // extractPatches
+    gatherSpanScalar,  // gatherSpan
     ownerValuesScalar,    // ownerValues
     ownerScatterScalar,   // ownerScatter
     ownerWeightMulScalar, // ownerWeightMul

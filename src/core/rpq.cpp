@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/kernels/kernels.hpp"
+#include "tensor/ops.hpp"
 #include "util/logging.hpp"
 
 namespace mercury {
@@ -135,6 +136,49 @@ RPQEngine::signatureWords(const Tensor &rows, int64_t row0, int64_t row1,
     }
 }
 
+void
+RPQEngine::signatureWords(const ConvFrame &geometry, const float *frame,
+                          int64_t row0, int64_t row1, int bits,
+                          uint64_t *out) const
+{
+    const std::vector<int64_t> &taps = geometry.channelTaps();
+    const int64_t ow = geometry.outW();
+    if (static_cast<int64_t>(taps.size()) != vectorDim_)
+        panic("frame signatures need a kernel of ", vectorDim_,
+              " taps, the frame's has ", taps.size());
+    if (row0 < 0 || row1 < row0 || row1 > geometry.outH() * ow)
+        panic("frame signature range [", row0, ", ", row1, ") outside 0..",
+              geometry.outH() * ow);
+    if (bits <= 0 || bits > maxBits_)
+        panic("frame signatures asked for ", bits, " bits, engine has ",
+              maxBits_);
+    if (row0 == row1)
+        return;
+    // Whole output rows of about kTilePositions positions at a time,
+    // so the tile stays L1-resident; the tile is per thread (hash
+    // blocks run on pool workers) and only ever grows.
+    constexpr int64_t kTilePositions = 128;
+    const int64_t tile_rows = std::max<int64_t>(1, kTilePositions / ow);
+    const int wpr = Signature::wordsFor(bits);
+    thread_local std::vector<float> tile;
+    const size_t tile_floats = static_cast<size_t>(tile_rows * ow * bits);
+    if (tile.size() < tile_floats)
+        tile.resize(tile_floats);
+    const kernels::KernelOps &k = kernels::ops();
+    for (int64_t y = row0 / ow; y * ow < row1; y += tile_rows) {
+        const int64_t rows = std::min(tile_rows, (row1 - 1) / ow + 1 - y);
+        const int64_t pitch = rows * ow;
+        k.convForward(frame + y * geometry.rowStep(), taps.data(),
+                      vectorDim_, geometry.rowStep(), matrix_.data(),
+                      nullptr, bits, rows, ow, tile.data(), pitch);
+        // Pack the part of [row0, row1) these output rows hold.
+        const int64_t lo = std::max(row0, y * ow);
+        const int64_t hi = std::min(row1, (y + rows) * ow);
+        k.signPackColumns(tile.data() + (lo - y * ow), pitch, hi - lo, bits,
+                          wpr, out + (lo - row0) * wpr);
+    }
+}
+
 Tensor
 RPQEngine::randomFilter2D(int n, int64_t k) const
 {
@@ -148,30 +192,6 @@ RPQEngine::randomFilter2D(int n, int64_t k) const
     for (int64_t i = 0; i < vectorDim_; ++i)
         f[i] = col[i];
     return f;
-}
-
-std::vector<bool>
-RPQEngine::bitViaConvolution(const Tensor &image, int64_t k, int n) const
-{
-    if (image.rank() != 2)
-        panic("bitViaConvolution expects a 2D image, got ",
-              image.shapeStr());
-    Tensor filter = randomFilter2D(n, k);
-    const int64_t oh = image.dim(0) - k + 1;
-    const int64_t ow = image.dim(1) - k + 1;
-    std::vector<bool> bits;
-    bits.reserve(static_cast<size_t>(oh * ow));
-    for (int64_t y = 0; y < oh; ++y) {
-        for (int64_t x = 0; x < ow; ++x) {
-            float acc = 0.0f;
-            for (int64_t ky = 0; ky < k; ++ky)
-                for (int64_t kx = 0; kx < k; ++kx)
-                    acc += image.at2(y + ky, x + kx) *
-                           filter.at2(ky, kx);
-            bits.push_back(acc < 0.0f);
-        }
-    }
-    return bits;
 }
 
 } // namespace mercury

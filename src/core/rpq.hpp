@@ -7,9 +7,14 @@
  * A signature bit is the sign of the dot product between an input
  * vector and one random filter, so signature generation is exactly a
  * convolution pass per bit and reuses the PE array (§III-B1). The
- * engine supports incremental extension: growing the signature
- * length reuses the existing columns and only adds new ones, which
- * is what the adaptive controller needs (§III-D).
+ * engine runs it in both forms: the row form hashes the rows of a
+ * (n, d) matrix (FC and attention inputs, detect()), and the frame
+ * form convolves one input channel's conv frame with the random
+ * filters (Fig. 7a) — the exact conv kernel with the matrix as its
+ * weights — so a conv pass never extracts its patches. The two agree
+ * bit for bit. The engine supports incremental extension: growing the
+ * signature length reuses the existing columns and only adds new
+ * ones, which is what the adaptive controller needs (§III-D).
  */
 
 #ifndef MERCURY_CORE_RPQ_HPP
@@ -24,6 +29,8 @@
 #include "util/rng.hpp"
 
 namespace mercury {
+
+class ConvFrame;
 
 /** RPQ signature generator for vectors of a fixed dimension. */
 class RPQEngine
@@ -84,20 +91,29 @@ class RPQEngine
                         int bits, uint64_t *out) const;
 
     /**
+     * Frame form of signatureWords (§III-B1, Fig. 7a): the words of
+     * output positions [row0, row1) of one input channel, loaded at
+     * `frame` as the conv frame `geometry` describes (tensor/ops.hpp),
+     * whose kH * kW patches are the vectors (kH * kW == vectorDim()).
+     * Equal, word for word, to the row form over the channel's im2col
+     * rows: the active table's convForward runs with the first `bits`
+     * random filters as its weights and no bias — each projection
+     * from +0, taps ascending, as projectRows sums a row — over the
+     * output rows that cover the range, into a per-thread tile, and
+     * signPackColumns packs exactly [row0, row1). A range may start
+     * and end mid output row. Allocates nothing once the tile has
+     * grown.
+     */
+    void signatureWords(const ConvFrame &geometry, const float *frame,
+                        int64_t row0, int64_t row1, int bits,
+                        uint64_t *out) const;
+
+    /**
      * Random filter n reshaped as a (k, k) tensor, k*k == d. This is
      * the weight layout streamed through the PE array when signature
      * generation runs as a convolution (§III-B1, Fig. 7).
      */
     Tensor randomFilter2D(int n, int64_t k) const;
-
-    /**
-     * Convolution-formulation cross-check: compute the n-th signature
-     * bit of every kernel-sized patch of `image` by convolving with
-     * randomFilter2D(n) and sign-quantizing. Tests verify this equals
-     * the row-wise signatureOf on im2col patches.
-     */
-    std::vector<bool> bitViaConvolution(const Tensor &image, int64_t k,
-                                        int n) const;
 
   private:
     int64_t vectorDim_;

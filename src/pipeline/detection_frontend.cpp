@@ -27,12 +27,14 @@ PipelineConfig::resolvedFor(int64_t rows) const
     return resolved;
 }
 
-DetectionHashJob::DetectionHashJob(const Tensor &rows, const RPQEngine &rpq,
-                                   const MCache &cache, int bits,
-                                   int64_t block_rows, RowFiller fill,
+DetectionHashJob::DetectionHashJob(const Tensor *rows,
+                                   const ConvFrame *geometry,
+                                   const float *frame, int64_t n,
+                                   const RPQEngine &rpq, const MCache &cache,
+                                   int bits, int64_t block_rows,
                                    ThreadPool *pool)
-    : rows_(rows), fill_(std::move(fill)), rpq_(rpq), cache_(cache),
-      bits_(bits), blockRows_(block_rows), n_(rows.dim(0)),
+    : rows_(rows), geometry_(geometry), frame_(frame), rpq_(rpq),
+      cache_(cache), bits_(bits), blockRows_(block_rows), n_(n),
       blocks_((n_ + block_rows - 1) / block_rows),
       setOf_(static_cast<size_t>(n_)),
       hashed_(static_cast<size_t>(blocks_), 0)
@@ -86,17 +88,16 @@ DetectionHashJob::projectBlock(int64_t b)
 {
     // Stage 1: hash one block into the pass's words, precompute its
     // set indices. Safe on any thread and concurrently with owner
-    // computes of a previous pass — it reads only the row tensor and
-    // the cache geometry. With a filler, the block's rows are
-    // extracted here first (the single-touch fused walk: fill,
-    // project, sign-pack while hot).
+    // computes of a previous pass — it reads only the source and the
+    // cache geometry.
     const int64_t r0 = b * blockRows_;
     const int64_t r1 = std::min(n_, r0 + blockRows_);
-    if (fill_)
-        fill_(r0, r1);
-    rpq_.signatureWords(rows_, r0, r1, bits_,
-                        pass_.sigWords.data() +
-                            static_cast<size_t>(r0 * pass_.sigWordsPerRow));
+    uint64_t *words = pass_.sigWords.data() +
+                      static_cast<size_t>(r0 * pass_.sigWordsPerRow);
+    if (rows_)
+        rpq_.signatureWords(*rows_, r0, r1, bits_, words);
+    else
+        rpq_.signatureWords(*geometry_, frame_, r0, r1, bits_, words);
     for (int64_t i = r0; i < r1; ++i)
         setOf_[static_cast<size_t>(i)] =
             cache_.setIndexOf(bits_, pass_.wordsOf(i));
@@ -192,20 +193,37 @@ DetectionFrontend::detect(const Tensor &rows, int bits)
 }
 
 std::unique_ptr<DetectionHashJob>
-DetectionFrontend::beginHashStream(const Tensor &rows, int bits,
-                                   RowFiller fill)
+DetectionFrontend::beginHashStream(const Tensor &rows, int bits)
 {
     if (rows.rank() != 2)
         panic("detect expects a (n, d) matrix, got ", rows.shapeStr());
+    return beginJob(&rows, nullptr, nullptr, rows.dim(0), rows.dim(1), bits);
+}
+
+std::unique_ptr<DetectionHashJob>
+DetectionFrontend::beginHashStream(const ConvFrame &geometry,
+                                   const float *frame, int bits)
+{
+    return beginJob(nullptr, &geometry, frame,
+                    geometry.outH() * geometry.outW(),
+                    static_cast<int64_t>(geometry.channelTaps().size()),
+                    bits);
+}
+
+std::unique_ptr<DetectionHashJob>
+DetectionFrontend::beginJob(const Tensor *rows, const ConvFrame *geometry,
+                            const float *frame, int64_t n, int64_t dim,
+                            int bits)
+{
     if (bits <= 0 || bits > maxBits_)
         panic("signature bits ", bits, " outside engine range 1..",
               maxBits_);
-    const int64_t block_rows = pipe_.resolvedFor(rows.dim(0)).blockRows;
+    const int64_t block_rows = pipe_.resolvedFor(n).blockRows;
     if (block_rows <= 0)
         panic("pipeline block size must be positive, got ", block_rows);
-    return std::unique_ptr<DetectionHashJob>(new DetectionHashJob(
-        rows, rpqFor(rows.dim(1)), *cache_, bits, block_rows,
-        std::move(fill), poolFor()));
+    return std::unique_ptr<DetectionHashJob>(
+        new DetectionHashJob(rows, geometry, frame, n, rpqFor(dim), *cache_,
+                             bits, block_rows, poolFor()));
 }
 
 SignatureRecord::Pass

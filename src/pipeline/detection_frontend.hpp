@@ -12,7 +12,11 @@
  *  1. blocked signature generation — row blocks are projected against
  *     all signature filters at once (RPQEngine::signatureWords) and
  *     sign-packed straight into the pass's packed words, on the
- *     frontend's pool when it has one (DetectionHashJob);
+ *     frontend's pool when it has one (DetectionHashJob). A pass has
+ *     one of two sources: the rows of a (n, d) matrix (detect(), FC,
+ *     attention), or the output positions of one input channel's conv
+ *     frame, whose blocks are convolved with the random filters
+ *     (Fig. 7a) — a conv pass extracts no patches;
  *  2. MCACHE probing — each hashed block is probed in stream order on
  *     the calling thread, so every MCACHE set sees its signatures in
  *     the scalar detector's order. The probe writes each row's
@@ -22,12 +26,12 @@
  * Every pass is the same two halves: beginHashStream starts stage 1
  * and touches no MCACHE state, so the caller may keep working on the
  * previous pass's results while it runs (the conv forward hashes the
- * next channel under the current one's computes); finishStream probes
- * the blocks as they land — on a pool, later blocks still hash while
- * earlier ones probe — and returns the finished pass. detect() is the
- * two back to back. The caller then runs its dense owner kernel over
- * the pass's owner rows; replays read a recorded pass and never come
- * through here.
+ * next channel's frame under the current one's computes);
+ * finishStream probes the blocks as they land — on a pool, later
+ * blocks still hash while earlier ones probe — and returns the
+ * finished pass. detect() is the two back to back. The caller then
+ * runs its dense owner kernel over the pass's owner rows; replays read
+ * a recorded pass and never come through here.
  *
  * Results are bit-identical to SimilarityDetector over the same
  * MCache organization for any block size and thread count:
@@ -55,6 +59,7 @@
 #include "core/rpq.hpp"
 #include "pipeline/signature_record.hpp"
 #include "sim/config.hpp"
+#include "tensor/ops.hpp"
 #include "util/executors.hpp"
 #include "util/spsc_queue.hpp"
 #include "util/thread_pool.hpp"
@@ -103,35 +108,20 @@ struct PipelineConfig
 };
 
 /**
- * Producer of the rows being detected (single-touch fused blocks):
- * when a pass is given a RowFiller, rows [row0, row1) of the row
- * tensor are materialized by calling it immediately before that
- * range is projected — extraction, projection, and sign-pack then
- * walk the block once while it is cache-hot, instead of extraction
- * streaming the whole tensor first. Fillers must write only their
- * [row0, row1) range (disjoint ranges run concurrently on the pool)
- * and must be callable from worker threads. Every row of the tensor
- * is filled exactly once per pass, so the tensor is fully
- * materialized when finishStream returns — the owner computes read it
- * as if it had been pre-extracted.
- */
-using RowFiller = std::function<void(int64_t row0, int64_t row1)>;
-
-/**
  * In-flight stage-1 (hashing) half of a detection pass, created by
  * DetectionFrontend::beginHashStream and consumed exactly once by
  * DetectionFrontend::finishStream.
  *
  * With a pool, self-replenishing hash tasks start when the job is
  * created; without one, each block hashes when the probe reaches it.
- * While a job is in flight its hash tasks read the row tensor and the
- * cache *geometry* (set count) only — never cache tags or data — so a
- * job for the next pass may hash while the caller still works on the
- * previous pass's results. The job owns the pass it is filling:
- * hashing writes the packed words, finishStream the outcomes, entry
- * ids, owners and mix. The row tensor must stay alive and unmodified
- * until finishStream returns (or the job is destroyed, which joins
- * the outstanding hash tasks).
+ * While a job is in flight its hash tasks read the source (row tensor,
+ * or conv frame and its geometry) and the cache *geometry* (set count)
+ * only — never cache tags or data — so a job for the next pass may
+ * hash while the caller still works on the previous pass's results.
+ * The job owns the pass it is filling: hashing writes the packed
+ * words, finishStream the outcomes, entry ids, owners and mix. The
+ * source must stay alive and unmodified until finishStream returns
+ * (or the job is destroyed, which joins the outstanding hash tasks).
  */
 class DetectionHashJob
 {
@@ -145,10 +135,15 @@ class DetectionHashJob
   private:
     friend class DetectionFrontend;
 
-    /** Size the pass and, with a pool, start hashing on it. */
-    DetectionHashJob(const Tensor &rows, const RPQEngine &rpq,
+    /**
+     * Size the pass and, with a pool, start hashing on it. The source
+     * is `rows` when non-null, else the `n` output positions of
+     * `frame` under `geometry`.
+     */
+    DetectionHashJob(const Tensor *rows, const ConvFrame *geometry,
+                     const float *frame, int64_t n, const RPQEngine &rpq,
                      const MCache &cache, int bits, int64_t block_rows,
-                     RowFiller fill, ThreadPool *pool);
+                     ThreadPool *pool);
 
     void projectBlock(int64_t b);
 
@@ -166,8 +161,9 @@ class DetectionHashJob
      */
     void awaitHashed(int64_t b);
 
-    const Tensor &rows_;
-    RowFiller fill_; ///< fused extraction; empty = rows pre-filled
+    const Tensor *rows_;          ///< row source, or null
+    const ConvFrame *geometry_;   ///< frame source (rows_ null)
+    const float *frame_;
     const RPQEngine &rpq_;
     const MCache &cache_; // geometry reads only while hashing
     int bits_;
@@ -244,19 +240,30 @@ class DetectionFrontend
     SignatureRecord::Pass detect(const Tensor &rows, int bits);
 
     /**
-     * Start the hashing half of a pass: no MCACHE state is touched,
-     * so the caller may keep working on the previous pass's results
-     * while it hashes. `rows` must outlive the job; consume the job
-     * with finishStream exactly once. One thread drives begin/finish,
-     * like every other pass. With a `fill`, `rows` is scratch the
-     * filler populates blockwise (fused extraction — the filler's
-     * writes must cover every row). Without a pool, hashing is
-     * deferred into finishStream. Panics on a signature length
-     * outside 1..maxBits() or a negative block size.
+     * Start the hashing half of a pass over the rows of a (n, d)
+     * matrix: no MCACHE state is touched, so the caller may keep
+     * working on the previous pass's results while it hashes. `rows`
+     * must outlive the job, unmodified; consume the job with
+     * finishStream exactly once. One thread drives begin/finish, like
+     * every other pass. Without a pool, hashing is deferred into
+     * finishStream. Panics on a signature length outside 1..maxBits()
+     * or a negative block size.
      */
     std::unique_ptr<DetectionHashJob> beginHashStream(const Tensor &rows,
-                                                      int bits,
-                                                      RowFiller fill = {});
+                                                      int bits);
+
+    /**
+     * The conv pass source: start hashing the outH * outW output
+     * positions of one input channel, loaded at `frame` as `geometry`
+     * describes (tensor/ops.hpp's ConvFrame), their kH * kW patches the
+     * vectors — row r of the pass is position r, and the words equal
+     * the row source's over the channel's im2col rows. The blocks hash
+     * exactly as the row source's do (RPQEngine's frame
+     * signatureWords). `geometry` and `frame` must outlive the job,
+     * the frame unmodified.
+     */
+    std::unique_ptr<DetectionHashJob> beginHashStream(
+        const ConvFrame &geometry, const float *frame, int bits);
 
     /**
      * Probe half of a pass begun with beginHashStream: clears the
@@ -299,6 +306,13 @@ class DetectionFrontend
 
     RPQEngine &rpqFor(int64_t dim);
     ThreadPool *poolFor();
+
+    /** Check the knobs and start a job over either source. */
+    std::unique_ptr<DetectionHashJob> beginJob(const Tensor *rows,
+                                               const ConvFrame *geometry,
+                                               const float *frame,
+                                               int64_t n, int64_t dim,
+                                               int bits);
 };
 
 /**

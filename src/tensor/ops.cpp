@@ -72,6 +72,14 @@ checkConvGradOut(const Tensor &gradOut, int64_t n, int64_t in_h,
     }
 }
 
+void
+checkConvBias(const Tensor &bias, const ConvSpec &spec)
+{
+    if (bias.numel() != 0 && bias.numel() != spec.outChannels)
+        panic("conv bias has ", bias.numel(), " elements for ",
+              spec.outChannels, " filters");
+}
+
 ConvFrame::ConvFrame(const ConvSpec &spec, int64_t h, int64_t w)
     : h_(h), w_(w), oh_(spec.outH(h)), ow_(spec.outW(w)),
       kh_(spec.kernelH), kw_(spec.kernelW), stride_(spec.stride),
@@ -84,6 +92,9 @@ ConvFrame::ConvFrame(const ConvSpec &spec, int64_t h, int64_t w)
     const int64_t in_cols = std::min(w, rowLen_ - pad_);
     for (int64_t x = 0; x < in_cols; ++x)
         slot_.push_back(col(x + pad_));
+    for (int64_t ky = 0; ky < kh_; ++ky)
+        for (int64_t kx = 0; kx < kw_; ++kx)
+            taps_.push_back(tap(ky, kx));
 }
 
 void
@@ -104,11 +115,10 @@ std::vector<int64_t>
 ConvFrame::tapOffsets(int64_t channels) const
 {
     std::vector<int64_t> off;
-    off.reserve(static_cast<size_t>(channels * kh_ * kw_));
+    off.reserve(static_cast<size_t>(channels) * taps_.size());
     for (int64_t c = 0; c < channels; ++c)
-        for (int64_t ky = 0; ky < kh_; ++ky)
-            for (int64_t kx = 0; kx < kw_; ++kx)
-                off.push_back(c * size() + tap(ky, kx));
+        for (const int64_t t : taps_)
+            off.push_back(c * size() + t);
     return off;
 }
 
@@ -148,13 +158,21 @@ ConvGradFrame::load(const float *go, int64_t filters, const int32_t *owners,
                     float *dst) const
 {
     const int64_t v = oh_ * ow_;
+    const kernels::KernelOps &k = kernels::ops();
     for (int64_t f = 0; f < filters; ++f) {
         const float *g = go + f * v;
         float *frame = dst + f * size();
         for (int64_t y = y0_; y < y1_; ++y) {
-            for (int64_t x = x0_; x < x1_; ++x) {
-                const int64_t r = y * ow_ + x;
-                frame[at(y, x)] = g[owners ? owners[r] : r];
+            // Gradients r .. r + n of the row land stride_ cells apart.
+            const int64_t r = y * ow_ + x0_, n = x1_ - x0_;
+            float *cell = frame + at(y, x0_);
+            if (stride_ != 1) {
+                for (int64_t x = 0; x < n; ++x)
+                    cell[x * stride_] = g[owners ? owners[r + x] : r + x];
+            } else if (owners) {
+                k.gatherSpan(cell, g, owners + r, n);
+            } else {
+                k.copySpan(cell, g + r, n);
             }
         }
     }
@@ -197,9 +215,7 @@ conv2dForward(const Tensor &input, const Tensor &weight, const Tensor &bias,
     checkConvSpec(spec);
     checkConvInput(input, spec);
     checkConvWeight(weight, spec);
-    if (bias.numel() != 0 && bias.numel() != spec.outChannels)
-        panic("conv bias has ", bias.numel(), " elements for ",
-              spec.outChannels, " filters");
+    checkConvBias(bias, spec);
     const int64_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
     const int64_t oh = spec.outH(h), ow = spec.outW(w);
     const int64_t cin_g = spec.inChannels / spec.groups;

@@ -61,6 +61,9 @@ void checkConvWeight(const Tensor &weight, const ConvSpec &spec);
 void checkConvGradOut(const Tensor &gradOut, int64_t n, int64_t in_h,
                       int64_t in_w, const ConvSpec &spec);
 
+/** bias is empty or holds one element per filter (Cout). */
+void checkConvBias(const Tensor &bias, const ConvSpec &spec);
+
 /**
  * Forward convolution.
  *
@@ -109,6 +112,9 @@ class ConvFrame
      */
     std::vector<int64_t> tapOffsets(int64_t channels) const;
 
+    /** tapOffsets(1), kept with the frame: one channel's kH * kW taps. */
+    const std::vector<int64_t> &channelTaps() const { return taps_; }
+
     /** Distance between the slots a tap reads for output rows y, y + 1. */
     int64_t rowStep() const { return stride_ * rowLen_; }
 
@@ -126,6 +132,7 @@ class ConvFrame
     int64_t span_ = 0, rowLen_ = 0;
     int64_t inRows_ = 0;        ///< input rows y < inRows_ are in the frame
     std::vector<int64_t> slot_; ///< slot of each input column in the frame
+    std::vector<int64_t> taps_; ///< channelTaps()
 
     /** Slot of padded column c within a row. */
     int64_t col(int64_t c) const { return c % stride_ * span_ + c / stride_; }
@@ -164,7 +171,10 @@ class ConvGradFrame
      * consecutive frames at `dst`; with `owners`, position r of every
      * plane takes the gradient at position owners[r]. Only the cells
      * gradients land on are written, the same ones at every load: zero
-     * `dst` once and it serves every load of this frame.
+     * `dst` once and it serves every load of this frame. At stride 1 a
+     * gradient row lands on consecutive cells, so it moves as one
+     * kernel-table span: copySpan without owners, gatherSpan through
+     * them.
      */
     void load(const float *go, int64_t filters, const int32_t *owners,
               float *dst) const;

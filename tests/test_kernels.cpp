@@ -19,7 +19,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <cmath>
 #include <functional>
+#include <iterator>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -236,19 +239,126 @@ someRows(int64_t n, int64_t count, uint64_t seed)
     return all;
 }
 
-TEST(Kernels, OwnerValuesBitIdentity)
+TEST(Kernels, SignPackColumnsBitIdentity)
 {
     const KernelOps *ax = kernels::avx2Ops();
     if (!ax)
         GTEST_SKIP() << "host lacks AVX2";
     const KernelOps &sc = kernels::scalarOps();
-    const int64_t n = 40;
-    for (int64_t d : {1, 4, 9, 25, 49}) {
-        const std::vector<float> patches = randomFloats(n * d, 3 + d);
+    const float denormal = std::numeric_limits<float>::denorm_min();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    // +0, -0.0f and NaN of either sign set no bit (p < 0.0f is false);
+    // a negative denormal does.
+    const float planted[] = {0.0f, -0.0f, nan, -nan, denormal, -denormal};
+    constexpr uint64_t kWordSentinel = 0xa5a5a5a5a5a5a5a5ull;
+    for (int bits = 1; bits <= 130; bits += bits < 70 ? 1 : 3) {
+        const int64_t wpr = Signature::wordsFor(bits);
+        for (int64_t n = 1; n <= 40; n += n < 10 ? 1 : 7) {
+            const int64_t pitch = n + 1 + bits % 5;
+            // The block ends where the allocation does: a read past the
+            // last filter's n projections leaves the buffer.
+            std::vector<float> proj =
+                randomFloats((bits - 1) * pitch + n, 41 * bits + n);
+            for (size_t i = 0; i < std::size(planted); ++i) {
+                const int64_t b = static_cast<int64_t>(i) % bits;
+                proj[static_cast<size_t>(b * pitch + (i * 7) % n)] =
+                    planted[i];
+            }
+            std::vector<uint64_t> w_sc(static_cast<size_t>(n * wpr + 4),
+                                       kWordSentinel);
+            std::vector<uint64_t> w_ax(w_sc);
+            sc.signPackColumns(proj.data(), pitch, n, bits, wpr, w_sc.data());
+            ax->signPackColumns(proj.data(), pitch, n, bits, wpr,
+                                w_ax.data());
+            ASSERT_EQ(w_sc, w_ax) << "bits=" << bits << " n=" << n;
+            // The definition: bit b of row i is proj[b*pitch + i] < 0.0f,
+            // unused high bits zero.
+            std::vector<uint64_t> ref(static_cast<size_t>(n * wpr), 0);
+            for (int64_t i = 0; i < n; ++i)
+                for (int64_t b = 0; b < bits; ++b)
+                    if (proj[static_cast<size_t>(b * pitch + i)] < 0.0f)
+                        ref[static_cast<size_t>(i * wpr + b / 64)] |=
+                            1ull << (b % 64);
+            ASSERT_TRUE(std::equal(ref.begin(), ref.end(), w_ax.begin()))
+                << "bits=" << bits << " n=" << n;
+            for (size_t i = ref.size(); i < w_ax.size(); ++i)
+                ASSERT_EQ(w_ax[i], kWordSentinel)
+                    << "write past the block, bits=" << bits << " n=" << n;
+        }
+    }
+}
+
+TEST(Kernels, GatherSpanBitIdentity)
+{
+    const KernelOps *ax = kernels::avx2Ops();
+    if (!ax)
+        GTEST_SKIP() << "host lacks AVX2";
+    const KernelOps &sc = kernels::scalarOps();
+    const int64_t src_n = 64;
+    const std::vector<float> src = randomFloats(src_n, 53);
+    std::mt19937_64 rng(59);
+    for (int64_t n = 0; n <= 40; ++n) {
+        // 0 consecutive from an offset, 1 reversed, 2 one index
+        // repeated, 3 random, 4 consecutive with one index in the
+        // middle of each octet broken, 5 runs broken at random.
+        for (int shape = 0; shape < 6; ++shape) {
+            const int32_t off = static_cast<int32_t>(rng() % (src_n - n + 1));
+            std::vector<int32_t> idx(static_cast<size_t>(n));
+            for (int64_t i = 0; i < n; ++i) {
+                int32_t x = off + static_cast<int32_t>(i);
+                if (shape == 1)
+                    x = static_cast<int32_t>(src_n - 1 - i);
+                else if (shape == 2)
+                    x = off;
+                else if (shape == 3 || (shape == 5 && rng() % 5 == 0))
+                    x = static_cast<int32_t>(rng() % src_n);
+                else if (shape == 4 && i % 8 == 3)
+                    x = static_cast<int32_t>((x + 17) % src_n);
+                idx[static_cast<size_t>(i)] = x;
+            }
+            std::vector<float> d1(static_cast<size_t>(n + 8), kSentinel);
+            std::vector<float> d2(d1);
+            sc.gatherSpan(d1.data(), src.data(), idx.data(), n);
+            ax->gatherSpan(d2.data(), src.data(), idx.data(), n);
+            ASSERT_EQ(0, std::memcmp(d1.data(), d2.data(),
+                                     d1.size() * sizeof(float)))
+                << "n=" << n << " shape=" << shape;
+            for (int64_t i = 0; i < n; ++i) {
+                const size_t at = static_cast<size_t>(i);
+                ASSERT_EQ(d1[at], src[static_cast<size_t>(idx[at])]);
+            }
+            for (int64_t i = n; i < n + 8; ++i)
+                ASSERT_EQ(d2[static_cast<size_t>(i)], kSentinel)
+                    << "write past the span, n=" << n;
+        }
+    }
+}
+
+TEST(Kernels, OwnerValuesBitIdentity)
+{
+    // Owner patches are read from a channel's conv frame: base from
+    // positionSlots, taps from tapOffsets(1), at strides 1 and 2.
+    const KernelOps *ax = kernels::avx2Ops();
+    if (!ax)
+        GTEST_SKIP() << "host lacks AVX2";
+    const KernelOps &sc = kernels::scalarOps();
+    for (int64_t k : {1, 2, 3, 5, 7}) {
+        ConvSpec spec;
+        spec.kernelH = spec.kernelW = k;
+        spec.pad = k / 2;
+        spec.stride = k % 2 + 1;
+        const ConvFrame frame(spec, 9, 11);
+        const int64_t d = k * k, n = frame.outH() * frame.outW();
+        const std::vector<int64_t> base = frame.positionSlots();
+        const std::vector<int64_t> taps = frame.tapOffsets(1);
+        ASSERT_EQ(taps, frame.channelTaps());
+        std::vector<float> plane(static_cast<size_t>(frame.size()));
+        frame.load(randomFloats(9 * 11, 3 + k).data(), 1, plane.data());
         for (int64_t filters = 1; filters <= 33; ++filters) {
             const std::vector<float> w =
                 randomFloats(d * filters, 5 + d * 64 + filters);
-            for (int64_t count : {1, 3, 5, 7, 13, 27}) {
+            for (int64_t count : {int64_t{1}, int64_t{3}, int64_t{5},
+                                  int64_t{7}, int64_t{13}, n}) {
                 const std::vector<int32_t> rows =
                     someRows(n, count, 7 + count * 64 + filters);
                 // Rows not listed, and one vector past the end, must
@@ -256,19 +366,21 @@ TEST(Kernels, OwnerValuesBitIdentity)
                 std::vector<float> v1(static_cast<size_t>(n * filters + 8),
                                       kSentinel);
                 std::vector<float> v2(v1);
-                sc.ownerValues(patches.data(), d, rows.data(), count,
-                               w.data(), filters, v1.data());
-                ax->ownerValues(patches.data(), d, rows.data(), count,
-                                w.data(), filters, v2.data());
+                sc.ownerValues(plane.data(), base.data(), taps.data(), d,
+                               rows.data(), count, w.data(), filters,
+                               v1.data());
+                ax->ownerValues(plane.data(), base.data(), taps.data(), d,
+                                rows.data(), count, w.data(), filters,
+                                v2.data());
                 ASSERT_EQ(0, std::memcmp(v1.data(), v2.data(),
                                          v1.size() * sizeof(float)))
-                    << "d=" << d << " filters=" << filters
+                    << "k=" << k << " filters=" << filters
                     << " owners=" << count;
                 int64_t written = 0;
                 for (const float x : v1)
                     written += x != kSentinel;
                 ASSERT_EQ(written, count * filters)
-                    << "d=" << d << " filters=" << filters;
+                    << "k=" << k << " filters=" << filters;
             }
         }
     }
@@ -554,6 +666,7 @@ TEST(Kernels, Avx2BodiesReturnWithCleanUpperLanes)
     const ConvFrame frame(spec, 5, 13);
     const ConvGradFrame gframe(spec, 5, 13);
     const std::vector<int64_t> tap_off = frame.tapOffsets(1);
+    const std::vector<int64_t> slots = frame.positionSlots();
     struct Call
     {
         const char *name;
@@ -567,17 +680,18 @@ TEST(Kernels, Avx2BodiesReturnWithCleanUpperLanes)
          }},
         {"signPack",
          [&] { ax->signPack(src.data(), 9, 28, 1, words.data()); }},
+        {"signPackColumns",
+         [&] {
+             ax->signPackColumns(src.data(), 13, 11, 28, 1, words.data());
+         }},
         {"copySpan", [&] { ax->copySpan(dst.data(), src.data(), 77); }},
         {"addSpan", [&] { ax->addSpan(dst.data(), src.data(), 77); }},
-        {"extractPatches",
-         [&] {
-             ax->extractPatches(src.data(), 5, 13, 13, 1, 1, 3, 0, 65,
-                                dst.data());
-         }},
+        {"gatherSpan",
+         [&] { ax->gatherSpan(dst.data(), src.data(), owner.data(), 9); }},
         {"ownerValues",
          [&] {
-             ax->ownerValues(src.data(), 9, rows.data(), 4, src.data(), 13,
-                             dst.data());
+             ax->ownerValues(src.data(), slots.data(), tap_off.data(), 9,
+                             rows.data(), 4, src.data(), 13, dst.data());
          }},
         {"ownerScatter",
          [&] {
@@ -609,99 +723,6 @@ TEST(Kernels, Avx2BodiesReturnWithCleanUpperLanes)
     }
 }
 #endif
-
-TEST(Kernels, ExtractPatchesMatchesNaiveIm2colEverywhere)
-{
-    // The fused single-touch patch extractor must agree element for
-    // element with the textbook im2col loop on every geometry the
-    // conv engines use — interior positions, zero-padded borders,
-    // strided grids — and on partial [r0, r1) row ranges (the block
-    // schedule extracts one detection block at a time).
-    struct Geometry
-    {
-        int64_t h, w, k, stride, pad;
-    };
-    const Geometry cases[] = {
-        {8, 8, 3, 1, 1},  // same-pad 3x3, borders clipped on all sides
-        {8, 8, 3, 1, 0},  // valid conv, no padding path at all
-        {9, 7, 3, 2, 1},  // strided + odd extent, ragged right edge
-        {6, 6, 5, 1, 2},  // kernel wider than the pad on both sides
-        {5, 5, 1, 1, 0},  // 1x1: pure row gather
-        {7, 4, 3, 2, 2},  // pad >= stride: leading all-zero columns
-        {16, 16, 3, 1, 1}, // the training proxies' plane
-        {12, 11, 7, 1, 3}, // 7x7, clipped on every side
-        {10, 13, 8, 2, 3}, // 8x8: the widest masked kernel row
-        {13, 12, 9, 1, 4}, // 9x9: wider than a vector, the span path
-        {9, 9, 9, 1, 0},   // 9x9 valid: one position
-    };
-    const KernelOps *ax = kernels::avx2Ops();
-    for (const Geometry &g : cases) {
-        const int64_t oh = (g.h + 2 * g.pad - g.k) / g.stride + 1;
-        const int64_t ow = (g.w + 2 * g.pad - g.k) / g.stride + 1;
-        const int64_t n_rows = oh * ow;
-        const int64_t d = g.k * g.k;
-        const std::vector<float> plane = randomFloats(
-            g.h * g.w, 500 + static_cast<uint64_t>(g.h * g.w * g.k));
-
-        // Naive reference: per-element bounds-checked gather.
-        std::vector<float> ref(static_cast<size_t>(n_rows * d), 0.0f);
-        for (int64_t r = 0; r < n_rows; ++r)
-            for (int64_t ky = 0; ky < g.k; ++ky)
-                for (int64_t kx = 0; kx < g.k; ++kx) {
-                    const int64_t iy = (r / ow) * g.stride - g.pad + ky;
-                    const int64_t ix = (r % ow) * g.stride - g.pad + kx;
-                    if (iy < 0 || iy >= g.h || ix < 0 || ix >= g.w)
-                        continue;
-                    ref[static_cast<size_t>(r * d + ky * g.k + kx)] =
-                        plane[static_cast<size_t>(iy * g.w + ix)];
-                }
-
-        // Partial ranges too: full pass, a mid-pass block, and the
-        // final ragged block.
-        const int64_t splits[][2] = {
-            {0, n_rows}, {n_rows / 3, 2 * n_rows / 3}, {n_rows - 1, n_rows}};
-        for (const auto &s : splits) {
-            std::vector<float> got(static_cast<size_t>(n_rows * d),
-                                   -7.0f);
-            kernels::scalarOps().extractPatches(
-                plane.data(), g.h, g.w, ow, g.stride, g.pad, g.k, s[0],
-                s[1], got.data());
-            for (int64_t r = s[0]; r < s[1]; ++r)
-                for (int64_t e = 0; e < d; ++e)
-                    ASSERT_EQ(got[static_cast<size_t>(r * d + e)],
-                              ref[static_cast<size_t>(r * d + e)])
-                        << "scalar h=" << g.h << " w=" << g.w
-                        << " k=" << g.k << " stride=" << g.stride
-                        << " pad=" << g.pad << " row " << r << " elem "
-                        << e;
-            // Rows outside [r0, r1) keep their sentinel.
-            const auto untouched = [&](const std::vector<float> &v) {
-                for (int64_t i = 0; i < n_rows * d; ++i)
-                    if ((i < s[0] * d || i >= s[1] * d) &&
-                        v[static_cast<size_t>(i)] != -7.0f)
-                        return false;
-                return true;
-            };
-            ASSERT_TRUE(untouched(got))
-                << "scalar wrote outside its rows, k=" << g.k;
-            if (!ax)
-                continue;
-            std::vector<float> got_ax(static_cast<size_t>(n_rows * d),
-                                      -7.0f);
-            ax->extractPatches(plane.data(), g.h, g.w, ow, g.stride,
-                               g.pad, g.k, s[0], s[1], got_ax.data());
-            ASSERT_EQ(0, std::memcmp(got.data() + s[0] * d,
-                                     got_ax.data() + s[0] * d,
-                                     static_cast<size_t>((s[1] - s[0]) *
-                                                         d) *
-                                         sizeof(float)))
-                << "avx2 h=" << g.h << " w=" << g.w << " k=" << g.k
-                << " stride=" << g.stride << " pad=" << g.pad;
-            ASSERT_TRUE(untouched(got_ax))
-                << "avx2 wrote outside its rows, k=" << g.k;
-        }
-    }
-}
 
 TEST(Kernels, ProjectBlockMatchesPerRowProject)
 {

@@ -289,85 +289,143 @@ TEST(Pipeline, MercuryContextCachesFrontendsAndMatchesLegacy)
     EXPECT_EQ(piped_stats.mix.mau, legacy_stats.mix.mau);
 }
 
-/** Fill rows [r0, r1) of `dst` from `src`, logging each range. */
-RowFiller
-copyingFiller(const Tensor &src, Tensor &dst,
-              std::vector<std::pair<int64_t, int64_t>> &log,
-              std::mutex &log_mutex)
+/**
+ * An (h, w) plane of a 4 x 5 motif plus 1% noise: most of its patches
+ * repeat, so a pass over them hits.
+ */
+Tensor
+patternedPlane(int64_t h, int64_t w, uint64_t seed)
 {
-    return [&src, &dst, &log, &log_mutex](int64_t r0, int64_t r1) {
-        const int64_t d = src.dim(1);
-        std::copy(src.data() + r0 * d, src.data() + r1 * d,
-                  dst.data() + r0 * d);
-        std::lock_guard<std::mutex> lock(log_mutex);
-        log.emplace_back(r0, r1);
-    };
+    Rng rng(seed);
+    float motif[4][5];
+    for (auto &row : motif)
+        for (float &x : row)
+            x = static_cast<float>(rng.normal());
+    Tensor plane({1, 1, h, w});
+    for (int64_t y = 0; y < h; ++y)
+        for (int64_t x = 0; x < w; ++x)
+            plane[y * w + x] = motif[y % 4][x % 5] +
+                               0.01f * static_cast<float>(rng.normal());
+    return plane;
+}
+
+/** One channel's conv frame, loaded: the conv pass source. */
+struct LoadedFrame
+{
+    ConvFrame geometry;
+    std::vector<float> data;
+
+    LoadedFrame(const ConvSpec &spec, const Tensor &plane)
+        : geometry(spec, plane.dim(2), plane.dim(3)),
+          data(static_cast<size_t>(geometry.size()))
+    {
+        geometry.load(plane.data(), 1, data.data());
+    }
+};
+
+/** OwnerTable's owner map over the scalar detector's outcomes. */
+std::vector<int32_t>
+legacyOwners(const DetectionResult &ref)
+{
+    OwnerTable table(int64_t{kSets} * kWays);
+    std::vector<int32_t> owners;
+    for (int64_t i = 0; i < static_cast<int64_t>(ref.hitmap.size()); ++i)
+        owners.push_back(table.ownerOf(static_cast<int32_t>(i),
+                                       ref.hitmap.outcome(i),
+                                       ref.hitmap.entryId(i)));
+    return owners;
+}
+
+TEST(Frontend, FramePassesMatchTheDetectorOnIm2colRows)
+{
+    // The conv pass source hashes a frame's output positions; its pass
+    // must be the scalar detector's over the plane's im2col rows —
+    // words, outcomes, entry ids, owners and mix — at any block size
+    // (1, ragged, auto) and thread count.
+    ConvSpec same; // 3x3, stride 1, pad 1
+    same.kernelH = same.kernelW = 3;
+    same.pad = 1;
+    ConvSpec strided; // 5x5, stride 2, pad 2
+    strided.kernelH = strided.kernelW = 5;
+    strided.stride = 2;
+    strided.pad = 2;
+    const std::pair<ConvSpec, Tensor> cases[] = {
+        {same, patternedPlane(30, 26, 5)},
+        {strided, patternedPlane(23, 19, 6)}};
+    for (const auto &[spec, plane] : cases) {
+        const LoadedFrame frame(spec, plane);
+        const DetectionResult ref = legacyDetect(im2col(plane, spec));
+        EXPECT_GT(ref.mix().hit, 0) << "the plane must produce hits";
+        for (int threads : {1, 4}) {
+            for (int64_t block : {int64_t{1}, int64_t{5}, int64_t{48},
+                                  int64_t{0}}) {
+                SCOPED_TRACE("k=" + std::to_string(spec.kernelH) +
+                             " threads=" + std::to_string(threads) +
+                             " block=" + std::to_string(block));
+                PipelineConfig pipe;
+                pipe.blockRows = block;
+                pipe.threads = threads;
+                DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed, pipe);
+                auto job = fe.beginHashStream(frame.geometry,
+                                              frame.data.data(), kBits);
+                const SignatureRecord::Pass pass = fe.finishStream(*job);
+                expectMatchesLegacy(pass, ref);
+                EXPECT_EQ(pass.owners, legacyOwners(ref));
+            }
+        }
+    }
 }
 
 TEST(Frontend, HashJobRunsUnderThePreviousPass)
 {
-    // The conv forward's shape: pass B's fused fill and hash begin
-    // right after pass A's probe, while A's rows are still read. Each
-    // pass must equal the scalar detector's, A's rows stay as filled,
-    // and every row is filled exactly once, in blockRows-wide ranges.
-    const Tensor a_src = prototypeVectors(500, 24, 64, 0.01f, 77, 1.2);
-    const Tensor b_src = prototypeVectors(300, 24, 40, 0.01f, 78, 1.2);
+    // The conv forward's shape: pass B's hash job begins over B's frame
+    // right after pass A's probe, while A's frame is still read. Each
+    // pass must equal the scalar detector's over its im2col rows, and
+    // A's frame stays unmodified while B hashes.
+    ConvSpec spec;
+    spec.kernelH = spec.kernelW = 3;
+    spec.pad = 1;
+    const Tensor a_plane = patternedPlane(25, 20, 77); // 500 rows
+    const Tensor b_plane = patternedPlane(15, 20, 78); // 300 rows
     for (int threads : {1, 4}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
         PipelineConfig pipe;
         pipe.blockRows = 48; // ragged last block in both passes
         pipe.threads = threads;
         DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed, pipe);
-        Tensor a_rows({500, 24}), b_rows({300, 24});
-        std::mutex log_mutex;
-        std::vector<std::pair<int64_t, int64_t>> a_log, b_log;
+        const LoadedFrame a(spec, a_plane), b(spec, b_plane);
+        const std::vector<float> a_copy = a.data;
 
-        auto job = fe.beginHashStream(
-            a_rows, kBits, copyingFiller(a_src, a_rows, a_log, log_mutex));
-        const SignatureRecord::Pass a = fe.finishStream(*job);
-        job = fe.beginHashStream(
-            b_rows, kBits, copyingFiller(b_src, b_rows, b_log, log_mutex));
-        EXPECT_TRUE(a_rows == a_src) << "A's rows must be fully filled";
-        const SignatureRecord::Pass b = fe.finishStream(*job);
+        auto job = fe.beginHashStream(a.geometry, a.data.data(), kBits);
+        const SignatureRecord::Pass a_pass = fe.finishStream(*job);
+        job = fe.beginHashStream(b.geometry, b.data.data(), kBits);
+        EXPECT_EQ(a.data, a_copy) << "A's frame changed while B hashes";
+        const SignatureRecord::Pass b_pass = fe.finishStream(*job);
+        EXPECT_EQ(a.data, a_copy);
 
-        expectMatchesLegacy(a, legacyDetect(a_src));
-        expectMatchesLegacy(b, legacyDetect(b_src));
-        for (auto *log : {&a_log, &b_log}) {
-            std::sort(log->begin(), log->end());
-            for (size_t i = 0; i < log->size(); ++i) {
-                EXPECT_EQ((*log)[i].first, static_cast<int64_t>(i) * 48);
-                if (i + 1 < log->size()) {
-                    EXPECT_EQ((*log)[i].second, (*log)[i + 1].first);
-                }
-            }
-        }
-        EXPECT_EQ(a_log.size(), 11u);
-        EXPECT_EQ(a_log.back().second, 500);
-        EXPECT_EQ(b_log.size(), 7u);
-        EXPECT_EQ(b_log.back().second, 300);
+        expectMatchesLegacy(a_pass, legacyDetect(im2col(a_plane, spec)));
+        expectMatchesLegacy(b_pass, legacyDetect(im2col(b_plane, spec)));
     }
 }
 
 TEST(Frontend, InlineJobHashesInsideFinishStream)
 {
-    // Without a pool, beginHashStream touches no row: the blocks are
-    // filled and hashed one by one inside finishStream.
-    const Tensor src = prototypeVectors(130, 16, 20, 0.01f, 3, 1.0);
+    // Without a pool, beginHashStream reads nothing: a frame written
+    // after it begins is the one that gets hashed.
+    ConvSpec spec;
+    spec.kernelH = spec.kernelW = 3;
+    spec.pad = 1;
+    const Tensor plane = patternedPlane(13, 10, 3); // 130 rows
     PipelineConfig pipe;
     pipe.blockRows = 32;
     DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed, pipe);
     ASSERT_EQ(fe.workerPool(), nullptr);
-    Tensor rows({130, 16});
-    std::mutex log_mutex;
-    std::vector<std::pair<int64_t, int64_t>> log;
-    auto job = fe.beginHashStream(rows, kBits,
-                                  copyingFiller(src, rows, log, log_mutex));
-    EXPECT_TRUE(log.empty()) << "inline hashing must wait for the probe";
+    const ConvFrame geometry(spec, 13, 10);
+    std::vector<float> frame(static_cast<size_t>(geometry.size()), 0.0f);
+    auto job = fe.beginHashStream(geometry, frame.data(), kBits);
+    geometry.load(plane.data(), 1, frame.data());
     const SignatureRecord::Pass pass = fe.finishStream(*job);
-    const std::vector<std::pair<int64_t, int64_t>> want = {
-        {0, 32}, {32, 64}, {64, 96}, {96, 128}, {128, 130}};
-    EXPECT_EQ(log, want);
-    expectMatchesLegacy(pass, legacyDetect(src));
+    expectMatchesLegacy(pass, legacyDetect(im2col(plane, spec)));
 }
 
 TEST(Frontend, SignatureBitsOutsideTheEngineDie)

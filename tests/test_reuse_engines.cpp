@@ -148,6 +148,28 @@ TEST(ConvReuse, BiasAppliedOncePerOutput)
     EXPECT_LT(out.maxAbsDiff(ref), 1e-4f);
 }
 
+TEST(ConvReuse, BiasOfAnotherSizeDies)
+{
+    // The forward writes bias[oc] for every filter: a bias of another
+    // size must die as the exact op does, not read past its end.
+    Tensor in({1, 1, 6, 6});
+    Tensor w({4, 1, 3, 3});
+    ConvSpec spec;
+    spec.inChannels = 1;
+    spec.outChannels = 4;
+    spec.kernelH = spec.kernelW = 3;
+    spec.pad = 1;
+    MCache cache(16, 4, 2);
+    ConvReuseEngine engine(cache, 8, 11);
+    ReuseStats stats;
+    for (const int64_t elems : {1, 3, 5}) {
+        const Tensor bias({elems});
+        EXPECT_DEATH(engine.forward(in, w, bias, spec, stats),
+                     "bias has " + std::to_string(elems) +
+                         " elements for 4 filters");
+    }
+}
+
 TEST(ConvReuse, GroupedConvMatchesReference)
 {
     Tensor in = similarInput(1, 4, 8, 8, 1e-4f, 68);

@@ -1,13 +1,16 @@
 /**
  * @file
  * Tests for the RPQ engine: similarity preservation, the
- * convolution formulation equivalence (§III-B1), determinism, and
+ * convolution formulation equivalence (§III-B1: frame signatures equal
+ * row signatures on im2col patches, bit for bit), determinism, and
  * signature-length behaviour (the paper's Fig. 3 insight that longer
  * signatures separate dissimilar vectors better).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
 #include <set>
 
 #include "core/rpq.hpp"
@@ -135,7 +138,8 @@ TEST(RPQ, SignaturePrefixConsistency)
 TEST(RPQ, ConvolutionFormulationMatchesRowForm)
 {
     // §III-B1: signature bits computed by sliding the reshaped random
-    // filter over the image equal the row-wise RPQ on im2col patches.
+    // filters over the image (the frame form) equal the row-wise RPQ
+    // on im2col patches.
     Rng rng(11);
     Tensor image({7, 7});
     image.fillNormal(rng);
@@ -151,14 +155,87 @@ TEST(RPQ, ConvolutionFormulationMatchesRowForm)
     Tensor rows = im2col(nchw, spec);
     auto sigs = rpq.signaturesOf(rows, 16);
 
-    // Convolution form, bit by bit.
-    for (int n = 0; n < 16; ++n) {
-        auto bits = rpq.bitViaConvolution(image, k, n);
-        ASSERT_EQ(bits.size(), sigs.size());
-        for (size_t i = 0; i < bits.size(); ++i)
-            EXPECT_EQ(bits[i], sigs[i].bit(n))
-                << "vector " << i << " bit " << n;
+    // Convolution form: the image's frame convolved with the filters.
+    const ConvFrame geometry(spec, 7, 7);
+    std::vector<float> frame(static_cast<size_t>(geometry.size()));
+    geometry.load(image.data(), 1, frame.data());
+    const int64_t n = geometry.outH() * geometry.outW();
+    ASSERT_EQ(n, static_cast<int64_t>(sigs.size()));
+    std::vector<uint64_t> words(static_cast<size_t>(n));
+    rpq.signatureWords(geometry, frame.data(), 0, n, 16, words.data());
+    for (int b = 0; b < 16; ++b) {
+        for (size_t i = 0; i < sigs.size(); ++i)
+            EXPECT_EQ((words[i] >> b) & 1u, sigs[i].bit(b) ? 1u : 0u)
+                << "vector " << i << " bit " << b;
     }
+}
+
+TEST(RPQ, FrameSignaturesMatchRowSignatures)
+{
+    // Seeded geometries: the frame words of any output range, starting
+    // and ending mid output row, equal signatureWords on the plane's
+    // im2col rows word for word.
+    std::mt19937_64 rng(2024);
+    int64_t cases = 0, mid_row = 0;
+    for (int64_t k : {1, 3, 5}) {
+        RPQEngine rpq(k * k, 100, 77 + static_cast<uint64_t>(k));
+        for (int64_t stride = 1; stride <= 2; ++stride) {
+            for (int64_t pad = 0; pad <= 2; ++pad) {
+                for (int rep = 0; rep < 6; ++rep) {
+                    const int64_t h = 1 + static_cast<int64_t>(rng() % 40);
+                    const int64_t w = 1 + static_cast<int64_t>(rng() % 40);
+                    if (h + 2 * pad < k || w + 2 * pad < k)
+                        continue;
+                    ConvSpec spec;
+                    spec.kernelH = spec.kernelW = k;
+                    spec.stride = stride;
+                    spec.pad = pad;
+                    Rng fill(rng());
+                    Tensor plane({1, 1, h, w});
+                    plane.fillNormal(fill);
+                    // Some zero cells: their patches project to +-0.
+                    for (int64_t i = 0; i < plane.numel(); i += 3)
+                        plane[i] = 0.0f;
+                    const Tensor rows = im2col(plane, spec);
+                    const ConvFrame geometry(spec, h, w);
+                    std::vector<float> frame(
+                        static_cast<size_t>(geometry.size()));
+                    geometry.load(plane.data(), 1, frame.data());
+                    const int64_t n = rows.dim(0);
+                    ASSERT_EQ(n, geometry.outH() * geometry.outW());
+                    const int64_t ow = geometry.outW();
+                    for (int bits : {1, 28, 32, 33, 64, 65, 100}) {
+                        const int64_t wpr = Signature::wordsFor(bits);
+                        const auto pick = [&rng](int64_t m) {
+                            return static_cast<int64_t>(
+                                rng() % static_cast<uint64_t>(m));
+                        };
+                        const int64_t r0 = pick(n);
+                        const int64_t r1 = r0 + 1 + pick(n - r0);
+                        std::vector<uint64_t> want(
+                            static_cast<size_t>((r1 - r0) * wpr));
+                        std::vector<uint64_t> got(want.size() + 2, ~0ull);
+                        rpq.signatureWords(rows, r0, r1, bits, want.data());
+                        rpq.signatureWords(geometry, frame.data(), r0, r1,
+                                           bits, got.data());
+                        ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                                                 want.size() *
+                                                     sizeof(uint64_t)))
+                            << "k=" << k << " stride=" << stride
+                            << " pad=" << pad << " h=" << h << " w=" << w
+                            << " bits=" << bits << " [" << r0 << ", " << r1
+                            << ")";
+                        EXPECT_EQ(got[want.size()], ~0ull)
+                            << "wrote past the range";
+                        ++cases;
+                        mid_row += r0 % ow != 0 && r1 % ow != 0;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(cases, 500);
+    EXPECT_GT(mid_row, 100) << "too few ranges start and end mid row";
 }
 
 TEST(RPQ, RandomFilterReshapeRoundTrips)
