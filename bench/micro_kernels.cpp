@@ -332,8 +332,8 @@ main()
                 g_sink = acc[0];
             });
         // The dX replay's gather of every filter's output gradients
-        // through the owner map into the pad-1 gradient frame, one
-        // gradient row per call (ConvGradFrame::load).
+        // through the owner map into the pad-1 gradient frames, one
+        // call per pass (ConvGradFrame::load).
         std::vector<float> go(static_cast<size_t>(f * v));
         for (float &x : go)
             x = dist(rng);
@@ -342,18 +342,26 @@ main()
             static_cast<double>(per_rows) * 2 * f * fl, per_rows,
             [&](const kernels::KernelOps &k) {
                 for (int64_t p = 0; p < owner_passes; ++p)
-                    for (int64_t q = 0; q < f; ++q)
-                        for (int64_t y = 0; y < sh.hw; ++y)
-                            k.gatherSpan(gframes.data() + q * side * side +
-                                             (y + 1) * side + 1,
-                                         go.data() + q * v,
-                                         owner.data() + y * sh.hw, sh.hw);
+                    k.gatherSpan(gframes.data() + side + 1, side,
+                                 side * side, go.data(), v, owner.data(),
+                                 sh.hw, sh.hw, sh.hw, f);
                 g_sink = gframes[static_cast<size_t>(side + 1)];
             });
-        return std::array<Result, 4>{values, scatter, dw, gather};
+        // The dW replay's hit-group sums over the (position, filter)
+        // gradients, one call per pass.
+        std::vector<int32_t> scratch(static_cast<size_t>(2 * v));
+        const Result group = run(
+            static_cast<double>(per_rows) * 2 * f * fl, per_rows,
+            [&](const kernels::KernelOps &k) {
+                for (int64_t p = 0; p < owner_passes; ++p)
+                    k.groupSums(go.data(), f, owner.data(), v,
+                                scratch.data(), sums.data());
+                g_sink = sums[0];
+            });
+        return std::array<Result, 5>{values, scatter, dw, gather, group};
     };
-    const std::array<Result, 4> own12 = owner_kernels({12, 256, 16});
-    const std::array<Result, 4> own24 = owner_kernels({24, 64, 8});
+    const std::array<Result, 5> own12 = owner_kernels({12, 256, 16});
+    const std::array<Result, 5> own24 = owner_kernels({24, 64, 8});
 
     // 7) The exact conv ops' bodies at the same two shapes (3x3, pad
     //    1: 12 -> 12 channels on 16x16, 24 -> 24 on 8x8): the forward
@@ -447,9 +455,11 @@ main()
     row("owner_scatter f12 r256", own12[1]);
     row("owner_dw f12 r256", own12[2]);
     row("owner_gather f12 r256", own12[3]);
+    row("group_sums f12 r256", own12[4]);
     row("owner_values f24 r64", own24[0]);
     row("owner_scatter f24 r64", own24[1]);
     row("owner_dw f24 r64", own24[2]);
+    row("group_sums f24 r64", own24[4]);
     row("exact_fwd 12->12 16x16", exact12[0]);
     row("exact_dx 12->12 16x16", exact12[1]);
     row("exact_dw 12->12 16x16", exact12[2]);
@@ -493,6 +503,8 @@ main()
         .num("owner_gather_f12_scalar_cycles_per_row", own12[3].cpr_scalar,
              1)
         .num("owner_gather_f12_avx2_cycles_per_row", own12[3].cpr_avx2, 1)
+        .num("group_sums_f12_scalar_cycles_per_row", own12[4].cpr_scalar, 1)
+        .num("group_sums_f12_avx2_cycles_per_row", own12[4].cpr_avx2, 1)
         .num("owner_values_f24_scalar_cycles_per_row", own24[0].cpr_scalar,
              1)
         .num("owner_values_f24_avx2_cycles_per_row", own24[0].cpr_avx2, 1)
@@ -501,6 +513,8 @@ main()
         .num("owner_scatter_f24_avx2_cycles_per_row", own24[1].cpr_avx2, 1)
         .num("owner_dw_f24_scalar_cycles_per_row", own24[2].cpr_scalar, 1)
         .num("owner_dw_f24_avx2_cycles_per_row", own24[2].cpr_avx2, 1)
+        .num("group_sums_f24_scalar_cycles_per_row", own24[4].cpr_scalar, 1)
+        .num("group_sums_f24_avx2_cycles_per_row", own24[4].cpr_avx2, 1)
         .num("exact_fwd_f12_scalar_cycles_per_row", exact12[0].cpr_scalar, 1)
         .num("exact_fwd_f12_avx2_cycles_per_row", exact12[0].cpr_avx2, 1)
         .num("exact_dx_f12_scalar_cycles_per_row", exact12[1].cpr_scalar, 1)

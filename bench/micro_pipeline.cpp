@@ -3,14 +3,23 @@
  * Microbenchmark of the batched detection pipeline against the scalar
  * SimilarityDetector path: rows/sec of one full detection pass
  * (signature generation + MCACHE probing + hitmap) across vector
- * dimensions and signature lengths. Emits a BENCH_pipeline.json
- * summary line for the d=1152, bits=16 point the acceptance criteria
- * track.
+ * dimensions and signature lengths, plus the MCACHE block probe alone
+ * in TSC cycles per row. Emits a BENCH_pipeline.json summary line for
+ * the d=1152, bits=16 point the acceptance criteria track, with the
+ * probe row.
  */
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <random>
 #include <string>
+#include <vector>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <x86intrin.h>
+#endif
 
 #include "bench_common.hpp"
 #include "core/similarity_detector.hpp"
@@ -79,6 +88,74 @@ measure(int64_t dim, int bits)
     return p;
 }
 
+/**
+ * TSC cycles per row of the MCACHE probe alone: 256-row passes of
+ * 28-bit signatures (vgg13_train's conv passes) into the 64x16 cache,
+ * each pass 128 distinct signatures drawn twice in a shuffled order,
+ * so half the rows HIT. Per pass, as DetectionFrontend::finishStream
+ * runs it: clear the cache, probe in 64-row blocks with the owner
+ * rule, forget the pass's owners. NaN off x86.
+ */
+double
+probeCyclesPerRow()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    constexpr int kBits = 28;
+    constexpr int32_t kRows = 256, kBlock = 64;
+    const int passes = bench::smoke() ? 4 : 256;
+    MCache cache(kSets, kWays, 1);
+    OwnerTable owners(cache.entries());
+    std::mt19937_64 rng(kSeed);
+    std::vector<uint64_t> words;
+    std::vector<int32_t> sets;
+    for (int p = 0; p < passes; ++p) {
+        std::vector<uint64_t> pass;
+        for (int32_t i = 0; i < kRows / 2; ++i) {
+            const uint64_t w = rng() & ((1ull << kBits) - 1);
+            pass.push_back(w);
+            pass.push_back(w);
+        }
+        std::shuffle(pass.begin(), pass.end(), rng);
+        for (const uint64_t w : pass) {
+            words.push_back(w);
+            sets.push_back(cache.setIndexOf(kBits, &w));
+        }
+    }
+    std::vector<uint8_t> outcomes(kRows);
+    std::vector<int32_t> ids(kRows), own(kRows);
+    int64_t hits = 0;
+    double best = 1e300; // fewest TSC cycles over the reps
+    const int reps = bench::smoke() ? 2 : 20;
+    for (int rep = 0; rep < reps; ++rep) {
+        const uint64_t c0 = __rdtsc();
+        for (int p = 0; p < passes; ++p) {
+            cache.clear();
+            McacheProbe stream;
+            stream.bits = kBits;
+            stream.wordsPerRow = 1;
+            stream.words = words.data() + static_cast<size_t>(p) * kRows;
+            stream.sets = sets.data() + static_cast<size_t>(p) * kRows;
+            stream.outcomes = outcomes.data();
+            stream.entryIds = ids.data();
+            stream.owners = own.data();
+            for (int32_t r0 = 0; r0 < kRows; r0 += kBlock)
+                cache.probeBlock(stream, r0, r0 + kBlock, &owners);
+            owners.nextPass();
+            hits += stream.mix.hits;
+        }
+        best = std::min(best, static_cast<double>(__rdtsc() - c0));
+    }
+    if (hits != int64_t{reps} * passes * kRows / 2) {
+        std::fprintf(stderr, "FATAL: probe stream hit %lld rows, not half\n",
+                     static_cast<long long>(hits));
+        std::exit(1);
+    }
+    return best / (static_cast<double>(passes) * kRows);
+#else
+    return std::nan("");
+#endif
+}
+
 } // namespace
 
 int
@@ -109,6 +186,11 @@ main()
     }
     t.print();
 
+    const double probe_cpr = probeCyclesPerRow();
+    std::printf("\nMCACHE block probe alone (28-bit, 256-row passes into "
+                "%dx%d, half HIT): %.1f TSC cycles per row\n",
+                kSets, kWays, probe_cpr);
+
     std::printf("\n");
     bench::ResultLine line("BENCH_pipeline.json", "micro_pipeline");
     line.integer("d", 1152)
@@ -118,6 +200,7 @@ main()
         // Throughput is a wall-clock view; there is no modeled-cycle
         // counterpart for the front-end microbenchmark.
         .speedups(std::nan(""), headline.speedup())
+        .num("probe_b28_cycles_per_row", probe_cpr, 1)
         .config("bits", 16)
         .config("blockRows", 64)
         .config("threads", ThreadPool::resolveThreads(0));

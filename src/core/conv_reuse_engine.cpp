@@ -136,21 +136,27 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
     // signatures as convolutions of the frame, Fig. 7a), while pass p's
     // owner values read their patches from the other. Row r of a pass
     // is output position r, its patch at slots[r] + taps[t]. Without a
-    // pool the job defers hashing into finishStream.
+    // pool the job defers hashing into finishStream. Every pass runs
+    // through one job, and fills recycled storage: the record's spares
+    // (the passes its previous forward captured) or, with no record,
+    // the last pass this forward finished.
     const ConvFrame frame(spec, input.dim(2), input.dim(3));
     const std::vector<int64_t> slots = frame.positionSlots();
     const std::vector<int64_t> &taps = frame.channelTaps();
     std::vector<float> planes[2] = {
         std::vector<float>(static_cast<size_t>(frame.size())),
         std::vector<float>(static_cast<size_t>(frame.size()))};
+    DetectionHashJob job;
+    SignatureRecord::Pass spare;
     const auto begin_hash = [&](size_t pi) {
         const PassId p = order[pi];
         float *dst = planes[pi % 2].data();
         frame.load(input.data() +
                        input.offset4(p.b, p.g * cin_g + p.ic, 0, 0),
                    1, dst);
-        return frontend_->beginHashStream(frame, dst,
-                                          frontend_.signatureBits());
+        frontend_->beginHashStream(
+            job, frame, dst, frontend_.signatureBits(),
+            record ? record->takeSpare() : std::move(spare));
     };
 
     // vals holds the cout_g filter values of each owner row (row-major
@@ -160,14 +166,14 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
     std::vector<int32_t> owner_rows(static_cast<size_t>(v));
 
     stats = ReuseStats{};
-    std::unique_ptr<DetectionHashJob> job;
     if (!order.empty())
-        job = begin_hash(0);
+        begin_hash(0);
 
     for (size_t pi = 0; pi < order.size(); ++pi) {
         const PassId p = order[pi];
-        SignatureRecord::Pass det = frontend_->finishStream(*job);
-        job = pi + 1 < order.size() ? begin_hash(pi + 1) : nullptr;
+        SignatureRecord::Pass det = frontend_->finishStream(job);
+        if (pi + 1 < order.size())
+            begin_hash(pi + 1);
 
         // The pass's owner rows, ascending; written without a branch,
         // since which rows own themselves follows no pattern.
@@ -191,6 +197,8 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
         if (record)
             record->append(std::move(det), frontend_->dataVersions(),
                            frontend_->entries());
+        else
+            spare = std::move(det);
     }
     return out;
 }
@@ -294,7 +302,7 @@ ConvReuseEngine::backwardWeights(const Tensor &input, const Tensor &gradOut,
     parallelRanges(pool, pairs, [&](int64_t gi0, int64_t gi1) {
         std::vector<float> plane(static_cast<size_t>(frame.size()));
         std::vector<float> sums(static_cast<size_t>(v * cout_g));
-        std::vector<int32_t> slot(static_cast<size_t>(v));
+        std::vector<int32_t> scratch(static_cast<size_t>(2 * v));
         std::vector<int64_t> base(static_cast<size_t>(v));
         std::vector<float> acc(static_cast<size_t>(d * cout_g));
         for (int64_t gi = gi0; gi < gi1; ++gi) {
@@ -306,38 +314,30 @@ ConvReuseEngine::backwardWeights(const Tensor &input, const Tensor &gradOut,
                 frame.load(input.data() +
                                input.offset4(b, g * cin_g + ic, 0, 0),
                            1, plane.data());
-                // Group sums in stream order, in compacted owner slots
-                // (owners ascending): the owner row copies its own
-                // gradients, HIT rows add theirs. Without forwards every
-                // row is an owner summing only itself, so the
-                // transposed gradients serve as they are. Each owner's
-                // patch starts at base[slot] in the frame.
+                // Group sums into compacted owner slots (owners
+                // ascending), one kernel call per pass; each owner's
+                // patch starts at base[slot] in the frame. Without
+                // forwards every row is an owner summing only itself,
+                // so the transposed gradients and the position slots
+                // serve as they are.
                 const float *gt =
                     go_t.data() + (b * spec.groups + g) * v * cout_g;
-                const bool grouped = pass.forwarded > 0;
-                int64_t u = 0;
-                for (int32_t r = 0; r < v; ++r) {
-                    const int32_t o = pass.owner(r);
-                    const float *src = gt + r * cout_g;
-                    if (o == r) {
-                        slot[static_cast<size_t>(r)] = static_cast<int32_t>(u);
-                        base[static_cast<size_t>(u)] =
-                            slots[static_cast<size_t>(r)];
-                        if (grouped)
-                            std::copy(src, src + cout_g,
-                                      sums.data() + u * cout_g);
-                        ++u;
-                    } else {
-                        kernels::ops().addSpan(
-                            sums.data() +
-                                slot[static_cast<size_t>(o)] * cout_g,
-                            src, cout_g);
-                    }
+                if (pass.forwarded == 0) {
+                    kernels::ops().ownerWeightMul(gt, cout_g, v,
+                                                  plane.data(), slots.data(),
+                                                  tap_off.data(), d,
+                                                  acc.data());
+                    continue;
                 }
-                kernels::ops().ownerWeightMul(grouped ? sums.data() : gt,
-                                              cout_g, u, plane.data(),
-                                              base.data(), tap_off.data(),
-                                              d, acc.data());
+                const int64_t u = kernels::ops().groupSums(
+                    gt, cout_g, pass.owners.data(), v, scratch.data(),
+                    sums.data());
+                for (int64_t j = 0; j < u; ++j)
+                    base[static_cast<size_t>(j)] =
+                        slots[static_cast<size_t>(scratch[static_cast<size_t>(j)])];
+                kernels::ops().ownerWeightMul(sums.data(), cout_g, u,
+                                              plane.data(), base.data(),
+                                              tap_off.data(), d, acc.data());
             }
             for (int64_t f = 0; f < cout_g; ++f) {
                 float *gw =

@@ -31,8 +31,10 @@
  * conv frame source — no MCACHE state touched), so on a pool the next
  * pass hashes under this pass's computes and scatter, which read this
  * pass's frame. Without a pool the job defers its hashing into the
- * probe half. Outputs, hit/skip decisions, and statistics are
- * bit-identical either way.
+ * probe half. Every pass runs through one hash job and refills
+ * recycled storage: the capturing record's spares, or the pass the
+ * forward just finished. Outputs, hit/skip decisions, and statistics
+ * are bit-identical either way.
  *
  * Backward (§III-C2): forward() optionally captures each channel
  * pass into a SignatureRecord; backwardInput() then replays the
@@ -42,7 +44,8 @@
  * (ConvGradFrame::backwardInput, conv2dBackwardInput's body) of the
  * output gradients gathered through the pass's owner map into the
  * bordered gradient frame (ConvGradFrame::load, one kernel-table
- * gather per gradient row): every cell sums in (filter, y, x) order
+ * gather per pass for every filter plane): every cell sums in
+ * (filter, y, x) order
  * from +0, and with zero hits the result is conv2dBackwardInput bit
  * for bit. Passes write disjoint planes and fan out over the
  * frontend's pool, if it has one.
@@ -51,9 +54,10 @@
  * replays the same record over dW = X ⊛ dY. A forward-HIT row's
  * contribution x_hit ⊗ dy_hit factors through the owner's patch as
  * x_owner ⊗ (Σ dy over the owner's hit-group), so each pass first
- * sums the output gradients of each hit-group (cheap adds, charged
- * as per-group accumulate cycles in the timing model) and then does
- * one multiply per owner (ownerWeightMul, reading the owner patches
+ * sums the output gradients of each hit-group (the groupSums kernel,
+ * one call per pass: cheap adds, charged as per-group accumulate
+ * cycles in the timing model) and then does one multiply per owner
+ * (ownerWeightMul, reading the owner patches
  * from the plane's conv frame) — sum-then-multiply, every weight
  * element accumulating (image, owner) ascending from +0. With zero hits the
  * result is bit-identical to conv2dBackwardWeight; with hits it is

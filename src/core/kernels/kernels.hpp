@@ -9,10 +9,12 @@
  * kernel guarantees this by accumulating every (row, filter) sum in
  * ascending element order with separate multiply and add (no FMA —
  * fused rounding would diverge from the scalar path); the span
- * kernels (copy, add, gather) are elementwise, so lane width cannot
+ * kernels (copy, gather) are elementwise, so lane width cannot
  * reorder anything; both sign-pack kernels compare with `_CMP_LT_OQ`
  * against +0.0f, which matches `p < 0.0f` exactly (including -0.0f
  * from all-zero padding patches, which must NOT set the bit, and NaN).
+ * groupSums copies and adds elementwise too, each group's steps in
+ * the same order in both bodies.
  *
  * Dispatch happens once, on first use: the AVX2 table is selected
  * when the compiler could build it and the CPU reports AVX2, unless
@@ -28,8 +30,11 @@
  * `inter`; callers may then pass inter = nullptr to tables that do
  * not, and skip building the mirror entirely.
  *
- * The three owner kernels (ownerValues, ownerScatter, ownerWeightMul)
- * are the dense bodies of the conv reuse passes; the two that read
+ * groupSums builds the dW replays' hit-group sums (conv, FC and
+ * attention), one call per pass; gatherSpan moves a conv dX pass's
+ * output gradients through the owner map, every filter plane in one
+ * call. The three owner kernels (ownerValues, ownerScatter,
+ * ownerWeightMul) are the dense bodies of the conv reuse passes; the two that read
  * patches (ownerValues, ownerWeightMul) read them from the channel's
  * conv frame, so no pass extracts a patch tensor. Each output element
  * keeps the operation order of the scalar loop: the AVX2 bodies block
@@ -106,12 +111,36 @@ struct KernelOps
     /** dst[0..n) = src[0..n) (ranges must not overlap). */
     void (*copySpan)(float *dst, const float *src, int64_t n);
 
-    /** dst[e] += src[e] for e in [0, n) — elementwise, no reorder. */
-    void (*addSpan)(float *dst, const float *src, int64_t n);
+    /**
+     * Gather `rows` rows of n cells through one index map into each of
+     * `planes` planes: for plane p, row y and i in [0, n),
+     * dst[p*dstPlane + y*dstPitch + i] =
+     * src[p*srcPlane + idx[y*idxPitch + i]]. The conv dX replay moves
+     * a whole pass's output gradients (every filter plane) into its
+     * gradient frames in one call (ConvGradFrame::load); the AVX2 body
+     * checks each index octet once per block of eight planes. dst must
+     * not overlap src.
+     */
+    void (*gatherSpan)(float *dst, int64_t dstPitch, int64_t dstPlane,
+                       const float *src, int64_t srcPlane,
+                       const int32_t *idx, int64_t idxPitch, int64_t rows,
+                       int64_t n, int64_t planes);
 
-    /** dst[i] = src[idx[i]] for i in [0, n) (dst must not overlap src). */
-    void (*gatherSpan)(float *dst, const float *src, const int32_t *idx,
-                       int64_t n);
+    /**
+     * Hit-group sums of one pass, the dW replays' sum-then-multiply
+     * (§III-C2 on Eq. 1): `rows` rows of `cols` floats at src (row r at
+     * src + r*cols), grouped by `owner` (owner[r] == r for an owner
+     * row, an earlier owner row otherwise). Group j, of the j-th owner
+     * row ascending, is written to sums + j*cols: a copy of its owner's
+     * row, then + each of its forwarded rows' in ascending row order —
+     * per group the operation sequence of a walk in stream order.
+     * `scratch` holds 2*rows int32; on return its first `groups`
+     * entries list the owner rows ascending. Returns `groups`, and
+     * writes exactly groups*cols floats of `sums`.
+     */
+    int64_t (*groupSums)(const float *src, int64_t cols,
+                         const int32_t *owner, int64_t rows,
+                         int32_t *scratch, float *sums);
 
     /**
      * Owner values of a conv channel pass: for each of the `count`

@@ -24,10 +24,13 @@
  *  - signPackColumns holds 8 rows in lanes and compares the same way,
  *    one filter per compare; a partial last octet of rows loads masked
  *    and stores only its rows.
- *  - the span kernels are elementwise; copySpan and addSpan tails fall
- *    back to the scalar loops, which compute the same expression per
- *    element, and gatherSpan only moves values (one load for an octet
- *    of consecutive indices, one vgatherdps for any other).
+ *  - the span kernels only move values: gatherSpan checks each index
+ *    octet once per block of eight planes (one load per plane for an
+ *    octet of consecutive indices, one vgatherdps per plane for any
+ *    other).
+ *  - groupSums copies and adds elementwise (octets, a quad, then
+ *    single floats), each group's copy and adds in the scalar body's
+ *    order.
  *  - ownerValues runs a 4-row x 2-octet register tile: 8 independent
  *    (row, filter) chains, each starting at +0 and adding its taps in
  *    ascending order, the patch values read from the conv frame; a
@@ -58,9 +61,11 @@
  */
 
 #include "core/kernels/kernels.hpp"
+#include "core/kernels/group_lists.hpp"
 
 #ifdef __AVX2__
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <immintrin.h>
@@ -285,43 +290,97 @@ copySpanAvx2(float *dst, const float *src, int64_t n)
 }
 
 void
-addSpanAvx2(float *dst, const float *src, int64_t n)
+gatherSpanAvx2(float *dst, int64_t dstPitch, int64_t dstPlane,
+               const float *src, int64_t srcPlane, const int32_t *idx,
+               int64_t idxPitch, int64_t rows, int64_t n, int64_t planes)
+{
+    // Each index octet is loaded and checked once for a block of up to
+    // kPlanes planes: an octet whose indices run consecutively (a
+    // stretch with no forwarded row) is one load per plane, any other
+    // one hardware gather per plane. A partial last octet gathers and
+    // stores masked. Blocks bound the streams in flight: all 64 planes
+    // of a 32x32 layer at once (4 KB apart, one L1 set) made its dX
+    // replay slower than one gather per row.
+    constexpr int64_t kPlanes = 8;
+    const __m256i step = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    const __m256i tail = lanesBelow(n % 8);
+    for (int64_t p0 = 0; p0 < planes; p0 += kPlanes) {
+        const int64_t p1 = std::min(planes, p0 + kPlanes);
+        for (int64_t y = 0; y < rows; ++y) {
+            const int32_t *ix_row = idx + y * idxPitch;
+            float *d_row = dst + y * dstPitch;
+            int64_t i = 0;
+            for (; i + 8 <= n; i += 8) {
+                const __m256i ix = _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(ix_row + i));
+                const int32_t first = ix_row[i];
+                const __m256i run =
+                    _mm256_add_epi32(_mm256_set1_epi32(first), step);
+                if (_mm256_movemask_epi8(_mm256_cmpeq_epi32(ix, run)) ==
+                    -1) {
+                    for (int64_t p = p0; p < p1; ++p)
+                        _mm256_storeu_ps(
+                            d_row + p * dstPlane + i,
+                            _mm256_loadu_ps(src + p * srcPlane + first));
+                } else {
+                    for (int64_t p = p0; p < p1; ++p)
+                        _mm256_storeu_ps(
+                            d_row + p * dstPlane + i,
+                            _mm256_i32gather_ps(src + p * srcPlane, ix, 4));
+                }
+            }
+            if (i < n) {
+                const __m256i ix = _mm256_maskload_epi32(ix_row + i, tail);
+                for (int64_t p = p0; p < p1; ++p)
+                    _mm256_maskstore_ps(
+                        d_row + p * dstPlane + i, tail,
+                        _mm256_mask_i32gather_ps(
+                            _mm256_setzero_ps(), src + p * srcPlane, ix,
+                            _mm256_castsi256_ps(tail), 4));
+            }
+        }
+    }
+}
+
+/**
+ * dst[0..n) = src[0..n) (add: dst[e] += src[e]) in octets, then one
+ * quad, then single floats — elementwise, as the scalar loops.
+ */
+template <bool Add>
+inline void
+moveRow(float *dst, const float *src, int64_t n)
 {
     int64_t e = 0;
     for (; e + 8 <= n; e += 8) {
-        const __m256 s = _mm256_loadu_ps(src + e);
-        const __m256 d8 = _mm256_loadu_ps(dst + e);
-        _mm256_storeu_ps(dst + e, _mm256_add_ps(d8, s));
+        __m256 v = _mm256_loadu_ps(src + e);
+        if (Add)
+            v = _mm256_add_ps(_mm256_loadu_ps(dst + e), v);
+        _mm256_storeu_ps(dst + e, v);
+    }
+    if (e + 4 <= n) {
+        __m128 v = _mm_loadu_ps(src + e);
+        if (Add)
+            v = _mm_add_ps(_mm_loadu_ps(dst + e), v);
+        _mm_storeu_ps(dst + e, v);
+        e += 4;
     }
     for (; e < n; ++e)
-        dst[e] += src[e];
+        dst[e] = Add ? dst[e] + src[e] : src[e];
 }
 
-void
-gatherSpanAvx2(float *dst, const float *src, const int32_t *idx, int64_t n)
+int64_t
+groupSumsAvx2(const float *src, int64_t cols, const int32_t *owner,
+              int64_t rows, int32_t *scratch, float *sums)
 {
-    // An octet whose indices run consecutively (a stretch with no
-    // forwarded row) is one load; any other is one hardware gather. A
-    // partial last octet gathers and stores masked.
-    const __m256i step = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-    int64_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256i ix =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(idx + i));
-        const __m256i run = _mm256_add_epi32(_mm256_set1_epi32(idx[i]), step);
-        if (_mm256_movemask_epi8(_mm256_cmpeq_epi32(ix, run)) == -1)
-            _mm256_storeu_ps(dst + i, _mm256_loadu_ps(src + idx[i]));
-        else
-            _mm256_storeu_ps(dst + i, _mm256_i32gather_ps(src, ix, 4));
+    int32_t *list = scratch, *slot_of = scratch + rows;
+    const int64_t groups = groupLists(owner, rows, list, slot_of);
+    for (int64_t j = 0; j < groups; ++j)
+        moveRow<false>(sums + j * cols, src + list[j] * cols, cols);
+    for (int64_t j = rows - 1; j >= groups; --j) {
+        const int32_t r = list[j];
+        moveRow<true>(sums + slot_of[owner[r]] * cols, src + r * cols, cols);
     }
-    if (i < n) {
-        const __m256i mask = lanesBelow(n - i);
-        const __m256i ix = _mm256_maskload_epi32(idx + i, mask);
-        _mm256_maskstore_ps(
-            dst + i, mask,
-            _mm256_mask_i32gather_ps(_mm256_setzero_ps(), src, ix,
-                                     _mm256_castsi256_ps(mask), 4));
-    }
+    return groups;
 }
 
 /**
@@ -765,8 +824,8 @@ const KernelOps kAvx2Ops = {
     signPackAvx2,    // signPack
     signPackColumnsAvx2, // signPackColumns
     copySpanAvx2,    // copySpan
-    addSpanAvx2,     // addSpan
     gatherSpanAvx2,  // gatherSpan
+    groupSumsAvx2,   // groupSums
     ownerValuesAvx2,    // ownerValues
     ownerScatterAvx2,   // ownerScatter
     ownerWeightMulAvx2, // ownerWeightMul

@@ -11,6 +11,7 @@
  */
 
 #include "core/kernels/kernels.hpp"
+#include "core/kernels/group_lists.hpp"
 
 #include <algorithm>
 #include <cstring>
@@ -80,17 +81,34 @@ copySpanScalar(float *dst, const float *src, int64_t n)
 }
 
 void
-addSpanScalar(float *dst, const float *src, int64_t n)
+gatherSpanScalar(float *dst, int64_t dstPitch, int64_t dstPlane,
+                 const float *src, int64_t srcPlane, const int32_t *idx,
+                 int64_t idxPitch, int64_t rows, int64_t n, int64_t planes)
 {
-    for (int64_t e = 0; e < n; ++e)
-        dst[e] += src[e];
+    for (int64_t p = 0; p < planes; ++p)
+        for (int64_t y = 0; y < rows; ++y)
+            for (int64_t i = 0; i < n; ++i)
+                dst[p * dstPlane + y * dstPitch + i] =
+                    src[p * srcPlane + idx[y * idxPitch + i]];
 }
 
-void
-gatherSpanScalar(float *dst, const float *src, const int32_t *idx, int64_t n)
+int64_t
+groupSumsScalar(const float *src, int64_t cols, const int32_t *owner,
+                int64_t rows, int32_t *scratch, float *sums)
 {
-    for (int64_t i = 0; i < n; ++i)
-        dst[i] = src[idx[i]];
+    int32_t *list = scratch, *slot_of = scratch + rows;
+    const int64_t groups = groupLists(owner, rows, list, slot_of);
+    for (int64_t j = 0; j < groups; ++j)
+        std::copy(src + list[j] * cols, src + (list[j] + 1) * cols,
+                  sums + j * cols);
+    for (int64_t j = rows - 1; j >= groups; --j) {
+        const int32_t r = list[j];
+        float *dst = sums + slot_of[owner[r]] * cols;
+        const float *row = src + r * cols;
+        for (int64_t e = 0; e < cols; ++e)
+            dst[e] += row[e];
+    }
+    return groups;
 }
 
 void
@@ -198,8 +216,8 @@ const KernelOps kScalarOps = {
     signPackScalar,    // signPack
     signPackColumnsScalar, // signPackColumns
     copySpanScalar,    // copySpan
-    addSpanScalar,     // addSpan
     gatherSpanScalar,  // gatherSpan
+    groupSumsScalar,   // groupSums
     ownerValuesScalar,    // ownerValues
     ownerScatterScalar,   // ownerScatter
     ownerWeightMulScalar, // ownerWeightMul
@@ -208,6 +226,23 @@ const KernelOps kScalarOps = {
 };
 
 } // namespace
+
+int64_t
+groupLists(const int32_t *owner, int64_t rows, int32_t *list, int32_t *slotOf)
+{
+    // Row r is written at both ends of the list; only the end it
+    // belongs to advances, so the other write is overwritten later.
+    int64_t u = 0, k = 0;
+    for (int64_t r = 0; r < rows; ++r) {
+        const int64_t own = owner[r] == r;
+        slotOf[r] = static_cast<int32_t>(u);
+        list[u] = static_cast<int32_t>(r);
+        list[rows - 1 - k] = static_cast<int32_t>(r);
+        u += own;
+        k += 1 - own;
+    }
+    return u;
+}
 
 const KernelOps &
 scalarOps()

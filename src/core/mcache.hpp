@@ -18,22 +18,33 @@
  *
  * This class models the tag half. Probes compare packed signature
  * words (the Signature::words layout), so the detection pipeline
- * probes the words its hash job wrote, with no Signature built;
- * lookupOrInsert(Signature) probes a signature's own words. The data
- * half lives with the engines: the probe resolves every pass's owner
- * map (OwnerTable, pipeline/signature_record.hpp) and its HIT rows take
- * their owner row's result. `dataVersions` stays part of the
- * organization — the cycle model charges the Fig. 11 version
- * constraint, and replay records and snapshots carry it.
+ * probes the words its hash job wrote, with no Signature built. The
+ * data half lives with the engines: the probe resolves every pass's
+ * owner map (OwnerTable below) and its HIT rows take their owner
+ * row's result. `dataVersions` stays part of the organization — the
+ * cycle model charges the Fig. 11 version constraint, and replay
+ * records and snapshots carry it.
  *
  * Tag store: each set keeps a valid-way bitmap of ceil(ways / 64)
  * words, the only record of which lines hold a tag, and each line its
  * first tag word and tag length in flat arrays (later words of tags
- * longer than 64 bits live apart). A probe walks the set's valid bits
- * lowest-first comparing first word and length — the remaining words
- * only for long tags — and a miss takes the lowest clear bit: the
- * Fig. 9 first-match and first-free-way rules. Epoch, tenant and pins
- * sit in a separate array, off the compare path.
+ * longer than 64 bits live apart). Epoch, tenant and pins sit in a
+ * separate array, off the compare path.
+ *
+ * One probe, one loop (probeBlock): the hardware compares a set's
+ * ways at once and the outcome only steers which rows compute
+ * (§III-B3, Fig. 9), so the probe of a block of rows branches on no
+ * row's outcome. Per row it compares the set's first four ways
+ * unconditionally (clamped into the set, masked by the valid bits),
+ * compares further valid ways only when the set holds more, picks the
+ * first matching way or else the lowest free one by masks — the Fig. 9
+ * first-match and first-free-way rules — and writes the tag, epoch,
+ * tenant, valid bit, insert backlog, installed list, quota count,
+ * counters and owner table by masks (a write a row does not make goes
+ * to a sink line past the last set). It prefetches the set of the row
+ * eight ahead. What holds for a whole block (tags over 64 bits, sets
+ * over 64 ways, a quota, an owner table) stays a predictable branch
+ * inside that loop. lookupOrInsert is its one-row case.
  *
  * An MCache takes no locks: one thread at a time touches a cache.
  * The detection pipeline probes on its driving thread only, and the
@@ -44,11 +55,11 @@
 #ifndef MERCURY_CORE_MCACHE_HPP
 #define MERCURY_CORE_MCACHE_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "core/signature.hpp"
-#include "util/prefetch.hpp"
 
 namespace mercury {
 
@@ -70,12 +81,141 @@ struct McacheResult
     int64_t entryId = -1; ///< dense id (set * ways + way), -1 for MNU
 };
 
-/** Lifetime probe outcome counts of one MCACHE. */
+/** Probe outcome counts (an MCACHE's lifetime, or a stream's). */
 struct McacheCounters
 {
     int64_t hits = 0;
     int64_t mau = 0;
     int64_t mnu = 0;
+};
+
+/**
+ * The owner rule of one detection pass (§III-C3, the "earlier PE"),
+ * with storage reused across passes. A row that HITs an entry an
+ * earlier row of the same pass installed (MAU) is owned by that row —
+ * the latest such row, if the entry was installed twice; every other
+ * row (MAU, MNU, or a HIT on an entry no row of this pass installed)
+ * owns itself. Owners are therefore always rows that compute, and
+ * forwarding chains have depth one.
+ *
+ * Rows are fed in stream order, one pass at a time; nextPass() then
+ * forgets only the entries that pass installed, so a table sized once
+ * to the cache's entry count serves every pass. The MCACHE probe
+ * (MCache::probeBlock, one table per DetectionFrontend) and
+ * SignatureRecord, for a pass that comes without an owner map, apply
+ * the rule through one branch-free body (Cursor::resolve).
+ */
+class OwnerTable
+{
+  public:
+    /** Empty table over `entries` MCACHE entries. */
+    explicit OwnerTable(int64_t entries)
+        : ownerOfEntry_(static_cast<size_t>(entries) + 1, -1)
+    {
+    }
+
+    int64_t entries() const
+    {
+        return static_cast<int64_t>(ownerOfEntry_.size()) - 1;
+    }
+
+    /**
+     * Owner of `row` (stream order), given its outcome and entry id:
+     * HIT and MAU ids must lie in [0, entries()).
+     */
+    int32_t ownerOf(int32_t row, McacheOutcome outcome, int64_t entry)
+    {
+        if (outcome == McacheOutcome::Mnu)
+            return row; // touches no entry
+        Cursor c = cursor(1);
+        const int32_t o = c.resolve(row, outcome == McacheOutcome::Hit,
+                                    outcome == McacheOutcome::Mau, entry);
+        count_ = c.count;
+        return o;
+    }
+
+    /** Begin the next pass: forget the entries the last one installed. */
+    void nextPass()
+    {
+        for (size_t i = 0; i < count_; ++i)
+            ownerOfEntry_[static_cast<size_t>(installed_[i])] = -1;
+        count_ = 0;
+    }
+
+  private:
+    friend class MCache;
+
+    /**
+     * The rule over the table's storage, in values the MCACHE probe
+     * keeps in registers across a block.
+     */
+    struct Cursor
+    {
+        int32_t *ownerOfEntry;
+        int64_t *installed;
+        size_t count;
+        int64_t sink; ///< the slot past the last entry
+
+        /**
+         * Owner of `row`, whose probe HIT (`hit`) or installed
+         * (`installs`) the entry `line`; a row that did neither may
+         * name any entry in [0, entries()) and leaves the table as it
+         * was. Written without a branch: a probe's outcomes come in no
+         * predictable order.
+         */
+        int32_t resolve(int32_t row, bool hit, bool installs, int64_t line)
+        {
+            const int32_t o = ownerOfEntry[line];
+            const int32_t forwards = -static_cast<int32_t>(hit & (o >= 0));
+            installed[count] = line; // one spare slot past entries()
+            count += static_cast<size_t>(installs & (o < 0));
+            // Only an install changes the entry's owner; every other
+            // row writes the sink.
+            ownerOfEntry[line + ((sink - line) &
+                                 (static_cast<int64_t>(installs) - 1))] = row;
+            return (o & forwards) | (row & ~forwards);
+        }
+    };
+
+    /** A cursor with room in the installed list for `rows` more rows. */
+    Cursor cursor(int64_t rows)
+    {
+        const size_t most = ownerOfEntry_.size();
+        const size_t need =
+            std::min(count_ + static_cast<size_t>(rows) + 1, most);
+        if (installed_.size() < need)
+            installed_.resize(std::min(std::max(need, 2 * installed_.size()),
+                                       most));
+        return {ownerOfEntry_.data(), installed_.data(), count_, entries()};
+    }
+
+    /// -1, or the installing row; plus the sink slot past the last entry
+    std::vector<int32_t> ownerOfEntry_;
+    /// Entries set this pass: [0, count_), each at most once, and
+    /// room for the slot resolve() writes unconditionally.
+    std::vector<int64_t> installed_;
+    size_t count_ = 0;
+};
+
+/**
+ * A probe stream over a pass's rows (MCache::probeBlock): where each
+ * row's words and set index are, and where its outcome, entry id and
+ * owner go. Row r's words sit at words + r * wordsPerRow (bits past
+ * `bits` zero); `sets` may alias `entryIds` (each row's set index is
+ * read before its entry id is written). Every probed block adds its
+ * rows to `mix` and its forwarded rows (owner != row) to `forwarded`.
+ */
+struct McacheProbe
+{
+    int bits = 0;
+    int64_t wordsPerRow = 0;
+    const uint64_t *words = nullptr;
+    const int32_t *sets = nullptr; ///< setIndexOf per row
+    uint8_t *outcomes = nullptr;   ///< McacheOutcome per row
+    int32_t *entryIds = nullptr;   ///< entry id per row, -1 for MNU
+    int32_t *owners = nullptr;     ///< owner per row (with an OwnerTable)
+    McacheCounters mix;
+    int64_t forwarded = 0;
 };
 
 /** The MERCURY result cache. */
@@ -96,20 +236,23 @@ class MCache
 
     /**
      * Present a signature: HIT if present, otherwise insert (MAU) or
-     * report a full set (MNU). Implements the Fig. 9 flow.
+     * report a full set (MNU). Implements the Fig. 9 flow: the
+     * one-row case of probeBlock.
      */
     McacheResult lookupOrInsert(const Signature &sig);
 
     /**
-     * lookupOrInsert of the signature whose packed words are `words`
-     * (Signature::words layout, bits past `bits` zero), with an
-     * externally computed set index (setIndexOf). The detection
-     * pipeline's entry point: its hash tasks take each row's set index
-     * off the probing thread, and the probe compares the hash job's
-     * packed words as they are.
+     * Probe rows [r0, r1) of `stream`, in order: each row's outcome and
+     * entry id are lookupOrInsert's on its words, in its set (which
+     * must be setIndexOf its words). With `owners`, each row's owner
+     * (stream index r) is the table's rule over those outcomes, and the
+     * forwarded rows are counted. The detection pipeline's entry point:
+     * its hash tasks take each row's set index off the probing thread,
+     * and the probe compares the hash job's packed words as they are,
+     * one call per hashed block, with no branch on any row's outcome.
      */
-    McacheResult lookupOrInsertInSet(int set, int bits,
-                                     const uint64_t *words);
+    void probeBlock(McacheProbe &stream, int32_t r0, int32_t r1,
+                    OwnerTable *owners);
 
     /**
      * Clear every tag: a new channel's vectors arrived. Costs the
@@ -125,21 +268,6 @@ class MCache
     {
         return static_cast<int>(Signature::hashWords(bits, words) %
                                 static_cast<uint64_t>(sets_));
-    }
-
-    /**
-     * Software-prefetch the set's tag words and valid mask ahead of a
-     * probe. A pure host-side hint: no stats, no state, nothing the
-     * timing model sees. The streaming probe loop uses it to pull row
-     * i+1's set into cache while row i's tag compare runs.
-     */
-    void prefetchSet(int set) const
-    {
-        const uint64_t *w = &tagWord0_[static_cast<size_t>(set) * ways_];
-        for (int b = 0; b < ways_; b += 8)
-            prefetchRead(w + b);
-        prefetchRead(w + ways_ - 1); // the last line of an unaligned set
-        prefetchRead(&valid_[static_cast<size_t>(set) * maskWords_]);
     }
 
     /** Occupancy (valid tags) of one set. */
@@ -267,9 +395,12 @@ class MCache
     std::vector<std::vector<uint64_t>> tagRest_;
     std::vector<Meta> meta_;
     std::vector<uint64_t> insertBacklog_;
-    /// Lines installed since the last clear (insert or restore), at
-    /// most entries() of them; every other line is as constructed.
+    /// Lines installed since the last clear (insert or restore):
+    /// [0, installedCount_), at most entries() of them, and room for
+    /// the slot the probe writes unconditionally (reserveInstalled);
+    /// every other line is as constructed.
     std::vector<Way> installed_;
+    size_t installedCount_ = 0;
     bool installedOverflow_ = false; ///< list full: clear walks all
     uint64_t epoch_ = 0;
     int insertTenant_ = -1;
@@ -290,6 +421,22 @@ class MCache
     template <typename Pred>
     int64_t evictWhere(Pred &&evict);
     void noteInstalled(Way l);
+    /** Room in the installed list for `rows` more installs. */
+    void reserveInstalled(int64_t rows);
+    /** Where a probe's row lands in its set. */
+    struct Slot
+    {
+        int way;      ///< first matching way (when hit)
+        int spare;    ///< lowest free way (when hasFree), else 0
+        bool hit;
+        bool hasFree;
+    };
+
+    /**
+     * The Fig. 9 search as a plain walk over every way of `set`:
+     * probeBlock's path for sets over 64 ways.
+     */
+    Slot searchSet(int set, int bits, const uint64_t *words) const;
     void resetLine(Way l);
     int64_t *quotaCount(int tenant);
     void countQuotaLine(int tenant);

@@ -95,23 +95,12 @@ ownerWeightGrad(const SignatureRecord::Pass &pass, const Tensor &a,
     if (fwd == 0)
         return matmul(transpose2d(a), b);
 
-    // Group sums in stream order, one row per owner (owners keep their
-    // ascending order): the owner's own row is copied, HIT rows add.
-    std::vector<int64_t> slot(static_cast<size_t>(n));
+    // Group sums, one row per owner (owners keep their ascending
+    // order): the owner's own row is copied, HIT rows add.
+    std::vector<int32_t> scratch(static_cast<size_t>(2 * n));
     Tensor sums({n - fwd, db});
-    int64_t u = 0;
-    for (int64_t r = 0; r < n; ++r) {
-        const int64_t o = pass.owner(r);
-        const float *src = b.data() + r * db;
-        if (o == r) {
-            slot[static_cast<size_t>(r)] = u;
-            std::copy(src, src + db, sums.data() + u * db);
-            ++u;
-        } else {
-            kernels::ops().addSpan(
-                sums.data() + slot[static_cast<size_t>(o)] * db, src, db);
-        }
-    }
+    kernels::ops().groupSums(b.data(), db, pass.owners.data(), n,
+                             scratch.data(), sums.data());
     return matmul(transpose2d(gatherOwnerRows(a, pass)), sums);
 }
 

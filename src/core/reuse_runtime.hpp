@@ -100,7 +100,8 @@ void copyHitRows(Tensor &t, const SignatureRecord::Pass &pass);
  * Eq. 1): At B — the dW-shaped reduction over the pass's rows — with
  * every forward-HIT row factored through its owner (sum-then-multiply).
  * Each owner's b-row group sum starts as a copy of its own row and HIT
- * rows add theirs in stream order; then matmul(transpose2d(a_owners),
+ * rows add theirs in stream order (the kernel table's groupSums, one
+ * call); then matmul(transpose2d(a_owners),
  * groupSums) runs one multiply per group, owners ascending, with
  * matmul's zero skip — so a zero-hit replay is
  * matmul(transpose2d(a), b) bit for bit. Books the pass with da x db

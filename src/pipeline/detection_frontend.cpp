@@ -1,10 +1,15 @@
 #include "pipeline/detection_frontend.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <climits>
+#include <functional>
+#include <mutex>
 #include <utility>
 
+#include "util/executors.hpp"
 #include "util/logging.hpp"
+#include "util/spsc_queue.hpp"
 
 namespace mercury {
 
@@ -27,33 +32,64 @@ PipelineConfig::resolvedFor(int64_t rows) const
     return resolved;
 }
 
-DetectionHashJob::DetectionHashJob(const Tensor *rows,
-                                   const ConvFrame *geometry,
-                                   const float *frame, int64_t n,
-                                   const RPQEngine &rpq, const MCache &cache,
-                                   int bits, int64_t block_rows,
-                                   ThreadPool *pool)
-    : rows_(rows), geometry_(geometry), frame_(frame), rpq_(rpq),
-      cache_(cache), bits_(bits), blockRows_(block_rows), n_(n),
-      blocks_((n_ + block_rows - 1) / block_rows),
-      setOf_(static_cast<size_t>(n_)),
-      hashed_(static_cast<size_t>(blocks_), 0)
+/**
+ * A pooled pass's hand-off: hashers finish blocks in any order, and the
+ * frontier walk pushes them into the queue ascending. Built for each
+ * pass a pool hashes; the serial path never builds one.
+ */
+struct DetectionHashJob::Sequencer
 {
+    Sequencer(ThreadPool *pool, int64_t blocks)
+        : hashed(static_cast<size_t>(blocks), 0), hashers(pool)
+    {
+    }
+
+    SpscQueue<int64_t> handoff;
+    std::mutex mutex;
+    std::vector<char> hashed;
+    int64_t frontier = 0;
+    std::atomic<int64_t> next{0};
+    std::function<void()> hashOne; // self-replenishing hash task
+    TaskGroup hashers;             // last: joins before the rest goes
+};
+
+void
+DetectionHashJob::start(const Tensor *rows, const ConvFrame *geometry,
+                        const float *frame, int64_t n, const RPQEngine &rpq,
+                        const MCache &cache, int bits, int64_t block_rows,
+                        ThreadPool *pool, SignatureRecord::Pass &&storage)
+{
+    if (cache_)
+        panic("hash job begun again before its pass finished");
     // Rows, entry ids and owners are stored as int32 per row.
-    if (n_ > INT32_MAX)
-        panic("detection pass of ", n_, " rows exceeds ", INT32_MAX);
-    pass_.rows = n_;
+    if (n > INT32_MAX)
+        panic("detection pass of ", n, " rows exceeds ", INT32_MAX);
+    rows_ = rows;
+    geometry_ = geometry;
+    frame_ = frame;
+    rpq_ = &rpq;
+    cache_ = &cache;
+    bits_ = bits;
+    blockRows_ = block_rows;
+    n_ = n;
+    // (n + block_rows - 1) / block_rows would overflow for block sizes
+    // near INT64_MAX.
+    blocks_ = n == 0 ? 0 : (n - 1) / block_rows + 1;
+    // Every row's words, outcome, entry id and owner are written before
+    // the pass is returned, so recycled storage needs no clearing.
+    pass_ = std::move(storage);
+    pass_.rows = n;
     pass_.bits = bits;
     pass_.sigWordsPerRow = Signature::wordsFor(bits);
-    pass_.sigWords.resize(static_cast<size_t>(n_) *
+    pass_.sigWords.resize(static_cast<size_t>(n) *
                           static_cast<size_t>(pass_.sigWordsPerRow));
-    pass_.entryIds.resize(static_cast<size_t>(n_));
-    pass_.outcomes.resize(static_cast<size_t>(n_));
-    pass_.owners.resize(static_cast<size_t>(n_));
-    if (n_ == 0 || !pool || pool->workers() <= 0)
+    pass_.entryIds.resize(static_cast<size_t>(n));
+    pass_.outcomes.resize(static_cast<size_t>(n));
+    pass_.owners.resize(static_cast<size_t>(n));
+    if (n == 0 || !pool || pool->workers() <= 0)
         return; // hash inline when finishStream drives the pass
 
-    // Hashing fans out to the pool in any order; a sequencer pushes
+    // Hashing fans out to the pool in any order; the sequencer pushes
     // finished blocks into the hand-off queue in ascending block
     // order, and finishStream probes them as they arrive.
     //
@@ -62,76 +98,79 @@ DetectionHashJob::DetectionHashJob(const Tensor *rows,
     // up-front: only ~workers are in flight, so other work on the pool
     // is not queued behind a whole pass of hashing. Under the
     // work-stealing pool the resubmit lands in the hashing worker's
-    // own deque (LIFO — it just touched the row tensor, so the next
-    // block is cache-warm for it), and idle workers steal from the
-    // cold end.
-    hashers_ = std::make_unique<TaskGroup>(pool);
-    hashOne_ = [this] {
+    // own deque (LIFO — it just touched the source, so the next block
+    // is cache-warm for it), and idle workers steal from the cold end.
+    seq_ = std::make_unique<Sequencer>(pool, blocks_);
+    seq_->hashOne = [this] {
         if (hashNext())
-            hashers_->run(hashOne_); // chain the next block
+            seq_->hashers.run(seq_->hashOne); // chain the next block
     };
     // Seed the chain as one batch: one lock and one wakeup for the
     // whole dependent group instead of a notify per seed.
-    hashers_->runBatch(
+    seq_->hashers.runBatch(
         std::min<int64_t>(blocks_, static_cast<int64_t>(pool->workers()) + 1),
-        hashOne_);
+        seq_->hashOne);
 }
+
+DetectionHashJob::DetectionHashJob() = default;
 
 DetectionHashJob::~DetectionHashJob()
 {
-    if (hashers_)
-        hashers_->wait();
+    if (seq_)
+        seq_->hashers.wait();
 }
 
 void
 DetectionHashJob::projectBlock(int64_t b)
 {
-    // Stage 1: hash one block into the pass's words, precompute its
-    // set indices. Safe on any thread and concurrently with owner
-    // computes of a previous pass — it reads only the source and the
-    // cache geometry.
+    // Stage 1: hash one block into the pass's words, and each row's set
+    // index into its entry-id slot (the probe reads it there before
+    // writing the entry id). Safe on any thread and concurrently with
+    // owner computes of a previous pass — it reads only the source and
+    // the cache geometry.
     const int64_t r0 = b * blockRows_;
     const int64_t r1 = std::min(n_, r0 + blockRows_);
     uint64_t *words = pass_.sigWords.data() +
                       static_cast<size_t>(r0 * pass_.sigWordsPerRow);
     if (rows_)
-        rpq_.signatureWords(*rows_, r0, r1, bits_, words);
+        rpq_->signatureWords(*rows_, r0, r1, bits_, words);
     else
-        rpq_.signatureWords(*geometry_, frame_, r0, r1, bits_, words);
+        rpq_->signatureWords(*geometry_, frame_, r0, r1, bits_, words);
     for (int64_t i = r0; i < r1; ++i)
-        setOf_[static_cast<size_t>(i)] =
-            cache_.setIndexOf(bits_, pass_.wordsOf(i));
+        pass_.entryIds[static_cast<size_t>(i)] =
+            cache_->setIndexOf(bits_, pass_.wordsOf(i));
 }
 
 bool
 DetectionHashJob::hashNext()
 {
-    const int64_t b = nextBlock_.fetch_add(1, std::memory_order_relaxed);
+    const int64_t b = seq_->next.fetch_add(1, std::memory_order_relaxed);
     if (b >= blocks_)
         return false;
     projectBlock(b);
-    std::lock_guard<std::mutex> lock(seqMutex_);
-    hashed_[static_cast<size_t>(b)] = 1;
-    while (frontier_ < blocks_ && hashed_[static_cast<size_t>(frontier_)])
-        handoff_.push(frontier_++);
+    std::lock_guard<std::mutex> lock(seq_->mutex);
+    seq_->hashed[static_cast<size_t>(b)] = 1;
+    while (seq_->frontier < blocks_ &&
+           seq_->hashed[static_cast<size_t>(seq_->frontier)])
+        seq_->handoff.push(seq_->frontier++);
     return true;
 }
 
 void
 DetectionHashJob::awaitHashed(int64_t b)
 {
-    if (!hashers_) {
+    if (!seq_) {
         projectBlock(b);
         return;
     }
     int64_t got = -1;
     // The probing thread is one more hasher: while its next block is
     // not ready, it hashes an unclaimed one instead of waiting.
-    while (!handoff_.tryPop(got) && hashNext()) {
+    while (!seq_->handoff.tryPop(got) && hashNext()) {
     }
     // Exactly `blocks` pushes occur, ascending, and nobody closes the
     // queue — defensive, loud, never expected to fire.
-    if (got < 0 && !handoff_.pop(got))
+    if (got < 0 && !seq_->handoff.pop(got))
         panic("detection hand-off queue closed early");
     if (got != b)
         panic("detection hand-off delivered block ", got, ", expected ", b);
@@ -189,31 +228,38 @@ DetectionFrontend::poolFor()
 SignatureRecord::Pass
 DetectionFrontend::detect(const Tensor &rows, int bits)
 {
-    return finishStream(*beginHashStream(rows, bits));
+    DetectionHashJob job;
+    beginHashStream(job, rows, bits);
+    return finishStream(job);
 }
 
-std::unique_ptr<DetectionHashJob>
-DetectionFrontend::beginHashStream(const Tensor &rows, int bits)
+void
+DetectionFrontend::beginHashStream(DetectionHashJob &job, const Tensor &rows,
+                                   int bits, SignatureRecord::Pass storage)
 {
     if (rows.rank() != 2)
         panic("detect expects a (n, d) matrix, got ", rows.shapeStr());
-    return beginJob(&rows, nullptr, nullptr, rows.dim(0), rows.dim(1), bits);
+    beginJob(job, &rows, nullptr, nullptr, rows.dim(0), rows.dim(1), bits,
+             std::move(storage));
 }
 
-std::unique_ptr<DetectionHashJob>
-DetectionFrontend::beginHashStream(const ConvFrame &geometry,
-                                   const float *frame, int bits)
+void
+DetectionFrontend::beginHashStream(DetectionHashJob &job,
+                                   const ConvFrame &geometry,
+                                   const float *frame, int bits,
+                                   SignatureRecord::Pass storage)
 {
-    return beginJob(nullptr, &geometry, frame,
-                    geometry.outH() * geometry.outW(),
-                    static_cast<int64_t>(geometry.channelTaps().size()),
-                    bits);
+    beginJob(job, nullptr, &geometry, frame,
+             geometry.outH() * geometry.outW(),
+             static_cast<int64_t>(geometry.channelTaps().size()), bits,
+             std::move(storage));
 }
 
-std::unique_ptr<DetectionHashJob>
-DetectionFrontend::beginJob(const Tensor *rows, const ConvFrame *geometry,
-                            const float *frame, int64_t n, int64_t dim,
-                            int bits)
+void
+DetectionFrontend::beginJob(DetectionHashJob &job, const Tensor *rows,
+                            const ConvFrame *geometry, const float *frame,
+                            int64_t n, int64_t dim, int bits,
+                            SignatureRecord::Pass &&storage)
 {
     if (bits <= 0 || bits > maxBits_)
         panic("signature bits ", bits, " outside engine range 1..",
@@ -221,9 +267,8 @@ DetectionFrontend::beginJob(const Tensor *rows, const ConvFrame *geometry,
     const int64_t block_rows = pipe_.resolvedFor(n).blockRows;
     if (block_rows <= 0)
         panic("pipeline block size must be positive, got ", block_rows);
-    return std::unique_ptr<DetectionHashJob>(
-        new DetectionHashJob(rows, geometry, frame, n, rpqFor(dim), *cache_,
-                             bits, block_rows, poolFor()));
+    job.start(rows, geometry, frame, n, rpqFor(dim), *cache_, bits,
+              block_rows, poolFor(), std::move(storage));
 }
 
 SignatureRecord::Pass
@@ -233,7 +278,9 @@ DetectionFrontend::finishStream(DetectionHashJob &job)
     // pass before beginning the next one's probe, so no other thread
     // touches the cache while a job's hash half may still be in
     // flight: hashing reads only the cache geometry.
-    if (&job.cache_ != cache_)
+    if (!job.cache_)
+        panic("finishStream of a hash job that was not begun");
+    if (job.cache_ != cache_)
         panic("hash job finished on a different cache than it began on");
     if (pipe_.persistent)
         cache_->resetInsertBacklog(); // keep the §V drain cost per-pass
@@ -241,45 +288,37 @@ DetectionFrontend::finishStream(DetectionHashJob &job)
         cache_->clear();
 
     // Stage 2: probe each hashed block in stream order (so every MCACHE
-    // set sees the scalar detector's order), write each row's outcome,
-    // entry id and owner into the pass, and count the mix and the
-    // forwarded rows.
+    // set sees the scalar detector's order); the probe writes each
+    // row's outcome, entry id and owner into the pass and counts the
+    // mix and the forwarded rows.
     SignatureRecord::Pass &pass = job.pass_;
-    int64_t counts[3] = {0, 0, 0}; // indexed by McacheOutcome
-    int64_t forwarded = 0;
+    McacheProbe stream;
+    stream.bits = pass.bits;
+    stream.wordsPerRow = pass.sigWordsPerRow;
+    stream.words = pass.sigWords.data();
+    stream.sets = pass.entryIds.data(); // the hash job's set indices
+    stream.outcomes = pass.outcomes.data();
+    stream.entryIds = pass.entryIds.data();
+    stream.owners = pass.owners.data();
     for (int64_t b = 0; b < job.blocks_; ++b) {
         job.awaitHashed(b);
-        const int32_t r0 = static_cast<int32_t>(b * job.blockRows_);
-        const int32_t r1 =
-            static_cast<int32_t>(std::min(job.n_, r0 + job.blockRows_));
-        for (int32_t i = r0; i < r1; ++i) {
-            // Pull row i+1's set into cache while row i's tag
-            // compares run; the probe stream hops sets pseudo-
-            // randomly, so the hardware prefetcher cannot help here.
-            if (i + 1 < r1)
-                cache_->prefetchSet(job.setOf_[static_cast<size_t>(i + 1)]);
-            const McacheResult r = cache_->lookupOrInsertInSet(
-                job.setOf_[static_cast<size_t>(i)], pass.bits,
-                pass.wordsOf(i));
-            pass.outcomes[static_cast<size_t>(i)] =
-                static_cast<uint8_t>(r.outcome);
-            pass.entryIds[static_cast<size_t>(i)] =
-                static_cast<int32_t>(r.entryId);
-            const int32_t o = owners_.ownerOf(i, r.outcome, r.entryId);
-            pass.owners[static_cast<size_t>(i)] = o;
-            forwarded += o != i;
-            ++counts[static_cast<int>(r.outcome)];
-        }
+        const int64_t r0 = b * job.blockRows_;
+        const int64_t r1 = std::min(job.n_, r0 + job.blockRows_);
+        cache_->probeBlock(stream, static_cast<int32_t>(r0),
+                           static_cast<int32_t>(r1), &owners_);
     }
-    if (job.hashers_)
-        job.hashers_->wait();
+    if (job.seq_) {
+        job.seq_->hashers.wait();
+        job.seq_.reset();
+    }
+    job.cache_ = nullptr;
 
     owners_.nextPass();
-    pass.forwarded = forwarded;
+    pass.forwarded = stream.forwarded;
     pass.mix.vectors = job.n_;
-    pass.mix.hit = counts[static_cast<int>(McacheOutcome::Hit)];
-    pass.mix.mau = counts[static_cast<int>(McacheOutcome::Mau)];
-    pass.mix.mnu = counts[static_cast<int>(McacheOutcome::Mnu)];
+    pass.mix.hit = stream.mix.hits;
+    pass.mix.mau = stream.mix.mau;
+    pass.mix.mnu = stream.mix.mnu;
     return std::move(pass);
 }
 

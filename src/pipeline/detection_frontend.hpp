@@ -18,10 +18,11 @@
  *     frame, whose blocks are convolved with the random filters
  *     (Fig. 7a) — a conv pass extracts no patches;
  *  2. MCACHE probing — each hashed block is probed in stream order on
- *     the calling thread, so every MCACHE set sees its signatures in
- *     the scalar detector's order. The probe writes each row's
- *     outcome, entry id and owner (OwnerTable's rule, one table per
- *     frontend) into the pass and counts the mix.
+ *     the calling thread, one MCache::probeBlock call per block, so
+ *     every MCACHE set sees its signatures in the scalar detector's
+ *     order. The probe writes each row's outcome, entry id and owner
+ *     (OwnerTable's rule, one table per frontend) into the pass and
+ *     counts the mix, with no branch on any row's outcome.
  *
  * Every pass is the same two halves: beginHashStream starts stage 1
  * and touches no MCACHE state, so the caller may keep working on the
@@ -32,6 +33,13 @@
  * finished pass. detect() is the two back to back. The caller then
  * runs its dense owner kernel over the pass's owner rows; replays read
  * a recorded pass and never come through here.
+ *
+ * Storage outlives the pass: the caller owns the hash job and begins
+ * it again for each pass, and hands beginHashStream the storage to
+ * build the pass in — a pass its record dropped (SignatureRecord::
+ * takeSpare) or one it is done with — so a steady-state stream of
+ * passes on the serial path allocates nothing that scales with its
+ * rows; only a pass a pool hashes builds the job's sequencer.
  *
  * Results are bit-identical to SimilarityDetector over the same
  * MCache organization for any block size and thread count:
@@ -47,12 +55,9 @@
 #ifndef MERCURY_PIPELINE_DETECTION_FRONTEND_HPP
 #define MERCURY_PIPELINE_DETECTION_FRONTEND_HPP
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/mcache.hpp"
@@ -60,8 +65,6 @@
 #include "pipeline/signature_record.hpp"
 #include "sim/config.hpp"
 #include "tensor/ops.hpp"
-#include "util/executors.hpp"
-#include "util/spsc_queue.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mercury {
@@ -108,24 +111,32 @@ struct PipelineConfig
 };
 
 /**
- * In-flight stage-1 (hashing) half of a detection pass, created by
- * DetectionFrontend::beginHashStream and consumed exactly once by
- * DetectionFrontend::finishStream.
+ * The stage-1 (hashing) half of a detection pass: begun by
+ * DetectionFrontend::beginHashStream and consumed by
+ * DetectionFrontend::finishStream, after which the job is idle and may
+ * be begun again — the conv forward runs all of its channel passes
+ * through one job.
  *
- * With a pool, self-replenishing hash tasks start when the job is
- * created; without one, each block hashes when the probe reaches it.
- * While a job is in flight its hash tasks read the source (row tensor,
- * or conv frame and its geometry) and the cache *geometry* (set count)
- * only — never cache tags or data — so a job for the next pass may
- * hash while the caller still works on the previous pass's results.
- * The job owns the pass it is filling: hashing writes the packed
- * words, finishStream the outcomes, entry ids, owners and mix. The
- * source must stay alive and unmodified until finishStream returns
- * (or the job is destroyed, which joins the outstanding hash tasks).
+ * With a pool, self-replenishing hash tasks start when the job begins,
+ * and a sequencer (hand-off queue, hashed flags, the task) is built for
+ * that pass; without one the job builds none, and each block hashes
+ * when the probe reaches it. While a job is in flight its hash tasks
+ * read the source (row tensor, or conv frame and its geometry) and the
+ * cache *geometry* (set count) only — never cache tags or data — so a
+ * job for the next pass may hash while the caller still works on the
+ * previous pass's results. The job owns the pass it is filling:
+ * hashing writes the packed words and each row's set index (into the
+ * entry-id slot, which the probe reads and then overwrites),
+ * finishStream the outcomes, entry ids, owners and mix. The source
+ * must stay alive and unmodified until finishStream returns (or the
+ * job is destroyed, which joins the outstanding hash tasks).
  */
 class DetectionHashJob
 {
   public:
+    /** An idle job. */
+    DetectionHashJob();
+
     /** Joins any outstanding hash tasks. */
     ~DetectionHashJob();
 
@@ -134,16 +145,17 @@ class DetectionHashJob
 
   private:
     friend class DetectionFrontend;
+    struct Sequencer;
 
     /**
-     * Size the pass and, with a pool, start hashing on it. The source
-     * is `rows` when non-null, else the `n` output positions of
-     * `frame` under `geometry`.
+     * Fill `storage` with a pass over the source and, with a pool,
+     * start hashing on it. The source is `rows` when non-null, else
+     * the `n` output positions of `frame` under `geometry`.
      */
-    DetectionHashJob(const Tensor *rows, const ConvFrame *geometry,
-                     const float *frame, int64_t n, const RPQEngine &rpq,
-                     const MCache &cache, int bits, int64_t block_rows,
-                     ThreadPool *pool);
+    void start(const Tensor *rows, const ConvFrame *geometry,
+               const float *frame, int64_t n, const RPQEngine &rpq,
+               const MCache &cache, int bits, int64_t block_rows,
+               ThreadPool *pool, SignatureRecord::Pass &&storage);
 
     void projectBlock(int64_t b);
 
@@ -161,26 +173,17 @@ class DetectionHashJob
      */
     void awaitHashed(int64_t b);
 
-    const Tensor *rows_;          ///< row source, or null
-    const ConvFrame *geometry_;   ///< frame source (rows_ null)
-    const float *frame_;
-    const RPQEngine &rpq_;
-    const MCache &cache_; // geometry reads only while hashing
-    int bits_;
-    int64_t blockRows_;
-    int64_t n_;
-    int64_t blocks_;
-    SignatureRecord::Pass pass_; ///< the result being filled
-    std::vector<int> setOf_;
-    // Sequencer state (pooled jobs): hashers finish in any order; the
-    // frontier walk pushes them into the hand-off ascending.
-    SpscQueue<int64_t> handoff_;
-    std::mutex seqMutex_;
-    std::vector<char> hashed_;
-    int64_t frontier_ = 0;
-    std::atomic<int64_t> nextBlock_{0};
-    std::function<void()> hashOne_;     // self-replenishing hash task
-    std::unique_ptr<TaskGroup> hashers_; // null: hash inline at finish
+    const Tensor *rows_ = nullptr;        ///< row source, or null
+    const ConvFrame *geometry_ = nullptr; ///< frame source (rows_ null)
+    const float *frame_ = nullptr;
+    const RPQEngine *rpq_ = nullptr;
+    const MCache *cache_ = nullptr; ///< geometry reads only; null: idle
+    int bits_ = 0;
+    int64_t blockRows_ = 0;
+    int64_t n_ = 0;
+    int64_t blocks_ = 0;
+    SignatureRecord::Pass pass_;     ///< the result being filled
+    std::unique_ptr<Sequencer> seq_; ///< pooled passes only
 };
 
 /** Pipeline-backed similarity detection front-end. */
@@ -240,39 +243,45 @@ class DetectionFrontend
     SignatureRecord::Pass detect(const Tensor &rows, int bits);
 
     /**
-     * Start the hashing half of a pass over the rows of a (n, d)
-     * matrix: no MCACHE state is touched, so the caller may keep
-     * working on the previous pass's results while it hashes. `rows`
-     * must outlive the job, unmodified; consume the job with
-     * finishStream exactly once. One thread drives begin/finish, like
-     * every other pass. Without a pool, hashing is deferred into
-     * finishStream. Panics on a signature length outside 1..maxBits()
-     * or a negative block size.
+     * Begin the idle `job`: the hashing half of a pass over the rows of
+     * a (n, d) matrix. No MCACHE state is touched, so the caller may
+     * keep working on the previous pass's results while it hashes.
+     * `rows` must outlive the job's pass, unmodified; finish it with
+     * finishStream. The pass is built in `storage`, whose vectors keep
+     * their capacity (a dropped record pass, SignatureRecord::
+     * takeSpare, or a finished pass the caller is done with), so a
+     * steady stream of passes allocates nothing per pass. One thread
+     * drives begin/finish, like every other pass. Without a pool,
+     * hashing is deferred into finishStream. Panics on a job in
+     * flight, a signature length outside 1..maxBits() or a
+     * non-positive block size.
      */
-    std::unique_ptr<DetectionHashJob> beginHashStream(const Tensor &rows,
-                                                      int bits);
+    void beginHashStream(DetectionHashJob &job, const Tensor &rows, int bits,
+                         SignatureRecord::Pass storage = {});
 
     /**
-     * The conv pass source: start hashing the outH * outW output
+     * The conv pass source: begin hashing the outH * outW output
      * positions of one input channel, loaded at `frame` as `geometry`
      * describes (tensor/ops.hpp's ConvFrame), their kH * kW patches the
      * vectors — row r of the pass is position r, and the words equal
      * the row source's over the channel's im2col rows. The blocks hash
      * exactly as the row source's do (RPQEngine's frame
-     * signatureWords). `geometry` and `frame` must outlive the job,
-     * the frame unmodified.
+     * signatureWords). `geometry` and `frame` must outlive the job's
+     * pass, the frame unmodified.
      */
-    std::unique_ptr<DetectionHashJob> beginHashStream(
-        const ConvFrame &geometry, const float *frame, int bits);
+    void beginHashStream(DetectionHashJob &job, const ConvFrame &geometry,
+                         const float *frame, int bits,
+                         SignatureRecord::Pass storage = {});
 
     /**
      * Probe half of a pass begun with beginHashStream: clears the
      * cache (the new vector population arrived, §III-B3; a persistent
      * cache only resets its insert backlog), probes the blocks in
-     * ascending order on the calling thread as they finish hashing,
-     * and returns the filled pass: its outcomes, entry ids, words and
-     * mix are SimilarityDetector::detect's, row for row, and its owner
-     * map is OwnerTable's rule over them. Consumes the job.
+     * ascending order on the calling thread as they finish hashing —
+     * one MCache::probeBlock per block — and returns the filled pass:
+     * its outcomes, entry ids, words and mix are SimilarityDetector::
+     * detect's, row for row, and its owner map is OwnerTable's rule
+     * over them. Leaves the job idle.
      */
     SignatureRecord::Pass finishStream(DetectionHashJob &job);
 
@@ -307,12 +316,10 @@ class DetectionFrontend
     RPQEngine &rpqFor(int64_t dim);
     ThreadPool *poolFor();
 
-    /** Check the knobs and start a job over either source. */
-    std::unique_ptr<DetectionHashJob> beginJob(const Tensor *rows,
-                                               const ConvFrame *geometry,
-                                               const float *frame,
-                                               int64_t n, int64_t dim,
-                                               int bits);
+    /** Check the knobs and start `job` over either source. */
+    void beginJob(DetectionHashJob &job, const Tensor *rows,
+                  const ConvFrame *geometry, const float *frame, int64_t n,
+                  int64_t dim, int bits, SignatureRecord::Pass &&storage);
 };
 
 /**

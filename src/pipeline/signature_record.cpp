@@ -27,9 +27,21 @@ SignatureRecord::pass(int64_t i) const
 void
 SignatureRecord::clear()
 {
+    // Swapped, not moved: passes_ keeps its own capacity too.
+    std::swap(passes_, spare_);
     passes_.clear();
     dataVersions_ = 0;
     entries_ = 0;
+}
+
+SignatureRecord::Pass
+SignatureRecord::takeSpare()
+{
+    if (spare_.empty())
+        return {};
+    Pass p = std::move(spare_.back());
+    spare_.pop_back();
+    return p;
 }
 
 const char *

@@ -32,8 +32,8 @@
  * entry ids, owner map and mix, and capture moves it into the record
  * (append), so nothing is copied between the probe and the record.
  * The owner map is host-side and derived from the outcomes and entry
- * ids: storageBytes() leaves it out, and snapshots do not carry it
- * (restore derives it again).
+ * ids (OwnerTable, core/mcache.hpp): storageBytes() leaves it out, and
+ * snapshots do not carry it (restore derives it again).
  *
  * Lifetime contract: a record is valid for the backward pass of the
  * forward invocation that captured it, and must be re-captured every
@@ -41,6 +41,12 @@
  * pass is owned by the record, which aliases no pipeline or MCACHE
  * state; replay never touches the MCACHE, so records survive later
  * forward passes of other layers sharing the cache.
+ *
+ * Storage outlives the pass: clear() keeps the dropped passes' vectors
+ * as spares, and the next forward hands each to the frontend
+ * (takeSpare, DetectionFrontend::beginHashStream's storage), so a
+ * layer's steady-state forward refills the buffers its previous
+ * forward captured instead of allocating per pass.
  */
 
 #ifndef MERCURY_PIPELINE_SIGNATURE_RECORD_HPP
@@ -54,68 +60,6 @@
 #include "sim/dataflow.hpp"
 
 namespace mercury {
-
-/**
- * The owner rule of one detection pass (§III-C3, the "earlier PE"),
- * with storage reused across passes. A row that HITs an entry an
- * earlier row of the same pass installed (MAU) is owned by that row —
- * the latest such row, if the entry was installed twice; every other
- * row (MAU, MNU, or a HIT on an entry no row of this pass installed)
- * owns itself. Owners are therefore always rows that compute, and
- * forwarding chains have depth one.
- *
- * Rows are fed in stream order, one pass at a time; nextPass() then
- * forgets only the entries that pass installed, so a table sized once
- * to the cache's entry count serves every pass. The detection probe
- * (one table per DetectionFrontend) and SignatureRecord, for a pass
- * that comes without an owner map, apply the rule through this one
- * class.
- */
-class OwnerTable
-{
-  public:
-    /** Empty table over `entries` MCACHE entries. */
-    explicit OwnerTable(int64_t entries)
-        : ownerOfEntry_(static_cast<size_t>(entries), -1)
-    {
-    }
-
-    int64_t entries() const
-    {
-        return static_cast<int64_t>(ownerOfEntry_.size());
-    }
-
-    /**
-     * Owner of `row`, given its outcome and entry id (stream order).
-     * HIT and MAU ids must lie in [0, entries()).
-     */
-    int32_t ownerOf(int32_t row, McacheOutcome outcome, int64_t entry)
-    {
-        if (outcome == McacheOutcome::Hit) {
-            const int32_t o = ownerOfEntry_[static_cast<size_t>(entry)];
-            return o >= 0 ? o : row;
-        }
-        if (outcome == McacheOutcome::Mau) {
-            int32_t &o = ownerOfEntry_[static_cast<size_t>(entry)];
-            if (o < 0)
-                installed_.push_back(entry);
-            o = row;
-        }
-        return row;
-    }
-
-    /** Begin the next pass: forget the entries the last one installed. */
-    void nextPass()
-    {
-        for (const int64_t e : installed_)
-            ownerOfEntry_[static_cast<size_t>(e)] = -1;
-        installed_.clear();
-    }
-
-  private:
-    std::vector<int32_t> ownerOfEntry_; ///< -1, or the installing row
-    std::vector<int64_t> installed_;    ///< entries set this pass
-};
 
 /** Saved detection results of one layer's forward pass (§III-C2). */
 class SignatureRecord
@@ -193,8 +137,20 @@ class SignatureRecord
     /** Entry count of the capturing MCACHE (sizes the owner tables). */
     int64_t entries() const { return entries_; }
 
-    /** Drop every pass (a new forward invocation begins). */
+    /**
+     * Drop every pass (a new forward invocation begins). Their storage
+     * stays with the record as spares for takeSpare(); the spares of
+     * an earlier clear() that were not taken are freed.
+     */
     void clear();
+
+    /**
+     * The storage of a pass clear() dropped — its vectors keep their
+     * capacity and hold stale contents — or an empty pass when no
+     * spare is left. A capture refills it (DetectionFrontend::
+     * beginHashStream's storage) and appends it again.
+     */
+    Pass takeSpare();
 
     /**
      * Capture one finished detection pass by moving it in. Every pass
@@ -245,6 +201,7 @@ class SignatureRecord
 
   private:
     std::vector<Pass> passes_;
+    std::vector<Pass> spare_; ///< storage of the passes clear() dropped
     int dataVersions_ = 0;
     int64_t entries_ = 0;
 

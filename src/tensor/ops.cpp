@@ -158,19 +158,25 @@ ConvGradFrame::load(const float *go, int64_t filters, const int32_t *owners,
                     float *dst) const
 {
     const int64_t v = oh_ * ow_;
+    const int64_t n = x1_ - x0_; // gradients per row that land inside
     const kernels::KernelOps &k = kernels::ops();
+    if (stride_ == 1 && owners) {
+        // Gradient rows land on consecutive cells: one gather moves
+        // every row of every filter plane.
+        k.gatherSpan(dst + at(y0_, x0_), pitch_, size(), go, v,
+                     owners + y0_ * ow_ + x0_, ow_, y1_ - y0_, n, filters);
+        return;
+    }
     for (int64_t f = 0; f < filters; ++f) {
         const float *g = go + f * v;
         float *frame = dst + f * size();
         for (int64_t y = y0_; y < y1_; ++y) {
             // Gradients r .. r + n of the row land stride_ cells apart.
-            const int64_t r = y * ow_ + x0_, n = x1_ - x0_;
+            const int64_t r = y * ow_ + x0_;
             float *cell = frame + at(y, x0_);
             if (stride_ != 1) {
                 for (int64_t x = 0; x < n; ++x)
                     cell[x * stride_] = g[owners ? owners[r + x] : r + x];
-            } else if (owners) {
-                k.gatherSpan(cell, g, owners + r, n);
             } else {
                 k.copySpan(cell, g + r, n);
             }

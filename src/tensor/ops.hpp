@@ -172,9 +172,9 @@ class ConvGradFrame
      * plane takes the gradient at position owners[r]. Only the cells
      * gradients land on are written, the same ones at every load: zero
      * `dst` once and it serves every load of this frame. At stride 1 a
-     * gradient row lands on consecutive cells, so it moves as one
-     * kernel-table span: copySpan without owners, gatherSpan through
-     * them.
+     * gradient row lands on consecutive cells: without owners each row
+     * moves as one copySpan, through them one gatherSpan moves every
+     * row of every plane.
      */
     void load(const float *go, int64_t filters, const int32_t *owners,
               float *dst) const;

@@ -2,10 +2,9 @@
  * @file
  * Software-prefetch hint, compiled out on toolchains without
  * __builtin_prefetch. Purely a host-side latency hint: nothing in the
- * timing model or the bit-identity contract observes it. The probe
- * (DetectionFrontend::finishStream, through MCache::prefetchSet) uses
- * it to pull the *next* MCACHE set into cache while the current row is
- * being probed.
+ * timing model or the bit-identity contract observes it. The MCACHE
+ * block probe (MCache::probeBlock) uses it to pull the sets of rows a
+ * few ahead into cache while the current row is being probed.
  */
 
 #ifndef MERCURY_UTIL_PREFETCH_HPP

@@ -213,12 +213,6 @@ TEST(Kernels, SpanKernelsBitIdentity)
         sc.copySpan(d1.data(), src.data(), n);
         ax->copySpan(d2.data(), src.data(), n);
         ASSERT_EQ(d1, d2) << "copySpan n=" << n;
-
-        d1 = base;
-        d2 = base;
-        sc.addSpan(d1.data(), src.data(), n);
-        ax->addSpan(d2.data(), src.data(), n);
-        ASSERT_EQ(d1, d2) << "addSpan n=" << n;
     }
 }
 
@@ -295,31 +289,36 @@ TEST(Kernels, GatherSpanBitIdentity)
         GTEST_SKIP() << "host lacks AVX2";
     const KernelOps &sc = kernels::scalarOps();
     const int64_t src_n = 64;
-    const std::vector<float> src = randomFloats(src_n, 53);
+    const std::vector<float> src = randomFloats(24 * src_n, 53);
     std::mt19937_64 rng(59);
+    // One row of one plane: 0 consecutive from an offset, 1 reversed,
+    // 2 one index repeated, 3 random, 4 consecutive with one index in
+    // the middle of each octet broken, 5 runs broken at random.
+    const auto index_row = [&](int64_t n, int shape, int32_t *idx) {
+        const int32_t off = static_cast<int32_t>(rng() % (src_n - n + 1));
+        for (int64_t i = 0; i < n; ++i) {
+            int32_t x = off + static_cast<int32_t>(i);
+            if (shape == 1)
+                x = static_cast<int32_t>(src_n - 1 - i);
+            else if (shape == 2)
+                x = off;
+            else if (shape == 3 || (shape == 5 && rng() % 5 == 0))
+                x = static_cast<int32_t>(rng() % src_n);
+            else if (shape == 4 && i % 8 == 3)
+                x = static_cast<int32_t>((x + 17) % src_n);
+            idx[i] = x;
+        }
+    };
     for (int64_t n = 0; n <= 40; ++n) {
-        // 0 consecutive from an offset, 1 reversed, 2 one index
-        // repeated, 3 random, 4 consecutive with one index in the
-        // middle of each octet broken, 5 runs broken at random.
         for (int shape = 0; shape < 6; ++shape) {
-            const int32_t off = static_cast<int32_t>(rng() % (src_n - n + 1));
             std::vector<int32_t> idx(static_cast<size_t>(n));
-            for (int64_t i = 0; i < n; ++i) {
-                int32_t x = off + static_cast<int32_t>(i);
-                if (shape == 1)
-                    x = static_cast<int32_t>(src_n - 1 - i);
-                else if (shape == 2)
-                    x = off;
-                else if (shape == 3 || (shape == 5 && rng() % 5 == 0))
-                    x = static_cast<int32_t>(rng() % src_n);
-                else if (shape == 4 && i % 8 == 3)
-                    x = static_cast<int32_t>((x + 17) % src_n);
-                idx[static_cast<size_t>(i)] = x;
-            }
+            index_row(n, shape, idx.data());
             std::vector<float> d1(static_cast<size_t>(n + 8), kSentinel);
             std::vector<float> d2(d1);
-            sc.gatherSpan(d1.data(), src.data(), idx.data(), n);
-            ax->gatherSpan(d2.data(), src.data(), idx.data(), n);
+            sc.gatherSpan(d1.data(), n, n, src.data(), src_n, idx.data(), n,
+                          1, n, 1);
+            ax->gatherSpan(d2.data(), n, n, src.data(), src_n, idx.data(), n,
+                           1, n, 1);
             ASSERT_EQ(0, std::memcmp(d1.data(), d2.data(),
                                      d1.size() * sizeof(float)))
                 << "n=" << n << " shape=" << shape;
@@ -330,6 +329,59 @@ TEST(Kernels, GatherSpanBitIdentity)
             for (int64_t i = n; i < n + 8; ++i)
                 ASSERT_EQ(d2[static_cast<size_t>(i)], kSentinel)
                     << "write past the span, n=" << n;
+        }
+    }
+    // The whole-pass form: blocks of rows x n cells at a pitch above n,
+    // through index rows at their own pitch, into 1-24 planes; the
+    // cells between rows and after the last plane stay sentinels.
+    for (const int64_t planes : {1, 2, 3, 7, 12, 24}) {
+        for (const int64_t rows : {1, 2, 5, 8}) {
+            for (const int64_t n : {1, 4, 7, 8, 9, 16, 17, 30}) {
+                const int shape = static_cast<int>(rng() % 6);
+                const int64_t idx_pitch = n + static_cast<int64_t>(rng() % 3);
+                const int64_t pitch = n + 1 + static_cast<int64_t>(rng() % 3);
+                const int64_t plane =
+                    rows * pitch + 1 + static_cast<int64_t>(rng() % 5);
+                std::vector<int32_t> idx(static_cast<size_t>(rows * idx_pitch),
+                                         -1);
+                for (int64_t y = 0; y < rows; ++y)
+                    index_row(n, shape, idx.data() + y * idx_pitch);
+                std::vector<float> d1(static_cast<size_t>(planes * plane + 8),
+                                      kSentinel);
+                std::vector<float> d2(d1);
+                sc.gatherSpan(d1.data(), pitch, plane, src.data(), src_n,
+                              idx.data(), idx_pitch, rows, n, planes);
+                ax->gatherSpan(d2.data(), pitch, plane, src.data(), src_n,
+                               idx.data(), idx_pitch, rows, n, planes);
+                const std::string what =
+                    "planes=" + std::to_string(planes) +
+                    " rows=" + std::to_string(rows) +
+                    " n=" + std::to_string(n) +
+                    " shape=" + std::to_string(shape);
+                ASSERT_EQ(0, std::memcmp(d1.data(), d2.data(),
+                                         d1.size() * sizeof(float)))
+                    << what;
+                for (int64_t q = 0; q < planes; ++q) {
+                    for (int64_t at = 0; at < plane; ++at) {
+                        const int64_t y = at / pitch, i = at % pitch;
+                        const float got =
+                            d2[static_cast<size_t>(q * plane + at)];
+                        if (y < rows && i < n)
+                            ASSERT_EQ(got,
+                                      src[static_cast<size_t>(
+                                          q * src_n +
+                                          idx[static_cast<size_t>(
+                                              y * idx_pitch + i)])])
+                                << what;
+                        else
+                            ASSERT_EQ(got, kSentinel)
+                                << "write outside the rows, " << what;
+                    }
+                }
+                for (int64_t i = planes * plane; i < planes * plane + 8; ++i)
+                    ASSERT_EQ(d2[static_cast<size_t>(i)], kSentinel)
+                        << "write past the last plane, " << what;
+            }
         }
     }
 }
@@ -482,6 +534,97 @@ signalingNan()
     float f;
     std::memcpy(&f, &bits, sizeof f);
     return f;
+}
+
+TEST(Kernels, GroupSumsBitIdentity)
+{
+    // Both bodies against each other and against the stream-order walk
+    // the dW replays ran before (copy the owner's row into its group,
+    // add each HIT row's in turn): cols 1-70, passes of 0-40 rows with
+    // no forwards, every row forwarded to one owner, and random maps;
+    // the floats after the groups are signaling NaNs no body may touch.
+    const KernelOps *ax = kernels::avx2Ops();
+    if (!ax)
+        GTEST_SKIP() << "host lacks AVX2";
+    const KernelOps &sc = kernels::scalarOps();
+    const float snan = signalingNan();
+    std::mt19937_64 rng(71);
+    for (int64_t cols = 1; cols <= 70; ++cols) {
+        for (const int64_t rows : {0, 1, 2, 7, 8, 9, 17, 33, 40}) {
+            for (int shape = 0; shape < 3; ++shape) {
+                std::vector<int32_t> owner(static_cast<size_t>(rows));
+                std::vector<int32_t> owner_rows;
+                for (int64_t r = 0; r < rows; ++r) {
+                    int32_t o = static_cast<int32_t>(r);
+                    if (shape == 1)
+                        o = 0;
+                    else if (shape == 2 && !owner_rows.empty() && rng() % 2)
+                        o = owner_rows[rng() % owner_rows.size()];
+                    if (o == r)
+                        owner_rows.push_back(o);
+                    owner[static_cast<size_t>(r)] = o;
+                }
+                const int64_t groups =
+                    static_cast<int64_t>(owner_rows.size());
+                const std::vector<float> src =
+                    randomFloats(rows * cols, 7 * cols + rows);
+
+                std::vector<float> want(static_cast<size_t>(groups * cols));
+                std::vector<int64_t> slot(static_cast<size_t>(rows));
+                int64_t u = 0;
+                for (int64_t r = 0; r < rows; ++r) {
+                    const int64_t o = owner[static_cast<size_t>(r)];
+                    const float *row = src.data() + r * cols;
+                    if (o == r) {
+                        slot[static_cast<size_t>(r)] = u;
+                        std::copy(row, row + cols, want.data() + u * cols);
+                        ++u;
+                    } else {
+                        float *dst = want.data() +
+                                     slot[static_cast<size_t>(o)] * cols;
+                        for (int64_t e = 0; e < cols; ++e)
+                            dst[e] += row[e];
+                    }
+                }
+
+                std::vector<float> s1(static_cast<size_t>(groups * cols + 9),
+                                      snan);
+                std::vector<float> s2(s1);
+                std::vector<int32_t> t1(static_cast<size_t>(2 * rows));
+                std::vector<int32_t> t2(t1);
+                const std::string what = "cols=" + std::to_string(cols) +
+                                         " rows=" + std::to_string(rows) +
+                                         " shape=" + std::to_string(shape);
+                ASSERT_EQ(sc.groupSums(src.data(), cols, owner.data(), rows,
+                                       t1.data(), s1.data()),
+                          groups)
+                    << what;
+                ASSERT_EQ(ax->groupSums(src.data(), cols, owner.data(), rows,
+                                        t2.data(), s2.data()),
+                          groups)
+                    << what;
+                ASSERT_EQ(0, std::memcmp(s1.data(), s2.data(),
+                                         s1.size() * sizeof(float)))
+                    << what;
+                // memcmp's pointers must be non-null, even for zero bytes.
+                ASSERT_TRUE(want.empty() ||
+                            0 == std::memcmp(want.data(), s2.data(),
+                                             want.size() * sizeof(float)))
+                    << what;
+                for (size_t i = want.size(); i < s2.size(); ++i)
+                    ASSERT_EQ(0, std::memcmp(&s2[i], &snan, sizeof snan))
+                        << "write past the groups, " << what;
+                for (int64_t j = 0; j < groups; ++j) {
+                    ASSERT_EQ(t1[static_cast<size_t>(j)],
+                              owner_rows[static_cast<size_t>(j)])
+                        << what;
+                    ASSERT_EQ(t2[static_cast<size_t>(j)],
+                              owner_rows[static_cast<size_t>(j)])
+                        << what;
+                }
+            }
+        }
+    }
 }
 
 /** One exact-conv kernel case: a plane of `h` x `w` under `spec`. */
@@ -658,6 +801,7 @@ TEST(Kernels, Avx2BodiesReturnWithCleanUpperLanes)
     std::vector<uint64_t> words(64);
     const std::vector<int32_t> rows = {0, 2, 3, 5};
     const std::vector<int32_t> owner = {0, 0, 2, 3, 3, 5, 0, 2, 3};
+    std::vector<int32_t> scratch(2 * owner.size());
     const std::vector<int64_t> base = {0, 1, 9, 10};
     const std::vector<int64_t> taps = {0, 1, 2, 9, 10, 11, 18, 19, 20};
     ConvSpec spec;
@@ -685,9 +829,16 @@ TEST(Kernels, Avx2BodiesReturnWithCleanUpperLanes)
              ax->signPackColumns(src.data(), 13, 11, 28, 1, words.data());
          }},
         {"copySpan", [&] { ax->copySpan(dst.data(), src.data(), 77); }},
-        {"addSpan", [&] { ax->addSpan(dst.data(), src.data(), 77); }},
         {"gatherSpan",
-         [&] { ax->gatherSpan(dst.data(), src.data(), owner.data(), 9); }},
+         [&] {
+             ax->gatherSpan(dst.data(), 11, 40, src.data(), 9, owner.data(),
+                            3, 3, 3, 5);
+         }},
+        {"groupSums",
+         [&] {
+             ax->groupSums(src.data(), 13, owner.data(), 9, scratch.data(),
+                           dst.data());
+         }},
         {"ownerValues",
          [&] {
              ax->ownerValues(src.data(), slots.data(), tap_off.data(), 9,

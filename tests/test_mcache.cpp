@@ -2,13 +2,15 @@
  * @file
  * Tests for MCACHE semantics: the Fig. 9 insert flow, the
  * no-replacement policy, the per-set insert queues, the outcome
- * counters, and the serving-layer lifecycle (epochs, tenants, pins,
- * quota, restore).
+ * counters, the serving-layer lifecycle (epochs, tenants, pins,
+ * quota, restore), and the block probe with the owner rule against a
+ * plain restatement of the Fig. 9 rules.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -753,6 +755,193 @@ TEST(McacheReference, MatchesFig9RulesOverMixedStreams)
             EXPECT_GT(ref.stats.hits, 0);
             EXPECT_GT(ref.stats.mau, 0);
             EXPECT_GT(ref.stats.mnu, 0);
+        }
+    }
+}
+
+TEST(McacheReference, BlockProbeMatchesFig9RulesAndOwnerRule)
+{
+    // MCache::probeBlock, the probe every detection pass runs, against
+    // ReferenceCache and the owner rule restated over a map, on seeded
+    // passes cut into random blocks of 1-300 rows: every organization
+    // (ways 1..130, tags 1..130 bits), quota on and off, epoch and
+    // tenant stamps, and persistent streams that install past the
+    // installed list's capacity before a clear.
+    constexpr int kSets = 3, kTenants = 2, kPasses = 24;
+    const int lengths[] = {1, 28, 64, 65, 130};
+    for (const int ways : {1, 3, 4, 5, 16, 63, 64, 65, 130}) {
+        for (const bool quota_on : {false, true}) {
+            for (const bool persistent : {false, true}) {
+                const uint64_t run = static_cast<uint64_t>(ways) * 10 +
+                                     (quota_on ? 2 : 0) + (persistent ? 1 : 0);
+                SCOPED_TRACE("seed " + std::to_string(run) + " ways " +
+                             std::to_string(ways) +
+                             (quota_on ? " quota" : "") +
+                             (persistent ? " persistent" : ""));
+                std::mt19937_64 rng(run);
+                // Per length about 1.5 tags per line, so a long pass
+                // overflows sets into MNU and repeats HIT, plus tags
+                // whose first words agree across lengths (28/64,
+                // 65/130) for a persistent cache that holds both.
+                std::vector<Signature> pool[5];
+                const int per_length = kSets * ways * 3 / 2 + 2;
+                for (int li = 0; li < 5; ++li)
+                    for (int i = 0; i < per_length; ++i)
+                        pool[li].push_back(randomSig(lengths[li], rng));
+                for (int i = 0; i < 4; ++i) {
+                    const uint64_t low = rng() & ((1ull << 28) - 1);
+                    pool[1].push_back(Signature::fromWords(28, &low));
+                    pool[2].push_back(Signature::fromWords(64, &low));
+                    const uint64_t w[3] = {rng(), 0, 0};
+                    pool[3].push_back(Signature::fromWords(65, w));
+                    pool[4].push_back(Signature::fromWords(130, w));
+                }
+
+                const int64_t quota = quota_on ? kSets * ways / 3 + 1 : 0;
+                MCache c(kSets, ways, 2);
+                if (quota > 0)
+                    c.setTenantQuota(quota, kTenants);
+                ReferenceCache ref(kSets, ways, quota, kTenants);
+                OwnerTable owners(c.entries());
+                uint64_t epoch = 0;
+                int64_t installs = 0; // since the last clear
+                int64_t most_installs = 0;
+                for (int pass = 0; pass < kPasses; ++pass) {
+                    SCOPED_TRACE("pass " + std::to_string(pass));
+                    const int li = static_cast<int>(rng() % 5);
+                    const int bits = lengths[li];
+                    const int wpr = Signature::wordsFor(bits);
+                    const int tenant = static_cast<int>(rng() % 3) - 1;
+                    epoch += 1 + rng() % 3;
+                    c.setEpoch(epoch);
+                    ref.setEpoch(epoch);
+                    c.setInsertTenant(tenant);
+                    ref.setInsertTenant(tenant);
+                    if (!persistent || pass == kPasses - 1) {
+                        c.clear();
+                        ref.clear();
+                        installs = 0;
+                    } else {
+                        c.resetInsertBacklog();
+                        if (pass % 3 == 2) {
+                            // Free lines so later passes install past
+                            // entries() since the last clear.
+                            const uint64_t floor = epoch - 2;
+                            ASSERT_EQ(c.evictOlderThan(floor),
+                                      ref.evict(false, floor, 0));
+                        }
+                    }
+
+                    const int32_t rows = 1 + static_cast<int32_t>(
+                        rng() % (3 * c.entries() + 200));
+                    std::vector<Signature> sigs;
+                    std::vector<uint64_t> words;
+                    std::vector<int32_t> sets(static_cast<size_t>(rows));
+                    for (int32_t r = 0; r < rows; ++r) {
+                        sigs.push_back(pool[li][rng() % pool[li].size()]);
+                        const Signature &sig = sigs.back();
+                        words.insert(words.end(), sig.words(),
+                                     sig.words() + wpr);
+                        sets[static_cast<size_t>(r)] =
+                            c.setIndexOf(bits, sig.words());
+                    }
+
+                    // The reference: Fig. 9 per row, then the owner rule
+                    // (a HIT on an entry this pass installed forwards to
+                    // the installing row) and the per-set backlog.
+                    std::vector<McacheResult> want;
+                    std::vector<int32_t> want_owner;
+                    std::map<int64_t, int32_t> installed_by;
+                    std::vector<uint64_t> backlog(kSets, 0);
+                    int64_t want_forwarded = 0;
+                    for (int32_t r = 0; r < rows; ++r) {
+                        const McacheResult w =
+                            ref.probe(sigs[static_cast<size_t>(r)]);
+                        int32_t o = r;
+                        if (w.outcome == McacheOutcome::Mau) {
+                            installed_by[w.entryId] = r;
+                            ++backlog[static_cast<size_t>(w.entryId / ways)];
+                            ++installs;
+                        } else if (w.outcome == McacheOutcome::Hit &&
+                                   installed_by.count(w.entryId)) {
+                            o = installed_by[w.entryId];
+                        }
+                        want.push_back(w);
+                        want_owner.push_back(o);
+                        want_forwarded += o != r;
+                    }
+                    most_installs = std::max(most_installs, installs);
+
+                    // The probe, in random blocks; on odd passes the set
+                    // indices sit in the entry-id slots, as the
+                    // frontend's hash job leaves them.
+                    std::vector<uint8_t> outcomes(static_cast<size_t>(rows));
+                    std::vector<int32_t> ids(static_cast<size_t>(rows), -7);
+                    std::vector<int32_t> own(static_cast<size_t>(rows), -7);
+                    if (pass % 2)
+                        ids = sets;
+                    McacheProbe stream;
+                    stream.bits = bits;
+                    stream.wordsPerRow = wpr;
+                    stream.words = words.data();
+                    stream.sets = pass % 2 ? ids.data() : sets.data();
+                    stream.outcomes = outcomes.data();
+                    stream.entryIds = ids.data();
+                    stream.owners = own.data();
+                    for (int32_t r0 = 0; r0 < rows;) {
+                        const int32_t r1 = std::min<int32_t>(
+                            rows, r0 + 1 + static_cast<int32_t>(rng() % 300));
+                        c.probeBlock(stream, r0, r1, &owners);
+                        r0 = r1;
+                    }
+                    owners.nextPass();
+
+                    McacheCounters mix;
+                    for (int32_t r = 0; r < rows; ++r) {
+                        const size_t i = static_cast<size_t>(r);
+                        ASSERT_EQ(static_cast<McacheOutcome>(outcomes[i]),
+                                  want[i].outcome)
+                            << "row " << r;
+                        ASSERT_EQ(ids[i], want[i].entryId) << "row " << r;
+                        ASSERT_EQ(own[i], want_owner[i]) << "row " << r;
+                        mix.hits += want[i].outcome == McacheOutcome::Hit;
+                        mix.mau += want[i].outcome == McacheOutcome::Mau;
+                        mix.mnu += want[i].outcome == McacheOutcome::Mnu;
+                    }
+                    EXPECT_EQ(stream.mix.hits, mix.hits);
+                    EXPECT_EQ(stream.mix.mau, mix.mau);
+                    EXPECT_EQ(stream.mix.mnu, mix.mnu);
+                    EXPECT_EQ(stream.forwarded, want_forwarded);
+                    ASSERT_EQ(c.stats().hits, ref.stats.hits);
+                    ASSERT_EQ(c.stats().mau, ref.stats.mau);
+                    ASSERT_EQ(c.stats().mnu, ref.stats.mnu);
+                    ASSERT_EQ(c.maxInsertBacklog(),
+                              *std::max_element(backlog.begin(),
+                                                backlog.end()));
+                    for (int set = 0; set < kSets; ++set)
+                        ASSERT_EQ(c.setOccupancy(set), ref.occupancy(set));
+                    for (int t = 0; t < kTenants && quota > 0; ++t)
+                        ASSERT_EQ(c.tenantReserved(t), ref.held(t));
+                    for (int64_t id = 0; id < c.entries(); ++id) {
+                        const ReferenceCache::Line &l = ref.line(id);
+                        ASSERT_EQ(c.tagValid(id), l.valid) << "entry " << id;
+                        if (!l.valid)
+                            continue;
+                        ASSERT_TRUE(c.tagOf(id) == l.tag) << "entry " << id;
+                        ASSERT_EQ(c.entryEpoch(id), l.epoch)
+                            << "entry " << id;
+                        ASSERT_EQ(c.entryTenant(id), l.tenant)
+                            << "entry " << id;
+                    }
+                }
+                if (persistent) {
+                    EXPECT_GT(most_installs, c.entries())
+                        << "the stream never filled the installed list";
+                }
+                EXPECT_GT(ref.stats.hits, 0);
+                EXPECT_GT(ref.stats.mau, 0);
+                EXPECT_GT(ref.stats.mnu, 0);
+            }
         }
     }
 }

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -88,6 +89,8 @@ expectIdenticalPasses(const SignatureRecord::Pass &a,
     EXPECT_EQ(a.mix.hit, b.mix.hit);
     EXPECT_EQ(a.mix.mau, b.mix.mau);
     EXPECT_EQ(a.mix.mnu, b.mix.mnu);
+    EXPECT_EQ(a.owners, b.owners);
+    EXPECT_EQ(a.forwarded, b.forwarded);
 }
 
 /**
@@ -366,9 +369,10 @@ TEST(Frontend, FramePassesMatchTheDetectorOnIm2colRows)
                 pipe.blockRows = block;
                 pipe.threads = threads;
                 DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed, pipe);
-                auto job = fe.beginHashStream(frame.geometry,
-                                              frame.data.data(), kBits);
-                const SignatureRecord::Pass pass = fe.finishStream(*job);
+                DetectionHashJob job;
+                fe.beginHashStream(job, frame.geometry, frame.data.data(),
+                                   kBits);
+                const SignatureRecord::Pass pass = fe.finishStream(job);
                 expectMatchesLegacy(pass, ref);
                 EXPECT_EQ(pass.owners, legacyOwners(ref));
             }
@@ -396,11 +400,12 @@ TEST(Frontend, HashJobRunsUnderThePreviousPass)
         const LoadedFrame a(spec, a_plane), b(spec, b_plane);
         const std::vector<float> a_copy = a.data;
 
-        auto job = fe.beginHashStream(a.geometry, a.data.data(), kBits);
-        const SignatureRecord::Pass a_pass = fe.finishStream(*job);
-        job = fe.beginHashStream(b.geometry, b.data.data(), kBits);
+        DetectionHashJob job;
+        fe.beginHashStream(job, a.geometry, a.data.data(), kBits);
+        const SignatureRecord::Pass a_pass = fe.finishStream(job);
+        fe.beginHashStream(job, b.geometry, b.data.data(), kBits);
         EXPECT_EQ(a.data, a_copy) << "A's frame changed while B hashes";
-        const SignatureRecord::Pass b_pass = fe.finishStream(*job);
+        const SignatureRecord::Pass b_pass = fe.finishStream(job);
         EXPECT_EQ(a.data, a_copy);
 
         expectMatchesLegacy(a_pass, legacyDetect(im2col(a_plane, spec)));
@@ -422,10 +427,86 @@ TEST(Frontend, InlineJobHashesInsideFinishStream)
     ASSERT_EQ(fe.workerPool(), nullptr);
     const ConvFrame geometry(spec, 13, 10);
     std::vector<float> frame(static_cast<size_t>(geometry.size()), 0.0f);
-    auto job = fe.beginHashStream(geometry, frame.data(), kBits);
+    DetectionHashJob job;
+    fe.beginHashStream(job, geometry, frame.data(), kBits);
     geometry.load(plane.data(), 1, frame.data());
-    const SignatureRecord::Pass pass = fe.finishStream(*job);
+    const SignatureRecord::Pass pass = fe.finishStream(job);
     expectMatchesLegacy(pass, legacyDetect(im2col(plane, spec)));
+}
+
+TEST(Frontend, HugeBlockSizeHashesEveryRow)
+{
+    // A block size near INT64_MAX makes one block of every row: counting
+    // blocks as (n + blockRows - 1) / blockRows overflowed, leaving a
+    // pass unhashed and unprobed (every row a HIT owned by row 0, words
+    // 0, mix 0/0/0) or throwing length_error. Each pass must equal the
+    // 64-row-block pass, owners and mix included.
+    const Tensor rows = prototypeVectors(150, 24, 20, 0.01f, 31, 1.5);
+    PipelineConfig ref_pipe;
+    ref_pipe.blockRows = 64;
+    DetectionFrontend ref_fe(kSets, kWays, 1, kMaxBits, kSeed, ref_pipe);
+    const SignatureRecord::Pass want = ref_fe.detect(rows, kBits);
+    ASSERT_GT(want.mix.hit, 0);
+    for (const int threads : {1, 2}) {
+        for (const int64_t block :
+             {INT64_MAX, INT64_MAX - 7, int64_t{1} << 62}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads) +
+                         " block=" + std::to_string(block));
+            PipelineConfig pipe;
+            pipe.blockRows = block;
+            pipe.threads = threads;
+            DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed, pipe);
+            expectIdenticalPasses(fe.detect(rows, kBits), want);
+        }
+    }
+}
+
+TEST(Frontend, SecondForwardRefillsTheRecordsBuffers)
+{
+    // Pass storage outlives the pass: a layer's second forward refills
+    // the buffers its record captured in the first — words, outcomes,
+    // entry ids and owners of every pass — instead of allocating, and
+    // its passes equal those captured into a fresh record.
+    const Dataset a = makeImageDataset(2, 2, 3, 12, 12, 0.03f);
+    const Dataset b = makeImageDataset(2, 2, 3, 12, 12, 0.05f, 7);
+    Rng rng(15);
+    Tensor w({4, 3, 3, 3});
+    w.fillNormal(rng);
+    ConvSpec spec;
+    spec.inChannels = 3;
+    spec.outChannels = 4;
+    spec.kernelH = spec.kernelW = 3;
+    spec.pad = 1;
+    const auto buffers = [](const SignatureRecord &r) {
+        std::set<const void *> p;
+        for (int64_t i = 0; i < r.passCount(); ++i) {
+            const SignatureRecord::Pass &pass = r.pass(i);
+            p.insert(pass.sigWords.data());
+            p.insert(pass.outcomes.data());
+            p.insert(pass.entryIds.data());
+            p.insert(pass.owners.data());
+        }
+        return p;
+    };
+    DetectionFrontend fe(kSets, kWays, 2, kMaxBits, kSeed);
+    ConvReuseEngine engine(fe, kBits);
+    ReuseStats stats;
+    SignatureRecord record;
+    engine.forward(a.inputs, w, Tensor(), spec, stats, &record);
+    ASSERT_EQ(record.passCount(), 6);
+    const std::set<const void *> first = buffers(record);
+    ASSERT_EQ(first.size(), 24u);
+
+    const Tensor out = engine.forward(b.inputs, w, Tensor(), spec, stats,
+                                      &record);
+    EXPECT_EQ(buffers(record), first);
+    SignatureRecord fresh;
+    const Tensor fresh_out =
+        engine.forward(b.inputs, w, Tensor(), spec, stats, &fresh);
+    EXPECT_TRUE(out == fresh_out);
+    ASSERT_EQ(record.passCount(), fresh.passCount());
+    for (int64_t i = 0; i < record.passCount(); ++i)
+        expectIdenticalPasses(record.pass(i), fresh.pass(i));
 }
 
 TEST(Frontend, SignatureBitsOutsideTheEngineDie)
@@ -452,8 +533,9 @@ TEST(Frontend, JobFinishedOnAnotherCacheDies)
     Tensor rows({8, 4});
     EXPECT_DEATH(
         {
-            auto job = a.beginHashStream(rows, kBits);
-            b.finishStream(*job);
+            DetectionHashJob job;
+            a.beginHashStream(job, rows, kBits);
+            b.finishStream(job);
         },
         "different cache");
 }
