@@ -211,9 +211,9 @@ main()
         });
 
     // 4) Frame signatures, the conv passes' form of 3): 28 random
-    //    filters convolved over one channel's 3x3 pad-1 frame
-    //    (convForward with the matrix as its weights) and the tile
-    //    sign-packed by columns, per pass row, on 16x16 and 8x8 planes.
+    //    filters convolved over one channel's 3x3 pad-1 frame straight
+    //    into packed words (signFrame), per pass row, on 16x16 and 8x8
+    //    planes.
     auto sigframe = [&](int64_t hw) {
         ConvSpec spec;
         spec.kernelH = spec.kernelW = 3;
@@ -230,21 +230,21 @@ main()
                           frames.data() + p * geometry.size());
         }
         const std::vector<int64_t> &taps = geometry.channelTaps();
-        std::vector<float> tile(static_cast<size_t>(bits_train * v));
         std::vector<uint64_t> sig(static_cast<size_t>(v));
         return run(static_cast<double>(planes) *
                        (geometry.size() * sizeof(float) +
                         v * sizeof(uint64_t)),
                    planes * v, [&](const kernels::KernelOps &k) {
-                       for (int64_t p = 0; p < planes; ++p) {
-                           k.convForward(frames.data() + p * geometry.size(),
-                                         taps.data(), d_train,
-                                         geometry.rowStep(),
-                                         cols_train.data(), nullptr,
-                                         bits_train, hw, hw, tile.data(), v);
-                           k.signPackColumns(tile.data(), v, v, bits_train, 1,
-                                             sig.data());
-                       }
+                       for (int64_t p = 0; p < planes; ++p)
+                           k.signFrame(frames.data() + p * geometry.size(),
+                                       taps.data(), d_train,
+                                       geometry.rowStep(), hw, 0, v,
+                                       cols_train.data(),
+                                       k.wantsInterleaved
+                                           ? inter_train.data()
+                                           : nullptr,
+                                       stride_train, bits_train, 1,
+                                       sig.data());
                        g_sink = static_cast<float>(sig[0] & 1u);
                    });
     };

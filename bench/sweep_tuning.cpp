@@ -8,10 +8,8 @@
  * (image, channel) — three orders of magnitude around the CIFAR-sized
  * passes the defaults were first picked on. This bench sweeps
  * `pipelineBlockRows` over those pass shapes, measures detection
- * rows/sec through the full DetectionFrontend path, reports the best
- * block size per shape, and checks the size bands baked into
- * tunedPipelineFor (sim/config.hpp, the `pipelineBlockRows = 0` auto
- * mode) against the measurement.
+ * rows/sec through the full DetectionFrontend path, and reports the
+ * best block size per shape.
  *
  * Emits a BENCH_tuning.json line in the shared result schema. Smoke
  * mode (MERCURY_BENCH_SMOKE=1) shrinks the grid and the pass sizes so
@@ -113,11 +111,8 @@ main()
             t.row({std::to_string(block), Table::num(rate, 0)});
         }
         t.print();
-        std::printf("best: blockRows=%lld (%.0f rows/s); "
-                    "tunedPipelineFor(%lld) -> blockRows=%lld\n\n",
-                    static_cast<long long>(best_block), best_rate,
-                    static_cast<long long>(shape.rows),
-                    static_cast<long long>(tunedPipelineFor(shape.rows)));
+        std::printf("best: blockRows=%lld (%.0f rows/s)\n\n",
+                    static_cast<long long>(best_block), best_rate);
         // Headline: the first shape in the list (the largest pass).
         if (headline_name.empty()) {
             headline_name = shape.name;

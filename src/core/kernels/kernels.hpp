@@ -10,9 +10,10 @@
  * ascending element order with separate multiply and add (no FMA —
  * fused rounding would diverge from the scalar path); the span
  * kernels (copy, gather) are elementwise, so lane width cannot
- * reorder anything; both sign-pack kernels compare with `_CMP_LT_OQ`
- * against +0.0f, which matches `p < 0.0f` exactly (including -0.0f
- * from all-zero padding patches, which must NOT set the bit, and NaN).
+ * reorder anything; both sign kernels (signPack, signFrame) compare
+ * with `_CMP_LT_OQ` against +0.0f, which matches `p < 0.0f` exactly
+ * (including -0.0f from all-zero padding patches, which must NOT set
+ * the bit, and NaN).
  * groupSums copies and adds elementwise too, each group's steps in
  * the same order in both bodies.
  *
@@ -48,10 +49,13 @@
  * exact weight gradient runs ownerWeightMul with every output
  * position an owner. Their AVX2 bodies hold a tile of outputs in
  * registers, one chain per output, and store each output once.
- * convForward is also the conv signature pass (Fig. 7a): run with the
- * RPQ matrix as its weights over a one-channel frame, it writes the
- * projections of every output position filter-major, and
- * signPackColumns packs them (RPQEngine's frame signatureWords).
+ *
+ * signFrame is the conv signature pass (Fig. 7a, RPQEngine's frame
+ * signatureWords): the projection convForward would compute with the
+ * RPQ matrix as its weights over a one-channel frame, turned into sign
+ * bits and packed words in one pass, with no projection stored. Its
+ * AVX2 body holds an octet of positions x a group of bits in
+ * registers and folds each compare into per-lane words.
  *
  * Masked-octet contract: a vector body may read all 8 filters of the
  * octet holding the last `bits % 8` filters whenever the mirror has
@@ -97,16 +101,26 @@ struct KernelOps
                      int64_t words_per_row, uint64_t *out);
 
     /**
-     * Pack the sign bits of a filter-major (bits, n) projection block,
-     * filter b's n projections at proj[b*pitch .. b*pitch + n): bit b
-     * of row i is (proj[b*pitch + i] < 0.0f), written into
-     * `words_per_row` words per row as signPack writes them (unused
-     * high bits zeroed). The layout convForward writes, so a frame's
-     * signatures pack straight from its convolution tile. Reads
-     * nothing outside the (bits, n) block.
+     * Frame signatures (Fig. 7a): the packed words of output positions
+     * [r0, r1) of one input channel's conv frame (tensor/ops.hpp's
+     * ConvFrame). Position r = y * ow + x reads tap t, of taps >= 1,
+     * at frame[y * rowStep + x + tapOff[t]]; bit b of its words is
+     * p < 0.0f, where p starts at +0 and adds frame[...] * R[b][t]
+     * over taps t ascending, a rounded multiply then a rounded add —
+     * the projection convForward computes with the random filters as
+     * its weights. R is given as projectRows takes it: `cols`
+     * (R[b][t] = cols[b * taps + t]) and, for a table that
+     * wantsInterleaved, its mirror (R[b][t] = inter[t * inter_stride +
+     * b]). Writes `words_per_row` words per position at
+     * out + (r - r0) * words_per_row (unused high bits zeroed) and
+     * nothing else. Any tap count, stride, pad and bit length; a range
+     * may start and end mid output row.
      */
-    void (*signPackColumns)(const float *proj, int64_t pitch, int64_t n,
-                            int bits, int64_t words_per_row, uint64_t *out);
+    void (*signFrame)(const float *frame, const int64_t *tapOff,
+                      int64_t taps, int64_t rowStep, int64_t ow, int64_t r0,
+                      int64_t r1, const float *cols, const float *inter,
+                      int inter_stride, int bits, int64_t words_per_row,
+                      uint64_t *out);
 
     /** dst[0..n) = src[0..n) (ranges must not overlap). */
     void (*copySpan)(float *dst, const float *src, int64_t n);

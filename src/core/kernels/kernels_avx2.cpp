@@ -21,9 +21,11 @@
  *    rows produce -0.0f projections, which must not set bits — a raw
  *    sign-bit movemask would get this wrong). A partial last octet
  *    loads masked, and its masked-off lanes read +0.0f.
- *  - signPackColumns holds 8 rows in lanes and compares the same way,
- *    one filter per compare; a partial last octet of rows loads masked
- *    and stores only its rows.
+ *  - signFrame holds an octet of positions in lanes and up to 8 bits'
+ *    chains side by side, each chain its taps ascending with separate
+ *    multiply and add; it compares the same way, one bit per compare,
+ *    and folds the compares into per-lane words. A partial octet of
+ *    positions loads masked and stores only its positions.
  *  - the span kernels only move values: gatherSpan checks each index
  *    octet once per block of eight planes (one load per plane for an
  *    octet of consecutive indices, one vgatherdps per plane for any
@@ -232,50 +234,127 @@ signPackAvx2(const float *proj, int64_t nrows, int bits,
     }
 }
 
-void
-signPackColumnsAvx2(const float *proj, int64_t pitch, int64_t n, int bits,
-                    int64_t words_per_row, uint64_t *out)
+/**
+ * One signFrame bit group: the projections of bits [b, b + G) for the
+ * octet of positions whose tap-0 slots start at src (lanes past
+ * `mask` read +0.0f when Tail), folded into the per-lane words `acc`
+ * from bit b + G - 1 down. Each lane of a[j] is one position's chain
+ * for bit b + j: its first product, then + frame * R per tap, taps
+ * ascending. R[b + j][t] is rt[t * stride + j], one broadcast.
+ */
+template <int G, bool Tail>
+__attribute__((always_inline)) inline __m256i
+signFrameGroup(const float *src, const int64_t *tapOff, int64_t taps,
+               const float *rt, int64_t stride, __m256i mask, __m256i acc)
 {
+    __m256 a[G];
+    {
+        const __m256 v = loadOctet(src + tapOff[0], !Tail, mask);
+        for (int j = 0; j < G; ++j)
+            a[j] = _mm256_mul_ps(v, _mm256_broadcast_ss(rt + j));
+    }
+    for (int64_t t = 1; t < taps; ++t) {
+        const __m256 v = loadOctet(src + tapOff[t], !Tail, mask);
+        const float *r = rt + t * stride;
+        for (int j = 0; j < G; ++j)
+            a[j] = _mm256_add_ps(a[j],
+                                 _mm256_mul_ps(v, _mm256_broadcast_ss(r + j)));
+    }
     const __m256 zero = _mm256_setzero_ps();
-    for (int64_t i = 0; i < n; i += 8) {
-        const int64_t rows = n - i < 8 ? n - i : 8;
-        const __m256i mask = lanesBelow(rows);
-        for (int64_t wi = 0; wi < words_per_row; ++wi) {
-            // Each 32-bit half of the word is one accumulator per row
-            // lane: a compare's all-ones lanes shift in as acc * 2 - m,
-            // the half's filters walked from its last down, so filter b
-            // lands on bit b % 32. Masked-off rows read +0.0f and set
-            // no bit.
-            __m256i half[2];
-            for (int h = 0; h < 2; ++h) {
-                const int64_t b0 = wi * 64 + h * 32;
-                const int64_t b1 = bits < b0 + 32 ? bits : b0 + 32;
-                __m256i acc = _mm256_setzero_si256();
-                for (int64_t b = b1 - 1; b >= b0; --b) {
-                    const __m256 v = loadOctet(proj + b * pitch + i,
-                                               rows == 8, mask);
-                    const __m256i m = _mm256_castps_si256(
-                        _mm256_cmp_ps(v, zero, _CMP_LT_OQ));
-                    acc = _mm256_sub_epi32(_mm256_add_epi32(acc, acc), m);
-                }
-                half[h] = acc;
+    for (int j = G - 1; j >= 0; --j)
+        acc = _mm256_sub_epi32(
+            _mm256_add_epi32(acc, acc),
+            _mm256_castps_si256(_mm256_cmp_ps(a[j], zero, _CMP_LT_OQ)));
+    return acc;
+}
+
+/**
+ * The words of one octet of positions (tap-0 slots from src, the
+ * first `lanes` of them when Tail), written at out, wpr words each.
+ */
+template <bool Tail>
+void
+signFrameOctet(const float *src, const int64_t *tapOff, int64_t taps,
+               const float *inter, int64_t stride, int bits, int64_t wpr,
+               uint64_t *out, int64_t lanes)
+{
+    const __m256i mask = lanesBelow(lanes);
+    for (int64_t wi = 0; wi < wpr; ++wi) {
+        // Each 32-bit half of the word is one accumulator per position
+        // lane: a compare's all-ones lanes shift in as acc * 2 - m, the
+        // half's bits walked from its last down, so bit b lands on bit
+        // b % 32.
+        __m256i half[2];
+        for (int h = 0; h < 2; ++h) {
+            const int64_t b0 = wi * 64 + h * 32;
+            int64_t b = std::min<int64_t>(bits, b0 + 32);
+            __m256i acc = _mm256_setzero_si256();
+            for (; b - b0 >= 8; b -= 8)
+                acc = signFrameGroup<8, Tail>(src, tapOff, taps,
+                                              inter + b - 8, stride, mask,
+                                              acc);
+            if (b - b0 >= 4) {
+                acc = signFrameGroup<4, Tail>(src, tapOff, taps,
+                                              inter + b - 4, stride, mask,
+                                              acc);
+                b -= 4;
             }
-            // Interleave the halves into the 8 rows' 64-bit words.
-            const __m256i lo = _mm256_unpacklo_epi32(half[0], half[1]);
-            const __m256i hi = _mm256_unpackhi_epi32(half[0], half[1]);
-            const __m256i r0 = _mm256_permute2x128_si256(lo, hi, 0x20);
-            const __m256i r4 = _mm256_permute2x128_si256(lo, hi, 0x31);
-            if (rows == 8 && words_per_row == 1) {
-                _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + i), r0);
-                _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + i + 4),
-                                    r4);
-                continue;
+            if (b - b0 >= 2) {
+                acc = signFrameGroup<2, Tail>(src, tapOff, taps,
+                                              inter + b - 2, stride, mask,
+                                              acc);
+                b -= 2;
             }
-            alignas(32) uint64_t w[8];
-            _mm256_store_si256(reinterpret_cast<__m256i *>(w), r0);
-            _mm256_store_si256(reinterpret_cast<__m256i *>(w + 4), r4);
-            for (int64_t l = 0; l < rows; ++l)
-                out[(i + l) * words_per_row + wi] = w[l];
+            if (b - b0 >= 1)
+                acc = signFrameGroup<1, Tail>(src, tapOff, taps,
+                                              inter + b - 1, stride, mask,
+                                              acc);
+            half[h] = acc;
+        }
+        // Interleave the halves into the 8 positions' 64-bit words.
+        const __m256i lo = _mm256_unpacklo_epi32(half[0], half[1]);
+        const __m256i hi = _mm256_unpackhi_epi32(half[0], half[1]);
+        const __m256i w0 = _mm256_permute2x128_si256(lo, hi, 0x20);
+        const __m256i w4 = _mm256_permute2x128_si256(lo, hi, 0x31);
+        if (!Tail && wpr == 1) {
+            _mm256_storeu_si256(reinterpret_cast<__m256i *>(out), w0);
+            _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + 4), w4);
+            continue;
+        }
+        alignas(32) uint64_t w[8];
+        _mm256_store_si256(reinterpret_cast<__m256i *>(w), w0);
+        _mm256_store_si256(reinterpret_cast<__m256i *>(w + 4), w4);
+        for (int64_t l = 0; l < lanes; ++l)
+            out[l * wpr + wi] = w[l];
+    }
+}
+
+void
+signFrameAvx2(const float *frame, const int64_t *tapOff, int64_t taps,
+              int64_t rowStep, int64_t ow, int64_t r0, int64_t r1,
+              const float * /*cols*/, const float *inter, int inter_stride,
+              int bits, int64_t words_per_row, uint64_t *out)
+{
+    // Octets of positions walk each output row the range covers; a
+    // row's last octet (or the range's) may be partial and loads
+    // masked. A chain starts at its first product instead of
+    // +0 + that product: the two differ only when the product is -0
+    // (+0 against -0), and two sums that differ only in the sign of a
+    // zero stay equal or both zero through every later add, which
+    // p < 0.0f reads alike.
+    for (int64_t r = r0; r < r1;) {
+        const int64_t y = r / ow;
+        const int64_t end = std::min(r1, (y + 1) * ow);
+        const float *row = frame + y * (rowStep - ow);
+        for (; r + 8 <= end; r += 8)
+            signFrameOctet<false>(row + r, tapOff, taps, inter, inter_stride,
+                                  bits, words_per_row,
+                                  out + (r - r0) * words_per_row, 8);
+        if (r < end) {
+            signFrameOctet<true>(row + r, tapOff, taps, inter, inter_stride,
+                                 bits, words_per_row,
+                                 out + (r - r0) * words_per_row, end - r);
+            r = end;
         }
     }
 }
@@ -822,7 +901,7 @@ const KernelOps kAvx2Ops = {
     true,            // wantsInterleaved
     projectRowsAvx2, // projectRows
     signPackAvx2,    // signPack
-    signPackColumnsAvx2, // signPackColumns
+    signFrameAvx2,   // signFrame
     copySpanAvx2,    // copySpan
     gatherSpanAvx2,  // gatherSpan
     groupSumsAvx2,   // groupSums

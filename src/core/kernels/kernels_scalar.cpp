@@ -54,20 +54,70 @@ signPackScalar(const float *proj, int64_t nrows, int bits,
     }
 }
 
+/** Eight floats, one position per lane (a GCC/Clang vector type). */
+using Octet = float __attribute__((vector_size(8 * sizeof(float))));
+/** Eight 64-bit words, one position per lane. */
+using OctetWords = uint64_t __attribute__((vector_size(8 * sizeof(uint64_t))));
+
+/**
+ * The words of one octet of signFrame positions (tap-0 slots from src;
+ * all 8 when Whole, else the first `lanes`, the rest reading +0): per
+ * bit, each lane's chain takes its taps ascending, one rounded
+ * multiply and one rounded add each, and its compare is or'd into the
+ * lane's word.
+ */
+template <bool Whole>
 void
-signPackColumnsScalar(const float *proj, int64_t pitch, int64_t n, int bits,
-                      int64_t words_per_row, uint64_t *out)
+signFrameOctet(const float *src, const int64_t *tapOff, int64_t taps,
+               const float *cols, int bits, int64_t wpr, uint64_t *out,
+               int64_t lanes)
 {
-    if (n > 0)
-        std::memset(out, 0,
-                    static_cast<size_t>(n * words_per_row) *
-                        sizeof(uint64_t));
-    for (int b = 0; b < bits; ++b) {
-        const float *p = proj + b * pitch;
-        uint64_t *w = out + (b >> 6);
-        for (int64_t i = 0; i < n; ++i)
-            w[i * words_per_row] |= static_cast<uint64_t>(p[i] < 0.0f)
-                                    << (b & 63);
+    if (Whole)
+        lanes = 8;
+    const size_t bytes = static_cast<size_t>(lanes) * sizeof(float);
+    for (int64_t wi = 0; wi < wpr; ++wi) {
+        OctetWords acc = {};
+        const int64_t b1 = std::min<int64_t>(bits, (wi + 1) * 64);
+        for (int64_t b = wi * 64; b < b1; ++b) {
+            const float *rb = cols + b * taps;
+            Octet p = {};
+            for (int64_t t = 0; t < taps; ++t) {
+                Octet x = {};
+                std::memcpy(&x, src + tapOff[t], bytes);
+                p += x * rb[t];
+            }
+            acc |= __builtin_convertvector(p < 0.0f, OctetWords) &
+                   (1ull << (b & 63));
+        }
+        for (int64_t l = 0; l < lanes; ++l)
+            out[l * wpr + wi] = acc[l];
+    }
+}
+
+void
+signFrameScalar(const float *frame, const int64_t *tapOff, int64_t taps,
+                int64_t rowStep, int64_t ow, int64_t r0, int64_t r1,
+                const float *cols, const float * /*inter*/,
+                int /*inter_stride*/, int bits, int64_t words_per_row,
+                uint64_t *out)
+{
+    // Octets of positions walk each output row the range covers, as
+    // the AVX2 body walks them; an octet's lanes run as one vector
+    // value at the baseline ISA.
+    for (int64_t r = r0; r < r1;) {
+        const int64_t y = r / ow;
+        const int64_t end = std::min(r1, (y + 1) * ow);
+        const float *row = frame + y * (rowStep - ow);
+        for (; r < end; r += 8) {
+            uint64_t *w = out + (r - r0) * words_per_row;
+            if (r + 8 <= end)
+                signFrameOctet<true>(row + r, tapOff, taps, cols, bits,
+                                     words_per_row, w, 8);
+            else
+                signFrameOctet<false>(row + r, tapOff, taps, cols, bits,
+                                      words_per_row, w, end - r);
+        }
+        r = end;
     }
 }
 
@@ -214,7 +264,7 @@ const KernelOps kScalarOps = {
     false,             // wantsInterleaved
     projectRowsScalar, // projectRows
     signPackScalar,    // signPack
-    signPackColumnsScalar, // signPackColumns
+    signFrameScalar,   // signFrame
     copySpanScalar,    // copySpan
     gatherSpanScalar,  // gatherSpan
     groupSumsScalar,   // groupSums

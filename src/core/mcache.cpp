@@ -1,11 +1,60 @@
 #include "core/mcache.hpp"
 
 #include <algorithm>
+#include <climits>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "util/logging.hpp"
 #include "util/prefetch.hpp"
 
 namespace mercury {
+
+namespace {
+
+/** Ways the probe's key compare covers at once. */
+constexpr int kKeyBlock = 16;
+
+
+/**
+ * The ways of one kKeyBlock-way block whose key equals `key`: bit i
+ * for keys[i]. SSE2 compares four keys per instruction.
+ */
+inline uint64_t
+keyMatches(const uint32_t *keys, uint32_t key)
+{
+#if defined(__SSE2__)
+    const __m128i k = _mm_set1_epi32(static_cast<int>(key));
+    const __m128i *p = reinterpret_cast<const __m128i *>(keys);
+    const __m128i a = _mm_cmpeq_epi32(_mm_loadu_si128(p), k);
+    const __m128i b = _mm_cmpeq_epi32(_mm_loadu_si128(p + 1), k);
+    const __m128i c = _mm_cmpeq_epi32(_mm_loadu_si128(p + 2), k);
+    const __m128i d = _mm_cmpeq_epi32(_mm_loadu_si128(p + 3), k);
+    // Saturating packs keep each all-ones lane all-ones: 16 bytes, one
+    // per way, in way order.
+    return static_cast<uint32_t>(_mm_movemask_epi8(
+        _mm_packs_epi16(_mm_packs_epi32(a, b), _mm_packs_epi32(c, d))));
+#else
+    uint64_t m = 0;
+    for (int i = 0; i < kKeyBlock; ++i)
+        m |= static_cast<uint64_t>(keys[i] == key) << i;
+    return m;
+#endif
+}
+
+/**
+ * `a` when `c`, else `b`, by a mask: the probe's rows pick their
+ * writes' targets with it, never by a branch on their outcome.
+ */
+inline int64_t
+selectIf(bool c, int64_t a, int64_t b)
+{
+    return b + ((a - b) & -static_cast<int64_t>(c));
+}
+
+} // namespace
 
 const char *
 mcacheOutcomeName(McacheOutcome outcome)
@@ -23,22 +72,25 @@ mcacheOutcomeName(McacheOutcome outcome)
 
 MCache::MCache(int sets, int ways, int data_versions)
     : sets_(sets), ways_(ways), versions_(data_versions),
-      maskWords_((ways + 63) / 64)
+      maskWords_((ways + 63) / 64),
+      setOf_(static_cast<uint32_t>(std::max(sets, 1)))
 {
     if (sets <= 0 || ways <= 0 || data_versions <= 0)
         fatal("MCACHE needs positive sets/ways/versions, got ", sets, "/",
               ways, "/", data_versions);
     const size_t lines =
         static_cast<size_t>(sets) * static_cast<size_t>(ways);
+    // One sink word past the last set's mask takes the probe's mask
+    // writes for rows that install nothing.
     valid_.assign(static_cast<size_t>(sets) *
-                      static_cast<size_t>(maskWords_),
+                          static_cast<size_t>(maskWords_) +
+                      1,
                   0);
     // One sink line past the last set takes the probe's writes for rows
     // that change no line.
-    tagWord0_.assign(lines + 1, 0);
-    tagBits_.assign(lines + 1, 0);
+    lines_.resize(lines + 1);
+    tagKeys_.assign(lines + kKeyBlock, 0);
     tagRest_.resize(lines);
-    meta_.resize(lines + 1);
     insertBacklog_.assign(static_cast<size_t>(sets), 0);
 }
 
@@ -65,16 +117,31 @@ MCache::valid(Way l) const
            1;
 }
 
-MCache::Meta &
-MCache::meta(Way l)
+MCache::Line &
+MCache::line(Way l)
 {
-    return meta_[static_cast<size_t>(l.set) * ways_ + l.way];
+    return lines_[static_cast<size_t>(l.set) * ways_ + l.way];
 }
 
-const MCache::Meta &
-MCache::meta(Way l) const
+const MCache::Line &
+MCache::line(Way l) const
 {
-    return meta_[static_cast<size_t>(l.set) * ways_ + l.way];
+    return lines_[static_cast<size_t>(l.set) * ways_ + l.way];
+}
+
+void
+MCache::setIndices(int bits, const uint64_t *words, int64_t rows,
+                   int32_t *sets) const
+{
+    if (Signature::wordsFor(bits) == 1) {
+        for (int64_t r = 0; r < rows; ++r)
+            sets[r] =
+                static_cast<int32_t>(setOf_(Signature::hashWord(bits, words[r])));
+        return;
+    }
+    const int64_t wpr = Signature::wordsFor(bits);
+    for (int64_t r = 0; r < rows; ++r)
+        sets[r] = setIndexOf(bits, words + r * wpr);
 }
 
 McacheResult
@@ -105,7 +172,7 @@ MCache::searchSet(int set, int bits, const uint64_t *words) const
         for (uint64_t m = mask[mw]; m != 0; m &= m - 1) {
             const int way = mw * 64 + __builtin_ctzll(m);
             const size_t e = static_cast<size_t>(base + way);
-            if (tagWord0_[e] == words[0] && tagBits_[e] == bits &&
+            if (lines_[e].word0 == words[0] && lines_[e].bits == bits &&
                 (bits <= 64 ||
                  std::equal(words + 1, words + 1 + rest, tagRest_[e].begin()))) {
                 s.way = way;
@@ -144,31 +211,28 @@ MCache::probeBlock(McacheProbe &stream, int32_t r0, int32_t r1,
     const int64_t quota = quota_count ? quota_ : INT64_MAX;
     int64_t held = quota_count ? *quota_count : 0;
 
-    // The first (up to) four ways are compared unconditionally; their
-    // indices are clamped into the set, and a clamped duplicate's
-    // valid bit is never set, so nothing outside the set is read.
-    // Sets over 64 ways walk every way (searchSet).
-    const int64_t k1 = std::min(1, ways - 1), k2 = std::min(2, ways - 1),
-                  k3 = std::min(3, ways - 1);
-    const uint64_t beyond_low = ~0ull << std::min(ways, 4);
-    // Ways of the first mask word; its last way is the sentinel free
-    // bit, always inside the set.
+    // Every way of the first mask word is compared by key, kKeyBlock at
+    // a time; a block reaching past the set reads keys the valid bits
+    // mask off (the key vector is padded past the last set). Its last
+    // way is the sentinel bit of the match and free-way scans, always
+    // inside the set. Sets over 64 ways and tags over 64 bits walk
+    // every valid way (searchSet).
     const int ways0 = std::min(ways, 64);
+    const int key_blocks = (ways0 + kKeyBlock - 1) / kKeyBlock;
     const uint64_t word0 = ways0 == 64 ? ~0ull : (1ull << ways0) - 1;
-    const uint64_t free_sentinel = 1ull << (ways0 - 1);
+    const uint64_t last_way = 1ull << (ways0 - 1);
 
     reserveInstalled(r1 - r0);
     // Base pointers and counters in locals: with them, GCC keeps the
     // selects below as integer-mask arithmetic instead of branches.
     uint64_t *const valid = valid_.data();
-    uint64_t *const tag0 = tagWord0_.data();
-    int32_t *const tag_bits = tagBits_.data();
-    Meta *const meta = meta_.data();
+    Line *const lines = lines_.data();
+    uint32_t *const keys = tagKeys_.data();
     uint64_t *const backlog = insertBacklog_.data();
     Way *const installed = installed_.data();
     const size_t capacity = static_cast<size_t>(entries());
     const int64_t sink = entries();
-    uint64_t mask_sink = 0;
+    const int64_t mask_sink = static_cast<int64_t>(sets_) * mask_words;
     const size_t listed0 = installedCount_;
     size_t listed = listed0;
     const uint64_t *const words = stream.words;
@@ -183,55 +247,61 @@ MCache::probeBlock(McacheProbe &stream, int32_t r0, int32_t r1,
     for (int32_t r = r0; r < r1; ++r) {
         const int32_t set = sets[r];
         {
-            // Pull the lines of the set eight rows ahead into cache: a
-            // cache larger than the L1 (a persistent serving cache)
+            // Pull the set of the row eight ahead into cache — its
+            // mask, keys, the records of its low ways (where a
+            // cleared cache installs and hits) and owners: a cache
+            // the engines' computes evicted between passes, or one
+            // larger than the L1 (a persistent serving cache),
             // otherwise makes the probe wait on memory row by row.
             const int32_t ahead = sets[std::min(r + 8, r1 - 1)];
             const int64_t line = static_cast<int64_t>(ahead) * ways;
             prefetchRead(valid + static_cast<size_t>(ahead) * mask_words);
-            prefetchRead(tag0 + line);
-            prefetchRead(tag_bits + line);
-            prefetchRead(meta + line);
+            prefetchRead(keys + line);
+            prefetchRead(lines + line);
             if (owners)
                 prefetchRead(oc.ownerOfEntry + line);
         }
         const uint64_t *w = words + r * wpr;
         const uint64_t w0 = w[0];
+        const uint32_t key = tagKey(bits, w0);
         const int64_t base = static_cast<int64_t>(set) * ways;
         uint64_t *mask = valid + static_cast<size_t>(set) * mask_words;
         const uint64_t m = mask[0];
-        const uint64_t *t = tag0 + base;
-        const int32_t *tb = tag_bits + base;
-        const auto same = [&](int64_t k) {
-            return static_cast<uint64_t>(
-                ((t[k] ^ w0) | static_cast<uint32_t>(tb[k] ^ bits)) == 0);
-        };
-        uint64_t match =
-            (same(0) | same(k1) << 1 | same(k2) << 2 | same(k3) << 3) & m;
         const uint64_t free = ~m & word0;
+        // 1 when way k's tag is the row's: length and word agree.
+        const auto same = [&](int64_t k) -> uint64_t {
+            const Line &ln = lines[base + k];
+            return ((ln.word0 ^ w0) |
+                    static_cast<uint32_t>(ln.bits ^ bits)) == 0;
+        };
         Slot s{};
-        if (__builtin_expect(wide, 0)) {
+        if (__builtin_expect(wide | long_tags, 0)) {
             s = searchSet(set, bits, w);
         } else {
-            // A set that holds more valid ways than the four (rare in a
-            // cleared cache, common in a persistent one) compares them
-            // too: the branch follows the cache's occupancy, not this
-            // row's outcome.
-            for (uint64_t more = m & beyond_low; more != 0; more &= more - 1) {
-                const int k = __builtin_ctzll(more);
-                match |= same(k) << k;
-            }
-            if (long_tags) {
-                for (uint64_t c = match; c != 0; c &= c - 1) {
-                    const int k = __builtin_ctzll(c);
-                    if (!std::equal(w + 1, w + wpr,
-                                    tagRest_[static_cast<size_t>(base + k)]
-                                        .begin()))
-                        match &= ~(1ull << k);
+            // The ways whose key matches, then the first of them in
+            // full: one compare of every way, as the hardware's
+            // (Fig. 9), with no walk over a full set.
+            uint64_t cand = keyMatches(keys + base, key);
+            for (int b = 1; b < key_blocks; ++b)
+                cand |= keyMatches(keys + base + b * kKeyBlock, key)
+                        << (b * kKeyBlock);
+            cand &= m;
+            // The first candidate, or way 0 (a record the row's
+            // writes likely touch anyway) when there is none.
+            int way = __builtin_ctzll(cand | last_way) &
+                      -static_cast<int>(cand != 0);
+            uint64_t hit = (cand >> way) & same(way);
+            // Candidates left when the first is not the tag (two
+            // tags with one key in a set): rare, so this one branch
+            // predicts.
+            if (__builtin_expect((cand & (hit - 1)) != 0, 0)) {
+                for (uint64_t c = cand & (cand - 1); c != 0 && !hit;
+                     c &= c - 1) {
+                    way = __builtin_ctzll(c);
+                    hit = same(way);
                 }
             }
-            s = {__builtin_ctzll(match | 1ull << 63),
-                 __builtin_ctzll(free | free_sentinel), match != 0,
+            s = {way, __builtin_ctzll(free | last_way), hit != 0,
                  free != 0};
         }
         const bool hit = s.hit;
@@ -239,26 +309,27 @@ MCache::probeBlock(McacheProbe &stream, int32_t r0, int32_t r1,
         const bool mnu = !hit & !ins;
 
         // The line this row touches: its match, else the lowest free
-        // way. A write the row does not make goes to the sink line (to
-        // a local for the valid mask) instead of rewriting the line with
-        // its own value: the next row's loads then never wait on a
-        // store to a line that did not change. An insert stamps tag,
-        // length, epoch and tenant; a HIT refreshes the epoch.
+        // way. A write the row does not make goes to a sink (the
+        // line past the last set, the mask word past the last set's)
+        // instead of rewriting the line with its own value: the next
+        // row's loads then never wait on a store to a line that did
+        // not change. An insert stamps tag, key, length, epoch and
+        // tenant; a HIT refreshes the epoch.
         const int64_t hm = -static_cast<int64_t>(hit);
         const int pick = static_cast<int>((s.way & hm) | (s.spare & ~hm));
         const int64_t e = base + pick;
-        const int64_t installs_at =
-            e + ((sink - e) & (static_cast<int64_t>(ins) - 1));
-        const int64_t touches_at =
-            e + ((sink - e) & (static_cast<int64_t>(hit | ins) - 1));
+        const int64_t installs_at = selectIf(ins, e, sink);
         if (wide)
             mask[pick >> 6] |= static_cast<uint64_t>(ins) << (pick & 63);
         else
-            *(ins ? mask : &mask_sink) = m | (1ull << pick);
-        tag0[installs_at] = w0;
-        tag_bits[installs_at] = bits;
-        meta[touches_at].epoch = epoch;
-        meta[installs_at].tenant = tenant;
+            valid[selectIf(ins, static_cast<int64_t>(set) * mask_words,
+                           mask_sink)] = m | (1ull << pick);
+        Line &at = lines[installs_at];
+        at.word0 = w0;
+        at.bits = bits;
+        at.tenant = tenant;
+        lines[selectIf(hit | ins, e, sink)].epoch = epoch;
+        keys[installs_at] = key;
         if (long_tags && ins)
             tagRest_[static_cast<size_t>(e)].assign(w + 1, w + wpr);
         backlog[set] += ins;
@@ -299,8 +370,9 @@ void
 MCache::install(int64_t entry_id, int bits, const uint64_t *words)
 {
     const size_t e = static_cast<size_t>(entry_id);
-    tagWord0_[e] = bits > 0 ? words[0] : 0;
-    tagBits_[e] = bits;
+    lines_[e].word0 = bits > 0 ? words[0] : 0;
+    lines_[e].bits = bits;
+    tagKeys_[e] = tagKey(bits, lines_[e].word0);
     if (bits > 64)
         tagRest_[e].assign(words + 1, words + Signature::wordsFor(bits));
 }
@@ -358,7 +430,7 @@ MCache::setTenantQuota(int64_t entries, int max_tenants)
     for (int set = 0; set < sets_; ++set)
         for (int way = 0; way < ways_; ++way)
             if (valid({set, way}))
-                countQuotaLine(meta({set, way}).tenant);
+                countQuotaLine(line({set, way}).tenant);
 }
 
 int64_t
@@ -374,7 +446,7 @@ MCache::resetLine(Way l)
 {
     if (valid(l))
         dropLine(l);
-    meta(l) = Meta{};
+    line(l) = Line{};
 }
 
 void
@@ -398,11 +470,16 @@ MCache::clear()
             for (size_t i = 0; i < installedCount_; ++i)
                 if (valid(listed[i]))
                     dropLine(listed[i]);
+        // One store per mask word (a fill would call memset per line).
+        uint64_t *const valid = valid_.data();
+        const int mask_words = maskWords_;
         for (size_t i = 0; i < installedCount_; ++i) {
             const Way l = listed[i];
-            meta(l) = Meta{};
-            std::fill_n(&valid_[static_cast<size_t>(l.set) * maskWords_],
-                        maskWords_, 0);
+            line(l) = Line{};
+            uint64_t *mask = valid + static_cast<size_t>(l.set) * mask_words;
+            mask[0] = 0;
+            for (int w = 1; w < mask_words; ++w)
+                mask[w] = 0;
             insertBacklog_[static_cast<size_t>(l.set)] = 0;
         }
     }
@@ -440,13 +517,13 @@ MCache::resetInsertBacklog()
 uint64_t
 MCache::entryEpoch(int64_t entry_id) const
 {
-    return meta(wayOf(entry_id)).epoch;
+    return line(wayOf(entry_id)).epoch;
 }
 
 int
 MCache::entryTenant(int64_t entry_id) const
 {
-    return meta(wayOf(entry_id)).tenant;
+    return line(wayOf(entry_id)).tenant;
 }
 
 bool
@@ -461,10 +538,10 @@ MCache::tagOf(int64_t entry_id) const
     if (!valid(wayOf(entry_id)))
         panic("MCACHE tag read of an invalid line: entry ", entry_id);
     const size_t e = static_cast<size_t>(entry_id);
-    const int bits = tagBits_[e];
+    const int bits = lines_[e].bits;
     if (bits <= 64)
-        return Signature::fromWords(bits, &tagWord0_[e]);
-    std::vector<uint64_t> words(1, tagWord0_[e]);
+        return Signature::fromWords(bits, &lines_[e].word0);
+    std::vector<uint64_t> words(1, lines_[e].word0);
     words.insert(words.end(), tagRest_[e].begin(), tagRest_[e].end());
     return Signature::fromWords(bits, words.data());
 }
@@ -475,7 +552,7 @@ MCache::tenantEntries(int tenant) const
     int64_t n = 0;
     for (int set = 0; set < sets_; ++set)
         for (int way = 0; way < ways_; ++way)
-            n += valid({set, way}) && meta({set, way}).tenant == tenant;
+            n += valid({set, way}) && line({set, way}).tenant == tenant;
     return n;
 }
 
@@ -485,13 +562,13 @@ MCache::pin(int64_t entry_id)
     const Way l = wayOf(entry_id);
     if (!valid(l))
         panic("MCACHE pin of an invalid line: entry ", entry_id);
-    ++meta(l).pins;
+    ++line(l).pins;
 }
 
 void
 MCache::unpin(int64_t entry_id)
 {
-    Meta &m = meta(wayOf(entry_id));
+    Line &m = line(wayOf(entry_id));
     if (m.pins == 0)
         panic("MCACHE unpin of an unpinned line: entry ", entry_id);
     --m.pins;
@@ -500,13 +577,13 @@ MCache::unpin(int64_t entry_id)
 uint32_t
 MCache::pinCount(int64_t entry_id) const
 {
-    return meta(wayOf(entry_id)).pins;
+    return line(wayOf(entry_id)).pins;
 }
 
 void
 MCache::dropLine(Way l)
 {
-    Meta &m = meta(l);
+    Line &m = line(l);
     if (int64_t *held = quotaCount(m.tenant))
         --*held;
     maskWord(l) &= ~(1ull << (l.way % 64));
@@ -522,7 +599,7 @@ MCache::evictWhere(Pred &&evict)
     for (int set = 0; set < sets_; ++set) {
         for (int way = 0; way < ways_; ++way) {
             const Way l{set, way};
-            const Meta &m = meta(l);
+            const Line &m = line(l);
             if (!valid(l) || m.pins > 0 || !evict(m))
                 continue;
             dropLine(l);
@@ -535,13 +612,13 @@ MCache::evictWhere(Pred &&evict)
 int64_t
 MCache::evictOlderThan(uint64_t min_epoch)
 {
-    return evictWhere([&](const Meta &m) { return m.epoch < min_epoch; });
+    return evictWhere([&](const Line &m) { return m.epoch < min_epoch; });
 }
 
 int64_t
 MCache::evictTenant(int tenant)
 {
-    return evictWhere([&](const Meta &m) { return m.tenant == tenant; });
+    return evictWhere([&](const Line &m) { return m.tenant == tenant; });
 }
 
 void
@@ -554,7 +631,10 @@ MCache::restoreLine(int64_t entry_id, const Signature &sig,
     countQuotaLine(tenant);
     maskWord(l) |= 1ull << (l.way % 64);
     install(entry_id, sig.bits(), sig.words());
-    meta(l) = {epoch, tenant, 0};
+    Line &ln = line(l);
+    ln.epoch = epoch;
+    ln.tenant = tenant;
+    ln.pins = 0;
     noteInstalled(l);
 }
 

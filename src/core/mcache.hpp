@@ -26,25 +26,26 @@
  * records and snapshots carry it.
  *
  * Tag store: each set keeps a valid-way bitmap of ceil(ways / 64)
- * words, the only record of which lines hold a tag, and each line its
- * first tag word and tag length in flat arrays (later words of tags
- * longer than 64 bits live apart). Epoch, tenant and pins sit in a
- * separate array, off the compare path.
+ * words, the only record of which lines hold a tag. Each line keeps a
+ * record of its first tag word, tag length, epoch, tenant and pins
+ * (later words of tags longer than 64 bits live apart), and a 32-bit
+ * key of its tag in a flat array the probe compares a set's ways in.
  *
- * One probe, one loop (probeBlock): the hardware compares a set's
- * ways at once and the outcome only steers which rows compute
- * (§III-B3, Fig. 9), so the probe of a block of rows branches on no
- * row's outcome. Per row it compares the set's first four ways
- * unconditionally (clamped into the set, masked by the valid bits),
- * compares further valid ways only when the set holds more, picks the
- * first matching way or else the lowest free one by masks — the Fig. 9
- * first-match and first-free-way rules — and writes the tag, epoch,
- * tenant, valid bit, insert backlog, installed list, quota count,
- * counters and owner table by masks (a write a row does not make goes
- * to a sink line past the last set). It prefetches the set of the row
- * eight ahead. What holds for a whole block (tags over 64 bits, sets
- * over 64 ways, a quota, an owner table) stays a predictable branch
- * inside that loop. lookupOrInsert is its one-row case.
+ * One probe (probeBlock): the hardware compares a set's ways at once
+ * and the outcome only steers which rows compute (§III-B3, Fig. 9), so
+ * the probe of a block of rows branches on no row's outcome. Per row it
+ * compares the row's key with every way's key at once (SSE2, 16 ways a
+ * block), masks the candidates by the valid bits and checks the first
+ * in full (a key match that is not the tag walks the rest, rarely),
+ * picks the first matching way or else the lowest free one by masks —
+ * the Fig. 9 first-match and first-free-way rules — and writes the
+ * valid bit, the line's record and key, insert backlog, installed
+ * list, quota count, counters and owner table by masks (a write a row
+ * does not make goes to a sink past the last set). It prefetches the
+ * set of the row eight ahead. What holds for a whole block (tags over
+ * 64 bits or sets over 64 ways: a walk of the valid ways; a quota; an
+ * owner table) stays a predictable branch inside that loop.
+ * lookupOrInsert is its one-row case.
  *
  * An MCache takes no locks: one thread at a time touches a cache.
  * The detection pipeline probes on its driving thread only, and the
@@ -218,6 +219,36 @@ struct McacheProbe
     int64_t forwarded = 0;
 };
 
+/**
+ * n % d for every 64-bit n and a divisor d in [1, 2^32), without a
+ * division: d's reciprocal c = ceil(2^128 / d), kept mod 2^128, gives
+ * n % d = ((c * n mod 2^128) * d) >> 128 (Lemire, Kaser and Kurz,
+ * "Faster Remainder by Direct Computation", 2019). One formula for
+ * every d, 1 included (c wraps to 0). MCache keeps one for its set
+ * count, so a row's set index pays no division.
+ */
+class ExactRemainder
+{
+  public:
+    explicit ExactRemainder(uint32_t d)
+        : d_(d), c_(~static_cast<unsigned __int128>(0) / d + 1)
+    {
+    }
+
+    uint32_t operator()(uint64_t n) const
+    {
+        const unsigned __int128 low = c_ * n;
+        const unsigned __int128 bottom =
+            static_cast<unsigned __int128>(static_cast<uint64_t>(low)) * d_;
+        const unsigned __int128 top = (low >> 64) * d_ + (bottom >> 64);
+        return static_cast<uint32_t>(top >> 64);
+    }
+
+  private:
+    uint64_t d_;
+    unsigned __int128 c_;
+};
+
 /** The MERCURY result cache. */
 class MCache
 {
@@ -263,12 +294,23 @@ class MCache
      */
     void clear();
 
-    /** Set index of the signature with these packed words. */
+    /**
+     * Set index of the signature with these packed words:
+     * Signature::hashWords(bits, words) % sets(), by the cache's exact
+     * reciprocal of sets().
+     */
     int setIndexOf(int bits, const uint64_t *words) const
     {
-        return static_cast<int>(Signature::hashWords(bits, words) %
-                                static_cast<uint64_t>(sets_));
+        return static_cast<int>(setOf_(Signature::hashWords(bits, words)));
     }
+
+    /**
+     * setIndexOf of `rows` rows of packed words, wordsFor(bits) per
+     * row from `words`, into sets[0 .. rows): a hash job's block, with
+     * no call or division per row.
+     */
+    void setIndices(int bits, const uint64_t *words, int64_t rows,
+                    int32_t *sets) const;
 
     /** Occupancy (valid tags) of one set. */
     int setOccupancy(int set) const;
@@ -369,10 +411,17 @@ class MCache
     const McacheCounters &stats() const { return stats_; }
 
   private:
-    /** Lifecycle metadata of one line (never read by the compare). */
-    struct Meta
+    /**
+     * One line: its tag's first word and length next to the lifecycle
+     * metadata an insert stamps and a HIT refreshes, so a probed row
+     * writes one record. A line resets whole: one not valid holds no
+     * tag.
+     */
+    struct Line
     {
+        uint64_t word0 = 0; ///< first tag word
         uint64_t epoch = 0; ///< last-touch epoch (insert / HIT)
+        int32_t bits = 0;   ///< tag length
         int tenant = -1;    ///< owning tenant (-1 = unowned)
         uint32_t pins = 0;  ///< eviction pins (in-flight HITs)
     };
@@ -387,13 +436,15 @@ class MCache
     int ways_;
     int versions_;
     int maskWords_; ///< valid-mask words per set, ceil(ways / 64)
+    ExactRemainder setOf_; ///< hash % sets_
     /// Valid-way bitmap, maskWords_ words per set: bit w of word w / 64.
     std::vector<uint64_t> valid_;
-    std::vector<uint64_t> tagWord0_; ///< first tag word per line
-    std::vector<int32_t> tagBits_;   ///< tag length per line
+    std::vector<Line> lines_; ///< every line, then the probe's sink line
+    /// tagKey of each line's tag, the probe's compare, then padding so
+    /// the last set's 16-way block reads inside the vector.
+    std::vector<uint32_t> tagKeys_;
     /// Words past the first of tags longer than 64 bits, per line.
     std::vector<std::vector<uint64_t>> tagRest_;
-    std::vector<Meta> meta_;
     std::vector<uint64_t> insertBacklog_;
     /// Lines installed since the last clear (insert or restore):
     /// [0, installedCount_), at most entries() of them, and room for
@@ -412,12 +463,23 @@ class MCache
     Way wayOf(int64_t entry_id) const;
     uint64_t &maskWord(Way l);
     bool valid(Way l) const;
-    Meta &meta(Way l);
-    const Meta &meta(Way l) const;
+    Line &line(Way l);
+    const Line &line(Way l) const;
     void install(int64_t entry_id, int bits, const uint64_t *words);
+    /**
+     * The 32-bit key the probe compares a set's ways by: equal tags
+     * have equal keys, so a key match is a candidate the probe then
+     * checks in full.
+     */
+    static uint32_t tagKey(int bits, uint64_t word0)
+    {
+        return static_cast<uint32_t>(word0) ^
+               static_cast<uint32_t>(word0 >> 32) ^
+               static_cast<uint32_t>(bits) * 0x9E3779B1u;
+    }
     /** Invalidate a valid line, releasing its quota (pins stay). */
     void dropLine(Way l);
-    /** Drop every valid, unpinned line whose metadata `evict` picks. */
+    /** Drop every valid, unpinned line whose record `evict` picks. */
     template <typename Pred>
     int64_t evictWhere(Pred &&evict);
     void noteInstalled(Way l);
@@ -433,8 +495,8 @@ class MCache
     };
 
     /**
-     * The Fig. 9 search as a plain walk over every way of `set`:
-     * probeBlock's path for sets over 64 ways.
+     * The Fig. 9 search as a plain walk over every valid way of `set`:
+     * probeBlock's path for sets over 64 ways and tags over 64 bits.
      */
     Slot searchSet(int set, int bits, const uint64_t *words) const;
     void resetLine(Way l);

@@ -152,31 +152,11 @@ RPQEngine::signatureWords(const ConvFrame &geometry, const float *frame,
     if (bits <= 0 || bits > maxBits_)
         panic("frame signatures asked for ", bits, " bits, engine has ",
               maxBits_);
-    if (row0 == row1)
-        return;
-    // Whole output rows of about kTilePositions positions at a time,
-    // so the tile stays L1-resident; the tile is per thread (hash
-    // blocks run on pool workers) and only ever grows.
-    constexpr int64_t kTilePositions = 128;
-    const int64_t tile_rows = std::max<int64_t>(1, kTilePositions / ow);
-    const int wpr = Signature::wordsFor(bits);
-    thread_local std::vector<float> tile;
-    const size_t tile_floats = static_cast<size_t>(tile_rows * ow * bits);
-    if (tile.size() < tile_floats)
-        tile.resize(tile_floats);
     const kernels::KernelOps &k = kernels::ops();
-    for (int64_t y = row0 / ow; y * ow < row1; y += tile_rows) {
-        const int64_t rows = std::min(tile_rows, (row1 - 1) / ow + 1 - y);
-        const int64_t pitch = rows * ow;
-        k.convForward(frame + y * geometry.rowStep(), taps.data(),
-                      vectorDim_, geometry.rowStep(), matrix_.data(),
-                      nullptr, bits, rows, ow, tile.data(), pitch);
-        // Pack the part of [row0, row1) these output rows hold.
-        const int64_t lo = std::max(row0, y * ow);
-        const int64_t hi = std::min(row1, (y + rows) * ow);
-        k.signPackColumns(tile.data() + (lo - y * ow), pitch, hi - lo, bits,
-                          wpr, out + (lo - row0) * wpr);
-    }
+    k.signFrame(frame, taps.data(), vectorDim_, geometry.rowStep(), ow, row0,
+                row1, matrix_.data(),
+                k.wantsInterleaved ? interleaved() : nullptr, maxBits_, bits,
+                Signature::wordsFor(bits), out);
 }
 
 Tensor

@@ -96,13 +96,12 @@ class RPQEngine
      * `frame` as the conv frame `geometry` describes (tensor/ops.hpp),
      * whose kH * kW patches are the vectors (kH * kW == vectorDim()).
      * Equal, word for word, to the row form over the channel's im2col
-     * rows: the active table's convForward runs with the first `bits`
-     * random filters as its weights and no bias — each projection
-     * from +0, taps ascending, as projectRows sums a row — over the
-     * output rows that cover the range, into a per-thread tile, and
-     * signPackColumns packs exactly [row0, row1). A range may start
-     * and end mid output row. Allocates nothing once the tile has
-     * grown.
+     * rows: the active table's signFrame convolves the frame with the
+     * first `bits` random filters — each projection from +0, taps
+     * ascending, as projectRows sums a row — and writes the sign bits
+     * straight into `out`, with no projection stored. A range may
+     * start and end mid output row. Allocates nothing (past the
+     * interleaved mirror, built once).
      */
     void signatureWords(const ConvFrame &geometry, const float *frame,
                         int64_t row0, int64_t row1, int bits,

@@ -66,21 +66,6 @@ Signature::prefix(int bits) const
     return out;
 }
 
-uint64_t
-Signature::hashWords(int bits, const uint64_t *words)
-{
-    // SplitMix64-style mixing over the words plus the length, so
-    // signatures of different lengths never alias.
-    uint64_t h = 0x9E3779B97F4A7C15ull ^ static_cast<uint64_t>(bits);
-    for (int w = 0; w < wordsFor(bits); ++w) {
-        h ^= words[w] + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-        h *= 0xBF58476D1CE4E5B9ull;
-        h ^= h >> 27;
-    }
-    h *= 0x94D049BB133111EBull;
-    return h ^ (h >> 31);
-}
-
 std::string
 Signature::str() const
 {

@@ -7,9 +7,11 @@
  * Storage is small-buffer optimized: a signature of up to 64 bits
  * lives in one inline word, and only longer ones allocate a word
  * vector. Either way the packed words are contiguous (words()), in
- * the layout the sign-pack kernel writes, the MCACHE probes compare
- * and the records store, so the packed-word forms (hashWords, the
- * word probes) and the Signature forms agree by construction.
+ * the layout the sign kernels (signPack, signFrame) write, the MCACHE
+ * probes compare and the records store, so the packed-word forms
+ * (hashWords, the word probes) and the Signature forms agree by
+ * construction. hashWords is inline: the detection pipeline takes a
+ * set index per row from it.
  */
 
 #ifndef MERCURY_CORE_SIGNATURE_HPP
@@ -44,9 +46,25 @@ class Signature
     /**
      * hash() of the signature whose packed words are `words`
      * (wordsFor(bits) of them, bits past `bits` zero): the detection
-     * pipeline takes set indices from packed words with it.
+     * pipeline takes set indices from packed words with it. Inline, so
+     * a row's set index pays no call.
      */
-    static uint64_t hashWords(int bits, const uint64_t *words);
+    static uint64_t hashWords(int bits, const uint64_t *words)
+    {
+        uint64_t h = hashSeed(bits);
+        for (int w = 0; w < wordsFor(bits); ++w)
+            h = hashStep(h, words[w]);
+        return hashFinish(h);
+    }
+
+    /**
+     * hashWords of a signature of 1..64 bits, whose one word is `word`:
+     * no loop, no branch.
+     */
+    static uint64_t hashWord(int bits, uint64_t word)
+    {
+        return hashFinish(hashStep(hashSeed(bits), word));
+    }
 
     int bits() const { return bits_; }
 
@@ -105,6 +123,25 @@ class Signature
     std::string str() const;
 
   private:
+    // SplitMix64-style mixing over the words plus the length, so
+    // signatures of different lengths never alias.
+    static constexpr uint64_t kGolden = 0x9E3779B97F4A7C15ull;
+    static uint64_t hashSeed(int bits)
+    {
+        return kGolden ^ static_cast<uint64_t>(bits);
+    }
+    static uint64_t hashStep(uint64_t h, uint64_t word)
+    {
+        h ^= word + kGolden + (h << 6) + (h >> 2);
+        h *= 0xBF58476D1CE4E5B9ull;
+        return h ^ (h >> 27);
+    }
+    static uint64_t hashFinish(uint64_t h)
+    {
+        h *= 0x94D049BB133111EBull;
+        return h ^ (h >> 31);
+    }
+
     int bits_ = 0;
     uint64_t word0_ = 0;         ///< the word of bits_ <= 64 (else 0)
     std::vector<uint64_t> heap_; ///< every word of bits_ > 64 (else empty)

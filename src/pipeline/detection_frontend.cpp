@@ -23,15 +23,6 @@ PipelineConfig::fromConfig(const AcceleratorConfig &cfg)
     return pipe;
 }
 
-PipelineConfig
-PipelineConfig::resolvedFor(int64_t rows) const
-{
-    PipelineConfig resolved = *this;
-    if (blockRows == 0)
-        resolved.blockRows = tunedPipelineFor(std::max<int64_t>(rows, 1));
-    return resolved;
-}
-
 /**
  * A pooled pass's hand-off: hashers finish blocks in any order, and the
  * frontier walk pushes them into the queue ascending. Built for each
@@ -136,9 +127,8 @@ DetectionHashJob::projectBlock(int64_t b)
         rpq_->signatureWords(*rows_, r0, r1, bits_, words);
     else
         rpq_->signatureWords(*geometry_, frame_, r0, r1, bits_, words);
-    for (int64_t i = r0; i < r1; ++i)
-        pass_.entryIds[static_cast<size_t>(i)] =
-            cache_->setIndexOf(bits_, pass_.wordsOf(i));
+    cache_->setIndices(bits_, words, r1 - r0,
+                       pass_.entryIds.data() + static_cast<size_t>(r0));
 }
 
 bool
@@ -264,11 +254,10 @@ DetectionFrontend::beginJob(DetectionHashJob &job, const Tensor *rows,
     if (bits <= 0 || bits > maxBits_)
         panic("signature bits ", bits, " outside engine range 1..",
               maxBits_);
-    const int64_t block_rows = pipe_.resolvedFor(n).blockRows;
-    if (block_rows <= 0)
-        panic("pipeline block size must be positive, got ", block_rows);
+    if (pipe_.blockRows <= 0)
+        panic("pipeline block size must be positive, got ", pipe_.blockRows);
     job.start(rows, geometry, frame, n, rpqFor(dim), *cache_, bits,
-              block_rows, poolFor(), std::move(storage));
+              pipe_.blockRows, poolFor(), std::move(storage));
 }
 
 SignatureRecord::Pass

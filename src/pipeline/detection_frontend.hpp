@@ -72,11 +72,7 @@ namespace mercury {
 /** Tuning knobs of the detection pipeline. */
 struct PipelineConfig
 {
-    /**
-     * Rows per projection work item (stage 1 granularity). 0 = auto:
-     * resolved per pass to the sweep-tuned value for the pass size
-     * (tunedPipelineFor, bench/sweep_tuning).
-     */
+    /** Rows per projection work item (stage 1 granularity), > 0. */
     int64_t blockRows = 64;
 
     /**
@@ -101,13 +97,6 @@ struct PipelineConfig
 
     /** Lift the pipeline knobs out of an accelerator configuration. */
     static PipelineConfig fromConfig(const AcceleratorConfig &cfg);
-
-    /**
-     * Effective knobs for a pass over `rows` vectors: blockRows == 0
-     * (auto) resolves to the sweep-tuned block size for the pass
-     * size; explicit values pass through untouched.
-     */
-    PipelineConfig resolvedFor(int64_t rows) const;
 };
 
 /**

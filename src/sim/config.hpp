@@ -81,12 +81,10 @@ struct AcceleratorConfig
 
     /**
      * Detection-pipeline front-end knobs (src/pipeline): rows per
-     * projection work block and worker threads (1 = single-threaded
-     * legacy path, 0 = auto-detect; the pool hashes live passes and
-     * runs the replays). Results are bit-identical across all values;
-     * the knobs trade only throughput. A block size of 0 resolves per
-     * pass to the sweep-tuned value for the pass size (see
-     * tunedPipelineFor / bench/sweep_tuning).
+     * projection work block (positive) and worker threads (1 =
+     * single-threaded legacy path, 0 = auto-detect; the pool hashes
+     * live passes and runs the replays). Results are bit-identical
+     * across all values; the knobs trade only throughput.
      */
     int64_t pipelineBlockRows = 64;
     int pipelineThreads = 1;
@@ -142,21 +140,6 @@ struct AcceleratorConfig
     /** Total MCACHE entries. */
     int mcacheEntries() const { return mcacheSets * mcacheWays; }
 };
-
-/**
- * Sweep-tuned block size (pipelineBlockRows = 0, auto) for one
- * detection-pass size, picked by bench/sweep_tuning over
- * ImageNet-scale layer shapes (ResNet-50 conv sizes at 224x224
- * inputs; recorded in BENCH_tuning.json). Measured: passes with cheap
- * per-row hashing (3x3 kernels, d = 9) are flat across block sizes,
- * so they keep the stock 64-row blocks; the large-vector stem pass
- * (12544 rows, d = 49) peaks at 128-row blocks (+13% over 64).
- */
-inline int64_t
-tunedPipelineFor(int64_t rows_per_pass)
-{
-    return rows_per_pass <= 4096 ? 64 : 128;
-}
 
 } // namespace mercury
 

@@ -108,11 +108,10 @@ TEST(Accelerator, BaselineBatchMatchesReportTotals)
 
 TEST(Accelerator, AutoPipelineKnobsTrainLikeTheDefaults)
 {
-    // 0 is the documented auto value of both detection-pipeline knobs
-    // (sim/config.hpp). The simulator reads neither, so a run with
-    // them at auto prices every batch as the defaults do.
+    // 0 is the documented auto value of the thread knob
+    // (sim/config.hpp). The simulator reads no pipeline knob, so a run
+    // with it at auto prices every batch as the defaults do.
     AcceleratorConfig auto_cfg = rsConfig();
-    auto_cfg.pipelineBlockRows = 0;
     auto_cfg.pipelineThreads = 0;
     MercuryAccelerator acc(auto_cfg, tinyCnn());
     MercuryAccelerator ref(rsConfig(), tinyCnn());

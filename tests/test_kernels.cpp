@@ -233,53 +233,161 @@ someRows(int64_t n, int64_t count, uint64_t seed)
     return all;
 }
 
-TEST(Kernels, SignPackColumnsBitIdentity)
+/**
+ * The signFrame definition, from the conv frame: bit b of position r
+ * is p < 0.0f, p from +0 adding frame * cols[b * taps + t] over taps
+ * ascending; unused high bits zero.
+ */
+std::vector<uint64_t>
+frameWordsReference(const float *frame, const std::vector<int64_t> &taps,
+                    int64_t rowStep, int64_t ow, int64_t r0, int64_t r1,
+                    const float *cols, int bits)
 {
-    const KernelOps *ax = kernels::avx2Ops();
-    if (!ax)
-        GTEST_SKIP() << "host lacks AVX2";
-    const KernelOps &sc = kernels::scalarOps();
-    const float denormal = std::numeric_limits<float>::denorm_min();
-    const float nan = std::numeric_limits<float>::quiet_NaN();
-    // +0, -0.0f and NaN of either sign set no bit (p < 0.0f is false);
-    // a negative denormal does.
-    const float planted[] = {0.0f, -0.0f, nan, -nan, denormal, -denormal};
-    constexpr uint64_t kWordSentinel = 0xa5a5a5a5a5a5a5a5ull;
-    for (int bits = 1; bits <= 130; bits += bits < 70 ? 1 : 3) {
-        const int64_t wpr = Signature::wordsFor(bits);
-        for (int64_t n = 1; n <= 40; n += n < 10 ? 1 : 7) {
-            const int64_t pitch = n + 1 + bits % 5;
-            // The block ends where the allocation does: a read past the
-            // last filter's n projections leaves the buffer.
-            std::vector<float> proj =
-                randomFloats((bits - 1) * pitch + n, 41 * bits + n);
-            for (size_t i = 0; i < std::size(planted); ++i) {
-                const int64_t b = static_cast<int64_t>(i) % bits;
-                proj[static_cast<size_t>(b * pitch + (i * 7) % n)] =
-                    planted[i];
-            }
-            std::vector<uint64_t> w_sc(static_cast<size_t>(n * wpr + 4),
-                                       kWordSentinel);
-            std::vector<uint64_t> w_ax(w_sc);
-            sc.signPackColumns(proj.data(), pitch, n, bits, wpr, w_sc.data());
-            ax->signPackColumns(proj.data(), pitch, n, bits, wpr,
-                                w_ax.data());
-            ASSERT_EQ(w_sc, w_ax) << "bits=" << bits << " n=" << n;
-            // The definition: bit b of row i is proj[b*pitch + i] < 0.0f,
-            // unused high bits zero.
-            std::vector<uint64_t> ref(static_cast<size_t>(n * wpr), 0);
-            for (int64_t i = 0; i < n; ++i)
-                for (int64_t b = 0; b < bits; ++b)
-                    if (proj[static_cast<size_t>(b * pitch + i)] < 0.0f)
-                        ref[static_cast<size_t>(i * wpr + b / 64)] |=
-                            1ull << (b % 64);
-            ASSERT_TRUE(std::equal(ref.begin(), ref.end(), w_ax.begin()))
-                << "bits=" << bits << " n=" << n;
-            for (size_t i = ref.size(); i < w_ax.size(); ++i)
-                ASSERT_EQ(w_ax[i], kWordSentinel)
-                    << "write past the block, bits=" << bits << " n=" << n;
+    const int64_t wpr = Signature::wordsFor(bits);
+    const int64_t d = static_cast<int64_t>(taps.size());
+    std::vector<uint64_t> words(static_cast<size_t>((r1 - r0) * wpr), 0);
+    for (int64_t r = r0; r < r1; ++r) {
+        const float *src = frame + r / ow * rowStep + r % ow;
+        for (int b = 0; b < bits; ++b) {
+            float p = 0.0f;
+            for (int64_t t = 0; t < d; ++t)
+                p += src[taps[static_cast<size_t>(t)]] * cols[b * d + t];
+            if (p < 0.0f)
+                words[static_cast<size_t>((r - r0) * wpr + b / 64)] |=
+                    1ull << (b % 64);
         }
     }
+    return words;
+}
+
+TEST(Kernels, SignFrameBitIdentity)
+{
+    // Every table's signFrame writes the definition's words, memcmp:
+    // kernels 1/3/5/7, stride 1/2, pad 0/1/2 at widths 1..40 (partial
+    // octets of positions), bit lengths past several words, ranges
+    // that start and end mid output row, and planes holding +-0, NaN
+    // and +-inf. Writes nothing past the range's words.
+    const KernelOps &sc = kernels::scalarOps();
+    const KernelOps *ax = kernels::avx2Ops();
+    constexpr int kBits[] = {1, 8, 28, 31, 32, 33, 63, 64, 65, 130};
+    constexpr int kMaxBits = 130;
+    constexpr uint64_t kWordSentinel = 0xa5a5a5a5a5a5a5a5ull;
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float planted[] = {0.0f, -0.0f, nan, -nan, inf, -inf};
+    std::mt19937_64 rng(61);
+    int cases = 0;
+    for (const int64_t k : {1, 3, 5, 7}) {
+        // R is a (bits, k*k) matrix, filter b at cols[b * k*k], and its
+        // interleaved mirror holds room for kMaxBits + 3 filters.
+        const int64_t d = k * k;
+        const int stride_inter = kMaxBits + 3;
+        const std::vector<float> cols =
+            randomFloats(d * kMaxBits, 67 + static_cast<uint64_t>(k));
+        std::vector<float> inter(static_cast<size_t>(d * stride_inter));
+        for (int b = 0; b < kMaxBits; ++b)
+            for (int64_t t = 0; t < d; ++t)
+                inter[static_cast<size_t>(t * stride_inter + b)] =
+                    cols[static_cast<size_t>(b * d + t)];
+        for (const int64_t stride : {1, 2}) {
+            for (const int64_t pad : {0, 1, 2}) {
+                for (int64_t w = 1; w <= 40; ++w) {
+                    if (w + 2 * pad < k)
+                        continue;
+                    const int64_t h =
+                        std::max<int64_t>(k - 2 * pad, 1) + w % 4;
+                    ConvSpec spec;
+                    spec.kernelH = spec.kernelW = k;
+                    spec.stride = stride;
+                    spec.pad = pad;
+                    const ConvFrame geometry(spec, h, w);
+                    std::vector<float> plane = randomFloats(
+                        h * w, 71 * static_cast<uint64_t>(w) + k + pad);
+                    for (size_t i = 0; i < std::size(planted); ++i)
+                        plane[rng() % plane.size()] = planted[i];
+                    std::vector<float> frame(
+                        static_cast<size_t>(geometry.size()));
+                    geometry.load(plane.data(), 1, frame.data());
+                    const std::vector<int64_t> &taps =
+                        geometry.channelTaps();
+                    const int64_t ow = geometry.outW();
+                    const int64_t n = geometry.outH() * ow;
+                    // The whole plane, then a range from inside the
+                    // first output row to inside the last.
+                    const int64_t ranges[2][2] = {
+                        {0, n},
+                        {static_cast<int64_t>(rng() % ((ow + 1) / 2 + 1)),
+                         n - static_cast<int64_t>(rng() % ((ow + 1) / 2 + 1))}};
+                    for (const auto &range : ranges) {
+                        const int64_t r0 = range[0];
+                        const int64_t r1 = std::max(range[0], range[1]);
+                        const int bits =
+                            kBits[(w * 3 + k + stride + pad + r0) %
+                                  std::size(kBits)];
+                        const int64_t wpr = Signature::wordsFor(bits);
+                        const std::vector<uint64_t> ref =
+                            frameWordsReference(frame.data(), taps,
+                                                geometry.rowStep(), ow, r0,
+                                                r1, cols.data(), bits);
+                        std::vector<uint64_t> got(ref.size() + 4,
+                                                  kWordSentinel);
+                        for (const KernelOps *table : {&sc, ax}) {
+                            if (!table)
+                                continue;
+                            std::fill(got.begin(), got.end(), kWordSentinel);
+                            table->signFrame(frame.data(), taps.data(), d,
+                                             geometry.rowStep(), ow, r0, r1,
+                                             cols.data(), inter.data(),
+                                             stride_inter, bits, wpr,
+                                             got.data());
+                            ASSERT_TRUE(std::equal(ref.begin(), ref.end(),
+                                                   got.begin()))
+                                << table->name << " k=" << k
+                                << " stride=" << stride << " pad=" << pad
+                                << " w=" << w << " bits=" << bits
+                                << " range=[" << r0 << ", " << r1 << ")";
+                            for (size_t i = ref.size(); i < got.size(); ++i)
+                                ASSERT_EQ(got[i], kWordSentinel)
+                                    << table->name << " wrote past the range";
+                        }
+                        ++cases;
+                    }
+                }
+            }
+        }
+    }
+    // Every bit length at one shape with partial octets, both tables.
+    ConvSpec spec;
+    spec.pad = 1;
+    const ConvFrame geometry(spec, 5, 13);
+    std::vector<float> plane = randomFloats(5 * 13, 73);
+    plane[7] = -0.0f;
+    plane[20] = nan;
+    std::vector<float> frame(static_cast<size_t>(geometry.size()));
+    geometry.load(plane.data(), 1, frame.data());
+    const std::vector<float> cols = randomFloats(9 * kMaxBits, 79);
+    std::vector<float> inter(static_cast<size_t>(9 * kMaxBits));
+    for (int b = 0; b < kMaxBits; ++b)
+        for (int64_t t = 0; t < 9; ++t)
+            inter[static_cast<size_t>(t * kMaxBits + b)] =
+                cols[static_cast<size_t>(b * 9 + t)];
+    for (const int bits : kBits) {
+        const std::vector<uint64_t> ref =
+            frameWordsReference(frame.data(), geometry.channelTaps(),
+                                geometry.rowStep(), 13, 3, 61, cols.data(),
+                                bits);
+        for (const KernelOps *table : {&sc, ax}) {
+            if (!table)
+                continue;
+            std::vector<uint64_t> got(ref.size());
+            table->signFrame(frame.data(), geometry.channelTaps().data(), 9,
+                             geometry.rowStep(), 13, 3, 61, cols.data(),
+                             inter.data(), kMaxBits, bits,
+                             Signature::wordsFor(bits), got.data());
+            ASSERT_EQ(ref, got) << table->name << " bits=" << bits;
+        }
+    }
+    EXPECT_GT(cases, 800);
 }
 
 TEST(Kernels, GatherSpanBitIdentity)
@@ -824,9 +932,11 @@ TEST(Kernels, Avx2BodiesReturnWithCleanUpperLanes)
          }},
         {"signPack",
          [&] { ax->signPack(src.data(), 9, 28, 1, words.data()); }},
-        {"signPackColumns",
+        {"signFrame",
          [&] {
-             ax->signPackColumns(src.data(), 13, 11, 28, 1, words.data());
+             ax->signFrame(src.data(), tap_off.data(), 9, frame.rowStep(), 13,
+                           3, 61, src.data(), src.data(), 28, 28, 1,
+                           words.data());
          }},
         {"copySpan", [&] { ax->copySpan(dst.data(), src.data(), 77); }},
         {"gatherSpan",

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <map>
 #include <random>
 #include <string>
@@ -636,6 +637,81 @@ randomSig(int bits, std::mt19937_64 &rng)
     for (uint64_t &w : words)
         w = rng();
     return Signature::fromWords(bits, words.data());
+}
+
+TEST(MCache, SetIndexIsHashModuloSets)
+{
+    // setIndexOf (and a hash job's setIndices) take hashWords % sets by
+    // an exact reciprocal, with no division: equal for every set count
+    // (1, powers of two, odd counts, INT_MAX) and every length, on
+    // random words and on the hashes at the ends of the range.
+    std::mt19937_64 rng(47);
+    const int lengths[] = {1, 28, 64, 65, 130};
+    for (const int sets : {1, 2, 3, 7, 64, 100, 4096, INT_MAX}) {
+        const ExactRemainder mod(static_cast<uint32_t>(sets));
+        const uint64_t d = static_cast<uint64_t>(sets);
+        for (const uint64_t h : {uint64_t{0}, uint64_t{1}, d - 1, d, d + 1,
+                                 ~uint64_t{0}, ~uint64_t{0} - d})
+            ASSERT_EQ(mod(h), h % d) << "sets " << sets << " hash " << h;
+        for (int i = 0; i < 2000; ++i) {
+            const uint64_t h = rng() >> (rng() % 64);
+            ASSERT_EQ(mod(h), h % d) << "sets " << sets << " hash " << h;
+        }
+        // A cache of INT_MAX sets is too large to build; the reduction
+        // above is the one it would use.
+        if (sets > 4096)
+            continue;
+        const MCache c(sets, 2, 1);
+        for (const int bits : lengths) {
+            const int wpr = Signature::wordsFor(bits);
+            constexpr int kRows = 50;
+            std::vector<uint64_t> words;
+            for (int r = 0; r < kRows; ++r) {
+                const Signature sig = randomSig(bits, rng);
+                words.insert(words.end(), sig.words(), sig.words() + wpr);
+            }
+            std::vector<int32_t> got(kRows);
+            c.setIndices(bits, words.data(), kRows, got.data());
+            for (int r = 0; r < kRows; ++r) {
+                const uint64_t *w = words.data() + r * wpr;
+                const int want = static_cast<int>(
+                    Signature::hashWords(bits, w) % d);
+                ASSERT_EQ(c.setIndexOf(bits, w), want)
+                    << "sets " << sets << " bits " << bits;
+                ASSERT_EQ(got[static_cast<size_t>(r)], want)
+                    << "sets " << sets << " bits " << bits;
+            }
+        }
+    }
+}
+
+TEST(MCache, KeyCollisionsCheckEveryCandidate)
+{
+    // 64-bit tags whose 32-bit halves are swapped share a probe key:
+    // the probe must check each candidate in full, in way order, and
+    // never HIT on a candidate that is not the tag.
+    MCache c(1, 4, 1);
+    const uint64_t ab = 0x0123456789abcdefull, ba = 0x89abcdef01234567ull;
+    const uint64_t other = 0x0f0f0f0f0f0f0f0full;
+    const Signature a = Signature::fromWords(64, &ab);
+    const Signature b = Signature::fromWords(64, &ba);
+    const Signature o = Signature::fromWords(64, &other);
+    EXPECT_EQ(c.lookupOrInsert(a).outcome, McacheOutcome::Mau);
+    const McacheResult b_in = c.lookupOrInsert(b);
+    EXPECT_EQ(b_in.outcome, McacheOutcome::Mau);
+    EXPECT_EQ(b_in.entryId, 1);
+    EXPECT_EQ(c.lookupOrInsert(o).entryId, 2);
+    const McacheResult b_hit = c.lookupOrInsert(b);
+    EXPECT_EQ(b_hit.outcome, McacheOutcome::Hit);
+    EXPECT_EQ(b_hit.entryId, 1);
+    const McacheResult a_hit = c.lookupOrInsert(a);
+    EXPECT_EQ(a_hit.outcome, McacheOutcome::Hit);
+    EXPECT_EQ(a_hit.entryId, 0);
+    // A third key twin misses every candidate and takes the free way.
+    const uint64_t twin = ab ^ 0x0000000100000001ull;
+    const McacheResult t = c.lookupOrInsert(Signature::fromWords(64, &twin));
+    EXPECT_EQ(t.outcome, McacheOutcome::Mau);
+    EXPECT_EQ(t.entryId, 3);
 }
 
 TEST(McacheReference, MatchesFig9RulesOverMixedStreams)

@@ -361,7 +361,7 @@ TEST(Frontend, FramePassesMatchTheDetectorOnIm2colRows)
         EXPECT_GT(ref.mix().hit, 0) << "the plane must produce hits";
         for (int threads : {1, 4}) {
             for (int64_t block : {int64_t{1}, int64_t{5}, int64_t{48},
-                                  int64_t{0}}) {
+                                  int64_t{64}}) {
                 SCOPED_TRACE("k=" + std::to_string(spec.kernelH) +
                              " threads=" + std::to_string(threads) +
                              " block=" + std::to_string(block));
@@ -519,11 +519,14 @@ TEST(Frontend, SignatureBitsOutsideTheEngineDie)
 
 TEST(Frontend, NegativeBlockSizeDies)
 {
-    PipelineConfig pipe;
-    pipe.blockRows = -1;
-    DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed, pipe);
-    Tensor rows({8, 4});
-    EXPECT_DEATH(fe.detect(rows, kBits), "block size must be positive");
+    // 0 is no block size either: there is no auto mode.
+    for (const int64_t block : {int64_t{-1}, int64_t{0}}) {
+        PipelineConfig pipe;
+        pipe.blockRows = block;
+        DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed, pipe);
+        Tensor rows({8, 4});
+        EXPECT_DEATH(fe.detect(rows, kBits), "block size must be positive");
+    }
 }
 
 TEST(Frontend, JobFinishedOnAnotherCacheDies)
@@ -677,45 +680,6 @@ TEST(Pipeline, ConfigKnobsLiftFromAcceleratorConfig)
     const HitMix mix = fe.detect(rows, 16).mix;
     EXPECT_TRUE(mix.consistent());
     EXPECT_EQ(mix.vectors, 64);
-}
-
-TEST(Pipeline, ResolvedBlockRowsTracksPassBand)
-{
-    // Explicit values pass through untouched.
-    PipelineConfig pipe;
-    pipe.blockRows = 7;
-    EXPECT_EQ(pipe.resolvedFor(12544).blockRows, 7);
-
-    // 0 = auto: the tunedPipelineFor band for the pass size — the
-    // stock 64-row blocks up to 4096 rows, 128 above. An empty pass
-    // resolves as a one-row pass.
-    pipe.blockRows = 0;
-    EXPECT_EQ(pipe.resolvedFor(0).blockRows, 64);
-    EXPECT_EQ(pipe.resolvedFor(4096).blockRows, 64);
-    EXPECT_EQ(pipe.resolvedFor(4097).blockRows, 128);
-    EXPECT_EQ(pipe.resolvedFor(12544).blockRows, 128);
-    // The stored knob stays auto; only the resolved copy changes.
-    EXPECT_EQ(pipe.blockRows, 0);
-}
-
-TEST(Pipeline, AutoBlockFrontendMatchesExplicitBlock)
-{
-    // Detection results are bit-identical across block sizes, so the
-    // auto band must change nothing observable, on either side of it.
-    for (int64_t n : {int64_t{96}, int64_t{4500}}) {
-        SCOPED_TRACE("rows=" + std::to_string(n));
-        Tensor rows = prototypeVectors(n, 10, 9, 0.01f, 11);
-        PipelineConfig auto_pipe;
-        auto_pipe.blockRows = 0;
-        auto_pipe.threads = 4;
-        DetectionFrontend auto_fe(32, 8, 2, kMaxBits, 13, auto_pipe);
-        PipelineConfig fixed_pipe;
-        fixed_pipe.blockRows = tunedPipelineFor(n);
-        fixed_pipe.threads = 4;
-        DetectionFrontend fixed_fe(32, 8, 2, kMaxBits, 13, fixed_pipe);
-        expectIdenticalPasses(auto_fe.detect(rows, 20),
-                              fixed_fe.detect(rows, 20));
-    }
 }
 
 } // namespace
