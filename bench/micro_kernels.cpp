@@ -11,6 +11,7 @@
  * targets the cycle columns print as null and only GB/s is gated.
  */
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdio>
@@ -365,11 +366,14 @@ main()
 
     // 7) The exact conv ops' bodies at the same two shapes (3x3, pad
     //    1: 12 -> 12 channels on 16x16, 24 -> 24 on 8x8): the forward
-    //    tile, the input-gradient gather once per input channel, and
-    //    the weight gradient as ownerWeightMul with every position an
-    //    owner. Cycles are per pass row — one output position of one
-    //    input channel, the unit of the owner keys — so each exact key
-    //    reads against the reuse pass's owner keys at its shape.
+    //    tile, the input gradient as convForward over the gradient
+    //    frames with flipped kernels (one call over every input channel,
+    //    as conv2dBackwardInput makes it, and one call per channel, the
+    //    dX replay's), and the weight gradient as ownerWeightMul with
+    //    every position an owner. Cycles are per pass row — one output
+    //    position of one input channel, the unit of the owner keys — so
+    //    each exact key reads against the reuse pass's owner keys at its
+    //    shape.
     const int64_t exact_images = smoke ? 2 : 64;
     auto exact_kernels = [&](int64_t channels, int64_t hw) {
         ConvSpec spec;
@@ -390,6 +394,11 @@ main()
         frame.load(plane.data(), c, frames.data());
         std::vector<float> gframes(static_cast<size_t>(c * gframe.size()));
         gframe.load(go.data(), c, nullptr, gframes.data());
+        Tensor weight({c, c, 3, 3});
+        std::copy(w.begin(), w.end(), weight.data());
+        const std::vector<float> flipped = gframe.flipKernels(weight);
+        const std::vector<int64_t> &gtaps = gframe.taps();
+        const int64_t ntaps = static_cast<int64_t>(gtaps.size());
         const std::vector<int64_t> tap_off = frame.tapOffsets(c);
         const std::vector<int64_t> base = frame.positionSlots();
         const int64_t taps = static_cast<int64_t>(tap_off.size());
@@ -413,13 +422,21 @@ main()
         });
         const Result dx = run(bytes, per_rows, [&](const kernels::KernelOps &k) {
             for (int64_t i = 0; i < exact_images; ++i)
-                for (int64_t ic = 0; ic < c; ++ic)
-                    k.convBackwardInput(gframes.data(), gframe.size(),
-                                        gframe.pitch(), c, w.data() + ic * 9,
-                                        c * 9, 3, 3, hw, hw,
-                                        gin.data() + ic * v);
+                k.convForward(gframes.data(), gtaps.data(), ntaps,
+                              gframe.pitch(), flipped.data(), nullptr, c, hw,
+                              hw, gin.data(), v);
             g_sink = gin[0];
         });
+        const Result replay_dx =
+            run(bytes, per_rows, [&](const kernels::KernelOps &k) {
+                for (int64_t i = 0; i < exact_images; ++i)
+                    for (int64_t ic = 0; ic < c; ++ic)
+                        k.convForward(gframes.data(), gtaps.data(), ntaps,
+                                      gframe.pitch(),
+                                      flipped.data() + ic * ntaps, nullptr, 1,
+                                      hw, hw, gin.data() + ic * v, v);
+                g_sink = gin[0];
+            });
         const Result dw = run(bytes, per_rows, [&](const kernels::KernelOps &k) {
             for (int64_t i = 0; i < exact_images; ++i)
                 k.ownerWeightMul(go_t.data(), c, v, frames.data(),
@@ -427,10 +444,10 @@ main()
                                  acc.data());
             g_sink = acc[0];
         });
-        return std::array<Result, 3>{fwd, dx, dw};
+        return std::array<Result, 4>{fwd, dx, dw, replay_dx};
     };
-    const std::array<Result, 3> exact12 = exact_kernels(12, 16);
-    const std::array<Result, 3> exact24 = exact_kernels(24, 8);
+    const std::array<Result, 4> exact12 = exact_kernels(12, 16);
+    const std::array<Result, 4> exact24 = exact_kernels(24, 8);
 
     Table t("kernel bodies (best-of-reps)");
     t.header({"kernel", "scalar cyc/row", "avx2 cyc/row", "speedup",
@@ -463,9 +480,11 @@ main()
     row("exact_fwd 12->12 16x16", exact12[0]);
     row("exact_dx 12->12 16x16", exact12[1]);
     row("exact_dw 12->12 16x16", exact12[2]);
+    row("replay_dx 12->12 16x16", exact12[3]);
     row("exact_fwd 24->24 8x8", exact24[0]);
     row("exact_dx 24->24 8x8", exact24[1]);
     row("exact_dw 24->24 8x8", exact24[2]);
+    row("replay_dx 24->24 8x8", exact24[3]);
     row("span_copy", spancopy);
     t.print();
 
@@ -527,6 +546,10 @@ main()
         .num("exact_dx_f24_avx2_cycles_per_row", exact24[1].cpr_avx2, 1)
         .num("exact_dw_f24_scalar_cycles_per_row", exact24[2].cpr_scalar, 1)
         .num("exact_dw_f24_avx2_cycles_per_row", exact24[2].cpr_avx2, 1)
+        .num("replay_dx_f12_scalar_cycles_per_row", exact12[3].cpr_scalar, 1)
+        .num("replay_dx_f12_avx2_cycles_per_row", exact12[3].cpr_avx2, 1)
+        .num("replay_dx_f24_scalar_cycles_per_row", exact24[3].cpr_scalar, 1)
+        .num("replay_dx_f24_avx2_cycles_per_row", exact24[3].cpr_avx2, 1)
         // The span copy is memory-bound: scalar-vs-AVX2 speedup there
         // is timer noise around 1.0, so only GB/s is recorded (and
         // gated) for it.

@@ -218,7 +218,7 @@ ConvReuseEngine::backwardInput(const Tensor &gradOut, const Tensor &weight,
     checkConvGradOut(gradOut, gradOut.dim(0), in_h, in_w, spec);
     const ConvGeometry geo(spec, gradOut.dim(0), gradOut.dim(2),
                            gradOut.dim(3));
-    const int64_t v = geo.v, d = geo.d;
+    const int64_t v = geo.v;
     const int64_t cin_g = geo.cin_g, cout_g = geo.cout_g;
     checkRecord(record, spec, geo, "backward");
 
@@ -229,13 +229,17 @@ ConvReuseEngine::backwardInput(const Tensor &gradOut, const Tensor &weight,
         return grad_in;
 
     // A forward-HIT row's products are go[owner] * w, so one pass's
-    // replay is the exact per-channel input gradient of the output
-    // gradients gathered through the owner map — each cell still sums
-    // in (filter, y, x) order from +0, bit for bit the products the
-    // owner rows would scatter. The gather writes straight into the
-    // bordered gradient frame the exact body reads. Passes write
+    // replay is the exact input gradient of its channel over the
+    // output gradients gathered through the owner map — each cell
+    // still sums in (filter, y, x) order from +0, bit for bit the
+    // products the owner rows would scatter. The gather writes straight
+    // into the bordered gradient frames, and one one-channel
+    // convForward (conv2dBackwardInput's body) reads them. Passes write
     // disjoint grad_in planes, so on a pool they fan out per pass.
     const ConvGradFrame frame(spec, in_h, in_w);
+    const std::vector<int64_t> &taps = frame.taps();
+    const int64_t ntaps = static_cast<int64_t>(taps.size());
+    const std::vector<float> flipped = frame.flipKernels(weight);
     ThreadPool *pool = frontend_->workerPool();
     parallelRanges(pool, passes, [&](int64_t p0, int64_t p1) {
         std::vector<float> frames(static_cast<size_t>(cout_g * frame.size()));
@@ -247,10 +251,11 @@ ConvReuseEngine::backwardInput(const Tensor &gradOut, const Tensor &weight,
             frame.load(gradOut.data() + gradOut.offset4(b, g * cout_g, 0, 0),
                        cout_g, pass.forwarded > 0 ? pass.owners.data() : nullptr,
                        frames.data());
-            frame.backwardInput(
-                frames.data(), cout_g,
-                weight.data() + (g * cout_g * cin_g + ic) * d, cin_g * d,
-                grad_in.data() + grad_in.offset4(b, g * cin_g + ic, 0, 0));
+            kernels::ops().convForward(
+                frames.data(), taps.data(), ntaps, frame.pitch(),
+                flipped.data() + (g * cin_g + ic) * ntaps, nullptr, 1, in_h,
+                in_w, grad_in.data() + grad_in.offset4(b, g * cin_g + ic, 0, 0),
+                in_h * in_w);
         }
     });
     bookReplay(record, geo, stats);

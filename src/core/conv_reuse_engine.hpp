@@ -40,14 +40,13 @@
  * pass into a SignatureRecord; backwardInput() then replays the
  * input-gradient pass with the *same* reuse decisions and zero
  * detection cost. A forward-HIT row's products are go[owner] * w, so
- * each pass is the exact per-channel input gradient
- * (ConvGradFrame::backwardInput, conv2dBackwardInput's body) of the
- * output gradients gathered through the pass's owner map into the
- * bordered gradient frame (ConvGradFrame::load, one kernel-table
- * gather per pass for every filter plane): every cell sums in
- * (filter, y, x) order
- * from +0, and with zero hits the result is conv2dBackwardInput bit
- * for bit. Passes write disjoint planes and fan out over the
+ * each pass is the exact input gradient of its channel (a
+ * one-channel convForward over the flipped kernels,
+ * conv2dBackwardInput's body) of the output gradients gathered
+ * through the pass's owner map into the bordered gradient frames
+ * (ConvGradFrame::load, one kernel-table gather per pass for every
+ * filter plane): every cell sums in (filter, y, x) order from +0, and
+ * with zero hits the result is conv2dBackwardInput bit for bit. Passes write disjoint planes and fan out over the
  * frontend's pool, if it has one.
  *
  * Weight gradients (§III-C2 applied to Eq. 1): backwardWeights()

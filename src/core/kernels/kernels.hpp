@@ -43,12 +43,14 @@
  * transposed 8x8 tiles, taps x filter octets) and never reorder the
  * steps of any one chain, with separate multiply and add.
  *
- * The two exact conv entries (convForward, convBackwardInput) are the
- * bodies of tensor/ops' conv2dForward and of the input gradient that
- * conv2dBackwardInput and the conv engine's dX replay share; the
- * exact weight gradient runs ownerWeightMul with every output
- * position an owner. Their AVX2 bodies hold a tile of outputs in
- * registers, one chain per output, and store each output once.
+ * The exact conv entry, convForward, is the body of tensor/ops'
+ * conv2dForward and of the input gradient that conv2dBackwardInput and
+ * the conv engine's dX replay share (a convolution of the output
+ * gradients' frames with the flipped kernels, tensor/ops.hpp's
+ * ConvGradFrame); the exact weight gradient runs ownerWeightMul with
+ * every output position an owner. Their AVX2 bodies hold a tile of
+ * outputs in registers, one chain per output, and store each output
+ * once.
  *
  * signFrame is the conv signature pass (Fig. 7a, RPQEngine's frame
  * signatureWords): the projection convForward would compute with the
@@ -206,21 +208,6 @@ struct KernelOps
                         int64_t taps, int64_t rowStep, const float *w,
                         const float *bias, int64_t filters, int64_t oh,
                         int64_t ow, float *out, int64_t outPitch);
-
-    /**
-     * Exact input gradient of one input-channel plane, as a gather:
-     * each cell (y, x), y < h, x < w, of the plane at gradIn is +0,
-     * then + frames[f*frameSize + (y + j)*pitch + x + i] *
-     * kern[f*kernPitch + (kh - 1 - j)*kw + kw - 1 - i] over (f, j, i)
-     * ascending. `frames` are `filters` output-gradient frames
-     * (tensor/ops.hpp's ConvGradFrame) and kern the channel's (kh, kw)
-     * kernels, read flipped. Writes exactly the h*w cells.
-     */
-    void (*convBackwardInput)(const float *frames, int64_t frameSize,
-                              int64_t pitch, int64_t filters,
-                              const float *kern, int64_t kernPitch,
-                              int64_t kh, int64_t kw, int64_t h, int64_t w,
-                              float *gradIn);
 };
 
 /** The scalar reference table (always available). */

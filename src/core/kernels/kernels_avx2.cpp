@@ -40,18 +40,17 @@
  *  - ownerScatter transposes 8 owner rows x 8 filters per tile and
  *    adds each filter's 8 values to 8 consecutive outputs — one add
  *    per element, as the scalar loop does.
- *  - ownerWeightMul keeps up to 12 taps x one filter octet in
- *    registers and walks the owners ascending once per group: every
- *    accumulator still adds one product per owner, in owner order.
- *  - convForward holds up to 4 filters x 2-4 output octets in
+ *  - ownerWeightMul keeps up to 3 filter octets x a group of taps in
+ *    registers (3 x 3, 2 x 5 or 1 x 9) and walks the owners ascending
+ *    once per group: every accumulator still adds one product per
+ *    owner, in owner order. Only a last partial octet loads and
+ *    stores masked.
+ *  - convForward holds up to 4 filters x 2-8 output octets in
  *    registers (at least four chains): each output starts at its bias
  *    and adds its taps in ascending order, and is stored once. Output
  *    rows split into whole octets and, when ow % 8 != 0, a partial
- *    last octet that loads and stores masked.
- *  - convBackwardInput holds 8 input-cell octets in registers, each
- *    cell's chain adding (filter, j, i) ascending from +0 — the flipped
- *    kernel walked from its last element down — with the same
- *    whole/partial split.
+ *    last octet that loads and stores masked. The input gradient runs
+ *    here too, over gradient frames with flipped kernels.
  *
  * Every body returns with the upper halves of the vector registers
  * clean: with them dirty, the baseline-ISA code that runs next pays a
@@ -609,11 +608,13 @@ ownerScatterAvx2(const float *vals, int64_t valsPitch, int64_t filters,
 }
 
 /**
- * One ownerWeightMul group: TN taps from t0 x the filter octet at f
- * (its first `lanes` filters) stay in registers while the owners go by
- * in ascending order.
+ * One ownerWeightMul group: TN taps from t0 x C filter octets from f
+ * stay in registers while the owners go by in ascending order; with
+ * Tail the last octet holds only its first `lanes` filters and loads
+ * and stores masked. Each owner's sums octets load once for all TN
+ * taps, and each patch value broadcasts once for all C octets.
  */
-template <int TN>
+template <int C, int TN, bool Tail>
 void
 ownerWeightMulGroup(const float *sums, int64_t filters, int64_t owners,
                     const float *frame, const int64_t *base,
@@ -621,21 +622,30 @@ ownerWeightMulGroup(const float *sums, int64_t filters, int64_t owners,
                     int64_t lanes, float *acc)
 {
     const __m256i mask = lanesBelow(lanes);
-    __m256 a[TN];
+    __m256 a[TN][C];
     int64_t off[TN];
     for (int q = 0; q < TN; ++q) {
-        a[q] = _mm256_maskload_ps(acc + (t0 + q) * filters + f, mask);
         off[q] = tapOff[t0 + q];
+        for (int c = 0; c < C; ++c)
+            a[q][c] = loadOctet(acc + (t0 + q) * filters + f + 8 * c,
+                                !Tail || c < C - 1, mask);
     }
     for (int64_t j = 0; j < owners; ++j) {
-        const __m256 s = _mm256_maskload_ps(sums + j * filters + f, mask);
+        __m256 s[C];
+        for (int c = 0; c < C; ++c)
+            s[c] = loadOctet(sums + j * filters + f + 8 * c,
+                             !Tail || c < C - 1, mask);
         const float *p = frame + base[j];
-        for (int q = 0; q < TN; ++q)
-            a[q] = _mm256_add_ps(
-                a[q], _mm256_mul_ps(s, _mm256_broadcast_ss(p + off[q])));
+        for (int q = 0; q < TN; ++q) {
+            const __m256 x = _mm256_broadcast_ss(p + off[q]);
+            for (int c = 0; c < C; ++c)
+                a[q][c] = _mm256_add_ps(a[q][c], _mm256_mul_ps(s[c], x));
+        }
     }
     for (int q = 0; q < TN; ++q)
-        _mm256_maskstore_ps(acc + (t0 + q) * filters + f, mask, a[q]);
+        for (int c = 0; c < C; ++c)
+            storeOctet(acc + (t0 + q) * filters + f + 8 * c, a[q][c],
+                       !Tail || c < C - 1, mask);
 }
 
 using WeightMulGroup = void (*)(const float *, int64_t, int64_t,
@@ -643,14 +653,20 @@ using WeightMulGroup = void (*)(const float *, int64_t, int64_t,
                                 const int64_t *, int64_t, int64_t, int64_t,
                                 float *);
 
-/** Taps one ownerWeightMul group keeps in registers, at most. */
-constexpr int kMaxGroupTaps = 12;
+/**
+ * Taps one ownerWeightMul group of C octets keeps in registers, at
+ * most: C x taps accumulators, C sums and a broadcast fit the sixteen
+ * vector registers.
+ */
+constexpr int kGroupTaps[3] = {9, 5, 3};
 
-template <int... N>
-constexpr std::array<WeightMulGroup, sizeof...(N)>
+/** Groups of C octets, [Tail][taps - 1]. */
+template <int C, int... N>
+constexpr std::array<std::array<WeightMulGroup, sizeof...(N)>, 2>
 weightMulGroups(std::integer_sequence<int, N...>)
 {
-    return {{&ownerWeightMulGroup<N + 1>...}};
+    return {{{{&ownerWeightMulGroup<C, N + 1, false>...}},
+             {{&ownerWeightMulGroup<C, N + 1, true>...}}}};
 }
 
 void
@@ -658,22 +674,38 @@ ownerWeightMulAvx2(const float *sums, int64_t filters, int64_t owners,
                    const float *frame, const int64_t *base,
                    const int64_t *tapOff, int64_t taps, float *acc)
 {
-    static constexpr auto kGroups = weightMulGroups(
-        std::make_integer_sequence<int, kMaxGroupTaps>{});
+    static constexpr auto kOne = weightMulGroups<1>(
+        std::make_integer_sequence<int, kGroupTaps[0]>{});
+    static constexpr auto kTwo = weightMulGroups<2>(
+        std::make_integer_sequence<int, kGroupTaps[1]>{});
+    static constexpr auto kThree = weightMulGroups<3>(
+        std::make_integer_sequence<int, kGroupTaps[2]>{});
     if (owners <= 0 || taps <= 0)
         return;
-    // Taps split into near-equal groups of at most kMaxGroupTaps, so a
-    // 3x3 kernel is one group of 9 and a 5x5 three of 8-9.
-    const int64_t groups = (taps + kMaxGroupTaps - 1) / kMaxGroupTaps;
-    for (int64_t f = 0; f < filters; f += 8) {
+    // Filter octets go three at a time, then two or one; within each
+    // run the taps split into near-equal groups of at most
+    // kGroupTaps[C - 1], so a 3x3 kernel is three groups of 3 taps for
+    // three octets and one group of 9 for one.
+    const int64_t octets = (filters + 7) / 8;
+    for (int64_t o = 0; o < octets;) {
+        const int64_t c = std::min<int64_t>(3, octets - o);
+        const int64_t f = o * 8;
+        const int64_t lanes = filters - (f + 8 * (c - 1));
+        const size_t tail = lanes < 8;
+        const int64_t groups =
+            (taps + kGroupTaps[c - 1] - 1) / kGroupTaps[c - 1];
         int64_t t0 = 0;
         for (int64_t g = 0; g < groups; ++g) {
-            const int64_t tn = taps / groups + (g < taps % groups);
-            kGroups[static_cast<size_t>(tn - 1)](sums, filters, owners,
-                                                 frame, base, tapOff, t0,
-                                                 f, filters - f, acc);
-            t0 += tn;
+            const size_t tn =
+                static_cast<size_t>(taps / groups + (g < taps % groups));
+            const WeightMulGroup run = c == 3   ? kThree[tail][tn - 1]
+                                       : c == 2 ? kTwo[tail][tn - 1]
+                                                : kOne[tail][tn - 1];
+            run(sums, filters, owners, frame, base, tapOff, t0, f, lanes,
+                acc);
+            t0 += static_cast<int64_t>(tn);
         }
+        o += c;
     }
 }
 
@@ -708,11 +740,16 @@ struct OctetSlots
 /**
  * Output slots one convForward tile holds per filter: at least four
  * independent chains per tile, so the adds never wait on each other.
+ * One filter (the dX replay's one-channel call) holds eight, so each
+ * tap's broadcast and offset load serve eight octets: in-process at
+ * the 12->12 16x16 and 24->24 8x8 shapes, four read 0.96-1.01x the
+ * cycles of the one-channel dX body this call replaced, eight
+ * 0.90-0.92x.
  */
 constexpr int
 forwardSlots(int filters)
 {
-    return filters <= 2 ? 4 : 2;
+    return filters == 1 ? 8 : filters <= 2 ? 4 : 2;
 }
 
 /**
@@ -738,11 +775,17 @@ convForwardTile(const float *frames, const int64_t *tapOff, int64_t taps,
         for (int s = 0; s < P; ++s)
             a[q][s] = b;
     }
+    // One frame pointer per slot and one offset per tap: with the tap's
+    // offset added to each slot's in the loop, GCC spilled the offsets
+    // of the 8-slot tile and reloaded them every tap.
+    const float *src[P];
+    for (int s = 0; s < P; ++s)
+        src[s] = frames + in[s];
     for (int64_t t = 0; t < taps; ++t) {
-        const float *src = frames + tapOff[t];
+        const int64_t off = tapOff[t];
         __m256 v[P];
         for (int s = 0; s < P; ++s)
-            v[s] = loadOctet(src + in[s], !Tail, mask);
+            v[s] = loadOctet(src[s] + off, !Tail, mask);
         for (int q = 0; q < F; ++q) {
             const __m256 wv = _mm256_broadcast_ss(w + q * taps + t);
             for (int s = 0; s < P; ++s)
@@ -812,90 +855,6 @@ convForwardAvx2(const float *frames, const int64_t *tapOff, int64_t taps,
     }
 }
 
-/** Input-cell slots one convBackwardInput tile holds. */
-constexpr int kGatherSlots = 8;
-
-/**
- * One convBackwardInput tile: kGatherSlots input-cell slots (frame
- * offsets in[s], plane offsets out[s]), each slot's first `lanes`
- * cells when Tail. Each accumulator is one cell's chain — +0, then
- * + frame * kern over (filter, j, i) ascending, the kernel read
- * flipped — and the first `live` slots are stored once.
- */
-template <bool Tail>
-inline void
-convBackwardInputTile(const float *frames, int64_t frameSize, int64_t pitch,
-                      int64_t filters, const float *kern, int64_t kernPitch,
-                      int64_t kh, int64_t kw, const int64_t *in,
-                      float *gradIn, const int64_t *outOff, int live,
-                      int64_t lanes)
-{
-    constexpr int P = kGatherSlots;
-    const __m256i mask = lanesBelow(lanes);
-    __m256 a[P];
-    for (int s = 0; s < P; ++s)
-        a[s] = _mm256_setzero_ps();
-    const int64_t taps = kh * kw;
-    for (int64_t f = 0; f < filters; ++f) {
-        const float *fr = frames + f * frameSize;
-        // Tap (j, i) takes kernel element (kh - 1 - j, kw - 1 - i): the
-        // taps walk the kernel from its last element down.
-        const float *k = kern + f * kernPitch + taps - 1;
-        for (int64_t j = 0; j < kh; ++j) {
-            for (int64_t i = 0; i < kw; ++i, --k) {
-                const __m256 wv = _mm256_broadcast_ss(k);
-                const float *src = fr + j * pitch + i;
-                for (int s = 0; s < P; ++s)
-                    a[s] = _mm256_add_ps(
-                        a[s],
-                        _mm256_mul_ps(loadOctet(src + in[s], !Tail, mask), wv));
-            }
-        }
-    }
-    for (int s = 0; s < P; ++s)
-        if (s < live)
-            storeOctet(gradIn + outOff[s], a[s], !Tail, mask);
-}
-
-/** convBackwardInput over the input-cell slots [k0, k1). */
-template <bool Tail>
-void
-convBackwardInputSlots(const float *frames, int64_t frameSize, int64_t pitch,
-                       int64_t filters, const float *kern, int64_t kernPitch,
-                       int64_t kh, int64_t kw, int64_t w,
-                       const OctetSlots &slots, int64_t k0, int64_t k1,
-                       float *gradIn)
-{
-    constexpr int P = kGatherSlots;
-    for (int64_t k = k0; k < k1; k += P) {
-        const int live = static_cast<int>(k1 - k < P ? k1 - k : P);
-        int64_t in[P], out_off[P];
-        for (int s = 0; s < P; ++s) {
-            const Slot sl = slots[k + (s < live ? s : live - 1)];
-            in[s] = sl.y * pitch + sl.x;
-            out_off[s] = sl.y * w + sl.x;
-        }
-        convBackwardInputTile<Tail>(frames, frameSize, pitch, filters, kern,
-                                    kernPitch, kh, kw, in, gradIn, out_off,
-                                    live, w % 8);
-    }
-}
-
-void
-convBackwardInputAvx2(const float *frames, int64_t frameSize, int64_t pitch,
-                      int64_t filters, const float *kern, int64_t kernPitch,
-                      int64_t kh, int64_t kw, int64_t h, int64_t w,
-                      float *gradIn)
-{
-    const OctetSlots slots(h, w);
-    convBackwardInputSlots<false>(frames, frameSize, pitch, filters, kern,
-                                  kernPitch, kh, kw, w, slots, 0,
-                                  slots.whole, gradIn);
-    convBackwardInputSlots<true>(frames, frameSize, pitch, filters, kern,
-                                 kernPitch, kh, kw, w, slots, slots.whole,
-                                 slots.total, gradIn);
-}
-
 const KernelOps kAvx2Ops = {
     "avx2",          // name
     true,            // wantsInterleaved
@@ -908,8 +867,7 @@ const KernelOps kAvx2Ops = {
     ownerValuesAvx2,    // ownerValues
     ownerScatterAvx2,   // ownerScatter
     ownerWeightMulAvx2, // ownerWeightMul
-    convForwardAvx2,       // convForward
-    convBackwardInputAvx2, // convBackwardInput
+    convForwardAvx2,    // convForward
 };
 
 bool

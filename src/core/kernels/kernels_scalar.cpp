@@ -5,9 +5,9 @@
  * of these loops exactly (see kernels.hpp for how). The projection
  * body is the natural per-(row, filter) dot product over the
  * column-major matrix — the same element order RPQEngine::project()
- * walks — so it needs no interleaved mirror. The exact conv bodies
- * run one mul-add over whole output (or input-cell) planes per tap,
- * so every output keeps its chain and -O3 vectorizes the planes.
+ * walks — so it needs no interleaved mirror. The exact conv body
+ * runs one mul-add over a whole output plane per tap, so every output
+ * keeps its chain and -O3 vectorizes the planes.
  */
 
 #include "core/kernels/kernels.hpp"
@@ -242,23 +242,6 @@ convForwardScalar(const float *frames, const int64_t *tapOff, int64_t taps,
     }
 }
 
-void
-convBackwardInputScalar(const float *frames, int64_t frameSize,
-                        int64_t pitch, int64_t filters, const float *kern,
-                        int64_t kernPitch, int64_t kh, int64_t kw, int64_t h,
-                        int64_t w, float *gradIn)
-{
-    std::fill(gradIn, gradIn + h * w, 0.0f);
-    for (int64_t f = 0; f < filters; ++f) {
-        const float *fr = frames + f * frameSize;
-        const float *k = kern + f * kernPitch;
-        for (int64_t j = 0; j < kh; ++j)
-            for (int64_t i = 0; i < kw; ++i)
-                mulAddRows(gradIn, w, fr + j * pitch + i, pitch, h, w,
-                           k[(kh - 1 - j) * kw + kw - 1 - i]);
-    }
-}
-
 const KernelOps kScalarOps = {
     "scalar",          // name
     false,             // wantsInterleaved
@@ -271,8 +254,7 @@ const KernelOps kScalarOps = {
     ownerValuesScalar,    // ownerValues
     ownerScatterScalar,   // ownerScatter
     ownerWeightMulScalar, // ownerWeightMul
-    convForwardScalar,       // convForward
-    convBackwardInputScalar, // convBackwardInput
+    convForwardScalar,    // convForward
 };
 
 } // namespace

@@ -134,10 +134,16 @@ ConvFrame::positionSlots() const
 }
 
 ConvGradFrame::ConvGradFrame(const ConvSpec &spec, int64_t h, int64_t w)
-    : h_(h), w_(w), oh_(spec.outH(h)), ow_(spec.outW(w)),
-      kh_(spec.kernelH), kw_(spec.kernelW), stride_(spec.stride),
-      pad_(spec.pad), rows_(h + kh_ - 1), pitch_(w + kw_ - 1)
+    : oh_(spec.outH(h)), ow_(spec.outW(w)), kh_(spec.kernelH),
+      kw_(spec.kernelW), stride_(spec.stride), pad_(spec.pad),
+      groups_(spec.groups), rows_(h + kh_ - 1), pitch_(w + kw_ - 1)
 {
+    const int64_t filters = spec.outChannels / groups_;
+    taps_.reserve(static_cast<size_t>(filters * kh_ * kw_));
+    for (int64_t f = 0; f < filters; ++f)
+        for (int64_t j = 0; j < kh_; ++j)
+            for (int64_t i = 0; i < kw_; ++i)
+                taps_.push_back(f * size() + j * pitch_ + i);
     // A gradient's frame row y * stride + kH - 1 - pad grows with y, so
     // the rows (and columns) that land inside form one range.
     const auto inside = [this](int64_t n, int64_t k, int64_t len,
@@ -184,13 +190,23 @@ ConvGradFrame::load(const float *go, int64_t filters, const int32_t *owners,
     }
 }
 
-void
-ConvGradFrame::backwardInput(const float *frames, int64_t filters,
-                             const float *w, int64_t wPitch,
-                             float *gradIn) const
+std::vector<float>
+ConvGradFrame::flipKernels(const Tensor &weight) const
 {
-    kernels::ops().convBackwardInput(frames, size(), pitch_, filters, w,
-                                     wPitch, kh_, kw_, h_, w_, gradIn);
+    const int64_t kk = kh_ * kw_;
+    const int64_t ntaps = static_cast<int64_t>(taps_.size());
+    const int64_t filters = ntaps / kk, cin_g = weight.dim(1);
+    std::vector<float> flipped(static_cast<size_t>(weight.numel()));
+    for (int64_t g = 0; g < groups_; ++g)
+        for (int64_t c = 0; c < cin_g; ++c)
+            for (int64_t f = 0; f < filters; ++f) {
+                const float *k =
+                    weight.data() + ((g * filters + f) * cin_g + c) * kk;
+                float *dst = flipped.data() + (g * cin_g + c) * ntaps + f * kk;
+                for (int64_t t = 0; t < kk; ++t)
+                    dst[t] = k[kk - 1 - t];
+            }
+    return flipped;
 }
 
 std::vector<float>
@@ -312,26 +328,28 @@ conv2dBackwardInput(const Tensor &gradOut, const Tensor &weight,
     checkConvGradOut(gradOut, n, in_h, in_w, spec);
     const int64_t cin_g = spec.inChannels / spec.groups;
     const int64_t cout_g = spec.outChannels / spec.groups;
-    const int64_t kk = spec.kernelH * spec.kernelW;
     Tensor grad_in({n, spec.inChannels, in_h, in_w});
     if (gradOut.numel() == 0 || grad_in.numel() == 0)
         return grad_in;
 
-    // One bordered frame of the group's gradients per (image, group)
-    // serves all of its input channels.
+    // One bordered frame of the group's gradients per (image, group),
+    // and one convForward over it computes all of the group's input
+    // channels: each loaded gradient serves every channel's chain.
     const ConvGradFrame f(spec, in_h, in_w);
+    const std::vector<int64_t> &taps = f.taps();
+    const int64_t ntaps = static_cast<int64_t>(taps.size());
+    const std::vector<float> flipped = f.flipKernels(weight);
     std::vector<float> frames(static_cast<size_t>(cout_g * f.size()));
+    const kernels::KernelOps &k = kernels::ops();
     for (int64_t b = 0; b < n; ++b) {
         for (int64_t g = 0; g < spec.groups; ++g) {
             f.load(gradOut.data() + gradOut.offset4(b, g * cout_g, 0, 0),
                    cout_g, nullptr, frames.data());
-            for (int64_t ic = 0; ic < cin_g; ++ic)
-                f.backwardInput(
-                    frames.data(), cout_g,
-                    weight.data() + (g * cout_g * cin_g + ic) * kk,
-                    cin_g * kk,
-                    grad_in.data() +
-                        grad_in.offset4(b, g * cin_g + ic, 0, 0));
+            k.convForward(frames.data(), taps.data(), ntaps, f.pitch(),
+                          flipped.data() + g * cin_g * ntaps, nullptr, cin_g,
+                          in_h, in_w,
+                          grad_in.data() + grad_in.offset4(b, g * cin_g, 0, 0),
+                          in_h * in_w);
         }
     }
     return grad_in;
@@ -344,9 +362,26 @@ conv2dBackwardBias(const Tensor &gradOut)
     const int64_t hw = gradOut.dim(2) * gradOut.dim(3);
     Tensor grad_b({c});
     float *gb = grad_b.data();
+    // Each filter's sum is one chain over (image, position) ascending
+    // from +0. Four filters' chains run side by side, so no add waits
+    // on the one before it; a last 1-3 filters run one chain each.
+    constexpr int64_t kChains = 4;
     for (int64_t b = 0; b < n; ++b) {
-        for (int64_t oc = 0; oc < c; ++oc) {
-            const float *p = gradOut.data() + (b * c + oc) * hw;
+        const float *plane = gradOut.data() + b * c * hw;
+        int64_t oc = 0;
+        for (; oc + kChains <= c; oc += kChains) {
+            const float *p = plane + oc * hw;
+            float acc[kChains];
+            for (int64_t q = 0; q < kChains; ++q)
+                acc[q] = gb[oc + q];
+            for (int64_t i = 0; i < hw; ++i)
+                for (int64_t q = 0; q < kChains; ++q)
+                    acc[q] += p[q * hw + i];
+            for (int64_t q = 0; q < kChains; ++q)
+                gb[oc + q] = acc[q];
+        }
+        for (; oc < c; ++oc) {
+            const float *p = plane + oc * hw;
             float acc = gb[oc];
             for (int64_t i = 0; i < hw; ++i)
                 acc += p[i];

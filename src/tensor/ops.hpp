@@ -146,13 +146,22 @@ class ConvFrame
 
 /**
  * The zero-bordered frame of one (oh, ow) output-gradient plane that
- * the input gradient gathers from: Eq. 2 as a full correlation of the
+ * the input gradient reads: Eq. 2 as a full correlation of the
  * stride-dilated gradients with the flipped kernel. The frame has
  * h + kH - 1 rows of w + kW - 1 floats. Gradient (y, x) sits at
  * (y * stride + kH - 1 - pad, x * stride + kW - 1 - pad) when that lies
  * inside (one outside reaches only padding), and every other cell is
  * zero, so input cell (iy, ix) reads frame (iy + j, ix + i) against
  * kernel element (kH - 1 - j, kW - 1 - i) for every (j, i).
+ *
+ * So the input gradient is the kernel table's convForward over a
+ * group's Cout/groups frames, with no bias: its filters are the input
+ * channels, its taps (filter, j, i) ascending at taps(), its rows
+ * pitch() apart, and its weights flipKernels(). Each cell sums, from
+ * +0, go * w over (filter, y, x) ascending — the order of the scatter
+ * form, which the conv engine's dX replay relies on
+ * (docs/ARCHITECTURE.md, "Exact ops") — plus border terms 0 * w = +-0,
+ * which leave such a sum unchanged for finite weights.
  */
 class ConvGradFrame
 {
@@ -163,8 +172,24 @@ class ConvGradFrame
     /** Floats of one frame. */
     int64_t size() const { return rows_ * pitch_; }
 
-    /** Floats of one frame row. */
+    /** Floats of one frame row: convForward's rowStep. */
     int64_t pitch() const { return pitch_; }
+
+    /**
+     * The slot each tap (filter, j, i) reads for input cell (0, 0):
+     * f * size() + j * pitch() + i, ascending over the group's
+     * Cout/groups frames.
+     */
+    const std::vector<int64_t> &taps() const { return taps_; }
+
+    /**
+     * `weight` (Cout, Cin/groups, kH, kW) flipped into convForward's
+     * layout: input channel c of group g has its taps() weights at
+     * (g * Cin/groups + c) * taps().size(), tap (f, j, i) holding
+     * kernel element (kH - 1 - j, kW - 1 - i) of filter
+     * g * Cout/groups + f for that channel.
+     */
+    std::vector<float> flipKernels(const Tensor &weight) const;
 
     /**
      * Write `filters` consecutive (oh, ow) gradient planes into
@@ -179,23 +204,11 @@ class ConvGradFrame
     void load(const float *go, int64_t filters, const int32_t *owners,
               float *dst) const;
 
-    /**
-     * Input gradient of one input-channel plane from `filters` loaded
-     * frames (the kernel table's convBackwardInput): filter f's
-     * (kH, kW) kernel for the channel is the block at w + f * wPitch,
-     * and all h * w cells of `gradIn` are written. Each cell sums, from
-     * +0, go * w over (filter, y, x) ascending — the order of the
-     * scatter form, which the conv engine's dX replay relies on
-     * (docs/ARCHITECTURE.md, "Exact ops") — plus border terms 0 * w =
-     * +-0, which leave such a sum unchanged for finite weights.
-     */
-    void backwardInput(const float *frames, int64_t filters, const float *w,
-                       int64_t wPitch, float *gradIn) const;
-
   private:
-    int64_t h_, w_, oh_, ow_, kh_, kw_, stride_, pad_, rows_, pitch_;
+    int64_t oh_, ow_, kh_, kw_, stride_, pad_, groups_, rows_, pitch_;
     int64_t y0_ = 0, y1_ = 0; ///< gradient rows [y0_, y1_) land inside
     int64_t x0_ = 0, x1_ = 0; ///< gradient columns [x0_, x1_) land inside
+    std::vector<int64_t> taps_; ///< taps()
 
     /** Frame offset of gradient (y, x). */
     int64_t at(int64_t y, int64_t x) const

@@ -299,6 +299,124 @@ TEST(ExactOps, WideConvSeedsCoverTheTiles)
     EXPECT_TRUE(odd_filters && stride2 && pad2);
 }
 
+constexpr uint64_t kTileSeeds = 90;
+
+/**
+ * A third seeded set for the kernel tiles of the backward ops: 1-9
+ * input channels per group (the input gradient's filters, up to 4 per
+ * convForward tile), 1-40 output channels per group (the weight
+ * gradient's filter octets, up to 3 per ownerWeightMul group, and the
+ * bias gradient's 4-filter chains), H and W in [1, 40], kernel 1, 3 or
+ * 5 per axis, stride 1-2, pad 0-2, groups 1-2.
+ */
+ConvCase
+drawTileConv(uint64_t seed)
+{
+    Rng rng(seed * 7727 + 29);
+    ConvCase c;
+    c.seed = seed;
+    const int64_t kernels[] = {1, 3, 5};
+    c.spec.kernelH = kernels[rng.uniformInt(3)];
+    c.spec.kernelW = kernels[rng.uniformInt(3)];
+    c.spec.stride = pick(rng, 1, 2);
+    c.spec.pad = pick(rng, 0, 2);
+    c.batch = pick(rng, 1, 2);
+    c.h = std::max(pick(rng, 1, 40), c.spec.kernelH - 2 * c.spec.pad);
+    c.w = std::max(pick(rng, 1, 40), c.spec.kernelW - 2 * c.spec.pad);
+    c.spec.groups = pick(rng, 1, 2);
+    c.spec.inChannels = c.spec.groups * pick(rng, 1, 9);
+    c.spec.outChannels = c.spec.groups * pick(rng, 1, 40);
+    c.bias = rng.bernoulli(0.5);
+    return c;
+}
+
+TEST(ExactOps, BackwardTilesMatchOracleUnderBothKernelTables)
+{
+    std::vector<const kernels::KernelOps *> tables = {&kernels::scalarOps()};
+    if (const kernels::KernelOps *ax = kernels::avx2Ops())
+        tables.push_back(ax);
+    for (uint64_t seed = 1; seed <= kTileSeeds; ++seed) {
+        const ConvCase c = drawTileConv(seed);
+        const ConvSpec &spec = c.spec;
+        Rng rng(seed * 3571 + 11);
+        const Tensor input =
+            sparseNormal({c.batch, spec.inChannels, c.h, c.w}, rng);
+        Tensor weight({spec.outChannels, spec.inChannels / spec.groups,
+                       spec.kernelH, spec.kernelW});
+        weight.fillNormal(rng);
+        Tensor bias;
+        if (c.bias) {
+            bias = Tensor({spec.outChannels});
+            bias.fillNormal(rng);
+        }
+        const Tensor grad_out = sparseNormal(
+            {c.batch, spec.outChannels, spec.outH(c.h), spec.outW(c.w)}, rng);
+        const Tensor fwd = oracle::conv2dForward(input, weight, bias, spec);
+        const Tensor dw = oracle::conv2dBackwardWeight(input, grad_out, spec);
+        const Tensor dx =
+            oracle::conv2dBackwardInput(grad_out, weight, spec, c.h, c.w);
+        const Tensor db = oracle::conv2dBackwardBias(grad_out);
+        for (const kernels::KernelOps *table : tables) {
+            SCOPED_TRACE(::testing::Message() << c << ", " << table->name);
+            kernels::forceForTesting(table);
+            EXPECT_TRUE(sameBits(conv2dForward(input, weight, bias, spec), fwd))
+                << "conv2dForward";
+            EXPECT_TRUE(sameBits(
+                conv2dBackwardInput(grad_out, weight, spec, c.h, c.w), dx))
+                << "conv2dBackwardInput";
+            EXPECT_TRUE(sameBits(conv2dBackwardWeight(input, grad_out, spec),
+                                 dw))
+                << "conv2dBackwardWeight";
+            EXPECT_TRUE(sameBits(conv2dBackwardBias(grad_out), db))
+                << "conv2dBackwardBias";
+            kernels::forceForTesting(nullptr);
+        }
+        if (HasFailure())
+            return;
+    }
+}
+
+TEST(ExactOps, BackwardTileSeedsCoverTheTiles)
+{
+    // dX: the last convForward tile of 1-4 channels, and calls of more
+    // than one tile. dW: the last run of 1, 2 or 3 filter octets, each
+    // with its last octet whole and partial. Bias: 0-3 filters after
+    // the 4-filter chains.
+    bool dx_tile[5] = {}, dx_tiles = false, dw_run[4][2] = {};
+    bool bias_rest[4] = {}, kernel[6] = {}, stride[3] = {}, pad[3] = {};
+    bool groups[3] = {}, small = false, wide = false;
+    for (uint64_t seed = 1; seed <= kTileSeeds; ++seed) {
+        const ConvCase c = drawTileConv(seed);
+        const int64_t cin_g = c.spec.inChannels / c.spec.groups;
+        const int64_t cout_g = c.spec.outChannels / c.spec.groups;
+        dx_tile[(cin_g - 1) % 4 + 1] = true;
+        dx_tiles |= cin_g > 4;
+        const int64_t octets = (cout_g + 7) / 8;
+        dw_run[(octets - 1) % 3 + 1][cout_g % 8 != 0] = true;
+        bias_rest[c.spec.outChannels % 4] = true;
+        kernel[c.spec.kernelH] = kernel[c.spec.kernelW] = true;
+        stride[c.spec.stride] = true;
+        pad[c.spec.pad] = true;
+        groups[c.spec.groups] = true;
+        small |= c.h < 8 || c.w < 8;
+        wide |= c.w > 16 && c.w % 8 != 0;
+    }
+    for (int t = 1; t <= 4; ++t)
+        EXPECT_TRUE(dx_tile[t]) << "no dX tile of " << t << " channels";
+    EXPECT_TRUE(dx_tiles);
+    for (int r = 1; r <= 3; ++r)
+        for (int tail = 0; tail < 2; ++tail)
+            EXPECT_TRUE(dw_run[r][tail])
+                << "no dW run of " << r << " octets, tail " << tail;
+    for (int rest = 0; rest < 4; ++rest)
+        EXPECT_TRUE(bias_rest[rest]) << "no bias remainder " << rest;
+    EXPECT_TRUE(kernel[1] && kernel[3] && kernel[5]);
+    EXPECT_TRUE(stride[1] && stride[2]);
+    EXPECT_TRUE(pad[0] && pad[1] && pad[2]);
+    EXPECT_TRUE(groups[1] && groups[2]);
+    EXPECT_TRUE(small && wide);
+}
+
 TEST(ExactOps, MatmulOpsMatchOracleBitForBit)
 {
     for (uint64_t seed = 1; seed <= 120; ++seed) {

@@ -836,47 +836,91 @@ TEST(Kernels, ConvForwardBitIdentity)
 
 TEST(Kernels, ConvBackwardInputBitIdentity)
 {
+    // The input gradient is convForward over a group's gradient frames
+    // with the kernels flipped (ConvGradFrame): scalar and AVX2 against
+    // each other and against the chain each cell must run, +0 then
+    // + frame * kernel element (kH - 1 - j, kW - 1 - i) over (filter, j,
+    // i) ascending, at one channel per call (the dX replay's call) and
+    // at 1-9 channels per call (conv2dBackwardInput's), which must
+    // agree.
     const KernelOps *ax = kernels::avx2Ops();
     if (!ax)
         GTEST_SKIP() << "host lacks AVX2";
+    const KernelOps &sc = kernels::scalarOps();
     const float snan = signalingNan();
-    for (const ExactConvCase &c : exactConvCases()) {
-        const ConvSpec &spec = c.spec;
+    int64_t i = 0;
+    for (ExactConvCase c : exactConvCases()) {
+        ConvSpec &spec = c.spec;
+        spec.inChannels = 1 + i++ % 9;
         const ConvGradFrame f(spec, c.h, c.w);
-        const int64_t filters = spec.outChannels;
-        const int64_t kk = spec.kernelH * spec.kernelW;
+        const int64_t filters = spec.outChannels, ch = spec.inChannels;
+        const int64_t kh = spec.kernelH, kw = spec.kernelW;
         const int64_t v = spec.outH(c.h) * spec.outW(c.w);
         Rng rng(11 + static_cast<uint64_t>(c.w * 64 + filters));
         std::vector<float> go(static_cast<size_t>(filters * v));
         for (float &g : go)
             g = rng.bernoulli(0.3) ? (rng.bernoulli(0.5) ? -0.0f : 0.0f)
                                    : static_cast<float>(rng.normal());
+        // Exactly the frames: a load past the last one reads past the
+        // allocation.
         std::vector<float> frames(static_cast<size_t>(filters * f.size()));
         f.load(go.data(), filters, nullptr, frames.data());
-        // Kernels pitched as one channel's of several.
-        const int64_t kern_pitch = kk * spec.inChannels;
-        const std::vector<float> kern =
-            randomFloats(filters * kern_pitch, 13 + c.w + filters);
-        const int64_t cells = c.h * c.w;
-        std::vector<float> g1(static_cast<size_t>(cells + kGuard), snan);
-        std::vector<float> g2(g1);
-        {
-            ForceGuard guard(&kernels::scalarOps());
-            f.backwardInput(frames.data(), filters, kern.data(), kern_pitch,
-                            g1.data());
+        Tensor weight({filters, ch, kh, kw});
+        const std::vector<float> wv =
+            randomFloats(weight.numel(), 13 + c.w + filters);
+        std::copy(wv.begin(), wv.end(), weight.data());
+        const std::vector<float> flipped = f.flipKernels(weight);
+        const std::vector<int64_t> &taps = f.taps();
+        const int64_t ntaps = static_cast<int64_t>(taps.size());
+        ASSERT_EQ(ntaps, filters * kh * kw) << c.str();
+
+        const int64_t cells = c.h * c.w, pitch = cells + kGuard;
+        std::vector<float> want(static_cast<size_t>(ch * cells));
+        for (int64_t ic = 0; ic < ch; ++ic)
+            for (int64_t y = 0; y < c.h; ++y)
+                for (int64_t x = 0; x < c.w; ++x) {
+                    float acc = 0.0f;
+                    for (int64_t q = 0; q < filters; ++q)
+                        for (int64_t j = 0; j < kh; ++j)
+                            for (int64_t ii = 0; ii < kw; ++ii)
+                                acc += frames[static_cast<size_t>(
+                                           q * f.size() +
+                                           (y + j) * f.pitch() + x + ii)] *
+                                       weight.at4(q, ic, kh - 1 - j,
+                                                  kw - 1 - ii);
+                    want[static_cast<size_t>(ic * cells + y * c.w + x)] = acc;
+                }
+        const auto check = [&](const std::vector<float> &got,
+                               const char *what) {
+            for (int64_t ic = 0; ic < ch; ++ic) {
+                ASSERT_EQ(0, std::memcmp(got.data() + ic * pitch,
+                                         want.data() + ic * cells,
+                                         static_cast<size_t>(cells) *
+                                             sizeof(float)))
+                    << what << ", channel " << ic << ": " << c.str();
+                for (int64_t e = cells; e < pitch; ++e)
+                    ASSERT_EQ(0, std::memcmp(&got[static_cast<size_t>(
+                                                 ic * pitch + e)],
+                                             &snan, sizeof snan))
+                        << what << " wrote past plane " << ic << ": "
+                        << c.str();
+            }
+        };
+        for (const KernelOps *table : {&sc, ax}) {
+            std::vector<float> all(static_cast<size_t>(ch * pitch), snan);
+            std::vector<float> one(all);
+            table->convForward(frames.data(), taps.data(), ntaps, f.pitch(),
+                               flipped.data(), nullptr, ch, c.h, c.w,
+                               all.data(), pitch);
+            for (int64_t ic = 0; ic < ch; ++ic)
+                table->convForward(frames.data(), taps.data(), ntaps,
+                                   f.pitch(), flipped.data() + ic * ntaps,
+                                   nullptr, 1, c.h, c.w,
+                                   one.data() + ic * pitch, pitch);
+            SCOPED_TRACE(table->name);
+            check(all, "all channels");
+            check(one, "one channel per call");
         }
-        {
-            ForceGuard guard(ax);
-            f.backwardInput(frames.data(), filters, kern.data(), kern_pitch,
-                            g2.data());
-        }
-        ASSERT_EQ(0, std::memcmp(g1.data(), g2.data(),
-                                 g1.size() * sizeof(float)))
-            << c.str();
-        for (int64_t i = cells; i < cells + kGuard; ++i)
-            ASSERT_EQ(0, std::memcmp(&g2[static_cast<size_t>(i)], &snan,
-                                     sizeof snan))
-                << "write past the plane: " << c.str();
     }
 }
 
@@ -916,7 +960,6 @@ TEST(Kernels, Avx2BodiesReturnWithCleanUpperLanes)
     spec.kernelH = spec.kernelW = 3;
     spec.pad = 1;
     const ConvFrame frame(spec, 5, 13);
-    const ConvGradFrame gframe(spec, 5, 13);
     const std::vector<int64_t> tap_off = frame.tapOffsets(1);
     const std::vector<int64_t> slots = frame.positionSlots();
     struct Call
@@ -969,12 +1012,6 @@ TEST(Kernels, Avx2BodiesReturnWithCleanUpperLanes)
              ax->convForward(src.data(), tap_off.data(), 9, frame.rowStep(),
                              src.data(), src.data(), 5, 5, 13, dst.data(),
                              65);
-         }},
-        {"convBackwardInput",
-         [&] {
-             ax->convBackwardInput(src.data(), gframe.size(), gframe.pitch(),
-                                   5, src.data(), 9, 3, 3, 5, 13,
-                                   dst.data());
          }},
     };
     for (const Call &call : calls) {
