@@ -3,9 +3,11 @@
  * Per-kernel microbenchmark for the runtime-dispatched SIMD layer:
  * times each KernelOps body (scalar vs AVX2 when the host has it) on
  * RPQ-shaped blocks, the conv reuse passes' owner kernels and the
- * exact conv ops' bodies, and reports cycles-per-row and GB/s,
- * emitting one BENCH_kernels.json line that tools/check_bench.py
- * gates.
+ * exact conv ops' bodies, then the exact training step's glue ops
+ * (pooling, ReLU, frame loads, the gradient transpose and the bias
+ * sums, one body each) at the four VGG-13 proxy conv shapes, and
+ * reports cycles-per-row and GB/s, emitting one BENCH_kernels.json
+ * line that tools/check_bench.py gates.
  *
  * Cycles come from the TSC where the target has one (x86); on other
  * targets the cycle columns print as null and only GB/s is gated.
@@ -396,7 +398,8 @@ main()
         gframe.load(go.data(), c, nullptr, gframes.data());
         Tensor weight({c, c, 3, 3});
         std::copy(w.begin(), w.end(), weight.data());
-        const std::vector<float> flipped = gframe.flipKernels(weight);
+        std::vector<float> flipped(static_cast<size_t>(weight.numel()));
+        gframe.flipKernels(weight, flipped.data());
         const std::vector<int64_t> &gtaps = gframe.taps();
         const int64_t ntaps = static_cast<int64_t>(gtaps.size());
         const std::vector<int64_t> tap_off = frame.tapOffsets(c);
@@ -449,6 +452,102 @@ main()
     const std::array<Result, 4> exact12 = exact_kernels(12, 16);
     const std::array<Result, 4> exact24 = exact_kernels(24, 8);
 
+    // 8) The exact step's glue, one body each, at the four conv shapes
+    //    of perfbench's vgg13 workloads (3x3, pad 1; conv1 3->12 and
+    //    conv2 12->12 on 16x16, conv3 12->24 and conv4 24->24 on 8x8),
+    //    one image per call: pool forward and backward and ReLU forward
+    //    and backward on the conv's output, the frame load of its
+    //    input, and its output gradient transposed to (position,
+    //    filter) and summed into the bias. A rep walks 64 distinct
+    //    seeded images, one call each, so no branch predictor learns
+    //    one input (a pool timed on one repeated input once read about
+    //    a sixth of its in-situ cycles). Cycles are per row: one
+    //    element of the conv-shaped operand (the pool and ReLU input,
+    //    the loaded plane, the gradient).
+    struct GlueShape
+    {
+        const char *name;
+        int64_t cin, cout, hw;
+    };
+    const GlueShape glue_shapes[] = {{"conv1", 3, 12, 16},
+                                     {"conv2", 12, 12, 16},
+                                     {"conv3", 12, 24, 8},
+                                     {"conv4", 24, 24, 8}};
+    constexpr int64_t kGlueImages = 64;
+    const char *const glue_ops[] = {"pool_fwd",   "pool_bwd",
+                                    "relu_fwd",   "relu_bwd",
+                                    "frame_load", "go_transpose",
+                                    "bias"};
+    constexpr size_t kGlueOps = sizeof(glue_ops) / sizeof(glue_ops[0]);
+    std::normal_distribution<float> normal(0.0f, 1.0f);
+    auto glue_kernels = [&](const GlueShape &sh) {
+        ConvSpec spec;
+        spec.inChannels = sh.cin;
+        spec.outChannels = sh.cout;
+        spec.kernelH = spec.kernelW = 3;
+        spec.pad = 1;
+        const ConvFrame frame(spec, sh.hw, sh.hw);
+        auto images = [&](int64_t c, int64_t hw, bool relu) {
+            std::vector<Tensor> t;
+            for (int64_t i = 0; i < kGlueImages; ++i) {
+                Tensor x({1, c, hw, hw});
+                for (int64_t e = 0; e < x.numel(); ++e)
+                    x[e] = relu ? std::max(0.0f, normal(rng)) : normal(rng);
+                t.push_back(std::move(x));
+            }
+            return t;
+        };
+        // The pool reads ReLU'd conv outputs, as in the network, so its
+        // windows hold the zeros and ties the trained step sees.
+        const std::vector<Tensor> act = images(sh.cout, sh.hw, false);
+        const std::vector<Tensor> pool_in = images(sh.cout, sh.hw, true);
+        const std::vector<Tensor> grad = images(sh.cout, sh.hw, false);
+        const std::vector<Tensor> pool_grad =
+            images(sh.cout, sh.hw / 2, false);
+        const std::vector<Tensor> input = images(sh.cin, sh.hw, false);
+        std::vector<std::vector<int32_t>> argmax(kGlueImages);
+        for (int64_t i = 0; i < kGlueImages; ++i)
+            maxPool2x2Forward(pool_in[static_cast<size_t>(i)],
+                              argmax[static_cast<size_t>(i)]);
+        std::vector<float> frames(static_cast<size_t>(sh.cin * frame.size()));
+        const int64_t out_rows = kGlueImages * sh.cout * sh.hw * sh.hw;
+        const int64_t in_rows = kGlueImages * sh.cin * sh.hw * sh.hw;
+        auto glue = [&](int64_t rows, auto &&call) {
+            const Meas m = measure([&] {
+                for (size_t i = 0; i < kGlueImages; ++i)
+                    call(i);
+            });
+            return m.cycles / static_cast<double>(rows);
+        };
+        std::array<double, kGlueOps> r{};
+        r[0] = glue(out_rows, [&](size_t i) {
+            std::vector<int32_t> am;
+            g_sink = maxPool2x2Forward(pool_in[i], am)[0];
+        });
+        r[1] = glue(out_rows, [&](size_t i) {
+            g_sink = maxPool2x2Backward(pool_in[i].shape(), pool_grad[i],
+                                        argmax[i])[0];
+        });
+        r[2] = glue(out_rows,
+                    [&](size_t i) { g_sink = reluForward(act[i])[0]; });
+        r[3] = glue(out_rows, [&](size_t i) {
+            g_sink = reluBackward(act[i], grad[i])[0];
+        });
+        r[4] = glue(in_rows, [&](size_t i) {
+            frame.load(input[i].data(), sh.cin, frames.data());
+            g_sink = frames[static_cast<size_t>(frame.size() / 2)];
+        });
+        r[5] = glue(out_rows, [&](size_t i) {
+            g_sink = gradOutByPosition(grad[i], 1)[0];
+        });
+        r[6] = glue(out_rows,
+                    [&](size_t i) { g_sink = conv2dBackwardBias(grad[i])[0]; });
+        return r;
+    };
+    std::vector<std::array<double, kGlueOps>> glue_cpr;
+    for (const GlueShape &sh : glue_shapes)
+        glue_cpr.push_back(glue_kernels(sh));
+
     Table t("kernel bodies (best-of-reps)");
     t.header({"kernel", "scalar cyc/row", "avx2 cyc/row", "speedup",
               "GB/s"});
@@ -487,6 +586,18 @@ main()
     row("replay_dx 24->24 8x8", exact24[3]);
     row("span_copy", spancopy);
     t.print();
+
+    Table gt("exact-step glue ops, one body (best-of-reps cycles per row)");
+    gt.header({"op", "conv1 3->12 16x16", "conv2 12->12 16x16",
+               "conv3 12->24 8x8", "conv4 24->24 8x8"});
+    for (size_t op = 0; op < kGlueOps; ++op) {
+        std::vector<std::string> cells = {glue_ops[op]};
+        for (const auto &r : glue_cpr)
+            cells.push_back(std::isnan(r[op]) ? std::string("-")
+                                              : Table::num(r[op], 2));
+        gt.row(cells);
+    }
+    gt.print();
 
     bench::ResultLine line("BENCH_kernels.json", "micro_kernels");
     line.num("project_scalar_cycles_per_row", project.cpr_scalar, 1)
@@ -550,6 +661,13 @@ main()
         .num("replay_dx_f12_avx2_cycles_per_row", exact12[3].cpr_avx2, 1)
         .num("replay_dx_f24_scalar_cycles_per_row", exact24[3].cpr_scalar, 1)
         .num("replay_dx_f24_avx2_cycles_per_row", exact24[3].cpr_avx2, 1)
+        ;
+    for (size_t op = 0; op < kGlueOps; ++op)
+        for (size_t sh = 0; sh < glue_cpr.size(); ++sh)
+            line.num("glue_" + std::string(glue_ops[op]) + "_" +
+                         glue_shapes[sh].name + "_cycles_per_row",
+                     glue_cpr[sh][op], 2);
+    line
         // The span copy is memory-bound: scalar-vs-AVX2 speedup there
         // is timer noise around 1.0, so only GB/s is recorded (and
         // gated) for it.
@@ -564,6 +682,8 @@ main()
                                 "f24 over 64 rows, half the rows owners")
         .config("exact_shapes", "k3 pad1, f12: 12->12 on 16x16, f24: "
                                 "24->24 on 8x8, per pass row")
+        .config("glue_shapes", "vgg13 conv1-4, one image per call, 64 "
+                               "images per rep, per operand element")
         .config("span", span);
     bench::stdConfig(line);
     line.print();

@@ -239,7 +239,8 @@ ConvReuseEngine::backwardInput(const Tensor &gradOut, const Tensor &weight,
     const ConvGradFrame frame(spec, in_h, in_w);
     const std::vector<int64_t> &taps = frame.taps();
     const int64_t ntaps = static_cast<int64_t>(taps.size());
-    const std::vector<float> flipped = frame.flipKernels(weight);
+    std::vector<float> flipped(static_cast<size_t>(weight.numel()));
+    frame.flipKernels(weight, flipped.data());
     ThreadPool *pool = frontend_->workerPool();
     parallelRanges(pool, passes, [&](int64_t p0, int64_t p1) {
         std::vector<float> frames(static_cast<size_t>(cout_g * frame.size()));
@@ -295,7 +296,7 @@ ConvReuseEngine::backwardWeights(const Tensor &input, const Tensor &gradOut,
     // every position's), and the accumulators, laid out (tap, filter),
     // carry across the batch. Every weight element still sums
     // (image, owner) ascending from +0.
-    const std::vector<float> go_t = gradOutByPosition(gradOut, spec.groups);
+    const Tensor go_t = gradOutByPosition(gradOut, spec.groups);
     const ConvFrame frame(spec, input.dim(2), input.dim(3));
     const std::vector<int64_t> &tap_off = frame.channelTaps();
     const std::vector<int64_t> slots = frame.positionSlots();

@@ -47,7 +47,16 @@ Conv2dLayer::forward(const Tensor &x, MercuryContext *ctx)
         recordValid_ = capture != nullptr;
         return out;
     }
-    return conv2dForward(x, weight_, bias_, spec_);
+    return exact(x).forward(x, weight_, bias_);
+}
+
+ExactConv &
+Conv2dLayer::exact(const Tensor &x)
+{
+    checkConvInput(x, spec_);
+    if (!exact_ || !exact_->fits(x.dim(2), x.dim(3)))
+        exact_ = std::make_unique<ExactConv>(spec_, x.dim(2), x.dim(3));
+    return *exact_;
 }
 
 Tensor
@@ -63,10 +72,11 @@ Conv2dLayer::backwardImpl(const Tensor &grad, MercuryContext *ctx)
         gradWeight_ = engine.backwardWeights(lastInput_, grad, spec_,
                                              record_, wstats);
         ctx->accumulateWeightGrad(wstats);
+        gradBias_ = conv2dBackwardBias(grad);
     } else {
-        gradWeight_ = conv2dBackwardWeight(lastInput_, grad, spec_);
+        gradWeight_ = exact(lastInput_).backwardWeight(lastInput_, grad,
+                                                       &gradBias_);
     }
-    gradBias_ = conv2dBackwardBias(grad);
     if (ctx && ctx->backwardReuse() && recordValid_) {
         // Replay the forward pass's detection outcomes through the
         // input-gradient pass (§III-C2): zero detection cost, and
@@ -81,8 +91,7 @@ Conv2dLayer::backwardImpl(const Tensor &grad, MercuryContext *ctx)
         ctx->accumulateBackward(stats);
         return gin;
     }
-    return conv2dBackwardInput(grad, weight_, spec_, lastInput_.dim(2),
-                               lastInput_.dim(3));
+    return exact(lastInput_).backwardInput(grad, weight_);
 }
 
 void
@@ -213,27 +222,27 @@ ReluLayer::backwardImpl(const Tensor &grad, MercuryContext *)
 Tensor
 MaxPoolLayer::forward(const Tensor &x, MercuryContext *)
 {
-    lastInput_ = x;
+    lastShape_ = x.shape();
     return maxPool2x2Forward(x, argmax_);
 }
 
 Tensor
 MaxPoolLayer::backwardImpl(const Tensor &grad, MercuryContext *)
 {
-    return maxPool2x2Backward(lastInput_, grad, argmax_);
+    return maxPool2x2Backward(lastShape_, grad, argmax_);
 }
 
 Tensor
 GlobalAvgPoolLayer::forward(const Tensor &x, MercuryContext *)
 {
-    lastInput_ = x;
+    lastShape_ = x.shape();
     return globalAvgPoolForward(x);
 }
 
 Tensor
 GlobalAvgPoolLayer::backwardImpl(const Tensor &grad, MercuryContext *)
 {
-    return globalAvgPoolBackward(lastInput_, grad);
+    return globalAvgPoolBackward(lastShape_, grad);
 }
 
 Tensor

@@ -123,6 +123,12 @@ class Conv2dLayer : public Layer
     Tensor gradWeight_;
     Tensor gradBias_;
     Tensor lastInput_;
+    // The exact ops of the last input size: geometry and frame buffers
+    // built once, not per call.
+    std::unique_ptr<ExactConv> exact_;
+
+    /** exact_, rebuilt when x's (h, w) differs from its own. */
+    ExactConv &exact(const Tensor &x);
     // Forward-captured detection outcomes for the backward replay
     // (§III-C2); valid only for the most recent ctx-enabled forward.
     SignatureRecord record_;
@@ -197,7 +203,7 @@ class MaxPoolLayer : public Layer
                         MercuryContext *ctx) override;
 
   private:
-    Tensor lastInput_;
+    std::vector<int64_t> lastShape_; ///< the forward input's shape
     std::vector<int32_t> argmax_;
 };
 
@@ -213,7 +219,7 @@ class GlobalAvgPoolLayer : public Layer
                         MercuryContext *ctx) override;
 
   private:
-    Tensor lastInput_;
+    std::vector<int64_t> lastShape_; ///< the forward input's shape
 };
 
 /** Flatten (N, C, H, W) -> (N, C*H*W). */

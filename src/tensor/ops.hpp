@@ -65,25 +65,6 @@ void checkConvGradOut(const Tensor &gradOut, int64_t n, int64_t in_h,
 void checkConvBias(const Tensor &bias, const ConvSpec &spec);
 
 /**
- * Forward convolution.
- *
- * @param input  (N, Cin, H, W)
- * @param weight (Cout, Cin/groups, kH, kW)
- * @param bias   (Cout) or empty tensor for no bias
- * @return       (N, Cout, outH, outW)
- */
-Tensor conv2dForward(const Tensor &input, const Tensor &weight,
-                     const Tensor &bias, const ConvSpec &spec);
-
-/** Gradient of the loss w.r.t. the convolution weights (paper Eq. 1). */
-Tensor conv2dBackwardWeight(const Tensor &input, const Tensor &gradOut,
-                            const ConvSpec &spec);
-
-/** Gradient of the loss w.r.t. the convolution input (paper Eq. 2). */
-Tensor conv2dBackwardInput(const Tensor &gradOut, const Tensor &weight,
-                           const ConvSpec &spec, int64_t in_h, int64_t in_w);
-
-/**
  * The zero-bordered frame of one (h, w) plane that the conv forward
  * and weight gradient read. Input cell (y, x) sits at padded
  * (y + pad, x + pad), and the frame's (oh - 1) * stride + kH rows and
@@ -124,7 +105,11 @@ class ConvFrame
      */
     std::vector<int64_t> positionSlots() const;
 
-    /** Copy `channels` (h, w) planes into consecutive frames. */
+    /**
+     * Copy `channels` (h, w) planes into consecutive frames. Writes
+     * every cell of each frame, the zero border included, so `dst`
+     * needs no clearing between loads.
+     */
     void load(const float *src, int64_t channels, float *dst) const;
 
   private:
@@ -184,12 +169,12 @@ class ConvGradFrame
 
     /**
      * `weight` (Cout, Cin/groups, kH, kW) flipped into convForward's
-     * layout: input channel c of group g has its taps() weights at
-     * (g * Cin/groups + c) * taps().size(), tap (f, j, i) holding
-     * kernel element (kH - 1 - j, kW - 1 - i) of filter
-     * g * Cout/groups + f for that channel.
+     * layout at `dst` (weight.numel() floats): input channel c of group
+     * g has its taps() weights at (g * Cin/groups + c) * taps().size(),
+     * tap (f, j, i) holding kernel element (kH - 1 - j, kW - 1 - i) of
+     * filter g * Cout/groups + f for that channel.
      */
-    std::vector<float> flipKernels(const Tensor &weight) const;
+    void flipKernels(const Tensor &weight, float *dst) const;
 
     /**
      * Write `filters` consecutive (oh, ow) gradient planes into
@@ -198,8 +183,8 @@ class ConvGradFrame
      * gradients land on are written, the same ones at every load: zero
      * `dst` once and it serves every load of this frame. At stride 1 a
      * gradient row lands on consecutive cells: without owners each row
-     * moves as one copySpan, through them one gatherSpan moves every
-     * row of every plane.
+     * moves in quads, through them one gatherSpan moves every row of
+     * every plane.
      */
     void load(const float *go, int64_t filters, const int32_t *owners,
               float *dst) const;
@@ -220,12 +205,92 @@ class ConvGradFrame
 
 /**
  * gradOut's (n * groups) blocks of Cout/groups (oh, ow) planes, each
- * transposed to (position, filter): the layout the weight-gradient
- * kernel (ownerWeightMul) reads the output gradients in.
+ * transposed to (position, filter): an (n * groups, oh * ow,
+ * Cout/groups) tensor, the layout the weight-gradient kernel
+ * (ownerWeightMul) reads the output gradients in. Moves 4 x 4 tiles.
  */
-std::vector<float> gradOutByPosition(const Tensor &gradOut, int64_t groups);
+Tensor gradOutByPosition(const Tensor &gradOut, int64_t groups);
 
-/** Gradient of the loss w.r.t. the bias (sum over N, H, W). */
+/**
+ * The three exact conv ops of one (spec, h, w) layer, with their
+ * geometry (the frames, tap offsets and position slots) built once and
+ * their frame buffers kept between calls: Conv2dLayer holds one, and
+ * the free functions below build one per call. Each op fully writes
+ * the tensor it returns. The ops reuse member scratch, so one object
+ * runs one op at a time.
+ */
+class ExactConv
+{
+  public:
+    /** The ops of `spec` on (h, w) inputs; panics on a bad spec. */
+    ExactConv(const ConvSpec &spec, int64_t h, int64_t w);
+
+    /** True when this object's inputs are (h, w) planes. */
+    bool fits(int64_t h, int64_t w) const;
+
+    /**
+     * Forward convolution.
+     *
+     * @param input  (N, Cin, H, W)
+     * @param weight (Cout, Cin/groups, kH, kW)
+     * @param bias   (Cout) or empty tensor for no bias
+     * @return       (N, Cout, outH, outW)
+     */
+    Tensor forward(const Tensor &input, const Tensor &weight,
+                   const Tensor &bias);
+
+    /**
+     * Gradient of the loss w.r.t. the weights (paper Eq. 1). With
+     * `gradBias`, also writes conv2dBackwardBias(gradOut) there, bit
+     * for bit, summed from the same transposed gradients.
+     */
+    Tensor backwardWeight(const Tensor &input, const Tensor &gradOut,
+                          Tensor *gradBias = nullptr);
+
+    /** Gradient of the loss w.r.t. the (N, Cin, H, W) input (Eq. 2). */
+    Tensor backwardInput(const Tensor &gradOut, const Tensor &weight);
+
+  private:
+    ConvSpec spec_;
+    int64_t h_, w_, cin_g_, cout_g_;
+    ConvFrame frame_;
+    ConvGradFrame gradFrame_;
+    std::vector<int64_t> tapOff_;   ///< frame_.tapOffsets(cin_g_)
+    std::vector<int64_t> slots_;    ///< frame_.positionSlots()
+    std::vector<float> frames_;     ///< cin_g_ conv frames
+    std::vector<float> gradFrames_; ///< cout_g_ gradient frames, zeroed once
+    std::vector<float> flipped_;    ///< gradFrame_.flipKernels(weight)
+    std::vector<float> goT_;        ///< one (image, group)'s gradients
+    std::vector<float> acc_;        ///< a group's (tap, filter) dW sums
+
+    /** Panics unless `input` is (N, Cin, h, w). */
+    void checkInput(const Tensor &input) const;
+};
+
+/**
+ * Forward convolution: ExactConv(spec, H, W).forward.
+ *
+ * @param input  (N, Cin, H, W)
+ * @param weight (Cout, Cin/groups, kH, kW)
+ * @param bias   (Cout) or empty tensor for no bias
+ * @return       (N, Cout, outH, outW)
+ */
+Tensor conv2dForward(const Tensor &input, const Tensor &weight,
+                     const Tensor &bias, const ConvSpec &spec);
+
+/** Gradient of the loss w.r.t. the convolution weights (paper Eq. 1). */
+Tensor conv2dBackwardWeight(const Tensor &input, const Tensor &gradOut,
+                            const ConvSpec &spec);
+
+/** Gradient of the loss w.r.t. the convolution input (paper Eq. 2). */
+Tensor conv2dBackwardInput(const Tensor &gradOut, const Tensor &weight,
+                           const ConvSpec &spec, int64_t in_h, int64_t in_w);
+
+/**
+ * Gradient of the loss w.r.t. the bias: each filter's sum over
+ * (N, H, W) ascending from +0, the filters four to a vector, side by
+ * side.
+ */
 Tensor conv2dBackwardBias(const Tensor &gradOut);
 
 /**
@@ -247,24 +312,44 @@ Tensor matmulTransposeB(const Tensor &a, const Tensor &b);
 /** Transpose a rank-2 tensor. */
 Tensor transpose2d(const Tensor &a);
 
-/** Elementwise ReLU. */
+/** Elementwise ReLU: x where x > 0, else +0 (NaN and -0 give +0). */
 Tensor reluForward(const Tensor &x);
 
-/** ReLU gradient: grad * (x > 0). */
+/**
+ * ReLU gradient: +0 where x <= 0, else grad (so NaN x passes grad).
+ * Panics unless grad has x's shape.
+ */
 Tensor reluBackward(const Tensor &x, const Tensor &grad);
 
-/** 2x2 stride-2 max pooling over (N, C, H, W); also fills argmax. */
+/**
+ * 2x2 stride-2 max pooling over (N, C, H, W); also fills argmax with
+ * each output's flat offset in x. A window takes its first element,
+ * then each later one (row-major) that is strictly larger, so equal
+ * values (+0 against -0 too) and a NaN keep the earlier element, and a
+ * NaN first element stays. A trailing odd row or column is read by no
+ * window.
+ */
 Tensor maxPool2x2Forward(const Tensor &x, std::vector<int32_t> &argmax);
 
-/** Backward of 2x2 stride-2 max pooling using the stored argmax. */
-Tensor maxPool2x2Backward(const Tensor &x, const Tensor &gradOut,
+/**
+ * Backward of 2x2 stride-2 max pooling: the input gradient of shape
+ * `inShape`, each window's cell at argmax holding +0 + gradOut and
+ * every other cell +0. Panics unless gradOut is (N, C, H/2, W/2), argmax
+ * holds one offset per gradOut element, and each lies in its window.
+ */
+Tensor maxPool2x2Backward(const std::vector<int64_t> &inShape,
+                          const Tensor &gradOut,
                           const std::vector<int32_t> &argmax);
 
 /** Global average pooling (N, C, H, W) -> (N, C). */
 Tensor globalAvgPoolForward(const Tensor &x);
 
-/** Backward of global average pooling. */
-Tensor globalAvgPoolBackward(const Tensor &x, const Tensor &gradOut);
+/**
+ * Backward of global average pooling to an input of shape `inShape`;
+ * panics unless gradOut is (N, C).
+ */
+Tensor globalAvgPoolBackward(const std::vector<int64_t> &inShape,
+                             const Tensor &gradOut);
 
 /**
  * Softmax cross-entropy over logits (N, numClasses).

@@ -25,12 +25,21 @@ Tensor::Tensor(std::vector<int64_t> shape)
 {
 }
 
-Tensor::Tensor(std::vector<int64_t> shape, std::vector<float> data)
-    : shape_(std::move(shape)), data_(std::move(data))
+Tensor::Tensor(std::vector<int64_t> shape, const std::vector<float> &data)
+    : shape_(std::move(shape)), data_(data.begin(), data.end())
 {
     if (shapeNumel(shape_) != static_cast<int64_t>(data_.size()))
         panic("tensor shape/data mismatch: shape wants ",
               shapeNumel(shape_), " elements, data has ", data_.size());
+}
+
+Tensor
+Tensor::uninitialized(std::vector<int64_t> shape)
+{
+    Tensor t;
+    t.data_.resize(static_cast<size_t>(shapeNumel(shape)));
+    t.shape_ = std::move(shape);
+    return t;
 }
 
 void

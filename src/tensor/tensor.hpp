@@ -12,7 +12,9 @@
 #define MERCURY_TENSOR_TENSOR_HPP
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mercury {
@@ -30,7 +32,14 @@ class Tensor
     explicit Tensor(std::vector<int64_t> shape);
 
     /** Construct from shape and flat data; sizes must agree. */
-    Tensor(std::vector<int64_t> shape, std::vector<float> data);
+    Tensor(std::vector<int64_t> shape, const std::vector<float> &data);
+
+    /**
+     * A tensor of the given shape whose elements hold no defined value
+     * yet: for an op that writes every element before anything reads
+     * it, so the zero-fill of Tensor(shape) is not paid twice.
+     */
+    static Tensor uninitialized(std::vector<int64_t> shape);
 
     /** Total number of elements. */
     int64_t numel() const { return static_cast<int64_t>(data_.size()); }
@@ -99,8 +108,40 @@ class Tensor
     }
 
   private:
+    /**
+     * std::allocator whose value-less construct leaves a trivial element
+     * uninitialized, so a tensor that every element is about to be written
+     * into skips the zero-fill; a construct with a value still copies it.
+     */
+    template <typename T>
+    struct DefaultInitAllocator : std::allocator<T>
+    {
+        template <typename U>
+        struct rebind
+        {
+            using other = DefaultInitAllocator<U>;
+        };
+
+        DefaultInitAllocator() = default;
+        template <typename U>
+        DefaultInitAllocator(const DefaultInitAllocator<U> &) noexcept
+        {
+        }
+
+        template <typename U>
+        void construct(U *p)
+        {
+            ::new (static_cast<void *>(p)) U;
+        }
+        template <typename U, typename... Args>
+        void construct(U *p, Args &&...args)
+        {
+            ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
+        }
+    };
+
     std::vector<int64_t> shape_;
-    std::vector<float> data_;
+    std::vector<float, DefaultInitAllocator<float>> data_;
 
     static int64_t shapeNumel(const std::vector<int64_t> &shape);
 

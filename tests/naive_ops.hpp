@@ -270,6 +270,16 @@ maxPool2x2Forward(const Tensor &x, std::vector<int32_t> &argmax)
 }
 
 inline Tensor
+maxPool2x2Backward(const Tensor &x, const Tensor &gradOut,
+                   const std::vector<int32_t> &argmax)
+{
+    Tensor grad_in(x.shape());
+    for (int64_t i = 0; i < gradOut.numel(); ++i)
+        grad_in[argmax[static_cast<size_t>(i)]] += gradOut[i];
+    return grad_in;
+}
+
+inline Tensor
 globalAvgPoolForward(const Tensor &x)
 {
     const int64_t n = x.dim(0), c = x.dim(1);

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cfloat>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -28,6 +29,7 @@
 
 #include "core/kernels/kernels.hpp"
 #include "naive_ops.hpp"
+#include "nn/layers.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
@@ -450,17 +452,44 @@ TEST(ExactOps, MatmulOpsMatchOracleBitForBit)
     }
 }
 
+/**
+ * sparseNormal's values with about one in eight replaced by a value
+ * the glue ops must move bit for bit: NaN, +-inf, or a copy of the
+ * element before it (an equal pair, so a pool window sees ties beside
+ * the +-0 ones).
+ */
+Tensor
+specialValues(std::vector<int64_t> shape, Rng &rng)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    Tensor t = sparseNormal(std::move(shape), rng);
+    for (int64_t i = 0; i < t.numel(); ++i) {
+        if (!rng.bernoulli(0.125))
+            continue;
+        switch (rng.uniformInt(4)) {
+        case 0: t[i] = std::numeric_limits<float>::quiet_NaN(); break;
+        case 1: t[i] = inf; break;
+        case 2: t[i] = -inf; break;
+        default: t[i] = i ? t[i - 1] : 0.5f; break;
+        }
+    }
+    return t;
+}
+
 TEST(ExactOps, EltwiseAndPoolOpsMatchOracleBitForBit)
 {
+    // H and W up to 40, odd ones included: a row holds several whole
+    // quads of pool windows, a partial last one, or both, and a
+    // trailing row or column no window reads.
     for (uint64_t seed = 1; seed <= 60; ++seed) {
         Rng rng(seed);
         const int64_t n = pick(rng, 1, 3), c = pick(rng, 1, 4);
-        const int64_t h = pick(rng, 1, 9), w = pick(rng, 1, 9);
+        const int64_t h = pick(rng, 1, 40), w = pick(rng, 1, 40);
         SCOPED_TRACE(::testing::Message() << "seed " << seed << ": (" << n
                                           << ", " << c << ", " << h << ", "
                                           << w << ")");
-        const Tensor x = sparseNormal({n, c, h, w}, rng);
-        const Tensor grad = sparseNormal({n, c, h, w}, rng);
+        const Tensor x = specialValues({n, c, h, w}, rng);
+        const Tensor grad = specialValues({n, c, h, w}, rng);
         EXPECT_TRUE(sameBits(reluForward(x), oracle::reluForward(x)))
             << "reluForward";
         EXPECT_TRUE(
@@ -468,21 +497,190 @@ TEST(ExactOps, EltwiseAndPoolOpsMatchOracleBitForBit)
             << "reluBackward";
 
         std::vector<int32_t> argmax, want_argmax;
-        EXPECT_TRUE(sameBits(maxPool2x2Forward(x, argmax),
-                             oracle::maxPool2x2Forward(x, want_argmax)))
+        const Tensor pooled = maxPool2x2Forward(x, argmax);
+        EXPECT_TRUE(
+            sameBits(pooled, oracle::maxPool2x2Forward(x, want_argmax)))
             << "maxPool2x2Forward";
         EXPECT_EQ(argmax, want_argmax) << "maxPool2x2Forward argmax";
+        const Tensor pool_grad = specialValues(pooled.shape(), rng);
+        EXPECT_TRUE(sameBits(maxPool2x2Backward(x.shape(), pool_grad, argmax),
+                             oracle::maxPool2x2Backward(x, pool_grad,
+                                                        want_argmax)))
+            << "maxPool2x2Backward";
 
         const Tensor gap_grad = sparseNormal({n, c}, rng);
         EXPECT_TRUE(sameBits(globalAvgPoolForward(x),
                              oracle::globalAvgPoolForward(x)))
             << "globalAvgPoolForward";
-        EXPECT_TRUE(sameBits(globalAvgPoolBackward(x, gap_grad),
+        EXPECT_TRUE(sameBits(globalAvgPoolBackward(x.shape(), gap_grad),
                              oracle::globalAvgPoolBackward(x, gap_grad)))
             << "globalAvgPoolBackward";
         if (HasFailure())
             return;
     }
+}
+
+TEST(ExactOps, EltwiseSeedsCoverEveryLane)
+{
+    // Every pool body path runs, and the special values land where
+    // the compare-and-select rule matters: a NaN first in its window,
+    // a NaN after a number, and windows of equal values.
+    bool whole = false, tail = false, odd = false;
+    bool nan_first = false, nan_later = false, ties = false, inf = false;
+    for (uint64_t seed = 1; seed <= 60; ++seed) {
+        Rng rng(seed);
+        const int64_t n = pick(rng, 1, 3), c = pick(rng, 1, 4);
+        const int64_t h = pick(rng, 1, 40), w = pick(rng, 1, 40);
+        const Tensor x = specialValues({n, c, h, w}, rng);
+        whole |= w / 2 >= 8;
+        tail |= w / 2 % 4 != 0;
+        odd |= h % 2 == 1 && w % 2 == 1;
+        for (int64_t plane = 0; plane < n * c; ++plane)
+            for (int64_t y = 0; y + 1 < h; y += 2)
+                for (int64_t ox = 0; ox + 1 < w; ox += 2) {
+                    const float *p = x.data() + (plane * h + y) * w + ox;
+                    const float e[4] = {p[0], p[1], p[w], p[w + 1]};
+                    nan_first |= std::isnan(e[0]) && !std::isnan(e[1]);
+                    nan_later |= !std::isnan(e[0]) && std::isnan(e[1]);
+                    ties |= e[0] == e[1] && e[0] >= e[2] && e[0] >= e[3];
+                    inf |= std::isinf(e[0]) || std::isinf(e[3]);
+                }
+    }
+    EXPECT_TRUE(whole && tail && odd);
+    EXPECT_TRUE(nan_first && nan_later && ties && inf);
+}
+
+TEST(ExactOps, ExactConvServesRepeatedCallsBitForBit)
+{
+    // One ExactConv per geometry, as Conv2dLayer keeps it: its frames
+    // and gradient frames carry over between calls, and a second round
+    // on other data and another batch must still match the oracle,
+    // the bias summed beside the weight gradient included.
+    for (uint64_t seed = 1; seed <= 80; ++seed) {
+        const ConvCase c = drawConv(seed);
+        SCOPED_TRACE(::testing::Message() << c);
+        const ConvSpec &spec = c.spec;
+        ExactConv op(spec, c.h, c.w);
+        Rng rng(seed * 6151 + 5);
+        for (int round = 0; round < 2; ++round) {
+            const int64_t batch = round ? 4 - c.batch : c.batch;
+            const Tensor input =
+                sparseNormal({batch, spec.inChannels, c.h, c.w}, rng);
+            Tensor weight({spec.outChannels, spec.inChannels / spec.groups,
+                           spec.kernelH, spec.kernelW});
+            weight.fillNormal(rng);
+            Tensor bias({spec.outChannels});
+            bias.fillNormal(rng);
+            const Tensor grad_out = sparseNormal(
+                {batch, spec.outChannels, spec.outH(c.h), spec.outW(c.w)},
+                rng);
+            EXPECT_TRUE(
+                sameBits(op.forward(input, weight, bias),
+                         oracle::conv2dForward(input, weight, bias, spec)))
+                << "forward, round " << round;
+            Tensor grad_b;
+            EXPECT_TRUE(
+                sameBits(op.backwardWeight(input, grad_out, &grad_b),
+                         oracle::conv2dBackwardWeight(input, grad_out, spec)))
+                << "backwardWeight, round " << round;
+            EXPECT_TRUE(sameBits(grad_b, oracle::conv2dBackwardBias(grad_out)))
+                << "bias, round " << round;
+            EXPECT_TRUE(sameBits(
+                op.backwardInput(grad_out, weight),
+                oracle::conv2dBackwardInput(grad_out, weight, spec, c.h, c.w)))
+                << "backwardInput, round " << round;
+        }
+        if (HasFailure())
+            return;
+    }
+}
+
+TEST(ExactOps, ConvFrameLoadWritesEveryCellOverADirtyBuffer)
+{
+    // The frame as its class comment lays it out, cell by cell: +0
+    // everywhere, then input (y, x) at row y + pad, slot col(x + pad),
+    // for the cells inside the frame. The load runs over NaN, so a
+    // cell it skips shows. Pads up to 6 reach both the quad-border path
+    // (stride 1, pad <= 4) and the per-slot one.
+    for (uint64_t seed = 1; seed <= 300; ++seed) {
+        Rng rng(seed * 7919 + 3);
+        ConvSpec spec;
+        spec.kernelH = pick(rng, 1, 5);
+        spec.kernelW = pick(rng, 1, 5);
+        spec.stride = pick(rng, 1, 3);
+        spec.pad = pick(rng, 0, 6);
+        spec.inChannels = spec.outChannels = 1;
+        const int64_t h = std::max(pick(rng, 1, 20),
+                                   spec.kernelH - 2 * spec.pad);
+        const int64_t w = std::max(pick(rng, 1, 20),
+                                   spec.kernelW - 2 * spec.pad);
+        const int64_t channels = pick(rng, 1, 3);
+        SCOPED_TRACE(::testing::Message()
+                     << "seed " << seed << ": " << h << "x" << w << " k"
+                     << spec.kernelH << "x" << spec.kernelW << " s"
+                     << spec.stride << " p" << spec.pad << ", "
+                     << channels << " channels");
+        const ConvFrame frame(spec, h, w);
+        const Tensor x = sparseNormal({channels, h, w}, rng);
+        const int64_t row_len = frame.rowStep() / spec.stride;
+        const int64_t span = row_len / spec.stride;
+        const int64_t rows = frame.size() / row_len;
+        std::vector<float> want(static_cast<size_t>(channels * frame.size()),
+                                0.0f);
+        for (int64_t c = 0; c < channels; ++c)
+            for (int64_t y = 0; y + spec.pad < rows && y < h; ++y)
+                for (int64_t px = spec.pad; px < row_len && px < w + spec.pad;
+                     ++px) {
+                    const int64_t slot =
+                        px % spec.stride * span + px / spec.stride;
+                    want[static_cast<size_t>(c * frame.size() +
+                                             (y + spec.pad) * row_len +
+                                             slot)] =
+                        x[(c * h + y) * w + px - spec.pad];
+                }
+        std::vector<float> got(want.size(),
+                               std::numeric_limits<float>::quiet_NaN());
+        frame.load(x.data(), channels, got.data());
+        ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                                 want.size() * sizeof(float)));
+    }
+}
+
+TEST(ExactOpsDeathTest, ReluBackwardPanicsOnAGradientOfAnotherShape)
+{
+    const Tensor x({1, 1, 2, 2});
+    const Tensor grad({1, 1, 4, 4});
+    EXPECT_DEATH(reluBackward(x, grad),
+                 "grad \\(1, 1, 4, 4\\) != input \\(1, 1, 2, 2\\)");
+}
+
+TEST(ExactOpsDeathTest, GlobalAvgPoolBackwardPanicsOnAShortGradient)
+{
+    GlobalAvgPoolLayer gap;
+    gap.forward(Tensor({2, 3, 4, 4}), nullptr);
+    EXPECT_DEATH(gap.backward(Tensor({2, 2})),
+                 "gradOut \\(2, 2\\) != \\(2, 3\\)");
+}
+
+TEST(ExactOpsDeathTest, MaxPoolBackwardPanicsOnAGradientOfAnotherShape)
+{
+    MaxPoolLayer pool;
+    pool.forward(Tensor({1, 1, 4, 4}), nullptr);
+    EXPECT_DEATH(pool.backward(Tensor({1, 1, 4, 4})),
+                 "gradOut \\(1, 1, 4, 4\\) != \\(1, 1, 2, 2\\)");
+}
+
+TEST(ExactOpsDeathTest, MaxPoolBackwardPanicsOnAStrayArgmax)
+{
+    const std::vector<int64_t> shape = {1, 1, 4, 4};
+    const Tensor grad({1, 1, 2, 2});
+    // Window (0, 1) covers offsets 2, 3, 6 and 7; offset 4 is (1, 0)'s.
+    const std::vector<int32_t> stray = {0, 4, 8, 10};
+    EXPECT_DEATH(maxPool2x2Backward(shape, grad, stray),
+                 "argmax offset lies outside its window");
+    const std::vector<int32_t> short_argmax = {0, 2, 8};
+    EXPECT_DEATH(maxPool2x2Backward(shape, grad, short_argmax),
+                 "3 argmax offsets for 4 outputs");
 }
 
 TEST(ExactOps, MaxPoolOutputsAWindowValueAndPointsInsideIt)
@@ -520,7 +718,7 @@ TEST(ExactOps, MaxPoolOutputsAWindowValueAndPointsInsideIt)
     const Tensor out = maxPool2x2Forward(x, argmax);
     Tensor ones(out.shape());
     ones.fill(1.0f);
-    const Tensor grad = maxPool2x2Backward(x, ones, argmax);
+    const Tensor grad = maxPool2x2Backward(x.shape(), ones, argmax);
     idx = 0;
     for (int64_t plane = 0; plane < 6; ++plane)
         for (int64_t y = 0; y < oh; ++y)

@@ -869,7 +869,8 @@ TEST(Kernels, ConvBackwardInputBitIdentity)
         const std::vector<float> wv =
             randomFloats(weight.numel(), 13 + c.w + filters);
         std::copy(wv.begin(), wv.end(), weight.data());
-        const std::vector<float> flipped = f.flipKernels(weight);
+        std::vector<float> flipped(static_cast<size_t>(weight.numel()));
+        f.flipKernels(weight, flipped.data());
         const std::vector<int64_t> &taps = f.taps();
         const int64_t ntaps = static_cast<int64_t>(taps.size());
         ASSERT_EQ(ntaps, filters * kh * kw) << c.str();

@@ -445,7 +445,7 @@ TEST(MaxPool, ForwardPicksMaxAndBackwardRoutes)
     EXPECT_FLOAT_EQ(y[0], 5.0f);
 
     Tensor gy({1, 1, 1, 1}, {2.0f});
-    Tensor gx = maxPool2x2Backward(x, gy, argmax);
+    Tensor gx = maxPool2x2Backward(x.shape(), gy, argmax);
     EXPECT_FLOAT_EQ(gx[1], 2.0f);
     EXPECT_FLOAT_EQ(gx[0], 0.0f);
 }
@@ -456,7 +456,7 @@ TEST(GlobalAvgPool, ForwardAveragesAndBackwardSpreads)
     Tensor y = globalAvgPoolForward(x);
     EXPECT_FLOAT_EQ(y.at2(0, 0), 2.5f);
     Tensor gy({1, 1}, {4.0f});
-    Tensor gx = globalAvgPoolBackward(x, gy);
+    Tensor gx = globalAvgPoolBackward(x.shape(), gy);
     for (int64_t i = 0; i < 4; ++i)
         EXPECT_FLOAT_EQ(gx[i], 1.0f);
 }

@@ -35,6 +35,16 @@ these that holds:
 checks the verdict rule on synthetic pairs and exits non-zero if it
 misjudges one.
 
+    python3 tools/bench_pairs.py --parent ../parent --change . \\
+        --workload vgg13_exact --seeds 42-51 --cxx-flags=-falign-functions=64
+
+builds both sides with extra compiler flags (CMAKE_CXX_FLAGS), e.g. to
+pin function placement before reading a small difference: before the
+first run it configures each checkout's .bench_build/perfbench with
+them. A .bench_build already configured with different flags (an
+empty set included) is refused, not rebuilt: delete it, or use another
+copy of the checkout.
+
 Run nothing else at the same time: the pairs are only comparable when
 the host is otherwise idle. The exit code is 0 when every run produced
 a result, whatever the numbers say.
@@ -45,6 +55,7 @@ import json
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 DETERMINISTIC = ("train_loss", "modeled_speedup")
@@ -70,6 +81,45 @@ def run_side(checkout, workload, seed, seconds):
         return json.loads(lines[-1]) if lines else None
     except json.JSONDecodeError:
         return None
+
+
+def configured_flags(build_dir):
+    """CMAKE_CXX_FLAGS of the build configured in `build_dir`, or None."""
+    cache = Path(build_dir) / "CMakeCache.txt"
+    if not cache.exists():
+        return None
+    for line in cache.read_text().splitlines():
+        if line.startswith("CMAKE_CXX_FLAGS:"):
+            return line.partition("=")[2].strip()
+    return ""
+
+
+def flags_problem(build_dir, flags):
+    """Why the build in `build_dir` cannot serve `flags`, or None."""
+    have = configured_flags(build_dir)
+    if have is None or have == flags.strip():
+        return None
+    return ("%s was configured with CMAKE_CXX_FLAGS '%s', not '%s': "
+            "delete it or use another copy of the checkout"
+            % (build_dir, have, flags.strip()))
+
+
+def configure_side(checkout, flags):
+    """Configure `checkout`'s perfbench build with `flags`; error or None.
+
+    perfbench/run.py configures only a build without its stamp file, so
+    a build configured here keeps these flags for every later run.
+    """
+    build_dir = checkout / ".bench_build" / "perfbench"
+    if configured_flags(build_dir) is not None:
+        return flags_problem(build_dir, flags)
+    cmd = ["cmake", "-S", str(checkout / "perfbench"), "-B", str(build_dir),
+           "-DCMAKE_BUILD_TYPE=Release", "-DCMAKE_CXX_FLAGS=" + flags]
+    if subprocess.run(cmd, stdout=subprocess.DEVNULL,
+                      stderr=subprocess.STDOUT).returncode:
+        return "configuring %s failed: %s" % (build_dir, " ".join(cmd))
+    (build_dir / "configured.stamp").touch()
+    return None
 
 
 def value(result, name):
@@ -149,6 +199,28 @@ def self_test():
         failed += not ok
         print("case %d: want %s, got %s (%d/%d wins)%s"
               % (i, want, got, wins, len(pairs), "" if ok else "  FAIL"))
+    # The flag check on synthetic caches: (cache text or None for no
+    # build, requested flags, whether the build may serve them).
+    flag_cases = [
+        (None, "-falign-functions=64", True),
+        ("CMAKE_CXX_FLAGS:STRING=\n", "", True),
+        ("CMAKE_CXX_FLAGS:STRING=-falign-functions=64\n",
+         "-falign-functions=64", True),
+        ("CMAKE_CXX_FLAGS:STRING=\n", "-falign-functions=64", False),
+        ("CMAKE_CXX_FLAGS:STRING=-falign-functions=64\n", "", False),
+        ("CMAKE_CXX_FLAGS:STRING=-O1\n", "-falign-functions=64", False),
+    ]
+    for i, (cache, flags, serves) in enumerate(flag_cases):
+        with tempfile.TemporaryDirectory() as build_dir:
+            if cache is not None:
+                (Path(build_dir) / "CMakeCache.txt").write_text(
+                    "CMAKE_BUILD_TYPE:STRING=Release\n" + cache)
+            got = flags_problem(build_dir, flags) is None
+        ok = got == serves
+        failed += not ok
+        print("flag case %d: want %s, got %s%s"
+              % (i, "serves" if serves else "refused",
+                 "serves" if got else "refused", "" if ok else "  FAIL"))
     print("self-test: %s" % ("ok" if not failed else "%d FAILED" % failed))
     return 1 if failed else 0
 
@@ -159,6 +231,9 @@ def main():
     parser.add_argument("--change", help="checkout of the change")
     parser.add_argument("--workload")
     parser.add_argument("--seeds", help="seeds, e.g. 32-41 or 1,2,5")
+    parser.add_argument("--cxx-flags", default="",
+                        help="CMAKE_CXX_FLAGS for both sides' builds, "
+                             "e.g. -falign-functions=64")
     parser.add_argument("--self-test", action="store_true",
                         help="check the verdict rule and exit")
     args = parser.parse_args()
@@ -173,6 +248,11 @@ def main():
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     e2e = {m["name"]: m for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
+    for side, checkout in sides.items():
+        problem = configure_side(checkout, args.cxx_flags)
+        if problem:
+            print("%s: %s" % (side, problem), file=sys.stderr)
+            return 2
 
     runs = {"parent": [], "change": []}  # (seed, result or None)
     for i, seed in enumerate(parse_seeds(args.seeds)):
@@ -187,8 +267,8 @@ def main():
             print("seed %d %s: %s" % (seed, side, shown), flush=True)
 
     ok = all(r for side in runs.values() for _, r in side)
-    print("\n%s, %d pairs, %d s runs" % (args.workload, len(runs["parent"]),
-                                         seconds))
+    print("\n%s, %d pairs, %d s runs, CMAKE_CXX_FLAGS '%s'"
+          % (args.workload, len(runs["parent"]), seconds, args.cxx_flags))
     for side in ("parent", "change"):
         done = [r for _, r in runs[side] if r]
         print("%s:" % side)
