@@ -85,6 +85,10 @@ AttentionEngine::backward(const Tensor &x, const Tensor &g,
     const SignatureRecord::Pass &pass = record.pass(pass_index);
     if (pass.rows != t)
         panic("recorded pass holds ", pass.rows, " rows, sample has ", t);
+    if (xtx_pre && (xtx_pre->rank() != 2 || xtx_pre->dim(0) != d ||
+                    xtx_pre->dim(1) != d))
+        panic("AttentionEngine backward expects a (", d, ", ", d,
+              ") Xt X factor, got ", xtx_pre->shapeStr());
 
     // Per computed row: the three gradient terms of Y = (X Xt) X cost
     // d*d (t1) + 4*t*d (u, t2, v, t3) MACs; the shared Xt X factor

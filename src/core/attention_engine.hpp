@@ -71,10 +71,10 @@ class AttentionEngine
      * to the exact factorized backward when the pass holds no hits.
      *
      * When `xtx` is non-null it is used as the sample's shared
-     * projection factor Xt X instead of recomputing it — pass the
-     * result of backwardProjection() to ride the weight-gradient
-     * replay; the projection's t*d*d MACs are then charged by that
-     * call, not here.
+     * projection factor Xt X, which must be (D, D), instead of
+     * recomputing it — pass the result of backwardProjection() to
+     * ride the weight-gradient replay; the projection's t*d*d MACs
+     * are then charged by that call, not here.
      */
     Tensor backward(const Tensor &x, const Tensor &g,
                     const SignatureRecord &record, int64_t pass_index,

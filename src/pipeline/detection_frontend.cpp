@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <climits>
-#include <functional>
-#include <mutex>
+#include <thread>
 #include <utility>
 
 #include "util/executors.hpp"
 #include "util/logging.hpp"
-#include "util/spsc_queue.hpp"
 
 namespace mercury {
 
@@ -24,24 +22,22 @@ PipelineConfig::fromConfig(const AcceleratorConfig &cfg)
 }
 
 /**
- * A pooled pass's hand-off: hashers finish blocks in any order, and the
- * frontier walk pushes them into the queue ascending. Built for each
- * pass a pool hashes; the serial path never builds one.
+ * A pooled pass's hashers: each claims the next block with one atomic
+ * add, hashes it and sets its ready flag (release); the probing thread
+ * reads the flag of its next block (acquire). Built for each pass a
+ * pool hashes; the serial path never builds one.
  */
-struct DetectionHashJob::Sequencer
+struct DetectionHashJob::Hashers
 {
-    Sequencer(ThreadPool *pool, int64_t blocks)
-        : hashed(static_cast<size_t>(blocks), 0), hashers(pool)
+    Hashers(ThreadPool *pool, int64_t blocks)
+        : ready(new std::atomic<bool>[static_cast<size_t>(blocks)]()),
+          group(pool)
     {
     }
 
-    SpscQueue<int64_t> handoff;
-    std::mutex mutex;
-    std::vector<char> hashed;
-    int64_t frontier = 0;
-    std::atomic<int64_t> next{0};
-    std::function<void()> hashOne; // self-replenishing hash task
-    TaskGroup hashers;             // last: joins before the rest goes
+    std::atomic<int64_t> next{0}; ///< the next unclaimed block
+    std::unique_ptr<std::atomic<bool>[]> ready;
+    TaskGroup group; // last: joins before the rest goes
 };
 
 void
@@ -80,35 +76,24 @@ DetectionHashJob::start(const Tensor *rows, const ConvFrame *geometry,
     if (n == 0 || !pool || pool->workers() <= 0)
         return; // hash inline when finishStream drives the pass
 
-    // Hashing fans out to the pool in any order; the sequencer pushes
-    // finished blocks into the hand-off queue in ascending block
-    // order, and finishStream probes them as they arrive.
-    //
-    // Hash tasks are self-replenishing (each one grabs the next
-    // unhashed block and resubmits) rather than enqueued all
-    // up-front: only ~workers are in flight, so other work on the pool
-    // is not queued behind a whole pass of hashing. Under the
-    // work-stealing pool the resubmit lands in the hashing worker's
-    // own deque (LIFO — it just touched the source, so the next block
-    // is cache-warm for it), and idle workers steal from the cold end.
-    seq_ = std::make_unique<Sequencer>(pool, blocks_);
-    seq_->hashOne = [this] {
-        if (hashNext())
-            seq_->hashers.run(seq_->hashOne); // chain the next block
-    };
-    // Seed the chain as one batch: one lock and one wakeup for the
-    // whole dependent group instead of a notify per seed.
-    seq_->hashers.runBatch(
-        std::min<int64_t>(blocks_, static_cast<int64_t>(pool->workers()) + 1),
-        seq_->hashOne);
+    // One looping hasher per worker, at most one per block: the queue
+    // holds a few tasks per pass, and blocks are claimed, not queued.
+    hashers_ = std::make_unique<Hashers>(pool, blocks_);
+    const int64_t count =
+        std::min<int64_t>(blocks_, static_cast<int64_t>(pool->workers()));
+    for (int64_t k = 0; k < count; ++k)
+        hashers_->group.run([this] {
+            while (hashNext()) {
+            }
+        });
 }
 
 DetectionHashJob::DetectionHashJob() = default;
 
 DetectionHashJob::~DetectionHashJob()
 {
-    if (seq_)
-        seq_->hashers.wait();
+    if (hashers_)
+        hashers_->group.wait();
 }
 
 void
@@ -134,36 +119,34 @@ DetectionHashJob::projectBlock(int64_t b)
 bool
 DetectionHashJob::hashNext()
 {
-    const int64_t b = seq_->next.fetch_add(1, std::memory_order_relaxed);
+    // Read before claiming, so a waiting prober does not keep pushing
+    // `next` past the end.
+    if (hashers_->next.load(std::memory_order_relaxed) >= blocks_)
+        return false;
+    const int64_t b = hashers_->next.fetch_add(1, std::memory_order_relaxed);
     if (b >= blocks_)
         return false;
     projectBlock(b);
-    std::lock_guard<std::mutex> lock(seq_->mutex);
-    seq_->hashed[static_cast<size_t>(b)] = 1;
-    while (seq_->frontier < blocks_ &&
-           seq_->hashed[static_cast<size_t>(seq_->frontier)])
-        seq_->handoff.push(seq_->frontier++);
+    hashers_->ready[static_cast<size_t>(b)].store(true,
+                                                 std::memory_order_release);
     return true;
 }
 
 void
 DetectionHashJob::awaitHashed(int64_t b)
 {
-    if (!seq_) {
+    if (!hashers_) {
         projectBlock(b);
         return;
     }
-    int64_t got = -1;
     // The probing thread is one more hasher: while its next block is
-    // not ready, it hashes an unclaimed one instead of waiting.
-    while (!seq_->handoff.tryPop(got) && hashNext()) {
+    // not ready, it hashes an unclaimed one, and yields once every
+    // block is claimed.
+    while (!hashers_->ready[static_cast<size_t>(b)].load(
+        std::memory_order_acquire)) {
+        if (!hashNext())
+            std::this_thread::yield();
     }
-    // Exactly `blocks` pushes occur, ascending, and nobody closes the
-    // queue — defensive, loud, never expected to fire.
-    if (got < 0 && !seq_->handoff.pop(got))
-        panic("detection hand-off queue closed early");
-    if (got != b)
-        panic("detection hand-off delivered block ", got, ", expected ", b);
 }
 
 DetectionFrontend::DetectionFrontend(int sets, int ways, int data_versions,
@@ -296,9 +279,9 @@ DetectionFrontend::finishStream(DetectionHashJob &job)
         cache_->probeBlock(stream, static_cast<int32_t>(r0),
                            static_cast<int32_t>(r1), &owners_);
     }
-    if (job.seq_) {
-        job.seq_->hashers.wait();
-        job.seq_.reset();
+    if (job.hashers_) {
+        job.hashers_->group.wait();
+        job.hashers_.reset();
     }
     job.cache_ = nullptr;
 

@@ -12,7 +12,8 @@
  *  1. blocked signature generation — row blocks are projected against
  *     all signature filters at once (RPQEngine::signatureWords) and
  *     sign-packed straight into the pass's packed words, on the
- *     frontend's pool when it has one (DetectionHashJob). A pass has
+ *     frontend's pool when it has one (DetectionHashJob: one looping
+ *     hasher per worker claims blocks and flags each one hashed). A pass has
  *     one of two sources: the rows of a (n, d) matrix (detect(), FC,
  *     attention), or the output positions of one input channel's conv
  *     frame, whose blocks are convolved with the random filters
@@ -39,7 +40,8 @@
  * build the pass in — a pass its record dropped (SignatureRecord::
  * takeSpare) or one it is done with — so a steady-state stream of
  * passes on the serial path allocates nothing that scales with its
- * rows; only a pass a pool hashes builds the job's sequencer.
+ * rows; only a pass a pool hashes builds the job's hashers and their
+ * ready flags.
  *
  * Results are bit-identical to SimilarityDetector over the same
  * MCache organization for any block size and thread count:
@@ -106,19 +108,21 @@ struct PipelineConfig
  * be begun again — the conv forward runs all of its channel passes
  * through one job.
  *
- * With a pool, self-replenishing hash tasks start when the job begins,
- * and a sequencer (hand-off queue, hashed flags, the task) is built for
- * that pass; without one the job builds none, and each block hashes
- * when the probe reaches it. While a job is in flight its hash tasks
- * read the source (row tensor, or conv frame and its geometry) and the
- * cache *geometry* (set count) only — never cache tags or data — so a
+ * With a pool, min(blocks, workers) hashers start when the job begins:
+ * each claims the next block with one atomic add, hashes it and sets
+ * that block's ready flag, and the probing thread waits on its next
+ * block's flag, hashing unclaimed blocks itself while it waits.
+ * Without a pool the job builds nothing, and each block hashes when
+ * the probe reaches it. While a job is in flight its hashers read the
+ * source (row tensor, or conv frame and its geometry) and the cache
+ * *geometry* (set count) only — never cache tags or data — so a
  * job for the next pass may hash while the caller still works on the
  * previous pass's results. The job owns the pass it is filling:
  * hashing writes the packed words and each row's set index (into the
  * entry-id slot, which the probe reads and then overwrites),
  * finishStream the outcomes, entry ids, owners and mix. The source
  * must stay alive and unmodified until finishStream returns (or the
- * job is destroyed, which joins the outstanding hash tasks).
+ * job is destroyed, which joins its hashers).
  */
 class DetectionHashJob
 {
@@ -126,7 +130,7 @@ class DetectionHashJob
     /** An idle job. */
     DetectionHashJob();
 
-    /** Joins any outstanding hash tasks. */
+    /** Joins the hashers of a pass begun and not finished. */
     ~DetectionHashJob();
 
     DetectionHashJob(const DetectionHashJob &) = delete;
@@ -134,7 +138,7 @@ class DetectionHashJob
 
   private:
     friend class DetectionFrontend;
-    struct Sequencer;
+    struct Hashers;
 
     /**
      * Fill `storage` with a pass over the source and, with a pool,
@@ -149,16 +153,16 @@ class DetectionHashJob
     void projectBlock(int64_t b);
 
     /**
-     * Claim the next unhashed block, hash it and publish every block
-     * the frontier can now pass; false when no block is left to
-     * claim. Hash tasks and the probing thread both call this.
+     * Claim the next unhashed block, hash it and set its ready flag;
+     * false when no block is left to claim. Hashers and the probing
+     * thread both call this.
      */
     bool hashNext();
 
     /**
      * Return once block `b`, the next in stream order, is hashed:
-     * without a pool, hash it here; with one, take it from the
-     * sequencer, hashing unclaimed blocks while it is not ready.
+     * without a pool, hash it here; with one, wait for its ready
+     * flag, hashing unclaimed blocks while it is not set.
      */
     void awaitHashed(int64_t b);
 
@@ -171,8 +175,8 @@ class DetectionHashJob
     int64_t blockRows_ = 0;
     int64_t n_ = 0;
     int64_t blocks_ = 0;
-    SignatureRecord::Pass pass_;     ///< the result being filled
-    std::unique_ptr<Sequencer> seq_; ///< pooled passes only
+    SignatureRecord::Pass pass_;       ///< the result being filled
+    std::unique_ptr<Hashers> hashers_; ///< pooled passes only
 };
 
 /** Pipeline-backed similarity detection front-end. */

@@ -22,33 +22,6 @@ TaskGroup::run(std::function<void()> task)
 }
 
 void
-TaskGroup::runBatch(int64_t count, const std::function<void()> &task)
-{
-    if (count <= 0)
-        return;
-    if (!pool_ || pool_->workers() == 0) {
-        for (int64_t i = 0; i < count; ++i)
-            task();
-        return;
-    }
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        pending_ += count;
-    }
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(static_cast<size_t>(count));
-    for (int64_t i = 0; i < count; ++i) {
-        tasks.push_back([this, task] {
-            task();
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (--pending_ == 0)
-                done_.notify_all();
-        });
-    }
-    pool_->submitBatch(std::move(tasks));
-}
-
-void
 TaskGroup::wait()
 {
     std::unique_lock<std::mutex> lock(mutex_);

@@ -4,9 +4,9 @@
  * join-once) and SerialExecutor (a FIFO task chain — at most one task
  * of the chain runs at a time, in submission order).
  *
- * A detection hash job (DetectionHashJob) joins its hash tasks through
- * a TaskGroup, and the serving layer runs each session on a
- * SerialExecutor chain; both have their own unit tests
+ * A pooled detection hash job (DetectionHashJob) joins its looping
+ * hashers through a TaskGroup, and the serving layer runs each session
+ * on a SerialExecutor chain; both have their own unit tests
  * (tests/test_util.cpp).
  *
  * Deadlock rule (inherited from ThreadPool): pool tasks must never
@@ -30,16 +30,16 @@ namespace mercury {
 
 /**
  * Join handle over a set of independently submitted tasks: run() any
- * number of closures, wait() once for all of them. A detection hash
- * job holds one group for its self-replenishing hash tasks and joins
- * it before it hands its pass back.
+ * number of closures, wait() once for all of them. A pooled detection
+ * hash job holds one group for its hashers and joins it before it
+ * hands its pass back.
  *
  * Concurrency contract: run() may be called from any thread,
- * including from inside a task of this very group (the hash job's
- * self-replenishing chain does exactly that); the bookkeeping is
- * mutex-protected. wait() is called by one owner thread (the engine's
- * caller) and must not be called from inside a pool task. With a null
- * pool every run() executes inline and wait() is a no-op.
+ * including from inside a task of this very group, and wait() covers
+ * tasks submitted that way; the bookkeeping is mutex-protected.
+ * wait() is called by one owner thread (the engine's caller) and must
+ * not be called from inside a pool task. With a null pool every run()
+ * executes inline and wait() is a no-op.
  */
 class TaskGroup
 {
@@ -58,14 +58,6 @@ class TaskGroup
 
     /** Submit one task (inline when the pool is null). */
     void run(std::function<void()> task);
-
-    /**
-     * Submit `count` copies of one task as a single batch
-     * (ThreadPool::submitBatch): one lock round-trip and one wakeup
-     * for the whole dependent group. A detection hash job seeds its
-     * self-replenishing hash chain this way.
-     */
-    void runBatch(int64_t count, const std::function<void()> &task);
 
     /** Block until every task submitted so far has completed. */
     void wait();

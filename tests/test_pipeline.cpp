@@ -13,9 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <set>
-#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -27,7 +25,6 @@
 #include "nn/mercury_hooks.hpp"
 #include "pipeline/detection_frontend.hpp"
 #include "util/rng.hpp"
-#include "util/spsc_queue.hpp"
 #include "util/thread_pool.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -434,6 +431,38 @@ TEST(Frontend, InlineJobHashesInsideFinishStream)
     expectMatchesLegacy(pass, legacyDetect(im2col(plane, spec)));
 }
 
+TEST(Frontend, UnfinishedPooledJobJoinsItsHashersOnDestruction)
+{
+    // A pooled job destroyed without finishStream must join its hashers
+    // before its pass storage goes, and so before the caller frees the
+    // frame they read: one-row blocks keep the hashers busy, and a
+    // hasher still running afterwards reads and writes freed memory
+    // (ASan and TSan report it). The frontend then runs a whole pass.
+    ConvSpec spec;
+    spec.kernelH = spec.kernelW = 3;
+    spec.pad = 1;
+    const Tensor plane = patternedPlane(48, 48, 9); // 2304 rows
+    PipelineConfig pipe;
+    pipe.blockRows = 1;
+    pipe.threads = 4;
+    DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed, pipe);
+    ASSERT_NE(fe.workerPool(), nullptr);
+    for (int round = 0; round < 8; ++round) {
+        auto frame = std::make_unique<LoadedFrame>(spec, plane);
+        {
+            DetectionHashJob job;
+            fe.beginHashStream(job, frame->geometry, frame->data.data(),
+                               kBits);
+        }
+        frame.reset();
+    }
+    const LoadedFrame frame(spec, plane);
+    DetectionHashJob job;
+    fe.beginHashStream(job, frame.geometry, frame.data.data(), kBits);
+    expectMatchesLegacy(fe.finishStream(job),
+                        legacyDetect(im2col(plane, spec)));
+}
+
 TEST(Frontend, HugeBlockSizeHashesEveryRow)
 {
     // A block size near INT64_MAX makes one block of every row: counting
@@ -631,34 +660,6 @@ TEST(Overlap, AttentionEngineBitIdenticalToRunThenFilter)
     EXPECT_EQ(stats.macsSkipped, legacy_stats.macsSkipped);
     EXPECT_EQ(stats.mix.hit, legacy_stats.mix.hit);
     EXPECT_EQ(stats.mix.mau, legacy_stats.mix.mau);
-}
-
-TEST(SpscQueue, DeliversInOrderAcrossThreads)
-{
-    SpscQueue<int64_t> q;
-    constexpr int64_t kItems = 2000;
-    std::thread producer([&] {
-        for (int64_t i = 0; i < kItems; ++i)
-            q.push(i);
-        q.close();
-    });
-    int64_t expected = 0, got = -1;
-    while (q.pop(got)) {
-        ASSERT_EQ(got, expected);
-        ++expected;
-    }
-    EXPECT_EQ(expected, kItems);
-    producer.join();
-    // Closed and drained: pop keeps returning false.
-    EXPECT_FALSE(q.pop(got));
-    EXPECT_FALSE(q.tryPop(got));
-}
-
-TEST(SpscQueue, PushAfterCloseDies)
-{
-    SpscQueue<int> q;
-    q.close();
-    EXPECT_DEATH(q.push(1), "closed");
 }
 
 TEST(Pipeline, ConfigKnobsLiftFromAcceleratorConfig)

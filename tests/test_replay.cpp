@@ -645,6 +645,30 @@ TEST(AttentionBackward, HitRowsCopyOwnerGradientRows)
     EXPECT_GT(bstats.macsSkipped, 0u);
 }
 
+TEST(AttentionBackward, FactorOfAnotherShapeDies)
+{
+    // The replay reads xtx(e, j) for every e, j < D, so a precomputed
+    // Xt X factor must be (D, D), like every other operand.
+    Rng rng(54);
+    Tensor x({6, 8});
+    x.fillNormal(rng);
+    Tensor g({6, 8});
+    g.fillNormal(rng);
+    DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed);
+    AttentionEngine engine(fe, 24);
+    ReuseStats fstats;
+    SignatureRecord record;
+    engine.forward(x, fstats, &record);
+    ReuseStats bstats;
+    for (const std::vector<int64_t> &shape :
+         {std::vector<int64_t>{2, 2}, std::vector<int64_t>{8, 6},
+          std::vector<int64_t>{8}, std::vector<int64_t>{1, 8, 8}}) {
+        const Tensor xtx(shape);
+        EXPECT_DEATH(engine.backward(x, g, record, 0, bstats, &xtx),
+                     "Xt X factor");
+    }
+}
+
 TEST(AttentionBackward, OverlappedReplayBitIdenticalToSerial)
 {
     Tensor x = duplicateRows(48, 10, 9, kSeed + 8);

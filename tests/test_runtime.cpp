@@ -629,17 +629,17 @@ TEST(RuntimeStress, OverlappedPassesBackToBack)
     SUCCEED();
 }
 
-TEST(RuntimeStress, SerialEqualsOverlappedUnderForcedStealing)
+TEST(RuntimeStress, SerialEqualsOverlappedOnAnOversubscribedPool)
 {
-    // Forced-stealing configuration: more worker threads than the
-    // host has cores and tiny blocks, so the hash tasks flood the
-    // work-stealing deques and thieves migrate blocks on every pass.
-    // Outputs AND statistics must stay bit-identical to the threads-1
-    // run no matter which worker ran which block — the TSan CI job
-    // runs this with stealing instrumented.
-    PipelineConfig steal_pipe = serialPipe();
-    steal_pipe.blockRows = 4; // many small blocks per pass
-    steal_pipe.threads = 8;   // oversubscribes every CI host
+    // More worker threads than the host has cores and tiny blocks, so
+    // seven hashers and the prober race for the blocks of every pass
+    // and the replays fan out over preempted workers. Outputs AND
+    // statistics must stay bit-identical to the threads-1 run no
+    // matter which thread hashed which block — the TSan CI job runs
+    // this repeatedly.
+    PipelineConfig busy_pipe = serialPipe();
+    busy_pipe.blockRows = 4; // many small blocks per pass
+    busy_pipe.threads = 8;   // oversubscribes every CI host
 
     const ConvSpec spec = convSpec(4, 8, 3, 1, 1, 1);
     Tensor in = similarInput(2, 4, 12, 12, 0.02f, kSeed + 80);
@@ -656,56 +656,55 @@ TEST(RuntimeStress, SerialEqualsOverlappedUnderForcedStealing)
 
     DetectionFrontend serial_fe(kSets, kWays, kVersions, 20, kSeed,
                                 serialPipe());
-    DetectionFrontend steal_fe(kSets, kWays, kVersions, 20, kSeed,
-                               steal_pipe);
+    DetectionFrontend busy_fe(kSets, kWays, kVersions, 20, kSeed,
+                              busy_pipe);
     ConvReuseEngine serial_conv(serial_fe, 16);
-    ConvReuseEngine steal_conv(steal_fe, 16);
+    ConvReuseEngine busy_conv(busy_fe, 16);
     FcEngine serial_fc(serial_fe, 16);
-    FcEngine steal_fc(steal_fe, 16);
+    FcEngine busy_fc(busy_fe, 16);
 
     for (int iter = 0; iter < 4; ++iter) {
         ReuseStats sf, of;
         SignatureRecord srec, orec;
         Tensor ys = serial_conv.forward(in, w, Tensor(), spec, sf, &srec);
-        Tensor yo = steal_conv.forward(in, w, Tensor(), spec, of, &orec);
+        Tensor yo = busy_conv.forward(in, w, Tensor(), spec, of, &orec);
         ASSERT_TRUE(ys == yo) << "iter " << iter
                               << " conv forward, max diff "
                               << ys.maxAbsDiff(yo);
-        expectStatsEqual(sf, of, "stealing conv forward");
+        expectStatsEqual(sf, of, "oversubscribed conv forward");
         ASSERT_GT(sf.mix.hit, 0) << "reuse must engage for the stress";
 
         ReuseStats sb, ob;
         Tensor gs =
             serial_conv.backwardInput(grad, w, spec, 12, 12, srec, sb);
-        Tensor go =
-            steal_conv.backwardInput(grad, w, spec, 12, 12, orec, ob);
+        Tensor go = busy_conv.backwardInput(grad, w, spec, 12, 12, orec, ob);
         ASSERT_TRUE(gs == go) << "iter " << iter
                               << " conv backwardInput, max diff "
                               << gs.maxAbsDiff(go);
-        expectStatsEqual(sb, ob, "stealing conv backwardInput");
+        expectStatsEqual(sb, ob, "oversubscribed conv backwardInput");
 
         ReuseStats sw, ow_;
         Tensor dws = serial_conv.backwardWeights(in, grad, spec, srec, sw);
-        Tensor dwo = steal_conv.backwardWeights(in, grad, spec, orec, ow_);
+        Tensor dwo = busy_conv.backwardWeights(in, grad, spec, orec, ow_);
         ASSERT_TRUE(dws == dwo) << "iter " << iter
                                 << " conv backwardWeights, max diff "
                                 << dws.maxAbsDiff(dwo);
-        expectStatsEqual(sw, ow_, "stealing conv backwardWeights");
+        expectStatsEqual(sw, ow_, "oversubscribed conv backwardWeights");
 
         ReuseStats sfc, ofc;
         SignatureRecord sfrec, ofrec;
         Tensor fys = serial_fc.forward(fc_in, fc_w, sfc, nullptr, &sfrec);
-        Tensor fyo = steal_fc.forward(fc_in, fc_w, ofc, nullptr, &ofrec);
+        Tensor fyo = busy_fc.forward(fc_in, fc_w, ofc, nullptr, &ofrec);
         ASSERT_TRUE(fys == fyo) << "iter " << iter << " fc forward";
-        expectStatsEqual(sfc, ofc, "stealing fc forward");
+        expectStatsEqual(sfc, ofc, "oversubscribed fc forward");
 
         ReuseStats sfw, ofw;
         Tensor fdws =
             serial_fc.backwardWeights(fc_in, fc_grad, sfrec, sfw);
-        Tensor fdwo = steal_fc.backwardWeights(fc_in, fc_grad, ofrec, ofw);
+        Tensor fdwo = busy_fc.backwardWeights(fc_in, fc_grad, ofrec, ofw);
         ASSERT_TRUE(fdws == fdwo) << "iter " << iter
                                   << " fc backwardWeights";
-        expectStatsEqual(sfw, ofw, "stealing fc backwardWeights");
+        expectStatsEqual(sfw, ofw, "oversubscribed fc backwardWeights");
     }
 }
 

@@ -323,8 +323,7 @@ TEST(TaskGroup, JoinsAllSubmittedTasks)
 
 TEST(TaskGroup, SubmitFromInsideATaskIsJoined)
 {
-    // The streaming pipeline's self-replenishing hash chain submits
-    // the next hash task from inside the current one; wait() must
+    // A task may submit more tasks into its own group; wait() must
     // cover tasks enqueued that way too.
     ThreadPool pool(2);
     TaskGroup group(&pool);
@@ -340,133 +339,12 @@ TEST(TaskGroup, SubmitFromInsideATaskIsJoined)
     EXPECT_EQ(ran.load(), 3);
 }
 
-// ---- Batched submission --------------------------------------------
-
-TEST(PlannerExecutors, SubmitBatchRunsEveryTask)
-{
-    ThreadPool pool(4);
-    std::atomic<int> ran{0};
-    std::vector<std::function<void()>> tasks;
-    for (int i = 0; i < 100; ++i)
-        tasks.push_back([&ran] { ++ran; });
-    pool.submitBatch(std::move(tasks));
-    // Drain through a follow-up group: the pool runs FIFO per worker,
-    // so joining a full-width wave after the batch bounds the wait.
-    TaskGroup tg(&pool);
-    for (int i = 0; i < 4; ++i)
-        tg.run([] {});
-    tg.wait();
-    // The batch landed before the group's tasks in queue order, but
-    // workers race; spin briefly for the last stragglers.
-    while (ran.load() < 100) {
-    }
-    EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(PlannerExecutors, RunBatchJoinsAndRunsInlineWithoutPool)
-{
-    ThreadPool pool(4);
-    std::atomic<int> ran{0};
-    TaskGroup tg(&pool);
-    tg.runBatch(64, [&ran] { ++ran; });
-    tg.wait();
-    EXPECT_EQ(ran.load(), 64);
-
-    int inline_ran = 0;
-    TaskGroup inline_tg(nullptr);
-    inline_tg.runBatch(5, [&inline_ran] { ++inline_ran; });
-    inline_tg.wait();
-    EXPECT_EQ(inline_ran, 5);
-
-    ThreadPool empty(0);
-    std::atomic<int> serial{0};
-    TaskGroup serial_tg(&empty);
-    serial_tg.runBatch(7, [&serial] { ++serial; });
-    serial_tg.wait();
-    EXPECT_EQ(serial.load(), 7);
-}
-
 // ---------------------------------------------------------------------
-// ThreadPool (util/thread_pool.hpp): the work-stealing substrate's
-// scheduler contracts. Stealing may reorder a pool's tasks freely but
-// must never break a SerialExecutor chain's submission order; inline
-// execution is worker-only and depth-bounded; park/wake must survive
-// repeated idle/burst cycles without losing tasks.
+// ThreadPool (util/thread_pool.hpp): one FIFO queue. submit() is
+// asynchronous from every thread, park/wake must survive repeated
+// idle/burst cycles without losing tasks, and the destructor runs
+// every task, including those submitted while it drains.
 // ---------------------------------------------------------------------
-
-TEST(ThreadPool, StealingRedistributesWorkWithoutBreakingChainOrder)
-{
-    // Fan a noise wave out from inside one worker task so the whole
-    // wave lands in that worker's own deque (a batch never runs
-    // inline), then hold that worker until another one has stolen
-    // from it: a noise task can only run on another thread by a
-    // steal. A SerialExecutor chain runs alongside, and its contract
-    // must hold no matter which worker a stolen pump lands on.
-    ThreadPool pool(3);
-    SerialExecutor chain(&pool);
-    TaskGroup noise(&pool);
-    std::vector<int> order;
-    std::atomic<int> noise_ran{0};
-    int blocks = 0;
-    for (int round = 0; round < 5; ++round) {
-        std::atomic<bool> stolen{false};
-        noise.run([&] {
-            const std::thread::id owner = std::this_thread::get_id();
-            noise.runBatch(64, [&, owner] {
-                if (std::this_thread::get_id() != owner)
-                    stolen.store(true);
-                noise_ran.fetch_add(1);
-                std::this_thread::yield();
-            });
-            // Bounded, so a pool that never steals fails the
-            // assertions below instead of hanging.
-            const auto deadline =
-                std::chrono::steady_clock::now() + std::chrono::seconds(30);
-            while (!stolen.load() &&
-                   std::chrono::steady_clock::now() < deadline)
-                std::this_thread::yield();
-        });
-        for (int b = 0; b < 16; ++b, ++blocks)
-            chain.run([&order, blocks] { order.push_back(blocks); });
-        noise.wait();
-        chain.wait();
-        EXPECT_TRUE(stolen.load()) << "round " << round;
-    }
-    EXPECT_GT(pool.stealCount(), 0); // the sweep actually migrated work
-    ASSERT_EQ(order.size(), static_cast<size_t>(blocks));
-    for (int b = 0; b < blocks; ++b)
-        EXPECT_EQ(order[static_cast<size_t>(b)], b);
-    EXPECT_EQ(noise_ran.load() % 64, 0);
-}
-
-TEST(ThreadPool, InlineExecutionIsDepthBounded)
-{
-    // A self-replenishing chain on a 1-worker pool: every nested
-    // submit sees zero idle peers, so the worker runs it inline until
-    // the per-thread depth budget is spent, then queues. The observed
-    // nesting must stay at (outer frame + kMaxInlineDepth) and the
-    // whole chain must still complete.
-    ThreadPool pool(1);
-    TaskGroup group(&pool);
-    std::atomic<int> depth{0};
-    std::atomic<int> max_depth{0};
-    std::atomic<int> remaining{64};
-    std::function<void()> task = [&] {
-        const int d = depth.fetch_add(1) + 1;
-        int seen = max_depth.load();
-        while (d > seen && !max_depth.compare_exchange_weak(seen, d)) {
-        }
-        if (remaining.fetch_sub(1) > 1)
-            group.run(task);
-        depth.fetch_sub(1);
-    };
-    group.run(task);
-    group.wait();
-    EXPECT_EQ(remaining.load(), 0);
-    EXPECT_GT(max_depth.load(), 1); // inlining did engage
-    EXPECT_LE(max_depth.load(), 1 + ThreadPool::kMaxInlineDepth);
-    EXPECT_GT(pool.inlineRuns(), 0);
-}
 
 TEST(ThreadPool, NonWorkerSubmitIsAsynchronousEvenWhenSaturated)
 {
@@ -491,7 +369,6 @@ TEST(ThreadPool, NonWorkerSubmitIsAsynchronousEvenWhenSaturated)
     for (int i = 0; i < 8; ++i)
         pool.submit([&] { ran.fetch_add(1); });
     EXPECT_EQ(ran.load(), 0); // queued behind the blocked worker
-    EXPECT_EQ(pool.inlineRuns(), 0);
     {
         std::lock_guard<std::mutex> lock(m);
         release = true;
@@ -505,24 +382,150 @@ TEST(ThreadPool, NonWorkerSubmitIsAsynchronousEvenWhenSaturated)
 TEST(ThreadPool, ParkWakeSurvivesRepeatedIdleBurstCycles)
 {
     // Alternate idle gaps (long enough for workers to park) with
-    // submitBatch bursts; every burst must be fully delivered — the
-    // Dekker park/submit handshake may never strand a wave on a
-    // parked pool.
+    // bursts of submits; every burst must be fully delivered — the
+    // park/submit handshake may never strand a wave on a parked pool.
     ThreadPool pool(3);
     std::atomic<int> ran{0};
     constexpr int kRounds = 12;
     constexpr int kBurst = 48;
     for (int round = 0; round < kRounds; ++round) {
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        std::vector<std::function<void()>> batch;
         for (int i = 0; i < kBurst; ++i)
-            batch.push_back([&] { ran.fetch_add(1); });
-        pool.submitBatch(std::move(batch));
+            pool.submit([&] { ran.fetch_add(1); });
         const int expected = (round + 1) * kBurst;
         for (int spin = 0; ran.load() < expected && spin < 20000; ++spin)
             std::this_thread::sleep_for(std::chrono::microseconds(100));
         ASSERT_EQ(ran.load(), expected) << "burst lost in round " << round;
     }
+}
+
+TEST(ThreadPool, WorkerSubmitIsAsynchronous)
+{
+    // A task's own submit returns before the new task runs, as an
+    // outside thread's does: on a 1-worker pool the inner task can only
+    // run once the outer one has returned.
+    ThreadPool pool(1);
+    TaskGroup group(&pool);
+    std::atomic<bool> inner_ran{false};
+    std::atomic<bool> ran_before_return{true};
+    group.run([&] {
+        group.run([&] { inner_ran.store(true); });
+        ran_before_return.store(inner_ran.load());
+    });
+    group.wait();
+    EXPECT_TRUE(inner_ran.load());
+    EXPECT_FALSE(ran_before_return.load());
+}
+
+TEST(ThreadPool, DestructorRunsTasksSubmittedDuringShutdown)
+{
+    // A task still running when the destructor starts submits a chain
+    // of tasks, each submitting the next; the destructor must run them
+    // all before it joins.
+    std::atomic<int> ran{0};
+    std::atomic<bool> started{false};
+    std::function<void(int)> chain;
+    {
+        ThreadPool pool(2);
+        chain = [&](int left) {
+            ran.fetch_add(1);
+            if (left > 1)
+                pool.submit([&chain, left] { chain(left - 1); });
+        };
+        pool.submit([&] {
+            started.store(true);
+            // Long enough for the destructor to begin draining.
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            for (int i = 0; i < 4; ++i)
+                pool.submit([&chain] { chain(16); });
+        });
+        while (!started.load())
+            std::this_thread::yield();
+    }
+    EXPECT_EQ(ran.load(), 4 * 16);
+}
+
+TEST(ThreadPool, OneWorkerRunsTasksInSubmissionOrder)
+{
+    // One FIFO queue: a 1-worker pool runs its tasks in the order they
+    // were queued, by an outside thread or by a task. The worker waits
+    // at a gate until every outside task is queued, so the first task's
+    // own submits land behind them.
+    constexpr int kOutside = 32;
+    constexpr int kInner = 8;
+    ThreadPool pool(1);
+    TaskGroup group(&pool);
+    std::mutex m;
+    std::condition_variable cv;
+    bool open = false;
+    group.run([&] {
+        std::unique_lock<std::mutex> lock(m);
+        cv.wait(lock, [&] { return open; });
+    });
+    std::vector<int> order; // appended by the one worker only
+    for (int i = 0; i < kOutside; ++i) {
+        group.run([&order, &group, i] {
+            order.push_back(i);
+            if (i == 0)
+                for (int k = 0; k < kInner; ++k)
+                    group.run([&order, k] { order.push_back(kOutside + k); });
+        });
+    }
+    {
+        std::lock_guard<std::mutex> lock(m);
+        open = true;
+    }
+    cv.notify_all();
+    group.wait();
+    ASSERT_EQ(order.size(), static_cast<size_t>(kOutside + kInner));
+    for (int i = 0; i < kOutside + kInner; ++i)
+        EXPECT_EQ(order[static_cast<size_t>(i)], i);
+}
+
+TEST(ThreadPool, ZeroWorkerPoolRunsSubmitInline)
+{
+    // With no workers, submit() runs the task on the calling thread
+    // before it returns, and a TaskGroup over that pool does the same.
+    ThreadPool pool(0);
+    EXPECT_EQ(pool.workers(), 0);
+    bool ran = false;
+    std::thread::id ran_on;
+    pool.submit([&] {
+        ran = true;
+        ran_on = std::this_thread::get_id();
+    });
+    EXPECT_TRUE(ran);
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
+    int grouped = 0;
+    TaskGroup group(&pool);
+    for (int i = 0; i < 5; ++i) {
+        group.run([&grouped] { ++grouped; });
+        EXPECT_EQ(grouped, i + 1);
+    }
+    group.wait();
+    EXPECT_EQ(grouped, 5);
+}
+
+TEST(ThreadPool, ThreadKnobSizesPoolsOneWorkerShort)
+{
+    // 0 (auto) is the hardware's thread count clamped to [1, 16], and an
+    // explicit knob is capped at 256 (resolving starts no thread).
+    // forKnob gives a knob of 1 no pool and a knob of N a pool of N - 1
+    // workers, built once per slot, since callers drive parallelFor too.
+    const int autos = ThreadPool::resolveThreads(0);
+    EXPECT_GE(autos, 1);
+    EXPECT_LE(autos, 16);
+    EXPECT_EQ(ThreadPool::resolveThreads(1), 1);
+    EXPECT_EQ(ThreadPool::resolveThreads(256), 256);
+    EXPECT_EQ(ThreadPool::resolveThreads(100000), 256);
+    std::unique_ptr<ThreadPool> slot;
+    EXPECT_EQ(ThreadPool::forKnob(1, slot), nullptr);
+    EXPECT_EQ(slot, nullptr);
+    ThreadPool *pool = ThreadPool::forKnob(3, slot);
+    ASSERT_NE(pool, nullptr);
+    EXPECT_EQ(pool, slot.get());
+    EXPECT_EQ(pool->workers(), 2);
+    EXPECT_EQ(ThreadPool::forKnob(3, slot), pool);
 }
 
 } // namespace
