@@ -61,9 +61,9 @@ reducedReps()
 /**
  * Thread-count override for wall measurements
  * (MERCURY_BENCH_THREADS=N): pins the pool size of the pooled
- * configuration a bench measures (CI smoke-runs micro_overlap and
- * micro_runtime at 2 threads). Returns 0 when unset (the bench picks
- * its own count).
+ * configuration a bench measures (micro_overlap, micro_runtime,
+ * micro_pipeline, sweep_tuning; CI smoke-runs the first two at 2 and
+ * 4 threads). Returns 0 when unset (the bench picks its own count).
  */
 inline int
 benchThreads()

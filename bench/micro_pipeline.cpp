@@ -7,7 +7,8 @@
  * in TSC cycles per row, on vgg13_train's pass shape and on full sets
  * of a persistent cache. Emits a BENCH_pipeline.json summary line for
  * the d=1152, bits=16 point the acceptance criteria track, with the
- * probe rows.
+ * probe rows. The pipeline runs at the auto thread count;
+ * MERCURY_BENCH_THREADS=N pins it.
  */
 
 #include <algorithm>
@@ -55,7 +56,7 @@ struct Point
 };
 
 Point
-measure(int64_t dim, int bits)
+measure(int64_t dim, int bits, int threads)
 {
     Point p{dim, bits};
     Tensor rows = prototypeVectors(benchRows(), dim, benchRows() / 8, 0.01f,
@@ -68,7 +69,7 @@ measure(int64_t dim, int bits)
 
     PipelineConfig pipe;
     pipe.blockRows = 64;
-    pipe.threads = 0; // auto
+    pipe.threads = threads;
     DetectionFrontend frontend(kSets, kWays, 1, bits, kSeed, pipe);
 
     // The pipeline must reproduce the scalar mix exactly.
@@ -92,11 +93,11 @@ measure(int64_t dim, int bits)
 /**
  * TSC cycles per row of the MCACHE block probe alone over `stream`,
  * passes of `rows` `bits`-bit signatures into a sets x kWays cache, as
- * DetectionFrontend::finishStream runs them: clear the cache (a
- * persistent one only resets its insert backlog), probe in 64-row
- * blocks with the owner rule, forget the pass's owners. A persistent
- * cache is warmed by one sweep of the stream first. Fewest cycles over
- * the reps; `mix` gets one sweep's outcomes. NaN off x86.
+ * DetectionFrontend::finishStream runs them: clear the cache unless
+ * it is persistent, probe in 64-row blocks with the owner rule,
+ * forget the pass's owners. A persistent cache is warmed by one sweep
+ * of the stream first. Fewest cycles over the reps; `mix` gets one
+ * sweep's outcomes. NaN off x86.
  */
 double
 probeCyclesPerRow(int sets, int bits, int32_t rows, bool persistent,
@@ -116,9 +117,7 @@ probeCyclesPerRow(int sets, int bits, int32_t rows, bool persistent,
     const auto sweep = [&] {
         McacheCounters got;
         for (int64_t p = 0; p < passes; ++p) {
-            if (persistent)
-                cache.resetInsertBacklog();
-            else
+            if (!persistent)
                 cache.clear();
             McacheProbe probe;
             probe.bits = bits;
@@ -218,12 +217,12 @@ int
 main()
 {
     using namespace mercury;
+    const int threads = ThreadPool::resolveThreads(bench::benchThreads());
 
     std::printf("micro_pipeline: detection pass rows/sec, scalar "
                 "SimilarityDetector vs DetectionFrontend\n");
-    std::printf("(rows per pass: %lld, MCACHE %dx%d, threads auto=%d)\n\n",
-                static_cast<long long>(benchRows()), kSets, kWays,
-                ThreadPool::resolveThreads(0));
+    std::printf("(rows per pass: %lld, MCACHE %dx%d, threads %d)\n\n",
+                static_cast<long long>(benchRows()), kSets, kWays, threads);
 
     Table t("detection front-end throughput");
     t.header({"dim", "bits", "scalar-rows/s", "pipeline-rows/s",
@@ -231,7 +230,7 @@ main()
     Point headline{1152, 16};
     for (const int64_t dim : {int64_t{64}, int64_t{256}, int64_t{1152}}) {
         for (const int bits : {8, 16, 32}) {
-            const Point p = measure(dim, bits);
+            const Point p = measure(dim, bits, threads);
             if (dim == 1152 && bits == 16)
                 headline = p;
             t.row({std::to_string(dim), std::to_string(bits),
@@ -268,7 +267,7 @@ main()
         .num("probe_full_b16_cycles_per_row", full_cpr, 1)
         .config("bits", 16)
         .config("blockRows", 64)
-        .config("threads", ThreadPool::resolveThreads(0));
+        .config("threads", threads);
     bench::stdConfig(line);
     line.print();
     return 0;

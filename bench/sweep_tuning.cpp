@@ -13,7 +13,8 @@
  *
  * Emits a BENCH_tuning.json line in the shared result schema. Smoke
  * mode (MERCURY_BENCH_SMOKE=1) shrinks the grid and the pass sizes so
- * CI can exercise the harness in seconds.
+ * CI can exercise the harness in seconds. The pool has at least 4
+ * threads unless MERCURY_BENCH_THREADS=N pins it.
  */
 
 #include <chrono>
@@ -51,7 +52,10 @@ main()
 {
     using namespace mercury;
     const bool smoke = bench::smoke();
-    const int threads = std::max(4, ThreadPool::resolveThreads(0));
+    const int env_threads = bench::benchThreads();
+    const int threads = env_threads
+                            ? ThreadPool::resolveThreads(env_threads)
+                            : std::max(4, ThreadPool::resolveThreads(0));
 
     // ResNet-50 stages at 224x224 input: rows = outH*outW of one
     // channel pass, dim = kernel area of the per-channel extraction.

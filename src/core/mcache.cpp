@@ -91,7 +91,6 @@ MCache::MCache(int sets, int ways, int data_versions)
     lines_.resize(lines + 1);
     tagKeys_.assign(lines + kKeyBlock, 0);
     tagRest_.resize(lines);
-    insertBacklog_.assign(static_cast<size_t>(sets), 0);
 }
 
 MCache::Way
@@ -228,7 +227,6 @@ MCache::probeBlock(McacheProbe &stream, int32_t r0, int32_t r1,
     uint64_t *const valid = valid_.data();
     Line *const lines = lines_.data();
     uint32_t *const keys = tagKeys_.data();
-    uint64_t *const backlog = insertBacklog_.data();
     Way *const installed = installed_.data();
     const size_t capacity = static_cast<size_t>(entries());
     const int64_t sink = entries();
@@ -332,7 +330,6 @@ MCache::probeBlock(McacheProbe &stream, int32_t r0, int32_t r1,
         keys[installs_at] = key;
         if (long_tags && ins)
             tagRest_[static_cast<size_t>(e)].assign(w + 1, w + wpr);
-        backlog[set] += ins;
         installed[listed] = {set, pick};
         listed += ins & (listed < capacity);
         held += ins;
@@ -453,9 +450,9 @@ void
 MCache::clear()
 {
     // A line never installed since the last clear is as constructed:
-    // eviction resets epoch and tenant, and pins only ever sit on
-    // valid lines. So resetting the listed lines leaves every line,
-    // every quota reservation and the backlog as the full walk would.
+    // eviction resets epoch and tenant. So resetting the listed lines
+    // leaves every line and every quota reservation as the full walk
+    // would.
     // Every valid line is listed, so a listed line's whole set mask can
     // be zeroed at once — after the quota of each valid listed line is
     // released (a line listed twice is invalid after its first visit).
@@ -463,7 +460,6 @@ MCache::clear()
         for (int set = 0; set < sets_; ++set)
             for (int way = 0; way < ways_; ++way)
                 resetLine({set, way});
-        std::fill(insertBacklog_.begin(), insertBacklog_.end(), 0);
     } else {
         const Way *listed = installed_.data();
         if (quota_ > 0)
@@ -480,7 +476,6 @@ MCache::clear()
             mask[0] = 0;
             for (int w = 1; w < mask_words; ++w)
                 mask[w] = 0;
-            insertBacklog_[static_cast<size_t>(l.set)] = 0;
         }
     }
     installedCount_ = 0;
@@ -497,21 +492,6 @@ MCache::setOccupancy(int set) const
         occ += __builtin_popcountll(
             valid_[static_cast<size_t>(set) * maskWords_ + mw]);
     return occ;
-}
-
-uint64_t
-MCache::maxInsertBacklog() const
-{
-    uint64_t mx = 0;
-    for (uint64_t b : insertBacklog_)
-        mx = std::max(mx, b);
-    return mx;
-}
-
-void
-MCache::resetInsertBacklog()
-{
-    std::fill(insertBacklog_.begin(), insertBacklog_.end(), 0);
 }
 
 uint64_t
@@ -557,30 +537,6 @@ MCache::tenantEntries(int tenant) const
 }
 
 void
-MCache::pin(int64_t entry_id)
-{
-    const Way l = wayOf(entry_id);
-    if (!valid(l))
-        panic("MCACHE pin of an invalid line: entry ", entry_id);
-    ++line(l).pins;
-}
-
-void
-MCache::unpin(int64_t entry_id)
-{
-    Line &m = line(wayOf(entry_id));
-    if (m.pins == 0)
-        panic("MCACHE unpin of an unpinned line: entry ", entry_id);
-    --m.pins;
-}
-
-uint32_t
-MCache::pinCount(int64_t entry_id) const
-{
-    return line(wayOf(entry_id)).pins;
-}
-
-void
 MCache::dropLine(Way l)
 {
     Line &m = line(l);
@@ -591,34 +547,20 @@ MCache::dropLine(Way l)
     m.tenant = -1;
 }
 
-template <typename Pred>
 int64_t
-MCache::evictWhere(Pred &&evict)
+MCache::evictOlderThan(uint64_t min_epoch)
 {
     int64_t evicted = 0;
     for (int set = 0; set < sets_; ++set) {
         for (int way = 0; way < ways_; ++way) {
             const Way l{set, way};
-            const Line &m = line(l);
-            if (!valid(l) || m.pins > 0 || !evict(m))
+            if (!valid(l) || line(l).epoch >= min_epoch)
                 continue;
             dropLine(l);
             ++evicted;
         }
     }
     return evicted;
-}
-
-int64_t
-MCache::evictOlderThan(uint64_t min_epoch)
-{
-    return evictWhere([&](const Line &m) { return m.epoch < min_epoch; });
-}
-
-int64_t
-MCache::evictTenant(int tenant)
-{
-    return evictWhere([&](const Line &m) { return m.tenant == tenant; });
 }
 
 void
@@ -634,7 +576,6 @@ MCache::restoreLine(int64_t entry_id, const Signature &sig,
     Line &ln = line(l);
     ln.epoch = epoch;
     ln.tenant = tenant;
-    ln.pins = 0;
     noteInstalled(l);
 }
 

@@ -14,7 +14,9 @@
  *    filters alive at once;
  *  - entries are also addressable by a dense id so later accesses
  *    skip tag comparison (§V), and per-set insert queues serialize
- *    simultaneous inserts.
+ *    simultaneous inserts — a timing effect, which the cost model
+ *    charges from each pass's mix (Dataflow::insertOverhead, the event
+ *    backend's McacheSim); this class keeps no queue.
  *
  * This class models the tag half. Probes compare packed signature
  * words (the Signature::words layout), so the detection pipeline
@@ -27,9 +29,9 @@
  *
  * Tag store: each set keeps a valid-way bitmap of ceil(ways / 64)
  * words, the only record of which lines hold a tag. Each line keeps a
- * record of its first tag word, tag length, epoch, tenant and pins
- * (later words of tags longer than 64 bits live apart), and a 32-bit
- * key of its tag in a flat array the probe compares a set's ways in.
+ * record of its first tag word, tag length, epoch and tenant (later
+ * words of tags longer than 64 bits live apart), and a 32-bit key of
+ * its tag in a flat array the probe compares a set's ways in.
  *
  * One probe (probeBlock): the hardware compares a set's ways at once
  * and the outcome only steers which rows compute (§III-B3, Fig. 9), so
@@ -39,12 +41,12 @@
  * in full (a key match that is not the tag walks the rest, rarely),
  * picks the first matching way or else the lowest free one by masks —
  * the Fig. 9 first-match and first-free-way rules — and writes the
- * valid bit, the line's record and key, insert backlog, installed
- * list, quota count, counters and owner table by masks (a write a row
- * does not make goes to a sink past the last set). It prefetches the
- * set of the row eight ahead. What holds for a whole block (tags over
- * 64 bits or sets over 64 ways: a walk of the valid ways; a quota; an
- * owner table) stays a predictable branch inside that loop.
+ * valid bit, the line's record and key, installed list, quota count,
+ * counters and owner table by masks (a write a row does not make goes
+ * to a sink past the last set). It prefetches the set of the row eight
+ * ahead. What holds for a whole block (tags over 64 bits or sets over
+ * 64 ways: a walk of the valid ways; a quota; an owner table) stays a
+ * predictable branch inside that loop.
  * lookupOrInsert is its one-row case.
  *
  * An MCache takes no locks: one thread at a time touches a cache.
@@ -315,29 +317,14 @@ class MCache
     /** Occupancy (valid tags) of one set. */
     int setOccupancy(int set) const;
 
-    /**
-     * Drain-cost model of the per-set insert queues (§V): given the
-     * inserts recorded since the last clear, the serialization cost
-     * is the largest per-set insert count.
-     */
-    uint64_t maxInsertBacklog() const;
-
-    /**
-     * Reset the insert-queue model without touching tags. Persistent
-     * passes (serving layer) call this at each pass boundary, where
-     * the non-persistent path would have called clear(), so the §V
-     * drain cost stays a per-pass quantity.
-     */
-    void resetInsertBacklog();
-
     // ---- Lifecycle metadata (serving layer) -------------------------
     //
     // Every line carries a last-touch epoch (stamped on insert,
-    // refreshed on HIT), an owning tenant (stamped on insert), and a
-    // pin count. Eviction sweeps remove valid lines by epoch age or by
-    // tenant but never remove a pinned line, so a client holding a
-    // HIT's entry id across an eviction sweep pins it first (see
-    // docs/ARCHITECTURE.md, "Serving layer").
+    // refreshed on HIT) and an owning tenant (stamped on insert).
+    // Eviction sweeps remove valid lines by epoch age. No client holds
+    // an entry id across a sweep: a probe resolves every owner inside
+    // its pass, and replays read owners from their record, never from
+    // the cache (see docs/ARCHITECTURE.md, "Serving layer").
 
     /** Epoch stamped on inserts and refreshed on HITs from now on. */
     void setEpoch(uint64_t epoch) { epoch_ = epoch; }
@@ -382,20 +369,12 @@ class MCache
     /** Valid lines currently stamped with `tenant`. */
     int64_t tenantEntries(int tenant) const;
 
-    /** Pin a valid line against eviction / unpin it again. */
-    void pin(int64_t entry_id);
-    void unpin(int64_t entry_id);
-    uint32_t pinCount(int64_t entry_id) const;
-
     /**
-     * Evict valid, unpinned lines last touched before `min_epoch`
-     * (epoch-tag aging: oldest lines go first as the floor rises).
-     * Returns the number of lines evicted; pinned lines survive.
+     * Evict valid lines last touched before `min_epoch` (epoch-tag
+     * aging: oldest lines go first as the floor rises). Returns the
+     * number of lines evicted.
      */
     int64_t evictOlderThan(uint64_t min_epoch);
-
-    /** Evict every valid, unpinned line stamped with `tenant`. */
-    int64_t evictTenant(int tenant);
 
     /**
      * Snapshot restore: install a tag plus lifecycle metadata into an
@@ -423,7 +402,6 @@ class MCache
         uint64_t epoch = 0; ///< last-touch epoch (insert / HIT)
         int32_t bits = 0;   ///< tag length
         int tenant = -1;    ///< owning tenant (-1 = unowned)
-        uint32_t pins = 0;  ///< eviction pins (in-flight HITs)
     };
 
     /** A line by set and way (entry id set * ways + way). */
@@ -445,7 +423,6 @@ class MCache
     std::vector<uint32_t> tagKeys_;
     /// Words past the first of tags longer than 64 bits, per line.
     std::vector<std::vector<uint64_t>> tagRest_;
-    std::vector<uint64_t> insertBacklog_;
     /// Lines installed since the last clear (insert or restore):
     /// [0, installedCount_), at most entries() of them, and room for
     /// the slot the probe writes unconditionally (reserveInstalled);
@@ -477,11 +454,8 @@ class MCache
                static_cast<uint32_t>(word0 >> 32) ^
                static_cast<uint32_t>(bits) * 0x9E3779B1u;
     }
-    /** Invalidate a valid line, releasing its quota (pins stay). */
+    /** Invalidate a valid line, releasing its quota. */
     void dropLine(Way l);
-    /** Drop every valid, unpinned line whose record `evict` picks. */
-    template <typename Pred>
-    int64_t evictWhere(Pred &&evict);
     void noteInstalled(Way l);
     /** Room in the installed list for `rows` more installs. */
     void reserveInstalled(int64_t rows);

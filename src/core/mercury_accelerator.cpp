@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "sim/global_buffer.hpp"
 #include "util/logging.hpp"
 
 namespace mercury {
@@ -95,17 +94,6 @@ MercuryAccelerator::train(SimilaritySource &source, int batches,
         report.layers[l].type = model_[l].type;
     }
 
-    // Record spill accounting (§III-C2): with a replay knob on, each
-    // reuse-enabled layer's SignatureRecord occupies the global
-    // buffer from its forward pass until the whole forward sweep has
-    // finished and its backward pass replays it — so the peak working
-    // set is the sum over the layers alive at the forward/backward
-    // turnaround.
-    const bool holds_records =
-        config_.backwardReuse || config_.weightGradReuse;
-    GlobalBuffer record_buffer;
-    std::vector<uint64_t> held(model_.size(), 0);
-
     for (int b = -warmup_batches; b < batches; ++b) {
         const bool warm = b < 0;
         const int sig_bits = adaptive.signatureBits();
@@ -118,10 +106,6 @@ MercuryAccelerator::train(SimilaritySource &source, int batches,
             LayerCycles layer_batch; // this layer, this batch
             const bool reuse_on =
                 shape.reusable() && adaptive.layerOn(static_cast<int>(l));
-            if (!warm && holds_records && reuse_on) {
-                held[l] = cost_->recordBytes(shape, batch, sig_bits);
-                record_buffer.holdRecord(held[l]);
-            }
 
             // ---- Forward propagation ----
             if (reuse_on) {
@@ -184,18 +168,8 @@ MercuryAccelerator::train(SimilaritySource &source, int batches,
                 report.totals += layer_batch;
             }
         }
-        // The backward sweep replays and releases the records in
-        // reverse layer order.
-        for (size_t l = model_.size(); l-- > 0;) {
-            if (held[l]) {
-                record_buffer.releaseRecord(held[l]);
-                held[l] = 0;
-            }
-        }
         adaptive.observeLoss(loss_fn(std::max(b, 0)));
     }
-    report.recordPeakBytes = record_buffer.peakRecordBytes();
-    report.recordSpillBytes = record_buffer.signatureBytes();
 
     for (size_t l = 0; l < model_.size(); ++l) {
         report.layers[l].detectionOn =

@@ -14,10 +14,6 @@
  *    sum-then-multiply — while the input-gradient pass reuses the
  *    signatures saved during the forward pass of the consumer layer
  *    when the filter dimensions match (§III-C2);
- *  - record spill accounting: with a replay knob on, each layer's
- *    SignatureRecord occupies the global buffer between its forward
- *    and backward passes; the part past capacity spills to memory
- *    (TrainingReport::recordPeakBytes / recordSpillBytes);
  *  - adaptation: signature growth on loss plateaus and per-layer
  *    stoppage when detection costs more than it saves (§III-D).
  */
@@ -81,18 +77,6 @@ struct TrainingReport
     int layersOn = 0;
     int layersOff = 0;
 
-    /**
-     * SignatureRecord spill accounting (§III-C2): when a replay knob
-     * (backwardReuse / weightGradReuse) holds records between forward
-     * and backward, the peak record working set of one batch, and the
-     * traffic of the part that spilled past the global buffer (write
-     * out + read back) accumulated over all accounted batches —
-     * divide by the batch count for a per-batch bandwidth figure.
-     * Zero when nothing replays.
-     */
-    uint64_t recordPeakBytes = 0;
-    uint64_t recordSpillBytes = 0;
-
     double speedup() const { return totals.speedup(); }
 
     /** Fraction of MERCURY cycles spent generating signatures. */
@@ -111,9 +95,6 @@ class MercuryAccelerator
                        std::vector<LayerShape> model);
 
     const std::vector<LayerShape> &model() const { return model_; }
-
-    /** Active timing backend (sim::CostModel::create selection). */
-    const sim::CostModel &costModel() const { return *cost_; }
 
     /**
      * Simulate training.

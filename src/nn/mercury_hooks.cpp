@@ -99,35 +99,6 @@ MercuryContext::evictOlderThan(uint64_t min_epoch)
     return evicted;
 }
 
-void
-MercuryContext::clearCaches()
-{
-    for (auto &kv : perLayer_)
-        kv.second->clear();
-    if (shared_)
-        shared_->clear();
-}
-
-std::vector<uint64_t>
-MercuryContext::persistentCacheIds() const
-{
-    std::vector<uint64_t> ids;
-    ids.reserve(perLayer_.size());
-    for (const auto &kv : perLayer_)
-        ids.push_back(kv.first);
-    return ids;
-}
-
-MCache &
-MercuryContext::persistentCache(uint64_t layer_id)
-{
-    auto it = perLayer_.find(layer_id);
-    if (it == perLayer_.end())
-        panic("no persistent cache for layer ", layer_id,
-              " (no pass has run through it yet)");
-    return *it->second;
-}
-
 ThreadPool *
 MercuryContext::sharedPool()
 {
@@ -199,14 +170,6 @@ void
 MercuryContext::accumulateWeightGrad(const ReuseStats &stats)
 {
     addStats(weightGradTotals_, stats);
-}
-
-void
-MercuryContext::resetStats()
-{
-    totals_ = ReuseStats{};
-    backwardTotals_ = ReuseStats{};
-    weightGradTotals_ = ReuseStats{};
 }
 
 } // namespace mercury

@@ -29,7 +29,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <vector>
 
 #include "core/conv_reuse_engine.hpp"
 #include "core/mcache.hpp"
@@ -124,18 +123,9 @@ class MercuryContext
     void setEpoch(uint64_t epoch);
     uint64_t epoch() const { return epoch_; }
 
-    /** Evict unpinned lines older than `min_epoch` from every
-     *  context-owned cache; returns lines evicted. */
+    /** Evict lines older than `min_epoch` from every context-owned
+     *  cache; returns lines evicted. */
     int64_t evictOlderThan(uint64_t min_epoch);
-
-    /** Drop every valid tag in every context-owned cache (cold start). */
-    void clearCaches();
-
-    /** Layer ids with a context-owned persistent cache (snapshotting). */
-    std::vector<uint64_t> persistentCacheIds() const;
-
-    /** A layer's context-owned persistent cache; panics if absent. */
-    MCache &persistentCache(uint64_t layer_id);
 
     /**
      * Reuse saved signatures in the backward pass (§III-C2): when
@@ -177,10 +167,10 @@ class MercuryContext
     /** Accumulate one weight-gradient (replay) invocation's stats. */
     void accumulateWeightGrad(const ReuseStats &stats);
 
-    /** Forward totals since construction (or resetStats). */
+    /** Forward totals since construction. */
     const ReuseStats &totals() const { return totals_; }
 
-    /** Backward-replay totals since construction (or resetStats). */
+    /** Backward-replay totals since construction. */
     const ReuseStats &backwardTotals() const { return backwardTotals_; }
 
     /** Weight-gradient-replay totals since construction. */
@@ -188,8 +178,6 @@ class MercuryContext
     {
         return weightGradTotals_;
     }
-
-    void resetStats();
 
   private:
     int sigBits_;

@@ -17,7 +17,6 @@ PipelineConfig::fromConfig(const AcceleratorConfig &cfg)
     PipelineConfig pipe;
     pipe.blockRows = cfg.pipelineBlockRows;
     pipe.threads = cfg.pipelineThreads;
-    pipe.persistent = cfg.persistentCache;
     return pipe;
 }
 
@@ -254,9 +253,7 @@ DetectionFrontend::finishStream(DetectionHashJob &job)
         panic("finishStream of a hash job that was not begun");
     if (job.cache_ != cache_)
         panic("hash job finished on a different cache than it began on");
-    if (pipe_.persistent)
-        cache_->resetInsertBacklog(); // keep the §V drain cost per-pass
-    else
+    if (!pipe_.persistent)
         cache_->clear();
 
     // Stage 2: probe each hashed block in stream order (so every MCACHE

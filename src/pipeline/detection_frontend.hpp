@@ -90,8 +90,7 @@ struct PipelineConfig
      * Correctness is unchanged: result forwarding is strictly
      * within-pass (the engines compute a cross-pass HIT exactly, via
      * their per-pass owner maps), so
-     * persistence trades only which rows count as hits. The §V
-     * insert-backlog model is still reset per pass. Lifecycle
+     * persistence trades only which rows count as hits. Lifecycle
      * (eviction, epochs, quota) is driven by the cache owner; see
      * docs/ARCHITECTURE.md, "Serving layer".
      */
@@ -268,8 +267,8 @@ class DetectionFrontend
 
     /**
      * Probe half of a pass begun with beginHashStream: clears the
-     * cache (the new vector population arrived, §III-B3; a persistent
-     * cache only resets its insert backlog), probes the blocks in
+     * cache unless it is persistent (the new vector population
+     * arrived, §III-B3), probes the blocks in
      * ascending order on the calling thread as they finish hashing —
      * one MCache::probeBlock per block — and returns the filled pass:
      * its outcomes, entry ids, words and mix are SimilarityDetector::

@@ -179,7 +179,6 @@ MercuryServer::MercuryServer(const ServeConfig &cfg)
     acfg.mcacheWays = cfg_.ways;
     acfg.mcacheDataVersions = cfg_.dataVersions;
     acfg.initialSignatureBits = cfg_.signatureBits;
-    acfg.persistentCache = true;
     costFwd_ = sim::CostModel::create(acfg);
     acfg.backwardReuse = true;
     acfg.weightGradReuse = true;

@@ -99,16 +99,6 @@ struct AcceleratorConfig
     bool overlapDetection = false;
 
     /**
-     * Persistent MCACHE across detection passes (serving layer): tags
-     * survive from one request to the next instead of being cleared
-     * per pass, so near-duplicate rows of *earlier* requests HIT.
-     * Outputs stay exact (forwarding is within-pass only); eviction /
-     * epochs / quota are the cache owner's job. See
-     * PipelineConfig::persistent and docs/ARCHITECTURE.md.
-     */
-    bool persistentCache = false;
-
-    /**
      * Reuse saved signatures in the backward pass (§III-C2): the
      * input-gradient pass of every reuse-capable layer replays the
      * forward pass's SignatureRecord — skipping the grad products of

@@ -182,9 +182,9 @@ class Dataflow
      * plus the entry id and outcome — mirroring the functional
      * SignatureRecord storage layout, so the estimate matches
      * SignatureRecord::storageBytes for an engine-captured record of
-     * the same geometry. Feed it to GlobalBuffer::holdRecord to model
-     * the buffer occupancy (and spill traffic) of records held for
-     * the gradient passes.
+     * the same geometry. CostModel::stepCost holds a record up to
+     * kHoldRecordBytes and spills a larger one (the library's one
+     * spill rule).
      */
     uint64_t recordSpillBytes(const LayerShape &shape, int64_t batch,
                               int sig_bits) const;

@@ -1,14 +1,15 @@
 /**
  * @file
  * Tests for the dataflow timing models: baseline formulas, MERCURY
- * savings as a function of the HIT/MAU/MNU mix, sync vs async
- * ordering, and cross-dataflow invariants.
+ * savings as a function of the HIT/MAU/MNU mix, the §V insert-queue
+ * charge, sync vs async ordering, and cross-dataflow invariants.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "sim/cycle_model.hpp"
 #include "sim/dataflow.hpp"
@@ -386,6 +387,40 @@ TEST(RecordSpill, EstimatePerRowMatchesSignatureRecordLayout)
               4u * vectors * 13u);
     LayerShape pool = LayerShape::pool("pool", 8, 16, 16, 2, 2);
     EXPECT_EQ(df->recordSpillBytes(pool, 1, 16), 0u);
+}
+
+TEST(InsertQueues, MauInsertsSerializePerSet)
+{
+    // §V: each MAU row enqueues one tag insert, a set's queue
+    // controller takes its inserts one at a time, and different sets
+    // drain in parallel. The charge is the expected longest per-set
+    // backlog: all five inserts in one set, three of them in one of
+    // two sets, one slot across 64. HIT and MNU rows insert nothing.
+    const LayerShape fc = LayerShape::fc("fc", 32, 16);
+    HitMix mix;
+    mix.vectors = 8;
+    mix.hit = 2;
+    mix.mau = 5;
+    mix.mnu = 1;
+    AcceleratorConfig cfg = defaultConfig();
+    cfg.sim.cacheInsertCycles = 3;
+    for (const auto &[sets, slots] :
+         {std::pair<int, uint64_t>{1, 5}, {2, 3}, {64, 1}}) {
+        cfg.mcacheSets = sets;
+        const auto df = Dataflow::create(cfg);
+        EXPECT_EQ(df->mercuryLayerCycles(fc, 8, mix, 20).cacheOverhead,
+                  3u * slots)
+            << sets << " sets";
+    }
+    HitMix no_inserts;
+    no_inserts.vectors = 8;
+    no_inserts.hit = 6;
+    no_inserts.mnu = 2;
+    cfg.mcacheSets = 1;
+    EXPECT_EQ(Dataflow::create(cfg)
+                  ->mercuryLayerCycles(fc, 8, no_inserts, 20)
+                  .cacheOverhead,
+              0u);
 }
 
 TEST(RowStationary, FewFiltersMakeSignaturesUnprofitable)

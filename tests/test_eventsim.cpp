@@ -14,8 +14,9 @@
  *    MobileNetV2 forward-only points (the acceptance contract also
  *    enforced by bench/sweep_eventsim);
  *  - the step schedule both backends share: golden CostBreakdowns,
- *    event record bytes from CostModel::recordBytes, and the
- *    one-mix-per-layer check;
+ *    event record bytes from CostModel::recordBytes, the one spill
+ *    rule (records only under a replay knob, held up to
+ *    kHoldRecordBytes), and the one-mix-per-layer check;
  *  - the printed component line's DRAM occupancy (a share of the
  *    banks' cycles).
  */
@@ -520,6 +521,69 @@ TEST(StepSchedule, EventSpillIsRecordBytesAboveHoldThreshold)
             event->stepCost(model.layers, mixes, 4, 20);
         EXPECT_EQ(e.components.gbuf.spillBytes, spilled) << model.name;
     }
+}
+
+/** Record bytes the event backend spills over one step of `stack`. */
+uint64_t
+eventSpillBytes(const AcceleratorConfig &cfg,
+                const std::vector<LayerShape> &stack, int64_t batch)
+{
+    std::vector<HitMix> mixes;
+    for (const LayerShape &s : stack)
+        mixes.push_back(HitMix::fromFractions(s.vectorsPerChannel(), 0.4));
+    return sim::CostModel::create(cfg)
+        ->stepCost(stack, mixes, batch, 20)
+        .components.gbuf.spillBytes;
+}
+
+TEST(StepSchedule, RecordsSpillOnlyWhenAReplayKnobIsOn)
+{
+    // Only a replay knob captures SignatureRecords. With neither on,
+    // no record is held and nothing spills, on a stack whose records
+    // would spill; either knob alone spills the same bytes as both.
+    AcceleratorConfig cfg;
+    cfg.sim.backend = SimBackend::Event;
+    cfg.sim.fidelity = SimFidelity::Sampled;
+    const ModelConfig model = vgg13();
+    const std::unique_ptr<sim::CostModel> model_cost =
+        sim::CostModel::create(cfg);
+    uint64_t records = 0;
+    for (const LayerShape &s : model.layers)
+        if (model_cost->recordBytes(s, 4, 20) > sim::kHoldRecordBytes)
+            records += model_cost->recordBytes(s, 4, 20);
+    ASSERT_GT(records, 0u);
+
+    EXPECT_EQ(eventSpillBytes(cfg, model.layers, 4), 0u);
+    AcceleratorConfig dx = cfg;
+    dx.backwardReuse = true;
+    EXPECT_EQ(eventSpillBytes(dx, model.layers, 4), records);
+    AcceleratorConfig dw = cfg;
+    dw.weightGradReuse = true;
+    EXPECT_EQ(eventSpillBytes(dw, model.layers, 4), records);
+}
+
+TEST(StepSchedule, HoldsARecordUpToTheThresholdAndSpillsPastIt)
+{
+    // One FC layer, whose record grows by one row per image: at the
+    // largest batch whose record fits kHoldRecordBytes it is held, and
+    // one image more spills the whole record.
+    AcceleratorConfig cfg;
+    cfg.backwardReuse = true;
+    cfg.weightGradReuse = true;
+    cfg.sim.backend = SimBackend::Event;
+    cfg.sim.fidelity = SimFidelity::Sampled;
+    const std::vector<LayerShape> stack = {LayerShape::fc("fc", 4, 8)};
+    const std::unique_ptr<sim::CostModel> cost = sim::CostModel::create(cfg);
+    const uint64_t per_image = cost->recordBytes(stack[0], 1, 20);
+    ASSERT_GT(per_image, 0u);
+    const int64_t held = static_cast<int64_t>(sim::kHoldRecordBytes /
+                                              per_image);
+    ASSERT_LE(cost->recordBytes(stack[0], held, 20), sim::kHoldRecordBytes);
+    const uint64_t past = cost->recordBytes(stack[0], held + 1, 20);
+    ASSERT_GT(past, sim::kHoldRecordBytes);
+
+    EXPECT_EQ(eventSpillBytes(cfg, stack, held), 0u);
+    EXPECT_EQ(eventSpillBytes(cfg, stack, held + 1), past);
 }
 
 TEST(ComponentStats, DramOccupancyIsAShareOfBankCycles)

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for MCACHE semantics: the Fig. 9 insert flow, the
- * no-replacement policy, the per-set insert queues, the outcome
- * counters, the serving-layer lifecycle (epochs, tenants, pins,
- * quota, restore), and the block probe with the owner rule against a
- * plain restatement of the Fig. 9 rules.
+ * no-replacement policy, the outcome counters, the serving-layer
+ * lifecycle (epochs, tenants, quota, restore), and the block probe
+ * with the owner rule against a plain restatement of the Fig. 9
+ * rules.
  */
 
 #include <gtest/gtest.h>
@@ -91,16 +91,6 @@ TEST(MCache, SetOccupancyTracksInserts)
     EXPECT_EQ(c.setOccupancy(0), 2);
 }
 
-TEST(MCache, InsertBacklogGrowsPerSet)
-{
-    MCache c(1, 8, 1);
-    for (uint64_t i = 0; i < 5; ++i)
-        c.lookupOrInsert(sigOf(i + 1));
-    EXPECT_EQ(c.maxInsertBacklog(), 5u);
-    c.clear();
-    EXPECT_EQ(c.maxInsertBacklog(), 0u);
-}
-
 TEST(MCache, StatsCountOutcomes)
 {
     MCache c(16, 4, 1);
@@ -176,7 +166,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple(16, 2), std::make_tuple(32, 8),
                       std::make_tuple(64, 16), std::make_tuple(128, 8)));
 
-// ---- Serving-layer lifecycle: epochs, eviction, quota, pins ---------
+// ---- Serving-layer lifecycle: epochs, eviction, quota ---------------
 
 TEST(McacheLifecycle, InsertStampsEpochAndTenant)
 {
@@ -233,6 +223,47 @@ TEST(McacheLifecycle, HitRefreshSavesLineFromEviction)
     EXPECT_TRUE(c.tagValid(a.entryId));
 }
 
+TEST(McacheLifecycle, EvictionNeverMovesASurvivingLine)
+{
+    // Epoch eviction is the cache's one eviction. It drops every line
+    // older than the floor, whichever tenant (or none) installed it,
+    // and leaves every other line in its way: one set holds lines of
+    // alternating epochs, and after the sweep each survivor HITs with
+    // its old entry id, each tenant's count falls by exactly its
+    // evicted lines, and the next insert takes the lowest freed way.
+    MCache c(1, 16, 1);
+    std::vector<McacheResult> lines;
+    for (int i = 0; i < 12; ++i) {
+        c.setEpoch(1 + static_cast<uint64_t>(i % 2));
+        c.setInsertTenant((i / 2) % 3 - 1);
+        lines.push_back(c.lookupOrInsert(sigOf(100 + i)));
+        ASSERT_EQ(lines.back().outcome, McacheOutcome::Mau) << i;
+    }
+    EXPECT_EQ(c.tenantEntries(0), 4);
+    EXPECT_EQ(c.tenantEntries(1), 4);
+
+    c.setEpoch(3);
+    EXPECT_EQ(c.evictOlderThan(2), 6);
+    EXPECT_EQ(c.setOccupancy(0), 6);
+    EXPECT_EQ(c.tenantEntries(0), 2);
+    EXPECT_EQ(c.tenantEntries(1), 2);
+    for (int i = 0; i < 12; ++i) {
+        const int64_t id = lines[static_cast<size_t>(i)].entryId;
+        if (i % 2 == 0) {
+            EXPECT_FALSE(c.tagValid(id)) << i;
+            continue;
+        }
+        EXPECT_EQ(c.entryTenant(id), (i / 2) % 3 - 1) << i;
+        const McacheResult again = c.lookupOrInsert(sigOf(100 + i));
+        EXPECT_EQ(again.outcome, McacheOutcome::Hit) << i;
+        EXPECT_EQ(again.entryId, id) << i;
+        EXPECT_EQ(c.entryEpoch(id), 3u) << i;
+    }
+    const McacheResult fresh = c.lookupOrInsert(sigOf(500));
+    EXPECT_EQ(fresh.outcome, McacheOutcome::Mau);
+    EXPECT_EQ(fresh.entryId, lines[0].entryId);
+}
+
 TEST(McacheLifecycle, EvictionFreesTheWayForReinsert)
 {
     MCache c(1, 1, 1);
@@ -242,56 +273,6 @@ TEST(McacheLifecycle, EvictionFreesTheWayForReinsert)
     c.setEpoch(2);
     EXPECT_EQ(c.evictOlderThan(2), 1);
     EXPECT_EQ(c.lookupOrInsert(sigOf(2)).outcome, McacheOutcome::Mau);
-}
-
-TEST(McacheLifecycle, EvictTenantRemovesOnlyThatTenant)
-{
-    MCache c(16, 8, 1);
-    c.setInsertTenant(0);
-    const auto a = c.lookupOrInsert(sigOf(1));
-    c.setInsertTenant(1);
-    const auto b = c.lookupOrInsert(sigOf(2));
-    EXPECT_EQ(c.evictTenant(0), 1);
-    EXPECT_FALSE(c.tagValid(a.entryId));
-    EXPECT_TRUE(c.tagValid(b.entryId));
-    EXPECT_EQ(c.tenantEntries(1), 1);
-}
-
-TEST(McacheLifecycle, PinnedLineSurvivesEviction)
-{
-    // The in-flight-HIT contract: a pinned line is never evicted, so
-    // an entry id handed out by a probe stays valid across any
-    // eviction sweep that runs while the client holds the pin.
-    MCache c(16, 8, 1);
-    c.setEpoch(1);
-    const auto a = c.lookupOrInsert(sigOf(1));
-    c.pin(a.entryId);
-    c.setEpoch(10);
-    EXPECT_EQ(c.evictOlderThan(10), 0);
-    EXPECT_TRUE(c.tagValid(a.entryId));
-    EXPECT_EQ(c.pinCount(a.entryId), 1u);
-    c.unpin(a.entryId);
-    EXPECT_EQ(c.evictOlderThan(10), 1); // unpinned: now evictable
-}
-
-TEST(McacheLifecycle, PinIsCountedNotBoolean)
-{
-    MCache c(16, 8, 1);
-    const auto a = c.lookupOrInsert(sigOf(1));
-    c.pin(a.entryId);
-    c.pin(a.entryId);
-    c.unpin(a.entryId);
-    c.setEpoch(10);
-    EXPECT_EQ(c.evictOlderThan(10), 0); // one pin still held
-    c.unpin(a.entryId);
-    EXPECT_EQ(c.evictOlderThan(10), 1);
-}
-
-TEST(McacheLifecycle, UnpinWithoutPinPanics)
-{
-    MCache c(16, 8, 1);
-    const auto a = c.lookupOrInsert(sigOf(1));
-    EXPECT_DEATH(c.unpin(a.entryId), "unpin");
 }
 
 TEST(McacheLifecycle, RestoreLineReinstallsTagAndMetadata)
@@ -372,12 +353,14 @@ TEST(McacheLifecycle, QuotaIsPerTenantAndFreedByEviction)
     MCache cache(/*sets=*/64, /*ways=*/8, /*data_versions=*/1);
     cache.setTenantQuota(2, /*max_tenants=*/4);
 
+    cache.setEpoch(1); // tenant 1's lines are the only epoch-1 lines
     cache.setInsertTenant(1);
     EXPECT_EQ(cache.lookupOrInsert(sigOf(1)).outcome, McacheOutcome::Mau);
     EXPECT_EQ(cache.lookupOrInsert(sigOf(2)).outcome, McacheOutcome::Mau);
     EXPECT_EQ(cache.lookupOrInsert(sigOf(3)).outcome, McacheOutcome::Mnu);
     EXPECT_EQ(cache.tenantReserved(1), 2);
 
+    cache.setEpoch(2);
     cache.setInsertTenant(3);
     EXPECT_EQ(cache.lookupOrInsert(sigOf(3)).outcome, McacheOutcome::Mau);
     EXPECT_EQ(cache.tenantReserved(3), 1);
@@ -388,8 +371,9 @@ TEST(McacheLifecycle, QuotaIsPerTenantAndFreedByEviction)
         EXPECT_EQ(cache.lookupOrInsert(sigOf(p)).outcome,
                   McacheOutcome::Mau);
 
-    EXPECT_EQ(cache.evictTenant(1), 2);
+    EXPECT_EQ(cache.evictOlderThan(2), 2);
     EXPECT_EQ(cache.tenantReserved(1), 0);
+    EXPECT_EQ(cache.tenantReserved(3), 1);
     cache.setInsertTenant(1);
     EXPECT_EQ(cache.lookupOrInsert(sigOf(4)).outcome, McacheOutcome::Mau);
     EXPECT_EQ(cache.tenantReserved(1), 1);
@@ -414,9 +398,9 @@ TEST(McacheClear, EqualsAFreshCacheAfterAnyHistory)
 {
     // clear() resets only the lines installed since the last clear. It
     // must leave every observable as a freshly built cache has it,
-    // after seeded histories of probes, pins, unpins, evictions,
-    // restores, backlog resets, quota-limited inserts and earlier
-    // clears — including histories with more installs than entries().
+    // after seeded histories of probes, evictions, restores,
+    // quota-limited inserts and earlier clears — including histories
+    // with more installs than entries().
     constexpr int kSets = 8, kWays = 4, kTenants = 3, kQuota = 5;
     std::mt19937_64 rng(0xC1EA2);
     for (int trial = 0; trial < 300; ++trial) {
@@ -429,7 +413,7 @@ TEST(McacheClear, EqualsAFreshCacheAfterAnyHistory)
         for (int s = 0; s < steps; ++s) {
             const int64_t e = static_cast<int64_t>(rng() % c.entries());
             const int tenant = static_cast<int>(rng() % (kTenants + 1)) - 1;
-            switch (rng() % 10) {
+            switch (rng() % 7) {
               case 0:
               case 1:
               case 2:
@@ -439,20 +423,9 @@ TEST(McacheClear, EqualsAFreshCacheAfterAnyHistory)
                 (void)c.lookupOrInsert(sigOf(rng() % 48));
                 break;
               case 4:
-                if (c.tagValid(e))
-                    c.pin(e);
-                break;
-              case 5:
-                if (c.pinCount(e) > 0)
-                    c.unpin(e);
-                break;
-              case 6:
                 (void)c.evictOlderThan(rng() % 6);
                 break;
-              case 7:
-                (void)c.evictTenant(tenant);
-                break;
-              case 8:
+              case 5:
                 // A restore counts against the quota; a snapshot
                 // restore checks the quota takes its lines first.
                 if (!c.tagValid(e) && (!gated || tenant < 0 ||
@@ -461,10 +434,9 @@ TEST(McacheClear, EqualsAFreshCacheAfterAnyHistory)
                                   tenant);
                 break;
               default:
+                // Rarely, so histories install past entries().
                 if (rng() % 4 == 0)
                     c.clear();
-                else
-                    c.resetInsertBacklog();
                 break;
             }
         }
@@ -479,7 +451,6 @@ TEST(McacheClear, EqualsAFreshCacheAfterAnyHistory)
             ASSERT_EQ(c.tagValid(id), fresh.tagValid(id)) << "entry " << id;
             ASSERT_EQ(c.entryEpoch(id), fresh.entryEpoch(id)) << id;
             ASSERT_EQ(c.entryTenant(id), fresh.entryTenant(id)) << id;
-            ASSERT_EQ(c.pinCount(id), fresh.pinCount(id)) << id;
         }
         for (int set = 0; set < kSets; ++set)
             ASSERT_EQ(c.setOccupancy(set), fresh.setOccupancy(set));
@@ -488,7 +459,6 @@ TEST(McacheClear, EqualsAFreshCacheAfterAnyHistory)
             ASSERT_EQ(c.tenantReserved(t), fresh.tenantReserved(t))
                 << "tenant " << t;
         }
-        ASSERT_EQ(c.maxInsertBacklog(), fresh.maxInsertBacklog());
     }
 }
 
@@ -499,7 +469,7 @@ TEST(McacheClear, EqualsAFreshCacheAfterAnyHistory)
  * first valid way whose tag matches HITs (refreshing its epoch);
  * otherwise the first free way installs, unless the inserting tenant
  * already holds its quota; otherwise the result is MNU. Eviction,
- * pins, restore and clear as MCache documents them.
+ * restore and clear as MCache documents them.
  */
 class ReferenceCache
 {
@@ -556,12 +526,11 @@ class ReferenceCache
         take(line(e), sig, epoch, tenant);
     }
 
-    int64_t evict(bool by_tenant, uint64_t min_epoch, int tenant)
+    int64_t evictOlderThan(uint64_t min_epoch)
     {
         int64_t n = 0;
         for (Line &l : lines_) {
-            if (!l.valid || l.pins > 0 ||
-                (by_tenant ? l.tenant != tenant : l.epoch >= min_epoch))
+            if (!l.valid || l.epoch >= min_epoch)
                 continue;
             drop(l);
             ++n;
@@ -571,11 +540,9 @@ class ReferenceCache
 
     void clear()
     {
-        for (Line &l : lines_) {
+        for (Line &l : lines_)
             if (l.valid)
                 drop(l);
-            l.pins = 0;
-        }
     }
 
     struct Line
@@ -584,7 +551,6 @@ class ReferenceCache
         Signature tag;
         uint64_t epoch = 0;
         int tenant = -1;
-        uint32_t pins = 0;
     };
 
     Line &line(int64_t e) { return lines_[static_cast<size_t>(e)]; }
@@ -614,7 +580,6 @@ class ReferenceCache
         l.tag = sig;
         l.epoch = epoch;
         l.tenant = tenant;
-        l.pins = 0;
         if (quota_ > 0 && tenant >= 0)
             ++held_[static_cast<size_t>(tenant)];
     }
@@ -754,7 +719,7 @@ TEST(McacheReference, MatchesFig9RulesOverMixedStreams)
                 SCOPED_TRACE("op " + std::to_string(op));
                 const int64_t e = static_cast<int64_t>(rng() % c.entries());
                 const int tenant = static_cast<int>(rng() % 3) - 1;
-                const uint64_t r = rng() % 100;
+                const uint64_t r = rng() % 89;
                 if (r < 78) {
                     epoch += rng() % 2;
                     c.setEpoch(epoch);
@@ -772,23 +737,8 @@ TEST(McacheReference, MatchesFig9RulesOverMixedStreams)
                         kSets * ways / 2 + rng() % (kSets * ways + 8));
                     const uint64_t floor = epoch > age ? epoch - age : 0;
                     ASSERT_EQ(c.evictOlderThan(floor),
-                              ref.evict(false, floor, 0));
-                } else if (r < 81) {
-                    if (rng() % (ways / 8 + 1) == 0) {
-                        ASSERT_EQ(c.evictTenant(tenant),
-                                  ref.evict(true, 0, tenant));
-                    }
-                } else if (r < 87) {
-                    if (ref.line(e).valid) {
-                        c.pin(e);
-                        ++ref.line(e).pins;
-                    }
-                } else if (r < 91) {
-                    if (ref.line(e).pins > 0) {
-                        c.unpin(e);
-                        --ref.line(e).pins;
-                    }
-                } else if (r < 99) {
+                              ref.evictOlderThan(floor));
+                } else if (r < 88) {
                     // Restore into a free line: half the time a tag
                     // already valid elsewhere in the same set.
                     if (ref.line(e).valid || ref.quotaFull(tenant))
@@ -803,8 +753,7 @@ TEST(McacheReference, MatchesFig9RulesOverMixedStreams)
                     c.restoreLine(e, sig, epoch, tenant);
                     ref.restore(e, sig, epoch, tenant);
                 } else if (rng() % (ways / 8 + 1) == 0) {
-                    // Rarer with more ways (as tenant eviction is), so
-                    // wide sets still fill.
+                    // Rarer with more ways, so wide sets still fill.
                     c.clear();
                     ref.clear();
                 }
@@ -824,7 +773,6 @@ TEST(McacheReference, MatchesFig9RulesOverMixedStreams)
                     ASSERT_TRUE(c.tagOf(id) == l.tag) << "entry " << id;
                     ASSERT_EQ(c.entryEpoch(id), l.epoch) << "entry " << id;
                     ASSERT_EQ(c.entryTenant(id), l.tenant) << "entry " << id;
-                    ASSERT_EQ(c.pinCount(id), l.pins) << "entry " << id;
                 }
             }
             // The stream reached every outcome.
@@ -897,15 +845,12 @@ TEST(McacheReference, BlockProbeMatchesFig9RulesAndOwnerRule)
                         c.clear();
                         ref.clear();
                         installs = 0;
-                    } else {
-                        c.resetInsertBacklog();
-                        if (pass % 3 == 2) {
-                            // Free lines so later passes install past
-                            // entries() since the last clear.
-                            const uint64_t floor = epoch - 2;
-                            ASSERT_EQ(c.evictOlderThan(floor),
-                                      ref.evict(false, floor, 0));
-                        }
+                    } else if (pass % 3 == 2) {
+                        // Free lines so later passes install past
+                        // entries() since the last clear.
+                        const uint64_t floor = epoch - 2;
+                        ASSERT_EQ(c.evictOlderThan(floor),
+                                  ref.evictOlderThan(floor));
                     }
 
                     const int32_t rows = 1 + static_cast<int32_t>(
@@ -924,11 +869,10 @@ TEST(McacheReference, BlockProbeMatchesFig9RulesAndOwnerRule)
 
                     // The reference: Fig. 9 per row, then the owner rule
                     // (a HIT on an entry this pass installed forwards to
-                    // the installing row) and the per-set backlog.
+                    // the installing row).
                     std::vector<McacheResult> want;
                     std::vector<int32_t> want_owner;
                     std::map<int64_t, int32_t> installed_by;
-                    std::vector<uint64_t> backlog(kSets, 0);
                     int64_t want_forwarded = 0;
                     for (int32_t r = 0; r < rows; ++r) {
                         const McacheResult w =
@@ -936,7 +880,6 @@ TEST(McacheReference, BlockProbeMatchesFig9RulesAndOwnerRule)
                         int32_t o = r;
                         if (w.outcome == McacheOutcome::Mau) {
                             installed_by[w.entryId] = r;
-                            ++backlog[static_cast<size_t>(w.entryId / ways)];
                             ++installs;
                         } else if (w.outcome == McacheOutcome::Hit &&
                                    installed_by.count(w.entryId)) {
@@ -991,9 +934,6 @@ TEST(McacheReference, BlockProbeMatchesFig9RulesAndOwnerRule)
                     ASSERT_EQ(c.stats().hits, ref.stats.hits);
                     ASSERT_EQ(c.stats().mau, ref.stats.mau);
                     ASSERT_EQ(c.stats().mnu, ref.stats.mnu);
-                    ASSERT_EQ(c.maxInsertBacklog(),
-                              *std::max_element(backlog.begin(),
-                                                backlog.end()));
                     for (int set = 0; set < kSets; ++set)
                         ASSERT_EQ(c.setOccupancy(set), ref.occupancy(set));
                     for (int t = 0; t < kTenants && quota > 0; ++t)

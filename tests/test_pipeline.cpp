@@ -3,7 +3,8 @@
  * Tests for the detection front-end (src/pipeline): a pass must be
  * bit-identical to the legacy SimilarityDetector for every block size
  * and thread count, reruns must be deterministic, a hash job may run
- * under the previous pass, the reuse engines must produce identical
+ * under the previous pass, only a persistent frontend keeps its tags
+ * from one pass to the next, the reuse engines must produce identical
  * outputs through a shared multi-threaded frontend, and the frontend
  * refuses knobs and jobs no pass can run.
  */
@@ -429,6 +430,44 @@ TEST(Frontend, InlineJobHashesInsideFinishStream)
     geometry.load(plane.data(), 1, frame.data());
     const SignatureRecord::Pass pass = fe.finishStream(job);
     expectMatchesLegacy(pass, legacyDetect(im2col(plane, spec)));
+}
+
+TEST(Frontend, PersistentPassKeepsTheTagsAClearingPassDrops)
+{
+    // finishStream clears the MCACHE before it probes, unless the
+    // frontend is persistent. A clearing frontend probes a repeated
+    // pass exactly as it probed the first; a persistent one HITs
+    // every row the first pass HIT or installed, on the same entry,
+    // and inserts nothing.
+    const Tensor rows = prototypeVectors(200, 8, 16, 0.01f, 31);
+    for (int threads : {1, 4}) {
+        for (const bool persistent : {false, true}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads) +
+                         (persistent ? " persistent" : " clearing"));
+            PipelineConfig pipe;
+            pipe.blockRows = 48;
+            pipe.threads = threads;
+            pipe.persistent = persistent;
+            DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed, pipe);
+            const SignatureRecord::Pass first = fe.detect(rows, kBits);
+            ASSERT_GT(first.mix.hit, 0);
+            ASSERT_GT(first.mix.mau, 0);
+            const SignatureRecord::Pass second = fe.detect(rows, kBits);
+            if (!persistent) {
+                expectIdenticalPasses(first, second);
+                continue;
+            }
+            EXPECT_EQ(second.mix.hit, first.mix.hit + first.mix.mau);
+            EXPECT_EQ(second.mix.mau, 0);
+            EXPECT_EQ(second.mix.mnu, first.mix.mnu);
+            for (int64_t i = 0; i < rows.dim(0); ++i) {
+                if (first.outcome(i) == McacheOutcome::Mnu)
+                    continue;
+                ASSERT_EQ(second.outcome(i), McacheOutcome::Hit) << i;
+                ASSERT_EQ(second.entryId(i), first.entryId(i)) << i;
+            }
+        }
+    }
 }
 
 TEST(Frontend, UnfinishedPooledJobJoinsItsHashersOnDestruction)

@@ -4,7 +4,8 @@
  * SignatureRecord capture, the backward filter passes of all three
  * reuse engines (bit-identical to the exact input gradient at zero
  * hits, skipping exactly the forward HIT rows otherwise, threads 1 ==
- * pooled, the MCACHE untouched by every replay), the weight-gradient
+ * pooled, the MCACHE untouched by every replay, the same outputs with
+ * every cache line evicted between replays), the weight-gradient
  * sum-then-multiply replay of all three engines (bit-identical to
  * the exact dW at zero hits, exact up to float-summation order
  * otherwise), the NN-layer integration behind
@@ -31,7 +32,6 @@
 #include "pipeline/signature_record.hpp"
 #include "serve/snapshot.hpp"
 #include "sim/dataflow.hpp"
-#include "sim/global_buffer.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -962,6 +962,120 @@ TEST(FcWeightGrad, OverlappedReplayBitIdenticalToSerial)
     expectCacheUntouched(mix_o, pooled_fe, "pooled replay");
 }
 
+TEST(FcReplay, EvictingEveryLineBetweenReplaysChangesNothing)
+{
+    // A persistent cache keeps its tags past the pass, and the server
+    // ages them out between jobs. No replay holds an entry id across
+    // that: owners come from the record, so dX and dW replayed after
+    // every line of the cache is evicted equal the replays before,
+    // bit for bit, and neither replay probes.
+    Tensor in = duplicateRows(120, 20, 11, kSeed + 17);
+    Rng rng(84);
+    Tensor w({20, 9});
+    w.fillNormal(rng);
+    Tensor grad({120, 9});
+    grad.fillNormal(rng);
+
+    PipelineConfig pipe;
+    pipe.persistent = true;
+    DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed, pipe);
+    FcEngine engine(fe, 24);
+    fe.cache().setEpoch(1);
+    ReuseStats fstats;
+    SignatureRecord record;
+    engine.forward(in, w, fstats, nullptr, &record);
+    ASSERT_GT(fstats.mix.hit, 0);
+
+    const McacheCounters mix = fe.cache().stats();
+    ReuseStats b0, w0;
+    const Tensor dx0 = engine.backwardInput(grad, w, record, b0);
+    const Tensor dw0 = engine.backwardWeights(in, grad, record, w0);
+    ASSERT_EQ(fe.cache().evictOlderThan(2), fstats.mix.mau);
+    ReuseStats b1, w1;
+    const Tensor dx1 = engine.backwardInput(grad, w, record, b1);
+    const Tensor dw1 = engine.backwardWeights(in, grad, record, w1);
+    EXPECT_TRUE(dx0 == dx1);
+    EXPECT_TRUE(dw0 == dw1);
+    EXPECT_GT(b0.macsSkipped, 0u);
+    EXPECT_EQ(b1.macsSkipped, b0.macsSkipped);
+    EXPECT_EQ(w1.macsSkipped, w0.macsSkipped);
+    expectCacheUntouched(mix, fe, "replays around the eviction");
+}
+
+TEST(ConvReplay, EvictingEveryLineBetweenReplaysChangesNothing)
+{
+    // The FcReplay contract on the conv engine: every channel pass's
+    // owners come from the record, so emptying the persistent cache
+    // between two rounds of dX and dW replays changes no bit.
+    Tensor in = similarInput(2, 4, 9, 9, 1e-3f, 93);
+    Rng rng(94);
+    const ConvSpec spec = convSpec(4, 7, 3, 1, 1);
+    Tensor w({7, 4, 3, 3});
+    w.fillNormal(rng);
+    Tensor grad({2, 7, 9, 9});
+    grad.fillNormal(rng);
+
+    PipelineConfig pipe;
+    pipe.persistent = true;
+    DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed, pipe);
+    ConvReuseEngine engine(fe, 16);
+    fe.cache().setEpoch(1);
+    ReuseStats fstats;
+    SignatureRecord record;
+    engine.forward(in, w, Tensor(), spec, fstats, &record);
+    ASSERT_GT(fstats.mix.hit, 0);
+
+    const McacheCounters mix = fe.cache().stats();
+    ReuseStats b0, w0;
+    const Tensor dx0 = engine.backwardInput(grad, w, spec, 9, 9, record, b0);
+    const Tensor dw0 = engine.backwardWeights(in, grad, spec, record, w0);
+    ASSERT_EQ(fe.cache().evictOlderThan(2), fstats.mix.mau);
+    ReuseStats b1, w1;
+    const Tensor dx1 = engine.backwardInput(grad, w, spec, 9, 9, record, b1);
+    const Tensor dw1 = engine.backwardWeights(in, grad, spec, record, w1);
+    EXPECT_TRUE(dx0 == dx1);
+    EXPECT_TRUE(dw0 == dw1);
+    EXPECT_GT(b0.macsSkipped, 0u);
+    EXPECT_EQ(b1.macsSkipped, b0.macsSkipped);
+    EXPECT_EQ(w1.macsSkipped, w0.macsSkipped);
+    expectCacheUntouched(mix, fe, "replays around the eviction");
+}
+
+TEST(AttentionReplay, EvictingEveryLineBetweenReplaysChangesNothing)
+{
+    // The same contract on the attention engine's input-gradient and
+    // projection replays.
+    Tensor x = duplicateRows(40, 10, 7, kSeed + 19);
+    Rng rng(95);
+    Tensor g({40, 10});
+    g.fillNormal(rng);
+
+    PipelineConfig pipe;
+    pipe.persistent = true;
+    DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed, pipe);
+    AttentionEngine engine(fe, 24);
+    fe.cache().setEpoch(1);
+    ReuseStats fstats;
+    SignatureRecord record;
+    engine.forward(x, fstats, &record);
+    ASSERT_GT(fstats.mix.hit, 0);
+
+    const McacheCounters mix = fe.cache().stats();
+    ReuseStats b0, p0;
+    const Tensor dx0 = engine.backward(x, g, record, 0, b0);
+    const Tensor proj0 = engine.backwardProjection(x, record, 0, p0);
+    ASSERT_EQ(fe.cache().evictOlderThan(2), fstats.mix.mau);
+    ReuseStats b1, p1;
+    const Tensor dx1 = engine.backward(x, g, record, 0, b1);
+    const Tensor proj1 = engine.backwardProjection(x, record, 0, p1);
+    EXPECT_TRUE(dx0 == dx1);
+    EXPECT_TRUE(proj0 == proj1);
+    EXPECT_GT(b0.macsSkipped, 0u);
+    EXPECT_EQ(b1.macsSkipped, b0.macsSkipped);
+    EXPECT_EQ(p1.macsSkipped, p0.macsSkipped);
+    expectCacheUntouched(mix, fe, "replays around the eviction");
+}
+
 TEST(AttentionWeightGrad, ProjectionBitIdenticalToExactWhenNoHits)
 {
     Rng rng(85);
@@ -1176,27 +1290,6 @@ TEST(RecordSpill, DataflowEstimateMatchesCapturedRecord)
         LayerShape::conv("conv", 3, 5, 8, 8, 3, 1, 1);
     EXPECT_EQ(record.storageBytes(),
               df->recordSpillBytes(shape, 2, 16));
-}
-
-TEST(RecordSpill, BufferChargesTrafficOnlyPastCapacity)
-{
-    GlobalBuffer buffer(1000);
-    buffer.holdRecord(600);
-    EXPECT_EQ(buffer.recordBytesHeld(), 600u);
-    EXPECT_EQ(buffer.signatureBytes(), 0u) << "fits: no spill";
-    // The second record pushes 200 bytes past capacity: written out
-    // now, read back at the backward pass — two transfers each.
-    buffer.holdRecord(600);
-    EXPECT_EQ(buffer.recordBytesHeld(), 1200u);
-    EXPECT_EQ(buffer.peakRecordBytes(), 1200u);
-    EXPECT_EQ(buffer.signatureBytes(), 400u);
-    buffer.releaseRecord(600);
-    buffer.releaseRecord(600);
-    EXPECT_EQ(buffer.recordBytesHeld(), 0u);
-    // A later batch that fits spills nothing more.
-    buffer.holdRecord(600);
-    EXPECT_EQ(buffer.signatureBytes(), 400u);
-    EXPECT_EQ(buffer.peakRecordBytes(), 1200u);
 }
 
 // ---------------------------------------------------------------------
